@@ -29,27 +29,6 @@ __all__ = [
     "ensemble_cell_candidate_pairs",
 ]
 
-# Half stencil: 13 offsets such that each unordered cell pair appears once.
-_HALF_STENCIL = np.array(
-    [
-        (1, 0, 0),
-        (0, 1, 0),
-        (0, 0, 1),
-        (1, 1, 0),
-        (1, -1, 0),
-        (1, 0, 1),
-        (1, 0, -1),
-        (0, 1, 1),
-        (0, 1, -1),
-        (1, 1, 1),
-        (1, 1, -1),
-        (1, -1, 1),
-        (1, -1, -1),
-    ],
-    dtype=np.int64,
-)
-
-
 @dataclass(frozen=True)
 class NeighborPairs:
     """Unique within-cutoff atom pairs and their displacements.
@@ -94,8 +73,8 @@ def _filter(
     ii: np.ndarray,
     jj: np.ndarray,
     cutoff: float,
-    sort: bool = False,
 ) -> NeighborPairs:
+    """Distance-filter candidates and return them in canonical order."""
     c2 = cutoff * cutoff
     out_i, out_j, out_dx, out_r2 = [], [], [], []
     for lo in range(0, len(ii), _FILTER_CHUNK):
@@ -113,10 +92,8 @@ def _filter(
     j = np.concatenate(out_j)
     dx = np.concatenate(out_dx)
     r2 = np.concatenate(out_r2)
-    if sort and len(i):
-        order = _canonical_order(i, j, len(positions))
-        return NeighborPairs(i=i[order], j=j[order], dx=dx[order], r2=r2[order])
-    return NeighborPairs(i=i, j=j, dx=dx, r2=r2)
+    order = _canonical_order(i, j, len(positions))
+    return NeighborPairs(i=i[order], j=j[order], dx=dx[order], r2=r2[order])
 
 
 def brute_force_pairs(
@@ -359,66 +336,4 @@ def neighbor_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPa
     cand = cell_candidate_pairs(positions, box, cutoff)
     if cand is None:
         return brute_force_pairs(positions, box, cutoff)
-    return _filter(positions, box, cand[0], cand[1], cutoff, sort=True)
-
-
-def _neighbor_pairs_loop(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPairs:
-    """Seed implementation: per-occupied-cell Python loop.
-
-    Kept (not exported) as the benchmark baseline for the vectorized
-    path and as a second oracle in tests.  Pair order is cell-major,
-    not canonical.
-    """
-    positions = box.wrap(np.asarray(positions, dtype=np.float64))
-    if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
-    if cutoff > box.max_cutoff():
-        raise ValueError(
-            f"cutoff {cutoff} exceeds the minimum-image limit {box.max_cutoff()}"
-        )
-    ncells = np.floor(box.lengths / cutoff).astype(np.int64)
-    if np.any(ncells < 3) or len(positions) < 64:
-        return brute_force_pairs(positions, box, cutoff)
-
-    cell_size = box.lengths / ncells
-    cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
-    flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
-
-    order = np.argsort(flat, kind="stable")
-    sorted_atoms = order
-    sorted_flat = flat[order]
-    ntot = int(np.prod(ncells))
-    starts = np.searchsorted(sorted_flat, np.arange(ntot))
-    ends = np.searchsorted(sorted_flat, np.arange(ntot), side="right")
-
-    def cell_id(cx: int, cy: int, cz: int) -> int:
-        return (cx * ncells[1] + cy) * ncells[2] + cz
-
-    out_i, out_j = [], []
-    occupied = np.unique(sorted_flat)
-    occ_x = occupied // (ncells[1] * ncells[2])
-    occ_y = (occupied // ncells[2]) % ncells[1]
-    occ_z = occupied % ncells[2]
-    for c, cx, cy, cz in zip(occupied, occ_x, occ_y, occ_z):
-        a = sorted_atoms[starts[c] : ends[c]]
-        # Intra-cell pairs, i < j by position in the cell.
-        if len(a) > 1:
-            ii, jj = np.triu_indices(len(a), k=1)
-            out_i.append(a[ii])
-            out_j.append(a[jj])
-        # Half-stencil neighbor cells.
-        nbr_atoms = []
-        for ox, oy, oz in _HALF_STENCIL:
-            c2flat = cell_id((cx + ox) % ncells[0], (cy + oy) % ncells[1], (cz + oz) % ncells[2])
-            if c2flat == c:
-                continue
-            s, e = starts[c2flat], ends[c2flat]
-            if e > s:
-                nbr_atoms.append(sorted_atoms[s:e])
-        if nbr_atoms and len(a):
-            b = np.concatenate(nbr_atoms)
-            out_i.append(np.repeat(a, len(b)))
-            out_j.append(np.tile(b, len(a)))
-    if not out_i:
-        return _empty_pairs()
-    return _filter(positions, box, np.concatenate(out_i), np.concatenate(out_j), cutoff)
+    return _filter(positions, box, cand[0], cand[1], cutoff)

@@ -5,11 +5,15 @@ evaluation, so the "conventional processor" baseline the paper's Anton
 speedups are measured against (Figure 5, Table 4) was dominated by
 pair-search overhead.  :class:`NeighborList` amortizes that cost the
 way GROMACS does: bin atoms with the fully vectorized cell engine
-(:func:`~repro.geometry.cells.cell_candidate_pairs`), keep every pair
+(:func:`~repro.geometry.cells.ensemble_cell_candidate_pairs`, one
+block for a solo system), keep every pair
 out to ``cutoff + skin``, pre-apply the static exclusion mask once,
 and reuse the list until some atom has moved more than ``skin / 2``
 since the last build — the classical sufficient condition, since two
-atoms approaching each other close the gap by at most ``skin``.
+atoms approaching each other close the gap by at most ``skin``.  A list
+holding a compiled kernel suite rebuilds through the suite's
+``neighbor_build`` instead, which emits the same canonical list
+directly from a C cell sweep; the NumPy pipeline is its oracle.
 
 Determinism: at use time the list recomputes ``dx``/``r2`` from the
 *current* wrapped positions and filters to the true cutoff, and the
@@ -33,12 +37,20 @@ from repro.geometry.cells import (
     NeighborPairs,
     _canonical_order,
     brute_force_pairs,
-    cell_candidate_pairs,
     ensemble_cell_candidate_pairs,
 )
 from repro.geometry.pbc import Box
 
 __all__ = ["NeighborList", "EnsembleNeighborList"]
+
+
+def _partner_csr(exclusions) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom CSR ``(ptr, idx)`` of the partners ``j > i`` that
+    :meth:`ExclusionTable.is_excluded` skips (hard exclusions and 1-4)."""
+    pairs = np.concatenate([exclusions.excluded, exclusions.pair14])
+    ptr = np.zeros(exclusions.n_atoms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=exclusions.n_atoms), out=ptr[1:])
+    return ptr, np.ascontiguousarray(pairs[np.argsort(pairs[:, 0], kind="stable"), 1])
 
 
 class NeighborList:
@@ -67,8 +79,13 @@ class NeighborList:
         compiled tier, :meth:`pairs` runs the cutoff filter in C into
         persistent scratch and returns prefix *views* of that scratch
         — bitwise identical to the NumPy filter, but the views are
-        only valid until the next :meth:`pairs` call.
+        only valid until the next :meth:`pairs` call.  Rebuilds go
+        through the suite's ``neighbor_build`` (same list, same order).
     """
+
+    #: Atom rows form this many equal blocks that never pair across a
+    #: boundary (replicas, in :class:`EnsembleNeighborList`).
+    _n_blocks = 1
 
     def __init__(
         self,
@@ -103,6 +120,11 @@ class NeighborList:
         self._lengths = np.ascontiguousarray(box.lengths, dtype=np.float64)
         self._scratch_cap = -1
         self._oi = self._oj = self._odx = self._or2 = None
+        # Compiled-tier rebuild state, filled lazily: ``kernels`` may be
+        # assigned after construction.
+        self._excl_csr = None
+        self._buf_i = np.empty(0, dtype=np.int64)
+        self._buf_j = np.empty(0, dtype=np.int64)
 
     # -- building ----------------------------------------------------------
 
@@ -119,26 +141,61 @@ class NeighborList:
             self._build_inner(wrapped)
 
     def _build_inner(self, wrapped: np.ndarray) -> None:
-        cand = cell_candidate_pairs(wrapped, self.box, self.reach)
+        k = self.kernels
+        if k is not None and k.tier == "compiled":
+            ii, jj = self._candidates_compiled(k, wrapped)
+        else:
+            ii, jj = self._candidates_numpy(wrapped)
+        self._cand_i, self._cand_j = ii, jj
+        if self._ref_positions is None or self._ref_positions.shape != wrapped.shape:
+            self._ref_positions = np.empty_like(wrapped)
+        np.copyto(self._ref_positions, wrapped)
+        self.n_builds += 1
+
+    def _candidates_compiled(self, k, wrapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical list straight from ``neighbor_build``.
+
+        Pairs land in list-owned buffers and come back as prefix views,
+        so a steady-state rebuild allocates nothing; a count past the
+        capacity grows the buffers with headroom and repeats the sweep.
+        """
+        block_len = len(wrapped) // self._n_blocks
+        if self.exclusions is not None and self._excl_csr is None:
+            self._excl_csr = _partner_csr(self.exclusions)
+        wrapped = np.ascontiguousarray(wrapped)
+        while True:
+            m = k.neighbor_build(
+                wrapped, self._lengths, self.reach, self._n_blocks, block_len,
+                self._excl_csr, self._buf_i, self._buf_j,
+            )
+            if m <= len(self._buf_i):
+                return self._buf_i[:m], self._buf_j[:m]
+            self._buf_i = np.empty(m + m // 8, dtype=np.int64)
+            self._buf_j = np.empty(m + m // 8, dtype=np.int64)
+
+    def _candidates_numpy(self, wrapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell candidates -> reach filter -> exclusions -> canonical sort."""
+        n_blocks, block_len = self._n_blocks, len(wrapped) // self._n_blocks
+        cand = ensemble_cell_candidate_pairs(wrapped, self.box, self.reach, n_blocks, block_len)
         if cand is None:
-            bf = brute_force_pairs(wrapped, self.box, self.reach)
-            ii, jj = bf.i, bf.j  # already canonical
-            canonical = True
+            # Per-block brute force; each block is canonical and the
+            # block-major concatenation stays globally canonical.
+            blocks = wrapped.reshape(n_blocks, block_len, 3)
+            parts = [brute_force_pairs(x, self.box, self.reach) for x in blocks]
+            ii = np.concatenate([bf.i + r * block_len for r, bf in enumerate(parts)])
+            jj = np.concatenate([bf.j + r * block_len for r, bf in enumerate(parts)])
         else:
             ii, jj = self._filter_to_reach(wrapped, *cand)
-            canonical = False
         if self.exclusions is not None and len(ii):
             keep = ~self.exclusions.is_excluded(ii, jj)
             ii, jj = ii[keep], jj[keep]
-        if not canonical and len(ii):
+        if cand is not None and len(ii):
             # Sorting only the reach-filtered survivors keeps the
             # pairs() output a pure function of the configuration at a
             # fraction of the cost of sorting raw cell candidates.
             order = _canonical_order(ii, jj, len(wrapped))
             ii, jj = ii[order], jj[order]
-        self._cand_i, self._cand_j = ii, jj
-        self._ref_positions = wrapped.copy()
-        self.n_builds += 1
+        return ii, jj
 
     def _filter_to_reach(
         self, wrapped: np.ndarray, ii: np.ndarray, jj: np.ndarray
@@ -232,6 +289,9 @@ class NeighborList:
         """Size the compiled-filter output scratch to the candidate count."""
         if n <= self._scratch_cap:
             return
+        # Candidate counts wander a fraction of a percent between
+        # rebuilds; headroom keeps that from reallocating every time.
+        n += n // 8
         self._scratch_cap = n
         self._oi = np.empty(n, dtype=np.int64)
         self._oj = np.empty(n, dtype=np.int64)
@@ -257,34 +317,5 @@ class EnsembleNeighborList(NeighborList):
 
     def __init__(self, box, cutoff, replicas, n_solo, **kwargs):
         super().__init__(box, cutoff, **kwargs)
-        self.replicas = int(replicas)
+        self.replicas = self._n_blocks = int(replicas)
         self.n_solo = int(n_solo)
-
-    def _build_inner(self, wrapped: np.ndarray) -> None:
-        cand = ensemble_cell_candidate_pairs(
-            wrapped, self.box, self.reach, self.replicas, self.n_solo
-        )
-        if cand is None:
-            # Per-replica brute force; each block is canonical and the
-            # replica-major concatenation stays globally canonical.
-            parts_i, parts_j = [], []
-            for r in range(self.replicas):
-                sl = slice(r * self.n_solo, (r + 1) * self.n_solo)
-                bf = brute_force_pairs(wrapped[sl], self.box, self.reach)
-                parts_i.append(bf.i + r * self.n_solo)
-                parts_j.append(bf.j + r * self.n_solo)
-            ii = np.concatenate(parts_i)
-            jj = np.concatenate(parts_j)
-            canonical = True
-        else:
-            ii, jj = self._filter_to_reach(wrapped, *cand)
-            canonical = False
-        if self.exclusions is not None and len(ii):
-            keep = ~self.exclusions.is_excluded(ii, jj)
-            ii, jj = ii[keep], jj[keep]
-        if not canonical and len(ii):
-            order = _canonical_order(ii, jj, len(wrapped))
-            ii, jj = ii[order], jj[order]
-        self._cand_i, self._cand_j = ii, jj
-        self._ref_positions = wrapped.copy()
-        self.n_builds += 1

@@ -363,6 +363,196 @@ int64_t rk_pair_filter_mt(int64_t n_cand, const int64_t *ii, const int64_t *jj,
     return m;
 }
 
+/* -- neighbor-list rebuild ------------------------------------------- */
+
+/* NeighborList._build_inner in one pass: every pair i < j of the same
+ * block whose minimum-image distance passes rk_pair_filter's predicate
+ * at reach, minus the exclusion CSR's partners, in lexicographic (i, j)
+ * order.  That is a definition by set and order, so the binning below is
+ * free: it only has to offer every passing pair to the predicate, and
+ * RK_NB_SLACK widens the cells by far more than any rounding in the
+ * cell index or in d can move an atom.
+ *
+ * An axis that fits seven cells of width >= reach/3 is cut into as many
+ * as fit (up to a cap tied to the atom count) and swept with the stencil
+ * -k..k, k <= 3 the fewest cells that span reach; seven cells keep the
+ * wrapped stencil cells distinct.  A shorter axis is left unbinned, so a
+ * box that admits no binning at all degenerates to one cell and an
+ * all-pairs sweep.  Atoms are counting-sorted into cells in ascending
+ * id, rows are swept in ascending i testing only the j > i tail of each
+ * stencil cell, hits are marked in a per-row bitmap, the row's excluded
+ * partners are cleared from it, and the set bits are emitted in
+ * ascending j.
+ *
+ * Serial by design: at a few percent of a step the rebuild is not a hot
+ * loop, and one entry point serves every thread count.  Positions must
+ * be wrapped into [0, L). */
+
+#define RK_NB_SLACK (1.0 + 1e-9)
+
+/* Cells per axis never exceed this, so a block's cell table stays
+ * proportional to its atom count (never below the seven an axis needs
+ * to be binned at all). */
+static int64_t rk_nb_axis_cap(int64_t block_len)
+{
+    int64_t c = 7;
+    while ((c + 1) * (c + 1) * (c + 1) <= 8 * block_len)
+        c++;
+    return c;
+}
+
+/* int64 words of scratch rk_neighbor_build needs for one block. */
+int64_t rk_neighbor_work_size(int64_t block_len)
+{
+    int64_t c = rk_nb_axis_cap(block_len);
+    return c * c * c + 1 + 5 * block_len + (block_len + 63) / 64;
+}
+
+/* Returns the number of pairs found.  Only the first `cap` are written;
+ * a return value above `cap` tells the caller to grow and call again. */
+int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
+                          const double *w, const double *L, double reach,
+                          const int64_t *excl_ptr, const int64_t *excl_idx,
+                          int64_t *work, int64_t *oi, int64_t *oj,
+                          int64_t cap)
+{
+    const double reach2 = reach * reach;
+    const int64_t axis_cap = rk_nb_axis_cap(block_len);
+    int64_t nc[3], kk[3];
+    double cs[3];
+    for (int a = 0; a < 3; a++) {
+        const double f = floor(3.0 * L[a] / (reach * RK_NB_SLACK));
+        nc[a] = 1;
+        kk[a] = 0;
+        cs[a] = L[a];
+        if (f >= 7.0) {
+            nc[a] = f < (double)axis_cap ? (int64_t)f : axis_cap;
+            cs[a] = L[a] / (double)nc[a];
+            kk[a] = 1;
+            while (kk[a] < 3 && (double)kk[a] * cs[a] < reach * RK_NB_SLACK)
+                kk[a]++;
+        }
+    }
+    const int64_t ncell = nc[0] * nc[1] * nc[2];
+
+    /* Stencil offsets whose cells can hold a partner: the face gap per
+     * axis is (|o| - 1) * cell width. */
+    int64_t st[343][3], nst = 0;
+    for (int64_t ox = -kk[0]; ox <= kk[0]; ox++)
+        for (int64_t oy = -kk[1]; oy <= kk[1]; oy++)
+            for (int64_t oz = -kk[2]; oz <= kk[2]; oz++) {
+                const int64_t o[3] = {ox, oy, oz};
+                double g2 = 0.0;
+                for (int a = 0; a < 3; a++) {
+                    int64_t g = (o[a] < 0 ? -o[a] : o[a]) - 1;
+                    double gap = g > 0 ? (double)g * cs[a] : 0.0;
+                    g2 += gap * gap;
+                }
+                if (g2 < reach2 * RK_NB_SLACK) {
+                    st[nst][0] = ox;
+                    st[nst][1] = oy;
+                    st[nst][2] = oz;
+                    nst++;
+                }
+            }
+
+    int64_t *cell_start = work;                  /* ncell + 1        */
+    int64_t *cell_atoms = cell_start + axis_cap * axis_cap * axis_cap + 1;
+    int64_t *atom_cell = cell_atoms + block_len;
+    uint64_t *bits = (uint64_t *)(atom_cell + block_len);
+    double *sx = (double *)(bits + (block_len + 63) / 64); /* cell order */
+    memset(bits, 0, (size_t)((block_len + 63) / 64) * sizeof *bits);
+
+    int64_t m = 0;
+    for (int64_t b = 0; b < n_blocks; b++) {
+        const int64_t base = b * block_len;
+        const double *x = w + 3 * base;
+
+        /* Counting sort into cells; ascending fill keeps ids ascending
+         * within each cell. */
+        memset(cell_start, 0, (size_t)(ncell + 1) * sizeof *cell_start);
+        for (int64_t i = 0; i < block_len; i++) {
+            int64_t c[3];
+            for (int a = 0; a < 3; a++) {
+                double f = floor(x[3 * i + a] / cs[a]);
+                if (!(f >= 0.0))
+                    f = 0.0;
+                c[a] = f < (double)nc[a] ? (int64_t)f : nc[a] - 1;
+            }
+            atom_cell[i] = (c[0] * nc[1] + c[1]) * nc[2] + c[2];
+            cell_start[atom_cell[i] + 1]++;
+        }
+        for (int64_t c = 0; c < ncell; c++)
+            cell_start[c + 1] += cell_start[c];
+        for (int64_t i = 0; i < block_len; i++) {
+            int64_t p = cell_start[atom_cell[i]]++;
+            cell_atoms[p] = i;
+            sx[3 * p] = x[3 * i];
+            sx[3 * p + 1] = x[3 * i + 1];
+            sx[3 * p + 2] = x[3 * i + 2];
+        }
+        for (int64_t c = ncell; c > 0; c--) /* undo the fill's advance */
+            cell_start[c] = cell_start[c - 1];
+        cell_start[0] = 0;
+
+        for (int64_t i = 0; i < block_len; i++) {
+            const double a0 = x[3 * i], a1 = x[3 * i + 1], a2 = x[3 * i + 2];
+            const int64_t ci = atom_cell[i];
+            const int64_t cx = ci / (nc[1] * nc[2]);
+            const int64_t cy = (ci / nc[2]) % nc[1];
+            const int64_t cz = ci % nc[2];
+            int64_t wlo = INT64_MAX, whi = -1;
+            for (int64_t s = 0; s < nst; s++) {
+                int64_t nx = cx + st[s][0], ny = cy + st[s][1], nz = cz + st[s][2];
+                nx += nx < 0 ? nc[0] : (nx >= nc[0] ? -nc[0] : 0);
+                ny += ny < 0 ? nc[1] : (ny >= nc[1] ? -nc[1] : 0);
+                nz += nz < 0 ? nc[2] : (nz >= nc[2] ? -nc[2] : 0);
+                const int64_t c = (nx * nc[1] + ny) * nc[2] + nz;
+                const int64_t lo = cell_start[c];
+                for (int64_t p = cell_start[c + 1] - 1; p >= lo; p--) {
+                    const int64_t j = cell_atoms[p];
+                    if (j <= i)
+                        break;
+                    /* rk_pair_filter's predicate, operation for operation */
+                    double d0 = a0 - sx[3 * p];
+                    double d1 = a1 - sx[3 * p + 1];
+                    double d2 = a2 - sx[3 * p + 2];
+                    d0 = d0 - L[0] * rint(d0 / L[0]);
+                    d1 = d1 - L[1] * rint(d1 / L[1]);
+                    d2 = d2 - L[2] * rint(d2 / L[2]);
+                    if ((d0 * d0 + d1 * d1) + d2 * d2 < reach2) {
+                        const int64_t wd = j >> 6;
+                        bits[wd] |= (uint64_t)1 << (j & 63);
+                        if (wd < wlo)
+                            wlo = wd;
+                        if (wd > whi)
+                            whi = wd;
+                    }
+                }
+            }
+            if (excl_ptr)
+                for (int64_t e = excl_ptr[base + i]; e < excl_ptr[base + i + 1]; e++) {
+                    const int64_t j = excl_idx[e] - base;
+                    if (j >= 0 && j < block_len)
+                        bits[j >> 6] &= ~((uint64_t)1 << (j & 63));
+                }
+            for (int64_t wd = wlo; wd <= whi; wd++) {
+                uint64_t word = bits[wd];
+                bits[wd] = 0;
+                while (word) {
+                    if (m < cap) {
+                        oi[m] = base + i;
+                        oj[m] = base + (wd << 6) + __builtin_ctzll(word);
+                    }
+                    m++;
+                    word &= word - 1;
+                }
+            }
+        }
+    }
+    return m;
+}
+
 /* -- fused tabulated pair kernel ------------------------------------- */
 
 /* nonbonded_real_space_tabulated + quantize_round_only in one pass:

@@ -162,6 +162,10 @@ def _declare(lib: ctypes.CDLL) -> None:
 
     lib.rk_pair_filter.restype = i64
     lib.rk_pair_filter.argtypes = [i64, p, p, p, p, f64, p, p, p, p]
+    lib.rk_neighbor_work_size.restype = i64
+    lib.rk_neighbor_work_size.argtypes = [i64]
+    lib.rk_neighbor_build.restype = i64
+    lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64]
     lib.rk_pair_table_codes.restype = None
     lib.rk_pair_table_codes.argtypes = (
         [i64, p, p, p, p, p, p, p, p, i64, f64, f64, f64]

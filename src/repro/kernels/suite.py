@@ -1,11 +1,13 @@
 """Kernel tiers: NumPy reference implementations and ctypes wrappers.
 
 A *kernel suite* is the small set of hot-loop primitives the machine
-simulation dispatches through: neighbor-pair cutoff filtering, the
-fused tabulated pair kernel (table evaluation straight to fixed-point
-force codes), fixed-point scatter deposits, mesh charge spreading, and
-the SHAKE/RATTLE constraint sweeps.  Two tiers implement the same
-contract:
+simulation dispatches through: neighbor-list rebuild and cutoff
+filtering, the fused tabulated pair kernel (table evaluation straight
+to fixed-point force codes), fixed-point scatter deposits, mesh charge
+spreading, and the SHAKE/RATTLE constraint sweeps.  Two tiers implement
+the same contract (``neighbor_build`` alone is compiled-only: its NumPy
+counterpart is the cell pipeline :class:`~repro.geometry.NeighborList`
+keeps as its NumPy-tier path):
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.
@@ -392,6 +394,7 @@ class CompiledKernels(NumpyKernels):
         self._pool = None
         # Grow-only per-thread scratch (zero-allocation steady state).
         self._filter_counts = None
+        self._neighbor_work = None
         self._partial = None
         self._con_dref = None
         self._con_dx = None
@@ -452,6 +455,42 @@ class CompiledKernels(NumpyKernels):
             self._lib.rk_pair_filter(
                 len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
                 float(cutoff2), _ptr(oi), _ptr(oj), _ptr(odx), _ptr(or2),
+            )
+        )
+
+    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, oi, oj):
+        """Canonical Verlet list of ``n_blocks`` stacked blocks, in C.
+
+        Every pair ``i < j`` within one block whose minimum-image
+        distance satisfies :meth:`pair_filter`'s predicate at ``reach``,
+        except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
+        over global atom ids, or ``None`` — sorted by ``(i, j)``: exactly
+        what the NumPy pipeline in :mod:`repro.geometry.cells` leaves
+        after filter, exclusion mask and canonical sort.  ``wrapped`` is
+        the C-contiguous ``(n_blocks * block_len, 3)`` wrapped
+        positions.  Returns the pair count ``m``; pairs land in
+        ``oi[:m], oj[:m]`` when they fit, and ``m > len(oi)`` asks the
+        caller to grow the buffers and call again.  There is no threaded
+        twin: every ``threads`` setting runs this one serial sweep.
+        """
+        n = n_blocks * block_len
+        if (
+            wrapped.shape != (n, 3)
+            or wrapped.dtype != np.float64
+            or not wrapped.flags.c_contiguous
+            or len(oj) != len(oi)
+            or (excl is not None and len(excl[0]) != n + 1)
+        ):
+            raise ValueError("neighbor_build: arrays do not match the block layout")
+        work = self._neighbor_work
+        need = int(self._lib.rk_neighbor_work_size(block_len))
+        if work is None or len(work) < need:
+            work = self._neighbor_work = np.empty(need, dtype=np.int64)
+        ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
+        return int(
+            self._lib.rk_neighbor_build(
+                n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
+                ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi),
             )
         )
 

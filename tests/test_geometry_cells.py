@@ -114,16 +114,6 @@ class TestCellIndexClamp:
         brute = brute_force_pairs(box.wrap(pos), box, 4.0)
         assert _pair_set(cell) == _pair_set(brute)
 
-    def test_loop_and_vectorized_paths_agree(self):
-        from repro.geometry.cells import _neighbor_pairs_loop
-
-        box = Box(np.array([16.0, 21.0, 27.0]))
-        rng = np.random.default_rng(23)
-        pos = rng.uniform(0, 1, size=(500, 3)) * box.lengths
-        vec = neighbor_pairs(pos, box, 4.8)
-        loop = _neighbor_pairs_loop(pos, box, 4.8)
-        assert _pair_set(vec) == _pair_set(loop)
-
     def test_canonical_pair_order(self):
         box = Box.cubic(22.0)
         rng = np.random.default_rng(29)
