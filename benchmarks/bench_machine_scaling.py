@@ -236,12 +236,23 @@ def main(argv=None) -> int:
         for name, metrics in results[0]["backends"].items():
             phases = metrics["phase_per_step"]
             missing = [
-                p for p in ("mesh_spread", "mesh_fft", "mesh_interp")
+                p for p in ("mesh_plan", "mesh_spread", "mesh_fft", "mesh_interp")
                 if phases.get(p, 0.0) <= 0.0
             ]
             if missing:
                 raise SystemExit(
                     f"FAIL: {name} backend missing mesh sub-phase timings: {missing}"
+                )
+        if compiled_tier:
+            # A compiled-tier plan is per-axis rows only, far cheaper
+            # than the passes that consume it; a cube fill back in
+            # build() would put mesh_plan above them.
+            phases = results[0]["backends"]["vectorized-compiled"]["phase_per_step"]
+            if phases["mesh_plan"] > phases["mesh_fft"] + phases["mesh_spread"]:
+                raise SystemExit(
+                    f"FAIL: compiled mesh_plan {phases['mesh_plan']:.2e} s/step exceeds "
+                    f"mesh_fft + mesh_spread "
+                    f"{phases['mesh_fft'] + phases['mesh_spread']:.2e} s/step"
                 )
         gate_entry = "vectorized-compiled" if compiled_tier else "vectorized"
         ratio = results[0]["backends"][gate_entry]["overhead_ratio"]

@@ -190,6 +190,7 @@ class EnsembleForceCalculator(ForceCalculator):
         # Pair-index boundaries between replica blocks (ascending i).
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
         self._plan = None
+        self._replica_views = None
         self._pair_spec = None
         self._pair_spec_codec = None
         self._pair_out = None
@@ -323,7 +324,12 @@ class EnsembleForceCalculator(ForceCalculator):
                 energies[r] = e_r
                 forces[sl] = f_r
             return energies, forces
-        self._plan = plan
+        if plan is not self._plan:
+            # Zero-copy per-replica views, kept with the plan: they stay
+            # valid across its in-place refills, and each owns its
+            # scratch (zero-allocation steady state per worker thread).
+            self._plan = plan
+            self._replica_views = [plan.rows_view(r * n, (r + 1) * n) for r in range(R)]
         mesh_shape = (R, *(int(m) for m in g.mesh))
         m_points = g.mesh_point_count()
         # Replicas are the parallel unit: each owns disjoint plan rows,
@@ -335,7 +341,7 @@ class EnsembleForceCalculator(ForceCalculator):
         # range(R)` loop at threads=1, so the serial bits are literal.
         serial = getattr(self.kernels, "serial", self.kernels)
         nthreads = getattr(self.kernels, "threads", 1)
-        replica_views = plan._thread_views(R)[1] if R > 1 else [plan]
+        replica_views = self._replica_views
         with self.timers.time("mesh_spread"):
             if self.mesh_codec is not None:
                 acc = np.zeros((R, m_points), dtype=np.int64)
@@ -352,7 +358,7 @@ class EnsembleForceCalculator(ForceCalculator):
             else:
                 Qf = np.zeros((R, m_points))
                 for r in range(R):
-                    replica_views[r].spread_float(q_solo, Qf[r])
+                    replica_views[r].spread_float(q_solo, Qf[r], kernels=serial)
                 Q = Qf.reshape(mesh_shape)
         with self.timers.time("mesh_fft"):
             if nthreads > 1 and R > 1:
@@ -374,7 +380,7 @@ class EnsembleForceCalculator(ForceCalculator):
 
             def _interp(r):
                 replica_views[r].interpolate_forces(
-                    q_solo, phi[r], out=forces[r * n : (r + 1) * n]
+                    q_solo, phi[r], out=forces[r * n : (r + 1) * n], kernels=serial
                 )
 
             self.kernels.map_chunks(_interp, R)

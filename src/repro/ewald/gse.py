@@ -35,20 +35,27 @@ from repro.util import COULOMB
 
 __all__ = ["GSEParams", "GaussianSplitEwald", "MeshStencilPlan"]
 
-#: Default cap on plan storage, in elements (atoms x stencil points).
-#: A plan stores ~12 bytes per element (float64 weight + int32 index),
-#: so 16M elements is ~190 MB; above the cap :meth:`~GaussianSplitEwald
-#: .make_plan` declines and callers fall back to chunked per-pass
-#: evaluation (same kernels, same bits).
+#: Default cap on materialised stencil cubes, in elements (atoms x
+#: stencil points).  The cubes cost ~12 bytes per element (float64
+#: weight + int32 index), so 16M elements is ~190 MB; above the cap
+#: :meth:`~GaussianSplitEwald.make_plan` declines a plan that would need
+#: them and callers fall back to chunked per-pass evaluation (same
+#: kernels, same bits).  A plan for the fused compiled kernels stores
+#: only O(n·k) axis rows and is never declined.
 PLAN_MAX_ELEMENTS = 16_000_000
 
-#: Atom rows per pass while filling a plan (bounds the r² scratch).
+#: Atom rows per pass while filling the cubes (bounds the r² scratch).
 _PLAN_BUILD_CHUNK = 256
 
 #: Atom rows per pass in the spreading / interpolation kernels (bounds
 #: the per-chunk contribution buffers).  Chunking never changes bits:
 #: the quantize/einsum arithmetic is per-atom and the scatters commute.
 _KERNEL_CHUNK = 512
+
+
+def _fused(kernels) -> bool:
+    """Whether ``kernels`` carries the fused axis-row mesh primitives."""
+    return kernels is not None and kernels.tier == "compiled"
 
 
 @dataclass(frozen=True)
@@ -114,13 +121,19 @@ class MeshStencilPlan:
     """Shared stencil weights/indices for one set of atom positions.
 
     Built once per mesh evaluation and reused by charge spreading,
-    force interpolation, and potential interpolation.  Storage per atom
-    is the masked 4-D weight cube ``w`` (n, kx, ky, kz), the flattened
-    mesh indices ``flat`` (n, k) — int32 when the mesh fits, halving
-    gather/scatter index traffic — and the three per-axis displacement
-    rows ``axis_d`` used by the separable force contraction.  The full
-    ``(n, k, 3)`` displacement tensor of the old per-pass path is never
-    materialized.
+    force interpolation, and potential interpolation.  What is stored
+    is only what is separable: per atom and axis, the Gaussian weight
+    row ``axis_w`` (x pre-scaled by the stencil norm), the displacement
+    row ``axis_d`` and the wrapped int32 mesh-index row ``axis_i`` —
+    ``(n, kx + ky + kz)`` elements of each.  The compiled tier's fused
+    spread and gather kernels evaluate every atom–mesh-point weight on
+    the fly from those rows, as Anton's HTIS does.
+
+    The masked 4-D weight cube ``w`` (n, kx, ky, kz) and flattened mesh
+    indices ``flat`` (n, k) — int32 when the mesh fits — are a NumPy
+    view of the same rows, filled on first use after a :meth:`build`:
+    the NumPy tier's pipeline, and the oracle the fused kernels are
+    tested against.
 
     Every kernel is strictly per-atom arithmetic followed by a
     commutative reduction (integer scatter, float bincount in element
@@ -130,19 +143,21 @@ class MeshStencilPlan:
     requirement.
     """
 
-    __slots__ = ("gse", "n", "shape", "flat", "w", "axis_d", "_scratch", "_mt_views")
+    __slots__ = (
+        "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
+        "_cubes", "_stale", "_parent", "_lo", "_scratch", "_contract",
+    )
 
     def __init__(self, gse: "GaussianSplitEwald", n: int):
-        kx, ky, kz = (int(2 * c + 1) for c in gse._offsets)
         self.gse = gse
         self.n = int(n)
-        self.shape = (kx, ky, kz)
-        idx_t = np.int32 if gse.mesh_point_count() <= np.iinfo(np.int32).max else np.int64
-        self.flat = np.empty((self.n, kx * ky * kz), dtype=idx_t)
-        self.w = np.empty((self.n, kx, ky, kz))
-        self.axis_d = [np.empty((self.n, k)) for k in (kx, ky, kz)]
-        self._scratch: np.ndarray | None = None
-        self._mt_views = None
+        self.shape = tuple(int(2 * c + 1) for c in gse._offsets)
+        self.axis_w = [np.empty((self.n, k)) for k in self.shape]
+        self.axis_d = [np.empty((self.n, k)) for k in self.shape]
+        self.axis_i = [np.empty((self.n, k), dtype=np.int32) for k in self.shape]
+        self._cubes, self._stale = None, True
+        self._parent, self._lo = None, 0
+        self._scratch = self._contract = None
 
     def _buffer(self, chunk: int) -> np.ndarray:
         """Reusable (chunk, k) contribution buffer.
@@ -150,11 +165,16 @@ class MeshStencilPlan:
         Shared by the spreading and interpolation kernels (they never
         run concurrently) and kept across steps when the plan storage
         is reused, so the hot loops touch warm pages instead of
-        faulting fresh allocations every evaluation.
+        faulting fresh allocations every evaluation.  Grown together
+        with ``_contract``, the ``[1, dz]`` operand (chunk, kz, 2) and
+        the z-contracted partials (chunk, kx·ky, 2) of
+        :meth:`interpolate_forces`.
         """
-        k = self.flat.shape[1]
         if self._scratch is None or self._scratch.shape[0] < chunk:
-            self._scratch = np.empty((chunk, k))
+            kx, ky, kz = self.shape
+            self._scratch = np.empty((chunk, kx * ky * kz))
+            self._contract = (np.empty((chunk, kz, 2)), np.empty((chunk, kx * ky, 2)))
+            self._contract[0][:, :, 0] = 1.0
         return self._scratch
 
     # -- construction ------------------------------------------------------
@@ -162,62 +182,61 @@ class MeshStencilPlan:
     def build(self, positions: np.ndarray, kernels=None) -> "MeshStencilPlan":
         """Fill the plan for ``positions`` (row i of every array is atom i).
 
-        With a compiled kernel suite, the heavy cube fill (weight outer
-        product, r² mask, flattened indices — the only O(n·k³) work)
-        runs as one fused C pass per chunk; the small per-axis arrays
-        (``np.exp`` weights, displacements, wrapped indices) stay in
-        NumPy, which keeps the bits trivially identical.
+        Only the per-axis rows are computed here, always in NumPy
+        (``np.exp`` stays there, which keeps the bits trivially
+        identical across tiers).  With a compiled kernel suite that is
+        all: the fused kernels need nothing else, and no O(n·k³) array
+        is touched.  Otherwise the cubes are materialised now, so the
+        NumPy pipeline pays for them here and not inside its first pass.
         """
         g = self.gse
-        p = g.params
+        inv_2ss2 = 1.0 / (2.0 * g.params.sigma_s**2)
+        pos = g.box.wrap(np.asarray(positions, dtype=np.float64))
+        base = np.floor(pos / g.h).astype(np.int64)  # nearest-lower mesh pt
+        for a, c in enumerate(g._offsets):
+            cells = base[:, a : a + 1] + np.arange(-c, c + 1)[None, :]  # (n, ka)
+            d = self.axis_d[a]
+            np.subtract(pos[:, a : a + 1], cells * g.h[a], out=d)
+            np.exp(-(d * d) * inv_2ss2, out=self.axis_w[a])
+            self.axis_i[a][...] = np.mod(cells, g.mesh[a])
+        self.axis_w[0] *= g._spread_norm
+        self._stale = True
+        if not _fused(kernels):
+            self._materialise()
+        return self
+
+    def _materialise(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(w, flat)`` cubes, filled from the axis rows when stale."""
+        if self._parent is not None:
+            w, flat = self._parent._materialise()
+            return w[self._lo : self._lo + self.n], flat[self._lo : self._lo + self.n]
+        if not self._stale:
+            return self._cubes
+        g = self.gse
         kx, ky, kz = self.shape
+        if self._cubes is None:
+            idx_t = np.int32 if g.mesh_point_count() <= np.iinfo(np.int32).max else np.int64
+            self._cubes = (np.empty((self.n, kx, ky, kz)), np.empty((self.n, kx * ky * kz), idx_t))
+        w, flat = self._cubes
+        flat4 = flat.reshape(self.n, kx, ky, kz)
         mesh = [int(m) for m in g.mesh]
-        inv_2ss2 = 1.0 / (2.0 * p.sigma_s**2)
-        norm = g._spread_norm
-        c2 = p.spreading_cutoff**2
-        positions = g.box.wrap(np.asarray(positions, dtype=np.float64))
-        offs = [np.arange(-c, c + 1) for c in g._offsets]
-        flat4 = self.flat.reshape(self.n, kx, ky, kz)
-        use_c = (
-            kernels is not None
-            and kernels.tier == "compiled"
-            and self.flat.dtype == np.int32
-        )
-        scratch = None
-        if not use_c:
-            scratch = np.empty((min(_PLAN_BUILD_CHUNK, self.n), kx, ky, kz))
+        c2 = g.params.spreading_cutoff**2
+        scratch = np.empty((min(_PLAN_BUILD_CHUNK, self.n), kx, ky, kz))
         for lo in range(0, self.n, _PLAN_BUILD_CHUNK):
             hi = min(lo + _PLAN_BUILD_CHUNK, self.n)
-            pos = positions[lo:hi]
-            base = np.floor(pos / g.h).astype(np.int64)  # nearest-lower mesh pt
-            axis_w, axis_d, axis_i = [], [], []
-            for a in range(3):
-                cells = base[:, a : a + 1] + offs[a][None, :]  # (m, ka)
-                disp = pos[:, a : a + 1] - cells * g.h[a]
-                self.axis_d[a][lo:hi] = disp
-                axis_d.append(disp)
-                axis_w.append(np.exp(-(disp * disp) * inv_2ss2))
-                axis_i.append(np.mod(cells, g.mesh[a]).astype(self.flat.dtype))
-            if use_c:
-                kernels.mesh_plan_block(
-                    axis_w[0] * norm, axis_w[1], axis_w[2],
-                    axis_d[0], axis_d[1], axis_d[2],
-                    axis_i[0], axis_i[1], axis_i[2],
-                    mesh[1], mesh[2], c2,
-                    self.w[lo:hi], flat4[lo:hi],
-                )
-                continue
+            axis_w = [a[lo:hi] for a in self.axis_w]
+            axis_i = [a[lo:hi].astype(flat.dtype, copy=False) for a in self.axis_i]
             # Weights: two outer products, the big one written in place
             # (einsum's specialized outer loop beats the stride-0
             # broadcast multiply; each element is the same single
             # product either way, so the bits are unchanged).
-            wv = self.w[lo:hi]
-            wxy = (axis_w[0] * norm)[:, :, None] * axis_w[1][:, None, :]
+            wv = w[lo:hi]
+            wxy = axis_w[0][:, :, None] * axis_w[1][:, None, :]
             np.einsum("nxy,nz->nxyz", wxy, axis_w[2], out=wv)
             # Spherical cutoff mask on r² = (dx²+dy²)+dz² (this exact
-            # association order also classifies the dense reference, so
-            # masked entries agree bit for bit).
-            d2 = [d * d for d in axis_d]
+            # association order also classifies the dense reference and
+            # the fused kernels, so masked entries agree bit for bit).
+            d2 = [a[lo:hi] * a[lo:hi] for a in self.axis_d]
             r2 = scratch[: hi - lo]
             r2xy = d2[0][:, :, None] + d2[1][:, None, :]
             np.add(r2xy[:, :, :, None], d2[2][:, None, None, :], out=r2)
@@ -229,7 +248,20 @@ class MeshStencilPlan:
                 axis_i[2][:, None, None, :],
                 out=flat4[lo:hi],
             )
-        return self
+        self._stale = False
+        return self._cubes
+
+    w = property(lambda self: self._materialise()[0], doc="Masked weight cube (n, kx, ky, kz).")
+    flat = property(lambda self: self._materialise()[1], doc="Flattened mesh indices (n, k).")
+
+    def _w2(self) -> np.ndarray:
+        """The weight cube as (n, k) rows."""
+        return self.w.reshape(self.n, math.prod(self.shape))
+
+    def _axes(self) -> tuple:
+        """What every fused kernel takes after its output: rows, mesh, c2."""
+        g = self.gse
+        return self.axis_w, self.axis_d, self.axis_i, g.mesh, g.params.spreading_cutoff**2
 
     def rows_view(self, lo: int, hi: int) -> "MeshStencilPlan":
         """Zero-copy plan over the contiguous atom rows ``[lo, hi)``.
@@ -240,33 +272,21 @@ class MeshStencilPlan:
         the view's first row, which is what makes the chunk-*sensitive*
         float spreading path of a stacked-replica mesh bitwise equal to
         each replica's solo evaluation.  Do not call :meth:`build` on a
-        view; rebuild the parent.
+        view; rebuild the parent.  A view refers to its parent (for the
+        cubes), so a parent that cached its views would be a cycle only
+        the garbage collector frees: callers keep them.
         """
         v = MeshStencilPlan.__new__(MeshStencilPlan)
         v.gse = self.gse
         v.n = int(hi - lo)
         v.shape = self.shape
-        v.flat = self.flat[lo:hi]
-        v.w = self.w[lo:hi]
+        v.axis_w = [a[lo:hi] for a in self.axis_w]
         v.axis_d = [a[lo:hi] for a in self.axis_d]
-        v._scratch = None
-        v._mt_views = None
+        v.axis_i = [a[lo:hi] for a in self.axis_i]
+        v._parent = self if self._parent is None else self._parent
+        v._lo = self._lo + lo
+        v._scratch = v._contract = None
         return v
-
-    def _thread_views(self, nblocks: int):
-        """Cached contiguous row-block views for threaded interpolation.
-
-        Views share plan storage, so they stay valid across in-place
-        :meth:`build` refills; each keeps its own ``_scratch``, which
-        preserves the zero-allocation steady state per worker thread.
-        """
-        bounds = tuple(i * self.n // nblocks for i in range(nblocks + 1))
-        if self._mt_views is None or self._mt_views[0] != bounds:
-            views = [
-                self.rows_view(bounds[b], bounds[b + 1]) for b in range(nblocks)
-            ]
-            self._mt_views = (bounds, views)
-        return self._mt_views
 
     # -- kernels -----------------------------------------------------------
 
@@ -292,17 +312,18 @@ class MeshStencilPlan:
         """
         charges = np.asarray(charges, dtype=np.float64)
         qc = charges * (codec.fmt.scale / codec.limit)
-        w2 = self.w.reshape(self.n, -1)
-        k = w2.shape[1]
         n_rows = self.n if rows is None else len(rows)
         if n_rows == 0:
             return
-        if kernels is not None and kernels.tier == "compiled" and rows is None:
-            # One C pass: rint(w * qc) scattered by integer adds.
-            # Integer sums commute, so this matches both bincount paths
-            # below bit for bit, with no exactness-window analysis.
-            kernels.mesh_spread(mesh_acc, self.flat, w2, qc)
+        if rows is None and _fused(kernels):
+            # One C pass straight from the axis rows: rint(w * qc)
+            # scattered by integer adds.  Integer sums commute, so this
+            # matches both bincount paths below bit for bit, with no
+            # exactness-window analysis and no cubes.
+            kernels.mesh_spread_axes(mesh_acc, *self._axes(), qc)
             return
+        w2 = self._w2()
+        k = w2.shape[1]
         # |code| <= max|w| * max|q·scale/limit| + 1/2 (rint); the +1.0
         # over-covers.  A slice of r rows contributes at most r·k codes
         # to one bin, so r·k·bound < 2**53 keeps every partial sum an
@@ -339,11 +360,18 @@ class MeshStencilPlan:
 
     def spread_float(
         self, charges: np.ndarray, mesh: np.ndarray,
-        rows=None, chunk: int = _KERNEL_CHUNK,
+        rows=None, chunk: int = _KERNEL_CHUNK, kernels=None,
     ) -> None:
-        """Unquantized spreading into the flat float64 ``mesh``."""
+        """Unquantized spreading into the flat float64 ``mesh``.
+
+        A float bincount per ``chunk`` rows, summed in element order:
+        chunk-*sensitive*, unlike every other plan kernel.
+        """
         charges = np.asarray(charges, dtype=np.float64)
-        w2 = self.w.reshape(self.n, -1)
+        if rows is None and _fused(kernels):
+            kernels.mesh_spread_float_axes(mesh, *self._axes(), charges, chunk)
+            return
+        w2 = self._w2()
         n_rows = self.n if rows is None else len(rows)
         buf = self._buffer(chunk)
         for lo in range(0, n_rows, chunk):
@@ -367,15 +395,16 @@ class MeshStencilPlan:
     ) -> np.ndarray:
         """Separable gather-and-contract force interpolation.
 
-        Gathers ``phi`` at the stencil indices, multiplies by the
-        weight cube, and contracts each axis factor with an einsum —
-        the ``(n, k, 3)`` displacement/coefficient tensors of the old
-        path are never built.  Each atom's contraction runs over its
-        own fixed-size stencil row, so chunk and subset boundaries are
-        invisible in the bits — which is also what licenses the
-        threaded path below: contiguous row blocks are farmed to a
-        kernel suite's thread pool, and partition-invariance makes the
-        result byte-identical to the serial sweep.
+        Gathers ``phi`` at the stencil indices times the masked weight
+        — one fused C pass per chunk straight from the axis rows on the
+        compiled tier, ``np.take`` times the weight cube otherwise —
+        and contracts each axis factor with a matmul/einsum; the
+        ``(n, k, 3)`` displacement/coefficient tensors of the old path
+        are never built.  The contraction stays in NumPy on every tier:
+        its bits are BLAS's reduction order, which C cannot promise to
+        reproduce.  Each atom's contraction runs over its own
+        fixed-size stencil row, so chunk and subset boundaries are
+        invisible in the bits.
         """
         g = self.gse
         charges = np.asarray(charges, dtype=np.float64)
@@ -383,40 +412,31 @@ class MeshStencilPlan:
         n_rows = self.n if rows is None else len(rows)
         if out is None:
             out = np.empty((n_rows, 3))
-        nthreads = getattr(kernels, "threads", 1)
-        if nthreads > 1 and rows is None and self.n >= 2 * nthreads:
-            bounds, views = self._thread_views(nthreads)
-
-            def _run(b):
-                lo, hi = bounds[b], bounds[b + 1]
-                if hi > lo:
-                    views[b].interpolate_forces(
-                        charges[lo:hi], phi, out=out[lo:hi], chunk=chunk
-                    )
-
-            kernels.map_chunks(_run, nthreads)
-            return out
         kx, ky, kz = self.shape
-        w2 = self.w.reshape(self.n, -1)
+        fused = rows is None and _fused(kernels)
+        if not fused:
+            w2 = self._w2()
         buf = self._buffer(chunk)
+        ones_dz, partials = self._contract
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             m = hi - lo
             cube2 = buf[:m]
-            # mode="clip" skips the bounds-check path (indices are
-            # in-range by construction: the plan wraps them with mod).
-            np.take(phi_flat, self._take(self.flat, rows, lo, hi), out=cube2, mode="clip")
-            cube2 *= self._take(w2, rows, lo, hi)
-            dz = self._take(self.axis_d[2], rows, lo, hi)
+            if fused:
+                kernels.mesh_gather_axes(cube2, *self._axes(), phi_flat, lo, hi)
+            else:
+                # mode="clip" skips the bounds-check path (indices are
+                # in-range by construction: the plan wraps them with mod).
+                np.take(phi_flat, self._take(self.flat, rows, lo, hi), out=cube2, mode="clip")
+                cube2 *= self._take(w2, rows, lo, hi)
             # One pass over the cube: contract z against [1, dz] with a
             # per-atom fixed-shape matmul, leaving the small (m, kx, ky)
             # partials s0 = sum_z g and s1 = sum_z g·dz.  Each atom's
             # matmul has the same (kx·ky, kz)x(kz, 2) shape no matter
             # how rows are chunked, so the bits are partition-invariant.
-            B = np.empty((m, kz, 2))
-            B[:, :, 0] = 1.0
-            B[:, :, 1] = dz
-            s = np.matmul(cube2.reshape(m, kx * ky, kz), B)
+            B = ones_dz[:m]
+            B[:, :, 1] = self._take(self.axis_d[2], rows, lo, hi)
+            s = np.matmul(cube2.reshape(m, kx * ky, kz), B, out=partials[:m])
             s3 = s.reshape(m, kx, ky, 2)
             pref = self._take(charges, rows, lo, hi) / g.params.sigma_s**2
             out[lo:hi, 0] = pref * np.einsum(
@@ -433,7 +453,7 @@ class MeshStencilPlan:
     ) -> np.ndarray:
         """Per-atom potential ``phi_i = sum_m phi[m] w_im``."""
         phi_flat = phi.ravel()
-        w2 = self.w.reshape(self.n, -1)
+        w2 = self._w2()
         n_rows = self.n if rows is None else len(rows)
         out = np.empty(n_rows)
         buf = self._buffer(chunk)
@@ -513,15 +533,17 @@ class GaussianSplitEwald:
     ) -> MeshStencilPlan | None:
         """Build (or refill) the shared stencil plan for ``positions``.
 
-        Returns ``None`` when the plan would exceed ``max_elements``
-        (callers then fall back to the chunked per-pass wrappers, which
-        run the same kernels and therefore the same bits).  Pass a
-        previous plan as ``out`` to reuse its storage across steps, and
-        a kernel suite as ``kernels`` to fill it with the compiled cube
-        pass (bitwise identical either way).
+        Pass a previous plan as ``out`` to reuse its storage across
+        steps, and the kernel suite that will run the plan's passes as
+        ``kernels``.  A compiled suite gets an axis-rows-only plan for
+        its fused kernels, O(n·k) at any size; any other plan carries
+        the stencil cubes, and ``None`` is returned when those would
+        exceed ``max_elements`` (callers then fall back to the chunked
+        per-pass wrappers — the same kernels, so the same bits).
         """
         n = len(positions)
-        if max_elements is not None and n * self.stencil_size() > max_elements:
+        over_cap = max_elements is not None and n * self.stencil_size() > max_elements
+        if over_cap and not _fused(kernels):
             return None
         if out is None or out.n != n or out.gse is not self:
             out = MeshStencilPlan(self, n)
@@ -555,7 +577,7 @@ class GaussianSplitEwald:
         d[:, :, 2] = np.broadcast_to(
             plan.axis_d[2][:, None, None, :], (n, kx, ky, kz)
         ).reshape(n, -1)
-        return plan.flat, plan.w.reshape(n, -1), d
+        return plan.flat, plan._w2(), d
 
     def spread(
         self, positions: np.ndarray, charges: np.ndarray, chunk: int = 4096, codec=None

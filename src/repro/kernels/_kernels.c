@@ -890,97 +890,6 @@ void rk_scatter_add_mt(int64_t *acc, const int64_t *keys,
     rk_run(rk_reduce_task, &r, nt);
 }
 
-/* -- mesh charge spreading -------------------------------------------- */
-
-/* MeshStencilPlan.spread_codes: codes are rint(w * qc) per stencil
- * point, scattered into the flat int64 mesh accumulator.  Two index
- * widths because the plan stores int32 indices when the mesh fits. */
-void rk_mesh_spread_i32(int64_t *acc, const int32_t *flat, const double *w2,
-                        const double *qc, int64_t n, int64_t k)
-{
-    uint64_t *a = (uint64_t *)acc;
-    for (int64_t i = 0; i < n; i++) {
-        double q = qc[i];
-        const double *wr = w2 + i * k;
-        const int32_t *fr = flat + i * k;
-        for (int64_t m = 0; m < k; m++)
-            a[fr[m]] += (uint64_t)(int64_t)rint(wr[m] * q);
-    }
-}
-
-void rk_mesh_spread_i64(int64_t *acc, const int64_t *flat, const double *w2,
-                        const double *qc, int64_t n, int64_t k)
-{
-    uint64_t *a = (uint64_t *)acc;
-    for (int64_t i = 0; i < n; i++) {
-        double q = qc[i];
-        const double *wr = w2 + i * k;
-        const int64_t *fr = flat + i * k;
-        for (int64_t m = 0; m < k; m++)
-            a[fr[m]] += (uint64_t)(int64_t)rint(wr[m] * q);
-    }
-}
-
-typedef struct {
-    int64_t *part;          /* (nthreads, npts) */
-    const void *flat;
-    const double *w2, *qc;
-    int64_t n, k, npts;
-    int is64;
-} rk_ms_arg;
-
-static void rk_mesh_spread_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_ms_arg *a = (rk_ms_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    int64_t *mine = a->part + tid * a->npts;
-    memset(mine, 0, (size_t)a->npts * sizeof(int64_t));
-    if (a->is64)
-        rk_mesh_spread_i64(mine, (const int64_t *)a->flat + lo * a->k,
-                           a->w2 + lo * a->k, a->qc + lo, hi - lo, a->k);
-    else
-        rk_mesh_spread_i32(mine, (const int32_t *)a->flat + lo * a->k,
-                           a->w2 + lo * a->k, a->qc + lo, hi - lo, a->k);
-}
-
-static void rk_mesh_spread_mt(int64_t *acc, const void *flat,
-                              const double *w2, const double *qc,
-                              int64_t n, int64_t k, int64_t npts,
-                              int64_t *part, int64_t nthreads, int is64)
-{
-    rk_ms_arg a;
-    a.part = part; a.flat = flat; a.w2 = w2; a.qc = qc;
-    a.n = n; a.k = k; a.npts = npts; a.is64 = is64;
-    int64_t nt = rk_run(rk_mesh_spread_task, &a, nthreads);
-    rk_red_arg r = {acc, part, npts, nt};
-    rk_run(rk_reduce_task, &r, nt);
-}
-
-void rk_mesh_spread_i32_mt(int64_t *acc, const int32_t *flat,
-                           const double *w2, const double *qc,
-                           int64_t n, int64_t k, int64_t npts,
-                           int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_mesh_spread_i32(acc, flat, w2, qc, n, k);
-        return;
-    }
-    rk_mesh_spread_mt(acc, flat, w2, qc, n, k, npts, part, nthreads, 0);
-}
-
-void rk_mesh_spread_i64_mt(int64_t *acc, const int64_t *flat,
-                           const double *w2, const double *qc,
-                           int64_t n, int64_t k, int64_t npts,
-                           int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_mesh_spread_i64(acc, flat, w2, qc, n, k);
-        return;
-    }
-    rk_mesh_spread_mt(acc, flat, w2, qc, n, k, npts, part, nthreads, 1);
-}
-
 /* -- SHAKE / RATTLE ---------------------------------------------------- */
 
 static inline double rk_min_image(double d, double L)
@@ -1232,118 +1141,173 @@ void rk_rattle_batch_mt(int64_t nrep, int64_t natoms, double *vel,
     rk_run(rk_rattle_batch_task, &a, nthreads);
 }
 
-/* -- mesh stencil plan -------------------------------------------------- */
+/* -- fused mesh spread / gather ------------------------------------------ */
 
-/* One fused pass over the (kx, ky, kz) stencil cube of each atom:
- * weight outer product, spherical r^2 mask, and flattened mesh index.
- * Replicates the NumPy build exactly:
- *   wxy = (wx * norm)[x] * wy[y]   (wxn is precomputed wx * norm)
- *   w   = wxy * wz[z], zeroed where (dx^2 + dy^2) + dz^2 > c2
- *   flat = (ix * my + iy) * mz + iz   (int32 arithmetic)
- * All weights are positive (Gaussians), so the conditional zero matches
- * NumPy's multiply-by-bool mask (w * 0.0 == +0.0) bit for bit.  Index
- * math runs through uint32 so any wrap matches NumPy int32 instead of
- * tripping signed-overflow UB. */
-typedef struct {
-    int64_t n, kx, ky, kz, my, mz;
+/* GSE's atom-to-mesh-point weight is separable, so neither direction
+ * stores a stencil: every kernel here walks each atom's (kx, ky, kz)
+ * cube straight from the plan's per-axis rows, replicating the NumPy
+ * cube pipeline of MeshStencilPlan operation for operation:
+ *   w   = ((wx * norm)[x] * wy[y]) * wz[z]      (wxn is wx * norm)
+ *   in  = (dx^2 + dy^2) + dz^2 <= c2            (else w is +0.0)
+ *   idx = (ix * my + iy) * mz + iz              (int64 from int32 rows)
+ * dz^2 >= 0 and rounding is monotone, so an (x, y) column whose
+ * dx^2 + dy^2 already exceeds c2 is outside the sphere at every z. */
+typedef struct { /* field for field kernels/build.py: MeshAxes */
+    int64_t kx, ky, kz, my, mz;
     const double *wxn, *wy, *wz, *dx, *dy, *dz;
     const int32_t *ix, *iy, *iz;
-    double c2;
-    double *w;
-    int32_t *flat;
-} rk_mp_arg;
+} rk_axes;
 
-/* Atom rows [lo, hi): each atom's stencil cube is written by exactly
- * one lane, so any partition of the atom range matches the serial
- * loop bit for bit. */
-static void rk_mesh_plan_range(const rk_mp_arg *a, int64_t lo, int64_t hi)
+/* The nine rows of atom i. */
+#define RK_ATOM_ROWS(ax, i)                                                 \
+    const double *wxi = (ax)->wxn + (i) * kx, *dxi = (ax)->dx + (i) * kx;   \
+    const double *wyi = (ax)->wy + (i) * ky, *dyi = (ax)->dy + (i) * ky;    \
+    const double *wzi = (ax)->wz + (i) * kz, *dzi = (ax)->dz + (i) * kz;    \
+    const int32_t *ixi = (ax)->ix + (i) * kx, *iyi = (ax)->iy + (i) * ky;   \
+    const int32_t *izi = (ax)->iz + (i) * kz
+
+/* MeshStencilPlan.spread_codes: acc[idx] += rint(w * qc).  A masked
+ * point's code is rint(+-0.0) == 0 for every finite qc, and integer
+ * zeros add nothing, so masked points and columns are skipped. */
+static void rk_mesh_spread_range(const rk_axes *ax, double c2,
+                                 const double *qc, int64_t *acc,
+                                 int64_t lo, int64_t hi)
 {
-    int64_t kx = a->kx, ky = a->ky, kz = a->kz;
-    const double *wxn = a->wxn, *wy = a->wy, *wz = a->wz;
-    const double *dx = a->dx, *dy = a->dy, *dz = a->dz;
-    const int32_t *ix = a->ix, *iy = a->iy, *iz = a->iz;
-    int64_t my = a->my, mz = a->mz;
-    double c2 = a->c2;
-    double *w = a->w;
-    int32_t *flat = a->flat;
-    int64_t cube = kx * ky * kz;
+    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    uint64_t *m = (uint64_t *)acc;
     for (int64_t i = lo; i < hi; i++) {
-        const double *wxi = wxn + i * kx;
-        const double *wyi = wy + i * ky;
-        const double *wzi = wz + i * kz;
-        const double *dxi = dx + i * kx;
-        const double *dyi = dy + i * ky;
-        const double *dzi = dz + i * kz;
-        const int32_t *ixi = ix + i * kx;
-        const int32_t *iyi = iy + i * ky;
-        const int32_t *izi = iz + i * kz;
-        double *wv = w + i * cube;
-        int32_t *fl = flat + i * cube;
-        for (int64_t x = 0; x < kx; x++) {
-            double wxv = wxi[x];
-            double dx2 = dxi[x] * dxi[x];
-            uint32_t fx = (uint32_t)ixi[x] * (uint32_t)my;
+        RK_ATOM_ROWS(ax, i);
+        double q = qc[i];
+        for (int64_t x = 0; x < kx; x++)
             for (int64_t y = 0; y < ky; y++) {
-                double wxy = wxv * wyi[y];
-                double r2xy = dx2 + dyi[y] * dyi[y];
-                uint32_t fxy = (fx + (uint32_t)iyi[y]) * (uint32_t)mz;
+                double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
+                if (r2xy > c2)
+                    continue;
+                double wxy = wxi[x] * wyi[y];
+                uint64_t *col = m + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
+                for (int64_t z = 0; z < kz; z++)
+                    if (r2xy + dzi[z] * dzi[z] <= c2)
+                        col[izi[z]] +=
+                            (uint64_t)(int64_t)rint((wxy * wzi[z]) * q);
+            }
+    }
+}
+
+/* MeshStencilPlan.spread_float: per `chunk` atoms, a float64 bincount
+ * in element order (part[idx] += w * q from +0.0 bins), then
+ * mesh += part.  Float sums do not commute, so this is the one order
+ * NumPy uses and there is no threaded form.  A masked point adds
+ * +-0.0, which leaves a bin that started at +0.0 bit-identical. */
+void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
+                               const double *q, double *mesh, int64_t npts,
+                               double *part, int64_t chunk)
+{
+    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    for (int64_t lo = 0; lo < n; lo += chunk) {
+        memset(part, 0, (size_t)npts * sizeof(double));
+        for (int64_t i = lo; i < n && i < lo + chunk; i++) {
+            RK_ATOM_ROWS(ax, i);
+            for (int64_t x = 0; x < kx; x++)
+                for (int64_t y = 0; y < ky; y++) {
+                    double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
+                    if (r2xy > c2)
+                        continue;
+                    double wxy = wxi[x] * wyi[y];
+                    double *col =
+                        part + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
+                    for (int64_t z = 0; z < kz; z++)
+                        if (r2xy + dzi[z] * dzi[z] <= c2)
+                            col[izi[z]] += (wxy * wzi[z]) * q[i];
+                }
+        }
+        for (int64_t e = 0; e < npts; e++)
+            mesh[e] += part[e];
+    }
+}
+
+/* MeshStencilPlan.interpolate_forces, gather half: row i - lo of out
+ * is phi[idx] * w for atom i.  Masked points are written as
+ * phi[idx] * 0.0, not 0.0: NumPy's take-then-multiply leaves -0.0
+ * under a negative phi (and NaN under a non-finite one), and the BLAS
+ * contraction downstream sees the sign. */
+static void rk_mesh_gather_range(const rk_axes *ax, double c2,
+                                 const double *phi, double *out,
+                                 int64_t lo, int64_t hi)
+{
+    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    for (int64_t i = lo; i < hi; i++) {
+        RK_ATOM_ROWS(ax, i);
+        for (int64_t x = 0; x < kx; x++)
+            for (int64_t y = 0; y < ky; y++) {
+                double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
+                double wxy = wxi[x] * wyi[y];
+                const double *col =
+                    phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
                 for (int64_t z = 0; z < kz; z++) {
                     double r2 = r2xy + dzi[z] * dzi[z];
-                    *wv++ = (r2 <= c2) ? wxy * wzi[z] : 0.0;
-                    *fl++ = (int32_t)(fxy + (uint32_t)izi[z]);
+                    *out++ = col[izi[z]] * ((r2 <= c2) ? wxy * wzi[z] : 0.0);
                 }
             }
-        }
     }
 }
 
-static rk_mp_arg rk_mp_pack(int64_t n, int64_t kx, int64_t ky, int64_t kz,
-                            const double *wxn, const double *wy,
-                            const double *wz, const double *dx,
-                            const double *dy, const double *dz,
-                            const int32_t *ix, const int32_t *iy,
-                            const int32_t *iz, int64_t my, int64_t mz,
-                            double c2, double *w, int32_t *flat)
-{
-    rk_mp_arg a;
-    a.n = n; a.kx = kx; a.ky = ky; a.kz = kz; a.my = my; a.mz = mz;
-    a.wxn = wxn; a.wy = wy; a.wz = wz; a.dx = dx; a.dy = dy; a.dz = dz;
-    a.ix = ix; a.iy = iy; a.iz = iz; a.c2 = c2; a.w = w; a.flat = flat;
-    return a;
-}
-
-void rk_mesh_plan(int64_t n, int64_t kx, int64_t ky, int64_t kz,
-                  const double *wxn, const double *wy, const double *wz,
-                  const double *dx, const double *dy, const double *dz,
-                  const int32_t *ix, const int32_t *iy, const int32_t *iz,
-                  int64_t my, int64_t mz, double c2,
-                  double *w, int32_t *flat)
-{
-    rk_mp_arg a = rk_mp_pack(n, kx, ky, kz, wxn, wy, wz, dx, dy, dz,
-                             ix, iy, iz, my, mz, c2, w, flat);
-    rk_mesh_plan_range(&a, 0, n);
-}
-
-static void rk_mesh_plan_task(void *p, int64_t tid, int64_t nt)
-{
-    const rk_mp_arg *a = (const rk_mp_arg *)p;
+typedef struct {
+    const rk_axes *ax;
     int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    rk_mesh_plan_range(a, lo, hi);
+    int64_t stride;    /* spread: mesh points; gather: cube points    */
+    double c2;
+    const double *src; /* spread: qc, one per atom; gather: phi mesh  */
+    int64_t *part;     /* spread: (nthreads, npts) per-lane meshes    */
+    double *out;       /* gather: (hi - lo, kx*ky*kz)                 */
+} rk_mesh_arg;
+
+/* Lane tid zeroes its own partial mesh and spreads its block of atoms
+ * into it (the two-phase shape of the threaded deposits above). */
+static void rk_mesh_spread_task(void *p, int64_t tid, int64_t nt)
+{
+    const rk_mesh_arg *a = (const rk_mesh_arg *)p;
+    int64_t lo, hi;
+    rk_chunk(a->hi, tid, nt, &lo, &hi);
+    int64_t *mine = a->part + tid * a->stride;
+    memset(mine, 0, (size_t)a->stride * sizeof(int64_t));
+    rk_mesh_spread_range(a->ax, a->c2, a->src, mine, lo, hi);
 }
 
-void rk_mesh_plan_mt(int64_t n, int64_t kx, int64_t ky, int64_t kz,
-                     const double *wxn, const double *wy, const double *wz,
-                     const double *dx, const double *dy, const double *dz,
-                     const int32_t *ix, const int32_t *iy,
-                     const int32_t *iz, int64_t my, int64_t mz, double c2,
-                     double *w, int32_t *flat, int64_t nthreads)
+/* Atoms [0, n) into the flat int64 mesh `acc` of npts points; with
+ * nthreads > 1, through the (nthreads, npts) per-lane partials `part`. */
+void rk_mesh_spread_axes(const rk_axes *ax, int64_t n, double c2,
+                         const double *qc, int64_t *acc, int64_t npts,
+                         int64_t *part, int64_t nthreads)
 {
-    rk_mp_arg a = rk_mp_pack(n, kx, ky, kz, wxn, wy, wz, dx, dy, dz,
-                             ix, iy, iz, my, mz, c2, w, flat);
     if (nthreads <= 1 || n < nthreads) {
-        rk_mesh_plan_range(&a, 0, n);
+        rk_mesh_spread_range(ax, c2, qc, acc, 0, n);
         return;
     }
-    rk_run(rk_mesh_plan_task, &a, nthreads);
+    rk_mesh_arg a = {ax, 0, n, npts, c2, qc, part, NULL};
+    int64_t nt = rk_run(rk_mesh_spread_task, &a, nthreads);
+    rk_red_arg r = {acc, part, npts, nt};
+    rk_run(rk_reduce_task, &r, nt);
+}
+
+/* Each atom's cube is written by exactly one lane, so any partition of
+ * the row range equals the serial loop bit for bit. */
+static void rk_mesh_gather_task(void *p, int64_t tid, int64_t nt)
+{
+    const rk_mesh_arg *a = (const rk_mesh_arg *)p;
+    int64_t lo, hi;
+    rk_chunk(a->hi - a->lo, tid, nt, &lo, &hi);
+    rk_mesh_gather_range(a->ax, a->c2, a->src, a->out + lo * a->stride,
+                         a->lo + lo, a->lo + hi);
+}
+
+/* Atoms [lo, hi) of the plan into rows [0, hi - lo) of `out`. */
+void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
+                         double c2, const double *phi, double *out,
+                         int64_t nthreads)
+{
+    rk_mesh_arg a = {ax, lo, hi, ax->kx * ax->ky * ax->kz, c2, phi, NULL, out};
+    if (nthreads <= 1 || hi - lo < nthreads)
+        rk_mesh_gather_range(ax, c2, phi, out, lo, hi);
+    else
+        rk_run(rk_mesh_gather_task, &a, nthreads);
 }

@@ -55,6 +55,15 @@ class KernelBuildError(RuntimeError):
     """The compiled tier is unavailable on this host."""
 
 
+class MeshAxes(ctypes.Structure):
+    """``rk_axes``: stencil shape, mesh strides, and a plan's nine axis rows."""
+
+    _fields_ = [(name, ctypes.c_int64) for name in ("kx", "ky", "kz", "my", "mz")] + [
+        (name, ctypes.c_void_p)
+        for name in ("wxn", "wy", "wz", "dx", "dy", "dz", "ix", "iy", "iz")
+    ]
+
+
 def _compiler_ident(cc: str) -> str | None:
     """First line of ``cc --version``, or None when the compiler is
     missing.  Part of the cache key: a host switching cc -> clang (or
@@ -179,14 +188,14 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_scatter_rows.argtypes = [p, p, p, i64]
     lib.rk_scatter_add.restype = None
     lib.rk_scatter_add.argtypes = [p, p, p, i64]
-    lib.rk_mesh_spread_i32.restype = None
-    lib.rk_mesh_spread_i32.argtypes = [p, p, p, p, i64, i64]
-    lib.rk_mesh_spread_i64.restype = None
-    lib.rk_mesh_spread_i64.argtypes = [p, p, p, p, i64, i64]
-    lib.rk_mesh_plan.restype = None
-    lib.rk_mesh_plan.argtypes = (
-        [i64, i64, i64, i64] + [p] * 9 + [i64, i64, f64, p, p]
-    )
+    # Fused mesh kernels: a MeshAxes by reference first; nthreads is an
+    # argument, so none has an ``_mt`` twin.
+    lib.rk_mesh_spread_axes.restype = None
+    lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
+    lib.rk_mesh_spread_float_axes.restype = None
+    lib.rk_mesh_spread_float_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
+    lib.rk_mesh_gather_axes.restype = None
+    lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p, i64]
     lib.rk_shake.restype = None
     lib.rk_shake.argtypes = [p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
     lib.rk_rattle.restype = None
@@ -218,14 +227,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_scatter_rows_mt.argtypes = [p, p, p, i64, i64, p, i64]
     lib.rk_scatter_add_mt.restype = None
     lib.rk_scatter_add_mt.argtypes = [p, p, p, i64, i64, p, i64]
-    lib.rk_mesh_spread_i32_mt.restype = None
-    lib.rk_mesh_spread_i32_mt.argtypes = [p, p, p, p, i64, i64, i64, p, i64]
-    lib.rk_mesh_spread_i64_mt.restype = None
-    lib.rk_mesh_spread_i64_mt.argtypes = [p, p, p, p, i64, i64, i64, p, i64]
-    lib.rk_mesh_plan_mt.restype = None
-    lib.rk_mesh_plan_mt.argtypes = (
-        [i64, i64, i64, i64] + [p] * 9 + [i64, i64, f64, p, p, i64]
-    )
     lib.rk_shake_batch_mt.restype = None
     lib.rk_shake_batch_mt.argtypes = (
         [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, i64]

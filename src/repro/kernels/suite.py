@@ -3,11 +3,14 @@
 A *kernel suite* is the small set of hot-loop primitives the machine
 simulation dispatches through: neighbor-list rebuild and cutoff
 filtering, the fused tabulated pair kernel (table evaluation straight
-to fixed-point force codes), fixed-point scatter deposits, mesh charge
-spreading, and the SHAKE/RATTLE constraint sweeps.  Two tiers implement
-the same contract (``neighbor_build`` alone is compiled-only: its NumPy
-counterpart is the cell pipeline :class:`~repro.geometry.NeighborList`
-keeps as its NumPy-tier path):
+to fixed-point force codes), fixed-point scatter deposits, the fused
+mesh spread and gather, and the SHAKE/RATTLE constraint sweeps.  Two
+tiers implement the same contract (four primitives are compiled-only,
+their NumPy counterpart being the pipeline the caller keeps as its
+NumPy-tier path: ``neighbor_build`` — the cell pipeline of
+:class:`~repro.geometry.NeighborList` — and the three ``mesh_*_axes``
+— the stencil-cube pipeline of
+:class:`~repro.ewald.gse.MeshStencilPlan`):
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.
@@ -38,13 +41,14 @@ as the NumPy tier.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.build import KernelBuildError, load
+from repro.kernels.build import KernelBuildError, MeshAxes, load
 
 __all__ = [
     "KERNEL_TIERS",
@@ -102,6 +106,11 @@ def resolve_config(tier: str | None = None, threads: int | None = None) -> Kerne
 
 def _ptr(a: np.ndarray) -> int:
     return a.ctypes.data
+
+
+def _conforms(a: np.ndarray, shape: tuple, dtype) -> bool:
+    """Whether ``a`` can be handed to C as a dense ``shape`` array of ``dtype``."""
+    return a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
 
 
 def _i64(a) -> np.ndarray:
@@ -208,7 +217,7 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTabl
 class NumpyKernels:
     """Reference tier: NumPy expressions matching the simulator's own.
 
-    These mirror (and in the scatter/spread cases simply call) the
+    These mirror (and in the scatter cases simply call) the
     existing vectorized code paths, so "compiled vs numpy" identity is
     the same statement as "compiled vs simulator" identity.
     """
@@ -310,40 +319,6 @@ class NumpyKernels:
         with np.errstate(over="ignore"):
             np.add.at(acc, keys, codes)
 
-    # -- mesh spreading ---------------------------------------------------
-
-    def mesh_spread(self, acc, flat, w2, qc):
-        """``acc[flat[r, c]] += rint(w2[r, c] * qc[r])`` as int64."""
-        b = w2 * qc[:, None]
-        np.rint(b, out=b)
-        part = np.bincount(
-            flat.ravel().astype(np.int64, copy=False),
-            weights=b.ravel(),
-            minlength=len(acc),
-        )
-        with np.errstate(over="ignore"):
-            acc += part.astype(np.int64)
-
-    # -- mesh stencil plan -------------------------------------------------
-
-    def mesh_plan_block(
-        self, wxn, wy, wz, dx, dy, dz, ix, iy, iz, my, mz, c2, w, flat
-    ):
-        """Fill one block of the stencil-plan weight cube and indices.
-
-        Reference implementation of the fused C pass (the hot path in
-        :meth:`~repro.ewald.gse.MeshStencilPlan.build` keeps its own
-        NumPy formulation; this exists so the property tests can compare
-        tiers through one interface).
-        """
-        wxy = wxn[:, :, None] * wy[:, None, :]
-        np.einsum("nxy,nz->nxyz", wxy, wz, out=w)
-        r2 = (dx * dx)[:, :, None, None] + (dy * dy)[:, None, :, None]
-        r2 = r2 + (dz * dz)[:, None, None, :]
-        np.multiply(w, r2 <= c2, out=w)
-        fxy = ix[:, :, None] * my + iy[:, None, :]
-        np.add(fxy[:, :, :, None] * mz, iz[:, None, None, :], out=flat)
-
     # -- constraints -------------------------------------------------------
 
     def shake(self, solver, positions, reference, tol):
@@ -405,9 +380,10 @@ class CompiledKernels(NumpyKernels):
     def map_chunks(self, fn, nchunks):
         """Run disjoint-output chunks on a persistent Python pool.
 
-        Used for primitives whose parallel unit is itself a Python-level
-        call (per-replica FFTs, mesh-row gather views).  ctypes and
-        pocketfft release the GIL, so the chunks genuinely overlap.
+        Used where the parallel unit is itself a Python-level call (an
+        ensemble's per-replica spreads, FFTs and interpolations).
+        ctypes and pocketfft release the GIL, so the chunks genuinely
+        overlap.
         """
         if self.threads <= 1 or nchunks <= 1:
             for b in range(nchunks):
@@ -475,9 +451,7 @@ class CompiledKernels(NumpyKernels):
         """
         n = n_blocks * block_len
         if (
-            wrapped.shape != (n, 3)
-            or wrapped.dtype != np.float64
-            or not wrapped.flags.c_contiguous
+            not _conforms(wrapped, (n, 3), np.float64)
             or len(oj) != len(oi)
             or (excl is not None and len(excl[0]) != n + 1)
         ):
@@ -551,40 +525,77 @@ class CompiledKernels(NumpyKernels):
             return
         self._lib.rk_scatter_add(_ptr(acc), _ptr(keys), _ptr(codes), len(keys))
 
-    def mesh_spread(self, acc, flat, w2, qc):
-        is32 = flat.dtype == np.int32
-        n, k = flat.shape
-        npts = acc.size
-        if self.threads > 1 and n * k >= 4 * npts:
-            fn = (
-                self._lib.rk_mesh_spread_i32_mt
-                if is32
-                else self._lib.rk_mesh_spread_i64_mt
-            )
-            fn(
-                _ptr(acc), _ptr(flat), _ptr(w2), _ptr(qc), n, k, npts,
-                _ptr(self._partials(npts)), self.threads,
-            )
-            return
-        fn = self._lib.rk_mesh_spread_i32 if is32 else self._lib.rk_mesh_spread_i64
-        fn(_ptr(acc), _ptr(flat), _ptr(w2), _ptr(qc), n, k)
+    def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
+        """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``."""
+        n = len(axis_w[0])
+        ks = [a.shape[1] for a in axis_w]
+        rows = (*axis_w, *axis_d, *axis_i)
+        dtypes = (np.float64,) * 6 + (np.int32,) * 3
+        if not all(_conforms(a, (n, k), t) for a, k, t in zip(rows, ks * 3, dtypes)):
+            raise ValueError("mesh axis rows do not match the plan layout")
+        axes = MeshAxes(*ks, int(mesh[1]), int(mesh[2]), *(_ptr(a) for a in rows))
+        return n, ks[0] * ks[1] * ks[2], ctypes.byref(axes)
 
-    def mesh_plan_block(
-        self, wxn, wy, wz, dx, dy, dz, ix, iy, iz, my, mz, c2, w, flat
-    ):
-        n, kx = wxn.shape
-        args = (
-            n, kx, wy.shape[1], wz.shape[1],
-            _ptr(wxn), _ptr(wy), _ptr(wz),
-            _ptr(dx), _ptr(dy), _ptr(dz),
-            _ptr(ix), _ptr(iy), _ptr(iz),
-            int(my), int(mz), float(c2),
-            _ptr(w), _ptr(flat),
+    def mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc):
+        """Fused quantized spread straight from a plan's per-axis rows.
+
+        ``acc[idx] += rint(((wxn*wy)*wz) * qc)`` over every stencil
+        point inside the ``(dx²+dy²)+dz² <= c2`` sphere, for finite
+        ``qc`` — bitwise the NumPy cube pipeline of
+        :meth:`~repro.ewald.gse.MeshStencilPlan.spread_codes`.
+        ``axis_w/axis_d/axis_i`` are the plan's three ``(n, ka)``
+        weight, displacement and wrapped-index rows; ``acc`` is the
+        flat int64 mesh.  Threaded through per-lane partial meshes.
+        """
+        n, k, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        npts = int(np.prod(mesh))
+        if not (_conforms(acc, (npts,), np.int64) and _conforms(qc, (n,), np.float64)):
+            raise ValueError("mesh_spread_axes: arrays do not match the plan layout")
+        threads = self.threads if n * k >= 4 * npts else 1
+        part = _ptr(self._partials(npts)) if threads > 1 else None
+        self._lib.rk_mesh_spread_axes(
+            axes, n, float(c2), _ptr(qc), _ptr(acc), npts, part, threads
         )
-        if self.threads > 1 and n >= 2 * self.threads:
-            self._lib.rk_mesh_plan_mt(*args, self.threads)
-        else:
-            self._lib.rk_mesh_plan(*args)
+
+    def mesh_spread_float_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk):
+        """Fused unquantized spread into the flat float64 mesh ``acc``.
+
+        Per ``chunk`` atoms, ``acc += bincount(idx, w * q)`` with the
+        bincount summed in element order — float sums do not commute,
+        so the chunking and the order are NumPy's exactly, and every
+        thread count runs this one serial sweep.
+        """
+        n, _, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        npts = int(np.prod(mesh))
+        if chunk < 1 or not (
+            _conforms(acc, (npts,), np.float64) and _conforms(q, (n,), np.float64)
+        ):
+            raise ValueError("mesh_spread_float_axes: arrays do not match the plan layout")
+        part = np.empty(npts)
+        self._lib.rk_mesh_spread_float_axes(
+            axes, n, float(c2), _ptr(q), _ptr(acc), npts, _ptr(part), int(chunk)
+        )
+
+    def mesh_gather_axes(self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi):
+        """Fused gather: ``out[i - lo] = phi[idx] * w`` for atoms ``[lo, hi)``.
+
+        Fills rows of the ``(chunk, k)`` contribution buffer exactly as
+        ``np.take(phi, flat)`` times the masked weight cube would
+        (masked points are ``phi[idx] * 0.0``, keeping NumPy's sign of
+        zero); the contraction stays in NumPy.  Row-partitioned across
+        lanes: each output row is written by exactly one.
+        """
+        n, k, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        if not (
+            0 <= lo <= hi <= n
+            and _conforms(out, (hi - lo, k), np.float64)
+            and _conforms(phi, (int(np.prod(mesh)),), np.float64)
+        ):
+            raise ValueError("mesh_gather_axes: arrays do not match the plan layout")
+        threads = self.threads if hi - lo >= 2 * self.threads else 1
+        self._lib.rk_mesh_gather_axes(
+            axes, lo, hi, float(c2), _ptr(phi), _ptr(out), threads
+        )
 
     def shake(self, solver, positions, reference, tol):
         pre = solver._compiled_arrays()

@@ -213,9 +213,11 @@ class SerialBackend(MachineBackend):
         # and interpolates over the rows it owns.  Bitwise equal to the
         # old per-node weight rebuild: every plan kernel is per-atom
         # arithmetic plus a commutative reduction, so the row partition
-        # is invisible in the bits.
+        # is invisible in the bits.  Row subsets run the plan's NumPy
+        # cube pipeline (the oracle of the fused kernels), so the plan
+        # is built with its cubes, whatever the kernel tier.
         with t.time("mesh_plan"):
-            plan = gse.make_plan(positions, kernels=self.kernels)
+            plan = gse.make_plan(positions)
         mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
         node_rows = [np.nonzero(m.owners == n)[0] for n in range(m.topology.n_nodes)]
         with t.time("mesh_spread"):

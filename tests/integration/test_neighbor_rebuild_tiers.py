@@ -1,12 +1,14 @@
-"""Integration: the compiled neighbour rebuild is invisible in the artifacts.
+"""Integration: the compiled rebuild and mesh kernels are invisible in the artifacts.
 
 On the compiled tier ``NeighborList`` rebuilds through the C
-``neighbor_build`` sweep instead of the NumPy cell pipeline.  A thin
-skin forces several rebuilds inside a short run, and the machine's and
-the ensemble's files on disk — trajectory and checkpoints — must come
-out byte-identical on the NumPy tier and on the compiled tier at one
-and at four kernel threads (the rebuild itself is serial at every
-thread count).
+``neighbor_build`` sweep instead of the NumPy cell pipeline, and the
+long-range mesh spreads and gathers straight from the stencil plan's
+per-axis rows instead of its NumPy cubes.  A thin skin forces several
+rebuilds inside a short run that also holds six long-range evaluations,
+and the machine's and the ensemble's files on disk — trajectory and
+checkpoints — must come out byte-identical on the NumPy tier and on the
+compiled tier at one and at four kernel threads (the rebuild itself is
+serial at every thread count).
 """
 
 import pytest
@@ -24,6 +26,8 @@ pytestmark = pytest.mark.skipif(
 
 CONFIGS = (("numpy", 1), ("compiled", 1), ("compiled", 4))
 STEPS = 12
+LONG_RANGE_EVERY = 2
+assert STEPS // LONG_RANGE_EVERY >= 4  # mesh evaluations per run
 
 
 def _files(paths):
@@ -33,7 +37,7 @@ def _files(paths):
 def test_machine_artifacts_identical_through_rebuilds(tmp_path):
     params = MDParams(
         cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
-        long_range_every=2, quantize_mesh_bits=40,
+        long_range_every=LONG_RANGE_EVERY, quantize_mesh_bits=40,
     )
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, params, max_steps=30)
@@ -66,11 +70,12 @@ def test_machine_artifacts_identical_through_rebuilds(tmp_path):
         assert out[key] == out["numpy", 1], f"artifacts diverged for {key}"
 
 
-def test_ensemble_artifacts_identical_through_rebuilds(tmp_path):
+def _ensemble_artifacts_identical(tmp_path, mesh_bits):
     base = build_water_box(n_molecules=32, seed=5)
     params = MDParams(
         cutoff=min(5.5, base.box.max_cutoff() * 0.9), skin=0.1, mesh=(16, 16, 16),
-        long_range_every=2, kernel_mode="table",
+        long_range_every=LONG_RANGE_EVERY, kernel_mode="table",
+        quantize_mesh_bits=mesh_bits,
     )
     minimize_energy(base, params, max_steps=30)
     seeds = derive_replica_seeds(41, 3)
@@ -103,3 +108,14 @@ def test_ensemble_artifacts_identical_through_rebuilds(tmp_path):
     assert len(out["numpy", 1][1]) == 3 * (1 + STEPS // 4)
     for key in CONFIGS[1:]:
         assert out[key] == out["numpy", 1], f"artifacts diverged for {key}"
+
+
+def test_ensemble_artifacts_identical_through_rebuilds(tmp_path):
+    """Float mesh: the compiled tier takes the fused, chunk-ordered float
+    spread and the fused gather."""
+    _ensemble_artifacts_identical(tmp_path, None)
+
+
+def test_ensemble_quantized_mesh_artifacts_identical(tmp_path):
+    """Quantized mesh: the compiled tier takes the fused integer spread."""
+    _ensemble_artifacts_identical(tmp_path, 40)

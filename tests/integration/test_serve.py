@@ -213,8 +213,9 @@ class TestLiveServer:
 
     def test_worker_sigkill_recovers_bit_exactly(self, tmp_path, live_server):
         state, client = live_server
-        # Enough slices that the kill lands mid-run.
-        spec = JobSpec(waters=8, steps=40, record_every=2, checkpoint_every=2,
+        # Enough slices that the kill lands mid-run on either kernel
+        # tier (the compiled one finishes 40 steps inside a poll or two).
+        spec = JobSpec(waters=8, steps=200, record_every=2, checkpoint_every=2,
                        seed=5, name="victim")
         client.submit(spec.to_dict())
         deadline = time.time() + 120

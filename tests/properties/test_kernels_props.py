@@ -149,38 +149,46 @@ def test_pair_table_codes_bitwise(tiers, table_machine, seed, n):
         np.testing.assert_array_equal(x, y)
 
 
+def _small_gse():
+    from repro.ewald.gse import GSEParams, GaussianSplitEwald
+    from repro.geometry import Box
+
+    box = Box(np.array([17.0, 17.0, 17.0]))
+    return GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+
+
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(0, 200))
 @settings(max_examples=30, deadline=None)
 def test_mesh_spread_bitwise(tiers, seed, n):
-    """Quantized stencil scatter: rint(w*qc) int64 deposit, same bits."""
-    numpy_k, compiled_k = tiers
+    """Fused stencil scatter from axis rows: rint(w*qc) int64 deposit, same bits."""
+    _, compiled_k = tiers
     rng = np.random.default_rng(seed)
-    k_sten, n_mesh = 27, 4096
-    flat = rng.integers(0, n_mesh, (n, k_sten)).astype(np.int32)
-    w2 = rng.uniform(-1, 1, (n, k_sten))
-    qc = rng.uniform(-1e6, 1e6, n)
-    a = rng.integers(-(2**40), 2**40, n_mesh)
+    gse = _small_gse()
+    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (n, 3)))  # NumPy: with cubes
+    qc = rng.uniform(-1e6, 1e6, n) * 2.0 ** rng.integers(0, 24)
+    a = rng.integers(-(2**40), 2**40, gse.mesh_point_count())
     b = a.copy()
-    numpy_k.mesh_spread(a, flat, w2, qc)
-    compiled_k.mesh_spread(b, flat, w2, qc)
+    codes = np.rint(plan.w.reshape(plan.flat.shape) * qc[:, None]).astype(np.int64)
+    np.add.at(a, plan.flat.ravel(), codes.ravel())
+    compiled_k.mesh_spread_axes(b, *plan._axes(), qc)
     np.testing.assert_array_equal(a, b)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_mesh_plan_build_bitwise(tiers, seed):
-    """Full stencil-plan build (weights, mask, indices) across tiers."""
-    from repro.ewald.gse import GSEParams, GaussianSplitEwald
-    from repro.geometry import Box
-
+    """Stencil-plan build across tiers: same axis rows, and the cubes a
+    compiled-tier plan materialises on demand (weights, mask, indices)
+    are the ones the NumPy tier builds up front."""
     numpy_k, compiled_k = tiers
     rng = np.random.default_rng(seed)
-    box = Box(np.array([17.0, 17.0, 17.0]))
-    gse = GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+    gse = _small_gse()
     pos = rng.uniform(-5.0, 22.0, (40, 3))  # wrap() handles out-of-box
     pn = gse.make_plan(pos, kernels=numpy_k)
     pc = gse.make_plan(pos, kernels=compiled_k)
+    assert pn._cubes is not None and pc._cubes is None
     np.testing.assert_array_equal(pn.w, pc.w)
     np.testing.assert_array_equal(pn.flat, pc.flat)
-    for a, b in zip(pn.axis_d, pc.axis_d):
-        np.testing.assert_array_equal(a, b)
+    for rows in ("axis_w", "axis_d", "axis_i"):
+        for a, b in zip(getattr(pn, rows), getattr(pc, rows)):
+            np.testing.assert_array_equal(a, b)

@@ -9,9 +9,9 @@ that contract, and both are asserted here rather than assumed:
   fold order cannot change the result; ``test_wrapping_add_order_free``
   pins that algebraic fact directly (including at the accumulator
   extremes) instead of trusting it.
-* Disjoint-output chunking — pair tables, mesh plans, and gather
-  interpolation write each output row from exactly one lane, so any
-  partition equals the serial loop.
+* Disjoint-output chunking — pair tables and the fused mesh gather
+  write each output row from exactly one lane, so any partition equals
+  the serial loop.
 
 Every threaded primitive is driven with inputs sized past its dispatch
 threshold (small inputs fall back to the serial path by design, which
@@ -160,24 +160,32 @@ def test_scatter_rows_threaded_bitwise(suites, seed):
         np.testing.assert_array_equal(got, want)
 
 
-@given(seed=st.integers(0, 2**31 - 1), wide=st.booleans())
+def _small_gse():
+    from repro.ewald.gse import GSEParams, GaussianSplitEwald
+    from repro.geometry import Box
+
+    box = Box(np.array([17.0, 17.0, 17.0]))
+    return GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+
+
+@given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_mesh_spread_threaded_bitwise(suites, seed, wide):
-    """Both index widths (int32/int64) through the partial-mesh reduce."""
-    numpy_k, one, threaded = suites
+def test_mesh_spread_threaded_bitwise(suites, seed):
+    """Fused spread through the per-lane partial meshes and their reduce."""
+    _, one, threaded = suites
     rng = np.random.default_rng(seed)
-    k_sten, n_mesh = 27, 512
-    n = int(rng.integers(4 * n_mesh // k_sten, 1500))  # past n*k >= 4*npts
-    dtype = np.int64 if wide else np.int32
-    flat = rng.integers(0, n_mesh, (n, k_sten)).astype(dtype)
-    w2 = rng.uniform(-1, 1, (n, k_sten))
+    gse = _small_gse()
+    npts, k_sten = gse.mesh_point_count(), gse.stencil_size()
+    n = int(rng.integers(4 * npts // k_sten + 1, 200))  # past n*k >= 4*npts
+    plan = gse.make_plan(rng.uniform(0.0, 17.0, (n, 3)))  # NumPy: with cubes
     qc = rng.uniform(-1e6, 1e6, n)
-    base = rng.integers(-(2**40), 2**40, n_mesh)
+    base = rng.integers(-(2**40), 2**40, npts)
     want = base.copy()
-    numpy_k.mesh_spread(want, flat, w2, qc)
+    codes = np.rint(plan.w.reshape(n, -1) * qc[:, None]).astype(np.int64)
+    np.add.at(want, plan.flat.ravel(), codes.ravel())
     for k in (one, *threaded.values()):
         got = base.copy()
-        k.mesh_spread(got, flat, w2, qc)
+        k.mesh_spread_axes(got, *plan._axes(), qc)
         np.testing.assert_array_equal(got, want)
 
 
@@ -255,14 +263,11 @@ def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_mesh_plan_build_threaded_bitwise(suites, seed):
-    """Stencil-plan build chunked over atom rows across thread counts."""
-    from repro.ewald.gse import GSEParams, GaussianSplitEwald
-    from repro.geometry import Box
-
+    """Axis rows, and the cubes materialised from them on demand, are the
+    NumPy tier's under every thread count."""
     numpy_k, one, threaded = suites
     rng = np.random.default_rng(seed)
-    box = Box(np.array([17.0, 17.0, 17.0]))
-    gse = GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+    gse = _small_gse()
     pos = rng.uniform(-5.0, 22.0, (64, 3))
     want = gse.make_plan(pos, kernels=numpy_k)
     for k in (one, *threaded.values()):
@@ -276,14 +281,10 @@ def test_mesh_plan_build_threaded_bitwise(suites, seed):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_interpolate_forces_threaded_bitwise(suites, seed):
-    """Row-block threaded gather == serial sweep, any thread count."""
-    from repro.ewald.gse import GSEParams, GaussianSplitEwald
-    from repro.geometry import Box
-
+    """Row-partitioned fused gather == the NumPy cube sweep, any thread count."""
     numpy_k, one, threaded = suites
     rng = np.random.default_rng(seed)
-    box = Box(np.array([17.0, 17.0, 17.0]))
-    gse = GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+    gse = _small_gse()
     n = int(rng.integers(17, 120))
     pos = rng.uniform(0.0, 17.0, (n, 3))
     charges = rng.normal(0, 1, n)

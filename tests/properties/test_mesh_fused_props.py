@@ -1,0 +1,227 @@
+"""Property tests: the fused axis-row mesh kernels == the NumPy cube pipeline.
+
+On the compiled tier a :class:`~repro.ewald.MeshStencilPlan` holds only
+per-axis rows, and ``mesh_spread_axes`` / ``mesh_spread_float_axes`` /
+``mesh_gather_axes`` evaluate each atom–mesh-point weight on the fly.
+Their reference is the plan's own NumPy pipeline over the materialised
+cubes; these properties demand exact equality — of the int64 mesh, of
+the chunk-sensitive float mesh, of the gather buffer down to the sign
+of a masked zero, and of the contracted forces — on non-cubic
+stencils, at the box faces, on the ``r² == c2`` sphere edge, at every
+chunk boundary, through replica row views, and at 1, 2 and 4 threads.
+
+Skipped wholesale when the host has no C compiler.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import MDParams, minimize_energy
+from repro.ewald import GaussianSplitEwald, GSEParams
+from repro.fixedpoint import FixedFormat, ScaledFixed
+from repro.geometry import Box
+from repro.kernels import available
+from repro.kernels.build import load
+from repro.kernels.suite import CompiledKernels
+from repro.machine import AntonMachine
+from repro.systems import build_water_box
+
+pytestmark = pytest.mark.skipif(
+    not available(), reason="no C compiler: compiled kernel tier unavailable"
+)
+
+MESH_CODEC = ScaledFixed(FixedFormat(40), limit=8.0)
+
+#: h = (1.0, 0.5, 0.75) exactly, so an atom on a mesh point has exactly
+#: representable displacements, and the cutoff 3.0 puts mesh points
+#: such as (3, 0, 0) and (2, 2, 1)·h-steps on r² == c2 == 9.0 itself.
+LENGTHS = np.array([16.0, 12.0, 12.0])
+MESH = (16, 24, 16)
+CHUNK = 8
+
+
+@pytest.fixture(scope="module")
+def suites():
+    base = CompiledKernels(load())
+    return [base] + [CompiledKernels(load(), threads=t, serial=base) for t in (2, 4)]
+
+
+def make_gse() -> GaussianSplitEwald:
+    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=MESH, spreading_cutoff=3.0)
+    gse = GaussianSplitEwald(Box(LENGTHS), params)
+    assert tuple(2 * gse._offsets + 1) == (7, 13, 9)  # kx != ky != kz
+    return gse
+
+
+def edge_atoms() -> np.ndarray:
+    """On a mesh point (sphere edge hit exactly), at 0, at L, at L - ulp."""
+    return np.array([
+        [5.0, 3.0, 4.5],
+        [0.0, 0.0, 0.0],
+        LENGTHS,
+        np.nextafter(LENGTHS, 0.0),
+        [np.nextafter(16.0, 0.0), 0.0, 12.0],
+    ])
+
+
+def signed_phi(rng) -> np.ndarray:
+    """Potential with negative values and both zeros under masked points."""
+    phi = rng.normal(0, 1, MESH)
+    kind = rng.integers(0, 4, MESH)
+    phi[kind == 0] = 0.0
+    phi[kind == 1] = -0.0
+    return phi
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equality that tells -0.0 from +0.0."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
+    """Fused spreads, gather buffer and forces of every suite == NumPy cubes."""
+    oracle = gse.make_plan(pos, max_elements=None)
+    want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
+    oracle.spread_codes(q, want_mesh, MESH_CODEC)
+    want_f = oracle.interpolate_forces(q, phi, chunk=chunk)
+    base_q = phi.ravel() * (phi.ravel() > 0.5)  # zeros of both signs, and values
+    want_q = base_q.copy()
+    oracle.spread_float(q, want_q, chunk=chunk)
+    want_buf = np.take(phi.ravel(), oracle.flat) * oracle.w.reshape(oracle.flat.shape)
+    for k in suites:
+        plan = gse.make_plan(pos, kernels=k)
+        assert plan._cubes is None  # the fused path never materialises them
+        got_mesh = np.zeros_like(want_mesh)
+        plan.spread_codes(q, got_mesh, MESH_CODEC, kernels=k)
+        np.testing.assert_array_equal(got_mesh, want_mesh)
+        got_q = base_q.copy()
+        plan.spread_float(q, got_q, chunk=chunk, kernels=k)  # chunk-sensitive
+        assert_same_bits(got_q, want_q)
+        buf = np.empty_like(want_buf)
+        k.mesh_gather_axes(buf, *plan._axes(), phi.ravel(), 0, plan.n)
+        assert_same_bits(buf, want_buf)
+        assert_same_bits(plan.interpolate_forces(q, phi, chunk=chunk, kernels=k), want_f)
+        assert plan._cubes is None
+    return oracle
+
+
+@given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 60))
+@settings(max_examples=25, deadline=None)
+def test_fused_matches_cube_pipeline(suites, seed, n):
+    """Random atoms (in and out of the box) on the non-cubic stencil."""
+    rng = np.random.default_rng(seed)
+    gse = make_gse()
+    pos = rng.uniform(-0.3, 1.3, (n, 3)) * LENGTHS  # wrap() handles out-of-box
+    check_plan(gse, pos, rng.uniform(-1, 1, n), signed_phi(rng), suites)
+
+
+def test_box_faces_and_exact_sphere_edge(suites):
+    """Atoms at 0 / L / L-ulp, and mesh points with r² == c2 exactly (kept)."""
+    rng = np.random.default_rng(3)
+    gse = make_gse()
+    pos = edge_atoms()
+    oracle = check_plan(gse, pos, rng.uniform(-1, 1, len(pos)), signed_phi(rng), suites)
+    d2 = [d[0] * d[0] for d in oracle.axis_d]
+    r2 = (d2[0][:, None, None] + d2[1][None, :, None]) + d2[2][None, None, :]
+    on_edge = r2 == gse.params.spreading_cutoff**2
+    assert on_edge.sum() >= 6 and np.all(oracle.w[0][on_edge] > 0.0)
+    assert np.all(oracle.w[0][r2 > 9.0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK + 3])
+def test_chunk_boundaries_and_zero_charges(suites, n):
+    rng = np.random.default_rng(n)
+    gse = make_gse()
+    pos = rng.uniform(0, 1, (n, 3)) * LENGTHS
+    q = rng.uniform(-1, 1, n)
+    q[::3] = 0.0
+    check_plan(gse, pos, q, signed_phi(rng), suites)
+    check_plan(gse, pos, np.zeros(n), signed_phi(rng), suites)
+
+
+@pytest.mark.parametrize("replicas", [2, 3])
+def test_replica_row_views_equal_solo_plans(suites, replicas):
+    """``rows_view``s of a stacked plan run the fused kernels as solo plans."""
+    rng = np.random.default_rng(replicas)
+    gse = make_gse()
+    n = 21
+    pos = rng.uniform(0, 1, (replicas * n, 3)) * LENGTHS
+    q = rng.uniform(-1, 1, n)
+    phi = signed_phi(rng)
+    for k in suites:
+        plan = gse.make_plan(pos, kernels=k)
+        for r in range(replicas):
+            view = plan.rows_view(r * n, (r + 1) * n)
+            solo = gse.make_plan(pos[r * n : (r + 1) * n])
+            want = np.zeros(gse.mesh_point_count(), dtype=np.int64)
+            solo.spread_codes(q, want, MESH_CODEC)
+            got = np.zeros_like(want)
+            view.spread_codes(q, got, MESH_CODEC, kernels=k)
+            np.testing.assert_array_equal(got, want)
+            want_q, got_q = np.zeros(want.shape), np.zeros(want.shape)
+            solo.spread_float(q, want_q, chunk=CHUNK)
+            view.spread_float(q, got_q, chunk=CHUNK, kernels=k)
+            assert_same_bits(got_q, want_q)
+            assert_same_bits(
+                view.interpolate_forces(q, phi, chunk=CHUNK, kernels=k),
+                solo.interpolate_forces(q, phi),
+            )
+            # A view's cubes are its parent's, materialised on demand.
+            np.testing.assert_array_equal(view.w, solo.w)
+            np.testing.assert_array_equal(view.flat, solo.flat)
+
+
+def test_over_cap_compiled_plan_is_not_declined(suites):
+    """The element cap gates cube materialisation, not the fused plan."""
+    rng = np.random.default_rng(9)
+    gse = make_gse()
+    n = 40
+    pos = rng.uniform(0, 1, (n, 3)) * LENGTHS
+    q = rng.uniform(-1, 1, n)
+    phi = signed_phi(rng)
+    cap = gse.stencil_size() * (n // 4)
+    assert gse.make_plan(pos, max_elements=cap) is None
+    want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
+    gse.spread_contributions(pos, q, want_mesh, MESH_CODEC, chunk=n // 4)
+    want_f = gse.interpolate_forces(pos, q, phi, chunk=n // 4)
+    for k in suites:
+        plan = gse.make_plan(pos, max_elements=cap, kernels=k)
+        assert plan is not None
+        got = np.zeros_like(want_mesh)
+        plan.spread_codes(q, got, MESH_CODEC, kernels=k)
+        np.testing.assert_array_equal(got, want_mesh)
+        assert_same_bits(plan.interpolate_forces(q, phi, kernels=k), want_f)
+        assert plan._cubes is None
+
+
+def test_mesh_path_scratch_is_reused_across_evaluations():
+    """Steady state allocates nothing: the same arrays serve every evaluation."""
+    params = MDParams(
+        cutoff=4.0, mesh=(16, 16, 16), kernel_mode="table",
+        long_range_every=1, quantize_mesh_bits=40,
+    )
+    system = build_water_box(n_molecules=24, seed=11)
+    minimize_energy(system, params, max_steps=10)
+    system.initialize_velocities(300.0, seed=12)
+    machine = AntonMachine(
+        system, params, n_nodes=8, dt=1.0, backend="vectorized", kernel_tier="compiled",
+    )
+
+    def scratch():
+        plan = machine.backend._mesh_plan
+        return (
+            plan, plan._scratch, *plan._contract, machine.backend._mesh_acc,
+            *plan.axis_w, *plan.axis_d, *plan.axis_i,
+        )
+
+    try:
+        machine.step(1)
+        first = scratch()
+        machine.step(2)
+        assert all(a is b for a, b in zip(scratch(), first, strict=True))
+        assert first[0]._cubes is None
+    finally:
+        machine.close()
