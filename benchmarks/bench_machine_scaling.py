@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Machine-step engine scaling: serial vs vectorized vs process backends.
+"""Machine-step engine scaling: the serial oracle vs the vectorized backend.
 
 Runs the same water box on simulated machines of increasing node count
 under each execution backend, verifies the trajectories are bitwise
@@ -47,7 +47,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import MDParams, minimize_energy  # noqa: E402
 from repro.kernels import available as kernels_available  # noqa: E402
-from repro.machine import AntonMachine, ProcessBackend  # noqa: E402
+from repro.machine import AntonMachine  # noqa: E402
 from repro.systems import build_water_box  # noqa: E402
 
 RESULTS = Path(__file__).resolve().parent / "results"
@@ -275,16 +275,11 @@ def main(argv=None) -> int:
     backends = [
         ("serial", "serial", None, None),
         ("vectorized", "vectorized", None, None),
-        ("process", ProcessBackend(n_workers=2), None, None),
     ]
     if compiled_tier:
-        backends.insert(2, ("vectorized-compiled", "vectorized", compiled_tier, None))
-        backends.insert(
-            3, ("vectorized-compiled-t2", "vectorized", compiled_tier, 2)
-        )
-        backends.insert(
-            4, ("vectorized-compiled-t8", "vectorized", compiled_tier, 8)
-        )
+        backends.append(("vectorized-compiled", "vectorized", compiled_tier, None))
+        backends.append(("vectorized-compiled-t2", "vectorized", compiled_tier, 2))
+        backends.append(("vectorized-compiled-t8", "vectorized", compiled_tier, 8))
     results = sweep(system, params, [8, 64, 256], backends, steps=args.steps)
 
     headline = next(r for r in results if r["n_nodes"] == HEADLINE_NODES)
@@ -360,10 +355,7 @@ def main(argv=None) -> int:
             "kernel_tier='compiled' (ctypes C kernels, bitwise identical to "
             "the numpy tier); -t2/-t8 add kernel_threads worker lanes, which "
             "are bitwise-invisible (enforced by the in-sweep state check) "
-            "and gated on wall speedup only when cpu_count allows. "
-            "The process backend demonstrates bitwise-"
-            "identical multiprocess execution; on single-CPU runners its wall "
-            "time includes worker IPC overhead."
+            "and gated on wall speedup only when cpu_count allows."
         ),
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -175,10 +175,6 @@ def _add_machine(sub) -> None:
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--check-invariance", action="store_true",
                    help="also run on 1 node and compare bitwise")
-    p.add_argument("--backend", choices=("serial", "vectorized", "process"),
-                   default="vectorized",
-                   help="execution backend (state codes are bitwise "
-                        "identical across all of them)")
     p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
                    help="hot-loop kernel tier: 'compiled' builds a small C "
                         "extension on first use (bitwise identical to numpy; "
@@ -265,8 +261,6 @@ def _add_network(sub) -> None:
                    help="power-of-two node count for the functional run")
     p.add_argument("--waters", type=int, default=32)
     p.add_argument("--steps", type=int, default=8)
-    p.add_argument("--backend", choices=("serial", "vectorized", "process"),
-                   default="vectorized")
     p.add_argument("--multicast", choices=("tree", "unicast"), default="tree")
     p.add_argument("--delta-bits", type=int, default=None, metavar="B")
     p.add_argument("--json", action="store_true", help="print the report as JSON")
@@ -530,12 +524,27 @@ def cmd_machine(args) -> int:
             fault_seed=args.fault_seed,
             recovery=RecoveryPolicy(max_retries=args.max_retries),
         )
+    tier = dict(kernel_tier=args.kernel_tier, kernel_threads=args.kernel_threads)
     machine = AntonMachine(
-        base.copy(), params, n_nodes=args.nodes, dt=1.0, backend=args.backend,
-        kernel_tier=args.kernel_tier, kernel_threads=args.kernel_threads,
+        base.copy(), params, n_nodes=args.nodes, dt=1.0,
         routed=_routed_config(args) if args.routed else False,
-        **fault_kwargs,
+        **tier, **fault_kwargs,
     )
+    # The 1-node reference starts where the machine starts — the same
+    # prepared system or the same loaded checkpoint (restore crosses
+    # node counts) — and runs the same steps on the same tier.
+    ref = None
+    if args.check_invariance:
+        ref = AntonMachine(base.copy(), params, n_nodes=1, dt=1.0, **tier)
+    try:
+        return _run_machine(args, machine, ref, store, loaded)
+    finally:
+        machine.close()
+        if ref is not None:
+            ref.close()
+
+
+def _run_machine(args, machine, ref, store, loaded) -> int:
     steps = args.steps
     if loaded is not None:
         machine.restore(loaded.state)
@@ -564,7 +573,7 @@ def cmd_machine(args) -> int:
         print(f"final checkpoint: {final}")
     print(f"{args.nodes}-node machine, {args.steps} steps "
           f"({machine.topology.dims[0]}x{machine.topology.dims[1]}x{machine.topology.dims[2]} torus), "
-          f"{args.backend} backend")
+          f"{machine.backend.name} backend")
     print(f"kernel tier: {machine.backend.kernels.tier} "
           f"(threads: {getattr(machine.backend.kernels, 'threads', 1)})")
     print(f"messages/node/step: {machine.messages_per_node_per_step():.1f}")
@@ -596,16 +605,15 @@ def cmd_machine(args) -> int:
 
         print(json.dumps(machine.profile(), indent=2))
     ok = True
-    if args.check_invariance:
-        ref = AntonMachine(base.copy(), params, n_nodes=1, dt=1.0, backend=args.backend)
-        ref.step(args.steps)
+    if ref is not None:
+        if loaded is not None:
+            ref.restore(loaded.state)
+        ref.step(steps)
         same = all(
             np.array_equal(a, b) for a, b in zip(machine.state_codes(), ref.state_codes())
         )
         print(f"bitwise identical to the 1-node machine: {same}")
-        ref.close()
         ok = same
-    machine.close()
     return 0 if ok else 1
 
 
@@ -704,10 +712,7 @@ def cmd_network(args) -> int:
     params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), quantize_mesh_bits=40)
     minimize_energy(base, params, max_steps=40)
     base.initialize_velocities(300.0, seed=8)
-    machine = AntonMachine(
-        base, params, n_nodes=args.nodes, dt=1.0, backend=args.backend,
-        routed=config,
-    )
+    machine = AntonMachine(base, params, n_nodes=args.nodes, dt=1.0, routed=config)
     machine.step(args.steps)
     report = machine.network_report()
     if args.json:

@@ -30,6 +30,7 @@ from repro.ewald import (
 )
 from repro.fixedpoint import FixedAccumulator, round_nearest_even
 from repro.forcefield import (
+    NonbondedResult,
     all_bonded_forces,
     build_kernel_tables,
     nonbonded_real_space,
@@ -37,6 +38,7 @@ from repro.forcefield import (
     scatter_forces,
 )
 from repro.geometry import NeighborList
+from repro.kernels import make_pair_spec
 
 __all__ = ["MDParams", "ForceReport", "ForceCalculator", "MTSForceProvider"]
 
@@ -90,14 +92,28 @@ class ForceReport:
 
 
 class ForceCalculator:
-    """Evaluates all force-field components for one system."""
+    """Evaluates all force-field components for one system.
 
-    def __init__(self, system: ChemicalSystem, params: MDParams = MDParams()):
+    ``kernels`` is the kernel suite (:mod:`repro.kernels`) the
+    fixed-point pair path and the neighbor list dispatch on; ``None``
+    is the plain NumPy evaluation.  Every suite yields the same bits.
+    """
+
+    #: Phase names of the one fixed-point pair path, as data: the
+    #: ensemble prefixes its pair phases, the machine charges the
+    #: NumPy-tier quantization to a leaf of its own.
+    _pair_phase_prefix = ""
+    _quantize_phase = "range_limited"
+
+    def __init__(
+        self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=None
+    ):
         # Deferred import: repro.perf pulls in workload -> repro.core.
         from repro.perf.timers import Timers
 
         self.system = system
         self.params = params
+        self.kernels = kernels
         self.timers = Timers()
         self.neighbor_list = NeighborList(
             system.box,
@@ -105,6 +121,7 @@ class ForceCalculator:
             skin=params.skin,
             exclusions=system.exclusions,
             timers=self.timers,
+            kernels=kernels,
         )
         self.electrostatics = bool(params.electrostatics) and bool(np.any(system.charges != 0))
         if self.electrostatics:
@@ -141,14 +158,59 @@ class ForceCalculator:
         self._corr_static = precompute_correction_static(
             system.charges, system.type_ids, system.lj, system.exclusions
         )
+        # Steady-state scratch of the fixed-point path: the fused
+        # kernel's pair outputs and the short/long force accumulators
+        # are allocated once and reused, so repeated steps allocate
+        # nothing on the hot path.
+        self._pair_spec = None
+        self._pair_spec_codec = None
+        self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._acc_short: FixedAccumulator | None = None
+        self._acc_long: FixedAccumulator | None = None
+
+    # -- fixed-point scratch ----------------------------------------------
+
+    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
+        """A zeroed per-evaluation accumulator from the reuse pool.
+
+        Two slots ("short", "long") exist because the long-range pass
+        runs while the short-range accumulator is live.  Callers
+        consume ``acc.raw()``/``acc.total()`` before the next evaluation
+        (the MTS provider and :meth:`compute_fixed` both do), so reuse
+        is invisible.
+        """
+        acc = getattr(self, "_acc_" + slot)
+        shape = (self.system.n_atoms, 3)
+        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
+            acc = FixedAccumulator(shape, force_codec.fmt)
+            setattr(self, "_acc_" + slot, acc)
+        else:
+            acc.zero()
+        return acc
+
+    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
+        out = self._pair_out
+        if out is None or out[0].shape[0] < n:
+            cap = max(int(n * 1.25), 1024)
+            out = (
+                np.empty((cap, 3), dtype=np.int64),
+                np.empty(cap, dtype=np.float64),
+                np.empty(cap, dtype=np.float64),
+            )
+            self._pair_out = out
+        return out
 
     # -- contribution gathering -------------------------------------------
 
+    def _pairs(self, positions: np.ndarray):
+        with self.timers.time(self._pair_phase_prefix + "pair_list"):
+            return self.neighbor_list.pairs(positions)
+
     def _range_limited(self, positions: np.ndarray):
         s = self.system
-        with self.timers.time("pair_list"):
-            pairs = self.neighbor_list.pairs(positions)
-        with self.timers.time("range_limited"):
+        pairs = self._pairs(positions)
+        with self.timers.time(self._pair_phase_prefix + "range_limited"):
             if self.tables is not None:
                 nb = nonbonded_real_space_tabulated(
                     pairs,
@@ -172,6 +234,48 @@ class ForceCalculator:
                     assume_filtered=True,
                 )
         return nb
+
+    def _range_limited_codes(
+        self, positions: np.ndarray, force_codec
+    ) -> tuple[NonbondedResult, np.ndarray]:
+        """Range-limited pair result plus quantized int64 force codes.
+
+        On the compiled tier with tabulated kernels this runs the fused
+        C kernel (table evaluation straight to codes, no intermediate
+        float force array, outputs in views of reused scratch);
+        otherwise it is the NumPy evaluation plus one quantization.
+        Codes (and energies) are bitwise identical either way.
+        """
+        k = self.kernels
+        if k is None or k.tier != "compiled" or self.tables is None:
+            nb = self._range_limited(positions)
+            with self.timers.time(self._quantize_phase):
+                codes = force_codec.quantize_round_only(nb.force)
+            return nb, codes
+        s = self.system
+        pairs = self._pairs(positions)
+        with self.timers.time(self._pair_phase_prefix + "range_limited"):
+            if self._pair_spec is None or self._pair_spec_codec is not force_codec:
+                self._pair_spec = make_pair_spec(
+                    self.tables, s.lj, s.charges, s.type_ids, force_codec
+                )
+                self._pair_spec_codec = force_codec
+            n = len(pairs.i)
+            codes, e_lj, e_coul = self._pair_buffers(n)
+            k.pair_table_codes(
+                self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
+                codes, e_lj, e_coul,
+            )
+            nb = NonbondedResult(
+                energy_lj=float(np.sum(e_lj[:n])),
+                energy_coul=float(np.sum(e_coul[:n])),
+                i=pairs.i,
+                j=pairs.j,
+                force=None,
+                e_lj_pairs=e_lj[:n],
+                e_coul_pairs=e_coul[:n],
+            )
+        return nb, codes[:n]
 
     def _bonded(self, positions: np.ndarray):
         with self.timers.time("bonded"):
@@ -256,7 +360,7 @@ class ForceCalculator:
         codes and wrap once.  No vsite redistribution here.
         """
         s = self.system
-        acc = FixedAccumulator((s.n_atoms, 3), force_codec.fmt)
+        acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
         ccodes = force_codec.quantize_round_only(corr.force)
         acc.deposit(corr.i, ccodes)
@@ -285,14 +389,11 @@ class ForceCalculator:
         and summation order — the machine simulation distributes these
         same contributions over nodes and obtains identical bits.
         """
-        s = self.system
-        n = s.n_atoms
         before = self.timers.snapshot()
-        acc = FixedAccumulator((n, 3), force_codec.fmt)
+        acc = self._accumulator("short", force_codec)
         energies: dict[str, float] = {}
 
-        nb = self._range_limited(positions)
-        codes = force_codec.quantize_round_only(nb.force)
+        nb, codes = self._range_limited_codes(positions, force_codec)
         acc.deposit(nb.i, codes)
         acc.deposit(nb.j, -codes)
         energies["lj"] = nb.energy_lj

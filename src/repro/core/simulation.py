@@ -16,7 +16,7 @@ from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator, VelocityVerlet
 from repro.core.system import ChemicalSystem
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint, trajectory_decode
 
 __all__ = ["EnergyRecord", "Simulation", "minimize_energy"]
 
@@ -256,20 +256,9 @@ class Simulation:
         (datapath widths, box) a reader needs to reconstruct physical
         positions/velocities bit-exactly without the system objects.
         """
-        if self.mode == "fixed":
-            cfg = self.fixed_config
-            decode = {
-                "storage": "codes",
-                "position_bits": cfg.position_bits,
-                "box": [float(x) for x in self.system.box.lengths],
-                "velocity_bits": cfg.velocity_bits,
-                "velocity_limit": cfg.velocity_limit,
-            }
-        else:
-            decode = {
-                "storage": "float",
-                "box": [float(x) for x in self.system.box.lengths],
-            }
+        decode = trajectory_decode(
+            self.system, self.fixed_config if self.mode == "fixed" else None
+        )
         return TrajectoryWriter(path, fingerprint=self.fingerprint(),
                                 decode=decode, meta=meta)
 

@@ -53,17 +53,17 @@ from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
 from repro.ewald import self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
-from repro.fixedpoint import FixedAccumulator
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
-from repro.forcefield.nonbonded import (
-    NonbondedResult,
-    nonbonded_real_space,
-    nonbonded_real_space_tabulated,
-)
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
-from repro.io import TrajectoryWriter, system_fingerprint
-from repro.kernels import get_suite, make_pair_spec
+from repro.io import (
+    FingerprintMismatch,
+    TrajectoryWriter,
+    check_fingerprint,
+    system_fingerprint,
+    trajectory_decode,
+)
+from repro.kernels import get_suite
 
 __all__ = [
     "tile_system",
@@ -157,6 +157,9 @@ class EnsembleForceCalculator(ForceCalculator):
     the hierarchical profile attributes batched work separately.
     """
 
+    _pair_phase_prefix = "ensemble_"
+    _quantize_phase = "ensemble_range_limited"
+
     def __init__(
         self,
         system: ChemicalSystem,
@@ -167,10 +170,11 @@ class EnsembleForceCalculator(ForceCalculator):
     ):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
-        super().__init__(system, params)
+        super().__init__(
+            system, params, kernels=kernels if kernels is not None else get_suite()
+        )
         self.replicas = int(replicas)
         self.n_solo = int(n_solo)
-        self.kernels = kernels if kernels is not None else get_suite()
         # Batched rebuild: per-replica cell binning in a single
         # filter/sort pass (cells are offset per replica so identical
         # replica configurations never cross-pair).
@@ -191,37 +195,6 @@ class EnsembleForceCalculator(ForceCalculator):
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
         self._plan = None
         self._replica_views = None
-        self._pair_spec = None
-        self._pair_spec_codec = None
-        self._pair_out = None
-        self._acc_short = None
-        self._acc_long = None
-
-    # -- scratch -----------------------------------------------------------
-
-    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
-        """Zeroed persistent accumulator (no per-evaluation allocation)."""
-        acc = getattr(self, "_acc_" + slot)
-        shape = (self.system.n_atoms, 3)
-        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
-            acc = FixedAccumulator(shape, force_codec.fmt)
-            setattr(self, "_acc_" + slot, acc)
-        else:
-            acc.zero()
-        return acc
-
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
-        out = self._pair_out
-        if out is None or out[0].shape[0] < n:
-            cap = max(int(n * 1.25), 1024)
-            out = (
-                np.empty((cap, 3), dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-                np.empty(cap, dtype=np.float64),
-            )
-            self._pair_out = out
-        return out
 
     # -- per-replica reductions --------------------------------------------
 
@@ -240,62 +213,6 @@ class EnsembleForceCalculator(ForceCalculator):
             out[r] = float(np.sum(values[lo:hi]))
             lo = hi
         return out
-
-    # -- range-limited ------------------------------------------------------
-
-    def _range_limited_ensemble(
-        self, positions: np.ndarray, force_codec
-    ) -> tuple[NonbondedResult, np.ndarray]:
-        """Pair result + quantized force codes, one batched kernel pass.
-
-        Mirrors the machine's fused dispatch: the compiled tier with
-        tabulated kernels runs ``pair_table_codes`` straight to codes;
-        otherwise the classic NumPy evaluation plus one quantization
-        (bitwise identical either way — the fused kernel's contract).
-        """
-        k = self.kernels
-        s = self.system
-        if k.tier == "compiled" and self.tables is not None:
-            with self.timers.time("ensemble_pair_list"):
-                pairs = self.neighbor_list.pairs(positions)
-            with self.timers.time("ensemble_range_limited"):
-                if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-                    self._pair_spec = make_pair_spec(
-                        self.tables, s.lj, s.charges, s.type_ids, force_codec
-                    )
-                    self._pair_spec_codec = force_codec
-                n = len(pairs.i)
-                codes, e_lj, e_coul = self._pair_buffers(n)
-                k.pair_table_codes(
-                    self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
-                    codes, e_lj, e_coul,
-                )
-                nb = NonbondedResult(
-                    energy_lj=float(np.sum(e_lj[:n])),
-                    energy_coul=float(np.sum(e_coul[:n])),
-                    i=pairs.i,
-                    j=pairs.j,
-                    force=None,
-                    e_lj_pairs=e_lj[:n],
-                    e_coul_pairs=e_coul[:n],
-                )
-            return nb, codes[:n]
-        with self.timers.time("ensemble_pair_list"):
-            pairs = self.neighbor_list.pairs(positions)
-        with self.timers.time("ensemble_range_limited"):
-            if self.tables is not None:
-                nb = nonbonded_real_space_tabulated(
-                    pairs, s.charges, s.type_ids, s.lj, s.exclusions,
-                    self.tables, assume_filtered=True,
-                )
-            else:
-                nb = nonbonded_real_space(
-                    pairs, s.charges, s.type_ids, s.lj, s.exclusions,
-                    self.sigma, lj_mode=self.params.lj_mode,
-                    cutoff=self.params.cutoff, assume_filtered=True,
-                )
-            codes = force_codec.quantize_round_only(nb.force)
-        return nb, codes
 
     # -- long range ---------------------------------------------------------
 
@@ -428,7 +345,7 @@ class EnsembleForceCalculator(ForceCalculator):
         acc = self._accumulator("short", force_codec)
         energies: dict[str, np.ndarray] = {}
 
-        nb, codes = self._range_limited_ensemble(positions, force_codec)
+        nb, codes = self._range_limited_codes(positions, force_codec)
         with self.timers.time("ensemble_deposit"):
             self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
         with self.timers.time("ensemble_energies"):
@@ -738,16 +655,20 @@ class EnsembleSimulation:
 
     def open_replica_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
         """A solo-format trajectory writer for one replica's frames."""
-        cfg = self.fixed_config
-        decode = {
-            "storage": "codes",
-            "position_bits": cfg.position_bits,
-            "box": [float(x) for x in self.solo_system.box.lengths],
-            "velocity_bits": cfg.velocity_bits,
-            "velocity_limit": cfg.velocity_limit,
-        }
         return TrajectoryWriter(
-            path, fingerprint=self._solo_fingerprint, decode=decode, meta=meta
+            path, fingerprint=self._solo_fingerprint,
+            decode=trajectory_decode(self.solo_system, self.fixed_config), meta=meta,
+        )
+
+    def append_replica_trajectory(self, path) -> TrajectoryWriter:
+        """Reopen one replica's trajectory for resumed writing.
+
+        Same contract as :meth:`Simulation.append_trajectory`: frames
+        past the current step and any torn tail are truncated.
+        """
+        return TrajectoryWriter.append(
+            path, fingerprint=self._solo_fingerprint,
+            resume_step=self.integrator.step_count,
         )
 
     def write_replica_frame(self, writer: TrajectoryWriter, r: int) -> None:
@@ -773,6 +694,46 @@ class EnsembleSimulation:
         )
         sim.restore(self.replica_checkpoint(r))
         return sim
+
+    def restore(self, states) -> None:
+        """Resume all R replicas from solo-schema checkpoints.
+
+        The inverse of :meth:`detach`: ``states[r]`` is what
+        :meth:`replica_checkpoint` or a solo
+        :meth:`Simulation.checkpoint` wrote for replica r.  All R must
+        sit at one step and MTS phase of this run's identity (the solo
+        fingerprint); anything else raises
+        :class:`~repro.io.FingerprintMismatch` before any state is
+        touched.  The force cache is rebuilt exactly as
+        :meth:`Simulation.restore` does — rewind the MTS counter and
+        replay the evaluation — so every replica continues bit-for-bit.
+        """
+        states = list(states)
+        if len(states) != self.replicas:
+            raise FingerprintMismatch(
+                f"got {len(states)} checkpoints for {self.replicas} replicas"
+            )
+        # One field-by-field comparison covers run identity, atom count
+        # and the shared step / MTS phase.
+        clock = ("step_count", "provider_calls")
+        expect = {**self._solo_fingerprint, **{k: states[0].get(k) for k in clock}}
+        for r, chk in enumerate(states):
+            stored = {
+                **(chk.get("fingerprint") or {}),
+                "mode": chk.get("mode"),
+                "dt": chk.get("dt"),
+                "n_atoms": len(chk.get("X", ())),
+                **{k: chk.get(k) for k in clock},
+            }
+            check_fingerprint(stored, expect, what=f"checkpoint {r}")
+        integ = self.integrator
+        for r, chk in enumerate(states):
+            sl = self.replica_slice(r)
+            integ.X[sl] = chk["X"]
+            integ.V[sl] = chk["V"]
+        integ.step_count = int(states[0]["step_count"])
+        self.provider.calls = int(states[0]["provider_calls"]) - 1
+        integ._force_codes, integ.last_info = self.provider(integ.positions)
 
     # -- stepping ------------------------------------------------------------
 

@@ -477,22 +477,12 @@ class GaussianSplitEwald:
     produce identical bits by construction.
     """
 
-    def __init__(self, box: Box, params: GSEParams, fft_backend: str = "numpy"):
+    def __init__(self, box: Box, params: GSEParams):
         self.box = box
         self.params = params
         self.mesh = np.asarray(params.mesh, dtype=np.int64)
         self.h = box.lengths / self.mesh
         self.cell_volume = float(np.prod(self.h))
-        if fft_backend == "numpy":
-            self._fftn = np.fft.fftn
-            self._ifftn = np.fft.ifftn
-        elif fft_backend == "radix2":
-            from repro.fft import fft3d, ifft3d
-
-            self._fftn = fft3d
-            self._ifftn = ifft3d
-        else:
-            raise ValueError(f"unknown fft_backend {fft_backend!r}")
         self._green = self._build_green()
         self._offsets = self._build_offsets()
         #: Peak spreading weight ``h³ g_{sigma_s}(0)`` — the stencil
@@ -633,8 +623,8 @@ class GaussianSplitEwald:
         Returns the potential mesh ``phi`` and the k-space energy
         ``E = 1/2 sum_m Q[m] phi[m]``.
         """
-        Qhat = self._fftn(Q.astype(np.complex128))
-        phi = np.real(self._ifftn(self._green * Qhat)) * Q.size
+        Qhat = np.fft.fftn(Q.astype(np.complex128))
+        phi = np.real(np.fft.ifftn(self._green * Qhat)) * Q.size
         energy = 0.5 * float(np.sum(Q * phi))
         return phi, energy
 
@@ -646,16 +636,8 @@ class GaussianSplitEwald:
         independently, so every replica's potential mesh is bitwise the
         slice a solo :meth:`solve` returns (pinned by the property
         tests); per-replica energies are summed over each contiguous
-        ``Q[r] * phi[r]`` block exactly as solo.  Backends without a
-        batched transform (radix2) fall back to a per-replica loop of
-        the identical solo solve.
+        ``Q[r] * phi[r]`` block exactly as solo.
         """
-        if self._fftn is not np.fft.fftn:
-            phis = np.empty_like(Qs)
-            energies = np.empty(len(Qs))
-            for r in range(len(Qs)):
-                phis[r], energies[r] = self.solve(Qs[r])
-            return phis, energies
         Qhat = np.fft.fftn(Qs.astype(np.complex128), axes=(1, 2, 3))
         phi = np.real(np.fft.ifftn(self._green[None] * Qhat, axes=(1, 2, 3)))
         phi = phi * float(Qs[0].size)

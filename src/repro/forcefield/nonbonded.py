@@ -48,9 +48,9 @@ class NonbondedResult:
     ``e_lj_pairs``/``e_coul_pairs`` retain the per-pair energies whose
     pairwise ``np.sum`` produced the scalar totals, so segment consumers
     (the batched ensemble engine) can re-sum contiguous replica slices
-    with bitwise-identical results.  They are ``None`` on paths that
-    never materialize them (e.g. the fused compiled pair kernel's solo
-    totals).
+    with bitwise-identical results.  On the fused compiled pair path
+    they are views of the calculator's reused scratch, valid until its
+    next evaluation.
     """
 
     energy_lj: float

@@ -36,6 +36,7 @@ from repro.io.serialize import (
     check_fingerprint,
     pack_state,
     system_fingerprint,
+    trajectory_decode,
     unpack_state,
 )
 from repro.io.trajectory import Frame, TrajectoryReader, TrajectoryWriter, VerifyReport
@@ -51,6 +52,7 @@ __all__ = [
     "check_fingerprint",
     "pack_state",
     "system_fingerprint",
+    "trajectory_decode",
     "unpack_state",
     "Frame",
     "TrajectoryReader",

@@ -27,6 +27,7 @@ __all__ = [
     "pack_state",
     "unpack_state",
     "system_fingerprint",
+    "trajectory_decode",
     "check_fingerprint",
     "FingerprintMismatch",
 ]
@@ -249,6 +250,26 @@ def system_fingerprint(system, params, mode: str, dt: float, fixed_config=None) 
         fp["force_bits"] = int(fixed_config.force_bits)
         fp["force_limit"] = float(fixed_config.force_limit)
     return fp
+
+
+def trajectory_decode(system, fixed_config=None) -> dict:
+    """The ``decode`` header of a trajectory written for ``system``.
+
+    What a reader needs to reconstruct physical positions/velocities
+    bit-exactly without the system objects: the box and, for the
+    fixed-point path (raw int64 state codes), the datapath widths.
+    ``fixed_config=None`` is the float path's header.
+    """
+    box = [float(x) for x in system.box.lengths]
+    if fixed_config is None:
+        return {"storage": "float", "box": box}
+    return {
+        "storage": "codes",
+        "position_bits": fixed_config.position_bits,
+        "box": box,
+        "velocity_bits": fixed_config.velocity_bits,
+        "velocity_limit": fixed_config.velocity_limit,
+    }
 
 
 class FingerprintMismatch(ValueError):

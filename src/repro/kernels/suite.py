@@ -691,7 +691,7 @@ def _reset_pools() -> None:
 
     The C-side pthread pool re-arms itself via ``pthread_atfork``; this
     mirrors that for the :meth:`CompiledKernels.map_chunks` executors so
-    the ProcessBackend's forked workers rebuild lazily instead of
+    ``repro serve``'s forked worker processes rebuild lazily instead of
     deadlocking on dead worker threads.
     """
     for suite in _COMPILED_SUITES.values():

@@ -3,7 +3,6 @@ flexible-subsystem models, and the functional whole-machine simulator."""
 
 from repro.machine.backends import (
     MachineBackend,
-    ProcessBackend,
     SerialBackend,
     VectorizedBackend,
     make_backend,
@@ -32,6 +31,5 @@ __all__ = [
     "MachineBackend",
     "SerialBackend",
     "VectorizedBackend",
-    "ProcessBackend",
     "make_backend",
 ]

@@ -1,32 +1,26 @@
 """Execution backends for the functional machine simulation.
 
-Three interchangeable strategies run the per-node work of a machine
+Two interchangeable strategies run the per-node work of a machine
 time step:
 
-* :class:`SerialBackend` — the literal per-node Python loops of the
-  original implementation: deposits grouped node by node, GSE spreading
+* :class:`VectorizedBackend` — what every run uses: each phase's
+  contributions deposited by single array kernels, owner grouping
+  collapsed (integer accumulation commutes, so grouping cannot change
+  the bits), cached import routes, and bincount-batched traffic
+  accounting.
+* :class:`SerialBackend` — the literal per-node Python loops the
+  array kernels replaced: deposits grouped node by node, GSE spreading
   and interpolation called once per owning node, traffic charged one
-  ``send`` at a time.  Kept as the baseline the scaling benchmark
-  measures against.
-* :class:`VectorizedBackend` (the default) — the same contributions
-  deposited by single array kernels, owner grouping collapsed (integer
-  accumulation commutes, so grouping cannot change the bits), cached
-  import routes, and bincount-batched traffic accounting.
-* :class:`ProcessBackend` — the vectorized engine with the
-  range-limited pair kernel sharded over a persistent pool of forked
-  worker processes that share the pair arrays through anonymous shared
-  memory and return int64 partial force codes, reduced by integer
-  addition in the parent.
+  ``send`` at a time.  Kept as the oracle the differential tests and
+  the scaling benchmark compare against; reachable only through
+  ``AntonMachine(backend="serial")``.
 
-All three produce bitwise-identical ``state_codes()`` trajectories:
-every force contribution is quantized once and integer-accumulated, so
-*where* and *in what order* contributions are summed is invisible —
-the paper's parallel-invariance argument (Section 4) applied to the
-simulator's own execution strategy.  The process backend's per-chunk
-energy sums are reduced in a fixed chunk order, so its reported
-energies are independent of the worker count (they may differ from the
-serial path's one-pass float sums by rounding, but energies are
-diagnostics — forces are exact).
+Both produce bitwise-identical ``state_codes()`` trajectories and
+identical reported energies: every force contribution is quantized
+once and integer-accumulated, so *where* and *in what order*
+contributions are summed is invisible — the paper's
+parallel-invariance argument (Section 4) applied to the simulator's
+own execution strategy.
 
 Backends also charge their engine phases to ``machine_*`` timers
 (``machine_nt_assign``, ``machine_deposit``, ``machine_mesh``,
@@ -39,17 +33,8 @@ nested inside ``machine_mesh`` — the breakdown ``repro machine
 
 from __future__ import annotations
 
-import os
-import weakref
-
 import numpy as np
 
-from repro.forcefield.nonbonded import (
-    NonbondedResult,
-    nonbonded_real_space,
-    nonbonded_real_space_tabulated,
-)
-from repro.geometry.cells import NeighborPairs
 from repro.parallel import (
     NTAssignment,
     nt_assign_pairs,
@@ -61,7 +46,6 @@ __all__ = [
     "MachineBackend",
     "SerialBackend",
     "VectorizedBackend",
-    "ProcessBackend",
     "make_backend",
 ]
 
@@ -70,11 +54,6 @@ __all__ = [
 #: ~2200-point stencil arrays cache-resident across the several numpy
 #: passes of spreading/interpolation.
 _GSE_CHUNK = 128
-
-#: Pairs per work unit in the process backend.  Chunk boundaries depend
-#: only on the pair count, never on the worker count, so per-chunk
-#: energies (and their fixed-order reduction) are scheduling-invariant.
-_PAIR_CHUNK = 32768
 
 #: Largest box-pair count tabulated by the vectorized NT lookup; above
 #: this (>= 2048 nodes) the direct per-pair computation is used.
@@ -130,9 +109,6 @@ class MachineBackend:
         from repro.kernels import get_suite
 
         self.kernels = get_suite(self.kernel_tier, self.kernel_threads)
-
-    def close(self) -> None:
-        """Release any external resources (worker pools)."""
 
     # -- force deposit phases -------------------------------------------
 
@@ -336,11 +312,7 @@ class VectorizedBackend(MachineBackend):
         with calc.timers.time("machine_nt_assign"):
             assign = self._assign_pairs(m, positions, nb.i, nb.j)
         with calc.timers.time("machine_deposit"):
-            if self.kernels.tier == "compiled":
-                self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
-            else:
-                acc.deposit(nb.i, codes)
-                acc.deposit(nb.j, -codes)
+            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
         return nb, assign
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
@@ -350,11 +322,7 @@ class VectorizedBackend(MachineBackend):
                 acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
 
     def deposit_corrections(self, calc, acc, corr, ccodes) -> None:
-        if self.kernels.tier == "compiled":
-            self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
-        else:
-            acc.deposit(corr.i, ccodes)
-            acc.deposit(corr.j, -ccodes)
+        self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
         s, m, gse = calc.system, calc.machine, calc.gse
@@ -464,202 +432,9 @@ class VectorizedBackend(MachineBackend):
             machine.network.send_batch(*out, tag="force_export")
 
 
-# -- multiprocess backend ------------------------------------------------
-
-#: Per-worker-process context, installed by the pool initializer.
-_WORKER_CTX = None
-
-
-def _worker_init(ctx) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
-
-
-def _worker_eval(task):
-    """Evaluate a span of pair chunks; return int64 partial force codes.
-
-    Chunks are fixed-size slices of the shared pair arrays, so the
-    partition of chunks over workers affects neither the integer force
-    sums (addition commutes) nor the per-chunk energies returned for
-    the parent's fixed-order reduction.
-    """
-    lo_chunk, hi_chunk, n_pairs, n_atoms = task
-    ctx = _WORKER_CTX
-    i, j, dx, r2 = ctx.pair_views(n_pairs)
-    acc = np.zeros((n_atoms, 3), dtype=np.int64)
-    e_lj, e_coul = [], []
-    for c in range(lo_chunk, hi_chunk):
-        lo = c * _PAIR_CHUNK
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        nb = ctx.kernel(
-            NeighborPairs(i=i[lo:hi], j=j[lo:hi], dx=dx[lo:hi], r2=r2[lo:hi])
-        )
-        codes = ctx.codec.quantize_round_only(nb.force)
-        with np.errstate(over="ignore"):
-            np.add.at(acc, nb.i, codes)
-            np.add.at(acc, nb.j, -codes)
-        e_lj.append(nb.energy_lj)
-        e_coul.append(nb.energy_coul)
-    return lo_chunk, e_lj, e_coul, acc
-
-
-class _PoolContext:
-    """Static kernel inputs plus shared pair buffers, inherited by fork.
-
-    Created in the parent *before* the pool starts: the fork start
-    method hands every worker the same object — including the numpy
-    views over anonymous shared memory — without pickling.  The parent
-    rewrites the buffers between ``map`` calls; workers only read them
-    while a ``map`` is in flight.
-    """
-
-    def __init__(self, system, params, tables, sigma, codec, capacity: int):
-        from multiprocessing.sharedctypes import RawArray
-
-        self.charges = system.charges
-        self.type_ids = system.type_ids
-        self.lj = system.lj
-        self.tables = tables
-        self.sigma = sigma
-        self.lj_mode = params.lj_mode
-        self.cutoff = params.cutoff
-        self.codec = codec
-        self.capacity = capacity
-        self._i = np.frombuffer(RawArray("b", 8 * capacity), dtype=np.int64)
-        self._j = np.frombuffer(RawArray("b", 8 * capacity), dtype=np.int64)
-        self._dx = np.frombuffer(RawArray("b", 24 * capacity), dtype=np.float64).reshape(
-            capacity, 3
-        )
-        self._r2 = np.frombuffer(RawArray("b", 8 * capacity), dtype=np.float64)
-
-    def write_pairs(self, pairs: NeighborPairs) -> None:
-        n = len(pairs.i)
-        self._i[:n] = pairs.i
-        self._j[:n] = pairs.j
-        self._dx[:n] = pairs.dx
-        self._r2[:n] = pairs.r2
-
-    def pair_views(self, n: int):
-        return self._i[:n], self._j[:n], self._dx[:n], self._r2[:n]
-
-    def kernel(self, pairs: NeighborPairs) -> NonbondedResult:
-        # Exclusions were pre-applied by the neighbor list
-        # (assume_filtered), so the table is not needed here.
-        if self.tables is not None:
-            return nonbonded_real_space_tabulated(
-                pairs, self.charges, self.type_ids, self.lj, None, self.tables,
-                assume_filtered=True,
-            )
-        return nonbonded_real_space(
-            pairs, self.charges, self.type_ids, self.lj, None, self.sigma,
-            lj_mode=self.lj_mode, cutoff=self.cutoff, assume_filtered=True,
-        )
-
-
-class ProcessBackend(VectorizedBackend):
-    """Vectorized execution with multiprocess range-limited kernels.
-
-    The pair list is sharded into fixed-size chunks evaluated by a
-    persistent pool of forked workers; each worker quantizes its
-    chunks' forces and integer-accumulates them locally, and the parent
-    merges the partial int64 code arrays by plain addition.  Because
-    the codes are quantized *before* any summation, the result is
-    bit-for-bit the serial answer — the paper's order-invariance
-    argument is what makes real parallelism safe here.
-
-    Per-chunk energies are reduced in chunk order, so reported energies
-    do not depend on the worker count (they differ from the one-pass
-    serial float sums only by summation rounding).
-    """
-
-    name = "process"
-
-    def __init__(self, n_workers: int | None = None):
-        self.n_workers = int(n_workers) if n_workers else (os.cpu_count() or 1)
-        self._pool = None
-        self._ctx = None
-        self._finalizer = None
-
-    def close(self) -> None:
-        if self._pool is not None:
-            if self._finalizer is not None:
-                self._finalizer.detach()
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-            self._ctx = None
-
-    def _ensure_pool(self, calc, force_codec, n_pairs: int) -> None:
-        import multiprocessing
-
-        if (
-            self._pool is not None
-            and self._ctx.capacity >= n_pairs
-            and self._ctx.codec is force_codec
-        ):
-            return
-        self.close()
-        mp = multiprocessing.get_context("fork")
-        self._ctx = _PoolContext(
-            calc.system,
-            calc.params,
-            calc.tables,
-            calc.sigma,
-            force_codec,
-            capacity=max(int(n_pairs * 1.5), 1024),
-        )
-        self._pool = mp.Pool(
-            processes=self.n_workers, initializer=_worker_init, initargs=(self._ctx,)
-        )
-        self._finalizer = weakref.finalize(self, self._pool.terminate)
-
-    def range_limited(self, calc, positions, force_codec, acc):
-        m = calc.machine
-        n_atoms = calc.system.n_atoms
-        with calc.timers.time("pair_list"):
-            pairs = calc.neighbor_list.pairs(positions)
-        n_pairs = len(pairs.i)
-        with calc.timers.time("range_limited"):
-            self._ensure_pool(calc, force_codec, n_pairs)
-            e_lj, e_coul, partial = self._evaluate(pairs, n_atoms)
-        with calc.timers.time("machine_deposit"):
-            with np.errstate(over="ignore"):
-                acc.raw()[...] += partial
-        nb = NonbondedResult(
-            energy_lj=e_lj, energy_coul=e_coul, i=pairs.i, j=pairs.j, force=None
-        )
-        with calc.timers.time("machine_nt_assign"):
-            assign = self._assign_pairs(m, positions, pairs.i, pairs.j)
-        return nb, assign
-
-    def _evaluate(self, pairs: NeighborPairs, n_atoms: int):
-        n_pairs = len(pairs.i)
-        partial = np.zeros((n_atoms, 3), dtype=np.int64)
-        if n_pairs == 0:
-            return 0.0, 0.0, partial
-        self._ctx.write_pairs(pairs)
-        n_chunks = -(-n_pairs // _PAIR_CHUNK)
-        w = max(min(self.n_workers, n_chunks), 1)
-        bounds = np.linspace(0, n_chunks, w + 1).astype(np.int64)
-        tasks = [
-            (int(bounds[k]), int(bounds[k + 1]), n_pairs, n_atoms)
-            for k in range(w)
-            if bounds[k] < bounds[k + 1]
-        ]
-        e_lj = np.zeros(n_chunks)
-        e_coul = np.zeros(n_chunks)
-        for lo_chunk, chunk_lj, chunk_coul, acc in self._pool.map(_worker_eval, tasks):
-            e_lj[lo_chunk : lo_chunk + len(chunk_lj)] = chunk_lj
-            e_coul[lo_chunk : lo_chunk + len(chunk_coul)] = chunk_coul
-            with np.errstate(over="ignore"):
-                partial += acc
-        return float(np.sum(e_lj)), float(np.sum(e_coul)), partial
-
-
 _BACKENDS = {
     "serial": SerialBackend,
     "vectorized": VectorizedBackend,
-    "process": ProcessBackend,
 }
 
 
@@ -676,20 +451,15 @@ def make_backend(
     ``REPRO_KERNEL_TIER`` / ``REPRO_KERNEL_THREADS`` environment
     variables.
     """
-    if isinstance(backend, MachineBackend):
-        if kernel_tier is not None:
-            backend.kernel_tier = kernel_tier
-        if kernel_threads is not None:
-            backend.kernel_threads = kernel_threads
-        return backend
-    try:
-        out = _BACKENDS[backend]()
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
-        ) from None
+    if not isinstance(backend, MachineBackend):
+        try:
+            backend = _BACKENDS[backend]()
+        except KeyError:
+            raise ValueError(
+                f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
+            ) from None
     if kernel_tier is not None:
-        out.kernel_tier = kernel_tier
+        backend.kernel_tier = kernel_tier
     if kernel_threads is not None:
-        out.kernel_threads = kernel_threads
-    return out
+        backend.kernel_threads = kernel_threads
+    return backend

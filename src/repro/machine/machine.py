@@ -15,9 +15,10 @@ integration tests run the same system on 1, 8, and 64 simulated nodes
 and compare trajectories bit-for-bit.
 
 The same invariance also frees the *simulator* to choose how it
-executes each phase: :mod:`repro.machine.backends` provides per-node
-loops (``serial``), array kernels (``vectorized``, the default), and a
-multiprocess pool (``process``), all producing identical state codes.
+executes each phase: :mod:`repro.machine.backends` provides array
+kernels (``vectorized``, what every run uses) and the per-node loops
+they replaced (``serial``, kept as the oracle the tests compare
+against), both producing identical state codes.
 Engine phases are charged to ``machine_*`` timers
 (:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.engine_seconds`).
 """
@@ -34,8 +35,7 @@ from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
 from repro.core.system import ChemicalSystem
 from repro.fault import FaultController, FaultSchedule, FaultyNetwork, RecoveryPolicy
 from repro.fft import DistributedFFT3D
-from repro.fixedpoint import FixedAccumulator
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint, trajectory_decode
 from repro.machine.backends import MachineBackend, make_backend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import assign_bond_terms, correction_pairs_per_node
@@ -65,6 +65,8 @@ class MachineForceCalculator(ForceCalculator):
     executes is delegated to a :class:`~repro.machine.backends.MachineBackend`.
     """
 
+    _quantize_phase = "machine_quantize"
+
     def __init__(
         self,
         system: ChemicalSystem,
@@ -74,104 +76,16 @@ class MachineForceCalculator(ForceCalculator):
     ):
         if params.quantize_mesh_bits is None:
             raise ValueError("machine execution requires quantize_mesh_bits")
-        super().__init__(system, params)
+        # The backend resolves the kernel suite the whole force path
+        # (pair kernel, neighbor list, deposits) then shares.
+        backend.bind(self)
+        super().__init__(system, params, kernels=backend.kernels)
         self.machine = machine
         self.backend = backend
-        backend.bind(self)
-        self.kernels = backend.kernels
-        # The neighbor list shares the backend's kernel suite (compiled
-        # cutoff filtering when available).
-        self.neighbor_list.kernels = backend.kernels
-        # Steady-state scratch: the fused-kernel pair outputs and the
-        # short/long force accumulators are allocated once and reused,
-        # so repeated steps allocate nothing on the hot path.
-        self._pair_spec = None
-        self._pair_spec_codec = None
-        self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._acc_short: FixedAccumulator | None = None
-        self._acc_long: FixedAccumulator | None = None
-
-    # -- scratch management -------------------------------------------------
-
-    def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
-        """A zeroed per-evaluation accumulator from the reuse pool.
-
-        Two slots ("short", "long") exist because the long-range pass
-        runs while the short-range accumulator is live.  Callers
-        consume ``acc.raw()``/``acc.total()`` before the next evaluation
-        (the MTS provider and :meth:`compute_fixed` both do), so reuse
-        is invisible.
-        """
-        acc = getattr(self, "_acc_" + slot)
-        shape = (self.system.n_atoms, 3)
-        if acc is None or acc.shape != shape or acc.fmt != force_codec.fmt:
-            acc = FixedAccumulator(shape, force_codec.fmt)
-            setattr(self, "_acc_" + slot, acc)
-        else:
-            acc.zero()
-        return acc
-
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
-        out = self._pair_out
-        if out is None or out[0].shape[0] < n:
-            cap = max(int(n * 1.25), 1024)
-            out = (
-                np.empty((cap, 3), dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-                np.empty(cap, dtype=np.float64),
-            )
-            self._pair_out = out
-        return out
-
-    # -- fused range-limited path -------------------------------------------
-
-    def _range_limited_codes(self, positions, force_codec):
-        """Range-limited pair result plus quantized int64 force codes.
-
-        On the compiled tier with tabulated kernels this runs the fused
-        C kernel (table evaluation straight to codes, no intermediate
-        float force array); otherwise it is the classic NumPy path with
-        the quantization charged to an explicit ``machine_quantize``
-        phase.  Codes (and energies) are bitwise identical either way.
-        """
-        k = self.kernels
-        if k.tier == "compiled" and self.tables is not None:
-            from repro.forcefield.nonbonded import NonbondedResult
-            from repro.kernels import make_pair_spec
-
-            s = self.system
-            with self.timers.time("pair_list"):
-                pairs = self.neighbor_list.pairs(positions)
-            with self.timers.time("range_limited"):
-                if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-                    self._pair_spec = make_pair_spec(
-                        self.tables, s.lj, s.charges, s.type_ids, force_codec
-                    )
-                    self._pair_spec_codec = force_codec
-                n = len(pairs.i)
-                codes, e_lj, e_coul = self._pair_buffers(n)
-                k.pair_table_codes(
-                    self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
-                    codes, e_lj, e_coul,
-                )
-                nb = NonbondedResult(
-                    energy_lj=float(np.sum(e_lj[:n])),
-                    energy_coul=float(np.sum(e_coul[:n])),
-                    i=pairs.i,
-                    j=pairs.j,
-                    force=None,
-                )
-            return nb, codes[:n]
-        nb = self._range_limited(positions)
-        with self.timers.time("machine_quantize"):
-            codes = force_codec.quantize_round_only(nb.force)
-        return nb, codes
 
     # -- overridden force paths ---------------------------------------------
 
     def compute_fixed(self, positions, force_codec, include_long_range: bool = True):
-        s = self.system
         m = self.machine
         before = self.timers.snapshot()
         acc = self._accumulator("short", force_codec)
@@ -247,9 +161,10 @@ class AntonMachine:
     migration_interval:
         Steps between migration passes (paper: 4-8).
     backend:
-        Execution strategy: ``"serial"``, ``"vectorized"`` (default),
-        ``"process"``, or a :class:`~repro.machine.backends.MachineBackend`
-        instance.  State codes are bitwise identical across all of them.
+        Execution strategy: ``"vectorized"`` (default), ``"serial"``
+        (the per-node reference loops, for differential tests), or a
+        :class:`~repro.machine.backends.MachineBackend` instance.
+        State codes are bitwise identical across them.
     kernel_tier:
         Hot-loop implementation suite: ``"numpy"`` or ``"compiled"``
         (lazily built C via :mod:`repro.kernels`, falling back to numpy
@@ -362,8 +277,7 @@ class AntonMachine:
             )
 
     def close(self) -> None:
-        """Release backend resources (worker pools).  Idempotent."""
-        self.backend.close()
+        """End-of-life hook for callers; no backend holds resources now."""
 
     # -- traffic accounting -------------------------------------------------
 
@@ -514,16 +428,10 @@ class AntonMachine:
 
     def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
         """A :class:`TrajectoryWriter` configured for this machine."""
-        cfg = self.fixed_config
-        decode = {
-            "storage": "codes",
-            "position_bits": cfg.position_bits,
-            "box": [float(x) for x in self.system.box.lengths],
-            "velocity_bits": cfg.velocity_bits,
-            "velocity_limit": cfg.velocity_limit,
-        }
-        return TrajectoryWriter(path, fingerprint=self.fingerprint(),
-                                decode=decode, meta=meta)
+        return TrajectoryWriter(
+            path, fingerprint=self.fingerprint(),
+            decode=trajectory_decode(self.system, self.fixed_config), meta=meta,
+        )
 
     def append_trajectory(self, path) -> TrajectoryWriter:
         """Reopen ``path`` for resumed writing (truncates past-resume frames)."""

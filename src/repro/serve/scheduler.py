@@ -21,9 +21,9 @@ Policy
   i.e. zero steps done) into one assignment, up to ``max_batch``; the
   worker fuses the batch into one
   :class:`~repro.ensemble.EnsembleSimulation` pass.  Jobs with
-  progress resume solo (restoring mid-flight states into a stacked
-  engine is unsupported — and unneeded, since batching is
-  bitwise-invisible).
+  progress dispatch singly, by policy: the worker restores each into
+  an R=1 ensemble, and batching is bitwise-invisible, so fusing
+  resumed jobs would change only throughput.
 * **Preemption**: when every worker is busy and a pending job's
   priority strictly exceeds a running assignment's, the
   lowest-priority (latest-arrival on ties) assignment is preempted.

@@ -10,15 +10,17 @@ assignments.
 
 Execution model
 ---------------
-An assignment is 1+ batch-compatible jobs.  Fresh jobs run through one
+An assignment is 1+ batch-compatible jobs, run through one
 :class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size, the
 PR 7 engine — each replica bit-identical to its solo run on every
-kernel tier); a job with prior progress resumes solo through
-:class:`~repro.core.simulation.Simulation` from its newest valid
-checkpoint, appending to its trajectory and energy log with the torn /
-past-checkpoint output truncated.  Work proceeds in **slices of
-exactly the checkpoint cadence**: every slice boundary coincides with
-a durable checkpoint save, so
+kernel tier).  A job with prior progress takes the same path as an
+R=1 ensemble restored from its newest valid checkpoint
+(:meth:`~repro.ensemble.EnsembleSimulation.restore`), appending to its
+trajectory and energy log with the torn / past-checkpoint output
+truncated — so the worker's kernel tier is honoured on every slice,
+resumed or not.  Work proceeds in **slices of exactly the checkpoint
+cadence**: every slice boundary coincides with a durable checkpoint
+save, so
 
 * preemption (requested between slices) needs no special checkpoint —
   the state is already on disk, and the requeued job resumes from it
@@ -101,34 +103,46 @@ def resolve_worker_kernels(tier, threads):
     return cfg, suite.tier, getattr(suite, "threads", 1), notes
 
 
-def _open_fresh_artifacts(ens, jobs):
-    """Per-job (trajectory, store, energy writer) for a fresh batch."""
+def _run_batch(jobs, control, progress, kernel_cfg):
+    """One EnsembleSimulation pass over a batch, from step 0 or resumed.
+
+    A job with prior progress (dispatched singly, by scheduler policy)
+    enters the same loop by restoring its newest valid checkpoint into
+    an R=1 ensemble and appending to its artifacts, the torn /
+    past-checkpoint output truncated.
+    """
     from pathlib import Path
 
+    from repro.core.thermostat import BerendsenThermostat
+    from repro.ensemble import EnsembleSimulation
     from repro.io import (
+        CheckpointError,
         CheckpointStore,
+        CorruptRecord,
         EnergyLogWriter,
         job_checkpoint_dir,
         job_energy_log_path,
         job_trajectory_path,
+        truncate_energy_log,
     )
 
-    trajectories, stores, writers = [], [], []
-    for job in jobs:
-        d = Path(job.artifact_dir)
-        d.mkdir(parents=True, exist_ok=True)
-        trajectories.append(ens.open_replica_trajectory(job_trajectory_path(d)))
-        stores.append(CheckpointStore(job_checkpoint_dir(d), retain=job.spec.retain))
-        writers.append(EnergyLogWriter(job_energy_log_path(d)))
-    return trajectories, stores, writers
-
-
-def _run_fresh_batch(jobs, control, progress, kernel_cfg):
-    """One EnsembleSimulation pass over a batch of fresh jobs."""
-    from repro.core.thermostat import BerendsenThermostat
-    from repro.ensemble import EnsembleSimulation
-
     spec = jobs[0].spec
+    dirs = [Path(j.artifact_dir) for j in jobs]
+    stores = [  # creating a store creates its job's artifact directory
+        CheckpointStore(job_checkpoint_dir(d), retain=j.spec.retain)
+        for d, j in zip(dirs, jobs)
+    ]
+    loaded = None
+    if jobs[0].steps_done > 0:
+        try:
+            loaded = stores[0].load_latest()
+        except CheckpointError:
+            # Nothing durable survived (killed before the first
+            # snapshot, or every snapshot torn): start over from
+            # scratch — the "run-start baseline" rung of the recovery
+            # ladder.
+            jobs[0].steps_done = 0
+
     system, params = prepare_job_system(spec)
     ens = EnsembleSimulation(
         system, params, dt=spec.dt,
@@ -138,7 +152,11 @@ def _run_fresh_batch(jobs, control, progress, kernel_cfg):
         constraints=True,
         kernel_tier=kernel_cfg.tier, kernel_threads=kernel_cfg.threads,
     )
-    trajectories, stores, writers = _open_fresh_artifacts(ens, jobs)
+    if loaded is not None:
+        ens.restore([loaded.state])
+    step = ens.integrator.step_count
+
+    trajectories, writers = [], []
 
     def save_checkpoints() -> None:
         # Durability order: trajectories are flushed BEFORE the slice's
@@ -151,9 +169,27 @@ def _run_fresh_batch(jobs, control, progress, kernel_cfg):
         for r, store in enumerate(stores):
             store.save(ens.replica_checkpoint(r), ens.integrator.step_count)
 
-    done = {j.id: 0 for j in jobs}
     try:
-        step = 0
+        for d in dirs:
+            traj_path = job_trajectory_path(d)
+            if step and traj_path.exists():
+                try:
+                    trajectories.append(ens.append_replica_trajectory(traj_path))
+                except CorruptRecord:  # pragma: no cover - externally damaged file
+                    # Unreadable even at the header: nothing to append
+                    # to.  The flush-before-checkpoint order makes this
+                    # unreachable from a worker SIGKILL, so it means
+                    # external damage — regenerate the whole artifact
+                    # set from step 0 (bit-exact, just slower).
+                    jobs[0].steps_done = 0
+                    return _run_batch(jobs, control, progress, kernel_cfg)
+            else:
+                trajectories.append(ens.open_replica_trajectory(traj_path))
+            if step:
+                truncate_energy_log(job_energy_log_path(d), step)
+            writers.append(EnergyLogWriter(job_energy_log_path(d), append=bool(step)))
+
+        done = {j.id: step for j in jobs}
         while step < spec.steps:
             n = min(spec.slice_steps, spec.steps - step)
             # In-run checkpointing stays off: the slice boundary saves
@@ -186,92 +222,6 @@ def _run_fresh_batch(jobs, control, progress, kernel_cfg):
             w.close()
 
 
-def _run_resumed_solo(job, control, progress, kernel_cfg):
-    """Resume one job from its newest valid checkpoint, bit-exactly."""
-    from pathlib import Path
-
-    from repro.core.simulation import Simulation
-    from repro.core.thermostat import BerendsenThermostat
-    from repro.io import (
-        CheckpointError,
-        CheckpointStore,
-        EnergyLogWriter,
-        job_checkpoint_dir,
-        job_energy_log_path,
-        job_trajectory_path,
-        truncate_energy_log,
-    )
-
-    spec = job.spec
-    d = Path(job.artifact_dir)
-    store = CheckpointStore(job_checkpoint_dir(d), retain=spec.retain)
-    try:
-        loaded = store.load_latest()
-    except CheckpointError:
-        # Nothing durable survived (killed before the first snapshot,
-        # or every snapshot torn): start over from scratch — the
-        # "run-start baseline" rung of the recovery ladder.
-        job.steps_done = 0
-        return _run_fresh_batch([job], control, progress, kernel_cfg)
-
-    system, params = prepare_job_system(spec)
-    sim = Simulation(
-        system, params, dt=spec.dt, mode="fixed",
-        thermostat=BerendsenThermostat(spec.temperature), constraints=True,
-    )
-    sim.restore(loaded.state)
-    resume_step = sim.integrator.step_count
-
-    from repro.io.records import CorruptRecord
-
-    traj_path = job_trajectory_path(d)
-    try:
-        if traj_path.exists():
-            trajectory = sim.append_trajectory(traj_path)
-        else:  # pragma: no cover - checkpoint without trajectory
-            trajectory = sim.open_trajectory(traj_path)
-    except CorruptRecord:  # pragma: no cover - externally damaged file
-        # Unreadable even at the header: nothing to append to.  The
-        # flush-before-checkpoint order makes this unreachable from a
-        # worker SIGKILL, so it means external damage — regenerate the
-        # whole artifact set from step 0 (bit-exact, just slower).
-        job.steps_done = 0
-        return _run_fresh_batch([job], control, progress, kernel_cfg)
-    truncate_energy_log(job_energy_log_path(d), resume_step)
-    writer = EnergyLogWriter(job_energy_log_path(d), append=True)
-
-    def save_checkpoint() -> None:
-        # Same durability order as the fresh path: flush frames, then
-        # land the checkpoint they cover.
-        trajectory.flush()
-        store.save(sim.checkpoint(), sim.integrator.step_count)
-
-    done = {job.id: resume_step}
-    try:
-        step = resume_step
-        while step < spec.steps:
-            n = min(spec.slice_steps, spec.steps - step)
-            sim.run(
-                n, record_every=spec.record_every,
-                energy_writer=writer,
-                trajectory=trajectory,
-                trajectory_every=spec.effective_trajectory_every,
-            )
-            step += n
-            if spec.checkpoint_every and step % spec.checkpoint_every == 0:
-                save_checkpoint()
-            done[job.id] = step
-            if progress is not None:
-                progress(dict(done))
-            if step < spec.steps and control is not None and control() == "preempt":
-                return SliceOutcome("preempted", done)
-        save_checkpoint()
-        return SliceOutcome("done", done)
-    finally:
-        trajectory.close()
-        writer.close()
-
-
 def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
     """Run one assignment to completion, preemption, or failure.
 
@@ -287,11 +237,9 @@ def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
     if kernel_cfg is None:
         kernel_cfg = resolve_config()
     try:
-        if len(jobs) == 1 and jobs[0].steps_done > 0:
-            return _run_resumed_solo(jobs[0], control, progress, kernel_cfg)
-        if any(j.steps_done > 0 for j in jobs):
+        if len(jobs) > 1 and any(j.steps_done > 0 for j in jobs):
             raise ValueError("batched assignments must be fresh")
-        return _run_fresh_batch(list(jobs), control, progress, kernel_cfg)
+        return _run_batch(list(jobs), control, progress, kernel_cfg)
     except Exception:
         return SliceOutcome(
             "failed",

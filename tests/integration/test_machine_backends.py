@@ -2,18 +2,18 @@
 
 The paper's parallel-invariance argument (Section 4) — quantize once,
 integer-accumulate, and the distribution of terms is invisible — is
-what lets the simulator swap its own execution strategy: per-node
-Python loops (serial), array kernels (vectorized), or a multiprocess
-worker pool.  These tests pin that claim bit-for-bit: identical state
-codes across backends and node counts, identical traffic statistics,
-and bit-exact checkpoint/restore replay under the process backend.
+what lets the simulator swap its own execution strategy: array
+kernels (vectorized) against the per-node Python loops they replaced
+(serial, the oracle).  These tests pin that claim bit-for-bit:
+identical state codes across backends and node counts, identical
+traffic statistics, and a checkpoint that restores across backends.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import MDParams, minimize_energy
-from repro.machine import AntonMachine, ProcessBackend, make_backend
+from repro.machine import AntonMachine, make_backend
 from repro.systems import build_water_box
 
 PARAMS = MDParams(
@@ -52,25 +52,6 @@ class TestBackendEquivalence:
         np.testing.assert_array_equal(Xs, Xv)
         np.testing.assert_array_equal(Vs, Vv)
 
-    def test_process_vs_serial_bitwise(self, base_system):
-        (Xs, Vs), _, _ = run_machine(base_system, "serial")
-        (Xp, Vp), _, _ = run_machine(base_system, ProcessBackend(n_workers=2))
-        np.testing.assert_array_equal(Xs, Xp)
-        np.testing.assert_array_equal(Vs, Vp)
-
-    def test_process_analytic_kernel_bitwise(self, base_system):
-        # The worker pool also evaluates the analytic (non-tabulated)
-        # kernel path identically.
-        params = MDParams(cutoff=4.0, mesh=(16, 16, 16), quantize_mesh_bits=40)
-        (Xs, Vs), _, _ = run_machine(
-            base_system, "serial", steps=2, params=params
-        )
-        (Xp, Vp), _, _ = run_machine(
-            base_system, ProcessBackend(n_workers=2), steps=2, params=params
-        )
-        np.testing.assert_array_equal(Xs, Xp)
-        np.testing.assert_array_equal(Vs, Vp)
-
     def test_traffic_statistics_identical(self, base_system):
         _, tags_s, stats_s = run_machine(base_system, "serial")
         _, tags_v, stats_v = run_machine(base_system, "vectorized")
@@ -88,60 +69,16 @@ class TestBackendEquivalence:
             make_backend("simd")
 
 
-class TestProcessBackendLifecycle:
-    def test_close_is_idempotent(self, base_system):
-        machine = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
-        )
-        machine.step(1)
-        machine.close()
-        machine.close()
-
-    def test_checkpoint_restore_replay(self, base_system):
-        # An uninterrupted 6-step run...
-        reference = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
-        )
-        try:
-            reference.step(3)
-            chk = reference.checkpoint()
-            reference.step(3)
-            X_ref, V_ref = reference.state_codes()
-        finally:
-            reference.close()
-
-        # ...is replayed bit-for-bit from the mid-run checkpoint by a
-        # fresh machine (migration occurs at step 4, inside the replay
-        # window, so the restored migration clock is exercised too).
-        resumed = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
-        )
-        try:
-            resumed.restore(chk)
-            resumed.step(3)
-            X_res, V_res = resumed.state_codes()
-        finally:
-            resumed.close()
-        np.testing.assert_array_equal(X_ref, X_res)
-        np.testing.assert_array_equal(V_ref, V_res)
-
     def test_checkpoint_restore_across_backends(self, base_system):
-        # A serial machine resumes a process-backend checkpoint: the
-        # snapshot is backend-independent integer state.
+        # A serial machine resumes a vectorized machine's checkpoint:
+        # the snapshot is backend-independent integer state.
         donor = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0,
-            backend=ProcessBackend(n_workers=2),
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
         )
-        try:
-            donor.step(2)
-            chk = donor.checkpoint()
-            donor.step(2)
-            X_ref, V_ref = donor.state_codes()
-        finally:
-            donor.close()
+        donor.step(2)
+        chk = donor.checkpoint()
+        donor.step(2)
+        X_ref, V_ref = donor.state_codes()
 
         resumed = AntonMachine(
             base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="serial"

@@ -16,7 +16,7 @@ from repro.core import MDParams, minimize_energy
 from repro.io import CheckpointStore
 from repro.io.serialize import pack_state
 from repro.kernels import available
-from repro.machine import AntonMachine, ProcessBackend
+from repro.machine import AntonMachine
 from repro.network import RoutedConfig
 from repro.systems import build_water_box
 
@@ -74,14 +74,11 @@ class TestTimingOnlyContract:
         for a, b in zip(cks_off, cks_on):
             assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize(
-        "backend", ["serial", "vectorized", pytest.param("process", id="process")]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_state_unchanged_per_backend(self, base_system, backend):
         out = {}
         for routed in (False, True):
-            be = ProcessBackend(n_workers=2) if backend == "process" else backend
-            machine = make_machine(base_system, routed, backend=be)
+            machine = make_machine(base_system, routed, backend=backend)
             try:
                 machine.run(4)
                 out[routed] = pack_state(machine.checkpoint())

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core import MDParams, Simulation, minimize_energy
-from repro.io import CheckpointStore, FingerprintMismatch, TrajectoryReader
-from repro.machine import AntonMachine, ProcessBackend
+from repro.ensemble import EnsembleSimulation
+from repro.io import CheckpointStore, FingerprintMismatch, TrajectoryReader, pack_state
+from repro.machine import AntonMachine
 from repro.systems import build_water_box
 
 SIM_PARAMS = MDParams(cutoff=4.2, mesh=(16, 16, 16), long_range_every=2)
@@ -121,14 +122,12 @@ class TestSimulationDiskRoundTrip:
 
 
 class TestMachineDiskRoundTrip:
-    @pytest.mark.parametrize(
-        "backend", ["serial", "vectorized", pytest.param("process", id="process")]
-    )
+    @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_disk_resume_bitwise(self, base_system, backend, tmp_path):
         def make(n_nodes=8):
-            b = ProcessBackend(n_workers=2) if backend == "process" else backend
             return AntonMachine(
-                base_system.copy(), MACHINE_PARAMS, n_nodes=n_nodes, dt=1.0, backend=b
+                base_system.copy(), MACHINE_PARAMS, n_nodes=n_nodes, dt=1.0,
+                backend=backend,
             )
 
         reference = make()
@@ -205,3 +204,24 @@ class TestMachineDiskRoundTrip:
             last = r.frame(-1)
             np.testing.assert_array_equal(last.arrays["X"], X)
             np.testing.assert_array_equal(r.positions(last), live_positions)
+
+
+def test_all_three_writers_emit_the_same_decode_header(base_system, tmp_path):
+    """Solo, ensemble and machine trajectories share one header format."""
+    writers = {
+        "solo": Simulation(base_system.copy(), MACHINE_PARAMS, dt=1.0).open_trajectory,
+        "ensemble": EnsembleSimulation(
+            base_system.copy(), MACHINE_PARAMS, dt=1.0, replicas=1
+        ).open_replica_trajectory,
+        "machine": AntonMachine(
+            base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0
+        ).open_trajectory,
+    }
+    headers = {}
+    for name, open_trajectory in writers.items():
+        open_trajectory(tmp_path / f"{name}.rrs").close()
+        with TrajectoryReader(tmp_path / f"{name}.rrs") as r:
+            headers[name] = pack_state(r.decode)
+    assert headers["solo"] == headers["ensemble"] == headers["machine"]
+    # The solo and replica files differ in nothing at all.
+    assert (tmp_path / "solo.rrs").read_bytes() == (tmp_path / "ensemble.rrs").read_bytes()

@@ -27,6 +27,7 @@ from repro.io import (
     job_energy_log_path,
     job_trajectory_path,
 )
+from repro.kernels import available, resolve_config
 from repro.serve import (
     AssignmentJob,
     JobSpec,
@@ -38,6 +39,10 @@ from repro.serve import (
 )
 
 SPEC = dict(waters=8, steps=6, record_every=2, checkpoint_every=2)
+
+needs_compiler = pytest.mark.skipif(
+    not available(), reason="no C compiler: compiled kernel tier unavailable"
+)
 
 
 def solo_reference(tmp_path, spec: JobSpec):
@@ -105,6 +110,57 @@ class TestExecuteAssignment:
         job.steps_done = first.steps_done["j"]
         second = execute_assignment([job])
         assert second.status == "done", second.error
+        assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+
+    @pytest.mark.parametrize(
+        "tier", ["numpy", pytest.param("compiled", marks=needs_compiler)]
+    )
+    def test_resumed_slices_run_on_the_worker_tier(self, tmp_path, monkeypatch, tier):
+        """Preempted after the first slice; the resume is an R=1
+        ensemble on the same kernel tier as the fresh slice."""
+        import repro.ensemble
+
+        engine_tiers = []
+
+        class Recording(repro.ensemble.EnsembleSimulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engine_tiers.append((self.replicas, self.kernels.tier))
+
+        monkeypatch.setattr(repro.ensemble, "EnsembleSimulation", Recording)
+        cfg = resolve_config(tier, 1)
+        spec = JobSpec(seed=9, steps=8, waters=8, record_every=2, checkpoint_every=2)
+        job = AssignmentJob("j", spec, str(tmp_path / "j"))
+
+        first = execute_assignment([job], control=lambda: "preempt", kernel_cfg=cfg)
+        assert first.status == "preempted"
+        assert first.steps_done["j"] == 2  # stopped after the first slice
+        job.steps_done = first.steps_done["j"]
+        second = execute_assignment([job], kernel_cfg=cfg)
+        assert second.status == "done", second.error
+        assert engine_tiers == [(1, tier), (1, tier)]
+        assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+
+    def test_torn_newest_checkpoint_falls_back_to_previous(self, tmp_path):
+        spec = JobSpec(seed=5, steps=8, waters=8, record_every=2, checkpoint_every=2)
+        job = AssignmentJob("j", spec, str(tmp_path / "j"))
+        slices = {"n": 0}
+
+        def control():
+            slices["n"] += 1
+            return "preempt" if slices["n"] >= 2 else None
+
+        first = execute_assignment([job], control=control)
+        assert first.steps_done["j"] == 4
+        store = CheckpointStore(job_checkpoint_dir(job.artifact_dir))
+        assert store.steps() == [2, 4]
+        newest = store.path_for(4)
+        newest.write_bytes(newest.read_bytes()[:-7])  # torn mid-write
+        job.steps_done = 4
+        seen = []
+        second = execute_assignment([job], progress=seen.append)
+        assert second.status == "done", second.error
+        assert seen[0] == {"j": 4}  # resumed from step 2, not 4
         assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
 
     def test_resume_with_no_checkpoint_restarts_from_scratch(self, tmp_path):

@@ -118,14 +118,19 @@ class TestRunStoreCLI:
                                "--checkpoint-dir", str(tmp_path / "ck")])
 
     def test_machine_store_resume(self, capsys, tmp_path):
+        # --check-invariance on both legs: the 1-node reference must
+        # start where the machine starts (fresh: the prepared system;
+        # resumed: the loaded checkpoint) and run the remaining steps.
         flags = ["machine", "--nodes", "4", "--waters", "16",
                  "--checkpoint-dir", str(tmp_path / "ck"),
-                 "--checkpoint-every", "2"]
+                 "--checkpoint-every", "2", "--check-invariance"]
+        same = "bitwise identical to the 1-node machine: True"
         assert main(flags + ["--steps", "2"]) == 0
-        capsys.readouterr()
+        assert same in capsys.readouterr().out
         assert main(flags + ["--steps", "4", "--resume"]) == 0
         out = capsys.readouterr().out
         assert "resumed from" in out and "at step 2" in out
+        assert same in out
 
     def test_traj_info_dump_verify(self, capsys, tmp_path):
         traj = tmp_path / "t.rrs"

@@ -99,47 +99,6 @@ class TestGSEAccuracy:
         frms = np.sqrt(np.mean(f**2))
         assert np.max(np.abs(f.sum(axis=0))) < 1e-3 * max(frms, 1.0) + 1e-6
 
-    def test_radix2_backend_matches_numpy(self):
-        box, pos, q = random_neutral_system(n=15, seed=7)
-        params = GSEParams.choose(box, 9.0, (16, 16, 16))
-        e1, f1 = GaussianSplitEwald(box, params, fft_backend="numpy").kspace(pos, q)
-        e2, f2 = GaussianSplitEwald(box, params, fft_backend="radix2").kspace(pos, q)
-        assert e1 == pytest.approx(e2, rel=1e-12)
-        np.testing.assert_allclose(f1, f2, atol=1e-10)
-
-    def test_radix2_solve_non_cubic_mesh_forward_and_inverse(self):
-        # Non-cubic box and anisotropic power-of-two mesh: solve() runs
-        # a forward transform on Q and an inverse on green * Q-hat, so
-        # parity here exercises both FFT directions per axis length.
-        rng = np.random.default_rng(11)
-        box = Box(np.array([16.0, 8.0, 24.0]))
-        params = GSEParams(sigma=2.2, sigma_s=1.2, mesh=(16, 8, 32), spreading_cutoff=3.0)
-        g_np = GaussianSplitEwald(box, params, fft_backend="numpy")
-        g_r2 = GaussianSplitEwald(box, params, fft_backend="radix2")
-        Q = rng.normal(size=(16, 8, 32))
-        phi_np, e_np = g_np.solve(Q)
-        phi_r2, e_r2 = g_r2.solve(Q)
-        assert e_r2 == pytest.approx(e_np, rel=1e-12)
-        scale = max(1.0, float(np.max(np.abs(phi_np))))
-        np.testing.assert_allclose(phi_r2, phi_np, atol=1e-9 * scale)
-
-    def test_radix2_kspace_non_cubic_mesh(self):
-        rng = np.random.default_rng(13)
-        box = Box(np.array([16.0, 8.0, 24.0]))
-        params = GSEParams(sigma=2.2, sigma_s=1.2, mesh=(16, 8, 32), spreading_cutoff=3.0)
-        pos = rng.uniform(0, box.lengths, (12, 3))
-        q = rng.uniform(-1, 1, 12)
-        q -= q.mean()
-        e1, f1 = GaussianSplitEwald(box, params, fft_backend="numpy").kspace(pos, q)
-        e2, f2 = GaussianSplitEwald(box, params, fft_backend="radix2").kspace(pos, q)
-        assert e2 == pytest.approx(e1, rel=1e-12)
-        np.testing.assert_allclose(f2, f1, atol=1e-10)
-
-    def test_unknown_backend(self):
-        box = Box.cubic(20.0)
-        with pytest.raises(ValueError):
-            GaussianSplitEwald(box, GSEParams.choose(box, 9.0, (16, 16, 16)), fft_backend="fftw")
-
     def test_interpolate_potential_consistent_with_energy(self):
         box, pos, q = random_neutral_system(n=18, seed=9)
         gse = GaussianSplitEwald(box, GSEParams.choose(box, 9.0, (32, 32, 32)))
