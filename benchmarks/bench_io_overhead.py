@@ -5,12 +5,19 @@ A run store is only usable on a long simulation if persisting state is
 cheap relative to computing it.  This benchmark steps the functional
 machine at the headline node count with and without trajectory output
 (plus rolling checkpoints) and reports the write overhead as a fraction
-of the bare step time.  Gate: trajectory writes at a realistic cadence
-cost < 5% of step time.
+of the bare step time.  Gate (full run): trajectory writes at a
+realistic cadence cost < 5% of step time.
+
+``--smoke`` checks what is deterministic — the stored run ends in the
+bare run's bits and its trajectory verifies — and only *reports* the
+overhead: over six 24-water steps the two timings differ by less than
+the host's jitter, and the 5 % line flipped between 0 % and 7 % on
+unchanged code.  The gated numbers are the full run's and
+``benchmarks/perf``'s ``solo_io`` workload.
 
 Usage:
-    python benchmarks/bench_io_overhead.py          # full run + JSON
-    python benchmarks/bench_io_overhead.py --smoke  # small CI gate
+    python benchmarks/bench_io_overhead.py          # full run + JSON + gate
+    python benchmarks/bench_io_overhead.py --smoke  # small CI check, overhead report-only
 """
 
 from __future__ import annotations
@@ -114,7 +121,7 @@ def measure(n_molecules: int, steps: int, trajectory_every: int,
     print(f"bare:       {bare / steps * 1e3:8.2f} ms/step")
     print(f"with store: {with_store / steps * 1e3:8.2f} ms/step "
           f"({n_frames} frames)")
-    print(f"overhead:   {overhead:6.1%}  (gate < {MAX_TRAJECTORY_OVERHEAD:.0%})")
+    print(f"overhead:   {overhead:6.1%}  (full-run gate < {MAX_TRAJECTORY_OVERHEAD:.0%})")
     return {
         "n_atoms": system.n_atoms,
         "n_nodes": HEADLINE_NODES,
@@ -132,21 +139,21 @@ def measure(n_molecules: int, steps: int, trajectory_every: int,
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
-                    help="small fast run gating the <5% overhead bound")
+                    help="small fast run: bitwise + verify checks, overhead reported only")
     ap.add_argument("--out", type=Path, default=RESULTS / "BENCH_io_overhead.json")
     args = ap.parse_args(argv)
 
     if args.smoke:
-        result = measure(n_molecules=24, steps=6, trajectory_every=2,
-                         checkpoint_every=3, repeats=2)
-    else:
-        result = measure(n_molecules=256, steps=12, trajectory_every=4,
-                         checkpoint_every=6, repeats=3)
-        payload = {"bench": "io_overhead", **result,
-                   "gate": MAX_TRAJECTORY_OVERHEAD}
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
+        measure(n_molecules=24, steps=6, trajectory_every=2,
+                checkpoint_every=3, repeats=2)
+        print("OK (overhead not gated at smoke size)")
+        return 0
+    result = measure(n_molecules=256, steps=12, trajectory_every=4,
+                     checkpoint_every=6, repeats=3)
+    payload = {"bench": "io_overhead", **result, "gate": MAX_TRAJECTORY_OVERHEAD}
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    args.out.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {args.out}")
 
     if result["overhead_fraction"] >= MAX_TRAJECTORY_OVERHEAD:
         raise SystemExit(

@@ -346,7 +346,11 @@ def main(argv=None) -> int:
         },
         "notes": (
             "engine time = machine_nt_assign + machine_deposit + machine_traffic "
-            "(the backend-sensitive bookkeeping); full step includes the physics "
+            "(the backend-sensitive bookkeeping; on the compiled tier the "
+            "range-limited pair deposit happens inside the pair walk and is "
+            "charged to range_limited, so machine_deposit there is the bonded and "
+            "correction deposits and machine_nt_assign the node_of + export-marks "
+            "pass); full step includes the physics "
             "kernels every backend runs identically, and excludes warmup_steps "
             "of first-touch allocation/lazy-build cost. overhead_ratio = "
             "(wall - attributed)/wall, where attributed sums the leaf profiler "

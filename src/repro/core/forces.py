@@ -38,7 +38,7 @@ from repro.forcefield import (
     scatter_forces,
 )
 from repro.geometry import NeighborList
-from repro.kernels import make_pair_spec
+from repro.kernels import get_suite, make_pair_spec
 
 __all__ = ["MDParams", "ForceReport", "ForceCalculator", "MTSForceProvider"]
 
@@ -101,9 +101,12 @@ class ForceCalculator:
 
     #: Phase names of the one fixed-point pair path, as data: the
     #: ensemble prefixes its pair phases, the machine charges the
-    #: NumPy-tier quantization to a leaf of its own.
+    #: NumPy-tier quantization to a leaf of its own, and both charge
+    #: the NumPy-tier pair deposit to their own deposit phase (the
+    #: compiled walk deposits as it goes, inside ``range_limited``).
     _pair_phase_prefix = ""
     _quantize_phase = "range_limited"
+    _deposit_phase = "deposit"
 
     def __init__(
         self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=None
@@ -158,13 +161,13 @@ class ForceCalculator:
         self._corr_static = precompute_correction_static(
             system.charges, system.type_ids, system.lj, system.exclusions
         )
-        # Steady-state scratch of the fixed-point path: the fused
-        # kernel's pair outputs and the short/long force accumulators
-        # are allocated once and reused, so repeated steps allocate
-        # nothing on the hot path.
+        # Steady-state scratch of the fixed-point path: the pair
+        # walk's outputs and the short/long force accumulators are
+        # allocated once and reused, so repeated steps allocate nothing
+        # on the hot path.
         self._pair_spec = None
         self._pair_spec_codec = None
-        self._pair_out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._pair_out: tuple[np.ndarray, ...] | None = None
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
 
@@ -188,24 +191,26 @@ class ForceCalculator:
             acc.zero()
         return acc
 
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(codes, e_lj, e_coul) output scratch for >= ``n`` pairs."""
+    def _pair_buffers(self, n: int) -> tuple[np.ndarray, ...]:
+        """(oi, oj, e_lj, e_coul) walk outputs for >= ``n`` candidates."""
         out = self._pair_out
-        if out is None or out[0].shape[0] < n:
-            cap = max(int(n * 1.25), 1024)
-            out = (
-                np.empty((cap, 3), dtype=np.int64),
+        if out is None or len(out[0]) < n:
+            # Candidate counts wander a fraction of a percent between
+            # rebuilds; headroom keeps that from reallocating every time.
+            cap = n + n // 8
+            out = self._pair_out = (
+                np.empty(cap, dtype=np.int64),
+                np.empty(cap, dtype=np.int64),
                 np.empty(cap, dtype=np.float64),
                 np.empty(cap, dtype=np.float64),
             )
-            self._pair_out = out
         return out
 
     # -- contribution gathering -------------------------------------------
 
-    def _pairs(self, positions: np.ndarray):
+    def _pairs(self, positions: np.ndarray, walk=None):
         with self.timers.time(self._pair_phase_prefix + "pair_list"):
-            return self.neighbor_list.pairs(positions)
+            return self.neighbor_list.pairs(positions, walk)
 
     def _range_limited(self, positions: np.ndarray):
         s = self.system
@@ -240,42 +245,61 @@ class ForceCalculator:
     ) -> tuple[NonbondedResult, np.ndarray]:
         """Range-limited pair result plus quantized int64 force codes.
 
-        On the compiled tier with tabulated kernels this runs the fused
-        C kernel (table evaluation straight to codes, no intermediate
-        float force array, outputs in views of reused scratch);
-        otherwise it is the NumPy evaluation plus one quantization.
-        Codes (and energies) are bitwise identical either way.
+        The NumPy evaluation and one quantization: the path of the
+        NumPy tier and of the machine's serial backend, and the oracle
+        of the compiled walk in :meth:`_deposit_range_limited`.
+        """
+        nb = self._range_limited(positions)
+        with self.timers.time(self._quantize_phase):
+            codes = force_codec.quantize_round_only(nb.force)
+        return nb, codes
+
+    def _deposit_range_limited(
+        self, positions: np.ndarray, force_codec, acc: FixedAccumulator
+    ) -> NonbondedResult:
+        """Deposit the range-limited pair forces into ``acc``.
+
+        On the compiled tier with tabulated kernels this is one C walk
+        per evaluation, run from inside :meth:`NeighborList.pairs` over
+        the cached candidates: cutoff test, table evaluation, quantize
+        and accumulate, with no per-pair array but the surviving
+        ``(i, j)`` and the per-pair energies (views of reused scratch,
+        valid until the next evaluation; ``force`` is None).  Otherwise
+        it is :meth:`_range_limited_codes` and one pair deposit.  The
+        accumulator and the energies are bitwise identical either way.
         """
         k = self.kernels
         if k is None or k.tier != "compiled" or self.tables is None:
-            nb = self._range_limited(positions)
-            with self.timers.time(self._quantize_phase):
-                codes = force_codec.quantize_round_only(nb.force)
-            return nb, codes
+            nb, codes = self._range_limited_codes(positions, force_codec)
+            suite = k if k is not None else get_suite("numpy")
+            with self.timers.time(self._deposit_phase):
+                suite.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
+            return nb
         s = self.system
-        pairs = self._pairs(positions)
-        with self.timers.time(self._pair_phase_prefix + "range_limited"):
-            if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-                self._pair_spec = make_pair_spec(
-                    self.tables, s.lj, s.charges, s.type_ids, force_codec
+        if self._pair_spec is None or self._pair_spec_codec is not force_codec:
+            self._pair_spec = make_pair_spec(
+                self.tables, s.lj, s.charges, s.type_ids, force_codec
+            )
+            self._pair_spec_codec = force_codec
+
+        def walk(wrapped, ii, jj, lengths):
+            with self.timers.time(self._pair_phase_prefix + "range_limited"):
+                oi, oj, e_lj, e_coul = self._pair_buffers(len(ii))
+                m = k.pair_walk(
+                    self._pair_spec, wrapped, ii, jj, lengths, acc.raw(),
+                    oi, oj, e_lj, e_coul,
                 )
-                self._pair_spec_codec = force_codec
-            n = len(pairs.i)
-            codes, e_lj, e_coul = self._pair_buffers(n)
-            k.pair_table_codes(
-                self._pair_spec, pairs.i, pairs.j, pairs.dx, pairs.r2,
-                codes, e_lj, e_coul,
-            )
-            nb = NonbondedResult(
-                energy_lj=float(np.sum(e_lj[:n])),
-                energy_coul=float(np.sum(e_coul[:n])),
-                i=pairs.i,
-                j=pairs.j,
-                force=None,
-                e_lj_pairs=e_lj[:n],
-                e_coul_pairs=e_coul[:n],
-            )
-        return nb, codes[:n]
+                return NonbondedResult(
+                    energy_lj=float(np.sum(e_lj[:m])),
+                    energy_coul=float(np.sum(e_coul[:m])),
+                    i=oi[:m],
+                    j=oj[:m],
+                    force=None,
+                    e_lj_pairs=e_lj[:m],
+                    e_coul_pairs=e_coul[:m],
+                )
+
+        return self._pairs(positions, walk)
 
     def _bonded(self, positions: np.ndarray):
         with self.timers.time("bonded"):
@@ -393,9 +417,7 @@ class ForceCalculator:
         acc = self._accumulator("short", force_codec)
         energies: dict[str, float] = {}
 
-        nb, codes = self._range_limited_codes(positions, force_codec)
-        acc.deposit(nb.i, codes)
-        acc.deposit(nb.j, -codes)
+        nb = self._deposit_range_limited(positions, force_codec, acc)
         energies["lj"] = nb.energy_lj
         energies["coulomb_real"] = nb.energy_coul
 

@@ -159,6 +159,7 @@ class EnsembleForceCalculator(ForceCalculator):
 
     _pair_phase_prefix = "ensemble_"
     _quantize_phase = "ensemble_range_limited"
+    _deposit_phase = "ensemble_deposit"
 
     def __init__(
         self,
@@ -340,14 +341,11 @@ class EnsembleForceCalculator(ForceCalculator):
         order so per-replica ``sum(energies.values())`` reproduces the
         solo left-to-right float additions.
         """
-        s = self.system
         before = self.timers.snapshot()
         acc = self._accumulator("short", force_codec)
         energies: dict[str, np.ndarray] = {}
 
-        nb, codes = self._range_limited_codes(positions, force_codec)
-        with self.timers.time("ensemble_deposit"):
-            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
+        nb = self._deposit_range_limited(positions, force_codec, acc)
         with self.timers.time("ensemble_energies"):
             energies["lj"] = self._pair_segment_sums(nb.i, nb.e_lj_pairs)
             energies["coulomb_real"] = self._pair_segment_sums(nb.i, nb.e_coul_pairs)

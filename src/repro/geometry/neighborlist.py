@@ -79,7 +79,8 @@ class NeighborList:
         compiled tier, :meth:`pairs` runs the cutoff filter in C into
         persistent scratch and returns prefix *views* of that scratch
         — bitwise identical to the NumPy filter, but the views are
-        only valid until the next :meth:`pairs` call.  Rebuilds go
+        only valid until the next :meth:`pairs` call (a ``walk``
+        passed to :meth:`pairs` takes the filter's place).  Rebuilds go
         through the suite's ``neighbor_build`` (same list, same order).
     """
 
@@ -242,13 +243,21 @@ class NeighborList:
         max_r2 = float(np.max(np.sum(d * d, axis=1))) if len(d) else 0.0
         return max_r2 > (self.effective_skin / 2.0) ** 2
 
-    def pairs(self, positions: np.ndarray) -> NeighborPairs:
+    def pairs(self, positions: np.ndarray, walk=None) -> NeighborPairs:
         """Within-cutoff pairs at ``positions``, rebuilding if needed.
 
         Rebuild or not, the returned arrays are a pure function of the
         current configuration: candidates are stored in canonical
         ``(i, j)`` order and ``dx``/``r2`` are recomputed from the
         wrapped current positions before filtering to the true cutoff.
+
+        ``walk``, when given, takes the place of the cutoff filter: it
+        is called as ``walk(wrapped, cand_i, cand_j, lengths)`` with the
+        wrapped C-contiguous positions and the cached candidates, and
+        what it returns is returned — the caller's own record of the
+        within-cutoff pairs (``.i``, ``.j``).  That is how a force
+        calculator filters and consumes the candidates in one pass
+        while this stays the one per-evaluation entry point.
         """
         wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
         if self._needs_rebuild(wrapped):
@@ -258,6 +267,8 @@ class NeighborList:
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
         ii, jj = self._cand_i, self._cand_j
+        if walk is not None:
+            return walk(np.ascontiguousarray(wrapped), ii, jj, self._lengths)
         k = self.kernels
         # The cutoff filter is the remaining per-call work; charge it to
         # its own leaf phase so hierarchical profiles attribute it

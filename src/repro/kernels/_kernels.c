@@ -11,7 +11,11 @@
  * every output against the NumPy path bitwise.
  *
  * Division is kept literal (x / L, not x * (1.0 / L)): a reciprocal
- * multiply is not the same IEEE operation and does change bits.
+ * multiply is not the same IEEE operation and does change bits.  The
+ * pair path drops a division only where one of three lemmas proves the
+ * replacement is the same IEEE result (rk_image, rk_quantize, rk_offset
+ * below); each falls back to the literal division when its precondition
+ * does not hold.
  */
 
 #include <math.h>
@@ -265,10 +269,18 @@ static inline double rk_horner4(const double *c, double t)
 }
 
 /* ScaledFixed.quantize_round_only for one value: (q / limit) * scale,
- * clipped to +-2^62, round-nearest-even, cast to int64. */
-static inline int64_t rk_quantize(double q, double limit, double scale)
+ * clipped to +-2^62, round-nearest-even, cast to int64.
+ *
+ * Lemma (one multiply): when limit and scale are both powers of two,
+ * q / limit and (q / limit) * scale only move the exponent, so the pair
+ * equals the single exact scaling q * (scale / limit); where either form
+ * would leave the normal range the codes still agree (both are 0 below,
+ * both clip to the cap above).  mul is that ratio, or 0.0 for a codec
+ * that is not a power-of-two pair, which keeps the division. */
+static inline int64_t rk_quantize(double q, double limit, double scale,
+                                  double mul)
 {
-    double x = q / limit * scale;
+    double x = mul != 0.0 ? q * mul : q / limit * scale;
     const double cap = 4611686018427387904.0; /* 2.0**62 */
     if (x < -cap)
         x = -cap;
@@ -277,35 +289,51 @@ static inline int64_t rk_quantize(double q, double limit, double scale)
     return (int64_t)rint(x);
 }
 
+/* Minimum image d - L * rint(d / L) of a difference of two coordinates
+ * wrapped into [0, L), without the division.
+ *
+ * Lemma: |d| < L, so rint(d / L) is -1, 0 or 1, and it is 1 exactly when
+ * fl(d / L) > 0.5 (the tie 0.5 rounds to even, 0).  With h = 0.5 * L
+ * exact: d <= h gives d / L <= 0.5 and rounding is monotone, so
+ * fl(d / L) <= 0.5; d > h gives d >= h + ulp(h), and ulp(h) / L > 2^-54
+ * puts d / L past the midpoint of 0.5 and its successor 0.5 + 2^-53, so
+ * fl(d / L) > 0.5.  Mirrored for -1.  Hence rint(d / L) == (d > h) -
+ * (d < -h), and L times it is exact either way: the result is the same
+ * single rounding of d -+ L (wrapped coordinates carry no negative
+ * zero, so neither does d).  Not for SHAKE/RATTLE's unwrapped
+ * differences: those keep rk_min_image. */
+static inline double rk_image(double d, double L, double h)
+{
+    return d - L * (double)((d > h) - (d < -h));
+}
+
 /* -- neighbor-list cutoff filter ------------------------------------- */
 
 /* NeighborList.pairs steady state: minimum-image displacement of every
  * cached candidate, squared distance, compaction to r2 < cutoff2.
- * Returns the surviving pair count. */
+ * Returns the surviving pair count.  Positions must be wrapped into
+ * [0, L) (rk_image). */
 int64_t rk_pair_filter(int64_t n_cand, const int64_t *ii, const int64_t *jj,
                        const double *w, const double *L, double cutoff2,
                        int64_t *oi, int64_t *oj, double *odx, double *or2)
 {
+    const double L0 = L[0], L1 = L[1], L2 = L[2];
+    const double h0 = 0.5 * L0, h1 = 0.5 * L1, h2 = 0.5 * L2;
     int64_t m = 0;
     for (int64_t k = 0; k < n_cand; k++) {
         const double *a = w + 3 * ii[k];
         const double *b = w + 3 * jj[k];
-        double d0 = a[0] - b[0];
-        double d1 = a[1] - b[1];
-        double d2 = a[2] - b[2];
-        d0 = d0 - L[0] * rint(d0 / L[0]);
-        d1 = d1 - L[1] * rint(d1 / L[1]);
-        d2 = d2 - L[2] * rint(d2 / L[2]);
+        double d0 = rk_image(a[0] - b[0], L0, h0);
+        double d1 = rk_image(a[1] - b[1], L1, h1);
+        double d2 = rk_image(a[2] - b[2], L2, h2);
         double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
-        if (r2 < cutoff2) {
-            oi[m] = ii[k];
-            oj[m] = jj[k];
-            odx[3 * m] = d0;
-            odx[3 * m + 1] = d1;
-            odx[3 * m + 2] = d2;
-            or2[m] = r2;
-            m++;
-        }
+        oi[m] = ii[k]; /* branch-free: the slot is written always and */
+        oj[m] = jj[k]; /* kept when the pair survives (m <= k)        */
+        odx[3 * m] = d0;
+        odx[3 * m + 1] = d1;
+        odx[3 * m + 2] = d2;
+        or2[m] = r2;
+        m += r2 < cutoff2;
     }
     return m;
 }
@@ -417,6 +445,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           int64_t cap)
 {
     const double reach2 = reach * reach;
+    const double h[3] = {0.5 * L[0], 0.5 * L[1], 0.5 * L[2]};
     const int64_t axis_cap = rk_nb_axis_cap(block_len);
     int64_t nc[3], kk[3];
     double cs[3];
@@ -514,12 +543,9 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     if (j <= i)
                         break;
                     /* rk_pair_filter's predicate, operation for operation */
-                    double d0 = a0 - sx[3 * p];
-                    double d1 = a1 - sx[3 * p + 1];
-                    double d2 = a2 - sx[3 * p + 2];
-                    d0 = d0 - L[0] * rint(d0 / L[0]);
-                    d1 = d1 - L[1] * rint(d1 / L[1]);
-                    d2 = d2 - L[2] * rint(d2 / L[2]);
+                    double d0 = rk_image(a0 - sx[3 * p], L[0], h[0]);
+                    double d1 = rk_image(a1 - sx[3 * p + 1], L[1], h[1]);
+                    double d2 = rk_image(a2 - sx[3 * p + 2], L[2], h[2]);
                     if ((d0 * d0 + d1 * d1) + d2 * d2 < reach2) {
                         const int64_t wd = j >> 6;
                         bits[wd] |= (uint64_t)1 << (j & 63);
@@ -553,200 +579,179 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
     return m;
 }
 
-/* -- fused tabulated pair kernel ------------------------------------- */
+/* -- range-limited pair walk ------------------------------------------ */
 
-/* nonbonded_real_space_tabulated + quantize_round_only in one pass:
- * per pair, normalize r2, locate both tier layouts, Horner-evaluate the
- * six tables, combine with the charge product and LJ A/B coefficients,
- * and quantize the force vector straight to int64 codes.  Per-pair
- * energies are written out for the caller's np.sum (so the reported
- * float energies keep NumPy's pairwise-summation bits). */
-typedef struct {
-    int64_t n;
-    const int64_t *pi, *pj;
-    const double *dx, *r2, *charges;
+typedef struct { /* field for field kernels/build.py: PairSpec */
+    const double *charges;
     const int64_t *types;
     const double *amat, *bmat;
     int64_t n_types;
     double coulomb, cutoff2, umax;
-    const double *e_starts;
+    const double *e_starts, *e_widths, *e_inv, *e_cf, *e_ce;
     int64_t e_nseg;
-    const double *e_widths, *e_cf, *e_ce;
-    const double *d_starts;
+    const double *d_starts, *d_widths, *d_inv, *c12f, *c6f, *c12e, *c6e;
     int64_t d_nseg;
-    const double *d_widths, *c12f, *c6f, *c12e, *c6e;
-    double q_limit, q_scale;
-    int64_t *codes;
-    double *e_lj, *e_coul;
-    const int32_t *e_grid, *d_grid;
-} rk_pc_arg;
+    double q_limit, q_scale, q_mul;
+} rk_pair_spec;
 
-/* Per-pair work over [lo, hi): every output row k is written by
- * exactly one lane, so any partition of the pair range is bitwise
- * identical to the serial loop. */
-static void rk_pair_codes_range(const rk_pc_arg *a, int64_t lo, int64_t hi)
+/* Table offset clip((u - start) / width, 0, 1) within segment s.
+ *
+ * Lemma (reciprocal multiply): dividing by a power of two 2^-k and
+ * multiplying by 2^k are the same exact scaling (u - start <= 1, so no
+ * overflow).  inv holds 1 / width for a layout whose every width is a
+ * power of two and is NULL otherwise, which keeps the division. */
+static inline double rk_offset(double u, const double *starts,
+                               const double *widths, const double *inv,
+                               int64_t s)
 {
-    const int64_t *pi = a->pi, *pj = a->pj;
-    const double *dx = a->dx, *r2 = a->r2;
-    const double *charges = a->charges;
-    const int64_t *types = a->types;
-    const double *amat = a->amat, *bmat = a->bmat;
-    int64_t n_types = a->n_types;
-    double coulomb = a->coulomb, cutoff2 = a->cutoff2, umax = a->umax;
-    const double *e_starts = a->e_starts, *e_widths = a->e_widths;
-    const double *e_cf = a->e_cf, *e_ce = a->e_ce;
-    int64_t e_nseg = a->e_nseg;
-    const double *d_starts = a->d_starts, *d_widths = a->d_widths;
-    const double *c12f = a->c12f, *c6f = a->c6f;
-    const double *c12e = a->c12e, *c6e = a->c6e;
-    int64_t d_nseg = a->d_nseg;
-    double q_limit = a->q_limit, q_scale = a->q_scale;
-    int64_t *codes = a->codes;
-    double *e_lj = a->e_lj, *e_coul = a->e_coul;
-    const int32_t *e_grid = a->e_grid, *d_grid = a->d_grid;
+    double t = inv ? (u - starts[s]) * inv[s] : (u - starts[s]) / widths[s];
+    if (t < 0.0)
+        t = 0.0;
+    if (t > 1.0)
+        t = 1.0;
+    return t;
+}
 
-    for (int64_t k = lo; k < hi; k++) {
-        int64_t i = pi[k], j = pj[k];
-        double qq = charges[i] * charges[j] * coulomb;
-        int64_t tij = types[i] * n_types + types[j];
-        double a = amat[tij];
-        double b = bmat[tij];
+/* Candidates per block: their dx/r2 stay in L1 between the two phases. */
+#define RK_WALK_BLOCK 256
 
-        double u = r2[k] / cutoff2;
-        if (u > umax)
-            u = umax;
+/* One evaluation of the range-limited forces, from the cached Verlet
+ * candidates straight to the force accumulator: NumpyKernels.pair_filter
+ * -> pair_table_codes -> deposit_pairs with nothing stored per pair but
+ * what the caller reads — the surviving (i, j) and the per-pair energies
+ * (summed by np.sum, so the reported floats keep NumPy's pairwise bits).
+ *
+ * Per block of candidates, phase 1 is rk_pair_filter's predicate with a
+ * branch-free compaction (write the survivor slot always, advance it by
+ * r2 < cutoff2; the slot index never passes the candidate index, so
+ * outputs sized to n_cand suffice).  Phase 2 runs nonbonded_real_space_
+ * tabulated + quantize_round_only on the survivors — normalize r2 (a
+ * loop of its own, so the division packs), locate both tier layouts,
+ * Horner-evaluate the six tables, combine with the charge product and
+ * the LJ A/B coefficients — and adds each code to atom i's row sum,
+ * held in registers while i repeats (the list is sorted by i), and
+ * subtracts it from acc[j].  uint64 adds wrap like int64 and commute, so
+ * the deposit order is invisible.  The arrays must not overlap.  Serial
+ * at every thread count.  Returns the surviving pair count. */
+int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
+                     const int64_t *restrict jj, const double *restrict w,
+                     const double *L, const rk_pair_spec *s,
+                     int64_t *restrict acc, int64_t *restrict oi,
+                     int64_t *restrict oj, double *restrict e_lj,
+                     double *restrict e_coul)
+{
+    int32_t e_grid[RK_GRID], d_grid[RK_GRID];
+    rk_build_grid(s->e_starts, s->e_nseg, e_grid);
+    rk_build_grid(s->d_starts, s->d_nseg, d_grid);
+    const double L0 = L[0], L1 = L[1], L2 = L[2];
+    const double h0 = 0.5 * L0, h1 = 0.5 * L1, h2 = 0.5 * L2;
+    const double cutoff2 = s->cutoff2, umax = s->umax, coulomb = s->coulomb;
+    const double ql = s->q_limit, qs = s->q_scale, qm = s->q_mul;
+    const double *charges = s->charges;
+    const int64_t *types = s->types;
+    const int64_t n_types = s->n_types;
+    const double *amat = s->amat, *bmat = s->bmat;
+    const double *e_starts = s->e_starts, *e_widths = s->e_widths;
+    const double *e_inv = s->e_inv, *e_cf = s->e_cf, *e_ce = s->e_ce;
+    const double *d_starts = s->d_starts, *d_widths = s->d_widths;
+    const double *d_inv = s->d_inv, *c12f = s->c12f, *c6f = s->c6f;
+    const double *c12e = s->c12e, *c6e = s->c6e;
+    const int64_t e_nseg = s->e_nseg, d_nseg = s->d_nseg;
+    uint64_t *a = (uint64_t *)acc;
+    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK]; /* bu: r2, then u */
+    uint64_t f0 = 0, f1 = 0, f2 = 0;
+    int64_t m = 0, row = 0;
 
-        int64_t ie = rk_segment(e_starts, e_nseg, e_grid, u);
-        double te = (u - e_starts[ie]) / e_widths[ie];
-        if (te < 0.0)
-            te = 0.0;
-        if (te > 1.0)
-            te = 1.0;
-        int64_t id = rk_segment(d_starts, d_nseg, d_grid, u);
-        double td = (u - d_starts[id]) / d_widths[id];
-        if (td < 0.0)
-            td = 0.0;
-        if (td > 1.0)
-            td = 1.0;
+    for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
+        const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
+        int64_t nb = 0;
+        for (int64_t k = lo; k < hi; k++) {
+            const double *p = w + 3 * ii[k];
+            const double *q = w + 3 * jj[k];
+            double d0 = rk_image(p[0] - q[0], L0, h0);
+            double d1 = rk_image(p[1] - q[1], L1, h1);
+            double d2 = rk_image(p[2] - q[2], L2, h2);
+            double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
+            oi[m + nb] = ii[k];
+            oj[m + nb] = jj[k];
+            bdx[3 * nb] = d0;
+            bdx[3 * nb + 1] = d1;
+            bdx[3 * nb + 2] = d2;
+            bu[nb] = r2;
+            nb += r2 < cutoff2;
+        }
+        for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
+            double u = bu[b] / cutoff2;
+            bu[b] = u > umax ? umax : u;
+        }
+        for (int64_t b = 0; b < nb; b++, m++) {
+            const int64_t i = oi[m], j = oj[m];
+            double qq = charges[i] * charges[j] * coulomb;
+            int64_t tij = types[i] * n_types + types[j];
+            double ca = amat[tij];
+            double cb = bmat[tij];
 
-        double ef = rk_horner4(e_cf + 4 * ie, te);
-        double ee = rk_horner4(e_ce + 4 * ie, te);
-        double f12 = rk_horner4(c12f + 4 * id, td);
-        double f6 = rk_horner4(c6f + 4 * id, td);
-        double e12 = rk_horner4(c12e + 4 * id, td);
-        double e6 = rk_horner4(c6e + 4 * id, td);
+            const double u = bu[b];
+            int64_t ie = rk_segment(e_starts, e_nseg, e_grid, u);
+            double te = rk_offset(u, e_starts, e_widths, e_inv, ie);
+            int64_t id = rk_segment(d_starts, d_nseg, d_grid, u);
+            double td = rk_offset(u, d_starts, d_widths, d_inv, id);
 
-        double p = qq * ef + a * f12 - b * f6;
-        e_coul[k] = qq * ee;
-        e_lj[k] = a * e12 - b * e6;
+            double ef = rk_horner4(e_cf + 4 * ie, te);
+            double ee = rk_horner4(e_ce + 4 * ie, te);
+            double f12 = rk_horner4(c12f + 4 * id, td);
+            double f6 = rk_horner4(c6f + 4 * id, td);
+            double e12 = rk_horner4(c12e + 4 * id, td);
+            double e6 = rk_horner4(c6e + 4 * id, td);
 
-        codes[3 * k] = rk_quantize(p * dx[3 * k], q_limit, q_scale);
-        codes[3 * k + 1] = rk_quantize(p * dx[3 * k + 1], q_limit, q_scale);
-        codes[3 * k + 2] = rk_quantize(p * dx[3 * k + 2], q_limit, q_scale);
+            double pf = qq * ef + ca * f12 - cb * f6;
+            e_coul[m] = qq * ee;
+            e_lj[m] = ca * e12 - cb * e6;
+
+            uint64_t c0 = (uint64_t)rk_quantize(pf * bdx[3 * b], ql, qs, qm);
+            uint64_t c1 = (uint64_t)rk_quantize(pf * bdx[3 * b + 1], ql, qs, qm);
+            uint64_t c2 = (uint64_t)rk_quantize(pf * bdx[3 * b + 2], ql, qs, qm);
+            if (i != row) { /* next row: flush the finished one */
+                a[3 * row] += f0;
+                a[3 * row + 1] += f1;
+                a[3 * row + 2] += f2;
+                f0 = f1 = f2 = 0;
+                row = i;
+            }
+            f0 += c0;
+            f1 += c1;
+            f2 += c2;
+            a[3 * j] -= c0;
+            a[3 * j + 1] -= c1;
+            a[3 * j + 2] -= c2;
+        }
     }
-}
-
-static rk_pc_arg rk_pc_pack(
-    int64_t n, const int64_t *pi, const int64_t *pj,
-    const double *dx, const double *r2,
-    const double *charges, const int64_t *types,
-    const double *amat, const double *bmat, int64_t n_types,
-    double coulomb, double cutoff2, double umax,
-    const double *e_starts, int64_t e_nseg,
-    const double *e_widths,
-    const double *e_cf, const double *e_ce,
-    const double *d_starts, int64_t d_nseg,
-    const double *d_widths,
-    const double *c12f, const double *c6f,
-    const double *c12e, const double *c6e,
-    double q_limit, double q_scale,
-    int64_t *codes, double *e_lj, double *e_coul,
-    const int32_t *e_grid, const int32_t *d_grid)
-{
-    rk_pc_arg a;
-    a.n = n; a.pi = pi; a.pj = pj; a.dx = dx; a.r2 = r2;
-    a.charges = charges; a.types = types;
-    a.amat = amat; a.bmat = bmat; a.n_types = n_types;
-    a.coulomb = coulomb; a.cutoff2 = cutoff2; a.umax = umax;
-    a.e_starts = e_starts; a.e_nseg = e_nseg; a.e_widths = e_widths;
-    a.e_cf = e_cf; a.e_ce = e_ce;
-    a.d_starts = d_starts; a.d_nseg = d_nseg; a.d_widths = d_widths;
-    a.c12f = c12f; a.c6f = c6f; a.c12e = c12e; a.c6e = c6e;
-    a.q_limit = q_limit; a.q_scale = q_scale;
-    a.codes = codes; a.e_lj = e_lj; a.e_coul = e_coul;
-    a.e_grid = e_grid; a.d_grid = d_grid;
-    return a;
-}
-
-void rk_pair_table_codes(
-    int64_t n, const int64_t *pi, const int64_t *pj,
-    const double *dx, const double *r2,
-    const double *charges, const int64_t *types,
-    const double *amat, const double *bmat, int64_t n_types,
-    double coulomb, double cutoff2, double umax,
-    const double *e_starts, int64_t e_nseg,
-    const double *e_widths,
-    const double *e_cf, const double *e_ce,
-    const double *d_starts, int64_t d_nseg,
-    const double *d_widths,
-    const double *c12f, const double *c6f,
-    const double *c12e, const double *c6e,
-    double q_limit, double q_scale,
-    int64_t *codes, double *e_lj, double *e_coul)
-{
-    int32_t e_grid[RK_GRID];
-    int32_t d_grid[RK_GRID];
-    rk_build_grid(e_starts, e_nseg, e_grid);
-    rk_build_grid(d_starts, d_nseg, d_grid);
-    rk_pc_arg a = rk_pc_pack(n, pi, pj, dx, r2, charges, types, amat, bmat,
-                             n_types, coulomb, cutoff2, umax,
-                             e_starts, e_nseg, e_widths, e_cf, e_ce,
-                             d_starts, d_nseg, d_widths, c12f, c6f, c12e, c6e,
-                             q_limit, q_scale, codes, e_lj, e_coul,
-                             e_grid, d_grid);
-    rk_pair_codes_range(&a, 0, n);
-}
-
-static void rk_pair_codes_task(void *p, int64_t tid, int64_t nt)
-{
-    const rk_pc_arg *a = (const rk_pc_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    rk_pair_codes_range(a, lo, hi);
-}
-
-void rk_pair_table_codes_mt(
-    int64_t n, const int64_t *pi, const int64_t *pj,
-    const double *dx, const double *r2,
-    const double *charges, const int64_t *types,
-    const double *amat, const double *bmat, int64_t n_types,
-    double coulomb, double cutoff2, double umax,
-    const double *e_starts, int64_t e_nseg,
-    const double *e_widths,
-    const double *e_cf, const double *e_ce,
-    const double *d_starts, int64_t d_nseg,
-    const double *d_widths,
-    const double *c12f, const double *c6f,
-    const double *c12e, const double *c6e,
-    double q_limit, double q_scale,
-    int64_t *codes, double *e_lj, double *e_coul,
-    int64_t nthreads)
-{
-    int32_t e_grid[RK_GRID];
-    int32_t d_grid[RK_GRID];
-    rk_build_grid(e_starts, e_nseg, e_grid);
-    rk_build_grid(d_starts, d_nseg, d_grid);
-    rk_pc_arg a = rk_pc_pack(n, pi, pj, dx, r2, charges, types, amat, bmat,
-                             n_types, coulomb, cutoff2, umax,
-                             e_starts, e_nseg, e_widths, e_cf, e_ce,
-                             d_starts, d_nseg, d_widths, c12f, c6f, c12e, c6e,
-                             q_limit, q_scale, codes, e_lj, e_coul,
-                             e_grid, d_grid);
-    if (nthreads <= 1 || n < nthreads) {
-        rk_pair_codes_range(&a, 0, n);
-        return;
+    if (m) {
+        a[3 * row] += f0;
+        a[3 * row + 1] += f1;
+        a[3 * row + 2] += f2;
     }
-    rk_run(rk_pair_codes_task, &a, nthreads);
+    return m;
+}
+
+/* The NT method's force-export set of one step, as marks: pair (i, j) is
+ * computed on node_tab[home[i], home[j]] (the tabulated box-pair rule of
+ * parallel.nt.nt_node_tables), and that node owes atom i and atom j one
+ * summed force each.  mi / mj are (n_atoms, n_nodes) byte maps, cleared
+ * here, of the (atom, node) sums of the i side and of the j side. */
+void rk_nt_marks(int64_t m, const int64_t *pi, const int64_t *pj,
+                 const int64_t *home, const int64_t *node_tab,
+                 int64_t n_nodes, int64_t n_atoms,
+                 uint8_t *restrict mi, uint8_t *restrict mj)
+{
+    memset(mi, 0, (size_t)(n_atoms * n_nodes));
+    memset(mj, 0, (size_t)(n_atoms * n_nodes));
+    for (int64_t k = 0; k < m; k++) {
+        const int64_t i = pi[k], j = pj[k];
+        const int64_t node = node_tab[home[i] * n_nodes + home[j]];
+        mi[i * n_nodes + node] = 1;
+        mj[j * n_nodes + node] = 1;
+    }
 }
 
 /* -- fixed-point deposits --------------------------------------------- */

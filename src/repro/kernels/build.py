@@ -64,6 +64,23 @@ class MeshAxes(ctypes.Structure):
     ]
 
 
+class PairSpec(ctypes.Structure):
+    """``rk_pair_spec``: the frozen inputs of the range-limited pair walk."""
+
+    _fields_ = (
+        [(name, ctypes.c_void_p) for name in ("charges", "types", "amat", "bmat")]
+        + [("n_types", ctypes.c_int64)]
+        + [(name, ctypes.c_double) for name in ("coulomb", "cutoff2", "umax")]
+        + [(name, ctypes.c_void_p)
+           for name in ("e_starts", "e_widths", "e_inv", "e_cf", "e_ce")]
+        + [("e_nseg", ctypes.c_int64)]
+        + [(name, ctypes.c_void_p)
+           for name in ("d_starts", "d_widths", "d_inv", "c12f", "c6f", "c12e", "c6e")]
+        + [("d_nseg", ctypes.c_int64)]
+        + [(name, ctypes.c_double) for name in ("q_limit", "q_scale", "q_mul")]
+    )
+
+
 def _compiler_ident(cc: str) -> str | None:
     """First line of ``cc --version``, or None when the compiler is
     missing.  Part of the cache key: a host switching cc -> clang (or
@@ -175,13 +192,11 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
     lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64]
-    lib.rk_pair_table_codes.restype = None
-    lib.rk_pair_table_codes.argtypes = (
-        [i64, p, p, p, p, p, p, p, p, i64, f64, f64, f64]
-        + [p, i64, p, p, p]
-        + [p, i64, p, p, p, p, p]
-        + [f64, f64, p, p, p]
-    )
+    # The walk takes a PairSpec by reference; serial at every thread count.
+    lib.rk_pair_walk.restype = i64
+    lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
+    lib.rk_nt_marks.restype = None
+    lib.rk_nt_marks.argtypes = [i64, p, p, p, p, i64, i64, p, p]
     lib.rk_deposit_pairs.restype = None
     lib.rk_deposit_pairs.argtypes = [p, p, p, p, i64]
     lib.rk_scatter_rows.restype = None
@@ -216,10 +231,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_pair_filter_mt.restype = i64
     lib.rk_pair_filter_mt.argtypes = (
         [i64, p, p, p, p, f64, p, p, p, p, i64, p]
-    )
-    lib.rk_pair_table_codes_mt.restype = None
-    lib.rk_pair_table_codes_mt.argtypes = (
-        list(lib.rk_pair_table_codes.argtypes) + [i64]
     )
     lib.rk_deposit_pairs_mt.restype = None
     lib.rk_deposit_pairs_mt.argtypes = [p, p, p, p, i64, i64, p, i64]

@@ -2,15 +2,17 @@
 
 A *kernel suite* is the small set of hot-loop primitives the machine
 simulation dispatches through: neighbor-list rebuild and cutoff
-filtering, the fused tabulated pair kernel (table evaluation straight
-to fixed-point force codes), fixed-point scatter deposits, the fused
-mesh spread and gather, and the SHAKE/RATTLE constraint sweeps.  Two
-tiers implement the same contract (four primitives are compiled-only,
-their NumPy counterpart being the pipeline the caller keeps as its
-NumPy-tier path: ``neighbor_build`` — the cell pipeline of
-:class:`~repro.geometry.NeighborList` — and the three ``mesh_*_axes``
-— the stencil-cube pipeline of
-:class:`~repro.ewald.gse.MeshStencilPlan`):
+filtering, the range-limited pair walk (cached candidates straight to
+the fixed-point force accumulator), the NT force-export marks,
+fixed-point scatter deposits, the fused mesh spread and gather, and
+the SHAKE/RATTLE constraint sweeps.  Two tiers implement the same
+contract (five primitives are compiled-only, their NumPy counterpart
+being the pipeline the caller keeps as its NumPy-tier path:
+``neighbor_build`` — the cell pipeline of
+:class:`~repro.geometry.NeighborList`; ``pair_walk`` — ``pair_filter``
+-> ``pair_table_codes`` -> ``deposit_pairs``, the three NumPy passes
+that stay as its oracle; and the three ``mesh_*_axes`` — the
+stencil-cube pipeline of :class:`~repro.ewald.gse.MeshStencilPlan`):
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.
@@ -42,13 +44,15 @@ as the NumPy tier.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.kernels.build import KernelBuildError, MeshAxes, load
+from repro.kernels.build import KernelBuildError, MeshAxes, PairSpec, load
 
 __all__ = [
     "KERNEL_TIERS",
@@ -120,7 +124,7 @@ def _i64(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairTableSpec:
-    """Frozen per-system inputs of the fused tabulated pair kernel.
+    """Frozen per-system inputs of the tabulated pair kernels.
 
     Everything that does not change between force evaluations: charges,
     LJ type ids, the precomputed per-type-pair A/B coefficient matrices,
@@ -128,6 +132,13 @@ class PairTableSpec:
     the electrostatic and dispersion layouts, and the force-code
     quantization constants.  Built once by :func:`make_pair_spec` and
     reused every step.
+
+    ``e_inv``/``d_inv`` (reciprocal segment widths) and ``q_mul``
+    (``q_scale / q_limit``) are what lets the compiled walk drop a
+    division where that is exact: each is set only when every divisor
+    it replaces is a power of two, and is ``None`` / ``0.0`` otherwise,
+    which keeps the literal division.  The NumPy oracle never reads
+    them.
     """
 
     charges: np.ndarray
@@ -150,6 +161,36 @@ class PairTableSpec:
     c6e: np.ndarray
     q_limit: float
     q_scale: float
+    e_inv: np.ndarray | None = None
+    d_inv: np.ndarray | None = None
+    q_mul: float = 0.0
+
+    @cached_property
+    def c(self) -> PairSpec:
+        """The spec as the walk's ``rk_pair_spec`` (pointers into these arrays)."""
+        fields = {}
+        for name, _ in PairSpec._fields_:
+            if name.endswith("_nseg"):
+                value = len(getattr(self, name[0] + "_starts"))
+            else:
+                value = getattr(self, name)
+                if isinstance(value, np.ndarray):
+                    value = value.ctypes.data
+            fields[name] = value
+        return PairSpec(**fields)
+
+
+def _pow2(x: float) -> bool:
+    """``x`` is a power of two far from the ends of the exponent range."""
+    mantissa, exponent = math.frexp(x)
+    return mantissa == 0.5 and -500 < exponent < 500
+
+
+def _pow2_reciprocals(widths: np.ndarray) -> np.ndarray | None:
+    """``1 / widths`` when dividing by each is an exact scaling, else None."""
+    if all(_pow2(w) and w <= 1.0 for w in widths.tolist()):
+        return np.ascontiguousarray(1.0 / widths)
+    return None
 
 
 def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTableSpec:
@@ -190,6 +231,7 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTabl
     amat = np.ascontiguousarray(4.0 * eps_ij * s6 * s6)
     bmat = np.ascontiguousarray(4.0 * eps_ij * s6)
 
+    q_limit, q_scale = float(force_codec.limit), float(force_codec.fmt.scale)
     return PairTableSpec(
         charges=np.ascontiguousarray(charges, dtype=np.float64),
         types=np.ascontiguousarray(type_ids, dtype=np.int64),
@@ -209,8 +251,11 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTabl
         c6f=c6f,
         c12e=c12e,
         c6e=c6e,
-        q_limit=float(force_codec.limit),
-        q_scale=float(force_codec.fmt.scale),
+        q_limit=q_limit,
+        q_scale=q_scale,
+        e_inv=_pow2_reciprocals(e_widths),
+        d_inv=_pow2_reciprocals(d_widths),
+        q_mul=q_scale / q_limit if _pow2(q_limit) and _pow2(q_scale) else 0.0,
     )
 
 
@@ -249,7 +294,12 @@ class NumpyKernels:
         """Cutoff-filter candidate pairs into the provided scratch.
 
         Returns the surviving count ``m``; results land in
-        ``oi[:m], oj[:m], odx[:m], or2[:m]``.
+        ``oi[:m], oj[:m], odx[:m], or2[:m]`` of scratch sized to the
+        candidate count (the compiled tier compacts branch-free, writing
+        the next slot before it knows the pair survives).  ``wrapped``
+        must lie in ``[0, L)`` per axis, as :meth:`Box.wrap` leaves it:
+        the compiled tier takes the minimum image without dividing,
+        which equals this expression exactly under that precondition.
         """
         d = wrapped[ii] - wrapped[jj]
         dx = d - lengths * np.round(d / lengths)
@@ -262,7 +312,7 @@ class NumpyKernels:
         or2[:m] = r2[keep]
         return m
 
-    # -- fused tabulated pair kernel -------------------------------------
+    # -- tabulated pair kernel (the compiled pair_walk's oracle) -----------
 
     def pair_table_codes(self, spec: PairTableSpec, i, j, dx, r2, codes, e_lj, e_coul):
         """Tabulated pair forces quantized to int64 codes.
@@ -318,6 +368,22 @@ class NumpyKernels:
     def scatter_add(self, acc, keys, codes):
         with np.errstate(over="ignore"):
             np.add.at(acc, keys, codes)
+
+    # -- NT force-export marks --------------------------------------------
+
+    def nt_marks(self, i, j, home, node_tab, marks_i, marks_j):
+        """Mark the per-atom force sums one step's pairs leave on each node.
+
+        Pair ``(i, j)`` is computed on ``node_tab[home[i], home[j]]``
+        (the tabulated NT rule over home-box ids), and that node then
+        holds one summed force for atom ``i`` and one for atom ``j``.
+        ``marks_i`` / ``marks_j`` are ``(n_atoms, n_nodes)`` bool maps,
+        cleared here, of the i side's and the j side's (atom, node) sums.
+        """
+        node = node_tab[home[i], home[j]]
+        for marks, atoms in ((marks_i, i), (marks_j, j)):
+            marks[...] = False
+            marks[atoms, node] = True
 
     # -- constraints -------------------------------------------------------
 
@@ -444,7 +510,8 @@ class CompiledKernels(NumpyKernels):
         what the NumPy pipeline in :mod:`repro.geometry.cells` leaves
         after filter, exclusion mask and canonical sort.  ``wrapped`` is
         the C-contiguous ``(n_blocks * block_len, 3)`` wrapped
-        positions.  Returns the pair count ``m``; pairs land in
+        positions, every coordinate in ``[0, L)`` (the predicate's
+        precondition).  Returns the pair count ``m``; pairs land in
         ``oi[:m], oj[:m]`` when they fit, and ``m > len(oi)`` asks the
         caller to grow the buffers and call again.  There is no threaded
         twin: every ``threads`` setting runs this one serial sweep.
@@ -468,23 +535,51 @@ class CompiledKernels(NumpyKernels):
             )
         )
 
-    def pair_table_codes(self, spec: PairTableSpec, i, j, dx, r2, codes, e_lj, e_coul):
-        args = (
-            len(i), _ptr(i), _ptr(j), _ptr(dx), _ptr(r2),
-            _ptr(spec.charges), _ptr(spec.types),
-            _ptr(spec.amat), _ptr(spec.bmat), spec.n_types,
-            spec.coulomb, spec.cutoff2, spec.umax,
-            _ptr(spec.e_starts), len(spec.e_starts), _ptr(spec.e_widths),
-            _ptr(spec.e_cf), _ptr(spec.e_ce),
-            _ptr(spec.d_starts), len(spec.d_starts), _ptr(spec.d_widths),
-            _ptr(spec.c12f), _ptr(spec.c6f), _ptr(spec.c12e), _ptr(spec.c6e),
-            spec.q_limit, spec.q_scale,
-            _ptr(codes), _ptr(e_lj), _ptr(e_coul),
+    def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
+                  oi, oj, e_lj, e_coul):
+        """One range-limited evaluation, candidates to accumulator, in C.
+
+        Bitwise :meth:`pair_filter` -> :meth:`pair_table_codes` ->
+        :meth:`deposit_pairs` into the ``(n_atoms, 3)`` int64 ``acc``,
+        keeping of the per-pair data only what callers read: the
+        surviving pairs in ``oi[:m], oj[:m]`` and their energies in
+        ``e_lj[:m], e_coul[:m]`` (all four sized to the candidate
+        count).  ``wrapped`` as for :meth:`pair_filter`.  Returns ``m``.
+        There is no threaded twin: every ``threads`` setting runs this
+        one serial walk.
+        """
+        n, n_atoms = len(ii), len(wrapped)
+        outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
+        if not (
+            _conforms(wrapped, (n_atoms, 3), np.float64)
+            and _conforms(acc, (n_atoms, 3), np.int64)
+            and _conforms(ii, (n,), np.int64)
+            and _conforms(jj, (n,), np.int64)
+            and all(_conforms(a[:n], (n,), t) for a, t in outs)
+        ):
+            raise ValueError("pair_walk: arrays do not match the candidate layout")
+        return int(
+            self._lib.rk_pair_walk(
+                n, _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
+                ctypes.byref(spec.c), _ptr(acc), _ptr(oi), _ptr(oj),
+                _ptr(e_lj), _ptr(e_coul),
+            )
         )
-        if self.threads > 1 and len(i) >= _MT_MIN_PAIRS:
-            self._lib.rk_pair_table_codes_mt(*args, self.threads)
-        else:
-            self._lib.rk_pair_table_codes(*args)
+
+    def nt_marks(self, i, j, home, node_tab, marks_i, marks_j):
+        n_atoms, n_nodes = marks_i.shape
+        if not (
+            _conforms(i, (len(i),), np.int64) and _conforms(j, (len(i),), np.int64)
+            and _conforms(home, (n_atoms,), np.int64)
+            and _conforms(node_tab, (n_nodes, n_nodes), np.int64)
+            and _conforms(marks_i, (n_atoms, n_nodes), np.bool_)
+            and _conforms(marks_j, (n_atoms, n_nodes), np.bool_)
+        ):
+            raise ValueError("nt_marks: arrays do not match the machine layout")
+        self._lib.rk_nt_marks(
+            len(i), _ptr(i), _ptr(j), _ptr(home), _ptr(node_tab),
+            n_nodes, n_atoms, _ptr(marks_i), _ptr(marks_j),
+        )
 
     def deposit_pairs(self, raw, i, j, codes):
         i = _i64(i)

@@ -6,8 +6,8 @@ time step:
 * :class:`VectorizedBackend` — what every run uses: each phase's
   contributions deposited by single array kernels, owner grouping
   collapsed (integer accumulation commutes, so grouping cannot change
-  the bits), cached import routes, and bincount-batched traffic
-  accounting.
+  the bits), cached import routes, and traffic accounting batched
+  over per-step (atom, node) marks.
 * :class:`SerialBackend` — the literal per-node Python loops the
   array kernels replaced: deposits grouped node by node, GSE spreading
   and interpolation called once per owning node, traffic charged one
@@ -28,19 +28,17 @@ Backends also charge their engine phases to ``machine_*`` timers
 :class:`~repro.perf.timers.Timers`, and the mesh pipeline's sub-phases
 to ``mesh_plan`` / ``mesh_spread`` / ``mesh_fft`` / ``mesh_interp``
 nested inside ``machine_mesh`` — the breakdown ``repro machine
---profile`` and the scaling benchmark report.
+--profile`` and the scaling benchmark report.  On the compiled tier
+the range-limited pair deposit happens inside the pair walk and is
+charged to ``range_limited``; ``machine_deposit`` then holds the
+bonded and correction deposits only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel import (
-    NTAssignment,
-    nt_assign_pairs,
-    nt_node_tables,
-    tower_plate_boxes,
-)
+from repro.parallel import nt_assign_pairs, nt_node_tables, tower_plate_boxes
 
 __all__ = [
     "MachineBackend",
@@ -113,7 +111,11 @@ class MachineBackend:
     # -- force deposit phases -------------------------------------------
 
     def range_limited(self, calc, positions, force_codec, acc):
-        """Compute + deposit range-limited pair forces; return (nb, assignment)."""
+        """Compute + deposit range-limited pair forces; return (nb, export).
+
+        ``export`` is the backend's own record of the step's NT
+        assignment, handed back to :meth:`account_force_export`.
+        """
         raise NotImplementedError
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
@@ -131,7 +133,7 @@ class MachineBackend:
     def account_position_import(self, machine) -> None:
         raise NotImplementedError
 
-    def account_force_export(self, machine, pair_nodes, i, j) -> None:
+    def account_force_export(self, machine, export) -> None:
         raise NotImplementedError
 
 
@@ -164,7 +166,7 @@ class SerialBackend(MachineBackend):
             assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
         with calc.timers.time("machine_deposit"):
             self._deposit_by_node(calc, acc, assign.node, nb.i, nb.j, codes)
-        return nb, assign
+        return nb, (assign.node, nb.i, nb.j)
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
         term_nodes = calc.machine.bond_assignment.term_node
@@ -252,7 +254,8 @@ class SerialBackend(MachineBackend):
                 tag="position_import",
             )
 
-    def account_force_export(self, machine, pair_nodes, i, j) -> None:
+    def account_force_export(self, machine, export) -> None:
+        pair_nodes, i, j = export
         for atoms in (i, j):
             out = _force_export_side(machine, pair_nodes, atoms)
             if out is None:
@@ -278,42 +281,50 @@ class VectorizedBackend(MachineBackend):
     def bind(self, calc) -> None:
         super().bind(calc)
         self._import_routes: tuple[np.ndarray, np.ndarray] | None = None
-        self._nt_tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._nt_table: np.ndarray | None = None
+        #: Per-side (atom, node) force-export marks, reused across steps.
+        self._marks: tuple[np.ndarray, np.ndarray] | None = None
         #: Shared mesh stencil plan, storage reused across steps.
         self._mesh_plan = None
         #: Flat int64 mesh accumulator, reused across evaluations.
         self._mesh_acc: np.ndarray | None = None
 
-    def _assign_pairs(self, m, positions, i, j) -> NTAssignment:
-        """NT assignment via the tabulated box-pair rule.
+    def _nt_marks(self, m, positions, i, j) -> tuple[np.ndarray, np.ndarray]:
+        """The step's NT assignment as per-side (atom, node) marks.
 
         The computing node is a pure function of the two home-box ids
         (see :func:`~repro.parallel.nt.nt_node_tables`), so per step
-        the whole assignment is one ``box_coord`` pass over the
-        configuration plus two gathers — identical bits to the direct
-        rule at a fraction of the array passes.
+        the assignment is one ``node_of`` pass over the configuration
+        and one kernel pass over the pairs that looks each node up and
+        marks the two per-atom force sums it leaves there — all
+        :meth:`account_force_export` needs, with no per-pair array.
+        The node depends on the atoms' *current* home boxes and the
+        pairs on this step's cutoff test, so the marks are per step,
+        not per rebuild.
         """
         n = m.topology.n_nodes
+        if self._marks is None:
+            self._marks = tuple(np.zeros((len(positions), n), dtype=np.bool_) for _ in "ij")
+        marks_i, marks_j = self._marks
         if n * n > _NT_TABLE_MAX_ENTRIES:
             coords = m.decomp.box_coord(positions)
-            return nt_assign_pairs(m.decomp, positions, i, j, atom_box_coords=coords)
-        if self._nt_tables is None:
-            self._nt_tables = nt_node_tables(m.decomp)
-        node_tab, neutral_tab = self._nt_tables
-        flat = m.decomp.node_of(positions)
-        key = flat[i] * np.int64(n) + flat[j]
-        return NTAssignment(
-            node=node_tab.ravel()[key], neutral=neutral_tab.ravel()[key]
+            node = nt_assign_pairs(m.decomp, positions, i, j, atom_box_coords=coords).node
+            for marks, atoms in ((marks_i, i), (marks_j, j)):
+                marks[...] = False
+                marks[atoms, node] = True
+            return self._marks
+        if self._nt_table is None:
+            self._nt_table = np.ascontiguousarray(nt_node_tables(m.decomp)[0])
+        self.kernels.nt_marks(
+            i, j, m.decomp.node_of(positions), self._nt_table, marks_i, marks_j
         )
+        return self._marks
 
     def range_limited(self, calc, positions, force_codec, acc):
-        m = calc.machine
-        nb, codes = calc._range_limited_codes(positions, force_codec)
+        nb = calc._deposit_range_limited(positions, force_codec, acc)
         with calc.timers.time("machine_nt_assign"):
-            assign = self._assign_pairs(m, positions, nb.i, nb.j)
-        with calc.timers.time("machine_deposit"):
-            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
-        return nb, assign
+            marks = self._nt_marks(calc.machine, positions, nb.i, nb.j)
+        return nb, marks
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
         for contrib in bonded:
@@ -406,30 +417,26 @@ class VectorizedBackend(MachineBackend):
             src[occupied], dst[occupied], nbytes[occupied], tag="position_import"
         )
 
-    def _force_export_side_counts(self, machine, pair_nodes, atoms):
-        """Bincount equivalent of :func:`_force_export_side`.
+    def account_force_export(self, machine, export) -> None:
+        """Charge the routes of :func:`_force_export_side` from the marks.
 
-        Both key spaces are small (``n_atoms * n_nodes`` and
-        ``n_nodes**2``), so counting replaces the sort behind
-        ``np.unique`` with linear passes.  Local contributions (the
-        computing node owns the atom) survive to the route stage here
-        but land on src == dst routes, which ``send_batch`` drops —
-        the charged statistics are exactly the serial backend's.
+        A side's set marks, in flat order, are the ascending unique
+        ``atom * n + node`` keys ``np.unique`` finds over the pairs.
+        Local contributions (the computing node owns the atom) survive
+        to the route stage here but land on src == dst routes, which
+        ``send_batch`` drops — the charged statistics are exactly the
+        serial backend's.
         """
-        n = np.int64(machine.topology.n_nodes)
-        contrib = np.nonzero(np.bincount(atoms * n + pair_nodes))[0]
-        route = (contrib % n) * n + machine.owners[contrib // n]
-        counts = np.bincount(route, minlength=int(n * n))
-        routes = np.nonzero(counts)[0]
-        nbytes = np.maximum(
-            counts[routes] * machine.hw.bytes_per_force, machine.hw.min_message_bytes
-        )
-        return routes // n, routes % n, nbytes
-
-    def account_force_export(self, machine, pair_nodes, i, j) -> None:
-        for atoms in (i, j):
-            out = self._force_export_side_counts(machine, pair_nodes, atoms)
-            machine.network.send_batch(*out, tag="force_export")
+        n = machine.topology.n_nodes
+        for marks in export:
+            contrib = np.flatnonzero(marks)
+            route = (contrib % n) * n + machine.owners[contrib // n]
+            counts = np.bincount(route, minlength=n * n)
+            routes = np.nonzero(counts)[0]
+            nbytes = np.maximum(
+                counts[routes] * machine.hw.bytes_per_force, machine.hw.min_message_bytes
+            )
+            machine.network.send_batch(routes // n, routes % n, nbytes, tag="force_export")
 
 
 _BACKENDS = {

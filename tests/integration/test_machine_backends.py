@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import MDParams, minimize_energy
+from repro.kernels import available
 from repro.machine import AntonMachine, make_backend
 from repro.systems import build_water_box
 
@@ -88,6 +89,74 @@ class TestBackendEquivalence:
         X_res, V_res = resumed.state_codes()
         np.testing.assert_array_equal(X_ref, X_res)
         np.testing.assert_array_equal(V_ref, V_res)
+
+
+#: The three ways a machine step's pairs reach the accumulator and the
+#: network: per-node loops, NumPy array passes, the compiled walk + marks.
+EXECUTIONS = (("serial", "numpy"), ("vectorized", "numpy"), ("vectorized", "compiled"))
+
+
+@pytest.mark.skipif(not available(), reason="no C compiler: compiled kernel tier unavailable")
+class TestExecutionEquivalence:
+    """Serial-NumPy, vectorized-NumPy and vectorized-compiled agree on the
+    bits and on every traffic number: the force-export routes come from
+    ``np.unique`` over the pairs in the first and from the (atom, node)
+    marks in the other two."""
+
+    def _run(self, base_system, backend, tier, **extra):
+        machine = AntonMachine(
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=backend,
+            kernel_tier=tier, **extra,
+        )
+        try:
+            machine.run(6)
+            out = {
+                "codes": [a.copy() for a in machine.state_codes()],
+                "traffic": machine.traffic_summary(),
+                "messages": machine.network.stats.messages,
+                "bytes": machine.network.stats.bytes,
+            }
+            if machine.router is not None:
+                out["link_bytes"] = machine.router.primary.bytes.copy()
+                out["link_packets"] = machine.router.primary.packets.copy()
+                out["export_link_bytes"] = machine.router.by_tag["force_export"].bytes.copy()
+            if machine.fault_controller is not None:
+                out["faults"] = machine.fault_report()
+            return out
+        finally:
+            machine.close()
+
+    @staticmethod
+    def _assert_same(a, b):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], (list, np.ndarray)):
+                for x, y in zip(a[key], b[key]):
+                    np.testing.assert_array_equal(x, y, err_msg=key)
+            else:
+                assert a[key] == b[key], key
+
+    def test_traffic_summary_and_routed_link_loads(self, base_system):
+        ref, *others = (
+            self._run(base_system, backend, tier, routed=True)
+            for backend, tier in EXECUTIONS
+        )
+        assert ref["traffic"]["force_export"][0] > 0
+        assert ref["export_link_bytes"].sum() > 0
+        for other in others:
+            self._assert_same(ref, other)
+
+    def test_faulted_run_heals_to_the_same_bits_and_primary_traffic(self, base_system):
+        clean = self._run(base_system, "serial", "numpy")
+        for backend, tier in EXECUTIONS:
+            healed = self._run(
+                base_system, backend, tier, faults={"drop": 0.3, "corrupt": 0.2},
+                fault_seed=7,
+            )
+            assert healed.pop("faults")["retries"] > 0
+            # Primary traffic excludes retransmits: exactly the clean run's.
+            for key in ("codes", "traffic"):
+                self._assert_same({key: clean[key]}, {key: healed[key]})
 
 
 class TestStepProfile:

@@ -1,22 +1,25 @@
-"""Integration: the compiled rebuild and mesh kernels are invisible in the artifacts.
+"""Integration: the compiled rebuild, pair walk and mesh kernels are invisible in the artifacts.
 
 On the compiled tier ``NeighborList`` rebuilds through the C
-``neighbor_build`` sweep instead of the NumPy cell pipeline, and the
-long-range mesh spreads and gathers straight from the stencil plan's
-per-axis rows instead of its NumPy cubes.  A thin skin forces several
-rebuilds inside a short run that also holds six long-range evaluations,
-and the machine's and the ensemble's files on disk — trajectory and
-checkpoints — must come out byte-identical on the NumPy tier and on the
-compiled tier at one and at four kernel threads (the rebuild itself is
-serial at every thread count).
+``neighbor_build`` sweep instead of the NumPy cell pipeline, the
+range-limited forces go from the cached candidates to the accumulator
+in one C ``pair_walk`` instead of the NumPy filter / table / deposit
+passes, and the long-range mesh spreads and gathers straight from the
+stencil plan's per-axis rows instead of its NumPy cubes.  A thin skin
+forces several rebuilds inside a short run that also holds six
+long-range evaluations, and the files on disk — trajectory and
+checkpoints — of the machine, of the ensemble and of a solo simulation
+handed the suite must come out byte-identical on the NumPy tier and on
+the compiled tier at one and at four kernel threads (rebuild and walk
+are serial at every thread count).
 """
 
 import pytest
 
-from repro.core import BerendsenThermostat, MDParams, minimize_energy
+from repro.core import BerendsenThermostat, MDParams, Simulation, minimize_energy
 from repro.ensemble import EnsembleSimulation, derive_replica_seeds
 from repro.io import CheckpointStore, replica_checkpoint_store, replica_trajectory_path
-from repro.kernels import available
+from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
 
@@ -32,6 +35,11 @@ assert STEPS // LONG_RANGE_EVERY >= 4  # mesh evaluations per run
 
 def _files(paths):
     return [p.read_bytes() for p in paths]
+
+
+def _assert_pair_path(calc, tier):
+    """The compiled tier walked (its output scratch exists); NumPy did not."""
+    assert (calc._pair_out is not None) == (tier == "compiled")
 
 
 def test_machine_artifacts_identical_through_rebuilds(tmp_path):
@@ -59,6 +67,7 @@ def test_machine_artifacts_identical_through_rebuilds(tmp_path):
             nl = machine.calc.neighbor_list
             assert nl.kernels.tier == tier
             assert nl.n_builds >= 3  # the first build and at least two rebuilds
+            _assert_pair_path(machine.calc, tier)
             out[tier, threads] = (
                 nl.n_builds,
                 _files([traj_path] + [store.path_for(s) for s in store.steps()]),
@@ -101,6 +110,7 @@ def _ensemble_artifacts_identical(tmp_path, mesh_bits):
         nl = ens.calc.neighbor_list
         assert nl.kernels.tier == tier
         assert nl.n_builds >= 3
+        _assert_pair_path(ens.calc, tier)
         out[tier, threads] = (
             nl.n_builds,
             _files(paths + [st.path_for(s) for st in stores for s in st.steps()]),
@@ -119,3 +129,36 @@ def test_ensemble_artifacts_identical_through_rebuilds(tmp_path):
 def test_ensemble_quantized_mesh_artifacts_identical(tmp_path):
     """Quantized mesh: the compiled tier takes the fused integer spread."""
     _ensemble_artifacts_identical(tmp_path, 40)
+
+
+def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
+    """A solo ``Simulation`` has no tier knob, but its force calculator
+    and neighbor list take a suite; with the compiled one they walk."""
+    params = MDParams(
+        cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
+        long_range_every=LONG_RANGE_EVERY,
+    )
+    system = build_water_box(n_molecules=24, seed=11)
+    minimize_energy(system, params, max_steps=30)
+    system.initialize_velocities(300.0, seed=12)
+    out = {}
+    for tier, threads in CONFIGS:
+        sim = Simulation(system.copy(), params, dt=1.0)
+        sim.calc.kernels = sim.calc.neighbor_list.kernels = get_suite(tier, threads)
+        traj_path = tmp_path / f"{tier}{threads}.traj"
+        store = CheckpointStore(tmp_path / f"ck_{tier}{threads}")
+        with sim.open_trajectory(traj_path) as traj:
+            sim.run(
+                STEPS, trajectory=traj, trajectory_every=2,
+                checkpoint_store=store, checkpoint_every=4,
+            )
+        nl = sim.calc.neighbor_list
+        assert nl.n_builds >= 3
+        _assert_pair_path(sim.calc, tier)
+        out[tier, threads] = (
+            nl.n_builds,
+            _files([traj_path] + [store.path_for(s) for s in store.steps()]),
+        )
+    assert len(out["numpy", 1][1]) == 1 + STEPS // 4
+    for key in CONFIGS[1:]:
+        assert out[key] == out["numpy", 1], f"artifacts diverged for {key}"

@@ -1,0 +1,51 @@
+"""The compiled pair walk against its oracle, for the property tests.
+
+The oracle is the three NumPy passes the walk replaces —
+``NumpyKernels.pair_filter`` -> ``pair_table_codes`` -> ``deposit_pairs``
+— run with literal divisions throughout.
+"""
+
+import numpy as np
+
+from repro.kernels import get_suite
+
+
+def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
+    """``(acc, oi, oj, e_lj, e_coul)`` of the three NumPy passes."""
+    k = get_suite("numpy")
+    n = len(ii)
+    oi = np.empty(n, dtype=np.int64)
+    oj = np.empty(n, dtype=np.int64)
+    odx = np.empty((n, 3))
+    or2 = np.empty(n)
+    m = k.pair_filter(wrapped, ii, jj, lengths, spec.cutoff2, oi, oj, odx, or2)
+    codes = np.empty((m, 3), dtype=np.int64)
+    e_lj = np.empty(m)
+    e_coul = np.empty(m)
+    k.pair_table_codes(spec, oi[:m], oj[:m], odx[:m], or2[:m], codes, e_lj, e_coul)
+    acc = acc.copy()
+    k.deposit_pairs(acc, oi[:m], oj[:m], codes)
+    return acc, oi[:m], oj[:m], e_lj, e_coul
+
+
+def compiled_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=0):
+    """The same five arrays from ``suite.pair_walk`` (outputs oversized by
+    ``headroom``, as the force calculator's scratch is)."""
+    n = len(ii) + headroom
+    oi = np.empty(n, dtype=np.int64)
+    oj = np.empty(n, dtype=np.int64)
+    e_lj = np.empty(n)
+    e_coul = np.empty(n)
+    acc = acc.copy()
+    m = suite.pair_walk(spec, wrapped, ii, jj, lengths, acc, oi, oj, e_lj, e_coul)
+    return acc, oi[:m], oj[:m], e_lj[:m], e_coul[:m]
+
+
+def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
+    """Every suite's walk equals the oracle bit for bit; returns the pair count."""
+    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
+    for suite in suites:
+        got = compiled_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=3)
+        for name, x, y in zip(("acc", "oi", "oj", "e_lj", "e_coul"), got, want):
+            np.testing.assert_array_equal(x, y, err_msg=name)
+    return len(want[1])

@@ -20,6 +20,7 @@ from repro.core import MDParams, minimize_energy
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.properties.pair_walk_oracle import assert_walk_matches
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -116,37 +117,33 @@ def test_pair_filter_bitwise(tiers, seed):
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 400))
 @settings(max_examples=30, deadline=None)
 def test_pair_table_codes_bitwise(tiers, table_machine, seed, n):
-    """Fused tabulated force/energy/quantize kernel vs the NumPy tier.
+    """The tabulated force/energy/quantize arithmetic vs the NumPy tier.
 
-    Random pair geometries including cutoff-edge r² (0, the cutoff²
-    itself, and just inside) must give identical int64 force codes and
-    identical per-pair energy bits.
+    The compiled tier evaluates the tables inside ``pair_walk``; its
+    oracle is the NumPy ``pair_filter`` -> ``pair_table_codes`` ->
+    ``deposit_pairs``.  Random pair geometries in the machine's own box,
+    including ``r2 == 0`` and pairs at the cutoff and just inside it,
+    must give an identical accumulator, survivor list and per-pair
+    energy bits (``test_pair_walk_props`` holds the adversarial cases).
     """
-    numpy_k, compiled_k = tiers
+    _, compiled_k = tiers
     calc = table_machine.calc
     s = calc.system
     codec = table_machine.fixed_config.force_codec()
     spec = make_pair_spec(calc.tables, s.lj, s.charges, s.type_ids, codec)
     rng = np.random.default_rng(seed)
     cutoff = float(calc.tables.cutoff)
+    lengths = np.ascontiguousarray(s.box.lengths, dtype=np.float64)
+    wrapped = rng.uniform(0, 1, (s.n_atoms, 3)) * lengths
+    # Force some edge distances into the batch.
+    wrapped[1] = wrapped[0]
+    wrapped[2:4] = [[1.0, 1.0, 1.0], [1.0 + cutoff, 1.0, 1.0]]
+    wrapped[4:6] = [[2.0, 0.0, 2.0], [2.0, np.nextafter(cutoff, 0.0), 2.0]]
     i = rng.integers(0, s.n_atoms, n)
     j = rng.integers(0, s.n_atoms, n)
-    dx = rng.normal(0, cutoff / 3, (n, 3))
-    r2 = np.sum(dx * dx, axis=1)
-    # Force some edge distances into the batch.
-    r2[0] = 0.0
-    if n > 2:
-        r2[1] = np.nextafter(cutoff**2, 0.0)
-        r2[2] = cutoff**2 * rng.random()
-    outs = []
-    for k in (numpy_k, compiled_k):
-        codes = np.empty((n, 3), dtype=np.int64)
-        e_lj = np.empty(n)
-        e_coul = np.empty(n)
-        k.pair_table_codes(spec, i, j, dx, r2, codes, e_lj, e_coul)
-        outs.append((codes, e_lj, e_coul))
-    for x, y in zip(*outs):
-        np.testing.assert_array_equal(x, y)
+    i[:3], j[:3] = [0, 2, 4][:n], [1, 3, 5][:n]
+    acc = rng.integers(-(2**62), 2**62, (s.n_atoms, 3))
+    assert_walk_matches([compiled_k], spec, wrapped, i, j, lengths, acc)
 
 
 def _small_gse():

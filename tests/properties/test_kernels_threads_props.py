@@ -32,6 +32,7 @@ from repro.kernels.build import load
 from repro.kernels.suite import _MT_MIN_PAIRS, CompiledKernels
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.properties.pair_walk_oracle import assert_walk_matches
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -232,8 +233,13 @@ def test_pair_filter_threaded_bitwise(suites, seed, mode):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
-    """Fused table kernel over pair chunks, incl. cutoff-edge r²."""
-    numpy_k, one, threaded = suites
+    """The table arithmetic under every thread count, incl. cutoff-edge r2.
+
+    It runs inside ``pair_walk``, which is one serial walk whatever
+    ``threads`` says: every suite must return the NumPy passes' bytes on
+    a candidate list long enough that a threaded twin would have split it.
+    """
+    _, one, threaded = suites
     calc = table_machine.calc
     s = calc.system
     codec = table_machine.fixed_config.force_codec()
@@ -241,23 +247,15 @@ def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
     rng = np.random.default_rng(seed)
     cutoff = float(calc.tables.cutoff)
     n = int(rng.integers(_MT_MIN_PAIRS, 2 * _MT_MIN_PAIRS))
+    lengths = np.ascontiguousarray(s.box.lengths, dtype=np.float64)
+    wrapped = rng.uniform(0, 1, (s.n_atoms, 3)) * lengths
+    wrapped[1] = wrapped[0]
+    wrapped[2:4] = [[0.0, 1.0, 1.0], [np.nextafter(cutoff, 0.0), 1.0, 1.0]]
     i = rng.integers(0, s.n_atoms, n)
     j = rng.integers(0, s.n_atoms, n)
-    dx = rng.normal(0, cutoff / 3, (n, 3))
-    r2 = np.sum(dx * dx, axis=1)
-    r2[0] = 0.0
-    r2[1] = np.nextafter(cutoff**2, 0.0)
-    r2[2] = cutoff**2 * rng.random()
-    results = []
-    for k in (numpy_k, one, *threaded.values()):
-        codes = np.empty((n, 3), dtype=np.int64)
-        e_lj = np.empty(n)
-        e_coul = np.empty(n)
-        k.pair_table_codes(spec, i, j, dx, r2, codes, e_lj, e_coul)
-        results.append((codes, e_lj, e_coul))
-    for got in results[1:]:
-        for x, y in zip(got, results[0]):
-            np.testing.assert_array_equal(x, y)
+    i[:2], j[:2] = [0, 2], [1, 3]
+    acc = rng.integers(-(2**62), 2**62, (s.n_atoms, 3))
+    assert_walk_matches([one, *threaded.values()], spec, wrapped, i, j, lengths, acc)
 
 
 @given(seed=st.integers(0, 2**31 - 1))

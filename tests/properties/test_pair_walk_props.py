@@ -1,0 +1,294 @@
+"""Property tests: the compiled pair walk == its three NumPy passes, bitwise.
+
+``pair_walk`` goes from the cached Verlet candidates to the force
+accumulator in one C pass and drops three kinds of division on the way,
+each on the strength of an exactness lemma stated in ``_kernels.c``:
+the minimum image of wrapped coordinates without ``d / L``, the force
+quantization as one multiply for a power-of-two codec, and the table
+offset as a reciprocal multiply for power-of-two segment widths.  The
+oracle (``pair_walk_oracle.numpy_walk``) keeps every division literal,
+so each property below that lands on a lemma's edge pins the lemma, and
+each that breaks a precondition pins the division fallback.
+
+The NT marks pass is pinned against the serial backend's ``np.unique``
+route derivation, element for element.
+
+Skipped wholesale when the host has no C compiler.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import MDParams
+from repro.core.forces import ForceCalculator
+from repro.fixedpoint import FixedFormat, ScaledFixed
+from repro.kernels import available, get_suite, make_pair_spec
+from repro.machine.backends import VectorizedBackend, _force_export_side
+from repro.machine.config import ANTON_2008
+from repro.systems import build_water_box
+from tests.properties.pair_walk_oracle import assert_walk_matches
+
+pytestmark = pytest.mark.skipif(
+    not available(), reason="no C compiler: compiled kernel tier unavailable"
+)
+
+I64 = np.iinfo(np.int64)
+CUTOFF = 4.0
+
+#: The production force codec (both constants powers of two: one
+#: multiply); a limit that is not (division fallback), at 62 bits so
+#: that codes pass 2^53 and one ulp of the scaled force is a whole
+#: code — a multiply taken there by mistake shows; and a codec so fine
+#: that every code saturates at the 2^62 clip and sums wrap int64.
+CODECS = {
+    "pow2": ScaledFixed(FixedFormat(40), 8192.0),
+    "division": ScaledFixed(FixedFormat(62), 3000.0),
+    "saturating": ScaledFixed(FixedFormat(62), 2.0**-20),
+}
+
+
+@pytest.fixture(scope="module")
+def suites():
+    """The walk is serial at every thread count; both must say so."""
+    return get_suite("compiled", 1), get_suite("compiled", 4)
+
+
+@pytest.fixture(scope="module")
+def calc():
+    system = build_water_box(n_molecules=24, seed=11)
+    params = MDParams(cutoff=CUTOFF, mesh=(16, 16, 16), kernel_mode="table")
+    return ForceCalculator(system, params)
+
+
+def _spec(calc, codec="pow2", blocks=1, division_tables=False):
+    """A pair spec over ``blocks`` stacked copies of the water box."""
+    s = calc.system
+    spec = make_pair_spec(
+        calc.tables, s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks),
+        CODECS[codec],
+    )
+    if division_tables:
+        # The dispersion layout (widths 2^-k / 3) standing in for the
+        # electrostatic one: a valid layout with no power-of-two width.
+        spec = replace(
+            spec, e_starts=spec.d_starts, e_widths=spec.d_widths,
+            e_cf=spec.c12f, e_ce=spec.c12e, e_inv=None,
+        )
+    return spec
+
+
+def _candidates(rng, n_atoms, blocks, n_cand):
+    """``n_cand`` pairs i < j inside their block, sorted by (i, j)."""
+    block = rng.integers(0, blocks, n_cand)
+    a = rng.integers(0, n_atoms, n_cand)
+    b = (a + rng.integers(1, n_atoms, n_cand)) % n_atoms
+    ii = block * n_atoms + np.minimum(a, b)
+    jj = block * n_atoms + np.maximum(a, b)
+    order = np.lexsort((jj, ii))
+    return ii[order], jj[order]
+
+
+def _acc(rng, n_atoms):
+    """A full-range accumulator, so deposits wrap."""
+    return rng.integers(I64.min, I64.max, (n_atoms, 3), endpoint=True)
+
+
+def test_spec_picks_each_rewrite_by_its_precondition(calc):
+    """``make_pair_spec`` arms a rewrite only where its lemma applies."""
+    spec = _spec(calc)
+    assert spec.q_mul == 2.0**39 / 8192.0
+    np.testing.assert_array_equal(spec.e_inv, 1.0 / spec.e_widths)
+    assert np.all(np.frexp(spec.e_widths)[0] == 0.5)
+    assert spec.d_inv is None  # 2^-k / 3
+    assert _spec(calc, "division").q_mul == 0.0
+    assert _spec(calc, "saturating").q_mul == 2.0**81
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_cand=st.sampled_from([0, 1, 255, 256, 257, 700]),
+    blocks=st.sampled_from([1, 3]),
+    codec=st.sampled_from(sorted(CODECS)),
+    division_tables=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_walk_matches_numpy_passes(suites, calc, seed, n_cand, blocks, codec,
+                                   division_tables):
+    """Random geometry in a non-cubic box, every block-boundary count,
+    stacked replica blocks, each codec and each table layout."""
+    rng = np.random.default_rng(seed)
+    n_atoms = calc.system.n_atoms
+    lengths = np.array([6.5, 9.25, 7.0]) * rng.uniform(0.9, 1.3, 3)
+    wrapped = rng.uniform(0, 1, (blocks * n_atoms, 3)) * lengths
+    wrapped[rng.integers(0, len(wrapped), 4), rng.integers(0, 3, 4)] = 0.0
+    ii, jj = _candidates(rng, n_atoms, blocks, n_cand)
+    spec = _spec(calc, codec, blocks, division_tables)
+    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, len(wrapped)))
+
+
+@given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_walk_at_the_half_box_and_the_box_edge(suites, calc, seed, pow2_box):
+    """Minimum image without division, on its edges: per axis, ``d`` at
+    ``+-L/2`` and 1..3 ulp either side, and atoms at ``0`` and ``L - ulp``."""
+    rng = np.random.default_rng(seed)
+    lengths = np.array([4.0, 8.0, 2.0]) if pow2_box else rng.uniform(5.0, 7.9, 3)
+    rows, ii, jj = [], [], []
+    for axis in range(3):
+        L = lengths[axis]
+        h = 0.5 * L
+        edge = [h]
+        for _ in range(3):
+            edge += [np.nextafter(edge[-1], np.inf)]
+        for _ in range(3):
+            edge += [np.nextafter(min(edge), -np.inf)]
+        for d in (*edge, np.nextafter(L, 0.0)):
+            for sign in (1, -1):
+                # x[i] - x[j] == sign * d exactly: one atom sits at 0.
+                a = rng.uniform(0, 1, 3) * 0.4
+                b = a + rng.uniform(-0.3, 0.3, 3)
+                b = np.where(b < 0, 0.0, b)
+                a[axis], b[axis] = (d, 0.0) if sign > 0 else (0.0, d)
+                ii.append(len(rows))
+                jj.append(len(rows) + 1)
+                rows += [a, b]
+    wrapped = np.array(rows)
+    assert np.all((wrapped >= 0) & (wrapped < lengths))
+    n_atoms = calc.system.n_atoms
+    spec = _spec(calc, blocks=-(-len(wrapped) // n_atoms))
+    wrapped = np.concatenate(
+        [wrapped, np.zeros((len(spec.charges) - len(wrapped), 3))]
+    )
+    m = assert_walk_matches(
+        suites, spec, wrapped, np.array(ii), np.array(jj), lengths,
+        _acc(rng, len(wrapped)),
+    )
+    assert m > 0  # the half-box images are inside the cutoff
+
+
+def test_walk_at_the_cutoff_itself(suites, calc):
+    """``r2 == cutoff2`` is out; one ulp inside is in, at the table's end."""
+    lengths = np.array([11.0, 13.0, 9.5])
+    inside = np.nextafter(CUTOFF, 0.0)
+    wrapped = np.array([
+        [1.0, 1.0, 1.0], [1.0 + CUTOFF, 1.0, 1.0],  # r2 == cutoff2: dropped
+        [2.0, 0.0, 2.0], [2.0, inside, 2.0],        # just inside: kept
+        [3.0, 3.0, 3.0], [3.0, 3.0, 3.0],           # r2 == 0: kept, zero force
+    ])
+    spec = _spec(calc)
+    wrapped = np.concatenate([wrapped, np.zeros((len(spec.charges) - 6, 3))])
+    ii, jj = np.array([0, 2, 4]), np.array([1, 3, 5])
+    acc = np.zeros((len(wrapped), 3), dtype=np.int64)
+    assert assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc) == 2
+
+
+def test_reciprocal_tables_equal_division_tables(suites, calc):
+    """Lemma 3 head on: the same power-of-two layout walked with and
+    without its reciprocals gives the same bytes."""
+    rng = np.random.default_rng(5)
+    n_atoms = calc.system.n_atoms
+    lengths = np.array([7.0, 8.0, 9.0])
+    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    ii, jj = _candidates(rng, n_atoms, 1, 4000)
+    spec = _spec(calc)
+    acc = _acc(rng, n_atoms)
+    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc)
+    assert_walk_matches(suites, replace(spec, e_inv=None), wrapped, ii, jj, lengths, acc)
+
+
+@given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_pair_filter_image_bits_on_adversarial_differences(seed, pow2_box):
+    """Lemma 1 on the filter's exported ``dx``: same bits, sign of zero
+    included, at ``+-L/2 +- k ulp``, near ``+-L`` and at random ``d``."""
+    numpy_k, compiled_k = get_suite("numpy"), get_suite("compiled")
+    rng = np.random.default_rng(seed)
+    lengths = 2.0 ** rng.integers(-3, 6, 3) if pow2_box else rng.uniform(0.1, 40.0, 3)
+    ds = []
+    for L in lengths:
+        h = 0.5 * L
+        d = [h, np.nextafter(L, 0.0), 0.0, np.nextafter(0.0, 1.0)]
+        for k in range(1, 4):
+            d += [h + k * np.spacing(h), h - k * np.spacing(h)]
+        d += list(rng.uniform(0, 1, 30) * np.nextafter(L, 0.0))
+        ds.append(np.array(d))
+    d = np.stack(ds, axis=1)
+    assert np.all(d < lengths)
+    # Pair (2k, 2k+1) has x_i - x_j == +d, pair (2k+1, 2k) has -d.
+    wrapped = np.zeros((2 * len(d), 3))
+    wrapped[0::2] = d
+    ii = np.concatenate([np.arange(0, len(wrapped), 2), np.arange(1, len(wrapped), 2)])
+    jj = np.concatenate([np.arange(1, len(wrapped), 2), np.arange(0, len(wrapped), 2)])
+    outs = []
+    for k in (numpy_k, compiled_k):
+        oi, oj = np.empty_like(ii), np.empty_like(jj)
+        odx, or2 = np.empty((len(ii), 3)), np.empty(len(ii))
+        m = k.pair_filter(wrapped, ii, jj, lengths, np.inf, oi, oj, odx, or2)
+        assert m == len(ii)
+        outs.append((odx, or2))
+    (dx_n, r2_n), (dx_c, r2_c) = outs
+    np.testing.assert_array_equal(dx_n.view(np.int64), dx_c.view(np.int64))
+    np.testing.assert_array_equal(r2_n, r2_c)
+
+
+# -- NT marks ---------------------------------------------------------------
+
+
+class _Recorder:
+    """Stands in for the network: keeps what ``send_batch`` was handed."""
+
+    def __init__(self):
+        self.batches = []
+
+    def send_batch(self, src, dst, nbytes, tag):
+        assert tag == "force_export"
+        self.batches.append((src, dst, nbytes))
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n_nodes=st.sampled_from([1, 8, 64]),
+    mode=st.sampled_from(["random", "all_local", "all_remote"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_marks_routes_equal_the_serial_unique_routes(seed, n_nodes, mode):
+    """Marks -> routes == ``_force_export_side``'s ``np.unique`` routes,
+    ``(src, dst, nbytes)`` element for element, on both tiers."""
+    rng = np.random.default_rng(seed)
+    n_atoms, n_pairs = 40, int(rng.integers(0, 600))
+    i = rng.integers(0, n_atoms, n_pairs)
+    j = rng.integers(0, n_atoms, n_pairs)
+    home = rng.integers(0, n_nodes, n_atoms)
+    node_tab = rng.integers(0, n_nodes, (n_nodes, n_nodes))
+    owners = rng.integers(0, n_nodes, n_atoms)
+    if mode == "all_local":
+        node_tab[...] = 0
+        owners[...] = 0
+    elif mode == "all_remote" and n_nodes > 1:
+        node_tab[...] = 1
+        owners[...] = 0
+    machine = SimpleNamespace(
+        topology=SimpleNamespace(n_nodes=n_nodes), owners=owners, hw=ANTON_2008,
+    )
+    pair_nodes = node_tab[home[i], home[j]]
+    want = [_force_export_side(machine, pair_nodes, atoms) for atoms in (i, j)]
+    if mode == "all_local" or n_nodes == 1:
+        assert want == [None, None]
+    for suite in (get_suite("numpy"), get_suite("compiled")):
+        marks = tuple(np.ones((n_atoms, n_nodes), dtype=np.bool_) for _ in "ij")
+        suite.nt_marks(i, j, home, node_tab, *marks)
+        machine.network = _Recorder()
+        VectorizedBackend().account_force_export(machine, marks)
+        assert len(machine.network.batches) == 2
+        for (src, dst, nbytes), side in zip(machine.network.batches, want):
+            remote = src != dst  # send_batch drops the local routes
+            if side is None:
+                assert not remote.any()
+                continue
+            for got, ref in zip((src, dst, nbytes), side):
+                np.testing.assert_array_equal(got[remote], ref)
