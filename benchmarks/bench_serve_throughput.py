@@ -9,9 +9,12 @@ jobs one at a time by hand.  The service earns that two ways —
   :class:`~repro.ensemble.EnsembleSimulation` pass, paying system
   build + minimization + neighbor-list setup once for the whole group
   instead of once per job;
-* **the compiled kernel tier**: workers resolve the fast tier once per
-  process, while the sequential-solo baseline is the ordinary
-  ``repro simulate`` path.
+* **workers in parallel**: independent assignments run in separate
+  processes.
+
+Stepping itself is not where the win is: the sequential-solo baseline
+is the ordinary ``repro simulate`` path, which since PR 17 is the same
+R=1 engine on the same default (compiled) kernel tier the workers use.
 
 This benchmark submits 8 batchable jobs (same spec, different velocity
 seeds) to a live server at ``--workers`` 1, 2, and 4, and divides total

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Ensemble smoke: R=4 batched run vs 4 solo runs — same bytes, faster.
+"""Ensemble smoke: R=4 batched run vs 4 solo runs — same bytes.
 
 CI drill of the batched-ensemble contract at the artifact level:
 
@@ -11,18 +11,21 @@ CI drill of the batched-ensemble contract at the artifact level:
    store classes.
 3. Compare every artifact **byte for byte**: trajectory files, the
    final checkpoint of each rolling store, and the energy-log JSONL.
-4. Time the batched run against the sequential solo baseline on the
-   compiled kernel tier and require an aggregate-throughput ratio
-   above 1.5x (skipped with a note when no C compiler is available).
 
-Exits non-zero on any mismatch or a missed ratio.
+A solo ``Simulation`` is the R=1 case of the same engine on the same
+(default) kernel tier, so this drill is R=4 against R=1; the engine
+against the plain NumPy solo wiring is
+``tests/integration/test_solo_engine.py``.  There is no speed gate:
+batched-vs-solo throughput is ``ensemble8 steps_per_s`` and
+``ensemble.batching_ratio`` in ``benchmarks/perf``.
+
+Exits non-zero on any mismatch.
 """
 
 from __future__ import annotations
 
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -32,7 +35,6 @@ from repro.core import BerendsenThermostat, MDParams, Simulation, minimize_energ
 from repro.ensemble import EnsembleSimulation, derive_replica_seeds  # noqa: E402
 from repro.io import CheckpointStore, EnergyLogWriter  # noqa: E402
 from repro.io import replica_checkpoint_store, replica_trajectory_path  # noqa: E402
-from repro.kernels import available as kernels_available  # noqa: E402
 from repro.systems import build_water_box  # noqa: E402
 
 REPLICAS = 4
@@ -41,8 +43,6 @@ RECORD_EVERY = 2
 CHECKPOINT_EVERY = 4
 TEMPERATURE = 300.0
 BASE_SEED = 17
-MIN_RATIO = 1.5
-TIMED_STEPS = 10
 
 
 def prepared_system():
@@ -121,27 +121,6 @@ def run_ensemble(base, params, seeds, workdir: Path):
     return out
 
 
-def throughput_ratio(base, params, seeds) -> float:
-    """Aggregate batched steps/sec over sequential solo steps/sec (compiled)."""
-    ss = base.copy()
-    ss.initialize_velocities(TEMPERATURE, seed=seeds[0])
-    solo = Simulation(ss, params, dt=1.0, constraints=True)
-    solo.run(2)
-    t0 = time.perf_counter()
-    solo.run(TIMED_STEPS)
-    solo_sps = TIMED_STEPS / (time.perf_counter() - t0)
-
-    ens = EnsembleSimulation(
-        base, params, dt=1.0, seeds=list(seeds), temperature=TEMPERATURE,
-        constraints=True, kernel_tier="compiled",
-    )
-    ens.run(2)
-    t0 = time.perf_counter()
-    ens.run(TIMED_STEPS)
-    agg = REPLICAS * TIMED_STEPS / (time.perf_counter() - t0)
-    return agg / solo_sps
-
-
 def main() -> int:
     base, params = prepared_system()
     seeds = derive_replica_seeds(BASE_SEED, REPLICAS)
@@ -159,16 +138,6 @@ def main() -> int:
                     print(f"FAIL: replica {r} {kind} bytes differ from solo run")
                     return 1
             print(f"replica {r}: trajectory/checkpoint/energy-log bytes match solo")
-
-    if not kernels_available():
-        print("note: no C compiler — throughput-ratio gate skipped")
-        print("OK")
-        return 0
-    ratio = throughput_ratio(base, params, seeds)
-    print(f"aggregate throughput ratio (R={REPLICAS}, compiled): {ratio:.2f}x")
-    if ratio <= MIN_RATIO:
-        print(f"FAIL: ratio {ratio:.2f}x <= {MIN_RATIO}x")
-        return 1
     print("OK")
     return 0
 

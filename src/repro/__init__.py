@@ -18,7 +18,10 @@ Quick start::
     sim = Simulation(system, params, dt=1.0, mode="fixed")
     sim.run(100, record_every=10)
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
+``Simulation`` is the R=1 case of the batched engine and, like every
+driver, runs on the compiled kernel tier where a C compiler is found
+(``REPRO_KERNEL_TIER=numpy`` or ``kernel_tier="numpy"`` opts out; the
+bits are the same).  See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-vs-measured record of every reproduced table and figure.
 """
 

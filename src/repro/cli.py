@@ -48,8 +48,25 @@ def _add_simulate(sub) -> None:
     p.add_argument("--record-every", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true",
-                   help="print per-component wall-time counters after the run")
+                   help="print per-component wall-time counters after the run "
+                        "(fixed mode: the batched engine's phase names — "
+                        "ensemble_pair_list, ensemble_range_limited, mesh_*, ...)")
+    _add_kernel_flags(p)
     _add_store_flags(p)
+
+
+def _add_kernel_flags(p) -> None:
+    p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
+                   help="hot-loop kernel tier (bitwise identical across tiers); "
+                        "default: $REPRO_KERNEL_TIER, else compiled where the C "
+                        "extension builds (about 1 s, once) and numpy otherwise")
+    p.add_argument("--kernel-threads", type=int, default=None, metavar="T",
+                   help="compiled-tier worker threads (bitwise identical for "
+                        "every T); default: $REPRO_KERNEL_THREADS or 1")
+
+
+def _print_kernel_tier(kernels) -> None:
+    print(f"kernel tier: {kernels.tier} (threads: {kernels.threads})")
 
 
 def _add_store_flags(p, energy_log: bool = True) -> None:
@@ -91,12 +108,7 @@ def _add_ensemble(sub) -> None:
     p.add_argument("--record-every", type=int, default=20)
     p.add_argument("--seed", type=int, default=0,
                    help="system build seed (also the default --seeds base)")
-    p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
-                   help="hot-loop kernel tier (bitwise identical across tiers); "
-                        "default: $REPRO_KERNEL_TIER or numpy")
-    p.add_argument("--kernel-threads", type=int, default=None, metavar="T",
-                   help="compiled-tier worker threads (bitwise identical for "
-                        "every T); default: $REPRO_KERNEL_THREADS or 1")
+    _add_kernel_flags(p)
     p.add_argument("--detach", type=int, default=None, metavar="R",
                    help="after the run, detach replica R into a solo "
                         "Simulation and verify its state codes match")
@@ -125,12 +137,7 @@ def _add_serve(sub) -> None:
     p.add_argument("--workers", type=int, default=2, help="worker processes")
     p.add_argument("--max-batch", type=int, default=8,
                    help="max same-system jobs fused into one engine pass")
-    p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
-                   help="worker kernel tier (bitwise identical across tiers); "
-                        "default: $REPRO_KERNEL_TIER or numpy")
-    p.add_argument("--kernel-threads", type=int, default=None, metavar="T",
-                   help="compiled-tier threads per worker (bitwise identical "
-                        "for every T)")
+    _add_kernel_flags(p)
     p.add_argument("--idle-exit", type=float, default=0.0, metavar="SEC",
                    help="exit SEC seconds after every job is terminal "
                         "(0: serve until shutdown)")
@@ -175,15 +182,7 @@ def _add_machine(sub) -> None:
     p.add_argument("--steps", type=int, default=8)
     p.add_argument("--check-invariance", action="store_true",
                    help="also run on 1 node and compare bitwise")
-    p.add_argument("--kernel-tier", choices=("numpy", "compiled"), default=None,
-                   help="hot-loop kernel tier: 'compiled' builds a small C "
-                        "extension on first use (bitwise identical to numpy; "
-                        "falls back with a warning if no C compiler is found); "
-                        "default: $REPRO_KERNEL_TIER or numpy")
-    p.add_argument("--kernel-threads", type=int, default=None, metavar="T",
-                   help="compiled-tier worker threads from the persistent "
-                        "pthread pool (bitwise identical for every T); "
-                        "default: $REPRO_KERNEL_THREADS or 1")
+    _add_kernel_flags(p)
     p.add_argument("--timings", action="store_true",
                    help="print per-phase machine engine timings after the run")
     p.add_argument("--profile", action="store_true",
@@ -351,7 +350,11 @@ def cmd_simulate(args) -> int:
         mode=args.mode,
         thermostat=BerendsenThermostat(args.temperature),
         constraints=True,
+        kernel_tier=args.kernel_tier,
+        kernel_threads=args.kernel_threads,
     )
+    if sim.engine is not None:
+        _print_kernel_tier(sim.engine.kernels)
     steps = args.steps
     if loaded is not None:
         sim.restore(loaded.state)
@@ -434,10 +437,7 @@ def cmd_ensemble(args) -> int:
         kernel_tier=args.kernel_tier,
         kernel_threads=args.kernel_threads,
     )
-    print(
-        f"kernel tier: {ens.kernels.tier} "
-        f"(threads: {getattr(ens.kernels, 'threads', 1)})"
-    )
+    _print_kernel_tier(ens.kernels)
 
     trajectories = None
     trajectory_every = args.trajectory_every or args.record_every
@@ -574,8 +574,7 @@ def _run_machine(args, machine, ref, store, loaded) -> int:
     print(f"{args.nodes}-node machine, {args.steps} steps "
           f"({machine.topology.dims[0]}x{machine.topology.dims[1]}x{machine.topology.dims[2]} torus), "
           f"{machine.backend.name} backend")
-    print(f"kernel tier: {machine.backend.kernels.tier} "
-          f"(threads: {getattr(machine.backend.kernels, 'threads', 1)})")
+    _print_kernel_tier(machine.backend.kernels)
     print(f"messages/node/step: {machine.messages_per_node_per_step():.1f}")
     for tag, (msgs, nbytes) in sorted(machine.traffic_summary().items()):
         print(f"  {tag:<20} {msgs:>8} msgs {nbytes:>12} bytes")

@@ -1,39 +1,33 @@
 """High-level simulation driver.
 
-Wires a :class:`ChemicalSystem` to a force calculator, constraint
-solver, thermostat, and integrator (fixed-point or float), and runs
-time steps while recording energies and optional trajectory snapshots.
-Also provides steepest-descent minimization for system preparation.
+A fixed-point :class:`Simulation` is the one-replica case of the
+batched engine (:class:`~repro.ensemble.engine.EnsembleSimulation`):
+the same force calculator, neighbor list, constraint solver, MTS
+provider and integrator objects, on the resolved kernel tier, with the
+engine's replica-0 artifacts.  ``mode="float"`` is the conventional
+float64 reference path, wired here from the plain NumPy parts.  Also
+provides steepest-descent minimization for system preparation.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
-from repro.core.integrator import FixedPointConfig, FixedPointIntegrator, VelocityVerlet
+from repro.core.integrator import FixedPointConfig, VelocityVerlet
 from repro.core.system import ChemicalSystem
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint, trajectory_decode
+from repro.ensemble.engine import EnsembleSimulation
+from repro.io import (
+    EnergyRecord,
+    TrajectoryWriter,
+    check_fingerprint,
+    system_fingerprint,
+    trajectory_decode,
+)
+from repro.kernels import get_suite
 
 __all__ = ["EnergyRecord", "Simulation", "minimize_energy"]
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """One row of the energy log."""
-
-    step: int
-    time_fs: float
-    kinetic: float
-    potential: float
-    temperature: float
-
-    @property
-    def total(self) -> float:
-        return self.kinetic + self.potential
 
 
 def minimize_energy(
@@ -49,9 +43,11 @@ def minimize_energy(
     step, writing relaxed positions back into ``system``.  Returns the
     final potential energy.  Virtual sites follow their parents, and
     rigid constraints (which carry no bonded-term restoring force) are
-    re-imposed with SHAKE after every move.
+    re-imposed with SHAKE after every move.  The neighbor list and
+    its cutoff filter run on the resolved kernel tier; the float force
+    evaluation itself is the NumPy one on every tier.
     """
-    calc = ForceCalculator(system, params)
+    calc = ForceCalculator(system, params, kernels=get_suite())
     solver = None
     if system.topology.n_constraints:
         solver = ConstraintSolver(system.topology, system.masses, system.box, iterations=100)
@@ -90,11 +86,15 @@ class Simulation:
     ----------
     mode:
         ``"fixed"`` — Anton-numerics path (fixed-point state, integer
-        force accumulation); ``"float"`` — conventional float64 path.
+        force accumulation), stepped by the R=1 batched engine;
+        ``"float"`` — conventional float64 path, NumPy only.
     constraints:
         ``True`` builds a solver from the topology's constraint list
         (rigid water, H-bond constraints); ``False`` integrates
         unconstrained (required for exact-reversibility experiments).
+    kernel_tier, kernel_threads:
+        The engine's bitwise-invisible knobs, forwarded (fixed mode only;
+        default: :func:`repro.kernels.resolve_config`).
     """
 
     def __init__(
@@ -106,36 +106,44 @@ class Simulation:
         fixed_config: FixedPointConfig = FixedPointConfig(),
         thermostat=None,
         constraints: bool = True,
+        kernel_tier: str | None = None,
+        kernel_threads: int | None = None,
     ):
         self.system = system
         self.params = params
         self.dt = float(dt)
         self.mode = mode
         self.fixed_config = fixed_config
-        self.calc = ForceCalculator(system, params)
-        solver = None
-        if constraints and system.topology.n_constraints:
-            solver = ConstraintSolver(system.topology, system.masses, system.box)
-        self.constraint_solver = solver
+        #: The R=1 engine every fixed-mode method below is a view of.
+        self.engine = None
         if mode == "fixed":
-            self.provider = MTSForceProvider(self.calc, force_codec=fixed_config.force_codec())
-            self.integrator = FixedPointIntegrator(
+            eng = self.engine = EnsembleSimulation(
                 system,
-                self.provider,
-                dt,
-                config=fixed_config,
-                constraints=solver,
+                params,
+                dt=dt,
+                replicas=1,
+                fixed_config=fixed_config,
                 thermostat=thermostat,
-                timers=self.calc.timers,
+                constraints=constraints,
+                kernel_tier=kernel_tier,
+                kernel_threads=kernel_threads,
             )
+            self.calc, self.provider = eng.calc, eng.provider
+            self.constraint_solver, self.integrator = eng.constraint_solver, eng.integrator
+            self.energy_log: list[EnergyRecord] = eng.energy_logs[0]
         elif mode == "float":
+            self.calc = ForceCalculator(system, params)
+            solver = None
+            if constraints and system.topology.n_constraints:
+                solver = ConstraintSolver(system.topology, system.masses, system.box)
+            self.constraint_solver = solver
             self.provider = MTSForceProvider(self.calc)
             self.integrator = VelocityVerlet(
                 system, self.provider, dt, constraints=solver, thermostat=thermostat
             )
+            self.energy_log = []
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        self.energy_log: list[EnergyRecord] = []
         self.snapshots: list[np.ndarray] = []
         self.snapshot_steps: list[int] = []
 
@@ -155,13 +163,13 @@ class Simulation:
         return self.integrator.velocities
 
     def record_energy(self) -> EnergyRecord:
-        ke = self.integrator.kinetic_energy()
-        pe = float(sum(self.integrator.last_info.energies.values()))
+        if self.engine is not None:
+            return self.engine.record_energy()[0]
         rec = EnergyRecord(
             step=self.integrator.step_count,
             time_fs=self.integrator.step_count * self.dt,
-            kinetic=ke,
-            potential=pe,
+            kinetic=self.integrator.kinetic_energy(),
+            potential=float(sum(self.integrator.last_info.energies.values())),
             temperature=self.integrator.temperature(),
         )
         self.energy_log.append(rec)
@@ -177,13 +185,9 @@ class Simulation:
         neighbor-list skin), mode, dt, and — on the fixed path — the
         integrator datapath widths.
         """
-        return system_fingerprint(
-            self.system,
-            self.params,
-            self.mode,
-            self.dt,
-            self.fixed_config if self.mode == "fixed" else None,
-        )
+        if self.engine is not None:
+            return self.engine.replica_fingerprint()
+        return system_fingerprint(self.system, self.params, self.mode, self.dt, None)
 
     def checkpoint(self) -> dict:
         """Snapshot the exact dynamic state.
@@ -193,19 +197,17 @@ class Simulation:
         property that let the paper's multi-month BPTI run survive
         interruptions without perturbing the trajectory.
         """
-        chk = {
+        if self.engine is not None:
+            return self.engine.replica_checkpoint(0)
+        return {
             "mode": self.mode,
             "dt": self.dt,
             "step_count": self.integrator.step_count,
             "provider_calls": self.provider.calls,
             "fingerprint": self.fingerprint(),
+            "positions": self.integrator.positions.copy(),
+            "velocities": self.integrator.velocities.copy(),
         }
-        if self.mode == "fixed":
-            chk["X"], chk["V"] = self.integrator.state_codes()
-        else:
-            chk["positions"] = self.integrator.positions.copy()
-            chk["velocities"] = self.integrator.velocities.copy()
-        return chk
 
     def restore(self, chk: dict) -> None:
         """Resume from a checkpoint taken on a compatible simulation.
@@ -217,35 +219,29 @@ class Simulation:
         its displacement trigger rebuilds it automatically if the
         restored positions have drifted past ``skin/2`` from the list's
         reference configuration, and the pair set it yields is a pure
-        function of the current positions either way.
+        function of the current positions either way.  A mismatch is a
+        ``ValueError`` (:class:`~repro.io.FingerprintMismatch`); legacy
+        fingerprint-less checkpoints get mode, dt and atom count checked.
         """
+        if self.engine is not None:
+            return self.engine.restore([chk])
         if chk["mode"] != self.mode or chk["dt"] != self.dt:
             raise ValueError("checkpoint is for a different mode or time step")
-        stored = chk.get("fingerprint")
-        if stored is not None:
-            check_fingerprint(stored, self.fingerprint(), what="checkpoint")
-        elif chk.get("X", chk.get("positions")) is not None and (
-            len(chk.get("X", chk.get("positions"))) != self.system.n_atoms
-        ):
+        if chk.get("fingerprint") is not None:
+            check_fingerprint(chk["fingerprint"], self.fingerprint(), what="checkpoint")
+        elif len(chk["positions"]) != self.system.n_atoms:
             raise ValueError(
-                f"checkpoint holds {len(chk.get('X', chk.get('positions')))} atoms, "
+                f"checkpoint holds {len(chk['positions'])} atoms, "
                 f"this simulation has {self.system.n_atoms}"
             )
         integ = self.integrator
-        if self.mode == "fixed":
-            integ.X = chk["X"].copy()
-            integ.V = chk["V"].copy()
-        else:
-            integ.positions = chk["positions"].copy()
-            integ.velocities = chk["velocities"].copy()
+        integ.positions = chk["positions"].copy()
+        integ.velocities = chk["velocities"].copy()
         integ.step_count = chk["step_count"]
         # Replay the force evaluation that produced the cached forces
         # (the constructor already consumed one provider call).
         self.provider.calls = chk["provider_calls"] - 1
-        if self.mode == "fixed":
-            integ._force_codes, integ.last_info = self.provider(integ.positions)
-        else:
-            integ._forces, integ.last_info = self.provider(integ.positions)
+        integ._forces, integ.last_info = self.provider(integ.positions)
 
     # -- trajectory output ---------------------------------------------------
 
@@ -256,11 +252,10 @@ class Simulation:
         (datapath widths, box) a reader needs to reconstruct physical
         positions/velocities bit-exactly without the system objects.
         """
-        decode = trajectory_decode(
-            self.system, self.fixed_config if self.mode == "fixed" else None
-        )
+        if self.engine is not None:
+            return self.engine.open_replica_trajectory(path, meta)
         return TrajectoryWriter(path, fingerprint=self.fingerprint(),
-                                decode=decode, meta=meta)
+                                decode=trajectory_decode(self.system, None), meta=meta)
 
     def append_trajectory(self, path) -> TrajectoryWriter:
         """Reopen ``path`` for resumed writing.
@@ -270,6 +265,8 @@ class Simulation:
         truncated, so the finished file is identical to one from an
         uninterrupted run.
         """
+        if self.engine is not None:
+            return self.engine.append_replica_trajectory(path)
         return TrajectoryWriter.append(
             path, fingerprint=self.fingerprint(),
             resume_step=self.integrator.step_count,
@@ -277,16 +274,13 @@ class Simulation:
 
     def write_frame(self, writer: TrajectoryWriter) -> None:
         """Append the current exact state as one frame."""
-        if self.mode == "fixed":
-            X, V = self.integrator.state_codes()
-            arrays = {"X": X, "V": V}
-        else:
-            arrays = {
-                "positions": self.integrator.positions.copy(),
-                "velocities": self.integrator.velocities.copy(),
-            }
+        if self.engine is not None:
+            return self.engine.write_replica_frame(writer, 0)
         step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, arrays)
+        writer.write_frame(step, step * self.dt, {
+            "positions": self.integrator.positions.copy(),
+            "velocities": self.integrator.velocities.copy(),
+        })
 
     def run(
         self,

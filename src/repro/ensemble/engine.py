@@ -12,9 +12,13 @@ SHAKE/RATTLE sweep.
 
 The correctness bar is *bitwise*: every replica's integer trajectory
 (position/velocity codes), energies, and checkpoint artifacts are
-byte-identical to the same seed run solo through
-:class:`~repro.core.simulation.Simulation`, on both kernel tiers.  The
-engine gets this by construction rather than by tolerance:
+byte-identical to the same seed run solo, on both kernel tiers.  Since
+a fixed-point :class:`~repro.core.simulation.Simulation` *is* this
+engine at R=1 that holds by construction for R=1; the independent
+oracle — the plain NumPy ``ForceCalculator(kernels=None)`` wiring this
+engine must reproduce — is assembled from public parts by
+``tests/solo_oracle.py``.  For R > 1 the engine keeps it by
+construction rather than by tolerance:
 
 * all per-atom/per-pair/per-term arithmetic is elementwise, so tiled
   inputs produce tiled outputs with identical bits;
@@ -30,7 +34,7 @@ engine gets this by construction rather than by tolerance:
   when the list was rebuilt.
 
 Replicas are *detachable*: :meth:`EnsembleSimulation.detach` (or any
-per-replica checkpoint) restores into a stock solo ``Simulation`` that
+per-replica checkpoint) restores into a solo ``Simulation`` that
 continues bit-for-bit.
 """
 
@@ -48,7 +52,6 @@ from repro.core.forces import (
     MTSForceProvider,
 )
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
-from repro.core.simulation import EnergyRecord, Simulation
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
 from repro.ewald import self_energy
@@ -57,6 +60,7 @@ from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
 from repro.io import (
+    EnergyRecord,
     FingerprintMismatch,
     TrajectoryWriter,
     check_fingerprint,
@@ -429,6 +433,14 @@ class EnsembleConstraintSolver:
             self.solo, velocities, positions, float(tol), self.replicas, self.n_solo
         )
 
+    def max_residual(self, positions: np.ndarray) -> float:
+        """Largest solo :meth:`ConstraintSolver.max_residual` over the blocks."""
+        n = self.n_solo
+        return max(
+            self.solo.max_residual(positions[r * n : (r + 1) * n])
+            for r in range(self.replicas)
+        )
+
 
 # -- thermostat ------------------------------------------------------------
 
@@ -674,13 +686,18 @@ class EnsembleSimulation:
         step = self.integrator.step_count
         writer.write_frame(step, step * self.dt, {"X": X, "V": V})
 
-    def detach(self, r: int) -> Simulation:
+    def detach(self, r: int):
         """Extract replica r as a live solo :class:`Simulation`.
 
-        The solo simulation is built on a copy of the solo system and
-        restored from the replica checkpoint, so it continues exactly
-        the bits the batched run would have produced for this replica.
+        The solo simulation is built on a copy of the solo system, on
+        this engine's kernel suite, and restored from the replica
+        checkpoint, so it continues exactly the bits the batched run
+        would have produced for this replica.
         """
+        # core.simulation imports this module (solo is a view of the
+        # engine); this is the one reference back, resolved when called.
+        from repro.core.simulation import Simulation
+
         sim = Simulation(
             self.solo_system.copy(),
             self.params,
@@ -689,6 +706,8 @@ class EnsembleSimulation:
             fixed_config=self.fixed_config,
             thermostat=self.solo_thermostat,
             constraints=self.constraints_enabled,
+            kernel_tier=self.kernels.tier,
+            kernel_threads=self.kernels.threads,
         )
         sim.restore(self.replica_checkpoint(r))
         return sim

@@ -18,7 +18,12 @@ the storage layer that realizes it in the reproduction:
 """
 
 from repro.io.checkpoint import CheckpointError, CheckpointStore, LoadedCheckpoint
-from repro.io.energylog import EnergyLogWriter, read_energy_log, truncate_energy_log
+from repro.io.energylog import (
+    EnergyLogWriter,
+    EnergyRecord,
+    read_energy_log,
+    truncate_energy_log,
+)
 from repro.io.records import CorruptRecord
 from repro.io.replicas import (
     indexed_artifact_path,
@@ -46,6 +51,7 @@ __all__ = [
     "CheckpointStore",
     "LoadedCheckpoint",
     "EnergyLogWriter",
+    "EnergyRecord",
     "read_energy_log",
     "CorruptRecord",
     "FingerprintMismatch",

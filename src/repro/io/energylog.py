@@ -1,7 +1,7 @@
 """Streaming JSONL energy logs.
 
 Long runs should emit observables incrementally instead of holding
-them in memory: each :class:`~repro.core.simulation.EnergyRecord` is
+them in memory: each :class:`EnergyRecord` is
 one JSON line, flushed as written, so a SIGKILL loses at most the
 record being written.  ``json.dumps`` serializes floats via ``repr``,
 which round-trips float64 exactly — the log is as bit-faithful as the
@@ -19,10 +19,26 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass
 
-__all__ = ["EnergyLogWriter", "read_energy_log", "truncate_energy_log"]
+__all__ = ["EnergyRecord", "EnergyLogWriter", "read_energy_log", "truncate_energy_log"]
 
 _FIELDS = ("step", "time_fs", "kinetic", "potential", "temperature")
+
+
+@dataclass(frozen=True)
+class EnergyRecord:
+    """One row of the energy log."""
+
+    step: int
+    time_fs: float
+    kinetic: float
+    potential: float
+    temperature: float
+
+    @property
+    def total(self) -> float:
+        return self.kinetic + self.potential
 
 
 class EnergyLogWriter:
@@ -88,10 +104,6 @@ def read_energy_log(path) -> list:
     ranges from interrupted-then-resumed runs collapse to one record
     per step (last occurrence wins).
     """
-    # Deferred import: repro.core.simulation imports repro.io at module
-    # load, so importing it here at module level would be circular.
-    from repro.core.simulation import EnergyRecord
-
     by_step: dict[int, EnergyRecord] = {}
     with open(path) as f:
         for line in f:

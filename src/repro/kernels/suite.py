@@ -27,11 +27,13 @@ from the per-pair loops.
 
 :func:`resolve_config` resolves the two knobs — tier and thread count —
 from explicit arguments first, then the ``REPRO_KERNEL_TIER`` /
-``REPRO_KERNEL_THREADS`` environment variables, then the defaults
-(``"numpy"``, 1).  Requesting ``"compiled"`` on a host without a C
-compiler degrades to the NumPy tier with a one-time warning — the
-package never hard-fails for lack of a toolchain; likewise
-``threads > 1`` on a pthread-less build degrades to single-threaded.
+``REPRO_KERNEL_THREADS`` environment variables, then the defaults:
+the compiled tier where it builds and the NumPy tier otherwise
+(silently — nobody asked), 1 thread.  *Requesting* ``"compiled"`` on a
+host without a C compiler degrades to the NumPy tier with a one-time
+warning — the package never hard-fails for lack of a toolchain;
+likewise ``threads > 1`` on a pthread-less build degrades to
+single-threaded.
 
 Thread counts are **bitwise-invisible**: the compiled tier parallelizes
 via per-thread int64 partials folded with wrapping adds (associative
@@ -52,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.kernels.build import KernelBuildError, MeshAxes, PairSpec, load
+from repro.kernels.build import KernelBuildError, MeshAxes, PairSpec, available, load
 
 __all__ = [
     "KERNEL_TIERS",
@@ -90,10 +92,15 @@ def resolve_config(tier: str | None = None, threads: int | None = None) -> Kerne
 
     This is the single place the ``REPRO_KERNEL_TIER`` and
     ``REPRO_KERNEL_THREADS`` environment variables are consulted;
-    machine, ensemble, and CLI all funnel through it.
+    solo, machine, ensemble, serve and CLI all funnel through it.  With
+    neither argument nor variable the tier is ``"compiled"`` where the
+    extension builds (about a second, once per checkout) and
+    ``"numpy"`` otherwise.
     """
     if tier is None:
-        tier = os.environ.get("REPRO_KERNEL_TIER", "numpy")
+        tier = os.environ.get("REPRO_KERNEL_TIER")
+    if tier is None:
+        tier = "compiled" if available() else "numpy"
     if tier not in KERNEL_TIERS:
         raise ValueError(f"unknown kernel_tier {tier!r}; expected one of {KERNEL_TIERS}")
     if threads is None:
@@ -800,12 +807,12 @@ def get_suite(tier: str | None = None, threads: int | None = None):
     """Resolve tier/threads knobs to a kernel-suite instance.
 
     ``None`` knobs consult ``REPRO_KERNEL_TIER`` /
-    ``REPRO_KERNEL_THREADS`` (defaults ``"numpy"``, 1).  An unavailable
-    compiled tier falls back to NumPy with a one-time warning rather
-    than failing; ``threads > 1`` on a build without pthread support
-    falls back to single-threaded the same way.  Every returned suite
-    produces identical bytes for identical inputs — the knobs only move
-    work between implementations.
+    ``REPRO_KERNEL_THREADS`` (defaults: compiled where it builds, 1).
+    A *requested* compiled tier that is unavailable falls back to NumPy
+    with a one-time warning rather than failing; ``threads > 1`` on a
+    build without pthread support falls back to single-threaded the
+    same way.  Every returned suite produces identical bytes for
+    identical inputs — the knobs only move work between implementations.
     """
     global _warned, _warned_threads
     cfg = resolve_config(tier, threads)

@@ -155,6 +155,19 @@ class TestEnsembleThreadSweep:
                 np.testing.assert_array_equal(a, b)
 
 
+def _no_compiler(monkeypatch):
+    """A host where the extension cannot build, with fresh warn-once state."""
+    from repro.kernels import build, suite
+
+    def broken_load():
+        raise build.KernelBuildError("no working C compiler (simulated)")
+
+    monkeypatch.setattr(suite, "available", lambda: False)
+    monkeypatch.setattr(suite, "load", broken_load)
+    monkeypatch.setattr(suite, "_COMPILED_SUITES", {})
+    monkeypatch.setattr(suite, "_warned", False)
+
+
 class TestConfigResolution:
     def test_explicit_args_win(self):
         cfg = resolve_config("numpy", 4)
@@ -174,7 +187,76 @@ class TestConfigResolution:
         monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
         monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
         cfg = resolve_config()
-        assert (cfg.tier, cfg.threads) == ("numpy", 1)
+        assert (cfg.tier, cfg.threads) == ("compiled" if available() else "numpy", 1)
+
+    def test_default_tier_is_compiled_where_it_builds(self, monkeypatch):
+        from repro.kernels import suite
+
+        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
+        monkeypatch.setattr(suite, "available", lambda: True)
+        assert resolve_config().tier == "compiled"
+
+    def test_default_tier_without_a_compiler_is_numpy_and_silent(
+        self, base_system, monkeypatch
+    ):
+        """Nobody asked for the compiled tier: no warning, and every
+        driver reports the tier actually in use."""
+        import warnings
+
+        from repro.serve import resolve_worker_kernels
+
+        _no_compiler(monkeypatch)
+        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
+        monkeypatch.delenv("REPRO_KERNEL_THREADS", raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_config().tier == "numpy"
+            assert get_suite().tier == "numpy"
+            cfg, tier, threads, notes = resolve_worker_kernels(None, None)
+            machine = AntonMachine(base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0)
+            machine.close()
+        assert (cfg.tier, tier, threads, notes) == ("numpy", "numpy", 1, [])
+        assert machine.backend.kernels.tier == "numpy"
+
+    def test_requested_compiled_without_a_compiler_warns_once(self, monkeypatch):
+        import warnings
+
+        from repro.serve import resolve_worker_kernels
+
+        _no_compiler(monkeypatch)
+        cfg, tier, _threads, notes = resolve_worker_kernels("compiled", None)
+        assert (cfg.tier, tier) == ("compiled", "numpy")
+        assert len(notes) == 1 and "falling back to the numpy tier" in notes[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert get_suite("compiled").tier == "numpy"
+
+    def test_numpy_opt_out_never_asks_for_a_compiler(self, monkeypatch):
+        from repro.kernels import suite
+
+        def asked():
+            raise AssertionError("an explicit numpy tier probed for a compiler")
+
+        monkeypatch.setattr(suite, "available", asked)
+        monkeypatch.setattr(suite, "load", asked)
+        assert resolve_config("numpy").tier == "numpy"
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "numpy")
+        assert resolve_config().tier == "numpy"
+        assert get_suite().tier == "numpy"
+
+    def test_float_mode_never_loads_the_c_library(self, base_system, monkeypatch):
+        from repro.core import Simulation
+        from repro.kernels import build, suite
+
+        def loaded():
+            raise AssertionError("mode='float' reached for the compiled tier")
+
+        monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
+        for module in (build, suite):
+            monkeypatch.setattr(module, "load", loaded)
+        sim = Simulation(base_system.copy(), MACHINE_PARAMS, dt=1.0, mode="float")
+        sim.run(2)
+        assert sim.engine is None and sim.calc.kernels is None
 
     @pytest.mark.parametrize("bad", [0, -1, 129, 10**6])
     def test_thread_count_out_of_range(self, bad):

@@ -9,7 +9,7 @@ stencil plan's per-axis rows instead of its NumPy cubes.  A thin skin
 forces several rebuilds inside a short run that also holds six
 long-range evaluations, and the files on disk — trajectory and
 checkpoints — of the machine, of the ensemble and of a solo simulation
-handed the suite must come out byte-identical on the NumPy tier and on
+on that tier must come out byte-identical on the NumPy tier and on
 the compiled tier at one and at four kernel threads (rebuild and walk
 are serial at every thread count).
 """
@@ -132,8 +132,8 @@ def test_ensemble_quantized_mesh_artifacts_identical(tmp_path):
 
 
 def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
-    """A solo ``Simulation`` has no tier knob, but its force calculator
-    and neighbor list take a suite; with the compiled one they walk."""
+    """A solo ``Simulation`` forwards the engine's tier knobs; on the
+    compiled tier its force calculator walks."""
     params = MDParams(
         cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
         long_range_every=LONG_RANGE_EVERY,
@@ -143,8 +143,10 @@ def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
     system.initialize_velocities(300.0, seed=12)
     out = {}
     for tier, threads in CONFIGS:
-        sim = Simulation(system.copy(), params, dt=1.0)
-        sim.calc.kernels = sim.calc.neighbor_list.kernels = get_suite(tier, threads)
+        sim = Simulation(
+            system.copy(), params, dt=1.0, kernel_tier=tier, kernel_threads=threads
+        )
+        assert sim.calc.kernels is sim.calc.neighbor_list.kernels is get_suite(tier, threads)
         traj_path = tmp_path / f"{tier}{threads}.traj"
         store = CheckpointStore(tmp_path / f"ck_{tier}{threads}")
         with sim.open_trajectory(traj_path) as traj:

@@ -33,6 +33,18 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "minimized potential energy" in out
         assert "E_total" in out
+        assert "kernel tier: " in out
+
+    def test_simulate_kernel_tier_flag_beats_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL_TIER", "compiled")
+        assert main(["simulate", "--system", "water", "--waters", "8", "--steps", "2",
+                     "--kernel-tier", "numpy", "--kernel-threads", "2"]) == 0
+        assert "kernel tier: numpy (threads: 1)" in capsys.readouterr().out
+
+    def test_simulate_float_mode_has_no_kernel_tier(self, capsys):
+        assert main(["simulate", "--system", "water", "--waters", "8", "--steps", "2",
+                     "--mode", "float"]) == 0
+        assert "kernel tier" not in capsys.readouterr().out
 
     def test_machine_with_invariance(self, capsys):
         assert main(["machine", "--nodes", "8", "--waters", "16", "--steps", "2",
