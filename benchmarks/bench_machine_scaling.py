@@ -43,12 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "src"), str(REPO)]  # repro; tests.serial_backend
 
 from repro.core import MDParams, minimize_energy  # noqa: E402
 from repro.kernels import available as kernels_available  # noqa: E402
 from repro.machine import AntonMachine  # noqa: E402
 from repro.systems import build_water_box  # noqa: E402
+from tests.serial_backend import machine_backend  # noqa: E402
 
 RESULTS = Path(__file__).resolve().parent / "results"
 PR5_BASELINE = RESULTS / "BENCH_machine_scaling_pr5.json"
@@ -105,7 +107,7 @@ def run_backend(system, params, n_nodes: int, backend, steps: int,
     the measured window opens, so the numbers reflect the steady state.
     """
     machine = AntonMachine(
-        system.copy(), params, n_nodes=n_nodes, dt=1.0, backend=backend,
+        system.copy(), params, n_nodes=n_nodes, dt=1.0, backend=machine_backend(backend),
         kernel_tier=kernel_tier, kernel_threads=kernel_threads,
     )
     try:

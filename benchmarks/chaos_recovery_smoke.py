@@ -26,13 +26,14 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
+sys.path[:0] = [str(REPO / "src"), str(REPO)]  # repro; tests.serial_backend
 
 import numpy as np  # noqa: E402
 
 from repro.core import MDParams, minimize_energy  # noqa: E402
 from repro.machine import AntonMachine  # noqa: E402
 from repro.systems import build_water_box  # noqa: E402
+from tests.serial_backend import machine_backend  # noqa: E402
 
 PARAMS = MDParams(
     cutoff=4.0,
@@ -56,7 +57,7 @@ def build_system(n_waters: int):
 
 def run(system, backend, faults=None):
     machine = AntonMachine(
-        system.copy(), PARAMS, n_nodes=N_NODES, dt=1.0, backend=backend,
+        system.copy(), PARAMS, n_nodes=N_NODES, dt=1.0, backend=machine_backend(backend),
         faults=dict(faults) if faults else None, fault_seed=FAULT_SEED,
     )
     try:

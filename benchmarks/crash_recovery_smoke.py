@@ -1,20 +1,23 @@
 #!/usr/bin/env python
 """Crash-recovery smoke: SIGKILL a run mid-flight, resume, compare bits.
 
-End-to-end drill of the durable run store's recovery contract:
+End-to-end drills of the durable run store's recovery contract.  A
+reference simulation runs to completion; then, twice, an identical run
+is started in a child process and SIGKILLed mid-step — no atexit
+handlers, no flushing, exactly the failure a multi-month run must
+survive — resumed via the CLI (`--resume`), and its trajectory, final
+checkpoint and energy log compared with the reference **byte for
+byte**:
 
-1. Run a reference simulation to completion; keep its final checkpoint,
-   trajectory, and energy log.
-2. Start an identical run in a child process and SIGKILL it mid-step —
-   no atexit handlers, no flushing, exactly the failure a multi-month
-   run must survive.
-3. Corrupt the newest snapshot the dead run left (simulating a tear in
-   the very write the kill interrupted).
-4. Resume via the CLI (`--resume`): the store must fall back to the
-   newest *valid* snapshot, truncate the trajectory's torn tail and
-   post-checkpoint frames, and finish the run.
-5. Compare the recovered trajectory, final checkpoint, and energy log
-   against the uninterrupted reference **byte for byte**.
+* ``torn`` — killed once two checkpoints exist, and the newest snapshot
+  is then corrupted (a tear in the very write the kill interrupted):
+  the store must fall back to the newest *valid* snapshot, truncate the
+  trajectory's torn tail, the post-checkpoint frames and the
+  post-checkpoint energy records, and finish the run.
+* ``newest`` — killed as soon as the first checkpoint appears and
+  resumed from that very checkpoint, nothing torn: the frames up to it
+  must already be on disk, which they are only because the run loop
+  flushes trajectories before a checkpoint lands.
 
 Exits non-zero on any mismatch.
 """
@@ -31,7 +34,6 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO / "src"))
 
 STEPS = 16
 CHECKPOINT_EVERY = 4
@@ -55,25 +57,23 @@ def env():
     return e
 
 
-def start_and_kill(workdir: Path) -> None:
-    """Launch the run and SIGKILL it once it is mid-simulation."""
+def start_and_kill(workdir: Path, checkpoints: int) -> None:
+    """Launch the run and SIGKILL it once ``checkpoints`` snapshots exist."""
     proc = subprocess.Popen(
         run_flags(workdir, STEPS), env=env(),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     ck = workdir / "ck"
     deadline = time.monotonic() + 120
-    # Wait until at least two checkpoints exist (so a valid one remains
-    # after we corrupt the newest), then kill without warning.
     while time.monotonic() < deadline:
         if proc.poll() is not None:
             raise SystemExit("FAIL: run finished before it could be killed; "
                              "raise STEPS or lower CHECKPOINT_EVERY")
-        if ck.is_dir() and len(list(ck.glob("ckpt-*.rrs"))) >= 2:
+        if ck.is_dir() and len(list(ck.glob("ckpt-*.rrs"))) >= checkpoints:
             break
-        time.sleep(0.02)
+        time.sleep(0.005)
     else:
-        raise SystemExit("FAIL: two checkpoints did not appear within 120 s")
+        raise SystemExit(f"FAIL: {checkpoints} checkpoint(s) did not appear within 120 s")
     proc.send_signal(signal.SIGKILL)
     proc.wait()
     print(f"killed run with SIGKILL; store holds steps "
@@ -89,25 +89,16 @@ def corrupt_newest(workdir: Path) -> Path:
     return newest
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--keep", action="store_true", help="keep the work dirs")
-    args = ap.parse_args(argv)
-
-    tmp = Path(tempfile.mkdtemp(prefix="crash-smoke-"))
-    ref_dir, crash_dir = tmp / "ref", tmp / "crash"
-    ref_dir.mkdir(parents=True)
+def drill(name: str, ref_dir: Path, crash_dir: Path, tear: bool) -> list[str]:
+    """Kill, (tear,) resume, compare; returns the artifacts that differ."""
     crash_dir.mkdir(parents=True)
+    print(f"[{name}] crash run (to be killed)...")
+    # With a tear, two checkpoints so a valid one remains.
+    start_and_kill(crash_dir, checkpoints=2 if tear else 1)
+    if tear:
+        corrupt_newest(crash_dir)
 
-    print("reference run (uninterrupted)...")
-    subprocess.run(run_flags(ref_dir, STEPS), env=env(), check=True,
-                   stdout=subprocess.DEVNULL)
-
-    print("crash run (to be killed)...")
-    start_and_kill(crash_dir)
-    corrupt_newest(crash_dir)
-
-    print("resuming from the newest valid snapshot...")
+    print(f"[{name}] resuming from the newest valid snapshot...")
     out = subprocess.run(
         run_flags(crash_dir, STEPS) + ["--resume"], env=env(), check=True,
         capture_output=True, text=True,
@@ -116,26 +107,29 @@ def main(argv=None) -> int:
     print(f"  {resumed_line}")
 
     failures = []
-    if (crash_dir / "run.rrs").read_bytes() == (ref_dir / "run.rrs").read_bytes():
-        print("run.rrs: byte-identical to the uninterrupted run")
-    else:
-        failures.append("run.rrs")
-    final = f"ckpt-{STEPS:012d}.rrs"
-    if (crash_dir / "ck" / final).read_bytes() == (ref_dir / "ck" / final).read_bytes():
-        print(f"ck/{final}: byte-identical to the uninterrupted run")
-    else:
-        failures.append(final)
-    # The raw energy log may hold duplicate lines for steps the killed
-    # run logged past its last durable checkpoint; the read-back dedupe
-    # (last occurrence wins) must make it record-identical.
-    from repro.io import read_energy_log
+    for artifact in ("run.rrs", f"ck/ckpt-{STEPS:012d}.rrs", "energy.jsonl"):
+        if (crash_dir / artifact).read_bytes() == (ref_dir / artifact).read_bytes():
+            print(f"[{name}] {artifact}: byte-identical to the uninterrupted run")
+        else:
+            failures.append(f"{name}:{artifact}")
+    return failures
 
-    if read_energy_log(crash_dir / "energy.jsonl") == read_energy_log(
-        ref_dir / "energy.jsonl"
-    ):
-        print("energy.jsonl: record-identical after resume dedupe")
-    else:
-        failures.append("energy.jsonl")
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--keep", action="store_true", help="keep the work dirs")
+    args = ap.parse_args(argv)
+
+    tmp = Path(tempfile.mkdtemp(prefix="crash-smoke-"))
+    ref_dir = tmp / "ref"
+    ref_dir.mkdir(parents=True)
+
+    print("reference run (uninterrupted)...")
+    subprocess.run(run_flags(ref_dir, STEPS), env=env(), check=True,
+                   stdout=subprocess.DEVNULL)
+
+    failures = drill("torn", ref_dir, tmp / "torn", tear=True)
+    failures += drill("newest", ref_dir, tmp / "newest", tear=False)
 
     if not args.keep:
         import shutil

@@ -41,6 +41,7 @@ from repro.io import (  # noqa: E402
     job_energy_log_path,
     job_trajectory_path,
 )
+from repro.kernels import resolve_config  # noqa: E402
 from repro.serve import JobSpec, ServeClient, prepare_job_system  # noqa: E402
 
 BASE = dict(waters=8, record_every=2, checkpoint_every=2)
@@ -170,7 +171,11 @@ def main() -> int:
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="serve-smoke-"))
     state = workdir / "state"
-    specs = job_specs(long_scale=4 if args.kernel_tier == "compiled" else 1)
+    # The workers' tier with no flag is the resolver's default —
+    # compiled wherever it builds — and the long jobs must outlast the
+    # fault sequence on whichever tier actually runs them.
+    tier = resolve_config(args.kernel_tier).tier
+    specs = job_specs(long_scale=4 if tier == "compiled" else 1)
     by_name = {s.name: s for s in specs}
 
     print(f"== serve smoke in {workdir}"

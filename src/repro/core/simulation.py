@@ -1,12 +1,15 @@
 """High-level simulation driver.
 
-A fixed-point :class:`Simulation` is the one-replica case of the
-batched engine (:class:`~repro.ensemble.engine.EnsembleSimulation`):
-the same force calculator, neighbor list, constraint solver, MTS
-provider and integrator objects, on the resolved kernel tier, with the
-engine's replica-0 artifacts.  ``mode="float"`` is the conventional
-float64 reference path, wired here from the plain NumPy parts.  Also
-provides steepest-descent minimization for system preparation.
+A :class:`Simulation` is a one-lane view of an engine object.  In
+fixed-point mode that is the one-replica case of the batched engine
+(:class:`~repro.ensemble.engine.EnsembleSimulation`): the same force
+calculator, neighbor list, constraint solver, MTS provider and
+integrator objects, on the resolved kernel tier, with the engine's
+replica-0 artifacts.  ``mode="float"`` is the conventional float64
+reference path, :class:`FloatEngine`, wired here from the plain NumPy
+parts with the same per-lane surface.  Stepping and output cadences
+live in the one run loop (:mod:`repro.core.runloop`).  Also provides
+steepest-descent minimization for system preparation.
 """
 
 from __future__ import annotations
@@ -16,18 +19,13 @@ import numpy as np
 from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, VelocityVerlet
+from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.ensemble.engine import EnsembleSimulation
-from repro.io import (
-    EnergyRecord,
-    TrajectoryWriter,
-    check_fingerprint,
-    system_fingerprint,
-    trajectory_decode,
-)
+from repro.io import EnergyRecord, TrajectoryWriter, check_fingerprint, system_fingerprint
 from repro.kernels import get_suite
 
-__all__ = ["EnergyRecord", "Simulation", "minimize_energy"]
+__all__ = ["EnergyRecord", "FloatEngine", "Simulation", "minimize_energy"]
 
 
 def minimize_energy(
@@ -79,15 +77,85 @@ def minimize_energy(
     return energy
 
 
+class FloatEngine(LaneEngine):
+    """The conventional float64 reference path as a one-lane engine.
+
+    Wired from the plain NumPy parts (no kernel tier), with the same
+    per-lane surface as the batched engine, so a :class:`Simulation` is
+    the same thin view over either and the one run loop
+    (:mod:`repro.core.runloop`) drives both.
+    """
+
+    mode = "float"
+    io_phase = "io"
+
+    def __init__(self, system, params, dt, thermostat, constraints):
+        self.system = self.solo_system = system
+        self.params = params
+        self.dt = float(dt)
+        self.calc = ForceCalculator(system, params)
+        solver = None
+        if constraints and system.topology.n_constraints:
+            solver = ConstraintSolver(system.topology, system.masses, system.box)
+        self.constraint_solver = solver
+        self.provider = MTSForceProvider(self.calc)
+        self.integrator = VelocityVerlet(
+            system, self.provider, dt, constraints=solver, thermostat=thermostat
+        )
+        self.energy_logs: list[list[EnergyRecord]] = [[]]
+        # Static arrays and parameters only, so one hash serves the run.
+        self._fingerprint = system_fingerprint(system, params, self.mode, self.dt, None)
+
+    def record_energy(self) -> list[EnergyRecord]:
+        integ = self.integrator
+        rec = EnergyRecord(
+            step=integ.step_count,
+            time_fs=integ.step_count * self.dt,
+            kinetic=integ.kinetic_energy(),
+            potential=float(sum(integ.last_info.energies.values())),
+            temperature=integ.temperature(),
+        )
+        self.energy_logs[0].append(rec)
+        return [rec]
+
+    def replica_fingerprint(self) -> dict:
+        return self._fingerprint
+
+    def lane_state(self, r: int) -> dict:
+        integ = self.integrator
+        return {"positions": integ.positions.copy(), "velocities": integ.velocities.copy()}
+
+    def restore_replicas(self, states) -> None:
+        (chk,) = states
+        if chk["mode"] != self.mode or chk["dt"] != self.dt:
+            raise ValueError("checkpoint is for a different mode or time step")
+        if chk.get("fingerprint") is not None:
+            check_fingerprint(chk["fingerprint"], self.replica_fingerprint(), what="checkpoint")
+        elif len(chk["positions"]) != self.system.n_atoms:
+            raise ValueError(
+                f"checkpoint holds {len(chk['positions'])} atoms, "
+                f"this simulation has {self.system.n_atoms}"
+            )
+        integ = self.integrator
+        integ.positions = chk["positions"].copy()
+        integ.velocities = chk["velocities"].copy()
+        integ.step_count = chk["step_count"]
+        # Replay the force evaluation that produced the cached forces
+        # (the constructor already consumed one provider call).
+        self.provider.calls = chk["provider_calls"] - 1
+        integ._forces, integ.last_info = self.provider(integ.positions)
+
+
 class Simulation:
-    """One runnable MD simulation.
+    """One runnable MD simulation: a one-lane view of an engine.
 
     Parameters
     ----------
     mode:
         ``"fixed"`` — Anton-numerics path (fixed-point state, integer
         force accumulation), stepped by the R=1 batched engine;
-        ``"float"`` — conventional float64 path, NumPy only.
+        ``"float"`` — conventional float64 path, NumPy only
+        (:class:`FloatEngine`).
     constraints:
         ``True`` builds a solver from the topology's constraint list
         (rigid water, H-bond constraints); ``False`` integrates
@@ -114,10 +182,8 @@ class Simulation:
         self.dt = float(dt)
         self.mode = mode
         self.fixed_config = fixed_config
-        #: The R=1 engine every fixed-mode method below is a view of.
-        self.engine = None
         if mode == "fixed":
-            eng = self.engine = EnsembleSimulation(
+            eng = EnsembleSimulation(
                 system,
                 params,
                 dt=dt,
@@ -128,22 +194,15 @@ class Simulation:
                 kernel_tier=kernel_tier,
                 kernel_threads=kernel_threads,
             )
-            self.calc, self.provider = eng.calc, eng.provider
-            self.constraint_solver, self.integrator = eng.constraint_solver, eng.integrator
-            self.energy_log: list[EnergyRecord] = eng.energy_logs[0]
         elif mode == "float":
-            self.calc = ForceCalculator(system, params)
-            solver = None
-            if constraints and system.topology.n_constraints:
-                solver = ConstraintSolver(system.topology, system.masses, system.box)
-            self.constraint_solver = solver
-            self.provider = MTSForceProvider(self.calc)
-            self.integrator = VelocityVerlet(
-                system, self.provider, dt, constraints=solver, thermostat=thermostat
-            )
-            self.energy_log = []
+            eng = FloatEngine(system, params, dt, thermostat, constraints)
         else:
             raise ValueError(f"unknown mode {mode!r}")
+        #: The one-lane engine every method below is a view of.
+        self.engine = eng
+        self.calc, self.provider = eng.calc, eng.provider
+        self.constraint_solver, self.integrator = eng.constraint_solver, eng.integrator
+        self.energy_log: list[EnergyRecord] = eng.energy_logs[0]
         self.snapshots: list[np.ndarray] = []
         self.snapshot_steps: list[int] = []
 
@@ -163,17 +222,7 @@ class Simulation:
         return self.integrator.velocities
 
     def record_energy(self) -> EnergyRecord:
-        if self.engine is not None:
-            return self.engine.record_energy()[0]
-        rec = EnergyRecord(
-            step=self.integrator.step_count,
-            time_fs=self.integrator.step_count * self.dt,
-            kinetic=self.integrator.kinetic_energy(),
-            potential=float(sum(self.integrator.last_info.energies.values())),
-            temperature=self.integrator.temperature(),
-        )
-        self.energy_log.append(rec)
-        return rec
+        return self.engine.record_energy()[0]
 
     # -- checkpointing ------------------------------------------------------
 
@@ -185,9 +234,7 @@ class Simulation:
         neighbor-list skin), mode, dt, and — on the fixed path — the
         integrator datapath widths.
         """
-        if self.engine is not None:
-            return self.engine.replica_fingerprint()
-        return system_fingerprint(self.system, self.params, self.mode, self.dt, None)
+        return self.engine.replica_fingerprint()
 
     def checkpoint(self) -> dict:
         """Snapshot the exact dynamic state.
@@ -197,65 +244,25 @@ class Simulation:
         property that let the paper's multi-month BPTI run survive
         interruptions without perturbing the trajectory.
         """
-        if self.engine is not None:
-            return self.engine.replica_checkpoint(0)
-        return {
-            "mode": self.mode,
-            "dt": self.dt,
-            "step_count": self.integrator.step_count,
-            "provider_calls": self.provider.calls,
-            "fingerprint": self.fingerprint(),
-            "positions": self.integrator.positions.copy(),
-            "velocities": self.integrator.velocities.copy(),
-        }
+        return self.engine.replica_checkpoint()
 
     def restore(self, chk: dict) -> None:
         """Resume from a checkpoint taken on a compatible simulation.
 
-        The force cache is rebuilt by replaying the evaluation the
-        original run performed at this state (same MTS phase), so the
-        next step is identical to what the original would have taken.
-        The buffered neighbor list needs no state in the checkpoint:
-        its displacement trigger rebuilds it automatically if the
-        restored positions have drifted past ``skin/2`` from the list's
-        reference configuration, and the pair set it yields is a pure
-        function of the current positions either way.  A mismatch is a
-        ``ValueError`` (:class:`~repro.io.FingerprintMismatch`); legacy
-        fingerprint-less checkpoints get mode, dt and atom count checked.
+        The engine's restore (:meth:`EnsembleSimulation.restore
+        <repro.ensemble.engine.EnsembleSimulation.restore>`): the next
+        step is identical to what the original run would have taken.  A
+        mismatch is a ``ValueError`` (:class:`~repro.io.FingerprintMismatch`);
+        legacy fingerprint-less float checkpoints get mode, dt and atom
+        count checked.
         """
-        if self.engine is not None:
-            return self.engine.restore([chk])
-        if chk["mode"] != self.mode or chk["dt"] != self.dt:
-            raise ValueError("checkpoint is for a different mode or time step")
-        if chk.get("fingerprint") is not None:
-            check_fingerprint(chk["fingerprint"], self.fingerprint(), what="checkpoint")
-        elif len(chk["positions"]) != self.system.n_atoms:
-            raise ValueError(
-                f"checkpoint holds {len(chk['positions'])} atoms, "
-                f"this simulation has {self.system.n_atoms}"
-            )
-        integ = self.integrator
-        integ.positions = chk["positions"].copy()
-        integ.velocities = chk["velocities"].copy()
-        integ.step_count = chk["step_count"]
-        # Replay the force evaluation that produced the cached forces
-        # (the constructor already consumed one provider call).
-        self.provider.calls = chk["provider_calls"] - 1
-        integ._forces, integ.last_info = self.provider(integ.positions)
+        self.engine.restore_replicas([chk])
 
     # -- trajectory output ---------------------------------------------------
 
     def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A :class:`TrajectoryWriter` configured for this run.
-
-        The header carries the fingerprint plus the decode parameters
-        (datapath widths, box) a reader needs to reconstruct physical
-        positions/velocities bit-exactly without the system objects.
-        """
-        if self.engine is not None:
-            return self.engine.open_replica_trajectory(path, meta)
-        return TrajectoryWriter(path, fingerprint=self.fingerprint(),
-                                decode=trajectory_decode(self.system, None), meta=meta)
+        """A :class:`TrajectoryWriter` configured for this run."""
+        return self.engine.open_replica_trajectory(path, meta)
 
     def append_trajectory(self, path) -> TrajectoryWriter:
         """Reopen ``path`` for resumed writing.
@@ -265,22 +272,15 @@ class Simulation:
         truncated, so the finished file is identical to one from an
         uninterrupted run.
         """
-        if self.engine is not None:
-            return self.engine.append_replica_trajectory(path)
-        return TrajectoryWriter.append(
-            path, fingerprint=self.fingerprint(),
-            resume_step=self.integrator.step_count,
-        )
+        return self.engine.append_replica_trajectory(path)
 
     def write_frame(self, writer: TrajectoryWriter) -> None:
         """Append the current exact state as one frame."""
-        if self.engine is not None:
-            return self.engine.write_replica_frame(writer, 0)
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, {
-            "positions": self.integrator.positions.copy(),
-            "velocities": self.integrator.velocities.copy(),
-        })
+        self.engine.write_replica_frame(writer)
+
+    def _sample(self, step: int) -> None:
+        self.snapshots.append(self.positions.copy())
+        self.snapshot_steps.append(step)
 
     def run(
         self,
@@ -295,31 +295,18 @@ class Simulation:
     ) -> list[EnergyRecord]:
         """Advance ``n_steps``; returns the records appended this call.
 
-        ``record_every`` / ``snapshot_every`` of 0 disable logging.
-        With MTS, meaningful total-energy records need ``record_every``
-        to be a multiple of ``params.long_range_every``.
-
-        ``energy_writer`` streams each energy record as it is taken
-        (an :class:`~repro.io.EnergyLogWriter`).  ``trajectory`` /
-        ``checkpoint_store`` persist frames and rolling snapshots every
-        ``trajectory_every`` / ``checkpoint_every`` steps; their cadence
-        is keyed to the *global* step count, so a resumed run writes at
-        exactly the steps the uninterrupted run would have.
+        One call into the run loop (:func:`repro.core.runloop.run_loop`,
+        which documents the global-step cadences and the
+        flush-then-checkpoint order) on this simulation's engine.
+        ``energy_writer`` streams each record as it is taken;
+        ``trajectory`` / ``checkpoint_store`` persist frames and rolling
+        snapshots; ``snapshot_every`` keeps in-memory position samples;
+        a cadence of 0 disables its output.  With MTS, meaningful
+        total-energy records need ``record_every`` to be a multiple of
+        ``params.long_range_every``.
         """
-        start = len(self.energy_log)
-        for i in range(n_steps):
-            self.integrator.step()
-            done = i + 1
-            step = self.integrator.step_count
-            if record_every and done % record_every == 0:
-                rec = self.record_energy()
-                if energy_writer is not None:
-                    energy_writer.write(rec)
-            if snapshot_every and done % snapshot_every == 0:
-                self.snapshots.append(self.positions.copy())
-                self.snapshot_steps.append(step)
-            if trajectory is not None and trajectory_every and step % trajectory_every == 0:
-                self.write_frame(trajectory)
-            if checkpoint_store is not None and checkpoint_every and step % checkpoint_every == 0:
-                checkpoint_store.save(self.checkpoint(), step)
-        return self.energy_log[start:]
+        return run_loop(
+            self.engine, n_steps, record_every, [energy_writer],
+            [trajectory], trajectory_every, [checkpoint_store], checkpoint_every,
+            sample_every=snapshot_every, sample=self._sample,
+        )[0]

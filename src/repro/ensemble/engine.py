@@ -52,6 +52,7 @@ from repro.core.forces import (
     MTSForceProvider,
 )
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
+from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
 from repro.ewald import self_energy
@@ -59,14 +60,7 @@ from repro.ewald.correction import _segment_sums, correction_forces_static
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
-from repro.io import (
-    EnergyRecord,
-    FingerprintMismatch,
-    TrajectoryWriter,
-    check_fingerprint,
-    system_fingerprint,
-    trajectory_decode,
-)
+from repro.io import EnergyRecord, FingerprintMismatch, check_fingerprint, system_fingerprint
 from repro.kernels import get_suite
 
 __all__ = [
@@ -489,7 +483,7 @@ class EnsembleBerendsenThermostat:
 # -- driver ----------------------------------------------------------------
 
 
-class EnsembleSimulation:
+class EnsembleSimulation(LaneEngine):
     """Drive R bit-exact replicas through one batched integrator.
 
     Parameters mirror :class:`~repro.core.simulation.Simulation` where
@@ -508,8 +502,13 @@ class EnsembleSimulation:
     Per-replica artifacts (energy records, trajectory frames,
     checkpoints) use the *solo* fingerprint and the solo formats, so
     they are byte-identical to a solo run's files and restore into a
-    stock solo ``Simulation`` (:meth:`detach`).
+    stock solo ``Simulation`` (:meth:`detach`).  Stepping, output
+    cadences and the order writes reach disk belong to the one run loop
+    (:mod:`repro.core.runloop`); this class supplies its per-lane surface.
     """
+
+    #: Timer phase the run loop charges frame/checkpoint I/O to.
+    io_phase = "ensemble_io"
 
     def __init__(
         self,
@@ -601,10 +600,6 @@ class EnsembleSimulation:
 
     # -- views ---------------------------------------------------------------
 
-    @property
-    def timers(self):
-        return self.calc.timers
-
     def replica_slice(self, r: int) -> slice:
         if not 0 <= r < self.replicas:
             raise IndexError(f"replica {r} out of range (R={self.replicas})")
@@ -645,46 +640,13 @@ class EnsembleSimulation:
         """The solo fingerprint every replica's artifacts embed."""
         return self._solo_fingerprint
 
-    def replica_checkpoint(self, r: int) -> dict:
-        """Replica r's state in the exact solo checkpoint schema.
-
-        Byte-identical (through ``pack_state``) to what the same-seed
-        solo run's :meth:`Simulation.checkpoint` yields at this step,
-        and restorable by it (:meth:`detach`).
-        """
-        sl = self.replica_slice(r)
-        return {
-            "mode": self.mode,
-            "dt": self.dt,
-            "step_count": self.integrator.step_count,
-            "provider_calls": self.provider.calls,
-            "fingerprint": self._solo_fingerprint,
-            "X": self.integrator.X[sl].copy(),
-            "V": self.integrator.V[sl].copy(),
-        }
-
-    def open_replica_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A solo-format trajectory writer for one replica's frames."""
-        return TrajectoryWriter(
-            path, fingerprint=self._solo_fingerprint,
-            decode=trajectory_decode(self.solo_system, self.fixed_config), meta=meta,
-        )
-
-    def append_replica_trajectory(self, path) -> TrajectoryWriter:
-        """Reopen one replica's trajectory for resumed writing.
-
-        Same contract as :meth:`Simulation.append_trajectory`: frames
-        past the current step and any torn tail are truncated.
-        """
-        return TrajectoryWriter.append(
-            path, fingerprint=self._solo_fingerprint,
-            resume_step=self.integrator.step_count,
-        )
-
-    def write_replica_frame(self, writer: TrajectoryWriter, r: int) -> None:
+    def lane_state(self, r: int) -> dict:
+        """Replica r's state codes; with them :meth:`replica_checkpoint`
+        is byte-identical (through ``pack_state``) to what the same-seed
+        solo run's :meth:`Simulation.checkpoint` yields at this step, and
+        restorable by it (:meth:`detach`)."""
         X, V = self.state_codes(r)
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, {"X": X, "V": V})
+        return {"X": X, "V": V}
 
     def detach(self, r: int):
         """Extract replica r as a live solo :class:`Simulation`.
@@ -721,9 +683,15 @@ class EnsembleSimulation:
         sit at one step and MTS phase of this run's identity (the solo
         fingerprint); anything else raises
         :class:`~repro.io.FingerprintMismatch` before any state is
-        touched.  The force cache is rebuilt exactly as
-        :meth:`Simulation.restore` does — rewind the MTS counter and
-        replay the evaluation — so every replica continues bit-for-bit.
+        touched.  The force cache is rebuilt by rewinding the MTS counter
+        and replaying the evaluation the original run performed at this
+        state (same MTS phase), so every replica's next step is
+        identical to what the original would have taken.  The buffered
+        neighbor list needs no state in the checkpoint: its displacement
+        trigger rebuilds it if the restored positions have drifted past
+        ``skin/2`` from the list's reference configuration, and the pair
+        set it yields is a pure function of the current positions
+        either way.
         """
         states = list(states)
         if len(states) != self.replicas:
@@ -752,6 +720,8 @@ class EnsembleSimulation:
         self.provider.calls = int(states[0]["provider_calls"]) - 1
         integ._force_codes, integ.last_info = self.provider(integ.positions)
 
+    restore_replicas = restore
+
     # -- stepping ------------------------------------------------------------
 
     def run(
@@ -766,32 +736,16 @@ class EnsembleSimulation:
     ) -> list[list[EnergyRecord]]:
         """Advance all replicas ``n_steps``; per-replica record lists.
 
-        Cadences mirror :meth:`Simulation.run` exactly (global step
-        count keys the trajectory/checkpoint cadence).  The per-replica
-        sequences ``energy_writers`` / ``trajectories`` /
-        ``checkpoint_stores`` may be ``None`` or contain ``None``
-        entries to skip individual replicas.
+        A call into the one run loop (:func:`repro.core.runloop.run_loop`,
+        which documents the cadences and the flush-then-checkpoint
+        order).  The per-replica sequences ``energy_writers`` /
+        ``trajectories`` / ``checkpoint_stores`` may be ``None`` or
+        contain ``None`` entries to skip individual replicas.
         """
-        start = [len(log) for log in self.energy_logs]
-        for i in range(n_steps):
-            self.integrator.step()
-            done = i + 1
-            step = self.integrator.step_count
-            if record_every and done % record_every == 0:
-                recs = self.record_energy()
-                if energy_writers is not None:
-                    for writer, rec in zip(energy_writers, recs):
-                        if writer is not None:
-                            writer.write(rec)
-            if trajectories is not None and trajectory_every and step % trajectory_every == 0:
-                for r, writer in enumerate(trajectories):
-                    if writer is not None:
-                        self.write_replica_frame(writer, r)
-            if checkpoint_stores is not None and checkpoint_every and step % checkpoint_every == 0:
-                for r, store in enumerate(checkpoint_stores):
-                    if store is not None:
-                        store.save(self.replica_checkpoint(r), step)
-        return [log[s:] for log, s in zip(self.energy_logs, start)]
+        return run_loop(
+            self, n_steps, record_every, energy_writers, trajectories,
+            trajectory_every, checkpoint_stores, checkpoint_every,
+        )
 
     def profile(self) -> dict:
         """Hierarchical per-step phase profile of the batched engine.

@@ -103,11 +103,12 @@ class FaultController:
     """Drives injection, detection, and recovery around a machine run.
 
     Owned by :class:`~repro.machine.machine.AntonMachine` when it is
-    constructed with ``faults=``; the machine's :meth:`run` loop calls
-    :meth:`begin_step` / :meth:`after_step` around every time step and
-    :meth:`rollback` when a step must be undone.  All counters are also
-    mirrored into the machine's :class:`~repro.perf.Timers` counts
-    (``fault_*``), so ``--timings`` and :meth:`profile` surface them.
+    constructed with ``faults=``, and handed by its ``run`` to the one
+    run loop (:func:`repro.core.runloop.run_loop`) as the step bracket:
+    :meth:`begin_step` / :meth:`end_step` / :meth:`after_io` around
+    every time step.  All counters are also mirrored into the machine's
+    :class:`~repro.perf.Timers` counts (``fault_*``), so ``--timings``
+    and :meth:`profile` surface them.
     """
 
     COUNTERS = (
@@ -141,6 +142,7 @@ class FaultController:
         self.counters: dict[str, int] = {name: 0 for name in self.COUNTERS}
         self.memory_store = MemorySnapshotStore(retain=self.policy.retain)
         self._baseline: bytes | None = None
+        self._store: CheckpointStore | None = None
         self._events_by_step: dict[int, list] = {}
         self._replay_until = -1  # traffic of steps <= this goes to recovery
         self._io_done_until = -1  # store/trajectory writes already emitted
@@ -159,10 +161,12 @@ class FaultController:
 
     # -- run lifecycle --------------------------------------------------------
 
-    def start_run(self, machine, n_steps: int) -> None:
+    def start_run(self, machine, n_steps: int, store: CheckpointStore | None = None) -> None:
         """Arm the controller for ``n_steps`` from the machine's current
         step: materialize the event window and take the baseline
-        snapshot rollback falls back to when no checkpoint exists yet."""
+        snapshot rollback falls back to when no checkpoint exists yet.
+        ``store`` is the run's durable checkpoint store, if it has one."""
+        self._store = store
         start = machine.integrator.step_count + 1
         events = self.schedule.events(start, n_steps)
         self._events_by_step = {}
@@ -177,11 +181,6 @@ class FaultController:
         """True while ``step`` is a post-rollback re-execution."""
         return step <= self._replay_until
 
-    def io_done(self, step: int) -> bool:
-        """True when ``step``'s store/trajectory writes already happened
-        before a rollback (replay must not emit them twice)."""
-        return step <= self._io_done_until
-
     def begin_step(self, machine, step: int) -> None:
         """Arm the wire ledger (original passes only — replayed steps
         were already injected and audited the first time around)."""
@@ -191,6 +190,21 @@ class FaultController:
         network.set_recovery(self.replaying(step))
         if not self.replaying(step):
             network.begin_step(step)
+
+    def end_step(self, machine, step: int) -> bool:
+        """The barrier after one executed step, for the run loop.
+
+        True when the step's output must not be emitted: it was rolled
+        back, or it is a replay of a step whose store/trajectory writes
+        already happened before a rollback.
+        """
+        t = machine.calc.timers
+        with t.time("machine_fault_barrier"):
+            if self.after_step(machine, step):
+                with t.time("machine_rollback"):
+                    self.rollback(machine, self._store)
+                return True
+        return step <= self._io_done_until
 
     def after_step(self, machine, step: int) -> bool:
         """Barrier work after one executed step.
@@ -278,10 +292,10 @@ class FaultController:
 
     # -- snapshots & rollback ---------------------------------------------------
 
-    def maybe_snapshot(self, machine, step: int, has_store: bool) -> None:
+    def after_io(self, machine, step: int) -> None:
         """Feed the in-memory ring on the policy cadence when the run
         has no durable store (which otherwise owns checkpointing)."""
-        if not has_store and step % self.policy.checkpoint_every == 0:
+        if self._store is None and step % self.policy.checkpoint_every == 0:
             self.memory_store.save(machine.checkpoint(), step)
 
     def rollback(self, machine, store: CheckpointStore | None) -> int:

@@ -15,6 +15,8 @@ the storage layer that realizes it in the reproduction:
 * :mod:`~repro.io.energylog` — streaming JSONL energy observables.
 * :mod:`~repro.io.replicas` — per-replica artifact naming for
   batched ensemble runs (solo formats, indexed paths).
+* :mod:`~repro.io.session` — the one durable-run session every entry
+  point resumes, writes and closes its artifacts through.
 """
 
 from repro.io.checkpoint import CheckpointError, CheckpointStore, LoadedCheckpoint
@@ -44,6 +46,7 @@ from repro.io.serialize import (
     trajectory_decode,
     unpack_state,
 )
+from repro.io.session import RunSession
 from repro.io.trajectory import Frame, TrajectoryReader, TrajectoryWriter, VerifyReport
 
 __all__ = [
@@ -64,6 +67,7 @@ __all__ = [
     "TrajectoryReader",
     "TrajectoryWriter",
     "VerifyReport",
+    "RunSession",
     "replica_checkpoint_dir",
     "replica_checkpoint_store",
     "replica_trajectory_path",

@@ -64,6 +64,8 @@ class CheckpointStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.retain = int(retain)
+        #: Step of the last snapshot this object wrote, if any.
+        self.saved_step: int | None = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -109,6 +111,7 @@ class CheckpointStore:
         os.replace(tmp, final)
         self._fsync_dir()
         self._prune()
+        self.saved_step = int(step)
         return final
 
     def _fsync_dir(self) -> None:

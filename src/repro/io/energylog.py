@@ -7,12 +7,14 @@ record being written.  ``json.dumps`` serializes floats via ``repr``,
 which round-trips float64 exactly — the log is as bit-faithful as the
 binary formats.
 
-On resume the writer appends; an interrupted run may therefore leave
-overlapping step ranges (records the killed run logged past its last
-durable checkpoint, re-logged by the resumed run).  Since the resumed
-trajectory is bitwise the original, duplicates are identical;
-:func:`read_energy_log` deduplicates by step keeping the last
-occurrence and returns records sorted by step.
+A killed run may have logged records past its last durable checkpoint.
+Every resume (:class:`~repro.io.session.RunSession`) first cuts the log
+back to the restored step with :func:`truncate_energy_log` and then
+appends, so the finished log is byte-identical to an uninterrupted
+run's.  :func:`read_energy_log` additionally tolerates a log that was
+never healed: a torn final line is dropped and overlapping step ranges
+collapse to one record per step (the resumed trajectory is bitwise the
+original, so duplicates are identical).
 """
 
 from __future__ import annotations

@@ -1,12 +1,7 @@
 """The simulated Anton machine: hardware constants, HTIS and
 flexible-subsystem models, and the functional whole-machine simulator."""
 
-from repro.machine.backends import (
-    MachineBackend,
-    SerialBackend,
-    VectorizedBackend,
-    make_backend,
-)
+from repro.machine.backends import MachineBackend, VectorizedBackend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import (
     BondTerm,
@@ -29,7 +24,5 @@ __all__ = [
     "AntonMachine",
     "MachineForceCalculator",
     "MachineBackend",
-    "SerialBackend",
     "VectorizedBackend",
-    "make_backend",
 ]

@@ -1,19 +1,20 @@
 """Execution backends for the functional machine simulation.
 
-Two interchangeable strategies run the per-node work of a machine
-time step:
+A :class:`MachineBackend` runs the per-node work of a machine time
+step.  One ships:
 
 * :class:`VectorizedBackend` — what every run uses: each phase's
   contributions deposited by single array kernels, owner grouping
   collapsed (integer accumulation commutes, so grouping cannot change
   the bits), cached import routes, and traffic accounting batched
   over per-step (atom, node) marks.
-* :class:`SerialBackend` — the literal per-node Python loops the
-  array kernels replaced: deposits grouped node by node, GSE spreading
-  and interpolation called once per owning node, traffic charged one
-  ``send`` at a time.  Kept as the oracle the differential tests and
-  the scaling benchmark compare against; reachable only through
-  ``AntonMachine(backend="serial")``.
+
+The literal per-node Python loops the array kernels replaced —
+deposits grouped node by node, GSE spreading and interpolation called
+once per owning node, traffic charged one ``send`` at a time — are the
+oracle the differential tests and the scaling benchmark compare
+against, and live with them: ``tests/serial_backend.py``, passed as
+``AntonMachine(backend=SerialBackend())``.
 
 Both produce bitwise-identical ``state_codes()`` trajectories and
 identical reported energies: every force contribution is quantized
@@ -40,12 +41,7 @@ import numpy as np
 
 from repro.parallel import nt_assign_pairs, nt_node_tables, tower_plate_boxes
 
-__all__ = [
-    "MachineBackend",
-    "SerialBackend",
-    "VectorizedBackend",
-    "make_backend",
-]
+__all__ = ["MachineBackend", "VectorizedBackend"]
 
 #: Atom-chunk size for the over-budget GSE fallback (when the shared
 #: stencil plan would exceed its memory cap).  Small chunks keep the
@@ -56,34 +52,6 @@ _GSE_CHUNK = 128
 #: Largest box-pair count tabulated by the vectorized NT lookup; above
 #: this (>= 2048 nodes) the direct per-pair computation is used.
 _NT_TABLE_MAX_ENTRIES = 4 << 20
-
-
-def _force_export_side(machine, pair_nodes: np.ndarray, atoms: np.ndarray):
-    """Exact force-export routes for one side of the pair list.
-
-    Each remote (atom, computing-node) contribution is one summed force
-    vector travelling from the computing node to the atom's owner; the
-    per-route byte count is the exact count of such vectors (times
-    ``bytes_per_force``, floored at the minimum message size) — the old
-    even-split integer division undercounted by up to
-    ``len(routes) - 1`` force records per step.
-
-    Returns ``(src, dst, nbytes)`` arrays, or None when nothing leaves
-    its computing node.
-    """
-    owner = machine.owners[atoms]
-    remote = pair_nodes != owner
-    if not np.any(remote):
-        return None
-    n = np.int64(machine.topology.n_nodes)
-    contrib = np.unique(atoms[remote] * n + pair_nodes[remote])
-    c_src = contrib % n
-    route = c_src * n + machine.owners[contrib // n]
-    routes, counts = np.unique(route, return_counts=True)
-    nbytes = np.maximum(
-        counts * machine.hw.bytes_per_force, machine.hw.min_message_bytes
-    )
-    return routes // n, routes % n, nbytes
 
 
 class MachineBackend:
@@ -137,133 +105,6 @@ class MachineBackend:
         raise NotImplementedError
 
 
-class SerialBackend(MachineBackend):
-    """Per-node Python loops — the original execution strategy.
-
-    Every phase iterates over simulated nodes (or routes) in Python, so
-    its cost grows with the node count even though the physics does
-    not.  This is the pre-vectorization baseline preserved for the
-    scaling benchmark and for differential testing.
-    """
-
-    name = "serial"
-
-    def _deposit_by_node(self, calc, acc, node, i, j, codes) -> None:
-        """Deposit pair contributions node by node (ascending id)."""
-        order = np.argsort(node, kind="stable")
-        n_nodes = calc.machine.topology.n_nodes
-        boundaries = np.searchsorted(node[order], np.arange(n_nodes + 1))
-        for n in range(n_nodes):
-            sel = order[boundaries[n] : boundaries[n + 1]]
-            if len(sel):
-                acc.deposit(i[sel], codes[sel])
-                acc.deposit(j[sel], -codes[sel])
-
-    def range_limited(self, calc, positions, force_codec, acc):
-        m = calc.machine
-        nb, codes = calc._range_limited_codes(positions, force_codec)
-        with calc.timers.time("machine_nt_assign"):
-            assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
-        with calc.timers.time("machine_deposit"):
-            self._deposit_by_node(calc, acc, assign.node, nb.i, nb.j, codes)
-        return nb, (assign.node, nb.i, nb.j)
-
-    def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
-        term_nodes = calc.machine.bond_assignment.term_node
-        offset = 0
-        for contrib in bonded:
-            if contrib.n_terms:
-                t_nodes = term_nodes[offset : offset + contrib.n_terms]
-                c = force_codec.quantize_round_only(contrib.force)
-                for n in np.unique(t_nodes):
-                    sel = t_nodes == n
-                    acc.deposit(contrib.idx[sel].ravel(), c[sel].reshape(-1, 3))
-            offset += contrib.n_terms
-
-    def deposit_corrections(self, calc, acc, corr, ccodes) -> None:
-        corr_nodes = calc.machine.owners[corr.i]
-        self._deposit_by_node(calc, acc, corr_nodes, corr.i, corr.j, ccodes)
-
-    def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
-        s, m, gse = calc.system, calc.machine, calc.gse
-        t = calc.timers
-        # One shared stencil plan per evaluation; each node then spreads
-        # and interpolates over the rows it owns.  Bitwise equal to the
-        # old per-node weight rebuild: every plan kernel is per-atom
-        # arithmetic plus a commutative reduction, so the row partition
-        # is invisible in the bits.  Row subsets run the plan's NumPy
-        # cube pipeline (the oracle of the fused kernels), so the plan
-        # is built with its cubes, whatever the kernel tier.
-        with t.time("mesh_plan"):
-            plan = gse.make_plan(positions)
-        mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-        node_rows = [np.nonzero(m.owners == n)[0] for n in range(m.topology.n_nodes)]
-        with t.time("mesh_spread"):
-            for rows in node_rows:
-                if len(rows):
-                    if plan is not None:
-                        plan.spread_codes(s.charges, mesh_acc, calc.mesh_codec, rows=rows)
-                    else:
-                        gse.spread_contributions(
-                            positions[rows], s.charges[rows], mesh_acc, calc.mesh_codec
-                        )
-        with t.time("mesh_unquantize"):
-            Q = calc.mesh_codec.reconstruct(calc.mesh_codec.wrap(mesh_acc)).reshape(
-                tuple(gse.mesh)
-            )
-        with t.time("mesh_fft_traffic"):
-            m.account_fft()
-        with t.time("mesh_fft"):
-            phi, e_k = gse.solve(Q)
-
-        # Force interpolation, per owning node.
-        with t.time("mesh_interp"):
-            for rows in node_rows:
-                if len(rows):
-                    if plan is not None:
-                        f_k = plan.interpolate_forces(s.charges, phi, rows=rows)
-                    else:
-                        f_k = gse.interpolate_forces(positions[rows], s.charges[rows], phi)
-                    acc.deposit(rows, force_codec.quantize_round_only(f_k))
-        return e_k
-
-    def account_position_import(self, machine) -> None:
-        # Each occupied source box broadcasts its atoms to every node
-        # whose tower/plate imports it — one multicast per source.  The
-        # charged statistics equal the old per-route ``send`` loop
-        # (multicast batches the same routes); grouping by source is
-        # what lets an attached router model the NT broadcast as a
-        # spanning tree instead of per-destination unicast paths.
-        counts = machine._node_occupancy()
-        reach = machine.params.cutoff + machine.migration.import_margin()
-        dsts_of: dict[int, list[int]] = {}
-        for node in range(machine.topology.n_nodes):
-            tower, plate = tower_plate_boxes(
-                machine.decomp, machine.topology.coord(node), reach
-            )
-            for bx in tower | plate:
-                src = machine.topology.node_id(bx)
-                if src == node or counts[src] == 0:
-                    continue
-                dsts_of.setdefault(src, []).append(node)
-        for src in sorted(dsts_of):
-            machine.network.multicast(
-                src,
-                dsts_of[src],
-                int(counts[src]) * machine.hw.bytes_per_position,
-                tag="position_import",
-            )
-
-    def account_force_export(self, machine, export) -> None:
-        pair_nodes, i, j = export
-        for atoms in (i, j):
-            out = _force_export_side(machine, pair_nodes, atoms)
-            if out is None:
-                continue
-            for src, dst, nbytes in zip(*out):
-                machine.network.send(int(src), int(dst), int(nbytes), tag="force_export")
-
-
 class VectorizedBackend(MachineBackend):
     """Segmented group-by execution: one array kernel per phase.
 
@@ -273,7 +114,7 @@ class VectorizedBackend(MachineBackend):
     cache-sized chunked passes over all atoms, and traffic is charged
     through :meth:`~repro.parallel.comm.SimNetwork.send_batch` with
     routes computed by array ops (position-import routes are static per
-    machine and cached).  Bitwise identical to :class:`SerialBackend`.
+    machine and cached).  Bitwise identical to the serial test oracle.
     """
 
     name = "vectorized"
@@ -418,14 +259,20 @@ class VectorizedBackend(MachineBackend):
         )
 
     def account_force_export(self, machine, export) -> None:
-        """Charge the routes of :func:`_force_export_side` from the marks.
+        """Charge the exact force-export routes from the marks.
+
+        Each remote (atom, computing-node) contribution is one summed
+        force vector travelling from the computing node to the atom's
+        owner; a route's byte count is the exact count of such vectors
+        (times ``bytes_per_force``, floored at the minimum message
+        size).
 
         A side's set marks, in flat order, are the ascending unique
         ``atom * n + node`` keys ``np.unique`` finds over the pairs.
         Local contributions (the computing node owns the atom) survive
         to the route stage here but land on src == dst routes, which
         ``send_batch`` drops — the charged statistics are exactly the
-        serial backend's.
+        serial oracle's.
         """
         n = machine.topology.n_nodes
         for marks in export:
@@ -437,36 +284,3 @@ class VectorizedBackend(MachineBackend):
                 counts[routes] * machine.hw.bytes_per_force, machine.hw.min_message_bytes
             )
             machine.network.send_batch(routes // n, routes % n, nbytes, tag="force_export")
-
-
-_BACKENDS = {
-    "serial": SerialBackend,
-    "vectorized": VectorizedBackend,
-}
-
-
-def make_backend(
-    backend,
-    kernel_tier: str | None = None,
-    kernel_threads: int | None = None,
-) -> MachineBackend:
-    """Resolve a backend name (or pass through an instance).
-
-    ``kernel_tier`` selects the hot-loop suite (``"numpy"`` or
-    ``"compiled"``) and ``kernel_threads`` its worker-lane count;
-    ``None`` defers to the instance's own setting and ultimately the
-    ``REPRO_KERNEL_TIER`` / ``REPRO_KERNEL_THREADS`` environment
-    variables.
-    """
-    if not isinstance(backend, MachineBackend):
-        try:
-            backend = _BACKENDS[backend]()
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {backend!r}; expected one of {sorted(_BACKENDS)}"
-            ) from None
-    if kernel_tier is not None:
-        backend.kernel_tier = kernel_tier
-    if kernel_threads is not None:
-        backend.kernel_threads = kernel_threads
-    return backend

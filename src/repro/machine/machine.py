@@ -15,12 +15,18 @@ integration tests run the same system on 1, 8, and 64 simulated nodes
 and compare trajectories bit-for-bit.
 
 The same invariance also frees the *simulator* to choose how it
-executes each phase: :mod:`repro.machine.backends` provides array
-kernels (``vectorized``, what every run uses) and the per-node loops
-they replaced (``serial``, kept as the oracle the tests compare
-against), both producing identical state codes.
+executes each phase: :mod:`repro.machine.backends` provides the array
+kernels every run uses (``vectorized``); the per-node loops they
+replaced live on as the test oracle (``tests/serial_backend.py``, a
+:class:`~repro.machine.backends.MachineBackend` instance passed as
+``backend=``), both producing identical state codes.
 Engine phases are charged to ``machine_*`` timers
 (:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.engine_seconds`).
+
+Stepping, output cadences and the flush-then-checkpoint order belong
+to the one run loop (:mod:`repro.core.runloop`): the machine is its
+one-lane engine and hands it the :class:`~repro.fault.FaultController`
+as the step bracket.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ import numpy as np
 from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator, ForceReport, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
+from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.fault import FaultController, FaultSchedule, FaultyNetwork, RecoveryPolicy
 from repro.fft import DistributedFFT3D
-from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint, trajectory_decode
-from repro.machine.backends import MachineBackend, make_backend
+from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.machine.backends import MachineBackend, VectorizedBackend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import assign_bond_terms, correction_pairs_per_node
 from repro.network import LinkRouter, RoutedConfig
@@ -152,7 +159,7 @@ class MachineForceCalculator(ForceCalculator):
         return acc.raw(), energies
 
 
-class AntonMachine:
+class AntonMachine(LaneEngine):
     """A simulated n-node Anton machine running one chemical system.
 
     Parameters
@@ -165,9 +172,9 @@ class AntonMachine:
     migration_interval:
         Steps between migration passes (paper: 4-8).
     backend:
-        Execution strategy: ``"vectorized"`` (default), ``"serial"``
-        (the per-node reference loops, for differential tests), or a
-        :class:`~repro.machine.backends.MachineBackend` instance.
+        Execution strategy: ``"vectorized"`` (default) or a
+        :class:`~repro.machine.backends.MachineBackend` instance (the
+        differential tests pass their per-node reference loops).
         State codes are bitwise identical across them.
     kernel_tier:
         Hot-loop implementation suite: ``"numpy"`` or ``"compiled"``
@@ -227,7 +234,7 @@ class AntonMachine:
     ):
         if params.quantize_mesh_bits is None:
             params = replace(params, quantize_mesh_bits=40)
-        self.system = system
+        self.system = self.solo_system = system
         self.params = params
         self.hw = hw
         self.dt = float(dt)
@@ -255,7 +262,19 @@ class AntonMachine:
         self.dfft = None
         if all(mm % d == 0 for mm, d in zip(params.mesh, self.topology.dims)):
             self.dfft = DistributedFFT3D(params.mesh, self.topology, self.network)
-        self.backend = make_backend(backend, kernel_tier, kernel_threads)
+        if backend == "vectorized":
+            backend = VectorizedBackend()
+        elif not isinstance(backend, MachineBackend):
+            raise ValueError(
+                f"unknown backend {backend!r}; expected 'vectorized' or a MachineBackend"
+            )
+        # ``None`` defers to the instance's own setting and ultimately
+        # to the REPRO_KERNEL_TIER / REPRO_KERNEL_THREADS resolution.
+        if kernel_tier is not None:
+            backend.kernel_tier = kernel_tier
+        if kernel_threads is not None:
+            backend.kernel_threads = kernel_threads
+        self.backend = backend
         self.calc = MachineForceCalculator(system, params, self, self.backend)
         self.provider = MTSForceProvider(self.calc, force_codec=fixed_config.force_codec())
         solver = None
@@ -351,28 +370,31 @@ class AntonMachine:
         self.bond_assignment = assign_bond_terms(self.system.topology, self.owners, self.hw)
         self.correction_lists = correction_pairs_per_node(self.system.exclusions, self.owners)
 
-    def step(self, n: int = 1) -> None:
-        """Advance n machine time steps.
+    def advance(self) -> None:
+        """One machine time step (the run loop's step).
 
-        Each step is recorded as a ``machine_step`` phase whose
-        children (position import, the integrator's ``step`` subtree,
-        migration, bond reassignment) cover essentially all of the
-        wall time — the basis of :meth:`profile`.
+        Recorded as a ``machine_step`` phase whose children (position
+        import, the integrator's ``step`` subtree, migration, bond
+        reassignment) cover essentially all of the wall time — the
+        basis of :meth:`profile`.
         """
         t = self.calc.timers
-        for _ in range(n):
-            with t.time("machine_step"):
-                with t.time("import"):
-                    self.account_position_import()
-                self.integrator.step()
-                with t.time("migration"):
-                    event = self.migration.step(self.integrator.positions)
-                    if event is not None:
-                        self.account_migration(event.n_migrated)
-                        self.owners = self.migration.owners
-                if self.integrator.step_count % self.bond_reassign_interval == 0:
-                    with t.time("bond_reassign"):
-                        self.reassign_bond_terms()
+        with t.time("machine_step"):
+            with t.time("import"):
+                self.account_position_import()
+            self.integrator.step()
+            with t.time("migration"):
+                event = self.migration.step(self.integrator.positions)
+                if event is not None:
+                    self.account_migration(event.n_migrated)
+                    self.owners = self.migration.owners
+            if self.integrator.step_count % self.bond_reassign_interval == 0:
+                with t.time("bond_reassign"):
+                    self.reassign_bond_terms()
+
+    def step(self, n: int = 1) -> None:
+        """Advance n machine time steps: no output, no fault bracket."""
+        run_loop(self, n)
 
     def run(
         self,
@@ -384,71 +406,31 @@ class AntonMachine:
     ) -> None:
         """Advance ``n_steps`` with durable-store hooks.
 
-        Frames and rolling snapshots are emitted every
-        ``trajectory_every`` / ``checkpoint_every`` steps of the
-        *global* step count, so a resumed run writes at exactly the
-        steps the uninterrupted run would have.  I/O time is charged
-        to the ``machine_io`` timer (it is not part of a machine step).
+        One call into the run loop (:func:`repro.core.runloop.run_loop`,
+        which documents the global-step cadences and the
+        flush-then-checkpoint order).  I/O time is charged to the
+        ``machine_io`` timer (it is not part of a machine step).
 
-        With fault injection armed (``faults=`` at construction), every
-        step is bracketed by the :class:`~repro.fault.FaultController`:
-        the wire ledger records the step's traffic, the barrier audit
-        detects and retries message faults, and a node crash rolls the
-        machine back to the newest valid checkpoint — ``checkpoint_store``
-        when given, else the controller's in-memory snapshot ring — and
-        replays deterministically.  Replayed steps charge their traffic
-        to the network's recovery pool and skip store writes that
-        already happened, so both the primary traffic statistics and
-        the on-disk artifacts of a healed run are exactly a clean run's.
+        With fault injection armed (``faults=`` at construction) the
+        :class:`~repro.fault.FaultController` is the loop's step
+        bracket: the wire ledger records the step's traffic, the
+        barrier audit detects and retries message faults, and a node
+        crash rolls the machine back to the newest valid checkpoint —
+        ``checkpoint_store`` when given, else the controller's
+        in-memory snapshot ring — and replays deterministically.
+        Replayed steps charge their traffic to the network's recovery
+        pool and skip store writes that already happened, so both the
+        primary traffic statistics and the on-disk artifacts of a
+        healed run are exactly a clean run's.
         """
-        t = self.calc.timers
         fc = self.fault_controller
         if fc is not None:
-            fc.start_run(self, n_steps)
-        target = self.integrator.step_count + n_steps
-        while self.integrator.step_count < target:
-            step = self.integrator.step_count + 1
-            if fc is not None:
-                fc.begin_step(self, step)
-            self.step()
-            if fc is not None:
-                with t.time("machine_fault_barrier"):
-                    if fc.after_step(self, step):
-                        with t.time("machine_rollback"):
-                            fc.rollback(self, checkpoint_store)
-                        continue
-                if fc.io_done(step):
-                    continue
-            if trajectory is not None and trajectory_every and step % trajectory_every == 0:
-                with t.time("machine_io"):
-                    self.write_frame(trajectory)
-            if checkpoint_store is not None and checkpoint_every and step % checkpoint_every == 0:
-                with t.time("machine_io"):
-                    checkpoint_store.save(self.checkpoint(), step)
-            if fc is not None:
-                fc.maybe_snapshot(self, step, has_store=checkpoint_store is not None)
-
-    # -- trajectory output ---------------------------------------------------
-
-    def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
-        """A :class:`TrajectoryWriter` configured for this machine."""
-        return TrajectoryWriter(
-            path, fingerprint=self.fingerprint(),
-            decode=trajectory_decode(self.system, self.fixed_config), meta=meta,
+            fc.start_run(self, n_steps, checkpoint_store)
+        run_loop(
+            self, n_steps, trajectories=[trajectory], trajectory_every=trajectory_every,
+            checkpoint_stores=[checkpoint_store], checkpoint_every=checkpoint_every,
+            bracket=fc,
         )
-
-    def append_trajectory(self, path) -> TrajectoryWriter:
-        """Reopen ``path`` for resumed writing (truncates past-resume frames)."""
-        return TrajectoryWriter.append(
-            path, fingerprint=self.fingerprint(),
-            resume_step=self.integrator.step_count,
-        )
-
-    def write_frame(self, writer: TrajectoryWriter) -> None:
-        """Append the current exact machine state as one frame."""
-        X, V = self.integrator.state_codes()
-        step = self.integrator.step_count
-        writer.write_frame(step, step * self.dt, {"X": X, "V": V})
 
     # -- checkpointing -------------------------------------------------------
 
@@ -514,6 +496,25 @@ class AntonMachine:
         self.reassign_bond_terms()
         self.provider.calls = int(chk["provider_calls"]) - 1
         integ._force_codes, integ.last_info = self.provider(integ.positions)
+
+    # -- the run loop's one-lane surface (LaneEngine does the rest) ------------
+
+    io_phase = "machine_io"
+    replica_fingerprint = fingerprint
+    open_trajectory = LaneEngine.open_replica_trajectory
+    append_trajectory = LaneEngine.append_replica_trajectory
+    write_frame = LaneEngine.write_replica_frame
+
+    def lane_state(self, r: int) -> dict:
+        X, V = self.integrator.state_codes()
+        return {"X": X, "V": V}
+
+    def replica_checkpoint(self, r: int = 0) -> dict:
+        return self.checkpoint()
+
+    def restore_replicas(self, states) -> None:
+        (state,) = states
+        self.restore(state)
 
     # -- observability -------------------------------------------------------
 

@@ -99,10 +99,10 @@ class JobSpec:
             raise ValueError(f"unsupported job system {self.system!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        # Energy records are cadenced per run() call, not per global
-        # step, so slice boundaries (== checkpoint cadence) must land
-        # on record boundaries for sliced output to be byte-identical
-        # to an unsliced run's.
+        # Input validation: a slice (== checkpoint cadence) is a whole
+        # number of record intervals, so every progress report covers
+        # complete records.  (Byte-identity no longer depends on it —
+        # the run loop keys records to the global step.)
         if (self.checkpoint_every and self.record_every
                 and self.checkpoint_every % self.record_every):
             raise ValueError(

@@ -14,13 +14,13 @@ An assignment is 1+ batch-compatible jobs, run through one
 :class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size, the
 PR 7 engine — each replica bit-identical to its solo run on every
 kernel tier).  A job with prior progress takes the same path as an
-R=1 ensemble restored from its newest valid checkpoint
-(:meth:`~repro.ensemble.EnsembleSimulation.restore`), appending to its
-trajectory and energy log with the torn / past-checkpoint output
-truncated — so the worker's kernel tier is honoured on every slice,
-resumed or not.  Work proceeds in **slices of exactly the checkpoint
-cadence**: every slice boundary coincides with a durable checkpoint
-save, so
+R=1 ensemble resumed through the durable-run session
+(:class:`~repro.io.RunSession`: newest valid checkpoint restored,
+trajectory and energy log reopened with the torn / past-checkpoint
+output truncated) — so the worker's kernel tier is honoured on every
+slice, resumed or not.  Work proceeds in **slices of exactly the
+checkpoint cadence**: every slice boundary coincides with a durable
+checkpoint save by the run loop (frames flushed first), so
 
 * preemption (requested between slices) needs no special checkpoint —
   the state is already on disk, and the requeued job resumes from it
@@ -107,9 +107,10 @@ def _run_batch(jobs, control, progress, kernel_cfg):
     """One EnsembleSimulation pass over a batch, from step 0 or resumed.
 
     A job with prior progress (dispatched singly, by scheduler policy)
-    enters the same loop by restoring its newest valid checkpoint into
-    an R=1 ensemble and appending to its artifacts, the torn /
-    past-checkpoint output truncated.
+    enters the same loop through the same :class:`~repro.io.RunSession`,
+    resumed: its newest valid checkpoint restored into an R=1 ensemble,
+    its artifacts reopened with the torn / past-checkpoint output
+    truncated.
     """
     from pathlib import Path
 
@@ -119,11 +120,10 @@ def _run_batch(jobs, control, progress, kernel_cfg):
         CheckpointError,
         CheckpointStore,
         CorruptRecord,
-        EnergyLogWriter,
+        RunSession,
         job_checkpoint_dir,
         job_energy_log_path,
         job_trajectory_path,
-        truncate_energy_log,
     )
 
     spec = jobs[0].spec
@@ -132,16 +132,14 @@ def _run_batch(jobs, control, progress, kernel_cfg):
         CheckpointStore(job_checkpoint_dir(d), retain=j.spec.retain)
         for d, j in zip(dirs, jobs)
     ]
-    loaded = None
-    if jobs[0].steps_done > 0:
-        try:
-            loaded = stores[0].load_latest()
-        except CheckpointError:
-            # Nothing durable survived (killed before the first
-            # snapshot, or every snapshot torn): start over from
-            # scratch — the "run-start baseline" rung of the recovery
-            # ladder.
-            jobs[0].steps_done = 0
+    try:
+        session = RunSession(stores, resume=jobs[0].steps_done > 0)
+    except CheckpointError:
+        # Nothing durable survived (killed before the first snapshot,
+        # or every snapshot torn): start over from scratch — the
+        # "run-start baseline" rung of the recovery ladder.
+        jobs[0].steps_done = 0
+        session = RunSession(stores)
 
     system, params = prepare_job_system(spec)
     ens = EnsembleSimulation(
@@ -152,74 +150,45 @@ def _run_batch(jobs, control, progress, kernel_cfg):
         constraints=True,
         kernel_tier=kernel_cfg.tier, kernel_threads=kernel_cfg.threads,
     )
-    if loaded is not None:
-        ens.restore([loaded.state])
-    step = ens.integrator.step_count
-
-    trajectories, writers = [], []
-
-    def save_checkpoints() -> None:
-        # Durability order: trajectories are flushed BEFORE the slice's
-        # checkpoint lands, so a durable checkpoint is always covered
-        # by durable frames — a SIGKILL can never leave a checkpoint
-        # newer than the trajectory prefix (frames a resume could not
-        # regenerate).  Energy lines flush per record already.
-        for t in trajectories:
-            t.flush()
-        for r, store in enumerate(stores):
-            store.save(ens.replica_checkpoint(r), ens.integrator.step_count)
-
     try:
-        for d in dirs:
-            traj_path = job_trajectory_path(d)
-            if step and traj_path.exists():
-                try:
-                    trajectories.append(ens.append_replica_trajectory(traj_path))
-                except CorruptRecord:  # pragma: no cover - externally damaged file
-                    # Unreadable even at the header: nothing to append
-                    # to.  The flush-before-checkpoint order makes this
-                    # unreachable from a worker SIGKILL, so it means
-                    # external damage — regenerate the whole artifact
-                    # set from step 0 (bit-exact, just slower).
-                    jobs[0].steps_done = 0
-                    return _run_batch(jobs, control, progress, kernel_cfg)
-            else:
-                trajectories.append(ens.open_replica_trajectory(traj_path))
-            if step:
-                truncate_energy_log(job_energy_log_path(d), step)
-            writers.append(EnergyLogWriter(job_energy_log_path(d), append=bool(step)))
+        step = session.open(
+            ens,
+            [job_trajectory_path(d) for d in dirs],
+            [job_energy_log_path(d) for d in dirs],
+        )
+    except CorruptRecord:  # pragma: no cover - externally damaged file
+        # A trajectory unreadable even at the header: nothing to append
+        # to.  The loop's flush-before-checkpoint order makes this
+        # unreachable from a worker SIGKILL, so it means external
+        # damage — regenerate the whole artifact set from step 0
+        # (bit-exact, just slower).
+        jobs[0].steps_done = 0
+        return _run_batch(jobs, control, progress, kernel_cfg)
 
+    # Slices end exactly on the checkpoint cadence, so the state a
+    # preempted job resumes from is already durable when control() is
+    # polled; the session's exit writes the final checkpoint only when
+    # the last step is off the cadence.
+    with session:
         done = {j.id: step for j in jobs}
         while step < spec.steps:
             n = min(spec.slice_steps, spec.steps - step)
-            # In-run checkpointing stays off: the slice boundary saves
-            # below hit exactly the same steps (slice == cadence), in
-            # the flush-then-save order the durability argument needs.
             ens.run(
                 n, record_every=spec.record_every,
-                energy_writers=writers,
-                trajectories=trajectories,
+                energy_writers=session.energy_writers,
+                trajectories=session.trajectories,
                 trajectory_every=spec.effective_trajectory_every,
+                checkpoint_stores=session.stores,
+                checkpoint_every=spec.checkpoint_every,
             )
             step += n
-            if spec.checkpoint_every and step % spec.checkpoint_every == 0:
-                save_checkpoints()
             for j in jobs:
                 done[j.id] = step
             if progress is not None:
                 progress(dict(done))
             if step < spec.steps and control is not None and control() == "preempt":
                 return SliceOutcome("preempted", done)
-        # Final checkpoint at the last step, exactly like the solo CLI
-        # (the cadence save above already wrote it when steps is a
-        # multiple; saving the same step again produces the same file).
-        save_checkpoints()
         return SliceOutcome("done", done)
-    finally:
-        for t in trajectories:
-            t.close()
-        for w in writers:
-            w.close()
 
 
 def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):

@@ -18,6 +18,7 @@ from repro.io import CheckpointStore
 from repro.io.serialize import pack_state
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 PARAMS = MDParams(
     cutoff=4.0,
@@ -52,7 +53,7 @@ def run_machine(base_system, backend, steps=10, faults=None, fault_seed=7, **kwa
         PARAMS,
         n_nodes=8,
         dt=1.0,
-        backend=backend,
+        backend=machine_backend(backend),
         faults=faults,
         fault_seed=fault_seed,
         recovery=kwargs.pop("recovery", None),

@@ -256,7 +256,7 @@ class TestConfigResolution:
             monkeypatch.setattr(module, "load", loaded)
         sim = Simulation(base_system.copy(), MACHINE_PARAMS, dt=1.0, mode="float")
         sim.run(2)
-        assert sim.engine is None and sim.calc.kernels is None
+        assert sim.engine.mode == "float" and sim.calc.kernels is None
 
     @pytest.mark.parametrize("bad", [0, -1, 129, 10**6])
     def test_thread_count_out_of_range(self, bad):

@@ -17,6 +17,7 @@ from repro.io.serialize import pack_state
 from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
@@ -42,7 +43,7 @@ def base_system():
 def make_machine(base_system, tier, **kwargs):
     return AntonMachine(
         base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0,
-        backend=kwargs.pop("backend", "vectorized"), kernel_tier=tier,
+        backend=machine_backend(kwargs.pop("backend", "vectorized")), kernel_tier=tier,
         **kwargs,
     )
 

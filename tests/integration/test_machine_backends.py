@@ -14,8 +14,9 @@ import pytest
 
 from repro.core import MDParams, minimize_energy
 from repro.kernels import available
-from repro.machine import AntonMachine, make_backend
+from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 PARAMS = MDParams(
     cutoff=4.0,
@@ -36,7 +37,7 @@ def base_system():
 
 def run_machine(base_system, backend, n_nodes=8, steps=4, params=PARAMS):
     machine = AntonMachine(
-        base_system.copy(), params, n_nodes=n_nodes, dt=1.0, backend=backend
+        base_system.copy(), params, n_nodes=n_nodes, dt=1.0, backend=machine_backend(backend)
     )
     try:
         machine.step(steps)
@@ -65,9 +66,11 @@ class TestBackendEquivalence:
         )
         np.testing.assert_array_equal(stats_s.per_node_bytes, stats_v.per_node_bytes)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("simd")
+    def test_unknown_backend_rejected(self, base_system):
+        # No name registry: "vectorized" or a MachineBackend instance.
+        for bad in ("simd", "serial"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                AntonMachine(base_system.copy(), PARAMS, n_nodes=8, backend=bad)
 
 
     def test_checkpoint_restore_across_backends(self, base_system):
@@ -82,7 +85,7 @@ class TestBackendEquivalence:
         X_ref, V_ref = donor.state_codes()
 
         resumed = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend="serial"
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=machine_backend("serial")
         )
         resumed.restore(chk)
         resumed.step(2)
@@ -105,7 +108,7 @@ class TestExecutionEquivalence:
 
     def _run(self, base_system, backend, tier, **extra):
         machine = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=backend,
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=machine_backend(backend),
             kernel_tier=tier, **extra,
         )
         try:
@@ -165,7 +168,7 @@ class TestStepProfile:
     @pytest.mark.parametrize("backend", ["serial", "vectorized"])
     def test_profile_covers_step_and_exposes_mesh_subphases(self, base_system, backend):
         machine = AntonMachine(
-            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=backend
+            base_system.copy(), PARAMS, n_nodes=8, dt=1.0, backend=machine_backend(backend)
         )
         try:
             machine.step(4)

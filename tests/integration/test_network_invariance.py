@@ -19,6 +19,7 @@ from repro.kernels import available
 from repro.machine import AntonMachine
 from repro.network import RoutedConfig
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
@@ -44,7 +45,7 @@ def base_system():
 def make_machine(base_system, routed, **kwargs):
     return AntonMachine(
         base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0,
-        backend=kwargs.pop("backend", "vectorized"), routed=routed,
+        backend=machine_backend(kwargs.pop("backend", "vectorized")), routed=routed,
         **kwargs,
     )
 

@@ -23,6 +23,7 @@ from repro.forcefield import LJTable, Topology
 from repro.geometry import Box
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 
 def argon_system(n_side=4, spacing=3.8, temperature=120.0, seed=5):
@@ -79,7 +80,7 @@ class TestMachineReversibility:
     def test_argon_forward_backward_recovers_initial_bits(self, backend):
         machine = AntonMachine(
             argon_system(), ARGON_PARAMS, n_nodes=8, dt=2.0,
-            constraints=False, backend=backend,
+            constraints=False, backend=machine_backend(backend),
         )
         try:
             (x0, v0), (x1, v1) = reverse_roundtrip(machine, 30)

@@ -5,18 +5,34 @@ restarts that do not perturb the trajectory.  These tests run the full
 disk path — checkpoint() -> CheckpointStore -> file -> load_latest()
 -> restore() — for the Simulation driver and for the AntonMachine
 under every execution backend, and assert the resumed state codes are
-bitwise identical to an uninterrupted run.  Corruption-fallback and
-trajectory byte-identity across an interruption are covered too.
+bitwise identical to an uninterrupted run.  Corruption-fallback is
+covered too, and so is artifact byte-identity across a *real* kill: a
+child process runs solo, an R=2 ensemble and an 8-node machine through
+the durable-run session and dies by ``os._exit`` — no flush, no close,
+what SIGKILL does — either right after an in-run checkpoint lands or
+with frames written past its last checkpoint.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import MDParams, Simulation, minimize_energy
 from repro.ensemble import EnsembleSimulation
-from repro.io import CheckpointStore, FingerprintMismatch, TrajectoryReader, pack_state
+from repro.io import (
+    CheckpointStore,
+    FingerprintMismatch,
+    RunSession,
+    TrajectoryReader,
+    pack_state,
+)
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.serial_backend import machine_backend
 
 SIM_PARAMS = MDParams(cutoff=4.2, mesh=(16, 16, 16), long_range_every=2)
 MACHINE_PARAMS = MDParams(
@@ -28,12 +44,125 @@ MACHINE_PARAMS = MDParams(
 )
 
 
-@pytest.fixture(scope="module")
-def base_system():
+def prepared_system():
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, MACHINE_PARAMS, max_steps=30)
     system.initialize_velocities(300.0, seed=12)
     return system
+
+
+@pytest.fixture(scope="module")
+def base_system():
+    return prepared_system()
+
+
+# -- a durable run that can be killed for real --------------------------------
+
+REPO = Path(__file__).resolve().parents[2]
+STEPS = 12
+KILLED = 9  # the dying child's exit status
+
+
+class _DieAfterSave(CheckpointStore):
+    """A store whose process dies the instant ``die_at``'s snapshot is durable."""
+
+    die_at = None
+
+    def save(self, state, step, fingerprint=None):
+        path = super().save(state, step, fingerprint)
+        if step == self.die_at:
+            os._exit(KILLED)
+        return path
+
+
+def durable_run(kind, workdir, steps, checkpoint_every, resume=False,
+                die_after_checkpoint=None, die_after_run=False, system=None):
+    """Run ``kind`` to global step ``steps`` through one RunSession.
+
+    Frames every 2 steps, checkpoints every ``checkpoint_every``, a
+    final checkpoint on a clean exit — what the CLI and the service do.
+    ``die_after_checkpoint`` / ``die_after_run`` kill the process with
+    every file still open.
+    """
+    workdir = Path(workdir)
+    system = system if system is not None else prepared_system()
+    if kind == "solo":
+        driver = Simulation(system.copy(), SIM_PARAMS, dt=1.0)
+        engine = driver.engine
+    elif kind == "ensemble":
+        driver = engine = EnsembleSimulation(
+            system.copy(), SIM_PARAMS, dt=1.0, seeds=[3, 4], temperature=300.0
+        )
+    else:
+        driver = engine = AntonMachine(system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0)
+    lanes = range(engine.replicas)
+    stores = [_DieAfterSave(workdir / f"ck{r}") for r in lanes]
+    stores[-1].die_at = die_after_checkpoint  # every lane's snapshot has landed
+    session = RunSession(stores, resume=resume)
+    done = session.open(engine, [workdir / f"traj{r}.rrs" for r in lanes])
+    cadence = dict(trajectory_every=2, checkpoint_every=checkpoint_every)
+    with session:
+        if kind == "ensemble":
+            driver.run(steps - done, trajectories=session.trajectories,
+                       checkpoint_stores=session.stores, **cadence)
+        else:
+            driver.run(steps - done, trajectory=session.trajectories[0],
+                       checkpoint_store=session.stores[0], **cadence)
+        if die_after_run:
+            os._exit(KILLED)
+    return done
+
+
+def killed_run(kind, workdir, steps, checkpoint_every, **how):
+    """:func:`durable_run` in a child process that must die by ``os._exit``."""
+    call = (f"durable_run({kind!r}, {str(workdir)!r}, {steps}, {checkpoint_every}, "
+            + ", ".join(f"{k}={v!r}" for k, v in how.items()) + ")")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(REPO / "src"), str(REPO)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"from tests.integration.test_run_store import *; {call}"],
+        env=env, cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == KILLED, proc.stderr
+
+
+def artifacts(workdir):
+    """Every trajectory and every final checkpoint of a run directory."""
+    workdir = Path(workdir)
+    final = f"ckpt-{STEPS:012d}.rrs"
+    files = sorted(workdir.glob("traj*.rrs")) + sorted(workdir.glob(f"ck*/{final}"))
+    return {str(p.relative_to(workdir)): p.read_bytes() for p in files}
+
+
+@pytest.fixture(scope="module")
+def reference(base_system, tmp_path_factory):
+    """``reference(kind)``: artifacts of the uninterrupted run, cached."""
+    cache = {}
+
+    def get(kind):
+        if kind not in cache:
+            workdir = tmp_path_factory.mktemp(f"ref-{kind}")
+            durable_run(kind, workdir, STEPS, 4, system=base_system)
+            cache[kind] = artifacts(workdir)
+        return cache[kind]
+
+    return get
+
+
+@pytest.mark.parametrize("kind", ["solo", "ensemble", "machine"])
+def test_kill_right_after_checkpoint_resumes_byte_identical(
+        kind, base_system, reference, tmp_path):
+    """The newest checkpoint is never newer than the durable trajectory.
+
+    The child dies the instant its step-4 checkpoint lands; the frame
+    of step 4 was written one statement earlier and is only on disk
+    because the run loop flushes trajectories before it saves.
+    """
+    killed_run(kind, tmp_path, STEPS, 4, die_after_checkpoint=4)
+    with TrajectoryReader(tmp_path / "traj0.rrs") as r:
+        assert list(r.steps) == [2, 4] and r.index_rebuilt
+    assert durable_run(kind, tmp_path, STEPS, 4, resume=True, system=base_system) == 4
+    assert artifacts(tmp_path) == reference(kind)
+    assert len(reference(kind)) == 2 * (2 if kind == "ensemble" else 1)
 
 
 class TestSimulationDiskRoundTrip:
@@ -89,34 +218,19 @@ class TestSimulationDiskRoundTrip:
         with pytest.raises(FingerprintMismatch, match="n_atoms"):
             other.restore(store.load_latest().state)
 
-    def test_interrupted_trajectory_matches_uninterrupted(self, base_system, tmp_path):
-        # Uninterrupted run writing 12 steps of frames.
-        ref_path = tmp_path / "ref.rrs"
-        ref = Simulation(base_system.copy(), SIM_PARAMS, dt=1.0, mode="fixed")
-        with ref.open_trajectory(ref_path) as traj:
-            ref.run(12, trajectory=traj, trajectory_every=2)
+    def test_interrupted_trajectory_matches_uninterrupted(
+            self, base_system, reference, tmp_path):
+        # The child checkpoints at 6, keeps writing frames to step 8 and
+        # is killed with the file open (no index record, no trailer,
+        # whatever was still buffered lost); the resume starts from 6.
+        killed_run("solo", tmp_path, 8, 6, die_after_run=True)
+        assert CheckpointStore(tmp_path / "ck0").steps() == [6]
 
-        # Interrupted run: checkpoint at 6, keeps writing to step 8,
-        # "crashes" (no close -> torn index-less file), resumes from 6.
-        store = CheckpointStore(tmp_path / "ck")
-        crash_path = tmp_path / "crash.rrs"
-        first = Simulation(base_system.copy(), SIM_PARAMS, dt=1.0, mode="fixed")
-        traj = first.open_trajectory(crash_path)
-        first.run(8, trajectory=traj, trajectory_every=2,
-                  checkpoint_store=store, checkpoint_every=6)
-        traj.flush()
-        traj._f.close()  # SIGKILL: no index record, no trailer
-
-        resumed = Simulation(base_system.copy(), SIM_PARAMS, dt=1.0, mode="fixed")
-        resumed.restore(store.load_latest().state)
-        assert resumed.integrator.step_count == 6
-        with resumed.append_trajectory(crash_path) as traj:
-            # Frames at steps 7-8 from the dead run were truncated;
-            # cadence realigns on the global step count.
-            resumed.run(6, trajectory=traj, trajectory_every=2)
-
-        assert crash_path.read_bytes() == ref_path.read_bytes()
-        with TrajectoryReader(crash_path) as r:
+        # Frames past step 6 from the dead run are truncated; the
+        # cadence realigns on the global step count.
+        assert durable_run("solo", tmp_path, STEPS, 6, resume=True, system=base_system) == 6
+        assert artifacts(tmp_path) == reference("solo")
+        with TrajectoryReader(tmp_path / "traj0.rrs") as r:
             assert r.verify().ok
             assert list(r.steps) == [2, 4, 6, 8, 10, 12]
 
@@ -127,7 +241,7 @@ class TestMachineDiskRoundTrip:
         def make(n_nodes=8):
             return AntonMachine(
                 base_system.copy(), MACHINE_PARAMS, n_nodes=n_nodes, dt=1.0,
-                backend=backend,
+                backend=machine_backend(backend),
             )
 
         reference = make()

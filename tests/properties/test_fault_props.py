@@ -16,6 +16,7 @@ from repro.forcefield import LJTable, Topology
 from repro.geometry import Box
 from repro.io.serialize import pack_state
 from repro.machine import AntonMachine
+from tests.serial_backend import machine_backend
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -94,7 +95,7 @@ def run_machine(backend, fault_seed=None, steps=6):
     faults = RATES if fault_seed is not None else None
     machine = AntonMachine(
         argon_system(), PARAMS, n_nodes=8, dt=2.0, constraints=False,
-        backend=backend, faults=faults, fault_seed=fault_seed or 0,
+        backend=machine_backend(backend), faults=faults, fault_seed=fault_seed or 0,
     )
     try:
         machine.run(steps)

@@ -28,10 +28,11 @@ from repro.core import MDParams
 from repro.core.forces import ForceCalculator
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.kernels import available, get_suite, make_pair_spec
-from repro.machine.backends import VectorizedBackend, _force_export_side
+from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import assert_walk_matches
+from tests.serial_backend import _force_export_side
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"

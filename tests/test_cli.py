@@ -120,6 +120,49 @@ class TestRunStoreCLI:
             assert r.verify().ok
         assert [rec.step for rec in read_energy_log(tmp_path / "e.jsonl")] == [4, 8]
 
+    def _store_flags(self, root, checkpoint_every):
+        return self.WATER + [
+            "--checkpoint-dir", str(root / "ck"),
+            "--checkpoint-every", str(checkpoint_every),
+            "--trajectory", str(root / "t.rrs"), "--trajectory-every", "2",
+            "--energy-log", str(root / "e.jsonl"),
+        ]
+
+    def test_resume_energy_log_is_byte_identical(self, capsys, tmp_path):
+        """Every artifact of a resumed run, the energy log included, is
+        byte for byte the uninterrupted run's — with --checkpoint-every
+        (6) *not* a multiple of --record-every (4), so the records only
+        line up because their cadence is keyed to the global step, and
+        with a record logged past the last checkpoint, which only goes
+        away because --resume truncates the log before appending."""
+        import json
+
+        dirs = {name: tmp_path / name for name in ("ref", "aligned", "overshoot")}
+        for d in dirs.values():
+            d.mkdir()
+        assert main(self._store_flags(dirs["ref"], 6) + ["--steps", "12"]) == 0
+
+        # Stopped exactly on a checkpoint that is off the record cadence.
+        flags = self._store_flags(dirs["aligned"], 6)
+        assert main(flags + ["--steps", "6"]) == 0
+        assert main(flags + ["--steps", "12", "--resume"]) == 0
+
+        # Killed after logging step 8, newest surviving checkpoint 6.
+        flags = self._store_flags(dirs["overshoot"], 6)
+        assert main(flags + ["--steps", "8"]) == 0
+        (dirs["overshoot"] / "ck" / f"ckpt-{8:012d}.rrs").unlink()
+        assert main(flags + ["--steps", "12", "--resume"]) == 0
+        assert "at step 6 (6 steps remain)" in capsys.readouterr().out
+
+        final = f"ck/ckpt-{12:012d}.rrs"
+        ref = dirs["ref"]
+        assert [json.loads(line)["step"]
+                for line in (ref / "e.jsonl").read_text().splitlines()] == [4, 8, 12]
+        for name in ("aligned", "overshoot"):
+            for artifact in ("e.jsonl", "t.rrs", final):
+                assert (dirs[name] / artifact).read_bytes() == (ref / artifact).read_bytes(), (
+                    name, artifact)
+
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(SystemExit, match="--resume requires"):
             main(self.WATER + ["--steps", "4", "--resume"])
