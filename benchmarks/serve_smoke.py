@@ -4,19 +4,26 @@
 End-to-end drill of the simulation service's contract:
 
 1. Start ``repro serve`` (2 workers) on a fresh state directory.
-2. Submit 8 jobs through **concurrent** ``repro submit`` CLI clients —
-   mixed priorities, two batchable groups, one long low-priority job.
-3. Once the long job is mid-run, submit a high-priority job (forces a
-   preemption) and SIGKILL one worker process (forces a requeue +
-   bit-exact resume).
-4. SIGKILL the *server* itself mid-run, then restart it on the same
-   state directory: the durable queue must replay, requeue orphaned
-   RUNNING jobs, and lose/duplicate nothing.
-5. Wait for every job to finish and compare each job's trajectory,
+2. Submit 7 jobs through **concurrent** ``repro submit`` CLI clients —
+   two batchable groups, two long low-priority slot-fillers.
+3. Once both long jobs pin the pool, queue a same-group ``trio`` behind
+   them (it cannot start until a long job ends, so whenever it does all
+   three are pending and fuse into one R=3 pass), then submit a
+   high-priority job (forces a preemption) and SIGKILL one worker
+   process (forces a requeue + bit-exact resume).
+4. SIGKILL the *server* itself mid-run of the recovered job, then
+   restart it on the same state directory: the durable queue must
+   replay, requeue orphaned RUNNING jobs, and lose/duplicate nothing.
+5. Once the trio runs, cancel one member: the whole assignment stops
+   at its slice boundary, the cancelled job ends CANCELLED and the
+   other two — checkpointed at the same step — must be re-dispatched
+   **together** (a batched resume, read off the server's
+   ``batched_resumes`` metric).
+6. Wait for every job to finish and compare each job's trajectory,
    final checkpoint set, and energy log against a same-seed solo
    :class:`Simulation` run **byte for byte**.
 
-Exits non-zero on any mismatch or lost job.
+Exits non-zero on any mismatch, lost job, or missing batched resume.
 """
 
 from __future__ import annotations
@@ -42,17 +49,23 @@ from repro.io import (  # noqa: E402
     job_trajectory_path,
 )
 from repro.kernels import resolve_config  # noqa: E402
-from repro.serve import JobSpec, ServeClient, prepare_job_system  # noqa: E402
+from repro.serve import (  # noqa: E402
+    TERMINAL_STATES,
+    JobSpec,
+    ServeClient,
+    prepare_job_system,
+)
 
 BASE = dict(waters=8, record_every=2, checkpoint_every=2)
 
 
 def job_specs(long_scale: int = 1) -> list[JobSpec]:
-    """8 mixed jobs: two long slot-fillers, two batchable groups, mixed
-    priorities.  The long jobs have different step counts so they never
-    batch: they pin both workers, making the hi-pri preemption
-    deterministic.  ``long_scale`` stretches them so the fault sequence
-    fits inside their runtime on faster kernel tiers."""
+    """11 mixed jobs: two long slot-fillers, two batchable groups, a
+    high-priority job and the trio.  The long jobs have different step
+    counts so they never batch: they pin both workers, making the
+    hi-pri preemption deterministic.  ``long_scale`` stretches the long
+    jobs and the trio so the fault sequence fits inside their runtime
+    on faster kernel tiers."""
     specs = [JobSpec(steps=400 * long_scale, seed=6, name="long-a",
                      priority=0, **BASE),
              JobSpec(steps=300 * long_scale, seed=9, name="long-b",
@@ -60,6 +73,8 @@ def job_specs(long_scale: int = 1) -> list[JobSpec]:
     specs += [JobSpec(steps=6, seed=s, name=f"grp-a-{s}", **BASE) for s in (1, 2, 3)]
     specs += [JobSpec(steps=8, seed=s, name=f"grp-b-{s}", **BASE) for s in (4, 5)]
     specs += [JobSpec(steps=6, seed=8, name="hi-pri", priority=5, **BASE)]
+    specs += [JobSpec(steps=100 * long_scale, seed=s, name=f"trio-{s}", **BASE)
+              for s in (11, 12, 13)]
     return specs
 
 
@@ -102,16 +117,34 @@ def start_server(state: Path, kernel_tier: str | None = None) -> subprocess.Pope
 
 
 def wait_running(client: ServeClient, job_id: str, min_steps: int,
-                 timeout: float = 180.0) -> None:
+                 timeout: float = 180.0, min_recoveries: int = 0) -> None:
     deadline = time.time() + timeout
     while time.time() < deadline:
         job = client.status(job_id)
-        if job["state"] == "RUNNING" and job["steps_done"] >= min_steps:
+        if (job["state"] == "RUNNING" and job["steps_done"] >= min_steps
+                and job["recoveries"] >= min_recoveries):
             return
         if job["state"] == "DONE":
             raise SystemExit(f"{job_id} finished before the fault landed")
         time.sleep(0.1)
     raise SystemExit(f"{job_id} never reached RUNNING with {min_steps} steps")
+
+
+def journal_tail(state: Path, job_id: str, n: int = 6) -> list[str]:
+    """The last ``n`` journal events of one job (read-only scan)."""
+    from repro.io import unpack_state
+    from repro.io.records import REC_STATE, scan_records
+
+    lines = []
+    with open(state / "queue.rrs", "rb") as f:
+        for _offset, _end, rtype, payload in scan_records(f):
+            if rtype != REC_STATE:
+                continue
+            event = unpack_state(payload)
+            if event.get("id") == job_id:
+                lines.append(" ".join(str(event[k]) for k in
+                                      ("event", "to", "reason", "fields") if k in event))
+    return lines[-n:]
 
 
 def solo_reference(root: Path, spec: JobSpec) -> Path:
@@ -184,7 +217,8 @@ def main() -> int:
     client = ServeClient(state, timeout=10.0)
 
     # Concurrent CLI clients: the first 7 jobs race through the socket.
-    first = [s for s in specs if s.name != "hi-pri"]
+    trio = [s.name for s in specs if s.name.startswith("trio-")]
+    first = [s for s in specs if s.name != "hi-pri" and s.name not in trio]
     clients = [subprocess.Popen(submit_cmd(state, s), env=env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
                for s in first]
@@ -198,6 +232,11 @@ def main() -> int:
     # high-priority arrival must preempt one of them.
     wait_running(client, "long-a", min_steps=2)
     wait_running(client, "long-b", min_steps=2)
+    # Queued behind a pinned pool at priority 0, the trio starts only
+    # when a long job ends — by then all three are pending, so they
+    # fuse, whatever the faults below do in between.
+    for name in trio:
+        client.submit(by_name[name].to_dict())
     subprocess.run(submit_cmd(state, by_name["hi-pri"]), env=env(), check=True,
                    stdout=subprocess.DEVNULL)
     print("   submitted hi-pri (priority 5) against a fully busy pool")
@@ -222,7 +261,9 @@ def main() -> int:
         print(f"   SIGKILLed worker pid {victim} (running long-a)")
 
     # Fault 3: SIGKILL the whole server, then restart on the same state.
-    wait_running(client, "long-a", min_steps=8)
+    # The kill must land mid-run of the *recovered* long-a: straight
+    # after fault 2 the server still shows the dead worker's RUNNING.
+    wait_running(client, "long-a", min_steps=8, min_recoveries=1 if victim else 0)
     server.send_signal(signal.SIGKILL)
     server.wait(timeout=30)
     time.sleep(0.5)
@@ -234,17 +275,41 @@ def main() -> int:
     print("   SIGKILLed server; restart replayed all "
           f"{len(listed)} jobs from the journal")
 
-    states = client.wait(list(by_name), poll=0.3, timeout=600)
-    failed = {k: v for k, v in states.items() if v != "DONE"}
-    if failed:
-        raise SystemExit(f"jobs did not finish: {failed}")
+    # Batched resume: cancel one lane of the running trio.  The whole
+    # assignment stops at its slice boundary; the two survivors come
+    # back pending at one step and must be dispatched together.
+    cancelled = trio[-1]
+    wait_running(client, trio[0], min_steps=2, timeout=300.0)
+    client.cancel(cancelled)
+    print(f"   cancelled {cancelled} out of the running trio")
+
+    try:
+        states = client.wait(list(by_name), poll=0.3, timeout=120)
+    except TimeoutError as exc:
+        for job in client.jobs():
+            if job["state"] not in TERMINAL_STATES:
+                print(f"   !! {job['id']}: {job['state']} at step "
+                      f"{job['steps_done']}/{job['steps']}; journal tail:")
+                for line in journal_tail(state, job["id"]):
+                    print(f"        {line}")
+        raise SystemExit(str(exc))
+    expected = {name: "CANCELLED" if name == cancelled else "DONE" for name in by_name}
+    if states != expected:
+        wrong = {k: v for k, v in states.items() if v != expected[k]}
+        raise SystemExit(f"jobs did not finish as expected: {wrong}")
     jobs = {j["id"]: j for j in client.jobs()}
+    metrics = client.metrics()
     preempted = sum(j["preemptions"] for j in jobs.values())
     recovered = sum(j["recoveries"] for j in jobs.values())
-    print(f"   all {len(states)} jobs DONE; pool saw "
-          f"{preempted} preemptions, {recovered} recoveries")
+    print(f"   all {len(states)} jobs terminal; pool saw "
+          f"{preempted} preemptions, {recovered} recoveries, "
+          f"{metrics['batched_resumes']} batched resumes; workers prepared "
+          f"{metrics['prepare_misses']} systems cold, {metrics['prepare_hits']} "
+          f"from cache ({metrics['prepare_seconds']:.2f} s)")
     if not preempted or not recovered:
         raise SystemExit("expected at least one preemption and one recovery")
+    if not metrics["batched_resumes"]:
+        raise SystemExit("no dispatch resumed >= 2 jobs together")
     client.shutdown()
     server.wait(timeout=30)
 
@@ -252,6 +317,8 @@ def main() -> int:
     problems = []
     refs = workdir / "refs"
     for name, spec in by_name.items():
+        if name == cancelled:
+            continue  # stopped part-way by design: nothing to compare
         ref = solo_reference(refs, spec)
         found = compare(Path(jobs[name]["artifact_dir"]), ref, name)
         problems += found

@@ -42,6 +42,11 @@ class Topology:
         self._vsites: list[tuple[int, int, int, int, float]] = []
         self._extra_exclusions: list[tuple[int, int]] = []
         self.compiled = False
+        # Derived from the frozen term lists on first use; every
+        # builder method refuses a compiled topology, so nothing can
+        # invalidate them afterwards.
+        self._groups: list[np.ndarray] | None = None
+        self._group_members: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- building --------------------------------------------------------
 
@@ -170,8 +175,11 @@ class Topology:
         """Connected components of the constraint graph (Section 3.2.4).
 
         Each group must be integrated on a single node; virtual sites
-        ride along with their parent group.
+        ride along with their parent group.  Computed once per compiled
+        topology; the arrays are shared between callers and read-only.
         """
+        if self._groups is not None:
+            return self._groups
         self.compile()
         parent = np.arange(self.n_atoms)
 
@@ -194,4 +202,24 @@ class Topology:
         involved = set(self.constraint_idx.ravel().tolist()) | set(self.vsite_idx[:, 0].tolist()) | set(self.vsite_idx[:, 1].tolist())
         for atom in involved:
             roots.setdefault(find(int(atom)), []).append(int(atom))
-        return [np.array(sorted(v), dtype=np.int64) for _k, v in sorted(roots.items())]
+        self._groups = [np.array(sorted(v), dtype=np.int64) for _k, v in sorted(roots.items())]
+        for group in self._groups:
+            group.setflags(write=False)
+        return self._groups
+
+    def constraint_group_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """The groups flattened: ``(member, leader)`` index arrays, one
+        entry per grouped atom, ``leader`` its group's first atom — so
+        per-group work is one fancy-index instead of a Python loop.
+        """
+        if self._group_members is None:
+            groups = self.constraint_groups()
+            member = np.concatenate(groups) if groups else np.empty(0, np.int64)
+            leader = np.repeat(
+                np.array([g[0] for g in groups], dtype=np.int64),
+                [len(g) for g in groups],
+            )
+            member.setflags(write=False)
+            leader.setflags(write=False)
+            self._group_members = (member, leader)
+        return self._group_members

@@ -72,18 +72,17 @@ class SpatialDecomposition:
         """
         owners = self.node_of(positions)
         if topology is not None:
-            for group in topology.constraint_groups():
-                owners[group] = owners[group[0]]
+            member, leader = topology.constraint_group_members()
+            owners[member] = owners[leader]
         return owners
 
     def max_group_extent(self, positions: np.ndarray, topology: Topology) -> float:
         """Largest distance of any constraint-group atom from the
         group's first atom — sets the import-region expansion margin."""
-        worst = 0.0
-        for group in topology.constraint_groups():
-            d = self.box.distance(positions[group], positions[group[0]])
-            worst = max(worst, float(np.max(d)))
-        return worst
+        member, leader = topology.constraint_group_members()
+        if not len(member):
+            return 0.0
+        return float(np.max(self.box.distance(positions[member], positions[leader])))
 
     def atoms_per_node(self, owners: np.ndarray) -> np.ndarray:
         """Histogram of atoms over nodes."""

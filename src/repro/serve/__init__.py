@@ -33,6 +33,7 @@ from repro.serve.scheduler import (
 from repro.serve.server import SOCKET_NAME, ServeConfig, Server
 from repro.serve.workers import (
     AssignmentJob,
+    PreparedSystems,
     SliceOutcome,
     execute_assignment,
     resolve_worker_kernels,
@@ -58,6 +59,7 @@ __all__ = [
     "simulate_schedule",
     "AssignmentJob",
     "SliceOutcome",
+    "PreparedSystems",
     "execute_assignment",
     "resolve_worker_kernels",
     "worker_main",

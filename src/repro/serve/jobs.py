@@ -143,6 +143,15 @@ class JobSpec:
         d.pop("name")
         return tuple(sorted(d.items()))
 
+    def prepare_key(self) -> tuple:
+        """Preparation key: exactly the fields :func:`prepare_job_system`
+        reads.  Equal keys build and minimize to bitwise-equal prepared
+        systems, whatever the seed, step count, cadences or priority —
+        what a worker's :class:`~repro.serve.workers.PreparedSystems`
+        cache is keyed by.
+        """
+        return (self.system, self.waters, self.build_seed, self.cutoff)
+
     # -- wire format --------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -187,11 +196,6 @@ class Job:
     def remaining(self) -> int:
         return max(0, self.spec.steps - self.steps_done)
 
-    @property
-    def fresh(self) -> bool:
-        """True while no slice has completed (batchable from step 0)."""
-        return self.steps_done == 0
-
 
 def prepare_job_system(spec: JobSpec):
     """Build the prepared (minimized) system + params for a spec.
@@ -201,8 +205,11 @@ def prepare_job_system(spec: JobSpec):
     steps.  Velocities are *not* drawn here — the velocity seed is the
     per-job identity, applied by the worker (via the ensemble engine's
     seed list) or by ``initialize_velocities`` on the solo path.
-    Deterministic: equal specs (modulo ``seed``/``name``/``priority``)
-    yield bitwise-equal prepared systems.
+    Deterministic: specs with equal :meth:`JobSpec.prepare_key` yield
+    bitwise-equal prepared systems.  Pure and uncached — every call
+    pays the real build + minimization (the references and baselines
+    the service is measured against call it directly); the workers'
+    reuse lives in :class:`~repro.serve.workers.PreparedSystems`.
     """
     from repro.core.forces import MDParams
     from repro.core.simulation import minimize_energy

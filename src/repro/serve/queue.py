@@ -11,11 +11,15 @@ journal:
 * a SIGKILL can tear at most the record being written — the replay
   scan keeps every intact event and drops the torn tail, exactly the
   trajectory-file contract;
-* jobs that were RUNNING when the server died are *requeued* (a
-  ``recovered`` transition appended on reopen): their artifacts resume
-  from the newest durable checkpoint, so no work is lost and — because
-  trajectory/energy-log resume truncates past-checkpoint output — no
-  work is duplicated;
+* jobs that were RUNNING when the server died are *requeued*
+  (``server-died`` transitions appended on reopen): their artifacts
+  resume from the newest durable checkpoint, so no work is lost and —
+  because trajectory/energy-log resume truncates past-checkpoint
+  output — no work is duplicated;
+* a requeue is two records (RUNNING -> PREEMPTED -> PENDING) but one
+  logical transition: a journal that ends between them replays to
+  PREEMPTED, and the reopen writes the missing PENDING half — no job
+  is ever left in a state no scheduler pass will pick up;
 * completed jobs stay completed; job ids are assigned from a persisted
   monotonic counter, so a restart can never reuse one.
 
@@ -53,7 +57,6 @@ class JobQueue:
         self.sync = bool(sync)
         self.jobs: dict[str, Job] = {}
         self._arrival = 0  # next submission index
-        self._recovered: list[str] = []
         existing = self.path.exists()
         if existing:
             self._replay()
@@ -67,14 +70,14 @@ class JobQueue:
             write_record(self._f, REC_HEADER,
                          pack_state({"kind": "jobqueue", "version": 1}))
             self._flush()
-        # Journal the requeue of jobs orphaned by a dead server so a
-        # second restart replays the same decision.
-        for job_id in self._recovered:
-            self._append({"event": "transition", "id": job_id, "to": "PREEMPTED",
-                          "reason": "server-died"})
-            self._append({"event": "transition", "id": job_id, "to": "PENDING",
-                          "reason": "server-died",
-                          "fields": {"recoveries": self.jobs[job_id].recoveries}})
+        # A dead server leaves jobs mid-run, or mid-requeue (PREEMPTED
+        # journaled, its PENDING half not): finish both, journaled, so
+        # a second restart replays the same decision.
+        for job in self.jobs.values():
+            if job.state == "RUNNING":
+                self.requeue(job.id, reason="server-died")
+            elif job.state == "PREEMPTED":
+                self.transition(job.id, "PENDING", reason="server-died")
 
     # -- journal plumbing ---------------------------------------------------
 
@@ -104,14 +107,6 @@ class JobQueue:
                     break
                 self._apply(unpack_state(payload))
                 self._keep_end = end
-        # Jobs mid-run when the server died: requeue (journaled in
-        # __init__ once the file is writable again).
-        self._recovered = []
-        for job in self.jobs.values():
-            if job.state == "RUNNING":
-                job.state = "PENDING"
-                job.recoveries += 1
-                self._recovered.append(job.id)
 
     def _apply(self, event: dict) -> None:
         """Apply one journal event to the in-memory table (replay path)."""

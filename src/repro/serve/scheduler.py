@@ -15,15 +15,19 @@ Policy
 ------
 * **Ordering**: higher ``priority`` first, FIFO (submission order)
   within a priority.
-* **Batching**: the head pending job pulls every batch-compatible
-  pending job (equal :meth:`JobSpec.group_key` — same static system,
-  parameters, step count, cadences, priority — and equally *fresh*,
-  i.e. zero steps done) into one assignment, up to ``max_batch``; the
-  worker fuses the batch into one
-  :class:`~repro.ensemble.EnsembleSimulation` pass.  Jobs with
-  progress dispatch singly, by policy: the worker restores each into
-  an R=1 ensemble, and batching is bitwise-invisible, so fusing
-  resumed jobs would change only throughput.
+* **Batching**: the head pending job pulls every pending job with the
+  same :meth:`JobSpec.group_key` (same static system, parameters, step
+  count, cadences, priority) *and the same* ``steps_done`` into one
+  assignment, up to ``max_batch``; the worker runs the batch as one
+  :class:`~repro.ensemble.EnsembleSimulation` pass.  One rule covers
+  new and resumed work: a new job is simply one at step 0, and a
+  preempted batch — every lane checkpointed at the same slice
+  boundary — comes back with equal progress and re-forms as a batch.
+  Jobs whose progress differs never share a pass (the engine has one
+  clock).  ``steps_done`` is the journal's view; if a lane's newest
+  valid checkpoint turns out older than that, the worker reports each
+  lane's true step and the next ``plan`` regroups them.  Batching is
+  bitwise-invisible, so all of this changes throughput only.
 * **Preemption**: when every worker is busy and a pending job's
   priority strictly exceeds a running assignment's, the
   lowest-priority (latest-arrival on ties) assignment is preempted.
@@ -92,17 +96,17 @@ def make_assignment(
 ) -> Assignment:
     """The assignment the head pending job leads.
 
-    A fresh head absorbs up to ``max_batch - 1`` other fresh candidates
-    with the same group key, merged in arrival order; a job with
-    progress runs solo.
+    The head absorbs up to ``max_batch - 1`` other candidates with its
+    group key and its ``steps_done``, merged in arrival order.
     """
     batch = [head]
-    if head.fresh and max_batch > 1:
+    if max_batch > 1:
         key = group_key(head)
         mates = sorted(
             (
                 j for j in candidates
-                if j.id != head.id and j.fresh and group_key(j) == key
+                if j.id != head.id and j.steps_done == head.steps_done
+                and group_key(j) == key
             ),
             key=order_key,
         )

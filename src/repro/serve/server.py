@@ -236,6 +236,8 @@ class Server:
                          "steps_done": job.steps_done})
         w.assignment = assignment
         w.preempt_sent = False
+        if len(jobs) > 1 and jobs[0]["steps_done"] > 0:
+            self.timers.count("serve_batched_resumes")
         w.cmd_q.put({"cmd": "run", "jobs": jobs})
 
     # -- event handling -----------------------------------------------------
@@ -275,6 +277,13 @@ class Server:
     def _finish_assignment(self, w: _Worker, evt: dict) -> None:
         kind = evt["evt"]
         seconds = float(evt.get("seconds", 0.0))
+        if kind != "failed":
+            # What the dispatch paid for its prepared system
+            # (observational: nothing reads these back).
+            self.timers.add("serve_worker_prepare",
+                            float(evt.get("prepare_seconds", 0.0)))
+            self.timers.count("serve_prepare_hits" if evt.get("prepared_from_cache")
+                              else "serve_prepare_misses")
         for job_id in evt["jobs"]:
             job = self.queue.jobs.get(job_id)
             if job is None or job.state != "RUNNING":
@@ -436,6 +445,11 @@ class Server:
             "preemptions": sum(j.preemptions for j in jobs),
             "recoveries": sum(j.recoveries for j in jobs),
             "dispatches": counts.get("serve_dispatches", 0),
+            "batched_resumes": counts.get("serve_batched_resumes", 0),
+            "prepare_seconds": round(
+                self.timers.elapsed.get("serve_worker_prepare", 0.0), 4),
+            "prepare_hits": counts.get("serve_prepare_hits", 0),
+            "prepare_misses": counts.get("serve_prepare_misses", 0),
             "slices": counts.get("serve_slices", 0),
             "wall_seconds": round(wall, 3),
             "busy_seconds": round(run_s, 3),

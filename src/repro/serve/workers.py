@@ -10,23 +10,37 @@ assignments.
 
 Execution model
 ---------------
-An assignment is 1+ batch-compatible jobs, run through one
-:class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size, the
-PR 7 engine — each replica bit-identical to its solo run on every
-kernel tier).  A job with prior progress takes the same path as an
-R=1 ensemble resumed through the durable-run session
-(:class:`~repro.io.RunSession`: newest valid checkpoint restored,
-trajectory and energy log reopened with the torn / past-checkpoint
-output truncated) — so the worker's kernel tier is honoured on every
-slice, resumed or not.  Work proceeds in **slices of exactly the
-checkpoint cadence**: every slice boundary coincides with a durable
-checkpoint save by the run loop (frames flushed first), so
+An assignment is 1+ jobs of one batch group *at one step*, run through
+one :class:`~repro.ensemble.EnsembleSimulation` pass (R = batch size —
+each replica bit-identical to its solo run on every kernel tier).  New
+and resumed work take the same path: lanes at step 0 start from the
+prepared system, lanes with progress are resumed together through the
+durable-run session (:class:`~repro.io.RunSession`: every lane's newest
+valid checkpoint restored into the R-lane engine, its trajectory and
+energy log reopened with the torn / past-checkpoint output truncated) —
+so a preempted batch comes back as a batch, on the worker's kernel
+tier.  The engine has one clock: an assignment whose lanes claim
+different progress is refused, and when the lanes' newest *valid*
+checkpoints disagree (one fell back to an older snapshot) the worker
+runs nothing and reports ``preempted`` with each lane's true step, so
+the server requeues them and the scheduler regroups by progress.
+
+The prepared system (build + minimization, ~0.4-0.9 s for a small
+water box — far more than most slices) is a pure function of
+:meth:`JobSpec.prepare_key`, so each worker process prepares a distinct
+system once and keeps it in a small LRU (:class:`PreparedSystems`);
+every dispatch takes a deep copy, never the resident object.  A
+campaign of seeds over one system costs one preparation per worker.
+
+Work proceeds in **slices of exactly the checkpoint cadence**: every
+slice boundary coincides with a durable checkpoint save by the run
+loop (frames flushed first), so
 
 * preemption (requested between slices) needs no special checkpoint —
-  the state is already on disk, and the requeued job resumes from it
+  the state is already on disk, and the requeued jobs resume from it
   bit-exactly;
-* a SIGKILLed worker loses at most one slice of progress; the job is
-  requeued and its artifacts heal to byte-identity on resume.
+* a SIGKILLed worker loses at most one slice of progress; the jobs are
+  requeued and their artifacts heal to byte-identity on resume.
 
 :func:`execute_assignment` is the in-process core (used directly by
 tests and benchmarks); :func:`worker_main` wraps it in the process /
@@ -35,10 +49,12 @@ queue plumbing and heartbeats.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 import traceback
 import warnings
+from collections import OrderedDict
 from queue import Empty
 
 from repro.serve.jobs import JobSpec, prepare_job_system
@@ -49,6 +65,7 @@ __all__ = [
     "worker_main",
     "AssignmentJob",
     "SliceOutcome",
+    "PreparedSystems",
 ]
 
 
@@ -74,14 +91,57 @@ class AssignmentJob:
 
 
 class SliceOutcome:
-    """Result of :func:`execute_assignment`."""
+    """Result of :func:`execute_assignment`.
 
-    __slots__ = ("status", "steps_done", "error")
+    ``prepare_seconds`` / ``prepared_from_cache`` say what this
+    dispatch paid for its prepared system (observational only).
+    """
 
-    def __init__(self, status: str, steps_done: dict[str, int], error: str = ""):
+    __slots__ = ("status", "steps_done", "error", "prepare_seconds",
+                 "prepared_from_cache")
+
+    def __init__(self, status: str, steps_done: dict[str, int], error: str = "",
+                 prepare_seconds: float = 0.0, prepared_from_cache: bool = False):
         self.status = status  # "done" | "preempted" | "failed"
         self.steps_done = steps_done
         self.error = error
+        self.prepare_seconds = prepare_seconds
+        self.prepared_from_cache = prepared_from_cache
+
+
+class PreparedSystems:
+    """A worker's resident prepared systems: a small LRU keyed by
+    :meth:`JobSpec.prepare_key`.
+
+    :func:`prepare_job_system` is deterministic in exactly that key, so
+    a hit hands out the same bits a fresh preparation would.  Every
+    :meth:`checkout` returns a deep copy: nothing a dispatch does to
+    its system can reach the resident entry or a later dispatch.
+    """
+
+    #: Distinct systems kept per worker (a prepared water box is tens
+    #: of kB; the bound only stops an endless stream of distinct
+    #: systems from growing the process).
+    BOUND = 8
+
+    def __init__(self):
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def checkout(self, spec: JobSpec):
+        """``(system, params, hit)`` — an independent copy for one dispatch."""
+        key = spec.prepare_key()
+        hit = key in self._entries
+        if hit:
+            self._entries.move_to_end(key)
+        else:
+            self._entries[key] = prepare_job_system(spec)
+            if len(self._entries) > self.BOUND:
+                self._entries.popitem(last=False)
+        system, params = self._entries[key]
+        return copy.deepcopy(system), params, hit  # MDParams is frozen
 
 
 def resolve_worker_kernels(tier, threads):
@@ -103,14 +163,14 @@ def resolve_worker_kernels(tier, threads):
     return cfg, suite.tier, getattr(suite, "threads", 1), notes
 
 
-def _run_batch(jobs, control, progress, kernel_cfg):
+def _run_batch(jobs, control, progress, kernel_cfg, prepared):
     """One EnsembleSimulation pass over a batch, from step 0 or resumed.
 
-    A job with prior progress (dispatched singly, by scheduler policy)
-    enters the same loop through the same :class:`~repro.io.RunSession`,
-    resumed: its newest valid checkpoint restored into an R=1 ensemble,
-    its artifacts reopened with the torn / past-checkpoint output
-    truncated.
+    All lanes claim one ``steps_done`` (checked by the caller).  Lanes
+    with progress enter the loop through a resumed
+    :class:`~repro.io.RunSession`: each lane's newest valid checkpoint
+    restored into the R-lane engine, its artifacts reopened with the
+    torn / past-checkpoint output truncated.
     """
     from pathlib import Path
 
@@ -127,21 +187,33 @@ def _run_batch(jobs, control, progress, kernel_cfg):
     )
 
     spec = jobs[0].spec
+    t0 = time.perf_counter()
+    system, params, hit = prepared.checkout(spec)
+    paid = {"prepare_seconds": time.perf_counter() - t0, "prepared_from_cache": hit}
+
     dirs = [Path(j.artifact_dir) for j in jobs]
     stores = [  # creating a store creates its job's artifact directory
         CheckpointStore(job_checkpoint_dir(d), retain=j.spec.retain)
         for d, j in zip(dirs, jobs)
     ]
-    try:
-        session = RunSession(stores, resume=jobs[0].steps_done > 0)
-    except CheckpointError:
-        # Nothing durable survived (killed before the first snapshot,
-        # or every snapshot torn): start over from scratch — the
-        # "run-start baseline" rung of the recovery ladder.
-        jobs[0].steps_done = 0
-        session = RunSession(stores)
+    session = RunSession(stores)
+    if jobs[0].steps_done > 0:
+        try:
+            session = RunSession(stores, resume=True)
+            restored = [loaded.step for loaded in session.loaded]
+        except CheckpointError:
+            # Some lane has nothing durable (killed before its first
+            # snapshot, or every snapshot torn): that lane is at step 0,
+            # the "run-start baseline" rung of the recovery ladder, and
+            # if every lane is, the fresh session above starts them over.
+            restored = [_restored_step(store) for store in stores]
+        if len(set(restored)) > 1:
+            # The engine has one clock and the lanes' newest valid
+            # snapshots disagree: run nothing, report where each lane
+            # really is, and let the scheduler regroup by progress.
+            return SliceOutcome(
+                "preempted", {j.id: step for j, step in zip(jobs, restored)}, **paid)
 
-    system, params = prepare_job_system(spec)
     ens = EnsembleSimulation(
         system, params, dt=spec.dt,
         seeds=[j.spec.seed for j in jobs],
@@ -162,8 +234,9 @@ def _run_batch(jobs, control, progress, kernel_cfg):
         # unreachable from a worker SIGKILL, so it means external
         # damage — regenerate the whole artifact set from step 0
         # (bit-exact, just slower).
-        jobs[0].steps_done = 0
-        return _run_batch(jobs, control, progress, kernel_cfg)
+        for j in jobs:
+            j.steps_done = 0
+        return _run_batch(jobs, control, progress, kernel_cfg, prepared)
 
     # Slices end exactly on the checkpoint cadence, so the state a
     # preempted job resumes from is already durable when control() is
@@ -187,28 +260,45 @@ def _run_batch(jobs, control, progress, kernel_cfg):
             if progress is not None:
                 progress(dict(done))
             if step < spec.steps and control is not None and control() == "preempt":
-                return SliceOutcome("preempted", done)
-        return SliceOutcome("done", done)
+                return SliceOutcome("preempted", done, **paid)
+        return SliceOutcome("done", done, **paid)
 
 
-def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
+def _restored_step(store) -> int:
+    """Step of a lane's newest valid snapshot (0: none survived)."""
+    from repro.io import CheckpointError
+
+    try:
+        return store.load_latest().step
+    except CheckpointError:
+        return 0
+
+
+def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None,
+                       prepared=None):
     """Run one assignment to completion, preemption, or failure.
 
-    ``jobs`` is a list of :class:`AssignmentJob`; ``control`` is a
-    zero-argument callable polled between slices (return ``"preempt"``
-    to stop after the current slice); ``progress`` receives a
-    ``{job_id: steps_done}`` dict after every slice.  ``kernel_cfg``
-    is the worker's resolved :class:`~repro.kernels.KernelConfig`
-    (resolved once per process — see :func:`resolve_worker_kernels`).
+    ``jobs`` is a list of :class:`AssignmentJob` sharing one
+    ``steps_done``; ``control`` is a zero-argument callable polled
+    between slices (return ``"preempt"`` to stop after the current
+    slice); ``progress`` receives a ``{job_id: steps_done}`` dict after
+    every slice.  ``kernel_cfg`` is the worker's resolved
+    :class:`~repro.kernels.KernelConfig` (resolved once per process —
+    see :func:`resolve_worker_kernels`) and ``prepared`` its
+    :class:`PreparedSystems` (default: an empty one, i.e. a cold
+    preparation).
     """
     from repro.kernels import resolve_config
 
     if kernel_cfg is None:
         kernel_cfg = resolve_config()
+    if prepared is None:
+        prepared = PreparedSystems()
     try:
-        if len(jobs) > 1 and any(j.steps_done > 0 for j in jobs):
-            raise ValueError("batched assignments must be fresh")
-        return _run_batch(list(jobs), control, progress, kernel_cfg)
+        claimed = {j.id: j.steps_done for j in jobs}
+        if len(set(claimed.values())) > 1:
+            raise ValueError(f"lanes of one batch must share one steps_done: {claimed}")
+        return _run_batch(list(jobs), control, progress, kernel_cfg, prepared)
     except Exception:
         return SliceOutcome(
             "failed",
@@ -222,7 +312,8 @@ def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None):
 
 def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
                 parent_pid: int, idle_poll: float = 0.2) -> None:
-    """Worker process: resolve kernels once, then serve assignments.
+    """Worker process: resolve kernels once, keep prepared systems
+    resident, then serve assignments.
 
     Exits when told to stop, or when the parent process disappears
     (``getppid`` changed — an orphan after a server SIGKILL must not
@@ -234,6 +325,7 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
     # already spawned a replacement into the same slot, and the server
     # must be able to tell the two apart.
     pid = os.getpid()
+    prepared = PreparedSystems()
     evt_q.put({"evt": "online", "worker": worker_id, "pid": pid,
                "tier": tier, "threads": threads, "warnings": notes})
 
@@ -293,7 +385,7 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
                        "steps": done, "wall": time.time()})
 
         outcome = execute_assignment(jobs, control=control, progress=progress,
-                                     kernel_cfg=cfg)
+                                     kernel_cfg=cfg, prepared=prepared)
         evt_q.put({
             "evt": outcome.status,  # "done" | "preempted" | "failed"
             "worker": worker_id,
@@ -301,6 +393,8 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
             "jobs": [j.id for j in jobs],
             "steps": outcome.steps_done,
             "error": outcome.error,
+            "prepare_seconds": outcome.prepare_seconds,
+            "prepared_from_cache": outcome.prepared_from_cache,
             "seconds": time.time() - t0,
             "wall": time.time(),
         })

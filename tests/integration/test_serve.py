@@ -31,6 +31,7 @@ from repro.kernels import available, resolve_config
 from repro.serve import (
     AssignmentJob,
     JobSpec,
+    PreparedSystems,
     ServeClient,
     ServeConfig,
     Server,
@@ -71,6 +72,18 @@ def solo_reference(tmp_path, spec: JobSpec):
     return ref
 
 
+def preempt_after(n):
+    """A ``control`` callable that asks for preemption at the n-th poll
+    (polls happen at slice boundaries)."""
+    polls = []
+
+    def control():
+        polls.append(1)
+        return "preempt" if len(polls) >= n else None
+
+    return control
+
+
 def assert_artifacts_identical(job_dir, ref_dir):
     assert job_trajectory_path(job_dir).read_bytes() == \
         job_trajectory_path(ref_dir).read_bytes()
@@ -98,13 +111,7 @@ class TestExecuteAssignment:
     def test_preempt_then_resume_heals_to_byte_identity(self, tmp_path):
         spec = JobSpec(seed=9, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
-        slices = {"n": 0}
-
-        def control():
-            slices["n"] += 1
-            return "preempt" if slices["n"] >= 2 else None
-
-        first = execute_assignment([job], control=control)
+        first = execute_assignment([job], control=preempt_after(2))
         assert first.status == "preempted"
         assert 0 < first.steps_done["j"] < spec.steps
         job.steps_done = first.steps_done["j"]
@@ -144,13 +151,7 @@ class TestExecuteAssignment:
     def test_torn_newest_checkpoint_falls_back_to_previous(self, tmp_path):
         spec = JobSpec(seed=5, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
-        slices = {"n": 0}
-
-        def control():
-            slices["n"] += 1
-            return "preempt" if slices["n"] >= 2 else None
-
-        first = execute_assignment([job], control=control)
+        first = execute_assignment([job], control=preempt_after(2))
         assert first.steps_done["j"] == 4
         store = CheckpointStore(job_checkpoint_dir(job.artifact_dir))
         assert store.steps() == [2, 4]
@@ -181,7 +182,84 @@ class TestExecuteAssignment:
         resumed = AssignmentJob("b", spec, str(tmp_path / "b"), steps_done=2)
         outcome = execute_assignment([fresh, resumed])
         assert outcome.status == "failed"
-        assert "fresh" in outcome.error
+        assert "share one steps_done" in outcome.error
+
+    @pytest.mark.parametrize(
+        "tier", ["numpy", pytest.param("compiled", marks=needs_compiler)]
+    )
+    def test_preempted_batch_resumes_as_a_batch(self, tmp_path, monkeypatch, tier):
+        """R=3 preempted at a slice boundary, then resumed *together*:
+        every lane's artifacts equal its solo run's."""
+        import repro.ensemble
+
+        engines = []
+
+        class Recording(repro.ensemble.EnsembleSimulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append((self.replicas, self.kernels.tier))
+
+        monkeypatch.setattr(repro.ensemble, "EnsembleSimulation", Recording)
+        cfg = resolve_config(tier, 1)
+        specs = [JobSpec(seed=s, steps=8, waters=8, record_every=2, checkpoint_every=2)
+                 for s in (1, 2, 3)]
+        jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
+                for s in specs]
+        first = execute_assignment(jobs, control=preempt_after(2), kernel_cfg=cfg)
+        assert first.status == "preempted"
+        assert first.steps_done == {j.id: 4 for j in jobs}
+        for job in jobs:
+            job.steps_done = 4
+        seen = []
+        second = execute_assignment(jobs, progress=seen.append, kernel_cfg=cfg)
+        assert second.status == "done", second.error
+        assert seen[0] == {j.id: 6 for j in jobs}  # resumed at 4, not rerun
+        assert engines == [(3, tier), (3, tier)]
+        for spec, job in zip(specs, jobs):
+            assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+
+    def test_divergent_restore_is_reported_not_run(self, tmp_path):
+        """One lane lost its newest snapshot: the lanes no longer share
+        a clock, so the worker runs nothing and reports each lane's
+        true step; regrouped by progress, every job still finishes to
+        byte identity."""
+        specs = [JobSpec(seed=s, steps=8, waters=8, record_every=2, checkpoint_every=2)
+                 for s in (1, 2, 3)]
+        jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
+                for s in specs]
+        assert execute_assignment(jobs, control=preempt_after(2)).status == "preempted"
+        store = CheckpointStore(job_checkpoint_dir(jobs[1].artifact_dir))
+        assert store.steps() == [2, 4]
+        store.path_for(4).unlink()
+        for job in jobs:
+            job.steps_done = 4
+        seen = []
+        outcome = execute_assignment(jobs, progress=seen.append)
+        assert outcome.status == "preempted"
+        assert outcome.steps_done == {"j1": 4, "j2": 2, "j3": 4}
+        assert seen == []  # not one slice ran
+        # What the server does with that outcome: requeue at the true
+        # steps; the scheduler then groups j1+j3 and leaves j2 alone.
+        for job in jobs:
+            job.steps_done = outcome.steps_done[job.id]
+        assert execute_assignment([jobs[0], jobs[2]]).status == "done"
+        assert execute_assignment([jobs[1]]).status == "done"
+        for spec, job in zip(specs, jobs):
+            assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+
+    def test_batch_with_a_lane_that_never_checkpointed(self, tmp_path):
+        # Two lanes claim step 2; one has no durable state at all.  Its
+        # true step is 0, the other's is 2: reported, not run.
+        specs = [JobSpec(seed=s, **SPEC) for s in (1, 2)]
+        jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
+                for s in specs]
+        first = execute_assignment([jobs[0]], control=lambda: "preempt")
+        assert first.steps_done == {"j1": 2}
+        for job in jobs:
+            job.steps_done = 2
+        outcome = execute_assignment(jobs)
+        assert outcome.status == "preempted"
+        assert outcome.steps_done == {"j1": 2, "j2": 0}
 
     def test_broken_spec_fails_not_raises(self, tmp_path):
         spec = JobSpec(waters=8, steps=6, record_every=2, checkpoint_every=2,
@@ -191,6 +269,89 @@ class TestExecuteAssignment:
         assert outcome.status == "failed"
         assert outcome.error
 
+
+class TestPreparedSystems:
+    def test_cached_dispatches_match_the_uncached_path(self, tmp_path):
+        """Two dispatches served from one resident entry produce the
+        artifacts a cold preparation does (the solo reference calls
+        ``prepare_job_system`` itself)."""
+        cache = PreparedSystems()
+        outcomes = []
+        specs = [JobSpec(seed=s, **SPEC) for s in (1, 2)]
+        for spec in specs:
+            job = AssignmentJob(f"j{spec.seed}", spec, str(tmp_path / f"j{spec.seed}"))
+            outcomes.append(execute_assignment([job], prepared=cache))
+            assert outcomes[-1].status == "done", outcomes[-1].error
+            assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
+        assert [o.prepared_from_cache for o in outcomes] == [False, True]
+        assert outcomes[1].prepare_seconds < outcomes[0].prepare_seconds
+        assert len(cache) == 1
+
+    def test_checkout_is_independent_of_the_resident_entry(self):
+        import numpy as np
+
+        cache = PreparedSystems()
+        spec = JobSpec(**SPEC)
+        system, _params, hit = cache.checkout(spec)
+        assert not hit
+        pristine = system.positions.copy()
+        masses = system.masses.copy()
+        system.positions += 1.0  # dynamic state
+        system.masses[0] = 99.0  # and a "static" array
+        system.meta["scribble"] = True
+        again, _params, hit = cache.checkout(spec)
+        assert hit
+        assert again is not system
+        assert np.array_equal(again.positions, pristine)
+        assert np.array_equal(again.masses, masses)
+        assert "scribble" not in again.meta
+
+    def test_lru_bound_and_recency(self, monkeypatch):
+        import repro.serve.workers as workers
+
+        built = []
+        monkeypatch.setattr(workers, "prepare_job_system",
+                            lambda spec: built.append(spec.waters) or ({}, None))
+        cache = PreparedSystems()
+        for waters in range(1, PreparedSystems.BOUND + 4):
+            cache.checkout(JobSpec(waters=waters))
+            assert len(cache) <= PreparedSystems.BOUND
+        newest = PreparedSystems.BOUND + 3
+        assert cache.checkout(JobSpec(waters=newest))[2]  # still resident
+        assert not cache.checkout(JobSpec(waters=1))[2]  # oldest was evicted
+        assert built == [*range(1, newest + 1), 1]
+        # A hit refreshes recency: touch the oldest survivor, add one
+        # more, and it is the second-oldest that goes.
+        survivors = sorted(set(built[-PreparedSystems.BOUND:]))
+        cache.checkout(JobSpec(waters=survivors[0]))
+        cache.checkout(JobSpec(waters=100))
+        assert cache.checkout(JobSpec(waters=survivors[0]))[2]
+        assert not cache.checkout(JobSpec(waters=survivors[1]))[2]
+
+    def test_prepare_job_system_itself_is_never_cached(self, monkeypatch):
+        """The public function is the cold path the baselines measure."""
+        import numpy as np
+
+        import repro.core.simulation as simulation
+
+        calls = []
+        real = simulation.minimize_energy
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(simulation, "minimize_energy", counting)
+        spec = JobSpec(**SPEC)
+        cache = PreparedSystems()
+        cache.checkout(spec)
+        cache.checkout(spec)
+        assert len(calls) == 1
+        a, _ = prepare_job_system(spec)
+        b, _ = prepare_job_system(spec)
+        assert len(calls) == 3
+        assert a is not b
+        assert np.array_equal(a.positions, b.positions)
 
 class TestSocketOwnership:
     def test_second_server_refuses_live_socket(self, tmp_path):

@@ -10,9 +10,15 @@ and pin replay identity, conservation of work, and priority sanity on
 random submission logs.
 """
 
+import tempfile
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.io.records import scan_records
+from repro.serve.jobs import TERMINAL_STATES, JobSpec
+from repro.serve.queue import JobQueue
 from repro.serve.scheduler import simulate_schedule
 
 # A random submission log: up to 8 jobs, arrival ticks 0-5,
@@ -55,6 +61,23 @@ def test_work_is_conserved(log, workers):
     assert executed == {job_id: slices for _, job_id, _, slices in log}
 
 
+@given(log=submission_logs, workers=worker_counts, max_batch=st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_batches_re_form_on_one_clock(log, workers, max_batch):
+    """One batch family, preemptions included: every job still gets
+    exactly its slices, and the jobs sharing a slice always share their
+    progress — a preempted batch re-forms, mixed progress never fuses."""
+    group_of = {job_id: "fam" for _, job_id, _, _ in log}
+    schedule = simulate_schedule(log, workers, max_batch=max_batch, group_of=group_of)
+    executed = {job_id: 0 for _, job_id, _, _ in log}
+    for _tick, _worker, jobs in schedule:
+        assert len(jobs) <= max_batch
+        assert len({executed[job_id] for job_id in jobs}) <= 1
+        for job_id in jobs:
+            executed[job_id] += 1
+    assert executed == {job_id: slices for _, job_id, _, slices in log}
+
+
 @given(log=submission_logs, workers=worker_counts)
 @settings(max_examples=60, deadline=None)
 def test_no_worker_double_booked(log, workers):
@@ -85,3 +108,72 @@ def test_strictly_higher_priority_finishes_first_on_one_worker(log):
     if hi_ticks and other_ticks:
         assert max(hi_ticks) < min(t for t in other_ticks if t >= hi_ticks[0]) \
             or all(t < hi_ticks[0] for t in other_ticks)
+
+
+# -- journal: every prefix replays to a schedulable table --------------------
+
+#: One scripted server action: (what, which job).  A job is submitted
+#: the first time the script names it.
+journal_scripts = st.lists(
+    st.tuples(
+        st.sampled_from(["dispatch", "dispatch", "slice", "preempt", "worker-died",
+                         "done", "failed", "cancel"]),
+        st.integers(0, 1),
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _play(queue: JobQueue, script) -> None:
+    """Drive the queue the way the server does, skipping illegal moves."""
+    for what, k in script:
+        job = queue.jobs.get(f"j{k}")
+        if job is None:
+            job = queue.submit(JobSpec(waters=8, steps=10, record_every=5,
+                                       checkpoint_every=5, name=f"j{k}"))
+        if what == "dispatch" and job.state == "PENDING":
+            queue.transition(job.id, "RUNNING", reason="assign")
+        elif what == "cancel" and job.state == "PENDING":
+            queue.transition(job.id, "CANCELLED")
+        elif job.state != "RUNNING":
+            continue
+        elif what == "slice":
+            queue.update(job.id, steps_done=job.steps_done + 5, slices=job.slices + 1)
+        elif what == "preempt":
+            queue.requeue(job.id, reason="preempt")
+        elif what == "worker-died":
+            queue.requeue(job.id, reason="worker-died")
+        elif what == "done":
+            queue.transition(job.id, "DONE", steps_done=10)
+        elif what == "failed":
+            queue.transition(job.id, "FAILED", error="boom")
+
+
+@given(script=journal_scripts)
+@settings(max_examples=60, deadline=None)
+def test_every_journal_prefix_replays_schedulable(script):
+    """Cut the journal after *every* record (a server SIGKILL between
+    any two fsyncs): the reopen leaves no non-terminal job outside
+    PENDING — nothing RUNNING without a worker, nothing stranded in
+    PREEMPTED — and a second reopen replays the same table."""
+    with tempfile.TemporaryDirectory() as tmp:
+        full = Path(tmp) / "full"
+        with JobQueue(full, sync=False) as queue:
+            _play(queue, script)
+        blob = (full / "queue.rrs").read_bytes()
+        with open(full / "queue.rrs", "rb") as f:
+            ends = [end for _o, end, _t, _p in scan_records(f)]
+        for n, end in enumerate(ends):
+            cut = Path(tmp) / f"cut{n}"
+            cut.mkdir()
+            (cut / "queue.rrs").write_bytes(blob[:end])
+            with JobQueue(cut, sync=False) as queue:
+                first = {j.id: (j.state, j.steps_done, j.preemptions, j.recoveries)
+                         for j in queue.jobs.values()}
+            for state, *_ in first.values():
+                assert state == "PENDING" or state in TERMINAL_STATES
+            with JobQueue(cut, sync=False) as queue:
+                again = {j.id: (j.state, j.steps_done, j.preemptions, j.recoveries)
+                         for j in queue.jobs.values()}
+            assert again == first

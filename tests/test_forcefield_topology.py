@@ -86,6 +86,21 @@ class TestConstraintGroups:
         assert len(groups) == 2
         assert sorted(map(len, groups)) == [3, 4]
 
+    def test_groups_are_computed_once_and_flatten_to_member_leader(self):
+        top = Topology(7)
+        add_water_to_topology(top, 0, TIP3P)
+        add_water_to_topology(top, 3, TIP3P)
+        top.add_constraint(6, 5, 1.0)
+        groups = top.constraint_groups()
+        assert top.constraint_groups() is groups  # memoised: the topology is frozen
+        with pytest.raises(RuntimeError):
+            top.add_constraint(0, 6, 1.0)  # ... so nothing can invalidate it
+        member, leader = top.constraint_group_members()
+        np.testing.assert_array_equal(member, [0, 1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(leader, [0, 0, 0, 3, 3, 3, 3])
+        empty = Topology(2).constraint_group_members()
+        assert len(empty[0]) == len(empty[1]) == 0
+
     def test_unconstrained_atoms_not_in_groups(self):
         top = Topology(5)
         top.add_constraint(0, 1, 1.0)

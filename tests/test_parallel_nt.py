@@ -53,6 +53,33 @@ class TestSpatialDecomposition:
         owners = d.assign_atoms(pos, top)
         assert owners[0] == owners[1] == d.node_of(pos[:1])[0]
 
+    def test_group_ownership_and_extent_match_the_per_group_loop(self):
+        # assign_atoms / max_group_extent are one fancy-index over the
+        # topology's flattened (member, leader) arrays; the definition
+        # is the loop over constraint_groups().
+        from repro.systems import build_water_box
+
+        system = build_water_box(n_molecules=40, seed=3)
+        d = SpatialDecomposition(system.box, TorusTopology((4, 4, 4)))
+        # (shifted: the builder's lattice keeps molecules clear of box faces)
+        top, pos = system.topology, system.positions + [1.3, 0.7, 2.1]
+        owners = d.node_of(pos)
+        worst = 0.0
+        for group in top.constraint_groups():
+            owners[group] = owners[group[0]]
+            worst = max(worst, float(np.max(
+                system.box.distance(pos[group], pos[group[0]]))))
+        np.testing.assert_array_equal(d.assign_atoms(pos, top), owners)
+        assert d.max_group_extent(pos, top) == worst
+        assert not np.array_equal(owners, d.node_of(pos))  # groups do straddle
+
+    def test_no_groups_no_extent(self):
+        d = make_decomp()
+        pos = np.array([[1.0, 1.0, 1.0], [9.0, 1.0, 1.0]])
+        top = Topology(2)
+        assert d.max_group_extent(pos, top) == 0.0
+        np.testing.assert_array_equal(d.assign_atoms(pos, top), d.node_of(pos))
+
     def test_subdiv_validation(self):
         with pytest.raises(ValueError):
             make_decomp(subdiv=0)

@@ -55,6 +55,18 @@ class TestJobSpec:
         assert base.group_key() != JobSpec(waters=16, steps=10).group_key()
         assert base.group_key() != JobSpec(waters=8, steps=11).group_key()
 
+    def test_prepare_key_is_what_preparation_reads(self):
+        base = JobSpec(waters=8, steps=10)
+        # Everything that makes a job *this run* leaves the key alone...
+        same = JobSpec(waters=8, steps=40, seed=7, name="x", priority=3,
+                       record_every=5, trajectory_every=5, checkpoint_every=20,
+                       dt=0.5, temperature=250.0, retain=2)
+        assert base.prepare_key() == same.prepare_key()
+        # ... and everything prepare_job_system reads separates it.
+        assert base.prepare_key() != JobSpec(waters=16, steps=10).prepare_key()
+        assert base.prepare_key() != JobSpec(waters=8, steps=10, build_seed=1).prepare_key()
+        assert base.prepare_key() != JobSpec(waters=8, steps=10, cutoff=4.0).prepare_key()
+
 
 class TestJobStateMachine:
     def test_every_state_has_rules(self):
@@ -93,6 +105,8 @@ class TestJobStateMachine:
 
     def test_progress_properties(self):
         job = Job(id="j", spec=JobSpec(steps=10))
-        assert job.fresh and job.remaining == 10
+        assert job.remaining == 10
         job.steps_done = 4
-        assert not job.fresh and job.remaining == 6
+        assert job.remaining == 6
+        job.steps_done = 12
+        assert job.remaining == 0

@@ -85,6 +85,31 @@ class TestReplay:
         with JobQueue(tmp_path) as q:
             assert q.jobs[a.id].state == "DONE"
 
+    def test_requeue_torn_after_preempted_record_completes(self, tmp_path):
+        # A requeue is two fsynced records; a server SIGKILL between
+        # them leaves PREEMPTED as the job's last word.  Nothing
+        # schedules a PREEMPTED job, so the reopen must finish the
+        # transition — and journal it.
+        from repro.io.records import scan_records
+
+        with JobQueue(tmp_path) as q:
+            job = submit_one(q)
+            q.transition(job.id, "RUNNING")
+            q.update(job.id, steps_done=5)
+            q.requeue(job.id, reason="worker-died")
+        path = tmp_path / "queue.rrs"
+        with open(path, "rb") as f:
+            ends = [end for _o, end, _t, _p in scan_records(f)]
+        path.write_bytes(path.read_bytes()[:ends[-2]])  # ... PREEMPTED | PENDING
+        with JobQueue(tmp_path) as q:
+            r = q.jobs[job.id]
+            assert (r.state, r.recoveries, r.steps_done) == ("PENDING", 1, 5)
+            assert q.pending() == [r]
+        with open(path, "rb") as f:  # the missing half is on disk now
+            assert len(list(scan_records(f))) == len(ends)
+        with JobQueue(tmp_path) as q:
+            assert (q.jobs[job.id].state, q.jobs[job.id].recoveries) == ("PENDING", 1)
+
     def test_rejects_foreign_journal(self, tmp_path):
         (tmp_path / "queue.rrs").write_bytes(b"not a journal at all")
         with pytest.raises(QueueError):

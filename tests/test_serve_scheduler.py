@@ -58,11 +58,35 @@ class TestBatching:
         assert make_assignment(a, [a, b], max_batch=8).jobs == ("a",)
 
     def test_resumed_job_runs_solo(self):
+        """A job batches with its group *at its step*: a lone resumed
+        job has no such mate and dispatches singly."""
         a = job("a", steps_done=5)
         b = job("b", arrival=1)
         assert make_assignment(a, [a, b], max_batch=8).jobs == ("a",)
-        # ... and a fresh head does not absorb a resumed candidate.
+        # ... and a head at step 0 does not absorb a resumed candidate.
         assert make_assignment(b, [a, b], max_batch=8).jobs == ("b",)
+
+    def test_equal_progress_jobs_fuse(self):
+        jobs = [job("a", steps_done=5), job("b", arrival=1, steps_done=5),
+                job("c", arrival=2)]
+        assert make_assignment(jobs[0], jobs, max_batch=8).jobs == ("a", "b")
+        assert make_assignment(jobs[2], jobs, max_batch=8).jobs == ("c",)
+
+    def test_unequal_progress_never_fuses(self):
+        a, b = job("a", steps_done=5), job("b", arrival=1, steps_done=10)
+        assert make_assignment(a, [a, b], max_batch=8).jobs == ("a",)
+        assert make_assignment(b, [a, b], max_batch=8).jobs == ("b",)
+
+    def test_equal_progress_different_key_never_fuses(self):
+        a = job("a", steps_done=5)
+        b = job("b", arrival=1, steps_done=5, waters=16)
+        c = job("c", arrival=2, steps_done=5, priority=1)
+        assert make_assignment(a, [a, b, c], max_batch=8).jobs == ("a",)
+
+    def test_max_batch_caps_resumed_batches_too(self):
+        jobs = [job(f"j{i}", arrival=i, steps_done=5) for i in range(5)]
+        assert make_assignment(jobs[0], jobs, max_batch=3).jobs == ("j0", "j1", "j2")
+        assert make_assignment(jobs[0], jobs, max_batch=1).jobs == ("j0",)
 
 
 class TestPlan:
@@ -133,6 +157,15 @@ class TestSimulateSchedule:
         assert grouped == [(0, 0, ("a", "b"))]
         solo = simulate_schedule(log, workers=1)
         assert len(solo) == 2
+
+    def test_preempted_batch_re_forms(self):
+        # A two-slice batch is preempted after its first slice by a
+        # higher-priority arrival (tick 1 vacates the slot, tick 2 runs
+        # it); both lanes come back at step 1 and run their second
+        # slice together, not one after the other.
+        log = [(0, "a", 0, 2), (0, "b", 0, 2), (1, "hi", 5, 1)]
+        sched = simulate_schedule(log, workers=1, group_of={"a": "g", "b": "g"})
+        assert sched == [(0, 0, ("a", "b")), (2, 0, ("hi",)), (3, 0, ("a", "b"))]
 
     def test_duplicate_ids_rejected(self):
         import pytest

@@ -169,6 +169,60 @@ class TestCancelBookkeeping:
         assert not server._cancel_requested
 
 
+class TestBatchedResume:
+    def preempt_event(self, w, steps, **extra):
+        return {**done_event(w, list(steps)), "evt": "preempted",
+                "steps": dict(steps), **extra}
+
+    def idle_worker(self, server):
+        w = fake_worker(server, [])
+        w.assignment = None
+        return w
+
+    def test_preempted_batch_is_redispatched_as_a_batch(self, server):
+        for name in ("a", "b"):
+            running_job(server, name)
+        w = fake_worker(server, ["a", "b"])
+        server._evt_q.put(self.preempt_event(w, {"a": 2, "b": 2}))
+        server._drain_events()
+        assert server.metrics()["batched_resumes"] == 0
+        server._schedule()
+        assert w.assignment.jobs == ("a", "b")
+        run = [c for c in drain(w.cmd_q) if c["cmd"] == "run"]
+        assert [(j["id"], j["steps_done"]) for j in run[0]["jobs"]] == \
+            [("a", 2), ("b", 2)]
+        assert server.metrics()["batched_resumes"] == 1
+
+    def test_divergent_lanes_regroup_by_true_progress(self, server):
+        # The worker found lane b on an older snapshot and reported each
+        # lane's true step: the next plan must not fuse them again.
+        for name in ("a", "b", "c"):
+            running_job(server, name)
+        w = fake_worker(server, ["a", "b", "c"])
+        server._evt_q.put(self.preempt_event(w, {"a": 4, "b": 2, "c": 4}))
+        server._drain_events()
+        other = self.idle_worker(server)
+        server._schedule()
+        assert w.assignment.jobs == ("a", "c")
+        assert other.assignment.jobs == ("b",)
+
+    def test_metrics_sum_what_dispatches_paid_for_preparation(self, server):
+        for name in ("a", "b", "c"):
+            running_job(server, name)
+        w = fake_worker(server, ["a"])
+        server._evt_q.put({**done_event(w, ["a"]), "prepare_seconds": 0.4,
+                           "prepared_from_cache": False})
+        server._drain_events()
+        for name in ("b", "c"):
+            w.assignment = Assignment(jobs=(name,), priority=0, arrival=0)
+            server._evt_q.put({**done_event(w, [name]), "prepare_seconds": 0.001,
+                               "prepared_from_cache": True})
+            server._drain_events()
+        m = server.metrics()
+        assert (m["prepare_misses"], m["prepare_hits"]) == (1, 2)
+        assert m["prepare_seconds"] == pytest.approx(0.402)
+
+
 class TestNonBlockingClients:
     def request(self, server, payload, ticks=3):
         s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
