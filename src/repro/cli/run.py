@@ -121,12 +121,14 @@ def cmd_simulate(args) -> int:
     from dataclasses import replace
 
     from repro import BerendsenThermostat, MDParams, Simulation, minimize_energy
+    from repro.ewald import GSEParams
     from repro.systems import benchmark_by_name, build_hp_system, build_water_box, hp_miniprotein
 
     if args.system == "water":
         system = build_water_box(n_molecules=args.waters, seed=args.seed)
         cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-        params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), long_range_every=2)
+        mesh = GSEParams.smallest_mesh(system.box, cutoff)
+        params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
     elif args.system == "hp":
         system = build_hp_system(hp_miniprotein(seed=args.seed))
         params = MDParams(cutoff=args.cutoff or 14.0, mesh=(16, 16, 16))
@@ -189,12 +191,14 @@ def cmd_ensemble(args) -> int:
 
     from repro import BerendsenThermostat, MDParams, minimize_energy
     from repro.ensemble import EnsembleSimulation, parse_seed_spec
+    from repro.ewald import GSEParams
     from repro.io import RunSession, replica_checkpoint_store, replica_trajectory_path
     from repro.systems import build_water_box
 
     system = build_water_box(n_molecules=args.waters, seed=args.seed)
     cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), long_range_every=2)
+    mesh = GSEParams.smallest_mesh(system.box, cutoff)
+    params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
     if args.skin is not None:
         params = replace(params, skin=args.skin)
     try:
@@ -271,11 +275,13 @@ def cmd_ensemble(args) -> int:
 
 def cmd_machine(args) -> int:
     from repro import AntonMachine, MDParams, minimize_energy
+    from repro.ewald import GSEParams
     from repro.systems import build_water_box
 
     base = build_water_box(n_molecules=args.waters, seed=7)
     cutoff = min(4.5, base.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), quantize_mesh_bits=40)
+    mesh = GSEParams.smallest_mesh(base.box, cutoff)
+    params = MDParams(cutoff=cutoff, mesh=mesh, quantize_mesh_bits=40)
     session = open_session(args)
     if session.loaded is None:
         minimize_energy(base, params, max_steps=40)

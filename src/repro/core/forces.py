@@ -24,6 +24,7 @@ from repro.core.system import ChemicalSystem
 from repro.ewald import (
     GaussianSplitEwald,
     GSEParams,
+    MeshStencilPlan,
     correction_forces_static,
     precompute_correction_static,
     self_energy,
@@ -94,9 +95,13 @@ class ForceReport:
 class ForceCalculator:
     """Evaluates all force-field components for one system.
 
-    ``kernels`` is the kernel suite (:mod:`repro.kernels`) the
-    fixed-point pair path and the neighbor list dispatch on; ``None``
-    is the plain NumPy evaluation.  Every suite yields the same bits.
+    ``kernels`` is the kernel suite (:mod:`repro.kernels`) both force
+    paths dispatch on — the fixed-point one (:meth:`compute_fixed`) and
+    the float64 one (:meth:`compute`, which is what
+    :func:`~repro.core.simulation.minimize_energy` evaluates): neighbor
+    list, tabulated pair kernel, force deposit, mesh spread and gather.
+    ``None`` is the plain NumPy evaluation, the oracle of every suite.
+    Every suite yields the same bits.
     """
 
     #: Phase names of the one fixed-point pair path, as data: the
@@ -168,10 +173,35 @@ class ForceCalculator:
         self._pair_spec = None
         self._pair_spec_codec = None
         self._pair_out: tuple[np.ndarray, ...] | None = None
+        self._pair_rows: np.ndarray | None = None
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
+        # The mesh plan :meth:`_kspace` refills instead of reallocating.
+        self._mesh_plan: MeshStencilPlan | None = None
 
-    # -- fixed-point scratch ----------------------------------------------
+    # -- kernel-tier dispatch and scratch -----------------------------------
+
+    def _suite(self):
+        """The suite deposits go through (the NumPy one for ``kernels=None``)."""
+        return self.kernels if self.kernels is not None else get_suite("numpy")
+
+    def _fused_pairs(self) -> bool:
+        """Whether the pair kernel is one C pass over the cached candidates."""
+        k = self.kernels
+        return k is not None and k.tier == "compiled" and self.tables is not None
+
+    def _spec(self, force_codec=None):
+        """The cached :func:`make_pair_spec`; the float pass takes it
+        whatever codec it carries, the fixed-point walk needs its own."""
+        if self._pair_spec is None or (
+            force_codec is not None and self._pair_spec_codec is not force_codec
+        ):
+            s = self.system
+            self._pair_spec = make_pair_spec(
+                self.tables, s.lj, s.charges, s.type_ids, force_codec
+            )
+            self._pair_spec_codec = force_codec
+        return self._pair_spec
 
     def _accumulator(self, slot: str, force_codec) -> FixedAccumulator:
         """A zeroed per-evaluation accumulator from the reuse pool.
@@ -213,7 +243,15 @@ class ForceCalculator:
             return self.neighbor_list.pairs(positions, walk)
 
     def _range_limited(self, positions: np.ndarray):
+        """Per-pair float64 forces and energies of the range-limited part.
+
+        On the compiled tier with tabulated kernels that is one C pass
+        (:meth:`_walk_pairs`); otherwise the list's own filter and the
+        NumPy kernels.  Same bits either way.
+        """
         s = self.system
+        if self._fused_pairs():
+            return self._walk_pairs(positions)
         pairs = self._pairs(positions)
         with self.timers.time(self._pair_phase_prefix + "range_limited"):
             if self.tables is not None:
@@ -260,41 +298,53 @@ class ForceCalculator:
         """Deposit the range-limited pair forces into ``acc``.
 
         On the compiled tier with tabulated kernels this is one C walk
-        per evaluation, run from inside :meth:`NeighborList.pairs` over
-        the cached candidates: cutoff test, table evaluation, quantize
-        and accumulate, with no per-pair array but the surviving
-        ``(i, j)`` and the per-pair energies (views of reused scratch,
-        valid until the next evaluation; ``force`` is None).  Otherwise
-        it is :meth:`_range_limited_codes` and one pair deposit.  The
+        per evaluation (:meth:`_walk_pairs`).  Otherwise it is
+        :meth:`_range_limited_codes` and one pair deposit.  The
         accumulator and the energies are bitwise identical either way.
         """
-        k = self.kernels
-        if k is None or k.tier != "compiled" or self.tables is None:
+        if not self._fused_pairs():
             nb, codes = self._range_limited_codes(positions, force_codec)
-            suite = k if k is not None else get_suite("numpy")
             with self.timers.time(self._deposit_phase):
-                suite.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
+                self._suite().deposit_pairs(acc.raw(), nb.i, nb.j, codes)
             return nb
-        s = self.system
-        if self._pair_spec is None or self._pair_spec_codec is not force_codec:
-            self._pair_spec = make_pair_spec(
-                self.tables, s.lj, s.charges, s.type_ids, force_codec
-            )
-            self._pair_spec_codec = force_codec
+        return self._walk_pairs(positions, force_codec, acc)
+
+    def _walk_pairs(
+        self, positions: np.ndarray, force_codec=None, acc: FixedAccumulator | None = None
+    ) -> NonbondedResult:
+        """One C pass over the cached candidates (:meth:`_fused_pairs`).
+
+        Run from inside :meth:`NeighborList.pairs`: cutoff test and
+        table evaluation, then either quantize-and-accumulate into
+        ``acc`` (``pair_walk``; ``force`` is None) or, without one, the
+        float64 force rows (``pair_rows``).  No per-pair array exists
+        but the result's own — the surviving ``(i, j)``, the per-pair
+        energies and the rows, all views of reused scratch, valid until
+        the next evaluation.
+        """
+        spec, k = self._spec(force_codec), self.kernels
 
         def walk(wrapped, ii, jj, lengths):
             with self.timers.time(self._pair_phase_prefix + "range_limited"):
                 oi, oj, e_lj, e_coul = self._pair_buffers(len(ii))
-                m = k.pair_walk(
-                    self._pair_spec, wrapped, ii, jj, lengths, acc.raw(),
-                    oi, oj, e_lj, e_coul,
-                )
+                if acc is not None:
+                    m = k.pair_walk(
+                        spec, wrapped, ii, jj, lengths, acc.raw(), oi, oj, e_lj, e_coul,
+                    )
+                    force = None
+                else:
+                    if self._pair_rows is None or len(self._pair_rows) < len(ii):
+                        self._pair_rows = np.empty((len(oi), 3))
+                    m = k.pair_rows(
+                        spec, wrapped, ii, jj, lengths, oi, oj, self._pair_rows, e_lj, e_coul,
+                    )
+                    force = self._pair_rows[:m]
                 return NonbondedResult(
                     energy_lj=float(np.sum(e_lj[:m])),
                     energy_coul=float(np.sum(e_coul[:m])),
                     i=oi[:m],
                     j=oj[:m],
-                    force=None,
+                    force=force,
                     e_lj_pairs=e_lj[:m],
                     e_coul_pairs=e_coul[:m],
                 )
@@ -311,7 +361,23 @@ class ForceCalculator:
                 positions, self.system.box, self._corr_static, self.sigma
             )
 
+    def _kspace(self, positions: np.ndarray) -> tuple[float, np.ndarray]:
+        """Mesh energy and forces, on the suite, into the kept plan."""
+        if self._mesh_plan is None:
+            self._mesh_plan = MeshStencilPlan(self.gse, len(positions))
+        with self.timers.time("kspace"):
+            return self.gse.kspace(
+                positions, self.system.charges, codec=self.mesh_codec,
+                kernels=self.kernels, plan=self._mesh_plan,
+            )
+
     # -- float path -----------------------------------------------------------
+    #
+    # Float addition does not commute, so wherever this path sums it
+    # sums in the NumPy evaluation's order: pair forces through the
+    # suite's ordered ``deposit_pairs_float`` (all i rows, then all j
+    # rows — ``np.add.at`` twice), everything else dense and in the
+    # sequence below.
 
     def compute_long(self, positions: np.ndarray) -> ForceReport:
         """Long-range components only: corrections + mesh electrostatics.
@@ -323,12 +389,10 @@ class ForceCalculator:
         before = self.timers.snapshot()
         forces = np.zeros((s.n_atoms, 3))
         corr = self._corrections(positions)
-        np.add.at(forces, corr.i, corr.force)
-        np.add.at(forces, corr.j, -corr.force)
+        self._suite().deposit_pairs_float(forces, corr.i, corr.j, corr.force)
         e_k = 0.0
         if self.gse is not None:
-            with self.timers.time("kspace"):
-                e_k, f_k = self.gse.kspace(positions, s.charges, codec=self.mesh_codec)
+            e_k, f_k = self._kspace(positions)
             forces += f_k
         energies = {
             "correction": corr.energy_exclusion + corr.energy_14_coul,
@@ -349,8 +413,7 @@ class ForceCalculator:
         energies: dict[str, float] = {}
 
         nb = self._range_limited(positions)
-        np.add.at(forces, nb.i, nb.force)
-        np.add.at(forces, nb.j, -nb.force)
+        self._suite().deposit_pairs_float(forces, nb.i, nb.j, nb.force)
         energies["lj"] = nb.energy_lj
         energies["coulomb_real"] = nb.energy_coul
 
@@ -383,7 +446,6 @@ class ForceCalculator:
         Raw (unwrapped) int64 sums — callers combine with short-range
         codes and wrap once.  No vsite redistribution here.
         """
-        s = self.system
         acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
         ccodes = force_codec.quantize_round_only(corr.force)
@@ -391,8 +453,7 @@ class ForceCalculator:
         acc.deposit(corr.j, -ccodes)
         e_k = 0.0
         if self.gse is not None:
-            with self.timers.time("kspace"):
-                e_k, f_k = self.gse.kspace(positions, s.charges, codec=self.mesh_codec)
+            e_k, f_k = self._kspace(positions)
             acc.deposit_dense(force_codec.quantize_round_only(f_k))
         energies = {
             "correction": corr.energy_exclusion + corr.energy_14_coul,

@@ -41,14 +41,23 @@ def minimize_energy(
     step, writing relaxed positions back into ``system``.  Returns the
     final potential energy.  Virtual sites follow their parents, and
     rigid constraints (which carry no bonded-term restoring force) are
-    re-imposed with SHAKE after every move.  The neighbor list and
-    its cutoff filter run on the resolved kernel tier; the float force
-    evaluation itself is the NumPy one on every tier.
+    re-imposed with SHAKE after every move.
+
+    Everything here runs on the resolved kernel tier
+    (:func:`repro.kernels.get_suite`), as the engines do: the float
+    force evaluation (:meth:`ForceCalculator.compute` — neighbor list,
+    tabulated pair kernel, force deposit, mesh spread and gather) and
+    SHAKE.  The relaxed positions and the returned energy are the same
+    bits on every tier and thread count; ``REPRO_KERNEL_TIER=numpy`` is
+    the pure-NumPy evaluation they are pinned to.
     """
-    calc = ForceCalculator(system, params, kernels=get_suite())
+    kernels = get_suite()
+    calc = ForceCalculator(system, params, kernels=kernels)
     solver = None
     if system.topology.n_constraints:
-        solver = ConstraintSolver(system.topology, system.masses, system.box, iterations=100)
+        solver = ConstraintSolver(
+            system.topology, system.masses, system.box, iterations=100, kernels=kernels
+        )
     pos = system.box.wrap(system.positions.copy())
     if solver is not None:
         solver.shake(pos, pos)

@@ -76,8 +76,7 @@ def compute_virial(
         codes = codec.quantize_round_only(contribs)
         return float(codec.reconstruct(wrapping_sum(codes, codec.fmt)))
 
-    s = calc.system
-    box = s.box
+    box = calc.system.box
 
     nb = calc._range_limited(positions)
     dx_nb = box.minimum_image(positions[nb.i] - positions[nb.j])
@@ -101,10 +100,7 @@ def compute_virial(
     else:
         w_corr = 0.0
 
-    if calc.gse is not None:
-        e_k, _f = calc.gse.kspace(positions, s.charges, codec=calc.mesh_codec)
-    else:
-        e_k = 0.0
+    e_k = calc._kspace(positions)[0] if calc.gse is not None else 0.0
 
     return VirialReport(pair=w_pair, bonded=w_bonded, correction=w_corr, kspace=float(e_k))
 

@@ -55,7 +55,7 @@ from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
 from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
-from repro.ewald import self_energy
+from repro.ewald import MeshStencilPlan, self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
@@ -194,6 +194,7 @@ class EnsembleForceCalculator(ForceCalculator):
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
         self._plan = None
         self._replica_views = None
+        self._solo_plan = None  # the over-budget fallback's, one replica wide
 
     # -- per-replica reductions --------------------------------------------
 
@@ -232,11 +233,16 @@ class EnsembleForceCalculator(ForceCalculator):
         with self.timers.time("mesh_plan"):
             plan = g.make_plan(positions, out=self._plan, kernels=self.kernels)
         if plan is None:
+            if self._solo_plan is None:
+                self._solo_plan = MeshStencilPlan(g, n)
             energies = np.empty(R)
             forces = np.empty((R * n, 3))
             for r in range(R):
                 sl = slice(r * n, (r + 1) * n)
-                e_r, f_r = g.kspace(positions[sl], q_solo, codec=self.mesh_codec)
+                e_r, f_r = g.kspace(
+                    positions[sl], q_solo, codec=self.mesh_codec,
+                    kernels=self.kernels, plan=self._solo_plan,
+                )
                 energies[r] = e_r
                 forces[sl] = f_r
             return energies, forces

@@ -116,6 +116,29 @@ class GSEParams:
             spreading_cutoff=spreading_radius_sigmas * sigma_s,
         )
 
+    @classmethod
+    def smallest_mesh(cls, box: Box, cutoff: float) -> tuple[int, int, int]:
+        """The smallest power-of-two mesh, 16 or more per axis, :meth:`choose` accepts.
+
+        Per axis, the fewest points whose spacing still resolves the
+        spreading Gaussian under this cutoff's ``sigma``; found by
+        asking :meth:`choose` itself and doubling the coarsest axis
+        while it refuses.  A pure function of box and cutoff: the
+        drivers that fix their mesh from the system (the CLI's water
+        runs, serve jobs) call this instead of hard-coding a size only
+        small boxes fit.
+        """
+        mesh = [16, 16, 16]
+        while True:
+            try:
+                cls.choose(box, cutoff, tuple(mesh))
+            except ValueError:
+                if max(mesh) >= 1 << 16:  # not a resolution problem
+                    raise
+                mesh[int(np.argmax(box.lengths / np.asarray(mesh)))] *= 2
+            else:
+                return tuple(mesh)
+
 
 class MeshStencilPlan:
     """Shared stencil weights/indices for one set of atom positions.
@@ -680,7 +703,8 @@ class GaussianSplitEwald:
     # -- composition ---------------------------------------------------------------
 
     def kspace(
-        self, positions: np.ndarray, charges: np.ndarray, codec=None
+        self, positions: np.ndarray, charges: np.ndarray, codec=None,
+        kernels=None, plan: MeshStencilPlan | None = None,
     ) -> tuple[float, np.ndarray]:
         """Full k-space pass: spread, solve, interpolate.
 
@@ -689,12 +713,20 @@ class GaussianSplitEwald:
         electrostatics.  ``codec`` enables order-invariant quantized
         spreading (see :meth:`spread`).
 
+        ``kernels`` is the suite the plan's passes run on — a compiled
+        one gets the axis-rows-only plan and the fused spread / gather,
+        with no O(n·k³) cube anywhere — and ``plan`` a
+        :class:`MeshStencilPlan` for this evaluator and atom count whose
+        storage (rows, cubes, scratch) is refilled instead of
+        reallocated; callers that evaluate repeatedly keep one.  Neither
+        changes a bit of the result.
+
         When the stencil plan fits the memory budget it is built once
         and shared between the spreading and interpolation passes;
-        above the budget the chunked wrappers run the identical kernels
-        piecewise.
+        above the budget (cube plans only) the chunked wrappers run the
+        identical kernels piecewise.
         """
-        plan = self.make_plan(positions)
+        plan = self.make_plan(positions, out=plan, kernels=kernels)
         if plan is None:
             Q = self.spread(positions, charges, codec=codec)
             phi, energy = self.solve(Q)
@@ -702,14 +734,14 @@ class GaussianSplitEwald:
         charges = np.asarray(charges, dtype=np.float64)
         if codec is not None:
             acc = np.zeros(self.mesh_point_count(), dtype=np.int64)
-            plan.spread_codes(charges, acc, codec)
+            plan.spread_codes(charges, acc, codec, kernels=kernels)
             Q = codec.reconstruct(codec.wrap(acc)).reshape(tuple(self.mesh))
         else:
             Qf = np.zeros(self.mesh_point_count())
-            plan.spread_float(charges, Qf)
+            plan.spread_float(charges, Qf, kernels=kernels)
             Q = Qf.reshape(tuple(self.mesh))
         phi, energy = self.solve(Q)
-        return energy, plan.interpolate_forces(charges, phi)
+        return energy, plan.interpolate_forces(charges, phi, kernels=kernels)
 
     def mesh_point_count(self) -> int:
         return int(np.prod(self.mesh))

@@ -92,8 +92,9 @@ def _shift_force_lj(r2, a, b, cutoff):
     """
     r = np.sqrt(r2)
     e, p = lj_energy_prefactor(r2, a, b)
-    rc2 = np.full_like(r2, cutoff * cutoff)
-    e_c, p_c = lj_energy_prefactor(rc2, a, b)
+    # The cut-off terms depend on r only through the scalar rc²: its
+    # inverse powers are formed once, not per pair (same operations).
+    e_c, p_c = lj_energy_prefactor(cutoff * cutoff, a, b)
     f_c = p_c * cutoff  # force magnitude at cutoff
     energy = e - e_c + (r - cutoff) * f_c
     pref = p - f_c / r

@@ -24,6 +24,12 @@ class LJTable:
             raise ValueError("LJ parameters must be non-negative")
         self.sigma_ij = 0.5 * (self.sigmas[:, None] + self.sigmas[None, :])
         self.eps_ij = np.sqrt(self.epsilons[:, None] * self.epsilons[None, :])
+        # The (A, B) = (4 eps sigma^12, 4 eps sigma^6) type-pair matrices.
+        # Every operation is elementwise, so a gather from them is
+        # bitwise the same arithmetic done per pair.
+        s6 = self.sigma_ij**6
+        self.a_ij = 4.0 * self.eps_ij * s6 * s6
+        self.b_ij = 4.0 * self.eps_ij * s6
 
     @property
     def n_types(self) -> int:
@@ -39,6 +45,4 @@ class LJTable:
         These are the per-pair multipliers that Anton feeds its
         dispersion tables: ``E = A/r^12 - B/r^6``.
         """
-        s, e = self.pair_params(type_i, type_j)
-        s6 = s**6
-        return 4.0 * e * s6 * s6, 4.0 * e * s6
+        return self.a_ij[type_i, type_j], self.b_ij[type_i, type_j]

@@ -615,22 +615,105 @@ static inline double rk_offset(double u, const double *starts,
 /* Candidates per block: their dx/r2 stay in L1 between the two phases. */
 #define RK_WALK_BLOCK 256
 
+/* What one pass over the candidates holds on its stack: the spec by
+ * value (so its fields sit in registers across the loops), the box, and
+ * both segment-lookup grids. */
+typedef struct {
+    rk_pair_spec s;
+    double L0, L1, L2, h0, h1, h2;
+    int32_t e_grid[RK_GRID], d_grid[RK_GRID];
+} rk_walk_ctx;
+
+static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L)
+{
+    c->s = *s;
+    c->L0 = L[0], c->L1 = L[1], c->L2 = L[2];
+    c->h0 = 0.5 * L[0], c->h1 = 0.5 * L[1], c->h2 = 0.5 * L[2];
+    rk_build_grid(s->e_starts, s->e_nseg, c->e_grid);
+    rk_build_grid(s->d_starts, s->d_nseg, c->d_grid);
+}
+
+/* Phase 1 over candidates [lo, hi), at most RK_WALK_BLOCK of them:
+ * rk_pair_filter's predicate with a branch-free compaction (write the
+ * survivor slot always, advance it by r2 < cutoff2; the slot index never
+ * passes the candidate index, so outputs sized to n_cand suffice), then
+ * KernelTableSet.normalize on the survivors' r2 (a loop of its own, so
+ * the division packs).  Survivors land in oi/oj (the caller's next free
+ * slots), their displacements in bdx and their clamped u in bu.  Returns
+ * how many survived. */
+static inline int64_t rk_walk_filter(const rk_walk_ctx *c, int64_t lo, int64_t hi,
+                                     const int64_t *restrict ii,
+                                     const int64_t *restrict jj,
+                                     const double *restrict w,
+                                     int64_t *restrict oi, int64_t *restrict oj,
+                                     double *restrict bdx, double *restrict bu)
+{
+    const double cutoff2 = c->s.cutoff2, umax = c->s.umax;
+    int64_t nb = 0;
+    for (int64_t k = lo; k < hi; k++) {
+        const double *p = w + 3 * ii[k];
+        const double *q = w + 3 * jj[k];
+        double d0 = rk_image(p[0] - q[0], c->L0, c->h0);
+        double d1 = rk_image(p[1] - q[1], c->L1, c->h1);
+        double d2 = rk_image(p[2] - q[2], c->L2, c->h2);
+        double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
+        oi[nb] = ii[k];
+        oj[nb] = jj[k];
+        bdx[3 * nb] = d0;
+        bdx[3 * nb + 1] = d1;
+        bdx[3 * nb + 2] = d2;
+        bu[nb] = r2;
+        nb += r2 < cutoff2;
+    }
+    for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
+        double u = bu[b] / cutoff2;
+        bu[b] = u > umax ? umax : u;
+    }
+    return nb;
+}
+
+/* The table arithmetic of one pair, nonbonded_real_space_tabulated's
+ * line for line: locate u in both tier layouts, Horner-evaluate the six
+ * tables, combine with the charge product and the LJ A/B coefficients.
+ * Returns the force prefactor p (force on i is p * dx) and writes the
+ * pair's two energies.  The one copy: the fixed-point walk and the
+ * float rows below both inline it. */
+static inline double rk_pair_tables(const rk_walk_ctx *c, int64_t i, int64_t j,
+                                    double u, double *e_lj, double *e_coul)
+{
+    const rk_pair_spec *s = &c->s;
+    double qq = s->charges[i] * s->charges[j] * s->coulomb;
+    int64_t tij = s->types[i] * s->n_types + s->types[j];
+    double ca = s->amat[tij];
+    double cb = s->bmat[tij];
+
+    int64_t ie = rk_segment(s->e_starts, s->e_nseg, c->e_grid, u);
+    double te = rk_offset(u, s->e_starts, s->e_widths, s->e_inv, ie);
+    int64_t id = rk_segment(s->d_starts, s->d_nseg, c->d_grid, u);
+    double td = rk_offset(u, s->d_starts, s->d_widths, s->d_inv, id);
+
+    double ef = rk_horner4(s->e_cf + 4 * ie, te);
+    double ee = rk_horner4(s->e_ce + 4 * ie, te);
+    double f12 = rk_horner4(s->c12f + 4 * id, td);
+    double f6 = rk_horner4(s->c6f + 4 * id, td);
+    double e12 = rk_horner4(s->c12e + 4 * id, td);
+    double e6 = rk_horner4(s->c6e + 4 * id, td);
+
+    *e_coul = qq * ee;
+    *e_lj = ca * e12 - cb * e6;
+    return qq * ef + ca * f12 - cb * f6;
+}
+
 /* One evaluation of the range-limited forces, from the cached Verlet
  * candidates straight to the force accumulator: NumpyKernels.pair_filter
  * -> pair_table_codes -> deposit_pairs with nothing stored per pair but
  * what the caller reads — the surviving (i, j) and the per-pair energies
  * (summed by np.sum, so the reported floats keep NumPy's pairwise bits).
  *
- * Per block of candidates, phase 1 is rk_pair_filter's predicate with a
- * branch-free compaction (write the survivor slot always, advance it by
- * r2 < cutoff2; the slot index never passes the candidate index, so
- * outputs sized to n_cand suffice).  Phase 2 runs nonbonded_real_space_
- * tabulated + quantize_round_only on the survivors — normalize r2 (a
- * loop of its own, so the division packs), locate both tier layouts,
- * Horner-evaluate the six tables, combine with the charge product and
- * the LJ A/B coefficients — and adds each code to atom i's row sum,
- * held in registers while i repeats (the list is sorted by i), and
- * subtracts it from acc[j].  uint64 adds wrap like int64 and commute, so
+ * Per block of candidates, rk_walk_filter, then rk_pair_tables +
+ * quantize_round_only on the survivors, each code added to atom i's row
+ * sum, held in registers while i repeats (the list is sorted by i), and
+ * subtracted from acc[j].  uint64 adds wrap like int64 and commute, so
  * the deposit order is invisible.  The arrays must not overlap.  Serial
  * at every thread count.  Returns the surviving pair count. */
 int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
@@ -640,74 +723,20 @@ int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
                      int64_t *restrict oj, double *restrict e_lj,
                      double *restrict e_coul)
 {
-    int32_t e_grid[RK_GRID], d_grid[RK_GRID];
-    rk_build_grid(s->e_starts, s->e_nseg, e_grid);
-    rk_build_grid(s->d_starts, s->d_nseg, d_grid);
-    const double L0 = L[0], L1 = L[1], L2 = L[2];
-    const double h0 = 0.5 * L0, h1 = 0.5 * L1, h2 = 0.5 * L2;
-    const double cutoff2 = s->cutoff2, umax = s->umax, coulomb = s->coulomb;
-    const double ql = s->q_limit, qs = s->q_scale, qm = s->q_mul;
-    const double *charges = s->charges;
-    const int64_t *types = s->types;
-    const int64_t n_types = s->n_types;
-    const double *amat = s->amat, *bmat = s->bmat;
-    const double *e_starts = s->e_starts, *e_widths = s->e_widths;
-    const double *e_inv = s->e_inv, *e_cf = s->e_cf, *e_ce = s->e_ce;
-    const double *d_starts = s->d_starts, *d_widths = s->d_widths;
-    const double *d_inv = s->d_inv, *c12f = s->c12f, *c6f = s->c6f;
-    const double *c12e = s->c12e, *c6e = s->c6e;
-    const int64_t e_nseg = s->e_nseg, d_nseg = s->d_nseg;
+    rk_walk_ctx c;
+    rk_walk_init(&c, s, L);
+    const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
     uint64_t *a = (uint64_t *)acc;
-    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK]; /* bu: r2, then u */
+    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK];
     uint64_t f0 = 0, f1 = 0, f2 = 0;
     int64_t m = 0, row = 0;
 
     for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
         const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
-        int64_t nb = 0;
-        for (int64_t k = lo; k < hi; k++) {
-            const double *p = w + 3 * ii[k];
-            const double *q = w + 3 * jj[k];
-            double d0 = rk_image(p[0] - q[0], L0, h0);
-            double d1 = rk_image(p[1] - q[1], L1, h1);
-            double d2 = rk_image(p[2] - q[2], L2, h2);
-            double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
-            oi[m + nb] = ii[k];
-            oj[m + nb] = jj[k];
-            bdx[3 * nb] = d0;
-            bdx[3 * nb + 1] = d1;
-            bdx[3 * nb + 2] = d2;
-            bu[nb] = r2;
-            nb += r2 < cutoff2;
-        }
-        for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
-            double u = bu[b] / cutoff2;
-            bu[b] = u > umax ? umax : u;
-        }
+        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, bdx, bu);
         for (int64_t b = 0; b < nb; b++, m++) {
             const int64_t i = oi[m], j = oj[m];
-            double qq = charges[i] * charges[j] * coulomb;
-            int64_t tij = types[i] * n_types + types[j];
-            double ca = amat[tij];
-            double cb = bmat[tij];
-
-            const double u = bu[b];
-            int64_t ie = rk_segment(e_starts, e_nseg, e_grid, u);
-            double te = rk_offset(u, e_starts, e_widths, e_inv, ie);
-            int64_t id = rk_segment(d_starts, d_nseg, d_grid, u);
-            double td = rk_offset(u, d_starts, d_widths, d_inv, id);
-
-            double ef = rk_horner4(e_cf + 4 * ie, te);
-            double ee = rk_horner4(e_ce + 4 * ie, te);
-            double f12 = rk_horner4(c12f + 4 * id, td);
-            double f6 = rk_horner4(c6f + 4 * id, td);
-            double e12 = rk_horner4(c12e + 4 * id, td);
-            double e6 = rk_horner4(c6e + 4 * id, td);
-
-            double pf = qq * ef + ca * f12 - cb * f6;
-            e_coul[m] = qq * ee;
-            e_lj[m] = ca * e12 - cb * e6;
-
+            double pf = rk_pair_tables(&c, i, j, bu[b], e_lj + m, e_coul + m);
             uint64_t c0 = (uint64_t)rk_quantize(pf * bdx[3 * b], ql, qs, qm);
             uint64_t c1 = (uint64_t)rk_quantize(pf * bdx[3 * b + 1], ql, qs, qm);
             uint64_t c2 = (uint64_t)rk_quantize(pf * bdx[3 * b + 2], ql, qs, qm);
@@ -730,6 +759,38 @@ int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
         a[3 * row] += f0;
         a[3 * row + 1] += f1;
         a[3 * row + 2] += f2;
+    }
+    return m;
+}
+
+/* The float64 twin of the walk, for ForceCalculator.compute: the cutoff
+ * filter and nonbonded_real_space_tabulated in one pass, leaving per
+ * surviving pair what that function returns — (i, j), the force row
+ * p * dx on atom i, and the two energies.  Nothing is summed here: float
+ * addition does not commute, so the rows go to rk_deposit_pairs_float in
+ * NumPy's order.  rows is (n_cand, 3); the other outputs as for the
+ * walk.  Serial at every thread count.  Returns the surviving count. */
+int64_t rk_pair_rows(int64_t n_cand, const int64_t *restrict ii,
+                     const int64_t *restrict jj, const double *restrict w,
+                     const double *L, const rk_pair_spec *s,
+                     int64_t *restrict oi, int64_t *restrict oj,
+                     double *restrict rows, double *restrict e_lj,
+                     double *restrict e_coul)
+{
+    rk_walk_ctx c;
+    rk_walk_init(&c, s, L);
+    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK];
+    int64_t m = 0;
+
+    for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
+        const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
+        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, bdx, bu);
+        for (int64_t b = 0; b < nb; b++, m++) {
+            double pf = rk_pair_tables(&c, oi[m], oj[m], bu[b], e_lj + m, e_coul + m);
+            rows[3 * m] = pf * bdx[3 * b];
+            rows[3 * m + 1] = pf * bdx[3 * b + 1];
+            rows[3 * m + 2] = pf * bdx[3 * b + 2];
+        }
     }
     return m;
 }
@@ -797,6 +858,29 @@ void rk_scatter_add(int64_t *acc, const int64_t *keys, const int64_t *codes,
     const uint64_t *c = (const uint64_t *)codes;
     for (int64_t k = 0; k < n; k++)
         a[keys[k]] += c[k];
+}
+
+/* -- float deposit ----------------------------------------------------- */
+
+/* np.add.at(F, pi, f); np.add.at(F, pj, -f) over (n, 3) rows, in that
+ * order: every i row in pair order, then every j row in pair order.
+ * Float addition does not commute, so the fused one-loop form of
+ * rk_deposit_pairs is a different sum; there is no threaded form. */
+void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
+                            const double *f, int64_t n)
+{
+    for (int64_t k = 0; k < n; k++) {
+        double *r = F + 3 * pi[k];
+        r[0] += f[3 * k];
+        r[1] += f[3 * k + 1];
+        r[2] += f[3 * k + 2];
+    }
+    for (int64_t k = 0; k < n; k++) {
+        double *r = F + 3 * pj[k];
+        r[0] += -f[3 * k];
+        r[1] += -f[3 * k + 1];
+        r[2] += -f[3 * k + 2];
+    }
 }
 
 /* -- threaded deposits: per-lane partials + order-free wrap reduce ----- */

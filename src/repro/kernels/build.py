@@ -15,6 +15,14 @@ negotiable:
   rounds twice and silently changes force bits.
 * no ``-ffast-math`` — reassociation and reciprocal math would break
   the operation-order contract the kernels are written against.
+
+``REPRO_KERNEL_CFLAGS`` appends extra compiler flags (whitespace
+separated, after the fixed ones) to this one build and is part of the
+cache key, so a sanitizer build — CI's
+``-fsanitize=address,undefined -fno-sanitize-recover=undefined`` —
+gets its own ``.so`` next to the production one.  It is a hook for
+instrumentation, not a tuning knob: the two flags above still apply,
+and nothing may be passed that changes floating-point results.
 """
 
 from __future__ import annotations
@@ -44,6 +52,12 @@ _VARIANTS = (
 )
 
 _COMPILERS = ("cc", "gcc", "clang")
+
+
+def _extra_cflags() -> tuple[str, ...]:
+    """Flags appended from ``REPRO_KERNEL_CFLAGS`` (see module docstring)."""
+    return tuple(os.environ.get("REPRO_KERNEL_CFLAGS", "").split())
+
 
 _lib = None
 _lib_error: Exception | None = None
@@ -100,7 +114,7 @@ def _compiler_ident(cc: str) -> str | None:
 def _source_key(variant: tuple[str, ...], ident: str) -> str:
     h = hashlib.sha256()
     h.update(_SRC.read_bytes())
-    h.update(" ".join(CFLAGS + variant).encode())
+    h.update(" ".join(CFLAGS + variant + _extra_cflags()).encode())
     h.update(ident.encode())
     return h.hexdigest()[:16]
 
@@ -149,7 +163,7 @@ def build() -> Path:
             if out.exists():
                 return out
             tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-            cmd = [cc, *CFLAGS, *variant, str(_SRC), "-o", str(tmp), "-lm"]
+            cmd = [cc, *CFLAGS, *variant, *_extra_cflags(), str(_SRC), "-o", str(tmp), "-lm"]
             try:
                 proc = subprocess.run(
                     cmd, capture_output=True, text=True, timeout=120
@@ -195,10 +209,15 @@ def _declare(lib: ctypes.CDLL) -> None:
     # The walk takes a PairSpec by reference; serial at every thread count.
     lib.rk_pair_walk.restype = i64
     lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
+    # The walk's float64 twin: force rows out instead of an accumulator in.
+    lib.rk_pair_rows.restype = i64
+    lib.rk_pair_rows.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
     lib.rk_nt_marks.restype = None
     lib.rk_nt_marks.argtypes = [i64, p, p, p, p, i64, i64, p, p]
     lib.rk_deposit_pairs.restype = None
     lib.rk_deposit_pairs.argtypes = [p, p, p, p, i64]
+    lib.rk_deposit_pairs_float.restype = None
+    lib.rk_deposit_pairs_float.argtypes = [p, p, p, p, i64]
     lib.rk_scatter_rows.restype = None
     lib.rk_scatter_rows.argtypes = [p, p, p, i64]
     lib.rk_scatter_add.restype = None

@@ -3,16 +3,19 @@
 A *kernel suite* is the small set of hot-loop primitives the machine
 simulation dispatches through: neighbor-list rebuild and cutoff
 filtering, the range-limited pair walk (cached candidates straight to
-the fixed-point force accumulator), the NT force-export marks,
-fixed-point scatter deposits, the fused mesh spread and gather, and
-the SHAKE/RATTLE constraint sweeps.  Two tiers implement the same
-contract (five primitives are compiled-only, their NumPy counterpart
-being the pipeline the caller keeps as its NumPy-tier path:
+the fixed-point force accumulator) and its float64 twin (candidates to
+per-pair force rows), the NT force-export marks, fixed-point scatter
+deposits and the ordered float deposit, the fused mesh spread and
+gather, and the SHAKE/RATTLE constraint sweeps.  Two tiers implement
+the same contract (six primitives are compiled-only, their NumPy
+counterpart being the pipeline the caller keeps as its NumPy-tier path:
 ``neighbor_build`` — the cell pipeline of
 :class:`~repro.geometry.NeighborList`; ``pair_walk`` — ``pair_filter``
 -> ``pair_table_codes`` -> ``deposit_pairs``, the three NumPy passes
-that stay as its oracle; and the three ``mesh_*_axes`` — the
-stencil-cube pipeline of :class:`~repro.ewald.gse.MeshStencilPlan`):
+that stay as its oracle; ``pair_rows`` — the list's NumPy filter and
+:func:`~repro.forcefield.nonbonded_real_space_tabulated`; and the three
+``mesh_*_axes`` — the stencil-cube pipeline of
+:class:`~repro.ewald.gse.MeshStencilPlan`):
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.
@@ -200,14 +203,13 @@ def _pow2_reciprocals(widths: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTableSpec:
+def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> PairTableSpec:
     """Precompute the static arrays for :meth:`~NumpyKernels.pair_table_codes`.
 
-    The A/B matrices are formed with exactly the elementwise operations
-    of :meth:`LJTable.pair_coefficients` (``s6 = sigma**6`` then
-    ``4 eps s6 s6`` / ``4 eps s6``) applied to the full type-pair
-    matrices; a gather from these matrices is bitwise identical to the
-    per-pair computation because every op is elementwise.
+    The A/B matrices are the :class:`~repro.forcefield.LJTable`'s own
+    (the ones :meth:`LJTable.pair_coefficients` gathers from).  Without
+    a ``force_codec`` the spec serves only the float
+    :meth:`~CompiledKernels.pair_rows`, which quantizes nothing.
     """
     from repro.util import COULOMB
 
@@ -233,12 +235,12 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec) -> PairTabl
         if tables.tables[name].segmentation_key() != tables.tables["lj12_f"].segmentation_key():
             raise ValueError("dispersion tables must share a segmentation")
 
-    s6 = lj_table.sigma_ij**6
-    eps_ij = lj_table.eps_ij
-    amat = np.ascontiguousarray(4.0 * eps_ij * s6 * s6)
-    bmat = np.ascontiguousarray(4.0 * eps_ij * s6)
+    amat = np.ascontiguousarray(lj_table.a_ij)
+    bmat = np.ascontiguousarray(lj_table.b_ij)
 
-    q_limit, q_scale = float(force_codec.limit), float(force_codec.fmt.scale)
+    q_limit = q_scale = 1.0
+    if force_codec is not None:
+        q_limit, q_scale = float(force_codec.limit), float(force_codec.fmt.scale)
     return PairTableSpec(
         charges=np.ascontiguousarray(charges, dtype=np.float64),
         types=np.ascontiguousarray(type_ids, dtype=np.int64),
@@ -375,6 +377,19 @@ class NumpyKernels:
     def scatter_add(self, acc, keys, codes):
         with np.errstate(over="ignore"):
             np.add.at(acc, keys, codes)
+
+    # -- float deposit -----------------------------------------------------
+
+    def deposit_pairs_float(self, forces, i, j, rows):
+        """``forces[i] += rows; forces[j] -= rows`` in the float path's order.
+
+        Float addition does not commute, so the order is the contract:
+        every ``i`` row in pair order, then every ``j`` row in pair
+        order — these two calls, which is what the compiled tier
+        replays (a fused one-loop deposit is a different sum).
+        """
+        np.add.at(forces, i, rows)
+        np.add.at(forces, j, -rows)
 
     # -- NT force-export marks --------------------------------------------
 
@@ -573,6 +588,38 @@ class CompiledKernels(NumpyKernels):
             )
         )
 
+    def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
+                  oi, oj, rows, e_lj, e_coul):
+        """The walk's float64 twin: candidates to per-pair force rows, in C.
+
+        Bitwise the neighbor list's cutoff filter followed by
+        :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
+        surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
+        of each in ``rows[:m]`` and the energies in ``e_lj[:m],
+        e_coul[:m]`` (``rows`` is ``(n_cand, 3)``, the rest sized to the
+        candidate count).  Nothing is summed — that is
+        :meth:`deposit_pairs_float`'s, in NumPy's order.  ``wrapped`` as
+        for :meth:`pair_filter`.  Returns ``m``.  One serial pass at
+        every ``threads`` setting.
+        """
+        n, n_atoms = len(ii), len(wrapped)
+        outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
+        if not (
+            _conforms(wrapped, (n_atoms, 3), np.float64)
+            and _conforms(ii, (n,), np.int64)
+            and _conforms(jj, (n,), np.int64)
+            and _conforms(rows[:n], (n, 3), np.float64)
+            and all(_conforms(a[:n], (n,), t) for a, t in outs)
+        ):
+            raise ValueError("pair_rows: arrays do not match the candidate layout")
+        return int(
+            self._lib.rk_pair_rows(
+                n, _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
+                ctypes.byref(spec.c), _ptr(oi), _ptr(oj), _ptr(rows),
+                _ptr(e_lj), _ptr(e_coul),
+            )
+        )
+
     def nt_marks(self, i, j, home, node_tab, marks_i, marks_j):
         n_atoms, n_nodes = marks_i.shape
         if not (
@@ -602,6 +649,18 @@ class CompiledKernels(NumpyKernels):
             )
             return
         self._lib.rk_deposit_pairs(_ptr(raw), _ptr(i), _ptr(j), _ptr(codes), len(i))
+
+    def deposit_pairs_float(self, forces, i, j, rows):
+        n = len(i)
+        if not (
+            _conforms(forces, (len(forces), 3), np.float64)
+            and _conforms(rows, (n, 3), np.float64)
+            and len(j) == n
+        ):
+            return NumpyKernels.deposit_pairs_float(self, forces, i, j, rows)
+        self._lib.rk_deposit_pairs_float(
+            _ptr(forces), _ptr(_i64(i)), _ptr(_i64(j)), _ptr(rows), n
+        )
 
     def scatter_rows(self, raw, idx, codes):
         idx = _i64(idx)

@@ -25,8 +25,9 @@ checkpoints disagree (one fell back to an older snapshot) the worker
 runs nothing and reports ``preempted`` with each lane's true step, so
 the server requeues them and the scheduler regroups by progress.
 
-The prepared system (build + minimization, ~0.4-0.9 s for a small
-water box — far more than most slices) is a pure function of
+The prepared system (build + minimization on the worker's default
+kernel tier: ~0.05-0.2 s for a water box of 8-64 molecules, several
+times that on the NumPy tier — comparable to a slice) is a pure function of
 :meth:`JobSpec.prepare_key`, so each worker process prepares a distinct
 system once and keeps it in a small LRU (:class:`PreparedSystems`);
 every dispatch takes a deep copy, never the resident object.  A

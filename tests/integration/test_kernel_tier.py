@@ -179,3 +179,39 @@ class TestNumpyFallback:
             assert pack_state(reference.checkpoint()) == packed
         finally:
             reference.close()
+
+
+class TestBuildFlagsHook:
+    """``REPRO_KERNEL_CFLAGS``: extra flags for the one build path."""
+
+    def test_flags_are_appended_and_keyed(self, monkeypatch, tmp_path):
+        """The variable's flags reach the compiler after the fixed ones
+        (which it cannot drop) and select their own cached ``.so``."""
+        import subprocess
+
+        from repro.kernels import build
+
+        ident = "cc (test) 1.0"
+        monkeypatch.delenv("REPRO_KERNEL_CFLAGS", raising=False)
+        plain = build._source_key(build._VARIANTS[0], ident)
+        monkeypatch.setenv("REPRO_KERNEL_CFLAGS", "-g  -fsanitize=undefined")
+        assert build._extra_cflags() == ("-g", "-fsanitize=undefined")
+        assert build._source_key(build._VARIANTS[0], ident) != plain
+
+        commands = []
+
+        def fake_run(cmd, **_kwargs):
+            commands.append(cmd)
+            out = cmd[cmd.index("-o") + 1]
+            open(out, "wb").close()
+            return subprocess.CompletedProcess(cmd, 0, "", "")
+
+        monkeypatch.setattr(build, "_build_dir", lambda: tmp_path)
+        monkeypatch.setattr(build, "_compiler_ident", lambda cc: ident)
+        monkeypatch.setattr(build.subprocess, "run", fake_run)
+        out = build.build()
+        (cmd,) = commands
+        assert out.parent == tmp_path
+        flags = cmd[1:cmd.index(str(build._SRC))]
+        assert flags[: len(build.CFLAGS)] == list(build.CFLAGS)
+        assert flags[-2:] == ["-g", "-fsanitize=undefined"]

@@ -1,4 +1,5 @@
-"""The compiled pair walk against its oracle, for the property tests.
+"""The compiled pair walk against its oracle, for the property tests
+(and the candidate generator the float-path properties share).
 
 The oracle is the three NumPy passes the walk replaces —
 ``NumpyKernels.pair_filter`` -> ``pair_table_codes`` -> ``deposit_pairs``
@@ -8,6 +9,17 @@ The oracle is the three NumPy passes the walk replaces —
 import numpy as np
 
 from repro.kernels import get_suite
+
+
+def candidates(rng, n_atoms, blocks, n_cand):
+    """``n_cand`` pairs i < j inside their block, sorted by (i, j)."""
+    block = rng.integers(0, blocks, n_cand)
+    a = rng.integers(0, n_atoms, n_cand)
+    b = (a + rng.integers(1, n_atoms, n_cand)) % n_atoms
+    ii = block * n_atoms + np.minimum(a, b)
+    jj = block * n_atoms + np.maximum(a, b)
+    order = np.lexsort((jj, ii))
+    return ii[order], jj[order]
 
 
 def numpy_walk(spec, wrapped, ii, jj, lengths, acc):

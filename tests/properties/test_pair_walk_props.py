@@ -31,7 +31,7 @@ from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
 from repro.systems import build_water_box
-from tests.properties.pair_walk_oracle import assert_walk_matches
+from tests.properties.pair_walk_oracle import assert_walk_matches, candidates
 from tests.serial_backend import _force_export_side
 
 pytestmark = pytest.mark.skipif(
@@ -83,17 +83,6 @@ def _spec(calc, codec="pow2", blocks=1, division_tables=False):
     return spec
 
 
-def _candidates(rng, n_atoms, blocks, n_cand):
-    """``n_cand`` pairs i < j inside their block, sorted by (i, j)."""
-    block = rng.integers(0, blocks, n_cand)
-    a = rng.integers(0, n_atoms, n_cand)
-    b = (a + rng.integers(1, n_atoms, n_cand)) % n_atoms
-    ii = block * n_atoms + np.minimum(a, b)
-    jj = block * n_atoms + np.maximum(a, b)
-    order = np.lexsort((jj, ii))
-    return ii[order], jj[order]
-
-
 def _acc(rng, n_atoms):
     """A full-range accumulator, so deposits wrap."""
     return rng.integers(I64.min, I64.max, (n_atoms, 3), endpoint=True)
@@ -127,7 +116,7 @@ def test_walk_matches_numpy_passes(suites, calc, seed, n_cand, blocks, codec,
     lengths = np.array([6.5, 9.25, 7.0]) * rng.uniform(0.9, 1.3, 3)
     wrapped = rng.uniform(0, 1, (blocks * n_atoms, 3)) * lengths
     wrapped[rng.integers(0, len(wrapped), 4), rng.integers(0, 3, 4)] = 0.0
-    ii, jj = _candidates(rng, n_atoms, blocks, n_cand)
+    ii, jj = candidates(rng, n_atoms, blocks, n_cand)
     spec = _spec(calc, codec, blocks, division_tables)
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, len(wrapped)))
 
@@ -195,7 +184,7 @@ def test_reciprocal_tables_equal_division_tables(suites, calc):
     n_atoms = calc.system.n_atoms
     lengths = np.array([7.0, 8.0, 9.0])
     wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
-    ii, jj = _candidates(rng, n_atoms, 1, 4000)
+    ii, jj = candidates(rng, n_atoms, 1, 4000)
     spec = _spec(calc)
     acc = _acc(rng, n_atoms)
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc)

@@ -93,6 +93,59 @@ class TestCLI:
             main([])
 
 
+class TestMeshFollowsTheBox:
+    """The water commands size their GSE mesh from box and cutoff
+    (``GSEParams.smallest_mesh``): boxes past ~64 waters, which the old
+    fixed 16^3 refused with a traceback, run; boxes 16^3 fits keep it,
+    and with it every byte of output."""
+
+    @pytest.mark.parametrize("waters", [100, 250])
+    def test_simulate_beyond_64_waters(self, capsys, waters):
+        assert main(["simulate", "--waters", str(waters), "--steps", "2",
+                     "--record-every", "2"]) == 0
+        assert "E_total" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("waters", [100, 250])
+    def test_machine_beyond_its_16_cubed_limit(self, capsys, waters):
+        assert main(["machine", "--nodes", "8", "--waters", str(waters), "--steps", "1"]) == 0
+        assert "messages/node/step" in capsys.readouterr().out
+
+    def test_ensemble_beyond_64_waters(self, capsys):
+        assert main(["ensemble", "--waters", "100", "--replicas", "2", "--steps", "2",
+                     "--record-every", "2"]) == 0
+        assert "final T (K)" in capsys.readouterr().out
+
+    # sha256 of standard output (less its "kernel tier:" line, which
+    # names the tier under test) and of the trajectory file, recorded
+    # from commit 7b33060 (PR 19), whose CLI hard-coded mesh 16^3 and
+    # whose minimiser evaluated forces in NumPy.
+    SAME_BYTES = {
+        "simulate": (
+            ["simulate", "--waters", "40", "--steps", "12", "--seed", "7", "--record-every", "4"],
+            "51fc8631112a9cbb",
+            "b2d1177637ae47f3015b32e11cc6253bc3fe89eb888c1a71977bb31b08e63ec7",
+        ),
+        "machine": (
+            ["machine", "--waters", "32", "--nodes", "8", "--steps", "4",
+             "--trajectory-every", "2"],
+            "8e9b5650e4d50a3f",
+            "2381dfdfc9be811ebe1b76a8b6addddc8f7cd0cf09265631ad57c666d71de6b9",
+        ),
+    }
+
+    @pytest.mark.parametrize("command", SAME_BYTES)
+    def test_small_boxes_keep_their_bytes(self, capsys, tmp_path, command):
+        import hashlib
+
+        argv, stdout_sha, trajectory_sha = self.SAME_BYTES[command]
+        traj = tmp_path / "t.rrs"
+        assert main(argv + ["--trajectory", str(traj)]) == 0
+        out = "".join(line for line in capsys.readouterr().out.splitlines(True)
+                      if not line.startswith("kernel tier:"))
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == stdout_sha
+        assert hashlib.sha256(traj.read_bytes()).hexdigest() == trajectory_sha
+
+
 class TestRunStoreCLI:
     WATER = ["simulate", "--system", "water", "--waters", "24",
              "--record-every", "4"]

@@ -94,3 +94,43 @@ class TestSeparableWeights:
         assert flat.shape[1] == gse.stencil_size()
         # The spherical cutoff zeroes the cube corners.
         assert np.count_nonzero(w) < gse.stencil_size()
+
+
+class TestSmallestMesh:
+    """``GSEParams.smallest_mesh``: the mesh rule of the CLI and of serve jobs."""
+
+    def test_boxes_the_old_fixed_mesh_fit_keep_it(self):
+        # The CLI's cutoffs (simulate / ensemble / serve: 5.5, machine:
+        # 4.5, each capped at 0.9 of the minimum-image limit) over water
+        # boxes up to the sizes 16^3 accepted.
+        from repro.systems import build_water_box
+
+        for waters, cap in ((8, 5.5), (40, 5.5), (64, 5.5), (16, 4.5), (32, 4.5)):
+            box = build_water_box(n_molecules=waters, seed=0).box
+            cutoff = min(cap, box.max_cutoff() * 0.9)
+            assert GSEParams.smallest_mesh(box, cutoff) == (16, 16, 16)
+
+    @pytest.mark.parametrize("side, cutoff", [(14.5, 5.5), (20.0, 5.5), (37.0, 9.0), (60.0, 4.5)])
+    def test_is_accepted_and_minimal(self, side, cutoff):
+        box = Box.cubic(side)
+        mesh = GSEParams.smallest_mesh(box, cutoff)
+        assert len(set(mesh)) == 1 and mesh[0] >= 16 and mesh[0] & (mesh[0] - 1) == 0
+        GSEParams.choose(box, cutoff, mesh)
+        if mesh[0] > 16:
+            with pytest.raises(ValueError, match="too coarse"):
+                GSEParams.choose(box, cutoff, tuple(m // 2 for m in mesh))
+
+    def test_each_axis_on_its_own(self):
+        box = Box(np.array([12.0, 40.0, 21.0]))
+        mesh = GSEParams.smallest_mesh(box, 5.5)
+        assert mesh == (16, 64, 32)
+        GSEParams.choose(box, 5.5, mesh)
+        for axis in (1, 2):  # halving either refined axis is refused
+            coarser = list(mesh)
+            coarser[axis] //= 2
+            with pytest.raises(ValueError, match="too coarse"):
+                GSEParams.choose(box, 5.5, tuple(coarser))
+
+    def test_a_refusal_that_is_not_about_resolution_surfaces(self):
+        with pytest.raises(ValueError):
+            GSEParams.smallest_mesh(Box.cubic(20.0), 0.0)  # sigma 0: no mesh helps

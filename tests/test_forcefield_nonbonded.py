@@ -29,6 +29,18 @@ class TestLJTable:
         assert a[0] == pytest.approx(4 * 0.2 * 3.0**12)
         assert b[0] == pytest.approx(4 * 0.2 * 3.0**6)
 
+    def test_pair_coefficients_gather_equals_the_per_pair_arithmetic(self):
+        """The hoisted A/B matrices: same bits as forming 4 eps s^12 and
+        4 eps s^6 from each pair's own (sigma, epsilon)."""
+        rng = np.random.default_rng(4)
+        t = LJTable(rng.uniform(0.0, 4.0, 7), rng.uniform(0.0, 0.4, 7))
+        ti, tj = rng.integers(0, 7, 5000), rng.integers(0, 7, 5000)
+        sig, eps = t.pair_params(ti, tj)
+        s6 = sig**6
+        a, b = t.pair_coefficients(ti, tj)
+        np.testing.assert_array_equal(a, 4.0 * eps * s6 * s6)
+        np.testing.assert_array_equal(b, 4.0 * eps * s6)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LJTable([1.0], [-0.1])
@@ -155,6 +167,28 @@ class TestNonbondedRealSpace:
             nonbonded_real_space(pairs, charges, types, lj, ex, 1.5, lj_mode="bogus")
         with pytest.raises(ValueError):
             nonbonded_real_space(pairs, charges, types, lj, ex, 1.5, lj_mode="shift_force", cutoff=None)
+
+
+class TestShiftForceCutoffTerms:
+    def test_scalar_cutoff_powers_equal_the_per_pair_evaluation(self):
+        """``_shift_force_lj`` forms the cut-off terms from scalar powers
+        of 1/rc²; evaluating the LJ kernel on an array filled with rc²
+        (what it used to do) gives the same bits."""
+        from repro.forcefield.nonbonded import _shift_force_lj
+
+        rng = np.random.default_rng(9)
+        cutoff = 5.3
+        r2 = rng.uniform(0.8, cutoff, 4000) ** 2
+        a, b = rng.uniform(0, 6e5, 4000), rng.uniform(0, 600, 4000)
+        a[::7] = b[::7] = 0.0  # LJ-less hydrogens
+        energy, pref = _shift_force_lj(r2, a, b, cutoff)
+
+        r = np.sqrt(r2)
+        e, p = lj_energy_prefactor(r2, a, b)
+        e_c, p_c = lj_energy_prefactor(np.full_like(r2, cutoff * cutoff), a, b)
+        f_c = p_c * cutoff
+        np.testing.assert_array_equal(energy, e - e_c + (r - cutoff) * f_c)
+        np.testing.assert_array_equal(pref, p - f_c / r)
 
 
 class TestTabulatedPath:

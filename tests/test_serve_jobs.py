@@ -67,6 +67,16 @@ class TestJobSpec:
         assert base.prepare_key() != JobSpec(waters=8, steps=10, build_seed=1).prepare_key()
         assert base.prepare_key() != JobSpec(waters=8, steps=10, cutoff=4.0).prepare_key()
 
+    def test_preparation_sizes_the_mesh_from_the_box(self):
+        """A job past ~64 waters prepares (16^3 refused it); a small one
+        keeps 16^3 — the mesh is a function of what prepare_key() holds."""
+        from repro.serve.jobs import prepare_job_system
+
+        _system, params = prepare_job_system(JobSpec(waters=100, steps=1))
+        assert params.mesh == (32, 32, 32)
+        _system, params = prepare_job_system(JobSpec(waters=8, steps=1))
+        assert params.mesh == (16, 16, 16)
+
 
 class TestJobStateMachine:
     def test_every_state_has_rules(self):
