@@ -121,32 +121,32 @@ def cmd_simulate(args) -> int:
     from dataclasses import replace
 
     from repro import BerendsenThermostat, MDParams, Simulation, minimize_energy
-    from repro.ewald import GSEParams
-    from repro.systems import benchmark_by_name, build_hp_system, build_water_box, hp_miniprotein
+    from repro.systems import benchmark_by_name, build_hp_system, hp_miniprotein, prepare_water_box
 
+    session = open_session(args)
+    # A restore replaces the dynamic state wholesale, so system
+    # preparation is only needed for fresh runs.
+    minimize_steps = 80 if session.loaded is None else 0
     if args.system == "water":
-        system = build_water_box(n_molecules=args.waters, seed=args.seed)
-        cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-        mesh = GSEParams.smallest_mesh(system.box, cutoff)
-        params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
-    elif args.system == "hp":
-        system = build_hp_system(hp_miniprotein(seed=args.seed))
-        params = MDParams(cutoff=args.cutoff or 14.0, mesh=(16, 16, 16))
+        system, params, e = prepare_water_box(
+            args.waters, args.seed, args.cutoff, skin=args.skin, minimize_steps=minimize_steps
+        )
     else:
-        spec = benchmark_by_name(args.system)
-        system = spec.build(scale=args.scale, seed=args.seed)
-        cutoff = args.cutoff or min(spec.cutoff, system.box.max_cutoff() * 0.9)
-        params = MDParams(cutoff=cutoff, mesh=(32, 32, 32), long_range_every=2)
-    if args.skin is not None:
-        params = replace(params, skin=args.skin)
+        if args.system == "hp":
+            system = build_hp_system(hp_miniprotein(seed=args.seed))
+            params = MDParams(cutoff=args.cutoff or 14.0, mesh=(16, 16, 16))
+        else:
+            spec = benchmark_by_name(args.system)
+            system = spec.build(scale=args.scale, seed=args.seed)
+            cutoff = args.cutoff or min(spec.cutoff, system.box.max_cutoff() * 0.9)
+            params = MDParams(cutoff=cutoff, mesh=(32, 32, 32), long_range_every=2)
+        if args.skin is not None:
+            params = replace(params, skin=args.skin)
+        e = minimize_energy(system, params, max_steps=minimize_steps) if minimize_steps else None
     print(f"system: {system.meta.get('name', args.system)} — {system.n_atoms} atoms, "
           f"box {system.box.lengths[0]:.1f} A, cutoff {params.cutoff:.1f} A, "
           f"skin {params.skin:.1f} A")
-    session = open_session(args)
     if session.loaded is None:
-        # A restore replaces the dynamic state wholesale, so system
-        # preparation is only needed for fresh runs.
-        e = minimize_energy(system, params, max_steps=80)
         print(f"minimized potential energy: {e:.1f} kcal/mol")
         system.initialize_velocities(args.temperature, seed=args.seed + 1)
     sim = Simulation(
@@ -187,28 +187,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    from dataclasses import replace
-
-    from repro import BerendsenThermostat, MDParams, minimize_energy
+    from repro import BerendsenThermostat
     from repro.ensemble import EnsembleSimulation, parse_seed_spec
-    from repro.ewald import GSEParams
     from repro.io import RunSession, replica_checkpoint_store, replica_trajectory_path
-    from repro.systems import build_water_box
+    from repro.systems import prepare_water_box
 
-    system = build_water_box(n_molecules=args.waters, seed=args.seed)
-    cutoff = args.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-    mesh = GSEParams.smallest_mesh(system.box, cutoff)
-    params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
-    if args.skin is not None:
-        params = replace(params, skin=args.skin)
     try:
         seeds = parse_seed_spec(args.seeds, args.replicas, base_seed=args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+    system, params, e = prepare_water_box(args.waters, args.seed, args.cutoff, skin=args.skin)
     print(f"system: water x{args.replicas} replicas — {system.n_atoms} atoms each "
           f"({system.n_atoms * args.replicas} batched), box {system.box.lengths[0]:.1f} A, "
           f"cutoff {params.cutoff:.1f} A")
-    e = minimize_energy(system, params, max_steps=80)
     print(f"minimized potential energy: {e:.1f} kcal/mol")
     print(f"replica seeds: {', '.join(str(s) for s in seeds)}")
     ens = EnsembleSimulation(
@@ -274,17 +265,15 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_machine(args) -> int:
-    from repro import AntonMachine, MDParams, minimize_energy
-    from repro.ewald import GSEParams
-    from repro.systems import build_water_box
+    from repro import AntonMachine
+    from repro.systems import prepare_water_box
 
-    base = build_water_box(n_molecules=args.waters, seed=7)
-    cutoff = min(4.5, base.box.max_cutoff() * 0.9)
-    mesh = GSEParams.smallest_mesh(base.box, cutoff)
-    params = MDParams(cutoff=cutoff, mesh=mesh, quantize_mesh_bits=40)
     session = open_session(args)
+    base, params, _ = prepare_water_box(
+        args.waters, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40,
+        minimize_steps=40 if session.loaded is None else 0,
+    )
     if session.loaded is None:
-        minimize_energy(base, params, max_steps=40)
         base.initialize_velocities(300.0, seed=8)
 
     fault_kwargs = {}
@@ -336,7 +325,7 @@ def _run_machine(args, machine, ref, session) -> int:
         )
     for final in session.final_checkpoints:
         print(f"final checkpoint: {final}")
-    print(f"{args.nodes}-node machine, {args.steps} steps "
+    print(f"{args.nodes}-node machine, {steps} steps "
           f"({machine.topology.dims[0]}x{machine.topology.dims[1]}x{machine.topology.dims[2]} torus), "
           f"{machine.backend.name} backend")
     print_kernel_tier(machine.backend.kernels)

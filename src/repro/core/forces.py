@@ -176,8 +176,12 @@ class ForceCalculator:
         self._pair_rows: np.ndarray | None = None
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
-        # The mesh plan :meth:`_kspace` refills instead of reallocating.
-        self._mesh_plan: MeshStencilPlan | None = None
+        # What every mesh pass of this calculator — float, batched or
+        # machine — refills instead of reallocating: the stencil plan,
+        # with its lane views and mesh accumulator.
+        self._mesh_plan = (
+            MeshStencilPlan(self.gse, system.n_atoms) if self.gse is not None else None
+        )
 
     # -- kernel-tier dispatch and scratch -----------------------------------
 
@@ -363,8 +367,6 @@ class ForceCalculator:
 
     def _kspace(self, positions: np.ndarray) -> tuple[float, np.ndarray]:
         """Mesh energy and forces, on the suite, into the kept plan."""
-        if self._mesh_plan is None:
-            self._mesh_plan = MeshStencilPlan(self.gse, len(positions))
         with self.timers.time("kspace"):
             return self.gse.kspace(
                 positions, self.system.charges, codec=self.mesh_codec,

@@ -7,8 +7,9 @@ across replicas.  This module stacks R replicas of one chemical system
 along the atom axis (replica ``r`` owns rows ``[r*N, (r+1)*N)``) and
 steps them all through ONE pass of the vectorized/compiled kernels per
 phase: one batched neighbor-list rebuild, one fused pair kernel call,
-one stacked mesh/FFT pass, one fixed-point accumulation, one batched
-SHAKE/RATTLE sweep.
+one R-lane mesh pass (:meth:`~repro.ewald.GaussianSplitEwald.mesh_pass`,
+the pass the float path and the machine run with one lane), one
+fixed-point accumulation, one batched SHAKE/RATTLE sweep.
 
 The correctness bar is *bitwise*: every replica's integer trajectory
 (position/velocity codes), energies, and checkpoint artifacts are
@@ -55,7 +56,7 @@ from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
 from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
-from repro.ewald import MeshStencilPlan, self_energy
+from repro.ewald import self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
@@ -192,9 +193,6 @@ class EnsembleForceCalculator(ForceCalculator):
         self._e_self_solo = self_energy(system.charges[:n_solo], self.sigma)
         # Pair-index boundaries between replica blocks (ascending i).
         self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
-        self._plan = None
-        self._replica_views = None
-        self._solo_plan = None  # the over-budget fallback's, one replica wide
 
     # -- per-replica reductions --------------------------------------------
 
@@ -217,96 +215,13 @@ class EnsembleForceCalculator(ForceCalculator):
     # -- long range ---------------------------------------------------------
 
     def _kspace_stack(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-replica k-space energies and stacked mesh forces.
-
-        One shared stencil plan is built over all R*N positions; each
-        replica's spread/interpolation runs over a zero-copy row view
-        of it (chunk loops restart at the view, preserving solo bits),
-        and the FFT/convolution covers the whole ``(R, *mesh)`` stack
-        in one batched transform.  When the plan exceeds the memory
-        budget, replicas fall back to R solo ``kspace`` calls — bitwise
-        solo by definition.
-        """
-        g = self.gse
-        R, n = self.replicas, self.n_solo
-        q_solo = self.system.charges[:n]
-        with self.timers.time("mesh_plan"):
-            plan = g.make_plan(positions, out=self._plan, kernels=self.kernels)
-        if plan is None:
-            if self._solo_plan is None:
-                self._solo_plan = MeshStencilPlan(g, n)
-            energies = np.empty(R)
-            forces = np.empty((R * n, 3))
-            for r in range(R):
-                sl = slice(r * n, (r + 1) * n)
-                e_r, f_r = g.kspace(
-                    positions[sl], q_solo, codec=self.mesh_codec,
-                    kernels=self.kernels, plan=self._solo_plan,
-                )
-                energies[r] = e_r
-                forces[sl] = f_r
-            return energies, forces
-        if plan is not self._plan:
-            # Zero-copy per-replica views, kept with the plan: they stay
-            # valid across its in-place refills, and each owns its
-            # scratch (zero-allocation steady state per worker thread).
-            self._plan = plan
-            self._replica_views = [plan.rows_view(r * n, (r + 1) * n) for r in range(R)]
-        mesh_shape = (R, *(int(m) for m in g.mesh))
-        m_points = g.mesh_point_count()
-        # Replicas are the parallel unit: each owns disjoint plan rows,
-        # mesh slab, and force rows, so farming them to the kernel
-        # suite's thread pool cannot reorder any reduction.  Worker
-        # threads get the single-threaded `serial` suite — the C lanes
-        # belong to the process-wide pool, never nested inside Python
-        # threads.  map_chunks degenerates to the same `for r in
-        # range(R)` loop at threads=1, so the serial bits are literal.
-        serial = getattr(self.kernels, "serial", self.kernels)
-        nthreads = getattr(self.kernels, "threads", 1)
-        replica_views = self._replica_views
-        with self.timers.time("mesh_spread"):
-            if self.mesh_codec is not None:
-                acc = np.zeros((R, m_points), dtype=np.int64)
-
-                def _spread(r):
-                    replica_views[r].spread_codes(
-                        q_solo, acc[r], self.mesh_codec, kernels=serial
-                    )
-
-                self.kernels.map_chunks(_spread, R)
-                Q = self.mesh_codec.reconstruct(self.mesh_codec.wrap(acc)).reshape(
-                    mesh_shape
-                )
-            else:
-                Qf = np.zeros((R, m_points))
-                for r in range(R):
-                    replica_views[r].spread_float(q_solo, Qf[r], kernels=serial)
-                Q = Qf.reshape(mesh_shape)
-        with self.timers.time("mesh_fft"):
-            if nthreads > 1 and R > 1:
-                # Per-replica solo transforms in worker threads: the
-                # stacked solve is pinned bitwise to R solo solves, so
-                # this is the same bytes with the replica axis farmed
-                # out (pocketfft releases the GIL).
-                phi = np.empty(mesh_shape)
-                energies = np.empty(R)
-
-                def _solve(r):
-                    phi[r], energies[r] = g.solve(Q[r])
-
-                self.kernels.map_chunks(_solve, R)
-            else:
-                phi, energies = g.solve_stack(Q)
-        with self.timers.time("mesh_interp"):
-            forces = np.empty((R * n, 3))
-
-            def _interp(r):
-                replica_views[r].interpolate_forces(
-                    q_solo, phi[r], out=forces[r * n : (r + 1) * n], kernels=serial
-                )
-
-            self.kernels.map_chunks(_interp, R)
-        return energies, forces
+        """Per-replica k-space energies and stacked mesh forces: the one
+        mesh pass with replicas as its lanes, each bitwise its solo evaluation."""
+        return self.gse.mesh_pass(
+            positions, self.system.charges[: self.n_solo], lanes=self.replicas,
+            codec=self.mesh_codec, kernels=self.kernels, plan=self._mesh_plan,
+            timers=self.timers,
+        )
 
     def compute_long_fixed(self, positions: np.ndarray, force_codec):
         """Long-range codes with per-replica ``(R,)`` energies."""

@@ -24,6 +24,8 @@ serial machine backend, per owning node.
 from __future__ import annotations
 
 import math
+import weakref
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,13 +37,14 @@ from repro.util import COULOMB
 
 __all__ = ["GSEParams", "GaussianSplitEwald", "MeshStencilPlan"]
 
-#: Default cap on materialised stencil cubes, in elements (atoms x
+#: Budget for whole materialised stencil cubes, in elements (atoms x
 #: stencil points).  The cubes cost ~12 bytes per element (float64
-#: weight + int32 index), so 16M elements is ~190 MB; above the cap
-#: :meth:`~GaussianSplitEwald.make_plan` declines a plan that would need
-#: them and callers fall back to chunked per-pass evaluation (same
-#: kernels, same bits).  A plan for the fused compiled kernels stores
-#: only O(n·k) axis rows and is never declined.
+#: weight + int32 index), so 16M elements is ~190 MB.  A
+#: :class:`MeshStencilPlan` within the budget fills its cubes once per
+#: build; one above it fills only the rows of the kernel chunk in hand
+#: (same per-atom arithmetic, same bits), so no caller ever sees the
+#: budget.  The fused compiled kernels run from the O(n·k) axis rows
+#: and need no cube at any size.
 PLAN_MAX_ELEMENTS = 16_000_000
 
 #: Atom rows per pass while filling the cubes (bounds the r² scratch).
@@ -154,21 +157,24 @@ class MeshStencilPlan:
 
     The masked 4-D weight cube ``w`` (n, kx, ky, kz) and flattened mesh
     indices ``flat`` (n, k) — int32 when the mesh fits — are a NumPy
-    view of the same rows, filled on first use after a :meth:`build`:
-    the NumPy tier's pipeline, and the oracle the fused kernels are
-    tested against.
+    view of the same rows: the NumPy tier's pipeline, and the oracle
+    the fused kernels are tested against.  Within
+    :data:`PLAN_MAX_ELEMENTS` they are filled whole, once per
+    :meth:`build`; a larger plan fills each kernel chunk's rows into
+    chunk-sized scratch instead (:meth:`_stencil`).
 
     Every kernel is strictly per-atom arithmetic followed by a
     commutative reduction (integer scatter, float bincount in element
     order, or an einsum/sum over each atom's own stencil row), so the
     results are bitwise independent of how callers chunk or partition
     the ``rows`` they pass — the machine's parallel-invariance
-    requirement.
+    requirement — and of which side of the budget the plan is on.
     """
 
     __slots__ = (
         "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
         "_cubes", "_stale", "_parent", "_lo", "_scratch", "_contract",
+        "_chunk_cubes", "_r2", "_lanes", "_acc", "__weakref__",
     )
 
     def __init__(self, gse: "GaussianSplitEwald", n: int):
@@ -180,7 +186,8 @@ class MeshStencilPlan:
         self.axis_i = [np.empty((self.n, k), dtype=np.int32) for k in self.shape]
         self._cubes, self._stale = None, True
         self._parent, self._lo = None, 0
-        self._scratch = self._contract = None
+        self._scratch = self._contract = self._chunk_cubes = self._r2 = None
+        self._lanes = self._acc = None
 
     def _buffer(self, chunk: int) -> np.ndarray:
         """Reusable (chunk, k) contribution buffer.
@@ -209,8 +216,9 @@ class MeshStencilPlan:
         (``np.exp`` stays there, which keeps the bits trivially
         identical across tiers).  With a compiled kernel suite that is
         all: the fused kernels need nothing else, and no O(n·k³) array
-        is touched.  Otherwise the cubes are materialised now, so the
-        NumPy pipeline pays for them here and not inside its first pass.
+        is touched.  Otherwise cubes within the budget are materialised
+        now, so the NumPy pipeline pays for them here and not inside
+        its first pass.
         """
         g = self.gse
         inv_2ss2 = 1.0 / (2.0 * g.params.sigma_s**2)
@@ -224,43 +232,64 @@ class MeshStencilPlan:
             self.axis_i[a][...] = np.mod(cells, g.mesh[a])
         self.axis_w[0] *= g._spread_norm
         self._stale = True
-        if not _fused(kernels):
+        if not _fused(kernels) and self._in_budget():
             self._materialise()
         return self
 
+    def _root(self) -> "MeshStencilPlan":
+        """The plan that owns the cubes: this one, or a view's parent."""
+        return self if self._parent is None else self._parent()
+
+    def _in_budget(self) -> bool:
+        """Whether the whole cubes (the parent's, for a view) fit the budget."""
+        return self._root().n * math.prod(self.shape) <= PLAN_MAX_ELEMENTS
+
+    def _flat_dtype(self):
+        return np.int32 if self.gse.mesh_point_count() <= np.iinfo(np.int32).max else np.int64
+
     def _materialise(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(w, flat)`` cubes, filled from the axis rows when stale."""
+        """The whole ``(w, flat)`` cubes, filled from the axis rows when stale."""
         if self._parent is not None:
-            w, flat = self._parent._materialise()
+            w, flat = self._root()._materialise()
             return w[self._lo : self._lo + self.n], flat[self._lo : self._lo + self.n]
-        if not self._stale:
-            return self._cubes
+        if self._stale:
+            if self._cubes is None:
+                self._cubes = (
+                    np.empty((self.n, *self.shape)),
+                    np.empty((self.n, math.prod(self.shape)), self._flat_dtype()),
+                )
+            self._fill(None, 0, self.n, *self._cubes)
+            self._stale = False
+        return self._cubes
+
+    def _fill(self, rows, lo: int, hi: int, w: np.ndarray, flat: np.ndarray) -> None:
+        """Cube rows of atoms ``[lo, hi)`` (of ``rows``, when given) into ``w`` / ``flat``."""
         g = self.gse
         kx, ky, kz = self.shape
-        if self._cubes is None:
-            idx_t = np.int32 if g.mesh_point_count() <= np.iinfo(np.int32).max else np.int64
-            self._cubes = (np.empty((self.n, kx, ky, kz)), np.empty((self.n, kx * ky * kz), idx_t))
-        w, flat = self._cubes
-        flat4 = flat.reshape(self.n, kx, ky, kz)
+        flat4 = flat.reshape(len(flat), kx, ky, kz)
         mesh = [int(m) for m in g.mesh]
         c2 = g.params.spreading_cutoff**2
-        scratch = np.empty((min(_PLAN_BUILD_CHUNK, self.n), kx, ky, kz))
-        for lo in range(0, self.n, _PLAN_BUILD_CHUNK):
-            hi = min(lo + _PLAN_BUILD_CHUNK, self.n)
-            axis_w = [a[lo:hi] for a in self.axis_w]
-            axis_i = [a[lo:hi].astype(flat.dtype, copy=False) for a in self.axis_i]
+        if self._r2 is None:
+            self._r2 = np.empty((min(_PLAN_BUILD_CHUNK, self.n), kx, ky, kz))
+        for a in range(lo, hi, _PLAN_BUILD_CHUNK):
+            b = min(a + _PLAN_BUILD_CHUNK, hi)
+            out = slice(a - lo, b - lo)
+            axis_w = [self._take(x, rows, a, b) for x in self.axis_w]
+            axis_i = [
+                self._take(x, rows, a, b).astype(flat.dtype, copy=False) for x in self.axis_i
+            ]
             # Weights: two outer products, the big one written in place
             # (einsum's specialized outer loop beats the stride-0
             # broadcast multiply; each element is the same single
             # product either way, so the bits are unchanged).
-            wv = w[lo:hi]
+            wv = w[out]
             wxy = axis_w[0][:, :, None] * axis_w[1][:, None, :]
             np.einsum("nxy,nz->nxyz", wxy, axis_w[2], out=wv)
             # Spherical cutoff mask on r² = (dx²+dy²)+dz² (this exact
             # association order also classifies the dense reference and
             # the fused kernels, so masked entries agree bit for bit).
-            d2 = [a[lo:hi] * a[lo:hi] for a in self.axis_d]
-            r2 = scratch[: hi - lo]
+            d2 = [x * x for x in (self._take(x, rows, a, b) for x in self.axis_d)]
+            r2 = self._r2[: b - a]
             r2xy = d2[0][:, :, None] + d2[1][:, None, :]
             np.add(r2xy[:, :, :, None], d2[2][:, None, None, :], out=r2)
             np.multiply(wv, r2 <= c2, out=wv)
@@ -269,17 +298,28 @@ class MeshStencilPlan:
             np.add(
                 fxy[:, :, :, None] * mesh[2],
                 axis_i[2][:, None, None, :],
-                out=flat4[lo:hi],
+                out=flat4[out],
             )
-        self._stale = False
-        return self._cubes
+
+    def _stencil(self, rows, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(w2, flat)`` rows, each (m, k), of atoms ``[lo, hi)`` (of ``rows``).
+
+        From the whole cubes when those fit the budget (or are filled
+        already); otherwise just these rows, filled into chunk scratch,
+        which keeps an over-budget plan at O(chunk·k) memory.
+        """
+        m, k = hi - lo, math.prod(self.shape)
+        if not self._root()._stale or self._in_budget():
+            w, flat = self._materialise()
+            return self._take(w.reshape(self.n, k), rows, lo, hi), self._take(flat, rows, lo, hi)
+        if self._chunk_cubes is None or len(self._chunk_cubes[1]) < m:
+            self._chunk_cubes = (np.empty((m, *self.shape)), np.empty((m, k), self._flat_dtype()))
+        w, flat = (c[:m] for c in self._chunk_cubes)
+        self._fill(rows, lo, hi, w, flat)
+        return w.reshape(m, k), flat
 
     w = property(lambda self: self._materialise()[0], doc="Masked weight cube (n, kx, ky, kz).")
     flat = property(lambda self: self._materialise()[1], doc="Flattened mesh indices (n, k).")
-
-    def _w2(self) -> np.ndarray:
-        """The weight cube as (n, k) rows."""
-        return self.w.reshape(self.n, math.prod(self.shape))
 
     def _axes(self) -> tuple:
         """What every fused kernel takes after its output: rows, mesh, c2."""
@@ -296,8 +336,9 @@ class MeshStencilPlan:
         float spreading path of a stacked-replica mesh bitwise equal to
         each replica's solo evaluation.  Do not call :meth:`build` on a
         view; rebuild the parent.  A view refers to its parent (for the
-        cubes), so a parent that cached its views would be a cycle only
-        the garbage collector frees: callers keep them.
+        cubes) weakly and is valid while it lives: a parent that keeps
+        its views is then no reference cycle, and is freed with its
+        holder instead of whenever the cyclic collector next runs.
         """
         v = MeshStencilPlan.__new__(MeshStencilPlan)
         v.gse = self.gse
@@ -306,10 +347,29 @@ class MeshStencilPlan:
         v.axis_w = [a[lo:hi] for a in self.axis_w]
         v.axis_d = [a[lo:hi] for a in self.axis_d]
         v.axis_i = [a[lo:hi] for a in self.axis_i]
-        v._parent = self if self._parent is None else self._parent
+        v._parent = weakref.ref(self) if self._parent is None else self._parent
         v._lo = self._lo + lo
-        v._scratch = v._contract = None
+        v._scratch = v._contract = v._chunk_cubes = v._r2 = v._lanes = v._acc = None
         return v
+
+    def _lane_views(self, lanes: int) -> list["MeshStencilPlan"]:
+        """This plan as ``lanes`` equal runs of rows: itself, or kept views
+        (valid across refills; each owns its scratch, one per worker thread)."""
+        if lanes == 1:
+            return [self]
+        if self._lanes is None or len(self._lanes) != lanes:
+            n = self.n // lanes
+            self._lanes = [self.rows_view(r * n, (r + 1) * n) for r in range(lanes)]
+        return self._lanes
+
+    def _accumulator(self, lanes: int) -> np.ndarray:
+        """The kept ``(lanes, mesh points)`` int64 mesh accumulator, zeroed."""
+        shape = (lanes, self.gse.mesh_point_count())
+        if self._acc is None or self._acc.shape != shape:
+            self._acc = np.zeros(shape, dtype=np.int64)
+        else:
+            self._acc[...] = 0
+        return self._acc
 
     # -- kernels -----------------------------------------------------------
 
@@ -345,8 +405,7 @@ class MeshStencilPlan:
             # exactness-window analysis and no cubes.
             kernels.mesh_spread_axes(mesh_acc, *self._axes(), qc)
             return
-        w2 = self._w2()
-        k = w2.shape[1]
+        k = math.prod(self.shape)
         # |code| <= max|w| * max|q·scale/limit| + 1/2 (rint); the +1.0
         # over-covers.  A slice of r rows contributes at most r·k codes
         # to one bin, so r·k·bound < 2**53 keeps every partial sum an
@@ -355,31 +414,19 @@ class MeshStencilPlan:
         exact_rows = int(2.0**52 / (bound * k))
         if exact_rows >= 1:
             chunk = max(1, min(chunk, exact_rows))
-            buf = self._buffer(chunk)
-            for lo in range(0, n_rows, chunk):
-                hi = min(lo + chunk, n_rows)
-                b = buf[: hi - lo]
-                np.multiply(
-                    self._take(w2, rows, lo, hi),
-                    self._take(qc, rows, lo, hi)[:, None],
-                    out=b,
-                )
-                np.rint(b, out=b)
-                part = np.bincount(
-                    self._take(self.flat, rows, lo, hi).ravel(),
-                    weights=b.ravel(),
-                    minlength=mesh_acc.shape[0],
-                )
-                with np.errstate(over="ignore"):
-                    mesh_acc += part.astype(np.int64)
-            return
+        buf = self._buffer(chunk)
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
-            buf = self._take(w2, rows, lo, hi) * self._take(qc, rows, lo, hi)[:, None]
-            np.rint(buf, out=buf)
-            scatter_add_int64(
-                mesh_acc, self._take(self.flat, rows, lo, hi), buf.astype(np.int64)
-            )
+            b = buf[: hi - lo]
+            w2, flat = self._stencil(rows, lo, hi)
+            np.multiply(w2, self._take(qc, rows, lo, hi)[:, None], out=b)
+            np.rint(b, out=b)
+            if exact_rows >= 1:
+                part = np.bincount(flat.ravel(), weights=b.ravel(), minlength=mesh_acc.shape[0])
+                with np.errstate(over="ignore"):
+                    mesh_acc += part.astype(np.int64)
+            else:
+                scatter_add_int64(mesh_acc, flat, b.astype(np.int64))
 
     def spread_float(
         self, charges: np.ndarray, mesh: np.ndarray,
@@ -394,22 +441,14 @@ class MeshStencilPlan:
         if rows is None and _fused(kernels):
             kernels.mesh_spread_float_axes(mesh, *self._axes(), charges, chunk)
             return
-        w2 = self._w2()
         n_rows = self.n if rows is None else len(rows)
         buf = self._buffer(chunk)
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             b = buf[: hi - lo]
-            np.multiply(
-                self._take(w2, rows, lo, hi),
-                self._take(charges, rows, lo, hi)[:, None],
-                out=b,
-            )
-            mesh += np.bincount(
-                self._take(self.flat, rows, lo, hi).ravel(),
-                weights=b.ravel(),
-                minlength=mesh.shape[0],
-            )
+            w2, flat = self._stencil(rows, lo, hi)
+            np.multiply(w2, self._take(charges, rows, lo, hi)[:, None], out=b)
+            mesh += np.bincount(flat.ravel(), weights=b.ravel(), minlength=mesh.shape[0])
 
     def interpolate_forces(
         self, charges: np.ndarray, phi: np.ndarray,
@@ -437,8 +476,6 @@ class MeshStencilPlan:
             out = np.empty((n_rows, 3))
         kx, ky, kz = self.shape
         fused = rows is None and _fused(kernels)
-        if not fused:
-            w2 = self._w2()
         buf = self._buffer(chunk)
         ones_dz, partials = self._contract
         for lo in range(0, n_rows, chunk):
@@ -450,8 +487,9 @@ class MeshStencilPlan:
             else:
                 # mode="clip" skips the bounds-check path (indices are
                 # in-range by construction: the plan wraps them with mod).
-                np.take(phi_flat, self._take(self.flat, rows, lo, hi), out=cube2, mode="clip")
-                cube2 *= self._take(w2, rows, lo, hi)
+                w2, flat = self._stencil(rows, lo, hi)
+                np.take(phi_flat, flat, out=cube2, mode="clip")
+                cube2 *= w2
             # One pass over the cube: contract z against [1, dz] with a
             # per-atom fixed-shape matmul, leaving the small (m, kx, ky)
             # partials s0 = sum_z g and s1 = sum_z g·dz.  Each atom's
@@ -476,15 +514,15 @@ class MeshStencilPlan:
     ) -> np.ndarray:
         """Per-atom potential ``phi_i = sum_m phi[m] w_im``."""
         phi_flat = phi.ravel()
-        w2 = self._w2()
         n_rows = self.n if rows is None else len(rows)
         out = np.empty(n_rows)
         buf = self._buffer(chunk)
         for lo in range(0, n_rows, chunk):
             hi = min(lo + chunk, n_rows)
             b = buf[: hi - lo]
-            np.take(phi_flat, self._take(self.flat, rows, lo, hi), out=b, mode="clip")
-            b *= self._take(w2, rows, lo, hi)
+            w2, flat = self._stencil(rows, lo, hi)
+            np.take(phi_flat, flat, out=b, mode="clip")
+            b *= w2
             out[lo:hi] = np.sum(b, axis=1)
         return out
 
@@ -493,11 +531,13 @@ class GaussianSplitEwald:
     """GSE k-space evaluator for a fixed box and parameter set.
 
     The pieces (spreading weights, mesh solve, interpolation) are
-    exposed separately so the simulated machine can quantize and
-    distribute each stage; :meth:`kspace` composes them for the
-    single-process path.  All of them run on :class:`MeshStencilPlan`
-    kernels, so the chunked wrappers here and a caller-held shared plan
-    produce identical bits by construction.
+    exposed separately for tests and analysis; :meth:`mesh_pass`
+    composes them — plan, spread, solve, gather — once, for every
+    engine: the float path (:meth:`kspace`, one lane), the batched
+    ensemble (R lanes) and the simulated machine (one lane, FFT traffic
+    accounted before the solve).  All of them run on
+    :class:`MeshStencilPlan` kernels, so the one-line wrappers here and
+    a caller-held plan produce identical bits by construction.
     """
 
     def __init__(self, box: Box, params: GSEParams):
@@ -541,23 +581,18 @@ class GaussianSplitEwald:
         self,
         positions: np.ndarray,
         out: MeshStencilPlan | None = None,
-        max_elements: int | None = PLAN_MAX_ELEMENTS,
         kernels=None,
-    ) -> MeshStencilPlan | None:
+    ) -> MeshStencilPlan:
         """Build (or refill) the shared stencil plan for ``positions``.
 
         Pass a previous plan as ``out`` to reuse its storage across
         steps, and the kernel suite that will run the plan's passes as
         ``kernels``.  A compiled suite gets an axis-rows-only plan for
-        its fused kernels, O(n·k) at any size; any other plan carries
-        the stencil cubes, and ``None`` is returned when those would
-        exceed ``max_elements`` (callers then fall back to the chunked
-        per-pass wrappers — the same kernels, so the same bits).
+        its fused kernels, O(n·k) at any size; any other plan also
+        serves the stencil cubes, whole or per kernel chunk as its
+        memory budget allows.
         """
         n = len(positions)
-        over_cap = max_elements is not None and n * self.stencil_size() > max_elements
-        if over_cap and not _fused(kernels):
-            return None
         if out is None or out.n != n or out.gse is not self:
             out = MeshStencilPlan(self, n)
         return out.build(positions, kernels=kernels)
@@ -577,7 +612,7 @@ class GaussianSplitEwald:
         (the ``disp`` tensor is materialized here and only here); the
         hot paths hold the plan instead.
         """
-        plan = self.make_plan(positions, max_elements=None)
+        plan = self.make_plan(positions)
         n = plan.n
         kx, ky, kz = plan.shape
         d = np.empty((n, kx * ky * kz, 3))
@@ -590,11 +625,9 @@ class GaussianSplitEwald:
         d[:, :, 2] = np.broadcast_to(
             plan.axis_d[2][:, None, None, :], (n, kx, ky, kz)
         ).reshape(n, -1)
-        return plan.flat, plan._w2(), d
+        return plan.flat, plan.w.reshape(n, -1), d
 
-    def spread(
-        self, positions: np.ndarray, charges: np.ndarray, chunk: int = 4096, codec=None
-    ) -> np.ndarray:
+    def spread(self, positions: np.ndarray, charges: np.ndarray, codec=None) -> np.ndarray:
         """Charge-spread onto the mesh: ``Q[m] = sum_i q_i h³ g(r_m - r_i)``.
 
         With ``codec`` (a :class:`~repro.fixedpoint.ScaledFixed`), each
@@ -605,38 +638,24 @@ class GaussianSplitEwald:
         :meth:`spread_contributions` to deposit subsets into a shared
         integer mesh.
         """
+        plan = self.make_plan(positions)
         if codec is not None:
             acc = np.zeros(self.mesh_point_count(), dtype=np.int64)
-            self.spread_contributions(positions, charges, acc, codec, chunk=chunk)
+            plan.spread_codes(charges, acc, codec)
             return codec.reconstruct(codec.wrap(acc)).reshape(tuple(self.mesh))
         Q = np.zeros(self.mesh_point_count())
-        charges = np.asarray(charges, dtype=np.float64)
-        plan = None
-        for lo in range(0, len(positions), chunk):
-            hi = min(lo + chunk, len(positions))
-            plan = self.make_plan(positions[lo:hi], out=plan, max_elements=None)
-            plan.spread_float(charges[lo:hi], Q)
+        plan.spread_float(charges, Q)
         return Q.reshape(tuple(self.mesh))
 
     def spread_contributions(
-        self,
-        positions: np.ndarray,
-        charges: np.ndarray,
-        mesh_acc: np.ndarray,
-        codec,
-        chunk: int = 4096,
+        self, positions: np.ndarray, charges: np.ndarray, mesh_acc: np.ndarray, codec
     ) -> None:
         """Deposit quantized spreading contributions into ``mesh_acc``.
 
         ``mesh_acc`` is a flat int64 accumulator; deposits commute, so
         any partition of atoms over callers yields identical bits.
         """
-        charges = np.asarray(charges, dtype=np.float64)
-        plan = None
-        for lo in range(0, len(positions), chunk):
-            hi = min(lo + chunk, len(positions))
-            plan = self.make_plan(positions[lo:hi], out=plan, max_elements=None)
-            plan.spread_codes(charges[lo:hi], mesh_acc, codec)
+        self.make_plan(positions).spread_codes(charges, mesh_acc, codec)
 
     # -- mesh solve -----------------------------------------------------------
 
@@ -671,77 +690,120 @@ class GaussianSplitEwald:
 
     # -- interpolation ----------------------------------------------------------
 
-    def interpolate_potential(
-        self, positions: np.ndarray, phi: np.ndarray, chunk: int = 4096
-    ) -> np.ndarray:
-        """Per-atom potential ``phi_i = sum_m phi[m] h³ g(r_i - r_m)``.
-
-        Chunked like :meth:`spread` / :meth:`interpolate_forces` so the
-        weight buffers never exceed ``chunk`` atoms' worth of memory.
-        """
-        out = np.empty(len(positions))
-        plan = None
-        for lo in range(0, len(positions), chunk):
-            hi = min(lo + chunk, len(positions))
-            plan = self.make_plan(positions[lo:hi], out=plan, max_elements=None)
-            out[lo:hi] = plan.interpolate_potential(phi)
-        return out
+    def interpolate_potential(self, positions: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Per-atom potential ``phi_i = sum_m phi[m] h³ g(r_i - r_m)``."""
+        return self.make_plan(positions).interpolate_potential(phi)
 
     def interpolate_forces(
-        self, positions: np.ndarray, charges: np.ndarray, phi: np.ndarray, chunk: int = 4096
+        self, positions: np.ndarray, charges: np.ndarray, phi: np.ndarray
     ) -> np.ndarray:
         """Force interpolation: ``F_i = q_i sum_m phi[m] w(d) d / sigma_s²``."""
-        out = np.empty((len(positions), 3))
-        charges = np.asarray(charges, dtype=np.float64)
-        plan = None
-        for lo in range(0, len(positions), chunk):
-            hi = min(lo + chunk, len(positions))
-            plan = self.make_plan(positions[lo:hi], out=plan, max_elements=None)
-            plan.interpolate_forces(charges[lo:hi], phi, out=out[lo:hi])
-        return out
+        return self.make_plan(positions).interpolate_forces(charges, phi)
 
     # -- composition ---------------------------------------------------------------
+
+    def mesh_pass(
+        self, positions: np.ndarray, charges: np.ndarray, lanes: int = 1,
+        codec=None, kernels=None, plan: MeshStencilPlan | None = None,
+        timers=None, before_solve=None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The long-range pass of every engine: plan, spread, solve, gather.
+
+        ``positions`` stacks R = ``lanes`` systems of n atoms along the
+        atom axis (lane r owns rows ``[r·n, (r+1)·n)``) that share the
+        n ``charges``; returns the ``(R,)`` k-space energies and the
+        ``(R·n, 3)`` mesh forces.  Combine with the real-space sum, self
+        energy, and excluded-pair corrections for total electrostatics.
+        ``codec`` enables order-invariant quantized spreading (see
+        :meth:`spread`); ``before_solve`` is called between spreading
+        and the solve (the machine accounts its FFT traffic there);
+        ``timers``, when given, are charged ``mesh_plan`` /
+        ``mesh_spread`` / ``mesh_unquantize`` / ``mesh_fft`` /
+        ``mesh_interp``.  ``kernels`` is the suite the plan's passes run
+        on (a compiled one spreads and gathers from the axis rows, with
+        no O(n·k³) cube anywhere) and ``plan`` a
+        :class:`MeshStencilPlan` of R·n atoms whose storage — rows,
+        cubes, scratch, lane views, mesh accumulator — is refilled
+        instead of reallocated; callers that evaluate repeatedly keep
+        one.  Neither changes a bit of the result.
+
+        One plan covers all R·n rows; each lane spreads and gathers over
+        its own row view of it (chunk loops restart there, so the
+        chunk-sensitive float spread keeps the lane's solo bits) into
+        its own mesh slab and force rows.  A single lane runs on
+        ``kernels`` itself, C lanes included.  Several lanes are the
+        parallel unit instead: farmed through ``kernels.map_chunks`` (a
+        plain loop at one thread) on the single-threaded
+        ``kernels.serial``, since the C lanes belong to the process-wide
+        pool and are never nested inside Python worker threads.  Lanes
+        write disjoint outputs, so farming cannot reorder a reduction.
+        """
+        R = int(lanes)
+        n = len(positions) // R
+        charges = np.asarray(charges, dtype=np.float64)
+        time = timers.time if timers is not None else (lambda name: nullcontext())
+        farm = kernels if R > 1 and kernels is not None else None
+        suite = kernels if farm is None else farm.serial
+
+        def each_lane(fn) -> None:
+            if farm is not None:
+                farm.map_chunks(fn, R)
+            else:
+                for r in range(R):
+                    fn(r)
+
+        with time("mesh_plan"):
+            plan = self.make_plan(positions, out=plan, kernels=kernels)
+            views = plan._lane_views(R)
+        with time("mesh_spread"):
+            if codec is not None:
+                acc = plan._accumulator(R)
+                each_lane(lambda r: views[r].spread_codes(charges, acc[r], codec, kernels=suite))
+            else:
+                Q = np.zeros((R, self.mesh_point_count()))
+                each_lane(lambda r: views[r].spread_float(charges, Q[r], kernels=suite))
+        if codec is not None:
+            with time("mesh_unquantize"):
+                Q = codec.reconstruct(codec.wrap(acc))
+        Q = Q.reshape(R, *(int(m) for m in self.mesh))
+        if before_solve is not None:
+            before_solve()
+        with time("mesh_fft"):
+            if farm is not None and farm.threads > 1:
+                # Per-lane solo transforms in worker threads: the
+                # stacked solve is pinned bitwise to R solo solves, so
+                # this is the same bytes with the lane axis farmed out
+                # (pocketfft releases the GIL).
+                phi, energies = np.empty(Q.shape), np.empty(R)
+
+                def solve_lane(r):
+                    phi[r], energies[r] = self.solve(Q[r])
+
+                farm.map_chunks(solve_lane, R)
+            else:
+                phi, energies = self.solve_stack(Q)
+        with time("mesh_interp"):
+            forces = np.empty((R * n, 3))
+            each_lane(
+                lambda r: views[r].interpolate_forces(
+                    charges, phi[r], out=forces[r * n : (r + 1) * n], kernels=suite
+                )
+            )
+        return energies, forces
 
     def kspace(
         self, positions: np.ndarray, charges: np.ndarray, codec=None,
         kernels=None, plan: MeshStencilPlan | None = None,
     ) -> tuple[float, np.ndarray]:
-        """Full k-space pass: spread, solve, interpolate.
+        """Full k-space pass for one system: :meth:`mesh_pass` with one lane.
 
-        Returns (energy, forces).  Combine with the real-space sum,
-        self energy, and excluded-pair corrections for total
-        electrostatics.  ``codec`` enables order-invariant quantized
-        spreading (see :meth:`spread`).
-
-        ``kernels`` is the suite the plan's passes run on — a compiled
-        one gets the axis-rows-only plan and the fused spread / gather,
-        with no O(n·k³) cube anywhere — and ``plan`` a
-        :class:`MeshStencilPlan` for this evaluator and atom count whose
-        storage (rows, cubes, scratch) is refilled instead of
-        reallocated; callers that evaluate repeatedly keep one.  Neither
-        changes a bit of the result.
-
-        When the stencil plan fits the memory budget it is built once
-        and shared between the spreading and interpolation passes;
-        above the budget (cube plans only) the chunked wrappers run the
-        identical kernels piecewise.
+        Returns (energy, forces); ``codec``, ``kernels`` and ``plan``
+        are :meth:`mesh_pass`'s.
         """
-        plan = self.make_plan(positions, out=plan, kernels=kernels)
-        if plan is None:
-            Q = self.spread(positions, charges, codec=codec)
-            phi, energy = self.solve(Q)
-            return energy, self.interpolate_forces(positions, charges, phi)
-        charges = np.asarray(charges, dtype=np.float64)
-        if codec is not None:
-            acc = np.zeros(self.mesh_point_count(), dtype=np.int64)
-            plan.spread_codes(charges, acc, codec, kernels=kernels)
-            Q = codec.reconstruct(codec.wrap(acc)).reshape(tuple(self.mesh))
-        else:
-            Qf = np.zeros(self.mesh_point_count())
-            plan.spread_float(charges, Qf, kernels=kernels)
-            Q = Qf.reshape(tuple(self.mesh))
-        phi, energy = self.solve(Q)
-        return energy, plan.interpolate_forces(charges, phi, kernels=kernels)
+        energies, forces = self.mesh_pass(
+            positions, charges, codec=codec, kernels=kernels, plan=plan
+        )
+        return float(energies[0]), forces
 
     def mesh_point_count(self) -> int:
         return int(np.prod(self.mesh))

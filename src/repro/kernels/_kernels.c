@@ -850,16 +850,6 @@ void rk_scatter_rows(int64_t *acc, const int64_t *idx, const int64_t *codes,
     }
 }
 
-/* Flat int64 scatter-add: acc[keys[k]] += codes[k]. */
-void rk_scatter_add(int64_t *acc, const int64_t *keys, const int64_t *codes,
-                    int64_t n)
-{
-    uint64_t *a = (uint64_t *)acc;
-    const uint64_t *c = (const uint64_t *)codes;
-    for (int64_t k = 0; k < n; k++)
-        a[keys[k]] += c[k];
-}
-
 /* -- float deposit ----------------------------------------------------- */
 
 /* np.add.at(F, pi, f); np.add.at(F, pj, -f) over (n, 3) rows, in that
@@ -896,7 +886,7 @@ void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
 
 typedef struct {
     int64_t *part;          /* (nthreads, nelem) */
-    const int64_t *pi, *pj, *idx, *keys, *codes;
+    const int64_t *pi, *pj, *idx, *codes;
     int64_t n, nelem;
 } rk_dep_arg;
 
@@ -920,7 +910,7 @@ void rk_deposit_pairs_mt(int64_t *acc, const int64_t *pi, const int64_t *pj,
         return;
     }
     rk_dep_arg a;
-    a.part = part; a.pi = pi; a.pj = pj; a.idx = NULL; a.keys = NULL;
+    a.part = part; a.pi = pi; a.pj = pj; a.idx = NULL;
     a.codes = codes; a.n = n; a.nelem = nelem;
     int64_t nt = rk_run(rk_deposit_pairs_task, &a, nthreads);
     rk_red_arg r = {acc, part, nelem, nt};
@@ -946,35 +936,9 @@ void rk_scatter_rows_mt(int64_t *acc, const int64_t *idx,
         return;
     }
     rk_dep_arg a;
-    a.part = part; a.pi = NULL; a.pj = NULL; a.idx = idx; a.keys = NULL;
+    a.part = part; a.pi = NULL; a.pj = NULL; a.idx = idx;
     a.codes = codes; a.n = n; a.nelem = nelem;
     int64_t nt = rk_run(rk_scatter_rows_task, &a, nthreads);
-    rk_red_arg r = {acc, part, nelem, nt};
-    rk_run(rk_reduce_task, &r, nt);
-}
-
-static void rk_scatter_add_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_dep_arg *a = (rk_dep_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    int64_t *mine = a->part + tid * a->nelem;
-    memset(mine, 0, (size_t)a->nelem * sizeof(int64_t));
-    rk_scatter_add(mine, a->keys + lo, a->codes + lo, hi - lo);
-}
-
-void rk_scatter_add_mt(int64_t *acc, const int64_t *keys,
-                       const int64_t *codes, int64_t n, int64_t nelem,
-                       int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_scatter_add(acc, keys, codes, n);
-        return;
-    }
-    rk_dep_arg a;
-    a.part = part; a.pi = NULL; a.pj = NULL; a.idx = NULL; a.keys = keys;
-    a.codes = codes; a.n = n; a.nelem = nelem;
-    int64_t nt = rk_run(rk_scatter_add_task, &a, nthreads);
     rk_red_arg r = {acc, part, nelem, nt};
     rk_run(rk_reduce_task, &r, nt);
 }

@@ -220,8 +220,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_deposit_pairs_float.argtypes = [p, p, p, p, i64]
     lib.rk_scatter_rows.restype = None
     lib.rk_scatter_rows.argtypes = [p, p, p, i64]
-    lib.rk_scatter_add.restype = None
-    lib.rk_scatter_add.argtypes = [p, p, p, i64]
     # Fused mesh kernels: a MeshAxes by reference first; nthreads is an
     # argument, so none has an ``_mt`` twin.
     lib.rk_mesh_spread_axes.restype = None
@@ -255,8 +253,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_deposit_pairs_mt.argtypes = [p, p, p, p, i64, i64, p, i64]
     lib.rk_scatter_rows_mt.restype = None
     lib.rk_scatter_rows_mt.argtypes = [p, p, p, i64, i64, p, i64]
-    lib.rk_scatter_add_mt.restype = None
-    lib.rk_scatter_add_mt.argtypes = [p, p, p, i64, i64, p, i64]
     lib.rk_shake_batch_mt.restype = None
     lib.rk_shake_batch_mt.argtypes = (
         [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, i64]

@@ -374,10 +374,6 @@ class NumpyKernels:
         with np.errstate(over="ignore"):
             np.add.at(raw, idx, codes)
 
-    def scatter_add(self, acc, keys, codes):
-        with np.errstate(over="ignore"):
-            np.add.at(acc, keys, codes)
-
     # -- float deposit -----------------------------------------------------
 
     def deposit_pairs_float(self, forces, i, j, rows):
@@ -673,18 +669,6 @@ class CompiledKernels(NumpyKernels):
             )
             return
         self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), len(idx))
-
-    def scatter_add(self, acc, keys, codes):
-        keys = _i64(keys)
-        codes = _i64(codes)
-        nelem = acc.size
-        if self.threads > 1 and len(keys) >= 4 * nelem:
-            self._lib.rk_scatter_add_mt(
-                _ptr(acc), _ptr(keys), _ptr(codes), len(keys), nelem,
-                _ptr(self._partials(nelem)), self.threads,
-            )
-            return
-        self._lib.rk_scatter_add(_ptr(acc), _ptr(keys), _ptr(codes), len(keys))
 
     def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
         """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``."""

@@ -26,10 +26,14 @@ own execution strategy.
 Backends also charge their engine phases to ``machine_*`` timers
 (``machine_nt_assign``, ``machine_deposit``, ``machine_mesh``,
 ``machine_traffic``) on the calculator's
-:class:`~repro.perf.timers.Timers`, and the mesh pipeline's sub-phases
-to ``mesh_plan`` / ``mesh_spread`` / ``mesh_fft`` / ``mesh_interp``
-nested inside ``machine_mesh`` — the breakdown ``repro machine
---profile`` and the scaling benchmark report.  On the compiled tier
+:class:`~repro.perf.timers.Timers`.  The mesh has no loop here: the
+vectorized backend's ``mesh_long_range`` is one lane of
+:meth:`~repro.ewald.GaussianSplitEwald.mesh_pass` — the pass the float
+path and the ensemble run — which charges ``mesh_plan`` /
+``mesh_spread`` / ``mesh_unquantize`` / ``mesh_fft`` / ``mesh_interp``
+(and, through its ``before_solve`` hook, ``mesh_fft_traffic``) nested
+inside ``machine_mesh`` — the breakdown ``repro machine --profile`` and
+the scaling benchmark report.  On the compiled tier
 the range-limited pair deposit happens inside the pair walk and is
 charged to ``range_limited``; ``machine_deposit`` then holds the
 bonded and correction deposits only.
@@ -42,12 +46,6 @@ import numpy as np
 from repro.parallel import nt_assign_pairs, nt_node_tables, tower_plate_boxes
 
 __all__ = ["MachineBackend", "VectorizedBackend"]
-
-#: Atom-chunk size for the over-budget GSE fallback (when the shared
-#: stencil plan would exceed its memory cap).  Small chunks keep the
-#: ~2200-point stencil arrays cache-resident across the several numpy
-#: passes of spreading/interpolation.
-_GSE_CHUNK = 128
 
 #: Largest box-pair count tabulated by the vectorized NT lookup; above
 #: this (>= 2048 nodes) the direct per-pair computation is used.
@@ -110,8 +108,8 @@ class VectorizedBackend(MachineBackend):
 
     Owner/node grouping is dropped wherever integer accumulation makes
     it unobservable, the NT assignment reuses one ``box_coord`` pass
-    over the whole configuration, GSE spreading/interpolation runs as
-    cache-sized chunked passes over all atoms, and traffic is charged
+    over the whole configuration, the GSE mesh is one lane of the shared
+    mesh pass, and traffic is charged
     through :meth:`~repro.parallel.comm.SimNetwork.send_batch` with
     routes computed by array ops (position-import routes are static per
     machine and cached).  Bitwise identical to the serial test oracle.
@@ -125,10 +123,6 @@ class VectorizedBackend(MachineBackend):
         self._nt_table: np.ndarray | None = None
         #: Per-side (atom, node) force-export marks, reused across steps.
         self._marks: tuple[np.ndarray, np.ndarray] | None = None
-        #: Shared mesh stencil plan, storage reused across steps.
-        self._mesh_plan = None
-        #: Flat int64 mesh accumulator, reused across evaluations.
-        self._mesh_acc: np.ndarray | None = None
 
     def _nt_marks(self, m, positions, i, j) -> tuple[np.ndarray, np.ndarray]:
         """The step's NT assignment as per-side (atom, node) marks.
@@ -177,50 +171,22 @@ class VectorizedBackend(MachineBackend):
         self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
-        s, m, gse = calc.system, calc.machine, calc.gse
         t = calc.timers
-        # The stencil plan is built once per evaluation and shared by
-        # the spreading and interpolation passes (the old path rebuilt
-        # the weights in each); its storage persists across steps, as
-        # does the flat mesh accumulator (zero-filled, never
-        # reallocated, on the steady-state path).
-        with t.time("mesh_plan"):
-            self._mesh_plan = gse.make_plan(
-                positions, out=self._mesh_plan, kernels=self.kernels
-            )
-        plan = self._mesh_plan
-        if self._mesh_acc is None or self._mesh_acc.shape[0] != gse.mesh_point_count():
-            self._mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-        else:
-            self._mesh_acc[...] = 0
-        mesh_acc = self._mesh_acc
-        with t.time("mesh_spread"):
-            if plan is not None:
-                plan.spread_codes(
-                    s.charges, mesh_acc, calc.mesh_codec, kernels=self.kernels
-                )
-            else:
-                gse.spread_contributions(
-                    positions, s.charges, mesh_acc, calc.mesh_codec, chunk=_GSE_CHUNK
-                )
-        with t.time("mesh_unquantize"):
-            Q = calc.mesh_codec.reconstruct(calc.mesh_codec.wrap(mesh_acc)).reshape(
-                tuple(gse.mesh)
-            )
+
         # FFT traffic accounting and the FFT solve are separate phases:
         # the former is simulated-machine bookkeeping, the latter engine
         # compute, and the overhead attribution must tell them apart.
-        with t.time("mesh_fft_traffic"):
-            m.account_fft()
-        with t.time("mesh_fft"):
-            phi, e_k = gse.solve(Q)
+        def account_fft():
+            with t.time("mesh_fft_traffic"):
+                calc.machine.account_fft()
+
+        e_k, f_k = calc.gse.mesh_pass(
+            positions, calc.system.charges, codec=calc.mesh_codec, kernels=self.kernels,
+            plan=calc._mesh_plan, timers=t, before_solve=account_fft,
+        )
         with t.time("mesh_interp"):
-            if plan is not None:
-                f_k = plan.interpolate_forces(s.charges, phi, kernels=self.kernels)
-            else:
-                f_k = gse.interpolate_forces(positions, s.charges, phi, chunk=_GSE_CHUNK)
             acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        return e_k
+        return float(e_k[0])
 
     def _import_route_arrays(self, machine) -> tuple[np.ndarray, np.ndarray]:
         """(src, dst) node ids of every tower/plate import route.

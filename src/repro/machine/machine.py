@@ -292,6 +292,8 @@ class AntonMachine(LaneEngine):
             thermostat=thermostat,
             timers=self.calc.timers,
         )
+        #: Step count at which the per-step reports' window opened.
+        self._report_origin = 0
         self.fault_controller = None
         if faults is not None:
             self.fault_controller = FaultController(
@@ -513,8 +515,23 @@ class AntonMachine(LaneEngine):
         return self.checkpoint()
 
     def restore_replicas(self, states) -> None:
+        """Resume a session (:class:`~repro.io.RunSession`) and open a fresh
+        reporting window: traffic counters and the step origin of the
+        per-step reports restart, so a resumed process reports the steps
+        *it* advanced (construction and the restore's force replay
+        belong to none).  A fault rollback goes through :meth:`restore`
+        alone and keeps the window: its counters equal a clean run's.
+        """
         (state,) = states
         self.restore(state)
+        self.network.reset_stats()
+        if self.router is not None:
+            self.router.reset()
+        self._report_origin = self.integrator.step_count
+
+    def _steps_reported(self) -> int:
+        """Steps advanced in the reporting window (at least 1, as a divisor)."""
+        return max(self.integrator.step_count - self._report_origin, 1)
 
     # -- observability -------------------------------------------------------
 
@@ -526,7 +543,7 @@ class AntonMachine(LaneEngine):
         return self.integrator.state_codes()
 
     def traffic_summary(self) -> dict[str, tuple[int, int]]:
-        """(messages, bytes) per traffic class since construction.
+        """(messages, bytes) per traffic class in the reporting window.
 
         Primary traffic only: retransmissions and rollback-replay
         traffic live in :meth:`recovery_traffic_summary`, so these
@@ -561,7 +578,7 @@ class AntonMachine(LaneEngine):
         """
         if self.router is None:
             raise ValueError("machine was built without routed=True")
-        return self.router.report(steps=max(self.integrator.step_count, 1), top=top)
+        return self.router.report(steps=self._steps_reported(), top=top)
 
     def fault_report(self) -> dict[str, int]:
         """Fault/retry/rollback counters (empty without injection)."""
@@ -570,8 +587,7 @@ class AntonMachine(LaneEngine):
         return self.fault_controller.report()
 
     def messages_per_node_per_step(self) -> float:
-        steps = max(self.integrator.step_count, 1)
-        return self.network.stats.messages / (steps * self.topology.n_nodes)
+        return self.network.stats.messages / (self._steps_reported() * self.topology.n_nodes)
 
     def phase_timings(self) -> dict[str, float]:
         """Cumulative seconds per engine phase.
@@ -599,7 +615,7 @@ class AntonMachine(LaneEngine):
         none of its children counts as unattributed, so this is the
         number that exposes hidden per-step bookkeeping.
         """
-        out = self.calc.timers.profile("machine_step", self.integrator.step_count)
+        out = self.calc.timers.profile("machine_step", self._steps_reported())
         out["kernel_tier"] = self.backend.kernels.tier
         out["kernel_threads"] = getattr(self.backend.kernels, "threads", 1)
         if self.router is not None:

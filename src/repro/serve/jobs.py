@@ -200,27 +200,18 @@ class Job:
 def prepare_job_system(spec: JobSpec):
     """Build the prepared (minimized) system + params for a spec.
 
-    This is the exact solo-CLI preparation sequence for the water
-    family (``cmd_simulate``): build, derive the cutoff and from it the
-    mesh (:meth:`GSEParams.smallest_mesh`), minimize 80 steps.  Velocities are *not* drawn here — the velocity seed is the
-    per-job identity, applied by the worker (via the ensemble engine's
-    seed list) or by ``initialize_velocities`` on the solo path.
-    Deterministic: specs with equal :meth:`JobSpec.prepare_key` yield
-    bitwise-equal prepared systems.  Pure and uncached — every call
-    pays the real build + minimization (the references and baselines
-    the service is measured against call it directly); the workers'
-    reuse lives in :class:`~repro.serve.workers.PreparedSystems`.
+    The water family's one preparation recipe
+    (:func:`repro.systems.prepare_water_box`), which is also what the
+    solo CLI runs.  Velocities are *not* drawn here — the velocity seed
+    is the per-job identity, applied by the worker (via the ensemble
+    engine's seed list) or by ``initialize_velocities`` on the solo
+    path.  Deterministic: specs with equal :meth:`JobSpec.prepare_key`
+    yield bitwise-equal prepared systems.  Pure and uncached — every
+    call pays the real build + minimization (the references and
+    baselines the service is measured against call it directly); the
+    workers' reuse lives in :class:`~repro.serve.workers.PreparedSystems`.
     """
-    from repro.core.forces import MDParams
-    from repro.core.simulation import minimize_energy
-    from repro.ewald import GSEParams
-    from repro.systems import build_water_box
+    from repro.systems import prepare_water_box
 
-    system = build_water_box(n_molecules=spec.waters, seed=spec.build_seed)
-    cutoff = spec.cutoff or min(5.5, system.box.max_cutoff() * 0.9)
-    mesh = GSEParams.smallest_mesh(system.box, cutoff)
-    params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
-    minimize_energy(system, params, max_steps=80)
+    system, params, _ = prepare_water_box(spec.waters, spec.build_seed, spec.cutoff)
     return system, params
-
-

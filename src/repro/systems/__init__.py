@@ -3,7 +3,12 @@ proteins, the HP folding mini-protein, and the paper's Table 4 /
 BPTI system specifications."""
 
 from repro.systems.benchmarks import BPTI, TABLE4_SYSTEMS, BenchmarkSpec, benchmark_by_name
-from repro.systems.builder import build_hp_system, build_solvated_protein, build_water_box
+from repro.systems.builder import (
+    build_hp_system,
+    build_solvated_protein,
+    build_water_box,
+    prepare_water_box,
+)
 from repro.systems.peptide import ProteinFragment, hp_miniprotein, synthetic_protein
 from repro.systems.types import (
     BEAD_HYDROPHOBIC,
@@ -27,6 +32,7 @@ __all__ = [
     "build_hp_system",
     "build_solvated_protein",
     "build_water_box",
+    "prepare_water_box",
     "ProteinFragment",
     "hp_miniprotein",
     "synthetic_protein",

@@ -8,9 +8,14 @@ ions replace waters to neutralize or match a composition spec.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.core.forces import MDParams
+from repro.core.simulation import minimize_energy
 from repro.core.system import ChemicalSystem
+from repro.ewald import GSEParams
 from repro.forcefield import (
     TIP3P,
     Topology,
@@ -25,7 +30,7 @@ from repro.systems.peptide import ProteinFragment, _random_rotation, synthetic_p
 from repro.systems.types import ION_CL, WATER_H, WATER_M, WATER_O, standard_lj_table
 from repro.util import WATER_MOLECULE_DENSITY, make_rng
 
-__all__ = ["build_water_box", "build_solvated_protein", "build_hp_system"]
+__all__ = ["build_water_box", "prepare_water_box", "build_solvated_protein", "build_hp_system"]
 
 #: Mass and charge of the chloride counter-ion (single LJ particle).
 _CL_MASS = 35.453
@@ -136,6 +141,41 @@ def build_water_box(
         "water_model": model.name,
     }
     return _assemble(box, [frag], model, meta)
+
+
+def prepare_water_box(
+    n_molecules: int,
+    seed: int,
+    cutoff: float | None = None,
+    *,
+    cutoff_cap: float = 5.5,
+    skin: float | None = None,
+    long_range_every: int = 2,
+    quantize_mesh_bits: int | None = None,
+    minimize_steps: int = 80,
+) -> tuple[ChemicalSystem, MDParams, float | None]:
+    """The water runs' one preparation recipe: ``(system, params, energy)``.
+
+    Build the box; take ``cutoff`` or the smaller of ``cutoff_cap`` and
+    0.9 of what the box allows; size the mesh from both
+    (:meth:`GSEParams.smallest_mesh`); minimize for ``minimize_steps``
+    (0, a resumed run's, skips it: energy ``None``).  ``repro
+    simulate``, ``ensemble``, ``machine`` and every serve job prepare
+    through this function, so a job's artifacts are byte-comparable to
+    the same-seed CLI run's.  Velocities are the caller's to draw.
+    """
+    system = build_water_box(n_molecules=n_molecules, seed=seed)
+    cutoff = cutoff or min(cutoff_cap, system.box.max_cutoff() * 0.9)
+    params = MDParams(
+        cutoff=cutoff,
+        mesh=GSEParams.smallest_mesh(system.box, cutoff),
+        long_range_every=long_range_every,
+        quantize_mesh_bits=quantize_mesh_bits,
+    )
+    if skin is not None:
+        params = replace(params, skin=skin)
+    energy = minimize_energy(system, params, max_steps=minimize_steps) if minimize_steps else None
+    return system, params, energy
 
 
 def build_solvated_protein(

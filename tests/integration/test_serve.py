@@ -332,16 +332,16 @@ class TestPreparedSystems:
         """The public function is the cold path the baselines measure."""
         import numpy as np
 
-        import repro.core.simulation as simulation
+        import repro.systems.builder as recipe  # where the one recipe minimises
 
         calls = []
-        real = simulation.minimize_energy
+        real = recipe.minimize_energy
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(simulation, "minimize_energy", counting)
+        monkeypatch.setattr(recipe, "minimize_energy", counting)
         spec = JobSpec(**SPEC)
         cache = PreparedSystems()
         cache.checkout(spec)

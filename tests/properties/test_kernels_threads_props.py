@@ -106,26 +106,6 @@ def test_wrapping_add_order_free(seed, nparts):
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_scatter_add_threaded_bitwise_at_wrap_extremes(suites, seed):
-    numpy_k, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    size = 64
-    n = int(rng.integers(4 * size, 4000))  # past the n >= 4*nelem gate
-    keys = rng.integers(0, size, n)
-    codes = rng.integers(-(2**62), 2**62, n)
-    big = rng.random(n) < 0.25
-    codes[big] = rng.choice([I64.min, I64.max, I64.max - 1], size=int(big.sum()))
-    base = rng.integers(-(2**62), 2**62, size)
-    want = base.copy()
-    numpy_k.scatter_add(want, keys, codes)
-    for k in (one, *threaded.values()):
-        got = base.copy()
-        k.scatter_add(got, keys, codes)
-        np.testing.assert_array_equal(got, want)
-
-
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
 def test_deposit_pairs_threaded_bitwise(suites, seed):
     numpy_k, one, threaded = suites
     rng = np.random.default_rng(seed)

@@ -83,7 +83,7 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
     """Fused spreads, gather buffer and forces of every suite == NumPy cubes."""
-    oracle = gse.make_plan(pos, max_elements=None)
+    oracle = gse.make_plan(pos)
     want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
     oracle.spread_codes(q, want_mesh, MESH_CODEC)
     want_f = oracle.interpolate_forces(q, phi, chunk=chunk)
@@ -174,29 +174,6 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
             np.testing.assert_array_equal(view.flat, solo.flat)
 
 
-def test_over_cap_compiled_plan_is_not_declined(suites):
-    """The element cap gates cube materialisation, not the fused plan."""
-    rng = np.random.default_rng(9)
-    gse = make_gse()
-    n = 40
-    pos = rng.uniform(0, 1, (n, 3)) * LENGTHS
-    q = rng.uniform(-1, 1, n)
-    phi = signed_phi(rng)
-    cap = gse.stencil_size() * (n // 4)
-    assert gse.make_plan(pos, max_elements=cap) is None
-    want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-    gse.spread_contributions(pos, q, want_mesh, MESH_CODEC, chunk=n // 4)
-    want_f = gse.interpolate_forces(pos, q, phi, chunk=n // 4)
-    for k in suites:
-        plan = gse.make_plan(pos, max_elements=cap, kernels=k)
-        assert plan is not None
-        got = np.zeros_like(want_mesh)
-        plan.spread_codes(q, got, MESH_CODEC, kernels=k)
-        np.testing.assert_array_equal(got, want_mesh)
-        assert_same_bits(plan.interpolate_forces(q, phi, kernels=k), want_f)
-        assert plan._cubes is None
-
-
 def test_mesh_path_scratch_is_reused_across_evaluations():
     """Steady state allocates nothing: the same arrays serve every evaluation."""
     params = MDParams(
@@ -211,9 +188,9 @@ def test_mesh_path_scratch_is_reused_across_evaluations():
     )
 
     def scratch():
-        plan = machine.backend._mesh_plan
+        plan = machine.calc._mesh_plan
         return (
-            plan, plan._scratch, *plan._contract, machine.backend._mesh_acc,
+            plan, plan._scratch, *plan._contract, plan._acc,
             *plan.axis_w, *plan.axis_d, *plan.axis_i,
         )
 

@@ -108,7 +108,7 @@ class SerialBackend(MachineBackend):
         # arithmetic plus a commutative reduction, so the row partition
         # is invisible in the bits.  Row subsets run the plan's NumPy
         # cube pipeline (the oracle of the fused kernels), so the plan
-        # is built with its cubes, whatever the kernel tier.
+        # is built for that, whatever the kernel tier.
         with t.time("mesh_plan"):
             plan = gse.make_plan(positions)
         mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
@@ -116,12 +116,7 @@ class SerialBackend(MachineBackend):
         with t.time("mesh_spread"):
             for rows in node_rows:
                 if len(rows):
-                    if plan is not None:
-                        plan.spread_codes(s.charges, mesh_acc, calc.mesh_codec, rows=rows)
-                    else:
-                        gse.spread_contributions(
-                            positions[rows], s.charges[rows], mesh_acc, calc.mesh_codec
-                        )
+                    plan.spread_codes(s.charges, mesh_acc, calc.mesh_codec, rows=rows)
         with t.time("mesh_unquantize"):
             Q = calc.mesh_codec.reconstruct(calc.mesh_codec.wrap(mesh_acc)).reshape(
                 tuple(gse.mesh)
@@ -135,10 +130,7 @@ class SerialBackend(MachineBackend):
         with t.time("mesh_interp"):
             for rows in node_rows:
                 if len(rows):
-                    if plan is not None:
-                        f_k = plan.interpolate_forces(s.charges, phi, rows=rows)
-                    else:
-                        f_k = gse.interpolate_forces(positions[rows], s.charges[rows], phi)
+                    f_k = plan.interpolate_forces(s.charges, phi, rows=rows)
                     acc.deposit(rows, force_codec.quantize_round_only(f_k))
         return e_k
 

@@ -240,6 +240,45 @@ class TestRunStoreCLI:
         assert "resumed from" in out and "at step 2" in out
         assert same in out
 
+    def test_resumed_machine_reports_the_steps_it_ran(self, capsys, tmp_path):
+        """A resumed run's per-step reports cover its own span: steps
+        4..6 of a resumed process read exactly as steps 4..6 of an
+        uninterrupted machine, traffic table and divisor alike."""
+        from repro import AntonMachine
+        from repro.systems import prepare_water_box
+
+        flags = ["machine", "--nodes", "4", "--waters", "16", "--routed",
+                 "--checkpoint-dir", str(tmp_path / "ck"), "--checkpoint-every", "4"]
+        assert main(flags + ["--steps", "4"]) == 0
+        capsys.readouterr()
+        assert main(flags + ["--steps", "6", "--resume"]) == 0
+        out = capsys.readouterr().out
+        assert "4-node machine, 2 steps" in out
+        assert "routed fabric:" in out and "directed links, 2 steps (" in out
+
+        base, params, _ = prepare_water_box(
+            16, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40, minimize_steps=40
+        )
+        base.initialize_velocities(300.0, seed=8)
+        machine = AntonMachine(base, params, n_nodes=4, dt=1.0)
+        try:
+            machine.step(4)
+            messages = machine.network.stats.messages
+            by_tag = dict(machine.traffic_summary())
+            machine.step(2)
+            span = machine.network.stats.messages - messages
+            assert f"messages/node/step: {span / (2 * 4):.1f}\n" in out
+            for tag, (msgs, nbytes) in machine.traffic_summary().items():
+                m0, b0 = by_tag.get(tag, (0, 0))
+                if msgs == m0:
+                    continue  # nothing of this class in the span
+                assert f"  {tag:<20} {msgs - m0:>8} msgs {nbytes - b0:>12} bytes\n" in out
+            # An in-process rollback-style restore keeps the window open.
+            machine.restore(machine.checkpoint())
+            assert machine._steps_reported() == 6
+        finally:
+            machine.close()
+
     def test_traj_info_dump_verify(self, capsys, tmp_path):
         traj = tmp_path / "t.rrs"
         assert main(self.WATER + ["--steps", "4", "--trajectory", str(traj),
