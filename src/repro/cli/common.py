@@ -13,6 +13,16 @@ def add_kernel_flags(p) -> None:
                         "every T); default: $REPRO_KERNEL_THREADS or 1")
 
 
+def check_node_count(n: int, flag: str = "--nodes") -> None:
+    """SystemExit unless ``n`` is a torus size the machine supports."""
+    from repro.parallel import TorusTopology
+
+    try:
+        TorusTopology.for_node_count(n)
+    except ValueError as exc:
+        raise SystemExit(f"{flag}: {exc}") from exc
+
+
 def print_kernel_tier(kernels) -> None:
     print(f"kernel tier: {kernels.tier} (threads: {kernels.threads})")
 

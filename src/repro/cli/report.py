@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from repro.cli.common import print_network_report
+from repro.cli.common import check_node_count, print_network_report
 
 
 def add_parsers(sub) -> None:
@@ -116,8 +116,15 @@ def cmd_network(args) -> int:
         from repro.network import CongestionModel
         from repro.systems import benchmark_by_name
 
+        try:
+            node_counts = tuple(int(x) for x in args.node_counts.split(","))
+        except ValueError:
+            raise SystemExit(
+                f"--node-counts: expected comma-separated integers, got {args.node_counts!r}"
+            ) from None
+        for n in node_counts:
+            check_node_count(n, "--node-counts")
         spec = benchmark_by_name(args.system)
-        node_counts = tuple(int(x) for x in args.node_counts.split(","))
         congestion = CongestionModel(bandwidth_scale=args.bandwidth_scale)
         pm = PerformanceModel()
         rows = pm.anton_routed_scaling(
@@ -137,13 +144,14 @@ def cmd_network(args) -> int:
                   f"{r['multicast']['saved_link_bytes']:>12}")
         return 0
 
-    from repro import AntonMachine, MDParams, minimize_energy
-    from repro.systems import build_water_box
+    from repro import AntonMachine
+    from repro.systems import prepare_water_box
 
-    base = build_water_box(n_molecules=args.waters, seed=7)
-    cutoff = min(4.5, base.box.max_cutoff() * 0.9)
-    params = MDParams(cutoff=cutoff, mesh=(16, 16, 16), quantize_mesh_bits=40)
-    minimize_energy(base, params, max_steps=40)
+    check_node_count(args.nodes)
+    base, params, _ = prepare_water_box(
+        args.waters, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40,
+        minimize_steps=40,
+    )
     base.initialize_velocities(300.0, seed=8)
     machine = AntonMachine(base, params, n_nodes=args.nodes, dt=1.0, routed=config)
     machine.step(args.steps)

@@ -13,6 +13,7 @@ import numpy as np
 from repro.cli.common import (
     add_kernel_flags,
     add_store_flags,
+    check_node_count,
     open_run,
     open_session,
     print_kernel_tier,
@@ -196,6 +197,8 @@ def cmd_ensemble(args) -> int:
         seeds = parse_seed_spec(args.seeds, args.replicas, base_seed=args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
+    if args.detach is not None and not 0 <= args.detach < args.replicas:
+        raise SystemExit(f"--detach: replica {args.detach} out of range (R={args.replicas})")
     system, params, e = prepare_water_box(args.waters, args.seed, args.cutoff, skin=args.skin)
     print(f"system: water x{args.replicas} replicas — {system.n_atoms} atoms each "
           f"({system.n_atoms * args.replicas} batched), box {system.box.lengths[0]:.1f} A, "
@@ -268,6 +271,7 @@ def cmd_machine(args) -> int:
     from repro import AntonMachine
     from repro.systems import prepare_water_box
 
+    check_node_count(args.nodes)
     session = open_session(args)
     base, params, _ = prepare_water_box(
         args.waters, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40,
@@ -350,7 +354,6 @@ def _run_machine(args, machine, ref, session) -> int:
               f"{rp_msgs} replay msgs ({rp_bytes} bytes) — excluded from the "
               f"primary counters above")
     if args.timings:
-        print(f"engine time: {machine.engine_seconds() * 1e3:.1f} ms")
         for name, secs in sorted(machine.phase_timings().items(), key=lambda kv: -kv[1]):
             print(f"  {name:<20} {secs * 1e3:10.2f} ms")
     if args.profile:

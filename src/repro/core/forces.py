@@ -76,16 +76,11 @@ class MDParams:
 
 @dataclass
 class ForceReport:
-    """Forces plus the per-component energy breakdown of one evaluation.
-
-    ``timings`` holds the wall time (seconds) each component of *this*
-    evaluation charged to the calculator's :class:`~repro.perf.Timers`.
-    """
+    """Forces plus the per-component energy breakdown of one evaluation."""
 
     forces: np.ndarray
     energies: dict = field(default_factory=dict)
     n_pairs: int = 0
-    timings: dict = field(default_factory=dict)
 
     @property
     def potential_energy(self) -> float:
@@ -388,7 +383,6 @@ class ForceCalculator:
         combine parts apply it once on the combined force.
         """
         s = self.system
-        before = self.timers.snapshot()
         forces = np.zeros((s.n_atoms, 3))
         corr = self._corrections(positions)
         self._suite().deposit_pairs_float(forces, corr.i, corr.j, corr.force)
@@ -402,15 +396,12 @@ class ForceCalculator:
             "coulomb_kspace": e_k,
             "coulomb_self": self._e_self,
         }
-        return ForceReport(
-            forces=forces, energies=energies, timings=self.timers.delta_since(before)
-        )
+        return ForceReport(forces=forces, energies=energies)
 
     def compute(self, positions: np.ndarray, include_long_range: bool = True) -> ForceReport:
         """Dense float64 forces and the energy breakdown."""
         s = self.system
         n = s.n_atoms
-        before = self.timers.snapshot()
         forces = np.zeros((n, 3))
         energies: dict[str, float] = {}
 
@@ -431,12 +422,7 @@ class ForceCalculator:
             energies.update(long_part.energies)
 
         s.spread_virtual_site_forces(forces)
-        return ForceReport(
-            forces=forces,
-            energies=energies,
-            n_pairs=nb.n_pairs,
-            timings=self.timers.delta_since(before),
-        )
+        return ForceReport(forces=forces, energies=energies, n_pairs=nb.n_pairs)
 
     # -- fixed-point path ---------------------------------------------------------
 
@@ -476,7 +462,6 @@ class ForceCalculator:
         and summation order — the machine simulation distributes these
         same contributions over nodes and obtains identical bits.
         """
-        before = self.timers.snapshot()
         acc = self._accumulator("short", force_codec)
         energies: dict[str, float] = {}
 
@@ -504,7 +489,6 @@ class ForceCalculator:
             forces=force_codec.reconstruct(total),
             energies=energies,
             n_pairs=nb.n_pairs,
-            timings=self.timers.delta_since(before),
         )
         return total, report
 

@@ -260,7 +260,6 @@ class EnsembleForceCalculator(ForceCalculator):
         order so per-replica ``sum(energies.values())`` reproduces the
         solo left-to-right float additions.
         """
-        before = self.timers.snapshot()
         acc = self._accumulator("short", force_codec)
         energies: dict[str, np.ndarray] = {}
 
@@ -295,7 +294,6 @@ class EnsembleForceCalculator(ForceCalculator):
                 forces=force_codec.reconstruct(total),
                 energies=energies,
                 n_pairs=nb.n_pairs,
-                timings=self.timers.delta_since(before),
             )
         return total, report
 

@@ -21,7 +21,7 @@ replaced live on as the test oracle (``tests/serial_backend.py``, a
 :class:`~repro.machine.backends.MachineBackend` instance passed as
 ``backend=``), both producing identical state codes.
 Engine phases are charged to ``machine_*`` timers
-(:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.engine_seconds`).
+(:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.profile`).
 
 Stepping, output cadences and the flush-then-checkpoint order belong
 to the one run loop (:mod:`repro.core.runloop`): the machine is its
@@ -56,16 +56,6 @@ from repro.parallel import (
 
 __all__ = ["MachineForceCalculator", "AntonMachine"]
 
-#: Timers that measure the machine bookkeeping itself (NT assignment,
-#: force deposits, traffic accounting) as opposed to the shared physics
-#: kernels every backend runs identically.  Their sum is the "engine
-#: time" the scaling benchmark gates on.  On the compiled tier the
-#: range-limited pair deposit is part of the pair walk and is charged
-#: to ``range_limited``, not here: ``machine_deposit`` is then the
-#: bonded and correction deposits, and ``machine_nt_assign`` the
-#: ``node_of`` pass plus the export-marks pass.
-ENGINE_TIMERS = ("machine_nt_assign", "machine_deposit", "machine_traffic")
-
 
 class MachineForceCalculator(ForceCalculator):
     """A ForceCalculator that deposits every contribution per node.
@@ -99,7 +89,6 @@ class MachineForceCalculator(ForceCalculator):
 
     def compute_fixed(self, positions, force_codec, include_long_range: bool = True):
         m = self.machine
-        before = self.timers.snapshot()
         acc = self._accumulator("short", force_codec)
         energies: dict[str, float] = {}
 
@@ -131,7 +120,6 @@ class MachineForceCalculator(ForceCalculator):
                 forces=force_codec.reconstruct(total),
                 energies=energies,
                 n_pairs=nb.n_pairs,
-                timings=self.timers.delta_since(before),
             )
         return total, report
 
@@ -627,15 +615,3 @@ class AntonMachine(LaneEngine):
                 for k, v in self.recovery_traffic_summary().items()
             }
         return out
-
-    def engine_seconds(self) -> float:
-        """Cumulative machine-bookkeeping time (the backend-sensitive part).
-
-        Sums NT assignment, force deposits, and traffic accounting —
-        the phases whose cost depends on the execution backend — and
-        excludes the physics kernels (pair forces, FFT, bonded) that
-        every backend runs identically.  The compiled pair walk's
-        deposit counts as physics: see :data:`ENGINE_TIMERS`.
-        """
-        e = self.calc.timers.elapsed
-        return sum(e.get(k, 0.0) for k in ENGINE_TIMERS)

@@ -4,9 +4,8 @@ Every :class:`~repro.core.forces.ForceCalculator` owns a
 :class:`Timers` registry and charges each force component (pair
 search, range-limited kernels, bonded, correction, k-space) to a named
 accumulator; the neighbor list counts its builds and reuses in the
-same registry.  Per-evaluation deltas are surfaced in
-:class:`~repro.core.forces.ForceReport.timings` and the cumulative
-summary in the CLI, so hot-path optimizations — the buffered Verlet
+same registry.  The cumulative summary is surfaced in the CLI
+(``--timings``), so hot-path optimizations — the buffered Verlet
 list, the shared mesh stencil plan, and every future one — are
 measurable without a profiler.
 
@@ -33,8 +32,7 @@ class Timers:
     """Named wall-time accumulators plus event counters.
 
     ``elapsed`` keeps the familiar flat per-name totals (a name nested
-    under several parents accumulates into one flat entry, and
-    :meth:`snapshot`/:meth:`delta_since` operate on it unchanged);
+    under several parents accumulates into one flat entry);
     ``paths`` additionally keys each total by the "/"-joined stack of
     enclosing :meth:`time` blocks, which is what :meth:`tree` renders.
     """
@@ -70,30 +68,6 @@ class Timers:
 
     def count(self, name: str, k: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + int(k)
-
-    # -- snapshots ---------------------------------------------------------
-
-    def snapshot(self) -> dict[str, float]:
-        """Copy of the elapsed-time table (for later :meth:`delta_since`)."""
-        return dict(self.elapsed)
-
-    def delta_since(self, before: dict[str, float]) -> dict[str, float]:
-        """Per-component time accrued since ``before`` was snapshotted."""
-        out = {}
-        for name, total in self.elapsed.items():
-            d = total - before.get(name, 0.0)
-            if d > 0.0:
-                out[name] = d
-        return out
-
-    def total(self, prefix: str = "") -> float:
-        """Cumulative seconds across all timers named with ``prefix``.
-
-        The machine backends charge their engine phases to
-        ``machine_*`` timers, so ``total("machine_")`` is the per-run
-        cost of the simulated-machine bookkeeping itself.
-        """
-        return sum(v for k, v in self.elapsed.items() if k.startswith(prefix))
 
     def reset(self) -> None:
         self.elapsed.clear()

@@ -183,7 +183,7 @@ class TestStepProfile:
             prof["phases"]["step"]["children"]["force"]["children"]
             ["machine_mesh"]["children"]
         )
-        for phase in ("mesh_spread", "mesh_fft", "mesh_interp"):
+        for phase in ("mesh_plan", "mesh_spread", "mesh_fft", "mesh_interp"):
             assert phase in mesh
             assert mesh[phase]["seconds_per_step"] > 0.0
 
@@ -196,5 +196,5 @@ class TestStepProfile:
             phases = machine.phase_timings()
         finally:
             machine.close()
-        assert {"mesh_spread", "mesh_fft", "mesh_interp"} <= set(phases)
+        assert {"mesh_plan", "mesh_spread", "mesh_fft", "mesh_interp"} <= set(phases)
         assert all(v >= 0.0 for v in phases.values())

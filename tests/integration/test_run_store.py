@@ -302,18 +302,34 @@ class TestMachineDiskRoundTrip:
         np.testing.assert_array_equal(V_ref, V_res)
 
     def test_machine_trajectory_decodes_bit_exactly(self, base_system, tmp_path):
+        def make():
+            return AntonMachine(
+                base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
+            )
+
+        bare = make()
+        try:
+            bare.run(4)
+            X_bare, V_bare = bare.state_codes()
+        finally:
+            bare.close()
+
         path = tmp_path / "m.rrs"
-        machine = AntonMachine(
-            base_system.copy(), MACHINE_PARAMS, n_nodes=8, dt=1.0, backend="vectorized"
-        )
+        machine = make()
         try:
             with machine.open_trajectory(path) as traj:
-                machine.run(4, trajectory=traj, trajectory_every=2)
-            X, _V = machine.state_codes()
+                machine.run(4, trajectory=traj, trajectory_every=2,
+                            checkpoint_store=CheckpointStore(tmp_path / "ck"),
+                            checkpoint_every=3)
+            X, V = machine.state_codes()
             live_positions = machine.integrator.positions
         finally:
             machine.close()
+        # Persisting state does not perturb it.
+        np.testing.assert_array_equal(X, X_bare)
+        np.testing.assert_array_equal(V, V_bare)
         with TrajectoryReader(path) as r:
+            assert r.verify().ok
             assert list(r.steps) == [2, 4]
             last = r.frame(-1)
             np.testing.assert_array_equal(last.arrays["X"], X)

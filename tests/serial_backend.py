@@ -4,9 +4,8 @@
 :class:`repro.machine.backends.VectorizedBackend` replaced: deposits
 grouped node by node, GSE spreading and interpolation called once per
 owning node, traffic charged one ``send`` at a time.  It is what the
-differential tests (and ``benchmarks/bench_machine_scaling.py`` /
-``chaos_recovery_smoke.py``) compare the shipped backend against, and
-runs as ``AntonMachine(backend=SerialBackend())``.
+differential tests compare the shipped backend against, and runs as
+``AntonMachine(backend=SerialBackend())``.
 """
 
 from __future__ import annotations

@@ -92,6 +92,25 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["ensemble", "--replicas", "2", "--detach", "5"], r"--detach: replica 5 out of range"),
+        (["ensemble", "--replicas", "2", "--detach", "-1"], r"--detach: replica -1 out of range"),
+        (["machine", "--nodes", "6"], r"--nodes: node count must be a power of two, got 6"),
+        (["network", "--nodes", "6"], r"--nodes: node count must be a power of two, got 6"),
+        (["network", "--predict", "--node-counts", "512,abc"],
+         r"--node-counts: expected comma-separated integers, got '512,abc'"),
+        (["network", "--predict", "--node-counts", "512,6"],
+         r"--node-counts: node count must be a power of two, got 6"),
+    ], ids=["detach-past-R", "detach-negative", "machine-nodes", "network-nodes",
+            "node-counts-text", "node-counts-size"])
+    def test_bad_argument_is_a_one_line_exit_before_any_work(self, capsys, argv, message):
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value)
+        captured = capsys.readouterr()
+        # Rejected before a system is built: nothing was printed at all.
+        assert captured.out == "" and "Traceback" not in captured.err
+
 
 class TestMeshFollowsTheBox:
     """The water commands size their GSE mesh from box and cutoff
@@ -109,6 +128,10 @@ class TestMeshFollowsTheBox:
     def test_machine_beyond_its_16_cubed_limit(self, capsys, waters):
         assert main(["machine", "--nodes", "8", "--waters", str(waters), "--steps", "1"]) == 0
         assert "messages/node/step" in capsys.readouterr().out
+
+    def test_network_beyond_its_16_cubed_limit(self, capsys):
+        assert main(["network", "--nodes", "8", "--waters", "200", "--steps", "2"]) == 0
+        assert "comm critical path" in capsys.readouterr().out
 
     def test_ensemble_beyond_64_waters(self, capsys):
         assert main(["ensemble", "--waters", "100", "--replicas", "2", "--steps", "2",

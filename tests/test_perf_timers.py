@@ -26,14 +26,6 @@ class TestTimers:
         t.count("events", 3)
         assert t.counts["events"] == 4
 
-    def test_delta_since(self):
-        t = Timers()
-        t.add("a", 1.0)
-        before = t.snapshot()
-        t.add("a", 0.5)
-        t.add("b", 0.25)
-        assert t.delta_since(before) == {"a": 0.5, "b": 0.25}
-
     def test_reset(self):
         t = Timers()
         t.add("a", 1.0)
@@ -108,20 +100,17 @@ class TestForceReportTimings:
     def test_compute_populates_component_timings(self):
         system = build_water_box(n_molecules=32, seed=41)
         calc = ForceCalculator(system, PARAMS)
-        report = calc.compute(system.positions)
+        calc.compute(system.positions)
         for key in ("pair_list", "range_limited", "correction", "kspace"):
-            assert key in report.timings
-            assert report.timings[key] >= 0.0
-        # Cumulative registry holds at least what this report charged.
-        assert calc.timers.elapsed["pair_list"] >= report.timings["pair_list"]
+            assert calc.timers.elapsed[key] >= 0.0
 
     def test_compute_fixed_populates_component_timings(self):
         system = build_water_box(n_molecules=32, seed=42)
         calc = ForceCalculator(system, PARAMS)
         codec = FixedPointConfig().force_codec()
-        _codes, report = calc.compute_fixed(system.positions, codec)
-        assert "range_limited" in report.timings
-        assert "kspace" in report.timings
+        calc.compute_fixed(system.positions, codec)
+        assert "range_limited" in calc.timers.elapsed
+        assert "kspace" in calc.timers.elapsed
 
     def test_timers_do_not_perturb_forces(self):
         system = build_water_box(n_molecules=32, seed=43)
