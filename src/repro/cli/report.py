@@ -206,7 +206,20 @@ def cmd_info(_args) -> int:
         "Sec. 4   determinism / invariance / reversibility (bench_numerics_invariance)",
     ):
         print(f"  {item}")
+    print(f"\n{kernel_line()}")
     return 0
+
+
+def kernel_line() -> str:
+    """One line naming the kernel build this process would run on."""
+    from repro.kernels import kernel_info
+
+    info = kernel_info()
+    line = f"kernel: {info['tier']} (threads: {info['threads']})"
+    if info["tier"] == "compiled":
+        line += (f", {info['compiler']}, flags {info['flags']}, isa {info['isa']}, "
+                 f"rung {info['rung']}, {info['so']}")
+    return line
 
 
 COMMANDS = {"network": cmd_network, "traj": cmd_traj, "perf": cmd_perf, "info": cmd_info}

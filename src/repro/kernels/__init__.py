@@ -3,8 +3,9 @@
 See :mod:`repro.kernels.suite` for the tier contract and
 :mod:`repro.kernels.build` for the lazy C build.  The public surface is
 :func:`get_suite`, the resolver for the ``kernel_tier`` /
-``kernel_threads`` knobs, and :func:`resolve_config`, the shared
-env-var/argument resolution both the machine and ensemble layers use.
+``kernel_threads`` knobs, :func:`resolve_config`, the shared
+env-var/argument resolution both the machine and ensemble layers use,
+and :func:`kernel_info`, the record of which build a run executes on.
 """
 
 from repro.kernels.build import KernelBuildError, available
@@ -15,6 +16,7 @@ from repro.kernels.suite import (
     NumpyKernels,
     PairTableSpec,
     get_suite,
+    kernel_info,
     make_pair_spec,
     resolve_config,
 )
@@ -28,6 +30,7 @@ __all__ = [
     "PairTableSpec",
     "available",
     "get_suite",
+    "kernel_info",
     "make_pair_spec",
     "resolve_config",
 ]

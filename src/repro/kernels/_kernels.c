@@ -13,9 +13,21 @@
  * Division is kept literal (x / L, not x * (1.0 / L)): a reciprocal
  * multiply is not the same IEEE operation and does change bits.  The
  * pair path drops a division only where one of three lemmas proves the
- * replacement is the same IEEE result (rk_image, rk_quantize, rk_offset
+ * replacement is the same IEEE result (rk_image, rk_quantize, rk_offsets
  * below); each falls back to the literal division when its precondition
  * does not hold.
+ *
+ * The build targets the host's vector ISA (build.py: -march=native), and
+ * the hot loops are shaped so the compiler can use it: per-quantity block
+ * arrays in the pair walk, contiguous runs in the mesh kernels.  That
+ * costs no bit.  IEEE add, multiply, divide and rint are correctly
+ * rounded per element at every vector width, the flags above leave the
+ * compiler no contraction and no reassociation to apply (so it can
+ * vectorize element-wise float loops and integer sums, never a float
+ * reduction), and (int64)rint(x) converts an integral double exactly,
+ * scalar or packed, wherever it is in range — DESIGN.md, vector-width
+ * lemma.  There are no intrinsics and no ISA conditionals here: one plain
+ * C implementation per kernel, whatever the target.
  */
 
 #include <math.h>
@@ -266,27 +278,6 @@ static inline double rk_horner4(const double *c, double t)
     out = out * t + c[1];
     out = out * t + c[0];
     return out;
-}
-
-/* ScaledFixed.quantize_round_only for one value: (q / limit) * scale,
- * clipped to +-2^62, round-nearest-even, cast to int64.
- *
- * Lemma (one multiply): when limit and scale are both powers of two,
- * q / limit and (q / limit) * scale only move the exponent, so the pair
- * equals the single exact scaling q * (scale / limit); where either form
- * would leave the normal range the codes still agree (both are 0 below,
- * both clip to the cap above).  mul is that ratio, or 0.0 for a codec
- * that is not a power-of-two pair, which keeps the division. */
-static inline int64_t rk_quantize(double q, double limit, double scale,
-                                  double mul)
-{
-    double x = mul != 0.0 ? q * mul : q / limit * scale;
-    const double cap = 4611686018427387904.0; /* 2.0**62 */
-    if (x < -cap)
-        x = -cap;
-    if (x > cap)
-        x = cap;
-    return (int64_t)rint(x);
 }
 
 /* Minimum image d - L * rint(d / L) of a difference of two coordinates
@@ -594,25 +585,7 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
     double q_limit, q_scale, q_mul;
 } rk_pair_spec;
 
-/* Table offset clip((u - start) / width, 0, 1) within segment s.
- *
- * Lemma (reciprocal multiply): dividing by a power of two 2^-k and
- * multiplying by 2^k are the same exact scaling (u - start <= 1, so no
- * overflow).  inv holds 1 / width for a layout whose every width is a
- * power of two and is NULL otherwise, which keeps the division. */
-static inline double rk_offset(double u, const double *starts,
-                               const double *widths, const double *inv,
-                               int64_t s)
-{
-    double t = inv ? (u - starts[s]) * inv[s] : (u - starts[s]) / widths[s];
-    if (t < 0.0)
-        t = 0.0;
-    if (t > 1.0)
-        t = 1.0;
-    return t;
-}
-
-/* Candidates per block: their dx/r2 stay in L1 between the two phases. */
+/* Candidates per block: what the stages hand each other stays in L1. */
 #define RK_WALK_BLOCK 256
 
 /* What one pass over the candidates holds on its stack: the spec by
@@ -633,20 +606,34 @@ static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L)
     rk_build_grid(s->d_starts, s->d_nseg, c->d_grid);
 }
 
-/* Phase 1 over candidates [lo, hi), at most RK_WALK_BLOCK of them:
+/* One block's survivors between the stages, one array per quantity so
+ * that stage B reads and writes contiguous lanes: displacement
+ * components, clamped u, then what stage A gathers per pair (charge
+ * product, LJ A/B, the segment of u in each layout), then stage B's
+ * table offsets and force prefactor. */
+typedef struct {
+    double d0[RK_WALK_BLOCK], d1[RK_WALK_BLOCK], d2[RK_WALK_BLOCK];
+    double u[RK_WALK_BLOCK];
+    double qq[RK_WALK_BLOCK], ca[RK_WALK_BLOCK], cb[RK_WALK_BLOCK];
+    int64_t ie[RK_WALK_BLOCK], id[RK_WALK_BLOCK];
+    double te[RK_WALK_BLOCK], td[RK_WALK_BLOCK];
+    double pf[RK_WALK_BLOCK];
+} rk_walk_block;
+
+/* Filter over candidates [lo, hi), at most RK_WALK_BLOCK of them:
  * rk_pair_filter's predicate with a branch-free compaction (write the
  * survivor slot always, advance it by r2 < cutoff2; the slot index never
  * passes the candidate index, so outputs sized to n_cand suffice), then
  * KernelTableSet.normalize on the survivors' r2 (a loop of its own, so
  * the division packs).  Survivors land in oi/oj (the caller's next free
- * slots), their displacements in bdx and their clamped u in bu.  Returns
- * how many survived. */
+ * slots), their displacements and clamped u in the block.  Returns how
+ * many survived. */
 static inline int64_t rk_walk_filter(const rk_walk_ctx *c, int64_t lo, int64_t hi,
                                      const int64_t *restrict ii,
                                      const int64_t *restrict jj,
                                      const double *restrict w,
                                      int64_t *restrict oi, int64_t *restrict oj,
-                                     double *restrict bdx, double *restrict bu)
+                                     rk_walk_block *restrict blk)
 {
     const double cutoff2 = c->s.cutoff2, umax = c->s.umax;
     int64_t nb = 0;
@@ -659,49 +646,120 @@ static inline int64_t rk_walk_filter(const rk_walk_ctx *c, int64_t lo, int64_t h
         double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
         oi[nb] = ii[k];
         oj[nb] = jj[k];
-        bdx[3 * nb] = d0;
-        bdx[3 * nb + 1] = d1;
-        bdx[3 * nb + 2] = d2;
-        bu[nb] = r2;
+        blk->d0[nb] = d0;
+        blk->d1[nb] = d1;
+        blk->d2[nb] = d2;
+        blk->u[nb] = r2;
         nb += r2 < cutoff2;
     }
     for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
-        double u = bu[b] / cutoff2;
-        bu[b] = u > umax ? umax : u;
+        double u = blk->u[b] / cutoff2;
+        blk->u[b] = u > umax ? umax : u;
     }
     return nb;
 }
 
-/* The table arithmetic of one pair, nonbonded_real_space_tabulated's
- * line for line: locate u in both tier layouts, Horner-evaluate the six
- * tables, combine with the charge product and the LJ A/B coefficients.
- * Returns the force prefactor p (force on i is p * dx) and writes the
- * pair's two energies.  The one copy: the fixed-point walk and the
- * float rows below both inline it. */
-static inline double rk_pair_tables(const rk_walk_ctx *c, int64_t i, int64_t j,
-                                    double u, double *e_lj, double *e_coul)
+/* Table offsets clip((u - start) / width, 0, 1) of a block within the
+ * segments seg.
+ *
+ * Lemma (reciprocal multiply): dividing by a power of two 2^-k and
+ * multiplying by 2^k are the same exact scaling (u - start <= 1, so no
+ * overflow).  inv holds 1 / width for a layout whose every width is a
+ * power of two and is NULL otherwise, which keeps the division.  The
+ * choice is per layout, so it is made outside the loop. */
+static inline void rk_offsets(int64_t nb, const double *restrict u,
+                              const int64_t *restrict seg,
+                              const double *starts, const double *widths,
+                              const double *inv, double *restrict t)
+{
+    if (inv)
+        for (int64_t b = 0; b < nb; b++)
+            t[b] = (u[b] - starts[seg[b]]) * inv[seg[b]];
+    else
+        for (int64_t b = 0; b < nb; b++)
+            t[b] = (u[b] - starts[seg[b]]) / widths[seg[b]];
+    for (int64_t b = 0; b < nb; b++) {
+        double x = t[b] < 0.0 ? 0.0 : t[b];
+        t[b] = x > 1.0 ? 1.0 : x;
+    }
+}
+
+/* The table arithmetic of a block's nb survivors (i, j),
+ * nonbonded_real_space_tabulated's line for line, staged so that each
+ * loop does one kind of work.  Stage A, scalar: gather what depends on
+ * the atoms — the charge product, the LJ A/B coefficients — and locate u
+ * in both tier layouts.  Stage B: the offsets within the segments
+ * (rk_offsets, lane-parallel), then the six Horner cubics, the two
+ * energies and the force prefactor.  Leaves the prefactor p (force on i
+ * is p * dx) in blk->pf and writes the pairs' two energies.  The one
+ * copy: the fixed-point walk and the float rows below both inline it.
+ *
+ * The cubics' loop reads its 24 coefficients per pair through the
+ * segment indices, so a vector unit can take it only with hardware
+ * gathers; measured on the AVX-512 build host that form (six restrict
+ * table parameters in an out-of-line helper) was bit-identical and 5 %
+ * slower than this scalar loop, which is therefore what ships. */
+static inline void rk_pair_tables(const rk_walk_ctx *c, int64_t nb,
+                                  const int64_t *restrict i,
+                                  const int64_t *restrict j,
+                                  rk_walk_block *restrict blk,
+                                  double *restrict e_lj,
+                                  double *restrict e_coul)
 {
     const rk_pair_spec *s = &c->s;
-    double qq = s->charges[i] * s->charges[j] * s->coulomb;
-    int64_t tij = s->types[i] * s->n_types + s->types[j];
-    double ca = s->amat[tij];
-    double cb = s->bmat[tij];
+    for (int64_t b = 0; b < nb; b++) {
+        const int64_t tij = s->types[i[b]] * s->n_types + s->types[j[b]];
+        blk->qq[b] = s->charges[i[b]] * s->charges[j[b]] * s->coulomb;
+        blk->ca[b] = s->amat[tij];
+        blk->cb[b] = s->bmat[tij];
+        blk->ie[b] = rk_segment(s->e_starts, s->e_nseg, c->e_grid, blk->u[b]);
+        blk->id[b] = rk_segment(s->d_starts, s->d_nseg, c->d_grid, blk->u[b]);
+    }
+    rk_offsets(nb, blk->u, blk->ie, s->e_starts, s->e_widths, s->e_inv, blk->te);
+    rk_offsets(nb, blk->u, blk->id, s->d_starts, s->d_widths, s->d_inv, blk->td);
+    for (int64_t b = 0; b < nb; b++) {
+        const int64_t ie = 4 * blk->ie[b], id = 4 * blk->id[b];
+        const double te = blk->te[b], td = blk->td[b];
+        double ef = rk_horner4(s->e_cf + ie, te);
+        double ee = rk_horner4(s->e_ce + ie, te);
+        double f12 = rk_horner4(s->c12f + id, td);
+        double f6 = rk_horner4(s->c6f + id, td);
+        double e12 = rk_horner4(s->c12e + id, td);
+        double e6 = rk_horner4(s->c6e + id, td);
+        e_coul[b] = blk->qq[b] * ee;
+        e_lj[b] = blk->ca[b] * e12 - blk->cb[b] * e6;
+        blk->pf[b] = blk->qq[b] * ef + blk->ca[b] * f12 - blk->cb[b] * f6;
+    }
+}
 
-    int64_t ie = rk_segment(s->e_starts, s->e_nseg, c->e_grid, u);
-    double te = rk_offset(u, s->e_starts, s->e_widths, s->e_inv, ie);
-    int64_t id = rk_segment(s->d_starts, s->d_nseg, c->d_grid, u);
-    double td = rk_offset(u, s->d_starts, s->d_widths, s->d_inv, id);
-
-    double ef = rk_horner4(s->e_cf + 4 * ie, te);
-    double ee = rk_horner4(s->e_ce + 4 * ie, te);
-    double f12 = rk_horner4(s->c12f + 4 * id, td);
-    double f6 = rk_horner4(s->c6f + 4 * id, td);
-    double e12 = rk_horner4(s->c12e + 4 * id, td);
-    double e6 = rk_horner4(s->c6e + 4 * id, td);
-
-    *e_coul = qq * ee;
-    *e_lj = ca * e12 - cb * e6;
-    return qq * ef + ca * f12 - cb * f6;
+/* ScaledFixed.quantize_round_only over one force component of a block:
+ * (p * dx / limit) * scale, clipped to +-2^62, round-nearest-even, cast
+ * to int64.
+ *
+ * Lemma (one multiply): when limit and scale are both powers of two,
+ * q / limit and (q / limit) * scale only move the exponent, so the pair
+ * equals the single exact scaling q * (scale / limit); where either form
+ * would leave the normal range the codes still agree (both are 0 below,
+ * both clip to the cap above).  mul is that ratio, or 0.0 for a codec
+ * that is not a power-of-two pair, which keeps the division.  The choice
+ * is per codec, so it is made outside the loop. */
+static inline void rk_quantize(int64_t nb, const double *restrict pf,
+                               const double *restrict dx, double limit,
+                               double scale, double mul,
+                               uint64_t *restrict codes)
+{
+    const double cap = 4611686018427387904.0; /* 2.0**62 */
+    double x[RK_WALK_BLOCK];
+    if (mul != 0.0)
+        for (int64_t b = 0; b < nb; b++)
+            x[b] = pf[b] * dx[b] * mul;
+    else
+        for (int64_t b = 0; b < nb; b++)
+            x[b] = pf[b] * dx[b] / limit * scale;
+    for (int64_t b = 0; b < nb; b++) {
+        double y = x[b] < -cap ? -cap : x[b];
+        codes[b] = (uint64_t)(int64_t)rint(y > cap ? cap : y);
+    }
 }
 
 /* One evaluation of the range-limited forces, from the cached Verlet
@@ -710,12 +768,13 @@ static inline double rk_pair_tables(const rk_walk_ctx *c, int64_t i, int64_t j,
  * what the caller reads — the surviving (i, j) and the per-pair energies
  * (summed by np.sum, so the reported floats keep NumPy's pairwise bits).
  *
- * Per block of candidates, rk_walk_filter, then rk_pair_tables +
- * quantize_round_only on the survivors, each code added to atom i's row
- * sum, held in registers while i repeats (the list is sorted by i), and
- * subtracted from acc[j].  uint64 adds wrap like int64 and commute, so
- * the deposit order is invisible.  The arrays must not overlap.  Serial
- * at every thread count.  Returns the surviving pair count. */
+ * Per block of candidates, rk_walk_filter, then rk_pair_tables and
+ * rk_quantize on the survivors (stages A and B), then stage C, scalar:
+ * each code added to atom i's row sum, held in registers while i repeats
+ * (the list is sorted by i), and subtracted from acc[j].  uint64 adds
+ * wrap like int64 and commute, so the deposit order is invisible.  The
+ * arrays must not overlap.  Serial at every thread count.  Returns the
+ * surviving pair count. */
 int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
                      const int64_t *restrict jj, const double *restrict w,
                      const double *L, const rk_pair_spec *s,
@@ -727,19 +786,20 @@ int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
     rk_walk_init(&c, s, L);
     const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
     uint64_t *a = (uint64_t *)acc;
-    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK];
+    rk_walk_block blk;
+    uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
     uint64_t f0 = 0, f1 = 0, f2 = 0;
     int64_t m = 0, row = 0;
 
     for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
         const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
-        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, bdx, bu);
+        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, &blk);
+        rk_pair_tables(&c, nb, oi + m, oj + m, &blk, e_lj + m, e_coul + m);
+        rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
+        rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
+        rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
         for (int64_t b = 0; b < nb; b++, m++) {
             const int64_t i = oi[m], j = oj[m];
-            double pf = rk_pair_tables(&c, i, j, bu[b], e_lj + m, e_coul + m);
-            uint64_t c0 = (uint64_t)rk_quantize(pf * bdx[3 * b], ql, qs, qm);
-            uint64_t c1 = (uint64_t)rk_quantize(pf * bdx[3 * b + 1], ql, qs, qm);
-            uint64_t c2 = (uint64_t)rk_quantize(pf * bdx[3 * b + 2], ql, qs, qm);
             if (i != row) { /* next row: flush the finished one */
                 a[3 * row] += f0;
                 a[3 * row + 1] += f1;
@@ -747,12 +807,12 @@ int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
                 f0 = f1 = f2 = 0;
                 row = i;
             }
-            f0 += c0;
-            f1 += c1;
-            f2 += c2;
-            a[3 * j] -= c0;
-            a[3 * j + 1] -= c1;
-            a[3 * j + 2] -= c2;
+            f0 += c0[b];
+            f1 += c1[b];
+            f2 += c2[b];
+            a[3 * j] -= c0[b];
+            a[3 * j + 1] -= c1[b];
+            a[3 * j + 2] -= c2[b];
         }
     }
     if (m) {
@@ -779,17 +839,17 @@ int64_t rk_pair_rows(int64_t n_cand, const int64_t *restrict ii,
 {
     rk_walk_ctx c;
     rk_walk_init(&c, s, L);
-    double bdx[3 * RK_WALK_BLOCK], bu[RK_WALK_BLOCK];
+    rk_walk_block blk;
     int64_t m = 0;
 
     for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
         const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
-        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, bdx, bu);
+        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, &blk);
+        rk_pair_tables(&c, nb, oi + m, oj + m, &blk, e_lj + m, e_coul + m);
         for (int64_t b = 0; b < nb; b++, m++) {
-            double pf = rk_pair_tables(&c, oi[m], oj[m], bu[b], e_lj + m, e_coul + m);
-            rows[3 * m] = pf * bdx[3 * b];
-            rows[3 * m + 1] = pf * bdx[3 * b + 1];
-            rows[3 * m + 2] = pf * bdx[3 * b + 2];
+            rows[3 * m] = blk.pf[b] * blk.d0[b];
+            rows[3 * m + 1] = blk.pf[b] * blk.d1[b];
+            rows[3 * m + 2] = blk.pf[b] * blk.d2[b];
         }
     }
     return m;
@@ -1219,47 +1279,119 @@ typedef struct { /* field for field kernels/build.py: MeshAxes */
     const int32_t *ixi = (ax)->ix + (i) * kx, *iyi = (ax)->iy + (i) * ky;   \
     const int32_t *izi = (ax)->iz + (i) * kz
 
+/* Run splitting.  A stencil row's wrapped z indices are consecutive
+ * mod mz (MeshStencilPlan.build: mod(base - c .. base + c, mz)), so the
+ * row is a sequence of maximal runs of contiguous mesh points: the run
+ * that starts at row position zs covers mesh points izi[zs] .. up to the
+ * end of the mesh or of the row, whichever comes first (rk_run_end is
+ * that row position), and the next one restarts at mesh point 0.  One
+ * or two runs whenever kz <= mz, more for a stencil wider than the mesh;
+ * the loop over runs is the only path either way.  Inside a run every
+ * kernel below is a loop over contiguous memory with the sphere test as
+ * a select, which is what lets the compiler use the host's vector unit
+ * (DESIGN.md, vector-width lemma: each lane is the same correctly
+ * rounded operation the scalar loop performs). */
+static inline int64_t rk_run_end(const int32_t *iz, int64_t zs, int64_t kz,
+                                 int64_t mz)
+{
+    int64_t ze = zs + (mz - iz[zs]);
+    return ze < kz ? ze : kz;
+}
+
+/* dz^2 of one atom's z row, formed once per atom instead of once per
+ * (x, y) column: the same product either way. */
+static inline void rk_row_squares(const double *restrict d, int64_t k,
+                                  double *restrict d2)
+{
+    for (int64_t z = 0; z < k; z++)
+        d2[z] = d[z] * d[z];
+}
+
+/* One run of the quantized spread: col[z] += rint(w * q) inside the
+ * sphere, += 0 outside it. */
+static inline void rk_spread_run(uint64_t *restrict col,
+                                 const double *restrict wz,
+                                 const double *restrict dz2, int64_t len,
+                                 double r2xy, double wxy, double q, double c2)
+{
+    for (int64_t z = 0; z < len; z++) {
+        double v = (wxy * wz[z]) * q;
+        col[z] += (uint64_t)(int64_t)rint(r2xy + dz2[z] <= c2 ? v : 0.0);
+    }
+}
+
 /* MeshStencilPlan.spread_codes: acc[idx] += rint(w * qc).  A masked
  * point's code is rint(+-0.0) == 0 for every finite qc, and integer
- * zeros add nothing, so masked points and columns are skipped. */
+ * zeros add nothing: a masked lane adds the integer 0, and a column
+ * wholly outside the sphere is skipped. */
 static void rk_mesh_spread_range(const rk_axes *ax, double c2,
                                  const double *qc, int64_t *acc,
                                  int64_t lo, int64_t hi)
 {
-    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
     uint64_t *m = (uint64_t *)acc;
+    double dz2[kz];
     for (int64_t i = lo; i < hi; i++) {
         RK_ATOM_ROWS(ax, i);
-        double q = qc[i];
+        const double q = qc[i];
+        rk_row_squares(dzi, kz, dz2);
         for (int64_t x = 0; x < kx; x++)
             for (int64_t y = 0; y < ky; y++) {
                 double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
                 if (r2xy > c2)
                     continue;
                 double wxy = wxi[x] * wyi[y];
-                uint64_t *col = m + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
-                for (int64_t z = 0; z < kz; z++)
-                    if (r2xy + dzi[z] * dzi[z] <= c2)
-                        col[izi[z]] +=
-                            (uint64_t)(int64_t)rint((wxy * wzi[z]) * q);
+                uint64_t *col = m + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
+                for (int64_t zs = 0, ze; zs < kz; zs = ze) {
+                    ze = rk_run_end(izi, zs, kz, mz);
+                    rk_spread_run(col + izi[zs], wzi + zs, dz2 + zs, ze - zs,
+                                  r2xy, wxy, q, c2);
+                }
             }
+    }
+}
+
+/* One run of the float spread: col[z] += w * q inside the sphere,
+ * += -0.0 outside it.
+ *
+ * Lemma (masked add): x + (-0.0) == x bit for bit for every x — both
+ * zeros, infinities and NaN payloads included — under round-to-nearest
+ * (IEEE 754 6.3: a sum of zeros of unlike sign is +0.0, of like sign
+ * keeps it), so a lane outside the sphere leaves its bin as the scalar
+ * loop's skipped iteration did.  (+0.0 would not do: it turns a -0.0
+ * bin into +0.0.) */
+static inline void rk_spread_float_run(double *restrict col,
+                                       const double *restrict wz,
+                                       const double *restrict dz2,
+                                       int64_t len, double r2xy, double wxy,
+                                       double q, double c2)
+{
+    for (int64_t z = 0; z < len; z++) {
+        double v = (wxy * wz[z]) * q;
+        col[z] += r2xy + dz2[z] <= c2 ? v : -0.0;
     }
 }
 
 /* MeshStencilPlan.spread_float: per `chunk` atoms, a float64 bincount
  * in element order (part[idx] += w * q from +0.0 bins), then
  * mesh += part.  Float sums do not commute, so this is the one order
- * NumPy uses and there is no threaded form.  A masked point adds
- * +-0.0, which leaves a bin that started at +0.0 bit-identical. */
+ * NumPy uses and there is no threaded form: atoms in order, columns in
+ * (x, y) order, runs in z order, and within a run every bin is a
+ * different mesh point, so each bin still sees its addends in NumPy's
+ * order however wide the run's adds are issued.  A point outside the
+ * sphere contributes +-0.0 in NumPy, which a bin that started at +0.0
+ * does not see; here it adds -0.0, which no bin sees. */
 void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
                                const double *q, double *mesh, int64_t npts,
                                double *part, int64_t chunk)
 {
-    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
+    double dz2[kz];
     for (int64_t lo = 0; lo < n; lo += chunk) {
         memset(part, 0, (size_t)npts * sizeof(double));
         for (int64_t i = lo; i < n && i < lo + chunk; i++) {
             RK_ATOM_ROWS(ax, i);
+            rk_row_squares(dzi, kz, dz2);
             for (int64_t x = 0; x < kx; x++)
                 for (int64_t y = 0; y < ky; y++) {
                     double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
@@ -1267,14 +1399,30 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
                         continue;
                     double wxy = wxi[x] * wyi[y];
                     double *col =
-                        part + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
-                    for (int64_t z = 0; z < kz; z++)
-                        if (r2xy + dzi[z] * dzi[z] <= c2)
-                            col[izi[z]] += (wxy * wzi[z]) * q[i];
+                        part + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
+                    for (int64_t zs = 0, ze; zs < kz; zs = ze) {
+                        ze = rk_run_end(izi, zs, kz, mz);
+                        rk_spread_float_run(col + izi[zs], wzi + zs, dz2 + zs,
+                                            ze - zs, r2xy, wxy, q[i], c2);
+                    }
                 }
         }
         for (int64_t e = 0; e < npts; e++)
             mesh[e] += part[e];
+    }
+}
+
+/* One run of the gather: out[z] = phi[z] * w inside the sphere,
+ * phi[z] * 0.0 outside it. */
+static inline void rk_gather_run(double *restrict out,
+                                 const double *restrict col,
+                                 const double *restrict wz,
+                                 const double *restrict dz2, int64_t len,
+                                 double r2xy, double wxy, double c2)
+{
+    for (int64_t z = 0; z < len; z++) {
+        double w = wxy * wz[z];
+        out[z] = col[z] * (r2xy + dz2[z] <= c2 ? w : 0.0);
     }
 }
 
@@ -1287,18 +1435,21 @@ static void rk_mesh_gather_range(const rk_axes *ax, double c2,
                                  const double *phi, double *out,
                                  int64_t lo, int64_t hi)
 {
-    int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz;
+    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
+    double dz2[kz];
     for (int64_t i = lo; i < hi; i++) {
         RK_ATOM_ROWS(ax, i);
+        rk_row_squares(dzi, kz, dz2);
         for (int64_t x = 0; x < kx; x++)
-            for (int64_t y = 0; y < ky; y++) {
+            for (int64_t y = 0; y < ky; y++, out += kz) {
                 double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
                 double wxy = wxi[x] * wyi[y];
                 const double *col =
-                    phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * ax->mz;
-                for (int64_t z = 0; z < kz; z++) {
-                    double r2 = r2xy + dzi[z] * dzi[z];
-                    *out++ = col[izi[z]] * ((r2 <= c2) ? wxy * wzi[z] : 0.0);
+                    phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
+                for (int64_t zs = 0, ze; zs < kz; zs = ze) {
+                    ze = rk_run_end(izi, zs, kz, mz);
+                    rk_gather_run(out + zs, col + izi[zs], wzi + zs, dz2 + zs,
+                                  ze - zs, r2xy, wxy, c2);
                 }
             }
     }

@@ -8,21 +8,39 @@ There is deliberately no setuptools machinery: the kernels are optional,
 and a host without a compiler must keep working on the NumPy tier.
 
 Two flags are load-bearing for bitwise reproducibility and are never
-negotiable:
+negotiable; a third decides only speed:
 
 * ``-ffp-contract=off`` — GCC contracts ``a*b + c`` into fused
   multiply-adds by default at ``-O2``+; an FMA rounds once where NumPy
   rounds twice and silently changes force bits.
 * no ``-ffast-math`` — reassociation and reciprocal math would break
   the operation-order contract the kernels are written against.
+* ``-march=native`` (:data:`HOST_ISA_FLAG`) — compile for the vector
+  ISA of the host the build runs on.  Under the two flags above it
+  cannot move a bit (DESIGN.md, vector-width lemma: IEEE add, multiply,
+  divide and ``rint`` are correctly rounded per element at every vector
+  width), it only lets the compiler issue the hot loops eight lanes at
+  a time and ``rint`` as one instruction instead of a libm call.  An
+  object built for one host's ISA must never run on another's, so what
+  the flag resolved to (:func:`_host_isa`) is part of the cache key.
+
+The build is a ladder (:data:`_VARIANTS`): host ISA with threads, host
+ISA serial, baseline ISA with threads, baseline serial.  The first rung
+that compiles is used and recorded (:func:`build_record`; ``repro
+info`` prints it).  A compiler that rejects the host-ISA flag lands on
+a baseline rung silently — same bits, slower; a host without pthreads
+lands on a serial rung with a one-time warning, because
+``kernel_threads > 1`` then runs single-threaded.
 
 ``REPRO_KERNEL_CFLAGS`` appends extra compiler flags (whitespace
 separated, after the fixed ones) to this one build and is part of the
 cache key, so a sanitizer build — CI's
 ``-fsanitize=address,undefined -fno-sanitize-recover=undefined`` —
-gets its own ``.so`` next to the production one.  It is a hook for
-instrumentation, not a tuning knob: the two flags above still apply,
-and nothing may be passed that changes floating-point results.
+gets its own ``.so`` next to the production one, and
+``-march=x86-64`` there (last wins) is the baseline-ISA build of the
+same ladder.  It is a hook for instrumentation, not a tuning knob: the
+two flags above still apply, and nothing may be passed that changes
+floating-point results.
 """
 
 from __future__ import annotations
@@ -35,20 +53,29 @@ import tempfile
 import warnings
 from pathlib import Path
 
-__all__ = ["KernelBuildError", "build", "load"]
+__all__ = ["KernelBuildError", "build", "build_record", "load"]
 
 _SRC = Path(__file__).resolve().parent / "_kernels.c"
 
 #: Optimized but strictly IEEE-ordered; see module docstring.
 CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 
-#: Build variants tried in order per compiler: threaded first, then a
-#: serial fallback for pthread-less hosts.  Both compile the same
-#: source; ``RK_THREADS=0`` turns ``rk_run`` into a direct call so every
-#: ``*_mt`` symbol still exists (``_declare`` touches them all).
+#: Compile for the build host's own vector ISA; see module docstring.
+HOST_ISA_FLAG = "-march=native"
+
+_THREADED = ("-pthread", "-DRK_THREADS=1")
+_SERIAL = ("-DRK_THREADS=0",)
+
+#: The build ladder, tried in order per compiler: host ISA before
+#: baseline, and within each threaded before the serial fallback for
+#: pthread-less hosts.  All compile the same source; ``RK_THREADS=0``
+#: turns ``rk_run`` into a direct call so every ``*_mt`` symbol still
+#: exists (``_declare`` touches them all).
 _VARIANTS = (
-    ("-pthread", "-DRK_THREADS=1"),
-    ("-DRK_THREADS=0",),
+    (HOST_ISA_FLAG, *_THREADED),
+    (HOST_ISA_FLAG, *_SERIAL),
+    _THREADED,
+    _SERIAL,
 )
 
 _COMPILERS = ("cc", "gcc", "clang")
@@ -62,6 +89,8 @@ def _extra_cflags() -> tuple[str, ...]:
 _lib = None
 _lib_error: Exception | None = None
 _compiler_idents: dict[str, str | None] = {}
+_host_isas: dict[tuple, str | None] = {}
+_record: dict | None = None
 _warned_no_pthread = False
 
 
@@ -111,11 +140,52 @@ def _compiler_ident(cc: str) -> str | None:
     return _compiler_idents[cc]
 
 
-def _source_key(variant: tuple[str, ...], ident: str) -> str:
+#: Vector-ISA macros, widest first, that name a host-ISA token readably
+#: (cosmetic: the token's hash is what the cache key rests on).
+_ISA_MACROS = ("__AVX512F__", "__AVX2__", "__AVX__", "__SSE4_2__", "__ARM_FEATURE_SVE",
+               "__ARM_NEON")
+
+
+def _host_isa(cc: str) -> str | None:
+    """What :data:`HOST_ISA_FLAG` (under ``REPRO_KERNEL_CFLAGS``) resolves
+    to for ``cc`` on this host, as a short token; None when the compiler
+    rejects it.
+
+    The token is the widest vector-ISA macro the flags predefine plus a
+    hash of *every* predefined macro (``cc ... -dM -E``), so two hosts
+    share a token exactly when the compiler would emit the same
+    instruction set for both.  Part of the cache key of the host-ISA
+    rungs: a ``_build/`` shared across machines (NFS home, baked image)
+    can never hand one host's object to a CPU without its ISA.  One
+    preprocessor run per process.
+    """
+    key = (cc, _extra_cflags())
+    if key not in _host_isas:
+        cmd = [cc, HOST_ISA_FLAG, *_extra_cflags(), "-dM", "-E", "-x", "c", os.devnull]
+        try:
+            proc = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+            macros = proc.stdout if proc.returncode == 0 else ""
+        except (OSError, subprocess.TimeoutExpired):
+            macros = ""
+        token = None
+        if macros:
+            lines = sorted(macros.splitlines())
+            defined = {line.split()[1] for line in lines if line.startswith("#define ")}
+            name = next((m for m in _ISA_MACROS if m in defined), "base")
+            digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            token = f"{name.strip('_').lower()}-{digest[:8]}"
+        _host_isas[key] = token
+    return _host_isas[key]
+
+
+def _source_key(variant: tuple[str, ...], ident: str, isa: str = "") -> str:
+    """Cache key of one rung: source, every flag, compiler, and — for a
+    host-ISA rung — the token of the ISA it was compiled for."""
     h = hashlib.sha256()
     h.update(_SRC.read_bytes())
     h.update(" ".join(CFLAGS + variant + _extra_cflags()).encode())
     h.update(ident.encode())
+    h.update(isa.encode())
     return h.hexdigest()[:16]
 
 
@@ -139,16 +209,24 @@ def _build_dir() -> Path:
         return fallback
 
 
+def _rung_name(variant: tuple[str, ...]) -> str:
+    isa = "host-isa" if HOST_ISA_FLAG in variant else "baseline"
+    return isa + ("+threads" if variant[-2:] == _THREADED else "")
+
+
 def build() -> Path:
     """Compile (if needed) and return the path to the shared object.
 
-    Per compiler the threaded variant (``-pthread -DRK_THREADS=1``) is
-    tried first; if the probe fails the serial ``-DRK_THREADS=0`` build
-    is used with a one-time warning (``kernel_threads > 1`` then runs
+    Per compiler the ladder :data:`_VARIANTS` is walked top down and the
+    first rung that is cached or compiles wins; :func:`build_record`
+    then says which.  Two kinds of descent are not errors: a compiler
+    that rejects :data:`HOST_ISA_FLAG` (probed, not compiled) takes the
+    baseline rungs silently, and a serial rung that builds where its
+    threaded twin did not warns once (``kernel_threads > 1`` then runs
     single-threaded, mirroring the NumPy-tier fallback path).  Raises
-    :class:`KernelBuildError` when no working C compiler is found.
+    :class:`KernelBuildError` when no rung builds with any compiler.
     """
-    global _warned_no_pthread
+    global _record, _warned_no_pthread
     if not _SRC.exists():
         raise KernelBuildError(f"kernel source missing: {_SRC}")
     bdir = _build_dir()
@@ -158,28 +236,42 @@ def build() -> Path:
         if ident is None:
             errors.append(f"{cc}: not found")
             continue
+        failed = []  # rungs of this compiler that did not build
         for variant in _VARIANTS:
-            out = bdir / f"_kernels-{_source_key(variant, ident)}.so"
-            if out.exists():
-                return out
-            tmp = out.with_name(out.name + f".tmp{os.getpid()}")
-            cmd = [cc, *CFLAGS, *variant, *_extra_cflags(), str(_SRC), "-o", str(tmp), "-lm"]
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=120
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                errors.append(f"{cc}: {exc}")
-                continue
-            if proc.returncode == 0 and tmp.exists():
+            isa = ""
+            if HOST_ISA_FLAG in variant:
+                isa = _host_isa(cc)
+                if isa is None:
+                    failed.append(variant)
+                    errors.append(f"{cc} {' '.join(variant)}: {HOST_ISA_FLAG} probe failed")
+                    continue
+            flags = [*CFLAGS, *variant, *_extra_cflags()]
+            out = bdir / f"_kernels-{_source_key(variant, ident, isa)}.so"
+            if not out.exists():
+                tmp = out.with_name(out.name + f".tmp{os.getpid()}")
+                cmd = [cc, *flags, str(_SRC), "-o", str(tmp), "-lm"]
+                try:
+                    proc = subprocess.run(
+                        cmd, capture_output=True, text=True, timeout=120
+                    )
+                except (OSError, subprocess.TimeoutExpired) as exc:
+                    failed.append(variant)
+                    errors.append(f"{cc}: {exc}")
+                    continue
+                if proc.returncode != 0 or not tmp.exists():
+                    failed.append(variant)
+                    errors.append(
+                        f"{cc} {' '.join(variant)}: rc={proc.returncode} "
+                        f"{proc.stderr.strip()[:400]}"
+                    )
+                    tmp.unlink(missing_ok=True)
+                    continue
                 os.replace(tmp, out)  # atomic: concurrent builders race
-                return out
-            errors.append(
-                f"{cc} {' '.join(variant)}: rc={proc.returncode} "
-                f"{proc.stderr.strip()[:400]}"
-            )
-            tmp.unlink(missing_ok=True)
-            if variant is _VARIANTS[0] and not _warned_no_pthread:
+            if (
+                variant[-1:] == _SERIAL
+                and variant[:-1] + _THREADED in failed  # its threaded twin
+                and not _warned_no_pthread
+            ):
                 _warned_no_pthread = True
                 warnings.warn(
                     "pthread probe failed for the compiled kernel tier; "
@@ -188,10 +280,28 @@ def build() -> Path:
                     RuntimeWarning,
                     stacklevel=2,
                 )
+            _record = {
+                "compiler": ident,
+                "flags": " ".join(flags),
+                "isa": isa or "baseline",
+                "rung": _rung_name(variant),
+                "so": str(out),
+            }
+            return out
     raise KernelBuildError(
         "no working C compiler for the compiled kernel tier: "
         + "; ".join(errors)
     )
+
+
+def build_record() -> dict | None:
+    """Which build this process resolved, or None before :func:`build`.
+
+    ``compiler`` (its ``--version`` line), the effective ``flags``, the
+    host-``isa`` token (``"baseline"`` off the host-ISA rungs), the
+    ladder ``rung`` taken and the ``so`` path.  Observational only.
+    """
+    return _record
 
 
 def _declare(lib: ctypes.CDLL) -> None:

@@ -51,13 +51,21 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from repro.kernels.build import KernelBuildError, MeshAxes, PairSpec, available, load
+from repro.kernels.build import (
+    KernelBuildError,
+    MeshAxes,
+    PairSpec,
+    available,
+    build_record,
+    load,
+)
 
 __all__ = [
     "KERNEL_TIERS",
@@ -67,6 +75,7 @@ __all__ = [
     "CompiledKernels",
     "make_pair_spec",
     "get_suite",
+    "kernel_info",
     "resolve_config",
 ]
 
@@ -455,6 +464,9 @@ class CompiledKernels(NumpyKernels):
         self._filter_counts = None
         self._neighbor_work = None
         self._partial = None
+        # Per calling thread: an ensemble's lanes run the float spread
+        # concurrently on one ``serial`` suite (``map_chunks``).
+        self._float_part = threading.local()
         self._con_dref = None
         self._con_dx = None
         self._con_d2 = None
@@ -671,7 +683,14 @@ class CompiledKernels(NumpyKernels):
         self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), len(idx))
 
     def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
-        """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``."""
+        """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``.
+
+        Shapes and dtypes are checked here; that each index row is
+        consecutive mod its mesh extent (what
+        :meth:`~repro.ewald.gse.MeshStencilPlan.build` writes) is the
+        plan's promise — the C kernels walk a z row as runs of
+        contiguous mesh points and read only each run's first index.
+        """
         n = len(axis_w[0])
         ks = [a.shape[1] for a in axis_w]
         rows = (*axis_w, *axis_d, *axis_i)
@@ -716,7 +735,9 @@ class CompiledKernels(NumpyKernels):
             _conforms(acc, (npts,), np.float64) and _conforms(q, (n,), np.float64)
         ):
             raise ValueError("mesh_spread_float_axes: arrays do not match the plan layout")
-        part = np.empty(npts)
+        part = getattr(self._float_part, "array", None)  # C zeroes it per chunk
+        if part is None or len(part) < npts:
+            part = self._float_part.array = np.empty(npts)
         self._lib.rk_mesh_spread_float_axes(
             axes, n, float(c2), _ptr(q), _ptr(acc), npts, _ptr(part), int(chunk)
         )
@@ -897,3 +918,20 @@ def get_suite(tier: str | None = None, threads: int | None = None):
             suite = CompiledKernels(lib, threads=nthreads, serial=base)
             _COMPILED_SUITES[nthreads] = suite
     return suite
+
+
+def kernel_info(tier: str | None = None, threads: int | None = None) -> dict:
+    """Which kernels a run with these knobs executes, for the record.
+
+    ``tier`` and ``threads`` are those of the suite :func:`get_suite`
+    returns (after any fallback); on the compiled tier the build's
+    :func:`~repro.kernels.build.build_record` is merged in — compiler,
+    effective flags, host-ISA token, ladder rung, ``.so`` path.
+    Observational: ``repro info`` prints it and a serve worker's
+    ``online`` event carries it; nothing numeric reads it.
+    """
+    suite = get_suite(tier, threads)
+    info = {"tier": suite.tier, "threads": suite.threads}
+    if suite.tier == "compiled":
+        info.update(build_record())
+    return info

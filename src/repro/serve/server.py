@@ -72,7 +72,7 @@ class _Worker:
     """Server-side handle of one worker process."""
 
     __slots__ = ("idx", "proc", "cmd_q", "assignment", "pid", "tier",
-                 "threads", "last_beat", "missed", "preempt_sent")
+                 "threads", "kernel", "last_beat", "missed", "preempt_sent")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -82,6 +82,8 @@ class _Worker:
         self.pid = 0
         self.tier = ""
         self.threads = 0
+        #: The worker's ``repro.kernels.kernel_info()`` (which build it runs on).
+        self.kernel: dict = {}
         self.last_beat = 0.0
         self.missed = 0
         #: One preempt command per assignment: the scheduler re-plans
@@ -262,6 +264,7 @@ class Server:
             kind = evt["evt"]
             if kind == "online":
                 w.tier, w.threads = evt["tier"], evt["threads"]
+                w.kernel = evt.get("kernel", {})
                 for note in evt["warnings"]:
                     self._log(f"worker {w.idx}: {note}")
             elif kind == "slice":
@@ -456,7 +459,7 @@ class Server:
             "aggregate_steps_per_s": round(steps / wall, 2),
             "workers": [
                 {"idx": w.idx, "pid": w.pid, "busy": w.busy,
-                 "tier": w.tier, "threads": w.threads,
+                 "tier": w.tier, "threads": w.threads, "kernel": w.kernel,
                  "stalled": w.idx in self.board.silent,
                  "jobs": list(w.assignment.jobs) if w.assignment else []}
                 for w in self.workers

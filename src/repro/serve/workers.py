@@ -320,6 +320,8 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
     (``getppid`` changed — an orphan after a server SIGKILL must not
     keep mutating artifacts a restarted server will reschedule).
     """
+    from repro.kernels import kernel_info
+
     cfg, tier, threads, notes = resolve_worker_kernels(kernel_tier, kernel_threads)
     # Every event carries this process incarnation's pid: mp.Queue can
     # surface a SIGKILLed worker's buffered events after the server has
@@ -328,7 +330,8 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
     pid = os.getpid()
     prepared = PreparedSystems()
     evt_q.put({"evt": "online", "worker": worker_id, "pid": pid,
-               "tier": tier, "threads": threads, "warnings": notes})
+               "tier": tier, "threads": threads, "warnings": notes,
+               "kernel": kernel_info(tier, threads)})
 
     def drain_cmds() -> list[dict]:
         out = []

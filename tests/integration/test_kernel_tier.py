@@ -8,6 +8,8 @@ identically through injected faults, and degrade gracefully to NumPy
 when no compiler exists.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -182,36 +184,120 @@ class TestNumpyFallback:
 
 
 class TestBuildFlagsHook:
-    """``REPRO_KERNEL_CFLAGS``: extra flags for the one build path."""
+    """``REPRO_KERNEL_CFLAGS`` and the build ladder, with the compiler faked."""
 
-    def test_flags_are_appended_and_keyed(self, monkeypatch, tmp_path):
-        """The variable's flags reach the compiler after the fixed ones
-        (which it cannot drop) and select their own cached ``.so``."""
+    IDENT = "cc (test) 1.0"
+
+    @pytest.fixture
+    def fake_cc(self, monkeypatch, tmp_path):
+        """One compiler, ``cc``, whose runs are recorded; a run whose command
+        holds any flag in ``fake_cc.reject`` fails, every other one
+        "builds" an empty file.  The host-ISA probe answers ``fake_cc.isa``."""
         import subprocess
+        from types import SimpleNamespace
 
         from repro.kernels import build
 
-        ident = "cc (test) 1.0"
-        monkeypatch.delenv("REPRO_KERNEL_CFLAGS", raising=False)
-        plain = build._source_key(build._VARIANTS[0], ident)
-        monkeypatch.setenv("REPRO_KERNEL_CFLAGS", "-g  -fsanitize=undefined")
-        assert build._extra_cflags() == ("-g", "-fsanitize=undefined")
-        assert build._source_key(build._VARIANTS[0], ident) != plain
-
-        commands = []
+        cc = SimpleNamespace(commands=[], reject=set(), isa="avx512f-00000000")
 
         def fake_run(cmd, **_kwargs):
-            commands.append(cmd)
-            out = cmd[cmd.index("-o") + 1]
-            open(out, "wb").close()
+            cc.commands.append(cmd)
+            if cc.reject & set(cmd):
+                return subprocess.CompletedProcess(cmd, 1, "", "error: rejected")
+            open(cmd[cmd.index("-o") + 1], "wb").close()
             return subprocess.CompletedProcess(cmd, 0, "", "")
 
+        monkeypatch.delenv("REPRO_KERNEL_CFLAGS", raising=False)
+        monkeypatch.setattr(build, "_COMPILERS", ("cc",))
         monkeypatch.setattr(build, "_build_dir", lambda: tmp_path)
-        monkeypatch.setattr(build, "_compiler_ident", lambda cc: ident)
+        monkeypatch.setattr(build, "_compiler_ident", lambda _cc: self.IDENT)
+        monkeypatch.setattr(build, "_host_isa", lambda _cc: cc.isa)
         monkeypatch.setattr(build.subprocess, "run", fake_run)
+        monkeypatch.setattr(build, "_record", None)
+        monkeypatch.setattr(build, "_warned_no_pthread", False)
+        return cc
+
+    def test_flags_are_appended_and_keyed(self, monkeypatch, fake_cc, tmp_path):
+        """The variable's flags reach the compiler after the fixed ones
+        (which it cannot drop) and select their own cached ``.so``."""
+        from repro.kernels import build
+
+        plain = build._source_key(build._VARIANTS[0], self.IDENT)
+        monkeypatch.setenv("REPRO_KERNEL_CFLAGS", "-g  -fsanitize=undefined")
+        assert build._extra_cflags() == ("-g", "-fsanitize=undefined")
+        assert build._source_key(build._VARIANTS[0], self.IDENT) != plain
+
         out = build.build()
-        (cmd,) = commands
+        (cmd,) = fake_cc.commands
         assert out.parent == tmp_path
         flags = cmd[1:cmd.index(str(build._SRC))]
         assert flags[: len(build.CFLAGS)] == list(build.CFLAGS)
+        assert flags[len(build.CFLAGS)] == build.HOST_ISA_FLAG  # before the extras: last wins
         assert flags[-2:] == ["-g", "-fsanitize=undefined"]
+        assert build.build_record()["flags"] == " ".join(flags)
+
+    def test_host_isa_token_is_part_of_the_key(self, fake_cc):
+        """A ``_build/`` shared by two hosts: the second host's token finds
+        no object of the first's, and compiles its own."""
+        from repro.kernels import build
+
+        native = build._VARIANTS[0]
+        assert build.HOST_ISA_FLAG in native
+        assert build._source_key(native, self.IDENT, "avx512f-00000000") != build._source_key(
+            native, self.IDENT, "avx2-11111111"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            first = build.build()
+            assert build.build() == first and len(fake_cc.commands) == 1  # cached
+            fake_cc.isa = "avx2-11111111"
+            second = build.build()
+        assert second != first and len(fake_cc.commands) == 2
+        assert build.build_record()["isa"] == "avx2-11111111"
+        assert build.build_record()["rung"] == "host-isa+threads"
+
+    def test_compiler_without_the_host_isa_flag_builds_the_baseline_rung(self, fake_cc):
+        """Silently: same bits, slower, visible in the record."""
+        from repro.kernels import build
+
+        fake_cc.isa = None  # the probe: flag rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = build.build()
+        (cmd,) = fake_cc.commands  # the host-ISA rungs were never compiled
+        assert build.HOST_ISA_FLAG not in cmd and "-pthread" in cmd
+        record = build.build_record()
+        assert record["rung"] == "baseline+threads" and record["isa"] == "baseline"
+        assert record["so"] == str(out)
+
+    def test_pthread_warning_only_when_a_serial_rung_built(self, fake_cc):
+        from repro.kernels import build
+
+        fake_cc.reject = {"-pthread"}
+        with pytest.warns(RuntimeWarning, match="pthread probe failed") as caught:
+            build.build()
+        assert len(caught) == 1
+        assert build.build_record()["rung"] == "host-isa"
+        assert [("-pthread" in c) for c in fake_cc.commands] == [True, False]
+
+    def test_bad_extra_flag_does_not_blame_pthread(self, monkeypatch, fake_cc):
+        """Every rung fails alike on a bad ``REPRO_KERNEL_CFLAGS``: one
+        fallback warning carrying the compiler's words, nothing about
+        pthread (the serial rungs failed too)."""
+        from repro.kernels import build, suite
+
+        monkeypatch.setenv("REPRO_KERNEL_CFLAGS", "-fbogus-flag")
+        fake_cc.reject = {"-fbogus-flag"}
+        monkeypatch.setattr(build, "_lib", None)
+        monkeypatch.setattr(build, "_lib_error", None)
+        monkeypatch.setattr(suite, "_COMPILED_SUITES", {})
+        monkeypatch.setattr(suite, "_warned", False)
+        with pytest.warns(RuntimeWarning) as caught:
+            assert get_suite("compiled").tier == "numpy"
+        (warning,) = caught
+        text = str(warning.message)
+        assert "falling back to the numpy tier" in text and "error: rejected" in text
+        assert "pthread probe" not in text and "thread support" not in text
+        assert len(fake_cc.commands) == len(build._VARIANTS)
+        with pytest.raises(build.KernelBuildError):
+            build.build()

@@ -441,6 +441,9 @@ class TestLiveServer:
             status = client.status("victim")
             if status["state"] == "RUNNING" and status["steps_done"] >= 2:
                 for w in client.metrics()["workers"]:
+                    # The online event said which kernel build the worker runs.
+                    assert w["kernel"]["tier"] == w["tier"]
+                    assert ("so" in w["kernel"]) == (w["tier"] == "compiled")
                     if "victim" in w["jobs"]:
                         victim_pid = w["pid"]
                 break

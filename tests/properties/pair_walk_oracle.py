@@ -22,6 +22,26 @@ def candidates(rng, n_atoms, blocks, n_cand):
     return ii[order], jj[order]
 
 
+def islands(rng, n_atoms, n_near=20):
+    """``(wrapped, ii, jj, lengths)`` whose candidate list has whole walk
+    blocks without a survivor.
+
+    Atoms ``0 .. n_near-1`` sit inside a 2 A ball; the rest sit half a
+    40 A box away from it.  Each near atom's row lists its near
+    partners (all inside a 4 A cutoff) and then every far atom (all
+    outside), sorted by ``(i, j)``: with ``n_atoms - n_near`` >= 600 far
+    partners per row, every row holds at least one block of 256
+    candidates that the filter empties, between blocks it does not.
+    """
+    lengths = np.array([40.0, 40.0, 40.0])
+    wrapped = np.empty((n_atoms, 3))
+    wrapped[:n_near] = 5.0 + rng.uniform(0, 1, (n_near, 3)) * 1.1
+    wrapped[n_near:] = [25.0, 25.0, 25.0] + rng.uniform(-3, 3, (n_atoms - n_near, 3))
+    ii, jj = np.triu_indices(n_atoms, k=1)
+    keep = ii < n_near
+    return wrapped, ii[keep].astype(np.int64), jj[keep].astype(np.int64), lengths
+
+
 def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
     """``(acc, oi, oj, e_lj, e_coul)`` of the three NumPy passes."""
     k = get_suite("numpy")

@@ -32,7 +32,7 @@ from repro.functions import KernelTableSet
 from repro.geometry import Box, NeighborPairs
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_solvated_protein, build_water_box
-from tests.properties.pair_walk_oracle import candidates
+from tests.properties.pair_walk_oracle import candidates, islands
 from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits, make_gse
 
 pytestmark = pytest.mark.skipif(
@@ -127,6 +127,29 @@ def test_rows_match_the_tabulated_kernel(suites, calc, seed, n_cand, blocks,
     wrapped[rng.integers(0, len(wrapped), 4), rng.integers(0, 3, 4)] = 0.0
     ii, jj = candidates(rng, n_atoms, blocks, n_cand)
     assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks, division_tables)
+
+
+@pytest.mark.parametrize("division_tables", [False, True], ids=["pow2", "divided"])
+@pytest.mark.parametrize("n_cand", [0, 1, 255, 256, 257])
+def test_rows_at_every_block_boundary_count(suites, calc, n_cand, division_tables):
+    """The rows share the walk's staged table arithmetic: the same grid
+    of candidate counts around one block, both offset forms."""
+    rng = np.random.default_rng(n_cand)
+    n_atoms = calc.system.n_atoms
+    lengths = np.array([6.5, 9.25, 7.0])
+    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    ii, jj = candidates(rng, n_atoms, 1, n_cand)
+    assert_rows_match(suites, calc, wrapped, ii, jj, lengths,
+                      division_tables=division_tables)
+
+
+def test_rows_through_blocks_without_a_survivor(suites, calc):
+    """Whole blocks of candidates the filter empties, between blocks it
+    does not: the rows after the gap land in the right slots."""
+    rng = np.random.default_rng(9)
+    blocks = 10
+    wrapped, ii, jj, lengths = islands(rng, blocks * calc.system.n_atoms)
+    assert assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks) == 190
 
 
 def test_rows_at_the_cutoff_and_the_table_end(suites, calc):

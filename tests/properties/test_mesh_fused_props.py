@@ -10,6 +10,13 @@ of a masked zero, and of the contracted forces — on non-cubic
 stencils, at the box faces, on the ``r² == c2`` sphere edge, at every
 chunk boundary, through replica row views, and at 1, 2 and 4 threads.
 
+The C kernels cut each atom's z row into its runs of contiguous mesh
+points and issue a run's points together; the run shapes that can go
+wrong have a property each below: a stencil wider than the mesh (three
+or more runs, bins one atom hits twice), ``kz == mz`` exactly, no wrap
+at all, an atom on every cell boundary, and an all-negative ``phi``
+(every masked gather entry is ``-0.0``).
+
 Skipped wholesale when the host has no C compiler.
 """
 
@@ -66,10 +73,10 @@ def edge_atoms() -> np.ndarray:
     ])
 
 
-def signed_phi(rng) -> np.ndarray:
+def signed_phi(rng, mesh=MESH) -> np.ndarray:
     """Potential with negative values and both zeros under masked points."""
-    phi = rng.normal(0, 1, MESH)
-    kind = rng.integers(0, 4, MESH)
+    phi = rng.normal(0, 1, mesh)
+    kind = rng.integers(0, 4, mesh)
     phi[kind == 0] = 0.0
     phi[kind == 1] = -0.0
     return phi
@@ -140,6 +147,90 @@ def test_chunk_boundaries_and_zero_charges(suites, n):
     q[::3] = 0.0
     check_plan(gse, pos, q, signed_phi(rng), suites)
     check_plan(gse, pos, np.zeros(n), signed_phi(rng), suites)
+
+
+def z_gse(lz: float, mz: int) -> GaussianSplitEwald:
+    """``make_gse`` with its z axis replaced: ``mz`` points over ``lz``."""
+    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=(16, 24, mz), spreading_cutoff=3.0)
+    return GaussianSplitEwald(Box(np.array([16.0, 12.0, lz])), params)
+
+
+def z_runs(plan) -> np.ndarray:
+    """Per atom, how many runs of consecutive mesh points its z row has."""
+    return 1 + np.count_nonzero(np.diff(plan.axis_i[2], axis=1) != 1, axis=1)
+
+
+@pytest.mark.parametrize("lz, mz, kz, runs", [
+    (3.0, 4, 9, (3,)),        # stencil wider than the mesh: bins hit 2-3 times
+    (2.0, 4, 13, (4,)),       # wider still: 3-4 times
+    (6.75, 9, 9, (1, 2)),     # kz == mz: every point of a column exactly once
+    (3.75, 5, 9, (2, 3)),     # one full period and a partial one
+])
+def test_stencil_as_wide_as_the_mesh_and_wider(suites, lz, mz, kz, runs):
+    """The z row wraps more than once: any number of runs is one loop.
+
+    In the float spread an atom then adds to the same bin several
+    times; the adds must land in z order (the bincount's)."""
+    rng = np.random.default_rng(mz)
+    gse = z_gse(lz, mz)
+    assert 2 * gse._offsets[2] + 1 == kz
+    n = 40
+    pos = rng.uniform(0, 1, (n, 3)) * gse.box.lengths
+    pos[:mz, 2] = np.arange(mz) * (lz / mz)  # every z0, on the mesh points
+    q = rng.uniform(-1, 1, n)
+    q[::5] = 0.0
+    oracle = check_plan(gse, pos, q, signed_phi(rng, gse.mesh), suites)
+    assert set(z_runs(oracle)) == set(runs)
+    if kz > mz:
+        assert len(np.unique(oracle.flat[0])) < oracle.flat.shape[1]  # repeated bins
+
+
+def test_no_wrap_at_all(suites):
+    """Atoms whose whole cube is interior: one run per column, everywhere."""
+    rng = np.random.default_rng(11)
+    gse = make_gse()
+    c = gse._offsets
+    lo, hi = c * gse.h, (np.array(MESH) - c - 1) * gse.h
+    pos = rng.uniform(lo, hi, (50, 3))
+    oracle = check_plan(gse, pos, rng.uniform(-1, 1, 50), signed_phi(rng), suites)
+    assert set(z_runs(oracle)) == {1}
+    for a in range(3):
+        assert np.all(np.diff(oracle.axis_i[a], axis=1) == 1)
+
+
+def test_an_atom_on_every_cell_boundary_of_a_16_cubed_mesh(suites):
+    """h == 1: atoms at every integer z (and one ulp under it), so the
+    z row's first run has every length 1..kz and the split falls at
+    every row position."""
+    rng = np.random.default_rng(16)
+    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=(16, 16, 16), spreading_cutoff=3.0)
+    gse = GaussianSplitEwald(Box(np.full(3, 16.0)), params)
+    k = np.arange(16.0)
+    on = np.stack([k, (5 * k) % 16, k], axis=1)
+    under = np.stack([(3 * k) % 16, k, np.nextafter(k + 1.0, 0.0)], axis=1)
+    pos = np.concatenate([on, under])
+    q = rng.uniform(-1, 1, len(pos))
+    q[::4] *= -1.0
+    oracle = check_plan(gse, pos, q, signed_phi(rng, gse.mesh), suites, chunk=5)
+    kz = oracle.shape[2]
+    first_run = np.where(
+        z_runs(oracle) == 1, kz, 16 - oracle.axis_i[2][:, 0].astype(int)
+    )
+    assert set(first_run) == set(range(1, kz + 1))
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_masked_gather_entries_keep_the_sign_of_phi(suites, sign):
+    """``phi`` of one sign: every point outside the sphere is ``phi * 0.0``,
+    a zero of that sign, and it reaches the contraction as such."""
+    rng = np.random.default_rng(2)
+    gse = make_gse()
+    pos = rng.uniform(0, 1, (30, 3)) * LENGTHS
+    phi = sign * (0.5 + rng.uniform(0, 1, MESH))
+    oracle = check_plan(gse, pos, rng.uniform(-1, 1, 30), phi, suites)
+    buf = np.take(phi.ravel(), oracle.flat) * oracle.w.reshape(oracle.flat.shape)
+    masked = oracle.w.reshape(oracle.flat.shape) == 0.0
+    assert masked.any() and np.all(np.signbit(buf[masked]) == (sign < 0))
 
 
 @pytest.mark.parametrize("replicas", [2, 3])

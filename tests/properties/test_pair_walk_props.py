@@ -31,7 +31,7 @@ from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
 from repro.systems import build_water_box
-from tests.properties.pair_walk_oracle import assert_walk_matches, candidates
+from tests.properties.pair_walk_oracle import assert_walk_matches, candidates, islands
 from tests.serial_backend import _force_export_side
 
 pytestmark = pytest.mark.skipif(
@@ -119,6 +119,60 @@ def test_walk_matches_numpy_passes(suites, calc, seed, n_cand, blocks, codec,
     ii, jj = candidates(rng, n_atoms, blocks, n_cand)
     spec = _spec(calc, codec, blocks, division_tables)
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, len(wrapped)))
+
+
+@pytest.mark.parametrize("division_tables", [False, True], ids=["pow2", "divided"])
+@pytest.mark.parametrize("codec", sorted(CODECS))
+@pytest.mark.parametrize("n_cand", [0, 1, 255, 256, 257])
+def test_walk_at_every_block_boundary_count(suites, calc, n_cand, codec, division_tables):
+    """The staged walk hands block-sized arrays from loop to loop: the
+    whole grid of candidate counts around one block, both quantizer
+    forms (and the clip) and both offset forms, not a sample of it."""
+    rng = np.random.default_rng(n_cand)
+    n_atoms = calc.system.n_atoms
+    lengths = np.array([6.5, 9.25, 7.0])
+    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    ii, jj = candidates(rng, n_atoms, 1, n_cand)
+    spec = _spec(calc, codec, division_tables=division_tables)
+    assert (spec.q_mul == 0.0) == (codec == "division")
+    assert (spec.e_inv is None) == division_tables and spec.d_inv is None
+    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+
+
+@pytest.mark.parametrize("codec", sorted(CODECS))
+def test_walk_through_blocks_without_a_survivor(suites, calc, codec):
+    """Blocks the filter empties, between blocks it does not: the stages
+    run on zero pairs, and the row sums carry across the gap."""
+    rng = np.random.default_rng(9)
+    blocks = 10
+    n_atoms = blocks * calc.system.n_atoms
+    wrapped, ii, jj, lengths = islands(rng, n_atoms)
+    spec = _spec(calc, codec, blocks)
+    survivors = assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+    assert survivors == 20 * 19 // 2
+    kept = np.zeros(len(ii), dtype=bool)
+    kept[jj < 20] = True
+    per_block = np.add.reduceat(kept, np.arange(0, len(ii), 256))
+    assert (per_block == 0).sum() >= 19 and (per_block > 0).sum() >= 19
+
+
+def test_saturating_codec_reaches_both_clips(calc):
+    """The ``saturating`` cases above do sit on the +-2^62 clip: the
+    oracle's own codes say so (and the walk equals the oracle)."""
+    rng = np.random.default_rng(4)
+    n_atoms = calc.system.n_atoms
+    lengths = np.array([6.5, 9.25, 7.0])
+    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    ii, jj = candidates(rng, n_atoms, 1, 257)
+    spec = _spec(calc, "saturating")
+    k = get_suite("numpy")
+    n = len(ii)
+    oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    odx, or2 = np.empty((n, 3)), np.empty(n)
+    m = k.pair_filter(wrapped, ii, jj, lengths, spec.cutoff2, oi, oj, odx, or2)
+    codes = np.empty((m, 3), dtype=np.int64)
+    k.pair_table_codes(spec, oi[:m], oj[:m], odx[:m], or2[:m], codes, np.empty(m), np.empty(m))
+    assert codes.max() == 2**62 and codes.min() == -(2**62)
 
 
 @given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())

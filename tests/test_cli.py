@@ -12,6 +12,28 @@ class TestCLI:
         assert "SC 2009" in out
         assert "Table 3" in out
 
+    @pytest.mark.parametrize("tier", ["numpy", "compiled"])
+    def test_info_names_the_kernel_build(self, capsys, monkeypatch, tier):
+        """One ``kernel:`` line: tier and threads, and for the compiled
+        tier which build — compiler, flags, host ISA, ladder rung, file."""
+        from repro.kernels import available, build
+
+        if tier == "compiled" and not available():
+            pytest.skip("no C compiler: compiled kernel tier unavailable")
+        monkeypatch.setenv("REPRO_KERNEL_TIER", tier)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS", "1")
+        assert main(["info"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("kernel:")]
+        assert line.startswith(f"kernel: {tier} (threads: 1)")
+        if tier == "numpy":
+            assert line == "kernel: numpy (threads: 1)"
+            return
+        record = build.build_record()
+        assert record["rung"] in ("host-isa+threads", "host-isa", "baseline+threads", "baseline")
+        for field in ("compiler", "flags", "isa", "rung", "so"):
+            assert record[field] in line
+        assert "-ffp-contract=off" in record["flags"] and record["so"].endswith(".so")
+
     def test_perf_default(self, capsys):
         assert main(["perf"]) == 0
         out = capsys.readouterr().out
