@@ -9,7 +9,9 @@ def add_kernel_flags(p) -> None:
                         "default: $REPRO_KERNEL_TIER, else compiled where the C "
                         "extension builds (about 1 s, once) and numpy otherwise")
     p.add_argument("--kernel-threads", type=int, default=None, metavar="T",
-                   help="compiled-tier worker threads (bitwise identical for "
+                   help="compiled-tier threads farming the lanes of a stacked "
+                        "mesh pass (ensemble replicas, serve batches; a single "
+                        "system runs single-threaded; bitwise identical for "
                         "every T); default: $REPRO_KERNEL_THREADS or 1")
 
 

@@ -414,8 +414,10 @@ class EnsembleSimulation(LaneEngine):
     as ``system.initialize_velocities(temperature, seed=seeds[r])``
     would solo; with ``seeds=None`` all ``replicas`` blocks start from
     the solo velocities verbatim.  ``kernel_tier`` picks the kernel
-    suite and ``kernel_threads`` its worker-lane count (defaults: the
-    ``REPRO_KERNEL_TIER`` / ``REPRO_KERNEL_THREADS`` environment
+    suite and ``kernel_threads`` how many Python threads the compiled
+    tier farms the R lanes of the mesh pass over — per-replica spread,
+    FFT and gather; every other phase is single-threaded (defaults:
+    the ``REPRO_KERNEL_TIER`` / ``REPRO_KERNEL_THREADS`` environment
     resolution).  Both knobs are bitwise-invisible.
 
     Per-replica artifacts (energy records, trajectory frames,

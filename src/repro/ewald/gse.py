@@ -730,24 +730,20 @@ class GaussianSplitEwald:
         One plan covers all R·n rows; each lane spreads and gathers over
         its own row view of it (chunk loops restart there, so the
         chunk-sensitive float spread keeps the lane's solo bits) into
-        its own mesh slab and force rows.  A single lane runs on
-        ``kernels`` itself, C lanes included.  Several lanes are the
-        parallel unit instead: farmed through ``kernels.map_chunks`` (a
-        plain loop at one thread) on the single-threaded
-        ``kernels.serial``, since the C lanes belong to the process-wide
-        pool and are never nested inside Python worker threads.  Lanes
-        write disjoint outputs, so farming cannot reorder a reduction.
+        its own mesh slab and force rows.  The lanes are the parallel
+        unit: farmed through ``kernels.map_chunks`` (a plain loop at one
+        thread or one lane), every lane calling the same single-threaded
+        kernels.  Lanes write disjoint outputs, so farming cannot
+        reorder a reduction.
         """
         R = int(lanes)
         n = len(positions) // R
         charges = np.asarray(charges, dtype=np.float64)
         time = timers.time if timers is not None else (lambda name: nullcontext())
-        farm = kernels if R > 1 and kernels is not None else None
-        suite = kernels if farm is None else farm.serial
 
         def each_lane(fn) -> None:
-            if farm is not None:
-                farm.map_chunks(fn, R)
+            if kernels is not None:
+                kernels.map_chunks(fn, R)
             else:
                 for r in range(R):
                     fn(r)
@@ -758,10 +754,10 @@ class GaussianSplitEwald:
         with time("mesh_spread"):
             if codec is not None:
                 acc = plan._accumulator(R)
-                each_lane(lambda r: views[r].spread_codes(charges, acc[r], codec, kernels=suite))
+                each_lane(lambda r: views[r].spread_codes(charges, acc[r], codec, kernels=kernels))
             else:
                 Q = np.zeros((R, self.mesh_point_count()))
-                each_lane(lambda r: views[r].spread_float(charges, Q[r], kernels=suite))
+                each_lane(lambda r: views[r].spread_float(charges, Q[r], kernels=kernels))
         if codec is not None:
             with time("mesh_unquantize"):
                 Q = codec.reconstruct(codec.wrap(acc))
@@ -769,7 +765,7 @@ class GaussianSplitEwald:
         if before_solve is not None:
             before_solve()
         with time("mesh_fft"):
-            if farm is not None and farm.threads > 1:
+            if kernels is not None and kernels.threads > 1 and R > 1:
                 # Per-lane solo transforms in worker threads: the
                 # stacked solve is pinned bitwise to R solo solves, so
                 # this is the same bytes with the lane axis farmed out
@@ -779,14 +775,14 @@ class GaussianSplitEwald:
                 def solve_lane(r):
                     phi[r], energies[r] = self.solve(Q[r])
 
-                farm.map_chunks(solve_lane, R)
+                kernels.map_chunks(solve_lane, R)
             else:
                 phi, energies = self.solve_stack(Q)
         with time("mesh_interp"):
             forces = np.empty((R * n, 3))
             each_lane(
                 lambda r: views[r].interpolate_forces(
-                    charges, phi[r], out=forces[r * n : (r + 1) * n], kernels=suite
+                    charges, phi[r], out=forces[r * n : (r + 1) * n], kernels=kernels
                 )
             )
         return energies, forces

@@ -28,215 +28,15 @@
  * scalar or packed, wherever it is in range — DESIGN.md, vector-width
  * lemma.  There are no intrinsics and no ISA conditionals here: one plain
  * C implementation per kernel, whatever the target.
+ *
+ * Every kernel is single-threaded and the file holds no mutable global:
+ * a call touches only the arrays it is handed, so Python threads may run
+ * kernels concurrently on disjoint outputs (kernels/suite.py: map_chunks).
  */
 
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
-
-/* ------------------------------------------------------------------ */
-/* Deterministic thread pool                                          */
-/*                                                                    */
-/* One persistent pool per process: workers are spawned lazily on the */
-/* first multithreaded call and then park on a condition variable     */
-/* between jobs (no per-call pthread_create).  A job is a task        */
-/* function fn(arg, tid, nthreads); the caller participates as tid 0  */
-/* and blocks until every worker has finished, so a kernel call       */
-/* returns only when all of its writes are visible.                   */
-/*                                                                    */
-/* Determinism contract: a task either writes to outputs that are     */
-/* disjoint per (tid, chunk) — in which case the thread count is      */
-/* trivially invisible — or it accumulates into a per-thread int64    */
-/* partial that is reduced with wrapping adds, which are associative  */
-/* and commutative, so the reduction order (and hence the thread      */
-/* count and scheduling) cannot change the result bits.  No kernel    */
-/* in this file performs a cross-thread float reduction.              */
-/*                                                                    */
-/* Compiled with -DRK_THREADS=0 (no usable pthreads) every entry      */
-/* point below still exists but rk_run degenerates to a direct call   */
-/* with nthreads == 1, which is exactly the serial kernel.            */
-/* ------------------------------------------------------------------ */
-
-#ifndef RK_THREADS
-#define RK_THREADS 0
-#endif
-
-#define RK_MAX_THREADS 256
-
-typedef void (*rk_task_fn)(void *arg, int64_t tid, int64_t nthreads);
-
-/* Static block split: [lo, hi) of n items for thread tid of nt. */
-static void rk_chunk(int64_t n, int64_t tid, int64_t nt,
-                     int64_t *lo, int64_t *hi)
-{
-    int64_t q = n / nt, r = n % nt;
-    *lo = tid * q + (tid < r ? tid : r);
-    *hi = *lo + q + (tid < r ? 1 : 0);
-}
-
-#if RK_THREADS
-
-#include <pthread.h>
-
-static pthread_mutex_t rk_job_mu = PTHREAD_MUTEX_INITIALIZER; /* one job at a time */
-static pthread_mutex_t rk_mu = PTHREAD_MUTEX_INITIALIZER;
-static pthread_cond_t rk_cv_work = PTHREAD_COND_INITIALIZER;
-static pthread_cond_t rk_cv_done = PTHREAD_COND_INITIALIZER;
-static int64_t rk_spawned = 0;  /* live workers (caller excluded)    */
-static uint64_t rk_seq = 0;     /* job generation counter            */
-static int64_t rk_pending = 0;  /* workers still inside current job  */
-static rk_task_fn rk_fn = 0;
-static void *rk_arg = 0;
-static int64_t rk_nt = 1;
-
-typedef struct {
-    int64_t tid;
-    uint64_t seen0; /* rk_seq at spawn: jobs at or before it are not ours */
-} rk_worker_init;
-
-static rk_worker_init rk_winit[RK_MAX_THREADS];
-
-static void *rk_worker(void *p)
-{
-    rk_worker_init *init = (rk_worker_init *)p;
-    int64_t tid = init->tid;
-    uint64_t seen = init->seen0;
-    pthread_mutex_lock(&rk_mu);
-    for (;;) {
-        while (rk_seq == seen)
-            pthread_cond_wait(&rk_cv_work, &rk_mu);
-        seen = rk_seq;
-        if (tid < rk_nt) {
-            rk_task_fn fn = rk_fn;
-            void *arg = rk_arg;
-            int64_t nt = rk_nt;
-            pthread_mutex_unlock(&rk_mu);
-            fn(arg, tid, nt);
-            pthread_mutex_lock(&rk_mu);
-            if (--rk_pending == 0)
-                pthread_cond_signal(&rk_cv_done);
-        }
-    }
-    return 0;
-}
-
-/* After fork the worker threads do not exist in the child (only the
- * forking thread survives), so reset the pool bookkeeping; the child
- * respawns workers lazily on its next multithreaded call.  The
- * multiprocess machine backend forks from the main thread between
- * kernel calls, so no job is in flight at fork time. */
-static void rk_atfork_child(void)
-{
-    pthread_mutex_init(&rk_job_mu, 0);
-    pthread_mutex_init(&rk_mu, 0);
-    pthread_cond_init(&rk_cv_work, 0);
-    pthread_cond_init(&rk_cv_done, 0);
-    rk_spawned = 0;
-    rk_pending = 0;
-    rk_seq = 0;
-    rk_nt = 1;
-}
-
-static pthread_once_t rk_once = PTHREAD_ONCE_INIT;
-
-static void rk_install_atfork(void)
-{
-    pthread_atfork(0, 0, rk_atfork_child);
-}
-
-/* Run fn over nthreads lanes; returns the lane count actually used
- * (spawn failure degrades gracefully toward serial). */
-static int64_t rk_run(rk_task_fn fn, void *arg, int64_t nthreads)
-{
-    if (nthreads > RK_MAX_THREADS)
-        nthreads = RK_MAX_THREADS;
-    if (nthreads <= 1) {
-        fn(arg, 0, 1);
-        return 1;
-    }
-    pthread_once(&rk_once, rk_install_atfork);
-    pthread_mutex_lock(&rk_job_mu);
-    pthread_mutex_lock(&rk_mu);
-    while (rk_spawned < nthreads - 1) {
-        pthread_t th;
-        pthread_attr_t at;
-        rk_worker_init *init = &rk_winit[rk_spawned + 1];
-        init->tid = rk_spawned + 1;
-        init->seen0 = rk_seq;
-        pthread_attr_init(&at);
-        pthread_attr_setdetachstate(&at, PTHREAD_CREATE_DETACHED);
-        if (pthread_create(&th, &at, rk_worker, init) != 0) {
-            pthread_attr_destroy(&at);
-            break;
-        }
-        pthread_attr_destroy(&at);
-        rk_spawned++;
-    }
-    if (nthreads > rk_spawned + 1)
-        nthreads = rk_spawned + 1;
-    if (nthreads <= 1) {
-        pthread_mutex_unlock(&rk_mu);
-        pthread_mutex_unlock(&rk_job_mu);
-        fn(arg, 0, 1);
-        return 1;
-    }
-    rk_fn = fn;
-    rk_arg = arg;
-    rk_nt = nthreads;
-    rk_pending = nthreads - 1;
-    rk_seq++;
-    pthread_cond_broadcast(&rk_cv_work);
-    pthread_mutex_unlock(&rk_mu);
-    fn(arg, 0, nthreads); /* caller is lane 0 */
-    pthread_mutex_lock(&rk_mu);
-    while (rk_pending > 0)
-        pthread_cond_wait(&rk_cv_done, &rk_mu);
-    pthread_mutex_unlock(&rk_mu);
-    pthread_mutex_unlock(&rk_job_mu);
-    return nthreads;
-}
-
-#else /* !RK_THREADS: serial fallback, same entry points */
-
-static int64_t rk_run(rk_task_fn fn, void *arg, int64_t nthreads)
-{
-    (void)nthreads;
-    fn(arg, 0, 1);
-    return 1;
-}
-
-#endif
-
-/* Probe for the Python layer: 1 when this build can actually fan out. */
-int64_t rk_threads_available(void)
-{
-    return RK_THREADS ? 1 : 0;
-}
-
-/* Fixed-order wrapping-add reduction of per-thread int64 partials
- * into the shared accumulator, parallel over disjoint element ranges.
- * Each element's sum runs over lanes t = 0..nparts-1 in order; int64
- * wrap-add is associative and commutative, so any other shape (tree,
- * reversed, interleaved) would give identical bits — the property
- * tests assert this rather than assume it. */
-typedef struct {
-    int64_t *acc;
-    const int64_t *part;
-    int64_t nelem, nparts;
-} rk_red_arg;
-
-static void rk_reduce_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_red_arg *a = (rk_red_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->nelem, tid, nt, &lo, &hi);
-    uint64_t *acc = (uint64_t *)a->acc;
-    for (int64_t t = 0; t < a->nparts; t++) {
-        const uint64_t *pt = (const uint64_t *)(a->part + t * a->nelem);
-        for (int64_t e = lo; e < hi; e++)
-            acc[e] += pt[e];
-    }
-}
 
 /* Segment-lookup acceleration grid: maps u in [0, 1) to a starting
  * segment index; a short forward scan lands on the exact segment,
@@ -329,59 +129,6 @@ int64_t rk_pair_filter(int64_t n_cand, const int64_t *ii, const int64_t *jj,
     return m;
 }
 
-/* Threaded cutoff filter.  Phase 1: each lane filters a static chunk
- * of the candidate range, compacting survivors *in place* at its
- * chunk's own start offset (the output scratch is sized to the full
- * candidate count, so lane writes never collide).  Phase 2 (serial):
- * left-pack the per-lane runs in lane order.  Survivors within a
- * chunk keep candidate order and chunks are packed in candidate
- * order, so the output is byte-identical to the serial scan for ANY
- * chunking — the lane count is invisible. */
-typedef struct {
-    int64_t n;
-    const int64_t *ii, *jj;
-    const double *w, *L;
-    double cutoff2;
-    int64_t *oi, *oj;
-    double *odx, *or2;
-    int64_t *counts, *offs; /* per-lane survivor counts / chunk starts */
-} rk_pf_arg;
-
-static void rk_pair_filter_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_pf_arg *a = (rk_pf_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    a->offs[tid] = lo;
-    a->counts[tid] = rk_pair_filter(
-        hi - lo, a->ii + lo, a->jj + lo, a->w, a->L, a->cutoff2,
-        a->oi + lo, a->oj + lo, a->odx + 3 * lo, a->or2 + lo);
-}
-
-int64_t rk_pair_filter_mt(int64_t n_cand, const int64_t *ii, const int64_t *jj,
-                          const double *w, const double *L, double cutoff2,
-                          int64_t *oi, int64_t *oj, double *odx, double *or2,
-                          int64_t nthreads, int64_t *scratch /* 2*nthreads */)
-{
-    if (nthreads <= 1 || n_cand < nthreads)
-        return rk_pair_filter(n_cand, ii, jj, w, L, cutoff2, oi, oj, odx, or2);
-    rk_pf_arg a = {n_cand, ii, jj, w, L, cutoff2, oi, oj, odx, or2,
-                   scratch, scratch + nthreads};
-    int64_t nt = rk_run(rk_pair_filter_task, &a, nthreads);
-    int64_t m = a.counts[0];
-    for (int64_t t = 1; t < nt; t++) {
-        int64_t src = a.offs[t], c = a.counts[t];
-        if (c && src != m) { /* dst <= src: memmove packs leftward */
-            memmove(oi + m, oi + src, (size_t)c * sizeof *oi);
-            memmove(oj + m, oj + src, (size_t)c * sizeof *oj);
-            memmove(odx + 3 * m, odx + 3 * src, (size_t)(3 * c) * sizeof *odx);
-            memmove(or2 + m, or2 + src, (size_t)c * sizeof *or2);
-        }
-        m += c;
-    }
-    return m;
-}
-
 /* -- neighbor-list rebuild ------------------------------------------- */
 
 /* NeighborList._build_inner in one pass: every pair i < j of the same
@@ -403,9 +150,7 @@ int64_t rk_pair_filter_mt(int64_t n_cand, const int64_t *ii, const int64_t *jj,
  * partners are cleared from it, and the set bits are emitted in
  * ascending j.
  *
- * Serial by design: at a few percent of a step the rebuild is not a hot
- * loop, and one entry point serves every thread count.  Positions must
- * be wrapped into [0, L). */
+ * Positions must be wrapped into [0, L). */
 
 #define RK_NB_SLACK (1.0 + 1e-9)
 
@@ -773,8 +518,7 @@ static inline void rk_quantize(int64_t nb, const double *restrict pf,
  * each code added to atom i's row sum, held in registers while i repeats
  * (the list is sorted by i), and subtracted from acc[j].  uint64 adds
  * wrap like int64 and commute, so the deposit order is invisible.  The
- * arrays must not overlap.  Serial at every thread count.  Returns the
- * surviving pair count. */
+ * arrays must not overlap.  Returns the surviving pair count. */
 int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
                      const int64_t *restrict jj, const double *restrict w,
                      const double *L, const rk_pair_spec *s,
@@ -829,7 +573,7 @@ int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
  * p * dx on atom i, and the two energies.  Nothing is summed here: float
  * addition does not commute, so the rows go to rk_deposit_pairs_float in
  * NumPy's order.  rows is (n_cand, 3); the other outputs as for the
- * walk.  Serial at every thread count.  Returns the surviving count. */
+ * walk.  Returns the surviving count. */
 int64_t rk_pair_rows(int64_t n_cand, const int64_t *restrict ii,
                      const int64_t *restrict jj, const double *restrict w,
                      const double *L, const rk_pair_spec *s,
@@ -915,7 +659,7 @@ void rk_scatter_rows(int64_t *acc, const int64_t *idx, const int64_t *codes,
 /* np.add.at(F, pi, f); np.add.at(F, pj, -f) over (n, 3) rows, in that
  * order: every i row in pair order, then every j row in pair order.
  * Float addition does not commute, so the fused one-loop form of
- * rk_deposit_pairs is a different sum; there is no threaded form. */
+ * rk_deposit_pairs is a different sum. */
 void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
                             const double *f, int64_t n)
 {
@@ -931,76 +675,6 @@ void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
         r[1] += -f[3 * k + 1];
         r[2] += -f[3 * k + 2];
     }
-}
-
-/* -- threaded deposits: per-lane partials + order-free wrap reduce ----- */
-
-/* Each threaded deposit follows the same two-phase shape: every lane
- * zeroes its own full-size int64 partial and accumulates its chunk of
- * the input into it, then rk_reduce_task folds the partials into acc
- * over disjoint element ranges.  Both phases are bitwise order-free:
- * the accumulate phase because lanes touch disjoint partials, the
- * reduce because int64 wrapping add is associative and commutative.
- * nparts for the reduce is the EFFECTIVE lane count returned by the
- * first rk_run — a degraded spawn must not fold unzeroed partials. */
-
-typedef struct {
-    int64_t *part;          /* (nthreads, nelem) */
-    const int64_t *pi, *pj, *idx, *codes;
-    int64_t n, nelem;
-} rk_dep_arg;
-
-static void rk_deposit_pairs_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_dep_arg *a = (rk_dep_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    int64_t *mine = a->part + tid * a->nelem;
-    memset(mine, 0, (size_t)a->nelem * sizeof(int64_t));
-    rk_deposit_pairs(mine, a->pi + lo, a->pj + lo, a->codes + 3 * lo,
-                     hi - lo);
-}
-
-void rk_deposit_pairs_mt(int64_t *acc, const int64_t *pi, const int64_t *pj,
-                         const int64_t *codes, int64_t n, int64_t nelem,
-                         int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_deposit_pairs(acc, pi, pj, codes, n);
-        return;
-    }
-    rk_dep_arg a;
-    a.part = part; a.pi = pi; a.pj = pj; a.idx = NULL;
-    a.codes = codes; a.n = n; a.nelem = nelem;
-    int64_t nt = rk_run(rk_deposit_pairs_task, &a, nthreads);
-    rk_red_arg r = {acc, part, nelem, nt};
-    rk_run(rk_reduce_task, &r, nt);
-}
-
-static void rk_scatter_rows_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_dep_arg *a = (rk_dep_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->n, tid, nt, &lo, &hi);
-    int64_t *mine = a->part + tid * a->nelem;
-    memset(mine, 0, (size_t)a->nelem * sizeof(int64_t));
-    rk_scatter_rows(mine, a->idx + lo, a->codes + 3 * lo, hi - lo);
-}
-
-void rk_scatter_rows_mt(int64_t *acc, const int64_t *idx,
-                        const int64_t *codes, int64_t n, int64_t nelem,
-                        int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_scatter_rows(acc, idx, codes, n);
-        return;
-    }
-    rk_dep_arg a;
-    a.part = part; a.pi = NULL; a.pj = NULL; a.idx = idx;
-    a.codes = codes; a.n = n; a.nelem = nelem;
-    int64_t nt = rk_run(rk_scatter_rows_task, &a, nthreads);
-    rk_red_arg r = {acc, part, nelem, nt};
-    rk_run(rk_reduce_task, &r, nt);
 }
 
 /* -- SHAKE / RATTLE ---------------------------------------------------- */
@@ -1166,94 +840,6 @@ void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
                   d2_all);
 }
 
-/* Threaded constraint batches: replicas are independent (disjoint
- * pos/vel rows, read-only shared topology), so lanes chunk the replica
- * axis and run the solo routine with per-lane scratch.  Per-replica
- * convergence exits live inside rk_shake/rk_rattle and are untouched. */
-
-typedef struct {
-    int64_t nrep, natoms, ncon, nbatch, iters;
-    double tol;
-    double *pos, *vel;
-    const double *ref, *cpos, *d2, *inv, *L;
-    const int64_t *ci, *cj, *order, *starts;
-    double *scr_a;          /* (nthreads, 3*ncon): dref / dx_all */
-    double *scr_b;          /* (nthreads, ncon): d2_all (rattle only) */
-} rk_cb_arg;
-
-static void rk_shake_batch_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_cb_arg *a = (rk_cb_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->nrep, tid, nt, &lo, &hi);
-    double *dref = a->scr_a + tid * 3 * a->ncon;
-    for (int64_t r = lo; r < hi; r++)
-        rk_shake(a->pos + 3 * a->natoms * r, a->ref + 3 * a->natoms * r,
-                 a->ci, a->cj, a->d2, a->inv, a->L, a->ncon, a->order,
-                 a->starts, a->nbatch, a->iters, a->tol, dref);
-}
-
-void rk_shake_batch_mt(int64_t nrep, int64_t natoms, double *pos,
-                       const double *ref, const int64_t *ci,
-                       const int64_t *cj, const double *d2,
-                       const double *inv, const double *L, int64_t ncon,
-                       const int64_t *order, const int64_t *starts,
-                       int64_t nbatch, int64_t iters, double tol,
-                       double *scratch, int64_t nthreads)
-{
-    if (nthreads <= 1 || nrep <= 1) {
-        rk_shake_batch(nrep, natoms, pos, ref, ci, cj, d2, inv, L, ncon,
-                       order, starts, nbatch, iters, tol, scratch);
-        return;
-    }
-    rk_cb_arg a;
-    a.nrep = nrep; a.natoms = natoms; a.ncon = ncon; a.nbatch = nbatch;
-    a.iters = iters; a.tol = tol;
-    a.pos = pos; a.vel = NULL; a.ref = ref; a.cpos = NULL;
-    a.d2 = d2; a.inv = inv; a.L = L;
-    a.ci = ci; a.cj = cj; a.order = order; a.starts = starts;
-    a.scr_a = scratch; a.scr_b = NULL;
-    rk_run(rk_shake_batch_task, &a, nthreads);
-}
-
-static void rk_rattle_batch_task(void *p, int64_t tid, int64_t nt)
-{
-    rk_cb_arg *a = (rk_cb_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->nrep, tid, nt, &lo, &hi);
-    double *dx_all = a->scr_a + tid * 3 * a->ncon;
-    double *d2_all = a->scr_b + tid * a->ncon;
-    for (int64_t r = lo; r < hi; r++)
-        rk_rattle(a->vel + 3 * a->natoms * r, a->cpos + 3 * a->natoms * r,
-                  a->ci, a->cj, a->inv, a->L, a->ncon, a->order, a->starts,
-                  a->nbatch, a->iters, a->tol, dx_all, d2_all);
-}
-
-void rk_rattle_batch_mt(int64_t nrep, int64_t natoms, double *vel,
-                        const double *pos, const int64_t *ci,
-                        const int64_t *cj, const double *inv,
-                        const double *L, int64_t ncon,
-                        const int64_t *order, const int64_t *starts,
-                        int64_t nbatch, int64_t iters, double tol,
-                        double *dx_scratch, double *d2_scratch,
-                        int64_t nthreads)
-{
-    if (nthreads <= 1 || nrep <= 1) {
-        rk_rattle_batch(nrep, natoms, vel, pos, ci, cj, inv, L, ncon,
-                        order, starts, nbatch, iters, tol, dx_scratch,
-                        d2_scratch);
-        return;
-    }
-    rk_cb_arg a;
-    a.nrep = nrep; a.natoms = natoms; a.ncon = ncon; a.nbatch = nbatch;
-    a.iters = iters; a.tol = tol;
-    a.pos = NULL; a.vel = vel; a.ref = NULL; a.cpos = pos;
-    a.d2 = NULL; a.inv = inv; a.L = L;
-    a.ci = ci; a.cj = cj; a.order = order; a.starts = starts;
-    a.scr_a = dx_scratch; a.scr_b = d2_scratch;
-    rk_run(rk_rattle_batch_task, &a, nthreads);
-}
-
 /* -- fused mesh spread / gather ------------------------------------------ */
 
 /* GSE's atom-to-mesh-point weight is separable, so neither direction
@@ -1283,7 +869,7 @@ typedef struct { /* field for field kernels/build.py: MeshAxes */
  * mod mz (MeshStencilPlan.build: mod(base - c .. base + c, mz)), so the
  * row is a sequence of maximal runs of contiguous mesh points: the run
  * that starts at row position zs covers mesh points izi[zs] .. up to the
- * end of the mesh or of the row, whichever comes first (rk_run_end is
+ * end of the mesh or of the row, whichever comes first (rk_zrun_end is
  * that row position), and the next one restarts at mesh point 0.  One
  * or two runs whenever kz <= mz, more for a stencil wider than the mesh;
  * the loop over runs is the only path either way.  Inside a run every
@@ -1291,7 +877,7 @@ typedef struct { /* field for field kernels/build.py: MeshAxes */
  * a select, which is what lets the compiler use the host's vector unit
  * (DESIGN.md, vector-width lemma: each lane is the same correctly
  * rounded operation the scalar loop performs). */
-static inline int64_t rk_run_end(const int32_t *iz, int64_t zs, int64_t kz,
+static inline int64_t rk_zrun_end(const int32_t *iz, int64_t zs, int64_t kz,
                                  int64_t mz)
 {
     int64_t ze = zs + (mz - iz[zs]);
@@ -1320,18 +906,18 @@ static inline void rk_spread_run(uint64_t *restrict col,
     }
 }
 
-/* MeshStencilPlan.spread_codes: acc[idx] += rint(w * qc).  A masked
- * point's code is rint(+-0.0) == 0 for every finite qc, and integer
- * zeros add nothing: a masked lane adds the integer 0, and a column
- * wholly outside the sphere is skipped. */
-static void rk_mesh_spread_range(const rk_axes *ax, double c2,
-                                 const double *qc, int64_t *acc,
-                                 int64_t lo, int64_t hi)
+/* MeshStencilPlan.spread_codes: acc[idx] += rint(w * qc) for atoms
+ * [0, n) into the flat int64 mesh `acc`.  A masked point's code is
+ * rint(+-0.0) == 0 for every finite qc, and integer zeros add nothing:
+ * a masked lane adds the integer 0, and a column wholly outside the
+ * sphere is skipped. */
+void rk_mesh_spread_axes(const rk_axes *ax, int64_t n, double c2,
+                         const double *qc, int64_t *acc)
 {
     const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
     uint64_t *m = (uint64_t *)acc;
     double dz2[kz];
-    for (int64_t i = lo; i < hi; i++) {
+    for (int64_t i = 0; i < n; i++) {
         RK_ATOM_ROWS(ax, i);
         const double q = qc[i];
         rk_row_squares(dzi, kz, dz2);
@@ -1343,7 +929,7 @@ static void rk_mesh_spread_range(const rk_axes *ax, double c2,
                 double wxy = wxi[x] * wyi[y];
                 uint64_t *col = m + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
                 for (int64_t zs = 0, ze; zs < kz; zs = ze) {
-                    ze = rk_run_end(izi, zs, kz, mz);
+                    ze = rk_zrun_end(izi, zs, kz, mz);
                     rk_spread_run(col + izi[zs], wzi + zs, dz2 + zs, ze - zs,
                                   r2xy, wxy, q, c2);
                 }
@@ -1375,7 +961,7 @@ static inline void rk_spread_float_run(double *restrict col,
 /* MeshStencilPlan.spread_float: per `chunk` atoms, a float64 bincount
  * in element order (part[idx] += w * q from +0.0 bins), then
  * mesh += part.  Float sums do not commute, so this is the one order
- * NumPy uses and there is no threaded form: atoms in order, columns in
+ * NumPy uses: atoms in order, columns in
  * (x, y) order, runs in z order, and within a run every bin is a
  * different mesh point, so each bin still sees its addends in NumPy's
  * order however wide the run's adds are issued.  A point outside the
@@ -1401,7 +987,7 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
                     double *col =
                         part + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
                     for (int64_t zs = 0, ze; zs < kz; zs = ze) {
-                        ze = rk_run_end(izi, zs, kz, mz);
+                        ze = rk_zrun_end(izi, zs, kz, mz);
                         rk_spread_float_run(col + izi[zs], wzi + zs, dz2 + zs,
                                             ze - zs, r2xy, wxy, q[i], c2);
                     }
@@ -1427,13 +1013,12 @@ static inline void rk_gather_run(double *restrict out,
 }
 
 /* MeshStencilPlan.interpolate_forces, gather half: row i - lo of out
- * is phi[idx] * w for atom i.  Masked points are written as
+ * is phi[idx] * w for atom i of [lo, hi).  Masked points are written as
  * phi[idx] * 0.0, not 0.0: NumPy's take-then-multiply leaves -0.0
  * under a negative phi (and NaN under a non-finite one), and the BLAS
  * contraction downstream sees the sign. */
-static void rk_mesh_gather_range(const rk_axes *ax, double c2,
-                                 const double *phi, double *out,
-                                 int64_t lo, int64_t hi)
+void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
+                         double c2, const double *phi, double *out)
 {
     const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
     double dz2[kz];
@@ -1447,71 +1032,10 @@ static void rk_mesh_gather_range(const rk_axes *ax, double c2,
                 const double *col =
                     phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
                 for (int64_t zs = 0, ze; zs < kz; zs = ze) {
-                    ze = rk_run_end(izi, zs, kz, mz);
+                    ze = rk_zrun_end(izi, zs, kz, mz);
                     rk_gather_run(out + zs, col + izi[zs], wzi + zs, dz2 + zs,
                                   ze - zs, r2xy, wxy, c2);
                 }
             }
     }
-}
-
-typedef struct {
-    const rk_axes *ax;
-    int64_t lo, hi;
-    int64_t stride;    /* spread: mesh points; gather: cube points    */
-    double c2;
-    const double *src; /* spread: qc, one per atom; gather: phi mesh  */
-    int64_t *part;     /* spread: (nthreads, npts) per-lane meshes    */
-    double *out;       /* gather: (hi - lo, kx*ky*kz)                 */
-} rk_mesh_arg;
-
-/* Lane tid zeroes its own partial mesh and spreads its block of atoms
- * into it (the two-phase shape of the threaded deposits above). */
-static void rk_mesh_spread_task(void *p, int64_t tid, int64_t nt)
-{
-    const rk_mesh_arg *a = (const rk_mesh_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->hi, tid, nt, &lo, &hi);
-    int64_t *mine = a->part + tid * a->stride;
-    memset(mine, 0, (size_t)a->stride * sizeof(int64_t));
-    rk_mesh_spread_range(a->ax, a->c2, a->src, mine, lo, hi);
-}
-
-/* Atoms [0, n) into the flat int64 mesh `acc` of npts points; with
- * nthreads > 1, through the (nthreads, npts) per-lane partials `part`. */
-void rk_mesh_spread_axes(const rk_axes *ax, int64_t n, double c2,
-                         const double *qc, int64_t *acc, int64_t npts,
-                         int64_t *part, int64_t nthreads)
-{
-    if (nthreads <= 1 || n < nthreads) {
-        rk_mesh_spread_range(ax, c2, qc, acc, 0, n);
-        return;
-    }
-    rk_mesh_arg a = {ax, 0, n, npts, c2, qc, part, NULL};
-    int64_t nt = rk_run(rk_mesh_spread_task, &a, nthreads);
-    rk_red_arg r = {acc, part, npts, nt};
-    rk_run(rk_reduce_task, &r, nt);
-}
-
-/* Each atom's cube is written by exactly one lane, so any partition of
- * the row range equals the serial loop bit for bit. */
-static void rk_mesh_gather_task(void *p, int64_t tid, int64_t nt)
-{
-    const rk_mesh_arg *a = (const rk_mesh_arg *)p;
-    int64_t lo, hi;
-    rk_chunk(a->hi - a->lo, tid, nt, &lo, &hi);
-    rk_mesh_gather_range(a->ax, a->c2, a->src, a->out + lo * a->stride,
-                         a->lo + lo, a->lo + hi);
-}
-
-/* Atoms [lo, hi) of the plan into rows [0, hi - lo) of `out`. */
-void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
-                         double c2, const double *phi, double *out,
-                         int64_t nthreads)
-{
-    rk_mesh_arg a = {ax, lo, hi, ax->kx * ax->ky * ax->kz, c2, phi, NULL, out};
-    if (nthreads <= 1 || hi - lo < nthreads)
-        rk_mesh_gather_range(ax, c2, phi, out, lo, hi);
-    else
-        rk_run(rk_mesh_gather_task, &a, nthreads);
 }

@@ -24,13 +24,12 @@ negotiable; a third decides only speed:
   object built for one host's ISA must never run on another's, so what
   the flag resolved to (:func:`_host_isa`) is part of the cache key.
 
-The build is a ladder (:data:`_VARIANTS`): host ISA with threads, host
-ISA serial, baseline ISA with threads, baseline serial.  The first rung
-that compiles is used and recorded (:func:`build_record`; ``repro
-info`` prints it).  A compiler that rejects the host-ISA flag lands on
-a baseline rung silently — same bits, slower; a host without pthreads
-lands on a serial rung with a one-time warning, because
-``kernel_threads > 1`` then runs single-threaded.
+The build is a two-rung ladder (:data:`_VARIANTS`): host ISA, then
+baseline ISA.  The first rung that compiles is used and recorded
+(:func:`build_record`; ``repro info`` prints it).  A compiler that
+rejects the host-ISA flag lands on the baseline rung silently — same
+bits, slower.  The source is single-threaded C and links nothing but
+libm.
 
 ``REPRO_KERNEL_CFLAGS`` appends extra compiler flags (whitespace
 separated, after the fixed ones) to this one build and is part of the
@@ -50,7 +49,6 @@ import hashlib
 import os
 import subprocess
 import tempfile
-import warnings
 from pathlib import Path
 
 __all__ = ["KernelBuildError", "build", "build_record", "load"]
@@ -63,20 +61,9 @@ CFLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math")
 #: Compile for the build host's own vector ISA; see module docstring.
 HOST_ISA_FLAG = "-march=native"
 
-_THREADED = ("-pthread", "-DRK_THREADS=1")
-_SERIAL = ("-DRK_THREADS=0",)
-
-#: The build ladder, tried in order per compiler: host ISA before
-#: baseline, and within each threaded before the serial fallback for
-#: pthread-less hosts.  All compile the same source; ``RK_THREADS=0``
-#: turns ``rk_run`` into a direct call so every ``*_mt`` symbol still
-#: exists (``_declare`` touches them all).
-_VARIANTS = (
-    (HOST_ISA_FLAG, *_THREADED),
-    (HOST_ISA_FLAG, *_SERIAL),
-    _THREADED,
-    _SERIAL,
-)
+#: The build ladder, tried in order per compiler: the same source for
+#: the host's ISA, then for the compiler's baseline.
+_VARIANTS = ((HOST_ISA_FLAG,), ())
 
 _COMPILERS = ("cc", "gcc", "clang")
 
@@ -91,7 +78,6 @@ _lib_error: Exception | None = None
 _compiler_idents: dict[str, str | None] = {}
 _host_isas: dict[tuple, str | None] = {}
 _record: dict | None = None
-_warned_no_pthread = False
 
 
 class KernelBuildError(RuntimeError):
@@ -179,7 +165,7 @@ def _host_isa(cc: str) -> str | None:
 
 
 def _source_key(variant: tuple[str, ...], ident: str, isa: str = "") -> str:
-    """Cache key of one rung: source, every flag, compiler, and — for a
+    """Cache key of one rung: source, every flag, compiler, and — for the
     host-ISA rung — the token of the ISA it was compiled for."""
     h = hashlib.sha256()
     h.update(_SRC.read_bytes())
@@ -209,24 +195,16 @@ def _build_dir() -> Path:
         return fallback
 
 
-def _rung_name(variant: tuple[str, ...]) -> str:
-    isa = "host-isa" if HOST_ISA_FLAG in variant else "baseline"
-    return isa + ("+threads" if variant[-2:] == _THREADED else "")
-
-
 def build() -> Path:
     """Compile (if needed) and return the path to the shared object.
 
     Per compiler the ladder :data:`_VARIANTS` is walked top down and the
     first rung that is cached or compiles wins; :func:`build_record`
-    then says which.  Two kinds of descent are not errors: a compiler
-    that rejects :data:`HOST_ISA_FLAG` (probed, not compiled) takes the
-    baseline rungs silently, and a serial rung that builds where its
-    threaded twin did not warns once (``kernel_threads > 1`` then runs
-    single-threaded, mirroring the NumPy-tier fallback path).  Raises
+    then says which.  A compiler that rejects :data:`HOST_ISA_FLAG`
+    (probed, not compiled) takes the baseline rung silently.  Raises
     :class:`KernelBuildError` when no rung builds with any compiler.
     """
-    global _record, _warned_no_pthread
+    global _record
     if not _SRC.exists():
         raise KernelBuildError(f"kernel source missing: {_SRC}")
     bdir = _build_dir()
@@ -236,14 +214,12 @@ def build() -> Path:
         if ident is None:
             errors.append(f"{cc}: not found")
             continue
-        failed = []  # rungs of this compiler that did not build
         for variant in _VARIANTS:
-            isa = ""
+            rung, isa = "baseline", ""
             if HOST_ISA_FLAG in variant:
-                isa = _host_isa(cc)
+                rung, isa = "host-isa", _host_isa(cc)
                 if isa is None:
-                    failed.append(variant)
-                    errors.append(f"{cc} {' '.join(variant)}: {HOST_ISA_FLAG} probe failed")
+                    errors.append(f"{cc} {rung}: {HOST_ISA_FLAG} probe failed")
                     continue
             flags = [*CFLAGS, *variant, *_extra_cflags()]
             out = bdir / f"_kernels-{_source_key(variant, ident, isa)}.so"
@@ -255,36 +231,21 @@ def build() -> Path:
                         cmd, capture_output=True, text=True, timeout=120
                     )
                 except (OSError, subprocess.TimeoutExpired) as exc:
-                    failed.append(variant)
                     errors.append(f"{cc}: {exc}")
                     continue
                 if proc.returncode != 0 or not tmp.exists():
-                    failed.append(variant)
                     errors.append(
-                        f"{cc} {' '.join(variant)}: rc={proc.returncode} "
+                        f"{cc} {rung}: rc={proc.returncode} "
                         f"{proc.stderr.strip()[:400]}"
                     )
                     tmp.unlink(missing_ok=True)
                     continue
                 os.replace(tmp, out)  # atomic: concurrent builders race
-            if (
-                variant[-1:] == _SERIAL
-                and variant[:-1] + _THREADED in failed  # its threaded twin
-                and not _warned_no_pthread
-            ):
-                _warned_no_pthread = True
-                warnings.warn(
-                    "pthread probe failed for the compiled kernel tier; "
-                    "building without thread support "
-                    "(kernel_threads > 1 will run single-threaded)",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
             _record = {
                 "compiler": ident,
                 "flags": " ".join(flags),
                 "isa": isa or "baseline",
-                "rung": _rung_name(variant),
+                "rung": rung,
                 "so": str(out),
             }
             return out
@@ -298,8 +259,9 @@ def build_record() -> dict | None:
     """Which build this process resolved, or None before :func:`build`.
 
     ``compiler`` (its ``--version`` line), the effective ``flags``, the
-    host-``isa`` token (``"baseline"`` off the host-ISA rungs), the
-    ladder ``rung`` taken and the ``so`` path.  Observational only.
+    host-``isa`` token (``"baseline"`` off the host-ISA rung), the
+    ladder ``rung`` taken (``"host-isa"`` or ``"baseline"``) and the
+    ``so`` path.  Observational only.
     """
     return _record
 
@@ -316,7 +278,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
     lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64]
-    # The walk takes a PairSpec by reference; serial at every thread count.
+    # The walk takes a PairSpec by reference.
     lib.rk_pair_walk.restype = i64
     lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
     # The walk's float64 twin: force rows out instead of an accumulator in.
@@ -330,14 +292,13 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_deposit_pairs_float.argtypes = [p, p, p, p, i64]
     lib.rk_scatter_rows.restype = None
     lib.rk_scatter_rows.argtypes = [p, p, p, i64]
-    # Fused mesh kernels: a MeshAxes by reference first; nthreads is an
-    # argument, so none has an ``_mt`` twin.
+    # Fused mesh kernels: a MeshAxes by reference first.
     lib.rk_mesh_spread_axes.restype = None
-    lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
+    lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p]
     lib.rk_mesh_spread_float_axes.restype = None
     lib.rk_mesh_spread_float_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
     lib.rk_mesh_gather_axes.restype = None
-    lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p, i64]
+    lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p]
     lib.rk_shake.restype = None
     lib.rk_shake.argtypes = [p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
     lib.rk_rattle.restype = None
@@ -351,26 +312,6 @@ def _declare(lib: ctypes.CDLL) -> None:
         [i64, i64, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
     )
 
-    # Threaded entry points (present in every build; the RK_THREADS=0
-    # variant routes them through a direct serial call).
-    lib.rk_threads_available.restype = i64
-    lib.rk_threads_available.argtypes = []
-    lib.rk_pair_filter_mt.restype = i64
-    lib.rk_pair_filter_mt.argtypes = (
-        [i64, p, p, p, p, f64, p, p, p, p, i64, p]
-    )
-    lib.rk_deposit_pairs_mt.restype = None
-    lib.rk_deposit_pairs_mt.argtypes = [p, p, p, p, i64, i64, p, i64]
-    lib.rk_scatter_rows_mt.restype = None
-    lib.rk_scatter_rows_mt.argtypes = [p, p, p, i64, i64, p, i64]
-    lib.rk_shake_batch_mt.restype = None
-    lib.rk_shake_batch_mt.argtypes = (
-        [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, i64]
-    )
-    lib.rk_rattle_batch_mt.restype = None
-    lib.rk_rattle_batch_mt.argtypes = (
-        [i64, i64, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p, i64]
-    )
 
 
 def load() -> ctypes.CDLL:

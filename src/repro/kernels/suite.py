@@ -34,16 +34,16 @@ from explicit arguments first, then the ``REPRO_KERNEL_TIER`` /
 the compiled tier where it builds and the NumPy tier otherwise
 (silently — nobody asked), 1 thread.  *Requesting* ``"compiled"`` on a
 host without a C compiler degrades to the NumPy tier with a one-time
-warning — the package never hard-fails for lack of a toolchain;
-likewise ``threads > 1`` on a pthread-less build degrades to
-single-threaded.
+warning — the package never hard-fails for lack of a toolchain.
 
-Thread counts are **bitwise-invisible**: the compiled tier parallelizes
-via per-thread int64 partials folded with wrapping adds (associative
-and commutative, so the reduction order cannot change the result) and
-via chunked pure writes to disjoint output rows.  Every thread count
-produces the same bytes as ``threads=1``, which produces the same bytes
-as the NumPy tier.
+Every C kernel is single-threaded.  The thread count is the width of
+one Python-side farm, :meth:`CompiledKernels.map_chunks`, over which a
+stacked mesh pass (:meth:`~repro.ewald.gse.GaussianSplitEwald.mesh_pass`
+with more than one lane) runs its per-lane spreads, FFTs and gathers;
+a single-system engine is single-threaded at every setting.  Lanes
+write disjoint outputs, so thread counts are **bitwise-invisible**:
+every count produces the same bytes as ``threads=1``, which produces
+the same bytes as the NumPy tier.
 """
 
 from __future__ import annotations
@@ -81,14 +81,9 @@ __all__ = [
 
 KERNEL_TIERS = ("numpy", "compiled")
 
-#: Hard ceiling on kernel_threads (the C pool caps at 256 lanes; 128
-#: leaves headroom and catches typos like REPRO_KERNEL_THREADS=1000).
+#: Hard ceiling on kernel_threads (catches typos like
+#: REPRO_KERNEL_THREADS=1000 before they become a thread pool).
 _MAX_THREADS = 128
-
-#: Below this many work items the per-call pool handoff outweighs the
-#: parallel speedup; the mt entry points fall back to the serial loop
-#: (a pure dispatch choice — both paths produce identical bytes).
-_MT_MIN_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -286,16 +281,10 @@ class NumpyKernels:
     """
 
     tier = "numpy"
-    #: Worker-lane count.  The NumPy tier is always single-threaded
-    #: (BLAS/NumPy manage their own internals); the knob only changes
-    #: dispatch on the compiled tier and is bitwise-invisible there.
+    #: Farm width of :meth:`map_chunks`.  The NumPy tier is always
+    #: single-threaded (BLAS/NumPy manage their own internals); the knob
+    #: only widens the compiled tier's farm and is bitwise-invisible there.
     threads = 1
-
-    def __init__(self):
-        #: Single-threaded suite with identical numerics; self here.
-        #: Threaded code hands ``serial`` to Python worker threads so C
-        #: kernels are never re-entered through the process-wide pool.
-        self.serial = self
 
     def map_chunks(self, fn, nchunks):
         """Run ``fn(0) .. fn(nchunks - 1)``, possibly concurrently.
@@ -452,34 +441,22 @@ class CompiledKernels(NumpyKernels):
 
     tier = "compiled"
 
-    def __init__(self, lib, threads=1, serial=None):
+    def __init__(self, lib, threads=1):
         self._lib = lib
         self.threads = int(threads)
-        #: Single-threaded suite over the same lib; Python worker
-        #: threads dispatch through it so the C pool is never
-        #: re-entered from inside a threaded region.
-        self.serial = serial if serial is not None else self
         self._pool = None
-        # Grow-only per-thread scratch (zero-allocation steady state).
-        self._filter_counts = None
-        self._neighbor_work = None
-        self._partial = None
-        # Per calling thread: an ensemble's lanes run the float spread
-        # concurrently on one ``serial`` suite (``map_chunks``).
+        self._neighbor_work = None  # grow-only scratch
+        # Per calling thread: a stacked mesh pass's lanes run the float
+        # spread concurrently on this suite (``map_chunks``).
         self._float_part = threading.local()
-        self._con_dref = None
-        self._con_dx = None
-        self._con_d2 = None
-
-    # -- threading helpers ------------------------------------------------
 
     def map_chunks(self, fn, nchunks):
         """Run disjoint-output chunks on a persistent Python pool.
 
-        Used where the parallel unit is itself a Python-level call (an
-        ensemble's per-replica spreads, FFTs and interpolations).
-        ctypes and pocketfft release the GIL, so the chunks genuinely
-        overlap.
+        The one place a thread count takes effect: the lanes of a
+        stacked mesh pass (an ensemble's per-replica spreads, FFTs and
+        gathers).  ctypes and pocketfft release the GIL, so the chunks
+        genuinely overlap.
         """
         if self.threads <= 1 or nchunks <= 1:
             for b in range(nchunks):
@@ -493,36 +470,9 @@ class CompiledKernels(NumpyKernels):
             )
         list(self._pool.map(fn, range(nchunks)))
 
-    def _filter_scratch(self):
-        if self._filter_counts is None:
-            self._filter_counts = np.empty(2 * self.threads, dtype=np.int64)
-        return self._filter_counts
-
-    def _partials(self, nelem):
-        """(threads, nelem) int64 per-lane accumulator partials."""
-        if self._partial is None or self._partial.shape[1] < nelem:
-            self._partial = np.empty((self.threads, nelem), dtype=np.int64)
-        return self._partial
-
-    def _constraint_scratch(self, ncon):
-        """Per-lane (dref, dx_all, d2_all) scratch for batched SHAKE/RATTLE."""
-        if self._con_dref is None or self._con_dref.shape[1] < 3 * ncon:
-            self._con_dref = np.empty((self.threads, 3 * ncon))
-            self._con_dx = np.empty((self.threads, 3 * ncon))
-            self._con_d2 = np.empty((self.threads, ncon))
-        return self._con_dref, self._con_dx, self._con_d2
-
     # -- kernels -----------------------------------------------------------
 
     def pair_filter(self, wrapped, ii, jj, lengths, cutoff2, oi, oj, odx, or2):
-        if self.threads > 1 and len(ii) >= _MT_MIN_PAIRS:
-            return int(
-                self._lib.rk_pair_filter_mt(
-                    len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
-                    float(cutoff2), _ptr(oi), _ptr(oj), _ptr(odx), _ptr(or2),
-                    self.threads, _ptr(self._filter_scratch()),
-                )
-            )
         return int(
             self._lib.rk_pair_filter(
                 len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
@@ -543,8 +493,7 @@ class CompiledKernels(NumpyKernels):
         positions, every coordinate in ``[0, L)`` (the predicate's
         precondition).  Returns the pair count ``m``; pairs land in
         ``oi[:m], oj[:m]`` when they fit, and ``m > len(oi)`` asks the
-        caller to grow the buffers and call again.  There is no threaded
-        twin: every ``threads`` setting runs this one serial sweep.
+        caller to grow the buffers and call again.
         """
         n = n_blocks * block_len
         if (
@@ -575,8 +524,6 @@ class CompiledKernels(NumpyKernels):
         surviving pairs in ``oi[:m], oj[:m]`` and their energies in
         ``e_lj[:m], e_coul[:m]`` (all four sized to the candidate
         count).  ``wrapped`` as for :meth:`pair_filter`.  Returns ``m``.
-        There is no threaded twin: every ``threads`` setting runs this
-        one serial walk.
         """
         n, n_atoms = len(ii), len(wrapped)
         outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
@@ -607,8 +554,7 @@ class CompiledKernels(NumpyKernels):
         e_coul[:m]`` (``rows`` is ``(n_cand, 3)``, the rest sized to the
         candidate count).  Nothing is summed — that is
         :meth:`deposit_pairs_float`'s, in NumPy's order.  ``wrapped`` as
-        for :meth:`pair_filter`.  Returns ``m``.  One serial pass at
-        every ``threads`` setting.
+        for :meth:`pair_filter`.  Returns ``m``.
         """
         n, n_atoms = len(ii), len(wrapped)
         outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
@@ -647,15 +593,6 @@ class CompiledKernels(NumpyKernels):
         i = _i64(i)
         j = _i64(j)
         codes = _i64(codes)
-        nelem = raw.size
-        # Worth threading only when accumulate work dominates the
-        # zero+reduce cost of the per-lane partials.
-        if self.threads > 1 and 6 * len(i) >= 4 * nelem:
-            self._lib.rk_deposit_pairs_mt(
-                _ptr(raw), _ptr(i), _ptr(j), _ptr(codes), len(i), nelem,
-                _ptr(self._partials(nelem)), self.threads,
-            )
-            return
         self._lib.rk_deposit_pairs(_ptr(raw), _ptr(i), _ptr(j), _ptr(codes), len(i))
 
     def deposit_pairs_float(self, forces, i, j, rows):
@@ -673,13 +610,6 @@ class CompiledKernels(NumpyKernels):
     def scatter_rows(self, raw, idx, codes):
         idx = _i64(idx)
         codes = _i64(codes)
-        nelem = raw.size
-        if self.threads > 1 and 3 * len(idx) >= 4 * nelem:
-            self._lib.rk_scatter_rows_mt(
-                _ptr(raw), _ptr(idx), _ptr(codes), len(idx), nelem,
-                _ptr(self._partials(nelem)), self.threads,
-            )
-            return
         self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), len(idx))
 
     def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
@@ -709,25 +639,20 @@ class CompiledKernels(NumpyKernels):
         :meth:`~repro.ewald.gse.MeshStencilPlan.spread_codes`.
         ``axis_w/axis_d/axis_i`` are the plan's three ``(n, ka)``
         weight, displacement and wrapped-index rows; ``acc`` is the
-        flat int64 mesh.  Threaded through per-lane partial meshes.
+        flat int64 mesh.
         """
-        n, k, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n, _, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         npts = int(np.prod(mesh))
         if not (_conforms(acc, (npts,), np.int64) and _conforms(qc, (n,), np.float64)):
             raise ValueError("mesh_spread_axes: arrays do not match the plan layout")
-        threads = self.threads if n * k >= 4 * npts else 1
-        part = _ptr(self._partials(npts)) if threads > 1 else None
-        self._lib.rk_mesh_spread_axes(
-            axes, n, float(c2), _ptr(qc), _ptr(acc), npts, part, threads
-        )
+        self._lib.rk_mesh_spread_axes(axes, n, float(c2), _ptr(qc), _ptr(acc))
 
     def mesh_spread_float_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk):
         """Fused unquantized spread into the flat float64 mesh ``acc``.
 
         Per ``chunk`` atoms, ``acc += bincount(idx, w * q)`` with the
         bincount summed in element order — float sums do not commute,
-        so the chunking and the order are NumPy's exactly, and every
-        thread count runs this one serial sweep.
+        so the chunking and the order are NumPy's exactly.
         """
         n, _, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         npts = int(np.prod(mesh))
@@ -748,8 +673,7 @@ class CompiledKernels(NumpyKernels):
         Fills rows of the ``(chunk, k)`` contribution buffer exactly as
         ``np.take(phi, flat)`` times the masked weight cube would
         (masked points are ``phi[idx] * 0.0``, keeping NumPy's sign of
-        zero); the contraction stays in NumPy.  Row-partitioned across
-        lanes: each output row is written by exactly one.
+        zero); the contraction stays in NumPy.
         """
         n, k, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         if not (
@@ -758,10 +682,7 @@ class CompiledKernels(NumpyKernels):
             and _conforms(phi, (int(np.prod(mesh)),), np.float64)
         ):
             raise ValueError("mesh_gather_axes: arrays do not match the plan layout")
-        threads = self.threads if hi - lo >= 2 * self.threads else 1
-        self._lib.rk_mesh_gather_axes(
-            axes, lo, hi, float(c2), _ptr(phi), _ptr(out), threads
-        )
+        self._lib.rk_mesh_gather_axes(axes, lo, hi, float(c2), _ptr(phi), _ptr(out))
 
     def shake(self, solver, positions, reference, tol):
         pre = solver._compiled_arrays()
@@ -796,17 +717,6 @@ class CompiledKernels(NumpyKernels):
                 self, solver, positions, reference, tol, nrep, natoms
             )
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        if self.threads > 1 and nrep > 1:
-            con_dref, _, _ = self._constraint_scratch(len(ci))
-            self._lib.rk_shake_batch_mt(
-                int(nrep), int(natoms),
-                _ptr(positions), _ptr(np.ascontiguousarray(reference)),
-                _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
-                len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-                solver.iterations, float(tol), _ptr(con_dref),
-                min(self.threads, int(nrep)),
-            )
-            return positions
         self._lib.rk_shake_batch(
             int(nrep), int(natoms),
             _ptr(positions), _ptr(np.ascontiguousarray(reference)),
@@ -823,17 +733,6 @@ class CompiledKernels(NumpyKernels):
                 self, solver, velocities, positions, tol, nrep, natoms
             )
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        if self.threads > 1 and nrep > 1:
-            _, con_dx, con_d2 = self._constraint_scratch(len(ci))
-            self._lib.rk_rattle_batch_mt(
-                int(nrep), int(natoms),
-                _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
-                _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
-                len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-                solver.iterations, float(tol), _ptr(con_dx), _ptr(con_d2),
-                min(self.threads, int(nrep)),
-            )
-            return velocities
         self._lib.rk_rattle_batch(
             int(nrep), int(natoms),
             _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
@@ -845,20 +744,17 @@ class CompiledKernels(NumpyKernels):
 
 
 _NUMPY_SUITE = NumpyKernels()
-#: Compiled suites keyed by thread count.  The threads=1 suite is the
-#: shared ``serial`` delegate of every threaded one.
+#: Compiled suites keyed by thread count (each owns its farm).
 _COMPILED_SUITES: dict[int, CompiledKernels] = {}
 _warned = False
-_warned_threads = False
 
 
 def _reset_pools() -> None:
     """Drop Python thread pools after fork (threads don't survive it).
 
-    The C-side pthread pool re-arms itself via ``pthread_atfork``; this
-    mirrors that for the :meth:`CompiledKernels.map_chunks` executors so
-    ``repro serve``'s forked worker processes rebuild lazily instead of
-    deadlocking on dead worker threads.
+    ``repro serve``'s forked worker processes rebuild their
+    :meth:`CompiledKernels.map_chunks` executors lazily instead of
+    deadlocking on worker threads that exist only in the parent.
     """
     for suite in _COMPILED_SUITES.values():
         suite._pool = None
@@ -873,16 +769,15 @@ def get_suite(tier: str | None = None, threads: int | None = None):
     ``None`` knobs consult ``REPRO_KERNEL_TIER`` /
     ``REPRO_KERNEL_THREADS`` (defaults: compiled where it builds, 1).
     A *requested* compiled tier that is unavailable falls back to NumPy
-    with a one-time warning rather than failing; ``threads > 1`` on a
-    build without pthread support falls back to single-threaded the
-    same way.  Every returned suite produces identical bytes for
-    identical inputs — the knobs only move work between implementations.
+    with a one-time warning rather than failing.  Every returned suite
+    produces identical bytes for identical inputs — the knobs only move
+    work between implementations.
     """
-    global _warned, _warned_threads
+    global _warned
     cfg = resolve_config(tier, threads)
     if cfg.tier == "numpy":
-        # NumPy manages its own internal parallelism; threads is a
-        # compiled-tier dispatch knob and is deliberately ignored here.
+        # NumPy manages its own internal parallelism; threads is the
+        # compiled tier's farm width and is deliberately ignored here.
         return _NUMPY_SUITE
     try:
         lib = load()
@@ -896,27 +791,9 @@ def get_suite(tier: str | None = None, threads: int | None = None):
             )
             _warned = True
         return _NUMPY_SUITE
-    nthreads = cfg.threads
-    if nthreads > 1 and not lib.rk_threads_available():
-        if not _warned_threads:
-            warnings.warn(
-                "compiled kernel tier built without pthread support; "
-                f"kernel_threads={nthreads} runs single-threaded",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            _warned_threads = True
-        nthreads = 1
-    suite = _COMPILED_SUITES.get(nthreads)
+    suite = _COMPILED_SUITES.get(cfg.threads)
     if suite is None:
-        base = _COMPILED_SUITES.get(1)
-        if base is None:
-            base = _COMPILED_SUITES[1] = CompiledKernels(lib)
-        if nthreads == 1:
-            suite = base
-        else:
-            suite = CompiledKernels(lib, threads=nthreads, serial=base)
-            _COMPILED_SUITES[nthreads] = suite
+        suite = _COMPILED_SUITES[cfg.threads] = CompiledKernels(lib, threads=cfg.threads)
     return suite
 
 

@@ -58,9 +58,11 @@ class MachineBackend:
     ``kernel_tier`` selects the hot-loop implementation suite
     (:mod:`repro.kernels`): ``"numpy"`` (default) or ``"compiled"``
     (lazily built C, falling back to numpy when no compiler exists).
-    ``kernel_threads`` sets the compiled tier's worker-lane count.
-    Every tier/thread combination is bitwise identical, so both knobs
-    compose freely with every backend and with fault-recovery replay.
+    ``kernel_threads`` is the compiled tier's farm width over the lanes
+    of a stacked mesh pass; a machine's pass has one lane, so it runs
+    single-threaded at every value.  Every tier/thread combination is
+    bitwise identical, so both knobs compose freely with every backend
+    and with fault-recovery replay.
     """
 
     name = "base"

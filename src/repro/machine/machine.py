@@ -171,11 +171,11 @@ class AntonMachine(LaneEngine):
         ``REPRO_KERNEL_TIER`` environment variable.  Bitwise identical
         across tiers, so it never appears in fingerprints.
     kernel_threads:
-        Worker-lane count for the compiled tier's persistent pthread
-        pool (``None`` defers to ``REPRO_KERNEL_THREADS``, default 1).
-        Bitwise-invisible like the tier knob: per-thread fixed-point
-        partials reduce with wrapping adds, so every thread count
-        produces identical trajectories, checkpoints, and state codes.
+        Width of the compiled tier's farm over the lanes of a stacked
+        mesh pass (``None`` defers to ``REPRO_KERNEL_THREADS``, default
+        1).  The machine steps one system — one lane — so it runs
+        single-threaded at every value; the knob is accepted, reported
+        in :meth:`profile`, and bitwise-invisible like the tier knob.
     faults:
         Optional fault injection: a :class:`~repro.fault.FaultSchedule`,
         a rates dict, or a ``--faults``-style spec string (e.g.
@@ -605,7 +605,7 @@ class AntonMachine(LaneEngine):
         """
         out = self.calc.timers.profile("machine_step", self._steps_reported())
         out["kernel_tier"] = self.backend.kernels.tier
-        out["kernel_threads"] = getattr(self.backend.kernels, "threads", 1)
+        out["kernel_threads"] = self.backend.kernels.threads
         if self.router is not None:
             out["network"] = self.network_report()
         if self.fault_controller is not None:

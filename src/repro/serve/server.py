@@ -58,6 +58,8 @@ class ServeConfig:
     workers: int = 2
     max_batch: int = 8
     kernel_tier: str | None = None
+    #: Per worker process: threads farming the lanes of a batch's mesh
+    #: pass on the compiled tier (a batch of one runs single-threaded).
     kernel_threads: int | None = None
     #: Main-loop wait per iteration, seconds.
     tick: float = 0.05

@@ -150,8 +150,7 @@ def resolve_worker_kernels(tier, threads):
 
     Returns ``(config, suite_tier, suite_threads, warnings)`` where
     ``warnings`` holds the text of any fallback warning (missing
-    compiler, pthread-less build) raised while actually loading the
-    suite — captured here so the server can log it once per worker,
+    compiler) raised while actually loading the suite — captured here so the server can log it once per worker,
     and so job slices never re-trigger the resolution.
     """
     from repro.kernels import get_suite, resolve_config
@@ -161,7 +160,7 @@ def resolve_worker_kernels(tier, threads):
         warnings.simplefilter("always")
         suite = get_suite(cfg.tier, cfg.threads)
     notes = [str(w.message) for w in caught]
-    return cfg, suite.tier, getattr(suite, "threads", 1), notes
+    return cfg, suite.tier, suite.threads, notes
 
 
 def _run_batch(jobs, control, progress, kernel_cfg, prepared):

@@ -1,14 +1,15 @@
 """Integration: kernel_threads is invisible in every artifact.
 
-The thread-count knob moves work onto worker lanes (a persistent C
-pthread pool inside the kernels, Python worker threads for per-replica
-dispatch) — and nothing else.  These tests pin the full contract at the
-machine and ensemble level: state codes, trajectory files, checkpoint
-files, and fault-replay healing are byte-identical for every thread
-count, on both tiers, and the knob resolves through one env-var funnel
-(:func:`repro.kernels.resolve_config`) with a graceful single-threaded
-fallback when the build has no pthread support.
+The thread-count knob is the width of one farm — Python worker threads
+over the lanes of a stacked mesh pass — and nothing else.  These tests
+pin the full contract at the machine and ensemble level: state codes,
+trajectory files, checkpoint files, and fault-replay healing are
+byte-identical for every thread count, on both tiers, the knob resolves
+through one env-var funnel (:func:`repro.kernels.resolve_config`), and
+the farm survives a fork.
 """
+
+import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestMachineThreadSweep:
                         6, trajectory=traj, trajectory_every=2,
                         checkpoint_store=store, checkpoint_every=3,
                     )
-                assert getattr(machine.backend.kernels, "threads", 1) == threads
+                assert machine.backend.kernels.threads == threads
                 paths[threads] = (traj_path, [store.path_for(s) for s in store.steps()])
             finally:
                 machine.close()
@@ -93,12 +94,7 @@ class TestMachineThreadSweep:
 
     @needs_compiler
     def test_faulted_threaded_run_heals_to_clean_serial_bits(self, base_system):
-        """Fault replay through the threaded kernels lands on clean T=1 bytes.
-
-        Replayed steps re-execute through the same worker pool; a
-        stateful or order-sensitive lane would make the healed state
-        drift from the clean single-threaded run.
-        """
+        """A faulted run at T=8 lands on the clean T=1 run's bytes."""
         clean = make_machine(base_system, "compiled", 1)
         try:
             clean.run(8)
@@ -287,34 +283,39 @@ class TestConfigResolution:
             machine.close()
 
 
-class TestPthreadlessFallback:
+def _farmed_pass() -> bytes:
+    """One farmed three-lane mesh pass at T=2; the result's bytes."""
+    from repro.ewald import GaussianSplitEwald, GSEParams
+    from repro.geometry import Box
+
+    box = Box(np.array([17.0, 17.0, 17.0]))
+    gse = GaussianSplitEwald(box, GSEParams.choose(box, 4.0, (32, 32, 32)))
+    rng = np.random.default_rng(3)
+    positions = rng.uniform(0.0, 17.0, (3 * 40, 3))
+    charges = rng.normal(0.0, 1.0, 40)
+    energies, forces = gse.mesh_pass(
+        positions, charges, lanes=3, kernels=get_suite("compiled", 2)
+    )
+    return energies.tobytes() + forces.tobytes()
+
+
+class TestFarmSurvivesFork:
     @needs_compiler
-    def test_build_without_pthreads_degrades_to_single_thread(self, monkeypatch):
-        """rk_threads_available()==0: warn once, run the T=1 suite."""
-        from repro.kernels import build, suite
-
-        real = build.load()
-
-        class NoPthreadLib:
-            def __getattr__(self, name):
-                if name == "rk_threads_available":
-                    return lambda: 0
-                return getattr(real, name)
-
-        monkeypatch.setattr(suite, "load", NoPthreadLib)
-        monkeypatch.setattr(suite, "_COMPILED_SUITES", {})
-        monkeypatch.setattr(suite, "_warned_threads", False)
-
-        with pytest.warns(RuntimeWarning, match="without pthread support"):
-            k = get_suite("compiled", 8)
-        assert k.tier == "compiled"
-        assert k.threads == 1
-
-        # One-time warning: a second resolution is silent and reuses
-        # the cached single-thread suite.
-        import warnings as _w
-
-        with _w.catch_warnings():
-            _w.simplefilter("error")
-            again = get_suite("compiled", 4)
-        assert again is k
+    def test_forked_child_runs_a_farmed_pass(self):
+        """``repro serve`` forks its workers from a process that may have
+        farmed already: the child must rebuild its pool (``_reset_pools``)
+        rather than queue work for threads that exist only in the parent."""
+        want = _farmed_pass()
+        assert get_suite("compiled", 2)._pool is not None  # the parent did farm
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send_bytes(_farmed_pass()))
+        child.start()
+        send.close()
+        try:
+            assert recv.poll(60), "forked child hung in its farmed mesh pass"
+            assert recv.recv_bytes() == want
+        finally:
+            child.kill()
+            child.join(10)
+        assert not child.is_alive()

@@ -183,6 +183,31 @@ class TestNumpyFallback:
             reference.close()
 
 
+class TestSingleThreadedBuild:
+    @needs_compiler
+    def test_shared_object_has_no_thread_symbols(self):
+        """The extension is single-threaded C: it imports nothing from
+        pthread and exports no threaded twin, on one of the two rungs."""
+        import shutil
+        import subprocess
+
+        from repro.kernels import build
+
+        if shutil.which("nm") is None:
+            pytest.skip("no nm on PATH")
+        build.load()
+        record = build.build_record()
+        assert record["rung"] in ("host-isa", "baseline")
+        nm = subprocess.run(
+            ["nm", "-D", record["so"]], capture_output=True, text=True, check=True
+        )
+        symbols = [line.split()[-1] for line in nm.stdout.splitlines() if line.split()]
+        exported = [s for s in symbols if s.startswith("rk_")]
+        assert "rk_pair_walk" in exported  # nm listed the real table
+        assert not [s for s in symbols if "pthread" in s]
+        assert not [s for s in exported if s.endswith("_mt") or s == "rk_threads_available"]
+
+
 class TestBuildFlagsHook:
     """``REPRO_KERNEL_CFLAGS`` and the build ladder, with the compiler faked."""
 
@@ -214,7 +239,6 @@ class TestBuildFlagsHook:
         monkeypatch.setattr(build, "_host_isa", lambda _cc: cc.isa)
         monkeypatch.setattr(build.subprocess, "run", fake_run)
         monkeypatch.setattr(build, "_record", None)
-        monkeypatch.setattr(build, "_warned_no_pthread", False)
         return cc
 
     def test_flags_are_appended_and_keyed(self, monkeypatch, fake_cc, tmp_path):
@@ -254,7 +278,7 @@ class TestBuildFlagsHook:
             second = build.build()
         assert second != first and len(fake_cc.commands) == 2
         assert build.build_record()["isa"] == "avx2-11111111"
-        assert build.build_record()["rung"] == "host-isa+threads"
+        assert build.build_record()["rung"] == "host-isa"
 
     def test_compiler_without_the_host_isa_flag_builds_the_baseline_rung(self, fake_cc):
         """Silently: same bits, slower, visible in the record."""
@@ -264,26 +288,29 @@ class TestBuildFlagsHook:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = build.build()
-        (cmd,) = fake_cc.commands  # the host-ISA rungs were never compiled
-        assert build.HOST_ISA_FLAG not in cmd and "-pthread" in cmd
+        (cmd,) = fake_cc.commands  # the host-ISA rung was never compiled
+        assert build.HOST_ISA_FLAG not in cmd
         record = build.build_record()
-        assert record["rung"] == "baseline+threads" and record["isa"] == "baseline"
+        assert record["rung"] == "baseline" and record["isa"] == "baseline"
         assert record["so"] == str(out)
 
-    def test_pthread_warning_only_when_a_serial_rung_built(self, fake_cc):
+    def test_failed_host_isa_compile_takes_baseline(self, fake_cc):
+        """The probe accepted the flag but the compile did not: the next
+        rung builds, silently, and no rung asks for a thread library."""
         from repro.kernels import build
 
-        fake_cc.reject = {"-pthread"}
-        with pytest.warns(RuntimeWarning, match="pthread probe failed") as caught:
+        fake_cc.reject = {build.HOST_ISA_FLAG}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             build.build()
-        assert len(caught) == 1
-        assert build.build_record()["rung"] == "host-isa"
-        assert [("-pthread" in c) for c in fake_cc.commands] == [True, False]
+        assert build.build_record()["rung"] == "baseline"
+        assert [(build.HOST_ISA_FLAG in c) for c in fake_cc.commands] == [True, False]
+        assert not any("-pthread" in c for c in fake_cc.commands)
 
     def test_bad_extra_flag_does_not_blame_pthread(self, monkeypatch, fake_cc):
         """Every rung fails alike on a bad ``REPRO_KERNEL_CFLAGS``: one
         fallback warning carrying the compiler's words, nothing about
-        pthread (the serial rungs failed too)."""
+        threads."""
         from repro.kernels import build, suite
 
         monkeypatch.setenv("REPRO_KERNEL_CFLAGS", "-fbogus-flag")

@@ -1,22 +1,24 @@
-"""Property-based tests: threaded kernels == single-thread == NumPy, bitwise.
+"""Property-based tests: the thread count is invisible in the bits.
 
-The thread-count knob's contract is stronger than "same answer": it is
-*invisible in the bits* for every thread count.  Two mechanisms carry
-that contract, and both are asserted here rather than assumed:
+Every C kernel is single-threaded; ``kernel_threads`` is the width of
+the one Python farm over the lanes of a stacked mesh pass
+(``CompiledKernels.map_chunks``).  What licenses that farm, and what a
+future lane split of the fixed-point accumulators would rest on, is
+asserted here rather than assumed:
 
-* Fixed-point accumulation — per-thread int64 partials folded with
-  wrapping adds.  Int64 wrap is associative and commutative, so the
-  fold order cannot change the result; ``test_wrapping_add_order_free``
-  pins that algebraic fact directly (including at the accumulator
-  extremes) instead of trusting it.
-* Disjoint-output chunking — pair tables and the fused mesh gather
-  write each output row from exactly one lane, so any partition equals
-  the serial loop.
+* Int64 wrapping add is associative and commutative, so partial
+  accumulators may be folded in any order
+  (``test_wrapping_add_order_free``, including at the accumulator
+  extremes) — the paper's Section 4 algebra.
+* The stacked FFT equals R solo solves bit for bit
+  (``test_solve_stack_equals_per_replica_solo``), so the farm may run
+  the solves one lane per worker.
+* The serial primitives return the NumPy tier's bytes from a suite of
+  any thread count (``scatter_rows`` and the batched SHAKE/RATTLE have
+  their compiled-vs-NumPy property here and nowhere else).
 
-Every threaded primitive is driven with inputs sized past its dispatch
-threshold (small inputs fall back to the serial path by design, which
-would make the comparison vacuous) and compared for exact equality
-against both the single-thread compiled suite and the NumPy reference.
+Farmed passes themselves are swept across thread counts in
+``test_mesh_pass_props.py`` and ``tests/integration``.
 
 Skipped wholesale when the host has no C compiler.
 """
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from repro.core import MDParams, minimize_energy
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.kernels.build import load
-from repro.kernels.suite import _MT_MIN_PAIRS, CompiledKernels
+from repro.kernels.suite import CompiledKernels
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import assert_walk_matches
@@ -40,17 +42,14 @@ pytestmark = pytest.mark.skipif(
 
 I64 = np.iinfo(np.int64)
 
-#: Thread counts exercised everywhere; 2 and 8 are the bench sweep
-#: points, 5 is deliberately coprime with typical input sizes so chunk
-#: boundaries land at awkward offsets.
 THREADS = (2, 5, 8)
 
 
 @pytest.fixture(scope="module")
 def suites():
-    """(numpy, compiled-T1, {T: compiled-T}) with a shared serial base."""
+    """(numpy, compiled-T1, {T: compiled-T})."""
     base = CompiledKernels(load())
-    threaded = {t: CompiledKernels(load(), threads=t, serial=base) for t in THREADS}
+    threaded = {t: CompiledKernels(load(), threads=t) for t in THREADS}
     return get_suite("numpy"), base, threaded
 
 
@@ -80,9 +79,10 @@ def table_machine():
 def test_wrapping_add_order_free(seed, nparts):
     """Folding int64 partials wraps to the same bits in ANY order.
 
-    This is the exact reduction the C pool runs (per-lane partials,
-    wrapping adds), exercised at accumulator extremes where non-wrapping
-    arithmetic would overflow and order-dependent schemes would differ.
+    The reduction any lane split of a fixed-point accumulator performs
+    (per-lane partials, wrapping adds), exercised at accumulator
+    extremes where non-wrapping arithmetic would overflow and
+    order-dependent schemes would differ.
     """
     rng = np.random.default_rng(seed)
     parts = rng.integers(I64.min, I64.max, (nparts, 32), dtype=np.int64)
@@ -101,26 +101,7 @@ def test_wrapping_add_order_free(seed, nparts):
             np.testing.assert_array_equal(out, ref)
 
 
-# -- per-thread partial reductions ----------------------------------------
-
-
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_deposit_pairs_threaded_bitwise(suites, seed):
-    numpy_k, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    n_atoms = 50
-    n = int(rng.integers(n_atoms, 3000))  # past the 6n >= 4*nelem gate
-    i = rng.integers(0, n_atoms, n)
-    j = rng.integers(0, n_atoms, n)
-    codes = rng.integers(-(2**62), 2**62, (n, 3))
-    base = rng.integers(-(2**60), 2**60, (n_atoms, 3))
-    want = base.copy()
-    numpy_k.deposit_pairs(want, i, j, codes)
-    for k in (one, *threaded.values()):
-        got = base.copy()
-        k.deposit_pairs(got, i, j, codes)
-        np.testing.assert_array_equal(got, want)
+# -- serial primitives, from a suite of any thread count ------------------
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -150,74 +131,12 @@ def _small_gse():
 
 
 @given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_mesh_spread_threaded_bitwise(suites, seed):
-    """Fused spread through the per-lane partial meshes and their reduce."""
-    _, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    gse = _small_gse()
-    npts, k_sten = gse.mesh_point_count(), gse.stencil_size()
-    n = int(rng.integers(4 * npts // k_sten + 1, 200))  # past n*k >= 4*npts
-    plan = gse.make_plan(rng.uniform(0.0, 17.0, (n, 3)))  # NumPy: with cubes
-    qc = rng.uniform(-1e6, 1e6, n)
-    base = rng.integers(-(2**40), 2**40, npts)
-    want = base.copy()
-    codes = np.rint(plan.w.reshape(n, -1) * qc[:, None]).astype(np.int64)
-    np.add.at(want, plan.flat.ravel(), codes.ravel())
-    for k in (one, *threaded.values()):
-        got = base.copy()
-        k.mesh_spread_axes(got, *plan._axes(), qc)
-        np.testing.assert_array_equal(got, want)
-
-
-# -- chunked compaction and disjoint-output chunking ----------------------
-
-
-@given(seed=st.integers(0, 2**31 - 1), mode=st.sampled_from(["mixed", "none", "all"]))
-@settings(max_examples=25, deadline=None)
-def test_pair_filter_threaded_bitwise(suites, seed, mode):
-    """Chunk-compacted survivors equal the serial scan in content AND order.
-
-    `mode` drives the keep pattern to the adversarial ends (everything
-    kept / nothing kept) where compaction boundary bugs would live.
-    """
-    numpy_k, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    n_atoms = 60
-    n_cand = int(rng.integers(_MT_MIN_PAIRS, 3 * _MT_MIN_PAIRS))
-    L = np.array([11.0, 13.0, 9.5])
-    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * L
-    ii = rng.integers(0, n_atoms, n_cand)
-    jj = rng.integers(0, n_atoms, n_cand)
-    if mode == "none":
-        cutoff2 = 1e-12  # nothing survives
-    elif mode == "all":
-        cutoff2 = 1e4  # everything survives
-    else:
-        cutoff2 = 4.0**2
-    results = []
-    for k in (numpy_k, one, *threaded.values()):
-        oi = np.empty(n_cand, dtype=np.int64)
-        oj = np.empty(n_cand, dtype=np.int64)
-        odx = np.empty((n_cand, 3))
-        or2 = np.empty(n_cand)
-        m = k.pair_filter(wrapped, ii, jj, L, cutoff2, oi, oj, odx, or2)
-        results.append((m, oi[:m].copy(), oj[:m].copy(), odx[:m].copy(), or2[:m].copy()))
-    want = results[0]
-    for got in results[1:]:
-        assert got[0] == want[0]
-        for x, y in zip(got[1:], want[1:]):
-            np.testing.assert_array_equal(x, y)
-
-
-@given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
 def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
     """The table arithmetic under every thread count, incl. cutoff-edge r2.
 
     It runs inside ``pair_walk``, which is one serial walk whatever
-    ``threads`` says: every suite must return the NumPy passes' bytes on
-    a candidate list long enough that a threaded twin would have split it.
+    ``threads`` says: every suite must return the NumPy passes' bytes.
     """
     _, one, threaded = suites
     calc = table_machine.calc
@@ -226,7 +145,7 @@ def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
     spec = make_pair_spec(calc.tables, s.lj, s.charges, s.type_ids, codec)
     rng = np.random.default_rng(seed)
     cutoff = float(calc.tables.cutoff)
-    n = int(rng.integers(_MT_MIN_PAIRS, 2 * _MT_MIN_PAIRS))
+    n = int(rng.integers(4096, 8192))
     lengths = np.ascontiguousarray(s.box.lengths, dtype=np.float64)
     wrapped = rng.uniform(0, 1, (s.n_atoms, 3)) * lengths
     wrapped[1] = wrapped[0]
@@ -256,31 +175,13 @@ def test_mesh_plan_build_threaded_bitwise(suites, seed):
             np.testing.assert_array_equal(a, b)
 
 
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=10, deadline=None)
-def test_interpolate_forces_threaded_bitwise(suites, seed):
-    """Row-partitioned fused gather == the NumPy cube sweep, any thread count."""
-    numpy_k, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    gse = _small_gse()
-    n = int(rng.integers(17, 120))
-    pos = rng.uniform(0.0, 17.0, (n, 3))
-    charges = rng.normal(0, 1, n)
-    phi = rng.normal(0, 1, tuple(int(m) for m in gse.mesh))
-    plan = gse.make_plan(pos, kernels=one)
-    want = plan.interpolate_forces(charges, phi)
-    for k in (one, *threaded.values()):
-        got = plan.interpolate_forces(charges, phi, kernels=k)
-        np.testing.assert_array_equal(got, want)
-
-
 @given(seed=st.integers(0, 2**31 - 1), nrep=st.integers(2, 6))
 @settings(max_examples=10, deadline=None)
 def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
-    """Replica-parallel SHAKE/RATTLE == per-replica solo sweeps.
+    """Batched SHAKE/RATTLE == per-replica solo sweeps.
 
-    Each replica block gets its own lane and its own convergence exit;
-    a converged replica absorbing extra sweeps would change bits.
+    Each replica block has its own convergence exit; a converged
+    replica absorbing extra sweeps would change bits.
     """
     from repro.core.constraints import ConstraintSolver
 
@@ -310,8 +211,8 @@ def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
 def test_solve_stack_equals_per_replica_solo(seed, nrep):
     """Stacked FFT == R solo solves, bit for bit.
 
-    This equality is what licenses farming the ensemble FFT to Python
-    worker threads per replica when kernel_threads > 1.
+    This equality is what licenses farming the stacked FFT to Python
+    worker threads per lane when kernel_threads > 1.
     """
     from repro.ewald.gse import GSEParams, GaussianSplitEwald
     from repro.geometry import Box

@@ -51,8 +51,7 @@ CHUNK = 8
 
 @pytest.fixture(scope="module")
 def suites():
-    base = CompiledKernels(load())
-    return [base] + [CompiledKernels(load(), threads=t, serial=base) for t in (2, 4)]
+    return [CompiledKernels(load(), threads=t) for t in (1, 2, 4)]
 
 
 def make_gse() -> GaussianSplitEwald:

@@ -29,7 +29,7 @@ class TestCLI:
             assert line == "kernel: numpy (threads: 1)"
             return
         record = build.build_record()
-        assert record["rung"] in ("host-isa+threads", "host-isa", "baseline+threads", "baseline")
+        assert record["rung"] in ("host-isa", "baseline")
         for field in ("compiler", "flags", "isa", "rung", "so"):
             assert record[field] in line
         assert "-ffp-contract=off" in record["flags"] and record["so"].endswith(".so")
@@ -131,6 +131,26 @@ class TestCLI:
         assert "\n" not in str(exc.value)
         captured = capsys.readouterr()
         # Rejected before a system is built: nothing was printed at all.
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, env, message", [
+        (["ensemble", "--kernel-threads", "0"], {},
+         r"kernel_threads must be in \[1, 128\], got 0"),
+        (["info"], {"REPRO_KERNEL_THREADS": "abc"},
+         r"REPRO_KERNEL_THREADS='abc' is not an integer"),
+        (["machine"], {"REPRO_KERNEL_TIER": "fortran"}, r"unknown kernel_tier 'fortran'"),
+    ], ids=["threads-flag", "threads-env", "tier-env"])
+    def test_bad_kernel_configuration_is_a_one_line_exit_before_any_work(
+        self, capsys, monkeypatch, argv, env, message
+    ):
+        """Resolved once, in ``main``: not a traceback out of the engine
+        after the system was built and minimised."""
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit, match=message) as exc:
+            main(argv)
+        assert "\n" not in str(exc.value) and exc.value.code not in (0, None)
+        captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err
 
 
