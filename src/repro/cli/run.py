@@ -332,7 +332,7 @@ def _run_machine(args, machine, ref, session) -> int:
     print(f"{args.nodes}-node machine, {steps} steps "
           f"({machine.topology.dims[0]}x{machine.topology.dims[1]}x{machine.topology.dims[2]} torus), "
           f"{machine.backend.name} backend")
-    print_kernel_tier(machine.backend.kernels)
+    print_kernel_tier(machine.kernels)
     print(f"messages/node/step: {machine.messages_per_node_per_step():.1f}")
     for tag, (msgs, nbytes) in sorted(machine.traffic_summary().items()):
         print(f"  {tag:<20} {msgs:>8} msgs {nbytes:>12} bytes")

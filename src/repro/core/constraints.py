@@ -13,10 +13,12 @@ deterministic (greedy in constraint order), so results are bitwise
 reproducible and independent of how constraint groups are distributed
 over simulated nodes.
 
-With a compiled kernel suite (``kernels=`` from :mod:`repro.kernels`),
-the sweeps run in C over the same flattened batch order with the same
-operation ordering — bitwise identical, without the per-iteration
-Python/NumPy dispatch that dominates at rigid-water batch sizes.
+The sweeps run on the solver's kernel suite (``kernels=`` from
+:mod:`repro.kernels`, the NumPy suite by default): on the compiled tier
+in C over the same flattened batch order with the same operation
+ordering — bitwise identical, without the per-iteration Python/NumPy
+dispatch that dominates at rigid-water batch sizes.  The suite decides
+which arrays C can take; the solver only hands them over.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 
 from repro.forcefield import Topology
 from repro.geometry import Box
+from repro.kernels import NUMPY_SUITE
 
 __all__ = ["ConstraintSolver"]
 
@@ -56,6 +59,9 @@ class ConstraintSolver:
         Maximum Gauss–Seidel sweeps.  Rigid water converges at ~0.4 per
         sweep even from large perturbations; MD-step displacements
         reach 1e-12 well inside the default.
+    kernels:
+        The kernel suite :meth:`shake` and :meth:`rattle` run on; the
+        NumPy sweeps below are its NumPy forms.
     """
 
     def __init__(
@@ -64,7 +70,7 @@ class ConstraintSolver:
         masses: np.ndarray,
         box: Box,
         iterations: int = 40,
-        kernels=None,
+        kernels=NUMPY_SUITE,
     ):
         topology.compile()
         self.idx = topology.constraint_idx
@@ -123,10 +129,6 @@ class ConstraintSolver:
             )
         return self._c_arrays
 
-    @staticmethod
-    def _c_ready(a: np.ndarray) -> bool:
-        return a.dtype == np.float64 and a.flags["C_CONTIGUOUS"]
-
     def shake(
         self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10
     ) -> np.ndarray:
@@ -137,10 +139,7 @@ class ConstraintSolver:
         """
         if not self.n_constraints:
             return positions
-        k = self.kernels
-        if k is not None and k.tier == "compiled" and self._c_ready(positions):
-            return k.shake(self, positions, reference, tol)
-        return self._shake_numpy(positions, reference, tol)
+        return self.kernels.shake(self, positions, reference, tol)
 
     def _shake_numpy(
         self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10
@@ -173,10 +172,7 @@ class ConstraintSolver:
         """Remove velocity components along constraints (in place)."""
         if not self.n_constraints:
             return velocities
-        k = self.kernels
-        if k is not None and k.tier == "compiled" and self._c_ready(velocities):
-            return k.rattle(self, velocities, positions, tol)
-        return self._rattle_numpy(velocities, positions, tol)
+        return self.kernels.rattle(self, velocities, positions, tol)
 
     def _rattle_numpy(
         self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12

@@ -35,11 +35,10 @@ from repro.forcefield import (
     all_bonded_forces,
     build_kernel_tables,
     nonbonded_real_space,
-    nonbonded_real_space_tabulated,
     scatter_forces,
 )
 from repro.geometry import NeighborList
-from repro.kernels import get_suite, make_pair_spec
+from repro.kernels import NUMPY_SUITE, make_pair_spec
 
 __all__ = ["MDParams", "ForceReport", "ForceCalculator", "MTSForceProvider"]
 
@@ -95,21 +94,22 @@ class ForceCalculator:
     the float64 one (:meth:`compute`, which is what
     :func:`~repro.core.simulation.minimize_energy` evaluates): neighbor
     list, tabulated pair kernel, force deposit, mesh spread and gather.
-    ``None`` is the plain NumPy evaluation, the oracle of every suite.
-    Every suite yields the same bits.
+    The default, :data:`~repro.kernels.NUMPY_SUITE`, is the plain NumPy
+    evaluation, the oracle of every suite; the calculator never asks
+    which suite it holds, and every suite yields the same bits.
     """
 
     #: Phase names of the one fixed-point pair path, as data: the
-    #: ensemble prefixes its pair phases, the machine charges the
-    #: NumPy-tier quantization to a leaf of its own, and both charge
-    #: the NumPy-tier pair deposit to their own deposit phase (the
-    #: compiled walk deposits as it goes, inside ``range_limited``).
+    #: ensemble prefixes its pair phases, and the machine charges the
+    #: analytic kernel's quantization to a leaf of its own; both charge
+    #: its pair deposit to their own deposit phase (the tabulated walk
+    #: deposits as it goes, inside ``range_limited``).
     _pair_phase_prefix = ""
     _quantize_phase = "range_limited"
     _deposit_phase = "deposit"
 
     def __init__(
-        self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=None
+        self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=NUMPY_SUITE
     ):
         # Deferred import: repro.perf pulls in workload -> repro.core.
         from repro.perf.timers import Timers
@@ -178,16 +178,7 @@ class ForceCalculator:
             MeshStencilPlan(self.gse, system.n_atoms) if self.gse is not None else None
         )
 
-    # -- kernel-tier dispatch and scratch -----------------------------------
-
-    def _suite(self):
-        """The suite deposits go through (the NumPy one for ``kernels=None``)."""
-        return self.kernels if self.kernels is not None else get_suite("numpy")
-
-    def _fused_pairs(self) -> bool:
-        """Whether the pair kernel is one C pass over the cached candidates."""
-        k = self.kernels
-        return k is not None and k.tier == "compiled" and self.tables is not None
+    # -- pair-kernel inputs and scratch ----------------------------------------
 
     def _spec(self, force_codec=None):
         """The cached :func:`make_pair_spec`; the float pass takes it
@@ -244,47 +235,34 @@ class ForceCalculator:
     def _range_limited(self, positions: np.ndarray):
         """Per-pair float64 forces and energies of the range-limited part.
 
-        On the compiled tier with tabulated kernels that is one C pass
-        (:meth:`_walk_pairs`); otherwise the list's own filter and the
-        NumPy kernels.  Same bits either way.
+        Tabulated kernels are one suite pass over the cached candidates
+        (:meth:`_walk_pairs`); the analytic kernel takes the list's
+        filtered pairs.
         """
-        s = self.system
-        if self._fused_pairs():
+        if self.tables is not None:
             return self._walk_pairs(positions)
+        s = self.system
         pairs = self._pairs(positions)
         with self.timers.time(self._pair_phase_prefix + "range_limited"):
-            if self.tables is not None:
-                nb = nonbonded_real_space_tabulated(
-                    pairs,
-                    s.charges,
-                    s.type_ids,
-                    s.lj,
-                    s.exclusions,
-                    self.tables,
-                    assume_filtered=True,
-                )
-            else:
-                nb = nonbonded_real_space(
-                    pairs,
-                    s.charges,
-                    s.type_ids,
-                    s.lj,
-                    s.exclusions,
-                    self.sigma,
-                    lj_mode=self.params.lj_mode,
-                    cutoff=self.params.cutoff,
-                    assume_filtered=True,
-                )
-        return nb
+            return nonbonded_real_space(
+                pairs,
+                s.charges,
+                s.type_ids,
+                s.lj,
+                s.exclusions,
+                self.sigma,
+                lj_mode=self.params.lj_mode,
+                cutoff=self.params.cutoff,
+                assume_filtered=True,
+            )
 
     def _range_limited_codes(
         self, positions: np.ndarray, force_codec
     ) -> tuple[NonbondedResult, np.ndarray]:
         """Range-limited pair result plus quantized int64 force codes.
 
-        The NumPy evaluation and one quantization: the path of the
-        NumPy tier and of the machine's serial backend, and the oracle
-        of the compiled walk in :meth:`_deposit_range_limited`.
+        The float evaluation and one quantization: the analytic
+        kernel's fixed-point path and the machine's serial backend.
         """
         nb = self._range_limited(positions)
         with self.timers.time(self._quantize_phase):
@@ -296,22 +274,21 @@ class ForceCalculator:
     ) -> NonbondedResult:
         """Deposit the range-limited pair forces into ``acc``.
 
-        On the compiled tier with tabulated kernels this is one C walk
-        per evaluation (:meth:`_walk_pairs`).  Otherwise it is
-        :meth:`_range_limited_codes` and one pair deposit.  The
-        accumulator and the energies are bitwise identical either way.
+        Tabulated kernels are one suite walk per evaluation
+        (:meth:`_walk_pairs`); the analytic kernel is
+        :meth:`_range_limited_codes` and one pair deposit.
         """
-        if not self._fused_pairs():
-            nb, codes = self._range_limited_codes(positions, force_codec)
-            with self.timers.time(self._deposit_phase):
-                self._suite().deposit_pairs(acc.raw(), nb.i, nb.j, codes)
-            return nb
-        return self._walk_pairs(positions, force_codec, acc)
+        if self.tables is not None:
+            return self._walk_pairs(positions, force_codec, acc)
+        nb, codes = self._range_limited_codes(positions, force_codec)
+        with self.timers.time(self._deposit_phase):
+            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
+        return nb
 
     def _walk_pairs(
         self, positions: np.ndarray, force_codec=None, acc: FixedAccumulator | None = None
     ) -> NonbondedResult:
-        """One C pass over the cached candidates (:meth:`_fused_pairs`).
+        """One suite pass over the cached candidates.
 
         Run from inside :meth:`NeighborList.pairs`: cutoff test and
         table evaluation, then either quantize-and-accumulate into
@@ -385,7 +362,7 @@ class ForceCalculator:
         s = self.system
         forces = np.zeros((s.n_atoms, 3))
         corr = self._corrections(positions)
-        self._suite().deposit_pairs_float(forces, corr.i, corr.j, corr.force)
+        self.kernels.deposit_pairs_float(forces, corr.i, corr.j, corr.force)
         e_k = 0.0
         if self.gse is not None:
             e_k, f_k = self._kspace(positions)
@@ -406,7 +383,7 @@ class ForceCalculator:
         energies: dict[str, float] = {}
 
         nb = self._range_limited(positions)
-        self._suite().deposit_pairs_float(forces, nb.i, nb.j, nb.force)
+        self.kernels.deposit_pairs_float(forces, nb.i, nb.j, nb.force)
         energies["lj"] = nb.energy_lj
         energies["coulomb_real"] = nb.energy_coul
 

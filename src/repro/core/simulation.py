@@ -89,10 +89,10 @@ def minimize_energy(
 class FloatEngine(LaneEngine):
     """The conventional float64 reference path as a one-lane engine.
 
-    Wired from the plain NumPy parts (no kernel tier), with the same
-    per-lane surface as the batched engine, so a :class:`Simulation` is
-    the same thin view over either and the one run loop
-    (:mod:`repro.core.runloop`) drives both.
+    Wired from the plain NumPy parts (each on the NumPy suite it holds
+    by default), with the same per-lane surface as the batched engine,
+    so a :class:`Simulation` is the same thin view over either and the
+    one run loop (:mod:`repro.core.runloop`) drives both.
     """
 
     mode = "float"

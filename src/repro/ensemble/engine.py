@@ -16,8 +16,9 @@ The correctness bar is *bitwise*: every replica's integer trajectory
 byte-identical to the same seed run solo, on both kernel tiers.  Since
 a fixed-point :class:`~repro.core.simulation.Simulation` *is* this
 engine at R=1 that holds by construction for R=1; the independent
-oracle — the plain NumPy ``ForceCalculator(kernels=None)`` wiring this
-engine must reproduce — is assembled from public parts by
+oracle — the plain NumPy ``ForceCalculator`` wiring this engine must
+reproduce, on the NumPy suite it holds by default — is assembled from
+public parts by
 ``tests/solo_oracle.py``.  For R > 1 the engine keeps it by
 construction rather than by tolerance:
 
@@ -62,7 +63,7 @@ from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
 from repro.io import EnergyRecord, FingerprintMismatch, check_fingerprint, system_fingerprint
-from repro.kernels import get_suite
+from repro.kernels import NUMPY_SUITE, get_suite
 
 __all__ = [
     "tile_system",
@@ -166,13 +167,11 @@ class EnsembleForceCalculator(ForceCalculator):
         params: MDParams,
         replicas: int,
         n_solo: int,
-        kernels=None,
+        kernels=NUMPY_SUITE,
     ):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
-        super().__init__(
-            system, params, kernels=kernels if kernels is not None else get_suite()
-        )
+        super().__init__(system, params, kernels=kernels)
         self.replicas = int(replicas)
         self.n_solo = int(n_solo)
         # Batched rebuild: per-replica cell binning in a single
@@ -306,43 +305,36 @@ class EnsembleConstraintSolver:
 
     Wraps ONE solo :class:`ConstraintSolver` (the constraint topology
     is identical in every block) and dispatches through the kernel
-    suite: the compiled tier sweeps all replicas in a single C call
-    that runs the solo kernel per block — bitwise the solo solve,
-    including each block's own convergence exit (a converged replica
-    must not absorb extra sweeps, which would change bits).
+    suite (the NumPy one by default): the compiled tier sweeps all
+    replicas in a single C call that runs the solo kernel per block —
+    bitwise the solo solve, including each block's own convergence exit
+    (a converged replica must not absorb extra sweeps, which would
+    change bits).
     """
 
     def __init__(
-        self, solo: ConstraintSolver, replicas: int, n_solo: int, kernels=None
+        self, solo: ConstraintSolver, replicas: int, n_solo: int, kernels=NUMPY_SUITE
     ):
         self.solo = solo
         self.replicas = int(replicas)
         self.n_solo = int(n_solo)
-        self.kernels = kernels if kernels is not None else get_suite()
+        self.kernels = kernels
 
     @property
     def n_constraints(self) -> int:
         return self.solo.n_constraints * self.replicas
 
-    def _suite(self, arr: np.ndarray):
-        k = self.kernels
-        if k.tier == "compiled" and not (
-            arr.dtype == np.float64 and arr.flags["C_CONTIGUOUS"]
-        ):
-            return get_suite("numpy")
-        return k
-
     def shake(self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10):
         if not self.solo.n_constraints:
             return positions
-        return self._suite(positions).shake_batch(
+        return self.kernels.shake_batch(
             self.solo, positions, reference, float(tol), self.replicas, self.n_solo
         )
 
     def rattle(self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12):
         if not self.solo.n_constraints:
             return velocities
-        return self._suite(velocities).rattle_batch(
+        return self.kernels.rattle_batch(
             self.solo, velocities, positions, float(tol), self.replicas, self.n_solo
         )
 

@@ -33,6 +33,7 @@ import numpy as np
 from repro.ewald.kernels import choose_sigma
 from repro.fixedpoint.accumulate import scatter_add_int64
 from repro.geometry import Box
+from repro.kernels import NUMPY_SUITE
 from repro.util import COULOMB
 
 __all__ = ["GSEParams", "GaussianSplitEwald", "MeshStencilPlan"]
@@ -57,8 +58,10 @@ _KERNEL_CHUNK = 512
 
 
 def _fused(kernels) -> bool:
-    """Whether ``kernels`` carries the fused axis-row mesh primitives."""
-    return kernels is not None and kernels.tier == "compiled"
+    """Whether ``kernels`` carries the fused axis-row mesh primitives: the
+    one tier read outside :mod:`repro.kernels`, because the plan owns the
+    cube format (``rows=`` subsets and ``interpolate_potential`` read it)."""
+    return kernels.tier == "compiled"
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ class MeshStencilPlan:
 
     # -- construction ------------------------------------------------------
 
-    def build(self, positions: np.ndarray, kernels=None) -> "MeshStencilPlan":
+    def build(self, positions: np.ndarray, kernels=NUMPY_SUITE) -> "MeshStencilPlan":
         """Fill the plan for ``positions`` (row i of every array is atom i).
 
         Only the per-axis rows are computed here, always in NumPy
@@ -379,7 +382,7 @@ class MeshStencilPlan:
 
     def spread_codes(
         self, charges: np.ndarray, mesh_acc: np.ndarray, codec,
-        rows=None, chunk: int = _KERNEL_CHUNK, kernels=None,
+        rows=None, chunk: int = _KERNEL_CHUNK, kernels=NUMPY_SUITE,
     ) -> None:
         """Quantize and scatter ``w · q`` into the flat int64 mesh.
 
@@ -430,7 +433,7 @@ class MeshStencilPlan:
 
     def spread_float(
         self, charges: np.ndarray, mesh: np.ndarray,
-        rows=None, chunk: int = _KERNEL_CHUNK, kernels=None,
+        rows=None, chunk: int = _KERNEL_CHUNK, kernels=NUMPY_SUITE,
     ) -> None:
         """Unquantized spreading into the flat float64 ``mesh``.
 
@@ -453,7 +456,7 @@ class MeshStencilPlan:
     def interpolate_forces(
         self, charges: np.ndarray, phi: np.ndarray,
         rows=None, out=None, chunk: int = _KERNEL_CHUNK,
-        kernels=None,
+        kernels=NUMPY_SUITE,
     ) -> np.ndarray:
         """Separable gather-and-contract force interpolation.
 
@@ -581,7 +584,7 @@ class GaussianSplitEwald:
         self,
         positions: np.ndarray,
         out: MeshStencilPlan | None = None,
-        kernels=None,
+        kernels=NUMPY_SUITE,
     ) -> MeshStencilPlan:
         """Build (or refill) the shared stencil plan for ``positions``.
 
@@ -704,7 +707,7 @@ class GaussianSplitEwald:
 
     def mesh_pass(
         self, positions: np.ndarray, charges: np.ndarray, lanes: int = 1,
-        codec=None, kernels=None, plan: MeshStencilPlan | None = None,
+        codec=None, kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
         timers=None, before_solve=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The long-range pass of every engine: plan, spread, solve, gather.
@@ -742,11 +745,7 @@ class GaussianSplitEwald:
         time = timers.time if timers is not None else (lambda name: nullcontext())
 
         def each_lane(fn) -> None:
-            if kernels is not None:
-                kernels.map_chunks(fn, R)
-            else:
-                for r in range(R):
-                    fn(r)
+            kernels.map_chunks(fn, R)
 
         with time("mesh_plan"):
             plan = self.make_plan(positions, out=plan, kernels=kernels)
@@ -765,7 +764,7 @@ class GaussianSplitEwald:
         if before_solve is not None:
             before_solve()
         with time("mesh_fft"):
-            if kernels is not None and kernels.threads > 1 and R > 1:
+            if kernels.threads > 1 and R > 1:
                 # Per-lane solo transforms in worker threads: the
                 # stacked solve is pinned bitwise to R solo solves, so
                 # this is the same bytes with the lane axis farmed out
@@ -789,7 +788,7 @@ class GaussianSplitEwald:
 
     def kspace(
         self, positions: np.ndarray, charges: np.ndarray, codec=None,
-        kernels=None, plan: MeshStencilPlan | None = None,
+        kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
     ) -> tuple[float, np.ndarray]:
         """Full k-space pass for one system: :meth:`mesh_pass` with one lane.
 

@@ -4,16 +4,15 @@ The seed code rebuilt its pair list from scratch on every force
 evaluation, so the "conventional processor" baseline the paper's Anton
 speedups are measured against (Figure 5, Table 4) was dominated by
 pair-search overhead.  :class:`NeighborList` amortizes that cost the
-way GROMACS does: bin atoms with the fully vectorized cell engine
+way GROMACS does: rebuild through the kernel suite's
+``neighbor_build`` — on the NumPy tier the fully vectorized cell engine
 (:func:`~repro.geometry.cells.ensemble_cell_candidate_pairs`, one
-block for a solo system), keep every pair
-out to ``cutoff + skin``, pre-apply the static exclusion mask once,
-and reuse the list until some atom has moved more than ``skin / 2``
-since the last build — the classical sufficient condition, since two
-atoms approaching each other close the gap by at most ``skin``.  A list
-holding a compiled kernel suite rebuilds through the suite's
-``neighbor_build`` instead, which emits the same canonical list
-directly from a C cell sweep; the NumPy pipeline is its oracle.
+block for a solo system), on the compiled tier one C cell sweep
+emitting the same canonical list — keeping every pair out to
+``cutoff + skin`` with the static exclusion mask applied once, and
+reuse the list until some atom has moved more than ``skin / 2`` since
+the last build — the classical sufficient condition, since two atoms
+approaching each other close the gap by at most ``skin``.
 
 Determinism: at use time the list recomputes ``dx``/``r2`` from the
 *current* wrapped positions and filters to the true cutoff, and the
@@ -32,14 +31,9 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.geometry.cells import (
-    _FILTER_CHUNK,
-    NeighborPairs,
-    _canonical_order,
-    brute_force_pairs,
-    ensemble_cell_candidate_pairs,
-)
+from repro.geometry.cells import NeighborPairs
 from repro.geometry.pbc import Box
+from repro.kernels import NUMPY_SUITE
 
 __all__ = ["NeighborList", "EnsembleNeighborList"]
 
@@ -75,13 +69,15 @@ class NeighborList:
         under the ``"neighbor_builds"`` / ``"neighbor_reuses"``
         counters.
     kernels:
-        Optional kernel suite from :mod:`repro.kernels`.  With the
-        compiled tier, :meth:`pairs` runs the cutoff filter in C into
-        persistent scratch and returns prefix *views* of that scratch
-        — bitwise identical to the NumPy filter, but the views are
-        only valid until the next :meth:`pairs` call (a ``walk``
-        passed to :meth:`pairs` takes the filter's place).  Rebuilds go
-        through the suite's ``neighbor_build`` (same list, same order).
+        The kernel suite (:mod:`repro.kernels`) rebuilds and filters
+        run on, :data:`~repro.kernels.NUMPY_SUITE` by default.
+        Rebuilds go through its ``neighbor_build`` and :meth:`pairs`
+        through its ``pair_filter`` into persistent scratch, so the
+        returned arrays are prefix *views* of that scratch, valid only
+        until the next :meth:`pairs` call — a caller keeping two results
+        copies the first (a ``walk`` passed to :meth:`pairs` takes the
+        filter's place).  Every suite gives the same list and the same
+        pairs, bit for bit.
     """
 
     #: Atom rows form this many equal blocks that never pair across a
@@ -95,7 +91,7 @@ class NeighborList:
         skin: float = 2.0,
         exclusions=None,
         timers=None,
-        kernels=None,
+        kernels=NUMPY_SUITE,
     ):
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
@@ -121,11 +117,11 @@ class NeighborList:
         self._lengths = np.ascontiguousarray(box.lengths, dtype=np.float64)
         self._scratch_cap = -1
         self._oi = self._oj = self._odx = self._or2 = None
-        # Compiled-tier rebuild state, filled lazily: ``kernels`` may be
-        # assigned after construction.
+        # Rebuild state: the exclusion CSR ``neighbor_build`` reads
+        # (built at the first rebuild) and the ``[oi, oj]`` buffers it
+        # may fill and grow.
         self._excl_csr = None
-        self._buf_i = np.empty(0, dtype=np.int64)
-        self._buf_j = np.empty(0, dtype=np.int64)
+        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)]
 
     # -- building ----------------------------------------------------------
 
@@ -142,85 +138,16 @@ class NeighborList:
             self._build_inner(wrapped)
 
     def _build_inner(self, wrapped: np.ndarray) -> None:
-        k = self.kernels
-        if k is not None and k.tier == "compiled":
-            ii, jj = self._candidates_compiled(k, wrapped)
-        else:
-            ii, jj = self._candidates_numpy(wrapped)
-        self._cand_i, self._cand_j = ii, jj
+        if self.exclusions is not None and self._excl_csr is None:
+            self._excl_csr = _partner_csr(self.exclusions)
+        self._cand_i, self._cand_j = self.kernels.neighbor_build(
+            wrapped, self._lengths, self.reach, self._n_blocks,
+            len(wrapped) // self._n_blocks, self._excl_csr, self._bufs,
+        )
         if self._ref_positions is None or self._ref_positions.shape != wrapped.shape:
             self._ref_positions = np.empty_like(wrapped)
         np.copyto(self._ref_positions, wrapped)
         self.n_builds += 1
-
-    def _candidates_compiled(self, k, wrapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The canonical list straight from ``neighbor_build``.
-
-        Pairs land in list-owned buffers and come back as prefix views,
-        so a steady-state rebuild allocates nothing; a count past the
-        capacity grows the buffers with headroom and repeats the sweep.
-        """
-        block_len = len(wrapped) // self._n_blocks
-        if self.exclusions is not None and self._excl_csr is None:
-            self._excl_csr = _partner_csr(self.exclusions)
-        wrapped = np.ascontiguousarray(wrapped)
-        while True:
-            m = k.neighbor_build(
-                wrapped, self._lengths, self.reach, self._n_blocks, block_len,
-                self._excl_csr, self._buf_i, self._buf_j,
-            )
-            if m <= len(self._buf_i):
-                return self._buf_i[:m], self._buf_j[:m]
-            self._buf_i = np.empty(m + m // 8, dtype=np.int64)
-            self._buf_j = np.empty(m + m // 8, dtype=np.int64)
-
-    def _candidates_numpy(self, wrapped: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cell candidates -> reach filter -> exclusions -> canonical sort."""
-        n_blocks, block_len = self._n_blocks, len(wrapped) // self._n_blocks
-        cand = ensemble_cell_candidate_pairs(wrapped, self.box, self.reach, n_blocks, block_len)
-        if cand is None:
-            # Per-block brute force; each block is canonical and the
-            # block-major concatenation stays globally canonical.
-            blocks = wrapped.reshape(n_blocks, block_len, 3)
-            parts = [brute_force_pairs(x, self.box, self.reach) for x in blocks]
-            ii = np.concatenate([bf.i + r * block_len for r, bf in enumerate(parts)])
-            jj = np.concatenate([bf.j + r * block_len for r, bf in enumerate(parts)])
-        else:
-            ii, jj = self._filter_to_reach(wrapped, *cand)
-        if self.exclusions is not None and len(ii):
-            keep = ~self.exclusions.is_excluded(ii, jj)
-            ii, jj = ii[keep], jj[keep]
-        if cand is not None and len(ii):
-            # Sorting only the reach-filtered survivors keeps the
-            # pairs() output a pure function of the configuration at a
-            # fraction of the cost of sorting raw cell candidates.
-            order = _canonical_order(ii, jj, len(wrapped))
-            ii, jj = ii[order], jj[order]
-        return ii, jj
-
-    def _filter_to_reach(
-        self, wrapped: np.ndarray, ii: np.ndarray, jj: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Drop cell candidates beyond ``reach`` at the build configuration.
-
-        A pair separated by more than ``cutoff + skin`` at build time
-        cannot come within the cutoff before a rebuild triggers (each
-        atom moves at most ``skin/2``), so only genuine Verlet-list
-        members are cached.  Chunked to bound the transient ``dx``
-        allocation.
-        """
-        r2max = self.reach * self.reach
-        kept_i, kept_j = [], []
-        for lo in range(0, len(ii), _FILTER_CHUNK):
-            hi = lo + _FILTER_CHUNK
-            d = self.box.minimum_image(wrapped[ii[lo:hi]] - wrapped[jj[lo:hi]])
-            keep = np.sum(d * d, axis=1) < r2max
-            kept_i.append(ii[lo:hi][keep])
-            kept_j.append(jj[lo:hi][keep])
-        if not kept_i:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        return np.concatenate(kept_i), np.concatenate(kept_j)
 
     # -- querying ----------------------------------------------------------
 
@@ -267,37 +194,25 @@ class NeighborList:
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
         ii, jj = self._cand_i, self._cand_j
+        wrapped = np.ascontiguousarray(wrapped)
         if walk is not None:
-            return walk(np.ascontiguousarray(wrapped), ii, jj, self._lengths)
-        k = self.kernels
+            return walk(wrapped, ii, jj, self._lengths)
         # The cutoff filter is the remaining per-call work; charge it to
         # its own leaf phase so hierarchical profiles attribute it
         # (observational only — no effect on the returned pairs).
         select = self.timers.time("pair_select") if self.timers is not None else nullcontext()
         with select:
-            if k is not None and k.tier == "compiled" and len(ii):
-                self._ensure_scratch(len(ii))
-                m = k.pair_filter(
-                    np.ascontiguousarray(wrapped),
-                    ii,
-                    jj,
-                    self._lengths,
-                    self.cutoff * self.cutoff,
-                    self._oi,
-                    self._oj,
-                    self._odx,
-                    self._or2,
-                )
-                return NeighborPairs(
-                    i=self._oi[:m], j=self._oj[:m], dx=self._odx[:m], r2=self._or2[:m]
-                )
-            dx = self.box.minimum_image(wrapped[ii] - wrapped[jj])
-            r2 = np.sum(dx * dx, axis=1)
-            keep = r2 < self.cutoff * self.cutoff
-            return NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep])
+            self._ensure_scratch(len(ii))
+            m = self.kernels.pair_filter(
+                wrapped, ii, jj, self._lengths, self.cutoff * self.cutoff,
+                self._oi, self._oj, self._odx, self._or2,
+            )
+            return NeighborPairs(
+                i=self._oi[:m], j=self._oj[:m], dx=self._odx[:m], r2=self._or2[:m]
+            )
 
     def _ensure_scratch(self, n: int) -> None:
-        """Size the compiled-filter output scratch to the candidate count."""
+        """Size the filter's output scratch to the candidate count."""
         if n <= self._scratch_cap:
             return
         # Candidate counts wander a fraction of a percent between

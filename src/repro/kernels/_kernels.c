@@ -508,8 +508,8 @@ static inline void rk_quantize(int64_t nb, const double *restrict pf,
 }
 
 /* One evaluation of the range-limited forces, from the cached Verlet
- * candidates straight to the force accumulator: NumpyKernels.pair_filter
- * -> pair_table_codes -> deposit_pairs with nothing stored per pair but
+ * candidates straight to the force accumulator: NumpyKernels.pair_walk
+ * (filter -> tables -> quantize -> deposit) with nothing stored per pair but
  * what the caller reads — the surviving (i, j) and the per-pair energies
  * (summed by np.sum, so the reported floats keep NumPy's pairwise bits).
  *

@@ -1,26 +1,29 @@
 """Kernel tiers: NumPy reference implementations and ctypes wrappers.
 
-A *kernel suite* is the small set of hot-loop primitives the machine
-simulation dispatches through: neighbor-list rebuild and cutoff
-filtering, the range-limited pair walk (cached candidates straight to
-the fixed-point force accumulator) and its float64 twin (candidates to
-per-pair force rows), the NT force-export marks, fixed-point scatter
-deposits and the ordered float deposit, the fused mesh spread and
-gather, and the SHAKE/RATTLE constraint sweeps.  Two tiers implement
-the same contract (six primitives are compiled-only, their NumPy
-counterpart being the pipeline the caller keeps as its NumPy-tier path:
-``neighbor_build`` — the cell pipeline of
-:class:`~repro.geometry.NeighborList`; ``pair_walk`` — ``pair_filter``
--> ``pair_table_codes`` -> ``deposit_pairs``, the three NumPy passes
-that stay as its oracle; ``pair_rows`` — the list's NumPy filter and
-:func:`~repro.forcefield.nonbonded_real_space_tabulated`; and the three
-``mesh_*_axes`` — the stencil-cube pipeline of
-:class:`~repro.ewald.gse.MeshStencilPlan`):
+A *kernel suite* is the small set of hot-loop primitives the force
+path, neighbor list, constraint solver and mesh pass dispatch through:
+neighbor-list rebuild and cutoff filtering, the range-limited pair walk
+(cached candidates straight to the fixed-point force accumulator) and
+its float64 twin (candidates to per-pair force rows), the NT
+force-export marks, fixed-point scatter deposits and the ordered float
+deposit, the fused mesh spread and gather, and the SHAKE/RATTLE
+constraint sweeps.  Two tiers implement it:
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
-  reference the property tests compare against.
+  reference the property tests compare against.  Every primitive a
+  component calls exists here with the compiled signature.
 * :class:`CompiledKernels` — thin ctypes shims over ``_kernels.c``,
-  built lazily by :mod:`repro.kernels.build`.
+  built lazily by :mod:`repro.kernels.build`.  The wrappers own every
+  layout question: an array C cannot take as it is runs the NumPy form
+  or is a ``ValueError``.
+
+The tier is chosen in one place, :func:`get_suite`.  Components hold a
+suite — :data:`NUMPY_SUITE` unless given one — and never ask which, so
+the force path, neighbor list, constraint solver and ensemble run one
+control flow on both.  The one reader of ``tier`` outside this package
+is :class:`~repro.ewald.gse.MeshStencilPlan`, which owns the
+stencil-cube format and so chooses between its cubes and the three
+fused ``mesh_*_axes`` kernels (no NumPy form on the suite).
 
 The contract is *bitwise identity*: for any input, both tiers return
 the same bytes.  The compiled tier therefore preserves every
@@ -72,6 +75,7 @@ __all__ = [
     "KernelConfig",
     "PairTableSpec",
     "NumpyKernels",
+    "NUMPY_SUITE",
     "CompiledKernels",
     "make_pair_spec",
     "get_suite",
@@ -133,7 +137,7 @@ def _conforms(a: np.ndarray, shape: tuple, dtype) -> bool:
 
 def _i64(a) -> np.ndarray:
     """C-contiguous int64 view (no copy when already conforming)."""
-    return np.ascontiguousarray(a, dtype=np.int64)
+    return np.asarray(a, dtype=np.int64, order="C")
 
 
 @dataclass(frozen=True)
@@ -151,8 +155,11 @@ class PairTableSpec:
     (``q_scale / q_limit``) are what lets the compiled walk drop a
     division where that is exact: each is set only when every divisor
     it replaces is a power of two, and is ``None`` / ``0.0`` otherwise,
-    which keeps the literal division.  The NumPy oracle never reads
-    them.
+    which keeps the literal division.  The NumPy forms never read
+    them; they evaluate ``tables`` (the
+    :class:`~repro.functions.KernelTableSet`) with ``lj`` (the
+    :class:`~repro.forcefield.LJTable`) and quantize with ``codec``,
+    the objects the arrays above were taken from.
     """
 
     charges: np.ndarray
@@ -178,6 +185,9 @@ class PairTableSpec:
     e_inv: np.ndarray | None = None
     d_inv: np.ndarray | None = None
     q_mul: float = 0.0
+    tables: object = None
+    lj: object = None
+    codec: object = None
 
     @cached_property
     def c(self) -> PairSpec:
@@ -208,12 +218,12 @@ def _pow2_reciprocals(widths: np.ndarray) -> np.ndarray | None:
 
 
 def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> PairTableSpec:
-    """Precompute the static arrays for :meth:`~NumpyKernels.pair_table_codes`.
+    """Precompute the static inputs of ``pair_walk`` and ``pair_rows``.
 
     The A/B matrices are the :class:`~repro.forcefield.LJTable`'s own
     (the ones :meth:`LJTable.pair_coefficients` gathers from).  Without
-    a ``force_codec`` the spec serves only the float
-    :meth:`~CompiledKernels.pair_rows`, which quantizes nothing.
+    a ``force_codec`` the spec serves only the float ``pair_rows``,
+    which quantizes nothing.
     """
     from repro.util import COULOMB
 
@@ -269,7 +279,46 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
         e_inv=_pow2_reciprocals(e_widths),
         d_inv=_pow2_reciprocals(d_widths),
         q_mul=q_scale / q_limit if _pow2(q_limit) and _pow2(q_scale) else 0.0,
+        tables=tables,
+        lj=lj_table,
+        codec=force_codec,
     )
+
+
+def _filter_to_reach(wrapped, box, reach, ii, jj):
+    """Drop cell candidates beyond ``reach`` at the build configuration.
+
+    A pair separated by more than ``cutoff + skin`` at build time
+    cannot come within the cutoff before a rebuild triggers (each atom
+    moves at most ``skin/2``), so only genuine Verlet-list members are
+    cached.  Chunked to bound the transient ``dx`` allocation.
+    """
+    from repro.geometry.cells import _FILTER_CHUNK
+
+    r2max = reach * reach
+    kept_i, kept_j = [], []
+    for lo in range(0, len(ii), _FILTER_CHUNK):
+        hi = lo + _FILTER_CHUNK
+        d = box.minimum_image(wrapped[ii[lo:hi]] - wrapped[jj[lo:hi]])
+        keep = np.sum(d * d, axis=1) < r2max
+        kept_i.append(ii[lo:hi][keep])
+        kept_j.append(jj[lo:hi][keep])
+    if not kept_i:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy()
+    return np.concatenate(kept_i), np.concatenate(kept_j)
+
+
+def _csr_contains(excl, ii, jj, n: int) -> np.ndarray:
+    """Whether each pair ``(i, j)``, ``i < j``, is a partner entry of the CSR."""
+    ptr, idx = excl
+    owners = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+    keys = np.sort(owners * np.int64(n) + idx)
+    if not len(keys):
+        return np.zeros(len(ii), dtype=bool)
+    cand = ii * np.int64(n) + jj
+    pos = np.minimum(np.searchsorted(keys, cand), len(keys) - 1)
+    return keys[pos] == cand
 
 
 class NumpyKernels:
@@ -295,7 +344,55 @@ class NumpyKernels:
         for b in range(nchunks):
             fn(b)
 
-    # -- neighbor filter -------------------------------------------------
+    # -- neighbor rebuild and filter ----------------------------------------
+
+    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
+        """Canonical Verlet list of ``n_blocks`` stacked blocks, as ``(i, j)``.
+
+        Every pair ``i < j`` within one block whose minimum-image
+        distance satisfies :meth:`pair_filter`'s predicate at ``reach``,
+        except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
+        of partners ``j > i``, or ``None`` — sorted by ``(i, j)``.
+        ``wrapped`` holds every coordinate in ``[0, L)``.  ``bufs`` is the
+        caller's ``[oi, oj]`` int64 buffers, which only the compiled
+        form writes.  Here: batched cell candidates, reach filter,
+        exclusion mask, one canonical sort of the survivors — or, in a
+        box that admits no binning, brute force per block.
+        """
+        from repro.geometry.cells import (
+            _canonical_order,
+            brute_force_pairs,
+            ensemble_cell_candidate_pairs,
+        )
+        from repro.geometry.pbc import Box
+
+        box = Box(lengths)
+        cand = ensemble_cell_candidate_pairs(wrapped, box, reach, n_blocks, block_len)
+        if cand is None:
+            blocks = wrapped.reshape(n_blocks, block_len, 3)
+            parts = [brute_force_pairs(x, box, reach) for x in blocks]
+            ii = np.concatenate([bf.i + r * block_len for r, bf in enumerate(parts)])
+            jj = np.concatenate([bf.j + r * block_len for r, bf in enumerate(parts)])
+        else:
+            ii, jj = _filter_to_reach(wrapped, box, reach, *cand)
+        if excl is not None and len(ii):
+            keep = ~_csr_contains(excl, ii, jj, len(wrapped))
+            ii, jj = ii[keep], jj[keep]
+        if cand is not None and len(ii):
+            order = _canonical_order(ii, jj, len(wrapped))
+            ii, jj = ii[order], jj[order]
+        return ii, jj
+
+    @staticmethod
+    def _within(wrapped, ii, jj, lengths, cutoff2):
+        """The candidates closer than ``sqrt(cutoff2)``, with ``dx`` / ``r2``."""
+        from repro.geometry.cells import NeighborPairs
+
+        d = wrapped[ii] - wrapped[jj]
+        dx = d - lengths * np.round(d / lengths)
+        r2 = np.sum(dx * dx, axis=1)
+        keep = r2 < cutoff2
+        return NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep])
 
     def pair_filter(self, wrapped, ii, jj, lengths, cutoff2, oi, oj, odx, or2):
         """Cutoff-filter candidate pairs into the provided scratch.
@@ -308,58 +405,54 @@ class NumpyKernels:
         the compiled tier takes the minimum image without dividing,
         which equals this expression exactly under that precondition.
         """
-        d = wrapped[ii] - wrapped[jj]
-        dx = d - lengths * np.round(d / lengths)
-        r2 = np.sum(dx * dx, axis=1)
-        keep = r2 < cutoff2
-        m = int(np.count_nonzero(keep))
-        oi[:m] = ii[keep]
-        oj[:m] = jj[keep]
-        odx[:m] = dx[keep]
-        or2[:m] = r2[keep]
+        p = self._within(wrapped, ii, jj, lengths, cutoff2)
+        m = len(p)
+        oi[:m], oj[:m], odx[:m], or2[:m] = p.i, p.j, p.dx, p.r2
         return m
 
-    # -- tabulated pair kernel (the compiled pair_walk's oracle) -----------
+    # -- tabulated pair kernels ----------------------------------------------
 
-    def pair_table_codes(self, spec: PairTableSpec, i, j, dx, r2, codes, e_lj, e_coul):
-        """Tabulated pair forces quantized to int64 codes.
+    def _tabulated(self, spec: PairTableSpec, wrapped, ii, jj, lengths):
+        """The filtered candidates through the force field's tabulated kernel."""
+        from repro.forcefield import nonbonded_real_space_tabulated
 
-        Writes force codes and per-pair energies into the provided
-        output arrays (all length ``len(i)``).
-        """
-        qq = spec.charges[i] * spec.charges[j] * spec.coulomb
-        a = spec.amat[spec.types[i], spec.types[j]]
-        b = spec.bmat[spec.types[i], spec.types[j]]
-
-        u = r2 / spec.cutoff2
-        u = np.minimum(u, spec.umax)
-
-        def locate(starts, widths):
-            idx = np.searchsorted(starts, u, side="right") - 1
-            idx = np.clip(idx, 0, len(starts) - 1)
-            t = (u - starts[idx]) / widths[idx]
-            return idx, np.clip(t, 0.0, 1.0)
-
-        def horner(coeffs, idx, t):
-            c = coeffs[idx]
-            out = c[..., -1].copy()
-            for k in range(c.shape[-1] - 2, -1, -1):
-                out = out * t + c[..., k]
-            return out
-
-        ie, te = locate(spec.e_starts, spec.e_widths)
-        idd, td = locate(spec.d_starts, spec.d_widths)
-        p = (
-            qq * horner(spec.e_cf, ie, te)
-            + a * horner(spec.c12f, idd, td)
-            - b * horner(spec.c6f, idd, td)
+        return nonbonded_real_space_tabulated(
+            self._within(wrapped, ii, jj, lengths, spec.cutoff2),
+            spec.charges, spec.types, spec.lj, None, spec.tables, assume_filtered=True,
         )
-        e_coul[:] = qq * horner(spec.e_ce, ie, te)
-        e_lj[:] = a * horner(spec.c12e, idd, td) - b * horner(spec.c6e, idd, td)
 
-        x = p[:, None] * dx / spec.q_limit * spec.q_scale
-        cap = 2.0**62
-        codes[:] = np.rint(np.clip(x, -cap, cap)).astype(np.int64)
+    def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
+                  oi, oj, e_lj, e_coul):
+        """One range-limited evaluation, candidates to accumulator.
+
+        :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
+        :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``;
+        of the per-pair data only the surviving pairs ``oi[:m], oj[:m]``
+        and their energies ``e_lj[:m], e_coul[:m]`` are kept (all four
+        sized to the candidate count).  Returns ``m``.
+        """
+        nb = self._tabulated(spec, wrapped, ii, jj, lengths)
+        m = nb.n_pairs
+        oi[:m], oj[:m], e_lj[:m], e_coul[:m] = nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
+        self.deposit_pairs(acc, nb.i, nb.j, spec.codec.quantize_round_only(nb.force))
+        return m
+
+    def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
+                  oi, oj, rows, e_lj, e_coul):
+        """The walk's float64 twin: candidates to per-pair force rows.
+
+        :meth:`pair_filter` at the tables' cutoff, then
+        :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
+        surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
+        in ``rows[:m]``, the energies in ``e_lj[:m], e_coul[:m]`` (all
+        sized to the candidate count).  Nothing is summed — that is
+        :meth:`deposit_pairs_float`'s.  Returns ``m``.
+        """
+        nb = self._tabulated(spec, wrapped, ii, jj, lengths)
+        m = nb.n_pairs
+        oi[:m], oj[:m], rows[:m] = nb.i, nb.j, nb.force
+        e_lj[:m], e_coul[:m] = nb.e_lj_pairs, nb.e_coul_pairs
+        return m
 
     # -- fixed-point deposits --------------------------------------------
 
@@ -480,25 +573,19 @@ class CompiledKernels(NumpyKernels):
             )
         )
 
-    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, oi, oj):
-        """Canonical Verlet list of ``n_blocks`` stacked blocks, in C.
+    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
+        """:meth:`NumpyKernels.neighbor_build` as one C cell sweep.
 
-        Every pair ``i < j`` within one block whose minimum-image
-        distance satisfies :meth:`pair_filter`'s predicate at ``reach``,
-        except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
-        over global atom ids, or ``None`` — sorted by ``(i, j)``: exactly
-        what the NumPy pipeline in :mod:`repro.geometry.cells` leaves
-        after filter, exclusion mask and canonical sort.  ``wrapped`` is
-        the C-contiguous ``(n_blocks * block_len, 3)`` wrapped
-        positions, every coordinate in ``[0, L)`` (the predicate's
-        precondition).  Returns the pair count ``m``; pairs land in
-        ``oi[:m], oj[:m]`` when they fit, and ``m > len(oi)`` asks the
-        caller to grow the buffers and call again.
+        Pairs land in ``bufs``, the caller's ``[oi, oj]`` int64 pair, and
+        come back as prefix views of it, so a steady-state rebuild
+        allocates nothing; a count past their capacity replaces both
+        with larger buffers (1/8 headroom) and repeats the sweep.
         """
         n = n_blocks * block_len
+        wrapped = np.asarray(wrapped, dtype=np.float64, order="C")
         if (
             not _conforms(wrapped, (n, 3), np.float64)
-            or len(oj) != len(oi)
+            or not all(_conforms(b, (len(bufs[0]),), np.int64) for b in bufs)
             or (excl is not None and len(excl[0]) != n + 1)
         ):
             raise ValueError("neighbor_build: arrays do not match the block layout")
@@ -507,23 +594,25 @@ class CompiledKernels(NumpyKernels):
         if work is None or len(work) < need:
             work = self._neighbor_work = np.empty(need, dtype=np.int64)
         ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
-        return int(
-            self._lib.rk_neighbor_build(
-                n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
-                ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi),
+        while True:
+            oi, oj = bufs
+            m = int(
+                self._lib.rk_neighbor_build(
+                    n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
+                    ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi),
+                )
             )
-        )
+            if m <= len(oi):
+                return oi[:m], oj[:m]
+            bufs[:] = (np.empty(m + m // 8, dtype=np.int64) for _ in "ij")
 
     def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
                   oi, oj, e_lj, e_coul):
-        """One range-limited evaluation, candidates to accumulator, in C.
+        """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
-        Bitwise :meth:`pair_filter` -> :meth:`pair_table_codes` ->
-        :meth:`deposit_pairs` into the ``(n_atoms, 3)`` int64 ``acc``,
-        keeping of the per-pair data only what callers read: the
-        surviving pairs in ``oi[:m], oj[:m]`` and their energies in
-        ``e_lj[:m], e_coul[:m]`` (all four sized to the candidate
-        count).  ``wrapped`` as for :meth:`pair_filter`.  Returns ``m``.
+        Filter, tables, quantize and deposit per block of candidates,
+        with nothing stored per pair but the outputs.  Every array must
+        already have the layout C reads (``ValueError`` otherwise).
         """
         n, n_atoms = len(ii), len(wrapped)
         outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
@@ -545,17 +634,8 @@ class CompiledKernels(NumpyKernels):
 
     def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
                   oi, oj, rows, e_lj, e_coul):
-        """The walk's float64 twin: candidates to per-pair force rows, in C.
-
-        Bitwise the neighbor list's cutoff filter followed by
-        :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
-        surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
-        of each in ``rows[:m]`` and the energies in ``e_lj[:m],
-        e_coul[:m]`` (``rows`` is ``(n_cand, 3)``, the rest sized to the
-        candidate count).  Nothing is summed — that is
-        :meth:`deposit_pairs_float`'s, in NumPy's order.  ``wrapped`` as
-        for :meth:`pair_filter`.  Returns ``m``.
-        """
+        """:meth:`NumpyKernels.pair_rows` in C, sharing the walk's table
+        arithmetic; layouts as for :meth:`pair_walk`."""
         n, n_atoms = len(ii), len(wrapped)
         outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
         if not (
@@ -590,10 +670,15 @@ class CompiledKernels(NumpyKernels):
         )
 
     def deposit_pairs(self, raw, i, j, codes):
-        i = _i64(i)
-        j = _i64(j)
-        codes = _i64(codes)
-        self._lib.rk_deposit_pairs(_ptr(raw), _ptr(i), _ptr(j), _ptr(codes), len(i))
+        """``raw[i] += codes; raw[j] -= codes`` wrapping; ``raw`` C cannot
+        write in place (a strided view, another dtype) runs the NumPy form."""
+        i, j, codes = _i64(i), _i64(j), _i64(codes)
+        n = len(i)
+        if len(j) != n or codes.shape != (n, 3):
+            raise ValueError("deposit_pairs: i, j and codes differ in length")
+        if not _conforms(raw, (len(raw), 3), np.int64):
+            return NumpyKernels.deposit_pairs(self, raw, i, j, codes)
+        self._lib.rk_deposit_pairs(_ptr(raw), _ptr(i), _ptr(j), _ptr(codes), n)
 
     def deposit_pairs_float(self, forces, i, j, rows):
         n = len(i)
@@ -608,9 +693,14 @@ class CompiledKernels(NumpyKernels):
         )
 
     def scatter_rows(self, raw, idx, codes):
-        idx = _i64(idx)
-        codes = _i64(codes)
-        self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), len(idx))
+        """``raw[idx] += codes`` wrapping; ``raw`` as for :meth:`deposit_pairs`."""
+        idx, codes = _i64(idx), _i64(codes)
+        n = len(idx)
+        if codes.shape != (n, 3):
+            raise ValueError("scatter_rows: idx and codes differ in length")
+        if not _conforms(raw, (len(raw), 3), np.int64):
+            return NumpyKernels.scatter_rows(self, raw, idx, codes)
+        self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), n)
 
     def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
         """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``.
@@ -684,13 +774,24 @@ class CompiledKernels(NumpyKernels):
             raise ValueError("mesh_gather_axes: arrays do not match the plan layout")
         self._lib.rk_mesh_gather_axes(axes, lo, hi, float(c2), _ptr(phi), _ptr(out))
 
+    # The constraint sweeps update their first array in place, so one C
+    # cannot write there as it is — or a solver without constraints —
+    # runs the NumPy form; the read-only second array is normalised.
+
+    @staticmethod
+    def _sweep_arrays(solver, target):
+        """The solver's flattened constraint arrays, or None for NumPy."""
+        if not _conforms(target, (len(target), 3), np.float64):
+            return None
+        return solver._compiled_arrays()
+
     def shake(self, solver, positions, reference, tol):
-        pre = solver._compiled_arrays()
+        pre = self._sweep_arrays(solver, positions)
         if pre is None:
-            return solver._shake_numpy(positions, reference, tol)
+            return NumpyKernels.shake(self, solver, positions, reference, tol)
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
         self._lib.rk_shake(
-            _ptr(positions), _ptr(np.ascontiguousarray(reference)),
+            _ptr(positions), _ptr(np.asarray(reference, dtype=np.float64, order="C")),
             _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dref),
@@ -698,12 +799,12 @@ class CompiledKernels(NumpyKernels):
         return positions
 
     def rattle(self, solver, velocities, positions, tol):
-        pre = solver._compiled_arrays()
+        pre = self._sweep_arrays(solver, velocities)
         if pre is None:
-            return solver._rattle_numpy(velocities, positions, tol)
+            return NumpyKernels.rattle(self, solver, velocities, positions, tol)
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
         self._lib.rk_rattle(
-            _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
+            _ptr(velocities), _ptr(np.asarray(positions, dtype=np.float64, order="C")),
             _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
@@ -711,7 +812,7 @@ class CompiledKernels(NumpyKernels):
         return velocities
 
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
-        pre = solver._compiled_arrays()
+        pre = self._sweep_arrays(solver, positions)
         if pre is None:
             return NumpyKernels.shake_batch(
                 self, solver, positions, reference, tol, nrep, natoms
@@ -719,7 +820,7 @@ class CompiledKernels(NumpyKernels):
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
         self._lib.rk_shake_batch(
             int(nrep), int(natoms),
-            _ptr(positions), _ptr(np.ascontiguousarray(reference)),
+            _ptr(positions), _ptr(np.asarray(reference, dtype=np.float64, order="C")),
             _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dref),
@@ -727,7 +828,7 @@ class CompiledKernels(NumpyKernels):
         return positions
 
     def rattle_batch(self, solver, velocities, positions, tol, nrep, natoms):
-        pre = solver._compiled_arrays()
+        pre = self._sweep_arrays(solver, velocities)
         if pre is None:
             return NumpyKernels.rattle_batch(
                 self, solver, velocities, positions, tol, nrep, natoms
@@ -735,7 +836,7 @@ class CompiledKernels(NumpyKernels):
         ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
         self._lib.rk_rattle_batch(
             int(nrep), int(natoms),
-            _ptr(velocities), _ptr(np.ascontiguousarray(positions)),
+            _ptr(velocities), _ptr(np.asarray(positions, dtype=np.float64, order="C")),
             _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
             len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
             solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
@@ -743,7 +844,9 @@ class CompiledKernels(NumpyKernels):
         return velocities
 
 
-_NUMPY_SUITE = NumpyKernels()
+#: The NumPy suite: what ``get_suite("numpy")`` returns, and what every
+#: component holds when it is not handed a suite.
+NUMPY_SUITE = NumpyKernels()
 #: Compiled suites keyed by thread count (each owns its farm).
 _COMPILED_SUITES: dict[int, CompiledKernels] = {}
 _warned = False
@@ -778,7 +881,7 @@ def get_suite(tier: str | None = None, threads: int | None = None):
     if cfg.tier == "numpy":
         # NumPy manages its own internal parallelism; threads is the
         # compiled tier's farm width and is deliberately ignored here.
-        return _NUMPY_SUITE
+        return NUMPY_SUITE
     try:
         lib = load()
     except KernelBuildError as exc:
@@ -790,7 +893,7 @@ def get_suite(tier: str | None = None, threads: int | None = None):
                 stacklevel=2,
             )
             _warned = True
-        return _NUMPY_SUITE
+        return NUMPY_SUITE
     suite = _COMPILED_SUITES.get(cfg.threads)
     if suite is None:
         suite = _COMPILED_SUITES[cfg.threads] = CompiledKernels(lib, threads=cfg.threads)

@@ -33,9 +33,9 @@ path and the ensemble run — which charges ``mesh_plan`` /
 ``mesh_spread`` / ``mesh_unquantize`` / ``mesh_fft`` / ``mesh_interp``
 (and, through its ``before_solve`` hook, ``mesh_fft_traffic``) nested
 inside ``machine_mesh`` — the breakdown ``repro machine --profile`` and
-the scaling benchmark report.  On the compiled tier
-the range-limited pair deposit happens inside the pair walk and is
-charged to ``range_limited``; ``machine_deposit`` then holds the
+the scaling benchmark report.  With tabulated kernels
+the range-limited pair deposit happens inside the suite's pair walk and
+is charged to ``range_limited``; ``machine_deposit`` then holds the
 bonded and correction deposits only.
 """
 
@@ -55,26 +55,19 @@ _NT_TABLE_MAX_ENTRIES = 4 << 20
 class MachineBackend:
     """Strategy interface for one machine step's per-node execution.
 
-    ``kernel_tier`` selects the hot-loop implementation suite
-    (:mod:`repro.kernels`): ``"numpy"`` (default) or ``"compiled"``
-    (lazily built C, falling back to numpy when no compiler exists).
-    ``kernel_threads`` is the compiled tier's farm width over the lanes
-    of a stacked mesh pass; a machine's pass has one lane, so it runs
-    single-threaded at every value.  Every tier/thread combination is
-    bitwise identical, so both knobs compose freely with every backend
-    and with fault-recovery replay.
+    A backend runs on the kernel suite (:mod:`repro.kernels`) of the
+    calculator it is bound to — the one :class:`~repro.machine.AntonMachine`
+    resolved from its ``kernel_tier`` / ``kernel_threads`` — and keeps
+    it as ``kernels``.  Every suite is bitwise identical, so the suite
+    composes freely with every backend and with fault-recovery replay.
     """
 
     name = "base"
-    kernel_tier: str | None = None
-    kernel_threads: int | None = None
 
     def bind(self, calc) -> None:
         """Attach to a MachineForceCalculator (called once by it)."""
         self.calc = calc
-        from repro.kernels import get_suite
-
-        self.kernels = get_suite(self.kernel_tier, self.kernel_threads)
+        self.kernels = calc.kernels
 
     # -- force deposit phases -------------------------------------------
 

@@ -43,6 +43,7 @@ from repro.core.system import ChemicalSystem
 from repro.fault import FaultController, FaultSchedule, FaultyNetwork, RecoveryPolicy
 from repro.fft import DistributedFFT3D
 from repro.io import TrajectoryWriter, check_fingerprint, system_fingerprint
+from repro.kernels import get_suite
 from repro.machine.backends import MachineBackend, VectorizedBackend
 from repro.machine.config import ANTON_2008, AntonHardware
 from repro.machine.flexible import assign_bond_terms, correction_pairs_per_node
@@ -78,12 +79,12 @@ class MachineForceCalculator(ForceCalculator):
     ):
         if params.quantize_mesh_bits is None:
             raise ValueError("machine execution requires quantize_mesh_bits")
-        # The backend resolves the kernel suite the whole force path
-        # (pair kernel, neighbor list, deposits) then shares.
-        backend.bind(self)
-        super().__init__(system, params, kernels=backend.kernels)
+        # The machine's suite runs the whole force path (pair kernel,
+        # neighbor list, deposits) and, once bound, the backend.
+        super().__init__(system, params, kernels=machine.kernels)
         self.machine = machine
         self.backend = backend
+        backend.bind(self)
 
     # -- overridden force paths ---------------------------------------------
 
@@ -168,7 +169,9 @@ class AntonMachine(LaneEngine):
         Hot-loop implementation suite: ``"numpy"`` or ``"compiled"``
         (lazily built C via :mod:`repro.kernels`, falling back to numpy
         without a compiler).  ``None`` defers to the
-        ``REPRO_KERNEL_TIER`` environment variable.  Bitwise identical
+        ``REPRO_KERNEL_TIER`` environment variable.  Resolved once, with
+        ``kernel_threads``, into ``kernels`` — the suite the force path,
+        backend and constraint solver all run on.  Bitwise identical
         across tiers, so it never appears in fingerprints.
     kernel_threads:
         Width of the compiled tier's farm over the lanes of a stacked
@@ -256,20 +259,14 @@ class AntonMachine(LaneEngine):
             raise ValueError(
                 f"unknown backend {backend!r}; expected 'vectorized' or a MachineBackend"
             )
-        # ``None`` defers to the instance's own setting and ultimately
-        # to the REPRO_KERNEL_TIER / REPRO_KERNEL_THREADS resolution.
-        if kernel_tier is not None:
-            backend.kernel_tier = kernel_tier
-        if kernel_threads is not None:
-            backend.kernel_threads = kernel_threads
+        self.kernels = get_suite(kernel_tier, kernel_threads)
         self.backend = backend
         self.calc = MachineForceCalculator(system, params, self, self.backend)
         self.provider = MTSForceProvider(self.calc, force_codec=fixed_config.force_codec())
         solver = None
         if constraints and system.topology.n_constraints:
             solver = ConstraintSolver(
-                system.topology, system.masses, system.box,
-                kernels=self.backend.kernels,
+                system.topology, system.masses, system.box, kernels=self.kernels
             )
         self.integrator = FixedPointIntegrator(
             system,
@@ -604,8 +601,8 @@ class AntonMachine(LaneEngine):
         number that exposes hidden per-step bookkeeping.
         """
         out = self.calc.timers.profile("machine_step", self._steps_reported())
-        out["kernel_tier"] = self.backend.kernels.tier
-        out["kernel_threads"] = self.backend.kernels.threads
+        out["kernel_tier"] = self.kernels.tier
+        out["kernel_threads"] = self.kernels.threads
         if self.router is not None:
             out["network"] = self.network_report()
         if self.fault_controller is not None:

@@ -1,11 +1,12 @@
 """Integration: the compiled rebuild, pair walk and mesh kernels are invisible in the artifacts.
 
-On the compiled tier ``NeighborList`` rebuilds through the C
-``neighbor_build`` sweep instead of the NumPy cell pipeline, the
-range-limited forces go from the cached candidates to the accumulator
-in one C ``pair_walk`` instead of the NumPy filter / table / deposit
-passes, and the long-range mesh spreads and gathers straight from the
-stencil plan's per-axis rows instead of its NumPy cubes.  A thin skin
+``NeighborList`` rebuilds through the suite's ``neighbor_build`` (the C
+sweep on the compiled tier, the NumPy cell pipeline on the NumPy tier),
+the range-limited forces go from the cached candidates to the
+accumulator in one suite ``pair_walk`` (one C pass, or the NumPy
+filter / table / deposit passes), and on the compiled tier the
+long-range mesh spreads and gathers straight from the stencil plan's
+per-axis rows instead of its NumPy cubes.  A thin skin
 forces several rebuilds inside a short run that also holds six
 long-range evaluations, and the files on disk — trajectory and
 checkpoints — of the machine, of the ensemble and of a solo simulation
@@ -37,9 +38,9 @@ def _files(paths):
     return [p.read_bytes() for p in paths]
 
 
-def _assert_pair_path(calc, tier):
-    """The compiled tier walked (its output scratch exists); NumPy did not."""
-    assert (calc._pair_out is not None) == (tier == "compiled")
+def _assert_pair_path(calc):
+    """Every tier walked: one pair path, whose output scratch exists."""
+    assert calc._pair_out is not None
 
 
 def test_machine_artifacts_identical_through_rebuilds(tmp_path):
@@ -67,7 +68,7 @@ def test_machine_artifacts_identical_through_rebuilds(tmp_path):
             nl = machine.calc.neighbor_list
             assert nl.kernels.tier == tier
             assert nl.n_builds >= 3  # the first build and at least two rebuilds
-            _assert_pair_path(machine.calc, tier)
+            _assert_pair_path(machine.calc)
             out[tier, threads] = (
                 nl.n_builds,
                 _files([traj_path] + [store.path_for(s) for s in store.steps()]),
@@ -110,7 +111,7 @@ def _ensemble_artifacts_identical(tmp_path, mesh_bits):
         nl = ens.calc.neighbor_list
         assert nl.kernels.tier == tier
         assert nl.n_builds >= 3
-        _assert_pair_path(ens.calc, tier)
+        _assert_pair_path(ens.calc)
         out[tier, threads] = (
             nl.n_builds,
             _files(paths + [st.path_for(s) for st in stores for s in st.steps()]),
@@ -156,7 +157,7 @@ def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
             )
         nl = sim.calc.neighbor_list
         assert nl.n_builds >= 3
-        _assert_pair_path(sim.calc, tier)
+        _assert_pair_path(sim.calc)
         out[tier, threads] = (
             nl.n_builds,
             _files([traj_path] + [store.path_for(s) for s in store.steps()]),

@@ -1,14 +1,18 @@
-"""The compiled pair walk against its oracle, for the property tests
-(and the candidate generator the float-path properties share).
+"""Every suite's pair walk against its oracle, for the property tests
+(and the candidate generator and table layouts the float-path
+properties share).
 
-The oracle is the three NumPy passes the walk replaces —
-``NumpyKernels.pair_filter`` -> ``pair_table_codes`` -> ``deposit_pairs``
-— run with literal divisions throughout.
+The oracle is the one NumPy table evaluation, written out from public
+parts with literal divisions throughout: the minimum-image cutoff
+filter, :func:`~repro.forcefield.nonbonded_real_space_tabulated` over
+the survivors, the spec's codec, and ``np.add.at`` / ``np.subtract.at``.
 """
 
 import numpy as np
 
-from repro.kernels import get_suite
+from repro.forcefield import nonbonded_real_space_tabulated
+from repro.functions import KernelTableSet
+from repro.geometry import Box, NeighborPairs
 
 
 def candidates(rng, n_atoms, blocks, n_cand):
@@ -42,25 +46,41 @@ def islands(rng, n_atoms, n_near=20):
     return wrapped, ii[keep].astype(np.int64), jj[keep].astype(np.int64), lengths
 
 
+def divided_tables(tables) -> KernelTableSet:
+    """``tables`` with the electrostatic pair on the dispersion layout
+    (widths 2^-k / 3: no power-of-two width, so the table offset keeps
+    its division)."""
+    ts = KernelTableSet(tables.cutoff, tables.r_floor)
+    ts.tables = dict(
+        tables.tables, elec_f=tables.tables["lj12_f"], elec_e=tables.tables["lj12_e"]
+    )
+    return ts
+
+
+def oracle_pairs(spec, wrapped, ii, jj, lengths):
+    """``(nb, codes)``: the force field's evaluation of the candidates
+    inside the spec's cutoff, and its rows quantized by the spec's codec."""
+    dx = Box(lengths).minimum_image(wrapped[ii] - wrapped[jj])
+    r2 = np.sum(dx * dx, axis=1)
+    keep = r2 < spec.cutoff2
+    nb = nonbonded_real_space_tabulated(
+        NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep]),
+        spec.charges, spec.types, spec.lj, None, spec.tables, assume_filtered=True,
+    )
+    return nb, spec.codec.quantize_round_only(nb.force)
+
+
 def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
-    """``(acc, oi, oj, e_lj, e_coul)`` of the three NumPy passes."""
-    k = get_suite("numpy")
-    n = len(ii)
-    oi = np.empty(n, dtype=np.int64)
-    oj = np.empty(n, dtype=np.int64)
-    odx = np.empty((n, 3))
-    or2 = np.empty(n)
-    m = k.pair_filter(wrapped, ii, jj, lengths, spec.cutoff2, oi, oj, odx, or2)
-    codes = np.empty((m, 3), dtype=np.int64)
-    e_lj = np.empty(m)
-    e_coul = np.empty(m)
-    k.pair_table_codes(spec, oi[:m], oj[:m], odx[:m], or2[:m], codes, e_lj, e_coul)
+    """``(acc, oi, oj, e_lj, e_coul)`` of the oracle."""
+    nb, codes = oracle_pairs(spec, wrapped, ii, jj, lengths)
     acc = acc.copy()
-    k.deposit_pairs(acc, oi[:m], oj[:m], codes)
-    return acc, oi[:m], oj[:m], e_lj, e_coul
+    with np.errstate(over="ignore"):
+        np.add.at(acc, nb.i, codes)
+        np.subtract.at(acc, nb.j, codes)
+    return acc, nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
 
 
-def compiled_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=0):
+def suite_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=0):
     """The same five arrays from ``suite.pair_walk`` (outputs oversized by
     ``headroom``, as the force calculator's scratch is)."""
     n = len(ii) + headroom
@@ -77,7 +97,7 @@ def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
     """Every suite's walk equals the oracle bit for bit; returns the pair count."""
     want = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
     for suite in suites:
-        got = compiled_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=3)
+        got = suite_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=3)
         for name, x, y in zip(("acc", "oi", "oj", "e_lj", "e_coul"), got, want):
-            np.testing.assert_array_equal(x, y, err_msg=name)
+            np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
     return len(want[1])

@@ -1,14 +1,15 @@
-"""Property tests: the float64 force path on the compiled tier == NumPy, bitwise.
+"""Property tests: the float64 force path on every suite == NumPy, bitwise.
 
 ``ForceCalculator.compute`` — what ``minimize_energy`` evaluates —
 dispatches on the kernel suite like the fixed-point path does.  Each
-compiled piece is pinned here to the NumPy expression it stands for:
+piece is pinned here, on the NumPy suite and the compiled one, to the
+NumPy expression it stands for:
 
-* ``pair_rows`` to the neighbor list's cutoff filter followed by
+* ``pair_rows`` to the minimum-image cutoff filter followed by
   :func:`nonbonded_real_space_tabulated`, on the adversarial sets of
-  ``test_pair_walk_props.py`` (the two share their table arithmetic in
-  ``_kernels.c``; the oracle here is the force-field function itself,
-  not the walk's three kernel passes);
+  ``test_pair_walk_props.py`` (the compiled rows and walk share their
+  table arithmetic in ``_kernels.c``; the oracle here is the
+  force-field function itself);
 * ``deposit_pairs_float`` to the two ``np.add.at`` calls, on indices
   repeated heavily enough that any other summation order shows;
 * ``GaussianSplitEwald.kspace(kernels=, plan=)`` to ``kspace()``;
@@ -28,11 +29,10 @@ from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator
 from repro.ewald import MeshStencilPlan
 from repro.forcefield import nonbonded_real_space_tabulated
-from repro.functions import KernelTableSet
 from repro.geometry import Box, NeighborPairs
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_solvated_protein, build_water_box
-from tests.properties.pair_walk_oracle import candidates, islands
+from tests.properties.pair_walk_oracle import candidates, divided_tables, islands
 from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits, make_gse
 
 pytestmark = pytest.mark.skipif(
@@ -44,8 +44,9 @@ CUTOFF = 4.0
 
 @pytest.fixture(scope="module")
 def suites():
-    """One thread and four: the float kernels are serial at both."""
-    return get_suite("compiled", 1), get_suite("compiled", 4)
+    """NumPy, and compiled at one thread and four (the float kernels are
+    serial at both)."""
+    return get_suite("numpy"), get_suite("compiled", 1), get_suite("compiled", 4)
 
 
 @pytest.fixture(scope="module")
@@ -56,21 +57,6 @@ def calc():
 
 
 # -- pair rows ---------------------------------------------------------------
-
-
-def _tables(calc, division_tables: bool) -> KernelTableSet:
-    """The calculator's table set, or one whose electrostatic pair sits
-    on the dispersion layout (widths 2^-k / 3: no power-of-two width, so
-    the table offset keeps its division)."""
-    if not division_tables:
-        return calc.tables
-    ts = KernelTableSet(calc.tables.cutoff, calc.tables.r_floor)
-    ts.tables = dict(
-        calc.tables.tables,
-        elec_f=calc.tables.tables["lj12_f"],
-        elec_e=calc.tables.tables["lj12_e"],
-    )
-    return ts
 
 
 def numpy_rows(tables, system, blocks, wrapped, ii, jj, lengths):
@@ -89,7 +75,7 @@ def assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks=1,
                       division_tables=False) -> int:
     """Every suite's ``pair_rows`` equals the NumPy evaluation; pair count."""
     s = calc.system
-    tables = _tables(calc, division_tables)
+    tables = divided_tables(calc.tables) if division_tables else calc.tables
     want = numpy_rows(tables, s, blocks, wrapped, ii, jj, lengths)
     spec = make_pair_spec(
         tables, s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks)
@@ -235,7 +221,7 @@ def test_deposit_is_the_two_add_at_calls(suites, seed, n_pairs):
     want = start.copy()
     np.add.at(want, i, rows)
     np.add.at(want, j, -rows)
-    for suite in (get_suite("numpy"), *suites):
+    for suite in suites:
         got = start.copy()
         suite.deposit_pairs_float(got, i, j, rows)
         assert_same_bits(got, want)
@@ -268,7 +254,7 @@ def test_deposit_of_a_strided_view_falls_back(suites):
     want = np.zeros((40, 3))
     get_suite("numpy").deposit_pairs_float(want, i, j, rows)
     got = np.zeros((40, 3))
-    suites[0].deposit_pairs_float(got, i, j, wide[:, ::2])
+    suites[1].deposit_pairs_float(got, i, j, wide[:, ::2])
     assert_same_bits(got, want)
 
 
@@ -287,7 +273,7 @@ def test_kspace_on_the_suite_matches_kspace(suites, codec, n):
     rng = np.random.default_rng(n)
     gse = make_gse()
     q = rng.uniform(-1, 1, n)
-    kept = {k: MeshStencilPlan(gse, n) for k in (None, *suites)}
+    kept = {k: MeshStencilPlan(gse, n) for k in suites}
     for _move in range(3):
         pos = rng.uniform(-0.2, 1.2, (n, 3)) * LENGTHS
         e_want, f_want = gse.kspace(pos, q, codec=codec)
@@ -295,9 +281,10 @@ def test_kspace_on_the_suite_matches_kspace(suites, codec, n):
             e, f = gse.kspace(pos, q, codec=codec, kernels=k, plan=plan)
             assert e == e_want
             assert_same_bits(f, f_want)
-    for k in suites:
+    numpy_k, *compiled = suites
+    for k in compiled:
         assert kept[k]._cubes is None  # the fused path never materialises them
-    assert kept[None]._cubes is not None
+    assert kept[numpy_k]._cubes is not None
 
 
 def test_kspace_replaces_a_plan_of_the_wrong_size(suites):
@@ -306,7 +293,7 @@ def test_kspace_replaces_a_plan_of_the_wrong_size(suites):
     gse = make_gse()
     pos, q = rng.uniform(0, 1, (30, 3)) * LENGTHS, rng.uniform(-1, 1, 30)
     want = gse.kspace(pos, q)
-    got = gse.kspace(pos, q, kernels=suites[0], plan=MeshStencilPlan(gse, 7))
+    got = gse.kspace(pos, q, kernels=suites[1], plan=MeshStencilPlan(gse, 7))
     assert got[0] == want[0]
     assert_same_bits(got[1], want[1])
 
@@ -326,7 +313,7 @@ def test_aliased_shake_matches_numpy(suites, build):
     rng = np.random.default_rng(0)
     solvers = [
         ConstraintSolver(system.topology, system.masses, system.box, iterations=100, kernels=k)
-        for k in (None, *suites)
+        for k in suites
     ]
     for scale in (0.0, 0.05):
         start = system.positions + scale * rng.normal(0, 1, system.positions.shape)

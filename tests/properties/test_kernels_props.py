@@ -95,17 +95,16 @@ def test_pair_filter_bitwise(tiers, seed):
 
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 400))
 @settings(max_examples=30, deadline=None)
-def test_pair_table_codes_bitwise(tiers, table_machine, seed, n):
-    """The tabulated force/energy/quantize arithmetic vs the NumPy tier.
+def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):
+    """The tabulated force/energy/quantize arithmetic of every tier.
 
-    The compiled tier evaluates the tables inside ``pair_walk``; its
-    oracle is the NumPy ``pair_filter`` -> ``pair_table_codes`` ->
-    ``deposit_pairs``.  Random pair geometries in the machine's own box,
-    including ``r2 == 0`` and pairs at the cutoff and just inside it,
-    must give an identical accumulator, survivor list and per-pair
-    energy bits (``test_pair_walk_props`` holds the adversarial cases).
+    Both tiers' ``pair_walk`` against the oracle — minimum-image filter,
+    :func:`~repro.forcefield.nonbonded_real_space_tabulated`, the
+    codec, ``np.add.at`` — on random pair geometries in the machine's
+    own box, including ``r2 == 0`` and pairs at the cutoff and just
+    inside it: identical accumulator, survivor list and per-pair energy
+    bits (``test_pair_walk_props`` holds the adversarial cases).
     """
-    _, compiled_k = tiers
     calc = table_machine.calc
     s = calc.system
     codec = table_machine.fixed_config.force_codec()
@@ -122,7 +121,38 @@ def test_pair_table_codes_bitwise(tiers, table_machine, seed, n):
     j = rng.integers(0, s.n_atoms, n)
     i[:3], j[:3] = [0, 2, 4][:n], [1, 3, 5][:n]
     acc = rng.integers(-(2**62), 2**62, (s.n_atoms, 3))
-    assert_walk_matches([compiled_k], spec, wrapped, i, j, lengths, acc)
+    assert_walk_matches(tiers, spec, wrapped, i, j, lengths, acc)
+
+
+@pytest.mark.parametrize("kernel", ["deposit_pairs", "scatter_rows"])
+def test_deposit_into_a_strided_accumulator_and_short_codes(tiers, kernel):
+    """An accumulator C cannot write as it is — the ``(10, 3)`` view
+    ``big[:, :3]`` of a ``(10, 6)`` array — gets the NumPy tier's
+    elements on every tier and nothing outside the view changes; index
+    and code arrays of different lengths are a ``ValueError`` on every
+    tier, never a read past the end of the shorter one."""
+    rng = np.random.default_rng(11)
+    n = 64
+    i = rng.integers(0, 10, n)
+    j = rng.integers(0, 10, n)
+    codes = rng.integers(-(2**62), 2**62, (n, 3))
+    base = rng.integers(-(2**60), 2**60, (10, 6))
+    args = (i, j, codes) if kernel == "deposit_pairs" else (i, codes)
+    got = []
+    for k in tiers:
+        big = base.copy()
+        getattr(k, kernel)(big[:, :3], *args)
+        got.append(big)
+    np.testing.assert_array_equal(got[1], got[0])
+    np.testing.assert_array_equal(got[0][:, 3:], base[:, 3:])
+    assert not np.array_equal(got[0][:, :3], base[:, :3])
+    short = [(i, codes[:-1])]
+    if kernel == "deposit_pairs":
+        short = [(i, j, codes[:-1]), (i, j[:-1], codes)]
+    for k in tiers:
+        for bad in short:
+            with pytest.raises(ValueError):
+                getattr(k, kernel)(np.zeros((10, 3), dtype=np.int64), *bad)
 
 
 def _small_gse():

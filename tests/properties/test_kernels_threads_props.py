@@ -132,11 +132,11 @@ def _small_gse():
 
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=15, deadline=None)
-def test_pair_table_codes_threaded_bitwise(suites, table_machine, seed):
+def test_pair_walk_threaded_bitwise(suites, table_machine, seed):
     """The table arithmetic under every thread count, incl. cutoff-edge r2.
 
     It runs inside ``pair_walk``, which is one serial walk whatever
-    ``threads`` says: every suite must return the NumPy passes' bytes.
+    ``threads`` says: every suite must return the oracle's bytes.
     """
     _, one, threaded = suites
     calc = table_machine.calc

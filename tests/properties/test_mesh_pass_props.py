@@ -37,13 +37,13 @@ FORCE_CODEC = FixedPointConfig().force_codec()
 
 #: (tier, threads) of every suite this host can run.
 TIERS = [("numpy", 1)] + ([("compiled", t) for t in (1, 2, 4)] if available() else [])
-#: The suites a pass takes as ``kernels=``: plain NumPy (None) first.
-SUITES = [None] + [get_suite(*tier) for tier in TIERS]
+#: The suites a pass takes as ``kernels=``, NumPy (the default) first.
+SUITES = [get_suite(*tier) for tier in TIERS]
 CODECS = pytest.mark.parametrize("codec", [MESH_CODEC, None], ids=["quantized", "float"])
 
 
 def suite_id(k) -> str:
-    return "plain" if k is None else f"{k.tier}-t{k.threads}"
+    return f"{k.tier}-t{k.threads}"
 
 
 def same_bits(got, want) -> None:

@@ -1,10 +1,11 @@
-"""Property tests: compiled ``neighbor_build`` == the NumPy rebuild pipeline.
+"""Property tests: every suite's ``neighbor_build`` == a brute-force oracle.
 
-The C cell sweep is defined by set and order — every same-block pair
+The rebuild is defined by set and order — every same-block pair
 ``i < j`` passing the cutoff filter's predicate at ``reach``, minus the
-excluded and 1-4 partners, sorted by ``(i, j)`` — so whatever binning it
-picks it must reproduce the NumPy path's cached candidate arrays (and a
-per-block brute-force oracle) element for element.  The cases are built
+excluded and 1-4 partners, sorted by ``(i, j)`` — so whatever binning
+the C cell sweep and the NumPy cell pipeline pick, both must reproduce
+a per-block brute-force oracle (masked by ``ExclusionTable.is_excluded``)
+element for element.  The cases are built
 to land on every branch of both binnings, on both sides of the ``n <
 64`` brute-force threshold, on the box faces and on the strict ``<`` of
 the predicate.
@@ -101,7 +102,7 @@ def _check(lengths, n_solo, replicas, with_excl, seed):
             box, CUTOFF, replicas, n_solo, skin=SKIN, exclusions=excl, kernels=kernels
         )
 
-    ref, fast = make(None), make(get_suite("compiled"))
+    ref, fast = make(get_suite("numpy")), make(get_suite("compiled"))
     assert ref.reach == fast.reach == REACH
     ref.build(pos)
     fast.build(pos)
@@ -172,14 +173,14 @@ def test_buffer_growth_rebuild_returns_full_list():
     ref = NeighborList(box, CUTOFF, skin=SKIN)
     fast = NeighborList(box, CUTOFF, skin=SKIN, kernels=get_suite("compiled"))
     fast.build(sparse)
-    cap = len(fast._buf_i)
+    cap = len(fast._bufs[0])
     for pos in (dense, sparse, dense):
         ref.build(pos)
         fast.build(pos)
         np.testing.assert_array_equal(fast._cand_i, ref._cand_i)
         np.testing.assert_array_equal(fast._cand_j, ref._cand_j)
     assert fast.n_candidates > cap          # the dense list did not fit the first buffers
-    grown = fast._buf_i
+    grown = fast._bufs[0]
     fast.build(dense)
-    assert fast._buf_i is grown             # steady state: no reallocation
+    assert fast._bufs[0] is grown           # steady state: no reallocation
     assert fast._cand_i.base is grown       # prefix view of the list-owned buffer

@@ -1,14 +1,17 @@
-"""Property tests: the compiled pair walk == its three NumPy passes, bitwise.
+"""Property tests: every suite's pair walk == the NumPy table evaluation, bitwise.
 
 ``pair_walk`` goes from the cached Verlet candidates to the force
-accumulator in one C pass and drops three kinds of division on the way,
-each on the strength of an exactness lemma stated in ``_kernels.c``:
-the minimum image of wrapped coordinates without ``d / L``, the force
-quantization as one multiply for a power-of-two codec, and the table
-offset as a reciprocal multiply for power-of-two segment widths.  The
-oracle (``pair_walk_oracle.numpy_walk``) keeps every division literal,
-so each property below that lands on a lemma's edge pins the lemma, and
-each that breaks a precondition pins the division fallback.
+accumulator.  The compiled one is one C pass that drops three kinds of
+division on the way, each on the strength of an exactness lemma stated
+in ``_kernels.c``: the minimum image of wrapped coordinates without
+``d / L``, the force quantization as one multiply for a power-of-two
+codec, and the table offset as a reciprocal multiply for power-of-two
+segment widths.  The oracle (``pair_walk_oracle.numpy_walk``: filter,
+force-field table evaluation, quantize, deposit) keeps every division
+literal, so each property below that lands on a lemma's edge pins the
+lemma, and each that breaks a precondition pins the division fallback.
+The NumPy suite's walk — the same pipeline inside the suite — is one
+more suite held to it.
 
 The NT marks pass is pinned against the serial backend's ``np.unique``
 route derivation, element for element.
@@ -31,7 +34,13 @@ from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
 from repro.systems import build_water_box
-from tests.properties.pair_walk_oracle import assert_walk_matches, candidates, islands
+from tests.properties.pair_walk_oracle import (
+    assert_walk_matches,
+    candidates,
+    divided_tables,
+    islands,
+    oracle_pairs,
+)
 from tests.serial_backend import _force_export_side
 
 pytestmark = pytest.mark.skipif(
@@ -55,8 +64,9 @@ CODECS = {
 
 @pytest.fixture(scope="module")
 def suites():
-    """The walk is serial at every thread count; both must say so."""
-    return get_suite("compiled", 1), get_suite("compiled", 4)
+    """NumPy, and compiled at one thread and four: the walk is serial at
+    every thread count, and all three must say so."""
+    return get_suite("numpy"), get_suite("compiled", 1), get_suite("compiled", 4)
 
 
 @pytest.fixture(scope="module")
@@ -66,21 +76,15 @@ def calc():
     return ForceCalculator(system, params)
 
 
-def _spec(calc, codec="pow2", blocks=1, division_tables=False):
-    """A pair spec over ``blocks`` stacked copies of the water box."""
+def _spec(calc, codec="pow2", blocks=1, divided=False):
+    """A pair spec over ``blocks`` stacked copies of the water box; with
+    ``divided``, the dispersion layout (widths 2^-k / 3) stands in for
+    the electrostatic one: a valid layout with no power-of-two width."""
     s = calc.system
-    spec = make_pair_spec(
-        calc.tables, s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks),
-        CODECS[codec],
+    return make_pair_spec(
+        divided_tables(calc.tables) if divided else calc.tables,
+        s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks), CODECS[codec],
     )
-    if division_tables:
-        # The dispersion layout (widths 2^-k / 3) standing in for the
-        # electrostatic one: a valid layout with no power-of-two width.
-        spec = replace(
-            spec, e_starts=spec.d_starts, e_widths=spec.d_widths,
-            e_cf=spec.c12f, e_ce=spec.c12e, e_inv=None,
-        )
-    return spec
 
 
 def _acc(rng, n_atoms):
@@ -118,6 +122,7 @@ def test_walk_matches_numpy_passes(suites, calc, seed, n_cand, blocks, codec,
     wrapped[rng.integers(0, len(wrapped), 4), rng.integers(0, 3, 4)] = 0.0
     ii, jj = candidates(rng, n_atoms, blocks, n_cand)
     spec = _spec(calc, codec, blocks, division_tables)
+    assert (spec.e_inv is None) == division_tables
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, len(wrapped)))
 
 
@@ -133,7 +138,7 @@ def test_walk_at_every_block_boundary_count(suites, calc, n_cand, codec, divisio
     lengths = np.array([6.5, 9.25, 7.0])
     wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
     ii, jj = candidates(rng, n_atoms, 1, n_cand)
-    spec = _spec(calc, codec, division_tables=division_tables)
+    spec = _spec(calc, codec, divided=division_tables)
     assert (spec.q_mul == 0.0) == (codec == "division")
     assert (spec.e_inv is None) == division_tables and spec.d_inv is None
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
@@ -164,14 +169,7 @@ def test_saturating_codec_reaches_both_clips(calc):
     lengths = np.array([6.5, 9.25, 7.0])
     wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
     ii, jj = candidates(rng, n_atoms, 1, 257)
-    spec = _spec(calc, "saturating")
-    k = get_suite("numpy")
-    n = len(ii)
-    oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    odx, or2 = np.empty((n, 3)), np.empty(n)
-    m = k.pair_filter(wrapped, ii, jj, lengths, spec.cutoff2, oi, oj, odx, or2)
-    codes = np.empty((m, 3), dtype=np.int64)
-    k.pair_table_codes(spec, oi[:m], oj[:m], odx[:m], or2[:m], codes, np.empty(m), np.empty(m))
+    _, codes = oracle_pairs(_spec(calc, "saturating"), wrapped, ii, jj, lengths)
     assert codes.max() == 2**62 and codes.min() == -(2**62)
 
 

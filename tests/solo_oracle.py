@@ -3,13 +3,13 @@
 Since PR 17 ``Simulation(mode="fixed")`` *is* the R=1 batched engine,
 so "the engine equals a solo run" can no longer be checked against
 ``Simulation``.  :class:`SoloOracle` is what ``Simulation`` used to
-wire by hand: the plain NumPy :class:`ForceCalculator`
-(``kernels=None``), the solo :class:`ConstraintSolver`, the scalar
+wire by hand: the plain NumPy :class:`ForceCalculator` (built without
+``kernels=``, so on the NumPy suite), the solo :class:`ConstraintSolver`, the scalar
 :class:`BerendsenThermostat`, one :class:`MTSForceProvider` and one
 :class:`FixedPointIntegrator`, stepped with the same record /
 trajectory / checkpoint cadence and writing the same artifact formats.
 It shares no code with ``repro.ensemble`` and none with
-``repro.core.simulation``, and it never touches a kernel suite.
+``repro.core.simulation``, and it never touches the compiled suite.
 """
 
 import hashlib
@@ -22,6 +22,7 @@ from repro.core import (
     MTSForceProvider,
 )
 from repro.io import EnergyRecord, TrajectoryWriter, system_fingerprint, trajectory_decode
+from repro.kernels import get_suite
 
 
 def state_sha256(X, V) -> str:
@@ -38,7 +39,7 @@ class SoloOracle:
         self.system, self.params, self.dt = system, params, float(dt)
         self.fixed_config = fixed_config
         self.calc = ForceCalculator(system, params)
-        assert self.calc.kernels is None
+        assert self.calc.kernels is get_suite("numpy")
         solver = None
         if constraints and system.topology.n_constraints:
             solver = ConstraintSolver(system.topology, system.masses, system.box)
