@@ -24,7 +24,7 @@ def main() -> None:
     print(f"gpW stand-in at reduced scale: {system.n_atoms} atoms, "
           f"{system.box.lengths[0]:.1f} A box")
 
-    params = MDParams(cutoff=8.0, mesh=(32, 32, 32), lj_mode="cutoff")
+    params = MDParams(cutoff=8.0, mesh=(32, 32, 32), lj_mode="cutoff", kernel_mode="analytic")
     minimize_energy(system, params, max_steps=80)
 
     # Anton path: tables + fixed point.

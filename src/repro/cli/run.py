@@ -122,6 +122,7 @@ def cmd_simulate(args) -> int:
     from dataclasses import replace
 
     from repro import BerendsenThermostat, MDParams, Simulation, minimize_energy
+    from repro.ewald import GSEParams
     from repro.systems import benchmark_by_name, build_hp_system, hp_miniprotein, prepare_water_box
 
     session = open_session(args)
@@ -140,7 +141,8 @@ def cmd_simulate(args) -> int:
             spec = benchmark_by_name(args.system)
             system = spec.build(scale=args.scale, seed=args.seed)
             cutoff = args.cutoff or min(spec.cutoff, system.box.max_cutoff() * 0.9)
-            params = MDParams(cutoff=cutoff, mesh=(32, 32, 32), long_range_every=2)
+            mesh = GSEParams.smallest_mesh(system.box, cutoff)
+            params = MDParams(cutoff=cutoff, mesh=mesh, long_range_every=2)
         if args.skin is not None:
             params = replace(params, skin=args.skin)
         e = minimize_energy(system, params, max_steps=minimize_steps) if minimize_steps else None

@@ -53,8 +53,35 @@ _PLAN_BUILD_CHUNK = 256
 
 #: Atom rows per pass in the spreading / interpolation kernels (bounds
 #: the per-chunk contribution buffers).  Chunking never changes bits:
-#: the quantize/einsum arithmetic is per-atom and the scatters commute.
+#: the quantize and gather arithmetic is per-atom and the scatters commute.
 _KERNEL_CHUNK = 512
+
+
+def _stencil_sums(g: np.ndarray, dx, dy, dz, out: np.ndarray) -> None:
+    """``out[i] = Σ g[i]·(dx, dy, dz)`` over each atom's stencil cube.
+
+    ``g`` is ``(m, kx, ky, kz)``, the displacement rows ``(m, k·)``.
+    The adds of ``rk_mesh_gather_axes``, made as whole-array adds: each
+    sum starts at +0.0 and runs in ascending index (DESIGN.md,
+    gather-order lemma) — ``A = Σ_y g``, ``C = Σ_x g``, ``T = Σ_x A``,
+    then ``Σ_x (Σ_z A)·dx``, ``Σ_y (Σ_z C)·dy``, ``Σ_z T·dz``.
+    """
+    m, kx, ky, kz = g.shape
+    a, c = np.zeros((m, kx, kz)), np.zeros((m, ky, kz))
+    for y in range(ky):
+        a += g[:, :, y]
+    for x in range(kx):
+        c += g[:, x]
+    sa, sc, t = np.zeros((m, kx)), np.zeros((m, ky)), np.zeros((m, kz))
+    for z in range(kz):
+        sa += a[:, :, z]
+        sc += c[:, :, z]
+    for x in range(kx):
+        t += a[:, x]
+    out[...] = 0.0
+    for col, (s, d) in enumerate(((sa, dx), (sc, dy), (t, dz))):
+        for k in range(s.shape[1]):
+            out[:, col] += s[:, k] * d[:, k]
 
 
 def _fused(kernels) -> bool:
@@ -168,7 +195,7 @@ class MeshStencilPlan:
 
     Every kernel is strictly per-atom arithmetic followed by a
     commutative reduction (integer scatter, float bincount in element
-    order, or an einsum/sum over each atom's own stencil row), so the
+    order, or ordered sums over each atom's own stencil cube), so the
     results are bitwise independent of how callers chunk or partition
     the ``rows`` they pass — the machine's parallel-invariance
     requirement — and of which side of the budget the plan is on.
@@ -176,7 +203,7 @@ class MeshStencilPlan:
 
     __slots__ = (
         "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
-        "_cubes", "_stale", "_parent", "_lo", "_scratch", "_contract",
+        "_cubes", "_stale", "_parent", "_lo", "_scratch",
         "_chunk_cubes", "_r2", "_lanes", "_acc", "__weakref__",
     )
 
@@ -189,25 +216,20 @@ class MeshStencilPlan:
         self.axis_i = [np.empty((self.n, k), dtype=np.int32) for k in self.shape]
         self._cubes, self._stale = None, True
         self._parent, self._lo = None, 0
-        self._scratch = self._contract = self._chunk_cubes = self._r2 = None
+        self._scratch = self._chunk_cubes = self._r2 = None
         self._lanes = self._acc = None
 
     def _buffer(self, chunk: int) -> np.ndarray:
-        """Reusable (chunk, k) contribution buffer.
+        """Reusable (chunk, k) contribution buffer of the cube pipeline.
 
         Shared by the spreading and interpolation kernels (they never
         run concurrently) and kept across steps when the plan storage
         is reused, so the hot loops touch warm pages instead of
-        faulting fresh allocations every evaluation.  Grown together
-        with ``_contract``, the ``[1, dz]`` operand (chunk, kz, 2) and
-        the z-contracted partials (chunk, kx·ky, 2) of
-        :meth:`interpolate_forces`.
+        faulting fresh allocations every evaluation.  The fused
+        kernels need none.
         """
         if self._scratch is None or self._scratch.shape[0] < chunk:
-            kx, ky, kz = self.shape
-            self._scratch = np.empty((chunk, kx * ky * kz))
-            self._contract = (np.empty((chunk, kz, 2)), np.empty((chunk, kx * ky, 2)))
-            self._contract[0][:, :, 0] = 1.0
+            self._scratch = np.empty((chunk, math.prod(self.shape)))
         return self._scratch
 
     # -- construction ------------------------------------------------------
@@ -352,7 +374,7 @@ class MeshStencilPlan:
         v.axis_i = [a[lo:hi] for a in self.axis_i]
         v._parent = weakref.ref(self) if self._parent is None else self._parent
         v._lo = self._lo + lo
-        v._scratch = v._contract = v._chunk_cubes = v._r2 = v._lanes = v._acc = None
+        v._scratch = v._chunk_cubes = v._r2 = v._lanes = v._acc = None
         return v
 
     def _lane_views(self, lanes: int) -> list["MeshStencilPlan"]:
@@ -460,56 +482,46 @@ class MeshStencilPlan:
     ) -> np.ndarray:
         """Separable gather-and-contract force interpolation.
 
-        Gathers ``phi`` at the stencil indices times the masked weight
-        — one fused C pass per chunk straight from the axis rows on the
-        compiled tier, ``np.take`` times the weight cube otherwise —
-        and contracts each axis factor with a matmul/einsum; the
-        ``(n, k, 3)`` displacement/coefficient tensors of the old path
-        are never built.  The contraction stays in NumPy on every tier:
-        its bits are BLAS's reduction order, which C cannot promise to
-        reproduce.  Each atom's contraction runs over its own
-        fixed-size stencil row, so chunk and subset boundaries are
-        invisible in the bits.
+        Per atom, the three stencil sums ``Σ phi[idx]·w·(dx, dy, dz)``
+        times ``q / sigma_s²``.  The sums are float sums, so their order
+        is the contract (DESIGN.md, gather-order lemma), and every tier
+        adds in it: one fused C pass over all rows straight from the
+        axis rows on the compiled tier, the weight cube's
+        ``phi[idx]·w`` and whole-array adds otherwise
+        (:func:`_stencil_sums`) — no BLAS anywhere, so no host library
+        owns a bit.  Points outside the sphere add ``-0.0``, i.e.
+        nothing.  Each atom's sums run over its own stencil, so chunk
+        and subset boundaries are invisible in the bits.
         """
-        g = self.gse
-        charges = np.asarray(charges, dtype=np.float64)
         phi_flat = phi.ravel()
         n_rows = self.n if rows is None else len(rows)
         if out is None:
             out = np.empty((n_rows, 3))
-        kx, ky, kz = self.shape
-        fused = rows is None and _fused(kernels)
-        buf = self._buffer(chunk)
-        ones_dz, partials = self._contract
-        for lo in range(0, n_rows, chunk):
-            hi = min(lo + chunk, n_rows)
-            m = hi - lo
-            cube2 = buf[:m]
-            if fused:
-                kernels.mesh_gather_axes(cube2, *self._axes(), phi_flat, lo, hi)
-            else:
+        if rows is None and _fused(kernels):
+            kernels.mesh_gather_axes(out, *self._axes(), phi_flat, 0, n_rows)
+        else:
+            # A masked point's phi·0.0 is ±0.0 for finite phi, which no
+            # sum started at +0.0 sees (gather-order lemma); only a
+            # non-finite phi needs it made the -0.0 of the rule.
+            finite = bool(np.isfinite(phi_flat).all())
+            buf = self._buffer(chunk)
+            for lo in range(0, n_rows, chunk):
+                hi = min(lo + chunk, n_rows)
+                cube = buf[: hi - lo]
                 # mode="clip" skips the bounds-check path (indices are
                 # in-range by construction: the plan wraps them with mod).
                 w2, flat = self._stencil(rows, lo, hi)
-                np.take(phi_flat, flat, out=cube2, mode="clip")
-                cube2 *= w2
-            # One pass over the cube: contract z against [1, dz] with a
-            # per-atom fixed-shape matmul, leaving the small (m, kx, ky)
-            # partials s0 = sum_z g and s1 = sum_z g·dz.  Each atom's
-            # matmul has the same (kx·ky, kz)x(kz, 2) shape no matter
-            # how rows are chunked, so the bits are partition-invariant.
-            B = ones_dz[:m]
-            B[:, :, 1] = self._take(self.axis_d[2], rows, lo, hi)
-            s = np.matmul(cube2.reshape(m, kx * ky, kz), B, out=partials[:m])
-            s3 = s.reshape(m, kx, ky, 2)
-            pref = self._take(charges, rows, lo, hi) / g.params.sigma_s**2
-            out[lo:hi, 0] = pref * np.einsum(
-                "nxy,nx->n", s3[..., 0], self._take(self.axis_d[0], rows, lo, hi)
-            )
-            out[lo:hi, 1] = pref * np.einsum(
-                "nxy,ny->n", s3[..., 0], self._take(self.axis_d[1], rows, lo, hi)
-            )
-            out[lo:hi, 2] = pref * np.einsum("nxy->n", s3[..., 1])
+                np.take(phi_flat, flat, out=cube, mode="clip")
+                cube *= w2
+                if not finite:  # in-sphere weights are > 0
+                    np.copyto(cube, -0.0, where=w2 == 0.0)
+                _stencil_sums(
+                    cube.reshape(hi - lo, *self.shape),
+                    *(self._take(d, rows, lo, hi) for d in self.axis_d),
+                    out[lo:hi],
+                )
+        charges = self._take(np.asarray(charges, dtype=np.float64), rows, 0, n_rows)
+        out *= (charges / self.gse.params.sigma_s**2)[:, None]
         return out
 
     def interpolate_potential(

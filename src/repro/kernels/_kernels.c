@@ -850,7 +850,10 @@ void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
  *   in  = (dx^2 + dy^2) + dz^2 <= c2            (else w is +0.0)
  *   idx = (ix * my + iy) * mz + iz              (int64 from int32 rows)
  * dz^2 >= 0 and rounding is monotone, so an (x, y) column whose
- * dx^2 + dy^2 already exceeds c2 is outside the sphere at every z. */
+ * dx^2 + dy^2 already exceeds c2 is outside the sphere at every z.
+ * What a point outside the sphere adds is each kernel's own lemma: the
+ * integer 0 in the quantized spread, -0.0 in the float spread and the
+ * gather. */
 typedef struct { /* field for field kernels/build.py: MeshAxes */
     int64_t kx, ky, kz, my, mz;
     const double *wxn, *wy, *wz, *dx, *dy, *dz;
@@ -998,44 +1001,83 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
     }
 }
 
-/* One run of the gather: out[z] = phi[z] * w inside the sphere,
- * phi[z] * 0.0 outside it. */
-static inline void rk_gather_run(double *restrict out,
+/* One run of the gather: g = phi[z] * w inside the sphere, -0.0 (the
+ * masked-add lemma above: nothing) outside it, added to the run's slice
+ * of the column's x-sum row ax and y-sum row cy. */
+static inline void rk_gather_run(double *restrict ax, double *restrict cy,
                                  const double *restrict col,
                                  const double *restrict wz,
                                  const double *restrict dz2, int64_t len,
                                  double r2xy, double wxy, double c2)
 {
     for (int64_t z = 0; z < len; z++) {
-        double w = wxy * wz[z];
-        out[z] = col[z] * (r2xy + dz2[z] <= c2 ? w : 0.0);
+        double g = col[z] * (wxy * wz[z]);
+        g = r2xy + dz2[z] <= c2 ? g : -0.0;
+        ax[z] += g;
+        cy[z] += g;
     }
 }
 
-/* MeshStencilPlan.interpolate_forces, gather half: row i - lo of out
- * is phi[idx] * w for atom i of [lo, hi).  Masked points are written as
- * phi[idx] * 0.0, not 0.0: NumPy's take-then-multiply leaves -0.0
- * under a negative phi (and NaN under a non-finite one), and the BLAS
- * contraction downstream sees the sign. */
+/* MeshStencilPlan.interpolate_forces before the charge prefactor: row
+ * i - lo of out is (Sx, Sy, Sz) = sum over the stencil of g * (dx, dy,
+ * dz), g = phi[idx] * w, for atom i of [lo, hi).  Float sums do not
+ * commute, so the order is the contract (DESIGN.md, gather-order lemma),
+ * and MeshStencilPlan's NumPy form makes the same adds as whole-array
+ * adds.  Every sum starts at +0.0 and adds in ascending index:
+ *   A[x][z] = sum_y g[x][y][z]      C[y][z] = sum_x g[x][y][z]
+ *   T[z]    = sum_x A[x][z]
+ *   Sx = sum_x (sum_z A[x][z]) * dx[x]
+ *   Sy = sum_y (sum_z C[y][z]) * dy[y]
+ *   Sz = sum_z T[z] * dz[z]
+ * A, C and T have one independent sum per z lane, so those adds are
+ * element-wise across a run and vectorize (vector-width lemma); only the
+ * O(k^2) per-atom tails are serial.  A masked point adds -0.0, which no
+ * sum sees, so a column wholly outside the sphere is skipped. */
 void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
                          double c2, const double *phi, double *out)
 {
     const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
-    double dz2[kz];
-    for (int64_t i = lo; i < hi; i++) {
+    double dz2[kz], a[kx * kz], c[ky * kz], t[kz];
+    for (int64_t i = lo; i < hi; i++, out += 3) {
         RK_ATOM_ROWS(ax, i);
         rk_row_squares(dzi, kz, dz2);
+        memset(a, 0, sizeof a);
+        memset(c, 0, sizeof c);
         for (int64_t x = 0; x < kx; x++)
-            for (int64_t y = 0; y < ky; y++, out += kz) {
+            for (int64_t y = 0; y < ky; y++) {
                 double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
+                if (r2xy > c2)
+                    continue;
                 double wxy = wxi[x] * wyi[y];
                 const double *col =
                     phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
                 for (int64_t zs = 0, ze; zs < kz; zs = ze) {
                     ze = rk_zrun_end(izi, zs, kz, mz);
-                    rk_gather_run(out + zs, col + izi[zs], wzi + zs, dz2 + zs,
-                                  ze - zs, r2xy, wxy, c2);
+                    rk_gather_run(a + x * kz + zs, c + y * kz + zs,
+                                  col + izi[zs], wzi + zs, dz2 + zs, ze - zs,
+                                  r2xy, wxy, c2);
                 }
             }
+        double sx = 0.0, sy = 0.0, sz = 0.0;
+        memset(t, 0, sizeof t);
+        for (int64_t x = 0; x < kx; x++) {
+            double s = 0.0;
+            for (int64_t z = 0; z < kz; z++)
+                s += a[x * kz + z];
+            sx += s * dxi[x];
+            for (int64_t z = 0; z < kz; z++)
+                t[z] += a[x * kz + z];
+        }
+        for (int64_t y = 0; y < ky; y++) {
+            double s = 0.0;
+            for (int64_t z = 0; z < kz; z++)
+                s += c[y * kz + z];
+            sy += s * dyi[y];
+        }
+        for (int64_t z = 0; z < kz; z++)
+            sz += t[z] * dzi[z];
+        out[0] = sx;
+        out[1] = sy;
+        out[2] = sz;
     }
 }

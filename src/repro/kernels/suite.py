@@ -703,7 +703,7 @@ class CompiledKernels(NumpyKernels):
         self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), n)
 
     def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
-        """Validate a stencil plan's per-axis rows; ``(n, k, MeshAxes ref)``.
+        """Validate a stencil plan's per-axis rows; ``(n, MeshAxes ref)``.
 
         Shapes and dtypes are checked here; that each index row is
         consecutive mod its mesh extent (what
@@ -718,7 +718,7 @@ class CompiledKernels(NumpyKernels):
         if not all(_conforms(a, (n, k), t) for a, k, t in zip(rows, ks * 3, dtypes)):
             raise ValueError("mesh axis rows do not match the plan layout")
         axes = MeshAxes(*ks, int(mesh[1]), int(mesh[2]), *(_ptr(a) for a in rows))
-        return n, ks[0] * ks[1] * ks[2], ctypes.byref(axes)
+        return n, ctypes.byref(axes)
 
     def mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc):
         """Fused quantized spread straight from a plan's per-axis rows.
@@ -731,7 +731,7 @@ class CompiledKernels(NumpyKernels):
         weight, displacement and wrapped-index rows; ``acc`` is the
         flat int64 mesh.
         """
-        n, _, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         npts = int(np.prod(mesh))
         if not (_conforms(acc, (npts,), np.int64) and _conforms(qc, (n,), np.float64)):
             raise ValueError("mesh_spread_axes: arrays do not match the plan layout")
@@ -744,7 +744,7 @@ class CompiledKernels(NumpyKernels):
         bincount summed in element order — float sums do not commute,
         so the chunking and the order are NumPy's exactly.
         """
-        n, _, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         npts = int(np.prod(mesh))
         if chunk < 1 or not (
             _conforms(acc, (npts,), np.float64) and _conforms(q, (n,), np.float64)
@@ -758,17 +758,18 @@ class CompiledKernels(NumpyKernels):
         )
 
     def mesh_gather_axes(self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi):
-        """Fused gather: ``out[i - lo] = phi[idx] * w`` for atoms ``[lo, hi)``.
+        """Fused gather-and-contract for atoms ``[lo, hi)`` into ``out[i - lo]``.
 
-        Fills rows of the ``(chunk, k)`` contribution buffer exactly as
-        ``np.take(phi, flat)`` times the masked weight cube would
-        (masked points are ``phi[idx] * 0.0``, keeping NumPy's sign of
-        zero); the contraction stays in NumPy.
+        The three stencil sums ``Σ phi[idx]·w·(dx, dy, dz)`` of each
+        atom, before its charge prefactor, added in the gather-order
+        lemma's order (DESIGN.md) — bitwise the NumPy cube form of
+        :meth:`~repro.ewald.gse.MeshStencilPlan.interpolate_forces`.
+        Points outside the sphere add ``-0.0``, i.e. nothing.
         """
-        n, k, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
         if not (
             0 <= lo <= hi <= n
-            and _conforms(out, (hi - lo, k), np.float64)
+            and _conforms(out, (hi - lo, 3), np.float64)
             and _conforms(phi, (int(np.prod(mesh)),), np.float64)
         ):
             raise ValueError("mesh_gather_axes: arrays do not match the plan layout")

@@ -4,10 +4,9 @@ Preparation runs the float64 force path (``ForceCalculator.compute``)
 and SHAKE on the resolved kernel suite.  Relaxed positions and returned
 energy must not depend on it: NumPy tier, compiled tier at one thread,
 compiled tier at four — for rigid water (tabulated kernels over a 40-bit
-quantized mesh; analytic kernels over a float mesh), TIP4P/Ew virtual
-sites, and a peptide with bonded terms and H-bond constraints.  The
-golden literals tie all three legs to the bytes of the last commit
-whose minimiser evaluated forces in NumPy on every tier.
+quantized mesh; the analytic oracle kernels over a float mesh), TIP4P/Ew
+virtual sites, and a peptide with bonded terms and H-bond constraints.
+The golden literals tie all three legs to one recorded set of bytes.
 """
 
 import hashlib
@@ -38,7 +37,7 @@ CASES = {
     ),
     "water-analytic-floatmesh": (
         lambda: build_water_box(n_molecules=24, seed=11),
-        MDParams(cutoff=4.0, mesh=MESH),
+        MDParams(cutoff=4.0, mesh=MESH, kernel_mode="analytic"),
         25,
     ),
     "tip4pew-table-floatmesh": (
@@ -48,7 +47,7 @@ CASES = {
     ),
     "peptide-analytic-qmesh": (
         lambda: build_solvated_protein(n_residues=3, side=11.0, seed=3),
-        MDParams(cutoff=5.2, mesh=MESH, quantize_mesh_bits=40),
+        MDParams(cutoff=5.2, mesh=MESH, kernel_mode="analytic", quantize_mesh_bits=40),
         20,
     ),
     "peptide-table-floatmesh": (
@@ -58,30 +57,35 @@ CASES = {
     ),
 }
 
-# (minimised energy, sha256 of the relaxed positions) of each case,
-# recorded from commit 7b33060 (PR 19) — the last one whose
+# (minimised energy, sha256 of the relaxed positions) of each case.
+# First recorded from commit 7b33060 (PR 19), the last whose
 # ``minimize_energy`` ran the NumPy float force path and NumPy SHAKE
-# whatever the tier.
+# whatever the tier; re-recorded once when the mesh gather's sums moved
+# from BLAS's matmul/einsum order into the order DESIGN.md's
+# gather-order lemma defines (a rounding change: every case moves in its
+# last bits), and the analytic cases started naming their kernel.
+# Checked equal on the NumPy tier, the compiled tier at one and four
+# threads, and the -march=x86-64 build.
 GOLDEN = {
     "water-table-qmesh": (
-        -166.21081120595545,
-        "fe63ebaba56734130e020ae0f2d68d39de4f176e0e07ced5989b076a5d040392",
+        -166.2108112059227,
+        "1b951f0b0b11287f66dec28e7a5a10e83ff06658f386519854d6d7dd0cb4ec2d",
     ),
     "water-analytic-floatmesh": (
-        -145.38910187402598,
-        "7366041b036b5128f824c8abb5e7cb8e0d9d202bdcbeb599775bd0d4e20af5d5",
+        -145.38910187402462,
+        "bcf51fd208c363d3e1eee28d885341567ce29080ce788c7cb46f08c7aadade9a",
     ),
     "tip4pew-table-floatmesh": (
-        -104.94889626585154,
-        "9c20787945009c47b06bcd63109dcc080b9e1f76b31280686b80330f1708dd2d",
+        -104.94889626585245,
+        "7c49f3b2b89a04c7a0cab2cefa91fcf681d31498e9fe3413266341f44bae15d3",
     ),
     "peptide-analytic-qmesh": (
         -47.25740843252697,
-        "cb528e88400e7e6a2b49f534ad2f5dccc3d2bf93954d605b2ad39461ab0547a5",
+        "b9a7b0a1d3f32f56e8f8716afb285a50c6cc4517b0e6854406eebd5372b25c16",
     ),
     "peptide-table-floatmesh": (
-        -67.9180436805982,
-        "5cb85d3567e8d070147f83d7e7e3843547dd9b67f8d046967d76544370ce7321",
+        -67.91804368059775,
+        "33245d6231f8b12d9a93ef70380586a9c34803206d21942549bf6a2f9c972088",
     ),
 }
 

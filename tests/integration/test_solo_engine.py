@@ -130,9 +130,12 @@ def test_simulation_equals_the_solo_oracle(system_name, physics_name, tier, thre
 # sha256 of (X, V) and the minimized energy of the run below, recorded
 # from commit 21b9ad8 (PR 16) — the last one whose ``Simulation`` wired
 # the NumPy solo path itself and whose ``minimize_energy`` built its
-# neighbour list without a kernel suite.
+# neighbour list without a kernel suite.  The energy was re-recorded
+# once, when the mesh gather's sums moved from BLAS's matmul/einsum
+# order into DESIGN.md's gather-order lemma (its last bits moved; the
+# state codes did not).
 GOLDEN_STATE = "960ec5ddb1704f82ea1da84b66e2d9d66cfa94c083daa2e6234a2642bb8e6ff8"
-GOLDEN_MINIMIZED_ENERGY = -166.35705503337294
+GOLDEN_MINIMIZED_ENERGY = -166.35705503337385
 
 
 @pytest.mark.parametrize("make", [Simulation, SoloOracle], ids=["simulation", "oracle"])

@@ -5,17 +5,22 @@ per-axis rows, and ``mesh_spread_axes`` / ``mesh_spread_float_axes`` /
 ``mesh_gather_axes`` evaluate each atom–mesh-point weight on the fly.
 Their reference is the plan's own NumPy pipeline over the materialised
 cubes; these properties demand exact equality — of the int64 mesh, of
-the chunk-sensitive float mesh, of the gather buffer down to the sign
-of a masked zero, and of the contracted forces — on non-cubic
-stencils, at the box faces, on the ``r² == c2`` sphere edge, at every
-chunk boundary, through replica row views, and at 1, 2 and 4 threads.
+the chunk-sensitive float mesh, of the gather's three stencil sums
+down to the sign of a zero, and of the forces — on non-cubic stencils,
+at the box faces, on the ``r² == c2`` sphere edge, at every chunk,
+``[lo, hi)`` and ``rows=`` boundary, through replica row views, and at
+1, 2 and 4 threads.
 
 The C kernels cut each atom's z row into its runs of contiguous mesh
 points and issue a run's points together; the run shapes that can go
 wrong have a property each below: a stencil wider than the mesh (three
 or more runs, bins one atom hits twice), ``kz == mz`` exactly, no wrap
-at all, an atom on every cell boundary, and an all-negative ``phi``
-(every masked gather entry is ``-0.0``).
+at all, and an atom on every cell boundary.  The gather adds in the
+order DESIGN.md's gather-order lemma defines, on both tiers: the
+properties pin that a point outside the sphere adds nothing (``-0.0``)
+whatever ``phi`` holds there, that no BLAS call is left in it, and
+that against the BLAS contraction it replaced the change is one of
+rounding only.
 
 Skipped wholesale when the host has no C compiler.
 """
@@ -27,9 +32,10 @@ from hypothesis import strategies as st
 
 from repro.core import MDParams, minimize_energy
 from repro.ewald import GaussianSplitEwald, GSEParams
+from repro.ewald.gse import _stencil_sums
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.geometry import Box
-from repro.kernels import available
+from repro.kernels import NUMPY_SUITE, available
 from repro.kernels.build import load
 from repro.kernels.suite import CompiledKernels
 from repro.machine import AntonMachine
@@ -87,16 +93,27 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def cube_sums(plan, phi) -> np.ndarray:
+    """The NumPy form of the gather's three stencil sums, before ``q / sigma_s²``."""
+    g = np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape)
+    g[plan.w.reshape(plan.flat.shape) == 0.0] = -0.0  # outside the sphere: nothing
+    out = np.empty((plan.n, 3))
+    _stencil_sums(g.reshape(plan.n, *plan.shape), *plan.axis_d, out)
+    return out
+
+
 def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
-    """Fused spreads, gather buffer and forces of every suite == NumPy cubes."""
+    """Fused spreads, gather sums and forces of every suite == NumPy cubes."""
     oracle = gse.make_plan(pos)
+    n = oracle.n
     want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
     oracle.spread_codes(q, want_mesh, MESH_CODEC)
     want_f = oracle.interpolate_forces(q, phi, chunk=chunk)
     base_q = phi.ravel() * (phi.ravel() > 0.5)  # zeros of both signs, and values
     want_q = base_q.copy()
     oracle.spread_float(q, want_q, chunk=chunk)
-    want_buf = np.take(phi.ravel(), oracle.flat) * oracle.w.reshape(oracle.flat.shape)
+    want_sums = cube_sums(oracle, phi)
+    rows = np.random.default_rng(n).permutation(n)[: n // 2]
     for k in suites:
         plan = gse.make_plan(pos, kernels=k)
         assert plan._cubes is None  # the fused path never materialises them
@@ -106,11 +123,15 @@ def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
         got_q = base_q.copy()
         plan.spread_float(q, got_q, chunk=chunk, kernels=k)  # chunk-sensitive
         assert_same_bits(got_q, want_q)
-        buf = np.empty_like(want_buf)
-        k.mesh_gather_axes(buf, *plan._axes(), phi.ravel(), 0, plan.n)
-        assert_same_bits(buf, want_buf)
+        for lo, hi in ((0, n), (0, min(n, chunk)), (n // 3, n - n // 4)):
+            sums = np.empty((hi - lo, 3))
+            k.mesh_gather_axes(sums, *plan._axes(), phi.ravel(), lo, hi)
+            assert_same_bits(sums, want_sums[lo:hi])
         assert_same_bits(plan.interpolate_forces(q, phi, chunk=chunk, kernels=k), want_f)
-        assert plan._cubes is None
+        assert plan._cubes is None and plan._scratch is None
+        # A rows= subset takes the cube path on any suite, in any chunking.
+        got = plan.interpolate_forces(q, phi, rows=rows, chunk=max(1, chunk // 2), kernels=k)
+        assert_same_bits(got, want_f[rows])
     return oracle
 
 
@@ -218,18 +239,97 @@ def test_an_atom_on_every_cell_boundary_of_a_16_cubed_mesh(suites):
     assert set(first_run) == set(range(1, kz + 1))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
-def test_masked_gather_entries_keep_the_sign_of_phi(suites, sign):
-    """``phi`` of one sign: every point outside the sphere is ``phi * 0.0``,
-    a zero of that sign, and it reaches the contraction as such."""
+def test_points_outside_the_sphere_add_nothing(suites, sign):
+    """``phi`` of one sign, with inf, -inf and NaN at mesh points that lie in
+    some atom's stencil cube but outside every atom's sphere: each such
+    point adds ``-0.0`` on both tiers, so the forces are finite and the
+    bits of the same ``phi`` with those points set to any finite value
+    (where the NumPy form's ``phi·0.0`` is a zero no sum sees)."""
     rng = np.random.default_rng(2)
     gse = make_gse()
     pos = rng.uniform(0, 1, (30, 3)) * LENGTHS
-    phi = sign * (0.5 + rng.uniform(0, 1, MESH))
-    oracle = check_plan(gse, pos, rng.uniform(-1, 1, 30), phi, suites)
-    buf = np.take(phi.ravel(), oracle.flat) * oracle.w.reshape(oracle.flat.shape)
-    masked = oracle.w.reshape(oracle.flat.shape) == 0.0
-    assert masked.any() and np.all(np.signbit(buf[masked]) == (sign < 0))
+    q = rng.uniform(-1, 1, 30)
+    oracle = gse.make_plan(pos)
+    w = oracle.w.reshape(oracle.flat.shape)
+    outside = np.setdiff1d(oracle.flat[w == 0.0], oracle.flat[w > 0.0])
+    assert len(outside) >= 3
+    finite = sign * (0.5 + rng.uniform(0, 1, MESH))
+    finite.ravel()[outside] = sign * 7.0
+    want = check_plan(gse, pos, q, finite, suites).interpolate_forces(q, finite)
+    poisoned = finite.copy()
+    poisoned.ravel()[outside] = np.resize([np.inf, -np.inf, np.nan], len(outside))
+    assert np.all(np.isfinite(want))
+    for k in (NUMPY_SUITE, *suites):
+        got = gse.make_plan(pos, kernels=k).interpolate_forces(q, poisoned, kernels=k)
+        assert_same_bits(got, want)
+
+
+def blas_forces(plan, q, phi) -> np.ndarray:
+    """The contraction the gather replaced: z against ``[1, dz]`` by a batched
+    matmul, x and y by einsums — BLAS's reduction order, masked points
+    ``phi·0.0``."""
+    n, (kx, ky, kz) = plan.n, plan.shape
+    g = np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape)
+    B = np.ones((n, kz, 2))
+    B[:, :, 1] = plan.axis_d[2]
+    s = np.matmul(g.reshape(n, kx * ky, kz), B).reshape(n, kx, ky, 2)
+    return (q / plan.gse.params.sigma_s**2)[:, None] * np.stack([
+        np.einsum("nxy,nx->n", s[..., 0], plan.axis_d[0]),
+        np.einsum("nxy,ny->n", s[..., 0], plan.axis_d[1]),
+        np.einsum("nxy->n", s[..., 1]),
+    ], axis=1)
+
+
+@given(seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=10, deadline=None)
+def test_the_gather_order_is_a_rounding_change_from_the_blas_contraction(suites, seed):
+    """Against the old matmul/einsum contraction the new order moves each
+    force component by at most a few ulp of its sum of absolute terms
+    ``Σ |q·phi·w·d| / sigma_s²`` (relative to the force itself it can be
+    far more: the stencil's terms cancel)."""
+    rng = np.random.default_rng(seed)
+    gse = make_gse()
+    pos = rng.uniform(0, 1, (200, 3)) * LENGTHS
+    q = rng.uniform(-1, 1, 200)
+    phi = signed_phi(rng)
+    plan = gse.make_plan(pos)
+    got = plan.interpolate_forces(q, phi)
+    assert_same_bits(gse.make_plan(pos, kernels=suites[0]).interpolate_forces(
+        q, phi, kernels=suites[0]), got)
+    g = np.abs(np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape))
+    g = g.reshape(plan.n, *plan.shape)
+    d = [np.abs(a) for a in plan.axis_d]
+    scale = np.abs(q / gse.params.sigma_s**2)[:, None] * np.stack([
+        np.einsum("nxyz,nx->n", g, d[0]),
+        np.einsum("nxyz,ny->n", g, d[1]),
+        np.einsum("nxyz,nz->n", g, d[2]),
+    ], axis=1)
+    assert np.all(np.abs(got - blas_forces(plan, q, phi)) <= 4 * np.finfo(float).eps * scale)
+
+
+def test_interpolate_forces_calls_no_blas(suites, monkeypatch):
+    """No matmul, einsum, dot or tensordot anywhere in the gather, on either
+    tier.  The cubes are filled first (their outer product is an einsum,
+    and a product of two numbers has no order): a NumPy plan fills them
+    when built, a compiled one when a ``rows=`` subset first asks."""
+    rng = np.random.default_rng(5)
+    gse = make_gse()
+    pos = rng.uniform(0, 1, (40, 3)) * LENGTHS
+    q, phi = rng.uniform(-1, 1, 40), signed_phi(rng)
+    plans = [(gse.make_plan(pos, kernels=k), k) for k in (NUMPY_SUITE, suites[0])]
+    for plan, _ in plans:
+        plan.w  # fills the cubes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a BLAS-ordered reduction in interpolate_forces")
+
+    for name in ("matmul", "einsum", "dot", "tensordot"):
+        monkeypatch.setattr(np, name, refuse)
+    for plan, k in plans:
+        plan.interpolate_forces(q, phi, kernels=k)
+        plan.interpolate_forces(q, phi, rows=np.arange(0, 40, 3), kernels=k)
 
 
 @pytest.mark.parametrize("replicas", [2, 3])
@@ -279,16 +379,15 @@ def test_mesh_path_scratch_is_reused_across_evaluations():
 
     def scratch():
         plan = machine.calc._mesh_plan
-        return (
-            plan, plan._scratch, *plan._contract, plan._acc,
-            *plan.axis_w, *plan.axis_d, *plan.axis_i,
-        )
+        return (plan, plan._acc, *plan.axis_w, *plan.axis_d, *plan.axis_i)
 
     try:
         machine.step(1)
         first = scratch()
         machine.step(2)
         assert all(a is b for a, b in zip(scratch(), first, strict=True))
-        assert first[0]._cubes is None
+        # No cubes and no (chunk, k) gather buffer: the fused kernels
+        # need neither.
+        assert first[0]._cubes is None and first[0]._scratch is None
     finally:
         machine.close()

@@ -180,21 +180,45 @@ class TestMeshFollowsTheBox:
                      "--record-every", "2"]) == 0
         assert "final T (K)" in capsys.readouterr().out
 
+    def test_table4_systems_size_their_mesh_from_the_box(self, capsys, monkeypatch):
+        """``simulate --system <Table 4 name>`` sizes its mesh as the water
+        runs do.  A fixed 32^3 was too coarse for full-scale BPTI (64^3;
+        ``GSEParams.choose`` refused it) and twice too fine per axis for
+        the default scale's boxes, which 16^3 resolves."""
+        import repro
+        from repro.ewald import GSEParams
+
+        seen = []
+
+        def minimize_energy(system, params, max_steps):
+            seen.append((system.box, params))
+            return 0.0
+
+        monkeypatch.setattr(repro, "minimize_energy", minimize_energy)
+        assert main(["simulate", "--system", "gpW", "--steps", "2", "--record-every", "2"]) == 0
+        assert "E_total" in capsys.readouterr().out
+        ((box, params),) = seen
+        assert params.mesh == GSEParams.smallest_mesh(box, params.cutoff) == (16, 16, 16)
+
     # sha256 of standard output (less its "kernel tier:" line, which
-    # names the tier under test) and of the trajectory file, recorded
-    # from commit 7b33060 (PR 19), whose CLI hard-coded mesh 16^3 and
-    # whose minimiser evaluated forces in NumPy.
+    # names the tier under test) and of the trajectory file.  First
+    # recorded from commit 7b33060 (PR 19), whose CLI hard-coded mesh
+    # 16^3; re-recorded once when the CLI's pair kernels became the
+    # tiered tables (they were the analytic oracle) and the mesh gather's
+    # sums moved into the order of DESIGN.md's gather-order lemma.
+    # Checked equal on the NumPy tier, the compiled tier at one and four
+    # threads, and the -march=x86-64 build.
     SAME_BYTES = {
         "simulate": (
             ["simulate", "--waters", "40", "--steps", "12", "--seed", "7", "--record-every", "4"],
-            "51fc8631112a9cbb",
-            "b2d1177637ae47f3015b32e11cc6253bc3fe89eb888c1a71977bb31b08e63ec7",
+            "f19a3fe77f8f92be",
+            "16a1206c13001f66bce810fa602f2abfd9b122a37fa3c97028e6937266b0ec1a",
         ),
         "machine": (
             ["machine", "--waters", "32", "--nodes", "8", "--steps", "4",
              "--trajectory-every", "2"],
-            "8e9b5650e4d50a3f",
-            "2381dfdfc9be811ebe1b76a8b6addddc8f7cd0cf09265631ad57c666d71de6b9",
+            "e4365f07352d8265",
+            "680ed0d1eae8bf607eb053cf606a67352a5a2115b577d59782281cad7c48a895",
         ),
     }
 
