@@ -98,11 +98,17 @@ def test_radial_symmetry_distinction(benchmark):
     p2 = center + [d / np.sqrt(3)] * 3
 
     def gse_weight_at(p):
-        flat, w, disp = gse.spread_weights(p[None, :])
-        r2 = np.sum(disp**2, axis=2)
+        # The plan's separable rows: the weight of a stencil point is the
+        # product of its three axis weights, r² the sum of squared
+        # axis displacements.
+        plan = gse.make_plan(p[None, :])
+        (wx,), (wy,), (wz,) = plan.axis_w
+        (dx,), (dy,), (dz,) = plan.axis_d
+        w = (wx[:, None, None] * wy[None, :, None]) * wz[None, None, :]
+        r2 = (dx[:, None, None] ** 2 + dy[None, :, None] ** 2) + dz[None, None, :] ** 2
         # weight of the mesh point nearest `center`
-        k = np.argmin(np.abs(r2[0] - d * d))
-        return w[0, k], np.sqrt(r2[0, k])
+        k = np.unravel_index(np.argmin(np.abs(r2 - d * d)), r2.shape)
+        return w[k], np.sqrt(r2[k])
 
     w1, r1 = gse_weight_at(p1)
     w2, r2_ = gse_weight_at(p2)

@@ -845,7 +845,8 @@ void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
 /* GSE's atom-to-mesh-point weight is separable, so neither direction
  * stores a stencil: every kernel here walks each atom's (kx, ky, kz)
  * cube straight from the plan's per-axis rows, replicating the NumPy
- * cube pipeline of MeshStencilPlan operation for operation:
+ * forms (NumpyKernels.mesh_block and the three mesh_*_axes) operation
+ * for operation:
  *   w   = ((wx * norm)[x] * wy[y]) * wz[z]      (wxn is wx * norm)
  *   in  = (dx^2 + dy^2) + dz^2 <= c2            (else w is +0.0)
  *   idx = (ix * my + iy) * mz + iz              (int64 from int32 rows)
@@ -1022,7 +1023,7 @@ static inline void rk_gather_run(double *restrict ax, double *restrict cy,
  * i - lo of out is (Sx, Sy, Sz) = sum over the stencil of g * (dx, dy,
  * dz), g = phi[idx] * w, for atom i of [lo, hi).  Float sums do not
  * commute, so the order is the contract (DESIGN.md, gather-order lemma),
- * and MeshStencilPlan's NumPy form makes the same adds as whole-array
+ * and NumpyKernels.mesh_gather_axes makes the same adds as whole-array
  * adds.  Every sum starts at +0.0 and adds in ascending index:
  *   A[x][z] = sum_y g[x][y][z]      C[y][z] = sum_x g[x][y][z]
  *   T[z]    = sum_x A[x][z]

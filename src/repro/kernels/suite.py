@@ -19,11 +19,9 @@ constraint sweeps.  Two tiers implement it:
 
 The tier is chosen in one place, :func:`get_suite`.  Components hold a
 suite — :data:`NUMPY_SUITE` unless given one — and never ask which, so
-the force path, neighbor list, constraint solver and ensemble run one
-control flow on both.  The one reader of ``tier`` outside this package
-is :class:`~repro.ewald.gse.MeshStencilPlan`, which owns the
-stencil-cube format and so chooses between its cubes and the three
-fused ``mesh_*_axes`` kernels (no NumPy form on the suite).
+the force path, neighbor list, constraint solver, ensemble and mesh
+plan run one control flow on both; nothing outside this package reads
+``tier``.
 
 The contract is *bitwise identity*: for any input, both tiers return
 the same bytes.  The compiled tier therefore preserves every
@@ -61,6 +59,7 @@ from functools import cached_property
 
 import numpy as np
 
+from repro.fixedpoint.accumulate import scatter_add_int64
 from repro.kernels.build import (
     KernelBuildError,
     MeshAxes,
@@ -88,6 +87,11 @@ KERNEL_TIERS = ("numpy", "compiled")
 #: Hard ceiling on kernel_threads (catches typos like
 #: REPRO_KERNEL_THREADS=1000 before they become a thread pool).
 _MAX_THREADS = 128
+
+#: Atoms per ``(m, k)`` stencil block in the NumPy mesh kernels whose
+#: bits the blocking cannot change (the quantized spread and the gather);
+#: it bounds their scratch at O(block·k) whatever the atom count.
+_MESH_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,33 @@ def _conforms(a: np.ndarray, shape: tuple, dtype) -> bool:
 def _i64(a) -> np.ndarray:
     """C-contiguous int64 view (no copy when already conforming)."""
     return np.asarray(a, dtype=np.int64, order="C")
+
+
+def _stencil_sums(g: np.ndarray, dx, dy, dz, out: np.ndarray) -> None:
+    """``out[i] = Σ g[i]·(dx, dy, dz)`` over each atom's stencil cube.
+
+    ``g`` is ``(m, kx, ky, kz)``, the displacement rows ``(m, k·)``.
+    The adds of ``rk_mesh_gather_axes``, made as whole-array adds: each
+    sum starts at +0.0 and runs in ascending index (DESIGN.md,
+    gather-order lemma) — ``A = Σ_y g``, ``C = Σ_x g``, ``T = Σ_x A``,
+    then ``Σ_x (Σ_z A)·dx``, ``Σ_y (Σ_z C)·dy``, ``Σ_z T·dz``.
+    """
+    m, kx, ky, kz = g.shape
+    a, c = np.zeros((m, kx, kz)), np.zeros((m, ky, kz))
+    for y in range(ky):
+        a += g[:, :, y]
+    for x in range(kx):
+        c += g[:, x]
+    sa, sc, t = np.zeros((m, kx)), np.zeros((m, ky)), np.zeros((m, kz))
+    for z in range(kz):
+        sa += a[:, :, z]
+        sc += c[:, :, z]
+    for x in range(kx):
+        t += a[:, x]
+    out[...] = 0.0
+    for col, (s, d) in enumerate(((sa, dx), (sc, dy), (t, dz))):
+        for k in range(s.shape[1]):
+            out[:, col] += s[:, k] * d[:, k]
 
 
 @dataclass(frozen=True)
@@ -494,6 +525,80 @@ class NumpyKernels:
             marks[...] = False
             marks[atoms, node] = True
 
+    # -- mesh spread and gather --------------------------------------------
+
+    @staticmethod
+    def mesh_block(axis_w, axis_d, axis_i, mesh, c2, lo, hi):
+        """``(w, flat, inside)`` of atoms ``[lo, hi)`` of a stencil plan, each ``(m, k)``.
+
+        The stencil points run x-major.  ``w = (wxn·wy)·wz`` inside the
+        ``(dx²+dy²)+dz² <= c2`` sphere and ``+0.0`` outside it, ``flat``
+        is the int64 mesh index ``(ix·my + iy)·mz + iz`` and ``inside``
+        the sphere test.  Each is the value the C kernels form for that
+        point, here as whole-array products over the block.
+        """
+        m, k = hi - lo, math.prod(a.shape[1] for a in axis_w)
+        wx, wy, wz = (a[lo:hi] for a in axis_w)
+        w = ((wx[:, :, None] * wy[:, None, :])[..., None] * wz[:, None, None, :]).reshape(m, k)
+        d2 = [a[lo:hi] * a[lo:hi] for a in axis_d]
+        r2 = (d2[0][:, :, None] + d2[1][:, None, :])[..., None] + d2[2][:, None, None, :]
+        inside = r2.reshape(m, k) <= c2
+        w *= inside
+        ix, iy, iz = (a[lo:hi].astype(np.int64) for a in axis_i)
+        fxy = ix[:, :, None] * int(mesh[1]) + iy[:, None, :]
+        flat = (fxy[..., None] * int(mesh[2]) + iz[:, None, None, :]).reshape(m, k)
+        return w, flat, inside
+
+    def mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc):
+        """Quantized spread of a stencil plan's atoms into the flat int64 mesh ``acc``.
+
+        ``acc[idx] += rint(w · qc)`` over every stencil point, for finite
+        ``qc``; a point outside the sphere adds ``rint(±0.0) == 0``.
+        ``axis_w / axis_d / axis_i`` are the plan's three ``(n, ka)``
+        weight, displacement and wrapped-index rows.  Integer sums
+        commute, so the blocking is invisible.
+        """
+        for lo in range(0, len(qc), _MESH_BLOCK):
+            hi = min(lo + _MESH_BLOCK, len(qc))
+            w, flat, _ = self.mesh_block(axis_w, axis_d, axis_i, mesh, c2, lo, hi)
+            scatter_add_int64(acc, flat, np.rint(w * qc[lo:hi, None]).astype(np.int64))
+
+    def mesh_spread_float_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk):
+        """Unquantized spread into the flat float64 mesh ``acc``.
+
+        Per ``chunk`` atoms, ``acc += bincount(idx, w · q)``, the
+        bincount summed in element order from ``+0.0`` bins.  Float sums
+        do not commute, so the chunking and that order are the contract.
+        """
+        if chunk < 1:
+            raise ValueError(f"mesh_spread_float_axes: chunk must be >= 1, got {chunk}")
+        for lo in range(0, len(q), chunk):
+            hi = min(lo + chunk, len(q))
+            w, flat, _ = self.mesh_block(axis_w, axis_d, axis_i, mesh, c2, lo, hi)
+            w *= q[lo:hi, None]
+            acc += np.bincount(flat.ravel(), weights=w.ravel(), minlength=len(acc))
+
+    def mesh_gather_axes(self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi):
+        """Gather-and-contract for atoms ``[lo, hi)`` into ``out[i - lo]``.
+
+        The three stencil sums ``Σ phi[idx]·w·(dx, dy, dz)`` of each
+        atom, before its charge prefactor, added in the gather-order
+        lemma's order (DESIGN.md) by :func:`_stencil_sums`.  A point
+        outside the sphere adds ``-0.0``, i.e. nothing, whatever
+        ``phi`` holds there.
+        """
+        shape = tuple(a.shape[1] for a in axis_w)
+        for a in range(lo, hi, _MESH_BLOCK):
+            b = min(a + _MESH_BLOCK, hi)
+            w, flat, inside = self.mesh_block(axis_w, axis_d, axis_i, mesh, c2, a, b)
+            # mode="clip" skips the bounds check: the rows are pre-wrapped.
+            g = np.take(phi, flat, mode="clip")
+            g *= w
+            np.copyto(g, -0.0, where=~inside)
+            _stencil_sums(
+                g.reshape(b - a, *shape), *(d[a:b] for d in axis_d), out[a - lo : b - lo]
+            )
+
     # -- constraints -------------------------------------------------------
 
     def shake(self, solver, positions, reference, tol):
@@ -565,7 +670,30 @@ class CompiledKernels(NumpyKernels):
 
     # -- kernels -----------------------------------------------------------
 
+    # The pair and mesh kernels read and write through raw pointers, so
+    # each checks every array against the layout C walks; any array
+    # that does not conform — a strided view, another dtype, a short
+    # buffer — runs the inherited NumPy form instead.
+
+    @staticmethod
+    def _pairs_conform(wrapped, ii, jj, lengths, outs) -> bool:
+        """Candidates as C reads them; ``outs`` are ``(array, dtype,
+        row shape)`` scratch of at least the candidate count."""
+        n = len(ii)
+        return (
+            _conforms(wrapped, (len(wrapped), 3), np.float64)
+            and _conforms(ii, (n,), np.int64)
+            and _conforms(jj, (n,), np.int64)
+            and _conforms(lengths, (3,), np.float64)
+            and all(_conforms(a[:n], (n, *row), t) for a, t, row in outs)
+        )
+
     def pair_filter(self, wrapped, ii, jj, lengths, cutoff2, oi, oj, odx, or2):
+        outs = ((oi, np.int64, ()), (oj, np.int64, ()), (odx, np.float64, (3,)),
+                (or2, np.float64, ()))
+        if not self._pairs_conform(wrapped, ii, jj, lengths, outs):
+            return NumpyKernels.pair_filter(self, wrapped, ii, jj, lengths, cutoff2,
+                                            oi, oj, odx, or2)
         return int(
             self._lib.rk_pair_filter(
                 len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
@@ -611,22 +739,19 @@ class CompiledKernels(NumpyKernels):
         """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
         Filter, tables, quantize and deposit per block of candidates,
-        with nothing stored per pair but the outputs.  Every array must
-        already have the layout C reads (``ValueError`` otherwise).
+        with nothing stored per pair but the outputs.
         """
-        n, n_atoms = len(ii), len(wrapped)
-        outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
+        outs = ((oi, np.int64, ()), (oj, np.int64, ()), (e_lj, np.float64, ()),
+                (e_coul, np.float64, ()))
         if not (
-            _conforms(wrapped, (n_atoms, 3), np.float64)
-            and _conforms(acc, (n_atoms, 3), np.int64)
-            and _conforms(ii, (n,), np.int64)
-            and _conforms(jj, (n,), np.int64)
-            and all(_conforms(a[:n], (n,), t) for a, t in outs)
+            self._pairs_conform(wrapped, ii, jj, lengths, outs)
+            and _conforms(acc, (len(wrapped), 3), np.int64)
         ):
-            raise ValueError("pair_walk: arrays do not match the candidate layout")
+            return NumpyKernels.pair_walk(self, spec, wrapped, ii, jj, lengths, acc,
+                                          oi, oj, e_lj, e_coul)
         return int(
             self._lib.rk_pair_walk(
-                n, _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
+                len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
                 ctypes.byref(spec.c), _ptr(acc), _ptr(oi), _ptr(oj),
                 _ptr(e_lj), _ptr(e_coul),
             )
@@ -635,20 +760,15 @@ class CompiledKernels(NumpyKernels):
     def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
                   oi, oj, rows, e_lj, e_coul):
         """:meth:`NumpyKernels.pair_rows` in C, sharing the walk's table
-        arithmetic; layouts as for :meth:`pair_walk`."""
-        n, n_atoms = len(ii), len(wrapped)
-        outs = ((oi, np.int64), (oj, np.int64), (e_lj, np.float64), (e_coul, np.float64))
-        if not (
-            _conforms(wrapped, (n_atoms, 3), np.float64)
-            and _conforms(ii, (n,), np.int64)
-            and _conforms(jj, (n,), np.int64)
-            and _conforms(rows[:n], (n, 3), np.float64)
-            and all(_conforms(a[:n], (n,), t) for a, t in outs)
-        ):
-            raise ValueError("pair_rows: arrays do not match the candidate layout")
+        arithmetic."""
+        outs = ((oi, np.int64, ()), (oj, np.int64, ()), (rows, np.float64, (3,)),
+                (e_lj, np.float64, ()), (e_coul, np.float64, ()))
+        if not self._pairs_conform(wrapped, ii, jj, lengths, outs):
+            return NumpyKernels.pair_rows(self, spec, wrapped, ii, jj, lengths,
+                                          oi, oj, rows, e_lj, e_coul)
         return int(
             self._lib.rk_pair_rows(
-                n, _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
+                len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
                 ctypes.byref(spec.c), _ptr(oi), _ptr(oj), _ptr(rows),
                 _ptr(e_lj), _ptr(e_coul),
             )
@@ -702,11 +822,12 @@ class CompiledKernels(NumpyKernels):
             return NumpyKernels.scatter_rows(self, raw, idx, codes)
         self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), n)
 
-    def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
-        """Validate a stencil plan's per-axis rows; ``(n, MeshAxes ref)``.
+    @staticmethod
+    def _mesh_axes(axis_w, axis_d, axis_i, mesh):
+        """A stencil plan's per-axis rows as ``MeshAxes``, or None when
+        one of them does not conform.
 
-        Shapes and dtypes are checked here; that each index row is
-        consecutive mod its mesh extent (what
+        That each index row is consecutive mod its mesh extent (what
         :meth:`~repro.ewald.gse.MeshStencilPlan.build` writes) is the
         plan's promise — the C kernels walk a z row as runs of
         contiguous mesh points and read only each run's first index.
@@ -716,64 +837,54 @@ class CompiledKernels(NumpyKernels):
         rows = (*axis_w, *axis_d, *axis_i)
         dtypes = (np.float64,) * 6 + (np.int32,) * 3
         if not all(_conforms(a, (n, k), t) for a, k, t in zip(rows, ks * 3, dtypes)):
-            raise ValueError("mesh axis rows do not match the plan layout")
-        axes = MeshAxes(*ks, int(mesh[1]), int(mesh[2]), *(_ptr(a) for a in rows))
-        return n, ctypes.byref(axes)
+            return None
+        return MeshAxes(*ks, int(mesh[1]), int(mesh[2]), *(_ptr(a) for a in rows))
 
     def mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc):
-        """Fused quantized spread straight from a plan's per-axis rows.
-
-        ``acc[idx] += rint(((wxn*wy)*wz) * qc)`` over every stencil
-        point inside the ``(dx²+dy²)+dz² <= c2`` sphere, for finite
-        ``qc`` — bitwise the NumPy cube pipeline of
-        :meth:`~repro.ewald.gse.MeshStencilPlan.spread_codes`.
-        ``axis_w/axis_d/axis_i`` are the plan's three ``(n, ka)``
-        weight, displacement and wrapped-index rows; ``acc`` is the
-        flat int64 mesh.
-        """
-        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
-        npts = int(np.prod(mesh))
-        if not (_conforms(acc, (npts,), np.int64) and _conforms(qc, (n,), np.float64)):
-            raise ValueError("mesh_spread_axes: arrays do not match the plan layout")
-        self._lib.rk_mesh_spread_axes(axes, n, float(c2), _ptr(qc), _ptr(acc))
+        """:meth:`NumpyKernels.mesh_spread_axes` as one C pass from the
+        axis rows, with no stencil block."""
+        axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n = len(axis_w[0])
+        if axes is None or not (
+            _conforms(acc, (int(np.prod(mesh)),), np.int64) and _conforms(qc, (n,), np.float64)
+        ):
+            return NumpyKernels.mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc)
+        self._lib.rk_mesh_spread_axes(ctypes.byref(axes), n, float(c2), _ptr(qc), _ptr(acc))
 
     def mesh_spread_float_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk):
-        """Fused unquantized spread into the flat float64 mesh ``acc``.
-
-        Per ``chunk`` atoms, ``acc += bincount(idx, w * q)`` with the
-        bincount summed in element order — float sums do not commute,
-        so the chunking and the order are NumPy's exactly.
-        """
-        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
-        npts = int(np.prod(mesh))
-        if chunk < 1 or not (
+        """:meth:`NumpyKernels.mesh_spread_float_axes` in C, same chunks,
+        same per-bin order."""
+        axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        n, npts = len(axis_w[0]), int(np.prod(mesh))
+        if chunk < 1 or axes is None or not (
             _conforms(acc, (npts,), np.float64) and _conforms(q, (n,), np.float64)
         ):
-            raise ValueError("mesh_spread_float_axes: arrays do not match the plan layout")
+            return NumpyKernels.mesh_spread_float_axes(
+                self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk
+            )
         part = getattr(self._float_part, "array", None)  # C zeroes it per chunk
         if part is None or len(part) < npts:
             part = self._float_part.array = np.empty(npts)
         self._lib.rk_mesh_spread_float_axes(
-            axes, n, float(c2), _ptr(q), _ptr(acc), npts, _ptr(part), int(chunk)
+            ctypes.byref(axes), n, float(c2), _ptr(q), _ptr(acc), npts, _ptr(part), int(chunk)
         )
 
     def mesh_gather_axes(self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi):
-        """Fused gather-and-contract for atoms ``[lo, hi)`` into ``out[i - lo]``.
-
-        The three stencil sums ``Σ phi[idx]·w·(dx, dy, dz)`` of each
-        atom, before its charge prefactor, added in the gather-order
-        lemma's order (DESIGN.md) — bitwise the NumPy cube form of
-        :meth:`~repro.ewald.gse.MeshStencilPlan.interpolate_forces`.
-        Points outside the sphere add ``-0.0``, i.e. nothing.
-        """
-        n, axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
-        if not (
-            0 <= lo <= hi <= n
-            and _conforms(out, (hi - lo, 3), np.float64)
+        """:meth:`NumpyKernels.mesh_gather_axes` as one C pass, summing
+        each atom's stencil as it walks it."""
+        if not 0 <= lo <= hi <= len(axis_w[0]):
+            raise ValueError(f"mesh_gather_axes: atoms [{lo}, {hi}) outside the plan")
+        axes = self._mesh_axes(axis_w, axis_d, axis_i, mesh)
+        if axes is None or not (
+            _conforms(out, (hi - lo, 3), np.float64)
             and _conforms(phi, (int(np.prod(mesh)),), np.float64)
         ):
-            raise ValueError("mesh_gather_axes: arrays do not match the plan layout")
-        self._lib.rk_mesh_gather_axes(axes, lo, hi, float(c2), _ptr(phi), _ptr(out))
+            return NumpyKernels.mesh_gather_axes(
+                self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi
+            )
+        self._lib.rk_mesh_gather_axes(
+            ctypes.byref(axes), lo, hi, float(c2), _ptr(phi), _ptr(out)
+        )
 
     # The constraint sweeps update their first array in place, so one C
     # cannot write there as it is — or a solver without constraints —

@@ -20,6 +20,7 @@ from repro.core import MDParams, minimize_energy
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.mesh_stencil import stencil
 from tests.properties.pair_walk_oracle import assert_walk_matches
 
 pytestmark = pytest.mark.skipif(
@@ -170,12 +171,12 @@ def test_mesh_spread_bitwise(tiers, seed, n):
     _, compiled_k = tiers
     rng = np.random.default_rng(seed)
     gse = _small_gse()
-    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (n, 3)))  # NumPy: with cubes
+    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (n, 3)))
     qc = rng.uniform(-1e6, 1e6, n) * 2.0 ** rng.integers(0, 24)
     a = rng.integers(-(2**40), 2**40, gse.mesh_point_count())
     b = a.copy()
-    codes = np.rint(plan.w.reshape(plan.flat.shape) * qc[:, None]).astype(np.int64)
-    np.add.at(a, plan.flat.ravel(), codes.ravel())
+    w, flat = stencil(plan)
+    np.add.at(a, flat.ravel(), np.rint(w * qc[:, None]).astype(np.int64).ravel())
     compiled_k.mesh_spread_axes(b, *plan._axes(), qc)
     np.testing.assert_array_equal(a, b)
 
@@ -183,18 +184,19 @@ def test_mesh_spread_bitwise(tiers, seed, n):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_mesh_plan_build_bitwise(tiers, seed):
-    """Stencil-plan build across tiers: same axis rows, and the cubes a
-    compiled-tier plan materialises on demand (weights, mask, indices)
-    are the ones the NumPy tier builds up front."""
+    """Stencil-plan rows drive both tiers' kernels to the same mesh: the
+    compiled quantized spread deposits exactly where, and exactly what,
+    the NumPy suite's stencil block says."""
     numpy_k, compiled_k = tiers
     rng = np.random.default_rng(seed)
     gse = _small_gse()
-    pos = rng.uniform(-5.0, 22.0, (40, 3))  # wrap() handles out-of-box
-    pn = gse.make_plan(pos, kernels=numpy_k)
-    pc = gse.make_plan(pos, kernels=compiled_k)
-    assert pn._cubes is not None and pc._cubes is None
-    np.testing.assert_array_equal(pn.w, pc.w)
-    np.testing.assert_array_equal(pn.flat, pc.flat)
-    for rows in ("axis_w", "axis_d", "axis_i"):
-        for a, b in zip(getattr(pn, rows), getattr(pc, rows)):
-            np.testing.assert_array_equal(a, b)
+    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (40, 3)))  # wrap() handles out-of-box
+    w, flat = stencil(plan)
+    assert flat.min() >= 0 and flat.max() < gse.mesh_point_count()
+    qc = rng.uniform(-1e6, 1e6, 40)
+    want = np.zeros(gse.mesh_point_count(), dtype=np.int64)
+    np.add.at(want, flat.ravel(), np.rint(w * qc[:, None]).astype(np.int64).ravel())
+    for k in (numpy_k, compiled_k):
+        got = np.zeros_like(want)
+        k.mesh_spread_axes(got, *plan._axes(), qc)
+        np.testing.assert_array_equal(got, want)

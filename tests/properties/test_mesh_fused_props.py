@@ -1,15 +1,17 @@
-"""Property tests: the fused axis-row mesh kernels == the NumPy cube pipeline.
+"""Property tests: the compiled axis-row mesh kernels == the NumPy suite's.
 
-On the compiled tier a :class:`~repro.ewald.MeshStencilPlan` holds only
-per-axis rows, and ``mesh_spread_axes`` / ``mesh_spread_float_axes`` /
-``mesh_gather_axes`` evaluate each atom–mesh-point weight on the fly.
-Their reference is the plan's own NumPy pipeline over the materialised
-cubes; these properties demand exact equality — of the int64 mesh, of
-the chunk-sensitive float mesh, of the gather's three stencil sums
-down to the sign of a zero, and of the forces — on non-cubic stencils,
-at the box faces, on the ``r² == c2`` sphere edge, at every chunk,
-``[lo, hi)`` and ``rows=`` boundary, through replica row views, and at
-1, 2 and 4 threads.
+A :class:`~repro.ewald.MeshStencilPlan` holds only per-axis rows, and
+the suite's ``mesh_spread_axes`` / ``mesh_spread_float_axes`` /
+``mesh_gather_axes`` evaluate each atom–mesh-point weight from them.
+On the compiled tier that is one C pass each, with no stencil block;
+their reference is ``NUMPY_SUITE``'s forms of the same three primitives,
+which build ``(m, k)`` blocks from the rows.  These properties demand
+exact equality — of the int64 mesh, of the chunk-sensitive float mesh,
+of the gather's three stencil sums down to the sign of a zero, and of
+the forces — on non-cubic stencils, at the box faces, on the
+``r² == c2`` sphere edge, at every chunk and ``[lo, hi)`` boundary, for
+plans over atom subsets, through replica row views, and at 1, 2 and 4
+threads.
 
 The C kernels cut each atom's z row into its runs of contiguous mesh
 points and issue a run's points together; the run shapes that can go
@@ -32,7 +34,6 @@ from hypothesis import strategies as st
 
 from repro.core import MDParams, minimize_energy
 from repro.ewald import GaussianSplitEwald, GSEParams
-from repro.ewald.gse import _stencil_sums
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.geometry import Box
 from repro.kernels import NUMPY_SUITE, available
@@ -40,6 +41,7 @@ from repro.kernels.build import load
 from repro.kernels.suite import CompiledKernels
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.mesh_stencil import stencil
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -93,30 +95,28 @@ def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def cube_sums(plan, phi) -> np.ndarray:
-    """The NumPy form of the gather's three stencil sums, before ``q / sigma_s²``."""
-    g = np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape)
-    g[plan.w.reshape(plan.flat.shape) == 0.0] = -0.0  # outside the sphere: nothing
-    out = np.empty((plan.n, 3))
-    _stencil_sums(g.reshape(plan.n, *plan.shape), *plan.axis_d, out)
+def gather_sums(plan, phi, lo=0, hi=None, kernels=NUMPY_SUITE) -> np.ndarray:
+    """The gather's three stencil sums of atoms ``[lo, hi)``, before ``q / sigma_s²``."""
+    hi = plan.n if hi is None else hi
+    out = np.empty((hi - lo, 3))
+    kernels.mesh_gather_axes(out, *plan._axes(), phi.ravel(), lo, hi)
     return out
 
 
 def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
-    """Fused spreads, gather sums and forces of every suite == NumPy cubes."""
+    """Spreads, gather sums and forces of every compiled suite == the NumPy suite's."""
     oracle = gse.make_plan(pos)
     n = oracle.n
     want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
     oracle.spread_codes(q, want_mesh, MESH_CODEC)
-    want_f = oracle.interpolate_forces(q, phi, chunk=chunk)
+    want_f = oracle.interpolate_forces(q, phi)
     base_q = phi.ravel() * (phi.ravel() > 0.5)  # zeros of both signs, and values
     want_q = base_q.copy()
     oracle.spread_float(q, want_q, chunk=chunk)
-    want_sums = cube_sums(oracle, phi)
+    want_sums = gather_sums(oracle, phi)
     rows = np.random.default_rng(n).permutation(n)[: n // 2]
     for k in suites:
-        plan = gse.make_plan(pos, kernels=k)
-        assert plan._cubes is None  # the fused path never materialises them
+        plan = gse.make_plan(pos)
         got_mesh = np.zeros_like(want_mesh)
         plan.spread_codes(q, got_mesh, MESH_CODEC, kernels=k)
         np.testing.assert_array_equal(got_mesh, want_mesh)
@@ -124,13 +124,10 @@ def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
         plan.spread_float(q, got_q, chunk=chunk, kernels=k)  # chunk-sensitive
         assert_same_bits(got_q, want_q)
         for lo, hi in ((0, n), (0, min(n, chunk)), (n // 3, n - n // 4)):
-            sums = np.empty((hi - lo, 3))
-            k.mesh_gather_axes(sums, *plan._axes(), phi.ravel(), lo, hi)
-            assert_same_bits(sums, want_sums[lo:hi])
-        assert_same_bits(plan.interpolate_forces(q, phi, chunk=chunk, kernels=k), want_f)
-        assert plan._cubes is None and plan._scratch is None
-        # A rows= subset takes the cube path on any suite, in any chunking.
-        got = plan.interpolate_forces(q, phi, rows=rows, chunk=max(1, chunk // 2), kernels=k)
+            assert_same_bits(gather_sums(plan, phi, lo, hi, kernels=k), want_sums[lo:hi])
+        assert_same_bits(plan.interpolate_forces(q, phi, kernels=k), want_f)
+        # A plan over an atom subset gathers each atom's own forces.
+        got = gse.make_plan(pos[rows]).interpolate_forces(q[rows], phi, kernels=k)
         assert_same_bits(got, want_f[rows])
     return oracle
 
@@ -154,8 +151,9 @@ def test_box_faces_and_exact_sphere_edge(suites):
     d2 = [d[0] * d[0] for d in oracle.axis_d]
     r2 = (d2[0][:, None, None] + d2[1][None, :, None]) + d2[2][None, None, :]
     on_edge = r2 == gse.params.spreading_cutoff**2
-    assert on_edge.sum() >= 6 and np.all(oracle.w[0][on_edge] > 0.0)
-    assert np.all(oracle.w[0][r2 > 9.0] == 0.0)
+    w0 = stencil(oracle)[0][0].reshape(oracle.shape)
+    assert on_edge.sum() >= 6 and np.all(w0[on_edge] > 0.0)
+    assert np.all(w0[r2 > 9.0] == 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK + 3])
@@ -202,7 +200,8 @@ def test_stencil_as_wide_as_the_mesh_and_wider(suites, lz, mz, kz, runs):
     oracle = check_plan(gse, pos, q, signed_phi(rng, gse.mesh), suites)
     assert set(z_runs(oracle)) == set(runs)
     if kz > mz:
-        assert len(np.unique(oracle.flat[0])) < oracle.flat.shape[1]  # repeated bins
+        flat = stencil(oracle)[1]
+        assert len(np.unique(flat[0])) < flat.shape[1]  # repeated bins
 
 
 def test_no_wrap_at_all(suites):
@@ -246,14 +245,13 @@ def test_points_outside_the_sphere_add_nothing(suites, sign):
     some atom's stencil cube but outside every atom's sphere: each such
     point adds ``-0.0`` on both tiers, so the forces are finite and the
     bits of the same ``phi`` with those points set to any finite value
-    (where the NumPy form's ``phi·0.0`` is a zero no sum sees)."""
+    (where a masked ``phi·0.0`` would be a zero no sum sees)."""
     rng = np.random.default_rng(2)
     gse = make_gse()
     pos = rng.uniform(0, 1, (30, 3)) * LENGTHS
     q = rng.uniform(-1, 1, 30)
-    oracle = gse.make_plan(pos)
-    w = oracle.w.reshape(oracle.flat.shape)
-    outside = np.setdiff1d(oracle.flat[w == 0.0], oracle.flat[w > 0.0])
+    w, flat = stencil(gse.make_plan(pos))
+    outside = np.setdiff1d(flat[w == 0.0], flat[w > 0.0])
     assert len(outside) >= 3
     finite = sign * (0.5 + rng.uniform(0, 1, MESH))
     finite.ravel()[outside] = sign * 7.0
@@ -262,7 +260,7 @@ def test_points_outside_the_sphere_add_nothing(suites, sign):
     poisoned.ravel()[outside] = np.resize([np.inf, -np.inf, np.nan], len(outside))
     assert np.all(np.isfinite(want))
     for k in (NUMPY_SUITE, *suites):
-        got = gse.make_plan(pos, kernels=k).interpolate_forces(q, poisoned, kernels=k)
+        got = gse.make_plan(pos).interpolate_forces(q, poisoned, kernels=k)
         assert_same_bits(got, want)
 
 
@@ -271,7 +269,8 @@ def blas_forces(plan, q, phi) -> np.ndarray:
     matmul, x and y by einsums — BLAS's reduction order, masked points
     ``phi·0.0``."""
     n, (kx, ky, kz) = plan.n, plan.shape
-    g = np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape)
+    w, flat = stencil(plan)
+    g = np.take(phi.ravel(), flat) * w
     B = np.ones((n, kz, 2))
     B[:, :, 1] = plan.axis_d[2]
     s = np.matmul(g.reshape(n, kx * ky, kz), B).reshape(n, kx, ky, 2)
@@ -296,9 +295,9 @@ def test_the_gather_order_is_a_rounding_change_from_the_blas_contraction(suites,
     phi = signed_phi(rng)
     plan = gse.make_plan(pos)
     got = plan.interpolate_forces(q, phi)
-    assert_same_bits(gse.make_plan(pos, kernels=suites[0]).interpolate_forces(
-        q, phi, kernels=suites[0]), got)
-    g = np.abs(np.take(phi.ravel(), plan.flat) * plan.w.reshape(plan.flat.shape))
+    assert_same_bits(plan.interpolate_forces(q, phi, kernels=suites[0]), got)
+    w, flat = stencil(plan)
+    g = np.abs(np.take(phi.ravel(), flat) * w)
     g = g.reshape(plan.n, *plan.shape)
     d = [np.abs(a) for a in plan.axis_d]
     scale = np.abs(q / gse.params.sigma_s**2)[:, None] * np.stack([
@@ -311,30 +310,25 @@ def test_the_gather_order_is_a_rounding_change_from_the_blas_contraction(suites,
 
 def test_interpolate_forces_calls_no_blas(suites, monkeypatch):
     """No matmul, einsum, dot or tensordot anywhere in the gather, on either
-    tier.  The cubes are filled first (their outer product is an einsum,
-    and a product of two numbers has no order): a NumPy plan fills them
-    when built, a compiled one when a ``rows=`` subset first asks."""
+    tier — the NumPy suite's stencil block included."""
     rng = np.random.default_rng(5)
     gse = make_gse()
     pos = rng.uniform(0, 1, (40, 3)) * LENGTHS
     q, phi = rng.uniform(-1, 1, 40), signed_phi(rng)
-    plans = [(gse.make_plan(pos, kernels=k), k) for k in (NUMPY_SUITE, suites[0])]
-    for plan, _ in plans:
-        plan.w  # fills the cubes
+    plan = gse.make_plan(pos)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a BLAS-ordered reduction in interpolate_forces")
 
     for name in ("matmul", "einsum", "dot", "tensordot"):
         monkeypatch.setattr(np, name, refuse)
-    for plan, k in plans:
+    for k in (NUMPY_SUITE, suites[0]):
         plan.interpolate_forces(q, phi, kernels=k)
-        plan.interpolate_forces(q, phi, rows=np.arange(0, 40, 3), kernels=k)
 
 
 @pytest.mark.parametrize("replicas", [2, 3])
 def test_replica_row_views_equal_solo_plans(suites, replicas):
-    """``rows_view``s of a stacked plan run the fused kernels as solo plans."""
+    """``rows_view``s of a stacked plan run the kernels as solo plans."""
     rng = np.random.default_rng(replicas)
     gse = make_gse()
     n = 21
@@ -342,7 +336,7 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
     q = rng.uniform(-1, 1, n)
     phi = signed_phi(rng)
     for k in suites:
-        plan = gse.make_plan(pos, kernels=k)
+        plan = gse.make_plan(pos)
         for r in range(replicas):
             view = plan.rows_view(r * n, (r + 1) * n)
             solo = gse.make_plan(pos[r * n : (r + 1) * n])
@@ -356,12 +350,11 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
             view.spread_float(q, got_q, chunk=CHUNK, kernels=k)
             assert_same_bits(got_q, want_q)
             assert_same_bits(
-                view.interpolate_forces(q, phi, chunk=CHUNK, kernels=k),
+                view.interpolate_forces(q, phi, kernels=k),
                 solo.interpolate_forces(q, phi),
             )
-            # A view's cubes are its parent's, materialised on demand.
-            np.testing.assert_array_equal(view.w, solo.w)
-            np.testing.assert_array_equal(view.flat, solo.flat)
+            for a, b in zip(stencil(view), stencil(solo), strict=True):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_mesh_path_scratch_is_reused_across_evaluations():
@@ -386,8 +379,5 @@ def test_mesh_path_scratch_is_reused_across_evaluations():
         first = scratch()
         machine.step(2)
         assert all(a is b for a, b in zip(scratch(), first, strict=True))
-        # No cubes and no (chunk, k) gather buffer: the fused kernels
-        # need neither.
-        assert first[0]._cubes is None and first[0]._scratch is None
     finally:
         machine.close()

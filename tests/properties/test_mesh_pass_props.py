@@ -3,20 +3,16 @@
 ``GaussianSplitEwald.mesh_pass`` is the long-range pass of all three
 engines — the float path's ``kspace`` (one lane), the batched ensemble
 (R lanes) and the machine's ``mesh_long_range`` (one lane, FFT traffic
-accounted before the solve) — and ``MeshStencilPlan`` keeps the memory
-budget of its NumPy cubes to itself.  Pinned here, bit for bit:
+accounted before the solve).  Pinned here, bit for bit:
 
 * one lane == ``kspace`` == one ``mesh_long_range`` evaluation of a
   machine, with quantized and with float spreading;
 * R stacked lanes == R solo passes, through one kept plan refilled over
-  several evaluations with moved positions;
-* a cube plan over its budget (filling each kernel chunk's rows into
-  scratch) == the whole-cube plan, for all rows and for a random
-  ``rows=`` partition, and the per-node ``SerialBackend`` == the
-  ``VectorizedBackend`` under that budget.
+  several evaluations with moved positions.
 
-The systems are water boxes of several kernel chunks (648 atoms, a 13³
-stencil), so chunk loops, lane views and refills run as in an engine.
+The systems are water boxes of several kernel chunks and NumPy stencil
+blocks (648 atoms, a 13³ stencil), so chunk loops, lane views and
+refills run as in an engine.
 The compiled suites join where the host has a C compiler.
 """
 
@@ -31,7 +27,6 @@ from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
 from tests.properties.test_mesh_fused_props import MESH_CODEC, assert_same_bits
-from tests.serial_backend import SerialBackend
 
 FORCE_CODEC = FixedPointConfig().force_codec()
 
@@ -53,14 +48,14 @@ def same_bits(got, want) -> None:
 
 @pytest.fixture(scope="module")
 def water():
-    """216 waters: 648 atoms, so two kernel chunks and a 32³ mesh."""
+    """216 waters: 648 atoms, so two float-spread chunks and a 32³ mesh."""
     system = build_water_box(n_molecules=216, seed=5)
     cutoff = 4.5
     params = MDParams(
         cutoff=cutoff, mesh=GSEParams.smallest_mesh(system.box, cutoff), quantize_mesh_bits=40
     )
     gse = GaussianSplitEwald(system.box, GSEParams.choose(system.box, cutoff, params.mesh))
-    assert system.n_atoms > gse_module._KERNEL_CHUNK and gse.stencil_size() == 13**3
+    assert system.n_atoms > gse_module._FLOAT_CHUNK and gse.stencil_size() == 13**3
     return system, params, gse
 
 
@@ -166,97 +161,3 @@ def test_kept_plan_is_freed_by_reference_count(water):
         assert alive() is None and lane() is None
     finally:
         gc.enable()
-
-
-# -- (c) the memory budget is the plan's own business --------------------------
-
-
-def shrink_budget(monkeypatch, gse, atoms: int) -> None:
-    """Leave room for ``atoms`` atoms' cubes: far below the plans built here."""
-    monkeypatch.setattr(gse_module, "PLAN_MAX_ELEMENTS", atoms * gse.stencil_size())
-
-
-def plan_results(gse, system, phi, rows_of):
-    """Every cube kernel of a fresh plan, over the row sets ``rows_of``."""
-    plan = gse.make_plan(system.positions)
-    q = system.charges
-    mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-    qf = np.zeros(gse.mesh_point_count())
-    forces = np.empty((system.n_atoms, 3))
-    potential = np.empty(system.n_atoms)
-    for rows in rows_of:
-        plan.spread_codes(q, mesh, MESH_CODEC, rows=rows)
-        plan.spread_float(q, qf, rows=rows)
-        sel = slice(None) if rows is None else rows
-        forces[sel] = plan.interpolate_forces(q, phi, rows=rows)
-        potential[sel] = plan.interpolate_potential(phi, rows=rows)
-    return plan, (mesh, qf, forces, potential)
-
-
-@pytest.mark.parametrize("partition", [False, True], ids=["all-rows", "rows-partition"])
-def test_chunk_materialising_plan_equals_whole_cube_plan(water, monkeypatch, partition):
-    system, _params, gse = water
-    rng = np.random.default_rng(17)
-    phi = rng.normal(0.0, 1.0, tuple(gse.mesh))
-    rows_of = [None]
-    if partition:
-        owners = rng.integers(0, 5, system.n_atoms)
-        rows_of = [np.nonzero(owners == node)[0] for node in range(5)]
-    whole, want = plan_results(gse, system, phi, rows_of)
-    assert whole._cubes is not None
-    shrink_budget(monkeypatch, gse, 100)
-    chunked, got = plan_results(gse, system, phi, rows_of)
-    assert chunked._cubes is None  # only chunk-sized scratch was ever filled
-    assert len(chunked._chunk_cubes[1]) <= gse_module._KERNEL_CHUNK
-    np.testing.assert_array_equal(got[0], want[0])
-    for g, w in zip(got[1:], want[1:], strict=True):
-        same_bits(g, w)
-    # The cubes stay available whole to whoever asks for them by name.
-    np.testing.assert_array_equal(chunked.flat, whole.flat)
-    same_bits(chunked.w, whole.w)
-
-
-@CODECS
-def test_over_budget_stacked_pass_equals_in_budget_solo(water, monkeypatch, codec):
-    """Lane views of an over-budget cube plan fill their own chunks; a
-    fused plan never had cubes to budget.  Whole cubes appear nowhere."""
-    system, _params, gse = water
-    n, q = system.n_atoms, system.charges
-    lanes = [moved(system.positions, r) for r in range(2)]
-    want = [gse.kspace(pos, q, codec=codec) for pos in lanes]
-    shrink_budget(monkeypatch, gse, 100)
-    for k in SUITES:
-        plan = MeshStencilPlan(gse, 2 * n)
-        energies, forces = gse.mesh_pass(
-            np.concatenate(lanes), q, lanes=2, codec=codec, kernels=k, plan=plan
-        )
-        assert plan._cubes is None
-        for r, (want_e, want_f) in enumerate(want):
-            same_bits(energies[r], want_e)
-            same_bits(forces[r * n : (r + 1) * n], want_f)
-
-
-def test_serial_backend_equals_vectorized_under_the_budget(monkeypatch):
-    system = build_water_box(n_molecules=24, seed=11)
-    params = MDParams(cutoff=4.0, mesh=(16, 16, 16), long_range_every=1, quantize_mesh_bits=40)
-    system.initialize_velocities(300.0, seed=12)
-    gse = GaussianSplitEwald(system.box, GSEParams.choose(system.box, 4.0, params.mesh))
-    shrink_budget(monkeypatch, gse, 10)
-    codes = {}
-    for name, backend, tier in [
-        ("serial", SerialBackend(), "numpy"),
-        *[(f"vectorized-{t}", "vectorized", t) for t in sorted({t for t, _ in TIERS})],
-    ]:
-        machine = AntonMachine(
-            system.copy(), params, n_nodes=8, dt=1.0, backend=backend, kernel_tier=tier
-        )
-        try:
-            machine.step(3)
-            codes[name] = machine.state_codes()
-            assert machine.calc._mesh_plan._cubes is None
-        finally:
-            machine.close()
-    want = codes.pop("serial")
-    for name, got in codes.items():
-        for g, w in zip(got, want, strict=True):
-            np.testing.assert_array_equal(g, w, err_msg=name)

@@ -101,21 +101,17 @@ class SerialBackend(MachineBackend):
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
         s, m, gse = calc.system, calc.machine, calc.gse
         t = calc.timers
-        # One shared stencil plan per evaluation; each node then spreads
-        # and interpolates over the rows it owns.  Bitwise equal to the
-        # old per-node weight rebuild: every plan kernel is per-atom
-        # arithmetic plus a commutative reduction, so the row partition
-        # is invisible in the bits.  Row subsets run the plan's NumPy
-        # cube pipeline (the oracle of the fused kernels), so the plan
-        # is built for that, whatever the kernel tier.
-        with t.time("mesh_plan"):
-            plan = gse.make_plan(positions)
-        mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
+        # One stencil plan per node, over the atoms it owns.  Bitwise
+        # equal to one plan over all atoms: every plan kernel is per-atom
+        # arithmetic plus a commutative reduction, so the partition is
+        # invisible in the bits.
         node_rows = [np.nonzero(m.owners == n)[0] for n in range(m.topology.n_nodes)]
+        with t.time("mesh_plan"):
+            plans = [(rows, gse.make_plan(positions[rows])) for rows in node_rows if len(rows)]
+        mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
         with t.time("mesh_spread"):
-            for rows in node_rows:
-                if len(rows):
-                    plan.spread_codes(s.charges, mesh_acc, calc.mesh_codec, rows=rows)
+            for rows, plan in plans:
+                plan.spread_codes(s.charges[rows], mesh_acc, calc.mesh_codec, kernels=calc.kernels)
         with t.time("mesh_unquantize"):
             Q = calc.mesh_codec.reconstruct(calc.mesh_codec.wrap(mesh_acc)).reshape(
                 tuple(gse.mesh)
@@ -127,10 +123,9 @@ class SerialBackend(MachineBackend):
 
         # Force interpolation, per owning node.
         with t.time("mesh_interp"):
-            for rows in node_rows:
-                if len(rows):
-                    f_k = plan.interpolate_forces(s.charges, phi, rows=rows)
-                    acc.deposit(rows, force_codec.quantize_round_only(f_k))
+            for rows, plan in plans:
+                f_k = plan.interpolate_forces(s.charges[rows], phi, kernels=calc.kernels)
+                acc.deposit(rows, force_codec.quantize_round_only(f_k))
         return e_k
 
     def account_position_import(self, machine) -> None:

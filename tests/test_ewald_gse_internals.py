@@ -13,6 +13,7 @@ import pytest
 from repro.ewald import GaussianSplitEwald, GSEParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.geometry import Box
+from tests.mesh_stencil import stencil
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +54,17 @@ def dense_reference_weights(gse, positions):
 class TestSeparableWeights:
     def test_weights_match_dense_reference(self, gse, atoms):
         pos, _q = atoms
-        flat_f, w_f, d_f = gse.spread_weights(pos)
+        plan = gse.make_plan(pos)
+        w_f, flat_f = stencil(plan)
         flat_r, w_r, d_r = dense_reference_weights(gse, pos)
         # Same stencil enumeration order (x-major cube), same values.
         np.testing.assert_array_equal(flat_f, flat_r)
         np.testing.assert_allclose(w_f, w_r, rtol=1e-13, atol=1e-300)
-        np.testing.assert_allclose(d_f, d_r, atol=1e-12)
+        kx, ky, kz = plan.shape
+        d_r = d_r.reshape(len(pos), kx, ky, kz, 3)
+        np.testing.assert_allclose(plan.axis_d[0], d_r[:, :, 0, 0, 0], atol=1e-12)
+        np.testing.assert_allclose(plan.axis_d[1], d_r[:, 0, :, 0, 1], atol=1e-12)
+        np.testing.assert_allclose(plan.axis_d[2], d_r[:, 0, 0, :, 2], atol=1e-12)
 
     def test_fast_kspace_matches_chunked_path(self, gse, atoms):
         pos, q = atoms
@@ -90,7 +96,7 @@ class TestSeparableWeights:
         assert np.isfinite(e)
 
     def test_stencil_size_consistent(self, gse):
-        flat, w, _d = gse.spread_weights(np.array([[10.0, 10.0, 10.0]]))
+        w, flat = stencil(gse.make_plan(np.array([[10.0, 10.0, 10.0]])))
         assert flat.shape[1] == gse.stencil_size()
         # The spherical cutoff zeroes the cube corners.
         assert np.count_nonzero(w) < gse.stencil_size()

@@ -45,9 +45,9 @@ def test_components_built_without_a_suite_hold_the_numpy_suite(monkeypatch):
         "EnsembleConstraintSolver": EnsembleConstraintSolver(solver, 2, system.n_atoms).kernels,
     }
     for method in (
-        MeshStencilPlan.build, MeshStencilPlan.spread_codes, MeshStencilPlan.spread_float,
-        MeshStencilPlan.interpolate_forces, GaussianSplitEwald.make_plan,
-        GaussianSplitEwald.mesh_pass, GaussianSplitEwald.kspace,
+        MeshStencilPlan.spread_codes, MeshStencilPlan.spread_float,
+        MeshStencilPlan.interpolate_forces, GaussianSplitEwald.mesh_pass,
+        GaussianSplitEwald.kspace,
     ):
         held[method.__qualname__] = inspect.signature(method).parameters["kernels"].default
     assert {name: k for name, k in held.items() if k is not numpy_k} == {}
@@ -92,8 +92,7 @@ class _TierQuestions(ast.NodeVisitor):
 
 def test_only_the_stencil_plan_asks_which_tier_runs():
     """Outside ``repro/kernels/`` no code compares a ``.tier``, tests a
-    suite against ``None`` or defaults one to ``None`` — except the
-    plan's cubes-or-fused choice, which owns the cube format."""
+    suite against ``None`` or defaults one to ``None``."""
     found = []
     for path in sorted(SRC.rglob("*.py")):
         rel = path.relative_to(SRC).as_posix()
@@ -102,7 +101,7 @@ def test_only_the_stencil_plan_asks_which_tier_runs():
         visitor = _TierQuestions(rel)
         visitor.visit(ast.parse(path.read_text(), filename=rel))
         found += visitor.found
-    assert found == [("ewald/gse.py", "_fused", ".tier ==")]
+    assert found == []
 
 
 def test_the_scan_sees_a_tier_question():
