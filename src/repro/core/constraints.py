@@ -14,11 +14,14 @@ reproducible and independent of how constraint groups are distributed
 over simulated nodes.
 
 The sweeps run on the solver's kernel suite (``kernels=`` from
-:mod:`repro.kernels`, the NumPy suite by default): on the compiled tier
-in C over the same flattened batch order with the same operation
-ordering — bitwise identical, without the per-iteration Python/NumPy
-dispatch that dominates at rigid-water batch sizes.  The suite decides
-which arrays C can take; the solver only hands them over.
+:mod:`repro.kernels`, the NumPy suite by default) through its one form
+of each, ``shake_batch`` / ``rattle_batch``, with the solver's atoms as
+one block (an ensemble hands the same primitives R blocks): on the
+compiled tier in C over the same flattened batch order with the same
+operation ordering — bitwise identical, without the per-iteration
+Python/NumPy dispatch that dominates at rigid-water batch sizes.  The
+suite decides which arrays C can take; the solver only hands them
+over.
 """
 
 from __future__ import annotations
@@ -60,8 +63,9 @@ class ConstraintSolver:
         sweep even from large perturbations; MD-step displacements
         reach 1e-12 well inside the default.
     kernels:
-        The kernel suite :meth:`shake` and :meth:`rattle` run on; the
-        NumPy sweeps below are its NumPy forms.
+        The kernel suite :meth:`shake` and :meth:`rattle` run on, as
+        one block of its ``shake_batch`` / ``rattle_batch``; the NumPy
+        sweeps below are what its NumPy forms run per block.
     """
 
     def __init__(
@@ -139,7 +143,7 @@ class ConstraintSolver:
         """
         if not self.n_constraints:
             return positions
-        return self.kernels.shake(self, positions, reference, tol)
+        return self.kernels.shake_batch(self, positions, reference, tol, 1, len(positions))
 
     def _shake_numpy(
         self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10
@@ -172,7 +176,7 @@ class ConstraintSolver:
         """Remove velocity components along constraints (in place)."""
         if not self.n_constraints:
             return velocities
-        return self.kernels.rattle(self, velocities, positions, tol)
+        return self.kernels.rattle_batch(self, velocities, positions, tol, 1, len(velocities))
 
     def _rattle_numpy(
         self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12

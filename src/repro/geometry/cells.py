@@ -7,6 +7,10 @@ cell list, and the buffered :class:`~repro.geometry.neighborlist.NeighborList`
 — return bitwise-identical arrays for the same configuration, so even
 floating-point force sums do not depend on which search path ran.
 
+:func:`within` is the one cutoff predicate every NumPy path filters
+candidates with, and :func:`cell_candidate_pairs` the one binning
+sweep: a solo system is one block, an ensemble's replicas are R.
+
 This is the "conventional processor" pair-finding substrate; the
 simulated machine uses the NT method in :mod:`repro.parallel.nt`
 instead, and the two are cross-checked against each other in the
@@ -26,7 +30,7 @@ __all__ = [
     "neighbor_pairs",
     "brute_force_pairs",
     "cell_candidate_pairs",
-    "ensemble_cell_candidate_pairs",
+    "within",
 ]
 
 @dataclass(frozen=True)
@@ -67,33 +71,30 @@ def _canonical_order(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(ii * np.int64(n) + jj)
 
 
-def _filter(
-    positions: np.ndarray,
-    box: Box,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    cutoff: float,
+def within(
+    wrapped: np.ndarray, box: Box, ii: np.ndarray, jj: np.ndarray, cutoff2: float
 ) -> NeighborPairs:
-    """Distance-filter candidates and return them in canonical order."""
-    c2 = cutoff * cutoff
-    out_i, out_j, out_dx, out_r2 = [], [], [], []
+    """The candidates ``(ii, jj)`` closer than ``sqrt(cutoff2)``, in candidate order.
+
+    The one cutoff predicate: the minimum-image ``dx = x[i] - x[j]`` of
+    :meth:`Box.minimum_image`, ``r2 = (dx² + dy²) + dz²`` and
+    ``r2 < cutoff2``.  The compiled kernels form the same bits
+    (``rk_walk_filter``, ``rk_neighbor_build``); ``wrapped`` must lie in
+    ``[0, L)`` per axis for that, as :meth:`Box.wrap` leaves it.
+    Chunked to bound the transient ``dx`` allocation.
+    """
+    parts = []
     for lo in range(0, len(ii), _FILTER_CHUNK):
-        sl = slice(lo, lo + _FILTER_CHUNK)
-        dx = box.minimum_image(positions[ii[sl]] - positions[jj[sl]])
+        i, j = ii[lo : lo + _FILTER_CHUNK], jj[lo : lo + _FILTER_CHUNK]
+        dx = box.minimum_image(wrapped[i] - wrapped[j])
         r2 = np.sum(dx * dx, axis=1)
-        keep = r2 < c2
-        out_i.append(ii[sl][keep])
-        out_j.append(jj[sl][keep])
-        out_dx.append(dx[keep])
-        out_r2.append(r2[keep])
-    if not out_i:
+        keep = r2 < cutoff2
+        parts.append((i[keep], j[keep], dx[keep], r2[keep]))
+    if not parts:
         return _empty_pairs()
-    i = np.concatenate(out_i)
-    j = np.concatenate(out_j)
-    dx = np.concatenate(out_dx)
-    r2 = np.concatenate(out_r2)
-    order = _canonical_order(i, j, len(positions))
-    return NeighborPairs(i=i[order], j=j[order], dx=dx[order], r2=r2[order])
+    if len(parts) == 1:
+        return NeighborPairs(*parts[0])
+    return NeighborPairs(*(np.concatenate(a) for a in zip(*parts)))
 
 
 def brute_force_pairs(
@@ -163,21 +164,23 @@ def _half_stencil_offsets(k: int, cell_size: np.ndarray, reach: float) -> np.nda
 
 
 def _choose_binning(
-    positions: np.ndarray, box: Box, reach: float
+    positions: np.ndarray, box: Box, reach: float, n_blocks: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Pick the finest admissible binning (ncells, stencil) or ``None``.
 
     A refinement ``k`` bins at ``cell >= reach / k`` and needs at least
     ``2k + 1`` cells per axis so wrapped stencil cells stay distinct.
-    Guards keep the empty-cell table and the per-atom stencil arrays
-    proportional to the atom count.
+    Guards keep the empty-cell table (one per block) and the per-atom
+    stencil arrays proportional to the atom count; a refinement that
+    breaks one gives way to the next coarser.
     """
     n = len(positions)
     for k in range(_MAX_BIN_REFINE, 0, -1):
         ncells = np.floor(box.lengths * k / reach).astype(np.int64)
         if np.any(ncells < 2 * k + 1):
             continue
-        if int(np.prod(ncells)) > max(64 * n, 4096):
+        ntot = int(np.prod(ncells))
+        if ntot > max(64 * n, 4096) or n_blocks * ntot > 50_000_000:
             continue
         stencil = _half_stencil_offsets(k, box.lengths / ncells, reach)
         if n * (len(stencil) + 1) > 80_000_000:
@@ -187,31 +190,41 @@ def _choose_binning(
 
 
 def cell_candidate_pairs(
-    positions: np.ndarray, box: Box, reach: float
+    positions: np.ndarray, box: Box, reach: float, n_blocks: int = 1
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Vectorized candidate pairs from cell binning at ``reach``.
 
-    Returns candidate pairs ``(i, j)`` with ``i < j`` — a superset of
-    all pairs within ``reach``, in unspecified order (callers filter by
-    distance first and canonically sort the survivors, which is far
+    ``positions`` holds ``n_blocks`` equal blocks stacked along the
+    atom axis (block ``r`` owns rows ``[r * n, (r + 1) * n)``, ``n =
+    len(positions) // n_blocks``: the replicas of an ensemble, or one
+    solo system), all sharing one box and already wrapped into the
+    primary cell.  Returns candidate pairs ``(i, j)`` with ``i < j`` — a
+    superset of each block's pairs within ``reach``, each at most once,
+    none across a block boundary, in unspecified order (callers filter
+    by distance first and canonically sort the survivors, which is far
     cheaper than sorting the raw candidates) — or ``None`` when the box
-    admits no valid binning (callers fall back to the brute-force
-    path).  ``positions`` must already be wrapped into the primary
-    cell.
+    admits no valid binning (callers fall back to brute force per
+    block).
 
     The whole half-stencil sweep is array arithmetic: atoms are binned
-    and sorted by flat cell id once, and for every (atom, stencil
-    offset) the run of atoms in the neighboring cell is expanded with a
-    grouped-arange — no per-cell Python loop.  Bins are refined down to
-    ``reach / 3`` when the box allows it, shrinking the candidate
+    with *block-major* flat cell ids ``r * ncells_total + flat`` and
+    sorted by them once, and for every (atom, stencil offset) the run
+    of atoms in the neighboring cell is expanded with a grouped-arange
+    — no per-cell Python loop.  Block-major ids keep cells of different
+    blocks distinct, which is load-bearing because replicas typically
+    start from identical coordinates, where shared binning would pair
+    every atom with its twins at distance zero.  Bins are refined down
+    to ``reach / 3`` when the box allows it, shrinking the candidate
     overcount toward the cutoff-sphere volume.
     """
-    if len(positions) < 64:
+    n = len(positions)
+    if n // n_blocks < 64:
         return None
-    binning = _choose_binning(positions, box, reach)
+    binning = _choose_binning(positions, box, reach, n_blocks)
     if binning is None:
         return None
     ncells, stencil = binning
+    ntot = int(np.prod(ncells))
 
     cell_size = box.lengths / ncells
     # Modulo clamps both the exact-L edge (index == ncells) and any
@@ -219,76 +232,11 @@ def cell_candidate_pairs(
     cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
     flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
 
-    n = len(positions)
-    order = np.argsort(flat, kind="stable")  # atom ids in cell order
-    sorted_flat = flat[order]
-    ntot = int(np.prod(ncells))
-    counts = np.bincount(sorted_flat, minlength=ntot)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-
-    # Intra-cell pairs: slot p pairs with slots p+1 .. end(cell)-1.
-    slot = np.arange(n, dtype=np.int64)
-    cell_end = starts[sorted_flat] + counts[sorted_flat]
-    k_intra = cell_end - slot - 1
-    ii_slot = np.repeat(slot, k_intra)
-    jj_slot = ii_slot + 1 + _grouped_arange(k_intra)
-    intra_i = order[ii_slot]
-    intra_j = order[jj_slot]
-
-    # Cross-cell pairs over the half stencil, all offsets at once.
-    nbr = (cidx[:, None, :] + stencil[None, :, :]) % ncells  # (n, |stencil|, 3)
-    nbr_flat = ((nbr[..., 0] * ncells[1] + nbr[..., 1]) * ncells[2] + nbr[..., 2]).ravel()
-    cnt = counts[nbr_flat]
-    cross_i = np.repeat(np.repeat(np.arange(n, dtype=np.int64), len(stencil)), cnt)
-    jj_slot = np.repeat(starts[nbr_flat], cnt) + _grouped_arange(cnt)
-    cross_j = order[jj_slot]
-
-    ii = np.concatenate([intra_i, cross_i])
-    jj = np.concatenate([intra_j, cross_j])
-    return np.minimum(ii, jj), np.maximum(ii, jj)
-
-
-def ensemble_cell_candidate_pairs(
-    positions: np.ndarray, box: Box, reach: float, replicas: int, n_solo: int
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Candidate pairs for ``replicas`` stacked replicas in one sweep.
-
-    ``positions`` holds R replicas of an ``n_solo``-atom system
-    concatenated along the atom axis (replica ``r`` owns rows
-    ``[r * n_solo, (r + 1) * n_solo)``), all sharing one box.  Atoms are
-    binned with *replica-major* flat cell ids ``r * ncells_total +
-    flat`` so cells of different replicas are distinct and no candidate
-    ever crosses a replica boundary — load-bearing because replicas
-    typically start from identical coordinates, where naive shared
-    binning would pair every atom with its R-1 twins at distance zero.
-
-    One bin pass, one stable sort, and one stencil sweep cover the whole
-    ensemble; the candidate set restricted to replica ``r`` is a superset
-    of that replica's within-``reach`` pairs (each at most once), so the
-    downstream distance filter + canonical sort yield exactly the solo
-    candidate list per replica.  Returns ``None`` when the box admits no
-    binning (callers fall back to per-replica brute force).
-    """
-    if n_solo < 64:
-        return None
-    binning = _choose_binning(positions, box, reach)
-    if binning is None:
-        return None
-    ncells, stencil = binning
-    ntot = int(np.prod(ncells))
-    if replicas * ntot > 50_000_000:
-        return None
-
-    cell_size = box.lengths / ncells
-    cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
-    flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
-
-    n = len(positions)
-    rep = np.repeat(np.arange(replicas, dtype=np.int64) * ntot, n_solo)
+    rep = np.repeat(np.arange(n_blocks, dtype=np.int64) * ntot, n // n_blocks)
     gflat = flat + rep
-    order = np.argsort(gflat, kind="stable")
+    order = np.argsort(gflat, kind="stable")  # atom ids in cell order
     sorted_gflat = gflat[order]
-    counts = np.bincount(sorted_gflat, minlength=replicas * ntot)
+    counts = np.bincount(sorted_gflat, minlength=n_blocks * ntot)
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
 
     # Intra-cell pairs: slot p pairs with slots p+1 .. end(cell)-1.
@@ -300,9 +248,9 @@ def ensemble_cell_candidate_pairs(
     intra_i = order[ii_slot]
     intra_j = order[jj_slot]
 
-    # Cross-cell pairs over the half stencil; neighbor cell ids carry
-    # the same per-atom replica offset, staying within the replica.
-    nbr = (cidx[:, None, :] + stencil[None, :, :]) % ncells
+    # Cross-cell pairs over the half stencil, all offsets at once;
+    # neighbor cell ids carry the atom's block offset.
+    nbr = (cidx[:, None, :] + stencil[None, :, :]) % ncells  # (n, |stencil|, 3)
     nbr_flat = (
         (nbr[..., 0] * ncells[1] + nbr[..., 1]) * ncells[2]
         + nbr[..., 2]
@@ -336,4 +284,6 @@ def neighbor_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPa
     cand = cell_candidate_pairs(positions, box, cutoff)
     if cand is None:
         return brute_force_pairs(positions, box, cutoff)
-    return _filter(positions, box, cand[0], cand[1], cutoff)
+    p = within(positions, box, *cand, cutoff * cutoff)
+    order = _canonical_order(p.i, p.j, len(positions))
+    return NeighborPairs(i=p.i[order], j=p.j[order], dx=p.dx[order], r2=p.r2[order])

@@ -6,17 +6,18 @@ speedups are measured against (Figure 5, Table 4) was dominated by
 pair-search overhead.  :class:`NeighborList` amortizes that cost the
 way GROMACS does: rebuild through the kernel suite's
 ``neighbor_build`` — on the NumPy tier the fully vectorized cell engine
-(:func:`~repro.geometry.cells.ensemble_cell_candidate_pairs`, one
-block for a solo system), on the compiled tier one C cell sweep
-emitting the same canonical list — keeping every pair out to
+(:func:`~repro.geometry.cells.cell_candidate_pairs`, one block for a
+solo system), on the compiled tier one C cell sweep emitting the same
+canonical list — keeping every pair out to
 ``cutoff + skin`` with the static exclusion mask applied once, and
 reuse the list until some atom has moved more than ``skin / 2`` since
 the last build — the classical sufficient condition, since two atoms
 approaching each other close the gap by at most ``skin``.
 
 Determinism: at use time the list recomputes ``dx``/``r2`` from the
-*current* wrapped positions and filters to the true cutoff, and the
-cached candidates are kept in canonical ``(i, j)`` order, so the
+*current* wrapped positions and filters to the true cutoff (the one
+predicate, :func:`~repro.geometry.cells.within`), and the cached
+candidates are kept in canonical ``(i, j)`` order, so the
 filtered arrays are bitwise identical to a fresh
 :func:`~repro.geometry.cells.neighbor_pairs` search at the same
 configuration (after exclusion filtering).  Fixed-point force codes —
@@ -31,7 +32,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.geometry.cells import NeighborPairs
+from repro.geometry.cells import NeighborPairs, within
 from repro.geometry.pbc import Box
 from repro.kernels import NUMPY_SUITE
 
@@ -69,15 +70,10 @@ class NeighborList:
         under the ``"neighbor_builds"`` / ``"neighbor_reuses"``
         counters.
     kernels:
-        The kernel suite (:mod:`repro.kernels`) rebuilds and filters
-        run on, :data:`~repro.kernels.NUMPY_SUITE` by default.
-        Rebuilds go through its ``neighbor_build`` and :meth:`pairs`
-        through its ``pair_filter`` into persistent scratch, so the
-        returned arrays are prefix *views* of that scratch, valid only
-        until the next :meth:`pairs` call — a caller keeping two results
-        copies the first (a ``walk`` passed to :meth:`pairs` takes the
-        filter's place).  Every suite gives the same list and the same
-        pairs, bit for bit.
+        The kernel suite (:mod:`repro.kernels`) rebuilds run on,
+        :data:`~repro.kernels.NUMPY_SUITE` by default, through its
+        ``neighbor_build``.  Every suite gives the same list, bit for
+        bit.
     """
 
     #: Atom rows form this many equal blocks that never pair across a
@@ -115,8 +111,6 @@ class NeighborList:
         self._cand_i: np.ndarray | None = None
         self._cand_j: np.ndarray | None = None
         self._lengths = np.ascontiguousarray(box.lengths, dtype=np.float64)
-        self._scratch_cap = -1
-        self._oi = self._oj = self._odx = self._or2 = None
         # Rebuild state: the exclusion CSR ``neighbor_build`` reads
         # (built at the first rebuild) and the ``[oi, oj]`` buffers it
         # may fill and grow.
@@ -178,8 +172,10 @@ class NeighborList:
         ``(i, j)`` order and ``dx``/``r2`` are recomputed from the
         wrapped current positions before filtering to the true cutoff.
 
-        ``walk``, when given, takes the place of the cutoff filter: it
-        is called as ``walk(wrapped, cand_i, cand_j, lengths)`` with the
+        Without a ``walk`` the result is fresh arrays from
+        :func:`~repro.geometry.cells.within` over the cached candidates.
+        ``walk``, when given, takes the place of that filter: it is
+        called as ``walk(wrapped, cand_i, cand_j, lengths)`` with the
         wrapped C-contiguous positions and the cached candidates, and
         what it returns is returned — the caller's own record of the
         within-cutoff pairs (``.i``, ``.j``).  That is how a force
@@ -202,27 +198,7 @@ class NeighborList:
         # (observational only — no effect on the returned pairs).
         select = self.timers.time("pair_select") if self.timers is not None else nullcontext()
         with select:
-            self._ensure_scratch(len(ii))
-            m = self.kernels.pair_filter(
-                wrapped, ii, jj, self._lengths, self.cutoff * self.cutoff,
-                self._oi, self._oj, self._odx, self._or2,
-            )
-            return NeighborPairs(
-                i=self._oi[:m], j=self._oj[:m], dx=self._odx[:m], r2=self._or2[:m]
-            )
-
-    def _ensure_scratch(self, n: int) -> None:
-        """Size the filter's output scratch to the candidate count."""
-        if n <= self._scratch_cap:
-            return
-        # Candidate counts wander a fraction of a percent between
-        # rebuilds; headroom keeps that from reallocating every time.
-        n += n // 8
-        self._scratch_cap = n
-        self._oi = np.empty(n, dtype=np.int64)
-        self._oj = np.empty(n, dtype=np.int64)
-        self._odx = np.empty((n, 3), dtype=np.float64)
-        self._or2 = np.empty(n, dtype=np.float64)
+            return within(wrapped, self.box, ii, jj, self.cutoff * self.cutoff)
 
 
 class EnsembleNeighborList(NeighborList):
@@ -230,7 +206,7 @@ class EnsembleNeighborList(NeighborList):
 
     Replica ``r`` owns atom rows ``[r * n_solo, (r + 1) * n_solo)``; one
     batched binning/filter/sort pass builds all replicas' candidates
-    (:func:`~repro.geometry.cells.ensemble_cell_candidate_pairs`), and
+    (:func:`~repro.geometry.cells.cell_candidate_pairs`), and
     the inherited :meth:`pairs` filter runs once over the concatenated
     candidate list.  The candidate list restricted to a replica is in
     that replica's canonical order (the global sort key ``i * RN + j``

@@ -57,11 +57,6 @@ REC_FRAME = 2  # one trajectory frame
 REC_INDEX = 3  # frame index (offsets + steps), written at close
 REC_STATE = 4  # one serialized checkpoint state dict
 
-#: Sanity cap on a single payload (1 TiB): a length field larger than
-#: this is garbage from a corrupt header, not a real record.
-_MAX_PAYLOAD = 1 << 40
-
-
 class CorruptRecord(ValueError):
     """A record failed its magic, length, or CRC check."""
 
@@ -75,11 +70,21 @@ def write_record(f, rtype: int, payload: bytes) -> int:
     return offset
 
 
+def _bytes_left(f) -> int:
+    """Bytes between the current position of ``f`` and its end."""
+    pos = f.tell()
+    end = f.seek(0, 2)
+    f.seek(pos)
+    return end - pos
+
+
 def read_record(f) -> tuple[int, bytes]:
     """Read the record at the current position.
 
     Raises ``EOFError`` on a clean end of file (zero bytes available)
-    and :class:`CorruptRecord` on a torn or damaged record.
+    and :class:`CorruptRecord` on a torn or damaged record — including
+    a length field longer than what is left of the file, which is
+    rejected before anything is read or allocated for it.
     """
     head = f.read(_HEADER.size)
     if not head:
@@ -89,11 +94,10 @@ def read_record(f) -> tuple[int, bytes]:
     magic, rtype, crc, n = _HEADER.unpack(head)
     if magic != MAGIC:
         raise CorruptRecord(f"bad record magic {magic!r}")
-    if n > _MAX_PAYLOAD:
-        raise CorruptRecord(f"implausible payload length {n}")
+    left = _bytes_left(f)
+    if n > left:
+        raise CorruptRecord(f"truncated payload ({left} of {n} bytes)")
     payload = f.read(n)
-    if len(payload) < n:
-        raise CorruptRecord(f"truncated payload ({len(payload)} of {n} bytes)")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise CorruptRecord("payload CRC mismatch")
     return rtype, payload

@@ -98,43 +98,13 @@ static inline double rk_image(double d, double L, double h)
     return d - L * (double)((d > h) - (d < -h));
 }
 
-/* -- neighbor-list cutoff filter ------------------------------------- */
-
-/* NeighborList.pairs steady state: minimum-image displacement of every
- * cached candidate, squared distance, compaction to r2 < cutoff2.
- * Returns the surviving pair count.  Positions must be wrapped into
- * [0, L) (rk_image). */
-int64_t rk_pair_filter(int64_t n_cand, const int64_t *ii, const int64_t *jj,
-                       const double *w, const double *L, double cutoff2,
-                       int64_t *oi, int64_t *oj, double *odx, double *or2)
-{
-    const double L0 = L[0], L1 = L[1], L2 = L[2];
-    const double h0 = 0.5 * L0, h1 = 0.5 * L1, h2 = 0.5 * L2;
-    int64_t m = 0;
-    for (int64_t k = 0; k < n_cand; k++) {
-        const double *a = w + 3 * ii[k];
-        const double *b = w + 3 * jj[k];
-        double d0 = rk_image(a[0] - b[0], L0, h0);
-        double d1 = rk_image(a[1] - b[1], L1, h1);
-        double d2 = rk_image(a[2] - b[2], L2, h2);
-        double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
-        oi[m] = ii[k]; /* branch-free: the slot is written always and */
-        oj[m] = jj[k]; /* kept when the pair survives (m <= k)        */
-        odx[3 * m] = d0;
-        odx[3 * m + 1] = d1;
-        odx[3 * m + 2] = d2;
-        or2[m] = r2;
-        m += r2 < cutoff2;
-    }
-    return m;
-}
-
 /* -- neighbor-list rebuild ------------------------------------------- */
 
 /* NeighborList._build_inner in one pass: every pair i < j of the same
- * block whose minimum-image distance passes rk_pair_filter's predicate
- * at reach, minus the exclusion CSR's partners, in lexicographic (i, j)
- * order.  That is a definition by set and order, so the binning below is
+ * block whose minimum-image distance passes the cutoff predicate
+ * (geometry.cells.within in NumPy, rk_walk_filter's below) at reach,
+ * minus the exclusion CSR's partners, in lexicographic (i, j) order.
+ * That is a definition by set and order, so the binning below is
  * free: it only has to offer every passing pair to the predicate, and
  * RK_NB_SLACK widens the cells by far more than any rounding in the
  * cell index or in d can move an atom.
@@ -278,7 +248,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     const int64_t j = cell_atoms[p];
                     if (j <= i)
                         break;
-                    /* rk_pair_filter's predicate, operation for operation */
+                    /* cells.within's predicate, operation for operation */
                     double d0 = rk_image(a0 - sx[3 * p], L[0], h[0]);
                     double d1 = rk_image(a1 - sx[3 * p + 1], L[1], h[1]);
                     double d2 = rk_image(a2 - sx[3 * p + 2], L[2], h[2]);
@@ -365,8 +335,9 @@ typedef struct {
     double pf[RK_WALK_BLOCK];
 } rk_walk_block;
 
-/* Filter over candidates [lo, hi), at most RK_WALK_BLOCK of them:
- * rk_pair_filter's predicate with a branch-free compaction (write the
+/* Filter over candidates [lo, hi), at most RK_WALK_BLOCK of them: the
+ * cutoff predicate of geometry.cells.within, operation for operation
+ * (rk_image for its division), with a branch-free compaction (write the
  * survivor slot always, advance it by r2 < cutoff2; the slot index never
  * passes the candidate index, so outputs sized to n_cand suffice), then
  * KernelTableSet.normalize on the survivors' r2 (a loop of its own, so
@@ -694,15 +665,15 @@ static inline double rk_max(double err, double e)
     return err;
 }
 
-/* ConstraintSolver.shake: Gauss-Seidel sweeps over atom-disjoint
+/* SHAKE of one block: Gauss-Seidel sweeps over atom-disjoint
  * constraint batches.  `order` is the concatenation of the coloring
  * batches, `starts` the (nbatch + 1) prefix offsets into it.  `dref`
  * is caller-provided (ncon, 3) scratch. */
-void rk_shake(double *pos, const double *ref, const int64_t *ci,
-              const int64_t *cj, const double *d2, const double *inv,
-              const double *L, int64_t ncon, const int64_t *order,
-              const int64_t *starts, int64_t nbatch, int64_t iters,
-              double tol, double *dref)
+static void rk_shake(double *pos, const double *ref, const int64_t *ci,
+                     const int64_t *cj, const double *d2, const double *inv,
+                     const double *L, int64_t ncon, const int64_t *order,
+                     const int64_t *starts, int64_t nbatch, int64_t iters,
+                     double tol, double *dref)
 {
     for (int64_t c = 0; c < ncon; c++) {
         const double *ri = ref + 3 * ci[c];
@@ -754,11 +725,13 @@ void rk_shake(double *pos, const double *ref, const int64_t *ci,
     }
 }
 
-/* Leading-replica-axis SHAKE: R independent replicas stacked along the
- * atom axis (replica r owns rows [r*natoms, (r+1)*natoms)), each solved
- * with the solo sweep above against the *solo* constraint arrays.  One
- * ctypes call replaces R, and every replica's arithmetic is literally
- * the solo routine — bitwise identity with a solo run is structural. */
+/* ConstraintSolver.shake and the ensemble's: nrep independent blocks
+ * stacked along the atom axis (block r owns rows [r*natoms,
+ * (r+1)*natoms)), each solved with the one-block sweep above against
+ * the one block's constraint arrays.  A solo system is nrep = 1; an
+ * ensemble's R replicas are one ctypes call, and every replica's
+ * arithmetic is literally the solo routine — bitwise identity with a
+ * solo run is structural. */
 void rk_shake_batch(int64_t nrep, int64_t natoms, double *pos,
                     const double *ref, const int64_t *ci, const int64_t *cj,
                     const double *d2, const double *inv, const double *L,
@@ -771,13 +744,13 @@ void rk_shake_batch(int64_t nrep, int64_t natoms, double *pos,
                  inv, L, ncon, order, starts, nbatch, iters, tol, dref);
 }
 
-/* ConstraintSolver.rattle.  `dx_all` (ncon, 3) and `d2_all` (ncon) are
+/* RATTLE of one block.  `dx_all` (ncon, 3) and `d2_all` (ncon) are
  * caller-provided scratch. */
-void rk_rattle(double *vel, const double *pos, const int64_t *ci,
-               const int64_t *cj, const double *inv, const double *L,
-               int64_t ncon, const int64_t *order, const int64_t *starts,
-               int64_t nbatch, int64_t iters, double tol, double *dx_all,
-               double *d2_all)
+static void rk_rattle(double *vel, const double *pos, const int64_t *ci,
+                      const int64_t *cj, const double *inv, const double *L,
+                      int64_t ncon, const int64_t *order,
+                      const int64_t *starts, int64_t nbatch, int64_t iters,
+                      double tol, double *dx_all, double *d2_all)
 {
     for (int64_t c = 0; c < ncon; c++) {
         const double *xi = pos + 3 * ci[c];
@@ -826,7 +799,7 @@ void rk_rattle(double *vel, const double *pos, const int64_t *ci,
     }
 }
 
-/* Leading-replica-axis RATTLE; see rk_shake_batch. */
+/* ConstraintSolver.rattle and the ensemble's; see rk_shake_batch. */
 void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
                      const double *pos, const int64_t *ci, const int64_t *cj,
                      const double *inv, const double *L, int64_t ncon,

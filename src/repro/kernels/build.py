@@ -272,8 +272,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     f64 = ctypes.c_double
     p = ctypes.c_void_p  # raw array pointers via ndarray.ctypes.data
 
-    lib.rk_pair_filter.restype = i64
-    lib.rk_pair_filter.argtypes = [i64, p, p, p, p, f64, p, p, p, p]
     lib.rk_neighbor_work_size.restype = i64
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
@@ -299,10 +297,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_mesh_spread_float_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
     lib.rk_mesh_gather_axes.restype = None
     lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p]
-    lib.rk_shake.restype = None
-    lib.rk_shake.argtypes = [p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
-    lib.rk_rattle.restype = None
-    lib.rk_rattle.argtypes = [p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
     lib.rk_shake_batch.restype = None
     lib.rk_shake_batch.argtypes = (
         [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]

@@ -2,12 +2,15 @@
 
 A *kernel suite* is the small set of hot-loop primitives the force
 path, neighbor list, constraint solver and mesh pass dispatch through:
-neighbor-list rebuild and cutoff filtering, the range-limited pair walk
-(cached candidates straight to the fixed-point force accumulator) and
-its float64 twin (candidates to per-pair force rows), the NT
-force-export marks, fixed-point scatter deposits and the ordered float
-deposit, the fused mesh spread and gather, and the SHAKE/RATTLE
-constraint sweeps.  Two tiers implement it:
+neighbor-list rebuild, the range-limited pair walk (cached candidates
+straight to the fixed-point force accumulator) and its float64 twin
+(candidates to per-pair force rows), the NT force-export marks,
+fixed-point scatter deposits and the ordered float deposit, the fused
+mesh spread and gather, and the SHAKE/RATTLE constraint sweeps.  Each
+primitive has one form: the rebuild and the sweeps take ``n`` stacked
+blocks, and a solo system is one block.  The NumPy forms filter
+candidates with the one cutoff predicate,
+:func:`repro.geometry.cells.within`.  Two tiers implement it:
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.  Every primitive a
@@ -316,30 +319,6 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
     )
 
 
-def _filter_to_reach(wrapped, box, reach, ii, jj):
-    """Drop cell candidates beyond ``reach`` at the build configuration.
-
-    A pair separated by more than ``cutoff + skin`` at build time
-    cannot come within the cutoff before a rebuild triggers (each atom
-    moves at most ``skin/2``), so only genuine Verlet-list members are
-    cached.  Chunked to bound the transient ``dx`` allocation.
-    """
-    from repro.geometry.cells import _FILTER_CHUNK
-
-    r2max = reach * reach
-    kept_i, kept_j = [], []
-    for lo in range(0, len(ii), _FILTER_CHUNK):
-        hi = lo + _FILTER_CHUNK
-        d = box.minimum_image(wrapped[ii[lo:hi]] - wrapped[jj[lo:hi]])
-        keep = np.sum(d * d, axis=1) < r2max
-        kept_i.append(ii[lo:hi][keep])
-        kept_j.append(jj[lo:hi][keep])
-    if not kept_i:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy()
-    return np.concatenate(kept_i), np.concatenate(kept_j)
-
-
 def _csr_contains(excl, ii, jj, n: int) -> np.ndarray:
     """Whether each pair ``(i, j)``, ``i < j``, is a partner entry of the CSR."""
     ptr, idx = excl
@@ -375,13 +354,13 @@ class NumpyKernels:
         for b in range(nchunks):
             fn(b)
 
-    # -- neighbor rebuild and filter ----------------------------------------
+    # -- neighbor rebuild --------------------------------------------------
 
     def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
         """Canonical Verlet list of ``n_blocks`` stacked blocks, as ``(i, j)``.
 
         Every pair ``i < j`` within one block whose minimum-image
-        distance satisfies :meth:`pair_filter`'s predicate at ``reach``,
+        distance passes :func:`~repro.geometry.cells.within` at ``reach``,
         except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
         of partners ``j > i``, or ``None`` — sorted by ``(i, j)``.
         ``wrapped`` holds every coordinate in ``[0, L)``.  ``bufs`` is the
@@ -393,19 +372,21 @@ class NumpyKernels:
         from repro.geometry.cells import (
             _canonical_order,
             brute_force_pairs,
-            ensemble_cell_candidate_pairs,
+            cell_candidate_pairs,
+            within,
         )
         from repro.geometry.pbc import Box
 
         box = Box(lengths)
-        cand = ensemble_cell_candidate_pairs(wrapped, box, reach, n_blocks, block_len)
+        cand = cell_candidate_pairs(wrapped, box, reach, n_blocks)
         if cand is None:
             blocks = wrapped.reshape(n_blocks, block_len, 3)
             parts = [brute_force_pairs(x, box, reach) for x in blocks]
             ii = np.concatenate([bf.i + r * block_len for r, bf in enumerate(parts)])
             jj = np.concatenate([bf.j + r * block_len for r, bf in enumerate(parts)])
         else:
-            ii, jj = _filter_to_reach(wrapped, box, reach, *cand)
+            kept = within(wrapped, box, *cand, reach * reach)
+            ii, jj = kept.i, kept.j
         if excl is not None and len(ii):
             keep = ~_csr_contains(excl, ii, jj, len(wrapped))
             ii, jj = ii[keep], jj[keep]
@@ -414,41 +395,16 @@ class NumpyKernels:
             ii, jj = ii[order], jj[order]
         return ii, jj
 
-    @staticmethod
-    def _within(wrapped, ii, jj, lengths, cutoff2):
-        """The candidates closer than ``sqrt(cutoff2)``, with ``dx`` / ``r2``."""
-        from repro.geometry.cells import NeighborPairs
-
-        d = wrapped[ii] - wrapped[jj]
-        dx = d - lengths * np.round(d / lengths)
-        r2 = np.sum(dx * dx, axis=1)
-        keep = r2 < cutoff2
-        return NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep])
-
-    def pair_filter(self, wrapped, ii, jj, lengths, cutoff2, oi, oj, odx, or2):
-        """Cutoff-filter candidate pairs into the provided scratch.
-
-        Returns the surviving count ``m``; results land in
-        ``oi[:m], oj[:m], odx[:m], or2[:m]`` of scratch sized to the
-        candidate count (the compiled tier compacts branch-free, writing
-        the next slot before it knows the pair survives).  ``wrapped``
-        must lie in ``[0, L)`` per axis, as :meth:`Box.wrap` leaves it:
-        the compiled tier takes the minimum image without dividing,
-        which equals this expression exactly under that precondition.
-        """
-        p = self._within(wrapped, ii, jj, lengths, cutoff2)
-        m = len(p)
-        oi[:m], oj[:m], odx[:m], or2[:m] = p.i, p.j, p.dx, p.r2
-        return m
-
     # -- tabulated pair kernels ----------------------------------------------
 
     def _tabulated(self, spec: PairTableSpec, wrapped, ii, jj, lengths):
         """The filtered candidates through the force field's tabulated kernel."""
         from repro.forcefield import nonbonded_real_space_tabulated
+        from repro.geometry.cells import within
+        from repro.geometry.pbc import Box
 
         return nonbonded_real_space_tabulated(
-            self._within(wrapped, ii, jj, lengths, spec.cutoff2),
+            within(wrapped, Box(lengths), ii, jj, spec.cutoff2),
             spec.charges, spec.types, spec.lj, None, spec.tables, assume_filtered=True,
         )
 
@@ -472,7 +428,7 @@ class NumpyKernels:
                   oi, oj, rows, e_lj, e_coul):
         """The walk's float64 twin: candidates to per-pair force rows.
 
-        :meth:`pair_filter` at the tables' cutoff, then
+        :func:`~repro.geometry.cells.within` at the tables' cutoff, then
         :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
         surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
         in ``rows[:m]``, the energies in ``e_lj[:m], e_coul[:m]`` (all
@@ -601,21 +557,14 @@ class NumpyKernels:
 
     # -- constraints -------------------------------------------------------
 
-    def shake(self, solver, positions, reference, tol):
-        return solver._shake_numpy(positions, reference, tol)
-
-    def rattle(self, solver, velocities, positions, tol):
-        return solver._rattle_numpy(velocities, positions, tol)
-
-    # -- leading-replica-axis constraint variants --------------------------
-
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
-        """SHAKE ``nrep`` replicas stacked along the atom axis.
+        """SHAKE ``nrep`` blocks stacked along the atom axis, in place.
 
-        ``solver`` is the *solo* :class:`ConstraintSolver`; replica ``r``
+        ``solver`` is one block's :class:`ConstraintSolver`; block ``r``
         owns rows ``[r * natoms, (r + 1) * natoms)`` of ``positions`` and
-        ``reference``.  The reference tier simply runs the solo sweep per
-        replica slice, which is the bitwise definition of the contract.
+        ``reference`` (a solo system is one block, an ensemble's replicas
+        are ``nrep``).  The reference tier runs the solver's NumPy sweep
+        per block slice, which is the bitwise definition of the contract.
         """
         for r in range(nrep):
             sl = slice(r * natoms, (r + 1) * natoms)
@@ -623,7 +572,7 @@ class NumpyKernels:
         return positions
 
     def rattle_batch(self, solver, velocities, positions, tol, nrep, natoms):
-        """RATTLE ``nrep`` replicas stacked along the atom axis."""
+        """RATTLE ``nrep`` blocks stacked along the atom axis, in place."""
         for r in range(nrep):
             sl = slice(r * natoms, (r + 1) * natoms)
             solver._rattle_numpy(velocities[sl], positions[sl], tol)
@@ -686,19 +635,6 @@ class CompiledKernels(NumpyKernels):
             and _conforms(jj, (n,), np.int64)
             and _conforms(lengths, (3,), np.float64)
             and all(_conforms(a[:n], (n, *row), t) for a, t, row in outs)
-        )
-
-    def pair_filter(self, wrapped, ii, jj, lengths, cutoff2, oi, oj, odx, or2):
-        outs = ((oi, np.int64, ()), (oj, np.int64, ()), (odx, np.float64, (3,)),
-                (or2, np.float64, ()))
-        if not self._pairs_conform(wrapped, ii, jj, lengths, outs):
-            return NumpyKernels.pair_filter(self, wrapped, ii, jj, lengths, cutoff2,
-                                            oi, oj, odx, or2)
-        return int(
-            self._lib.rk_pair_filter(
-                len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
-                float(cutoff2), _ptr(oi), _ptr(oj), _ptr(odx), _ptr(or2),
-            )
         )
 
     def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
@@ -896,32 +832,6 @@ class CompiledKernels(NumpyKernels):
         if not _conforms(target, (len(target), 3), np.float64):
             return None
         return solver._compiled_arrays()
-
-    def shake(self, solver, positions, reference, tol):
-        pre = self._sweep_arrays(solver, positions)
-        if pre is None:
-            return NumpyKernels.shake(self, solver, positions, reference, tol)
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_shake(
-            _ptr(positions), _ptr(np.asarray(reference, dtype=np.float64, order="C")),
-            _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dref),
-        )
-        return positions
-
-    def rattle(self, solver, velocities, positions, tol):
-        pre = self._sweep_arrays(solver, velocities)
-        if pre is None:
-            return NumpyKernels.rattle(self, solver, velocities, positions, tol)
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_rattle(
-            _ptr(velocities), _ptr(np.asarray(positions, dtype=np.float64, order="C")),
-            _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
-        )
-        return velocities
 
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
         pre = self._sweep_arrays(solver, positions)

@@ -1,11 +1,11 @@
 """Integration: the compiled kernel tier is invisible in the artifacts.
 
-``kernel_tier="compiled"`` swaps the hot loops (pair filter, tabulated
-force evaluation, deposits, mesh stencil) for C kernels.  The contract
-is byte-level: a full machine run on the compiled tier must produce
-the *same files* — trajectory and checkpoint — as the NumPy tier, heal
-identically through injected faults, and degrade gracefully to NumPy
-when no compiler exists.
+``kernel_tier="compiled"`` swaps the hot loops (neighbor rebuild, the
+pair walk's filter and tabulated force evaluation, deposits, mesh
+stencil) for C kernels.  The contract is byte-level: a full machine run
+on the compiled tier must produce the *same files* — trajectory and
+checkpoint — as the NumPy tier, heal identically through injected
+faults, and degrade gracefully to NumPy when no compiler exists.
 """
 
 import warnings
@@ -184,10 +184,10 @@ class TestNumpyFallback:
 
 
 class TestSingleThreadedBuild:
-    @needs_compiler
-    def test_shared_object_has_no_thread_symbols(self):
-        """The extension is single-threaded C: it imports nothing from
-        pthread and exports no threaded twin, on one of the two rungs."""
+    @pytest.fixture
+    def dynamic_symbols(self):
+        """Every name ``nm -D`` lists for the ``.so`` this process loaded,
+        built on one of the two rungs."""
         import shutil
         import subprocess
 
@@ -201,11 +201,44 @@ class TestSingleThreadedBuild:
         nm = subprocess.run(
             ["nm", "-D", record["so"]], capture_output=True, text=True, check=True
         )
-        symbols = [line.split()[-1] for line in nm.stdout.splitlines() if line.split()]
-        exported = [s for s in symbols if s.startswith("rk_")]
+        return [line.split()[-1] for line in nm.stdout.splitlines() if line.split()]
+
+    @needs_compiler
+    def test_shared_object_has_no_thread_symbols(self, dynamic_symbols):
+        """The extension is single-threaded C: it imports nothing from
+        pthread and exports no threaded twin."""
+        exported = [s for s in dynamic_symbols if s.startswith("rk_")]
         assert "rk_pair_walk" in exported  # nm listed the real table
-        assert not [s for s in symbols if "pthread" in s]
+        assert not [s for s in dynamic_symbols if "pthread" in s]
         assert not [s for s in exported if s.endswith("_mt") or s == "rk_threads_available"]
+
+    @needs_compiler
+    def test_exported_symbols_are_exactly_the_declared_and_called_ones(self, dynamic_symbols):
+        """The ``rk_*`` symbols of the ``.so`` are exactly those
+        ``build._declare`` types, and the suite calls every one of them:
+        the C surface the sanitizer and fuzzing gates cover carries no
+        kernel that nothing runs."""
+        import re
+        from pathlib import Path
+        from types import SimpleNamespace
+
+        from repro.kernels import build, suite
+
+        class Recorder:
+            def __init__(self):
+                self.names = set()
+
+            def __getattr__(self, name):
+                self.names.add(name)
+                return SimpleNamespace()
+
+        declared = Recorder()
+        build._declare(declared)
+        exported = {s for s in dynamic_symbols if s.startswith("rk_")}
+        called = set(re.findall(r"_lib\.(rk_\w+)", Path(suite.__file__).read_text()))
+        assert exported == declared.names
+        assert called == declared.names
+        assert not exported & {"rk_pair_filter", "rk_shake", "rk_rattle"}
 
 
 class TestBuildFlagsHook:

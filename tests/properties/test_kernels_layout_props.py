@@ -1,6 +1,6 @@
 """Property test: one layout rule for the compiled pair and mesh wrappers.
 
-``pair_filter``, ``pair_walk``, ``pair_rows`` and the three
+``pair_walk``, ``pair_rows`` and the three
 ``mesh_*_axes`` primitives hand raw pointers to C.  Each compiled
 wrapper checks every array against the layout C walks; an array that
 does not conform — a strided view, another dtype — runs the inherited
@@ -63,9 +63,6 @@ def pair_args(case, name, variant):
         ii, jj = ii.astype(np.int32), jj.astype(np.int32)
     pairs = (wrapped, ii, jj, lengths)
     ints = [empty(n, np.int64, variant) for _ in "ij"]
-    if name == "pair_filter":
-        return (*pairs, 16.0, *ints, empty((n, 3), np.float64, variant),
-                empty(n, np.float64, variant))
     energies = [empty(n, np.float64, variant) for _ in "lc"]
     if name == "pair_walk":
         acc = np.arange(n_atoms * 3, dtype=np.int64).reshape(n_atoms, 3)
@@ -103,7 +100,7 @@ def mesh_args(case, name, variant):
 
 
 CASES = {
-    "pair_filter": pair_args, "pair_walk": pair_args, "pair_rows": pair_args,
+    "pair_walk": pair_args, "pair_rows": pair_args,
     "mesh_spread_axes": mesh_args, "mesh_spread_float_axes": mesh_args,
     "mesh_gather_axes": mesh_args,
 }

@@ -68,32 +68,6 @@ def test_deposit_pairs_bitwise(tiers, seed, n):
     np.testing.assert_array_equal(a, b)
 
 
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=30, deadline=None)
-def test_pair_filter_bitwise(tiers, seed):
-    """Minimum-image cutoff filter: same survivors, same dx/r2 bits."""
-    numpy_k, compiled_k = tiers
-    rng = np.random.default_rng(seed)
-    n_atoms, n_cand = 60, 500
-    L = np.array([11.0, 13.0, 9.5])
-    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * L
-    ii = rng.integers(0, n_atoms, n_cand)
-    jj = rng.integers(0, n_atoms, n_cand)
-    cutoff2 = 4.0**2
-    outs = []
-    for k in (numpy_k, compiled_k):
-        oi = np.empty(n_cand, dtype=np.int64)
-        oj = np.empty(n_cand, dtype=np.int64)
-        odx = np.empty((n_cand, 3))
-        or2 = np.empty(n_cand)
-        m = k.pair_filter(wrapped, ii, jj, L, cutoff2, oi, oj, odx, or2)
-        outs.append((m, oi[:m].copy(), oj[:m].copy(), odx[:m].copy(), or2[:m].copy()))
-    (mn, *an), (mc, *ac) = outs
-    assert mn == mc
-    for x, y in zip(an, ac):
-        np.testing.assert_array_equal(x, y)
-
-
 @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 400))
 @settings(max_examples=30, deadline=None)
 def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):

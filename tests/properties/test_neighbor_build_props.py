@@ -146,7 +146,10 @@ def test_neighbor_build_matches_numpy_pipeline(ratios, n_solo, replicas, with_ex
 def test_every_binning_branch(ratios, n, numpy_k, replicas):
     """The listed cases really are on the branch their comment names."""
     lengths = np.array(ratios) * REACH
-    binning = None if n < 64 else _choose_binning(np.empty((n * replicas, 3)), Box(lengths), REACH)
+    binning = (
+        None if n < 64
+        else _choose_binning(np.empty((n * replicas, 3)), Box(lengths), REACH, replicas)
+    )
     if numpy_k is None:
         assert binning is None
     else:

@@ -245,37 +245,42 @@ def test_reciprocal_tables_equal_division_tables(suites, calc):
 
 @given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
 @settings(max_examples=40, deadline=None)
-def test_pair_filter_image_bits_on_adversarial_differences(seed, pow2_box):
-    """Lemma 1 on the filter's exported ``dx``: same bits, sign of zero
-    included, at ``+-L/2 +- k ulp``, near ``+-L`` and at random ``d``."""
+def test_pair_rows_image_bits_on_adversarial_differences(calc, seed, pow2_box):
+    """Lemma 1 on ``pair_rows``' force rows, which carry ``dx``'s sign
+    bits: same bits, sign of zero included, at ``+-L/2 +- k ulp``, near
+    ``+-L`` and at random ``d``, in boxes small enough that every image
+    lies inside the cutoff."""
     numpy_k, compiled_k = get_suite("numpy"), get_suite("compiled")
     rng = np.random.default_rng(seed)
-    lengths = 2.0 ** rng.integers(-3, 6, 3) if pow2_box else rng.uniform(0.1, 40.0, 3)
+    # L <= 4.5 keeps r2 <= 3 (L/2)^2 < CUTOFF^2.
+    lengths = 2.0 ** rng.integers(-3, 3, 3) if pow2_box else rng.uniform(0.1, 4.5, 3)
     ds = []
-    for L in lengths:
+    for axis, L in enumerate(lengths):
         h = 0.5 * L
         d = [h, np.nextafter(L, 0.0), 0.0, np.nextafter(0.0, 1.0)]
         for k in range(1, 4):
             d += [h + k * np.spacing(h), h - k * np.spacing(h)]
         d += list(rng.uniform(0, 1, 30) * np.nextafter(L, 0.0))
-        ds.append(np.array(d))
+        # Each axis's zero on its own row: no pair of coincident atoms.
+        ds.append(np.roll(d, axis))
     d = np.stack(ds, axis=1)
-    assert np.all(d < lengths)
+    assert np.all(d < lengths) and not np.any(np.all(d == 0.0, axis=1))
     # Pair (2k, 2k+1) has x_i - x_j == +d, pair (2k+1, 2k) has -d.
     wrapped = np.zeros((2 * len(d), 3))
     wrapped[0::2] = d
     ii = np.concatenate([np.arange(0, len(wrapped), 2), np.arange(1, len(wrapped), 2)])
     jj = np.concatenate([np.arange(1, len(wrapped), 2), np.arange(0, len(wrapped), 2)])
+    spec = _spec(calc, blocks=-(-len(wrapped) // calc.system.n_atoms))
+    wrapped = np.concatenate([wrapped, np.zeros((len(spec.charges) - len(wrapped), 3))])
     outs = []
     for k in (numpy_k, compiled_k):
-        oi, oj = np.empty_like(ii), np.empty_like(jj)
-        odx, or2 = np.empty((len(ii), 3)), np.empty(len(ii))
-        m = k.pair_filter(wrapped, ii, jj, lengths, np.inf, oi, oj, odx, or2)
-        assert m == len(ii)
-        outs.append((odx, or2))
-    (dx_n, r2_n), (dx_c, r2_c) = outs
-    np.testing.assert_array_equal(dx_n.view(np.int64), dx_c.view(np.int64))
-    np.testing.assert_array_equal(r2_n, r2_c)
+        n = len(ii)
+        out = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty((n, 3)),
+               np.empty(n), np.empty(n))
+        assert k.pair_rows(spec, wrapped, ii, jj, lengths, *out) == n
+        outs.append(out)
+    for x, y in zip(*outs):
+        np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
 
 
 # -- NT marks ---------------------------------------------------------------

@@ -96,3 +96,77 @@ class TestRecords:
         raw[-1] ^= 0x01  # corrupt the trailer CRC
         assert read_trailer(io.BytesIO(bytes(raw))) is None
         assert len(raw) - len(raw[:-TRAILER_SIZE]) == TRAILER_SIZE
+
+
+#: A length field no host can allocate, yet no larger than a plain
+#: sanity cap lets through (1 TiB): only a bound on the bytes left in
+#: the file rejects it before the read tries to allocate it.
+_HUGE = 1 << 40
+
+
+def _bogus_header(rtype=REC_FRAME) -> bytes:
+    """A well-formed record header whose payload length is garbage."""
+    from repro.io.records import _HEADER, MAGIC
+
+    return _HEADER.pack(MAGIC, rtype, 0, _HUGE)
+
+
+class TestCorruptLength:
+    """A damaged length field is a torn record, never an allocation of it."""
+
+    def _file(self, tmp_path):
+        path = tmp_path / "recs.rrs"
+        with open(path, "wb") as f:
+            write_record(f, REC_FRAME, b"one")
+            end = f.tell()
+            f.write(_bogus_header() + b"tail")
+        return path, end
+
+    def test_read_record(self, tmp_path):
+        path, _ = self._file(tmp_path)
+        with open(path, "rb") as f:
+            assert read_record(f) == (REC_FRAME, b"one")
+            with pytest.raises(CorruptRecord, match="truncated payload"):
+                read_record(f)
+
+    def test_scan_keeps_the_earlier_record(self, tmp_path):
+        path, end = self._file(tmp_path)
+        with open(path, "rb") as f:
+            got = list(scan_records(f))
+        assert [(e, p) for _o, e, _t, p in got] == [(end, b"one")]
+
+    def test_checkpoint_store_falls_back(self, tmp_path):
+        import numpy as np
+
+        from repro.io import CheckpointStore
+        from repro.io.records import REC_STATE, _HEADER
+
+        store = CheckpointStore(tmp_path)
+        store.save({"step_count": 10, "X": np.arange(6)}, 10)
+        newest = store.save({"step_count": 20, "X": np.arange(6)}, 20)
+        raw = newest.read_bytes()
+        with open(newest, "rb") as f:
+            state_at = [o for o, _e, _t, _p in scan_records(f)][1]
+        newest.write_bytes(
+            raw[:state_at] + _bogus_header(REC_STATE) + raw[state_at + _HEADER.size:]
+        )
+        loaded = store.load_latest()
+        assert loaded.step == 10
+        assert [p for p, _why in loaded.skipped] == [newest]
+
+    def test_journal_replay_drops_the_tail(self, tmp_path):
+        from repro.serve.jobs import JobSpec
+        from repro.serve.queue import JobQueue
+
+        with JobQueue(tmp_path) as q:
+            job = q.submit(JobSpec(waters=8, steps=10, record_every=5, checkpoint_every=5))
+            q.transition(job.id, "RUNNING")
+            q.transition(job.id, "DONE", steps_done=10)
+        path = tmp_path / "queue.rrs"
+        with open(path, "ab") as f:
+            f.write(_bogus_header() + b"tail")
+        with JobQueue(tmp_path) as q:
+            assert q.jobs[job.id].state == "DONE"
+            other = q.submit(JobSpec(waters=8, steps=10, record_every=5, checkpoint_every=5))
+        with JobQueue(tmp_path) as q:  # the tail was cut, the append landed
+            assert (q.jobs[job.id].state, q.jobs[other.id].state) == ("DONE", "PENDING")
