@@ -15,7 +15,7 @@ Run:  python examples/accuracy_report.py
 
 from repro import FixedPointConfig, ForceCalculator, MDParams, Simulation, minimize_energy
 from repro import benchmark_by_name
-from repro.analysis import energy_drift, force_error
+from repro.analysis import analytic_forces, energy_drift, force_error
 
 
 def main() -> None:
@@ -24,17 +24,15 @@ def main() -> None:
     print(f"gpW stand-in at reduced scale: {system.n_atoms} atoms, "
           f"{system.box.lengths[0]:.1f} A box")
 
-    params = MDParams(cutoff=8.0, mesh=(32, 32, 32), lj_mode="cutoff", kernel_mode="analytic")
+    params = MDParams(cutoff=8.0, mesh=(32, 32, 32))
     minimize_energy(system, params, max_steps=80)
 
     # Anton path: tables + fixed point.
-    anton = ForceCalculator(
-        system, MDParams(cutoff=8.0, mesh=(32, 32, 32), lj_mode="cutoff", kernel_mode="table")
-    )
+    anton = ForceCalculator(system, params)
     _codes, report = anton.compute_fixed(system.positions, FixedPointConfig().force_codec())
 
     # Same parameters, float64 analytic kernels.
-    float_forces = ForceCalculator(system, params).compute(system.positions).forces
+    float_forces = analytic_forces(anton, system.positions)
 
     numerical = force_error(report.forces, float_forces)
     print(f"numerical force error (vs float64, same parameters): "

@@ -2,7 +2,7 @@
 RMSD and folding-event detection."""
 
 from repro.analysis.energy import DriftResult, energy_drift
-from repro.analysis.forces import ForceError, force_error, rms_force
+from repro.analysis.forces import ForceError, analytic_forces, force_error, rms_force
 from repro.analysis.order_params import nh_vectors, order_parameters
 from repro.analysis.rmsd import (
     FoldingEvent,
@@ -21,6 +21,7 @@ __all__ = [
     "DriftResult",
     "energy_drift",
     "ForceError",
+    "analytic_forces",
     "force_error",
     "rms_force",
     "nh_vectors",

@@ -13,7 +13,8 @@ Two error kinds:
   choices: cutoff, mesh, spreading radius);
 * **numerical force error** — Anton numerics vs. double precision *at
   the same parameters* (isolates fixed-point/table error; "nearly an
-  order of magnitude smaller").
+  order of magnitude smaller").  The double-precision side of that
+  comparison is :func:`analytic_forces`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ForceError", "force_error", "rms_force"]
+from repro.forcefield import nonbonded_real_space, scatter_forces
+from repro.geometry import neighbor_pairs
+
+__all__ = ["ForceError", "analytic_forces", "force_error", "rms_force"]
 
 
 @dataclass(frozen=True)
@@ -58,3 +62,24 @@ def force_error(test: np.ndarray, reference: np.ndarray) -> ForceError:
         fraction=rms_err / rms_ref if rms_ref else float("inf"),
         max_error=float(np.max(np.abs(diff))),
     )
+
+
+def analytic_forces(calc, positions: np.ndarray) -> np.ndarray:
+    """Float64 forces of ``calc``'s force field with analytic pair kernels.
+
+    The oracle of the numerical force error: the same cutoff, exclusions,
+    bonded terms, corrections and mesh as the
+    :class:`~repro.core.forces.ForceCalculator` ``calc``, but the
+    range-limited part from a fresh pair search through
+    :func:`~repro.forcefield.nonbonded_real_space` (plain-cutoff LJ)
+    instead of the calculator's tables.
+    """
+    s = calc.system
+    pairs = neighbor_pairs(positions, s.box, calc.params.cutoff)
+    nb = nonbonded_real_space(pairs, s.charges, s.type_ids, s.lj, s.exclusions, calc.sigma)
+    forces = np.zeros((s.n_atoms, 3))
+    calc.kernels.deposit_pairs_float(forces, nb.i, nb.j, nb.force)
+    forces += scatter_forces(s.n_atoms, calc._bonded(positions))
+    forces += calc.compute_long(positions).forces
+    s.spread_virtual_site_forces(forces)
+    return forces

@@ -2,7 +2,7 @@
 
 Composes the substrates exactly as a time step does (Table 2's rows):
 
-* range-limited forces (LJ + screened Coulomb, analytic or tabulated)
+* range-limited forces (LJ + screened Coulomb from PPIP-style tables)
 * charge spreading -> FFT -> convolution -> inverse FFT -> force
   interpolation (GSE)
 * correction forces for excluded / 1-4 pairs
@@ -12,11 +12,13 @@ and produces either dense float forces (reference path) or
 order-invariant fixed-point force codes (Anton path).  Multiple
 time-stepping ("long-range interactions are typically evaluated only
 every two or three time steps") is provided by :class:`MTSForceProvider`.
+The float64 analytic kernel those tables are measured against is not a
+mode of this calculator: it is :func:`repro.analysis.forces.analytic_forces`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from repro.forcefield import (
     NonbondedResult,
     all_bonded_forces,
     build_kernel_tables,
-    nonbonded_real_space,
     scatter_forces,
 )
 from repro.geometry import NeighborList
@@ -48,13 +49,9 @@ class MDParams:
     """Tunable simulation parameters (the knobs of Table 2).
 
     ``cutoff``/``mesh`` trade real-space against Fourier work;
-    ``long_range_every`` is the MTS interval.  ``kernel_mode`` selects
-    the range-limited pair kernels: ``"table"`` (the default, what every
-    driver runs) evaluates them from the PPIP-style tiered tables, as
-    Anton does; ``"analytic"`` is the float64 SciPy/NumPy oracle those
-    tables are measured against (Table 4's numerical force error) and
-    is chosen explicitly.  ``lj_mode`` applies to that oracle only: the
-    table path is plain-cutoff LJ, as on Anton.
+    ``long_range_every`` is the MTS interval.  The range-limited pair
+    kernels are always the PPIP-style tiered tables with plain-cutoff
+    LJ, as on Anton.
     """
 
     cutoff: float = 9.0
@@ -65,8 +62,6 @@ class MDParams:
     skin: float = 2.0
     mesh: tuple[int, int, int] = (32, 32, 32)
     ewald_tolerance: float = 1e-5
-    lj_mode: str = "shift_force"
-    kernel_mode: str = "table"
     long_range_every: int = 1
     table_mantissa_bits: int = 22
     #: Fixed-point bits for mesh-charge accumulation; None keeps float
@@ -76,6 +71,15 @@ class MDParams:
     #: Disable Coulomb entirely (bead models); also auto-disabled when
     #: every charge is zero.
     electrostatics: bool = True
+    #: Not a field: ``"table"`` is the only accepted value.  The
+    #: benchmark workloads ``benchmarks/perf/workloads/machine64.py``
+    #: and ``ensemble8.py`` still pass it; the next change to the
+    #: benchmark (ROADMAP item 2) deletes the keyword.
+    kernel_mode: InitVar[str] = "table"
+
+    def __post_init__(self, kernel_mode: str) -> None:
+        if kernel_mode != "table":
+            raise ValueError(f"unknown kernel_mode {kernel_mode!r}")
 
 
 @dataclass
@@ -104,14 +108,9 @@ class ForceCalculator:
     which suite it holds, and every suite yields the same bits.
     """
 
-    #: Phase names of the one fixed-point pair path, as data: the
-    #: ensemble prefixes its pair phases, and the machine charges the
-    #: analytic kernel's quantization to a leaf of its own; both charge
-    #: its pair deposit to their own deposit phase (the tabulated walk
-    #: deposits as it goes, inside ``range_limited``).
+    #: Prefix of the pair path's phase names (``pair_list``,
+    #: ``range_limited``): the ensemble charges them to its own.
     _pair_phase_prefix = ""
-    _quantize_phase = "range_limited"
-    _deposit_phase = "deposit"
 
     def __init__(
         self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=NUMPY_SUITE
@@ -145,13 +144,9 @@ class ForceCalculator:
             # A sigma is still needed for kernel shapes; with zero
             # charges every Coulomb term vanishes identically.
             self.sigma = choose_sigma(params.cutoff, params.ewald_tolerance)
-        self.tables = None
-        if params.kernel_mode == "table":
-            self.tables = build_kernel_tables(
-                params.cutoff, self.sigma, mantissa_bits=params.table_mantissa_bits
-            )
-        elif params.kernel_mode != "analytic":
-            raise ValueError(f"unknown kernel_mode {params.kernel_mode!r}")
+        self.tables = build_kernel_tables(
+            params.cutoff, self.sigma, mantissa_bits=params.table_mantissa_bits
+        )
         self.mesh_codec = None
         if params.quantize_mesh_bits is not None:
             from repro.fixedpoint import FixedFormat, ScaledFixed
@@ -233,67 +228,10 @@ class ForceCalculator:
 
     # -- contribution gathering -------------------------------------------
 
-    def _pairs(self, positions: np.ndarray, walk=None):
-        with self.timers.time(self._pair_phase_prefix + "pair_list"):
-            return self.neighbor_list.pairs(positions, walk)
-
-    def _range_limited(self, positions: np.ndarray):
-        """Per-pair float64 forces and energies of the range-limited part.
-
-        Tabulated kernels are one suite pass over the cached candidates
-        (:meth:`_walk_pairs`); the analytic kernel takes the list's
-        filtered pairs.
-        """
-        if self.tables is not None:
-            return self._walk_pairs(positions)
-        s = self.system
-        pairs = self._pairs(positions)
-        with self.timers.time(self._pair_phase_prefix + "range_limited"):
-            return nonbonded_real_space(
-                pairs,
-                s.charges,
-                s.type_ids,
-                s.lj,
-                s.exclusions,
-                self.sigma,
-                lj_mode=self.params.lj_mode,
-                cutoff=self.params.cutoff,
-                assume_filtered=True,
-            )
-
-    def _range_limited_codes(
-        self, positions: np.ndarray, force_codec
-    ) -> tuple[NonbondedResult, np.ndarray]:
-        """Range-limited pair result plus quantized int64 force codes.
-
-        The float evaluation and one quantization: the analytic
-        kernel's fixed-point path and the machine's serial backend.
-        """
-        nb = self._range_limited(positions)
-        with self.timers.time(self._quantize_phase):
-            codes = force_codec.quantize_round_only(nb.force)
-        return nb, codes
-
-    def _deposit_range_limited(
-        self, positions: np.ndarray, force_codec, acc: FixedAccumulator
-    ) -> NonbondedResult:
-        """Deposit the range-limited pair forces into ``acc``.
-
-        Tabulated kernels are one suite walk per evaluation
-        (:meth:`_walk_pairs`); the analytic kernel is
-        :meth:`_range_limited_codes` and one pair deposit.
-        """
-        if self.tables is not None:
-            return self._walk_pairs(positions, force_codec, acc)
-        nb, codes = self._range_limited_codes(positions, force_codec)
-        with self.timers.time(self._deposit_phase):
-            self.kernels.deposit_pairs(acc.raw(), nb.i, nb.j, codes)
-        return nb
-
-    def _walk_pairs(
+    def _range_limited(
         self, positions: np.ndarray, force_codec=None, acc: FixedAccumulator | None = None
     ) -> NonbondedResult:
-        """One suite pass over the cached candidates.
+        """The range-limited part: one suite pass over the cached candidates.
 
         Run from inside :meth:`NeighborList.pairs`: cutoff test and
         table evaluation, then either quantize-and-accumulate into
@@ -330,7 +268,8 @@ class ForceCalculator:
                     e_coul_pairs=e_coul[:m],
                 )
 
-        return self._pairs(positions, walk)
+        with self.timers.time(self._pair_phase_prefix + "pair_list"):
+            return self.neighbor_list.pairs(positions, walk)
 
     def _bonded(self, positions: np.ndarray):
         with self.timers.time("bonded"):
@@ -447,7 +386,7 @@ class ForceCalculator:
         acc = self._accumulator("short", force_codec)
         energies: dict[str, float] = {}
 
-        nb = self._deposit_range_limited(positions, force_codec, acc)
+        nb = self._range_limited(positions, force_codec, acc)
         energies["lj"] = nb.energy_lj
         energies["coulomb_real"] = nb.energy_coul
 

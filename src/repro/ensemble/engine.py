@@ -158,8 +158,6 @@ class EnsembleForceCalculator(ForceCalculator):
     """
 
     _pair_phase_prefix = "ensemble_"
-    _quantize_phase = "ensemble_range_limited"
-    _deposit_phase = "ensemble_deposit"
 
     def __init__(
         self,
@@ -262,7 +260,7 @@ class EnsembleForceCalculator(ForceCalculator):
         acc = self._accumulator("short", force_codec)
         energies: dict[str, np.ndarray] = {}
 
-        nb = self._deposit_range_limited(positions, force_codec, acc)
+        nb = self._range_limited(positions, force_codec, acc)
         with self.timers.time("ensemble_energies"):
             energies["lj"] = self._pair_segment_sums(nb.i, nb.e_lj_pairs)
             energies["coulomb_real"] = self._pair_segment_sums(nb.i, nb.e_coul_pairs)

@@ -1,6 +1,6 @@
 """Force-field substrate: topologies, bonded terms, LJ/Coulomb
-nonbonded kernels (analytic and PPIP-tabulated), exclusions, and rigid
-water models."""
+nonbonded kernels (PPIP-tabulated, and the analytic float64 oracle),
+exclusions, and rigid water models."""
 
 from repro.forcefield.bonded import (
     BondedContributions,

@@ -1,12 +1,14 @@
 """Range-limited nonbonded interactions: LJ + screened Coulomb.
 
-Two execution paths compute the same physics:
+Two evaluations of the same plain-cutoff physics:
 
-* :func:`nonbonded_real_space` — analytic float64 kernels ("Desmond
-  double precision" reference path).
 * :func:`nonbonded_real_space_tabulated` — tiered piecewise-cubic
   tables of r² ("Anton PPIP" path, paper Section 4), built by
-  :func:`build_kernel_tables`.
+  :func:`build_kernel_tables`; the NumPy form of the kernel suite's
+  pair walk, which every engine runs.
+* :func:`nonbonded_real_space` — analytic float64 kernels ("Desmond
+  double precision"), the oracle the tables are measured against
+  (:func:`repro.analysis.forces.analytic_forces`, Table 4).
 
 Both return per-pair force contributions so callers can accumulate in
 floating point or in order-invariant fixed point.
@@ -83,40 +85,6 @@ def lj_energy_prefactor(r2: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[n
     return energy, pref
 
 
-def _shift_force_lj(r2, a, b, cutoff):
-    """Shift-force LJ: force goes continuously to zero at the cutoff.
-
-    ``F'(r) = F(r) - F(rc) * rhat``, ``E'(r) = E(r) - E(rc) + (r - rc) Fc``.
-    Keeps the dynamics conservative through the cutoff, which the
-    energy-drift experiments (Table 4) rely on.
-    """
-    r = np.sqrt(r2)
-    e, p = lj_energy_prefactor(r2, a, b)
-    # The cut-off terms depend on r only through the scalar rc²: its
-    # inverse powers are formed once, not per pair (same operations).
-    e_c, p_c = lj_energy_prefactor(cutoff * cutoff, a, b)
-    f_c = p_c * cutoff  # force magnitude at cutoff
-    energy = e - e_c + (r - cutoff) * f_c
-    pref = p - f_c / r
-    return energy, pref
-
-
-def _apply_exclusions(
-    pairs: NeighborPairs, exclusions: ExclusionTable, assume_filtered: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Drop excluded/1-4 pairs unless the list pre-filtered them.
-
-    ``assume_filtered=True`` is set by callers whose pair source (the
-    buffered :class:`~repro.geometry.NeighborList`) already applied the
-    static exclusion mask at build time, skipping the per-evaluation
-    membership search.
-    """
-    if assume_filtered:
-        return pairs.i, pairs.j, pairs.dx, pairs.r2
-    keep = ~exclusions.is_excluded(pairs.i, pairs.j)
-    return pairs.i[keep], pairs.j[keep], pairs.dx[keep], pairs.r2[keep]
-
-
 def nonbonded_real_space(
     pairs: NeighborPairs,
     charges: np.ndarray,
@@ -124,28 +92,18 @@ def nonbonded_real_space(
     lj_table: LJTable,
     exclusions: ExclusionTable,
     ewald_sigma: float,
-    lj_mode: str = "shift_force",
-    cutoff: float | None = None,
-    assume_filtered: bool = False,
 ) -> NonbondedResult:
-    """Analytic range-limited forces over a pair list.
+    """Analytic range-limited forces over a pair list, plain-cutoff LJ.
 
-    Excluded and 1-4 pairs are skipped entirely here; the correction
-    path (:mod:`repro.ewald.correction`) handles them.
+    Excluded and 1-4 pairs are dropped here; the correction path
+    (:mod:`repro.ewald.correction`) handles them.
     """
-    i, j, dx, r2 = _apply_exclusions(pairs, exclusions, assume_filtered)
+    keep = ~exclusions.is_excluded(pairs.i, pairs.j)
+    i, j, dx, r2 = pairs.i[keep], pairs.j[keep], pairs.dx[keep], pairs.r2[keep]
     qq = charges[i] * charges[j]
     a, b = lj_table.pair_coefficients(type_ids[i], type_ids[j])
 
-    if lj_mode == "shift_force":
-        if cutoff is None:
-            raise ValueError("shift_force mode needs the cutoff")
-        e_lj, p_lj = _shift_force_lj(r2, a, b, cutoff)
-    elif lj_mode == "cutoff":
-        e_lj, p_lj = lj_energy_prefactor(r2, a, b)
-    else:
-        raise ValueError(f"unknown lj_mode {lj_mode!r}")
-
+    e_lj, p_lj = lj_energy_prefactor(r2, a, b)
     e_coul = qq * real_space_energy_kernel(r2, ewald_sigma)
     p_coul = qq * real_space_force_kernel(r2, ewald_sigma)
 
@@ -220,17 +178,16 @@ def nonbonded_real_space_tabulated(
     charges: np.ndarray,
     type_ids: np.ndarray,
     lj_table: LJTable,
-    exclusions: ExclusionTable,
     tables: KernelTableSet,
-    assume_filtered: bool = False,
 ) -> NonbondedResult:
     """Table-driven range-limited forces (the Anton numerics path).
 
-    Functionally parallel to :func:`nonbonded_real_space` with
-    ``lj_mode="cutoff"``; differences from it measure table error
-    (part of Table 4's "numerical force error").
+    ``pairs`` are already filtered: within the cutoff, no excluded or
+    1-4 pair.  Functionally parallel to :func:`nonbonded_real_space`;
+    differences from it measure table error (part of Table 4's
+    "numerical force error").
     """
-    i, j, dx, r2 = _apply_exclusions(pairs, exclusions, assume_filtered)
+    i, j, dx, r2 = pairs.i, pairs.j, pairs.dx, pairs.r2
     qq = charges[i] * charges[j] * COULOMB
     a, b = lj_table.pair_coefficients(type_ids[i], type_ids[j])
 

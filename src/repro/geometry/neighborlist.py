@@ -14,25 +14,21 @@ reuse the list until some atom has moved more than ``skin / 2`` since
 the last build — the classical sufficient condition, since two atoms
 approaching each other close the gap by at most ``skin``.
 
-Determinism: at use time the list recomputes ``dx``/``r2`` from the
-*current* wrapped positions and filters to the true cutoff (the one
-predicate, :func:`~repro.geometry.cells.within`), and the cached
-candidates are kept in canonical ``(i, j)`` order, so the
-filtered arrays are bitwise identical to a fresh
-:func:`~repro.geometry.cells.neighbor_pairs` search at the same
-configuration (after exclusion filtering).  Fixed-point force codes —
-and even float force sums — therefore do not depend on the rebuild
-history, which keeps checkpoint/restore replay and the machine
-simulation's parallel invariance exact.
+Determinism: at use time the caller's walk (the kernel suite's pair
+walk) recomputes ``dx``/``r2`` from the *current* wrapped positions and
+filters to the true cutoff, and the cached candidates are kept in
+canonical ``(i, j)`` order, so the surviving pairs are bitwise
+identical to a fresh :func:`~repro.geometry.cells.neighbor_pairs`
+search at the same configuration (after exclusion filtering).
+Fixed-point force codes — and even float force sums — therefore do not
+depend on the rebuild history, which keeps checkpoint/restore replay and
+the machine simulation's parallel invariance exact.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-
 import numpy as np
 
-from repro.geometry.cells import NeighborPairs, within
 from repro.geometry.pbc import Box
 from repro.kernels import NUMPY_SUITE
 
@@ -164,23 +160,19 @@ class NeighborList:
         max_r2 = float(np.max(np.sum(d * d, axis=1))) if len(d) else 0.0
         return max_r2 > (self.effective_skin / 2.0) ** 2
 
-    def pairs(self, positions: np.ndarray, walk=None) -> NeighborPairs:
-        """Within-cutoff pairs at ``positions``, rebuilding if needed.
+    def pairs(self, positions: np.ndarray, walk):
+        """Run ``walk`` over the cached candidates at ``positions``,
+        rebuilding first if needed.
 
-        Rebuild or not, the returned arrays are a pure function of the
-        current configuration: candidates are stored in canonical
-        ``(i, j)`` order and ``dx``/``r2`` are recomputed from the
-        wrapped current positions before filtering to the true cutoff.
-
-        Without a ``walk`` the result is fresh arrays from
-        :func:`~repro.geometry.cells.within` over the cached candidates.
-        ``walk``, when given, takes the place of that filter: it is
-        called as ``walk(wrapped, cand_i, cand_j, lengths)`` with the
-        wrapped C-contiguous positions and the cached candidates, and
-        what it returns is returned — the caller's own record of the
-        within-cutoff pairs (``.i``, ``.j``).  That is how a force
-        calculator filters and consumes the candidates in one pass
-        while this stays the one per-evaluation entry point.
+        ``walk`` is called as ``walk(wrapped, cand_i, cand_j, lengths)``
+        with the wrapped C-contiguous positions and the candidates in
+        canonical ``(i, j)`` order, and what it returns is returned — the
+        caller's record of the within-cutoff pairs (``.i``, ``.j``).
+        That is how a force calculator filters and consumes the
+        candidates in one pass while this stays the one per-evaluation
+        entry point.  Rebuild or not, the walk sees the same candidates
+        filtered at the same positions, so its result is a pure function
+        of the current configuration.
         """
         wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
         if self._needs_rebuild(wrapped):
@@ -189,16 +181,7 @@ class NeighborList:
             self.n_reuses += 1
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
-        ii, jj = self._cand_i, self._cand_j
-        wrapped = np.ascontiguousarray(wrapped)
-        if walk is not None:
-            return walk(wrapped, ii, jj, self._lengths)
-        # The cutoff filter is the remaining per-call work; charge it to
-        # its own leaf phase so hierarchical profiles attribute it
-        # (observational only — no effect on the returned pairs).
-        select = self.timers.time("pair_select") if self.timers is not None else nullcontext()
-        with select:
-            return within(wrapped, self.box, ii, jj, self.cutoff * self.cutoff)
+        return walk(np.ascontiguousarray(wrapped), self._cand_i, self._cand_j, self._lengths)
 
 
 class EnsembleNeighborList(NeighborList):
@@ -206,15 +189,15 @@ class EnsembleNeighborList(NeighborList):
 
     Replica ``r`` owns atom rows ``[r * n_solo, (r + 1) * n_solo)``; one
     batched binning/filter/sort pass builds all replicas' candidates
-    (:func:`~repro.geometry.cells.cell_candidate_pairs`), and
-    the inherited :meth:`pairs` filter runs once over the concatenated
-    candidate list.  The candidate list restricted to a replica is in
-    that replica's canonical order (the global sort key ``i * RN + j``
-    groups replica-major), and a rebuild triggered by *any* replica's
-    drift is bitwise harmless for the others: :meth:`pairs` output is a
-    pure function of the current configuration regardless of when the
-    list was last built — the same skin-independence contract the solo
-    list already guarantees.
+    (the suite's ``neighbor_build`` over ``replicas`` blocks), and the
+    walk handed to the inherited :meth:`pairs` runs once over the
+    concatenated candidate list.  The candidate list restricted to a
+    replica is in that replica's canonical order (the global sort key
+    ``i * RN + j`` groups replica-major), and a rebuild triggered by
+    *any* replica's drift is bitwise harmless for the others: what the
+    walk yields is a pure function of the current configuration
+    regardless of when the list was last built — the same
+    skin-independence contract the solo list already guarantees.
     """
 
     def __init__(self, box, cutoff, replicas, n_solo, **kwargs):

@@ -405,7 +405,7 @@ class NumpyKernels:
 
         return nonbonded_real_space_tabulated(
             within(wrapped, Box(lengths), ii, jj, spec.cutoff2),
-            spec.charges, spec.types, spec.lj, None, spec.tables, assume_filtered=True,
+            spec.charges, spec.types, spec.lj, spec.tables,
         )
 
     def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,

@@ -151,7 +151,7 @@ class VectorizedBackend(MachineBackend):
         return self._marks
 
     def range_limited(self, calc, positions, force_codec, acc):
-        nb = calc._deposit_range_limited(positions, force_codec, acc)
+        nb = calc._range_limited(positions, force_codec, acc)
         with calc.timers.time("machine_nt_assign"):
             marks = self._nt_marks(calc.machine, positions, nb.i, nb.j)
         return nb, marks

@@ -67,9 +67,6 @@ class MachineForceCalculator(ForceCalculator):
     executes is delegated to a :class:`~repro.machine.backends.MachineBackend`.
     """
 
-    _quantize_phase = "machine_quantize"
-    _deposit_phase = "machine_deposit"
-
     def __init__(
         self,
         system: ChemicalSystem,

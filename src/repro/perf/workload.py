@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.core import MDParams
 from repro.core.system import ChemicalSystem
-from repro.geometry import NeighborList
+from repro.geometry import neighbor_pairs
 from repro.machine.flexible import TERM_COST
 from repro.parallel.nt import match_efficiency
 
@@ -143,8 +143,7 @@ def workload_from_system(
     system: ChemicalSystem, params: MDParams, box_side_per_node: float, subbox_divisions: int = 2
 ) -> StepWorkload:
     """Exact workload counted from a built system (small scale)."""
-    nlist = NeighborList(system.box, params.cutoff, skin=params.skin)
-    pairs = nlist.pairs(system.positions)
+    pairs = neighbor_pairs(system.positions, system.box, params.cutoff)
     top = system.topology
     bonded_cost = (
         TERM_COST["bond"] * len(top.bond_idx)

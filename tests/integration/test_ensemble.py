@@ -41,7 +41,6 @@ def prepared_water(n_molecules=32, model=None, seed=5):
         cutoff=min(5.5, base.box.max_cutoff() * 0.9),
         mesh=(16, 16, 16),
         long_range_every=2,
-        kernel_mode="table",
     )
     minimize_energy(base, params, max_steps=30)
     return base, params
@@ -304,7 +303,6 @@ class TestProfileAttribution:
             cutoff=min(9.0, base.box.max_cutoff() * 0.9),
             mesh=(16, 16, 16),
             long_range_every=2,
-            kernel_mode="table",
         )
         minimize_energy(base, params, max_steps=30)
         ens = EnsembleSimulation(

@@ -50,7 +50,7 @@ def bits(energies):
     return {k: [float(x).hex() for x in __import__("numpy").atleast_1d(v)]
             for k, v in energies.items()}
 
-params = MDParams(cutoff=4.0, mesh=(16, 16, 16), kernel_mode="table",
+params = MDParams(cutoff=4.0, mesh=(16, 16, 16),
                   long_range_every=2, quantize_mesh_bits=40)
 system = build_water_box(n_molecules=24, seed=11)
 minimize_energy(system, params, max_steps=10)
@@ -64,7 +64,7 @@ try:
     out["machine_energies"] = bits(machine.integrator.last_info.energies)
 finally:
     machine.close()
-float_mesh = MDParams(cutoff=4.0, mesh=(16, 16, 16), kernel_mode="table", long_range_every=2)
+float_mesh = MDParams(cutoff=4.0, mesh=(16, 16, 16), long_range_every=2)
 ens = EnsembleSimulation(system, float_mesh, dt=1.0, seeds=[3, 4], temperature=300.0,
                          thermostat=BerendsenThermostat(300.0), constraints=True,
                          kernel_tier="compiled", kernel_threads=1)

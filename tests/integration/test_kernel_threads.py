@@ -25,7 +25,6 @@ from repro.systems import build_water_box
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
-    kernel_mode="table",
     long_range_every=2,
     quantize_mesh_bits=40,
 )
@@ -133,7 +132,7 @@ class TestEnsembleThreadSweep:
         base = build_water_box(n_molecules=24, seed=5)
         params = MDParams(
             cutoff=min(5.5, base.box.max_cutoff() * 0.9), mesh=(16, 16, 16),
-            long_range_every=2, kernel_mode="table",
+            long_range_every=2,
         )
         minimize_energy(base, params, max_steps=30)
         seeds = derive_replica_seeds(7, 3)

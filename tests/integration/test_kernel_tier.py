@@ -24,7 +24,6 @@ from tests.serial_backend import machine_backend
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
-    kernel_mode="table",
     long_range_every=2,
     quantize_mesh_bits=40,
 )
@@ -130,7 +129,7 @@ class TestCompiledTierArtifacts:
         the bar that holds at benchmark scale.
         """
         params = MDParams(
-            cutoff=4.0, mesh=(32, 32, 32), kernel_mode="table",
+            cutoff=4.0, mesh=(32, 32, 32),
             long_range_every=2, quantize_mesh_bits=40,
         )
         system = build_water_box(n_molecules=150, seed=11)

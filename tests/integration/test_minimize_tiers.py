@@ -3,9 +3,9 @@
 Preparation runs the float64 force path (``ForceCalculator.compute``)
 and SHAKE on the resolved kernel suite.  Relaxed positions and returned
 energy must not depend on it: NumPy tier, compiled tier at one thread,
-compiled tier at four — for rigid water (tabulated kernels over a 40-bit
-quantized mesh; the analytic oracle kernels over a float mesh), TIP4P/Ew
-virtual sites, and a peptide with bonded terms and H-bond constraints.
+compiled tier at four — for rigid water over a 40-bit quantized mesh,
+TIP4P/Ew virtual sites, and a peptide with bonded terms and H-bond
+constraints.
 The golden literals tie all three legs to one recorded set of bytes.
 """
 
@@ -32,27 +32,17 @@ MESH = (16, 16, 16)
 CASES = {
     "water-table-qmesh": (
         lambda: build_water_box(n_molecules=24, seed=11),
-        MDParams(cutoff=4.0, mesh=MESH, kernel_mode="table", quantize_mesh_bits=40),
-        25,
-    ),
-    "water-analytic-floatmesh": (
-        lambda: build_water_box(n_molecules=24, seed=11),
-        MDParams(cutoff=4.0, mesh=MESH, kernel_mode="analytic"),
+        MDParams(cutoff=4.0, mesh=MESH, quantize_mesh_bits=40),
         25,
     ),
     "tip4pew-table-floatmesh": (
         lambda: build_water_box(n_molecules=20, model=TIP4PEW, seed=2),
-        MDParams(cutoff=3.8, mesh=MESH, kernel_mode="table"),
-        20,
-    ),
-    "peptide-analytic-qmesh": (
-        lambda: build_solvated_protein(n_residues=3, side=11.0, seed=3),
-        MDParams(cutoff=5.2, mesh=MESH, kernel_mode="analytic", quantize_mesh_bits=40),
+        MDParams(cutoff=3.8, mesh=MESH),
         20,
     ),
     "peptide-table-floatmesh": (
         lambda: build_solvated_protein(n_residues=3, side=11.0, seed=3),
-        MDParams(cutoff=5.2, skin=0.3, mesh=MESH, kernel_mode="table"),
+        MDParams(cutoff=5.2, skin=0.3, mesh=MESH),
         20,
     ),
 }
@@ -63,7 +53,7 @@ CASES = {
 # whatever the tier; re-recorded once when the mesh gather's sums moved
 # from BLAS's matmul/einsum order into the order DESIGN.md's
 # gather-order lemma defines (a rounding change: every case moves in its
-# last bits), and the analytic cases started naming their kernel.
+# last bits).
 # Checked equal on the NumPy tier, the compiled tier at one and four
 # threads, and the -march=x86-64 build.
 GOLDEN = {
@@ -71,17 +61,9 @@ GOLDEN = {
         -166.2108112059227,
         "1b951f0b0b11287f66dec28e7a5a10e83ff06658f386519854d6d7dd0cb4ec2d",
     ),
-    "water-analytic-floatmesh": (
-        -145.38910187402462,
-        "bcf51fd208c363d3e1eee28d885341567ce29080ce788c7cb46f08c7aadade9a",
-    ),
     "tip4pew-table-floatmesh": (
         -104.94889626585245,
         "7c49f3b2b89a04c7a0cab2cefa91fcf681d31498e9fe3413266341f44bae15d3",
-    ),
-    "peptide-analytic-qmesh": (
-        -47.25740843252697,
-        "b9a7b0a1d3f32f56e8f8716afb285a50c6cc4517b0e6854406eebd5372b25c16",
     ),
     "peptide-table-floatmesh": (
         -67.91804368059775,

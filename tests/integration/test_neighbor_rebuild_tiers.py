@@ -45,7 +45,7 @@ def _assert_pair_path(calc):
 
 def test_machine_artifacts_identical_through_rebuilds(tmp_path):
     params = MDParams(
-        cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
+        cutoff=4.0, skin=0.1, mesh=(16, 16, 16),
         long_range_every=LONG_RANGE_EVERY, quantize_mesh_bits=40,
     )
     system = build_water_box(n_molecules=24, seed=11)
@@ -84,7 +84,7 @@ def _ensemble_artifacts_identical(tmp_path, mesh_bits):
     base = build_water_box(n_molecules=32, seed=5)
     params = MDParams(
         cutoff=min(5.5, base.box.max_cutoff() * 0.9), skin=0.1, mesh=(16, 16, 16),
-        long_range_every=LONG_RANGE_EVERY, kernel_mode="table",
+        long_range_every=LONG_RANGE_EVERY,
         quantize_mesh_bits=mesh_bits,
     )
     minimize_energy(base, params, max_steps=30)
@@ -136,7 +136,7 @@ def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
     """A solo ``Simulation`` forwards the engine's tier knobs; on the
     compiled tier its force calculator walks."""
     params = MDParams(
-        cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
+        cutoff=4.0, skin=0.1, mesh=(16, 16, 16),
         long_range_every=LONG_RANGE_EVERY,
     )
     system = build_water_box(n_molecules=24, seed=11)

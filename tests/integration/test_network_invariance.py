@@ -24,7 +24,6 @@ from tests.serial_backend import machine_backend
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
-    kernel_mode="table",
     long_range_every=2,
     quantize_mesh_bits=40,
 )

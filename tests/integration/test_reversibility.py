@@ -48,7 +48,6 @@ ARGON_PARAMS = MDParams(cutoff=7.0, mesh=(16, 16, 16), long_range_every=1)
 WATER_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
-    kernel_mode="table",
     long_range_every=1,
     quantize_mesh_bits=40,
 )

@@ -38,7 +38,6 @@ SIM_PARAMS = MDParams(cutoff=4.2, mesh=(16, 16, 16), long_range_every=2)
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
-    kernel_mode="table",
     long_range_every=2,
     quantize_mesh_bits=40,
 )

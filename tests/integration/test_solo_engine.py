@@ -41,13 +41,12 @@ SYSTEMS = {
     "peptide": (lambda: build_solvated_protein(n_residues=3, side=11.0, seed=3), 5.2),
 }
 
-#: (constraints + thermostat, long_range_every, kernel_mode, quantize_mesh_bits):
+#: (constraints + thermostat, long_range_every, quantize_mesh_bits):
 #: every value of every axis, on every system.
 PHYSICS = {
-    "con-k1-analytic-floatmesh": (True, 1, "analytic", None),
-    "con-k2-table-qmesh": (True, 2, "table", 40),
-    "free-k3-analytic-qmesh": (False, 3, "analytic", 40),
-    "free-k2-table-floatmesh": (False, 2, "table", None),
+    "con-k1-table-floatmesh": (True, 1, None),
+    "free-k2-table-floatmesh": (False, 2, None),
+    "free-k3-table-qmesh": (False, 3, 40),
 }
 
 _prepared = {}
@@ -56,8 +55,8 @@ _oracle_runs = {}
 
 def _case(system_name, physics_name):
     build, cutoff = SYSTEMS[system_name]
-    constrained, k, kernel_mode, qbits = PHYSICS[physics_name]
-    params = MDParams(cutoff=cutoff, skin=0.1, mesh=(16, 16, 16), kernel_mode=kernel_mode,
+    constrained, k, qbits = PHYSICS[physics_name]
+    params = MDParams(cutoff=cutoff, skin=0.1, mesh=(16, 16, 16),
                       long_range_every=k, quantize_mesh_bits=qbits)
     if system_name not in _prepared:
         system = build()
@@ -140,8 +139,7 @@ GOLDEN_MINIMIZED_ENERGY = -166.35705503337385
 
 @pytest.mark.parametrize("make", [Simulation, SoloOracle], ids=["simulation", "oracle"])
 def test_golden_state_from_before_solo_was_the_engine(make):
-    params = MDParams(cutoff=4.0, skin=0.1, mesh=(16, 16, 16), kernel_mode="table",
-                      long_range_every=2)
+    params = MDParams(cutoff=4.0, skin=0.1, mesh=(16, 16, 16), long_range_every=2)
     system = build_water_box(n_molecules=24, seed=11)
     assert minimize_energy(system, params, max_steps=30) == GOLDEN_MINIMIZED_ENERGY
     system.initialize_velocities(300.0, seed=12)

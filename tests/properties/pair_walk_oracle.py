@@ -65,7 +65,7 @@ def oracle_pairs(spec, wrapped, ii, jj, lengths):
     keep = r2 < spec.cutoff2
     nb = nonbonded_real_space_tabulated(
         NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep]),
-        spec.charges, spec.types, spec.lj, None, spec.tables, assume_filtered=True,
+        spec.charges, spec.types, spec.lj, spec.tables,
     )
     return nb, spec.codec.quantize_round_only(nb.force)
 

@@ -31,7 +31,6 @@ PARAMS = MDParams(
     cutoff=min(5.5, _BASE.box.max_cutoff() * 0.9),
     mesh=(16, 16, 16),
     long_range_every=2,
-    kernel_mode="table",
 )
 minimize_energy(_BASE, PARAMS, max_steps=30)
 

@@ -52,7 +52,7 @@ def suites():
 @pytest.fixture(scope="module")
 def calc():
     system = build_water_box(n_molecules=24, seed=11)
-    params = MDParams(cutoff=CUTOFF, mesh=(16, 16, 16), kernel_mode="table")
+    params = MDParams(cutoff=CUTOFF, mesh=(16, 16, 16))
     return ForceCalculator(system, params)
 
 
@@ -67,7 +67,7 @@ def numpy_rows(tables, system, blocks, wrapped, ii, jj, lengths):
     pairs = NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep])
     return nonbonded_real_space_tabulated(
         pairs, np.tile(system.charges, blocks), np.tile(system.type_ids, blocks),
-        system.lj, system.exclusions, tables, assume_filtered=True,
+        system.lj, tables,
     )
 
 

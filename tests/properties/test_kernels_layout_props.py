@@ -44,7 +44,7 @@ def empty(shape, dtype, variant):
 def pair_case():
     """A water box, its spec and every candidate pair i < j."""
     system = build_water_box(n_molecules=24, seed=3)
-    calc = ForceCalculator(system, MDParams(cutoff=4.0, mesh=(16, 16, 16), kernel_mode="table"))
+    calc = ForceCalculator(system, MDParams(cutoff=4.0, mesh=(16, 16, 16)))
     spec = make_pair_spec(
         calc.tables, system.lj, system.charges, system.type_ids,
         ScaledFixed(FixedFormat(62), 2.0**10),

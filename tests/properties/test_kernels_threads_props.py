@@ -57,7 +57,7 @@ def suites():
 def table_machine():
     """A small tabulated-kernel machine supplying real tables/codecs."""
     params = MDParams(
-        cutoff=4.0, mesh=(32, 32, 32), kernel_mode="table",
+        cutoff=4.0, mesh=(32, 32, 32),
         long_range_every=2, quantize_mesh_bits=40,
     )
     system = build_water_box(n_molecules=24, seed=11)

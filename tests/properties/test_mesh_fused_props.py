@@ -360,7 +360,7 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
 def test_mesh_path_scratch_is_reused_across_evaluations():
     """Steady state allocates nothing: the same arrays serve every evaluation."""
     params = MDParams(
-        cutoff=4.0, mesh=(16, 16, 16), kernel_mode="table",
+        cutoff=4.0, mesh=(16, 16, 16),
         long_range_every=1, quantize_mesh_bits=40,
     )
     system = build_water_box(n_molecules=24, seed=11)

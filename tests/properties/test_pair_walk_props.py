@@ -72,7 +72,7 @@ def suites():
 @pytest.fixture(scope="module")
 def calc():
     system = build_water_box(n_molecules=24, seed=11)
-    params = MDParams(cutoff=CUTOFF, mesh=(16, 16, 16), kernel_mode="table")
+    params = MDParams(cutoff=CUTOFF, mesh=(16, 16, 16))
     return ForceCalculator(system, params)
 
 

@@ -75,7 +75,8 @@ class SerialBackend(MachineBackend):
 
     def range_limited(self, calc, positions, force_codec, acc):
         m = calc.machine
-        nb, codes = calc._range_limited_codes(positions, force_codec)
+        nb = calc._range_limited(positions)
+        codes = force_codec.quantize_round_only(nb.force)
         with calc.timers.time("machine_nt_assign"):
             assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
         with calc.timers.time("machine_deposit"):

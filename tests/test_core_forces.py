@@ -53,8 +53,11 @@ class TestForceCalculator:
         np.testing.assert_allclose(short + long_part, full, atol=1e-10)
 
     def test_invalid_kernel_mode(self, water):
-        with pytest.raises(ValueError):
-            ForceCalculator(water, MDParams(cutoff=4.5, mesh=(16, 16, 16), kernel_mode="magic"))
+        # "table" is the only kernel; the float64 analytic kernel is
+        # repro.analysis.analytic_forces, not a mode.
+        for mode in ("magic", "analytic"):
+            with pytest.raises(ValueError):
+                ForceCalculator(water, MDParams(cutoff=4.5, mesh=(16, 16, 16), kernel_mode=mode))
 
     def test_electrostatics_disabled_for_neutral_bead_system(self):
         system = build_hp_system(hp_miniprotein("HHPH"))

@@ -51,7 +51,7 @@ class TestVirial:
         """W = -3V dU/dV: compare against a numerical volume derivative
         under uniform scaling (LJ-only system, plain cutoff)."""
         s = lj_gas(n_side=3, spacing=4.2, temperature=0.0)
-        params = MDParams(cutoff=6.0, mesh=(16, 16, 16), lj_mode="cutoff")
+        params = MDParams(cutoff=6.0, mesh=(16, 16, 16))
         calc = ForceCalculator(s, params)
         w = compute_virial(calc, s.positions)
 

@@ -119,11 +119,11 @@ class TestNonbondedRealSpace:
 
         def energy(p):
             pr = neighbor_pairs(p, box, cutoff)
-            out = nonbonded_real_space(pr, charges, types, lj, ex, sigma, cutoff=cutoff)
+            out = nonbonded_real_space(pr, charges, types, lj, ex, sigma)
             return out.energy
 
         pairs = neighbor_pairs(pos, box, cutoff)
-        out = nonbonded_real_space(pairs, charges, types, lj, ex, sigma, cutoff=cutoff)
+        out = nonbonded_real_space(pairs, charges, types, lj, ex, sigma)
         dense = np.zeros((20, 3))
         np.add.at(dense, out.i, out.force)
         np.add.at(dense, out.j, -out.force)
@@ -146,49 +146,9 @@ class TestNonbondedRealSpace:
         top.add_bond(0, 1, 100.0, 1.2)
         ex = build_exclusions(top)
         pairs = neighbor_pairs(pos, box, 5.0)
-        out = nonbonded_real_space(pairs, charges, types, lj, ex, 1.5, cutoff=5.0)
+        out = nonbonded_real_space(pairs, charges, types, lj, ex, 1.5)
         assert out.n_pairs == 0
         assert out.energy == 0.0
-
-    def test_shift_force_continuous_at_cutoff(self):
-        lj = LJTable([3.0], [0.15])
-        a, b = lj.pair_coefficients(np.array([0]), np.array([0]))
-        from repro.forcefield.nonbonded import _shift_force_lj
-
-        rc = 9.0
-        e, p = _shift_force_lj(np.array([(rc - 1e-9) ** 2]), a, b, rc)
-        assert abs(e[0]) < 1e-10
-        assert abs(p[0] * rc) < 1e-10
-
-    def test_invalid_lj_mode(self):
-        box, pos, charges, types, lj, ex = self._system(n=8)
-        pairs = neighbor_pairs(pos, box, 4.0)
-        with pytest.raises(ValueError):
-            nonbonded_real_space(pairs, charges, types, lj, ex, 1.5, lj_mode="bogus")
-        with pytest.raises(ValueError):
-            nonbonded_real_space(pairs, charges, types, lj, ex, 1.5, lj_mode="shift_force", cutoff=None)
-
-
-class TestShiftForceCutoffTerms:
-    def test_scalar_cutoff_powers_equal_the_per_pair_evaluation(self):
-        """``_shift_force_lj`` forms the cut-off terms from scalar powers
-        of 1/rc²; evaluating the LJ kernel on an array filled with rc²
-        (what it used to do) gives the same bits."""
-        from repro.forcefield.nonbonded import _shift_force_lj
-
-        rng = np.random.default_rng(9)
-        cutoff = 5.3
-        r2 = rng.uniform(0.8, cutoff, 4000) ** 2
-        a, b = rng.uniform(0, 6e5, 4000), rng.uniform(0, 600, 4000)
-        a[::7] = b[::7] = 0.0  # LJ-less hydrogens
-        energy, pref = _shift_force_lj(r2, a, b, cutoff)
-
-        r = np.sqrt(r2)
-        e, p = lj_energy_prefactor(r2, a, b)
-        e_c, p_c = lj_energy_prefactor(np.full_like(r2, cutoff * cutoff), a, b)
-        f_c = p_c * cutoff
-        np.testing.assert_array_equal(energy, e - e_c + (r - cutoff) * f_c)
-        np.testing.assert_array_equal(pref, p - f_c / r)
 
 
 class TestTabulatedPath:
@@ -211,8 +171,8 @@ class TestTabulatedPath:
         from repro.geometry import NeighborPairs
 
         pairs = NeighborPairs(pairs.i[keep], pairs.j[keep], pairs.dx[keep], pairs.r2[keep])
-        analytic = nonbonded_real_space(pairs, charges, types, lj, ex, sigma, lj_mode="cutoff")
-        tab = nonbonded_real_space_tabulated(pairs, charges, types, lj, ex, tables)
+        analytic = nonbonded_real_space(pairs, charges, types, lj, ex, sigma)
+        tab = nonbonded_real_space_tabulated(pairs, charges, types, lj, tables)
         f_scale = np.sqrt(np.mean(analytic.force**2))
         assert np.max(np.abs(tab.force - analytic.force)) < 1e-3 * max(f_scale, 1.0)
         assert tab.energy == pytest.approx(analytic.energy, rel=1e-3, abs=1e-3)

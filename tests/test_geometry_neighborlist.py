@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 
 from repro.geometry import Box, NeighborList, brute_force_pairs, neighbor_pairs
+from repro.geometry.cells import within
+
+
+def _walk(nl):
+    """The walk that hands back the within-cutoff pairs themselves."""
+    return lambda wrapped, ii, jj, _lengths: within(wrapped, nl.box, ii, jj, nl.cutoff * nl.cutoff)
 
 
 def _assert_same_pairs(a, b):
@@ -29,13 +35,13 @@ class TestNeighborListCorrectness:
         box = Box.cubic(side)
         pos = _random_positions(n, box, n)
         nl = NeighborList(box, cutoff, skin=skin)
-        _assert_same_pairs(nl.pairs(pos), brute_force_pairs(box.wrap(pos), box, cutoff))
+        _assert_same_pairs(nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, cutoff))
 
     def test_matches_fresh_search_bitwise(self):
         box = Box(np.array([18.0, 25.0, 31.0]))
         pos = _random_positions(600, box, 9)
         nl = NeighborList(box, 5.0, skin=2.0)
-        _assert_same_pairs(nl.pairs(pos), neighbor_pairs(pos, box, 5.0))
+        _assert_same_pairs(nl.pairs(pos, _walk(nl)), neighbor_pairs(pos, box, 5.0))
 
     def test_reused_list_matches_fresh_search(self):
         # Move atoms by less than skin/2: the cached list is reused and
@@ -43,11 +49,11 @@ class TestNeighborListCorrectness:
         box = Box.cubic(24.0)
         pos = _random_positions(400, box, 4)
         nl = NeighborList(box, 5.0, skin=2.0)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
         assert nl.n_builds == 1
         rng = np.random.default_rng(5)
         moved = pos + rng.uniform(-0.4, 0.4, pos.shape)  # max |d| < 1.0 = skin/2
-        _assert_same_pairs(nl.pairs(moved), neighbor_pairs(moved, box, 5.0))
+        _assert_same_pairs(nl.pairs(moved, _walk(nl)), neighbor_pairs(moved, box, 5.0))
         assert nl.n_builds == 1 and nl.n_reuses == 1
 
     def test_result_independent_of_rebuild_history(self):
@@ -57,9 +63,9 @@ class TestNeighborListCorrectness:
         moved = pos + rng.uniform(-0.3, 0.3, pos.shape)
 
         stale = NeighborList(box, 5.0, skin=2.0)
-        stale.pairs(pos)          # list referenced at pos
+        stale.pairs(pos, _walk(stale))          # list referenced at pos
         fresh = NeighborList(box, 5.0, skin=2.0)
-        _assert_same_pairs(stale.pairs(moved), fresh.pairs(moved))
+        _assert_same_pairs(stale.pairs(moved, _walk(stale)), fresh.pairs(moved, _walk(fresh)))
         assert stale.n_builds == 1 and fresh.n_builds == 1
 
 
@@ -69,18 +75,18 @@ class TestRebuildTrigger:
         pos = _random_positions(100, box, 0)
         nl = NeighborList(box, 4.0, skin=2.0)
         assert nl.needs_rebuild(pos)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
         assert not nl.needs_rebuild(pos)
 
     def test_large_move_triggers(self):
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 1)
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
         moved = pos.copy()
         moved[17] += [1.5, 0.0, 0.0]  # > skin/2
         assert nl.needs_rebuild(moved)
-        nl.pairs(moved)
+        nl.pairs(moved, _walk(nl))
         assert nl.n_builds == 2
 
     def test_displacement_measured_through_the_boundary(self):
@@ -91,7 +97,7 @@ class TestRebuildTrigger:
         pos = _random_positions(100, box, 2)
         pos[3] = [0.05, 5.0, 5.0]
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
         moved = pos.copy()
         moved[3] = [19.95, 5.0, 5.0]  # moved 0.1 A through the boundary
         assert not nl.needs_rebuild(moved)
@@ -100,18 +106,18 @@ class TestRebuildTrigger:
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 3)
         nl = NeighborList(box, 4.0, skin=0.0)
-        nl.pairs(pos)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
+        nl.pairs(pos, _walk(nl))
         assert nl.n_builds == 2 and nl.n_reuses == 0
 
     def test_forced_build(self):
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 8)
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos)
+        nl.pairs(pos, _walk(nl))
         nl.build(pos)
         assert nl.n_builds == 2
-        _assert_same_pairs(nl.pairs(pos), neighbor_pairs(pos, box, 4.0))
+        _assert_same_pairs(nl.pairs(pos, _walk(nl)), neighbor_pairs(pos, box, 4.0))
 
 
 class TestSkinCapAndValidation:
@@ -121,7 +127,7 @@ class TestSkinCapAndValidation:
         assert nl.effective_skin == pytest.approx(1.0)  # max_cutoff 6 - cutoff 5
         assert nl.reach <= box.max_cutoff()
         pos = _random_positions(150, box, 11)
-        _assert_same_pairs(nl.pairs(pos), brute_force_pairs(box.wrap(pos), box, 5.0))
+        _assert_same_pairs(nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, 5.0))
 
     def test_invalid_parameters_rejected(self):
         box = Box.cubic(10.0)
@@ -145,7 +151,7 @@ class TestExclusionPrefilter:
             top.add_bond(a, a + 1, r0=1.0, k=100.0)
         excl = build_exclusions(top)
         nl = NeighborList(box, 5.0, skin=1.0, exclusions=excl)
-        got = nl.pairs(pos)
+        got = nl.pairs(pos, _walk(nl))
         assert not np.any(excl.is_excluded(got.i, got.j))
         # And equals the fresh search minus exclusions.
         ref = neighbor_pairs(pos, box, 5.0)

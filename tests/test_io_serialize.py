@@ -88,6 +88,11 @@ class TestFingerprint:
         b = system_fingerprint(system, replace(PARAMS, cutoff=4.0), "fixed", 1.0)
         assert a["params_hash"] != b["params_hash"]
 
+    def test_kernel_mode_keyword_is_not_hashed(self, system):
+        a = system_fingerprint(system, MDParams(), "fixed", 1.0)
+        b = system_fingerprint(system, MDParams(kernel_mode="table"), "fixed", 1.0)
+        assert a["params_hash"] == b["params_hash"]
+
     def test_different_system_rejected(self, system):
         other = build_water_box(n_molecules=27, seed=5)
         a = system_fingerprint(system, PARAMS, "fixed", 1.0)
