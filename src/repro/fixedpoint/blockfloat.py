@@ -59,30 +59,55 @@ class BlockFloatCodec:
     def encode(self, coeffs: np.ndarray) -> BlockFloat:
         """Encode a small vector of coefficients with one shared exponent.
 
-        The exponent is the smallest power of two such that every
-        coefficient's mantissa fits; smaller coefficients simply lose
-        low-order bits, exactly as in the hardware scheme.
+        The one-row case of :meth:`encode_rows`.
         """
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        amax = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-        if amax == 0.0 or not np.isfinite(amax):
-            exponent = self.exponent_range[0]
-        else:
-            # Smallest e with amax * 2**(-e) <= 1 (then mantissa fits,
-            # modulo the asymmetry of two's complement handled below).
-            exponent = max(int(math.ceil(math.log2(amax))), self.exponent_range[0])
-            exponent = min(exponent, self.exponent_range[1])
+        mantissas, exponents = self.encode_rows(coeffs.reshape(1, -1))
+        return BlockFloat(
+            mantissas=mantissas.reshape(coeffs.shape),
+            exponent=int(exponents[0]),
+            mantissa_bits=self.mantissa_bits,
+        )
+
+    def encode_rows(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Encode every row of ``coeffs`` as one block.
+
+        A row's exponent is the smallest power of two such that every
+        coefficient's mantissa fits; smaller coefficients simply lose
+        low-order bits, exactly as in the hardware scheme.  Returns the
+        ``(n, k)`` int64 mantissas and the ``(n,)`` int64 exponents.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        lo, hi = self.exponent_range
+        amax = np.max(np.abs(coeffs), axis=1, initial=0.0)
+        # Smallest e with amax * 2**(-e) <= 1 (then the mantissa fits,
+        # modulo the asymmetry of two's complement handled below).
+        exponents = np.array(
+            [
+                lo if v == 0.0 or not math.isfinite(v) else min(max(math.ceil(math.log2(v)), lo), hi)
+                for v in amax.tolist()
+            ],
+            dtype=np.int64,
+        )
         half = 1 << (self.mantissa_bits - 1)
-        step = math.ldexp(1.0, exponent + 1 - self.mantissa_bits)
-        mantissas = round_nearest_even(coeffs / step).astype(np.int64)
+        mantissas = self._mantissas(coeffs, exponents)
         # The +1.0 boundary case rounds to +half which is unrepresentable;
         # bump the exponent rather than saturate so the error stays small.
-        if mantissas.size and int(np.max(mantissas)) > half - 1:
-            exponent = min(exponent + 1, self.exponent_range[1])
-            step = math.ldexp(1.0, exponent + 1 - self.mantissa_bits)
-            mantissas = round_nearest_even(coeffs / step).astype(np.int64)
-        mantissas = np.clip(mantissas, -half, half - 1)
-        return BlockFloat(mantissas=mantissas, exponent=exponent, mantissa_bits=self.mantissa_bits)
+        bump = np.max(mantissas, axis=1, initial=-half) > half - 1
+        if bump.any():
+            exponents[bump] = np.minimum(exponents[bump] + 1, hi)
+            mantissas[bump] = self._mantissas(coeffs[bump], exponents[bump])
+        return np.clip(mantissas, -half, half - 1), exponents
+
+    def decode_rows(self, mantissas: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        """Coefficient values of :meth:`encode_rows` output, as float64."""
+        return mantissas.astype(np.float64) * self._steps(exponents)[:, None]
+
+    def _steps(self, exponents: np.ndarray) -> np.ndarray:
+        return np.ldexp(1.0, exponents + 1 - self.mantissa_bits)
+
+    def _mantissas(self, coeffs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+        return round_nearest_even(coeffs / self._steps(exponents)[:, None]).astype(np.int64)
 
     def roundtrip(self, coeffs: np.ndarray) -> np.ndarray:
         """Encode then decode (the quantized coefficient values)."""

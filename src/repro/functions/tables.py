@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.fixedpoint import BlockFloat, BlockFloatCodec, FixedFormat
-from repro.functions.remez import remez_fit
+from repro.fixedpoint import BlockFloatCodec, FixedFormat
+from repro.functions.remez import polyval_ascending, remez_fit_rows
 
 __all__ = ["Tier", "ANTON_ELECTROSTATIC_TIERS", "TieredTable", "uniform_tiers"]
 
@@ -81,7 +81,8 @@ class TieredTable:
         seg_widths: np.ndarray,
         coeffs_quant: np.ndarray,
         coeffs_raw: np.ndarray,
-        blocks: list[BlockFloat],
+        mantissas: np.ndarray,
+        exponents: np.ndarray,
         mantissa_bits: int,
         fit_errors: np.ndarray,
     ):
@@ -90,7 +91,8 @@ class TieredTable:
         self.seg_widths = seg_widths
         self.coeffs_quant = coeffs_quant
         self.coeffs_raw = coeffs_raw
-        self.blocks = blocks
+        self.mantissas = mantissas
+        self.exponents = exponents
         self.mantissa_bits = mantissa_bits
         self.fit_errors = fit_errors
         self._seg_key: tuple[bytes, bytes] | None = None
@@ -129,22 +131,16 @@ class TieredTable:
         def f_safe(u: np.ndarray) -> np.ndarray:
             return np.asarray(f(np.maximum(u, u_floor)), dtype=np.float64)
 
-        seg_starts_l: list[float] = []
-        seg_widths_l: list[float] = []
-        fits = []
-        for tier in tiers:
-            width = (tier.end - tier.start) / tier.segments
-            for s in range(tier.segments):
-                s0 = tier.start + s * width
-                fits.append(
-                    remez_fit(f_safe, s0, s0 + width, degree=degree, grid=grid_per_segment)
-                )
-                seg_starts_l.append(s0)
-                seg_widths_l.append(width)
-
-        n = len(fits)
-        coeffs_raw = np.array([fit.coeffs for fit in fits])
-        fit_errors = np.array([fit.max_error for fit in fits])
+        seg_starts = np.concatenate(
+            [t.start + np.arange(t.segments) * ((t.end - t.start) / t.segments) for t in tiers]
+        )
+        seg_widths = np.concatenate([np.full(t.segments, (t.end - t.start) / t.segments) for t in tiers])
+        # One exchange over every segment at once (each row bit for bit
+        # its own one-segment fit).
+        fits = remez_fit_rows(f_safe, seg_starts, seg_starts + seg_widths, degree=degree, grid=grid_per_segment)
+        n = len(seg_starts)
+        coeffs_raw = fits.coeffs
+        fit_errors = fits.max_error
 
         if enforce_continuity and n > 1:
             # Endpoint values in t-space: p(0) and p(1).
@@ -162,16 +158,16 @@ class TieredTable:
             coeffs_raw[:, 1] += d1 - d0
 
         codec = BlockFloatCodec(mantissa_bits=mantissa_bits)
-        blocks = [codec.encode(coeffs_raw[i]) for i in range(n)]
-        coeffs_quant = np.array([blk.decode() for blk in blocks])
+        mantissas, exponents = codec.encode_rows(coeffs_raw)
 
         return cls(
             tiers=tiers,
-            seg_starts=np.array(seg_starts_l),
-            seg_widths=np.array(seg_widths_l),
-            coeffs_quant=coeffs_quant,
+            seg_starts=seg_starts,
+            seg_widths=seg_widths,
+            coeffs_quant=codec.decode_rows(mantissas, exponents),
             coeffs_raw=coeffs_raw,
-            blocks=blocks,
+            mantissas=mantissas,
+            exponents=exponents,
             mantissa_bits=mantissa_bits,
             fit_errors=fit_errors,
         )
@@ -198,12 +194,7 @@ class TieredTable:
 
     def _evaluate_with(self, coeffs: np.ndarray, u: np.ndarray) -> np.ndarray:
         idx = self.segment_index(u)
-        t = self._local_t(u, idx)
-        c = coeffs[idx]  # (m, degree+1)
-        out = c[..., -1].copy()
-        for k in range(c.shape[-1] - 2, -1, -1):
-            out = out * t + c[..., k]
-        return out
+        return polyval_ascending(coeffs[idx], self._local_t(u, idx))
 
     def segmentation_key(self) -> tuple[bytes, bytes]:
         """Hashable identity of the segment layout.
@@ -232,11 +223,7 @@ class TieredTable:
         """Quantized-coefficient Horner evaluation at a precomputed
         :meth:`locate` result — bitwise identical to :meth:`evaluate`
         of the same ``u``."""
-        c = self.coeffs_quant[idx]
-        out = c[..., -1].copy()
-        for k in range(c.shape[-1] - 2, -1, -1):
-            out = out * t + c[..., k]
-        return out
+        return polyval_ascending(self.coeffs_quant[idx], t)
 
     def evaluate(self, u: np.ndarray | float) -> np.ndarray:
         """Table value with block-float-quantized coefficients."""
@@ -276,11 +263,8 @@ class TieredTable:
 
     def max_abs_error(self, f: Callable[[np.ndarray], np.ndarray], samples_per_segment: int = 64) -> float:
         """Max |table - f| over the domain (excluding any floored region)."""
-        errs = []
-        for i in range(self.n_segments):
-            us = self.seg_starts[i] + self.seg_widths[i] * np.linspace(0, 1, samples_per_segment)
-            errs.append(np.max(np.abs(self.evaluate(us) - f(us))))
-        return float(np.max(errs))
+        us = self.seg_starts[:, None] + self.seg_widths[:, None] * np.linspace(0, 1, samples_per_segment)
+        return float(np.max(np.abs(self.evaluate(us) - f(us))))
 
     def continuity_jumps(self) -> np.ndarray:
         """|left - right| value mismatch at each interior boundary."""

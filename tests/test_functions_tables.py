@@ -1,8 +1,12 @@
 """Unit tests for tiered piecewise-cubic tables and kernel table sets."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.ewald import choose_sigma
+from repro.forcefield.nonbonded import build_kernel_tables
 from repro.functions import (
     ANTON_ELECTROSTATIC_TIERS,
     KernelTableSet,
@@ -94,6 +98,15 @@ class TestTieredTable:
         err_wide = np.max(np.abs(table.evaluate_hardware(us, t_bits=22, stage_bits=26) - np.exp(us)))
         assert err_wide < err_narrow / 10
 
+    def test_max_abs_error_is_the_max_over_segments(self):
+        f = lambda u: 1.0 / (u + 0.01)  # noqa: E731
+        table = TieredTable.build(f, tiers=ANTON_ELECTROSTATIC_TIERS)
+        per_segment = [
+            np.max(np.abs(table.evaluate(us) - f(us)))
+            for us in (s0 + w * np.linspace(0, 1, 64) for s0, w in zip(table.seg_starts, table.seg_widths))
+        ]
+        assert table.max_abs_error(f) == max(per_segment)
+
     def test_domain_property(self):
         table = TieredTable.build(np.cos, tiers=uniform_tiers(4, 0.25, 0.75))
         assert table.domain == (0.25, 0.75)
@@ -148,3 +161,41 @@ class TestSharedIndexEvaluation:
         ev = ts.shared_evaluator(ts.normalize(r2))
         for name in ("inv", "inv2"):
             np.testing.assert_array_equal(ev(name), ts.evaluate(name, r2))
+
+
+def _table_digest(h, table):
+    for arr in (table.seg_starts, table.seg_widths, table.coeffs_raw, table.coeffs_quant, table.fit_errors):
+        h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    for mantissas, exponent in zip(table.mantissas, table.exponents):
+        h.update(np.ascontiguousarray(mantissas, dtype=np.int64).tobytes())
+        h.update(np.int64(exponent).tobytes())
+
+
+class TestGoldenTables:
+    """Every bit of the PPIP tables, pinned.
+
+    The sha256 covers the segment layout, the raw and quantized
+    coefficients, the fit errors and every block's mantissas and
+    exponent.  A change of any of them moves every trajectory.
+    """
+
+    @pytest.mark.parametrize(
+        "cutoff, digest",
+        [
+            (9.0, "99ec781f770aac838de0e4f57e50ce1e49fcb27e4920119cdc111554d6ef6606"),
+            (4.0, "bec84c4bdaf086a0fef0a61eef46b8d3ca063e3c9b64f954b3be4a2dd1ed408c"),
+            (10.4, "b4a90d2e496999ab7359dbee94c1818bc437f1e0b488a44f8ab089d074e005b1"),
+        ],
+    )
+    def test_kernel_table_set(self, cutoff, digest):
+        tables = build_kernel_tables(cutoff, choose_sigma(cutoff, 1e-5))
+        h = hashlib.sha256()
+        for name in tables.names():
+            _table_digest(h, tables.tables[name])
+        assert tables.names() == ["elec_e", "elec_f", "lj12_e", "lj12_f", "lj6_e", "lj6_f"]
+        assert h.hexdigest() == digest
+
+    def test_uniform_exp_table(self):
+        h = hashlib.sha256()
+        _table_digest(h, TieredTable.build(np.exp, uniform_tiers(16), mantissa_bits=40))
+        assert h.hexdigest() == "176afee00958e3e8828650787f823d2242317a01d00aeb565fad1cd729b86913"
