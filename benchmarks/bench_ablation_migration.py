@@ -29,7 +29,7 @@ def run_with_interval(base, params, interval, steps=16):
 
 def test_migration_interval_ablation(benchmark, record_table):
     base = build_water_box(n_molecules=32, seed=7)
-    params = MDParams(cutoff=4.5, mesh=(16, 16, 16), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(16, 16, 16))
     minimize_energy(base, params, max_steps=40)
     base.initialize_velocities(320.0, seed=8)
 

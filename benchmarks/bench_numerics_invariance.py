@@ -17,7 +17,7 @@ from repro.systems import build_water_box
 
 def prepared_water():
     base = build_water_box(n_molecules=32, seed=7)
-    params = MDParams(cutoff=4.5, mesh=(16, 16, 16), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(16, 16, 16))
     minimize_energy(base, params, max_steps=40)
     base.initialize_velocities(300.0, seed=8)
     return base, params
@@ -43,21 +43,24 @@ def test_determinism_bitwise_rerun(benchmark, record_table):
 def test_parallel_invariance_across_node_counts(benchmark, record_table):
     base, params = prepared_water()
 
-    def run_machines():
-        codes = {}
+    def run_engines():
+        sim = Simulation(base.copy(), params, dt=1.0, mode="fixed")
+        sim.run(10)
+        codes = {"solo": sim.integrator.state_codes()}
         for n_nodes in (1, 8, 64):
             m = AntonMachine(base.copy(), params, n_nodes=n_nodes, dt=1.0)
             m.step(10)
             codes[n_nodes] = m.state_codes()
         return codes
 
-    codes = benchmark.pedantic(run_machines, rounds=1, iterations=1)
-    for n_nodes in (8, 64):
-        assert np.array_equal(codes[1][0], codes[n_nodes][0]), n_nodes
-        assert np.array_equal(codes[1][1], codes[n_nodes][1]), n_nodes
+    codes = benchmark.pedantic(run_engines, rounds=1, iterations=1)
+    for n_nodes in (1, 8, 64):
+        assert np.array_equal(codes["solo"][0], codes[n_nodes][0]), n_nodes
+        assert np.array_equal(codes["solo"][1], codes[n_nodes][1]), n_nodes
     record_table(
         "numerics_parallel_invariance",
-        ["parallel invariance: 1 == 8 == 64 simulated nodes, 10 steps, bitwise: PASS"],
+        ["parallel invariance: solo Simulation == 1 == 8 == 64 simulated nodes, "
+         "10 steps, bitwise: PASS"],
     )
 
 

@@ -20,7 +20,7 @@ from repro.systems import TABLE4_SYSTEMS
 def main() -> None:
     # --- Part 1: functional machine, bitwise invariance --------------
     base = build_water_box(n_molecules=32, seed=7)
-    params = MDParams(cutoff=4.5, mesh=(16, 16, 16), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(16, 16, 16))
     minimize_energy(base, params, max_steps=40)
     base.initialize_velocities(300.0, seed=8)
 

@@ -149,8 +149,7 @@ def cmd_network(args) -> int:
 
     check_node_count(args.nodes)
     base, params, _ = prepare_water_box(
-        args.waters, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40,
-        minimize_steps=40,
+        args.waters, 7, cutoff_cap=4.5, long_range_every=1, minimize_steps=40
     )
     base.initialize_velocities(300.0, seed=8)
     machine = AntonMachine(base, params, n_nodes=args.nodes, dt=1.0, routed=config)

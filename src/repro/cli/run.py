@@ -276,7 +276,7 @@ def cmd_machine(args) -> int:
     check_node_count(args.nodes)
     session = open_session(args)
     base, params, _ = prepare_water_box(
-        args.waters, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40,
+        args.waters, 7, cutoff_cap=4.5, long_range_every=1,
         minimize_steps=40 if session.loaded is None else 0,
     )
     if session.loaded is None:

@@ -97,10 +97,6 @@ class ConstraintSolver:
     def n_constraints(self) -> int:
         return len(self.idx)
 
-    @property
-    def n_colors(self) -> int:
-        return len(self.batches)
-
     # -- compiled-tier support -------------------------------------------
 
     def _compiled_arrays(self):

@@ -31,7 +31,7 @@ from repro.ewald import (
     precompute_correction_static,
     self_energy,
 )
-from repro.fixedpoint import FixedAccumulator, round_nearest_even
+from repro.fixedpoint import FixedAccumulator, FixedFormat, ScaledFixed, round_nearest_even
 from repro.forcefield import (
     NonbondedResult,
     all_bonded_forces,
@@ -43,6 +43,13 @@ from repro.kernels import NUMPY_SUITE, make_pair_spec
 
 __all__ = ["MDParams", "ForceReport", "ForceCalculator", "MTSForceProvider"]
 
+#: Fixed-point width of the mesh-charge accumulator that every
+#: fixed-point evaluation spreads through: integer sums make the mesh,
+#: like every force, independent of atom order and of how spreading is
+#: distributed over nodes (Section 4's parallel invariance).  The float
+#: path spreads float.
+MESH_CHARGE_BITS = 40
+
 
 @dataclass(frozen=True)
 class MDParams:
@@ -51,7 +58,9 @@ class MDParams:
     ``cutoff``/``mesh`` trade real-space against Fourier work;
     ``long_range_every`` is the MTS interval.  The range-limited pair
     kernels are always the PPIP-style tiered tables with plain-cutoff
-    LJ, as on Anton.
+    LJ, as on Anton, and the mesh spread follows the arithmetic: integer
+    (:data:`MESH_CHARGE_BITS`) on the fixed-point path, float on the
+    float path.
     """
 
     cutoff: float = 9.0
@@ -64,22 +73,24 @@ class MDParams:
     ewald_tolerance: float = 1e-5
     long_range_every: int = 1
     table_mantissa_bits: int = 22
-    #: Fixed-point bits for mesh-charge accumulation; None keeps float
-    #: spreading.  Set (e.g. 40) when bitwise parallel invariance of
-    #: the mesh pipeline matters (the machine simulation requires it).
-    quantize_mesh_bits: int | None = None
     #: Disable Coulomb entirely (bead models); also auto-disabled when
     #: every charge is zero.
     electrostatics: bool = True
-    #: Not a field: ``"table"`` is the only accepted value.  The
-    #: benchmark workloads ``benchmarks/perf/workloads/machine64.py``
-    #: and ``ensemble8.py`` still pass it; the next change to the
-    #: benchmark (ROADMAP item 2) deletes the keyword.
+    #: Not fields: ``"table"`` and :data:`MESH_CHARGE_BITS` are the only
+    #: accepted values.  The benchmark workloads
+    #: ``benchmarks/perf/workloads/machine64.py`` and ``ensemble8.py``
+    #: still pass both; the next change to the benchmark (ROADMAP
+    #: item 2) deletes the two keywords.
     kernel_mode: InitVar[str] = "table"
+    quantize_mesh_bits: InitVar[int] = MESH_CHARGE_BITS
 
-    def __post_init__(self, kernel_mode: str) -> None:
+    def __post_init__(self, kernel_mode: str, quantize_mesh_bits: int) -> None:
         if kernel_mode != "table":
             raise ValueError(f"unknown kernel_mode {kernel_mode!r}")
+        if quantize_mesh_bits != MESH_CHARGE_BITS:
+            raise ValueError(
+                f"quantize_mesh_bits must be {MESH_CHARGE_BITS}, got {quantize_mesh_bits!r}"
+            )
 
 
 @dataclass
@@ -147,13 +158,10 @@ class ForceCalculator:
         self.tables = build_kernel_tables(
             params.cutoff, self.sigma, mantissa_bits=params.table_mantissa_bits
         )
-        self.mesh_codec = None
-        if params.quantize_mesh_bits is not None:
-            from repro.fixedpoint import FixedFormat, ScaledFixed
-
-            # Mesh charge magnitudes are bounded by a few elementary
-            # charges times the (sub-unity) Gaussian weight.
-            self.mesh_codec = ScaledFixed(FixedFormat(params.quantize_mesh_bits), limit=8.0)
+        # The fixed-point path's mesh codec.  Mesh charge magnitudes are
+        # bounded by a few elementary charges times the (sub-unity)
+        # Gaussian weight.
+        self.mesh_codec = ScaledFixed(FixedFormat(MESH_CHARGE_BITS), limit=8.0)
         # Self energy is configuration-independent: compute once.
         self._e_self = self_energy(system.charges, self.sigma)
         # Correction-pair indices/charge products/LJ coefficients are
@@ -281,11 +289,12 @@ class ForceCalculator:
                 positions, self.system.box, self._corr_static, self.sigma
             )
 
-    def _kspace(self, positions: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mesh energy and forces, on the suite, into the kept plan."""
+    def _kspace(self, positions: np.ndarray, codec=None) -> tuple[float, np.ndarray]:
+        """Mesh energy and forces, on the suite, into the kept plan:
+        a float spread, or an integer one through ``codec``."""
         with self.timers.time("kspace"):
             return self.gse.kspace(
-                positions, self.system.charges, codec=self.mesh_codec,
+                positions, self.system.charges, codec=codec,
                 kernels=self.kernels, plan=self._mesh_plan,
             )
 
@@ -362,7 +371,7 @@ class ForceCalculator:
         acc.deposit(corr.j, -ccodes)
         e_k = 0.0
         if self.gse is not None:
-            e_k, f_k = self._kspace(positions)
+            e_k, f_k = self._kspace(positions, self.mesh_codec)
             acc.deposit_dense(force_codec.quantize_round_only(f_k))
         energies = {
             "correction": corr.energy_exclusion + corr.energy_14_coul,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.radix2 import fft1d, fft3d, ifft1d, ifft3d
+from repro.fft.radix2 import fft1d, fft3d, ifft1d
 from repro.parallel.comm import SimNetwork
 from repro.parallel.topology import TorusTopology
 
@@ -149,7 +149,3 @@ class DistributedFFT3D:
     def serial_forward(mesh: np.ndarray) -> np.ndarray:
         """The single-node reference; bitwise equal to :meth:`forward`."""
         return fft3d(mesh)
-
-    @staticmethod
-    def serial_inverse(mesh_hat: np.ndarray) -> np.ndarray:
-        return ifft3d(mesh_hat)

@@ -180,8 +180,3 @@ class CheckpointStore:
             f"no valid checkpoint in {self.directory}"
             + (f" ({len(skipped)} corrupt snapshot(s) skipped):{detail}" if skipped else "")
         )
-
-    def latest_step(self) -> int | None:
-        """Step of the newest snapshot file (without validating it)."""
-        steps = self.steps()
-        return steps[-1] if steps else None

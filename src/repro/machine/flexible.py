@@ -47,9 +47,6 @@ class BondTermAssignment:
     def worst_gc_load(self) -> float:
         return max(self.gc_load.values(), default=0.0)
 
-    def node_load(self, node: int) -> float:
-        return sum(v for (n, _gc), v in self.gc_load.items() if n == node)
-
     def destination_messages(self, owners: np.ndarray) -> int:
         """Off-node position sends per step: one per (atom, remote
         destination node) pair (then replicated on-chip to GCs and the

@@ -31,8 +31,6 @@ as the step bracket.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
@@ -74,8 +72,6 @@ class MachineForceCalculator(ForceCalculator):
         machine: "AntonMachine",
         backend: MachineBackend,
     ):
-        if params.quantize_mesh_bits is None:
-            raise ValueError("machine execution requires quantize_mesh_bits")
         # The machine's suite runs the whole force path (pair kernel,
         # neighbor list, deposits) and, once bound, the backend.
         super().__init__(system, params, kernels=machine.kernels)
@@ -220,8 +216,6 @@ class AntonMachine(LaneEngine):
         recovery: RecoveryPolicy | None = None,
         routed=False,
     ):
-        if params.quantize_mesh_bits is None:
-            params = replace(params, quantize_mesh_bits=40)
         self.system = self.solo_system = system
         self.params = params
         self.hw = hw

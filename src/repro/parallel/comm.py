@@ -63,12 +63,6 @@ class NetworkStats:
         m, b = self.by_tag_retransmit.get(tag, (0, 0))
         self.by_tag_retransmit[tag] = (m + int(messages), b + int(nbytes))
 
-    def max_node_messages(self) -> int:
-        return int(self.per_node_messages.max(initial=0))
-
-    def max_node_bytes(self) -> int:
-        return int(self.per_node_bytes.max(initial=0))
-
 
 class SimNetwork:
     """Message transport between simulated nodes.

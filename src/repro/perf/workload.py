@@ -57,11 +57,6 @@ class StepWorkload:
             return 1.0
         return self.pairs_within_cutoff / self.pairs_considered
 
-    @property
-    def spreading_interactions(self) -> float:
-        """Atom-meshpoint interactions of one charge-spreading pass."""
-        return self.n_atoms * self.spreading_points_per_atom
-
     def per_node(self, n_nodes: int) -> "StepWorkload":
         """Even-split per-node view of the workload."""
         return StepWorkload(

@@ -151,7 +151,6 @@ def prepare_water_box(
     cutoff_cap: float = 5.5,
     skin: float | None = None,
     long_range_every: int = 2,
-    quantize_mesh_bits: int | None = None,
     minimize_steps: int = 80,
 ) -> tuple[ChemicalSystem, MDParams, float | None]:
     """The water runs' one preparation recipe: ``(system, params, energy)``.
@@ -170,7 +169,6 @@ def prepare_water_box(
         cutoff=cutoff,
         mesh=GSEParams.smallest_mesh(system.box, cutoff),
         long_range_every=long_range_every,
-        quantize_mesh_bits=quantize_mesh_bits,
     )
     if skin is not None:
         params = replace(params, skin=skin)

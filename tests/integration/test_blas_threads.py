@@ -34,14 +34,13 @@ system = build_water_box(n_molecules=24, seed=11)
 energy = minimize_energy(system, MDParams(cutoff=4.0, mesh=(16, 16, 16)), max_steps=15)
 out = {"minimized": [float(energy).hex(), digest(system.positions)]}
 system.initialize_velocities(300.0, seed=12)
-float_mesh = MDParams(cutoff=4.0, skin=0.1, mesh=(16, 16, 16), long_range_every=2)
+params = MDParams(cutoff=4.0, skin=0.1, mesh=(16, 16, 16), long_range_every=2)
 for tier in ("numpy", "compiled") if available() else ("numpy",):
-    sim = Simulation(system.copy(), float_mesh, dt=1.0, constraints=True,
+    sim = Simulation(system.copy(), params, dt=1.0, constraints=True,
                      thermostat=BerendsenThermostat(300.0), kernel_tier=tier)
     sim.run(6)
     out["solo"] = out.get("solo", []) + [digest(*sim.integrator.state_codes())]
-machine = AntonMachine(system.copy(), MDParams(cutoff=4.0, mesh=(16, 16, 16),
-                       quantize_mesh_bits=40), n_nodes=8, dt=1.0)
+machine = AntonMachine(system.copy(), MDParams(cutoff=4.0, mesh=(16, 16, 16)), n_nodes=8, dt=1.0)
 try:
     machine.run(4)
     out["machine"] = hashlib.sha256(pack_state(machine.checkpoint())).hexdigest()

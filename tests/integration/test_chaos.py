@@ -24,7 +24,6 @@ PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
     long_range_every=2,
-    quantize_mesh_bits=40,
 )
 
 #: Aggressive mixed schedule: every message kind plus both node kinds.

@@ -17,7 +17,6 @@ from repro.systems import build_water_box
 TABLE_PARAMS = MDParams(
     cutoff=4.2,
     mesh=(16, 16, 16),
-    quantize_mesh_bits=40,
     long_range_every=2,
 )
 

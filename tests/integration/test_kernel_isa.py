@@ -50,8 +50,7 @@ def bits(energies):
     return {k: [float(x).hex() for x in __import__("numpy").atleast_1d(v)]
             for k, v in energies.items()}
 
-params = MDParams(cutoff=4.0, mesh=(16, 16, 16),
-                  long_range_every=2, quantize_mesh_bits=40)
+params = MDParams(cutoff=4.0, mesh=(16, 16, 16), long_range_every=2)
 system = build_water_box(n_molecules=24, seed=11)
 minimize_energy(system, params, max_steps=10)
 out = {"kernel": kernel_info("compiled", 1), "minimized": digest(system.positions.tobytes())}

@@ -25,7 +25,6 @@ MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
     long_range_every=2,
-    quantize_mesh_bits=40,
 )
 
 needs_compiler = pytest.mark.skipif(
@@ -128,10 +127,7 @@ class TestCompiledTierArtifacts:
         visible fraction of a ~2 ms step and attribution drops below
         the bar that holds at benchmark scale.
         """
-        params = MDParams(
-            cutoff=4.0, mesh=(32, 32, 32),
-            long_range_every=2, quantize_mesh_bits=40,
-        )
+        params = MDParams(cutoff=4.0, mesh=(32, 32, 32), long_range_every=2)
         system = build_water_box(n_molecules=150, seed=11)
         minimize_energy(system, params, max_steps=15)
         system.initialize_velocities(300.0, seed=12)

@@ -22,7 +22,6 @@ PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
     long_range_every=2,
-    quantize_mesh_bits=40,
 )
 
 

@@ -18,7 +18,9 @@ are serial at every thread count).
 import pytest
 
 from repro.core import BerendsenThermostat, MDParams, Simulation, minimize_energy
+from repro.core.forces import MESH_CHARGE_BITS
 from repro.ensemble import EnsembleSimulation, derive_replica_seeds
+from repro.fixedpoint import FixedFormat
 from repro.io import CheckpointStore, replica_checkpoint_store, replica_trajectory_path
 from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
@@ -45,8 +47,7 @@ def _assert_pair_path(calc):
 
 def test_machine_artifacts_identical_through_rebuilds(tmp_path):
     params = MDParams(
-        cutoff=4.0, skin=0.1, mesh=(16, 16, 16),
-        long_range_every=LONG_RANGE_EVERY, quantize_mesh_bits=40,
+        cutoff=4.0, skin=0.1, mesh=(16, 16, 16), long_range_every=LONG_RANGE_EVERY
     )
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, params, max_steps=30)
@@ -80,12 +81,11 @@ def test_machine_artifacts_identical_through_rebuilds(tmp_path):
         assert out[key] == out["numpy", 1], f"artifacts diverged for {key}"
 
 
-def _ensemble_artifacts_identical(tmp_path, mesh_bits):
+def _ensemble_artifacts_identical(tmp_path, **mesh_kw):
     base = build_water_box(n_molecules=32, seed=5)
     params = MDParams(
         cutoff=min(5.5, base.box.max_cutoff() * 0.9), skin=0.1, mesh=(16, 16, 16),
-        long_range_every=LONG_RANGE_EVERY,
-        quantize_mesh_bits=mesh_bits,
+        long_range_every=LONG_RANGE_EVERY, **mesh_kw,
     )
     minimize_energy(base, params, max_steps=30)
     seeds = derive_replica_seeds(41, 3)
@@ -112,6 +112,7 @@ def _ensemble_artifacts_identical(tmp_path, mesh_bits):
         assert nl.kernels.tier == tier
         assert nl.n_builds >= 3
         _assert_pair_path(ens.calc)
+        assert ens.calc.mesh_codec.fmt == FixedFormat(MESH_CHARGE_BITS)
         out[tier, threads] = (
             nl.n_builds,
             _files(paths + [st.path_for(s) for st in stores for s in st.steps()]),
@@ -122,22 +123,22 @@ def _ensemble_artifacts_identical(tmp_path, mesh_bits):
 
 
 def test_ensemble_artifacts_identical_through_rebuilds(tmp_path):
-    """Float mesh: the compiled tier takes the fused, chunk-ordered float
-    spread and the fused gather."""
-    _ensemble_artifacts_identical(tmp_path, None)
+    """The compiled tier takes the fused integer spread and the fused gather."""
+    _ensemble_artifacts_identical(tmp_path)
 
 
 def test_ensemble_quantized_mesh_artifacts_identical(tmp_path):
-    """Quantized mesh: the compiled tier takes the fused integer spread."""
-    _ensemble_artifacts_identical(tmp_path, 40)
+    """The mesh width spelled out as the init-only ``quantize_mesh_bits``
+    keyword, as older parameter sets still pass it, runs the same 40-bit
+    integer spread on every tier."""
+    _ensemble_artifacts_identical(tmp_path, quantize_mesh_bits=MESH_CHARGE_BITS)
 
 
 def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
     """A solo ``Simulation`` forwards the engine's tier knobs; on the
     compiled tier its force calculator walks."""
     params = MDParams(
-        cutoff=4.0, skin=0.1, mesh=(16, 16, 16),
-        long_range_every=LONG_RANGE_EVERY,
+        cutoff=4.0, skin=0.1, mesh=(16, 16, 16), long_range_every=LONG_RANGE_EVERY
     )
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, params, max_steps=30)

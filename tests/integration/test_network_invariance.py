@@ -25,7 +25,6 @@ MACHINE_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
     long_range_every=2,
-    quantize_mesh_bits=40,
 )
 
 needs_compiler = pytest.mark.skipif(

@@ -4,23 +4,25 @@
 or multi-node Anton configuration ... We verified, for example, that
 2.7 billion time steps produced identical results on 128-node and
 512-node Anton configurations."  Here, at functional-simulation scale:
-the same water system stepped on 1-, 8-, and 64-node machines, and on
-the plain single-process fixed-point path, must match bit for bit.
+one water system, prepared the way every driver prepares it, stepped on
+1-, 8-, and 64-node machines, on the plain single-process fixed-point
+path and as one lane of a batched ensemble, must match bit for bit —
+with no mesh argument anywhere: the fixed-point arithmetic picks its
+integer mesh spread itself.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import MDParams, Simulation, minimize_energy
+from repro.core import Simulation
+from repro.ensemble import EnsembleSimulation
 from repro.machine import AntonMachine
-from repro.systems import build_water_box
+from repro.systems import prepare_water_box
 
 
 @pytest.fixture(scope="module")
 def prepared_system():
-    base = build_water_box(n_molecules=32, seed=7)
-    params = MDParams(cutoff=4.5, mesh=(16, 16, 16), quantize_mesh_bits=40, long_range_every=2)
-    minimize_energy(base, params, max_steps=40)
+    base, params, _ = prepare_water_box(32, 7, cutoff=4.5, long_range_every=2, minimize_steps=40)
     base.initialize_velocities(300.0, seed=8)
     return base, params
 
@@ -39,6 +41,15 @@ def test_machine_matches_single_process_reference(prepared_system, reference_cod
     m = AntonMachine(base.copy(), params, n_nodes=n_nodes, dt=1.0, migration_interval=4)
     m.step(8)
     x, v = m.state_codes()
+    assert np.array_equal(x, reference_codes[0])
+    assert np.array_equal(v, reference_codes[1])
+
+
+def test_ensemble_lane_matches_single_process_reference(prepared_system, reference_codes):
+    base, params = prepared_system
+    ens = EnsembleSimulation(base.copy(), params, dt=1.0, replicas=2)
+    ens.run(8)
+    x, v = ens.state_codes(0)
     assert np.array_equal(x, reference_codes[0])
     assert np.array_equal(v, reference_codes[1])
 

@@ -49,7 +49,6 @@ WATER_PARAMS = MDParams(
     cutoff=4.0,
     mesh=(16, 16, 16),
     long_range_every=1,
-    quantize_mesh_bits=40,
 )
 
 

@@ -36,10 +36,7 @@ def tiers():
 @pytest.fixture(scope="module")
 def table_machine():
     """A small tabulated-kernel machine supplying real tables/codecs."""
-    params = MDParams(
-        cutoff=4.0, mesh=(32, 32, 32),
-        long_range_every=2, quantize_mesh_bits=40,
-    )
+    params = MDParams(cutoff=4.0, mesh=(32, 32, 32), long_range_every=2)
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, params, max_steps=20)
     system.initialize_velocities(300.0, seed=12)

@@ -359,10 +359,7 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
 
 def test_mesh_path_scratch_is_reused_across_evaluations():
     """Steady state allocates nothing: the same arrays serve every evaluation."""
-    params = MDParams(
-        cutoff=4.0, mesh=(16, 16, 16),
-        long_range_every=1, quantize_mesh_bits=40,
-    )
+    params = MDParams(cutoff=4.0, mesh=(16, 16, 16), long_range_every=1)
     system = build_water_box(n_molecules=24, seed=11)
     minimize_energy(system, params, max_steps=10)
     system.initialize_velocities(300.0, seed=12)

@@ -51,9 +51,7 @@ def water():
     """216 waters: 648 atoms, so two float-spread chunks and a 32³ mesh."""
     system = build_water_box(n_molecules=216, seed=5)
     cutoff = 4.5
-    params = MDParams(
-        cutoff=cutoff, mesh=GSEParams.smallest_mesh(system.box, cutoff), quantize_mesh_bits=40
-    )
+    params = MDParams(cutoff=cutoff, mesh=GSEParams.smallest_mesh(system.box, cutoff))
     gse = GaussianSplitEwald(system.box, GSEParams.choose(system.box, cutoff, params.mesh))
     assert system.n_atoms > gse_module._FLOAT_CHUNK and gse.stencil_size() == 13**3
     return system, params, gse

@@ -208,20 +208,25 @@ class TestMeshFollowsTheBox:
     # sums moved into the order of DESIGN.md's gather-order lemma.
     # The trajectory hashes moved once more when ``lj_mode`` left
     # ``MDParams``: the header's ``params_hash`` is the only changed
-    # field, and every frame byte is the same.
+    # field, and every frame byte is the same.  Both moved again when
+    # every fixed-point run began to spread its mesh through the 40-bit
+    # codec and every minimisation float (``simulate`` had spread float,
+    # ``machine``'s minimiser 40-bit): their frames are byte-equal to
+    # commit 2560655's with ``quantize_mesh_bits=40`` on the dynamics and
+    # ``None`` on the minimiser, and the header differs in ``params_hash``.
     # Checked equal on the NumPy tier, the compiled tier at one and four
     # threads, and the -march=x86-64 build.
     SAME_BYTES = {
         "simulate": (
             ["simulate", "--waters", "40", "--steps", "12", "--seed", "7", "--record-every", "4"],
             "f19a3fe77f8f92be",
-            "5f617da3f897d39025cbcb21c10603a4bc9bfa508bbd7f4ef38b859030ece286",
+            "56d33d24eca95c8e6d332aae5f89c984d136315bea0a2f9397d0b51d4121f942",
         ),
         "machine": (
             ["machine", "--waters", "32", "--nodes", "8", "--steps", "4",
              "--trajectory-every", "2"],
             "e4365f07352d8265",
-            "f09105264a566ea26ddb9c80c89828e9c29aa73504a065fccd71b4054167374f",
+            "84050e7e12097a782acb748a24b615f3ff92f672d5d51ce80fb91570f00c0213",
         ),
     }
 
@@ -349,7 +354,7 @@ class TestRunStoreCLI:
         assert "routed fabric:" in out and "directed links, 2 steps (" in out
 
         base, params, _ = prepare_water_box(
-            16, 7, cutoff_cap=4.5, long_range_every=1, quantize_mesh_bits=40, minimize_steps=40
+            16, 7, cutoff_cap=4.5, long_range_every=1, minimize_steps=40
         )
         base.initialize_velocities(300.0, seed=8)
         machine = AntonMachine(base, params, n_nodes=4, dt=1.0)

@@ -59,6 +59,14 @@ class TestForceCalculator:
             with pytest.raises(ValueError):
                 ForceCalculator(water, MDParams(cutoff=4.5, mesh=(16, 16, 16), kernel_mode=mode))
 
+    def test_quantize_mesh_bits_accepts_only_the_mesh_width(self):
+        # The arithmetic picks the mesh spread; the keyword is kept only
+        # for callers that still pass the one width.
+        assert MDParams(quantize_mesh_bits=40) == MDParams()
+        for bits in (12, None):
+            with pytest.raises(ValueError):
+                MDParams(quantize_mesh_bits=bits)
+
     def test_electrostatics_disabled_for_neutral_bead_system(self):
         system = build_hp_system(hp_miniprotein("HHPH"))
         calc = ForceCalculator(system, MDParams(cutoff=12.0, mesh=(16, 16, 16)))

@@ -90,7 +90,9 @@ class TestFingerprint:
 
     def test_kernel_mode_keyword_is_not_hashed(self, system):
         a = system_fingerprint(system, MDParams(), "fixed", 1.0)
-        b = system_fingerprint(system, MDParams(kernel_mode="table"), "fixed", 1.0)
+        b = system_fingerprint(
+            system, MDParams(kernel_mode="table", quantize_mesh_bits=40), "fixed", 1.0
+        )
         assert a["params_hash"] == b["params_hash"]
 
     def test_different_system_rejected(self, system):

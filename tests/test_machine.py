@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import MDParams, minimize_energy
+from repro.fixedpoint import FixedFormat
 from repro.forcefield import Topology, build_exclusions
 from repro.machine import (
     ANTON_2008,
@@ -112,7 +113,7 @@ class TestAntonMachineTraffic:
     @pytest.fixture(scope="class")
     def machine(self):
         base = build_water_box(n_molecules=24, seed=11)
-        params = MDParams(cutoff=4.0, mesh=(16, 16, 16), quantize_mesh_bits=40)
+        params = MDParams(cutoff=4.0, mesh=(16, 16, 16))
         minimize_energy(base, params, max_steps=30)
         base.initialize_velocities(300.0, seed=12)
         m = AntonMachine(base, params, n_nodes=8, dt=1.0)
@@ -131,6 +132,5 @@ class TestAntonMachineTraffic:
 
     def test_mesh_quantization_forced(self):
         base = build_water_box(n_molecules=8, seed=1)
-        params = MDParams(cutoff=3.0, mesh=(16, 16, 16))  # no quantize bits
-        m = AntonMachine(base, params, n_nodes=1, dt=1.0)
-        assert m.params.quantize_mesh_bits is not None
+        m = AntonMachine(base, MDParams(cutoff=3.0, mesh=(16, 16, 16)), n_nodes=1, dt=1.0)
+        assert m.calc.mesh_codec.fmt == FixedFormat(40)

@@ -17,7 +17,7 @@ def protein_system():
 
 
 def test_reassignment_does_not_change_physics(protein_system):
-    params = MDParams(cutoff=4.5, mesh=(32, 32, 32), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(32, 32, 32))
     ref = AntonMachine(protein_system.copy(), params, n_nodes=8, dt=1.0)
     ref.step(6)
     aggressive = AntonMachine(
@@ -29,7 +29,7 @@ def test_reassignment_does_not_change_physics(protein_system):
 
 
 def test_reassignment_tracks_current_owners(protein_system):
-    params = MDParams(cutoff=4.5, mesh=(32, 32, 32), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(32, 32, 32))
     m = AntonMachine(protein_system.copy(), params, n_nodes=8, dt=1.0)
     # Force a fake ownership change, reassign, and check the term
     # placement followed it.
@@ -43,7 +43,7 @@ def test_reassignment_tracks_current_owners(protein_system):
 
 
 def test_reassignment_interval_respected(protein_system):
-    params = MDParams(cutoff=4.5, mesh=(32, 32, 32), quantize_mesh_bits=40)
+    params = MDParams(cutoff=4.5, mesh=(32, 32, 32))
     m = AntonMachine(
         protein_system.copy(), params, n_nodes=8, dt=1.0, bond_reassign_interval=3
     )
