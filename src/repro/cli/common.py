@@ -105,3 +105,10 @@ def print_network_report(report: dict) -> None:
         print(f"recovery link bytes (segregated): {report['recovery_link_bytes']}")
     print(f"comm critical path: {report['comm_us_per_step']:.3f} us/step "
           f"(max link load: {report['max_link_bytes']} bytes)")
+
+
+def print_timings(timers) -> None:
+    """The ``--timings`` block shared by the run commands."""
+    print("component wall time:")
+    for line in timers.summary_lines():
+        print(f"  {line}")

@@ -18,6 +18,7 @@ from repro.cli.common import (
     open_session,
     print_kernel_tier,
     print_network_report,
+    print_timings,
 )
 
 
@@ -90,7 +91,7 @@ def add_parsers(sub) -> None:
                    help="also run on 1 node and compare bitwise")
     add_kernel_flags(p)
     p.add_argument("--timings", action="store_true",
-                   help="print per-phase machine engine timings after the run")
+                   help="print per-component wall-time counters after the run")
     p.add_argument("--profile", action="store_true",
                    help="print the hierarchical per-step phase profile as JSON")
     g = p.add_argument_group("fault injection")
@@ -183,9 +184,7 @@ def cmd_simulate(args) -> int:
     print(f"neighbor list: {nl.n_builds} builds / {nl.n_reuses} reuses "
           f"(skin {nl.effective_skin:.1f} A, {nl.n_candidates} cached pairs)")
     if args.timings:
-        print("component wall time:")
-        for line in sim.timers.summary_lines():
-            print(f"  {line}")
+        print_timings(sim.timers)
     return 0
 
 
@@ -259,9 +258,7 @@ def cmd_ensemble(args) -> int:
               f"(state codes bitwise identical: {same})")
         ok = same
     if args.timings:
-        print("component wall time:")
-        for line in ens.timers.summary_lines():
-            print(f"  {line}")
+        print_timings(ens.timers)
     if args.profile:
         import json
 
@@ -350,14 +347,11 @@ def _run_machine(args, machine, ref, session) -> int:
         for name, count in sorted(report.items()):
             if count:
                 print(f"  {name:<22} {count:>8}")
-        rt_msgs, rt_bytes = recovery["retransmit"]
-        rp_msgs, rp_bytes = recovery["replay"]
-        print(f"  recovery traffic: {rt_msgs} retransmit msgs ({rt_bytes} bytes), "
-              f"{rp_msgs} replay msgs ({rp_bytes} bytes) — excluded from the "
-              f"primary counters above")
+        print(f"  recovery traffic: {sum(m for m, _ in recovery.values())} msgs "
+              f"({sum(b for _, b in recovery.values())} bytes; retransmits and "
+              f"replayed steps) — excluded from the primary counters above")
     if args.timings:
-        for name, secs in sorted(machine.phase_timings().items(), key=lambda kv: -kv[1]):
-            print(f"  {name:<20} {secs * 1e3:10.2f} ms")
+        print_timings(machine.timers)
     if args.profile:
         import json
 

@@ -4,18 +4,20 @@
 that (a) keeps a per-step :class:`~repro.fault.detect.StepLedger` of
 every primary message any backend charges, (b) applies a step's
 scheduled message faults to the *received image* of that ledger at the
-barrier, and (c) keeps recovery traffic out of the primary statistics:
-retransmissions ride the base class's separate retransmit counters, and
-whole replayed steps (after a rollback) are charged to a dedicated
-``recovery_stats`` by swapping the active stats object — so a fault
-run's primary counters are exactly a clean run's, which the chaos
-harness asserts.
+barrier, and (c) keeps recovery traffic out of the primary statistics.
+Recovery accounting is one decision, :meth:`FaultyNetwork.set_recovery`:
+while it is active every charge — retransmissions and whole replayed
+steps (after a rollback) alike — lands in ``recovery_stats`` and, on a
+routed fabric, on a second :class:`~repro.network.LinkRouter`, by
+swapping the active stats object and router.  A fault run's primary
+counters and link loads are therefore exactly a clean run's, which the
+chaos harness asserts.
 
-Physics never flows through the wire: the machine's payloads are
-simulator-internal, so injected damage is observable (checksums,
-counters, retries, rollbacks) but cannot corrupt state — corrupted
-*content* is modeled by the checksum mismatch that forces the
-retransmission which, on real hardware, restores the original bytes.
+Physics never flows through the wire: the network carries accounting
+only, so injected damage is observable (checksums, counters, retries,
+rollbacks) but cannot corrupt state — corrupted *content* is modeled by
+the checksum mismatch that forces the retransmission which, on real
+hardware, restores the original bytes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,9 @@ class FaultyNetwork(SimNetwork):
         #: every message of a replayed (post-rollback) step.
         self.recovery_stats = NetworkStats(topology.n_nodes)
         self._primary_stats = self.stats
+        #: Link loads of the recovery pool (routed fabrics only).
+        self.recovery_router = None
+        self._primary_router = None
         self._ledger: StepLedger | None = None
 
     # -- stats routing -------------------------------------------------------
@@ -52,16 +57,28 @@ class FaultyNetwork(SimNetwork):
     def in_recovery(self) -> bool:
         return self.stats is self.recovery_stats
 
+    def attach_router(self, router) -> None:
+        """Attach the primary router and build the recovery pool's twin
+        (same topology, config and hardware)."""
+        self._primary_router = router
+        self.recovery_router = type(router)(router.topology, router.config, router.hw)
+        self.set_recovery(self.in_recovery)
+
     def set_recovery(self, active: bool) -> None:
         """Route *all* subsequent charges (including direct ``stats``
         mutations by the machine) to the recovery pool."""
         self.stats = self.recovery_stats if active else self._primary_stats
+        self.router = self.recovery_router if active else self._primary_router
 
     def reset_stats(self) -> None:
+        """Fresh primary and recovery counters (and recovery link loads);
+        the active pool is kept."""
         recovering = self.in_recovery
         self._primary_stats = NetworkStats(self.topology.n_nodes)
         self.recovery_stats = NetworkStats(self.topology.n_nodes)
-        self.stats = self.recovery_stats if recovering else self._primary_stats
+        if self.recovery_router is not None:
+            self.recovery_router.reset()
+        self.set_recovery(recovering)
 
     # -- wire ledger ---------------------------------------------------------
 
@@ -74,19 +91,14 @@ class FaultyNetwork(SimNetwork):
         ledger, self._ledger = self._ledger, None
         return ledger
 
-    def send(self, src, dst, nbytes, tag, payload=None, retransmit=False):
-        super().send(src, dst, nbytes, tag, payload=payload, retransmit=retransmit)
-        if (
-            self._ledger is not None
-            and not retransmit
-            and not self.in_recovery
-            and src != dst
-        ):
+    def send(self, src, dst, nbytes, tag):
+        super().send(src, dst, nbytes, tag)
+        if self._ledger is not None and not self.in_recovery and src != dst:
             self._ledger.record(tag, src, dst, nbytes)
 
-    def send_batch(self, src, dst, nbytes, tag, retransmit=False, route=True):
-        super().send_batch(src, dst, nbytes, tag, retransmit=retransmit, route=route)
-        if self._ledger is not None and not retransmit and not self.in_recovery:
+    def send_batch(self, src, dst, nbytes, tag, route=True):
+        super().send_batch(src, dst, nbytes, tag, route=route)
+        if self._ledger is not None and not self.in_recovery:
             src = np.asarray(src, dtype=np.int64)
             dst = np.asarray(dst, dtype=np.int64)
             nbytes = np.asarray(nbytes, dtype=np.int64)

@@ -3,8 +3,8 @@
 Two tiers, mirroring what a real fleet does:
 
 * **Transient message faults** (drop / corrupt) are healed at the step
-  barrier by retry-with-backoff: each retransmission is charged to the
-  network's separate retransmit counters, and a message that stays dead
+  barrier by retry-with-backoff: each retransmission is an ordinary
+  send charged to the network's recovery pool, and a message that stays dead
   past :attr:`RecoveryPolicy.max_retries` escalates to a rollback (the
   link is declared failed).
 * **Node faults** are watched through barrier heartbeats.  A stalled
@@ -268,15 +268,17 @@ class FaultController:
             return False
         self._count("detected_missing" if anomaly.kind == "missing" else "detected_corrupt")
         stays_dead = persist.get(anomaly.seq, 0)
-        for attempt in range(self.policy.max_retries):
+        # Retransmissions are recovery traffic: ordinary sends into the
+        # recovery pool (healing runs on original, never replayed, steps).
+        network.set_recovery(True)
+        for attempt in range(min(stays_dead + 1, self.policy.max_retries)):
             self._count("retries")
             self._count("backoff_slots", int(self.policy.backoff_base**attempt))
-            network.send(
-                anomaly.src, anomaly.dst, anomaly.nbytes, anomaly.tag, retransmit=True
-            )
+            network.send(anomaly.src, anomaly.dst, anomaly.nbytes, anomaly.tag)
             self._count("retransmitted_bytes", anomaly.nbytes)
-            if attempt >= stays_dead:
-                return False
+        network.set_recovery(False)
+        if stays_dead < self.policy.max_retries:
+            return False
         self._count("link_failures")
         return True
 

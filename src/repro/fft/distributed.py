@@ -71,12 +71,17 @@ class DistributedFFT3D:
 
     # -- functional transforms ------------------------------------------
 
+    #: Axis order of the line phases: the forward transform runs z, y,
+    #: x and the inverse undoes it x, y, z.
+    FORWARD_AXES = (2, 1, 0)
+    INVERSE_AXES = (0, 1, 2)
+
     def forward(self, mesh: np.ndarray) -> np.ndarray:
         """Forward transform; charges one redistribution per axis."""
         if mesh.shape != self.mesh_shape:
             raise ValueError(f"mesh shape {mesh.shape} != {self.mesh_shape}")
         out = np.asarray(mesh, dtype=np.complex128)
-        for axis in (2, 1, 0):
+        for axis in self.FORWARD_AXES:
             self._charge_axis_phase(axis)
             out = fft1d(out, axis=axis)
         return out
@@ -86,10 +91,17 @@ class DistributedFFT3D:
         if mesh_hat.shape != self.mesh_shape:
             raise ValueError(f"mesh shape {mesh_hat.shape} != {self.mesh_shape}")
         out = np.asarray(mesh_hat, dtype=np.complex128)
-        for axis in (0, 1, 2):
+        for axis in self.INVERSE_AXES:
             self._charge_axis_phase(axis)
             out = ifft1d(out, axis=axis)
         return out
+
+    def charge_solve(self) -> None:
+        """Charge the redistributions of one forward-plus-inverse solve
+        without transforming anything — exactly the traffic of
+        :meth:`forward` followed by :meth:`inverse`."""
+        for axis in self.FORWARD_AXES + self.INVERSE_AXES:
+            self._charge_axis_phase(axis)
 
     # -- traffic model ----------------------------------------------------
 

@@ -21,7 +21,7 @@ replaced live on as the test oracle (``tests/serial_backend.py``, a
 :class:`~repro.machine.backends.MachineBackend` instance passed as
 ``backend=``), both producing identical state codes.
 Engine phases are charged to ``machine_*`` timers
-(:meth:`AntonMachine.phase_timings`, :meth:`AntonMachine.profile`).
+(``calc.timers``, :meth:`AntonMachine.profile`).
 
 Stepping, output cadences and the flush-then-checkpoint order belong
 to the one run loop (:mod:`repro.core.runloop`): the machine is its
@@ -321,10 +321,7 @@ class AntonMachine(LaneEngine):
     def account_fft(self) -> None:
         """Charge forward + inverse FFT redistributions."""
         if self.dfft is not None:
-            for axis in (2, 1, 0):
-                self.dfft._charge_axis_phase(axis)
-            for axis in (0, 1, 2):
-                self.dfft._charge_axis_phase(axis)
+            self.dfft.charge_solve()
 
     def account_migration(self, n_migrated: int) -> None:
         # Aggregate volume with no routes or hop weighting (migrating
@@ -530,31 +527,30 @@ class AntonMachine(LaneEngine):
             stats = self.network.primary_stats
         return dict(stats.by_tag)
 
-    def recovery_traffic_summary(self) -> dict:
-        """Fault-recovery traffic: retransmits plus replayed-step charges.
-
-        Zero everywhere for machines built without ``faults=``.
-        """
+    def recovery_traffic_summary(self) -> dict[str, tuple[int, int]]:
+        """(messages, bytes) per traffic class of fault-recovery traffic:
+        retransmissions plus replayed steps (``{}`` without faults)."""
         if not isinstance(self.network, FaultyNetwork):
-            return {"retransmit": (0, 0), "replay": (0, 0)}
-        primary = self.network.primary_stats
-        replay = self.network.recovery_stats
-        return {
-            "retransmit": (primary.retransmit_messages, primary.retransmit_bytes),
-            "replay": (replay.messages, replay.bytes),
-            "retransmit_by_tag": dict(primary.by_tag_retransmit),
-        }
+            return {}
+        return dict(self.network.recovery_stats.by_tag)
 
     def network_report(self, top: int = 3) -> dict:
         """Routed-fabric occupancy and congestion, per step so far.
 
         Requires ``routed=True`` at construction.  Per-phase critical
         links, multicast/compression savings, and the congested
-        communication time (see :meth:`repro.network.LinkRouter.report`).
+        communication time (see :meth:`repro.network.LinkRouter.report`),
+        plus the link bytes of the fault layer's recovery pool.
         """
         if self.router is None:
             raise ValueError("machine was built without routed=True")
-        return self.router.report(steps=self._steps_reported(), top=top)
+        report = self.router.report(steps=self._steps_reported(), top=top)
+        report["recovery_link_bytes"] = (
+            self.network.recovery_router.primary.total_bytes()
+            if isinstance(self.network, FaultyNetwork)
+            else 0
+        )
+        return report
 
     def fault_report(self) -> dict[str, int]:
         """Fault/retry/rollback counters (empty without injection)."""
@@ -564,19 +560,6 @@ class AntonMachine(LaneEngine):
 
     def messages_per_node_per_step(self) -> float:
         return self.network.stats.messages / (self._steps_reported() * self.topology.n_nodes)
-
-    def phase_timings(self) -> dict[str, float]:
-        """Cumulative seconds per engine phase.
-
-        Covers the ``machine_*`` bookkeeping phases and the ``mesh_*``
-        sub-phases (plan build, spread, FFT solve, interpolation) the
-        backends charge inside ``machine_mesh``.
-        """
-        return {
-            k: v
-            for k, v in self.calc.timers.elapsed.items()
-            if k.startswith(("machine_", "mesh_"))
-        }
 
     def profile(self) -> dict:
         """Hierarchical per-step phase profile (the ``--profile`` dump).
@@ -599,7 +582,6 @@ class AntonMachine(LaneEngine):
         if self.fault_controller is not None:
             out["faults"] = self.fault_report()
             out["recovery_traffic"] = {
-                k: list(v) if isinstance(v, tuple) else v
-                for k, v in self.recovery_traffic_summary().items()
+                k: list(v) for k, v in self.recovery_traffic_summary().items()
             }
         return out

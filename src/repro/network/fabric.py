@@ -21,11 +21,11 @@ Accounting contract (pinned by the conservation tests):
   each tracks exactly the hop-bytes it removed, so
   ``link_bytes + multicast_saved + compression_saved == hop_bytes``
   remains an integer identity in every configuration.
-* Fault-recovery traffic (retransmissions and replayed steps) routes
-  over the same links but lands in a separate recovery
-  :class:`LinkLoad` — a faulted run's *primary* link loads are exactly
-  a clean run's, extending the Table 3 segregation contract down to
-  individual links.
+* The router knows nothing of faults.  Fault-recovery traffic
+  (retransmissions and replayed steps) lands on a second router that
+  :class:`~repro.fault.FaultyNetwork` swaps in while it heals, so a
+  faulted run's link loads here are exactly a clean run's, and the
+  recovery router keeps the same identity over its own pool.
 
 The congestion model turns occupancy into time the way the GROMACS
 scaling analysis does for real clusters: each accounting phase (tag)
@@ -36,7 +36,7 @@ step's communication time sums the phase critical paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,10 +150,8 @@ class _TagLoad:
 class LinkRouter:
     """Routes charged messages onto directed torus links.
 
-    All entry points accept ``recovery=True`` to land the traversals in
-    the segregated recovery pool (retransmissions and rollback replay);
-    everything else accumulates into the primary pool and the per-tag
-    phase arrays the congestion model reads.
+    Every traversal accumulates into the ``primary`` link loads and the
+    per-tag phase arrays the congestion model reads.
     """
 
     def __init__(
@@ -171,9 +169,7 @@ class LinkRouter:
 
     def reset(self) -> None:
         self.primary = LinkLoad.zeros(self.n_links)
-        self.recovery = LinkLoad.zeros(self.n_links)
         self.by_tag: dict[str, _TagLoad] = {}
-        self.recovery_by_tag: dict[str, int] = {}
         # Savings transforms, in hop-bytes (see module docstring).
         self.multicast_saved_hop_bytes = 0
         self.compression_saved_hop_bytes = 0
@@ -206,18 +202,17 @@ class LinkRouter:
 
     # -- unicast charging ----------------------------------------------------
 
-    def charge(self, src: int, dst: int, nbytes: int, tag: str, recovery: bool = False) -> None:
+    def charge(self, src: int, dst: int, nbytes: int, tag: str) -> None:
         """Route one message (scalar convenience over charge_batch)."""
         self.charge_batch(
             np.asarray([src], dtype=np.int64),
             np.asarray([dst], dtype=np.int64),
             np.asarray([nbytes], dtype=np.int64),
             tag,
-            recovery=recovery,
         )
 
     def charge_batch(
-        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, tag: str, recovery: bool = False
+        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, tag: str
     ) -> None:
         """Route a message batch; local (src == dst) routes are free."""
         src = np.atleast_1d(np.asarray(src, dtype=np.int64))
@@ -230,13 +225,6 @@ class LinkRouter:
             return
         wire = self._wire_bytes(tag, nbytes)
         hops = self.topology.hop_distances(src, dst)
-        if recovery:
-            routing.accumulate_link_loads(
-                self.topology, src, dst, wire, self.recovery.bytes, self.recovery.packets
-            )
-            charged = int(np.sum(wire * hops))
-            self.recovery_by_tag[tag] = self.recovery_by_tag.get(tag, 0) + charged
-            return
         routing.accumulate_link_loads(
             self.topology, src, dst, wire, self.primary.bytes, self.primary.packets
         )
@@ -249,9 +237,7 @@ class LinkRouter:
 
     # -- multicast charging --------------------------------------------------
 
-    def charge_multicast(
-        self, src: int, dsts: np.ndarray, nbytes: int, tag: str, recovery: bool = False
-    ) -> None:
+    def charge_multicast(self, src: int, dsts: np.ndarray, nbytes: int, tag: str) -> None:
         """Route one source's broadcast of a single payload.
 
         In ``tree`` mode the payload is charged once per spanning-tree
@@ -270,18 +256,12 @@ class LinkRouter:
         unicast_hop_bytes = wire * int(hops.sum())
         tree = routing.multicast_tree_links(self.topology, src, dsts)
         tree_bytes = wire * len(tree)
-        if not recovery:
-            self.multicast_unicast_hop_bytes += unicast_hop_bytes
-            self.multicast_tree_hop_bytes += tree_bytes
+        self.multicast_unicast_hop_bytes += unicast_hop_bytes
+        self.multicast_tree_hop_bytes += tree_bytes
         if self.config.multicast == "unicast":
-            self.charge_batch(src_arr, dsts, np.full(dsts.shape, nbytes, dtype=np.int64), tag, recovery=recovery)
+            self.charge_batch(src_arr, dsts, np.full(dsts.shape, nbytes, dtype=np.int64), tag)
             return
         # Tree edges: payload crosses each once.
-        if recovery:
-            np.add.at(self.recovery.bytes, tree, wire)
-            self.recovery.packets[tree] += 1
-            self.recovery_by_tag[tag] = self.recovery_by_tag.get(tag, 0) + tree_bytes
-            return
         np.add.at(self.primary.bytes, tree, wire)
         self.primary.packets[tree] += 1
         load = self._tag(tag)
@@ -293,7 +273,7 @@ class LinkRouter:
         self.multicast_saved_hop_bytes += unicast_hop_bytes - tree_bytes
 
     def charge_multicast_routes(
-        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, tag: str, recovery: bool = False
+        self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, tag: str
     ) -> None:
         """Route a batch of broadcast fan-outs grouped by source.
 
@@ -312,9 +292,7 @@ class LinkRouter:
         starts = np.flatnonzero(np.r_[True, src[1:] != src[:-1]])
         bounds = np.r_[starts, len(src)]
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            self.charge_multicast(
-                int(src[lo]), dst[lo:hi], int(nbytes[lo]), tag, recovery=recovery
-            )
+            self.charge_multicast(int(src[lo]), dst[lo:hi], int(nbytes[lo]), tag)
 
     # -- congestion / reporting ----------------------------------------------
 
@@ -381,6 +359,5 @@ class LinkRouter:
             "multicast": self.multicast_savings(),
             "compression_saved_link_bytes": self.compression_saved_hop_bytes,
             "multicast_saved_link_bytes": self.multicast_saved_hop_bytes,
-            "recovery_link_bytes": self.recovery.total_bytes(),
             "comm_us_per_step": self.step_comm_us(steps, model),
         }

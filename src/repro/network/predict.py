@@ -26,7 +26,7 @@ from repro.parallel.decomposition import SpatialDecomposition
 from repro.parallel.nt import tower_plate_boxes
 from repro.parallel.topology import TorusTopology
 
-__all__ = ["synthesize_step_router", "predict_comm", "predict_scaling"]
+__all__ = ["synthesize_step_router", "predict_comm"]
 
 #: Traffic classes charged every step (vs once per long-range interval).
 SHORT_RANGE_TAGS = ("position_import", "force_export")
@@ -100,11 +100,7 @@ def synthesize_step_router(
 
     mesh = spec.mesh_shape
     if all(m % d == 0 for m, d in zip(mesh, topology.dims)):
-        dfft = DistributedFFT3D(mesh, topology, network)
-        for axis in (2, 1, 0):
-            dfft._charge_axis_phase(axis)
-        for axis in (0, 1, 2):
-            dfft._charge_axis_phase(axis)
+        DistributedFFT3D(mesh, topology, network).charge_solve()
     return router, network
 
 
@@ -145,20 +141,3 @@ def predict_comm(
         "by_tag": {k: list(v) for k, v in stats.by_tag.items()},
     }
 
-
-def predict_scaling(
-    spec,
-    node_counts=(512, 1024, 2048, 4096),
-    hw: AntonHardware = ANTON_2008,
-    config: RoutedConfig | None = None,
-    congestion: CongestionModel | None = None,
-    long_range_every: int = 2,
-) -> list[dict]:
-    """:func:`predict_comm` swept over node counts (the Figure 5 axis)."""
-    return [
-        predict_comm(
-            spec, n, hw=hw, config=config, congestion=congestion,
-            long_range_every=long_range_every,
-        )
-        for n in node_counts
-    ]

@@ -123,30 +123,21 @@ class AntonModel:
         """Critical-path time of the every-step work."""
         return max(p.range_limited, _BONDED_CRITICAL * p.bonded) + p.integration
 
-    def step_us(self, w: StepWorkload, n_nodes: int = 512, long_range_every: int = 2) -> float:
-        """Average wall time of one time step (us)."""
-        p = self.profile(w, n_nodes)
-        return (
-            _STEP_OVERHEAD_US
-            + self.short_us(p)
-            + self.long_range_us(p) / long_range_every
-        )
-
-    def step_us_routed(
+    def step_us(
         self,
         w: StepWorkload,
         n_nodes: int = 512,
+        long_range_every: int = 2,
         short_comm_us: float = 0.0,
         long_comm_us: float = 0.0,
-        long_range_every: int = 2,
     ) -> float:
-        """Step time with communication on the critical path.
+        """Average wall time of one time step (us).
 
-        The counter-free :meth:`step_us` assumes communication hides
-        under compute; here each half of the step takes the *longer* of
-        its compute chain and its congested communication critical path
-        (from :func:`repro.network.predict.predict_comm`) — compute and
-        communication overlap, but neither hides a longer partner.
+        Each half of the step takes the *longer* of its compute chain
+        and its congested communication critical path (from
+        :func:`repro.network.predict.predict_comm`) — compute and
+        communication overlap, but neither hides a longer partner.  The
+        defaults (no communication) assume it hides under compute.
         """
         p = self.profile(w, n_nodes)
         return (
@@ -154,21 +145,6 @@ class AntonModel:
             + max(self.short_us(p), float(short_comm_us))
             + max(self.long_range_us(p), float(long_comm_us)) / long_range_every
         )
-
-    def us_per_day_routed(
-        self,
-        w: StepWorkload,
-        n_nodes: int = 512,
-        short_comm_us: float = 0.0,
-        long_comm_us: float = 0.0,
-        dt_fs: float = 2.5,
-        long_range_every: int = 2,
-    ) -> float:
-        """Figure 5 rate from the congested critical-path step time."""
-        step = self.step_us_routed(
-            w, n_nodes, short_comm_us, long_comm_us, long_range_every
-        )
-        return 86400e6 / step * dt_fs * 1e-9
 
     def total_step_us_single_rate(self, w: StepWorkload, n_nodes: int = 512) -> float:
         """Table 2's 'total' row: every task every step, with overlap."""
@@ -181,8 +157,10 @@ class AntonModel:
         n_nodes: int = 512,
         dt_fs: float = 2.5,
         long_range_every: int = 2,
+        short_comm_us: float = 0.0,
+        long_comm_us: float = 0.0,
     ) -> float:
         """Simulated microseconds per wall-clock day (Figure 5's axis)."""
-        step = self.step_us(w, n_nodes, long_range_every)
+        step = self.step_us(w, n_nodes, long_range_every, short_comm_us, long_comm_us)
         steps_per_day = 86400e6 / step
         return steps_per_day * dt_fs * 1e-9

@@ -122,13 +122,13 @@ class PerformanceModel:
             long_range_every=long_range_every,
         )
         w = workload_from_spec(spec, n_nodes=n_nodes)
-        comm["step_us_routed"] = self.anton.step_us_routed(
-            w, n_nodes, comm["short_comm_us"], comm["long_comm_us"], long_range_every
-        )
-        comm["us_per_day_routed"] = self.anton.us_per_day_routed(
-            w, n_nodes, comm["short_comm_us"], comm["long_comm_us"],
+        routed = dict(
             long_range_every=long_range_every,
+            short_comm_us=comm["short_comm_us"],
+            long_comm_us=comm["long_comm_us"],
         )
+        comm["step_us_routed"] = self.anton.step_us(w, n_nodes, **routed)
+        comm["us_per_day_routed"] = self.anton.us_per_day(w, n_nodes, **routed)
         comm["us_per_day_counter"] = self.anton.us_per_day(
             w, n_nodes=n_nodes, long_range_every=long_range_every
         )

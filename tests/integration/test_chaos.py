@@ -89,12 +89,11 @@ class TestChaosInvariance:
         assert clean["packed"] == chaos["packed"]
 
         # Primary traffic is exactly the clean run's; the healing cost
-        # is visible but quarantined in the recovery pool.
+        # (retransmits and replayed steps) is visible but quarantined in
+        # the recovery pool.
         assert clean["traffic"] == chaos["traffic"]
-        assert chaos["recovery"]["retransmit"][0] > 0
-        assert chaos["recovery"]["replay"][0] > 0
-        assert clean["recovery"]["retransmit"] == (0, 0)
-        assert clean["recovery"]["replay"] == (0, 0)
+        assert sum(m for m, _ in chaos["recovery"].values()) > 0
+        assert clean["recovery"] == {}
 
     def test_serial_and_vectorized_heal_identically(self, base_system):
         serial = run_machine(base_system, "serial", faults=CHAOS_RATES)

@@ -183,7 +183,8 @@ class TestFaultedRouting:
         try:
             chaos.run(8)
             assert chaos.fault_report()["injected"] > 0
-            assert chaos.router.recovery.total_bytes() > 0
+            assert chaos.network.recovery_router.primary.total_bytes() > 0
+            assert chaos.network_report()["recovery_link_bytes"] > 0
             assert np.array_equal(chaos.router.primary.bytes, clean_primary)
             assert pack_state(chaos.checkpoint()) == clean_state
         finally:

@@ -3,8 +3,10 @@
 For arbitrary message sets on arbitrary torus shapes: summing routed
 per-link bytes reproduces ``NetworkStats.hop_bytes`` exactly (with the
 multicast/compression savings counters closing the identity when
-those transforms are on), and primary/retransmit segregation survives
-routing — recovery charges never perturb a single primary link.
+those transforms are on), and primary/recovery segregation survives
+routing — recovery charges never perturb a single primary link, and
+the fault layer's recovery router closes the same identity over the
+recovery pool.
 """
 
 import numpy as np
@@ -40,7 +42,11 @@ def traffic():
 
 
 def charge_random(net, seed: int, n_messages: int, retransmit_every: int = 0):
-    """Drive a deterministic mix of send / send_batch / multicast."""
+    """Drive a deterministic mix of send / send_batch / multicast.
+
+    With ``retransmit_every`` (a :class:`FaultyNetwork` only), every
+    that-many-th charge is sent as recovery traffic.
+    """
     rng = np.random.default_rng(seed)
     n_nodes = net.topology.n_nodes
     tags = ("position_import", "force_export", "fft_axis0")
@@ -48,22 +54,26 @@ def charge_random(net, seed: int, n_messages: int, retransmit_every: int = 0):
         kind = rng.integers(0, 3)
         tag = tags[rng.integers(0, len(tags))]
         retransmit = bool(retransmit_every and k % retransmit_every == 0)
+        if retransmit:
+            net.set_recovery(True)
         if kind == 0:
             net.send(
                 int(rng.integers(0, n_nodes)), int(rng.integers(0, n_nodes)),
-                int(rng.integers(1, 4096)), tag=tag, retransmit=retransmit,
+                int(rng.integers(1, 4096)), tag=tag,
             )
         elif kind == 1:
             m = int(rng.integers(1, 8))
             net.send_batch(
                 rng.integers(0, n_nodes, size=m), rng.integers(0, n_nodes, size=m),
-                rng.integers(1, 4096, size=m), tag=tag, retransmit=retransmit,
+                rng.integers(1, 4096, size=m), tag=tag,
             )
         else:
             src = int(rng.integers(0, n_nodes))
             m = int(rng.integers(1, min(n_nodes + 1, 6)))
             dsts = rng.choice(n_nodes, size=m, replace=False)
             net.multicast(src, list(dsts), int(rng.integers(1, 4096)), tag=tag)
+        if retransmit:
+            net.set_recovery(False)
 
 
 @given(traffic())
@@ -111,7 +121,7 @@ def test_retransmit_segregation_survives_routing(params):
     run's primary link loads; the extras land in the recovery pool."""
     dims, config, seed, n_messages = params
     topo = TorusTopology(dims)
-    clean, faulted = SimNetwork(topo), SimNetwork(topo)
+    clean, faulted = SimNetwork(topo), FaultyNetwork(topo)
     clean.attach_router(LinkRouter(topo, config))
     faulted.attach_router(LinkRouter(topo, config))
     charge_random(clean, seed, n_messages)
@@ -120,7 +130,7 @@ def test_retransmit_segregation_survives_routing(params):
     # copy would have, just in the other pool — so pool-wise the
     # faulted run decomposes the clean run's loads, link by link.
     assert np.array_equal(
-        faulted.router.primary.bytes + faulted.router.recovery.bytes,
+        faulted.router.primary.bytes + faulted.recovery_router.primary.bytes,
         clean.router.primary.bytes,
     )
     # And the faulted run's primary counters stay internally consistent.
@@ -157,3 +167,27 @@ def test_faulty_network_recovery_pool_segregation(params):
         + r.compression_saved_hop_bytes
     )
     assert lhs == net.primary_stats.hop_bytes
+
+
+@given(traffic(), st.sampled_from([4, 8, 16]))
+@settings(max_examples=20, deadline=None)
+def test_recovery_router_conserves_recovery_hop_bytes(params, delta_bits):
+    """The recovery pool keeps the conservation identity too: through a
+    routed FaultyNetwork with tree multicast and delta compression,
+    recovery link bytes + its savings == ``recovery_stats.hop_bytes``,
+    for interleaved retransmissions and whole replayed stretches."""
+    dims, _, seed, n_messages = params
+    topo = TorusTopology(dims)
+    net = FaultyNetwork(topo)
+    net.attach_router(LinkRouter(topo, RoutedConfig(multicast="tree", delta_bits=delta_bits)))
+    charge_random(net, seed, n_messages, retransmit_every=2)
+    net.set_recovery(True)
+    charge_random(net, seed + 1, n_messages)
+    net.set_recovery(False)
+    r = net.recovery_router
+    lhs = (
+        r.primary.total_bytes()
+        + r.multicast_saved_hop_bytes
+        + r.compression_saved_hop_bytes
+    )
+    assert lhs == net.recovery_stats.hop_bytes

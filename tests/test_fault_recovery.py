@@ -128,7 +128,9 @@ class TestFaultyNetwork:
         net.begin_step(1)
         net.send(0, 1, 100, tag="a")
         net.send(2, 2, 100, tag="a")  # local: free, not on the wire
-        net.send(0, 1, 100, tag="a", retransmit=True)  # recovery traffic
+        net.set_recovery(True)
+        net.send(0, 1, 100, tag="a")  # recovery traffic
+        net.set_recovery(False)
         ledger = net.end_step()
         assert ledger.n_messages == 1
 
@@ -250,7 +252,8 @@ class TestFaultControllerHealing:
         assert fc.counters["retries"] == 1
         assert fc.counters["retransmitted_bytes"] == 64
         assert net.primary_stats.messages == 0  # retransmit never hits primary
-        assert net.stats.retransmit_messages == 1
+        assert net.recovery_stats.by_tag["t"] == (1, 64)
+        assert not net.in_recovery
 
     def test_persistent_fault_escalates_to_link_failure(self):
         fc = self.make_controller(max_retries=2)

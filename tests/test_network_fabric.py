@@ -3,13 +3,15 @@
 The router is an additive accounting layer on SimNetwork; these tests
 pin its contracts — per-link byte sums decompose ``hop_bytes``
 exactly in every configuration, loop and batch charging produce
-identical link loads, recovery traffic never touches the primary
-pool, and predicted phase time is monotone in injected congestion.
+identical link loads, recovery traffic (on the fault layer's second
+router) never touches the primary pool, and predicted phase time is
+monotone in injected congestion.
 """
 
 import numpy as np
 import pytest
 
+from repro.fault import FaultyNetwork
 from repro.machine.config import ANTON_2008
 from repro.network import CongestionModel, LinkRouter, RoutedConfig
 from repro.parallel.comm import SimNetwork
@@ -18,9 +20,9 @@ from repro.parallel.topology import TorusTopology
 DIMS = (4, 2, 8)
 
 
-def routed_network(config=None):
+def routed_network(config=None, network=SimNetwork):
     topo = TorusTopology(DIMS)
-    net = SimNetwork(topo)
+    net = network(topo)
     net.attach_router(LinkRouter(topo, config))
     return net
 
@@ -113,26 +115,28 @@ class TestConservation:
 
 class TestRecoverySegregation:
     def test_retransmit_lands_in_recovery_pool(self):
-        net = routed_network()
+        net = routed_network(network=FaultyNetwork)
         net.send(0, 9, 100, tag="pairs")
         primary = net.router.primary.bytes.copy()
-        net.send(0, 9, 100, tag="pairs", retransmit=True)
-        net.send_batch(
-            np.array([1, 2]), np.array([8, 9]), np.array([50, 60]),
-            tag="pairs", retransmit=True,
-        )
+        net.set_recovery(True)
+        net.send(0, 9, 100, tag="pairs")
+        net.send_batch(np.array([1, 2]), np.array([8, 9]), np.array([50, 60]), tag="pairs")
+        net.set_recovery(False)
         assert np.array_equal(net.router.primary.bytes, primary)
-        assert net.router.recovery.total_bytes() > 0
-        assert net.router.recovery_by_tag["pairs"] == net.router.recovery.total_bytes()
+        recovery = net.recovery_router
+        assert recovery.primary.total_bytes() > 0
+        assert recovery.primary.total_bytes() == net.recovery_stats.hop_bytes
 
     def test_recovery_routes_over_same_links(self):
         """A retransmission occupies exactly the primary message's links,
         just in the other pool."""
-        net_a, net_b = routed_network(), routed_network()
+        net_a, net_b = routed_network(), routed_network(network=FaultyNetwork)
         net_a.send(2, 13, 100, tag="pairs")
-        net_b.send(2, 13, 100, tag="pairs", retransmit=True)
+        net_b.set_recovery(True)
+        net_b.send(2, 13, 100, tag="pairs")
+        assert net_b.router is net_b.recovery_router
         assert np.array_equal(
-            net_a.router.primary.bytes, net_b.router.recovery.bytes
+            net_a.router.primary.bytes, net_b.recovery_router.primary.bytes
         )
 
 
@@ -179,7 +183,7 @@ class TestReportShape:
             "topology", "links", "multicast_mode", "delta_bits", "steps",
             "phases", "link_bytes_total", "link_packets_total", "max_link_bytes",
             "busiest_links", "multicast", "compression_saved_link_bytes",
-            "multicast_saved_link_bytes", "recovery_link_bytes", "comm_us_per_step",
+            "multicast_saved_link_bytes", "comm_us_per_step",
         ):
             assert key in report, key
         ph = report["phases"]["position_import"]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.fault import FaultyNetwork
 from repro.parallel.comm import SimNetwork
 from repro.parallel.topology import TorusTopology
 
@@ -79,9 +80,9 @@ class TestSimNetwork:
     def test_local_send_free(self):
         topo = TorusTopology.cubic(2)
         net = SimNetwork(topo)
-        net.send(3, 3, 1000, tag="local", payload="x")
+        net.send(3, 3, 1000, tag="local")
         assert net.stats.messages == 0
-        assert net.receive(3, "local") == ["x"]
+        assert net.stats.by_tag == {}
 
     def test_hop_weighted_bytes(self):
         topo = TorusTopology.cubic(8)
@@ -90,20 +91,12 @@ class TestSimNetwork:
         net.send(0, far, 10, tag="t")
         assert net.stats.hop_bytes == 120
 
-    def test_payload_delivery_order(self):
-        topo = TorusTopology.cubic(2)
-        net = SimNetwork(topo)
-        net.send(0, 1, 4, tag="t", payload="first")
-        net.send(2, 1, 4, tag="t", payload="second")
-        assert net.receive(1, "t") == ["first", "second"]
-        assert net.receive(1, "t") == []
-
     def test_multicast(self):
         topo = TorusTopology.cubic(2)
         net = SimNetwork(topo)
-        net.multicast(0, [1, 2, 3], 8, tag="mc", payload="data")
-        assert net.stats.messages == 3
-        assert net.receive(2, "mc") == ["data"]
+        net.multicast(0, [0, 1, 2, 3], 8, tag="mc")
+        assert net.stats.messages == 3  # the local copy is free
+        assert net.stats.by_tag["mc"] == (3, 24)
 
     def test_reset(self):
         topo = TorusTopology.cubic(2)
@@ -114,60 +107,71 @@ class TestSimNetwork:
 
 
 class TestRetransmitAccounting:
-    """Retransmissions are charged separately so fault recovery cannot
-    inflate the primary counters the Table 3 comparison reads."""
+    """Retransmissions are ordinary sends into the fault layer's
+    recovery pool, so fault recovery cannot inflate the primary counters
+    the Table 3 comparison reads."""
 
     def test_send_retransmit_leaves_primary_untouched(self):
-        net = SimNetwork(TorusTopology.cubic(4))
+        net = FaultyNetwork(TorusTopology.cubic(4))
         net.send(0, 1, 100, tag="a")
-        net.send(0, 1, 100, tag="a", retransmit=True)
-        net.send(0, 1, 100, tag="a", retransmit=True)
+        net.set_recovery(True)
+        net.send(0, 1, 100, tag="a")
+        net.send(0, 1, 100, tag="a")
+        net.set_recovery(False)
+        assert net.stats is net.primary_stats
         assert net.stats.messages == 1
         assert net.stats.bytes == 100
         assert net.stats.by_tag["a"] == (1, 100)
-        assert net.stats.retransmit_messages == 2
-        assert net.stats.retransmit_bytes == 200
-        assert net.stats.by_tag_retransmit["a"] == (2, 200)
+        assert net.recovery_stats.messages == 2
+        assert net.recovery_stats.bytes == 200
+        assert net.recovery_stats.by_tag["a"] == (2, 200)
 
     def test_send_batch_retransmit_leaves_primary_untouched(self):
         topo = TorusTopology.cubic(4)
-        net = SimNetwork(topo)
+        net = FaultyNetwork(topo)
         rng = np.random.default_rng(3)
         src = rng.integers(0, topo.n_nodes, 50)
         dst = rng.integers(0, topo.n_nodes, 50)
         nbytes = rng.integers(1, 200, 50)
         net.send_batch(src, dst, nbytes, tag="t")
         primary = (net.stats.messages, net.stats.bytes, dict(net.stats.by_tag))
-        net.send_batch(src, dst, nbytes, tag="t", retransmit=True)
+        net.set_recovery(True)
+        net.send_batch(src, dst, nbytes, tag="t")
+        net.set_recovery(False)
         assert (net.stats.messages, net.stats.bytes, dict(net.stats.by_tag)) == primary
-        assert net.stats.retransmit_messages == net.stats.messages
-        assert net.stats.retransmit_bytes == net.stats.bytes
+        assert net.recovery_stats.messages == net.stats.messages
+        assert net.recovery_stats.bytes == net.stats.bytes
+        assert net.recovery_stats.hop_bytes == net.stats.hop_bytes
 
     def test_batch_retransmit_matches_send_loop(self):
         topo = TorusTopology.cubic(4)
-        loop, batch = SimNetwork(topo), SimNetwork(topo)
+        loop, batch = FaultyNetwork(topo), FaultyNetwork(topo)
         rng = np.random.default_rng(7)
         src = rng.integers(0, topo.n_nodes, 100)
         dst = rng.integers(0, topo.n_nodes, 100)
         nbytes = rng.integers(1, 300, 100)
+        loop.set_recovery(True)
         for s, d, b in zip(src, dst, nbytes):
-            loop.send(int(s), int(d), int(b), tag="t", retransmit=True)
-        batch.send_batch(src, dst, nbytes, tag="t", retransmit=True)
-        assert batch.stats.retransmit_messages == loop.stats.retransmit_messages
-        assert batch.stats.retransmit_bytes == loop.stats.retransmit_bytes
-        assert batch.stats.by_tag_retransmit == loop.stats.by_tag_retransmit
+            loop.send(int(s), int(d), int(b), tag="t")
+        batch.set_recovery(True)
+        batch.send_batch(src, dst, nbytes, tag="t")
+        a, b = batch.recovery_stats, loop.recovery_stats
+        assert (a.messages, a.bytes, a.hop_bytes) == (b.messages, b.bytes, b.hop_bytes)
+        assert a.by_tag == b.by_tag
 
     def test_local_retransmit_free(self):
-        net = SimNetwork(TorusTopology.cubic(2))
-        net.send(3, 3, 1000, tag="t", retransmit=True)
-        assert net.stats.retransmit_messages == 0
+        net = FaultyNetwork(TorusTopology.cubic(2))
+        net.set_recovery(True)
+        net.send(3, 3, 1000, tag="t")
+        assert net.recovery_stats.messages == 0
 
     def test_reset_clears_retransmit_counters(self):
-        net = SimNetwork(TorusTopology.cubic(2))
-        net.send(0, 1, 100, tag="t", retransmit=True)
+        net = FaultyNetwork(TorusTopology.cubic(2))
+        net.set_recovery(True)
+        net.send(0, 1, 100, tag="t")
         net.reset_stats()
-        assert net.stats.retransmit_messages == 0
-        assert net.stats.by_tag_retransmit == {}
+        assert net.recovery_stats.messages == 0
+        assert net.recovery_stats.by_tag == {}
 
 
 class TestVectorizedTopologyOps:

@@ -164,16 +164,21 @@ class TestRoutedPrediction:
     """The routed fabric on the critical path of the Figure 5 model."""
 
     def test_step_composition_without_comm_is_step_us(self, pm):
+        """Without communication the step is the compute composition:
+        overhead + short chain + long chain / long_range_every."""
+        from repro.perf.antonmodel import _STEP_OVERHEAD_US
+
         w = pm.dhfr_workload(cutoff=13.0, mesh=64)
-        assert pm.anton.step_us_routed(w, 512, 0.0, 0.0) == pytest.approx(
-            pm.anton.step_us(w, 512)
-        )
+        p = pm.anton.profile(w, 512)
+        compute = _STEP_OVERHEAD_US + pm.anton.short_us(p) + pm.anton.long_range_us(p) / 2
+        assert pm.anton.step_us(w, 512, short_comm_us=0.0, long_comm_us=0.0) == compute
+        assert pm.anton.step_us(w, 512) == compute
 
     def test_comm_only_binds_when_it_exceeds_compute(self, pm):
         w = pm.dhfr_workload(cutoff=13.0, mesh=64)
         base = pm.anton.step_us(w, 512)
-        hidden = pm.anton.step_us_routed(w, 512, short_comm_us=0.01, long_comm_us=0.01)
-        bound = pm.anton.step_us_routed(w, 512, short_comm_us=1e4, long_comm_us=1e4)
+        hidden = pm.anton.step_us(w, 512, short_comm_us=0.01, long_comm_us=0.01)
+        bound = pm.anton.step_us(w, 512, short_comm_us=1e4, long_comm_us=1e4)
         assert hidden == pytest.approx(base)
         assert bound > base
 
