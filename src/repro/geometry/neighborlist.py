@@ -7,8 +7,10 @@ pair-search overhead.  :class:`NeighborList` amortizes that cost the
 way GROMACS does: rebuild through the kernel suite's
 ``neighbor_build`` — on the NumPy tier the fully vectorized cell engine
 (:func:`~repro.geometry.cells.cell_candidate_pairs`, one block for a
-solo system), on the compiled tier one C cell sweep emitting the same
-canonical list — keeping every pair out to
+solo system), on the compiled tier one C sweep that tests each row
+against contiguous runs of cell-ordered coordinates, sweeps every row
+once (a list that outgrows its buffers resumes, it does not restart)
+and emits the same canonical list — keeping every pair out to
 ``cutoff + skin`` with the static exclusion mask applied once, and
 reuse the list until some atom has moved more than ``skin / 2`` since
 the last build — the classical sufficient condition, since two atoms
@@ -188,8 +190,10 @@ class EnsembleNeighborList(NeighborList):
     """Neighbor list for R replicas stacked along the atom axis.
 
     Replica ``r`` owns atom rows ``[r * n_solo, (r + 1) * n_solo)``; one
-    batched binning/filter/sort pass builds all replicas' candidates
-    (the suite's ``neighbor_build`` over ``replicas`` blocks), and the
+    call of the suite's ``neighbor_build`` over ``replicas`` blocks
+    builds all replicas' candidates (on the NumPy tier one batched
+    binning/filter/sort pass, on the compiled tier one C sweep binning
+    each block in turn), and the
     walk handed to the inherited :meth:`pairs` runs once over the
     concatenated candidate list.  The candidate list restricted to a
     replica is in that replica's canonical order (the global sort key

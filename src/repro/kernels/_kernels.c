@@ -115,14 +115,31 @@ static inline double rk_image(double d, double L, double h)
  * wrapped stencil cells distinct.  A shorter axis is left unbinned, so a
  * box that admits no binning at all degenerates to one cell and an
  * all-pairs sweep.  Atoms are counting-sorted into cells in ascending
- * id, rows are swept in ascending i testing only the j > i tail of each
- * stencil cell, hits are marked in a per-row bitmap, the row's excluded
- * partners are cleared from it, and the set bits are emitted in
- * ascending j.
+ * id, their coordinates copied in cell order into three arrays (sx, sy,
+ * sz).
+ *
+ * Rows are swept in ascending i.  A row walks the stencil's (x, y)
+ * columns; a column's z-window of cells is contiguous in cell order up
+ * to one wrap, so its atoms are at most two contiguous runs of the
+ * cell-ordered arrays.  Each run is tested in blocks of RK_NB_BLOCK
+ * entries: the predicate and j > i, branch-free, into a one-word mask on
+ * the stack (element-wise IEEE operations, integer compares and an
+ * integer OR, so the loop may vectorize at any width without moving a
+ * bit — DESIGN.md, vector-width lemma), whose set bits are then marked
+ * in a per-row bitmap.  The row's excluded partners are cleared from it
+ * and the set bits are emitted in ascending j.
+ *
+ * The sweep is resumable, so a rebuild sweeps every row once: a row
+ * whose pairs do not fit in the `cap` output slots is not emitted, the
+ * sweep stops before it, and the caller grows the outputs and calls
+ * again from that row.
  *
  * Positions must be wrapped into [0, L). */
 
 #define RK_NB_SLACK (1.0 + 1e-9)
+
+/* Entries per block of the mask loop: one bit each in a uint64_t. */
+#define RK_NB_BLOCK 64
 
 /* Cells per axis never exceed this, so a block's cell table stays
  * proportional to its atom count (never below the seven an axis needs
@@ -142,13 +159,47 @@ int64_t rk_neighbor_work_size(int64_t block_len)
     return c * c * c + 1 + 5 * block_len + (block_len + 63) / 64;
 }
 
-/* Returns the number of pairs found.  Only the first `cap` are written;
- * a return value above `cap` tells the caller to grow and call again. */
+/* Marks in `bits` every j = cj[p] > i of the run [p0, p1) whose distance
+ * from (a0, a1, a2) passes the predicate; widens [*wlo, *whi] to the
+ * bitmap words it touched. */
+static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
+                             int64_t p0, int64_t p1,
+                             const int64_t *restrict cj,
+                             const double *restrict sx,
+                             const double *restrict sy,
+                             const double *restrict sz,
+                             const double *L, const double *h, double reach2,
+                             uint64_t *restrict bits, int64_t *wlo, int64_t *whi)
+{
+    for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
+        const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
+        uint64_t mask = 0;
+        for (int64_t k = 0; k < nb; k++) {
+            /* cells.within's predicate, operation for operation */
+            const double d0 = rk_image(a0 - sx[p + k], L[0], h[0]);
+            const double d1 = rk_image(a1 - sy[p + k], L[1], h[1]);
+            const double d2 = rk_image(a2 - sz[p + k], L[2], h[2]);
+            const int64_t hit = (cj[p + k] > i) & ((d0 * d0 + d1 * d1) + d2 * d2 < reach2);
+            mask |= (uint64_t)hit << k;
+        }
+        for (; mask; mask &= mask - 1) {
+            const int64_t j = cj[p + __builtin_ctzll(mask)], wd = j >> 6;
+            bits[wd] |= (uint64_t)1 << (j & 63);
+            *wlo = wd < *wlo ? wd : *wlo;
+            *whi = wd > *whi ? wd : *whi;
+        }
+    }
+}
+
+/* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
+ * at[1] pairs already in oi/oj kept.  On return at[0] is the first row
+ * not swept and at[1] the pairs written.  Returns 0 when every row is
+ * swept, else the pair count of row at[0], which did not fit in cap. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           const double *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
                           int64_t *work, int64_t *oi, int64_t *oj,
-                          int64_t cap)
+                          int64_t cap, int64_t *at)
 {
     const double reach2 = reach * reach;
     const double h[3] = {0.5 * L[0], 0.5 * L[1], 0.5 * L[2]};
@@ -170,12 +221,15 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
     }
     const int64_t ncell = nc[0] * nc[1] * nc[2];
 
-    /* Stencil offsets whose cells can hold a partner: the face gap per
-     * axis is (|o| - 1) * cell width. */
-    int64_t st[343][3], nst = 0;
+    /* Stencil columns (ox, oy) and the z half-width kz of the cells in
+     * each that can hold a partner: the face gap per axis is (|o| - 1) *
+     * cell width, and it grows with |oz|, so each column's cells are the
+     * window -kz..kz. */
+    int64_t col[49][3], ncol = 0;
     for (int64_t ox = -kk[0]; ox <= kk[0]; ox++)
-        for (int64_t oy = -kk[1]; oy <= kk[1]; oy++)
-            for (int64_t oz = -kk[2]; oz <= kk[2]; oz++) {
+        for (int64_t oy = -kk[1]; oy <= kk[1]; oy++) {
+            int64_t kz = -1;
+            for (int64_t oz = 0; oz <= kk[2]; oz++) {
                 const int64_t o[3] = {ox, oy, oz};
                 double g2 = 0.0;
                 for (int a = 0; a < 3; a++) {
@@ -183,23 +237,27 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     double gap = g > 0 ? (double)g * cs[a] : 0.0;
                     g2 += gap * gap;
                 }
-                if (g2 < reach2 * RK_NB_SLACK) {
-                    st[nst][0] = ox;
-                    st[nst][1] = oy;
-                    st[nst][2] = oz;
-                    nst++;
-                }
+                if (g2 < reach2 * RK_NB_SLACK)
+                    kz = oz;
             }
+            if (kz >= 0) {
+                col[ncol][0] = ox;
+                col[ncol][1] = oy;
+                col[ncol][2] = kz;
+                ncol++;
+            }
+        }
 
     int64_t *cell_start = work;                  /* ncell + 1        */
     int64_t *cell_atoms = cell_start + axis_cap * axis_cap * axis_cap + 1;
     int64_t *atom_cell = cell_atoms + block_len;
     uint64_t *bits = (uint64_t *)(atom_cell + block_len);
     double *sx = (double *)(bits + (block_len + 63) / 64); /* cell order */
+    double *sy = sx + block_len, *sz = sy + block_len;
     memset(bits, 0, (size_t)((block_len + 63) / 64) * sizeof *bits);
 
-    int64_t m = 0;
-    for (int64_t b = 0; b < n_blocks; b++) {
+    int64_t m = at[1];
+    for (int64_t b = at[0] / (block_len > 0 ? block_len : 1); b < n_blocks; b++) {
         const int64_t base = b * block_len;
         const double *x = w + 3 * base;
 
@@ -222,45 +280,43 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
         for (int64_t i = 0; i < block_len; i++) {
             int64_t p = cell_start[atom_cell[i]]++;
             cell_atoms[p] = i;
-            sx[3 * p] = x[3 * i];
-            sx[3 * p + 1] = x[3 * i + 1];
-            sx[3 * p + 2] = x[3 * i + 2];
+            sx[p] = x[3 * i];
+            sy[p] = x[3 * i + 1];
+            sz[p] = x[3 * i + 2];
         }
         for (int64_t c = ncell; c > 0; c--) /* undo the fill's advance */
             cell_start[c] = cell_start[c - 1];
         cell_start[0] = 0;
 
-        for (int64_t i = 0; i < block_len; i++) {
+        for (int64_t i = at[0] > base ? at[0] - base : 0; i < block_len; i++) {
             const double a0 = x[3 * i], a1 = x[3 * i + 1], a2 = x[3 * i + 2];
             const int64_t ci = atom_cell[i];
             const int64_t cx = ci / (nc[1] * nc[2]);
             const int64_t cy = (ci / nc[2]) % nc[1];
             const int64_t cz = ci % nc[2];
             int64_t wlo = INT64_MAX, whi = -1;
-            for (int64_t s = 0; s < nst; s++) {
-                int64_t nx = cx + st[s][0], ny = cy + st[s][1], nz = cz + st[s][2];
+            for (int64_t s = 0; s < ncol; s++) {
+                int64_t nx = cx + col[s][0], ny = cy + col[s][1];
                 nx += nx < 0 ? nc[0] : (nx >= nc[0] ? -nc[0] : 0);
                 ny += ny < 0 ? nc[1] : (ny >= nc[1] ? -nc[1] : 0);
-                nz += nz < 0 ? nc[2] : (nz >= nc[2] ? -nc[2] : 0);
-                const int64_t c = (nx * nc[1] + ny) * nc[2] + nz;
-                const int64_t lo = cell_start[c];
-                for (int64_t p = cell_start[c + 1] - 1; p >= lo; p--) {
-                    const int64_t j = cell_atoms[p];
-                    if (j <= i)
-                        break;
-                    /* cells.within's predicate, operation for operation */
-                    double d0 = rk_image(a0 - sx[3 * p], L[0], h[0]);
-                    double d1 = rk_image(a1 - sx[3 * p + 1], L[1], h[1]);
-                    double d2 = rk_image(a2 - sx[3 * p + 2], L[2], h[2]);
-                    if ((d0 * d0 + d1 * d1) + d2 * d2 < reach2) {
-                        const int64_t wd = j >> 6;
-                        bits[wd] |= (uint64_t)1 << (j & 63);
-                        if (wd < wlo)
-                            wlo = wd;
-                        if (wd > whi)
-                            whi = wd;
-                    }
+                const int64_t *cz0 = cell_start + (nx * nc[1] + ny) * nc[2];
+                const int64_t kz = col[s][2], lo = cz - kz, hi = cz + kz + 1;
+                /* The window [lo, hi) as runs of cells, wrapped past at
+                 * most one end (2 kz + 1 <= nc[2]: a window as long as
+                 * the axis tiles it in two runs). */
+                int64_t r[2][2], nr = 1;
+                if (lo < 0) {
+                    r[0][0] = 0, r[0][1] = hi;
+                    r[1][0] = lo + nc[2], r[1][1] = nc[2], nr = 2;
+                } else if (hi > nc[2]) {
+                    r[0][0] = lo, r[0][1] = nc[2];
+                    r[1][0] = 0, r[1][1] = hi - nc[2], nr = 2;
+                } else {
+                    r[0][0] = lo, r[0][1] = hi;
                 }
+                for (int64_t k = 0; k < nr; k++)
+                    rk_nb_run(i, a0, a1, a2, cz0[r[k][0]], cz0[r[k][1]], cell_atoms,
+                              sx, sy, sz, L, h, reach2, bits, &wlo, &whi);
             }
             if (excl_ptr)
                 for (int64_t e = excl_ptr[base + i]; e < excl_ptr[base + i + 1]; e++) {
@@ -268,21 +324,31 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     if (j >= 0 && j < block_len)
                         bits[j >> 6] &= ~((uint64_t)1 << (j & 63));
                 }
+            int64_t row = 0;
+            for (int64_t wd = wlo; wd <= whi; wd++)
+                row += __builtin_popcountll(bits[wd]);
+            if (m + row > cap) {
+                for (int64_t wd = wlo; wd <= whi; wd++)
+                    bits[wd] = 0;
+                at[0] = base + i;
+                at[1] = m;
+                return row;
+            }
             for (int64_t wd = wlo; wd <= whi; wd++) {
                 uint64_t word = bits[wd];
                 bits[wd] = 0;
                 while (word) {
-                    if (m < cap) {
-                        oi[m] = base + i;
-                        oj[m] = base + (wd << 6) + __builtin_ctzll(word);
-                    }
+                    oi[m] = base + i;
+                    oj[m] = base + (wd << 6) + __builtin_ctzll(word);
                     m++;
                     word &= word - 1;
                 }
             }
         }
     }
-    return m;
+    at[0] = n_blocks * block_len;
+    at[1] = m;
+    return 0;
 }
 
 /* -- range-limited pair walk ------------------------------------------ */

@@ -275,7 +275,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.restype = i64
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
-    lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64]
+    lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64, p]
     # The walk takes a PairSpec by reference.
     lib.rk_pair_walk.restype = i64
     lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]

@@ -147,6 +147,21 @@ def _i64(a) -> np.ndarray:
     return np.asarray(a, dtype=np.int64, order="C")
 
 
+def _extrapolated_pairs(pairs: int, rows: int, block_len: int, n_blocks: int) -> int:
+    """A rebuild's pair count, extrapolated from its first ``rows`` rows.
+
+    Row ``i`` of a block of ``B`` atoms keeps only partners ``j > i``, so
+    on average its share of the block's pairs is proportional to
+    ``B - 1 - i``, and the first ``t`` rows hold ``t (2B - 1 - t) /
+    (B (B - 1))`` of them.  The first row alone thus sizes a fresh
+    list's buffers.
+    """
+    b = block_len
+    full, t = divmod(rows, b)
+    done = (full + t * (2 * b - 1 - t) / (b * (b - 1))) / n_blocks
+    return math.ceil(pairs / done)
+
+
 def _stencil_sums(g: np.ndarray, dx, dy, dz, out: np.ndarray) -> None:
     """``out[i] = Σ g[i]·(dx, dy, dz)`` over each atom's stencil cube.
 
@@ -642,8 +657,11 @@ class CompiledKernels(NumpyKernels):
 
         Pairs land in ``bufs``, the caller's ``[oi, oj]`` int64 pair, and
         come back as prefix views of it, so a steady-state rebuild
-        allocates nothing; a count past their capacity replaces both
-        with larger buffers (1/8 headroom) and repeats the sweep.
+        allocates nothing.  A row that does not fit stops the sweep
+        before it; both buffers are then replaced by larger ones sized
+        from the rows already done (:func:`_extrapolated_pairs`, 1/8
+        headroom) and the sweep resumes at that row, so every row is
+        swept once — a fresh list's empty buffers included.
         """
         n = n_blocks * block_len
         wrapped = np.asarray(wrapped, dtype=np.float64, order="C")
@@ -658,17 +676,23 @@ class CompiledKernels(NumpyKernels):
         if work is None or len(work) < need:
             work = self._neighbor_work = np.empty(need, dtype=np.int64)
         ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
+        at = np.zeros(2, dtype=np.int64)  # [first row to sweep, pairs written]
         while True:
             oi, oj = bufs
-            m = int(
+            row_pairs = int(
                 self._lib.rk_neighbor_build(
                     n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
-                    ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi),
+                    ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi), _ptr(at),
                 )
             )
-            if m <= len(oi):
+            row, m = int(at[0]), int(at[1])
+            if not row_pairs:
                 return oi[:m], oj[:m]
-            bufs[:] = (np.empty(m + m // 8, dtype=np.int64) for _ in "ij")
+            size = _extrapolated_pairs(m + row_pairs, row + 1, block_len, n_blocks)
+            size += size // 8
+            grown = [np.empty(size, dtype=np.int64) for _ in "ij"]
+            grown[0][:m], grown[1][:m] = oi[:m], oj[:m]
+            bufs[:] = grown
 
     def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
                   oi, oj, e_lj, e_coul):

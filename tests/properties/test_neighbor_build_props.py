@@ -8,10 +8,15 @@ a per-block brute-force oracle (masked by ``ExclusionTable.is_excluded``)
 element for element.  The cases are built
 to land on every branch of both binnings, on both sides of the ``n <
 64`` brute-force threshold, on the box faces and on the strict ``<`` of
-the predicate.
+the predicate; deterministic ones pin the C sweep's column runs (a
+z-window that wraps, an axis of exactly seven cells, an unbinned axis
+under binned ones).  A rebuild sweeps every row once, also when its
+pairs outgrow the buffers and the sweep resumes.
 
 Skipped wholesale when the host has no C compiler.
 """
+
+import ctypes
 
 import numpy as np
 import pytest
@@ -88,12 +93,15 @@ def _oracle(wrapped, box, excl, replicas, n_solo):
     return ii, jj
 
 
-def _check(lengths, n_solo, replicas, with_excl, seed):
+def _check(lengths, n_solo, replicas, with_excl, seed, solo=None):
+    """Both suites' list == the oracle; ``solo`` overrides the positions."""
     box = Box(np.asarray(lengths, dtype=np.float64))
-    rng = np.random.default_rng(seed)
+    if solo is None:
+        solo = _positions(np.random.default_rng(seed), box.lengths, n_solo)
+    n_solo = len(solo)
     # Replicas start from identical coordinates, as ensembles do: shared
     # binning would pair every atom with its twins at distance zero.
-    pos = np.tile(_positions(rng, box.lengths, n_solo), (replicas, 1))
+    pos = np.tile(solo, (replicas, 1))
     excl = None
     if with_excl:
         excl = _chain_exclusions(n_solo)
@@ -171,24 +179,106 @@ def test_strict_cutoff_edge_and_box_faces():
     assert {(0, 1), (0, 2), (1, 2)} <= pairs  # 0 and wrapped-L coincide; L-ulp is adjacent
 
 
-def test_buffer_growth_rebuild_returns_full_list():
-    """A rebuild whose count outgrows the candidate buffers is complete."""
+def _face_slabs(rng, lengths, n, axis):
+    """``n`` atoms, a third of them within reach/3 of each face of ``axis``
+    (the first and the last cell there), the rest uniform."""
+    pos = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
+    slab = rng.uniform(0.0, REACH / 3, size=n)
+    third = n // 3
+    pos[:third, axis] = slab[:third]
+    pos[third : 2 * third, axis] = lengths[axis] - slab[third : 2 * third]
+    return pos
+
+
+@pytest.mark.parametrize(
+    "ratios,axis,replicas,with_excl",
+    [
+        ((3.2, 3.6, 4.0), 2, 1, True),   # 11 z cells: windows wrap past both ends
+        ((4.0, 3.2, 2.5), 2, 1, False),  # exactly seven z cells: the window is the whole axis
+        ((2.5, 4.0, 3.2), 0, 1, True),   # ... and seven x cells: offsets -3..3 hit every column
+        ((4.0, 3.6, 2.2), 2, 1, True),   # binned x/y over an unbinned z
+        ((2.05, 2.2, 2.3), 1, 1, False), # no axis binned: one cell, all pairs
+        ((3.2, 3.6, 4.0), 2, 3, True),   # R=3 stacked blocks with chain exclusions
+    ],
+)
+def test_column_runs_match_oracle(ratios, axis, replicas, with_excl):
+    """The C sweep's column runs offer every pair: wrapped, whole and
+    unbinned z-windows, single-cell boxes and stacked blocks."""
+    lengths = np.array(ratios) * REACH
+    solo = _face_slabs(np.random.default_rng(axis), lengths, 240, axis)
+    _check(lengths, len(solo), replicas, with_excl, seed=0, solo=solo)
+
+
+class _SweepLog:
+    """The compiled suite's library with ``rk_neighbor_build`` wrapped to
+    record, per call, the rows ``[first, end)`` it swept to emission
+    (read from the cursor ``[row, pairs]``, its last argument)."""
+
+    def __init__(self, lib):
+        self._lib = lib
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._lib, name)
+
+    def rk_neighbor_build(self, *args):
+        at = (ctypes.c_int64 * 2).from_address(args[11])
+        first = at[0]
+        out = self._lib.rk_neighbor_build(*args)
+        self.calls.append((first, at[0]))
+        return out
+
+    def rows_swept_once(self, n_rows: int) -> bool:
+        ends = [0]
+        for first, end in self.calls:
+            if first != ends[-1]:
+                return False
+            ends.append(end)
+        return ends[-1] == n_rows
+
+
+def test_buffer_growth_rebuild_returns_full_list(monkeypatch):
+    """A rebuild whose count outgrows the candidate buffers grows them,
+    resumes at the row that did not fit, and is complete; every row is
+    swept once, the fresh list's first build included."""
     box = Box(np.array([4.0, 5.0, 6.0]) * REACH)
     rng = np.random.default_rng(3)
     sparse = rng.uniform(0.0, 1.0, size=(160, 3)) * box.lengths
     dense = sparse.copy()
     dense[:120] = box.lengths / 2 + rng.normal(scale=0.4 * REACH, size=(120, 3))
+    suite = get_suite("compiled")
+    log = _SweepLog(suite._lib)
+    monkeypatch.setattr(suite, "_lib", log)
     ref = NeighborList(box, CUTOFF, skin=SKIN)
-    fast = NeighborList(box, CUTOFF, skin=SKIN, kernels=get_suite("compiled"))
-    fast.build(sparse)
+    fast = NeighborList(box, CUTOFF, skin=SKIN, kernels=suite)
+    fast.build(sparse)                      # empty buffers: stops at row 0, grows, resumes
+    assert len(log.calls) > 1 and log.rows_swept_once(160)
     cap = len(fast._bufs[0])
-    for pos in (dense, sparse, dense):
+    for k, pos in enumerate((dense, sparse, dense)):
+        log.calls.clear()
         ref.build(pos)
         fast.build(pos)
+        assert log.rows_swept_once(160)
+        if k == 0:                          # the dense list grows and resumes
+            assert len(log.calls) > 1
         np.testing.assert_array_equal(fast._cand_i, ref._cand_i)
         np.testing.assert_array_equal(fast._cand_j, ref._cand_j)
     assert fast.n_candidates > cap          # the dense list did not fit the first buffers
     grown = fast._bufs[0]
+    log.calls.clear()
     fast.build(dense)
-    assert fast._bufs[0] is grown           # steady state: no reallocation
+    assert log.calls == [(0, 160)]          # steady state: one call, every row
+    assert fast._bufs[0] is grown           # ... and no reallocation
     assert fast._cand_i.base is grown       # prefix view of the list-owned buffer
+
+
+def test_fresh_stacked_list_sweeps_every_row_once(monkeypatch):
+    """The first build of a fresh R=3 list sweeps each row once, chain
+    exclusions and block boundaries included."""
+    lengths = np.array([3.2, 3.6, 4.0]) * REACH
+    solo = _positions(np.random.default_rng(11), lengths, 150)
+    suite = get_suite("compiled")
+    log = _SweepLog(suite._lib)
+    monkeypatch.setattr(suite, "_lib", log)
+    _check(lengths, len(solo), 3, True, seed=0, solo=solo)
+    assert len(log.calls) > 1 and log.rows_swept_once(3 * 150)
