@@ -59,9 +59,11 @@ class ConstraintSolver:
     Parameters
     ----------
     iterations:
-        Maximum Gauss–Seidel sweeps.  Rigid water converges at ~0.4 per
-        sweep even from large perturbations; MD-step displacements
-        reach 1e-12 well inside the default.
+        Maximum Gauss–Seidel sweeps.  Rigid water's residual falls only
+        ~0.6× per sweep: measured after an MD step of 1,700 waters, SHAKE
+        reaches its 1e-10 tolerance after 34 of the default 40 sweeps,
+        and RATTLE's residual is still ~5e-12 (tolerance 1e-12) after
+        all 40: there RATTLE ends on this cap, not on its tolerance.
     kernels:
         The kernel suite :meth:`shake` and :meth:`rattle` run on, as
         one block of its ``shake_batch`` / ``rattle_batch``; the NumPy

@@ -19,7 +19,9 @@
  *
  * The build targets the host's vector ISA (build.py: -march=native), and
  * the hot loops are shaped so the compiler can use it: per-quantity block
- * arrays in the pair walk, contiguous runs in the mesh kernels.  That
+ * arrays in the pair walk, fixed-width runs over halo'd z columns in the
+ * quantized spread and the gather, contiguous runs in the float spread
+ * (the mesh blocks below say why each is the same bits).  That
  * costs no bit.  IEEE add, multiply, divide and rint are correctly
  * rounded per element at every vector width, the flags above leave the
  * compiler no contraction and no reassociation to apply (so it can
@@ -29,9 +31,11 @@
  * lemma.  There are no intrinsics and no ISA conditionals here: one plain
  * C implementation per kernel, whatever the target.
  *
- * Every kernel is single-threaded and the file holds no mutable global:
- * a call touches only the arrays it is handed, so Python threads may run
- * kernels concurrently on disjoint outputs (kernels/suite.py: map_chunks).
+ * Every kernel is single-threaded and the file holds no mutable global
+ * and allocates nothing on the heap: a call touches only the arrays it is
+ * handed, scratch included, so Python threads may run kernels
+ * concurrently on disjoint outputs and scratch (kernels/suite.py:
+ * map_chunks, one mesh scratch per thread).
  */
 
 #include <math.h>
@@ -716,8 +720,19 @@ void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
 
 /* -- SHAKE / RATTLE ---------------------------------------------------- */
 
+/* Box.minimum_image, d - L * rint(d / L), for the unwrapped differences
+ * SHAKE and RATTLE take (rk_image needs wrapped coordinates).  Lemma
+ * (no division inside the half box): for L > 0 finite, |d| <= L/2 (0.5 * L
+ * is exact) gives |fl(d / L)| <= 0.5, since correctly rounded division is
+ * monotone and 0.5 is a double, so rint(d / L) is a zero of d's sign (ties
+ * to even) and L * rint(d / L) one too; d minus a zero of its own sign is
+ * d for d != 0 and +0.0 for either zero d.  d + 0.0 is the same: d for
+ * d != 0, +0.0 for both zeros.  NaN, +-inf and |d| > L/2 fail the test
+ * and take the division. */
 static inline double rk_min_image(double d, double L)
 {
+    if (fabs(d) <= 0.5 * L)
+        return d + 0.0;
     return d - L * rint(d / L);
 }
 
@@ -895,7 +910,7 @@ void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
  * integer 0 in the quantized spread, -0.0 in the float spread and the
  * gather. */
 typedef struct { /* field for field kernels/build.py: MeshAxes */
-    int64_t kx, ky, kz, my, mz;
+    int64_t kx, ky, kz, kzp, mx, my, mz;
     const double *wxn, *wy, *wz, *dx, *dy, *dz;
     const int32_t *ix, *iy, *iz;
 } rk_axes;
@@ -908,18 +923,57 @@ typedef struct { /* field for field kernels/build.py: MeshAxes */
     const int32_t *ixi = (ax)->ix + (i) * kx, *iyi = (ax)->iy + (i) * ky;   \
     const int32_t *izi = (ax)->iz + (i) * kz
 
-/* Run splitting.  A stencil row's wrapped z indices are consecutive
- * mod mz (MeshStencilPlan.build: mod(base - c .. base + c, mz)), so the
- * row is a sequence of maximal runs of contiguous mesh points: the run
- * that starts at row position zs covers mesh points izi[zs] .. up to the
- * end of the mesh or of the row, whichever comes first (rk_zrun_end is
- * that row position), and the next one restarts at mesh point 0.  One
- * or two runs whenever kz <= mz, more for a stencil wider than the mesh;
- * the loop over runs is the only path either way.  Inside a run every
- * kernel below is a loop over contiguous memory with the sphere test as
- * a select, which is what lets the compiler use the host's vector unit
- * (DESIGN.md, vector-width lemma: each lane is the same correctly
- * rounded operation the scalar loop performs). */
+/* Halo'd columns (the quantized spread and the gather).  A stencil row's
+ * wrapped z indices are consecutive mod mz (MeshStencilPlan.build:
+ * mod(base - c .. base + c, mz)), so in a z column extended by a halo,
+ * with halo point z standing for mesh point z mod mz, every atom's row
+ * is one run of contiguous points starting at its first wrapped index
+ * izi[0] < mz, whatever kz is — wider than the mesh included.  The two
+ * kernels work in that layout: a caller-sized scratch of mx·my columns
+ * of hz = mz + kzp - 1 points, where kzp is kz rounded up to whole
+ * blocks of RK_ZLANES (kernels/suite.py sizes it), so each (x, y) column
+ * of a stencil is one run of kzp lanes starting at halo point izi[0],
+ * with no split and no epilogue.  A pad lane z >= kz has weight 0.0 and
+ * dz^2 = +inf: the sphere test fails there as it does outside the
+ * sphere, so a pad lane adds what a masked point adds in each kernel.
+ *   Spread, fold lemma: integer adds wrap mod 2^64 and commute, so
+ *   accumulating each code into its halo point and then adding every
+ *   halo point into acc[c·mz + z mod mz] sums the same codes per mesh
+ *   point as adding them there directly.
+ *   Gather, copy lemma: the halo holds phi[c·mz + z mod mz] at (c, z),
+ *   a copy, so each lane reads the very double the wrapped index names.
+ * The float spread keeps run splitting (rk_zrun_end): its per-bin float
+ * order is the contract, and a fold would reorder a bin's adds.  Inside
+ * a run or a column every kernel below is a loop over contiguous memory
+ * with the sphere test as a select, which is what lets the compiler use
+ * the host's vector unit (DESIGN.md, vector-width lemma: each lane is
+ * the same correctly rounded operation the scalar loop performs). */
+#define RK_ZLANES 8
+
+/* One atom's z row over kzp lanes: the weights wz (0.0 in the pad) and
+ * dz^2 (+inf in the pad), formed once per atom instead of once per
+ * (x, y) column — the same product either way.  The float spread takes
+ * kzp = kz: no pad. */
+static inline void rk_zlanes(const double *restrict wz,
+                             const double *restrict d, int64_t kz,
+                             int64_t kzp, double *restrict wzp,
+                             double *restrict dz2)
+{
+    for (int64_t z = 0; z < kz; z++) {
+        wzp[z] = wz[z];
+        dz2[z] = d[z] * d[z];
+    }
+    for (int64_t z = kz; z < kzp; z++) {
+        wzp[z] = 0.0;
+        dz2[z] = INFINITY;
+    }
+}
+
+/* Run splitting (the float spread only): the run that starts at row
+ * position zs covers mesh points izi[zs] .. up to the end of the mesh or
+ * of the row, whichever comes first (the returned row position), and the
+ * next one restarts at mesh point 0 — one or two runs whenever kz <= mz,
+ * more for a stencil wider than the mesh. */
 static inline int64_t rk_zrun_end(const int32_t *iz, int64_t zs, int64_t kz,
                                  int64_t mz)
 {
@@ -927,56 +981,57 @@ static inline int64_t rk_zrun_end(const int32_t *iz, int64_t zs, int64_t kz,
     return ze < kz ? ze : kz;
 }
 
-/* dz^2 of one atom's z row, formed once per atom instead of once per
- * (x, y) column: the same product either way. */
-static inline void rk_row_squares(const double *restrict d, int64_t k,
-                                  double *restrict d2)
-{
-    for (int64_t z = 0; z < k; z++)
-        d2[z] = d[z] * d[z];
-}
-
-/* One run of the quantized spread: col[z] += rint(w * q) inside the
- * sphere, += 0 outside it. */
-static inline void rk_spread_run(uint64_t *restrict col,
+/* One column of the quantized spread: col[z] += rint(w * q) inside the
+ * sphere, += 0 outside it and in the pad, in blocks of RK_ZLANES. */
+static inline void rk_spread_col(uint64_t *restrict col,
                                  const double *restrict wz,
-                                 const double *restrict dz2, int64_t len,
+                                 const double *restrict dz2, int64_t kzp,
                                  double r2xy, double wxy, double q, double c2)
 {
-    for (int64_t z = 0; z < len; z++) {
-        double v = (wxy * wz[z]) * q;
-        col[z] += (uint64_t)(int64_t)rint(r2xy + dz2[z] <= c2 ? v : 0.0);
-    }
+    for (int64_t b = 0; b < kzp; b += RK_ZLANES)
+        for (int64_t z = b; z < b + RK_ZLANES; z++) {
+            double v = (wxy * wz[z]) * q;
+            col[z] += (uint64_t)(int64_t)rint(r2xy + dz2[z] <= c2 ? v : 0.0);
+        }
 }
 
 /* MeshStencilPlan.spread_codes: acc[idx] += rint(w * qc) for atoms
- * [0, n) into the flat int64 mesh `acc`.  A masked point's code is
+ * [0, n) into the flat int64 mesh `acc`, through the halo'd columns of
+ * `halo` (zeroed here, then folded into acc).  A masked point's code is
  * rint(+-0.0) == 0 for every finite qc, and integer zeros add nothing:
- * a masked lane adds the integer 0, and a column wholly outside the
- * sphere is skipped. */
+ * a masked or pad lane adds the integer 0, and a column wholly outside
+ * the sphere is skipped. */
 void rk_mesh_spread_axes(const rk_axes *ax, int64_t n, double c2,
-                         const double *qc, int64_t *acc)
+                         const double *qc, int64_t *acc, uint64_t *halo)
 {
-    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
+    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, kzp = ax->kzp;
+    const int64_t mz = ax->mz, hz = mz + kzp - 1, ncol = ax->mx * ax->my;
     uint64_t *m = (uint64_t *)acc;
-    double dz2[kz];
+    double wzp[kzp], dz2[kzp];
+    memset(halo, 0, (size_t)(ncol * hz) * sizeof(uint64_t));
     for (int64_t i = 0; i < n; i++) {
         RK_ATOM_ROWS(ax, i);
         const double q = qc[i];
-        rk_row_squares(dzi, kz, dz2);
+        rk_zlanes(wzi, dzi, kz, kzp, wzp, dz2);
         for (int64_t x = 0; x < kx; x++)
             for (int64_t y = 0; y < ky; y++) {
                 double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
                 if (r2xy > c2)
                     continue;
                 double wxy = wxi[x] * wyi[y];
-                uint64_t *col = m + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
-                for (int64_t zs = 0, ze; zs < kz; zs = ze) {
-                    ze = rk_zrun_end(izi, zs, kz, mz);
-                    rk_spread_run(col + izi[zs], wzi + zs, dz2 + zs, ze - zs,
-                                  r2xy, wxy, q, c2);
-                }
+                int64_t c = (int64_t)ixi[x] * ax->my + iyi[y];
+                rk_spread_col(halo + c * hz + izi[0], wzp, dz2, kzp, r2xy,
+                              wxy, q, c2);
             }
+    }
+    for (int64_t c = 0; c < ncol; c++) {
+        const uint64_t *h = halo + c * hz;
+        uint64_t *col = m + c * mz;
+        for (int64_t z0 = 0; z0 < hz; z0 += mz) {
+            int64_t len = hz - z0 < mz ? hz - z0 : mz;
+            for (int64_t z = 0; z < len; z++)
+                col[z] += h[z0 + z];
+        }
     }
 }
 
@@ -1015,12 +1070,12 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
                                double *part, int64_t chunk)
 {
     const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
-    double dz2[kz];
+    double wzr[kz], dz2[kz];
     for (int64_t lo = 0; lo < n; lo += chunk) {
         memset(part, 0, (size_t)npts * sizeof(double));
         for (int64_t i = lo; i < n && i < lo + chunk; i++) {
             RK_ATOM_ROWS(ax, i);
-            rk_row_squares(dzi, kz, dz2);
+            rk_zlanes(wzi, dzi, kz, kz, wzr, dz2);
             for (int64_t x = 0; x < kx; x++)
                 for (int64_t y = 0; y < ky; y++) {
                     double r2xy = dxi[x] * dxi[x] + dyi[y] * dyi[y];
@@ -1031,7 +1086,7 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
                         part + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
                     for (int64_t zs = 0, ze; zs < kz; zs = ze) {
                         ze = rk_zrun_end(izi, zs, kz, mz);
-                        rk_spread_float_run(col + izi[zs], wzi + zs, dz2 + zs,
+                        rk_spread_float_run(col + izi[zs], wzr + zs, dz2 + zs,
                                             ze - zs, r2xy, wxy, q[i], c2);
                     }
                 }
@@ -1041,26 +1096,28 @@ void rk_mesh_spread_float_axes(const rk_axes *ax, int64_t n, double c2,
     }
 }
 
-/* One run of the gather: g = phi[z] * w inside the sphere, -0.0 (the
- * masked-add lemma above: nothing) outside it, added to the run's slice
- * of the column's x-sum row ax and y-sum row cy. */
-static inline void rk_gather_run(double *restrict ax, double *restrict cy,
+/* One column of the gather: g = phi[z] * w inside the sphere, -0.0 (the
+ * masked-add lemma above: nothing) outside it and in the pad, added to
+ * the column's x-sum row ax and y-sum row cy, in blocks of RK_ZLANES. */
+static inline void rk_gather_col(double *restrict ax, double *restrict cy,
                                  const double *restrict col,
                                  const double *restrict wz,
-                                 const double *restrict dz2, int64_t len,
+                                 const double *restrict dz2, int64_t kzp,
                                  double r2xy, double wxy, double c2)
 {
-    for (int64_t z = 0; z < len; z++) {
-        double g = col[z] * (wxy * wz[z]);
-        g = r2xy + dz2[z] <= c2 ? g : -0.0;
-        ax[z] += g;
-        cy[z] += g;
-    }
+    for (int64_t b = 0; b < kzp; b += RK_ZLANES)
+        for (int64_t z = b; z < b + RK_ZLANES; z++) {
+            double g = col[z] * (wxy * wz[z]);
+            g = r2xy + dz2[z] <= c2 ? g : -0.0;
+            ax[z] += g;
+            cy[z] += g;
+        }
 }
 
 /* MeshStencilPlan.interpolate_forces before the charge prefactor: row
  * i - lo of out is (Sx, Sy, Sz) = sum over the stencil of g * (dx, dy,
- * dz), g = phi[idx] * w, for atom i of [lo, hi).  Float sums do not
+ * dz), g = phi[idx] * w, for atom i of [lo, hi), read through the
+ * halo'd columns of `halo` (filled here from phi).  Float sums do not
  * commute, so the order is the contract (DESIGN.md, gather-order lemma),
  * and NumpyKernels.mesh_gather_axes makes the same adds as whole-array
  * adds.  Every sum starts at +0.0 and adds in ascending index:
@@ -1069,18 +1126,28 @@ static inline void rk_gather_run(double *restrict ax, double *restrict cy,
  *   Sx = sum_x (sum_z A[x][z]) * dx[x]
  *   Sy = sum_y (sum_z C[y][z]) * dy[y]
  *   Sz = sum_z T[z] * dz[z]
- * A, C and T have one independent sum per z lane, so those adds are
- * element-wise across a run and vectorize (vector-width lemma); only the
- * O(k^2) per-atom tails are serial.  A masked point adds -0.0, which no
- * sum sees, so a column wholly outside the sphere is skipped. */
+ * A and C have one independent sum per z lane, kzp of them, so those
+ * adds are element-wise across a column and vectorize (vector-width
+ * lemma); the pad lanes only ever add -0.0 and stay +0.0, and the
+ * O(k^2) per-atom tails, which are serial, read lanes z < kz only.  A
+ * masked point adds -0.0, which no sum sees, so a column wholly outside
+ * the sphere is skipped. */
 void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
-                         double c2, const double *phi, double *out)
+                         double c2, const double *phi, double *halo,
+                         double *out)
 {
-    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, mz = ax->mz;
-    double dz2[kz], a[kx * kz], c[ky * kz], t[kz];
+    const int64_t kx = ax->kx, ky = ax->ky, kz = ax->kz, kzp = ax->kzp;
+    const int64_t mz = ax->mz, hz = mz + kzp - 1, ncol = ax->mx * ax->my;
+    double wzp[kzp], dz2[kzp], a[kx * kzp], c[ky * kzp], t[kz];
+    for (int64_t col = 0; col < ncol; col++)
+        for (int64_t z0 = 0; z0 < hz; z0 += mz) {
+            int64_t len = hz - z0 < mz ? hz - z0 : mz;
+            memcpy(halo + col * hz + z0, phi + col * mz,
+                   (size_t)len * sizeof(double));
+        }
     for (int64_t i = lo; i < hi; i++, out += 3) {
         RK_ATOM_ROWS(ax, i);
-        rk_row_squares(dzi, kz, dz2);
+        rk_zlanes(wzi, dzi, kz, kzp, wzp, dz2);
         memset(a, 0, sizeof a);
         memset(c, 0, sizeof c);
         for (int64_t x = 0; x < kx; x++)
@@ -1089,29 +1156,25 @@ void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
                 if (r2xy > c2)
                     continue;
                 double wxy = wxi[x] * wyi[y];
-                const double *col =
-                    phi + ((int64_t)ixi[x] * ax->my + iyi[y]) * mz;
-                for (int64_t zs = 0, ze; zs < kz; zs = ze) {
-                    ze = rk_zrun_end(izi, zs, kz, mz);
-                    rk_gather_run(a + x * kz + zs, c + y * kz + zs,
-                                  col + izi[zs], wzi + zs, dz2 + zs, ze - zs,
-                                  r2xy, wxy, c2);
-                }
+                int64_t col = (int64_t)ixi[x] * ax->my + iyi[y];
+                rk_gather_col(a + x * kzp, c + y * kzp,
+                              halo + col * hz + izi[0], wzp, dz2, kzp, r2xy,
+                              wxy, c2);
             }
         double sx = 0.0, sy = 0.0, sz = 0.0;
         memset(t, 0, sizeof t);
         for (int64_t x = 0; x < kx; x++) {
             double s = 0.0;
             for (int64_t z = 0; z < kz; z++)
-                s += a[x * kz + z];
+                s += a[x * kzp + z];
             sx += s * dxi[x];
             for (int64_t z = 0; z < kz; z++)
-                t[z] += a[x * kz + z];
+                t[z] += a[x * kzp + z];
         }
         for (int64_t y = 0; y < ky; y++) {
             double s = 0.0;
             for (int64_t z = 0; z < kz; z++)
-                s += c[y * kz + z];
+                s += c[y * kzp + z];
             sy += s * dyi[y];
         }
         for (int64_t z = 0; z < kz; z++)

@@ -85,9 +85,11 @@ class KernelBuildError(RuntimeError):
 
 
 class MeshAxes(ctypes.Structure):
-    """``rk_axes``: stencil shape, mesh strides, and a plan's nine axis rows."""
+    """``rk_axes``: stencil shape, z lanes, mesh shape, and a plan's nine axis rows."""
 
-    _fields_ = [(name, ctypes.c_int64) for name in ("kx", "ky", "kz", "my", "mz")] + [
+    _fields_ = [
+        (name, ctypes.c_int64) for name in ("kx", "ky", "kz", "kzp", "mx", "my", "mz")
+    ] + [
         (name, ctypes.c_void_p)
         for name in ("wxn", "wy", "wz", "dx", "dy", "dz", "ix", "iy", "iz")
     ]
@@ -292,11 +294,11 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_scatter_rows.argtypes = [p, p, p, i64]
     # Fused mesh kernels: a MeshAxes by reference first.
     lib.rk_mesh_spread_axes.restype = None
-    lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p]
+    lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p, p]
     lib.rk_mesh_spread_float_axes.restype = None
     lib.rk_mesh_spread_float_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
     lib.rk_mesh_gather_axes.restype = None
-    lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p]
+    lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p, p]
     lib.rk_shake_batch.restype = None
     lib.rk_shake_batch.argtypes = (
         [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]

@@ -91,6 +91,11 @@ KERNEL_TIERS = ("numpy", "compiled")
 #: REPRO_KERNEL_THREADS=1000 before they become a thread pool).
 _MAX_THREADS = 128
 
+#: z lanes per block of the compiled mesh kernels' halo'd columns
+#: (``RK_ZLANES`` in ``_kernels.c``): a stencil's ``kz`` is padded to a
+#: multiple of it.
+_Z_LANES = 8
+
 #: Atoms per ``(m, k)`` stencil block in the NumPy mesh kernels whose
 #: bits the blocking cannot change (the quantized spread and the gather);
 #: it bounds their scratch at O(block·k) whatever the atom count.
@@ -608,9 +613,9 @@ class CompiledKernels(NumpyKernels):
         self.threads = int(threads)
         self._pool = None
         self._neighbor_work = None  # grow-only scratch
-        # Per calling thread: a stacked mesh pass's lanes run the float
-        # spread concurrently on this suite (``map_chunks``).
-        self._float_part = threading.local()
+        # Per calling thread: a stacked mesh pass's lanes run the mesh
+        # kernels concurrently on this suite (``map_chunks``).
+        self._mesh_scratch = threading.local()
 
     def map_chunks(self, fn, nchunks):
         """Run disjoint-output chunks on a persistent Python pool.
@@ -789,8 +794,11 @@ class CompiledKernels(NumpyKernels):
 
         That each index row is consecutive mod its mesh extent (what
         :meth:`~repro.ewald.gse.MeshStencilPlan.build` writes) is the
-        plan's promise — the C kernels walk a z row as runs of
-        contiguous mesh points and read only each run's first index.
+        plan's promise — the C kernels read only the first index of a z
+        row, which is then one run in halo'd columns (the quantized
+        spread and the gather, ``kzp`` lanes: ``kz`` rounded up to whole
+        blocks of ``RK_ZLANES``) or runs of contiguous mesh points (the
+        float spread).
         """
         n = len(axis_w[0])
         ks = [a.shape[1] for a in axis_w]
@@ -798,7 +806,25 @@ class CompiledKernels(NumpyKernels):
         dtypes = (np.float64,) * 6 + (np.int32,) * 3
         if not all(_conforms(a, (n, k), t) for a, k, t in zip(rows, ks * 3, dtypes)):
             return None
-        return MeshAxes(*ks, int(mesh[1]), int(mesh[2]), *(_ptr(a) for a in rows))
+        kzp = -(-ks[2] // _Z_LANES) * _Z_LANES
+        return MeshAxes(*ks, kzp, *(int(m) for m in mesh), *(_ptr(a) for a in rows))
+
+    def _scratch(self, points: int) -> np.ndarray:
+        """The calling thread's mesh scratch, at least ``points`` float64.
+
+        The float spread's per-chunk bins, or the halo'd z columns of the
+        quantized spread and the gather (C zeroes or fills it per call);
+        one grow-only array per thread serves all three, since a thread
+        runs one kernel at a time.
+        """
+        part = getattr(self._mesh_scratch, "array", None)
+        if part is None or len(part) < points:
+            part = self._mesh_scratch.array = np.empty(points)
+        return part
+
+    def _halo(self, axes) -> np.ndarray:
+        """The scratch as halo'd columns: ``mx·my`` of ``mz + kzp - 1`` points."""
+        return self._scratch(axes.mx * axes.my * (axes.mz + axes.kzp - 1))
 
     def mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc):
         """:meth:`NumpyKernels.mesh_spread_axes` as one C pass from the
@@ -809,7 +835,9 @@ class CompiledKernels(NumpyKernels):
             _conforms(acc, (int(np.prod(mesh)),), np.int64) and _conforms(qc, (n,), np.float64)
         ):
             return NumpyKernels.mesh_spread_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, qc)
-        self._lib.rk_mesh_spread_axes(ctypes.byref(axes), n, float(c2), _ptr(qc), _ptr(acc))
+        self._lib.rk_mesh_spread_axes(
+            ctypes.byref(axes), n, float(c2), _ptr(qc), _ptr(acc), _ptr(self._halo(axes))
+        )
 
     def mesh_spread_float_axes(self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk):
         """:meth:`NumpyKernels.mesh_spread_float_axes` in C, same chunks,
@@ -822,11 +850,9 @@ class CompiledKernels(NumpyKernels):
             return NumpyKernels.mesh_spread_float_axes(
                 self, acc, axis_w, axis_d, axis_i, mesh, c2, q, chunk
             )
-        part = getattr(self._float_part, "array", None)  # C zeroes it per chunk
-        if part is None or len(part) < npts:
-            part = self._float_part.array = np.empty(npts)
         self._lib.rk_mesh_spread_float_axes(
-            ctypes.byref(axes), n, float(c2), _ptr(q), _ptr(acc), npts, _ptr(part), int(chunk)
+            ctypes.byref(axes), n, float(c2), _ptr(q), _ptr(acc), npts,
+            _ptr(self._scratch(npts)), int(chunk),
         )
 
     def mesh_gather_axes(self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi):
@@ -843,7 +869,7 @@ class CompiledKernels(NumpyKernels):
                 self, out, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi
             )
         self._lib.rk_mesh_gather_axes(
-            ctypes.byref(axes), lo, hi, float(c2), _ptr(phi), _ptr(out)
+            ctypes.byref(axes), lo, hi, float(c2), _ptr(phi), _ptr(self._halo(axes)), _ptr(out)
         )
 
     # The constraint sweeps update their first array in place, so one C

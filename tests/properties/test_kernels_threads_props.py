@@ -181,7 +181,8 @@ def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
     ``nrep=1`` is the solo solve itself (``ConstraintSolver.shake`` /
     ``.rattle`` are one block of these).  Each replica block has its
     own convergence exit; a converged replica absorbing extra sweeps
-    would change bits.
+    would change bits.  Compared as int64 bit patterns, which tell
+    ``-0.0`` from ``+0.0``.
     """
     from repro.core.constraints import ConstraintSolver
 
@@ -200,10 +201,10 @@ def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
     for k in (one, *threaded.values()):
         got_pos = pos0.copy()
         k.shake_batch(solver, got_pos, ref, 1e-10, nrep, n)
-        np.testing.assert_array_equal(got_pos, want_pos)
+        np.testing.assert_array_equal(got_pos.view(np.int64), want_pos.view(np.int64))
         got_vel = vel0.copy()
         k.rattle_batch(solver, got_vel, got_pos, 1e-12, nrep, n)
-        np.testing.assert_array_equal(got_vel, want_vel)
+        np.testing.assert_array_equal(got_vel.view(np.int64), want_vel.view(np.int64))
 
 
 @given(seed=st.integers(0, 2**31 - 1), nrep=st.integers(2, 5))

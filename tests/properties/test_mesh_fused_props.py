@@ -13,19 +13,26 @@ the forces — on non-cubic stencils, at the box faces, on the
 plans over atom subsets, through replica row views, and at 1, 2 and 4
 threads.
 
-The C kernels cut each atom's z row into its runs of contiguous mesh
-points and issue a run's points together; the run shapes that can go
-wrong have a property each below: a stencil wider than the mesh (three
-or more runs, bins one atom hits twice), ``kz == mz`` exactly, no wrap
-at all, and an atom on every cell boundary.  The gather adds in the
-order DESIGN.md's gather-order lemma defines, on both tiers: the
-properties pin that a point outside the sphere adds nothing (``-0.0``)
-whatever ``phi`` holds there, that no BLAS call is left in it, and
-that against the BLAS contraction it replaced the change is one of
-rounding only.
+The quantized spread and the gather work in halo'd z columns: each
+atom's z row is one run of ``kzp`` lanes (``kz`` padded to whole blocks
+of 8) from its first wrapped index, the spread folds the halo back into
+the mesh and the gather reads a halo copy of ``phi``; the float spread
+still cuts each row into its runs of contiguous mesh points.  The
+layouts that can go wrong have a property each below: every start cell
+``z0`` for stencils narrower than, as wide as and wider than the mesh,
+``kz`` a multiple of the pad block and not (synthetic axis rows, since a
+GSE stencil is always odd), a stencil wider than the mesh on GSE plans
+(bins one atom hits twice), no wrap at all, and an atom on every cell
+boundary.  The gather adds in the order DESIGN.md's gather-order lemma
+defines, on both tiers: the properties pin that a point outside the
+sphere adds nothing (``-0.0``) whatever ``phi`` holds there, that no
+BLAS call is left in it, and that against the BLAS contraction it
+replaced the change is one of rounding only.
 
 Skipped wholesale when the host has no C compiler.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -238,6 +245,61 @@ def test_an_atom_on_every_cell_boundary_of_a_16_cubed_mesh(suites):
     assert set(first_run) == set(range(1, kz + 1))
 
 
+def synthetic_rows(rng, starts, ks, mesh):
+    """Per-axis ``(w, d, i)`` rows of atoms whose stencils start at ``starts``.
+
+    Index rows are consecutive mod their mesh extent from each start (the
+    plan's promise), weights are positive, and displacements are centred
+    at unit spacing plus an atom's fractional offset, so the
+    ``(dx²+dy²)+dz² <= c2`` sphere cuts the cube."""
+    n = len(starts)
+    rows = [], [], []
+    for a, (k, m) in enumerate(zip(ks, mesh)):
+        i = (starts[:, a, None] + np.arange(k)) % m
+        d = (np.arange(k) - (k - 1) / 2) + rng.uniform(-0.5, 0.5, (n, 1))
+        for out, row in zip(rows, (rng.uniform(0.1, 1.0, (n, k)), d, i.astype(np.int32))):
+            out.append(np.ascontiguousarray(row))
+    return rows
+
+
+@pytest.mark.parametrize("mz", [8, 16, 32])
+@pytest.mark.parametrize("kz", [1, 8, 13, 16, 17])
+def test_halo_columns_from_every_start_cell(suites, kz, mz):
+    """Every start cell ``z0 in [0, mz)``, two atoms each, for ``kz`` a
+    multiple of the 8-lane pad block and not, narrower than, as wide as
+    and wider than the mesh: the int64 mesh (spread onto a mesh that
+    already holds codes, wrapping) and the gather sums equal the NumPy
+    suite's as bit patterns."""
+    rng = np.random.default_rng(100 * kz + mz)
+    mesh = (5, 4, mz)
+    z0 = np.repeat(np.arange(mz), 2)
+    n = len(z0)
+    starts = np.stack([rng.integers(0, 5, n), rng.integers(0, 4, n), z0], axis=1)
+    axis_w, axis_d, axis_i = synthetic_rows(rng, starts, (3, 2, kz), mesh)
+    c2 = 1.0 + ((kz - 1) / 2) ** 2
+    r2 = (axis_d[0][:, :, None, None] ** 2 + axis_d[1][:, None, :, None] ** 2) + (
+        axis_d[2][:, None, None, :] ** 2
+    )
+    assert np.any(r2 <= c2) and (kz == 1 or np.any(r2 > c2))
+    qc = rng.uniform(-1.0, 1.0, n) * 2.0**40
+    qc[::7] = 0.0
+    acc0 = rng.integers(-(2**63), 2**63 - 1, math.prod(mesh), dtype=np.int64, endpoint=True)
+    phi = signed_phi(rng, mesh).ravel()
+    want_acc = acc0.copy()
+    NUMPY_SUITE.mesh_spread_axes(want_acc, axis_w, axis_d, axis_i, mesh, c2, qc)
+    want = np.empty((n, 3))
+    NUMPY_SUITE.mesh_gather_axes(want, axis_w, axis_d, axis_i, mesh, c2, phi, 0, n)
+    for k in suites:
+        assert k._mesh_axes(axis_w, axis_d, axis_i, mesh) is not None  # the C path runs
+        acc = acc0.copy()
+        k.mesh_spread_axes(acc, axis_w, axis_d, axis_i, mesh, c2, qc)
+        assert_same_bits(acc, want_acc)
+        for lo, hi in ((0, n), (1, n - 1)):
+            got = np.empty((hi - lo, 3))
+            k.mesh_gather_axes(got, axis_w, axis_d, axis_i, mesh, c2, phi, lo, hi)
+            assert_same_bits(got, want[lo:hi])
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
 @pytest.mark.parametrize("sign", [-1.0, 1.0])
 def test_points_outside_the_sphere_add_nothing(suites, sign):
@@ -369,7 +431,8 @@ def test_mesh_path_scratch_is_reused_across_evaluations():
 
     def scratch():
         plan = machine.calc._mesh_plan
-        return (plan, plan._acc, *plan.axis_w, *plan.axis_d, *plan.axis_i)
+        halo = machine.kernels._mesh_scratch.array  # the halo'd columns
+        return (plan, plan._acc, halo, *plan.axis_w, *plan.axis_d, *plan.axis_i)
 
     try:
         machine.step(1)
