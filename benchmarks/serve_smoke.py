@@ -48,7 +48,7 @@ from repro.io import (  # noqa: E402
     job_energy_log_path,
     job_trajectory_path,
 )
-from repro.kernels import resolve_config  # noqa: E402
+from repro.kernels import get_suite  # noqa: E402
 from repro.serve import (  # noqa: E402
     TERMINAL_STATES,
     JobSpec,
@@ -207,7 +207,7 @@ def main() -> int:
     # The workers' tier with no flag is the resolver's default —
     # compiled wherever it builds — and the long jobs must outlast the
     # fault sequence on whichever tier actually runs them.
-    tier = resolve_config(args.kernel_tier).tier
+    tier = get_suite(args.kernel_tier).tier
     specs = job_specs(long_scale=4 if tier == "compiled" else 1)
     by_name = {s.name: s for s in specs}
 

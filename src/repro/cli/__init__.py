@@ -48,10 +48,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # A bad kernel flag or REPRO_KERNEL_* variable ends the command here,
     # in one line, before any system is built or worker spawned.
-    from repro.kernels import resolve_config
+    from repro.kernels import get_suite
 
     try:
-        resolve_config(getattr(args, "kernel_tier", None), getattr(args, "kernel_threads", None))
+        get_suite(getattr(args, "kernel_tier", None), getattr(args, "kernel_threads", None))
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
     return commands[args.command](args)

@@ -171,7 +171,7 @@ class Simulation:
         unconstrained (required for exact-reversibility experiments).
     kernel_tier, kernel_threads:
         The engine's bitwise-invisible knobs, forwarded (fixed mode only;
-        default: :func:`repro.kernels.resolve_config`).
+        ``None`` resolves through :func:`repro.kernels.get_suite`).
     """
 
     def __init__(

@@ -406,9 +406,9 @@ class EnsembleSimulation(LaneEngine):
     the solo velocities verbatim.  ``kernel_tier`` picks the kernel
     suite and ``kernel_threads`` how many Python threads the compiled
     tier farms the R lanes of the mesh pass over — per-replica spread,
-    FFT and gather; every other phase is single-threaded (defaults:
-    the ``REPRO_KERNEL_TIER`` / ``REPRO_KERNEL_THREADS`` environment
-    resolution).  Both knobs are bitwise-invisible.
+    FFT and gather; every other phase is single-threaded (``None``
+    resolves through :func:`repro.kernels.get_suite`).  Both knobs are
+    bitwise-invisible.
 
     Per-replica artifacts (energy records, trajectory frames,
     checkpoints) use the *solo* fingerprint and the solo formats, so

@@ -37,6 +37,12 @@ from repro.io.serialize import pack_state, unpack_state
 __all__ = ["FaultController", "MemorySnapshotStore", "RecoveryPolicy", "RollbackFailed"]
 
 
+#: Growth of the modeled wait between recovery attempts: attempt k
+#: waits ``BACKOFF_BASE**k`` barrier slots (observable as the
+#: ``fault_backoff_slots`` counter).
+BACKOFF_BASE = 2
+
+
 class RollbackFailed(Exception):
     """No snapshot (durable, in-memory, or baseline) could be restored."""
 
@@ -46,15 +52,12 @@ class RecoveryPolicy:
     """Knobs of the self-healing layer.
 
     ``max_retries`` bounds both message retransmissions per anomaly and
-    heartbeat waits per silent node; ``backoff_base`` grows the modeled
-    wait between attempts (attempt k waits ``backoff_base**k`` barrier
-    slots — observable as the ``fault_backoff_slots`` counter).
+    heartbeat waits per silent node.
     ``checkpoint_every``/``retain`` drive the in-memory snapshot ring
     used when the run has no durable checkpoint store.
     """
 
     max_retries: int = 3
-    backoff_base: float = 2.0
     checkpoint_every: int = 4
     retain: int = 4
 
@@ -273,7 +276,7 @@ class FaultController:
         network.set_recovery(True)
         for attempt in range(min(stays_dead + 1, self.policy.max_retries)):
             self._count("retries")
-            self._count("backoff_slots", int(self.policy.backoff_base**attempt))
+            self._count("backoff_slots", BACKOFF_BASE**attempt)
             network.send(anomaly.src, anomaly.dst, anomaly.nbytes, anomaly.tag)
             self._count("retransmitted_bytes", anomaly.nbytes)
         network.set_recovery(False)
@@ -285,7 +288,7 @@ class FaultController:
     def _await_heartbeat(self, node: int) -> bool:
         """Barrier-wait for a silent node; True when it is declared dead."""
         for attempt in range(self.policy.max_retries):
-            self._count("backoff_slots", int(self.policy.backoff_base**attempt))
+            self._count("backoff_slots", BACKOFF_BASE**attempt)
             if self.heartbeats.poll(node):
                 return False
             self._count("barrier_timeouts")

@@ -2,12 +2,12 @@
 
 See :mod:`repro.kernels.suite` for the tier contract and
 :mod:`repro.kernels.build` for the lazy C build.  The public surface is
-:func:`get_suite`, the resolver for the ``kernel_tier`` /
-``kernel_threads`` knobs and the one place a tier is chosen,
-:data:`NUMPY_SUITE`, the suite every component holds unless handed
-another, :func:`resolve_config`, the shared env-var/argument resolution
-both the machine and ensemble layers use, and :func:`kernel_info`, the
-record of which build a run executes on.
+:func:`get_suite`, the one resolver for the ``kernel_tier`` /
+``kernel_threads`` knobs (argument, then ``REPRO_KERNEL_TIER`` /
+``REPRO_KERNEL_THREADS``, then the default) and the one place a tier
+is chosen, :data:`NUMPY_SUITE`, the suite every component holds unless
+handed another, and :func:`kernel_info`, the record of which build a
+run executes on.
 """
 
 from repro.kernels.build import KernelBuildError, available
@@ -15,19 +15,16 @@ from repro.kernels.suite import (
     KERNEL_TIERS,
     NUMPY_SUITE,
     CompiledKernels,
-    KernelConfig,
     NumpyKernels,
     PairTableSpec,
     get_suite,
     kernel_info,
     make_pair_spec,
-    resolve_config,
 )
 
 __all__ = [
     "KERNEL_TIERS",
     "KernelBuildError",
-    "KernelConfig",
     "CompiledKernels",
     "NumpyKernels",
     "NUMPY_SUITE",
@@ -36,5 +33,4 @@ __all__ = [
     "get_suite",
     "kernel_info",
     "make_pair_spec",
-    "resolve_config",
 ]

@@ -32,13 +32,15 @@ reproducibility gate in the repo (backend equivalence, fault-recovery
 replay, checkpoint round-trips) while removing the Python interpreter
 from the per-pair loops.
 
-:func:`resolve_config` resolves the two knobs — tier and thread count —
+:func:`get_suite` resolves the two knobs — tier and thread count —
 from explicit arguments first, then the ``REPRO_KERNEL_TIER`` /
 ``REPRO_KERNEL_THREADS`` environment variables, then the defaults:
 the compiled tier where it builds and the NumPy tier otherwise
-(silently — nobody asked), 1 thread.  *Requesting* ``"compiled"`` on a
-host without a C compiler degrades to the NumPy tier with a one-time
-warning — the package never hard-fails for lack of a toolchain.
+(silently — nobody asked), 1 thread.  The suite it returns carries the
+resolved facts as ``tier`` and ``threads``.  *Requesting*
+``"compiled"`` on a host without a C compiler degrades to the NumPy
+tier with a one-time warning — the package never hard-fails for lack
+of a toolchain.
 
 Every C kernel is single-threaded.  The thread count is the width of
 one Python-side farm, :meth:`CompiledKernels.map_chunks`, over which a
@@ -74,7 +76,6 @@ from repro.kernels.build import (
 
 __all__ = [
     "KERNEL_TIERS",
-    "KernelConfig",
     "PairTableSpec",
     "NumpyKernels",
     "NUMPY_SUITE",
@@ -82,7 +83,6 @@ __all__ = [
     "make_pair_spec",
     "get_suite",
     "kernel_info",
-    "resolve_config",
 ]
 
 KERNEL_TIERS = ("numpy", "compiled")
@@ -100,42 +100,6 @@ _Z_LANES = 8
 #: bits the blocking cannot change (the quantized spread and the gather);
 #: it bounds their scratch at O(block·k) whatever the atom count.
 _MESH_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class KernelConfig:
-    """Resolved kernel selection: tier name plus thread count."""
-
-    tier: str
-    threads: int
-
-
-def resolve_config(tier: str | None = None, threads: int | None = None) -> KernelConfig:
-    """Resolve tier/threads knobs: argument, then env var, then default.
-
-    This is the single place the ``REPRO_KERNEL_TIER`` and
-    ``REPRO_KERNEL_THREADS`` environment variables are consulted;
-    solo, machine, ensemble, serve and CLI all funnel through it.  With
-    neither argument nor variable the tier is ``"compiled"`` where the
-    extension builds (about a second, once per checkout) and
-    ``"numpy"`` otherwise.
-    """
-    if tier is None:
-        tier = os.environ.get("REPRO_KERNEL_TIER")
-    if tier is None:
-        tier = "compiled" if available() else "numpy"
-    if tier not in KERNEL_TIERS:
-        raise ValueError(f"unknown kernel_tier {tier!r}; expected one of {KERNEL_TIERS}")
-    if threads is None:
-        raw = os.environ.get("REPRO_KERNEL_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"REPRO_KERNEL_THREADS={raw!r} is not an integer") from None
-    threads = int(threads)
-    if not 1 <= threads <= _MAX_THREADS:
-        raise ValueError(f"kernel_threads must be in [1, {_MAX_THREADS}], got {threads}")
-    return KernelConfig(tier=tier, threads=threads)
 
 
 def _ptr(a: np.ndarray) -> int:
@@ -929,8 +893,12 @@ def _reset_pools() -> None:
 
     ``repro serve``'s forked worker processes rebuild their
     :meth:`CompiledKernels.map_chunks` executors lazily instead of
-    deadlocking on worker threads that exist only in the parent.
+    deadlocking on worker threads that exist only in the parent.  The
+    fallback warning is once per process, so a child whose parent
+    already warned (the CLI's flag check) warns again for its own log.
     """
+    global _warned
+    _warned = False
     for suite in _COMPILED_SUITES.values():
         suite._pool = None
 
@@ -939,18 +907,36 @@ os.register_at_fork(after_in_child=_reset_pools)
 
 
 def get_suite(tier: str | None = None, threads: int | None = None):
-    """Resolve tier/threads knobs to a kernel-suite instance.
+    """Resolve the tier/threads knobs to a kernel suite: the one resolver.
 
-    ``None`` knobs consult ``REPRO_KERNEL_TIER`` /
-    ``REPRO_KERNEL_THREADS`` (defaults: compiled where it builds, 1).
-    A *requested* compiled tier that is unavailable falls back to NumPy
-    with a one-time warning rather than failing.  Every returned suite
-    produces identical bytes for identical inputs — the knobs only move
-    work between implementations.
+    Each knob is the argument, else ``REPRO_KERNEL_TIER`` /
+    ``REPRO_KERNEL_THREADS`` (the only place either variable is read),
+    else the default: ``"compiled"`` where the extension builds (about a
+    second, once per checkout) and ``"numpy"`` otherwise, 1 thread.  The
+    suite's ``tier`` and ``threads`` are what a run executes on:
+    :data:`NUMPY_SUITE` (1 thread) for the NumPy tier whatever the
+    count, and for a *requested* compiled tier that is unavailable,
+    after a one-time warning rather than a failure.  Every returned
+    suite produces identical bytes for identical inputs — the knobs only
+    move work between implementations.
     """
     global _warned
-    cfg = resolve_config(tier, threads)
-    if cfg.tier == "numpy":
+    if tier is None:
+        tier = os.environ.get("REPRO_KERNEL_TIER")
+    if tier is None:
+        tier = "compiled" if available() else "numpy"
+    if tier not in KERNEL_TIERS:
+        raise ValueError(f"unknown kernel_tier {tier!r}; expected one of {KERNEL_TIERS}")
+    if threads is None:
+        raw = os.environ.get("REPRO_KERNEL_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"REPRO_KERNEL_THREADS={raw!r} is not an integer") from None
+    threads = int(threads)
+    if not 1 <= threads <= _MAX_THREADS:
+        raise ValueError(f"kernel_threads must be in [1, {_MAX_THREADS}], got {threads}")
+    if tier == "numpy":
         # NumPy manages its own internal parallelism; threads is the
         # compiled tier's farm width and is deliberately ignored here.
         return NUMPY_SUITE
@@ -966,9 +952,9 @@ def get_suite(tier: str | None = None, threads: int | None = None):
             )
             _warned = True
         return NUMPY_SUITE
-    suite = _COMPILED_SUITES.get(cfg.threads)
+    suite = _COMPILED_SUITES.get(threads)
     if suite is None:
-        suite = _COMPILED_SUITES[cfg.threads] = CompiledKernels(lib, threads=cfg.threads)
+        suite = _COMPILED_SUITES[threads] = CompiledKernels(lib, threads=threads)
     return suite
 
 

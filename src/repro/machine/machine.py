@@ -161,17 +161,18 @@ class AntonMachine(LaneEngine):
     kernel_tier:
         Hot-loop implementation suite: ``"numpy"`` or ``"compiled"``
         (lazily built C via :mod:`repro.kernels`, falling back to numpy
-        without a compiler).  ``None`` defers to the
-        ``REPRO_KERNEL_TIER`` environment variable.  Resolved once, with
-        ``kernel_threads``, into ``kernels`` — the suite the force path,
+        without a compiler).  Resolved once, with ``kernel_threads``, by
+        :func:`repro.kernels.get_suite` (``None``: its environment and
+        default resolution) into ``kernels`` — the suite the force path,
         backend and constraint solver all run on.  Bitwise identical
         across tiers, so it never appears in fingerprints.
     kernel_threads:
         Width of the compiled tier's farm over the lanes of a stacked
-        mesh pass (``None`` defers to ``REPRO_KERNEL_THREADS``, default
-        1).  The machine steps one system — one lane — so it runs
-        single-threaded at every value; the knob is accepted, reported
-        in :meth:`profile`, and bitwise-invisible like the tier knob.
+        mesh pass (``None``: :func:`~repro.kernels.get_suite`'s
+        resolution, default 1).  The machine steps one system — one
+        lane — so it runs single-threaded at every value; the knob is
+        accepted, reported in :meth:`profile`, and bitwise-invisible
+        like the tier knob.
     faults:
         Optional fault injection: a :class:`~repro.fault.FaultSchedule`,
         a rates dict, or a ``--faults``-style spec string (e.g.

@@ -46,6 +46,10 @@ from repro.parallel.topology import TorusTopology
 
 __all__ = ["RoutedConfig", "CongestionModel", "LinkLoad", "LinkRouter"]
 
+#: Traffic classes carrying 32-bit fixed-point coordinate words: the
+#: payloads ``RoutedConfig.delta_bits`` compresses.
+COMPRESSED_TAGS = ("position_import", "force_export")
+
 
 @dataclass(frozen=True)
 class RoutedConfig:
@@ -58,17 +62,14 @@ class RoutedConfig:
         destination — the flat model's assumption, kept for exact
         conservation tests and as the savings baseline.
     delta_bits:
-        When set, payloads of ``compressed_tags`` are charged at
+        When set, payloads of :data:`COMPRESSED_TAGS` are charged at
         ``delta_bits`` per 32-bit fixed-point word instead of 32 — the
         fixed-point delta compression of position/force traffic.  The
         transform touches wire bytes only, never the flat counters.
-    compressed_tags:
-        Traffic classes carrying 32-bit fixed-point coordinate words.
     """
 
     multicast: str = "tree"
     delta_bits: int | None = None
-    compressed_tags: tuple[str, ...] = ("position_import", "force_export")
 
     def __post_init__(self) -> None:
         if self.multicast not in ("tree", "unicast"):
@@ -195,7 +196,7 @@ class LinkRouter:
         bytes of data can be sent efficiently").
         """
         bits = self.config.delta_bits
-        if bits is None or tag not in self.config.compressed_tags:
+        if bits is None or tag not in COMPRESSED_TAGS:
             return nbytes
         compressed = (nbytes * int(bits) + 31) // 32
         return np.maximum(compressed, self.hw.min_message_bytes)

@@ -36,7 +36,6 @@ from repro.serve.workers import (
     PreparedSystems,
     SliceOutcome,
     execute_assignment,
-    resolve_worker_kernels,
     worker_main,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "SliceOutcome",
     "PreparedSystems",
     "execute_assignment",
-    "resolve_worker_kernels",
     "worker_main",
     "Server",
     "ServeConfig",

@@ -20,10 +20,11 @@ replacements — the self-healing contract), then run the pure scheduler
 (:func:`repro.serve.scheduler.plan`) and act on its decisions.  Server
 phases are timed into a :class:`~repro.perf.timers.Timers`, surfaced
 with the pool metrics; the per-worker heartbeat record is a
-:class:`~repro.fault.detect.HeartbeatBoard` (workers that miss beats
-are marked stalled for observability; process liveness is the
-authoritative death signal — on one machine ``is_alive`` is honest,
-unlike a distributed system where the heartbeat *is* the signal).
+:class:`~repro.fault.detect.HeartbeatBoard` (a busy worker whose events
+stop for :data:`STALL_TICKS` ticks is marked stalled for observability;
+process liveness is the authoritative death signal — on one machine
+``is_alive`` is honest, unlike a distributed system where the heartbeat
+*is* the signal).
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ __all__ = ["Server", "ServeConfig", "SOCKET_NAME"]
 
 SOCKET_NAME = "serve.sock"
 
+#: Main-loop ticks a busy worker may go without an event (``started``,
+#: ``slice`` or a finish) before it is flagged stalled.
+STALL_TICKS = 100
+
 
 @dataclass
 class ServeConfig:
@@ -63,8 +68,6 @@ class ServeConfig:
     kernel_threads: int | None = None
     #: Main-loop wait per iteration, seconds.
     tick: float = 0.05
-    #: Missed-heartbeat ticks before a live process is flagged stalled.
-    stall_ticks: int = 100
     #: Exit once every job is terminal and this many seconds pass with
     #: an empty queue (0: serve until shutdown is requested).
     idle_exit: float = 0.0
@@ -73,8 +76,8 @@ class ServeConfig:
 class _Worker:
     """Server-side handle of one worker process."""
 
-    __slots__ = ("idx", "proc", "cmd_q", "assignment", "pid", "tier",
-                 "threads", "kernel", "last_beat", "missed", "preempt_sent")
+    __slots__ = ("idx", "proc", "cmd_q", "assignment", "pid", "kernel",
+                 "missed", "preempt_sent")
 
     def __init__(self, idx: int):
         self.idx = idx
@@ -82,11 +85,9 @@ class _Worker:
         self.cmd_q = None
         self.assignment: Assignment | None = None
         self.pid = 0
-        self.tier = ""
-        self.threads = 0
-        #: The worker's ``repro.kernels.kernel_info()`` (which build it runs on).
+        #: The worker's ``repro.kernels.kernel_info()`` — its tier, threads
+        #: and build; empty until the worker is online.
         self.kernel: dict = {}
-        self.last_beat = 0.0
         self.missed = 0
         #: One preempt command per assignment: the scheduler re-plans
         #: every tick, so without this latch a long slice would pile up
@@ -199,7 +200,6 @@ class Server:
         w.pid = w.proc.pid
         w.assignment = None
         w.preempt_sent = False
-        w.last_beat = time.time()
         w.missed = 0
         self.board.clear(w.idx)
 
@@ -260,13 +260,11 @@ class Server:
                 # replacement's assignment and double-dispatch.  Every
                 # event carries its process incarnation — drop strays.
                 continue
-            w.last_beat = time.time()
             w.missed = 0
             self.board.clear(w.idx)
             kind = evt["evt"]
             if kind == "online":
-                w.tier, w.threads = evt["tier"], evt["threads"]
-                w.kernel = evt.get("kernel", {})
+                w.kernel = evt["kernel"]
                 for note in evt["warnings"]:
                     self._log(f"worker {w.idx}: {note}")
             elif kind == "slice":
@@ -326,7 +324,7 @@ class Server:
             if not w.busy:
                 continue
             w.missed += 1
-            if w.missed == self.config.stall_ticks:
+            if w.missed == STALL_TICKS:
                 # Observability only: flag it on the board; a live
                 # process keeps its slot (it may be in a long slice).
                 self.board.mark_stall(w.idx, waits=1)
@@ -461,7 +459,8 @@ class Server:
             "aggregate_steps_per_s": round(steps / wall, 2),
             "workers": [
                 {"idx": w.idx, "pid": w.pid, "busy": w.busy,
-                 "tier": w.tier, "threads": w.threads, "kernel": w.kernel,
+                 "tier": w.kernel.get("tier", ""),
+                 "threads": w.kernel.get("threads", 0), "kernel": w.kernel,
                  "stalled": w.idx in self.board.silent,
                  "jobs": list(w.assignment.jobs) if w.assignment else []}
                 for w in self.workers

@@ -1,12 +1,11 @@
 """Worker pool: multiprocess execution of job assignments in slices.
 
 A worker is one OS process running :func:`worker_main`: it resolves
-the kernel configuration **once** (per process, not per job slice —
-:func:`resolve_worker_kernels` is the single
-:func:`repro.kernels.resolve_config` call, and any
-``KernelBuildError`` fallback warning is captured and forwarded to the
-server exactly once), then loops on its command queue executing
-assignments.
+its kernel suite **once** (per process, not per job slice — one
+:func:`repro.kernels.get_suite` call whose suite every assignment runs
+on, with any ``KernelBuildError`` fallback warning captured and
+forwarded to the server exactly once), then loops on its command queue
+executing assignments.
 
 Execution model
 ---------------
@@ -45,7 +44,7 @@ loop (frames flushed first), so
 
 :func:`execute_assignment` is the in-process core (used directly by
 tests and benchmarks); :func:`worker_main` wraps it in the process /
-queue plumbing and heartbeats.
+queue plumbing.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from queue import Empty
 from repro.serve.jobs import JobSpec, prepare_job_system
 
 __all__ = [
-    "resolve_worker_kernels",
     "execute_assignment",
     "worker_main",
     "AssignmentJob",
@@ -145,25 +143,7 @@ class PreparedSystems:
         return copy.deepcopy(system), params, hit  # MDParams is frozen
 
 
-def resolve_worker_kernels(tier, threads):
-    """Resolve the kernel config once per worker process.
-
-    Returns ``(config, suite_tier, suite_threads, warnings)`` where
-    ``warnings`` holds the text of any fallback warning (missing
-    compiler) raised while actually loading the suite — captured here so the server can log it once per worker,
-    and so job slices never re-trigger the resolution.
-    """
-    from repro.kernels import get_suite, resolve_config
-
-    cfg = resolve_config(tier, threads)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        suite = get_suite(cfg.tier, cfg.threads)
-    notes = [str(w.message) for w in caught]
-    return cfg, suite.tier, suite.threads, notes
-
-
-def _run_batch(jobs, control, progress, kernel_cfg, prepared):
+def _run_batch(jobs, control, progress, kernels, prepared):
     """One EnsembleSimulation pass over a batch, from step 0 or resumed.
 
     All lanes claim one ``steps_done`` (checked by the caller).  Lanes
@@ -220,7 +200,7 @@ def _run_batch(jobs, control, progress, kernel_cfg, prepared):
         temperature=spec.temperature,
         thermostat=BerendsenThermostat(spec.temperature),
         constraints=True,
-        kernel_tier=kernel_cfg.tier, kernel_threads=kernel_cfg.threads,
+        kernel_tier=kernels.tier, kernel_threads=kernels.threads,
     )
     try:
         step = session.open(
@@ -236,7 +216,7 @@ def _run_batch(jobs, control, progress, kernel_cfg, prepared):
         # (bit-exact, just slower).
         for j in jobs:
             j.steps_done = 0
-        return _run_batch(jobs, control, progress, kernel_cfg, prepared)
+        return _run_batch(jobs, control, progress, kernels, prepared)
 
     # Slices end exactly on the checkpoint cadence, so the state a
     # preempted job resumes from is already durable when control() is
@@ -274,31 +254,25 @@ def _restored_step(store) -> int:
         return 0
 
 
-def execute_assignment(jobs, control=None, progress=None, kernel_cfg=None,
-                       prepared=None):
+def execute_assignment(jobs, kernels, control=None, progress=None, prepared=None):
     """Run one assignment to completion, preemption, or failure.
 
     ``jobs`` is a list of :class:`AssignmentJob` sharing one
-    ``steps_done``; ``control`` is a zero-argument callable polled
-    between slices (return ``"preempt"`` to stop after the current
-    slice); ``progress`` receives a ``{job_id: steps_done}`` dict after
-    every slice.  ``kernel_cfg`` is the worker's resolved
-    :class:`~repro.kernels.KernelConfig` (resolved once per process —
-    see :func:`resolve_worker_kernels`) and ``prepared`` its
-    :class:`PreparedSystems` (default: an empty one, i.e. a cold
-    preparation).
+    ``steps_done``, run on the suite ``kernels`` (a worker's, resolved
+    once per process by :func:`worker_main`); ``control`` is a
+    zero-argument callable polled between slices (return ``"preempt"``
+    to stop after the current slice); ``progress`` receives a
+    ``{job_id: steps_done}`` dict after every slice.  ``prepared`` is the
+    worker's :class:`PreparedSystems` (default: an empty one, i.e. a
+    cold preparation).
     """
-    from repro.kernels import resolve_config
-
-    if kernel_cfg is None:
-        kernel_cfg = resolve_config()
     if prepared is None:
         prepared = PreparedSystems()
     try:
         claimed = {j.id: j.steps_done for j in jobs}
         if len(set(claimed.values())) > 1:
             raise ValueError(f"lanes of one batch must share one steps_done: {claimed}")
-        return _run_batch(list(jobs), control, progress, kernel_cfg, prepared)
+        return _run_batch(list(jobs), control, progress, kernels, prepared)
     except Exception:
         return SliceOutcome(
             "failed",
@@ -319,9 +293,11 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
     (``getppid`` changed — an orphan after a server SIGKILL must not
     keep mutating artifacts a restarted server will reschedule).
     """
-    from repro.kernels import kernel_info
+    from repro.kernels import get_suite, kernel_info
 
-    cfg, tier, threads, notes = resolve_worker_kernels(kernel_tier, kernel_threads)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kernels = get_suite(kernel_tier, kernel_threads)
     # Every event carries this process incarnation's pid: mp.Queue can
     # surface a SIGKILLed worker's buffered events after the server has
     # already spawned a replacement into the same slot, and the server
@@ -329,8 +305,8 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
     pid = os.getpid()
     prepared = PreparedSystems()
     evt_q.put({"evt": "online", "worker": worker_id, "pid": pid,
-               "tier": tier, "threads": threads, "warnings": notes,
-               "kernel": kernel_info(tier, threads)})
+               "kernel": kernel_info(kernels.tier, kernels.threads),
+               "warnings": [str(w.message) for w in caught]})
 
     def drain_cmds() -> list[dict]:
         out = []
@@ -350,8 +326,6 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
             except Empty:
                 if os.getppid() != parent_pid:
                     return
-                evt_q.put({"evt": "heartbeat", "worker": worker_id,
-                           "pid": pid, "wall": time.time()})
                 continue
         if msg.get("cmd") == "stop":
             return
@@ -387,8 +361,8 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
             evt_q.put({"evt": "slice", "worker": worker_id, "pid": pid,
                        "steps": done, "wall": time.time()})
 
-        outcome = execute_assignment(jobs, control=control, progress=progress,
-                                     kernel_cfg=cfg, prepared=prepared)
+        outcome = execute_assignment(jobs, kernels, control=control,
+                                     progress=progress, prepared=prepared)
         evt_q.put({
             "evt": outcome.status,  # "done" | "preempted" | "failed"
             "worker": worker_id,

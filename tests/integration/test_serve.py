@@ -27,7 +27,7 @@ from repro.io import (
     job_energy_log_path,
     job_trajectory_path,
 )
-from repro.kernels import available, resolve_config
+from repro.kernels import available, get_suite
 from repro.serve import (
     AssignmentJob,
     JobSpec,
@@ -102,7 +102,7 @@ class TestExecuteAssignment:
         specs = [JobSpec(seed=s, **SPEC) for s in (1, 2, 3)]
         jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
                 for s in specs]
-        outcome = execute_assignment(jobs)
+        outcome = execute_assignment(jobs, get_suite())
         assert outcome.status == "done", outcome.error
         assert outcome.steps_done == {j.id: 6 for j in jobs}
         for spec, job in zip(specs, jobs):
@@ -111,11 +111,11 @@ class TestExecuteAssignment:
     def test_preempt_then_resume_heals_to_byte_identity(self, tmp_path):
         spec = JobSpec(seed=9, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
-        first = execute_assignment([job], control=preempt_after(2))
+        first = execute_assignment([job], get_suite(), control=preempt_after(2))
         assert first.status == "preempted"
         assert 0 < first.steps_done["j"] < spec.steps
         job.steps_done = first.steps_done["j"]
-        second = execute_assignment([job])
+        second = execute_assignment([job], get_suite())
         assert second.status == "done", second.error
         assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
 
@@ -135,15 +135,15 @@ class TestExecuteAssignment:
                 engine_tiers.append((self.replicas, self.kernels.tier))
 
         monkeypatch.setattr(repro.ensemble, "EnsembleSimulation", Recording)
-        cfg = resolve_config(tier, 1)
+        kernels = get_suite(tier, 1)
         spec = JobSpec(seed=9, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
 
-        first = execute_assignment([job], control=lambda: "preempt", kernel_cfg=cfg)
+        first = execute_assignment([job], kernels, control=lambda: "preempt")
         assert first.status == "preempted"
         assert first.steps_done["j"] == 2  # stopped after the first slice
         job.steps_done = first.steps_done["j"]
-        second = execute_assignment([job], kernel_cfg=cfg)
+        second = execute_assignment([job], kernels)
         assert second.status == "done", second.error
         assert engine_tiers == [(1, tier), (1, tier)]
         assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
@@ -151,7 +151,7 @@ class TestExecuteAssignment:
     def test_torn_newest_checkpoint_falls_back_to_previous(self, tmp_path):
         spec = JobSpec(seed=5, steps=8, waters=8, record_every=2, checkpoint_every=2)
         job = AssignmentJob("j", spec, str(tmp_path / "j"))
-        first = execute_assignment([job], control=preempt_after(2))
+        first = execute_assignment([job], get_suite(), control=preempt_after(2))
         assert first.steps_done["j"] == 4
         store = CheckpointStore(job_checkpoint_dir(job.artifact_dir))
         assert store.steps() == [2, 4]
@@ -159,7 +159,7 @@ class TestExecuteAssignment:
         newest.write_bytes(newest.read_bytes()[:-7])  # torn mid-write
         job.steps_done = 4
         seen = []
-        second = execute_assignment([job], progress=seen.append)
+        second = execute_assignment([job], get_suite(), progress=seen.append)
         assert second.status == "done", second.error
         assert seen[0] == {"j": 4}  # resumed from step 2, not 4
         assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
@@ -172,7 +172,7 @@ class TestExecuteAssignment:
         job_dir = tmp_path / "j"
         job_dir.mkdir()
         job = AssignmentJob("j", spec, str(job_dir), steps_done=2)
-        outcome = execute_assignment([job])
+        outcome = execute_assignment([job], get_suite())
         assert outcome.status == "done", outcome.error
         assert_artifacts_identical(job_dir, solo_reference(tmp_path, spec))
 
@@ -180,7 +180,7 @@ class TestExecuteAssignment:
         spec = JobSpec(**SPEC)
         fresh = AssignmentJob("a", spec, str(tmp_path / "a"))
         resumed = AssignmentJob("b", spec, str(tmp_path / "b"), steps_done=2)
-        outcome = execute_assignment([fresh, resumed])
+        outcome = execute_assignment([fresh, resumed], get_suite())
         assert outcome.status == "failed"
         assert "share one steps_done" in outcome.error
 
@@ -200,18 +200,18 @@ class TestExecuteAssignment:
                 engines.append((self.replicas, self.kernels.tier))
 
         monkeypatch.setattr(repro.ensemble, "EnsembleSimulation", Recording)
-        cfg = resolve_config(tier, 1)
+        kernels = get_suite(tier, 1)
         specs = [JobSpec(seed=s, steps=8, waters=8, record_every=2, checkpoint_every=2)
                  for s in (1, 2, 3)]
         jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
                 for s in specs]
-        first = execute_assignment(jobs, control=preempt_after(2), kernel_cfg=cfg)
+        first = execute_assignment(jobs, kernels, control=preempt_after(2))
         assert first.status == "preempted"
         assert first.steps_done == {j.id: 4 for j in jobs}
         for job in jobs:
             job.steps_done = 4
         seen = []
-        second = execute_assignment(jobs, progress=seen.append, kernel_cfg=cfg)
+        second = execute_assignment(jobs, kernels, progress=seen.append)
         assert second.status == "done", second.error
         assert seen[0] == {j.id: 6 for j in jobs}  # resumed at 4, not rerun
         assert engines == [(3, tier), (3, tier)]
@@ -227,14 +227,14 @@ class TestExecuteAssignment:
                  for s in (1, 2, 3)]
         jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
                 for s in specs]
-        assert execute_assignment(jobs, control=preempt_after(2)).status == "preempted"
+        assert execute_assignment(jobs, get_suite(), control=preempt_after(2)).status == "preempted"
         store = CheckpointStore(job_checkpoint_dir(jobs[1].artifact_dir))
         assert store.steps() == [2, 4]
         store.path_for(4).unlink()
         for job in jobs:
             job.steps_done = 4
         seen = []
-        outcome = execute_assignment(jobs, progress=seen.append)
+        outcome = execute_assignment(jobs, get_suite(), progress=seen.append)
         assert outcome.status == "preempted"
         assert outcome.steps_done == {"j1": 4, "j2": 2, "j3": 4}
         assert seen == []  # not one slice ran
@@ -242,8 +242,8 @@ class TestExecuteAssignment:
         # steps; the scheduler then groups j1+j3 and leaves j2 alone.
         for job in jobs:
             job.steps_done = outcome.steps_done[job.id]
-        assert execute_assignment([jobs[0], jobs[2]]).status == "done"
-        assert execute_assignment([jobs[1]]).status == "done"
+        assert execute_assignment([jobs[0], jobs[2]], get_suite()).status == "done"
+        assert execute_assignment([jobs[1]], get_suite()).status == "done"
         for spec, job in zip(specs, jobs):
             assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
 
@@ -253,11 +253,11 @@ class TestExecuteAssignment:
         specs = [JobSpec(seed=s, **SPEC) for s in (1, 2)]
         jobs = [AssignmentJob(f"j{s.seed}", s, str(tmp_path / f"j{s.seed}"))
                 for s in specs]
-        first = execute_assignment([jobs[0]], control=lambda: "preempt")
+        first = execute_assignment([jobs[0]], get_suite(), control=lambda: "preempt")
         assert first.steps_done == {"j1": 2}
         for job in jobs:
             job.steps_done = 2
-        outcome = execute_assignment(jobs)
+        outcome = execute_assignment(jobs, get_suite())
         assert outcome.status == "preempted"
         assert outcome.steps_done == {"j1": 2, "j2": 0}
 
@@ -265,7 +265,7 @@ class TestExecuteAssignment:
         spec = JobSpec(waters=8, steps=6, record_every=2, checkpoint_every=2,
                        cutoff=1e6)  # cutoff far beyond the box: build fails
         outcome = execute_assignment(
-            [AssignmentJob("j", spec, str(tmp_path / "j"))])
+            [AssignmentJob("j", spec, str(tmp_path / "j"))], get_suite())
         assert outcome.status == "failed"
         assert outcome.error
 
@@ -280,7 +280,7 @@ class TestPreparedSystems:
         specs = [JobSpec(seed=s, **SPEC) for s in (1, 2)]
         for spec in specs:
             job = AssignmentJob(f"j{spec.seed}", spec, str(tmp_path / f"j{spec.seed}"))
-            outcomes.append(execute_assignment([job], prepared=cache))
+            outcomes.append(execute_assignment([job], get_suite(), prepared=cache))
             assert outcomes[-1].status == "done", outcomes[-1].error
             assert_artifacts_identical(job.artifact_dir, solo_reference(tmp_path, spec))
         assert [o.prepared_from_cache for o in outcomes] == [False, True]

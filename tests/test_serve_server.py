@@ -17,7 +17,7 @@ import pytest
 
 from repro.serve import JobSpec, ServeConfig, Server
 from repro.serve.scheduler import Assignment
-from repro.serve.server import _Worker
+from repro.serve.server import STALL_TICKS, _Worker
 
 SPEC = dict(waters=8, steps=6, record_every=2, checkpoint_every=2)
 
@@ -118,6 +118,38 @@ class TestEventFiltering:
         server._drain_events()
         assert server.queue.jobs["j"].state == "DONE"
         assert w.assignment is None
+
+
+class TestStallFlag:
+    def test_silent_busy_worker_is_flagged_until_its_next_event(self, server):
+        # Observability only: a busy worker that sends nothing for
+        # STALL_TICKS ticks shows "stalled" (and keeps its assignment);
+        # any event from it clears the flag.  An idle worker sends no
+        # events and is never flagged.
+        running_job(server, "j")
+        busy = fake_worker(server, ["j"], pid=1234)
+        idle = fake_worker(server, [], pid=5678)
+        idle.assignment = None
+
+        def stalled():
+            return {w["idx"]: w["stalled"] for w in server.metrics()["workers"]}
+
+        for _ in range(STALL_TICKS - 1):
+            server._check_stalls()
+        assert stalled() == {busy.idx: False, idle.idx: False}
+        server._check_stalls()
+        assert stalled() == {busy.idx: True, idle.idx: False}
+        for _ in range(STALL_TICKS):
+            server._check_stalls()  # flagged once, still only the busy one
+        assert stalled() == {busy.idx: True, idle.idx: False}
+        assert busy.assignment is not None
+        assert sum("heartbeat stalled" in line for line in server._worker_log) == 1
+
+        server._evt_q.put({"evt": "slice", "worker": busy.idx, "pid": busy.pid,
+                           "steps": {"j": 2}, "wall": time.time()})
+        server._drain_events()
+        assert stalled() == {busy.idx: False, idle.idx: False}
+        assert server.queue.jobs["j"].steps_done == 2
 
 
 class TestPreemptLatch:
