@@ -2,7 +2,8 @@
 
 Composes the substrates exactly as a time step does (Table 2's rows):
 
-* range-limited forces (LJ + screened Coulomb from PPIP-style tables)
+* range-limited forces (LJ + screened Coulomb from PPIP-style tables),
+  one walk over the Verlet list's rows
 * charge spreading -> FFT -> convolution -> inverse FFT -> force
   interpolation (GSE)
 * correction forces for excluded / 1-4 pairs
@@ -239,31 +240,34 @@ class ForceCalculator:
     def _range_limited(
         self, positions: np.ndarray, force_codec=None, acc: FixedAccumulator | None = None
     ) -> NonbondedResult:
-        """The range-limited part: one suite pass over the cached candidates.
+        """The range-limited part: one suite pass over the Verlet rows.
 
-        Run from inside :meth:`NeighborList.pairs`: cutoff test and
-        table evaluation, then either quantize-and-accumulate into
+        Run from inside :meth:`NeighborList.pairs`, which hands over the
+        cached candidates as rows ``(row_ptr, partners)``: cutoff test
+        and table evaluation, then either quantize-and-accumulate into
         ``acc`` (``pair_walk``; ``force`` is None) or, without one, the
         float64 force rows (``pair_rows``).  No per-pair array exists
         but the result's own — the surviving ``(i, j)``, the per-pair
-        energies and the rows, all views of reused scratch, valid until
-        the next evaluation.
+        energies and the rows, all views of reused scratch sized to the
+        candidate count, valid until the next evaluation.
         """
         spec, k = self._spec(force_codec), self.kernels
 
-        def walk(wrapped, ii, jj, lengths):
+        def walk(wrapped, row_ptr, partners, lengths):
             with self.timers.time(self._pair_phase_prefix + "range_limited"):
-                oi, oj, e_lj, e_coul = self._pair_buffers(len(ii))
+                oi, oj, e_lj, e_coul = self._pair_buffers(len(partners))
                 if acc is not None:
                     m = k.pair_walk(
-                        spec, wrapped, ii, jj, lengths, acc.raw(), oi, oj, e_lj, e_coul,
+                        spec, wrapped, row_ptr, partners, lengths, acc.raw(),
+                        oi, oj, e_lj, e_coul,
                     )
                     force = None
                 else:
-                    if self._pair_rows is None or len(self._pair_rows) < len(ii):
+                    if self._pair_rows is None or len(self._pair_rows) < len(partners):
                         self._pair_rows = np.empty((len(oi), 3))
                     m = k.pair_rows(
-                        spec, wrapped, ii, jj, lengths, oi, oj, self._pair_rows, e_lj, e_coul,
+                        spec, wrapped, row_ptr, partners, lengths, oi, oj,
+                        self._pair_rows, e_lj, e_coul,
                     )
                     force = self._pair_rows[:m]
                 return NonbondedResult(

@@ -9,7 +9,7 @@ from repro.ewald.correction import (
     precompute_correction_static,
 )
 from repro.ewald.gse import GaussianSplitEwald, GSEParams, MeshStencilPlan
-from repro.ewald.reference import EwaldResult, direct_coulomb_images, direct_ewald
+from repro.ewald.reference import EwaldResult, direct_ewald
 from repro.ewald.spme import SmoothPME, SPMEParams, bspline
 from repro.ewald.kernels import (
     choose_sigma,
@@ -32,7 +32,6 @@ __all__ = [
     "MeshStencilPlan",
     "GSEParams",
     "EwaldResult",
-    "direct_coulomb_images",
     "direct_ewald",
     "SmoothPME",
     "SPMEParams",

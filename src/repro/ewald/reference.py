@@ -18,7 +18,7 @@ from scipy.special import erfc
 from repro.geometry import Box
 from repro.util import COULOMB
 
-__all__ = ["EwaldResult", "direct_ewald", "direct_coulomb_images"]
+__all__ = ["EwaldResult", "direct_ewald"]
 
 
 @dataclass(frozen=True)
@@ -113,32 +113,3 @@ def direct_ewald(
         energy=total, forces=f, energy_real=e_real, energy_k=e_k, energy_self=e_self
     )
 
-
-def direct_coulomb_images(
-    positions: np.ndarray,
-    charges: np.ndarray,
-    box: Box,
-    n_images: int = 8,
-) -> float:
-    """Brute-force periodic Coulomb energy by slowly converging image sums.
-
-    Shell-by-shell summation converges (conditionally) to the Ewald
-    value for neutral systems; used to validate :func:`direct_ewald`
-    on lattices with known Madelung constants.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    charges = np.asarray(charges, dtype=np.float64)
-    L = box.lengths
-    energy = 0.0
-    shells = range(-n_images, n_images + 1)
-    for sx in shells:
-        for sy in shells:
-            for sz in shells:
-                shift = np.array([sx, sy, sz]) * L
-                d = positions[:, None, :] - positions[None, :, :] + shift
-                r2 = np.sum(d * d, axis=2)
-                if sx == sy == sz == 0:
-                    np.fill_diagonal(r2, np.inf)
-                qq = charges[:, None] * charges[None, :]
-                energy += 0.5 * COULOMB * float(np.sum(qq / np.sqrt(r2)))
-    return energy

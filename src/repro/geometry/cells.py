@@ -3,9 +3,12 @@
 Produces each within-cutoff pair exactly once, in canonical order
 (``i < j``, sorted lexicographically by ``(i, j)``).  The canonical
 ordering makes every pair-producing path — brute force, the vectorized
-cell list, and the buffered :class:`~repro.geometry.neighborlist.NeighborList`
-— return bitwise-identical arrays for the same configuration, so even
-floating-point force sums do not depend on which search path ran.
+cell list, and the walk over the buffered
+:class:`~repro.geometry.neighborlist.NeighborList`, whose rows (row
+``i`` holds the partners ``j`` of ``i``, ascending) read in turn are
+that order — return bitwise-identical arrays for the same
+configuration, so even floating-point force sums do not depend on
+which search path ran.
 
 :func:`within` is the one cutoff predicate every NumPy path filters
 candidates with, and :func:`cell_candidate_pairs` the one binning

@@ -16,9 +16,18 @@ reuse the list until some atom has moved more than ``skin / 2`` since
 the last build — the classical sufficient condition, since two atoms
 approaching each other close the gap by at most ``skin``.
 
+The list is stored as rows, the layout GROMACS keeps per i-cluster and
+Anton's pipelines stream: ``row_ptr`` (int64, one entry per atom plus
+one) and ``partners`` (int32), row ``i`` being ``partners[row_ptr[i] :
+row_ptr[i + 1]]`` in ascending ``j`` — 4 bytes per candidate, where an
+``(i, j)`` pair list takes 16.  Read in turn, the rows are the canonical
+``(i, j)`` order; :func:`pairs_to_rows` and :func:`rows_to_pairs`
+convert.  Partner ids are int32, so a list holds at most
+:data:`MAX_ATOMS` atoms (:func:`check_atom_count`).
+
 Determinism: at use time the caller's walk (the kernel suite's pair
 walk) recomputes ``dx``/``r2`` from the *current* wrapped positions and
-filters to the true cutoff, and the cached candidates are kept in
+filters to the true cutoff, and the cached rows hold the candidates in
 canonical ``(i, j)`` order, so the surviving pairs are bitwise
 identical to a fresh :func:`~repro.geometry.cells.neighbor_pairs`
 search at the same configuration (after exclusion filtering).
@@ -29,21 +38,63 @@ the machine simulation's parallel invariance exact.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from repro.geometry.pbc import Box
 from repro.kernels import NUMPY_SUITE
 
-__all__ = ["NeighborList", "EnsembleNeighborList"]
+__all__ = [
+    "NeighborList",
+    "EnsembleNeighborList",
+    "MAX_ATOMS",
+    "check_atom_count",
+    "pairs_to_rows",
+    "rows_to_pairs",
+]
+
+#: Partners are stored as int32 atom ids, so a list holds at most this
+#: many atoms (ids ``0 .. 2**31 - 1``).  ``row_ptr`` is int64: the
+#: candidate count itself has no such limit.
+MAX_ATOMS = 2**31
+
+
+def check_atom_count(n_atoms: int) -> None:
+    """Raise ``ValueError`` when ``n_atoms`` ids would not fit the int32 partners."""
+    if n_atoms > MAX_ATOMS:
+        raise ValueError(
+            f"{n_atoms} atoms do not fit a Verlet list: partner ids are int32, "
+            f"so at most {MAX_ATOMS} atoms"
+        )
+
+
+def pairs_to_rows(ii: np.ndarray, jj: np.ndarray, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs sorted by ``i`` as rows: ``(row_ptr, partners)``.
+
+    Row ``i`` is ``partners[row_ptr[i] : row_ptr[i + 1]]``, the ``jj`` of
+    the pairs whose ``ii`` is ``i``, in their order; ``row_ptr`` is
+    int64 of ``n_atoms + 1``, ``partners`` int32.
+    """
+    row_ptr = np.zeros(n_atoms + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=n_atoms), out=row_ptr[1:])
+    return row_ptr, np.asarray(jj, dtype=np.int32)
+
+
+def rows_to_pairs(row_ptr: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows expanded back to int64 ``(i, j)`` pairs, in row order."""
+    counts = np.diff(np.asarray(row_ptr, dtype=np.int64))
+    ii = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    return ii, np.asarray(partners, dtype=np.int64)
 
 
 def _partner_csr(exclusions) -> tuple[np.ndarray, np.ndarray]:
     """Per-atom CSR ``(ptr, idx)`` of the partners ``j > i`` that
     :meth:`ExclusionTable.is_excluded` skips (hard exclusions and 1-4)."""
     pairs = np.concatenate([exclusions.excluded, exclusions.pair14])
-    ptr = np.zeros(exclusions.n_atoms + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs[:, 0], minlength=exclusions.n_atoms), out=ptr[1:])
-    return ptr, np.ascontiguousarray(pairs[np.argsort(pairs[:, 0], kind="stable"), 1])
+    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    ptr, _ = pairs_to_rows(pairs[:, 0], pairs[:, 1], exclusions.n_atoms)
+    return ptr, np.ascontiguousarray(pairs[:, 1], dtype=np.int64)
 
 
 class NeighborList:
@@ -64,8 +115,9 @@ class NeighborList:
         candidates once per rebuild instead of on every evaluation.
     timers:
         Optional :class:`~repro.perf.timers.Timers`; build time is
-        recorded under ``"neighbor_build"`` and build/reuse events
-        under the ``"neighbor_builds"`` / ``"neighbor_reuses"``
+        recorded under ``"neighbor_build"``, the per-evaluation wrap
+        and skin check under ``"neighbor_check"``, and build/reuse
+        events under the ``"neighbor_builds"`` / ``"neighbor_reuses"``
         counters.
     kernels:
         The kernel suite (:mod:`repro.kernels`) rebuilds run on,
@@ -106,14 +158,15 @@ class NeighborList:
         self.n_builds = 0
         self.n_reuses = 0
         self._ref_positions: np.ndarray | None = None
-        self._cand_i: np.ndarray | None = None
-        self._cand_j: np.ndarray | None = None
+        # The list: row i is partners[row_ptr[i] : row_ptr[i + 1]].
+        self._row_ptr: np.ndarray | None = None
+        self._partners: np.ndarray | None = None
         self._lengths = np.ascontiguousarray(box.lengths, dtype=np.float64)
         # Rebuild state: the exclusion CSR ``neighbor_build`` reads
-        # (built at the first rebuild) and the ``[oi, oj]`` buffers it
-        # may fill and grow.
+        # (built at the first rebuild) and the ``[row_ptr, partners]``
+        # buffers it may fill and grow.
         self._excl_csr = None
-        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)]
+        self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)]
 
     # -- building ----------------------------------------------------------
 
@@ -130,9 +183,10 @@ class NeighborList:
             self._build_inner(wrapped)
 
     def _build_inner(self, wrapped: np.ndarray) -> None:
+        check_atom_count(len(wrapped))
         if self.exclusions is not None and self._excl_csr is None:
             self._excl_csr = _partner_csr(self.exclusions)
-        self._cand_i, self._cand_j = self.kernels.neighbor_build(
+        self._row_ptr, self._partners = self.kernels.neighbor_build(
             wrapped, self._lengths, self.reach, self._n_blocks,
             len(wrapped) // self._n_blocks, self._excl_csr, self._bufs,
         )
@@ -146,7 +200,7 @@ class NeighborList:
     @property
     def n_candidates(self) -> int:
         """Cached candidate pairs (within ``cutoff + skin`` at build)."""
-        return 0 if self._cand_i is None else len(self._cand_i)
+        return 0 if self._partners is None else len(self._partners)
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """True when the cached list may miss a within-cutoff pair."""
@@ -166,24 +220,28 @@ class NeighborList:
         """Run ``walk`` over the cached candidates at ``positions``,
         rebuilding first if needed.
 
-        ``walk`` is called as ``walk(wrapped, cand_i, cand_j, lengths)``
-        with the wrapped C-contiguous positions and the candidates in
-        canonical ``(i, j)`` order, and what it returns is returned — the
-        caller's record of the within-cutoff pairs (``.i``, ``.j``).
+        ``walk`` is called as ``walk(wrapped, row_ptr, partners,
+        lengths)`` with the wrapped C-contiguous positions and the
+        candidates as rows — row ``i`` is ``partners[row_ptr[i] :
+        row_ptr[i + 1]]``, so the rows in turn are the canonical ``(i,
+        j)`` order — and what it returns is returned: the caller's record
+        of the within-cutoff pairs (``.i``, ``.j``).
         That is how a force calculator filters and consumes the
         candidates in one pass while this stays the one per-evaluation
         entry point.  Rebuild or not, the walk sees the same candidates
         filtered at the same positions, so its result is a pure function
         of the current configuration.
         """
-        wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
-        if self._needs_rebuild(wrapped):
+        with self.timers.time("neighbor_check") if self.timers is not None else nullcontext():
+            wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
+            rebuild = self._needs_rebuild(wrapped)
+        if rebuild:
             self._build(wrapped)
         else:
             self.n_reuses += 1
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
-        return walk(np.ascontiguousarray(wrapped), self._cand_i, self._cand_j, self._lengths)
+        return walk(np.ascontiguousarray(wrapped), self._row_ptr, self._partners, self._lengths)
 
 
 class EnsembleNeighborList(NeighborList):
@@ -193,11 +251,10 @@ class EnsembleNeighborList(NeighborList):
     call of the suite's ``neighbor_build`` over ``replicas`` blocks
     builds all replicas' candidates (on the NumPy tier one batched
     binning/filter/sort pass, on the compiled tier one C sweep binning
-    each block in turn), and the
-    walk handed to the inherited :meth:`pairs` runs once over the
-    concatenated candidate list.  The candidate list restricted to a
-    replica is in that replica's canonical order (the global sort key
-    ``i * RN + j`` groups replica-major), and a rebuild triggered by
+    each block in turn), and the walk handed to the inherited
+    :meth:`pairs` runs once over every replica's rows.  Replica ``r``'s
+    candidates are rows ``[r * n_solo, (r + 1) * n_solo)``, in that
+    replica's canonical order, and a rebuild triggered by
     *any* replica's drift is bitwise harmless for the others: what the
     walk yields is a pure function of the current configuration
     regardless of when the list was last built — the same

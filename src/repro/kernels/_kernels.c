@@ -107,20 +107,25 @@ static inline double rk_image(double d, double L, double h)
 /* NeighborList._build_inner in one pass: every pair i < j of the same
  * block whose minimum-image distance passes the cutoff predicate
  * (geometry.cells.within in NumPy, rk_walk_filter's below) at reach,
- * minus the exclusion CSR's partners, in lexicographic (i, j) order.
- * That is a definition by set and order, so the binning below is
- * free: it only has to offer every passing pair to the predicate, and
- * RK_NB_SLACK widens the cells by far more than any rounding in the
- * cell index or in d can move an atom.
+ * minus the exclusion CSR's partners, in lexicographic (i, j) order,
+ * written as rows: row_ptr[i] (int64) where row i starts, its partners
+ * j as int32.  That is a definition by set and order, so the binning
+ * below is free: it only has to offer every passing pair to the
+ * predicate, and RK_NB_SLACK widens the cells by far more than any
+ * rounding in the cell index or in d can move an atom.  Partners are
+ * int32 and the atom count is capped to fit them
+ * (geometry.neighborlist.MAX_ATOMS); row_ptr, the pair count and the
+ * resume cursor are int64.
  *
  * An axis that fits seven cells of width >= reach/3 is cut into as many
  * as fit (up to a cap tied to the atom count) and swept with the stencil
  * -k..k, k <= 3 the fewest cells that span reach; seven cells keep the
  * wrapped stencil cells distinct.  A shorter axis is left unbinned, so a
- * box that admits no binning at all degenerates to one cell and an
- * all-pairs sweep.  Atoms are counting-sorted into cells in ascending
- * id, their coordinates copied in cell order into three arrays (sx, sy,
- * sz).
+ * box that admits no binning at all degenerates to one cell: there cell
+ * order is id order, so row i sweeps only the run after slot i (its
+ * partners j > i) instead of the whole block.  Atoms are counting-sorted
+ * into cells in ascending id, their coordinates copied in cell order
+ * into three arrays (sx, sy, sz).
  *
  * Rows are swept in ascending i.  A row walks the stencil's (x, y)
  * columns; a column's z-window of cells is contiguous in cell order up
@@ -130,8 +135,8 @@ static inline double rk_image(double d, double L, double h)
  * the stack (element-wise IEEE operations, integer compares and an
  * integer OR, so the loop may vectorize at any width without moving a
  * bit — DESIGN.md, vector-width lemma), whose set bits are then marked
- * in a per-row bitmap.  The row's excluded partners are cleared from it
- * and the set bits are emitted in ascending j.
+ * in a per-row bitmap.  The row's excluded partners are cleared from it,
+ * row_ptr[i] is written and the set bits are emitted in ascending j.
  *
  * The sweep is resumable, so a rebuild sweeps every row once: a row
  * whose pairs do not fit in the `cap` output slots is not emitted, the
@@ -196,13 +201,15 @@ static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
 }
 
 /* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
- * at[1] pairs already in oi/oj kept.  On return at[0] is the first row
- * not swept and at[1] the pairs written.  Returns 0 when every row is
- * swept, else the pair count of row at[0], which did not fit in cap. */
+ * at[1] partners already written kept (with row_ptr up to row at[0]).
+ * On return at[0] is the first row not swept and at[1] the partners
+ * written; once every row is swept, row_ptr[n_blocks * block_len] is
+ * too.  Returns 0 when every row is swept, else the pair count of row
+ * at[0], which did not fit in cap. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           const double *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
-                          int64_t *work, int64_t *oi, int64_t *oj,
+                          int64_t *work, int64_t *row_ptr, int32_t *partners,
                           int64_t cap, int64_t *at)
 {
     const double reach2 = reach * reach;
@@ -299,7 +306,10 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             const int64_t cy = (ci / nc[2]) % nc[1];
             const int64_t cz = ci % nc[2];
             int64_t wlo = INT64_MAX, whi = -1;
-            for (int64_t s = 0; s < ncol; s++) {
+            if (ncell == 1) /* slot p holds atom p: the partners j > i are a suffix */
+                rk_nb_run(i, a0, a1, a2, i + 1, block_len, cell_atoms, sx, sy, sz,
+                          L, h, reach2, bits, &wlo, &whi);
+            for (int64_t s = 0; ncell > 1 && s < ncol; s++) {
                 int64_t nx = cx + col[s][0], ny = cy + col[s][1];
                 nx += nx < 0 ? nc[0] : (nx >= nc[0] ? -nc[0] : 0);
                 ny += ny < 0 ? nc[1] : (ny >= nc[1] ? -nc[1] : 0);
@@ -338,13 +348,12 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                 at[1] = m;
                 return row;
             }
+            row_ptr[base + i] = m;
             for (int64_t wd = wlo; wd <= whi; wd++) {
                 uint64_t word = bits[wd];
                 bits[wd] = 0;
                 while (word) {
-                    oi[m] = base + i;
-                    oj[m] = base + (wd << 6) + __builtin_ctzll(word);
-                    m++;
+                    partners[m++] = (int32_t)(base + (wd << 6) + __builtin_ctzll(word));
                     word &= word - 1;
                 }
             }
@@ -352,6 +361,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
     }
     at[0] = n_blocks * block_len;
     at[1] = m;
+    row_ptr[at[0]] = m;
     return 0;
 }
 
@@ -373,70 +383,112 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
 /* Candidates per block: what the stages hand each other stays in L1. */
 #define RK_WALK_BLOCK 256
 
-/* What one pass over the candidates holds on its stack: the spec by
- * value (so its fields sit in registers across the loops), the box, and
- * both segment-lookup grids. */
+/* What one pass over the rows holds on its stack: the spec by value (so
+ * its fields sit in registers across the loops), the box, the wrapped
+ * coordinates as three arrays (the partners' side of every pair is read
+ * from them), and both segment-lookup grids. */
 typedef struct {
     rk_pair_spec s;
     double L0, L1, L2, h0, h1, h2;
+    const double *sx, *sy, *sz;
     int32_t e_grid[RK_GRID], d_grid[RK_GRID];
 } rk_walk_ctx;
 
-static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L)
+/* Sets up one pass over n atoms: the n wrapped rows of w transposed into
+ * soa (caller scratch of 3 n doubles), a copy that changes no value. */
+static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L,
+                         int64_t n, const double *restrict w,
+                         double *restrict soa)
 {
     c->s = *s;
     c->L0 = L[0], c->L1 = L[1], c->L2 = L[2];
     c->h0 = 0.5 * L[0], c->h1 = 0.5 * L[1], c->h2 = 0.5 * L[2];
+    for (int64_t i = 0; i < n; i++) {
+        soa[i] = w[3 * i];
+        soa[n + i] = w[3 * i + 1];
+        soa[2 * n + i] = w[3 * i + 2];
+    }
+    c->sx = soa, c->sy = soa + n, c->sz = soa + 2 * n;
     rk_build_grid(s->e_starts, s->e_nseg, c->e_grid);
     rk_build_grid(s->d_starts, s->d_nseg, c->d_grid);
+}
+
+/* Atom i of the row being walked, held across all its blocks: its
+ * coordinates, its charge and its row of the A/B matrices. */
+typedef struct {
+    double x, y, z, q;
+    const double *a, *b;
+} rk_row;
+
+static inline rk_row rk_row_of(const rk_walk_ctx *c, int64_t i)
+{
+    const int64_t t = c->s.types[i] * c->s.n_types;
+    rk_row r = {c->sx[i], c->sy[i], c->sz[i], c->s.charges[i],
+                c->s.amat + t, c->s.bmat + t};
+    return r;
 }
 
 /* One block's survivors between the stages, one array per quantity so
  * that stage B reads and writes contiguous lanes: displacement
  * components, clamped u, then what stage A gathers per pair (charge
- * product, LJ A/B, the segment of u in each layout), then stage B's
- * table offsets and force prefactor. */
+ * product, LJ A/B, the segment of u in the electrostatic layout), stage
+ * B's offset and force prefactor, and the dispersion subset: the block
+ * positions of the pairs with A or B nonzero, their u, segment and
+ * offset in the dispersion layout. */
 typedef struct {
     double d0[RK_WALK_BLOCK], d1[RK_WALK_BLOCK], d2[RK_WALK_BLOCK];
     double u[RK_WALK_BLOCK];
     double qq[RK_WALK_BLOCK], ca[RK_WALK_BLOCK], cb[RK_WALK_BLOCK];
-    int64_t ie[RK_WALK_BLOCK], id[RK_WALK_BLOCK];
-    double te[RK_WALK_BLOCK], td[RK_WALK_BLOCK];
+    int64_t ie[RK_WALK_BLOCK];
+    double te[RK_WALK_BLOCK];
     double pf[RK_WALK_BLOCK];
+    int64_t lj[RK_WALK_BLOCK], id[RK_WALK_BLOCK];
+    double ul[RK_WALK_BLOCK], td[RK_WALK_BLOCK];
 } rk_walk_block;
 
-/* Filter over candidates [lo, hi), at most RK_WALK_BLOCK of them: the
- * cutoff predicate of geometry.cells.within, operation for operation
- * (rk_image for its division), with a branch-free compaction (write the
+/* The stages below (filter, offsets, tables, quantize) are each compiled
+ * once, out of line, whichever entry point and call site use them:
+ * inlined at every call, their vectorized loops made the build ~20 %
+ * slower (GCC 12, -march=native on an AVX-512 host) — and on a fresh
+ * checkout the build is part of the first run's set-up — while a call
+ * per block of up to 256 pairs costs nothing measurable on the walk. */
+#define RK_ONE_COPY __attribute__((noinline)) static
+
+/* Filter over one block of row r's partners pj[0 .. nk), nk <=
+ * RK_WALK_BLOCK: the cutoff predicate of geometry.cells.within, operation
+ * for operation (d = x_i - x_j, rk_image for its division), first as a
+ * loop over the block that only reads (so it vectorizes, gathering the
+ * partners' coordinates), then a branch-free compaction (write the
  * survivor slot always, advance it by r2 < cutoff2; the slot index never
- * passes the candidate index, so outputs sized to n_cand suffice), then
- * KernelTableSet.normalize on the survivors' r2 (a loop of its own, so
- * the division packs).  Survivors land in oi/oj (the caller's next free
- * slots), their displacements and clamped u in the block.  Returns how
- * many survived. */
-static inline int64_t rk_walk_filter(const rk_walk_ctx *c, int64_t lo, int64_t hi,
-                                     const int64_t *restrict ii,
-                                     const int64_t *restrict jj,
-                                     const double *restrict w,
-                                     int64_t *restrict oi, int64_t *restrict oj,
-                                     rk_walk_block *restrict blk)
+ * passes the candidate index, so outputs sized to the candidate count
+ * suffice), then KernelTableSet.normalize on the survivors' r2 (a loop of
+ * its own, so the division packs).  Survivors' partners land in oj (the
+ * caller's next free slots), their displacements and clamped u in the
+ * block.  Returns how many survived. */
+RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
+                                   const int32_t *restrict pj, int64_t nk,
+                                   int64_t *restrict oj,
+                                   rk_walk_block *restrict blk)
 {
+    const double *restrict sx = c->sx, *restrict sy = c->sy, *restrict sz = c->sz;
     const double cutoff2 = c->s.cutoff2, umax = c->s.umax;
+    const double x = r->x, y = r->y, z = r->z;
+    double t0[RK_WALK_BLOCK], t1[RK_WALK_BLOCK], t2[RK_WALK_BLOCK], r2[RK_WALK_BLOCK];
+    for (int64_t k = 0; k < nk; k++) {
+        const int64_t j = pj[k];
+        t0[k] = rk_image(x - sx[j], c->L0, c->h0);
+        t1[k] = rk_image(y - sy[j], c->L1, c->h1);
+        t2[k] = rk_image(z - sz[j], c->L2, c->h2);
+        r2[k] = (t0[k] * t0[k] + t1[k] * t1[k]) + t2[k] * t2[k];
+    }
     int64_t nb = 0;
-    for (int64_t k = lo; k < hi; k++) {
-        const double *p = w + 3 * ii[k];
-        const double *q = w + 3 * jj[k];
-        double d0 = rk_image(p[0] - q[0], c->L0, c->h0);
-        double d1 = rk_image(p[1] - q[1], c->L1, c->h1);
-        double d2 = rk_image(p[2] - q[2], c->L2, c->h2);
-        double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
-        oi[nb] = ii[k];
-        oj[nb] = jj[k];
-        blk->d0[nb] = d0;
-        blk->d1[nb] = d1;
-        blk->d2[nb] = d2;
-        blk->u[nb] = r2;
-        nb += r2 < cutoff2;
+    for (int64_t k = 0; k < nk; k++) {
+        oj[nb] = pj[k];
+        blk->d0[nb] = t0[k];
+        blk->d1[nb] = t1[k];
+        blk->d2[nb] = t2[k];
+        blk->u[nb] = r2[k];
+        nb += r2[k] < cutoff2;
     }
     for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
         double u = blk->u[b] / cutoff2;
@@ -453,10 +505,10 @@ static inline int64_t rk_walk_filter(const rk_walk_ctx *c, int64_t lo, int64_t h
  * overflow).  inv holds 1 / width for a layout whose every width is a
  * power of two and is NULL otherwise, which keeps the division.  The
  * choice is per layout, so it is made outside the loop. */
-static inline void rk_offsets(int64_t nb, const double *restrict u,
-                              const int64_t *restrict seg,
-                              const double *starts, const double *widths,
-                              const double *inv, double *restrict t)
+RK_ONE_COPY void rk_offsets(int64_t nb, const double *restrict u,
+                            const int64_t *restrict seg,
+                            const double *starts, const double *widths,
+                            const double *inv, double *restrict t)
 {
     if (inv)
         for (int64_t b = 0; b < nb; b++)
@@ -470,51 +522,76 @@ static inline void rk_offsets(int64_t nb, const double *restrict u,
     }
 }
 
-/* The table arithmetic of a block's nb survivors (i, j),
+/* The table arithmetic of a block's nb survivors (i, j[b]) of row r,
  * nonbonded_real_space_tabulated's line for line, staged so that each
  * loop does one kind of work.  Stage A, scalar: gather what depends on
- * the atoms — the charge product, the LJ A/B coefficients — and locate u
- * in both tier layouts.  Stage B: the offsets within the segments
- * (rk_offsets, lane-parallel), then the six Horner cubics, the two
- * energies and the force prefactor.  Leaves the prefactor p (force on i
- * is p * dx) in blk->pf and writes the pairs' two energies.  The one
- * copy: the fixed-point walk and the float rows below both inline it.
+ * the partner — the charge product (q_i q_j) C with q_i from the row, the
+ * LJ A/B coefficients from the row's A/B row — locate u in the
+ * electrostatic layout, and list the pairs with A or B nonzero.  Stage B:
+ * the offsets within the segments (rk_offsets, lane-parallel), the two
+ * electrostatic cubics and energy, then the dispersion lookup, offsets
+ * and four cubics for the listed pairs only.  Leaves the prefactor p
+ * (force on i is p * dx) in blk->pf and writes the pairs' two energies.
+ * The one copy: the fixed-point walk and the float rows below both
+ * call it.
  *
- * The cubics' loop reads its 24 coefficients per pair through the
- * segment indices, so a vector unit can take it only with hardware
- * gathers; measured on the AVX-512 build host that form (six restrict
- * table parameters in an out-of-line helper) was bit-identical and 5 %
- * slower than this scalar loop, which is therefore what ships. */
-static inline void rk_pair_tables(const rk_walk_ctx *c, int64_t nb,
-                                  const int64_t *restrict i,
-                                  const int64_t *restrict j,
-                                  rk_walk_block *restrict blk,
-                                  double *restrict e_lj,
-                                  double *restrict e_coul)
+ * Lemma (LJ-free pairs): a pair with A == B == 0 gets p = qq * ef and
+ * e_lj = +0.0 where the full expression is p = (qq * ef + A * f12) - B *
+ * f6 and e_lj = A * e12 - B * e6.  A * f12 and B * f6 are zeros, and x
+ * +- 0 == x for every x != 0, so p is the same double unless qq * ef is
+ * itself a zero, where only the sign of a zero may differ; that
+ * prefactor quantizes to the code 0 with either sign (rk_quantize), and
+ * a float force row of +-0 adds nothing to a force sum that started at
+ * +0.0 (rk_deposit_pairs_float: such a sum is never -0.0, and y + (+-0)
+ * == y for every y that is not -0.0).  For the energy, A * e12 - B * e6
+ * is +0 - +0 == +0.0 whenever the dispersion energy tables are
+ * non-negative, which their own test pins.  Every other pair keeps the
+ * full expression, in its order.
+ *
+ * The cubics' loop reads its coefficients per pair through the segment
+ * indices, so a vector unit can take it only with hardware gathers;
+ * measured on the AVX-512 build host that form (six restrict table
+ * parameters in an out-of-line helper) was bit-identical and 5 % slower
+ * than this scalar loop, which is therefore what ships. */
+RK_ONE_COPY void rk_pair_tables(const rk_walk_ctx *c, const rk_row *r,
+                                int64_t nb, const int64_t *restrict j,
+                                rk_walk_block *restrict blk,
+                                double *restrict e_lj,
+                                double *restrict e_coul)
 {
     const rk_pair_spec *s = &c->s;
+    int64_t nl = 0;
     for (int64_t b = 0; b < nb; b++) {
-        const int64_t tij = s->types[i[b]] * s->n_types + s->types[j[b]];
-        blk->qq[b] = s->charges[i[b]] * s->charges[j[b]] * s->coulomb;
-        blk->ca[b] = s->amat[tij];
-        blk->cb[b] = s->bmat[tij];
+        const int64_t tj = s->types[j[b]];
+        blk->qq[b] = r->q * s->charges[j[b]] * s->coulomb;
+        blk->ca[b] = r->a[tj];
+        blk->cb[b] = r->b[tj];
         blk->ie[b] = rk_segment(s->e_starts, s->e_nseg, c->e_grid, blk->u[b]);
-        blk->id[b] = rk_segment(s->d_starts, s->d_nseg, c->d_grid, blk->u[b]);
+        blk->lj[nl] = b;
+        nl += blk->ca[b] != 0.0 || blk->cb[b] != 0.0;
     }
     rk_offsets(nb, blk->u, blk->ie, s->e_starts, s->e_widths, s->e_inv, blk->te);
-    rk_offsets(nb, blk->u, blk->id, s->d_starts, s->d_widths, s->d_inv, blk->td);
     for (int64_t b = 0; b < nb; b++) {
-        const int64_t ie = 4 * blk->ie[b], id = 4 * blk->id[b];
-        const double te = blk->te[b], td = blk->td[b];
-        double ef = rk_horner4(s->e_cf + ie, te);
-        double ee = rk_horner4(s->e_ce + ie, te);
+        const int64_t ie = 4 * blk->ie[b];
+        const double te = blk->te[b];
+        e_coul[b] = blk->qq[b] * rk_horner4(s->e_ce + ie, te);
+        blk->pf[b] = blk->qq[b] * rk_horner4(s->e_cf + ie, te);
+        e_lj[b] = 0.0;
+    }
+    for (int64_t l = 0; l < nl; l++) {
+        blk->ul[l] = blk->u[blk->lj[l]];
+        blk->id[l] = rk_segment(s->d_starts, s->d_nseg, c->d_grid, blk->ul[l]);
+    }
+    rk_offsets(nl, blk->ul, blk->id, s->d_starts, s->d_widths, s->d_inv, blk->td);
+    for (int64_t l = 0; l < nl; l++) {
+        const int64_t b = blk->lj[l], id = 4 * blk->id[l];
+        const double td = blk->td[l], ca = blk->ca[b], cb = blk->cb[b];
         double f12 = rk_horner4(s->c12f + id, td);
         double f6 = rk_horner4(s->c6f + id, td);
         double e12 = rk_horner4(s->c12e + id, td);
         double e6 = rk_horner4(s->c6e + id, td);
-        e_coul[b] = blk->qq[b] * ee;
-        e_lj[b] = blk->ca[b] * e12 - blk->cb[b] * e6;
-        blk->pf[b] = blk->qq[b] * ef + blk->ca[b] * f12 - blk->cb[b] * f6;
+        e_lj[b] = ca * e12 - cb * e6;
+        blk->pf[b] = blk->pf[b] + ca * f12 - cb * f6;
     }
 }
 
@@ -529,10 +606,10 @@ static inline void rk_pair_tables(const rk_walk_ctx *c, int64_t nb,
  * both clip to the cap above).  mul is that ratio, or 0.0 for a codec
  * that is not a power-of-two pair, which keeps the division.  The choice
  * is per codec, so it is made outside the loop. */
-static inline void rk_quantize(int64_t nb, const double *restrict pf,
-                               const double *restrict dx, double limit,
-                               double scale, double mul,
-                               uint64_t *restrict codes)
+RK_ONE_COPY void rk_quantize(int64_t nb, const double *restrict pf,
+                             const double *restrict dx, double limit,
+                             double scale, double mul,
+                             uint64_t *restrict codes)
 {
     const double cap = 4611686018427387904.0; /* 2.0**62 */
     double x[RK_WALK_BLOCK];
@@ -548,93 +625,102 @@ static inline void rk_quantize(int64_t nb, const double *restrict pf,
     }
 }
 
-/* One evaluation of the range-limited forces, from the cached Verlet
- * candidates straight to the force accumulator: NumpyKernels.pair_walk
- * (filter -> tables -> quantize -> deposit) with nothing stored per pair but
- * what the caller reads — the surviving (i, j) and the per-pair energies
- * (summed by np.sum, so the reported floats keep NumPy's pairwise bits).
+/* One evaluation of the range-limited forces, from the Verlet rows
+ * straight to the force accumulator: NumpyKernels.pair_walk (filter ->
+ * tables -> quantize -> deposit) with nothing stored per pair but what the
+ * caller reads — the surviving (i, j) and the per-pair energies (summed by
+ * np.sum, so the reported floats keep NumPy's pairwise bits).
  *
- * Per block of candidates, rk_walk_filter, then rk_pair_tables and
+ * The list is rows: row i is partners[row_ptr[i] .. row_ptr[i + 1]), in
+ * ascending j, so the rows in turn are the canonical (i, j) order.  Per
+ * row, atom i's coordinates, charge and A/B row are held (rk_row); per
+ * block of the row's partners, rk_walk_filter, then rk_pair_tables and
  * rk_quantize on the survivors (stages A and B), then stage C, scalar:
- * each code added to atom i's row sum, held in registers while i repeats
- * (the list is sorted by i), and subtracted from acc[j].  uint64 adds
- * wrap like int64 and commute, so the deposit order is invisible.  The
- * arrays must not overlap.  Returns the surviving pair count. */
-int64_t rk_pair_walk(int64_t n_cand, const int64_t *restrict ii,
-                     const int64_t *restrict jj, const double *restrict w,
-                     const double *L, const rk_pair_spec *s,
-                     int64_t *restrict acc, int64_t *restrict oi,
-                     int64_t *restrict oj, double *restrict e_lj,
-                     double *restrict e_coul)
+ * each code added to atom i's row sum and subtracted from acc[j], and the
+ * row sum added to acc[i] once the row is done.  uint64 adds wrap like
+ * int64 and commute, so the deposit order is invisible.  soa is 3 n_atoms
+ * doubles of scratch; the arrays must not overlap.  Returns the surviving
+ * pair count. */
+int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
+                     const int32_t *restrict partners, const double *restrict w,
+                     double *restrict soa, const double *L,
+                     const rk_pair_spec *s, int64_t *restrict acc,
+                     int64_t *restrict oi, int64_t *restrict oj,
+                     double *restrict e_lj, double *restrict e_coul)
 {
     rk_walk_ctx c;
-    rk_walk_init(&c, s, L);
+    rk_walk_init(&c, s, L, n_atoms, w, soa);
     const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
     uint64_t *a = (uint64_t *)acc;
     rk_walk_block blk;
     uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
-    uint64_t f0 = 0, f1 = 0, f2 = 0;
-    int64_t m = 0, row = 0;
+    int64_t m = 0;
 
-    for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
-        const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
-        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, &blk);
-        rk_pair_tables(&c, nb, oi + m, oj + m, &blk, e_lj + m, e_coul + m);
-        rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
-        rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
-        rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
-        for (int64_t b = 0; b < nb; b++, m++) {
-            const int64_t i = oi[m], j = oj[m];
-            if (i != row) { /* next row: flush the finished one */
-                a[3 * row] += f0;
-                a[3 * row + 1] += f1;
-                a[3 * row + 2] += f2;
-                f0 = f1 = f2 = 0;
-                row = i;
+    for (int64_t i = 0; i < n_atoms; i++) {
+        const int64_t end = row_ptr[i + 1];
+        if (row_ptr[i] == end)
+            continue;
+        const rk_row r = rk_row_of(&c, i);
+        uint64_t f0 = 0, f1 = 0, f2 = 0;
+        for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
+            const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
+            const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, oj + m, &blk);
+            rk_pair_tables(&c, &r, nb, oj + m, &blk, e_lj + m, e_coul + m);
+            rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
+            rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
+            rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
+            for (int64_t b = 0; b < nb; b++, m++) {
+                const int64_t j = oj[m];
+                oi[m] = i;
+                f0 += c0[b];
+                f1 += c1[b];
+                f2 += c2[b];
+                a[3 * j] -= c0[b];
+                a[3 * j + 1] -= c1[b];
+                a[3 * j + 2] -= c2[b];
             }
-            f0 += c0[b];
-            f1 += c1[b];
-            f2 += c2[b];
-            a[3 * j] -= c0[b];
-            a[3 * j + 1] -= c1[b];
-            a[3 * j + 2] -= c2[b];
         }
-    }
-    if (m) {
-        a[3 * row] += f0;
-        a[3 * row + 1] += f1;
-        a[3 * row + 2] += f2;
+        a[3 * i] += f0;
+        a[3 * i + 1] += f1;
+        a[3 * i + 2] += f2;
     }
     return m;
 }
 
 /* The float64 twin of the walk, for ForceCalculator.compute: the cutoff
- * filter and nonbonded_real_space_tabulated in one pass, leaving per
- * surviving pair what that function returns — (i, j), the force row
- * p * dx on atom i, and the two energies.  Nothing is summed here: float
- * addition does not commute, so the rows go to rk_deposit_pairs_float in
- * NumPy's order.  rows is (n_cand, 3); the other outputs as for the
- * walk.  Returns the surviving count. */
-int64_t rk_pair_rows(int64_t n_cand, const int64_t *restrict ii,
-                     const int64_t *restrict jj, const double *restrict w,
-                     const double *L, const rk_pair_spec *s,
-                     int64_t *restrict oi, int64_t *restrict oj,
-                     double *restrict rows, double *restrict e_lj,
-                     double *restrict e_coul)
+ * filter and nonbonded_real_space_tabulated in one pass over the rows,
+ * leaving per surviving pair what that function returns — (i, j), the
+ * force row p * dx on atom i, and the two energies.  Nothing is summed
+ * here: float addition does not commute, so the rows go to
+ * rk_deposit_pairs_float in NumPy's order.  rows is (n_cand, 3); the
+ * other arguments as for the walk.  Returns the surviving count. */
+int64_t rk_pair_rows(int64_t n_atoms, const int64_t *restrict row_ptr,
+                     const int32_t *restrict partners, const double *restrict w,
+                     double *restrict soa, const double *L,
+                     const rk_pair_spec *s, int64_t *restrict oi,
+                     int64_t *restrict oj, double *restrict rows,
+                     double *restrict e_lj, double *restrict e_coul)
 {
     rk_walk_ctx c;
-    rk_walk_init(&c, s, L);
+    rk_walk_init(&c, s, L, n_atoms, w, soa);
     rk_walk_block blk;
     int64_t m = 0;
 
-    for (int64_t lo = 0; lo < n_cand; lo += RK_WALK_BLOCK) {
-        const int64_t hi = lo + RK_WALK_BLOCK < n_cand ? lo + RK_WALK_BLOCK : n_cand;
-        const int64_t nb = rk_walk_filter(&c, lo, hi, ii, jj, w, oi + m, oj + m, &blk);
-        rk_pair_tables(&c, nb, oi + m, oj + m, &blk, e_lj + m, e_coul + m);
-        for (int64_t b = 0; b < nb; b++, m++) {
-            rows[3 * m] = blk.pf[b] * blk.d0[b];
-            rows[3 * m + 1] = blk.pf[b] * blk.d1[b];
-            rows[3 * m + 2] = blk.pf[b] * blk.d2[b];
+    for (int64_t i = 0; i < n_atoms; i++) {
+        const int64_t end = row_ptr[i + 1];
+        if (row_ptr[i] == end)
+            continue;
+        const rk_row r = rk_row_of(&c, i);
+        for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
+            const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
+            const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, oj + m, &blk);
+            rk_pair_tables(&c, &r, nb, oj + m, &blk, e_lj + m, e_coul + m);
+            for (int64_t b = 0; b < nb; b++, m++) {
+                oi[m] = i;
+                rows[3 * m] = blk.pf[b] * blk.d0[b];
+                rows[3 * m + 1] = blk.pf[b] * blk.d1[b];
+                rows[3 * m + 2] = blk.pf[b] * blk.d2[b];
+            }
         }
     }
     return m;

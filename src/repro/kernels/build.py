@@ -278,12 +278,12 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
     lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64, p]
-    # The walk takes a PairSpec by reference.
+    # The walk takes the Verlet rows and a PairSpec by reference.
     lib.rk_pair_walk.restype = i64
-    lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
+    lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p, p]
     # The walk's float64 twin: force rows out instead of an accumulator in.
     lib.rk_pair_rows.restype = i64
-    lib.rk_pair_rows.argtypes = [i64, p, p, p, p, p, p, p, p, p, p]
+    lib.rk_pair_rows.argtypes = [i64, p, p, p, p, p, p, p, p, p, p, p]
     lib.rk_nt_marks.restype = None
     lib.rk_nt_marks.argtypes = [i64, p, p, p, p, i64, i64, p, p]
     lib.rk_deposit_pairs.restype = None

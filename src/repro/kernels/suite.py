@@ -2,9 +2,9 @@
 
 A *kernel suite* is the small set of hot-loop primitives the force
 path, neighbor list, constraint solver and mesh pass dispatch through:
-neighbor-list rebuild, the range-limited pair walk (cached candidates
-straight to the fixed-point force accumulator) and its float64 twin
-(candidates to per-pair force rows), the NT force-export marks,
+neighbor-list rebuild (to the Verlet list's rows), the range-limited
+pair walk (the cached rows straight to the fixed-point force
+accumulator) and its float64 twin (rows to per-pair force rows), the NT force-export marks,
 fixed-point scatter deposits and the ordered float deposit, the fused
 mesh spread and gather, and the SHAKE/RATTLE constraint sweeps.  Each
 primitive has one form: the rebuild and the sweeps take ``n`` stacked
@@ -341,17 +341,20 @@ class NumpyKernels:
     # -- neighbor rebuild --------------------------------------------------
 
     def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
-        """Canonical Verlet list of ``n_blocks`` stacked blocks, as ``(i, j)``.
+        """Canonical Verlet list of ``n_blocks`` stacked blocks, as rows.
 
         Every pair ``i < j`` within one block whose minimum-image
         distance passes :func:`~repro.geometry.cells.within` at ``reach``,
         except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
-        of partners ``j > i``, or ``None`` — sorted by ``(i, j)``.
+        of partners ``j > i``, or ``None`` — sorted by ``(i, j)`` and
+        returned as rows ``(row_ptr, partners)``
+        (:func:`~repro.geometry.neighborlist.pairs_to_rows`).
         ``wrapped`` holds every coordinate in ``[0, L)``.  ``bufs`` is the
-        caller's ``[oi, oj]`` int64 buffers, which only the compiled
+        caller's ``[row_ptr, partners]`` buffers, which only the compiled
         form writes.  Here: batched cell candidates, reach filter,
         exclusion mask, one canonical sort of the survivors — or, in a
-        box that admits no binning, brute force per block.
+        box that admits no binning, brute force per block — then the
+        pairs counted into rows.
         """
         from repro.geometry.cells import (
             _canonical_order,
@@ -359,6 +362,7 @@ class NumpyKernels:
             cell_candidate_pairs,
             within,
         )
+        from repro.geometry.neighborlist import pairs_to_rows
         from repro.geometry.pbc import Box
 
         box = Box(lengths)
@@ -377,41 +381,44 @@ class NumpyKernels:
         if cand is not None and len(ii):
             order = _canonical_order(ii, jj, len(wrapped))
             ii, jj = ii[order], jj[order]
-        return ii, jj
+        return pairs_to_rows(ii, jj, len(wrapped))
 
     # -- tabulated pair kernels ----------------------------------------------
 
-    def _tabulated(self, spec: PairTableSpec, wrapped, ii, jj, lengths):
-        """The filtered candidates through the force field's tabulated kernel."""
+    def _tabulated(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths):
+        """The rows, expanded to ``(i, j)`` candidates and filtered, through
+        the force field's tabulated kernel."""
         from repro.forcefield import nonbonded_real_space_tabulated
         from repro.geometry.cells import within
+        from repro.geometry.neighborlist import rows_to_pairs
         from repro.geometry.pbc import Box
 
         return nonbonded_real_space_tabulated(
-            within(wrapped, Box(lengths), ii, jj, spec.cutoff2),
+            within(wrapped, Box(lengths), *rows_to_pairs(row_ptr, partners), spec.cutoff2),
             spec.charges, spec.types, spec.lj, spec.tables,
         )
 
-    def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
+    def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
                   oi, oj, e_lj, e_coul):
-        """One range-limited evaluation, candidates to accumulator.
+        """One range-limited evaluation, Verlet rows to accumulator.
 
         :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
         :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``;
         of the per-pair data only the surviving pairs ``oi[:m], oj[:m]``
         and their energies ``e_lj[:m], e_coul[:m]`` are kept (all four
-        sized to the candidate count).  Returns ``m``.
+        sized to the candidate count ``len(partners)``).  Returns ``m``.
         """
-        nb = self._tabulated(spec, wrapped, ii, jj, lengths)
+        nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         m = nb.n_pairs
         oi[:m], oj[:m], e_lj[:m], e_coul[:m] = nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
         self.deposit_pairs(acc, nb.i, nb.j, spec.codec.quantize_round_only(nb.force))
         return m
 
-    def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
+    def pair_rows(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths,
                   oi, oj, rows, e_lj, e_coul):
-        """The walk's float64 twin: candidates to per-pair force rows.
+        """The walk's float64 twin: Verlet rows to per-pair force rows.
 
+        The rows expanded to ``(i, j)`` candidates with ``np.repeat``,
         :func:`~repro.geometry.cells.within` at the tables' cutoff, then
         :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
         surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
@@ -419,7 +426,7 @@ class NumpyKernels:
         sized to the candidate count).  Nothing is summed — that is
         :meth:`deposit_pairs_float`'s.  Returns ``m``.
         """
-        nb = self._tabulated(spec, wrapped, ii, jj, lengths)
+        nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         m = nb.n_pairs
         oi[:m], oj[:m], rows[:m] = nb.i, nb.j, nb.force
         e_lj[:m], e_coul[:m] = nb.e_lj_pairs, nb.e_coul_pairs
@@ -577,9 +584,9 @@ class CompiledKernels(NumpyKernels):
         self.threads = int(threads)
         self._pool = None
         self._neighbor_work = None  # grow-only scratch
-        # Per calling thread: a stacked mesh pass's lanes run the mesh
-        # kernels concurrently on this suite (``map_chunks``).
-        self._mesh_scratch = threading.local()
+        # Per calling thread (``_scratch``): a stacked mesh pass's lanes
+        # run the mesh kernels concurrently on this suite (``map_chunks``).
+        self._thread_scratch = threading.local()
 
     def map_chunks(self, fn, nchunks):
         """Run disjoint-output chunks on a persistent Python pool.
@@ -609,34 +616,41 @@ class CompiledKernels(NumpyKernels):
     # buffer — runs the inherited NumPy form instead.
 
     @staticmethod
-    def _pairs_conform(wrapped, ii, jj, lengths, outs) -> bool:
-        """Candidates as C reads them; ``outs`` are ``(array, dtype,
-        row shape)`` scratch of at least the candidate count."""
-        n = len(ii)
+    def _rows_conform(wrapped, row_ptr, partners, lengths, outs) -> bool:
+        """Verlet rows as C reads them — an int64 ``row_ptr`` per atom
+        plus one, from 0 to the int32 partner count — and ``outs``,
+        ``(array, dtype, row shape)`` scratch of at least that count."""
+        n, m = len(wrapped), len(partners)
         return (
-            _conforms(wrapped, (len(wrapped), 3), np.float64)
-            and _conforms(ii, (n,), np.int64)
-            and _conforms(jj, (n,), np.int64)
+            _conforms(wrapped, (n, 3), np.float64)
+            and _conforms(row_ptr, (n + 1,), np.int64)
+            and _conforms(partners, (m,), np.int32)
             and _conforms(lengths, (3,), np.float64)
-            and all(_conforms(a[:n], (n, *row), t) for a, t, row in outs)
+            and row_ptr[0] == 0
+            and row_ptr[n] == m
+            and all(_conforms(a[:m], (m, *row), t) for a, t, row in outs)
         )
 
     def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
         """:meth:`NumpyKernels.neighbor_build` as one C cell sweep.
 
-        Pairs land in ``bufs``, the caller's ``[oi, oj]`` int64 pair, and
-        come back as prefix views of it, so a steady-state rebuild
-        allocates nothing.  A row that does not fit stops the sweep
-        before it; both buffers are then replaced by larger ones sized
-        from the rows already done (:func:`_extrapolated_pairs`, 1/8
-        headroom) and the sweep resumes at that row, so every row is
-        swept once — a fresh list's empty buffers included.
+        The rows land in ``bufs``, the caller's ``[row_ptr, partners]``
+        (int64, int32), and come back as ``row_ptr`` itself and a prefix
+        view of ``partners``, so a steady-state rebuild allocates
+        nothing.  A row that does not fit stops the sweep before it;
+        ``partners`` is then replaced by a larger buffer sized from the
+        rows already done (:func:`_extrapolated_pairs`, 1/8 headroom) and
+        the sweep resumes at that row, so every row is swept once — a
+        fresh list's empty buffers included.
         """
         n = n_blocks * block_len
         wrapped = np.asarray(wrapped, dtype=np.float64, order="C")
+        if len(bufs[0]) != n + 1:
+            bufs[0] = np.empty(n + 1, dtype=np.int64)
         if (
             not _conforms(wrapped, (n, 3), np.float64)
-            or not all(_conforms(b, (len(bufs[0]),), np.int64) for b in bufs)
+            or not _conforms(bufs[0], (n + 1,), np.int64)
+            or not _conforms(bufs[1], (len(bufs[1]),), np.int32)
             or (excl is not None and len(excl[0]) != n + 1)
         ):
             raise ValueError("neighbor_build: arrays do not match the block layout")
@@ -647,58 +661,61 @@ class CompiledKernels(NumpyKernels):
         ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
         at = np.zeros(2, dtype=np.int64)  # [first row to sweep, pairs written]
         while True:
-            oi, oj = bufs
+            row_ptr, partners = bufs
             row_pairs = int(
                 self._lib.rk_neighbor_build(
                     n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
-                    ptr, idx, _ptr(work), _ptr(oi), _ptr(oj), len(oi), _ptr(at),
+                    ptr, idx, _ptr(work), _ptr(row_ptr), _ptr(partners), len(partners),
+                    _ptr(at),
                 )
             )
             row, m = int(at[0]), int(at[1])
             if not row_pairs:
-                return oi[:m], oj[:m]
+                return row_ptr, partners[:m]
             size = _extrapolated_pairs(m + row_pairs, row + 1, block_len, n_blocks)
-            size += size // 8
-            grown = [np.empty(size, dtype=np.int64) for _ in "ij"]
-            grown[0][:m], grown[1][:m] = oi[:m], oj[:m]
-            bufs[:] = grown
+            bufs[1] = np.empty(size + size // 8, dtype=np.int32)
+            bufs[1][:m] = partners[:m]
 
-    def pair_walk(self, spec: PairTableSpec, wrapped, ii, jj, lengths, acc,
+    def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
                   oi, oj, e_lj, e_coul):
         """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
-        Filter, tables, quantize and deposit per block of candidates,
-        with nothing stored per pair but the outputs.
+        Row by row, atom ``i`` held: filter, tables, quantize and deposit
+        per block of its partners, with nothing stored per pair but the
+        outputs.  The j side reads the coordinates as three arrays, a
+        transpose into the calling thread's scratch (:meth:`_scratch`).
         """
         outs = ((oi, np.int64, ()), (oj, np.int64, ()), (e_lj, np.float64, ()),
                 (e_coul, np.float64, ()))
         if not (
-            self._pairs_conform(wrapped, ii, jj, lengths, outs)
+            self._rows_conform(wrapped, row_ptr, partners, lengths, outs)
             and _conforms(acc, (len(wrapped), 3), np.int64)
         ):
-            return NumpyKernels.pair_walk(self, spec, wrapped, ii, jj, lengths, acc,
-                                          oi, oj, e_lj, e_coul)
+            return NumpyKernels.pair_walk(self, spec, wrapped, row_ptr, partners, lengths,
+                                          acc, oi, oj, e_lj, e_coul)
+        n = len(wrapped)
         return int(
             self._lib.rk_pair_walk(
-                len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
-                ctypes.byref(spec.c), _ptr(acc), _ptr(oi), _ptr(oj),
+                n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
+                _ptr(lengths), ctypes.byref(spec.c), _ptr(acc), _ptr(oi), _ptr(oj),
                 _ptr(e_lj), _ptr(e_coul),
             )
         )
 
-    def pair_rows(self, spec: PairTableSpec, wrapped, ii, jj, lengths,
+    def pair_rows(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths,
                   oi, oj, rows, e_lj, e_coul):
         """:meth:`NumpyKernels.pair_rows` in C, sharing the walk's table
         arithmetic."""
         outs = ((oi, np.int64, ()), (oj, np.int64, ()), (rows, np.float64, (3,)),
                 (e_lj, np.float64, ()), (e_coul, np.float64, ()))
-        if not self._pairs_conform(wrapped, ii, jj, lengths, outs):
-            return NumpyKernels.pair_rows(self, spec, wrapped, ii, jj, lengths,
+        if not self._rows_conform(wrapped, row_ptr, partners, lengths, outs):
+            return NumpyKernels.pair_rows(self, spec, wrapped, row_ptr, partners, lengths,
                                           oi, oj, rows, e_lj, e_coul)
+        n = len(wrapped)
         return int(
             self._lib.rk_pair_rows(
-                len(ii), _ptr(ii), _ptr(jj), _ptr(wrapped), _ptr(lengths),
-                ctypes.byref(spec.c), _ptr(oi), _ptr(oj), _ptr(rows),
+                n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
+                _ptr(lengths), ctypes.byref(spec.c), _ptr(oi), _ptr(oj), _ptr(rows),
                 _ptr(e_lj), _ptr(e_coul),
             )
         )
@@ -774,16 +791,17 @@ class CompiledKernels(NumpyKernels):
         return MeshAxes(*ks, kzp, *(int(m) for m in mesh), *(_ptr(a) for a in rows))
 
     def _scratch(self, points: int) -> np.ndarray:
-        """The calling thread's mesh scratch, at least ``points`` float64.
+        """The calling thread's scratch, at least ``points`` float64.
 
-        The float spread's per-chunk bins, or the halo'd z columns of the
-        quantized spread and the gather (C zeroes or fills it per call);
-        one grow-only array per thread serves all three, since a thread
-        runs one kernel at a time.
+        The float spread's per-chunk bins, the halo'd z columns of the
+        quantized spread and the gather, or the pair walks' transposed
+        coordinates (C zeroes or fills it per call); one grow-only array
+        per thread serves all five, since a thread runs one kernel at a
+        time.
         """
-        part = getattr(self._mesh_scratch, "array", None)
+        part = getattr(self._thread_scratch, "array", None)
         if part is None or len(part) < points:
-            part = self._mesh_scratch.array = np.empty(points)
+            part = self._thread_scratch.array = np.empty(points)
         return part
 
     def _halo(self, axes) -> np.ndarray:

@@ -6,6 +6,8 @@ The oracle is the one NumPy table evaluation, written out from public
 parts with literal divisions throughout: the minimum-image cutoff
 filter, :func:`~repro.forcefield.nonbonded_real_space_tabulated` over
 the survivors, the spec's codec, and ``np.add.at`` / ``np.subtract.at``.
+It takes the candidates as ``(i, j)`` pairs; the suites take them as
+the Verlet list's rows (:func:`in_rows`).
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ import numpy as np
 from repro.forcefield import nonbonded_real_space_tabulated
 from repro.functions import KernelTableSet
 from repro.geometry import Box, NeighborPairs
+from repro.geometry.neighborlist import pairs_to_rows
 
 
 def candidates(rng, n_atoms, blocks, n_cand):
@@ -80,24 +83,34 @@ def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
     return acc, nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
 
 
-def suite_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=0):
-    """The same five arrays from ``suite.pair_walk`` (outputs oversized by
-    ``headroom``, as the force calculator's scratch is)."""
-    n = len(ii) + headroom
+def in_rows(ii, jj, n_atoms):
+    """``(ii, jj, row_ptr, partners)``: the candidates in row order (a
+    stable sort by ``i``) as pairs and as the Verlet list's rows."""
+    order = np.argsort(ii, kind="stable")
+    ii, jj = ii[order], jj[order]
+    return (ii, jj, *pairs_to_rows(ii, jj, n_atoms))
+
+
+def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=0):
+    """The same five arrays from ``suite.pair_walk`` over the rows (outputs
+    oversized by ``headroom``, as the force calculator's scratch is)."""
+    n = len(partners) + headroom
     oi = np.empty(n, dtype=np.int64)
     oj = np.empty(n, dtype=np.int64)
     e_lj = np.empty(n)
     e_coul = np.empty(n)
     acc = acc.copy()
-    m = suite.pair_walk(spec, wrapped, ii, jj, lengths, acc, oi, oj, e_lj, e_coul)
+    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, oi, oj, e_lj, e_coul)
     return acc, oi[:m], oj[:m], e_lj[:m], e_coul[:m]
 
 
 def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
-    """Every suite's walk equals the oracle bit for bit; returns the pair count."""
+    """Every suite's walk over the candidates' rows equals the oracle over
+    the same candidates in row order, bit for bit; returns the pair count."""
+    ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     want = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
     for suite in suites:
-        got = suite_walk(suite, spec, wrapped, ii, jj, lengths, acc, headroom=3)
+        got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=3)
         for name, x, y in zip(("acc", "oi", "oj", "e_lj", "e_coul"), got, want):
             np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
     return len(want[1])

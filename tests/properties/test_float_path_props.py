@@ -32,7 +32,7 @@ from repro.forcefield import nonbonded_real_space_tabulated
 from repro.geometry import Box, NeighborPairs
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_solvated_protein, build_water_box
-from tests.properties.pair_walk_oracle import candidates, divided_tables, islands
+from tests.properties.pair_walk_oracle import candidates, divided_tables, in_rows, islands
 from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits, make_gse
 
 pytestmark = pytest.mark.skipif(
@@ -76,6 +76,7 @@ def assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks=1,
     """Every suite's ``pair_rows`` equals the NumPy evaluation; pair count."""
     s = calc.system
     tables = divided_tables(calc.tables) if division_tables else calc.tables
+    ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     want = numpy_rows(tables, s, blocks, wrapped, ii, jj, lengths)
     spec = make_pair_spec(
         tables, s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks)
@@ -85,7 +86,7 @@ def assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks=1,
     for suite in suites:
         oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         rows, e_lj, e_coul = np.empty((n, 3)), np.empty(n), np.empty(n)
-        m = suite.pair_rows(spec, wrapped, ii, jj, lengths, oi, oj, rows, e_lj, e_coul)
+        m = suite.pair_rows(spec, wrapped, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul)
         assert m == want.n_pairs
         np.testing.assert_array_equal(oi[:m], want.i)
         np.testing.assert_array_equal(oj[:m], want.j)

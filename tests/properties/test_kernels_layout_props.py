@@ -18,6 +18,7 @@ from repro.core import ForceCalculator, MDParams
 from repro.ewald import GaussianSplitEwald, GSEParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.geometry import Box
+from repro.geometry.neighborlist import pairs_to_rows
 from repro.kernels import NUMPY_SUITE, available, get_suite, make_pair_spec
 from repro.kernels.suite import NumpyKernels
 from repro.systems import build_water_box
@@ -42,7 +43,7 @@ def empty(shape, dtype, variant):
 
 @pytest.fixture(scope="module")
 def pair_case():
-    """A water box, its spec and every candidate pair i < j."""
+    """A water box, its spec and every candidate pair i < j, as rows."""
     system = build_water_box(n_molecules=24, seed=3)
     calc = ForceCalculator(system, MDParams(cutoff=4.0, mesh=(16, 16, 16)))
     spec = make_pair_spec(
@@ -51,17 +52,18 @@ def pair_case():
     )
     wrapped = system.box.wrap(system.positions)
     ii, jj = np.triu_indices(system.n_atoms, k=1)
-    return spec, wrapped, ii.astype(np.int64), jj.astype(np.int64), system.box.lengths.copy()
+    row_ptr, partners = pairs_to_rows(ii, jj, system.n_atoms)
+    return spec, wrapped, row_ptr, partners, system.box.lengths.copy()
 
 
 def pair_args(case, name, variant):
-    spec, wrapped, ii, jj, lengths = case
-    n, n_atoms = len(ii), len(wrapped)
+    spec, wrapped, row_ptr, partners, lengths = case
+    n, n_atoms = len(partners), len(wrapped)
     if variant == "strided":
-        wrapped, ii, jj = strided(wrapped), strided(ii), strided(jj)
+        wrapped, row_ptr, partners = strided(wrapped), strided(row_ptr), strided(partners)
     elif variant == "dtype":
-        ii, jj = ii.astype(np.int32), jj.astype(np.int32)
-    pairs = (wrapped, ii, jj, lengths)
+        row_ptr, partners = row_ptr.astype(np.int32), partners.astype(np.int64)
+    pairs = (wrapped, row_ptr, partners, lengths)
     ints = [empty(n, np.int64, variant) for _ in "ij"]
     energies = [empty(n, np.float64, variant) for _ in "lc"]
     if name == "pair_walk":

@@ -431,7 +431,7 @@ def test_mesh_path_scratch_is_reused_across_evaluations():
 
     def scratch():
         plan = machine.calc._mesh_plan
-        halo = machine.kernels._mesh_scratch.array  # the halo'd columns
+        halo = machine.kernels._thread_scratch.array  # the halo'd columns
         return (plan, plan._acc, halo, *plan.axis_w, *plan.axis_d, *plan.axis_i)
 
     try:

@@ -27,6 +27,7 @@ from repro.ensemble import tile_exclusions
 from repro.forcefield import Topology, build_exclusions
 from repro.geometry import Box, EnsembleNeighborList, NeighborList, brute_force_pairs
 from repro.geometry.cells import _choose_binning, within
+from repro.geometry.neighborlist import rows_to_pairs
 from repro.kernels import available, get_suite
 
 pytestmark = pytest.mark.skipif(
@@ -47,7 +48,14 @@ RATIOS = (2.05, 2.3, 2.4, 3.2, 6.0, 8.0, 12.0, 24.0)
 
 def _walk(nl):
     """The walk that hands back the within-cutoff pairs themselves."""
-    return lambda wrapped, ii, jj, _lengths: within(wrapped, nl.box, ii, jj, nl.cutoff * nl.cutoff)
+    return lambda wrapped, row_ptr, partners, _lengths: within(
+        wrapped, nl.box, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
+    )
+
+
+def _pairs(nl):
+    """The list's rows as ``(i, j)`` pairs."""
+    return rows_to_pairs(nl._row_ptr, nl._partners)
 
 
 def _chain_exclusions(n: int):
@@ -121,8 +129,10 @@ def _check(lengths, n_solo, replicas, with_excl, seed, solo=None):
     fast.build(pos)
     want_i, want_j = _oracle(box.wrap(pos), box, excl, replicas, n_solo)
     for got in (ref, fast):
-        np.testing.assert_array_equal(got._cand_i, want_i)
-        np.testing.assert_array_equal(got._cand_j, want_j)
+        got_i, got_j = _pairs(got)
+        np.testing.assert_array_equal(got_i, want_i)
+        np.testing.assert_array_equal(got_j, want_j)
+        assert got._row_ptr.dtype == np.int64 and got._partners.dtype == np.int32
     assert fast.n_candidates == ref.n_candidates == len(want_i)
     # Same list in, same filtered pairs out — all four arrays.
     a, b = ref.pairs(pos, _walk(ref)), fast.pairs(pos, _walk(fast))
@@ -174,7 +184,7 @@ def test_every_binning_branch(ratios, n, numpy_k, replicas):
 def test_strict_cutoff_edge_and_box_faces():
     """r2 == reach2 is out, one ulp inside is in; atoms at 0 and L pair up."""
     fast = _check(np.array([3.2, 2.4, 6.0]) * REACH, 80, 1, False, seed=5)
-    pairs = set(zip(fast._cand_i.tolist(), fast._cand_j.tolist()))
+    pairs = set(zip(*(a.tolist() for a in _pairs(fast))))
     assert (5, 6) not in pairs and (5, 7) in pairs
     assert {(0, 1), (0, 2), (1, 2)} <= pairs  # 0 and wrapped-L coincide; L-ulp is adjacent
 
@@ -207,6 +217,31 @@ def test_column_runs_match_oracle(ratios, axis, replicas, with_excl):
     lengths = np.array(ratios) * REACH
     solo = _face_slabs(np.random.default_rng(axis), lengths, 240, axis)
     _check(lengths, len(solo), replicas, with_excl, seed=0, solo=solo)
+
+
+def _c_binned_axes(lengths) -> int:
+    """How many axes the C sweep bins: those that fit seven cells of
+    width >= reach/3 (``rk_neighbor_build``)."""
+    return int(np.sum(np.floor(3.0 * lengths / (REACH * (1.0 + 1e-9))) >= 7.0))
+
+
+@pytest.mark.parametrize(
+    "ratios,replicas,binned",
+    [
+        ((2.05, 2.2, 2.3), 3, 0),  # one cell: each row sweeps its suffix j > i
+        ((4.0, 2.2, 2.3), 1, 1),   # one binned axis over two unbinned ones
+        ((3.2, 3.6, 4.0), 1, 3),   # every axis binned
+    ],
+)
+def test_one_cell_suffix_sweep_and_binned_sweeps(ratios, replicas, binned):
+    """A box with no binned axis is one cell in id order, where each row
+    sweeps only the slots after its own; with exclusions across R > 1
+    blocks its list is the NumPy one, and so are those of a box with one
+    binned axis and of one with all three."""
+    lengths = np.array(ratios) * REACH
+    assert _c_binned_axes(lengths) == binned
+    solo = _face_slabs(np.random.default_rng(binned), lengths, 200, 2)
+    _check(lengths, len(solo), replicas, True, seed=0, solo=solo)
 
 
 class _SweepLog:
@@ -253,7 +288,7 @@ def test_buffer_growth_rebuild_returns_full_list(monkeypatch):
     fast = NeighborList(box, CUTOFF, skin=SKIN, kernels=suite)
     fast.build(sparse)                      # empty buffers: stops at row 0, grows, resumes
     assert len(log.calls) > 1 and log.rows_swept_once(160)
-    cap = len(fast._bufs[0])
+    cap = len(fast._bufs[1])
     for k, pos in enumerate((dense, sparse, dense)):
         log.calls.clear()
         ref.build(pos)
@@ -261,15 +296,16 @@ def test_buffer_growth_rebuild_returns_full_list(monkeypatch):
         assert log.rows_swept_once(160)
         if k == 0:                          # the dense list grows and resumes
             assert len(log.calls) > 1
-        np.testing.assert_array_equal(fast._cand_i, ref._cand_i)
-        np.testing.assert_array_equal(fast._cand_j, ref._cand_j)
+        np.testing.assert_array_equal(fast._row_ptr, ref._row_ptr)
+        np.testing.assert_array_equal(fast._partners, ref._partners)
     assert fast.n_candidates > cap          # the dense list did not fit the first buffers
-    grown = fast._bufs[0]
+    row_ptr, grown = fast._bufs
     log.calls.clear()
     fast.build(dense)
     assert log.calls == [(0, 160)]          # steady state: one call, every row
-    assert fast._bufs[0] is grown           # ... and no reallocation
-    assert fast._cand_i.base is grown       # prefix view of the list-owned buffer
+    assert fast._bufs[1] is grown           # ... and no reallocation
+    assert fast._partners.base is grown     # prefix view of the list-owned buffer
+    assert fast._row_ptr is row_ptr         # the rows' offsets: the buffer itself
 
 
 def test_fresh_stacked_list_sweeps_every_row_once(monkeypatch):

@@ -13,12 +13,19 @@ lemma, and each that breaks a precondition pins the division fallback.
 The NumPy suite's walk — the same pipeline inside the suite — is one
 more suite held to it.
 
+The walk skips the dispersion tables for a pair whose A and B are both
+zero (``_kernels.c``, LJ-free lemma); a TIP4P-Ew box, whose uncharged O
+meets LJ-free H and M, pins that skip where the prefactor is itself a
+zero, and the dispersion energy tables are pinned non-negative, the
+lemma's precondition.
+
 The NT marks pass is pinned against the serial backend's ``np.unique``
 route derivation, element for element.
 
 Skipped wholesale when the host has no C compiler.
 """
 
+import copy
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -30,6 +37,7 @@ from hypothesis import strategies as st
 from repro.core import MDParams
 from repro.core.forces import ForceCalculator
 from repro.fixedpoint import FixedFormat, ScaledFixed
+from repro.forcefield import TIP4PEW
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
@@ -38,9 +46,13 @@ from tests.properties.pair_walk_oracle import (
     assert_walk_matches,
     candidates,
     divided_tables,
+    in_rows,
     islands,
+    numpy_walk,
     oracle_pairs,
+    suite_walk,
 )
+from tests.properties.test_mesh_fused_props import assert_same_bits
 from tests.serial_backend import _force_export_side
 
 pytestmark = pytest.mark.skipif(
@@ -272,15 +284,101 @@ def test_pair_rows_image_bits_on_adversarial_differences(calc, seed, pow2_box):
     jj = np.concatenate([np.arange(1, len(wrapped), 2), np.arange(0, len(wrapped), 2)])
     spec = _spec(calc, blocks=-(-len(wrapped) // calc.system.n_atoms))
     wrapped = np.concatenate([wrapped, np.zeros((len(spec.charges) - len(wrapped), 3))])
+    _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     outs = []
     for k in (numpy_k, compiled_k):
         n = len(ii)
         out = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty((n, 3)),
                np.empty(n), np.empty(n))
-        assert k.pair_rows(spec, wrapped, ii, jj, lengths, *out) == n
+        assert k.pair_rows(spec, wrapped, row_ptr, partners, lengths, *out) == n
         outs.append(out)
     for x, y in zip(*outs):
         np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
+
+
+# -- LJ-free pairs -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tip4p():
+    """A TIP4P-Ew box: O has LJ and no charge, H and M charge and no LJ."""
+    system = build_water_box(n_molecules=24, model=TIP4PEW, seed=2)
+    return ForceCalculator(system, MDParams(cutoff=CUTOFF, mesh=(16, 16, 16)))
+
+
+def _dispersion_only(lj, ti, tj):
+    """``lj`` with type pair ``(ti, tj)`` given B but not A, which no
+    Lorentz–Berthelot table has: the skip must test both."""
+    lj = copy.copy(lj)
+    lj.a_ij, lj.b_ij = lj.a_ij.copy(), lj.b_ij.copy()
+    lj.a_ij[ti, tj] = lj.a_ij[tj, ti] = 0.0
+    lj.b_ij[ti, tj] = lj.b_ij[tj, ti] = lj.b_ij.max()
+    return lj
+
+
+@pytest.mark.parametrize("table", ["tip4p", "dispersion_only"])
+def test_lj_free_pairs_match_the_oracle(suites, tip4p, table):
+    """The skip against the full table expression, on every pair of a
+    TIP4P-Ew box: 8 of its 9 type pairs are LJ-free, and its O–H and O–M
+    pairs are LJ-free with qq = 0, the zero-prefactor case.  Codes and
+    survivors are equal, the e_coul bits, the e_lj values, and the bits
+    of their sum.  The ``dispersion_only`` table turns H–H into A = 0,
+    B != 0, which the skip must not take."""
+    s = tip4p.system
+    lj = s.lj if table == "tip4p" else _dispersion_only(s.lj, *s.type_ids[1:3])
+    spec = make_pair_spec(tip4p.tables, lj, s.charges, s.type_ids, CODECS["pow2"])
+    wrapped = s.box.wrap(s.positions)
+    ii, jj = (a.astype(np.int64) for a in np.triu_indices(s.n_atoms, k=1))
+    a, b = lj.pair_coefficients(s.type_ids[ii], s.type_ids[jj])
+    free = (a == 0.0) & (b == 0.0)
+    assert np.any(free & (s.charges[ii] * s.charges[jj] == 0.0)) and np.any(~free)
+    assert np.any((a == 0.0) & (b != 0.0)) == (table == "dispersion_only")
+    lengths = s.box.lengths.copy()
+    acc = np.zeros((s.n_atoms, 3), dtype=np.int64)
+    assert assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc) > 0
+    *_, e_lj, e_coul = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
+    _, _, row_ptr, partners = in_rows(ii, jj, s.n_atoms)
+    for suite in suites:
+        got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc)
+        assert_same_bits(got[4], e_coul)
+        assert_same_bits(np.sum(got[3]), np.sum(e_lj))
+
+
+def test_lj_free_float_rows_deposit_the_oracle_forces(suites, tip4p):
+    """The float path on the TIP4P-Ew box: ``pair_rows`` gives the
+    oracle's rows by value (a zero-prefactor row may be a zero of the
+    other sign), and their ordered deposit gives the oracle's forces,
+    bit for bit — a force sum from +0.0 never sees the sign of a zero."""
+    s = tip4p.system
+    spec = make_pair_spec(tip4p.tables, s.lj, s.charges, s.type_ids)
+    wrapped = s.box.wrap(s.positions)
+    ii, jj, row_ptr, partners = in_rows(*np.triu_indices(s.n_atoms, k=1), s.n_atoms)
+    lengths = s.box.lengths.copy()
+    want, _ = oracle_pairs(replace(spec, codec=CODECS["pow2"]), wrapped, ii, jj, lengths)
+    want_f = np.zeros((s.n_atoms, 3))
+    np.add.at(want_f, want.i, want.force)
+    np.add.at(want_f, want.j, -want.force)
+    n = len(partners)
+    for suite in suites:
+        oi, oj, rows = np.empty(n, np.int64), np.empty(n, np.int64), np.empty((n, 3))
+        m = suite.pair_rows(spec, wrapped, row_ptr, partners, lengths, oi, oj, rows,
+                            np.empty(n), np.empty(n))
+        np.testing.assert_array_equal(rows[:m], want.force)
+        forces = np.zeros((s.n_atoms, 3))
+        suite.deposit_pairs_float(forces, oi[:m], oj[:m], rows[:m])
+        assert_same_bits(forces, want_f)
+
+
+@pytest.mark.parametrize("name", ["lj12_e", "lj6_e"])
+def test_dispersion_energy_tables_are_non_negative(calc, name):
+    """The LJ-free lemma's precondition: e12 and e6 are >= +0.0 (not -0.0)
+    at every segment's start, midpoint and end, so A·e12 - B·e6 is +0.0
+    for A = B = 0, the e_lj the walk writes."""
+    table = calc.tables.tables[name]
+    seg = np.arange(table.n_segments)
+    for t in (0.0, 0.5, 1.0):
+        v = table.evaluate_at(seg, np.full(len(seg), t))
+        assert np.all(v >= 0.0) and not np.any(np.signbit(v))
 
 
 # -- NT marks ---------------------------------------------------------------

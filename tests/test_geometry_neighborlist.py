@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Box, NeighborList, brute_force_pairs, neighbor_pairs
+from repro.geometry import Box, NeighborList, brute_force_pairs, neighbor_pairs, neighborlist
 from repro.geometry.cells import within
+from repro.geometry.neighborlist import MAX_ATOMS, check_atom_count, rows_to_pairs
 
 
 def _walk(nl):
     """The walk that hands back the within-cutoff pairs themselves."""
-    return lambda wrapped, ii, jj, _lengths: within(wrapped, nl.box, ii, jj, nl.cutoff * nl.cutoff)
+    return lambda wrapped, row_ptr, partners, _lengths: within(
+        wrapped, nl.box, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
+    )
 
 
 def _assert_same_pairs(a, b):
@@ -137,6 +140,19 @@ class TestSkinCapAndValidation:
             NeighborList(box, 6.0)
         with pytest.raises(ValueError):
             NeighborList(box, 3.0, skin=-0.5)
+
+    def test_atom_count_past_the_int32_partners_rejected(self, monkeypatch):
+        """Partner ids are int32: 2**31 atoms (ids up to 2**31 - 1) fit,
+        one more does not — checked on the count, allocating nothing —
+        and a rebuild runs the check on its own atom count."""
+        assert MAX_ATOMS == 2**31 == np.iinfo(np.int32).max + 1
+        check_atom_count(MAX_ATOMS)
+        with pytest.raises(ValueError, match="int32"):
+            check_atom_count(MAX_ATOMS + 1)
+        monkeypatch.setattr(neighborlist, "MAX_ATOMS", 99)
+        nl = NeighborList(Box.cubic(20.0), 4.0)
+        with pytest.raises(ValueError, match="100 atoms"):
+            nl.build(_random_positions(100, nl.box, 1))
 
 
 class TestExclusionPrefilter:
