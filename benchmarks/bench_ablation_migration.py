@@ -14,7 +14,10 @@ from repro.machine import AntonMachine
 from repro.systems import build_water_box
 
 
-def run_with_interval(base, params, interval, steps=16):
+STEPS = 64
+
+
+def run_with_interval(base, params, interval, steps=STEPS):
     m = AntonMachine(base.copy(), params, n_nodes=8, dt=1.0, migration_interval=interval)
     m.step(steps)
     msgs, _bytes = m.traffic_summary().get("migration", (0, 0))
@@ -39,13 +42,16 @@ def test_migration_interval_ablation(benchmark, record_table):
     out = benchmark.pedantic(run_all, rounds=1, iterations=1)
 
     lines = [
-        "Migration-interval ablation (16 steps, 8 nodes)",
+        f"Migration-interval ablation ({STEPS} steps, 8 nodes)",
         f"{'N':>3} {'passes':>7} {'migrated':>9} {'import margin (A)':>18}",
     ]
     for n, r in out.items():
         lines.append(f"{n:>3} {r['migration_passes']:>7} {r['migrated_atoms']:>9} {r['import_margin']:>18.2f}")
     record_table("ablation_migration", lines)
 
+    # Every row migrated atoms, so the comparison below is about migration.
+    for n, r in out.items():
+        assert r["migrated_atoms"] > 0, f"N={n}: no atom changed owner"
     # Fewer passes with larger N (the bookkeeping saved)...
     assert out[1]["migration_passes"] > out[4]["migration_passes"] > out[8]["migration_passes"]
     # ...at the cost of a monotonically larger import margin.

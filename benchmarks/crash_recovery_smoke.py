@@ -53,7 +53,7 @@ def run_flags(workdir: Path, steps: int) -> list[str]:
 
 def env():
     e = os.environ.copy()
-    e["PYTHONPATH"] = str(REPO / "src")
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), e.get("PYTHONPATH")]))
     return e
 
 

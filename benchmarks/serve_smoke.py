@@ -80,7 +80,7 @@ def job_specs(long_scale: int = 1) -> list[JobSpec]:
 
 def env():
     e = os.environ.copy()
-    e["PYTHONPATH"] = str(REPO / "src")
+    e["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), e.get("PYTHONPATH")]))
     return e
 
 

@@ -1,5 +1,5 @@
 """Analysis: energy drift, force-error metrics, NMR order parameters,
-RMSD and folding-event detection."""
+Kabsch superposition and folding-event detection."""
 
 from repro.analysis.energy import DriftResult, energy_drift
 from repro.analysis.forces import ForceError, analytic_forces, force_error, rms_force
@@ -8,7 +8,6 @@ from repro.analysis.rmsd import (
     FoldingEvent,
     detect_folding_events,
     kabsch_align,
-    kabsch_rmsd,
     radius_of_gyration,
 )
 from repro.analysis.trajectory import (
@@ -29,7 +28,6 @@ __all__ = [
     "FoldingEvent",
     "detect_folding_events",
     "kabsch_align",
-    "kabsch_rmsd",
     "radius_of_gyration",
     "drift_from_energy_log",
     "load_positions",

@@ -1,4 +1,4 @@
-"""Structural analysis: Kabsch RMSD, radius of gyration, and
+"""Structural analysis: Kabsch superposition, radius of gyration, and
 folding/unfolding event detection (Figure 7).
 
 "We observed a sequence of folding and unfolding events" — detected
@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "kabsch_rmsd",
     "kabsch_align",
     "radius_of_gyration",
     "FoldingEvent",
@@ -51,19 +50,6 @@ def kabsch_align(
     q_com = q_fit.mean(axis=0)
     rot = _kabsch_rotation(p_fit - p_com, q_fit - q_com)
     return (rot @ (p - p_com).T).T + q_com
-
-
-def kabsch_rmsd(coords: np.ndarray, reference: np.ndarray) -> float:
-    """Minimum RMSD after optimal superposition (Kabsch algorithm)."""
-    p = np.asarray(coords, dtype=np.float64)
-    q = np.asarray(reference, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("coordinate sets must match in shape")
-    p = p - p.mean(axis=0)
-    q = q - q.mean(axis=0)
-    rot = _kabsch_rotation(p, q)
-    diff = (rot @ p.T).T - q
-    return float(np.sqrt(np.mean(np.sum(diff * diff, axis=1))))
 
 
 def radius_of_gyration(coords: np.ndarray, masses: np.ndarray | None = None) -> float:

@@ -230,20 +230,7 @@ class Simulation:
     def velocities(self) -> np.ndarray:
         return self.integrator.velocities
 
-    def record_energy(self) -> EnergyRecord:
-        return self.engine.record_energy()[0]
-
     # -- checkpointing ------------------------------------------------------
-
-    def fingerprint(self) -> dict:
-        """Run identity embedded in checkpoints/trajectories.
-
-        Validated on :meth:`restore`: atom count, hashed static system
-        arrays, force-parameter hash (minus the bitwise-irrelevant
-        neighbor-list skin), mode, dt, and — on the fixed path — the
-        integrator datapath widths.
-        """
-        return self.engine.replica_fingerprint()
 
     def checkpoint(self) -> dict:
         """Snapshot the exact dynamic state.

@@ -4,7 +4,6 @@ SPME baseline, excluded-pair corrections, and a direct-sum reference."""
 from repro.ewald.correction import (
     CorrectionResult,
     CorrectionStatic,
-    correction_forces,
     correction_forces_static,
     precompute_correction_static,
 )
@@ -25,7 +24,6 @@ from repro.ewald.kernels import (
 __all__ = [
     "CorrectionResult",
     "CorrectionStatic",
-    "correction_forces",
     "correction_forces_static",
     "precompute_correction_static",
     "GaussianSplitEwald",

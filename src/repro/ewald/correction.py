@@ -37,7 +37,6 @@ __all__ = [
     "CorrectionStatic",
     "precompute_correction_static",
     "correction_forces_static",
-    "correction_forces",
 ]
 
 
@@ -214,21 +213,3 @@ def correction_forces_static(
         force=out_f,
     )
 
-
-def correction_forces(
-    positions: np.ndarray,
-    box: Box,
-    charges: np.ndarray,
-    type_ids: np.ndarray,
-    lj_table: "LJTable",
-    exclusions: "ExclusionTable",
-    sigma: float,
-) -> CorrectionResult:
-    """Evaluate all correction terms for one configuration.
-
-    Convenience wrapper around :func:`precompute_correction_static` +
-    :func:`correction_forces_static`; repeated-evaluation callers hold
-    the static part themselves.
-    """
-    static = precompute_correction_static(charges, type_ids, lj_table, exclusions)
-    return correction_forces_static(positions, box, static, sigma)

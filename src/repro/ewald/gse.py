@@ -276,14 +276,13 @@ class MeshStencilPlan:
 class GaussianSplitEwald:
     """GSE k-space evaluator for a fixed box and parameter set.
 
-    The pieces (spreading, mesh solve, force interpolation) are exposed
-    separately for tests and analysis; :meth:`mesh_pass`
-    composes them — plan, spread, solve, gather — once, for every
-    engine: the float path (:meth:`kspace`, one lane), the batched
-    ensemble (R lanes) and the simulated machine (one lane, FFT traffic
-    accounted before the solve).  All of them run on
-    :class:`MeshStencilPlan` kernels, so the one-line wrappers here and
-    a caller-held plan produce identical bits by construction.
+    Spreading and force interpolation are :class:`MeshStencilPlan`
+    passes (:meth:`make_plan`); the mesh solve is :meth:`solve` /
+    :meth:`solve_stack`.  :meth:`mesh_pass` composes them — plan,
+    spread, solve, gather — once, for every engine: the float path
+    (:meth:`kspace`, one lane), the batched ensemble (R lanes) and the
+    simulated machine (one lane, FFT traffic accounted before the
+    solve).
     """
 
     def __init__(self, box: Box, params: GSEParams):
@@ -335,38 +334,6 @@ class GaussianSplitEwald:
             out = MeshStencilPlan(self, n)
         return out.build(positions)
 
-    # -- spreading ----------------------------------------------------------
-
-    def spread(self, positions: np.ndarray, charges: np.ndarray, codec=None) -> np.ndarray:
-        """Charge-spread onto the mesh: ``Q[m] = sum_i q_i h³ g(r_m - r_i)``.
-
-        With ``codec`` (a :class:`~repro.fixedpoint.ScaledFixed`), each
-        contribution is quantized and summed in integer arithmetic, so
-        the mesh is independent of atom order and of how spreading work
-        is distributed over simulated nodes (the machine's
-        parallel-invariance requirement).  Use
-        :meth:`spread_contributions` to deposit subsets into a shared
-        integer mesh.
-        """
-        plan = self.make_plan(positions)
-        if codec is not None:
-            acc = np.zeros(self.mesh_point_count(), dtype=np.int64)
-            plan.spread_codes(charges, acc, codec)
-            return codec.reconstruct(codec.wrap(acc)).reshape(tuple(self.mesh))
-        Q = np.zeros(self.mesh_point_count())
-        plan.spread_float(charges, Q)
-        return Q.reshape(tuple(self.mesh))
-
-    def spread_contributions(
-        self, positions: np.ndarray, charges: np.ndarray, mesh_acc: np.ndarray, codec
-    ) -> None:
-        """Deposit quantized spreading contributions into ``mesh_acc``.
-
-        ``mesh_acc`` is a flat int64 accumulator; deposits commute, so
-        any partition of atoms over callers yields identical bits.
-        """
-        self.make_plan(positions).spread_codes(charges, mesh_acc, codec)
-
     # -- mesh solve -----------------------------------------------------------
 
     def solve(self, Q: np.ndarray) -> tuple[np.ndarray, float]:
@@ -398,14 +365,6 @@ class GaussianSplitEwald:
         )
         return phi, energies
 
-    # -- interpolation ----------------------------------------------------------
-
-    def interpolate_forces(
-        self, positions: np.ndarray, charges: np.ndarray, phi: np.ndarray
-    ) -> np.ndarray:
-        """Force interpolation: ``F_i = q_i sum_m phi[m] w(d) d / sigma_s²``."""
-        return self.make_plan(positions).interpolate_forces(charges, phi)
-
     # -- composition ---------------------------------------------------------------
 
     def mesh_pass(
@@ -420,9 +379,11 @@ class GaussianSplitEwald:
         n ``charges``; returns the ``(R,)`` k-space energies and the
         ``(R·n, 3)`` mesh forces.  Combine with the real-space sum, self
         energy, and excluded-pair corrections for total electrostatics.
-        ``codec`` enables order-invariant quantized spreading (see
-        :meth:`spread`); ``before_solve`` is called between spreading
-        and the solve (the machine accounts its FFT traffic there);
+        ``codec`` (a :class:`~repro.fixedpoint.ScaledFixed`) quantizes
+        each spreading contribution and sums the mesh in integer
+        arithmetic, so the mesh is independent of atom order and of how
+        atoms are split over plans; ``before_solve`` is called between
+        spreading and the solve (the machine accounts its FFT traffic there);
         ``timers``, when given, are charged ``mesh_plan`` /
         ``mesh_spread`` / ``mesh_unquantize`` / ``mesh_fft`` /
         ``mesh_interp``.  ``kernels`` is the suite the plan's passes run

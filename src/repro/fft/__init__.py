@@ -2,7 +2,7 @@
 distributed 3-D FFT with message accounting (paper Section 3.2.2)."""
 
 from repro.fft.distributed import DistributedFFT3D
-from repro.fft.radix2 import bit_reverse_permutation, fft1d, fft3d, ifft1d, ifft3d
+from repro.fft.radix2 import bit_reverse_permutation, fft1d, fft3d, ifft1d
 
 __all__ = [
     "DistributedFFT3D",
@@ -10,5 +10,4 @@ __all__ = [
     "fft1d",
     "fft3d",
     "ifft1d",
-    "ifft3d",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["fft1d", "ifft1d", "fft3d", "ifft3d", "bit_reverse_permutation"]
+__all__ = ["fft1d", "ifft1d", "fft3d", "bit_reverse_permutation"]
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -71,12 +71,4 @@ def fft3d(x: np.ndarray) -> np.ndarray:
     out = np.asarray(x, dtype=np.complex128)
     for axis in (2, 1, 0):
         out = fft1d(out, axis=axis)
-    return out
-
-
-def ifft3d(x: np.ndarray) -> np.ndarray:
-    """Inverse 3-D FFT (includes the 1/N factor)."""
-    out = np.asarray(x, dtype=np.complex128)
-    for axis in (0, 1, 2):
-        out = ifft1d(out, axis=axis)
     return out

@@ -10,7 +10,7 @@ from repro.fixedpoint.accumulate import (
     scatter_add_int64,
     wrapping_sum,
 )
-from repro.fixedpoint.blockfloat import BlockFloat, BlockFloatCodec
+from repro.fixedpoint.blockfloat import BlockFloatCodec
 from repro.fixedpoint.format import FixedFormat, round_nearest_even
 from repro.fixedpoint.scaled import ScaledFixed
 
@@ -18,7 +18,6 @@ __all__ = [
     "FixedAccumulator",
     "scatter_add_int64",
     "wrapping_sum",
-    "BlockFloat",
     "BlockFloatCodec",
     "FixedFormat",
     "round_nearest_even",

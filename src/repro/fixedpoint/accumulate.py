@@ -113,18 +113,6 @@ class FixedAccumulator:
         with np.errstate(over="ignore"):
             self._acc += np.asarray(codes, dtype=np.int64)
 
-    def merge(self, other: "FixedAccumulator") -> None:
-        """Fold another accumulator's raw totals into this one.
-
-        This is how simulated nodes combine partial force sums: the
-        merge is a plain integer add, so the combining tree's shape is
-        irrelevant to the final bits.
-        """
-        if other.shape != self.shape:
-            raise ValueError("accumulator shapes differ")
-        with np.errstate(over="ignore"):
-            self._acc += other._acc
-
     def raw(self) -> np.ndarray:
         """The raw (unwrapped) int64 totals. Mutating the result mutates
         the accumulator."""

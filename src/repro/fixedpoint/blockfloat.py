@@ -11,30 +11,12 @@ capture functions with large dynamic range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.fixedpoint.format import round_nearest_even
 
-__all__ = ["BlockFloat", "BlockFloatCodec"]
-
-
-@dataclass(frozen=True)
-class BlockFloat:
-    """An encoded coefficient block: integer mantissas and shared exponent.
-
-    The represented values are ``mantissas * 2**(exponent + 1 - mantissa_bits)``.
-    """
-
-    mantissas: np.ndarray  # int64, shape (k,)
-    exponent: int
-    mantissa_bits: int
-
-    def decode(self) -> np.ndarray:
-        """Reconstruct the coefficient values as float64."""
-        step = math.ldexp(1.0, self.exponent + 1 - self.mantissa_bits)
-        return self.mantissas.astype(np.float64) * step
+__all__ = ["BlockFloatCodec"]
 
 
 class BlockFloatCodec:
@@ -55,19 +37,6 @@ class BlockFloatCodec:
             raise ValueError("mantissa_bits must be >= 2")
         self.mantissa_bits = mantissa_bits
         self.exponent_range = exponent_range
-
-    def encode(self, coeffs: np.ndarray) -> BlockFloat:
-        """Encode a small vector of coefficients with one shared exponent.
-
-        The one-row case of :meth:`encode_rows`.
-        """
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        mantissas, exponents = self.encode_rows(coeffs.reshape(1, -1))
-        return BlockFloat(
-            mantissas=mantissas.reshape(coeffs.shape),
-            exponent=int(exponents[0]),
-            mantissa_bits=self.mantissa_bits,
-        )
 
     def encode_rows(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Encode every row of ``coeffs`` as one block.
@@ -109,6 +78,3 @@ class BlockFloatCodec:
     def _mantissas(self, coeffs: np.ndarray, exponents: np.ndarray) -> np.ndarray:
         return round_nearest_even(coeffs / self._steps(exponents)[:, None]).astype(np.int64)
 
-    def roundtrip(self, coeffs: np.ndarray) -> np.ndarray:
-        """Encode then decode (the quantized coefficient values)."""
-        return self.encode(coeffs).decode()

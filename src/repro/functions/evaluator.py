@@ -108,6 +108,3 @@ class KernelTableSet:
 
     def names(self) -> list[str]:
         return sorted(self.tables)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tables

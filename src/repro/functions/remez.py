@@ -8,8 +8,7 @@ This module implements the classic single-exchange Remez iteration,
 returning coefficients in a *normalized* local variable ``t`` in [0, 1]
 (the form the table hardware evaluates, since the segment index supplies
 the offset).  :func:`remez_fit_rows` runs one exchange over many
-intervals at once — every table segment is a row of one array — and
-:func:`remez_fit` is its one-row case.
+intervals at once — every table segment is a row of one array.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-__all__ = ["MinimaxFit", "MinimaxFits", "remez_fit", "remez_fit_rows", "polyval_ascending"]
+__all__ = ["MinimaxFits", "remez_fit_rows", "polyval_ascending"]
 
 
 def polyval_ascending(coeffs: np.ndarray, t: np.ndarray | float) -> np.ndarray:
@@ -38,22 +37,6 @@ def polyval_ascending(coeffs: np.ndarray, t: np.ndarray | float) -> np.ndarray:
     for k in range(coeffs.shape[-1] - 2, -1, -1):
         out = out * t + coeffs[..., k]
     return out
-
-
-@dataclass(frozen=True)
-class MinimaxFit:
-    """Result of a minimax fit on [a, b] in normalized t = (x-a)/(b-a)."""
-
-    coeffs: np.ndarray  # ascending order, in t
-    a: float
-    b: float
-    max_error: float
-    iterations: int
-    converged: bool
-
-    def __call__(self, x: np.ndarray | float) -> np.ndarray:
-        t = (np.asarray(x, dtype=np.float64) - self.a) / (self.b - self.a)
-        return polyval_ascending(self.coeffs, t)
 
 
 @dataclass(frozen=True)
@@ -178,7 +161,7 @@ def remez_fit_rows(
     exchange degenerates or repeats its reference, or when its linear
     solve is singular (it then keeps its previous coefficients), and its
     ``iterations`` counts the exchanges it ran.  Each row's result is
-    bit for bit the one-row call's on the same interval.
+    bit for bit that of a one-row batch on the same interval.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -240,33 +223,3 @@ def remez_fit_rows(
     max_error = np.max(np.abs(polyval_ascending(coeffs[:, None, :], ts) - fx), axis=1)
     return MinimaxFits(coeffs=coeffs, max_error=max_error, iterations=iterations, converged=converged)
 
-
-def remez_fit(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    degree: int = 3,
-    grid: int = 4000,
-    max_iter: int = 40,
-    rel_tol: float = 1e-10,
-) -> MinimaxFit:
-    """Minimax polynomial approximation of ``f`` on [a, b].
-
-    The one-row case of :func:`remez_fit_rows` (same parameters).
-
-    Returns
-    -------
-    MinimaxFit
-        Coefficients in normalized ``t``; ``max_error`` is measured on
-        the dense grid.
-    """
-    fits = remez_fit_rows(f, np.array([a]), np.array([b]), degree=degree, grid=grid,
-                          max_iter=max_iter, rel_tol=rel_tol)
-    return MinimaxFit(
-        coeffs=fits.coeffs[0],
-        a=float(a),
-        b=float(b),
-        max_error=float(fits.max_error[0]),
-        iterations=int(fits.iterations[0]),
-        converged=bool(fits.converged[0]),
-    )

@@ -49,9 +49,6 @@ class NeighborPairs:
     dx: np.ndarray
     r2: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.i)
-
 
 def _empty_pairs() -> NeighborPairs:
     empty = np.empty(0, dtype=np.int64)

@@ -203,15 +203,6 @@ class LinkRouter:
 
     # -- unicast charging ----------------------------------------------------
 
-    def charge(self, src: int, dst: int, nbytes: int, tag: str) -> None:
-        """Route one message (scalar convenience over charge_batch)."""
-        self.charge_batch(
-            np.asarray([src], dtype=np.int64),
-            np.asarray([dst], dtype=np.int64),
-            np.asarray([nbytes], dtype=np.int64),
-            tag,
-        )
-
     def charge_batch(
         self, src: np.ndarray, dst: np.ndarray, nbytes: np.ndarray, tag: str
     ) -> None:

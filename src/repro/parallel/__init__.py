@@ -1,10 +1,8 @@
 """Parallelization substrate: torus topology, simulated network,
-spatial decomposition, the NT method, the half-shell baseline, and
-deferred migration."""
+spatial decomposition, the NT method, and deferred migration."""
 
 from repro.parallel.comm import NetworkStats, SimNetwork
 from repro.parallel.decomposition import SpatialDecomposition
-from repro.parallel.halfshell import half_shell_assign_pairs, half_shell_boxes
 from repro.parallel.migration import MigrationEvent, MigrationSchedule
 from repro.parallel.nt import (
     NTAssignment,
@@ -19,8 +17,6 @@ __all__ = [
     "NetworkStats",
     "SimNetwork",
     "SpatialDecomposition",
-    "half_shell_assign_pairs",
-    "half_shell_boxes",
     "MigrationEvent",
     "MigrationSchedule",
     "NTAssignment",

@@ -89,7 +89,7 @@ class SimNetwork:
         s.per_node_bytes[src] += int(nbytes)
         s.charge_tag(tag, 1, nbytes)
         if self.router is not None:
-            self.router.charge(src, dst, nbytes, tag)
+            self.router.charge_batch(src, dst, nbytes, tag)
 
     def send_batch(
         self,

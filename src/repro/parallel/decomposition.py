@@ -83,7 +83,3 @@ class SpatialDecomposition:
         if not len(member):
             return 0.0
         return float(np.max(self.box.distance(positions[member], positions[leader])))
-
-    def atoms_per_node(self, owners: np.ndarray) -> np.ndarray:
-        """Histogram of atoms over nodes."""
-        return np.bincount(owners, minlength=self.torus.n_nodes)

@@ -67,18 +67,6 @@ class TorusTopology:
             raise IndexError(f"node {node} out of range")
         return (node // (dy * dz), (node // dz) % dy, node % dz)
 
-    def neighbors(self, node: int) -> list[int]:
-        """The up-to-six torus neighbors (deduplicated on small dims)."""
-        x, y, z = self.coord(node)
-        out = []
-        for axis, delta in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
-            c = [x, y, z]
-            c[axis] += delta
-            nid = self.node_id(tuple(c))
-            if nid != node and nid not in out:
-                out.append(nid)
-        return out
-
     def coords_of(self, nodes: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`coord`: (x, y, z) rows for an id array."""
         nodes = np.asarray(nodes, dtype=np.int64)

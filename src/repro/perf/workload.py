@@ -153,8 +153,8 @@ def workload_from_system(
     return StepWorkload(
         n_atoms=system.n_atoms,
         n_protein_atoms=int(system.meta.get("n_protein_atoms", 0)),
-        pairs_within_cutoff=float(len(pairs)),
-        pairs_considered=float(len(pairs)) / max(eff, 1e-9),
+        pairs_within_cutoff=float(len(pairs.i)),
+        pairs_considered=float(len(pairs.i)) / max(eff, 1e-9),
         mesh_points=int(np.prod(params.mesh)),
         spreading_points_per_atom=_spreading_points(min(SPREADING_RADIUS, params.cutoff), h),
         bonded_cost=bonded_cost,

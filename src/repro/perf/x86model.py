@@ -108,12 +108,3 @@ class X86Model:
             bonded=w.bonded_cost * self.ns_per_bonded_cost * 1e-6,
             integration=w.n_atoms * self.ns_per_atom_integration * 1e-6,
         )
-
-    def us_per_day(self, w: StepWorkload, dt_fs: float = 2.5, long_range_every: int = 1) -> float:
-        """Simulated microseconds per wall-clock day on one core."""
-        p = self.profile(w)
-        long_part = (p.fft + p.mesh_interpolation + p.correction) * (1.0 / long_range_every)
-        short_part = p.range_limited + p.bonded + p.integration
-        step_ms = short_part + long_part
-        steps_per_day = 86400e3 / step_ms
-        return steps_per_day * dt_fs * 1e-9

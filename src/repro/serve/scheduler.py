@@ -67,10 +67,6 @@ class Assignment:
     #: Earliest arrival in the batch — the FIFO identity of the slot.
     arrival: int
 
-    @property
-    def solo(self) -> bool:
-        return len(self.jobs) == 1
-
 
 @dataclass
 class Plan:

@@ -79,10 +79,6 @@ class AssignmentJob:
         self.artifact_dir = artifact_dir
         self.steps_done = int(steps_done)
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "spec": self.spec.to_dict(),
-                "artifact_dir": self.artifact_dir, "steps_done": self.steps_done}
-
     @classmethod
     def from_dict(cls, d: dict) -> "AssignmentJob":
         return cls(id=d["id"], spec=JobSpec.from_dict(d["spec"]),

@@ -10,7 +10,7 @@ from repro.util.constants import (
     WATER_ATOM_DENSITY,
     WATER_MOLECULE_DENSITY,
 )
-from repro.util.rng import DEFAULT_SEED, make_rng, spawn_rngs
+from repro.util.rng import DEFAULT_SEED, make_rng
 
 __all__ = [
     "ACCEL_UNIT",
@@ -23,5 +23,4 @@ __all__ = [
     "WATER_MOLECULE_DENSITY",
     "DEFAULT_SEED",
     "make_rng",
-    "spawn_rngs",
 ]

@@ -26,12 +26,3 @@ def make_rng(seed: int | None = None) -> np.random.Generator:
     """
     return np.random.default_rng(DEFAULT_SEED if seed is None else seed)
 
-
-def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent child generators from one seed.
-
-    Used when a workload is split across simulated nodes so that the
-    random content of each node's work is independent of the node count.
-    """
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

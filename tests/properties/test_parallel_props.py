@@ -1,4 +1,4 @@
-"""Property-based tests of the NT and half-shell assignment rules."""
+"""Property-based tests of the NT assignment rule."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,7 +8,6 @@ from repro.geometry import Box, neighbor_pairs
 from repro.parallel import (
     SpatialDecomposition,
     TorusTopology,
-    half_shell_assign_pairs,
     nt_assign_pairs,
 )
 
@@ -32,29 +31,12 @@ def test_nt_assignment_valid_and_swap_invariant(params):
     rng = np.random.default_rng(seed)
     pos = rng.uniform(0, 24, (n, 3))
     pairs = neighbor_pairs(pos, box, 6.0)
-    if not len(pairs):
+    if not len(pairs.i):
         return
     a = nt_assign_pairs(decomp, pos, pairs.i, pairs.j)
     b = nt_assign_pairs(decomp, pos, pairs.j, pairs.i)
     np.testing.assert_array_equal(a.node, b.node)
     assert np.all((a.node >= 0) & (a.node < decomp.torus.n_nodes))
-
-
-@given(scene())
-@settings(max_examples=40, deadline=None)
-def test_half_shell_owner_is_an_endpoint(params):
-    dims, n, seed = params
-    box = Box.cubic(24.0)
-    decomp = SpatialDecomposition(box, TorusTopology(dims))
-    rng = np.random.default_rng(seed)
-    pos = rng.uniform(0, 24, (n, 3))
-    pairs = neighbor_pairs(pos, box, 6.0)
-    if not len(pairs):
-        return
-    out = half_shell_assign_pairs(decomp, pos, pairs.i, pairs.j)
-    owners = decomp.node_of(pos)
-    assert np.all((out.node == owners[pairs.i]) | (out.node == owners[pairs.j]))
-    assert not np.any(out.neutral)
 
 
 @given(st.integers(5, 40), st.integers(0, 2**31 - 1), st.integers(0, 2))
@@ -81,7 +63,7 @@ def test_nt_assignment_translation_covariant(n, seed, axis):
     if len(pos) < 2:
         return
     pairs = neighbor_pairs(pos, box, 5.0)
-    if not len(pairs):
+    if not len(pairs.i):
         return
     a = nt_assign_pairs(decomp, pos, pairs.i, pairs.j)
     shift = np.zeros(3)

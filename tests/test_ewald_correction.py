@@ -6,8 +6,9 @@ import pytest
 from repro.ewald import (
     GaussianSplitEwald,
     GSEParams,
-    correction_forces,
+    correction_forces_static,
     direct_ewald,
+    precompute_correction_static,
     real_space_energy_kernel,
     self_energy,
 )
@@ -39,11 +40,11 @@ class TestCorrectionForces:
         top.add_bond(1, 2, 300.0, 1.45)
         top.add_bond(2, 3, 300.0, 1.5)
         ex = build_exclusions(top)
-        return box, pos, charges, types, lj, ex
+        return box, pos, charges, ex, precompute_correction_static(charges, types, lj, ex)
 
     def test_pair_lists_complete(self):
-        box, pos, charges, types, lj, ex = self._molecule_system()
-        out = correction_forces(pos, box, charges, types, lj, ex, sigma=2.0)
+        box, pos, charges, ex, static = self._molecule_system()
+        out = correction_forces_static(pos, box, static, 2.0)
         # 3 bonds -> 3 x 1-2 + 2 x 1-3 exclusions, 1 x 1-4 pair.
         assert out.n_pairs == 5 + 1
         assert out.energy_14_lj != 0.0
@@ -51,7 +52,7 @@ class TestCorrectionForces:
     def test_corrected_total_matches_target_electrostatics(self):
         """The full pipeline (real + mesh + self + corrections) must
         equal direct Ewald over *non-excluded* pairs plus scaled 1-4."""
-        box, pos, charges, types, lj, ex = self._molecule_system()
+        box, pos, charges, ex, static = self._molecule_system()
         cutoff = 8.0
         params = GSEParams.choose(box, cutoff, (32, 32, 32), real_space_tolerance=1e-7)
         sigma = params.sigma
@@ -62,7 +63,7 @@ class TestCorrectionForces:
         qq = charges[pairs.i[keep]] * charges[pairs.j[keep]]
         e_real = float(np.sum(qq * real_space_energy_kernel(pairs.r2[keep], sigma)))
         e_k, _ = gse.kspace(pos, charges)
-        corr = correction_forces(pos, box, charges, types, lj, ex, sigma)
+        corr = correction_forces_static(pos, box, static, sigma)
         total_coul = e_real + e_k + self_energy(charges, sigma) + corr.energy_exclusion + corr.energy_14_coul
 
         # Target: direct Ewald of the same charges, minus the full
@@ -77,13 +78,13 @@ class TestCorrectionForces:
         assert total_coul == pytest.approx(ref, abs=5e-3)
 
     def test_forces_match_numerical_gradient(self):
-        box, pos, charges, types, lj, ex = self._molecule_system()
+        box, pos, charges, ex, static = self._molecule_system()
         sigma = 2.0
 
         def energy(p):
-            return correction_forces(p, box, charges, types, lj, ex, sigma).energy
+            return correction_forces_static(p, box, static, sigma).energy
 
-        out = correction_forces(pos, box, charges, types, lj, ex, sigma)
+        out = correction_forces_static(pos, box, static, sigma)
         dense = np.zeros((6, 3))
         np.add.at(dense, out.i, out.force)
         np.add.at(dense, out.j, -out.force)
@@ -101,7 +102,8 @@ class TestCorrectionForces:
         pos = np.random.default_rng(0).uniform(0, 10, (5, 3))
         charges = np.ones(5)
         ex = build_exclusions(Topology(5))
-        out = correction_forces(pos, box, charges, np.zeros(5, np.int64), LJTable([3.0], [0.1]), ex, 2.0)
+        static = precompute_correction_static(charges, np.zeros(5, np.int64), LJTable([3.0], [0.1]), ex)
+        out = correction_forces_static(pos, box, static, 2.0)
         assert out.n_pairs == 0
         assert out.energy == 0.0
 
@@ -114,7 +116,8 @@ class TestCorrectionForces:
         top = Topology(2)
         top.add_bond(0, 1, 100.0, 1.2)
         ex = build_exclusions(top)
-        out = correction_forces(pos, box, charges, np.zeros(2, np.int64), LJTable([3.0], [0.1]), ex, 2.0)
+        static = precompute_correction_static(charges, np.zeros(2, np.int64), LJTable([3.0], [0.1]), ex)
+        out = correction_forces_static(pos, box, static, 2.0)
         assert out.energy_exclusion < 0
 
 
@@ -131,27 +134,16 @@ class TestStaticPrecompute:
             top.add_bond(a, a + 1, 100.0, 1.2)
         return box, pos, charges, types, lj, build_exclusions(top)
 
-    def test_static_path_matches_wrapper_bitwise(self):
-        from repro.ewald import correction_forces_static, precompute_correction_static
-
-        box, pos, charges, types, lj, ex = self._setup()
-        static = precompute_correction_static(charges, types, lj, ex)
-        got = correction_forces_static(pos, box, static, 2.0)
-        ref = correction_forces(pos, box, charges, types, lj, ex, 2.0)
-        np.testing.assert_array_equal(got.i, ref.i)
-        np.testing.assert_array_equal(got.j, ref.j)
-        np.testing.assert_array_equal(got.force, ref.force)
-        assert got.energy == ref.energy
-        assert got.energy_14_lj == ref.energy_14_lj
-
     def test_static_data_reusable_across_configurations(self):
-        from repro.ewald import correction_forces_static, precompute_correction_static
-
+        # One precompute serves every configuration: each result equals
+        # the one from a fresh precompute, so a call leaves it unchanged.
         box, pos, charges, types, lj, ex = self._setup()
         static = precompute_correction_static(charges, types, lj, ex)
         rng = np.random.default_rng(18)
         for _ in range(3):
             pos = box.wrap(pos + rng.uniform(-0.5, 0.5, pos.shape))
             got = correction_forces_static(pos, box, static, 2.0)
-            ref = correction_forces(pos, box, charges, types, lj, ex, 2.0)
+            fresh = precompute_correction_static(charges, types, lj, ex)
+            ref = correction_forces_static(pos, box, fresh, 2.0)
             np.testing.assert_array_equal(got.force, ref.force)
+            assert got.energy == ref.energy

@@ -67,28 +67,31 @@ class TestSeparableWeights:
         np.testing.assert_allclose(plan.axis_d[2], d_r[:, 0, 0, :, 2], atol=1e-12)
 
     def test_fast_kspace_matches_chunked_path(self, gse, atoms):
+        # kspace (the one-lane mesh_pass: stacked solve, lane views)
+        # against its pieces run by hand on one plan.
         pos, q = atoms
         e_fast, f_fast = gse.kspace(pos, q)
-        Q = gse.spread(pos, q)
-        phi, e_slow = gse.solve(Q)
-        f_slow = gse.interpolate_forces(pos, q, phi)
+        plan = gse.make_plan(pos)
+        Q = np.zeros(gse.mesh_point_count())
+        plan.spread_float(q, Q)
+        phi, e_slow = gse.solve(Q.reshape(tuple(gse.mesh)))
+        f_slow = plan.interpolate_forces(q, phi)
         assert e_fast == pytest.approx(e_slow, rel=1e-12)
         np.testing.assert_allclose(f_fast, f_slow, atol=1e-12)
 
     def test_fast_kspace_quantized_matches_contributions_path(self, gse, atoms):
-        """Parallel invariance depends on this: the single-call fast
-        path and the per-subset machine path must produce the same
+        """Parallel invariance depends on this: one plan over every atom
+        and one plan per atom subset, depositing into a shared
+        accumulator (the machine-style split), produce the same
         quantized mesh bits."""
         pos, q = atoms
         codec = ScaledFixed(FixedFormat(40), limit=8.0)
-        # Machine-style: two subsets deposited into one accumulator.
         acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-        gse.spread_contributions(pos[:11], q[:11], acc, codec)
-        gse.spread_contributions(pos[11:], q[11:], acc, codec)
-        Q_machine = codec.reconstruct(codec.wrap(acc)).reshape(tuple(gse.mesh))
-        # Reference fast path.
-        Q_fast = gse.spread(pos, q, codec=codec)
-        np.testing.assert_array_equal(Q_machine, Q_fast)
+        gse.make_plan(pos[:11]).spread_codes(q[:11], acc, codec)
+        gse.make_plan(pos[11:]).spread_codes(q[11:], acc, codec)
+        whole = np.zeros_like(acc)
+        gse.make_plan(pos).spread_codes(q, whole, codec)
+        np.testing.assert_array_equal(codec.wrap(acc), codec.wrap(whole))
 
     def test_energy_via_fast_path_accurate(self, gse, atoms):
         pos, q = atoms

@@ -11,7 +11,7 @@ import pytest
 from repro.ewald import choose_sigma
 from repro.ewald.kernels import real_space_force_kernel
 from repro.forcefield.nonbonded import build_kernel_tables
-from repro.functions import polyval_ascending, remez_fit, remez_fit_rows
+from repro.functions import polyval_ascending, remez_fit_rows
 from repro.functions.remez import _alternating_extrema
 from repro.util import COULOMB
 
@@ -37,48 +37,60 @@ class TestPolyvalAscending:
             np.testing.assert_array_equal(row, polyval_ascending(c, t))
 
 
+def fit_one(f, a, b, **kw):
+    """One interval as a one-row batch: ``(coeffs, max_error, iterations, converged)``."""
+    fits = remez_fit_rows(f, np.array([a]), np.array([b]), **kw)
+    return fits.coeffs[0], fits.max_error[0], fits.iterations[0], fits.converged[0]
+
+
+def fit_values(f, a, b, xs, **kw):
+    """The one-row fit evaluated at ``xs`` (in the original variable)."""
+    coeffs = fit_one(f, a, b, **kw)[0]
+    return polyval_ascending(coeffs, (np.asarray(xs) - a) / (b - a))
+
+
 class TestRemezFit:
+    """One interval, fitted as a one-row batch."""
+
     def test_exact_for_polynomial_of_same_degree(self):
-        fit = remez_fit(lambda x: 2 + 3 * x - x**2, 0.0, 2.0, degree=2)
         xs = np.linspace(0, 2, 50)
-        np.testing.assert_allclose(fit(xs), 2 + 3 * xs - xs**2, atol=1e-8)
-        assert fit.max_error < 1e-8
+        vals = fit_values(lambda x: 2 + 3 * x - x**2, 0.0, 2.0, xs, degree=2)
+        np.testing.assert_allclose(vals, 2 + 3 * xs - xs**2, atol=1e-8)
+        assert fit_one(lambda x: 2 + 3 * x - x**2, 0.0, 2.0, degree=2)[1] < 1e-8
 
     def test_exp_cubic_accuracy(self):
-        fit = remez_fit(np.exp, 0.0, 1.0, degree=3)
+        _, max_error, _, converged = fit_one(np.exp, 0.0, 1.0, degree=3)
         # Minimax cubic for e^x on [0,1] has max error ~5.5e-4.
-        assert fit.max_error < 1e-3
-        assert fit.converged
+        assert max_error < 1e-3
+        assert converged
 
     def test_minimax_beats_taylor(self):
-        fit = remez_fit(np.exp, 0.0, 1.0, degree=3)
         xs = np.linspace(0, 1, 500)
         taylor = 1 + xs + xs**2 / 2 + xs**3 / 6
-        assert fit.max_error < np.max(np.abs(taylor - np.exp(xs)))
+        assert fit_one(np.exp, 0.0, 1.0, degree=3)[1] < np.max(np.abs(taylor - np.exp(xs)))
 
     def test_equioscillation(self):
         # The error curve should attain near-equal extrema of alternating
         # sign at degree+2 points.
-        fit = remez_fit(np.sin, 0.0, 1.5, degree=3)
         xs = np.linspace(0, 1.5, 3000)
-        err = fit(xs) - np.sin(xs)
+        err = fit_values(np.sin, 0.0, 1.5, xs, degree=3) - np.sin(xs)
         assert np.max(err) == pytest.approx(-np.min(err), rel=0.05)
 
     def test_rapidly_varying_kernel(self):
         # r^-14-like kernel over a narrow tiered segment, as used by the
         # vdW tables (segment widths in u are ~1e-3 there).
-        fit = remez_fit(lambda u: u**-7.0, 0.040, 0.042, degree=3)
         us = np.linspace(0.040, 0.042, 200)
-        rel = np.abs(fit(us) - us**-7.0) / us**-7.0
+        vals = fit_values(lambda u: u**-7.0, 0.040, 0.042, us, degree=3)
+        rel = np.abs(vals - us**-7.0) / us**-7.0
         assert np.max(rel) < 1e-4
 
     def test_higher_degree_more_accurate(self):
-        errs = [remez_fit(np.exp, 0.0, 1.0, degree=d).max_error for d in (1, 2, 3, 4)]
+        errs = [fit_one(np.exp, 0.0, 1.0, degree=d)[1] for d in (1, 2, 3, 4)]
         assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
-            remez_fit(np.exp, 1.0, 1.0)
+            fit_one(np.exp, 1.0, 1.0)
 
     def test_nonfinite_function_rejected(self):
         def diverging(x):
@@ -86,27 +98,30 @@ class TestRemezFit:
                 return 1.0 / x
 
         with pytest.raises(ValueError):
-            remez_fit(diverging, 0.0, 1.0)
+            fit_one(diverging, 0.0, 1.0)
 
     def test_normalized_coefficients(self):
         # coeffs are in t = (x-a)/(b-a); constant term is f-ish at a.
-        fit = remez_fit(np.exp, 2.0, 3.0, degree=3)
-        assert fit.coeffs[0] == pytest.approx(np.exp(2.0), rel=1e-3)
+        coeffs = fit_one(np.exp, 2.0, 3.0, degree=3)[0]
+        assert coeffs[0] == pytest.approx(np.exp(2.0), rel=1e-3)
 
 
 SMALL_GRID_CHILD = """
 import numpy as np
-from repro.functions import remez_fit
+from repro.functions import remez_fit_rows
+
+def fit(degree, grid):
+    return remez_fit_rows(np.exp, np.array([0.0]), np.array([1.0]), degree=degree, grid=grid)
 
 for degree, grid in ((5, 7), (8, 12), (3, 6), (0, 2)):
-    fit = remez_fit(np.exp, 0.0, 1.0, degree=degree, grid=grid)
-    assert np.all(np.isfinite(fit.coeffs)) and fit.iterations >= 1
+    fits = fit(degree, grid)
+    assert np.all(np.isfinite(fits.coeffs)) and fits.iterations[0] >= 1
     print("returned", degree, grid, flush=True)
 # grid == degree + 2: every grid point is a reference point.
-assert remez_fit(np.exp, 0.0, 1.0, degree=5, grid=7).max_error < 1e-6
+assert fit(5, 7).max_error[0] < 1e-6
 for degree, grid in ((5, 6), (3, 4), (1, 2)):
     try:
-        remez_fit(np.exp, 0.0, 1.0, degree=degree, grid=grid)
+        fit(degree, grid)
     except ValueError as e:
         assert "reference points" in str(e)
     else:
@@ -133,7 +148,7 @@ def test_small_grids_return_or_reject():
         except subprocess.TimeoutExpired:
             proc.kill()
             out, _ = proc.communicate()
-            pytest.fail(f"a small-grid remez_fit did not return within 60 s; before it: {out!r}")
+            pytest.fail(f"a small-grid Remez fit did not return within 60 s; before it: {out!r}")
     assert proc.returncode == 0, err
 
 
@@ -161,11 +176,11 @@ def _kernel_rows():
 
 def _assert_rows_match_one_row_calls(f, a, b, fits, **kw):
     for i in range(len(a)):
-        one = remez_fit(f, float(a[i]), float(b[i]), **kw)
-        assert one.coeffs.tobytes() == fits.coeffs[i].tobytes(), i
-        assert one.max_error == fits.max_error[i]
-        assert one.iterations == fits.iterations[i]
-        assert one.converged == fits.converged[i]
+        coeffs, max_error, iterations, converged = fit_one(f, float(a[i]), float(b[i]), **kw)
+        assert coeffs.tobytes() == fits.coeffs[i].tobytes(), i
+        assert max_error == fits.max_error[i]
+        assert iterations == fits.iterations[i]
+        assert converged == fits.converged[i]
 
 
 class TestBatchedRows:
@@ -203,9 +218,11 @@ class TestBatchedRows:
         assert 0 < unchanged.sum() < len(a)
         for i in np.flatnonzero(~unchanged):
             assert not fits.converged[i]
-            before = remez_fit(f, float(a[i]), float(b[i]), grid=257, max_iter=int(fits.iterations[i]) - 1)
-            assert fits.coeffs[i].tobytes() == before.coeffs.tobytes()
-            assert fits.max_error[i] == before.max_error
+            coeffs, max_error, _, _ = fit_one(
+                f, float(a[i]), float(b[i]), grid=257, max_iter=int(fits.iterations[i]) - 1
+            )
+            assert fits.coeffs[i].tobytes() == coeffs.tobytes()
+            assert fits.max_error[i] == max_error
 
     def test_nonfinite_row_rejects_the_batch(self):
         def diverging(x):

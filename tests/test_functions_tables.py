@@ -128,8 +128,8 @@ class TestKernelTableSet:
     def test_names_and_contains(self):
         ts = KernelTableSet(cutoff=9.0)
         ts.add("a", lambda r2: r2)
-        assert "a" in ts
-        assert "b" not in ts
+        assert "a" in ts.tables
+        assert "b" not in ts.tables
         assert ts.names() == ["a"]
 
     def test_r_at_cutoff_does_not_error(self):

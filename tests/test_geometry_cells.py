@@ -15,14 +15,14 @@ class TestBruteForce:
         box = Box.cubic(10.0)
         pos = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0]])
         pairs = brute_force_pairs(pos, box, 2.0)
-        assert len(pairs) == 1
+        assert len(pairs.i) == 1
         assert pairs.r2[0] == pytest.approx(1.0)
 
     def test_periodic_pair(self):
         box = Box.cubic(10.0)
         pos = np.array([[0.5, 5.0, 5.0], [9.5, 5.0, 5.0]])
         pairs = brute_force_pairs(pos, box, 2.0)
-        assert len(pairs) == 1
+        assert len(pairs.i) == 1
         assert pairs.r2[0] == pytest.approx(1.0)
 
     def test_no_self_pairs_and_no_duplicates(self):
@@ -31,12 +31,12 @@ class TestBruteForce:
         pos = rng.uniform(0, 6, size=(40, 3))
         pairs = brute_force_pairs(pos, box, 2.9)
         assert np.all(pairs.i != pairs.j)
-        assert len(_pair_set(pairs)) == len(pairs)
+        assert len(_pair_set(pairs)) == len(pairs.i)
 
     def test_empty(self):
         box = Box.cubic(10.0)
         pairs = brute_force_pairs(np.empty((0, 3)), box, 2.0)
-        assert len(pairs) == 0
+        assert len(pairs.i) == 0
 
 
 class TestNeighborPairs:
@@ -121,4 +121,4 @@ class TestCellIndexClamp:
         pairs = neighbor_pairs(pos, box, 5.0)
         assert np.all(pairs.i < pairs.j)
         order = np.lexsort((pairs.j, pairs.i))
-        np.testing.assert_array_equal(order, np.arange(len(pairs)))
+        np.testing.assert_array_equal(order, np.arange(len(pairs.i)))

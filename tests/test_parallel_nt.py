@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from repro.forcefield import Topology
-from repro.geometry import Box, neighbor_pairs
+from repro.geometry import Box, half_shell_import_volume, neighbor_pairs, nt_import_volume
 from repro.parallel import (
     SpatialDecomposition,
     TorusTopology,
-    half_shell_assign_pairs,
-    half_shell_boxes,
     match_efficiency,
     nt_assign_pairs,
     nt_node_tables,
@@ -97,7 +95,7 @@ class TestNTAssignment:
         pos = rng.uniform(0, 24, (300, 3))
         pairs = neighbor_pairs(pos, box, 5.0)
         out = nt_assign_pairs(decomp, pos, pairs.i, pairs.j)
-        assert len(out.node) == len(pairs)
+        assert len(out.node) == len(pairs.i)
         assert np.all(out.node >= 0) and np.all(out.node < decomp.torus.n_nodes)
 
     def test_antisymmetric_under_swap(self):
@@ -133,7 +131,7 @@ class TestNTAssignment:
         pairs = neighbor_pairs(pos, box, cutoff)
         out = nt_assign_pairs(decomp, pos, pairs.i, pairs.j)
         coords = decomp.box_coord(pos)
-        for k in range(0, len(pairs), 37):  # sample
+        for k in range(0, len(pairs.i), 37):  # sample
             node = int(out.node[k])
             tower, plate = tower_plate_boxes(decomp, decomp.torus.coord(node), cutoff)
             region = tower | plate
@@ -151,36 +149,11 @@ class TestNTAssignment:
 
 
 class TestHalfShell:
-    def test_never_neutral(self):
-        box = Box.cubic(32.0)
-        decomp = SpatialDecomposition(box, TorusTopology((4, 4, 4)))
-        rng = np.random.default_rng(5)
-        pos = rng.uniform(0, 32, (400, 3))
-        pairs = neighbor_pairs(pos, box, 7.0)
-        out = half_shell_assign_pairs(decomp, pos, pairs.i, pairs.j)
-        assert not np.any(out.neutral)
-        # Owner is the home node of one of the two atoms.
-        nodes = decomp.node_of(pos)
-        assert np.all((out.node == nodes[pairs.i]) | (out.node == nodes[pairs.j]))
-
-    def test_swap_consistent(self):
-        box = Box.cubic(24.0)
-        decomp = SpatialDecomposition(box, TorusTopology((4, 4, 4)))
-        rng = np.random.default_rng(6)
-        pos = rng.uniform(0, 24, (200, 3))
-        pairs = neighbor_pairs(pos, box, 5.0)
-        a = half_shell_assign_pairs(decomp, pos, pairs.i, pairs.j)
-        b = half_shell_assign_pairs(decomp, pos, pairs.j, pairs.i)
-        np.testing.assert_array_equal(a.node, b.node)
-
     def test_half_shell_import_larger_than_nt(self):
         # Figure 3's message: NT imports less volume when boxes are
-        # small relative to the cutoff.
-        decomp = SpatialDecomposition(Box.cubic(32.0), TorusTopology((4, 4, 4)))
-        cutoff = 13.0
-        tower, plate = tower_plate_boxes(decomp, (0, 0, 0), cutoff)
-        hs = half_shell_boxes(decomp, (0, 0, 0), cutoff)
-        assert len(tower | plate) < len(hs)
+        # small relative to the cutoff (bench_figure3_import_volume.py
+        # checks both volumes against voxel counts).
+        assert nt_import_volume((8.0, 8.0, 8.0), 13.0) < half_shell_import_volume((8.0, 8.0, 8.0), 13.0)
 
 
 class TestMatchEfficiency:

@@ -37,12 +37,12 @@ class TestTorusTopology:
 
     def test_neighbors_six_on_big_torus(self):
         topo = TorusTopology.cubic(4)
-        assert len(topo.neighbors(0)) == 6
+        assert sum(topo.hop_distance(0, n) == 1 for n in range(topo.n_nodes)) == 6
 
     def test_neighbors_dedup_on_small_torus(self):
         topo = TorusTopology.cubic(2)
         # +1 and -1 alias on a length-2 ring: only 3 distinct neighbors.
-        assert len(topo.neighbors(0)) == 3
+        assert sum(topo.hop_distance(0, n) == 1 for n in range(topo.n_nodes)) == 3
 
     def test_hop_distance_wraparound(self):
         topo = TorusTopology.cubic(8)

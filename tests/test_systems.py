@@ -46,7 +46,7 @@ class TestWaterBox:
 
         o_pos = s.positions[0::3]
         pairs = neighbor_pairs(o_pos, s.box, 2.2)
-        assert len(pairs) == 0
+        assert len(pairs.i) == 0
 
     def test_requires_some_argument(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from repro.util import (
     DEFAULT_SEED,
     WATER_MOLECULE_DENSITY,
     make_rng,
-    spawn_rngs,
 )
 
 
@@ -50,11 +49,3 @@ class TestRNG:
         np.testing.assert_array_equal(
             make_rng(None).normal(size=3), make_rng(DEFAULT_SEED).normal(size=3)
         )
-
-    def test_spawn_rngs_independent_and_reproducible(self):
-        rngs1 = spawn_rngs(7, 3)
-        rngs2 = spawn_rngs(7, 3)
-        vals1 = [r.normal() for r in rngs1]
-        vals2 = [r.normal() for r in rngs2]
-        np.testing.assert_array_equal(vals1, vals2)
-        assert len(set(vals1)) == 3  # children differ from each other
