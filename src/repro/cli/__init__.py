@@ -32,6 +32,8 @@ verify).
 from __future__ import annotations
 
 import argparse
+import os
+import sys
 
 from repro.cli import report, run, service
 
@@ -54,4 +56,15 @@ def main(argv: list[str] | None = None) -> int:
         get_suite(getattr(args, "kernel_tier", None), getattr(args, "kernel_threads", None))
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
-    return commands[args.command](args)
+    try:
+        status = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the exit flush
+    except BrokenPipeError:
+        # The reader is gone (``repro jobs | head``): what is left of
+        # stdout goes to devnull, so the interpreter's own flush at exit
+        # cannot fail again, and the command ends as Python ends on EPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    return status

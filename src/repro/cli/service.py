@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
 
 from repro.cli.common import add_kernel_flags
@@ -64,8 +65,23 @@ def cmd_serve(args) -> int:
         idle_exit=args.idle_exit,
     )
     server = Server(args.dir, config)
+    owner = os.getpid()
+
+    def on_sigterm(signum, _frame):
+        # SIGTERM stops the service as Ctrl-C does: serve_forever returns
+        # after the current tick and closes the server on its way out.  A
+        # worker forked after this point inherits the handler; there the
+        # signal keeps its default meaning (Server.close terminates a
+        # worker that ignores "stop").
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        server.request_shutdown()
+
+    signal.signal(signal.SIGTERM, on_sigterm)
     print(f"serving on {server.sock_path} — {config.workers} workers, "
-          f"max batch {config.max_batch} (pid {os.getpid()})")
+          f"max batch {config.max_batch} (pid {os.getpid()})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

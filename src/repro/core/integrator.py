@@ -106,8 +106,10 @@ class FixedPointIntegrator:
     dt:
         Time step in femtoseconds (the paper uses 2.5 fs).
     constraints:
-        Optional :class:`ConstraintSolver`; SHAKE after drift, RATTLE
-        after each kick.
+        Optional :class:`ConstraintSolver`; its ``shake`` after drift and
+        ``rattle`` after each kick (SETTLE for rigid water, exact to
+        rounding; sweeps for the other constraints, which may end on the
+        solver's sweep cap rather than its tolerance).
     thermostat:
         Optional callable ``thermostat(integrator) -> lambda`` applied
         to velocities at the end of each step.

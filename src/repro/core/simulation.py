@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.constraints import ConstraintSolver
+from repro.core.constraints import ConstraintSolver, DegenerateWaterError
 from repro.core.forces import ForceCalculator, MDParams, MTSForceProvider
 from repro.core.integrator import FixedPointConfig, VelocityVerlet
 from repro.core.runloop import LaneEngine, run_loop
@@ -41,14 +41,16 @@ def minimize_energy(
     step, writing relaxed positions back into ``system``.  Returns the
     final potential energy.  Virtual sites follow their parents, and
     rigid constraints (which carry no bonded-term restoring force) are
-    re-imposed with SHAKE after every move.
+    re-imposed after every move (SETTLE for rigid water, SHAKE for the
+    rest); a move that leaves a water SETTLE cannot solve is rejected
+    like one that raises the energy.
 
     Everything here runs on the resolved kernel tier
     (:func:`repro.kernels.get_suite`), as the engines do: the float
     force evaluation (:meth:`ForceCalculator.compute` — neighbor list,
     tabulated pair kernel, force deposit, mesh spread and gather) and
-    SHAKE.  The relaxed positions and the returned energy are the same
-    bits on every tier and thread count; ``REPRO_KERNEL_TIER=numpy`` is
+    the constraint solves.  The relaxed positions and the returned energy
+    are the same bits on every tier and thread count; ``REPRO_KERNEL_TIER=numpy`` is
     the pure-NumPy evaluation they are pinned to.
     """
     kernels = get_suite()
@@ -70,12 +72,17 @@ def minimize_energy(
         if fmax < force_tolerance:
             break
         trial = pos + report.forces / max(fmax, 1e-12) * step
-        if solver is not None:
-            solver.shake(trial, pos)
-        trial = system.box.wrap(trial)
-        system.place_virtual_sites(trial)
-        trial_report = calc.compute(trial)
-        if trial_report.potential_energy < energy:
+        trial_report = None
+        try:
+            if solver is not None:
+                solver.shake(trial, pos)
+        except DegenerateWaterError:
+            pass  # too long a step for SETTLE: rejected like an uphill one
+        else:
+            trial = system.box.wrap(trial)
+            system.place_virtual_sites(trial)
+            trial_report = calc.compute(trial)
+        if trial_report is not None and trial_report.potential_energy < energy:
             pos, report, energy = trial, trial_report, trial_report.potential_energy
             step = min(step * 1.2, 0.5)
         else:

@@ -9,7 +9,8 @@ steps them all through ONE pass of the vectorized/compiled kernels per
 phase: one batched neighbor-list rebuild, one fused pair kernel call,
 one R-lane mesh pass (:meth:`~repro.ewald.GaussianSplitEwald.mesh_pass`,
 the pass the float path and the machine run with one lane), one
-fixed-point accumulation, one batched SHAKE/RATTLE sweep.
+fixed-point accumulation, one batched SETTLE of the rigid waters (and
+one batched SHAKE/RATTLE sweep of any other constraints).
 
 The correctness bar is *bitwise*: every replica's integer trajectory
 (position/velocity codes), energies, and checkpoint artifacts are
@@ -299,15 +300,17 @@ class EnsembleForceCalculator(ForceCalculator):
 
 
 class EnsembleConstraintSolver:
-    """SHAKE/RATTLE over R replica blocks in one batched dispatch.
+    """SETTLE + SHAKE/RATTLE over R replica blocks in one batched dispatch.
 
     Wraps ONE solo :class:`ConstraintSolver` (the constraint topology
     is identical in every block) and dispatches through the kernel
-    suite (the NumPy one by default): the compiled tier sweeps all
-    replicas in a single C call that runs the solo kernel per block —
-    bitwise the solo solve, including each block's own convergence exit
-    (a converged replica must not absorb extra sweeps, which would
-    change bits).
+    suite (the NumPy one by default): the compiled tier solves all
+    replicas' rigid waters in one ``settle_batch`` C call and sweeps all
+    replicas' other constraints in one ``shake_batch`` / ``rattle_batch``
+    call that runs the solo kernel per block — bitwise the solo solve.
+    For those swept constraints that includes each block's own
+    convergence exit (a converged replica must not absorb extra sweeps,
+    which would change bits); SETTLE is exact and has none.
     """
 
     def __init__(
@@ -323,17 +326,13 @@ class EnsembleConstraintSolver:
         return self.solo.n_constraints * self.replicas
 
     def shake(self, positions: np.ndarray, reference: np.ndarray, tol: float = 1e-10):
-        if not self.solo.n_constraints:
-            return positions
-        return self.kernels.shake_batch(
-            self.solo, positions, reference, float(tol), self.replicas, self.n_solo
+        return self.solo.shake_blocks(
+            self.kernels, positions, reference, float(tol), self.replicas, self.n_solo
         )
 
     def rattle(self, velocities: np.ndarray, positions: np.ndarray, tol: float = 1e-12):
-        if not self.solo.n_constraints:
-            return velocities
-        return self.kernels.rattle_batch(
-            self.solo, velocities, positions, float(tol), self.replicas, self.n_solo
+        return self.solo.rattle_blocks(
+            self.kernels, velocities, positions, float(tol), self.replicas, self.n_solo
         )
 
     def max_residual(self, positions: np.ndarray) -> float:

@@ -15,6 +15,7 @@ from repro.kernels.suite import (
     KERNEL_TIERS,
     NUMPY_SUITE,
     CompiledKernels,
+    DegenerateWaterError,
     NumpyKernels,
     PairTableSpec,
     get_suite,
@@ -26,6 +27,7 @@ __all__ = [
     "KERNEL_TIERS",
     "KernelBuildError",
     "CompiledKernels",
+    "DegenerateWaterError",
     "NumpyKernels",
     "NUMPY_SUITE",
     "PairTableSpec",

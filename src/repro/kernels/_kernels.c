@@ -980,6 +980,200 @@ void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
                   d2_all);
 }
 
+/* -- SETTLE: rigid water --------------------------------------------------- */
+
+/* Analytic constraint solve of one rigid water (O, H1, H2) per molecule,
+ * the solver's replacement for SHAKE/RATTLE sweeps on its rigid-water
+ * groups (core/constraints.py).  Molecules share no atom and each is read
+ * completely before it is written, so the order of molecules changes no
+ * bit and `out` may alias `src` (the minimiser's shake(pos, pos)).  Only
+ * + - * / and sqrt, in the order the NumPy form (ConstraintSolver.
+ * _settle_numpy) writes them, so it is that form's bits at every vector
+ * width — DESIGN.md, SETTLE lemma.  `par` holds per molecule
+ * RK_SETTLE_PAR doubles: wh = mH / (mO + 2 mH), ra, rb, rc (the canonical
+ * triangle: O at (0, ra), H at (-+rc, -rb) about the centre of mass),
+ * dHH = 2 rc, and the inverse masses of O and H.
+ *
+ * A molecule whose solve would take the square root of a negative number
+ * or NaN (its atoms too far off the old plane, or a collinear reference),
+ * or whose velocity system is singular, is left as it was and the call
+ * returns its index r * nmol + m (the first such one); -1 otherwise. */
+
+#define RK_SETTLE_PAR 7
+
+static inline double rk_dot3(double ax, double ay, double az,
+                             double bx, double by, double bz)
+{
+    return (ax * bx + ay * by) + az * bz;
+}
+
+/* Miyamoto & Kollman (1992) position step: `x` holds the unconstrained
+ * positions, `r` the reference ones (before the drift).  Returns 0 on a
+ * degenerate molecule, which is then left untouched. */
+static int rk_settle_pos(double *x, const double *r, const int64_t *at,
+                         const double *p, const double *L)
+{
+    const double wh = p[0], ra = p[1], rb = p[2], rc = p[3], hh = p[4];
+    double *xa = x + 3 * at[0], *xb = x + 3 * at[1], *xc = x + 3 * at[2];
+    const double *ra0 = r + 3 * at[0], *rb0 = r + 3 * at[1], *rc0 = r + 3 * at[2];
+    double b0[3], c0[3], a1[3], b1[3], c1[3];
+    for (int k = 0; k < 3; k++) {
+        b0[k] = rk_min_image(rb0[k] - ra0[k], L[k]);
+        c0[k] = rk_min_image(rc0[k] - ra0[k], L[k]);
+        double db = rk_min_image(xb[k] - xa[k], L[k]);
+        double dc = rk_min_image(xc[k] - xa[k], L[k]);
+        a1[k] = -(db + dc) * wh;
+        b1[k] = db + a1[k];
+        c1[k] = dc + a1[k];
+    }
+    /* The frame: z along n = b0 x c0, x along a1 x n, y along n x (a1 x n). */
+    double nx = b0[1] * c0[2] - b0[2] * c0[1];
+    double ny = b0[2] * c0[0] - b0[0] * c0[2];
+    double nz = b0[0] * c0[1] - b0[1] * c0[0];
+    double ux = a1[1] * nz - a1[2] * ny;
+    double uy = a1[2] * nx - a1[0] * nz;
+    double uz = a1[0] * ny - a1[1] * nx;
+    double wx = ny * uz - nz * uy;
+    double wy = nz * ux - nx * uz;
+    double wz = nx * uy - ny * ux;
+    double lu = sqrt(rk_dot3(ux, uy, uz, ux, uy, uz));
+    double lw = sqrt(rk_dot3(wx, wy, wz, wx, wy, wz));
+    double ln = sqrt(rk_dot3(nx, ny, nz, nx, ny, nz));
+    double e1x = ux / lu, e1y = uy / lu, e1z = uz / lu;
+    double e2x = wx / lw, e2y = wy / lw, e2z = wz / lw;
+    double e3x = nx / ln, e3y = ny / ln, e3z = nz / ln;
+
+    double xb0d = rk_dot3(e1x, e1y, e1z, b0[0], b0[1], b0[2]);
+    double yb0d = rk_dot3(e2x, e2y, e2z, b0[0], b0[1], b0[2]);
+    double xc0d = rk_dot3(e1x, e1y, e1z, c0[0], c0[1], c0[2]);
+    double yc0d = rk_dot3(e2x, e2y, e2z, c0[0], c0[1], c0[2]);
+    double za1d = rk_dot3(e3x, e3y, e3z, a1[0], a1[1], a1[2]);
+    double xb1d = rk_dot3(e1x, e1y, e1z, b1[0], b1[1], b1[2]);
+    double yb1d = rk_dot3(e2x, e2y, e2z, b1[0], b1[1], b1[2]);
+    double zb1d = rk_dot3(e3x, e3y, e3z, b1[0], b1[1], b1[2]);
+    double xc1d = rk_dot3(e1x, e1y, e1z, c1[0], c1[1], c1[2]);
+    double yc1d = rk_dot3(e2x, e2y, e2z, c1[0], c1[1], c1[2]);
+    double zc1d = rk_dot3(e3x, e3y, e3z, c1[0], c1[1], c1[2]);
+
+    /* The canonical triangle tilted out of the plane (phi, psi), then
+     * turned in it (theta) so the move conserves angular momentum. */
+    double sinphi = za1d / ra;
+    double q1 = 1.0 - sinphi * sinphi;
+    if (!(q1 >= 0.0))
+        return 0;
+    double cosphi = sqrt(q1);
+    double sinpsi = (zb1d - zc1d) / (hh * cosphi);
+    double q2 = 1.0 - sinpsi * sinpsi;
+    if (!(q2 >= 0.0))
+        return 0;
+    double cospsi = sqrt(q2);
+    double ya2d = ra * cosphi;
+    double xb2d = -rc * cospsi;
+    double t1 = -rb * cosphi;
+    double t2 = (rc * sinpsi) * sinphi;
+    double yb2d = t1 - t2;
+    double yc2d = t1 + t2;
+    double alpha = (xb2d * (xb0d - xc0d) + yb0d * yb2d) + yc0d * yc2d;
+    double beta = (xb2d * (yc0d - yb0d) + xb0d * yb2d) + xc0d * yc2d;
+    double gamma = ((xb0d * yb1d - xb1d * yb0d) + xc0d * yc1d) - xc1d * yc0d;
+    double al2be2 = alpha * alpha + beta * beta;
+    double q3 = al2be2 - gamma * gamma;
+    if (!(q3 >= 0.0))
+        return 0;
+    double sinthe = (alpha * gamma - beta * sqrt(q3)) / al2be2;
+    double q4 = 1.0 - sinthe * sinthe;
+    if (!(q4 >= 0.0))
+        return 0;
+    double costhe = sqrt(q4);
+
+    double xa3d = -ya2d * sinthe, ya3d = ya2d * costhe;
+    double xb3d = xb2d * costhe - yb2d * sinthe;
+    double yb3d = xb2d * sinthe + yb2d * costhe;
+    double xc3d = -xb2d * costhe - yc2d * sinthe;
+    double yc3d = -xb2d * sinthe + yc2d * costhe;
+    double e1[3] = {e1x, e1y, e1z}, e2[3] = {e2x, e2y, e2z}, e3[3] = {e3x, e3y, e3z};
+    for (int k = 0; k < 3; k++) {
+        double a3 = (e1[k] * xa3d + e2[k] * ya3d) + e3[k] * za1d;
+        double b3 = (e1[k] * xb3d + e2[k] * yb3d) + e3[k] * zb1d;
+        double c3 = (e1[k] * xc3d + e2[k] * yc3d) + e3[k] * zc1d;
+        xa[k] = xa[k] + (a3 - a1[k]);
+        xb[k] = xb[k] + (b3 - b1[k]);
+        xc[k] = xc[k] + (c3 - c1[k]);
+    }
+    return 1;
+}
+
+/* Velocity step: the three multipliers that zero d . dv on O-H1, O-H2
+ * and H1-H2 at once, from their symmetric 3x3 system by Cramer's rule.
+ * Returns 0 (molecule untouched) when the system is not positive
+ * definite, i.e. the triangle is degenerate. */
+static int rk_settle_vel(double *v, const double *x, const int64_t *at,
+                         const double *p, const double *L)
+{
+    const double io = p[5], ih = p[6];
+    double *va = v + 3 * at[0], *vb = v + 3 * at[1], *vc = v + 3 * at[2];
+    const double *xa = x + 3 * at[0], *xb = x + 3 * at[1], *xc = x + 3 * at[2];
+    double d0[3], d1[3], d2[3];
+    for (int k = 0; k < 3; k++) {
+        d0[k] = rk_min_image(xa[k] - xb[k], L[k]);
+        d1[k] = rk_min_image(xa[k] - xc[k], L[k]);
+        d2[k] = rk_min_image(xb[k] - xc[k], L[k]);
+    }
+    double r0 = rk_dot3(d0[0], d0[1], d0[2], va[0] - vb[0], va[1] - vb[1], va[2] - vb[2]);
+    double r1 = rk_dot3(d1[0], d1[1], d1[2], va[0] - vc[0], va[1] - vc[1], va[2] - vc[2]);
+    double r2 = rk_dot3(d2[0], d2[1], d2[2], vb[0] - vc[0], vb[1] - vc[1], vb[2] - vc[2]);
+    double ioh = io + ih;
+    double a00 = ioh * rk_dot3(d0[0], d0[1], d0[2], d0[0], d0[1], d0[2]);
+    double a11 = ioh * rk_dot3(d1[0], d1[1], d1[2], d1[0], d1[1], d1[2]);
+    double a22 = (2.0 * ih) * rk_dot3(d2[0], d2[1], d2[2], d2[0], d2[1], d2[2]);
+    double a01 = io * rk_dot3(d0[0], d0[1], d0[2], d1[0], d1[1], d1[2]);
+    double a02 = -ih * rk_dot3(d0[0], d0[1], d0[2], d2[0], d2[1], d2[2]);
+    double a12 = ih * rk_dot3(d1[0], d1[1], d1[2], d2[0], d2[1], d2[2]);
+    double c00 = a11 * a22 - a12 * a12;
+    double c01 = a02 * a12 - a01 * a22;
+    double c02 = a01 * a12 - a11 * a02;
+    double c11 = a00 * a22 - a02 * a02;
+    double c12 = a01 * a02 - a00 * a12;
+    double c22 = a00 * a11 - a01 * a01;
+    double det = (a00 * c00 + a01 * c01) + a02 * c02;
+    if (!(det > 0.0))
+        return 0;
+    double t0 = ((c00 * r0 + c01 * r1) + c02 * r2) / det;
+    double t1 = ((c01 * r0 + c11 * r1) + c12 * r2) / det;
+    double t2 = ((c02 * r0 + c12 * r1) + c22 * r2) / det;
+    for (int k = 0; k < 3; k++) {
+        va[k] = va[k] - io * (t0 * d0[k] + t1 * d1[k]);
+        vb[k] = vb[k] + ih * (t0 * d0[k] - t2 * d2[k]);
+        vc[k] = vc[k] + ih * (t1 * d1[k] + t2 * d2[k]);
+    }
+    return 1;
+}
+
+/* ConstraintSolver's rigid waters over nrep blocks (block r owns rows
+ * [r*natoms, (r+1)*natoms) of `out` and `src`, as in rk_shake_batch):
+ * stage 0 moves positions `out` against the reference `src`, stage 1
+ * projects velocities `out` at positions `src`.  `mol` is (nmol, 3):
+ * each molecule's O, H1, H2. */
+int64_t rk_settle_batch(int64_t stage, int64_t nrep, int64_t natoms,
+                        double *out, const double *src, const int64_t *mol,
+                        const double *par, int64_t nmol, const double *L)
+{
+    int64_t bad = -1;
+    for (int64_t r = 0; r < nrep; r++) {
+        double *o = out + 3 * natoms * r;
+        const double *s = src + 3 * natoms * r;
+        for (int64_t m = 0; m < nmol; m++) {
+            const int64_t *at = mol + 3 * m;
+            const double *p = par + RK_SETTLE_PAR * m;
+            int ok = stage == 0 ? rk_settle_pos(o, s, at, p, L)
+                                : rk_settle_vel(o, s, at, p, L);
+            if (!ok && bad < 0)
+                bad = r * nmol + m;
+        }
+    }
+    return bad;
+}
+
 /* -- fused mesh spread / gather ------------------------------------------ */
 
 /* GSE's atom-to-mesh-point weight is separable, so neither direction

@@ -307,6 +307,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_rattle_batch.argtypes = (
         [i64, i64, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
     )
+    lib.rk_settle_batch.restype = i64
+    lib.rk_settle_batch.argtypes = [i64, i64, i64, p, p, p, p, i64, p]
 
 
 

@@ -80,6 +80,7 @@ __all__ = [
     "NumpyKernels",
     "NUMPY_SUITE",
     "CompiledKernels",
+    "DegenerateWaterError",
     "make_pair_spec",
     "get_suite",
     "kernel_info",
@@ -301,6 +302,42 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
         lj=lj_table,
         codec=force_codec,
     )
+
+
+#: ``settle_batch``'s stages, in the order ``rk_settle_batch`` numbers them.
+_SETTLE_STAGES = ("positions", "velocities")
+
+
+class DegenerateWaterError(ArithmeticError):
+    """A rigid water SETTLE cannot solve.
+
+    The position step takes square roots that go negative when a
+    molecule has moved too far out of its reference plane (or its
+    reference is collinear), and the velocity step's 3x3 system is
+    singular for a collinear molecule.  The solve writes no NaN: that
+    molecule is left as it was, and this error names the first one —
+    ``block`` (the replica), ``molecule`` (its index among the solver's
+    waters) and its ``atoms`` (O, H1, H2 within the block).
+    """
+
+    def __init__(self, stage: str, block: int, molecule: int, atoms: tuple[int, int, int]):
+        self.stage, self.block, self.molecule, self.atoms = stage, block, molecule, atoms
+        why = (
+            "its solve would take the square root of a negative number"
+            if stage == "positions"
+            else "its three constraint directions are linearly dependent"
+        )
+        super().__init__(
+            f"SETTLE {stage}: water {molecule} (atoms {atoms[0]}, {atoms[1]}, "
+            f"{atoms[2]}) of block {block} is degenerate: {why}"
+        )
+
+
+def _raise_degenerate(solver, stage: str, bad: int) -> None:
+    """Raise :class:`DegenerateWaterError` for flat index ``bad`` (>= 0)."""
+    if bad >= 0:
+        block, m = divmod(int(bad), len(solver.waters))
+        raise DegenerateWaterError(stage, block, m, tuple(int(a) for a in solver.waters[m]))
 
 
 def _csr_contains(excl, ii, jj, n: int) -> np.ndarray:
@@ -568,6 +605,26 @@ class NumpyKernels:
             sl = slice(r * natoms, (r + 1) * natoms)
             solver._rattle_numpy(velocities[sl], positions[sl], tol)
         return velocities
+
+    def settle_batch(self, solver, stage, out, src, nrep, natoms):
+        """SETTLE the solver's rigid waters in ``nrep`` blocks, in place.
+
+        ``stage`` ``"positions"`` moves ``out`` (positions) against the
+        reference ``src``; ``"velocities"`` projects ``out`` (velocities)
+        at the positions ``src``.  Blocks are stacked as in
+        :meth:`shake_batch`, and the reference tier runs the solver's
+        NumPy solve per block slice.  A degenerate molecule is left as
+        it was, every other one is solved, and then
+        :class:`DegenerateWaterError` names the first.
+        """
+        bad = -1
+        for r in range(nrep):
+            sl = slice(r * natoms, (r + 1) * natoms)
+            m = solver._settle_numpy(stage, out[sl], src[sl])
+            if m >= 0 and bad < 0:
+                bad = r * len(solver.waters) + m
+        _raise_degenerate(solver, stage, bad)
+        return out
 
 
 class CompiledKernels(NumpyKernels):
@@ -896,6 +953,18 @@ class CompiledKernels(NumpyKernels):
             solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
         )
         return velocities
+
+    def settle_batch(self, solver, stage, out, src, nrep, natoms):
+        if not _conforms(out, (len(out), 3), np.float64):
+            return NumpyKernels.settle_batch(self, solver, stage, out, src, nrep, natoms)
+        mol, par, lengths = solver._settle_arrays()
+        bad = self._lib.rk_settle_batch(
+            _SETTLE_STAGES.index(stage), int(nrep), int(natoms),
+            _ptr(out), _ptr(np.asarray(src, dtype=np.float64, order="C")),
+            _ptr(mol), _ptr(par), len(mol), _ptr(lengths),
+        )
+        _raise_degenerate(solver, stage, bad)
+        return out
 
 
 #: The NumPy suite: what ``get_suite("numpy")`` returns, and what every

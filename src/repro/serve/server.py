@@ -388,7 +388,7 @@ class Server:
         if op == "metrics":
             return {"ok": True, "metrics": self.metrics()}
         if op == "shutdown":
-            self._shutdown = True
+            self.request_shutdown()
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
 
@@ -568,6 +568,10 @@ class Server:
                 self._reap_dead()
             with self.timers.time("serve_schedule"):
                 self._schedule()
+
+    def request_shutdown(self) -> None:
+        """End :meth:`serve_forever` after the current tick; it then closes."""
+        self._shutdown = True
 
     def serve_forever(self) -> None:
         try:

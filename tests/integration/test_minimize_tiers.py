@@ -1,9 +1,9 @@
 """Integration: ``minimize_energy`` is the same bits on every kernel tier.
 
 Preparation runs the float64 force path (``ForceCalculator.compute``,
-whose mesh spread is the float one) and SHAKE on the resolved kernel
-suite.  Relaxed positions and returned energy must not depend on it:
-NumPy tier, compiled tier at one thread, compiled tier at four — for
+whose mesh spread is the float one) and the constraint solves (SETTLE,
+SHAKE) on the resolved kernel suite.  Relaxed positions and returned
+energy must not depend on it: NumPy tier, compiled tier at one thread, compiled tier at four — for
 rigid water, TIP4P/Ew virtual sites, and a peptide with bonded terms
 and H-bond constraints.
 The golden literals tie all three legs to one recorded set of bytes.
@@ -56,21 +56,23 @@ CASES = {
 # last bits).  The water case moved once more when the minimiser's mesh
 # spread became the float one whatever the parameters (it had spread
 # through a 40-bit mesh); its new value is commit 2560655's with
-# ``quantize_mesh_bits=None``.
+# ``quantize_mesh_bits=None``.  Every case moved once more when rigid
+# water began to be constrained by SETTLE instead of SHAKE sweeps (the
+# peptide's waters; its X–H bonds are still swept).
 # Checked equal on the NumPy tier, the compiled tier at one and four
 # threads, and the -march=x86-64 build.
 GOLDEN = {
     "water": (
-        -166.21081120431518,
-        "12bca68c2a6c07b9c3f1ef6030b24c04e0daa64c94501781d6933678221cc56e",
+        -166.21081118014308,
+        "6da6cea3ffea65937554be63af56508f88a3a551c025a4865a23172ad77a20aa",
     ),
     "tip4pew": (
-        -104.94889626585245,
-        "7c49f3b2b89a04c7a0cab2cefa91fcf681d31498e9fe3413266341f44bae15d3",
+        -104.9488962516707,
+        "e71882377ec120125bfdf43425bfa96ec44e6e1331015d845d364d842067734c",
     ),
     "peptide": (
-        -67.91804368059775,
-        "33245d6231f8b12d9a93ef70380586a9c34803206d21942549bf6a2f9c972088",
+        -67.91804366040287,
+        "d7e9e0679f5a59a316477ff1f612552b2bdef0ebca904f48efb8e55f9a7e1505",
     ),
 }
 

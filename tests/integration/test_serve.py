@@ -14,7 +14,10 @@ import multiprocessing as mp
 import os
 import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -27,9 +30,11 @@ from repro.io import (
     job_energy_log_path,
     job_trajectory_path,
 )
+from repro.io.records import scan_records
 from repro.kernels import available, get_suite
 from repro.serve import (
     AssignmentJob,
+    JobQueue,
     JobSpec,
     PreparedSystems,
     ServeClient,
@@ -470,3 +475,64 @@ class TestLiveServer:
         states = client.wait(["longjob"], timeout=240)
         assert states["longjob"] == "CANCELLED"
         assert client.status("longjob")["steps_done"] < spec.steps
+
+    def test_jobs_into_a_closed_pipe_ends_quietly(self, monkeypatch, capsys, live_server):
+        """``repro jobs | head -n 1`` on a live server: no traceback."""
+        from tests.test_cli import run_into_closed_pipe
+
+        state, client = live_server
+        client.submit(JobSpec(name="listed", **SPEC).to_dict())
+        pipe = run_into_closed_pipe(monkeypatch, capsys, ["jobs", "--dir", str(state), "--metrics"])
+        assert pipe.first.startswith(b"id ")
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+@pytest.mark.slow
+class TestServeCommand:
+    def test_sigterm_closes_the_server(self, tmp_path):
+        """``repro serve`` stopped by SIGTERM closes as on Ctrl-C: exit 0,
+        socket unlinked, workers stopped and reaped, journal intact."""
+        state = tmp_path / "state"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(SRC), env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--dir", str(state), "--workers", "1"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            client = ServeClient(state, timeout=10.0)
+            deadline = time.time() + 60
+            while True:
+                try:
+                    client.ping()
+                    break
+                except Exception:
+                    assert proc.poll() is None and time.time() < deadline, "server did not come up"
+                    time.sleep(0.1)
+            client.submit(JobSpec(name="before-term", **SPEC).to_dict())
+            assert client.wait(["before-term"], timeout=240) == {"before-term": "DONE"}
+            workers = [w["pid"] for w in client.metrics()["workers"]]
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+        assert not (state / "serve.sock").exists()
+        assert workers and all(workers)
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        journal = state / "queue.rrs"
+        with open(journal, "rb") as f:
+            ends = [end for _, end, _, _ in scan_records(f)]
+        assert ends[-1] == journal.stat().st_size  # no torn tail to drop
+        queue = JobQueue(state)
+        try:
+            assert queue.jobs["before-term"].state == "DONE"
+        finally:
+            queue.close()

@@ -46,8 +46,16 @@ def compiled():
 
 @pytest.fixture(scope="module")
 def solver():
+    """Waters the sweeps must take: each second H is one ulp heavier than
+    the first, so no molecule is a rigid water for SETTLE and SHAKE /
+    RATTLE sweep every constraint (SETTLE's own edges are
+    ``test_kernels_settle_props.py``'s)."""
     s = build_water_box(n_molecules=WATERS, seed=0)
-    return ConstraintSolver(s.topology, s.masses, Box(LENGTHS))
+    masses = s.masses.copy()
+    masses[2::3] = np.nextafter(masses[2::3], np.inf)
+    solver = ConstraintSolver(s.topology, masses, Box(LENGTHS))
+    assert not len(solver.waters) and len(solver.shake_idx) == 3 * WATERS
+    return solver
 
 
 def edge_values(axis: int) -> np.ndarray:

@@ -188,7 +188,11 @@ def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
 
     numpy_k, one, threaded = suites
     s = table_machine.calc.system
-    solver = ConstraintSolver(s.topology, s.masses, s.box)
+    # One ulp on every second H: no rigid water, so the sweeps take them all.
+    masses = s.masses.copy()
+    masses[2::3] = np.nextafter(masses[2::3], np.inf)
+    solver = ConstraintSolver(s.topology, masses, s.box)
+    assert len(solver.shake_idx) == solver.n_constraints
     rng = np.random.default_rng(seed)
     n = s.n_atoms
     ref = np.tile(s.positions, (nrep, 1))
