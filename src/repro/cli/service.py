@@ -81,7 +81,7 @@ def cmd_serve(args) -> int:
 
     signal.signal(signal.SIGTERM, on_sigterm)
     print(f"serving on {server.sock_path} — {config.workers} workers, "
-          f"max batch {config.max_batch} (pid {os.getpid()})", flush=True)
+          f"max batch {config.max_batch} (pid {os.getpid()})")
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -338,11 +338,8 @@ class ConstraintSolver:
 
     def _settle_arrays(self):
         """The waters, their SETTLE rows and the box lengths, C-contiguous."""
-        return (
-            np.ascontiguousarray(self.waters),
-            self._settle_par,
-            np.ascontiguousarray(self.box.lengths, dtype=np.float64),
-        )
+        lengths = np.ascontiguousarray(self.box.lengths, dtype=np.float64)
+        return self.waters, self._settle_par, lengths
 
     # -- solves ------------------------------------------------------------
 

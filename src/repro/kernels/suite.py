@@ -316,28 +316,34 @@ class DegenerateWaterError(ArithmeticError):
     reference is collinear), and the velocity step's 3x3 system is
     singular for a collinear molecule.  The solve writes no NaN: that
     molecule is left as it was, and this error names the first one —
-    ``block`` (the replica), ``molecule`` (its index among the solver's
-    waters) and its ``atoms`` (O, H1, H2 within the block).
+    its ``stage`` (``"positions"`` or ``"velocities"``), ``block`` (the
+    replica), ``molecule`` (its index among the solver's waters) and
+    ``atoms`` (O, H1, H2 within the block).
     """
 
-    def __init__(self, stage: str, block: int, molecule: int, atoms: tuple[int, int, int]):
-        self.stage, self.block, self.molecule, self.atoms = stage, block, molecule, atoms
-        why = (
-            "its solve would take the square root of a negative number"
-            if stage == "positions"
-            else "its three constraint directions are linearly dependent"
-        )
-        super().__init__(
-            f"SETTLE {stage}: water {molecule} (atoms {atoms[0]}, {atoms[1]}, "
-            f"{atoms[2]}) of block {block} is degenerate: {why}"
-        )
+    stage: str
+    block: int
+    molecule: int
+    atoms: tuple[int, int, int]
 
 
 def _raise_degenerate(solver, stage: str, bad: int) -> None:
-    """Raise :class:`DegenerateWaterError` for flat index ``bad`` (>= 0)."""
-    if bad >= 0:
-        block, m = divmod(int(bad), len(solver.waters))
-        raise DegenerateWaterError(stage, block, m, tuple(int(a) for a in solver.waters[m]))
+    """Raise :class:`DegenerateWaterError` for flat index ``bad``; -1 is none."""
+    if bad < 0:
+        return
+    block, m = divmod(int(bad), len(solver.waters))
+    atoms = tuple(int(a) for a in solver.waters[m])
+    why = (
+        "its solve would take the square root of a negative number"
+        if stage == "positions"
+        else "its three constraint directions are linearly dependent"
+    )
+    err = DegenerateWaterError(
+        f"SETTLE {stage}: water {m} (atoms {atoms[0]}, {atoms[1]}, {atoms[2]}) "
+        f"of block {block} is degenerate: {why}"
+    )
+    err.stage, err.block, err.molecule, err.atoms = stage, block, m, atoms
+    raise err
 
 
 def _csr_contains(excl, ii, jj, n: int) -> np.ndarray:
