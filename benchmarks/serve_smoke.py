@@ -48,7 +48,6 @@ from repro.io import (  # noqa: E402
     job_energy_log_path,
     job_trajectory_path,
 )
-from repro.kernels import get_suite  # noqa: E402
 from repro.serve import (  # noqa: E402
     TERMINAL_STATES,
     JobSpec,
@@ -204,11 +203,10 @@ def main() -> int:
 
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="serve-smoke-"))
     state = workdir / "state"
-    # The workers' tier with no flag is the resolver's default —
-    # compiled wherever it builds — and the long jobs must outlast the
-    # fault sequence on whichever tier actually runs them.
-    tier = get_suite(args.kernel_tier).tier
-    specs = job_specs(long_scale=4 if tier == "compiled" else 1)
+    # The long jobs must outlast the fault sequence.  At 8 waters both
+    # kernel tiers now step them at about the same rate (rigid water is
+    # one SETTLE solve on either), so one stretch serves both.
+    specs = job_specs(long_scale=4)
     by_name = {s.name: s for s in specs}
 
     print(f"== serve smoke in {workdir}"

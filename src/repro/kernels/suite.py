@@ -964,10 +964,10 @@ class CompiledKernels(NumpyKernels):
         if not _conforms(out, (len(out), 3), np.float64):
             return NumpyKernels.settle_batch(self, solver, stage, out, src, nrep, natoms)
         mol, par, lengths = solver._settle_arrays()
+        src = np.asarray(src, dtype=np.float64, order="C")  # held across the call
         bad = self._lib.rk_settle_batch(
             _SETTLE_STAGES.index(stage), int(nrep), int(natoms),
-            _ptr(out), _ptr(np.asarray(src, dtype=np.float64, order="C")),
-            _ptr(mol), _ptr(par), len(mol), _ptr(lengths),
+            _ptr(out), _ptr(src), _ptr(mol), _ptr(par), len(mol), _ptr(lengths),
         )
         _raise_degenerate(solver, stage, bad)
         return out

@@ -152,6 +152,19 @@ def test_aliased_reference_is_read_before_it_is_written(compiled):
         assert_same_bits(got, want)
 
 
+def test_non_contiguous_source_gives_the_same_bits(compiled):
+    """A Fortran-ordered reference is copied for C, and the copy outlives
+    the call (under ASan a freed copy is a use-after-free)."""
+    rng = np.random.default_rng(6)
+    solver, ref, pos, vel = stacked(rng, TIP3P, 3, True, noise=0.03)
+    for stage, out, src in (("positions", pos, ref), ("velocities", vel, pos)):
+        want = out.copy()
+        NUMPY_SUITE.settle_batch(solver, stage, want, src, 3, len(out) // 3)
+        got = out.copy()
+        compiled.settle_batch(solver, stage, got, np.asfortranarray(src), 3, len(out) // 3)
+        assert_same_bits(got, want)
+
+
 def shake_twin(top, masses, box):
     """The same constraints with every second H one ulp heavier: no rigid
     water, so SHAKE / RATTLE sweep them all, to convergence."""
