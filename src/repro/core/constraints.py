@@ -67,11 +67,12 @@ def _rigid_waters(idx: np.ndarray, dist: np.ndarray, masses: np.ndarray):
 
     ``waters`` is ``(n, 3)`` atoms (O, H1, H2) in order of each
     molecule's first constraint, ``lengths`` their ``(n, 2)`` O–H and
-    H–H lengths, ``rest`` the indices of every other constraint.  A water is three constraints joining three atoms
-    pairwise, none of them in any other constraint, of which one atom
-    (O, tried in the order the first constraint names them) has two
-    equal-length constraints to atoms of equal mass, all three masses
-    positive and H–H shorter than twice O–H.
+    H–H lengths, ``rest`` the indices of every other constraint.  A
+    water is three constraints joining three atoms pairwise, none of
+    them in any other constraint, of which one atom (O, tried in the
+    order the first constraint names them) has two equal-length
+    constraints to atoms of equal mass, all three masses positive and
+    H–H shorter than twice O–H.
     """
     by_atom: dict[int, list[int]] = {}
     pairs = idx.tolist()
@@ -192,16 +193,16 @@ def _settle_positions(x, ref, mol, par, box) -> np.ndarray:
         sinthe = (alpha * gamma - beta * np.sqrt(q3)) / al2be2
         q4 = 1.0 - sinthe * sinthe
         costhe = np.sqrt(q4)
-    ok = (q1 >= 0.0) & (q2 >= 0.0) & (q3 >= 0.0) & (q4 >= 0.0)
 
-    xa3d, ya3d = -ya2d * sinthe, ya2d * costhe
-    xb3d = xb2d * costhe - yb2d * sinthe
-    yb3d = xb2d * sinthe + yb2d * costhe
-    xc3d = -xb2d * costhe - yc2d * sinthe
-    yc3d = -xb2d * sinthe + yc2d * costhe
-    a3 = (e1 * xa3d + e2 * ya3d) + e3 * za1d
-    b3 = (e1 * xb3d + e2 * yb3d) + e3 * zb1d
-    c3 = (e1 * xc3d + e2 * yc3d) + e3 * zc1d
+        xa3d, ya3d = -ya2d * sinthe, ya2d * costhe
+        xb3d = xb2d * costhe - yb2d * sinthe
+        yb3d = xb2d * sinthe + yb2d * costhe
+        xc3d = -xb2d * costhe - yc2d * sinthe
+        yc3d = -xb2d * sinthe + yc2d * costhe
+        a3 = (e1 * xa3d + e2 * ya3d) + e3 * za1d
+        b3 = (e1 * xb3d + e2 * yb3d) + e3 * zb1d
+        c3 = (e1 * xc3d + e2 * yc3d) + e3 * zc1d
+    ok = (q1 >= 0.0) & (q2 >= 0.0) & (q3 >= 0.0) & (q4 >= 0.0)
     x[a[ok]] = (xa + (a3 - a1).T)[ok]
     x[b[ok]] = (xb + (b3 - b1).T)[ok]
     x[c[ok]] = (xc + (c3 - c1).T)[ok]
@@ -242,9 +243,12 @@ def _settle_velocities(v, x, mol, par, box) -> np.ndarray:
         t0 = ((c00 * r0 + c01 * r1) + c02 * r2) / det
         t1 = ((c01 * r0 + c11 * r1) + c12 * r2) / det
         t2 = ((c02 * r0 + c12 * r1) + c22 * r2) / det
-    v[a[ok]] = (va - (io * (t0 * d0 + t1 * d1)).T)[ok]
-    v[b[ok]] = (vb + (ih * (t0 * d0 - t2 * d2)).T)[ok]
-    v[c[ok]] = (vc + (ih * (t1 * d1 + t2 * d2)).T)[ok]
+        da = (io * (t0 * d0 + t1 * d1)).T
+        db = (ih * (t0 * d0 - t2 * d2)).T
+        dc = (ih * (t1 * d1 + t2 * d2)).T
+    v[a[ok]] = (va - da)[ok]
+    v[b[ok]] = (vb + db)[ok]
+    v[c[ok]] = (vc + dc)[ok]
     return ok
 
 
