@@ -50,8 +50,9 @@ def minimize_energy(
     force evaluation (:meth:`ForceCalculator.compute` — neighbor list,
     tabulated pair kernel, force deposit, mesh spread and gather) and
     the constraint solves.  The relaxed positions and the returned energy
-    are the same bits on every tier and thread count; ``REPRO_KERNEL_TIER=numpy`` is
-    the pure-NumPy evaluation they are pinned to.
+    are the same bits on every tier and thread count;
+    ``REPRO_KERNEL_TIER=numpy`` is the pure-NumPy evaluation they are
+    pinned to.
     """
     kernels = get_suite()
     calc = ForceCalculator(system, params, kernels=kernels)
