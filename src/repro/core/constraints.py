@@ -27,10 +27,10 @@ Both run on the solver's kernel suite (``kernels=`` from
 :mod:`repro.kernels`, the NumPy suite by default) through its one form
 of each, ``settle_batch`` and ``shake_batch`` / ``rattle_batch``, with
 the solver's atoms as one block (an ensemble hands the same primitives
-R blocks): on the compiled tier in C with the same operation ordering —
-bitwise identical, without the per-iteration Python/NumPy dispatch.
-The suite decides which arrays C can take; the solver only hands them
-over.
+R blocks).  SETTLE runs in C on the compiled tier, in the NumPy form's
+operation order and so to its bits; the sweeps, a protein's few bonds
+to H, are the NumPy methods below on every tier.  The suite decides
+which arrays C can take; the solver only hands them over.
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ class ConstraintSolver:
         The kernel suite :meth:`shake` and :meth:`rattle` run on, as
         one block of its ``settle_batch`` and ``shake_batch`` /
         ``rattle_batch``; the NumPy solves below are what its NumPy
-        forms run per block.
+        forms run per block (and the sweeps on every tier).
     """
 
     def __init__(
@@ -301,44 +301,12 @@ class ConstraintSolver:
         self.shake_dist = self.dist[rest]
         self.batches = _color_constraints(self.shake_idx)
         self.kernels = kernels
-        self._c_arrays = None
 
     @property
     def n_constraints(self) -> int:
         return len(self.idx)
 
     # -- compiled-tier support -------------------------------------------
-
-    def _compiled_arrays(self):
-        """Flattened, C-contiguous data for the C SHAKE / RATTLE sweeps.
-
-        Built once: the swept constraints' endpoints, squared target
-        distances, inverse masses, box lengths, the coloring flattened
-        to a single ``order`` array with batch prefix ``starts``, plus
-        persistent scratch for the reference/current displacement tables
-        — so steady-state constraint solves allocate nothing.  None when
-        nothing is swept.
-        """
-        ncon = len(self.shake_idx)
-        if not ncon:
-            return None
-        if self._c_arrays is None:
-            order = np.ascontiguousarray(np.concatenate(self.batches))
-            starts = np.zeros(len(self.batches) + 1, dtype=np.int64)
-            np.cumsum([len(b) for b in self.batches], out=starts[1:])
-            self._c_arrays = (
-                np.ascontiguousarray(self.shake_idx[:, 0], dtype=np.int64),
-                np.ascontiguousarray(self.shake_idx[:, 1], dtype=np.int64),
-                np.ascontiguousarray(self.shake_dist**2, dtype=np.float64),
-                np.ascontiguousarray(self.inv_mass, dtype=np.float64),
-                np.ascontiguousarray(self.box.lengths, dtype=np.float64),
-                order,
-                starts,
-                np.empty((ncon, 3), dtype=np.float64),  # dref scratch
-                np.empty((ncon, 3), dtype=np.float64),  # dx_all scratch
-                np.empty(ncon, dtype=np.float64),  # d2_all scratch
-            )
-        return self._c_arrays
 
     def _settle_arrays(self):
         """The waters, their SETTLE rows and the box lengths, C-contiguous."""

@@ -43,8 +43,6 @@ continues bit-for-bit.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core.constraints import ConstraintSolver
@@ -271,9 +269,7 @@ class EnsembleForceCalculator(ForceCalculator):
             for contrib in bonded:
                 if contrib.n_terms:
                     c = force_codec.quantize_round_only(contrib.force)
-                    self.kernels.scatter_rows(
-                        acc.raw(), contrib.idx.ravel(), c.reshape(-1, 3)
-                    )
+                    acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
         with self.timers.time("ensemble_energies"):
             energies["bond"] = _segment_sums(bonded[0].energy_terms, self.replicas)
             energies["angle"] = _segment_sums(bonded[1].energy_terms, self.replicas)
@@ -305,12 +301,13 @@ class EnsembleConstraintSolver:
     Wraps ONE solo :class:`ConstraintSolver` (the constraint topology
     is identical in every block) and dispatches through the kernel
     suite (the NumPy one by default): the compiled tier solves all
-    replicas' rigid waters in one ``settle_batch`` C call and sweeps all
-    replicas' other constraints in one ``shake_batch`` / ``rattle_batch``
-    call that runs the solo kernel per block — bitwise the solo solve.
-    For those swept constraints that includes each block's own
-    convergence exit (a converged replica must not absorb extra sweeps,
-    which would change bits); SETTLE is exact and has none.
+    replicas' rigid waters in one ``settle_batch`` C call, and every
+    tier sweeps all replicas' other constraints in one ``shake_batch``
+    / ``rattle_batch`` call that runs the solo NumPy sweep per block —
+    bitwise the solo solve.  For those swept constraints that includes
+    each block's own convergence exit (a converged replica must not
+    absorb extra sweeps, which would change bits); SETTLE is exact and
+    has none.
     """
 
     def __init__(
@@ -352,9 +349,9 @@ class EnsembleBerendsenThermostat:
 
     Computes each replica's temperature from its own contiguous
     velocity block (solo masses, solo ``n_dof``) and its lambda with
-    the same ``math.sqrt``/``min``/``max`` scalar chain the solo
-    thermostat uses, then broadcasts ``(R,) -> (R*N, 1)`` so the
-    integrator applies one vectorized velocity scale.  A replica at
+    the solo thermostat's own :meth:`BerendsenThermostat.scale`, then
+    broadcasts ``(R,) -> (R*N, 1)`` so the integrator applies one
+    vectorized velocity scale.  A replica at
     exactly ``lam == 1.0`` is untouched (the integrator's round-trip
     through float64 is exact for 40-bit codes).
     """
@@ -377,14 +374,7 @@ class EnsembleBerendsenThermostat:
         lams = np.empty(self.replicas)
         for r in range(self.replicas):
             t_now = self.solo_system.temperature(v[r * n : (r + 1) * n])
-            if t_now <= 0:
-                lams[r] = 1.0
-                continue
-            arg = 1.0 + (integrator.dt / self.solo.tau) * (
-                self.solo.temperature / t_now - 1.0
-            )
-            lam = math.sqrt(max(arg, 0.0))
-            lams[r] = min(max(lam, 1.0 - self.solo.clamp), 1.0 + self.solo.clamp)
+            lams[r] = self.solo.scale(t_now, integrator.dt)
         return np.repeat(lams, n)[:, None]
 
 

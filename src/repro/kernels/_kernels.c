@@ -10,6 +10,11 @@
  * -ffp-contract=off and no -ffast-math, and the property tests compare
  * every output against the NumPy path bitwise.
  *
+ * Only primitives an engine pays for in its steps are here.  The SHAKE /
+ * RATTLE sweeps (since SETTLE, only a protein's few bonds to H) and the
+ * bonded-term deposits have their one form in NumPy on every tier
+ * (kernels/suite.py), so they cost no C to keep bit-equal.
+ *
  * Division is kept literal (x / L, not x * (1.0 / L)): a reciprocal
  * multiply is not the same IEEE operation and does change bits.  The
  * pair path drops a division only where one of three lemmas proves the
@@ -95,8 +100,8 @@ static inline double rk_horner4(const double *c, double t)
  * fl(d / L) > 0.5.  Mirrored for -1.  Hence rint(d / L) == (d > h) -
  * (d < -h), and L times it is exact either way: the result is the same
  * single rounding of d -+ L (wrapped coordinates carry no negative
- * zero, so neither does d).  Not for SHAKE/RATTLE's unwrapped
- * differences: those keep rk_min_image. */
+ * zero, so neither does d).  Not for SETTLE's unwrapped differences:
+ * those keep rk_min_image. */
 static inline double rk_image(double d, double L, double h)
 {
     return d - L * (double)((d > h) - (d < -h));
@@ -767,20 +772,6 @@ void rk_deposit_pairs(int64_t *acc, const int64_t *pi, const int64_t *pj,
     }
 }
 
-/* acc[idx] += codes over (n, 3) rows (bonded-term deposits). */
-void rk_scatter_rows(int64_t *acc, const int64_t *idx, const int64_t *codes,
-                     int64_t n)
-{
-    uint64_t *a = (uint64_t *)acc;
-    const uint64_t *c = (const uint64_t *)codes;
-    for (int64_t k = 0; k < n; k++) {
-        uint64_t *r = a + 3 * idx[k];
-        r[0] += c[3 * k];
-        r[1] += c[3 * k + 1];
-        r[2] += c[3 * k + 2];
-    }
-}
-
 /* -- float deposit ----------------------------------------------------- */
 
 /* np.add.at(F, pi, f); np.add.at(F, pj, -f) over (n, 3) rows, in that
@@ -804,10 +795,10 @@ void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
     }
 }
 
-/* -- SHAKE / RATTLE ---------------------------------------------------- */
+/* -- minimum image of unwrapped differences --------------------------- */
 
 /* Box.minimum_image, d - L * rint(d / L), for the unwrapped differences
- * SHAKE and RATTLE take (rk_image needs wrapped coordinates).  Lemma
+ * SETTLE takes (rk_image needs wrapped coordinates).  Lemma
  * (no division inside the half box): for L > 0 finite, |d| <= L/2 (0.5 * L
  * is exact) gives |fl(d / L)| <= 0.5, since correctly rounded division is
  * monotone and 0.5 is a double, so rint(d / L) is a zero of d's sign (ties
@@ -820,164 +811,6 @@ static inline double rk_min_image(double d, double L)
     if (fabs(d) <= 0.5 * L)
         return d + 0.0;
     return d - L * rint(d / L);
-}
-
-/* Running maximum that propagates NaN the way np.max does: once err is
- * NaN it stays NaN, so the convergence test (err < tol) keeps failing
- * exactly as NumPy's would. */
-static inline double rk_max(double err, double e)
-{
-    if (isnan(e) || e > err)
-        return e;
-    return err;
-}
-
-/* SHAKE of one block: Gauss-Seidel sweeps over atom-disjoint
- * constraint batches.  `order` is the concatenation of the coloring
- * batches, `starts` the (nbatch + 1) prefix offsets into it.  `dref`
- * is caller-provided (ncon, 3) scratch. */
-static void rk_shake(double *pos, const double *ref, const int64_t *ci,
-                     const int64_t *cj, const double *d2, const double *inv,
-                     const double *L, int64_t ncon, const int64_t *order,
-                     const int64_t *starts, int64_t nbatch, int64_t iters,
-                     double tol, double *dref)
-{
-    for (int64_t c = 0; c < ncon; c++) {
-        const double *ri = ref + 3 * ci[c];
-        const double *rj = ref + 3 * cj[c];
-        dref[3 * c] = rk_min_image(ri[0] - rj[0], L[0]);
-        dref[3 * c + 1] = rk_min_image(ri[1] - rj[1], L[1]);
-        dref[3 * c + 2] = rk_min_image(ri[2] - rj[2], L[2]);
-    }
-    for (int64_t it = 0; it < iters; it++) {
-        double err = 0.0;
-        for (int64_t c = 0; c < ncon; c++) {
-            const double *xi = pos + 3 * ci[c];
-            const double *xj = pos + 3 * cj[c];
-            double d0 = rk_min_image(xi[0] - xj[0], L[0]);
-            double d1 = rk_min_image(xi[1] - xj[1], L[1]);
-            double dz = rk_min_image(xi[2] - xj[2], L[2]);
-            double r2 = (d0 * d0 + d1 * d1) + dz * dz;
-            err = rk_max(err, fabs(r2 - d2[c]));
-        }
-        if (err < tol)
-            break;
-        for (int64_t b = 0; b < nbatch; b++) {
-            for (int64_t s = starts[b]; s < starts[b + 1]; s++) {
-                int64_t c = order[s];
-                int64_t i = ci[c], j = cj[c];
-                double *xi = pos + 3 * i;
-                double *xj = pos + 3 * j;
-                double d0 = rk_min_image(xi[0] - xj[0], L[0]);
-                double d1 = rk_min_image(xi[1] - xj[1], L[1]);
-                double dz = rk_min_image(xi[2] - xj[2], L[2]);
-                double diff = ((d0 * d0 + d1 * d1) + dz * dz) - d2[c];
-                double dot = (d0 * dref[3 * c] + d1 * dref[3 * c + 1])
-                             + dz * dref[3 * c + 2];
-                double denom = 2.0 * (inv[i] + inv[j]) * dot;
-                if (fabs(denom) < 1e-12)
-                    denom = 1e-12;
-                double g = diff / denom;
-                double c0 = g * dref[3 * c];
-                double c1 = g * dref[3 * c + 1];
-                double c2 = g * dref[3 * c + 2];
-                xi[0] -= inv[i] * c0;
-                xi[1] -= inv[i] * c1;
-                xi[2] -= inv[i] * c2;
-                xj[0] += inv[j] * c0;
-                xj[1] += inv[j] * c1;
-                xj[2] += inv[j] * c2;
-            }
-        }
-    }
-}
-
-/* ConstraintSolver.shake and the ensemble's: nrep independent blocks
- * stacked along the atom axis (block r owns rows [r*natoms,
- * (r+1)*natoms)), each solved with the one-block sweep above against
- * the one block's constraint arrays.  A solo system is nrep = 1; an
- * ensemble's R replicas are one ctypes call, and every replica's
- * arithmetic is literally the solo routine — bitwise identity with a
- * solo run is structural. */
-void rk_shake_batch(int64_t nrep, int64_t natoms, double *pos,
-                    const double *ref, const int64_t *ci, const int64_t *cj,
-                    const double *d2, const double *inv, const double *L,
-                    int64_t ncon, const int64_t *order,
-                    const int64_t *starts, int64_t nbatch, int64_t iters,
-                    double tol, double *dref)
-{
-    for (int64_t r = 0; r < nrep; r++)
-        rk_shake(pos + 3 * natoms * r, ref + 3 * natoms * r, ci, cj, d2,
-                 inv, L, ncon, order, starts, nbatch, iters, tol, dref);
-}
-
-/* RATTLE of one block.  `dx_all` (ncon, 3) and `d2_all` (ncon) are
- * caller-provided scratch. */
-static void rk_rattle(double *vel, const double *pos, const int64_t *ci,
-                      const int64_t *cj, const double *inv, const double *L,
-                      int64_t ncon, const int64_t *order,
-                      const int64_t *starts, int64_t nbatch, int64_t iters,
-                      double tol, double *dx_all, double *d2_all)
-{
-    for (int64_t c = 0; c < ncon; c++) {
-        const double *xi = pos + 3 * ci[c];
-        const double *xj = pos + 3 * cj[c];
-        double d0 = rk_min_image(xi[0] - xj[0], L[0]);
-        double d1 = rk_min_image(xi[1] - xj[1], L[1]);
-        double dz = rk_min_image(xi[2] - xj[2], L[2]);
-        dx_all[3 * c] = d0;
-        dx_all[3 * c + 1] = d1;
-        dx_all[3 * c + 2] = dz;
-        d2_all[c] = (d0 * d0 + d1 * d1) + dz * dz;
-    }
-    for (int64_t it = 0; it < iters; it++) {
-        double err = 0.0;
-        for (int64_t c = 0; c < ncon; c++) {
-            const double *vi = vel + 3 * ci[c];
-            const double *vj = vel + 3 * cj[c];
-            double s = (dx_all[3 * c] * (vi[0] - vj[0])
-                        + dx_all[3 * c + 1] * (vi[1] - vj[1]))
-                       + dx_all[3 * c + 2] * (vi[2] - vj[2]);
-            err = rk_max(err, fabs(s));
-        }
-        if (err < tol)
-            break;
-        for (int64_t b = 0; b < nbatch; b++) {
-            for (int64_t s = starts[b]; s < starts[b + 1]; s++) {
-                int64_t c = order[s];
-                int64_t i = ci[c], j = cj[c];
-                double *vi = vel + 3 * i;
-                double *vj = vel + 3 * j;
-                double rv = (dx_all[3 * c] * (vi[0] - vj[0])
-                             + dx_all[3 * c + 1] * (vi[1] - vj[1]))
-                            + dx_all[3 * c + 2] * (vi[2] - vj[2]);
-                double kk = rv / ((inv[i] + inv[j]) * d2_all[c]);
-                double c0 = kk * dx_all[3 * c];
-                double c1 = kk * dx_all[3 * c + 1];
-                double c2 = kk * dx_all[3 * c + 2];
-                vi[0] -= inv[i] * c0;
-                vi[1] -= inv[i] * c1;
-                vi[2] -= inv[i] * c2;
-                vj[0] += inv[j] * c0;
-                vj[1] += inv[j] * c1;
-                vj[2] += inv[j] * c2;
-            }
-        }
-    }
-}
-
-/* ConstraintSolver.rattle and the ensemble's; see rk_shake_batch. */
-void rk_rattle_batch(int64_t nrep, int64_t natoms, double *vel,
-                     const double *pos, const int64_t *ci, const int64_t *cj,
-                     const double *inv, const double *L, int64_t ncon,
-                     const int64_t *order, const int64_t *starts,
-                     int64_t nbatch, int64_t iters, double tol,
-                     double *dx_all, double *d2_all)
-{
-    for (int64_t r = 0; r < nrep; r++)
-        rk_rattle(vel + 3 * natoms * r, pos + 3 * natoms * r, ci, cj, inv,
-                  L, ncon, order, starts, nbatch, iters, tol, dx_all,
-                  d2_all);
 }
 
 /* -- SETTLE: rigid water --------------------------------------------------- */
@@ -1150,7 +983,7 @@ static int rk_settle_vel(double *v, const double *x, const int64_t *at,
 }
 
 /* ConstraintSolver's rigid waters over nrep blocks (block r owns rows
- * [r*natoms, (r+1)*natoms) of `out` and `src`, as in rk_shake_batch):
+ * [r*natoms, (r+1)*natoms) of `out` and `src`; a solo system is one):
  * stage 0 moves positions `out` against the reference `src`, stage 1
  * projects velocities `out` at positions `src`.  `mol` is (nmol, 3):
  * each molecule's O, H1, H2. */

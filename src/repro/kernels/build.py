@@ -290,8 +290,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_deposit_pairs.argtypes = [p, p, p, p, i64]
     lib.rk_deposit_pairs_float.restype = None
     lib.rk_deposit_pairs_float.argtypes = [p, p, p, p, i64]
-    lib.rk_scatter_rows.restype = None
-    lib.rk_scatter_rows.argtypes = [p, p, p, i64]
     # Fused mesh kernels: a MeshAxes by reference first.
     lib.rk_mesh_spread_axes.restype = None
     lib.rk_mesh_spread_axes.argtypes = [p, i64, f64, p, p, p]
@@ -299,14 +297,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_mesh_spread_float_axes.argtypes = [p, i64, f64, p, p, i64, p, i64]
     lib.rk_mesh_gather_axes.restype = None
     lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p, p]
-    lib.rk_shake_batch.restype = None
-    lib.rk_shake_batch.argtypes = (
-        [i64, i64, p, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p]
-    )
-    lib.rk_rattle_batch.restype = None
-    lib.rk_rattle_batch.argtypes = (
-        [i64, i64, p, p, p, p, p, p, i64, p, p, i64, i64, f64, p, p]
-    )
     lib.rk_settle_batch.restype = i64
     lib.rk_settle_batch.argtypes = [i64, i64, i64, p, p, p, p, i64, p]
 

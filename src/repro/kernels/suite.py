@@ -5,12 +5,13 @@ path, neighbor list, constraint solver and mesh pass dispatch through:
 neighbor-list rebuild (to the Verlet list's rows), the range-limited
 pair walk (the cached rows straight to the fixed-point force
 accumulator) and its float64 twin (rows to per-pair force rows), the NT force-export marks,
-fixed-point scatter deposits and the ordered float deposit, the fused
-mesh spread and gather, and the SHAKE/RATTLE constraint sweeps.  Each
-primitive has one form: the rebuild and the sweeps take ``n`` stacked
-blocks, and a solo system is one block.  The NumPy forms filter
-candidates with the one cutoff predicate,
-:func:`repro.geometry.cells.within`.  Two tiers implement it:
+the fixed-point pair deposit and the ordered float deposit, the fused
+mesh spread and gather, and the constraint solves (SETTLE, and the
+SHAKE/RATTLE sweeps of every other constraint).  Each primitive has
+one form: the rebuild and the solves take ``n`` stacked blocks, and a
+solo system is one block.  The NumPy forms filter candidates with the
+one cutoff predicate, :func:`repro.geometry.cells.within`.  Two tiers
+implement it:
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.  Every primitive a
@@ -18,7 +19,9 @@ candidates with the one cutoff predicate,
 * :class:`CompiledKernels` — thin ctypes shims over ``_kernels.c``,
   built lazily by :mod:`repro.kernels.build`.  The wrappers own every
   layout question: an array C cannot take as it is runs the NumPy form
-  or is a ``ValueError``.
+  or is a ``ValueError``.  The SHAKE/RATTLE sweeps have no C form: a
+  water's constraints are SETTLE's, and the few left (a protein's
+  bonds to H) run the inherited NumPy sweeps on both tiers.
 
 The tier is chosen in one place, :func:`get_suite`.  Components hold a
 suite — :data:`NUMPY_SUITE` unless given one — and never ask which, so
@@ -482,10 +485,6 @@ class NumpyKernels:
             np.add.at(raw, i, codes)
             np.subtract.at(raw, j, codes)
 
-    def scatter_rows(self, raw, idx, codes):
-        with np.errstate(over="ignore"):
-            np.add.at(raw, idx, codes)
-
     # -- float deposit -----------------------------------------------------
 
     def deposit_pairs_float(self, forces, i, j, rows):
@@ -597,8 +596,9 @@ class NumpyKernels:
         ``solver`` is one block's :class:`ConstraintSolver`; block ``r``
         owns rows ``[r * natoms, (r + 1) * natoms)`` of ``positions`` and
         ``reference`` (a solo system is one block, an ensemble's replicas
-        are ``nrep``).  The reference tier runs the solver's NumPy sweep
-        per block slice, which is the bitwise definition of the contract.
+        are ``nrep``).  Both tiers run the solver's NumPy sweep per block
+        slice (the compiled suite inherits it), so each block keeps its
+        own convergence exit and is the solo solve bit for bit.
         """
         for r in range(nrep):
             sl = slice(r * natoms, (r + 1) * natoms)
@@ -636,8 +636,9 @@ class NumpyKernels:
 class CompiledKernels(NumpyKernels):
     """ctypes tier: same contract, C hot loops.
 
-    Inherits the NumPy implementations so any primitive without a C
-    counterpart (or future additions) transparently falls back.
+    Inherits the NumPy implementations, so a primitive without a C
+    counterpart — the SHAKE / RATTLE sweeps, which since SETTLE take
+    only a protein's bonds to H — runs the one NumPy form here too.
     """
 
     tier = "compiled"
@@ -817,19 +818,8 @@ class CompiledKernels(NumpyKernels):
             and len(j) == n
         ):
             return NumpyKernels.deposit_pairs_float(self, forces, i, j, rows)
-        self._lib.rk_deposit_pairs_float(
-            _ptr(forces), _ptr(_i64(i)), _ptr(_i64(j)), _ptr(rows), n
-        )
-
-    def scatter_rows(self, raw, idx, codes):
-        """``raw[idx] += codes`` wrapping; ``raw`` as for :meth:`deposit_pairs`."""
-        idx, codes = _i64(idx), _i64(codes)
-        n = len(idx)
-        if codes.shape != (n, 3):
-            raise ValueError("scatter_rows: idx and codes differ in length")
-        if not _conforms(raw, (len(raw), 3), np.int64):
-            return NumpyKernels.scatter_rows(self, raw, idx, codes)
-        self._lib.rk_scatter_rows(_ptr(raw), _ptr(idx), _ptr(codes), n)
+        i, j = _i64(i), _i64(j)  # held across the call
+        self._lib.rk_deposit_pairs_float(_ptr(forces), _ptr(i), _ptr(j), _ptr(rows), n)
 
     @staticmethod
     def _mesh_axes(axis_w, axis_d, axis_i, mesh):
@@ -916,49 +906,6 @@ class CompiledKernels(NumpyKernels):
         self._lib.rk_mesh_gather_axes(
             ctypes.byref(axes), lo, hi, float(c2), _ptr(phi), _ptr(self._halo(axes)), _ptr(out)
         )
-
-    # The constraint sweeps update their first array in place, so one C
-    # cannot write there as it is — or a solver without constraints —
-    # runs the NumPy form; the read-only second array is normalised.
-
-    @staticmethod
-    def _sweep_arrays(solver, target):
-        """The solver's flattened constraint arrays, or None for NumPy."""
-        if not _conforms(target, (len(target), 3), np.float64):
-            return None
-        return solver._compiled_arrays()
-
-    def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
-        pre = self._sweep_arrays(solver, positions)
-        if pre is None:
-            return NumpyKernels.shake_batch(
-                self, solver, positions, reference, tol, nrep, natoms
-            )
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_shake_batch(
-            int(nrep), int(natoms),
-            _ptr(positions), _ptr(np.asarray(reference, dtype=np.float64, order="C")),
-            _ptr(ci), _ptr(cj), _ptr(d2), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dref),
-        )
-        return positions
-
-    def rattle_batch(self, solver, velocities, positions, tol, nrep, natoms):
-        pre = self._sweep_arrays(solver, velocities)
-        if pre is None:
-            return NumpyKernels.rattle_batch(
-                self, solver, velocities, positions, tol, nrep, natoms
-            )
-        ci, cj, d2, inv, lengths, order, starts, dref, dx_all, d2_all = pre
-        self._lib.rk_rattle_batch(
-            int(nrep), int(natoms),
-            _ptr(velocities), _ptr(np.asarray(positions, dtype=np.float64, order="C")),
-            _ptr(ci), _ptr(cj), _ptr(inv), _ptr(lengths),
-            len(ci), _ptr(order), _ptr(starts), len(starts) - 1,
-            solver.iterations, float(tol), _ptr(dx_all), _ptr(d2_all),
-        )
-        return velocities
 
     def settle_batch(self, solver, stage, out, src, nrep, natoms):
         if not _conforms(out, (len(out), 3), np.float64):

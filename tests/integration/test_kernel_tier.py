@@ -233,7 +233,10 @@ class TestSingleThreadedBuild:
         called = set(re.findall(r"_lib\.(rk_\w+)", Path(suite.__file__).read_text()))
         assert exported == declared.names
         assert called == declared.names
-        assert not exported & {"rk_pair_filter", "rk_shake", "rk_rattle"}
+        assert not exported & {
+            "rk_pair_filter", "rk_shake", "rk_rattle",
+            "rk_shake_batch", "rk_rattle_batch", "rk_scatter_rows",
+        }
 
 
 class TestBuildFlagsHook:

@@ -96,7 +96,7 @@ def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):
     assert_walk_matches(tiers, spec, wrapped, i, j, lengths, acc)
 
 
-@pytest.mark.parametrize("kernel", ["deposit_pairs", "scatter_rows"])
+@pytest.mark.parametrize("kernel", ["deposit_pairs"])
 def test_deposit_into_a_strided_accumulator_and_short_codes(tiers, kernel):
     """An accumulator C cannot write as it is — the ``(10, 3)`` view
     ``big[:, :3]`` of a ``(10, 6)`` array — gets the NumPy tier's
@@ -109,22 +109,44 @@ def test_deposit_into_a_strided_accumulator_and_short_codes(tiers, kernel):
     j = rng.integers(0, 10, n)
     codes = rng.integers(-(2**62), 2**62, (n, 3))
     base = rng.integers(-(2**60), 2**60, (10, 6))
-    args = (i, j, codes) if kernel == "deposit_pairs" else (i, codes)
     got = []
     for k in tiers:
         big = base.copy()
-        getattr(k, kernel)(big[:, :3], *args)
+        getattr(k, kernel)(big[:, :3], i, j, codes)
         got.append(big)
     np.testing.assert_array_equal(got[1], got[0])
     np.testing.assert_array_equal(got[0][:, 3:], base[:, 3:])
     assert not np.array_equal(got[0][:, :3], base[:, :3])
-    short = [(i, codes[:-1])]
-    if kernel == "deposit_pairs":
-        short = [(i, j, codes[:-1]), (i, j[:-1], codes)]
     for k in tiers:
-        for bad in short:
+        for bad in [(i, j, codes[:-1]), (i, j[:-1], codes)]:
             with pytest.raises(ValueError):
                 getattr(k, kernel)(np.zeros((10, 3), dtype=np.int64), *bad)
+
+
+@pytest.mark.parametrize("layout", ["int32", "strided"])
+def test_deposit_pairs_float_with_converted_indices(tiers, layout):
+    """Index arrays C cannot read as they are — int32, or every second
+    element of an int64 array — are converted to int64 for the call, and
+    the copies must outlive it: the same bits as the NumPy tier.  Each
+    copy is 128 KiB, past NumPy's small-block cache, so one freed before
+    C reads it is a use-after-free that the sanitizer build reports."""
+    rng = np.random.default_rng(17)
+    n, n_atoms = 16384, 300
+    i = rng.integers(0, n_atoms, 2 * n)
+    j = rng.integers(0, n_atoms, 2 * n)
+    if layout == "int32":
+        i, j = i[:n].astype(np.int32), j[:n].astype(np.int32)
+    else:
+        i, j = i[::2], j[::2]
+    rows = rng.normal(0.0, 1.0, (n, 3))
+    base = rng.normal(0.0, 1.0, (n_atoms, 3))
+    got = []
+    for k in tiers:
+        forces = base.copy()
+        k.deposit_pairs_float(forces, i, j, rows)
+        got.append(forces)
+    np.testing.assert_array_equal(got[1].view(np.int64), got[0].view(np.int64))
+    assert not np.array_equal(got[0], base)
 
 
 def _small_gse():

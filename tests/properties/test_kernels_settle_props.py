@@ -19,9 +19,15 @@ checks that
 * a water + peptide system still sweeps its X–H bonds, and a water-only
   one never calls the sweeps.
 
-Skipped wholesale when the host has no C compiler (the sweeps' own
-edges are ``test_kernels_constraints_props.py``'s).
+* ``rk_min_image``'s half-box lemma holds on its edges: differences of
+  exactly ``±L/2``, one ulp either side, and zeros of both signs give
+  the NumPy form's bits.
+
+Skipped wholesale when the host has no C compiler.  The SHAKE / RATTLE
+sweeps have one form, NumPy, on every tier (``test_constraints_props.py``).
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -166,6 +172,85 @@ def test_non_contiguous_source_gives_the_same_bits(compiled):
         got = out.copy()
         compiled.settle_batch(solver, stage, got, np.asfortranarray(src), 3, len(out) // 3)
         assert_same_bits(got, want)
+
+
+def settle_both(compiled, solver, stage, out, src):
+    """``settle_batch`` of one block on NumPy and C: same bits, and the
+    same degenerate molecule (or none)."""
+    results = []
+    for k in (NUMPY_SUITE, compiled):
+        o, bad = out.copy(), None
+        try:
+            k.settle_batch(solver, stage, o, src, 1, len(o))
+        except DegenerateWaterError as err:
+            bad = err.molecule
+        results.append((o, bad))
+    assert results[1][1] == results[0][1]
+    assert_same_bits(results[1][0], results[0][0])
+    return results[0][0]
+
+
+def edge_case(rng, mols, half):
+    """Waters ``mols`` (O first, at the origin) with every O coordinate a
+    zero of random sign, so each O–H difference is exactly an H
+    coordinate, in the box of half-lengths ``half``."""
+    pos = np.concatenate(mols)
+    pos[0::3] = rng.choice([0.0, -0.0], (len(mols), 3))
+    n = len(mols)
+    top = Topology(3 * n)
+    for m in range(n):
+        add_water_to_topology(top, 3 * m, TIP3P)
+    return ConstraintSolver(top, np.tile(water_masses(TIP3P), n), Box(2.0 * half)), pos
+
+
+def test_half_box_edges_and_signed_zeros(compiled):
+    """``rk_min_image`` (SETTLE's minimum image) divides only outside the
+    half box; on its edge it must still be ``Box.minimum_image``'s bits.
+
+    One water and its eight reflections put O–H differences on exactly
+    ``±L/2``; copies with the edge H moved one ulp inward (no division)
+    and outward (the division, which wraps that H, so the copy may be
+    degenerate on both tiers alike) sit either side.  Waters in the
+    y–z plane make every x difference a zero of either sign.  Positions
+    equal to the reference keep the position step's current differences
+    on the same edges."""
+    rng = np.random.default_rng(9)
+    local = water_site_positions(TIP3P)
+    local = local - local[0]
+    mol = local @ rotation(rng).T
+    mols = []
+    for signs in itertools.product([1.0, -1.0], repeat=3):
+        m = mol * signs
+        edge = np.argmax(np.abs(m[1:]), axis=0) + 1
+        for toward in (None, 0.0, np.inf):
+            c = m.copy()
+            if toward is not None:
+                for k in range(3):
+                    c[edge[k], k] = np.nextafter(c[edge[k], k], np.copysign(toward, c[edge[k], k]))
+            mols.append(c)
+    planar = []
+    for angle in rng.uniform(0.0, 2 * np.pi, 8):
+        turn = np.array([[1.0, 0.0, 0.0], [0.0, np.cos(angle), -np.sin(angle)],
+                         [0.0, np.sin(angle), np.cos(angle)]])
+        p = local[:, [2, 0, 1]] @ turn.T  # the TIP3P plane is z = 0
+        p[:, 0] = rng.choice([0.0, -0.0], 3)
+        planar.append(p)
+    edge_half = np.max(np.abs(mol[1:]), axis=0)  # an O–H difference is on ±L/2
+    plane_half = np.array([1.0, 1.0, 1.0])  # every y–z difference inside
+    for family, half in ((mols, edge_half), (planar, plane_half)):
+        solver, ref = edge_case(rng, family, half)
+        d = np.delete(ref, np.s_[0::3], axis=0) - ref[0::3].repeat(2, axis=0)
+        if family is mols:
+            for k in range(3):
+                assert {-1, 0, 1} <= set(np.sign(np.abs(d[:, k]) - half[k]).astype(int))
+        else:
+            assert np.all(d[:, 0] == 0.0) and np.all(np.abs(d[:, 1:]) < 1.0)
+            assert np.any(np.signbit(d[:, 0])) and not np.all(np.signbit(d[:, 0]))
+        new_pos = settle_both(compiled, solver, "positions", ref.copy(), ref)
+        vel = rng.normal(0.0, 0.05, ref.shape)
+        if family is planar:
+            vel[:, 0] = rng.choice([0.0, -0.0], len(ref))
+        settle_both(compiled, solver, "velocities", vel, new_pos)
 
 
 def shake_twin(top, masses, box):

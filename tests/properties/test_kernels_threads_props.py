@@ -14,8 +14,7 @@ asserted here rather than assumed:
   (``test_solve_stack_equals_per_replica_solo``), so the farm may run
   the solves one lane per worker.
 * The serial primitives return the NumPy tier's bytes from a suite of
-  any thread count (``scatter_rows`` and the batched SHAKE/RATTLE have
-  their compiled-vs-NumPy property here and nowhere else).
+  any thread count.
 
 Farmed passes themselves are swept across thread counts in
 ``test_mesh_pass_props.py`` and ``tests/integration``.
@@ -101,24 +100,6 @@ def test_wrapping_add_order_free(seed, nparts):
 # -- serial primitives, from a suite of any thread count ------------------
 
 
-@given(seed=st.integers(0, 2**31 - 1))
-@settings(max_examples=25, deadline=None)
-def test_scatter_rows_threaded_bitwise(suites, seed):
-    numpy_k, one, threaded = suites
-    rng = np.random.default_rng(seed)
-    n_atoms = 40
-    n = int(rng.integers(n_atoms, 2500))
-    idx = rng.integers(0, n_atoms, n)
-    codes = rng.integers(-(2**62), 2**62, (n, 3))
-    base = rng.integers(-(2**60), 2**60, (n_atoms, 3))
-    want = base.copy()
-    numpy_k.scatter_rows(want, idx, codes)
-    for k in (one, *threaded.values()):
-        got = base.copy()
-        k.scatter_rows(got, idx, codes)
-        np.testing.assert_array_equal(got, want)
-
-
 def _small_gse():
     from repro.ewald.gse import GSEParams, GaussianSplitEwald
     from repro.geometry import Box
@@ -171,44 +152,6 @@ def test_mesh_plan_build_threaded_bitwise(suites, seed):
         sums = np.empty((64, 3))
         k.mesh_gather_axes(sums, *gse.make_plan(pos)._axes(), phi, 0, 64)
         np.testing.assert_array_equal(sums.view(np.int64), want_sums.view(np.int64))
-
-
-@given(seed=st.integers(0, 2**31 - 1), nrep=st.integers(1, 6))
-@settings(max_examples=10, deadline=None)
-def test_shake_rattle_batch_threaded_bitwise(suites, table_machine, seed, nrep):
-    """Batched SHAKE/RATTLE == per-replica solo sweeps, on every suite.
-
-    ``nrep=1`` is the solo solve itself (``ConstraintSolver.shake`` /
-    ``.rattle`` are one block of these).  Each replica block has its
-    own convergence exit; a converged replica absorbing extra sweeps
-    would change bits.  Compared as int64 bit patterns, which tell
-    ``-0.0`` from ``+0.0``.
-    """
-    from repro.core.constraints import ConstraintSolver
-
-    numpy_k, one, threaded = suites
-    s = table_machine.calc.system
-    # One ulp on every second H: no rigid water, so the sweeps take them all.
-    masses = s.masses.copy()
-    masses[2::3] = np.nextafter(masses[2::3], np.inf)
-    solver = ConstraintSolver(s.topology, masses, s.box)
-    assert len(solver.shake_idx) == solver.n_constraints
-    rng = np.random.default_rng(seed)
-    n = s.n_atoms
-    ref = np.tile(s.positions, (nrep, 1))
-    pos0 = ref + rng.normal(0, 0.05, ref.shape)
-    vel0 = rng.normal(0, 0.1, ref.shape)
-    want_pos = pos0.copy()
-    numpy_k.shake_batch(solver, want_pos, ref, 1e-10, nrep, n)
-    want_vel = vel0.copy()
-    numpy_k.rattle_batch(solver, want_vel, want_pos, 1e-12, nrep, n)
-    for k in (one, *threaded.values()):
-        got_pos = pos0.copy()
-        k.shake_batch(solver, got_pos, ref, 1e-10, nrep, n)
-        np.testing.assert_array_equal(got_pos.view(np.int64), want_pos.view(np.int64))
-        got_vel = vel0.copy()
-        k.rattle_batch(solver, got_vel, got_pos, 1e-12, nrep, n)
-        np.testing.assert_array_equal(got_vel.view(np.int64), want_vel.view(np.int64))
 
 
 @given(seed=st.integers(0, 2**31 - 1), nrep=st.integers(2, 5))
