@@ -351,9 +351,9 @@ class EnsembleBerendsenThermostat:
     velocity block (solo masses, solo ``n_dof``) and its lambda with
     the solo thermostat's own :meth:`BerendsenThermostat.scale`, then
     broadcasts ``(R,) -> (R*N, 1)`` so the integrator applies one
-    vectorized velocity scale.  A replica at
-    exactly ``lam == 1.0`` is untouched (the integrator's round-trip
-    through float64 is exact for 40-bit codes).
+    vectorized velocity scale.  A replica at exactly ``lam == 1.0`` is
+    untouched (the integrator's round-trip through float64 is exact for
+    40-bit codes).
     """
 
     def __init__(

@@ -19,9 +19,8 @@ implement it:
 * :class:`CompiledKernels` — thin ctypes shims over ``_kernels.c``,
   built lazily by :mod:`repro.kernels.build`.  The wrappers own every
   layout question: an array C cannot take as it is runs the NumPy form
-  or is a ``ValueError``.  The SHAKE/RATTLE sweeps have no C form: a
-  water's constraints are SETTLE's, and the few left (a protein's
-  bonds to H) run the inherited NumPy sweeps on both tiers.
+  or is a ``ValueError``; a primitive with no C form (the SHAKE/RATTLE
+  sweeps) runs the inherited NumPy one.
 
 The tier is chosen in one place, :func:`get_suite`.  Components hold a
 suite — :data:`NUMPY_SUITE` unless given one — and never ask which, so
