@@ -300,11 +300,35 @@ class ConstraintSolver:
         self.shake_idx = self.idx[rest]
         self.shake_dist = self.dist[rest]
         self.batches = _color_constraints(self.shake_idx)
+        self._sweep = self._sweep_plan()
         self.kernels = kernels
 
     @property
     def n_constraints(self) -> int:
         return len(self.idx)
+
+    def _sweep_plan(self):
+        """What the sweeps read that is fixed for the solver's life.
+
+        ``(all_i, all_j, d2, batches)``: the swept constraints' atoms and
+        squared lengths, and per batch ``(b, i, j, inv_i, inv_j, w, d2b)``
+        — its constraint indices and atoms, the atoms' inverse masses as
+        columns, ``w = inv_i + inv_j`` and its squared lengths; ``b`` is
+        None for a batch that is every constraint in order (the one batch
+        of an X–H-only protein), whose per-call slices are then the
+        whole arrays.
+        """
+        all_i = np.ascontiguousarray(self.shake_idx[:, 0])
+        all_j = np.ascontiguousarray(self.shake_idx[:, 1])
+        inv = self.inv_mass
+        d2 = self.shake_dist**2
+        whole = len(self.batches) == 1
+        batches = []
+        for b in self.batches:
+            i, j = all_i[b], all_j[b]
+            batches.append((None if whole else b, i, j, inv[i][:, None], inv[j][:, None],
+                            inv[i] + inv[j], d2[b]))
+        return all_i, all_j, d2, batches
 
     # -- compiled-tier support -------------------------------------------
 
@@ -362,26 +386,30 @@ class ConstraintSolver:
     ) -> np.ndarray:
         if not len(self.shake_idx):
             return positions
-        all_i, all_j = self.shake_idx[:, 0], self.shake_idx[:, 1]
-        d2 = self.shake_dist**2
+        all_i, all_j, d2, batches = self._sweep
         dref = self.box.minimum_image(reference[all_i] - reference[all_j])
-        inv = self.inv_mass
+        drefs = [dref if b is None else dref[b] for b, *_ in batches]
         for _ in range(self.iterations):
             dx = self.box.minimum_image(positions[all_i] - positions[all_j])
-            if np.max(np.abs(np.sum(dx * dx, axis=1) - d2)) < tol:
+            res = np.sum(dx * dx, axis=1) - d2
+            if np.max(np.abs(res)) < tol:
                 break
-            for b in self.batches:
-                i, j = all_i[b], all_j[b]
-                dxb = self.box.minimum_image(positions[i] - positions[j])
-                diff = np.sum(dxb * dxb, axis=1) - d2[b]
-                denom = 2.0 * (inv[i] + inv[j]) * np.sum(dxb * dref[b], axis=1)
+            for k, (b, i, j, inv_i, inv_j, w, d2b) in enumerate(batches):
+                if k == 0:
+                    # Nothing has moved since the convergence test: its
+                    # images and residuals are this batch's.
+                    dxb, diff = (dx, res) if b is None else (dx[b], res[b])
+                else:
+                    dxb = self.box.minimum_image(positions[i] - positions[j])
+                    diff = np.sum(dxb * dxb, axis=1) - d2b
+                denom = 2.0 * w * np.sum(dxb * drefs[k], axis=1)
                 # Guard the (unphysical at MD step sizes) perpendicular-
                 # drift singularity.
                 denom = np.where(np.abs(denom) < 1e-12, 1e-12, denom)
                 g = diff / denom
-                corr = g[:, None] * dref[b]
-                positions[i] -= inv[i][:, None] * corr
-                positions[j] += inv[j][:, None] * corr
+                corr = g[:, None] * drefs[k]
+                positions[i] -= inv_i * corr
+                positions[j] += inv_j * corr
         return positions
 
     def _rattle_numpy(
@@ -389,22 +417,24 @@ class ConstraintSolver:
     ) -> np.ndarray:
         if not len(self.shake_idx):
             return velocities
-        all_i, all_j = self.shake_idx[:, 0], self.shake_idx[:, 1]
+        all_i, all_j, _, batches = self._sweep
         dx_all = self.box.minimum_image(positions[all_i] - positions[all_j])
         d2_all = np.sum(dx_all * dx_all, axis=1)
-        inv = self.inv_mass
+        dxs = [dx_all if b is None else dx_all[b] for b, *_ in batches]
+        dens = [w * (d2_all if b is None else d2_all[b]) for b, _, _, _, _, w, _ in batches]
         for _ in range(self.iterations):
-            dv = velocities[all_i] - velocities[all_j]
-            if np.max(np.abs(np.sum(dx_all * dv, axis=1))) < tol:
+            rv_all = np.sum(dx_all * (velocities[all_i] - velocities[all_j]), axis=1)
+            if np.max(np.abs(rv_all)) < tol:
                 break
-            for b in self.batches:
-                i, j = all_i[b], all_j[b]
-                dx = dx_all[b]
-                rv = np.sum(dx * (velocities[i] - velocities[j]), axis=1)
-                k = rv / ((inv[i] + inv[j]) * d2_all[b])
-                corr = k[:, None] * dx
-                velocities[i] -= inv[i][:, None] * corr
-                velocities[j] += inv[j][:, None] * corr
+            for k, (b, i, j, inv_i, inv_j, _, _) in enumerate(batches):
+                if k == 0:
+                    # Velocities unchanged since the convergence test.
+                    rv = rv_all if b is None else rv_all[b]
+                else:
+                    rv = np.sum(dxs[k] * (velocities[i] - velocities[j]), axis=1)
+                corr = (rv / dens[k])[:, None] * dxs[k]
+                velocities[i] -= inv_i * corr
+                velocities[j] += inv_j * corr
         return velocities
 
     def max_residual(self, positions: np.ndarray) -> float:

@@ -35,6 +35,7 @@ from repro.ewald import (
 from repro.fixedpoint import FixedAccumulator, FixedFormat, ScaledFixed, round_nearest_even
 from repro.forcefield import (
     NonbondedResult,
+    PairWalkResult,
     all_bonded_forces,
     build_kernel_tables,
     scatter_forces,
@@ -81,7 +82,7 @@ class MDParams:
     #: accepted values.  The benchmark workloads
     #: ``benchmarks/perf/workloads/machine64.py`` and ``ensemble8.py``
     #: still pass both; the next change to the benchmark (ROADMAP
-    #: item 2) deletes the two keywords.
+    #: item 1(b)) deletes the two keywords.
     kernel_mode: InitVar[str] = "table"
     quantize_mesh_bits: InitVar[int] = MESH_CHARGE_BITS
 
@@ -170,14 +171,17 @@ class ForceCalculator:
         self._corr_static = precompute_correction_static(
             system.charges, system.type_ids, system.lj, system.exclusions
         )
-        # Steady-state scratch of the fixed-point path: the pair
-        # walk's outputs and the short/long force accumulators are
-        # allocated once and reused, so repeated steps allocate nothing
-        # on the hot path.
+        # Steady-state scratch of both paths: the pair kernels' outputs
+        # and the short/long force accumulators are allocated once and
+        # reused, so repeated steps allocate nothing on the hot path.
         self._pair_spec = None
         self._pair_spec_codec = None
         self._pair_out: tuple[np.ndarray, ...] | None = None
-        self._pair_rows: np.ndarray | None = None
+        self._pair_rows: tuple[np.ndarray, ...] | None = None
+        self._walk_rows = (
+            np.empty((system.n_atoms, 2), dtype=np.int64),
+            np.empty(system.n_atoms, dtype=np.int64),
+        )
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
         # What every mesh pass of this calculator — float, batched or
@@ -220,62 +224,73 @@ class ForceCalculator:
             acc.zero()
         return acc
 
-    def _pair_buffers(self, n: int) -> tuple[np.ndarray, ...]:
-        """(oi, oj, e_lj, e_coul) walk outputs for >= ``n`` candidates."""
-        out = self._pair_out
-        if out is None or len(out[0]) < n:
+    def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(oi, oj)`` pair outputs for >= ``n`` candidates."""
+        if self._pair_out is None or len(self._pair_out[0]) < n:
             # Candidate counts wander a fraction of a percent between
             # rebuilds; headroom keeps that from reallocating every time.
             cap = n + n // 8
-            out = self._pair_out = (
-                np.empty(cap, dtype=np.int64),
-                np.empty(cap, dtype=np.int64),
-                np.empty(cap, dtype=np.float64),
-                np.empty(cap, dtype=np.float64),
-            )
-        return out
+            self._pair_out = tuple(np.empty(cap, dtype=np.int64) for _ in "ij")
+        return self._pair_out
+
+    def _row_buffers(self, n: int) -> tuple[np.ndarray, ...]:
+        """The float pass's ``(rows, e_lj, e_coul)`` for >= ``n`` candidates."""
+        if self._pair_rows is None or len(self._pair_rows[1]) < n:
+            cap = n + n // 8
+            self._pair_rows = (np.empty((cap, 3)), np.empty(cap), np.empty(cap))
+        return self._pair_rows
 
     # -- contribution gathering -------------------------------------------
 
     def _range_limited(
-        self, positions: np.ndarray, force_codec=None, acc: FixedAccumulator | None = None
-    ) -> NonbondedResult:
+        self,
+        positions: np.ndarray,
+        force_codec=None,
+        acc: FixedAccumulator | None = None,
+        keep_pairs: bool = False,
+    ) -> NonbondedResult | PairWalkResult:
         """The range-limited part: one suite pass over the Verlet rows.
 
         Run from inside :meth:`NeighborList.pairs`, which hands over the
         cached candidates as rows ``(row_ptr, partners)``: cutoff test
         and table evaluation, then either quantize-and-accumulate into
-        ``acc`` (``pair_walk``; ``force`` is None) or, without one, the
-        float64 force rows (``pair_rows``).  No per-pair array exists
-        but the result's own — the surviving ``(i, j)``, the per-pair
-        energies and the rows, all views of reused scratch sized to the
-        candidate count, valid until the next evaluation.
+        ``acc`` (``pair_walk``) or, without one, the float64 force rows
+        (``pair_rows``).  The walk's record is a :class:`PairWalkResult`
+        — per-row energy codes and survivor counts, and the surviving
+        ``(i, j)`` only with ``keep_pairs``; the float pass returns a
+        :class:`NonbondedResult` of per-pair arrays with ``np.sum``
+        energies.  Every array is a view of reused scratch, valid until
+        the next evaluation.
         """
         spec, k = self._spec(force_codec), self.kernels
 
         def walk(wrapped, row_ptr, partners, lengths):
             with self.timers.time(self._pair_phase_prefix + "range_limited"):
-                oi, oj, e_lj, e_coul = self._pair_buffers(len(partners))
                 if acc is not None:
+                    e_rows, counts = self._walk_rows
+                    oi, oj = self._pair_buffers(len(partners)) if keep_pairs else (None, None)
                     m = k.pair_walk(
                         spec, wrapped, row_ptr, partners, lengths, acc.raw(),
-                        oi, oj, e_lj, e_coul,
+                        e_rows, counts, oi, oj,
                     )
-                    force = None
-                else:
-                    if self._pair_rows is None or len(self._pair_rows) < len(partners):
-                        self._pair_rows = np.empty((len(oi), 3))
-                    m = k.pair_rows(
-                        spec, wrapped, row_ptr, partners, lengths, oi, oj,
-                        self._pair_rows, e_lj, e_coul,
+                    return PairWalkResult(
+                        e_rows=e_rows,
+                        counts=counts,
+                        n_pairs=m,
+                        pair_i=None if oi is None else oi[:m],
+                        pair_j=None if oj is None else oj[:m],
                     )
-                    force = self._pair_rows[:m]
+                oi, oj = self._pair_buffers(len(partners))
+                rows, e_lj, e_coul = self._row_buffers(len(partners))
+                m = k.pair_rows(
+                    spec, wrapped, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul
+                )
                 return NonbondedResult(
                     energy_lj=float(np.sum(e_lj[:m])),
                     energy_coul=float(np.sum(e_coul[:m])),
                     i=oi[:m],
                     j=oj[:m],
-                    force=force,
+                    force=rows[:m],
                     e_lj_pairs=e_lj[:m],
                     e_coul_pairs=e_coul[:m],
                 )

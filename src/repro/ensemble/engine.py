@@ -28,10 +28,13 @@ construction rather than by tolerance:
 * force accumulation is the same order-invariant fixed-point integer
   sum the solo path uses — replica blocks cannot interact because no
   pair, bonded term, or stencil point ever crosses a block boundary;
-* float energy *reductions* are re-done per replica over contiguous
-  slices whose length and values match the solo arrays exactly
-  (NumPy's pairwise summation depends only on those), never with
-  axis/``reduceat`` reductions whose grouping differs;
+* the range-limited energies are integer sums too: the pair walk
+  leaves per-row sums of energy codes, and a replica's total is the
+  sum of its block of rows — the solo sum, since integer sums commute;
+* the other float energy *reductions* are re-done per replica over
+  contiguous slices whose length and values match the solo arrays
+  exactly (NumPy's pairwise summation depends only on those), never
+  with axis/``reduceat`` reductions whose grouping differs;
 * the shared-skin neighbor list is bitwise harmless because the pair
   set is a pure function of the current configuration regardless of
   when the list was rebuilt.
@@ -187,26 +190,6 @@ class EnsembleForceCalculator(ForceCalculator):
         # The tiled ``_e_self`` is the R-fold total; each replica's
         # self energy is the solo scalar.
         self._e_self_solo = self_energy(system.charges[:n_solo], self.sigma)
-        # Pair-index boundaries between replica blocks (ascending i).
-        self._bounds = np.arange(1, replicas, dtype=np.int64) * np.int64(n_solo)
-
-    # -- per-replica reductions --------------------------------------------
-
-    def _pair_segment_sums(self, keys_i: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per-replica sums of per-pair values split on the owner index.
-
-        The canonical pair order sorts on ``i*(R*N) + j`` so ``keys_i``
-        ascends; replica r's pairs form one contiguous slice whose
-        values and order equal the solo pair list's, making each
-        ``float(np.sum(slice))`` bitwise the solo total.
-        """
-        cuts = np.searchsorted(keys_i, self._bounds)
-        out = np.empty(self.replicas)
-        lo = 0
-        for r, hi in enumerate([*cuts.tolist(), len(values)]):
-            out[r] = float(np.sum(values[lo:hi]))
-            lo = hi
-        return out
 
     # -- long range ---------------------------------------------------------
 
@@ -251,18 +234,20 @@ class EnsembleForceCalculator(ForceCalculator):
         """Batched fixed-point forces with per-replica energy arrays.
 
         Identical deposits to the solo path (order-invariant integer
-        sums over the same contributions), with each energy re-summed
-        per replica block.  Energy keys are inserted in the exact solo
-        order so per-replica ``sum(energies.values())`` reproduces the
-        solo left-to-right float additions.
+        sums over the same contributions), with each energy summed per
+        replica block: the walk's energy codes per block of rows, the
+        bonded terms re-summed per slice.  Energy keys are inserted in
+        the exact solo order so per-replica ``sum(energies.values())``
+        reproduces the solo left-to-right float additions.
         """
         acc = self._accumulator("short", force_codec)
         energies: dict[str, np.ndarray] = {}
 
         nb = self._range_limited(positions, force_codec, acc)
         with self.timers.time("ensemble_energies"):
-            energies["lj"] = self._pair_segment_sums(nb.i, nb.e_lj_pairs)
-            energies["coulomb_real"] = self._pair_segment_sums(nb.i, nb.e_coul_pairs)
+            lanes = nb.lane_energies(self.replicas)
+            energies["lj"] = lanes[:, 0]
+            energies["coulomb_real"] = lanes[:, 1]
 
         bonded = self._bonded(positions)
         with self.timers.time("ensemble_deposit"):

@@ -12,7 +12,9 @@ from repro.forcefield.bonded import (
 )
 from repro.forcefield.exclusions import ExclusionTable, build_exclusions
 from repro.forcefield.nonbonded import (
+    PAIR_ENERGY_CODEC,
     NonbondedResult,
+    PairWalkResult,
     build_kernel_tables,
     lj_energy_prefactor,
     nonbonded_real_space,
@@ -39,7 +41,9 @@ __all__ = [
     "scatter_forces",
     "ExclusionTable",
     "build_exclusions",
+    "PAIR_ENERGY_CODEC",
     "NonbondedResult",
+    "PairWalkResult",
     "build_kernel_tables",
     "lj_energy_prefactor",
     "nonbonded_real_space",

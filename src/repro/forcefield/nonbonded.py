@@ -11,7 +11,9 @@ Two evaluations of the same plain-cutoff physics:
   (:func:`repro.analysis.forces.analytic_forces`, Table 4).
 
 Both return per-pair force contributions so callers can accumulate in
-floating point or in order-invariant fixed point.
+floating point or in order-invariant fixed point.  The kernel suite's
+fixed-point walk keeps no per-pair array: its energies come back as
+per-row sums of :data:`PAIR_ENERGY_CODEC` codes (:class:`PairWalkResult`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from repro.ewald.kernels import (
     real_space_energy_kernel,
     real_space_force_kernel,
 )
+from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.forcefield.exclusions import ExclusionTable
 from repro.forcefield.parameters import LJTable
 from repro.functions import KernelTableSet, Tier
@@ -31,12 +34,23 @@ from repro.geometry import NeighborPairs
 from repro.util import COULOMB
 
 __all__ = [
+    "PAIR_ENERGY_CODEC",
     "NonbondedResult",
+    "PairWalkResult",
     "lj_energy_prefactor",
     "nonbonded_real_space",
     "build_kernel_tables",
     "nonbonded_real_space_tabulated",
 ]
+
+
+#: The codec of the fixed-point walk's pair energies (kcal/mol): a
+#: quantum of ``2**-32`` (62 bits over ``[-2**29, 2**29)``), both powers of
+#: two.  Each pair's code is clipped at ``2**62`` quanta (``2**30``
+#: kcal/mol) and the codes are wrap-added in int64, so a sum is exact
+#: whenever the true total lies within ``2**31`` kcal/mol, whatever the
+#: order (DESIGN.md, order-free energy lemma, argues both bounds).
+PAIR_ENERGY_CODEC = ScaledFixed(FixedFormat(62), limit=2.0**29)
 
 
 @dataclass(frozen=True)
@@ -47,12 +61,12 @@ class NonbondedResult:
     ``j`` is its negation (the NT method exploits exactly this symmetry
     to halve its plate, Figure 3a).
 
-    ``e_lj_pairs``/``e_coul_pairs`` retain the per-pair energies whose
-    pairwise ``np.sum`` produced the scalar totals, so segment consumers
-    (the batched ensemble engine) can re-sum contiguous replica slices
-    with bitwise-identical results.  On the fused compiled pair path
-    they are views of the calculator's reused scratch, valid until its
-    next evaluation.
+    ``e_lj_pairs``/``e_coul_pairs`` are the per-pair energies whose
+    ``np.sum`` gave the float totals: what the NumPy evaluations return,
+    and what the NumPy pair walk quantizes.  The float path's result
+    (``ForceCalculator.compute``) carries them as views of the
+    calculator's reused scratch, valid until its next evaluation.  The
+    fixed-point walk keeps none: its record is :class:`PairWalkResult`.
     """
 
     energy_lj: float
@@ -70,6 +84,58 @@ class NonbondedResult:
     @property
     def n_pairs(self) -> int:
         return len(self.i)
+
+
+@dataclass(frozen=True)
+class PairWalkResult:
+    """What one fixed-point pair walk leaves: energies as row codes.
+
+    ``e_rows`` is ``(n_atoms, 2)`` int64: row ``i``'s wrapping sums of
+    the :data:`PAIR_ENERGY_CODEC` codes of its surviving pairs' LJ and
+    Coulomb energies; ``counts[i]`` is its survivor count.  Integer sums
+    commute, so every total below is a pure function of the pair set —
+    the same bits for any pair order, row split, block or lane count.
+    ``pair_i`` / ``pair_j`` are the surviving pairs, present only when
+    the walk was asked for them (the machine's NT marks); ``i`` is
+    recovered from the counts otherwise.  The arrays are views of the
+    calculator's reused scratch, valid until its next evaluation.
+    """
+
+    e_rows: np.ndarray
+    counts: np.ndarray
+    n_pairs: int
+    pair_i: np.ndarray | None = None
+    pair_j: np.ndarray | None = None
+
+    @property
+    def i(self) -> np.ndarray:
+        """The surviving pairs' ``i``, in walk order."""
+        if self.pair_i is not None:
+            return self.pair_i
+        return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
+
+    @property
+    def j(self) -> np.ndarray | None:
+        return self.pair_j
+
+    def lane_energies(self, lanes: int = 1) -> np.ndarray:
+        """``(lanes, 2)`` decoded (LJ, Coulomb) totals of equal row blocks.
+
+        Lane ``r`` owns rows ``[r·n, (r+1)·n)``; its totals are the int64
+        sums of those rows' codes, decoded once.  At ``lanes=1`` that is
+        ``e_rows.sum(0)``, so a lane of a stacked system reports its solo
+        energies bit for bit.
+        """
+        codes = self.e_rows.reshape(lanes, -1, 2).sum(axis=1)
+        return PAIR_ENERGY_CODEC.reconstruct(codes)
+
+    @property
+    def energy_lj(self) -> float:
+        return float(self.lane_energies()[0, 0])
+
+    @property
+    def energy_coul(self) -> float:
+        return float(self.lane_energies()[0, 1])
 
 
 def lj_energy_prefactor(r2: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

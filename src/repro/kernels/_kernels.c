@@ -383,6 +383,7 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
     const double *d_starts, *d_widths, *d_inv, *c12f, *c6f, *c12e, *c6e;
     int64_t d_nseg;
     double q_limit, q_scale, q_mul;
+    double eq_limit, eq_scale, eq_mul;
 } rk_pair_spec;
 
 /* Candidates per block: what the stages hand each other stays in L1. */
@@ -468,8 +469,8 @@ typedef struct {
  * passes the candidate index, so outputs sized to the candidate count
  * suffice), then KernelTableSet.normalize on the survivors' r2 (a loop of
  * its own, so the division packs).  Survivors' partners land in oj (the
- * caller's next free slots), their displacements and clamped u in the
- * block.  Returns how many survived. */
+ * caller's next free slots, or a block of scratch), their displacements
+ * and clamped u in the block.  Returns how many survived. */
 RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
                                    const int32_t *restrict pj, int64_t nk,
                                    int64_t *restrict oj,
@@ -630,11 +631,35 @@ RK_ONE_COPY void rk_quantize(int64_t nb, const double *restrict pf,
     }
 }
 
+/* ScaledFixed.quantize_round_only of a block's nb pair energies e (the
+ * energy codec: e / limit * scale, clipped to +-2^62, round-nearest-even),
+ * returned as the wrapping uint64 sum of the codes.  The one-multiply
+ * lemma of rk_quantize holds here as well: mul is scale / limit for a
+ * power-of-two codec and 0.0 otherwise, which keeps the division. */
+RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e,
+                                     double limit, double scale, double mul)
+{
+    const double cap = 4611686018427387904.0; /* 2.0**62 */
+    double x[RK_WALK_BLOCK];
+    if (mul != 0.0)
+        for (int64_t b = 0; b < nb; b++)
+            x[b] = e[b] * mul;
+    else
+        for (int64_t b = 0; b < nb; b++)
+            x[b] = e[b] / limit * scale;
+    uint64_t sum = 0;
+    for (int64_t b = 0; b < nb; b++) {
+        double y = x[b] < -cap ? -cap : x[b];
+        sum += (uint64_t)(int64_t)rint(y > cap ? cap : y);
+    }
+    return sum;
+}
+
 /* One evaluation of the range-limited forces, from the Verlet rows
  * straight to the force accumulator: NumpyKernels.pair_walk (filter ->
- * tables -> quantize -> deposit) with nothing stored per pair but what the
- * caller reads — the surviving (i, j) and the per-pair energies (summed by
- * np.sum, so the reported floats keep NumPy's pairwise bits).
+ * tables -> quantize -> deposit) with nothing stored per pair unless the
+ * caller asks for the surviving (i, j) in oi / oj (the machine's NT marks
+ * read them; either may be NULL, and then nothing is written there).
  *
  * The list is rows: row i is partners[row_ptr[i] .. row_ptr[i + 1]), in
  * ascending j, so the rows in turn are the canonical (i, j) order.  Per
@@ -643,51 +668,71 @@ RK_ONE_COPY void rk_quantize(int64_t nb, const double *restrict pf,
  * rk_quantize on the survivors (stages A and B), then stage C, scalar:
  * each code added to atom i's row sum and subtracted from acc[j], and the
  * row sum added to acc[i] once the row is done.  uint64 adds wrap like
- * int64 and commute, so the deposit order is invisible.  soa is 3 n_atoms
- * doubles of scratch; the arrays must not overlap.  Returns the surviving
- * pair count. */
+ * int64 and commute, so the deposit order is invisible.
+ *
+ * Energies take the same road: each survivor's e_lj and e_coul is
+ * quantized by the spec's energy codec (rk_energy_codes) and wrap-added
+ * into the row's two sums, written to e_rows[i] = (lj, coul) once the
+ * row is done, with the row's survivor count in counts[i] — every row is
+ * written, an empty one as zeros.  Those sums commute too (DESIGN.md,
+ * order-free energy lemma): no pair order, row split or block boundary
+ * can show in them.  soa is 3 n_atoms doubles of scratch; the arrays
+ * must not overlap.  Returns the surviving pair count. */
 int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
                      const int32_t *restrict partners, const double *restrict w,
                      double *restrict soa, const double *L,
                      const rk_pair_spec *s, int64_t *restrict acc,
-                     int64_t *restrict oi, int64_t *restrict oj,
-                     double *restrict e_lj, double *restrict e_coul)
+                     int64_t *restrict e_rows, int64_t *restrict counts,
+                     int64_t *restrict oi, int64_t *restrict oj)
 {
     rk_walk_ctx c;
     rk_walk_init(&c, s, L, n_atoms, w, soa);
     const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
-    uint64_t *a = (uint64_t *)acc;
+    const double el = c.s.eq_limit, es = c.s.eq_scale, em = c.s.eq_mul;
+    uint64_t *a = (uint64_t *)acc, *er = (uint64_t *)e_rows;
     rk_walk_block blk;
     uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
+    double e_lj[RK_WALK_BLOCK], e_coul[RK_WALK_BLOCK];
+    int64_t jb[RK_WALK_BLOCK];
     int64_t m = 0;
 
     for (int64_t i = 0; i < n_atoms; i++) {
-        const int64_t end = row_ptr[i + 1];
-        if (row_ptr[i] == end)
-            continue;
-        const rk_row r = rk_row_of(&c, i);
-        uint64_t f0 = 0, f1 = 0, f2 = 0;
-        for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
-            const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
-            const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, oj + m, &blk);
-            rk_pair_tables(&c, &r, nb, oj + m, &blk, e_lj + m, e_coul + m);
-            rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
-            rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
-            rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
-            for (int64_t b = 0; b < nb; b++, m++) {
-                const int64_t j = oj[m];
-                oi[m] = i;
-                f0 += c0[b];
-                f1 += c1[b];
-                f2 += c2[b];
-                a[3 * j] -= c0[b];
-                a[3 * j + 1] -= c1[b];
-                a[3 * j + 2] -= c2[b];
+        const int64_t end = row_ptr[i + 1], m0 = m;
+        uint64_t s_lj = 0, s_coul = 0;
+        if (row_ptr[i] < end) {
+            const rk_row r = rk_row_of(&c, i);
+            uint64_t f0 = 0, f1 = 0, f2 = 0;
+            for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
+                const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
+                int64_t *restrict js = oj ? oj + m : jb;
+                const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, js, &blk);
+                rk_pair_tables(&c, &r, nb, js, &blk, e_lj, e_coul);
+                s_lj += rk_energy_codes(nb, e_lj, el, es, em);
+                s_coul += rk_energy_codes(nb, e_coul, el, es, em);
+                rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
+                rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
+                rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
+                for (int64_t b = 0; b < nb; b++) {
+                    const int64_t j = js[b];
+                    f0 += c0[b];
+                    f1 += c1[b];
+                    f2 += c2[b];
+                    a[3 * j] -= c0[b];
+                    a[3 * j + 1] -= c1[b];
+                    a[3 * j + 2] -= c2[b];
+                }
+                if (oi)
+                    for (int64_t b = 0; b < nb; b++)
+                        oi[m + b] = i;
+                m += nb;
             }
+            a[3 * i] += f0;
+            a[3 * i + 1] += f1;
+            a[3 * i + 2] += f2;
         }
-        a[3 * i] += f0;
-        a[3 * i + 1] += f1;
-        a[3 * i + 2] += f2;
+        er[2 * i] = s_lj;
+        er[2 * i + 1] = s_coul;
+        counts[i] = m - m0;
     }
     return m;
 }

@@ -109,6 +109,7 @@ class PairSpec(ctypes.Structure):
            for name in ("d_starts", "d_widths", "d_inv", "c12f", "c6f", "c12e", "c6e")]
         + [("d_nseg", ctypes.c_int64)]
         + [(name, ctypes.c_double) for name in ("q_limit", "q_scale", "q_mul")]
+        + [(name, ctypes.c_double) for name in ("eq_limit", "eq_scale", "eq_mul")]
     )
 
 
@@ -278,7 +279,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
     lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64, p]
-    # The walk takes the Verlet rows and a PairSpec by reference.
+    # The walk takes the Verlet rows and a PairSpec by reference; its
+    # last two pointers (the surviving pairs) may be None.
     lib.rk_pair_walk.restype = i64
     lib.rk_pair_walk.argtypes = [i64, p, p, p, p, p, p, p, p, p, p, p]
     # The walk's float64 twin: force rows out instead of an accumulator in.

@@ -169,18 +169,19 @@ class PairTableSpec:
     LJ type ids, the precomputed per-type-pair A/B coefficient matrices,
     the tier-table segmentations and quantized cubic coefficients for
     the electrostatic and dispersion layouts, and the force-code
-    quantization constants.  Built once by :func:`make_pair_spec` and
-    reused every step.
+    quantization constants of the forces and of the pair energies.
+    Built once by :func:`make_pair_spec` and reused every step.
 
-    ``e_inv``/``d_inv`` (reciprocal segment widths) and ``q_mul``
-    (``q_scale / q_limit``) are what lets the compiled walk drop a
-    division where that is exact: each is set only when every divisor
-    it replaces is a power of two, and is ``None`` / ``0.0`` otherwise,
-    which keeps the literal division.  The NumPy forms never read
-    them; they evaluate ``tables`` (the
-    :class:`~repro.functions.KernelTableSet`) with ``lj`` (the
-    :class:`~repro.forcefield.LJTable`) and quantize with ``codec``,
-    the objects the arrays above were taken from.
+    ``e_inv``/``d_inv`` (reciprocal segment widths), ``q_mul``
+    (``q_scale / q_limit``) and ``eq_mul`` (``eq_scale / eq_limit``)
+    are what lets the compiled walk drop a division where that is
+    exact: each is set only when every divisor it replaces is a power
+    of two, and is ``None`` / ``0.0`` otherwise, which keeps the literal
+    division.  The NumPy forms never read them; they evaluate ``tables``
+    (the :class:`~repro.functions.KernelTableSet`) with ``lj`` (the
+    :class:`~repro.forcefield.LJTable`) and quantize with ``codec``
+    (forces) and ``energy_codec`` (energies), the objects the arrays
+    above were taken from.
     """
 
     charges: np.ndarray
@@ -203,12 +204,16 @@ class PairTableSpec:
     c6e: np.ndarray
     q_limit: float
     q_scale: float
+    eq_limit: float
+    eq_scale: float
     e_inv: np.ndarray | None = None
     d_inv: np.ndarray | None = None
     q_mul: float = 0.0
+    eq_mul: float = 0.0
     tables: object = None
     lj: object = None
     codec: object = None
+    energy_codec: object = None
 
     @cached_property
     def c(self) -> PairSpec:
@@ -244,8 +249,10 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
     The A/B matrices are the :class:`~repro.forcefield.LJTable`'s own
     (the ones :meth:`LJTable.pair_coefficients` gathers from).  Without
     a ``force_codec`` the spec serves only the float ``pair_rows``,
-    which quantizes nothing.
+    which quantizes nothing.  The walk's energies are quantized by
+    :data:`~repro.forcefield.PAIR_ENERGY_CODEC`, whatever the force codec.
     """
+    from repro.forcefield.nonbonded import PAIR_ENERGY_CODEC
     from repro.util import COULOMB
 
     def seg(table):
@@ -273,9 +280,14 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
     amat = np.ascontiguousarray(lj_table.a_ij)
     bmat = np.ascontiguousarray(lj_table.b_ij)
 
+    def mul(limit, scale):
+        return scale / limit if _pow2(limit) and _pow2(scale) else 0.0
+
     q_limit = q_scale = 1.0
     if force_codec is not None:
         q_limit, q_scale = float(force_codec.limit), float(force_codec.fmt.scale)
+    eq_limit = float(PAIR_ENERGY_CODEC.limit)
+    eq_scale = float(PAIR_ENERGY_CODEC.fmt.scale)
     return PairTableSpec(
         charges=np.ascontiguousarray(charges, dtype=np.float64),
         types=np.ascontiguousarray(type_ids, dtype=np.int64),
@@ -297,12 +309,16 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
         c6e=c6e,
         q_limit=q_limit,
         q_scale=q_scale,
+        eq_limit=eq_limit,
+        eq_scale=eq_scale,
         e_inv=_pow2_reciprocals(e_widths),
         d_inv=_pow2_reciprocals(d_widths),
-        q_mul=q_scale / q_limit if _pow2(q_limit) and _pow2(q_scale) else 0.0,
+        q_mul=mul(q_limit, q_scale),
+        eq_mul=mul(eq_limit, eq_scale),
         tables=tables,
         lj=lj_table,
         codec=force_codec,
+        energy_codec=PAIR_ENERGY_CODEC,
     )
 
 
@@ -444,18 +460,29 @@ class NumpyKernels:
         )
 
     def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
-                  oi, oj, e_lj, e_coul):
+                  e_rows, counts, oi=None, oj=None):
         """One range-limited evaluation, Verlet rows to accumulator.
 
         :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
-        :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``;
-        of the per-pair data only the surviving pairs ``oi[:m], oj[:m]``
-        and their energies ``e_lj[:m], e_coul[:m]`` are kept (all four
-        sized to the candidate count ``len(partners)``).  Returns ``m``.
+        :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``.
+        Each surviving pair's two energies are quantized by
+        ``spec.energy_codec`` and wrap-added into its row ``i`` of the
+        ``(n_atoms, 2)`` int64 ``e_rows`` (LJ, Coulomb); ``counts[i]`` is
+        row ``i``'s survivor count.  Both are overwritten, every row.
+        Only when given are the surviving pairs written to ``oi[:m],
+        oj[:m]`` (sized to the candidate count ``len(partners)``).
+        Returns ``m``.
         """
         nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         m = nb.n_pairs
-        oi[:m], oj[:m], e_lj[:m], e_coul[:m] = nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
+        counts[...] = np.bincount(nb.i, minlength=len(counts))
+        e_rows[...] = 0
+        with np.errstate(over="ignore"):
+            for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
+                np.add.at(e_rows[:, col], nb.i, spec.energy_codec.quantize_round_only(e))
+        for out, atoms in ((oi, nb.i), (oj, nb.j)):
+            if out is not None:
+                out[:m] = atoms
         self.deposit_pairs(acc, nb.i, nb.j, spec.codec.quantize_round_only(nb.force))
         return m
 
@@ -740,28 +767,30 @@ class CompiledKernels(NumpyKernels):
             bufs[1][:m] = partners[:m]
 
     def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
-                  oi, oj, e_lj, e_coul):
+                  e_rows, counts, oi=None, oj=None):
         """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
         Row by row, atom ``i`` held: filter, tables, quantize and deposit
-        per block of its partners, with nothing stored per pair but the
-        outputs.  The j side reads the coordinates as three arrays, a
-        transpose into the calling thread's scratch (:meth:`_scratch`).
+        per block of its partners, with nothing stored per pair but
+        ``oi`` / ``oj`` when they are given.  The j side reads the
+        coordinates as three arrays, a transpose into the calling
+        thread's scratch (:meth:`_scratch`).
         """
-        outs = ((oi, np.int64, ()), (oj, np.int64, ()), (e_lj, np.float64, ()),
-                (e_coul, np.float64, ()))
+        n = len(wrapped)
+        outs = tuple((a, np.int64, ()) for a in (oi, oj) if a is not None)
         if not (
             self._rows_conform(wrapped, row_ptr, partners, lengths, outs)
-            and _conforms(acc, (len(wrapped), 3), np.int64)
+            and _conforms(acc, (n, 3), np.int64)
+            and _conforms(e_rows, (n, 2), np.int64)
+            and _conforms(counts, (n,), np.int64)
         ):
             return NumpyKernels.pair_walk(self, spec, wrapped, row_ptr, partners, lengths,
-                                          acc, oi, oj, e_lj, e_coul)
-        n = len(wrapped)
+                                          acc, e_rows, counts, oi, oj)
         return int(
             self._lib.rk_pair_walk(
                 n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
-                _ptr(lengths), ctypes.byref(spec.c), _ptr(acc), _ptr(oi), _ptr(oj),
-                _ptr(e_lj), _ptr(e_coul),
+                _ptr(lengths), ctypes.byref(spec.c), _ptr(acc), _ptr(e_rows), _ptr(counts),
+                None if oi is None else _ptr(oi), None if oj is None else _ptr(oj),
             )
         )
 

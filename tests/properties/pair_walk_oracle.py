@@ -74,13 +74,19 @@ def oracle_pairs(spec, wrapped, ii, jj, lengths):
 
 
 def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
-    """``(acc, oi, oj, e_lj, e_coul)`` of the oracle."""
+    """``(acc, e_rows, counts, oi, oj)`` of the oracle: the energies
+    quantized by the spec's energy codec and summed into each pair's
+    row ``i``, the survivors counted per row."""
     nb, codes = oracle_pairs(spec, wrapped, ii, jj, lengths)
     acc = acc.copy()
+    n = len(wrapped)
+    e_rows = np.zeros((n, 2), dtype=np.int64)
     with np.errstate(over="ignore"):
         np.add.at(acc, nb.i, codes)
         np.subtract.at(acc, nb.j, codes)
-    return acc, nb.i, nb.j, nb.e_lj_pairs, nb.e_coul_pairs
+        for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
+            np.add.at(e_rows[:, col], nb.i, spec.energy_codec.quantize_round_only(e))
+    return acc, e_rows, np.bincount(nb.i, minlength=n), nb.i, nb.j
 
 
 def in_rows(ii, jj, n_atoms):
@@ -91,26 +97,37 @@ def in_rows(ii, jj, n_atoms):
     return (ii, jj, *pairs_to_rows(ii, jj, n_atoms))
 
 
-def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=0):
-    """The same five arrays from ``suite.pair_walk`` over the rows (outputs
-    oversized by ``headroom``, as the force calculator's scratch is)."""
-    n = len(partners) + headroom
-    oi = np.empty(n, dtype=np.int64)
-    oj = np.empty(n, dtype=np.int64)
-    e_lj = np.empty(n)
-    e_coul = np.empty(n)
+def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=0,
+               keep_pairs=True):
+    """The same five arrays from ``suite.pair_walk`` over the rows (pair
+    outputs oversized by ``headroom``, as the force calculator's scratch
+    is, and ``None`` without ``keep_pairs``).  ``e_rows`` and ``counts``
+    start as garbage: the walk must write every row."""
+    n_atoms, n = len(wrapped), len(partners) + headroom
+    e_rows = np.full((n_atoms, 2), -7, dtype=np.int64)
+    counts = np.full(n_atoms, -7, dtype=np.int64)
+    oi = oj = None
+    if keep_pairs:
+        oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     acc = acc.copy()
-    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, oi, oj, e_lj, e_coul)
-    return acc, oi[:m], oj[:m], e_lj[:m], e_coul[:m]
+    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, oi, oj)
+    assert m == counts.sum()
+    return acc, e_rows, counts, *(None if o is None else o[:m] for o in (oi, oj))
 
 
 def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
     """Every suite's walk over the candidates' rows equals the oracle over
-    the same candidates in row order, bit for bit; returns the pair count."""
+    the same candidates in row order, bit for bit, with the surviving
+    pairs written and without; returns the pair count."""
     ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     want = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
+    names = ("acc", "e_rows", "counts", "oi", "oj")
     for suite in suites:
-        got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=3)
-        for name, x, y in zip(("acc", "oi", "oj", "e_lj", "e_coul"), got, want):
-            np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
-    return len(want[1])
+        for keep in (True, False):
+            got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc,
+                             headroom=3, keep_pairs=keep)
+            for name, x, y in zip(names, got, want):
+                if x is not None:
+                    np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
+            assert (got[3] is None) == (not keep)
+    return len(want[3])

@@ -1,6 +1,13 @@
-"""Property-based tests of the SETTLE / SHAKE / RATTLE solver."""
+"""Property-based tests of the SETTLE / SHAKE / RATTLE solver.
+
+The solver properties run twice: on TIP3P clusters, whose rigid waters
+SETTLE solves, and on the same clusters with one H of each molecule a
+deuterium, which makes no molecule a rigid water, so the SHAKE / RATTLE
+sweeps take every constraint.
+"""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,26 +30,44 @@ def water_cluster(n_waters, seed):
     return box, top, pos, masses
 
 
+#: Each solver property's two cases: rigid waters, or every constraint swept.
+SOLVES = pytest.mark.parametrize("solve", ["settle", "swept"])
+
+
+def solver_for(solve, n_waters, seed):
+    """``(box, pos, masses, solver)`` of a cluster; ``"swept"`` gives one
+    H of each molecule the mass of deuterium, so SETTLE takes none."""
+    box, top, pos, masses = water_cluster(n_waters, seed)
+    if solve == "swept":
+        masses[2::3] = 2.014
+    solver = ConstraintSolver(top, masses, box)
+    if solve == "swept":
+        assert len(solver.shake_idx) > 0 and not len(solver.waters)
+    else:
+        assert len(solver.waters) == n_waters and not len(solver.shake_idx)
+    return box, pos, masses, solver
+
+
+@SOLVES
 @given(
     n_waters=st.integers(1, 6),
     seed=st.integers(0, 2**31 - 1),
     noise=st.floats(0.001, 0.06),
 )
 @settings(max_examples=40, deadline=None)
-def test_shake_converges_from_random_perturbation(n_waters, seed, noise):
-    box, top, pos, masses = water_cluster(n_waters, seed)
-    solver = ConstraintSolver(top, masses, box)
+def test_shake_converges_from_random_perturbation(solve, n_waters, seed, noise):
+    box, pos, masses, solver = solver_for(solve, n_waters, seed)
     rng = np.random.default_rng(seed + 1)
     bad = pos + rng.normal(0, noise, pos.shape)
     solver.shake(bad, pos)
     assert solver.max_residual(bad) < 1e-8
 
 
+@SOLVES
 @given(n_waters=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_rattle_leaves_constraint_orthogonal_velocities(n_waters, seed):
-    box, top, pos, masses = water_cluster(n_waters, seed)
-    solver = ConstraintSolver(top, masses, box)
+def test_rattle_leaves_constraint_orthogonal_velocities(solve, n_waters, seed):
+    box, pos, masses, solver = solver_for(solve, n_waters, seed)
     rng = np.random.default_rng(seed + 2)
     vel = rng.normal(0, 0.02, pos.shape)
     solver.rattle(vel, pos)
@@ -52,11 +77,11 @@ def test_rattle_leaves_constraint_orthogonal_velocities(n_waters, seed):
     assert np.max(np.abs(rv)) < 1e-10
 
 
+@SOLVES
 @given(n_waters=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_shake_preserves_momentum(n_waters, seed):
-    box, top, pos, masses = water_cluster(n_waters, seed)
-    solver = ConstraintSolver(top, masses, box)
+def test_shake_preserves_momentum(solve, n_waters, seed):
+    box, pos, masses, solver = solver_for(solve, n_waters, seed)
     rng = np.random.default_rng(seed + 3)
     bad = pos + rng.normal(0, 0.03, pos.shape)
     com0 = np.sum(masses[:, None] * bad, axis=0)
@@ -65,11 +90,11 @@ def test_shake_preserves_momentum(n_waters, seed):
     np.testing.assert_allclose(com0, com1, atol=1e-8)
 
 
+@SOLVES
 @given(n_waters=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_shake_deterministic(n_waters, seed):
-    box, top, pos, masses = water_cluster(n_waters, seed)
-    solver = ConstraintSolver(top, masses, box)
+def test_shake_deterministic(solve, n_waters, seed):
+    box, pos, masses, solver = solver_for(solve, n_waters, seed)
     rng = np.random.default_rng(seed + 4)
     bad = pos + rng.normal(0, 0.02, pos.shape)
     a = solver.shake(bad.copy(), pos)

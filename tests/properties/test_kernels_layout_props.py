@@ -65,10 +65,11 @@ def pair_args(case, name, variant):
         row_ptr, partners = row_ptr.astype(np.int32), partners.astype(np.int64)
     pairs = (wrapped, row_ptr, partners, lengths)
     ints = [empty(n, np.int64, variant) for _ in "ij"]
-    energies = [empty(n, np.float64, variant) for _ in "lc"]
     if name == "pair_walk":
         acc = np.arange(n_atoms * 3, dtype=np.int64).reshape(n_atoms, 3)
-        return (spec, *pairs, strided(acc) if variant == "strided" else acc, *ints, *energies)
+        rows = (empty((n_atoms, 2), np.int64, variant), empty(n_atoms, np.int64, variant))
+        return (spec, *pairs, strided(acc) if variant == "strided" else acc, *rows, *ints)
+    energies = [empty(n, np.float64, variant) for _ in "lc"]
     return (spec, *pairs, *ints, empty((n, 3), np.float64, variant), *energies)
 
 

@@ -74,8 +74,9 @@ def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):
     :func:`~repro.forcefield.nonbonded_real_space_tabulated`, the
     codec, ``np.add.at`` — on random pair geometries in the machine's
     own box, including ``r2 == 0`` and pairs at the cutoff and just
-    inside it: identical accumulator, survivor list and per-pair energy
-    bits (``test_pair_walk_props`` holds the adversarial cases).
+    inside it: identical accumulator, survivor list, survivor counts and
+    per-row energy codes (``test_pair_walk_props`` holds the adversarial
+    cases).
     """
     calc = table_machine.calc
     s = calc.system

@@ -7,7 +7,8 @@ in ``_kernels.c``: the minimum image of wrapped coordinates without
 ``d / L``, the force quantization as one multiply for a power-of-two
 codec, and the table offset as a reciprocal multiply for power-of-two
 segment widths.  The oracle (``pair_walk_oracle.numpy_walk``: filter,
-force-field table evaluation, quantize, deposit) keeps every division
+force-field table evaluation, quantize, deposit, energy codes summed per
+row) keeps every division
 literal, so each property below that lands on a lemma's edge pins the
 lemma, and each that breaks a precondition pins the division fallback.
 The NumPy suite's walk — the same pipeline inside the suite — is one
@@ -48,9 +49,7 @@ from tests.properties.pair_walk_oracle import (
     divided_tables,
     in_rows,
     islands,
-    numpy_walk,
     oracle_pairs,
-    suite_walk,
 )
 from tests.properties.test_mesh_fused_props import assert_same_bits
 from tests.serial_backend import _force_export_side
@@ -320,10 +319,10 @@ def _dispersion_only(lj, ti, tj):
 def test_lj_free_pairs_match_the_oracle(suites, tip4p, table):
     """The skip against the full table expression, on every pair of a
     TIP4P-Ew box: 8 of its 9 type pairs are LJ-free, and its O–H and O–M
-    pairs are LJ-free with qq = 0, the zero-prefactor case.  Codes and
-    survivors are equal, the e_coul bits, the e_lj values, and the bits
-    of their sum.  The ``dispersion_only`` table turns H–H into A = 0,
-    B != 0, which the skip must not take."""
+    pairs are LJ-free with qq = 0, the zero-prefactor case.  Force codes,
+    survivors and both rows of energy codes are equal (an e_lj of either
+    zero quantizes to the code 0).  The ``dispersion_only`` table turns
+    H–H into A = 0, B != 0, which the skip must not take."""
     s = tip4p.system
     lj = s.lj if table == "tip4p" else _dispersion_only(s.lj, *s.type_ids[1:3])
     spec = make_pair_spec(tip4p.tables, lj, s.charges, s.type_ids, CODECS["pow2"])
@@ -336,12 +335,6 @@ def test_lj_free_pairs_match_the_oracle(suites, tip4p, table):
     lengths = s.box.lengths.copy()
     acc = np.zeros((s.n_atoms, 3), dtype=np.int64)
     assert assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc) > 0
-    *_, e_lj, e_coul = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
-    _, _, row_ptr, partners = in_rows(ii, jj, s.n_atoms)
-    for suite in suites:
-        got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc)
-        assert_same_bits(got[4], e_coul)
-        assert_same_bits(np.sum(got[3]), np.sum(e_lj))
 
 
 def test_lj_free_float_rows_deposit_the_oracle_forces(suites, tip4p):

@@ -10,8 +10,11 @@ differential tests compare the shipped backend against, and runs as
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
+from repro.forcefield import PAIR_ENERGY_CODEC
 from repro.machine.backends import MachineBackend
 from repro.parallel import nt_assign_pairs, tower_plate_boxes
 
@@ -73,6 +76,16 @@ class SerialBackend(MachineBackend):
                 acc.deposit(i[sel], codes[sel])
                 acc.deposit(j[sel], -codes[sel])
 
+    @staticmethod
+    def _energy_by_node(node, n_nodes, energies) -> float:
+        """Each pair's energy code summed on its node, the node sums in
+        node order, decoded once: the walk's row sums, regrouped."""
+        codes = PAIR_ENERGY_CODEC.quantize_round_only(energies)
+        total = np.zeros(1, dtype=np.int64)
+        for n in range(n_nodes):
+            total += np.sum(codes[node == n])
+        return float(PAIR_ENERGY_CODEC.reconstruct(total)[0])
+
     def range_limited(self, calc, positions, force_codec, acc):
         m = calc.machine
         nb = calc._range_limited(positions)
@@ -81,6 +94,12 @@ class SerialBackend(MachineBackend):
             assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
         with calc.timers.time("machine_deposit"):
             self._deposit_by_node(calc, acc, assign.node, nb.i, nb.j, codes)
+        n_nodes = m.topology.n_nodes
+        nb = replace(
+            nb,
+            energy_lj=self._energy_by_node(assign.node, n_nodes, nb.e_lj_pairs),
+            energy_coul=self._energy_by_node(assign.node, n_nodes, nb.e_coul_pairs),
+        )
         return nb, (assign.node, nb.i, nb.j)
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
