@@ -124,6 +124,9 @@ class ForceCalculator:
     #: Prefix of the pair path's phase names (``pair_list``,
     #: ``range_limited``): the ensemble charges them to its own.
     _pair_phase_prefix = ""
+    #: Equal blocks of atom rows whose pair energies the walk's record
+    #: totals separately (the ensemble's replicas).
+    _lanes = 1
 
     def __init__(
         self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=NUMPY_SUITE
@@ -277,6 +280,7 @@ class ForceCalculator:
                         e_rows=e_rows,
                         counts=counts,
                         n_pairs=m,
+                        lanes=self._lanes,
                         pair_i=None if oi is None else oi[:m],
                         pair_j=None if oj is None else oj[:m],
                     )

@@ -172,7 +172,7 @@ class EnsembleForceCalculator(ForceCalculator):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
         super().__init__(system, params, kernels=kernels)
-        self.replicas = int(replicas)
+        self.replicas = self._lanes = int(replicas)
         self.n_solo = int(n_solo)
         # Batched rebuild: per-replica cell binning in a single
         # filter/sort pass (cells are offset per replica so identical
@@ -244,10 +244,8 @@ class EnsembleForceCalculator(ForceCalculator):
         energies: dict[str, np.ndarray] = {}
 
         nb = self._range_limited(positions, force_codec, acc)
-        with self.timers.time("ensemble_energies"):
-            lanes = nb.lane_energies(self.replicas)
-            energies["lj"] = lanes[:, 0]
-            energies["coulomb_real"] = lanes[:, 1]
+        energies["lj"] = nb.energies[:, 0]
+        energies["coulomb_real"] = nb.energies[:, 1]
 
         bonded = self._bonded(positions)
         with self.timers.time("ensemble_deposit"):

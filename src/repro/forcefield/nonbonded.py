@@ -18,7 +18,7 @@ per-row sums of :data:`PAIR_ENERGY_CODEC` codes (:class:`PairWalkResult`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,20 +92,30 @@ class PairWalkResult:
 
     ``e_rows`` is ``(n_atoms, 2)`` int64: row ``i``'s wrapping sums of
     the :data:`PAIR_ENERGY_CODEC` codes of its surviving pairs' LJ and
-    Coulomb energies; ``counts[i]`` is its survivor count.  Integer sums
-    commute, so every total below is a pure function of the pair set —
-    the same bits for any pair order, row split, block or lane count.
-    ``pair_i`` / ``pair_j`` are the surviving pairs, present only when
-    the walk was asked for them (the machine's NT marks); ``i`` is
-    recovered from the counts otherwise.  The arrays are views of the
-    calculator's reused scratch, valid until its next evaluation.
+    Coulomb energies; ``counts[i]`` is its survivor count.  ``energies``
+    is ``(lanes, 2)``, the decoded (LJ, Coulomb) totals of ``lanes``
+    equal blocks of rows: lane ``r``'s is the int64 sum of rows ``[r·n,
+    (r+1)·n)``, decoded once.  Integer sums commute, so each total is a
+    pure function of the pair set — the same bits for any pair order,
+    row split or block — and a lane of a stacked system reports its solo
+    energies bit for bit.  ``pair_i`` / ``pair_j`` are the surviving
+    pairs, present only when the walk was asked for them (the machine's
+    NT marks); ``i`` is recovered from the counts otherwise.  The arrays
+    are views of the calculator's reused scratch, valid until its next
+    evaluation.
     """
 
     e_rows: np.ndarray
     counts: np.ndarray
     n_pairs: int
+    lanes: int = 1
     pair_i: np.ndarray | None = None
     pair_j: np.ndarray | None = None
+    energies: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        codes = self.e_rows.reshape(self.lanes, -1, 2).sum(axis=1)
+        object.__setattr__(self, "energies", PAIR_ENERGY_CODEC.reconstruct(codes))
 
     @property
     def i(self) -> np.ndarray:
@@ -118,24 +128,14 @@ class PairWalkResult:
     def j(self) -> np.ndarray | None:
         return self.pair_j
 
-    def lane_energies(self, lanes: int = 1) -> np.ndarray:
-        """``(lanes, 2)`` decoded (LJ, Coulomb) totals of equal row blocks.
-
-        Lane ``r`` owns rows ``[r·n, (r+1)·n)``; its totals are the int64
-        sums of those rows' codes, decoded once.  At ``lanes=1`` that is
-        ``e_rows.sum(0)``, so a lane of a stacked system reports its solo
-        energies bit for bit.
-        """
-        codes = self.e_rows.reshape(lanes, -1, 2).sum(axis=1)
-        return PAIR_ENERGY_CODEC.reconstruct(codes)
-
     @property
     def energy_lj(self) -> float:
-        return float(self.lane_energies()[0, 0])
+        """Lane 0's LJ total: the system's, for a one-lane walk."""
+        return float(self.energies[0, 0])
 
     @property
     def energy_coul(self) -> float:
-        return float(self.lane_energies()[0, 1])
+        return float(self.energies[0, 1])
 
 
 def lj_energy_prefactor(r2: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

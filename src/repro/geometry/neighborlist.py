@@ -225,7 +225,7 @@ class NeighborList:
         candidates as rows — row ``i`` is ``partners[row_ptr[i] :
         row_ptr[i + 1]]``, so the rows in turn are the canonical ``(i,
         j)`` order — and what it returns is returned: the caller's record
-        of the within-cutoff pairs (``.i``, ``.j``).
+        of the within-cutoff pairs, whose ``.i`` holds one entry per pair.
         That is how a force calculator filters and consumes the
         candidates in one pass while this stays the one per-evaluation
         entry point.  Rebuild or not, the walk sees the same candidates

@@ -57,8 +57,8 @@ def _spec(calc, lanes=1):
     )
 
 
-def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False):
-    """``PairWalkResult`` of one walk (and its force accumulator)."""
+def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False, lanes=1):
+    """``PairWalkResult`` of one walk over ``lanes`` (and its force accumulator)."""
     n = len(wrapped)
     acc = np.zeros((n, 3), dtype=np.int64)
     e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -67,7 +67,7 @@ def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False):
         oi, oj = np.empty(len(partners), np.int64), np.empty(len(partners), np.int64)
     m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, oi, oj)
     pairs = (None, None) if oi is None else (oi[:m], oj[:m])
-    return PairWalkResult(e_rows, counts, m, *pairs), acc
+    return PairWalkResult(e_rows, counts, m, lanes, *pairs), acc
 
 
 def _box(rng, calc, lanes=1):
@@ -85,7 +85,7 @@ def _box(rng, calc, lanes=1):
 def _assert_same(a: PairWalkResult, b: PairWalkResult, what: str):
     np.testing.assert_array_equal(a.e_rows, b.e_rows, err_msg=what)
     np.testing.assert_array_equal(a.counts, b.counts, err_msg=what)
-    assert a.lane_energies().tobytes() == b.lane_energies().tobytes(), what
+    assert a.energies.tobytes() == b.energies.tobytes(), what
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -154,15 +154,16 @@ def test_lane_energies_of_eight_lanes_are_each_the_one_lane_walk(suites, calc, s
     _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     solo_spec = _spec(calc)
     for suite in suites:
-        stacked, _ = _walk(suite, _spec(calc, lanes), wrapped, row_ptr, partners, lengths)
-        per_lane = stacked.lane_energies(lanes)
+        stacked, _ = _walk(suite, _spec(calc, lanes), wrapped, row_ptr, partners, lengths,
+                           lanes=lanes)
+        per_lane = stacked.energies
         assert per_lane.shape == (lanes, 2)
         for r in range(lanes):
             x = wrapped[r * n : (r + 1) * n]
             li, lj = ii[ii // n == r] - r * n, jj[ii // n == r] - r * n
             _, _, rp, pt = in_rows(li, lj, n)
             solo, _ = _walk(suite, solo_spec, x, rp, pt, lengths)
-            assert per_lane[r].tobytes() == solo.lane_energies()[0].tobytes()
+            assert per_lane[r].tobytes() == solo.energies[0].tobytes()
             assert (solo.energy_lj, solo.energy_coul) == tuple(per_lane[r])
 
 
