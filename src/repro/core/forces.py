@@ -282,7 +282,7 @@ class ForceCalculator:
                         n_pairs=m,
                         lanes=self._lanes,
                         pair_i=None if oi is None else oi[:m],
-                        pair_j=None if oj is None else oj[:m],
+                        j=None if oj is None else oj[:m],
                     )
                 oi, oj = self._pair_buffers(len(partners))
                 rows, e_lj, e_coul = self._row_buffers(len(partners))

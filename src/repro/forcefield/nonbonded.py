@@ -98,9 +98,9 @@ class PairWalkResult:
     (r+1)·n)``, decoded once.  Integer sums commute, so each total is a
     pure function of the pair set — the same bits for any pair order,
     row split or block — and a lane of a stacked system reports its solo
-    energies bit for bit.  ``pair_i`` / ``pair_j`` are the surviving
-    pairs, present only when the walk was asked for them (the machine's
-    NT marks); ``i`` is recovered from the counts otherwise.  The arrays
+    energies bit for bit.  ``pair_i`` / ``j`` are the surviving pairs,
+    present only when the walk was asked for them (the machine's NT
+    marks); ``i`` is ``pair_i``, or recovered from the counts.  The arrays
     are views of the calculator's reused scratch, valid until its next
     evaluation.
     """
@@ -110,7 +110,7 @@ class PairWalkResult:
     n_pairs: int
     lanes: int = 1
     pair_i: np.ndarray | None = None
-    pair_j: np.ndarray | None = None
+    j: np.ndarray | None = None
     energies: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -123,10 +123,6 @@ class PairWalkResult:
         if self.pair_i is not None:
             return self.pair_i
         return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
-
-    @property
-    def j(self) -> np.ndarray | None:
-        return self.pair_j
 
     @property
     def energy_lj(self) -> float:

@@ -1,13 +1,12 @@
 """Property-based tests of the SETTLE / SHAKE / RATTLE solver.
 
-The solver properties run twice: on TIP3P clusters, whose rigid waters
-SETTLE solves, and on the same clusters with one H of each molecule a
-deuterium, which makes no molecule a rigid water, so the SHAKE / RATTLE
-sweeps take every constraint.
+Each solver property holds for two clusters built from one draw: TIP3P
+waters, whose rigid waters SETTLE solves, and the same waters with one H
+of each molecule a deuterium, which makes no molecule a rigid water, so
+the SHAKE / RATTLE sweeps take every constraint.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +30,7 @@ def water_cluster(n_waters, seed):
 
 
 #: Each solver property's two cases: rigid waters, or every constraint swept.
-SOLVES = pytest.mark.parametrize("solve", ["settle", "swept"])
+SOLVES = ("settle", "swept")
 
 
 def solver_for(solve, n_waters, seed):
@@ -48,58 +47,58 @@ def solver_for(solve, n_waters, seed):
     return box, pos, masses, solver
 
 
-@SOLVES
 @given(
     n_waters=st.integers(1, 6),
     seed=st.integers(0, 2**31 - 1),
     noise=st.floats(0.001, 0.06),
 )
 @settings(max_examples=40, deadline=None)
-def test_shake_converges_from_random_perturbation(solve, n_waters, seed, noise):
-    box, pos, masses, solver = solver_for(solve, n_waters, seed)
-    rng = np.random.default_rng(seed + 1)
-    bad = pos + rng.normal(0, noise, pos.shape)
-    solver.shake(bad, pos)
-    assert solver.max_residual(bad) < 1e-8
+def test_shake_converges_from_random_perturbation(n_waters, seed, noise):
+    for solve in SOLVES:
+        box, pos, masses, solver = solver_for(solve, n_waters, seed)
+        rng = np.random.default_rng(seed + 1)
+        bad = pos + rng.normal(0, noise, pos.shape)
+        solver.shake(bad, pos)
+        assert solver.max_residual(bad) < 1e-8, solve
 
 
-@SOLVES
 @given(n_waters=st.integers(1, 6), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=40, deadline=None)
-def test_rattle_leaves_constraint_orthogonal_velocities(solve, n_waters, seed):
-    box, pos, masses, solver = solver_for(solve, n_waters, seed)
-    rng = np.random.default_rng(seed + 2)
-    vel = rng.normal(0, 0.02, pos.shape)
-    solver.rattle(vel, pos)
-    i, j = solver.idx[:, 0], solver.idx[:, 1]
-    dx = box.minimum_image(pos[i] - pos[j])
-    rv = np.sum(dx * (vel[i] - vel[j]), axis=1)
-    assert np.max(np.abs(rv)) < 1e-10
+def test_rattle_leaves_constraint_orthogonal_velocities(n_waters, seed):
+    for solve in SOLVES:
+        box, pos, masses, solver = solver_for(solve, n_waters, seed)
+        rng = np.random.default_rng(seed + 2)
+        vel = rng.normal(0, 0.02, pos.shape)
+        solver.rattle(vel, pos)
+        i, j = solver.idx[:, 0], solver.idx[:, 1]
+        dx = box.minimum_image(pos[i] - pos[j])
+        rv = np.sum(dx * (vel[i] - vel[j]), axis=1)
+        assert np.max(np.abs(rv)) < 1e-10, solve
 
 
-@SOLVES
 @given(n_waters=st.integers(1, 5), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_shake_preserves_momentum(solve, n_waters, seed):
-    box, pos, masses, solver = solver_for(solve, n_waters, seed)
-    rng = np.random.default_rng(seed + 3)
-    bad = pos + rng.normal(0, 0.03, pos.shape)
-    com0 = np.sum(masses[:, None] * bad, axis=0)
-    solver.shake(bad, pos)
-    com1 = np.sum(masses[:, None] * bad, axis=0)
-    np.testing.assert_allclose(com0, com1, atol=1e-8)
+def test_shake_preserves_momentum(n_waters, seed):
+    for solve in SOLVES:
+        box, pos, masses, solver = solver_for(solve, n_waters, seed)
+        rng = np.random.default_rng(seed + 3)
+        bad = pos + rng.normal(0, 0.03, pos.shape)
+        com0 = np.sum(masses[:, None] * bad, axis=0)
+        solver.shake(bad, pos)
+        com1 = np.sum(masses[:, None] * bad, axis=0)
+        np.testing.assert_allclose(com0, com1, atol=1e-8, err_msg=solve)
 
 
-@SOLVES
 @given(n_waters=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=30, deadline=None)
-def test_shake_deterministic(solve, n_waters, seed):
-    box, pos, masses, solver = solver_for(solve, n_waters, seed)
-    rng = np.random.default_rng(seed + 4)
-    bad = pos + rng.normal(0, 0.02, pos.shape)
-    a = solver.shake(bad.copy(), pos)
-    b = solver.shake(bad.copy(), pos)
-    np.testing.assert_array_equal(a, b)
+def test_shake_deterministic(n_waters, seed):
+    for solve in SOLVES:
+        box, pos, masses, solver = solver_for(solve, n_waters, seed)
+        rng = np.random.default_rng(seed + 4)
+        bad = pos + rng.normal(0, 0.02, pos.shape)
+        a = solver.shake(bad.copy(), pos)
+        b = solver.shake(bad.copy(), pos)
+        np.testing.assert_array_equal(a, b, err_msg=solve)
 
 
 @given(n_waters=st.integers(1, 5), seed=st.integers(0, 2**31 - 1), nrep=st.integers(1, 4))
