@@ -124,9 +124,6 @@ class ForceCalculator:
     #: Prefix of the pair path's phase names (``pair_list``,
     #: ``range_limited``): the ensemble charges them to its own.
     _pair_phase_prefix = ""
-    #: Equal blocks of atom rows whose pair energies the walk's record
-    #: totals separately (the ensemble's replicas).
-    _lanes = 1
 
     def __init__(
         self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=NUMPY_SUITE
@@ -182,8 +179,8 @@ class ForceCalculator:
         self._pair_out: tuple[np.ndarray, ...] | None = None
         self._pair_rows: tuple[np.ndarray, ...] | None = None
         self._walk_rows = (
-            np.empty((system.n_atoms, 2), dtype=np.int64),
-            np.empty(system.n_atoms, dtype=np.int64),
+            np.zeros((system.n_atoms, 2), dtype=np.int64),
+            np.zeros(system.n_atoms, dtype=np.int64),
         )
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
@@ -280,7 +277,6 @@ class ForceCalculator:
                         e_rows=e_rows,
                         counts=counts,
                         n_pairs=m,
-                        lanes=self._lanes,
                         pair_i=None if oi is None else oi[:m],
                         j=None if oj is None else oj[:m],
                     )

@@ -61,6 +61,7 @@ from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
 from repro.ewald import self_energy
 from repro.ewald.correction import _segment_sums, correction_forces_static
+from repro.forcefield import PAIR_ENERGY_CODEC
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
@@ -172,7 +173,7 @@ class EnsembleForceCalculator(ForceCalculator):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
         super().__init__(system, params, kernels=kernels)
-        self.replicas = self._lanes = int(replicas)
+        self.replicas = int(replicas)
         self.n_solo = int(n_solo)
         # Batched rebuild: per-replica cell binning in a single
         # filter/sort pass (cells are offset per replica so identical
@@ -244,8 +245,9 @@ class EnsembleForceCalculator(ForceCalculator):
         energies: dict[str, np.ndarray] = {}
 
         nb = self._range_limited(positions, force_codec, acc)
-        energies["lj"] = nb.energies[:, 0]
-        energies["coulomb_real"] = nb.energies[:, 1]
+        with self.timers.time("ensemble_energies"):
+            codes = nb.e_rows.reshape(self.replicas, self.n_solo, 2).sum(1)
+            energies["lj"], energies["coulomb_real"] = PAIR_ENERGY_CODEC.reconstruct(codes).T
 
         bonded = self._bonded(positions)
         with self.timers.time("ensemble_deposit"):

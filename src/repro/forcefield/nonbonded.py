@@ -51,6 +51,9 @@ __all__ = [
 #: whenever the true total lies within ``2**31`` kcal/mol, whatever the
 #: order (DESIGN.md, order-free energy lemma, argues both bounds).
 PAIR_ENERGY_CODEC = ScaledFixed(FixedFormat(62), limit=2.0**29)
+# The compiled walk quantizes with the one multiply by ``RK_ENERGY_MUL``
+# (kernels/_kernels.c), exact only for this power-of-two pair.
+assert PAIR_ENERGY_CODEC.fmt.scale / PAIR_ENERGY_CODEC.limit == 2.0**32
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,10 @@ class PairWalkResult:
     ``e_rows`` is ``(n_atoms, 2)`` int64: row ``i``'s wrapping sums of
     the :data:`PAIR_ENERGY_CODEC` codes of its surviving pairs' LJ and
     Coulomb energies; ``counts[i]`` is its survivor count.  ``energies``
-    is ``(lanes, 2)``, the decoded (LJ, Coulomb) totals of ``lanes``
-    equal blocks of rows: lane ``r``'s is the int64 sum of rows ``[r·n,
-    (r+1)·n)``, decoded once.  Integer sums commute, so each total is a
-    pure function of the pair set — the same bits for any pair order,
-    row split or block — and a lane of a stacked system reports its solo
+    is the decoded (LJ, Coulomb) total, the int64 sum of every row
+    decoded once.  Integer sums commute, so the total is a pure function
+    of the pair set — the same bits for any pair order, row split or
+    block — and a block of rows (an ensemble lane) decodes to its solo
     energies bit for bit.  ``pair_i`` / ``j`` are the surviving pairs,
     present only when the walk was asked for them (the machine's NT
     marks); ``i`` is ``pair_i``, or recovered from the counts.  The arrays
@@ -108,14 +110,12 @@ class PairWalkResult:
     e_rows: np.ndarray
     counts: np.ndarray
     n_pairs: int
-    lanes: int = 1
     pair_i: np.ndarray | None = None
     j: np.ndarray | None = None
     energies: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        codes = self.e_rows.reshape(self.lanes, -1, 2).sum(axis=1)
-        object.__setattr__(self, "energies", PAIR_ENERGY_CODEC.reconstruct(codes))
+        object.__setattr__(self, "energies", PAIR_ENERGY_CODEC.reconstruct(self.e_rows.sum(0)))
 
     @property
     def i(self) -> np.ndarray:
@@ -126,12 +126,11 @@ class PairWalkResult:
 
     @property
     def energy_lj(self) -> float:
-        """Lane 0's LJ total: the system's, for a one-lane walk."""
-        return float(self.energies[0, 0])
+        return float(self.energies[0])
 
     @property
     def energy_coul(self) -> float:
-        return float(self.energies[0, 1])
+        return float(self.energies[1])
 
 
 def lj_energy_prefactor(r2: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

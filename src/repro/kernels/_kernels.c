@@ -383,7 +383,6 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
     const double *d_starts, *d_widths, *d_inv, *c12f, *c6f, *c12e, *c6e;
     int64_t d_nseg;
     double q_limit, q_scale, q_mul;
-    double eq_limit, eq_scale, eq_mul;
 } rk_pair_spec;
 
 /* Candidates per block: what the stages hand each other stays in L1. */
@@ -631,22 +630,20 @@ RK_ONE_COPY void rk_quantize(int64_t nb, const double *restrict pf,
     }
 }
 
-/* ScaledFixed.quantize_round_only of a block's nb pair energies e (the
- * energy codec: e / limit * scale, clipped to +-2^62, round-nearest-even),
- * returned as the wrapping uint64 sum of the codes.  The one-multiply
- * lemma of rk_quantize holds here as well: mul is scale / limit for a
- * power-of-two codec and 0.0 otherwise, which keeps the division. */
-RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e,
-                                     double limit, double scale, double mul)
+/* The energy codec's scale / limit: PAIR_ENERGY_CODEC (forcefield/
+ * nonbonded.py) is a power-of-two pair, so by rk_quantize's one-multiply
+ * lemma its e / limit * scale is the single exact e * 2^32. */
+#define RK_ENERGY_MUL 4294967296.0 /* 2.0**32 */
+
+/* PAIR_ENERGY_CODEC.quantize_round_only of a block's nb pair energies e
+ * (e * 2^32, clipped to +-2^62, round-nearest-even), returned as the
+ * wrapping uint64 sum of the codes. */
+RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)
 {
     const double cap = 4611686018427387904.0; /* 2.0**62 */
     double x[RK_WALK_BLOCK];
-    if (mul != 0.0)
-        for (int64_t b = 0; b < nb; b++)
-            x[b] = e[b] * mul;
-    else
-        for (int64_t b = 0; b < nb; b++)
-            x[b] = e[b] / limit * scale;
+    for (int64_t b = 0; b < nb; b++)
+        x[b] = e[b] * RK_ENERGY_MUL;
     uint64_t sum = 0;
     for (int64_t b = 0; b < nb; b++) {
         double y = x[b] < -cap ? -cap : x[b];
@@ -671,7 +668,7 @@ RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e,
  * int64 and commute, so the deposit order is invisible.
  *
  * Energies take the same road: each survivor's e_lj and e_coul is
- * quantized by the spec's energy codec (rk_energy_codes) and wrap-added
+ * quantized by the energy codec (rk_energy_codes) and wrap-added
  * into the row's two sums, written to e_rows[i] = (lj, coul) once the
  * row is done, with the row's survivor count in counts[i] — every row is
  * written, an empty one as zeros.  Those sums commute too (DESIGN.md,
@@ -688,7 +685,6 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
     rk_walk_ctx c;
     rk_walk_init(&c, s, L, n_atoms, w, soa);
     const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
-    const double el = c.s.eq_limit, es = c.s.eq_scale, em = c.s.eq_mul;
     uint64_t *a = (uint64_t *)acc, *er = (uint64_t *)e_rows;
     rk_walk_block blk;
     uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
@@ -707,8 +703,8 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
                 int64_t *restrict js = oj ? oj + m : jb;
                 const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, js, &blk);
                 rk_pair_tables(&c, &r, nb, js, &blk, e_lj, e_coul);
-                s_lj += rk_energy_codes(nb, e_lj, el, es, em);
-                s_coul += rk_energy_codes(nb, e_coul, el, es, em);
+                s_lj += rk_energy_codes(nb, e_lj);
+                s_coul += rk_energy_codes(nb, e_coul);
                 rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
                 rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
                 rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);

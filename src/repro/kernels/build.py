@@ -109,7 +109,6 @@ class PairSpec(ctypes.Structure):
            for name in ("d_starts", "d_widths", "d_inv", "c12f", "c6f", "c12e", "c6e")]
         + [("d_nseg", ctypes.c_int64)]
         + [(name, ctypes.c_double) for name in ("q_limit", "q_scale", "q_mul")]
-        + [(name, ctypes.c_double) for name in ("eq_limit", "eq_scale", "eq_mul")]
     )
 
 

@@ -169,19 +169,18 @@ class PairTableSpec:
     LJ type ids, the precomputed per-type-pair A/B coefficient matrices,
     the tier-table segmentations and quantized cubic coefficients for
     the electrostatic and dispersion layouts, and the force-code
-    quantization constants of the forces and of the pair energies.
-    Built once by :func:`make_pair_spec` and reused every step.
+    quantization constants.  Built once by :func:`make_pair_spec` and
+    reused every step.
 
-    ``e_inv``/``d_inv`` (reciprocal segment widths), ``q_mul``
-    (``q_scale / q_limit``) and ``eq_mul`` (``eq_scale / eq_limit``)
-    are what lets the compiled walk drop a division where that is
-    exact: each is set only when every divisor it replaces is a power
-    of two, and is ``None`` / ``0.0`` otherwise, which keeps the literal
-    division.  The NumPy forms never read them; they evaluate ``tables``
-    (the :class:`~repro.functions.KernelTableSet`) with ``lj`` (the
-    :class:`~repro.forcefield.LJTable`) and quantize with ``codec``
-    (forces) and ``energy_codec`` (energies), the objects the arrays
-    above were taken from.
+    ``e_inv``/``d_inv`` (reciprocal segment widths) and ``q_mul``
+    (``q_scale / q_limit``) are what lets the compiled walk drop a
+    division where that is exact: each is set only when every divisor
+    it replaces is a power of two, and is ``None`` / ``0.0`` otherwise,
+    which keeps the literal division.  The NumPy forms never read
+    them; they evaluate ``tables`` (the
+    :class:`~repro.functions.KernelTableSet`) with ``lj`` (the
+    :class:`~repro.forcefield.LJTable`) and quantize with ``codec``,
+    the objects the arrays above were taken from.
     """
 
     charges: np.ndarray
@@ -204,16 +203,12 @@ class PairTableSpec:
     c6e: np.ndarray
     q_limit: float
     q_scale: float
-    eq_limit: float
-    eq_scale: float
     e_inv: np.ndarray | None = None
     d_inv: np.ndarray | None = None
     q_mul: float = 0.0
-    eq_mul: float = 0.0
     tables: object = None
     lj: object = None
     codec: object = None
-    energy_codec: object = None
 
     @cached_property
     def c(self) -> PairSpec:
@@ -249,10 +244,8 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
     The A/B matrices are the :class:`~repro.forcefield.LJTable`'s own
     (the ones :meth:`LJTable.pair_coefficients` gathers from).  Without
     a ``force_codec`` the spec serves only the float ``pair_rows``,
-    which quantizes nothing.  The walk's energies are quantized by
-    :data:`~repro.forcefield.PAIR_ENERGY_CODEC`, whatever the force codec.
+    which quantizes nothing.
     """
-    from repro.forcefield.nonbonded import PAIR_ENERGY_CODEC
     from repro.util import COULOMB
 
     def seg(table):
@@ -280,14 +273,9 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
     amat = np.ascontiguousarray(lj_table.a_ij)
     bmat = np.ascontiguousarray(lj_table.b_ij)
 
-    def mul(limit, scale):
-        return scale / limit if _pow2(limit) and _pow2(scale) else 0.0
-
     q_limit = q_scale = 1.0
     if force_codec is not None:
         q_limit, q_scale = float(force_codec.limit), float(force_codec.fmt.scale)
-    eq_limit = float(PAIR_ENERGY_CODEC.limit)
-    eq_scale = float(PAIR_ENERGY_CODEC.fmt.scale)
     return PairTableSpec(
         charges=np.ascontiguousarray(charges, dtype=np.float64),
         types=np.ascontiguousarray(type_ids, dtype=np.int64),
@@ -309,16 +297,12 @@ def make_pair_spec(tables, lj_table, charges, type_ids, force_codec=None) -> Pai
         c6e=c6e,
         q_limit=q_limit,
         q_scale=q_scale,
-        eq_limit=eq_limit,
-        eq_scale=eq_scale,
         e_inv=_pow2_reciprocals(e_widths),
         d_inv=_pow2_reciprocals(d_widths),
-        q_mul=mul(q_limit, q_scale),
-        eq_mul=mul(eq_limit, eq_scale),
+        q_mul=q_scale / q_limit if _pow2(q_limit) and _pow2(q_scale) else 0.0,
         tables=tables,
         lj=lj_table,
         codec=force_codec,
-        energy_codec=PAIR_ENERGY_CODEC,
     )
 
 
@@ -466,20 +450,22 @@ class NumpyKernels:
         :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
         :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``.
         Each surviving pair's two energies are quantized by
-        ``spec.energy_codec`` and wrap-added into its row ``i`` of the
-        ``(n_atoms, 2)`` int64 ``e_rows`` (LJ, Coulomb); ``counts[i]`` is
-        row ``i``'s survivor count.  Both are overwritten, every row.
-        Only when given are the surviving pairs written to ``oi[:m],
-        oj[:m]`` (sized to the candidate count ``len(partners)``).
-        Returns ``m``.
+        :data:`~repro.forcefield.PAIR_ENERGY_CODEC` and wrap-added into
+        its row ``i`` of the ``(n_atoms, 2)`` int64 ``e_rows`` (LJ,
+        Coulomb); ``counts[i]`` is row ``i``'s survivor count.  Both are
+        overwritten, every row.  Only when given are the surviving pairs
+        written to ``oi[:m], oj[:m]`` (sized to the candidate count
+        ``len(partners)``).  Returns ``m``.
         """
+        from repro.forcefield import PAIR_ENERGY_CODEC
+
         nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         m = nb.n_pairs
         counts[...] = np.bincount(nb.i, minlength=len(counts))
         e_rows[...] = 0
         with np.errstate(over="ignore"):
             for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-                np.add.at(e_rows[:, col], nb.i, spec.energy_codec.quantize_round_only(e))
+                np.add.at(e_rows[:, col], nb.i, PAIR_ENERGY_CODEC.quantize_round_only(e))
         for out, atoms in ((oi, nb.i), (oj, nb.j)):
             if out is not None:
                 out[:m] = atoms

@@ -12,7 +12,7 @@ the Verlet list's rows (:func:`in_rows`).
 
 import numpy as np
 
-from repro.forcefield import nonbonded_real_space_tabulated
+from repro.forcefield import PAIR_ENERGY_CODEC, nonbonded_real_space_tabulated
 from repro.functions import KernelTableSet
 from repro.geometry import Box, NeighborPairs
 from repro.geometry.neighborlist import pairs_to_rows
@@ -75,8 +75,8 @@ def oracle_pairs(spec, wrapped, ii, jj, lengths):
 
 def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
     """``(acc, e_rows, counts, oi, oj)`` of the oracle: the energies
-    quantized by the spec's energy codec and summed into each pair's
-    row ``i``, the survivors counted per row."""
+    quantized by ``PAIR_ENERGY_CODEC`` and summed into each pair's row
+    ``i``, the survivors counted per row."""
     nb, codes = oracle_pairs(spec, wrapped, ii, jj, lengths)
     acc = acc.copy()
     n = len(wrapped)
@@ -85,7 +85,7 @@ def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
         np.add.at(acc, nb.i, codes)
         np.subtract.at(acc, nb.j, codes)
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-            np.add.at(e_rows[:, col], nb.i, spec.energy_codec.quantize_round_only(e))
+            np.add.at(e_rows[:, col], nb.i, PAIR_ENERGY_CODEC.quantize_round_only(e))
     return acc, e_rows, np.bincount(nb.i, minlength=n), nb.i, nb.j
 
 

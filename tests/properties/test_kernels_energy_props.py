@@ -14,7 +14,6 @@ Skipped wholesale when the host has no C compiler.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import ForceCalculator, MDParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
-from repro.forcefield import PAIR_ENERGY_CODEC, PairWalkResult
+from repro.forcefield import PAIR_ENERGY_CODEC, LJTable, PairWalkResult
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import candidates, in_rows, oracle_pairs
@@ -50,15 +49,16 @@ def calc():
     return ForceCalculator(system, MDParams(cutoff=CUTOFF, mesh=(16, 16, 16)))
 
 
-def _spec(calc, lanes=1):
+def _spec(calc, lanes=1, lj=None):
     s = calc.system
     return make_pair_spec(
-        calc.tables, s.lj, np.tile(s.charges, lanes), np.tile(s.type_ids, lanes), FORCE_CODEC
+        calc.tables, lj or s.lj, np.tile(s.charges, lanes), np.tile(s.type_ids, lanes),
+        FORCE_CODEC,
     )
 
 
-def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False, lanes=1):
-    """``PairWalkResult`` of one walk over ``lanes`` (and its force accumulator)."""
+def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False):
+    """``PairWalkResult`` of one walk (and its force accumulator)."""
     n = len(wrapped)
     acc = np.zeros((n, 3), dtype=np.int64)
     e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
@@ -67,7 +67,7 @@ def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False, la
         oi, oj = np.empty(len(partners), np.int64), np.empty(len(partners), np.int64)
     m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, oi, oj)
     pairs = (None, None) if oi is None else (oi[:m], oj[:m])
-    return PairWalkResult(e_rows, counts, m, lanes, *pairs), acc
+    return PairWalkResult(e_rows, counts, m, *pairs), acc
 
 
 def _box(rng, calc, lanes=1):
@@ -147,23 +147,22 @@ def test_where_a_row_splits_into_blocks_is_invisible(suites, calc, lead):
 @settings(max_examples=10, deadline=None)
 def test_lane_energies_of_eight_lanes_are_each_the_one_lane_walk(suites, calc, seed):
     """R = 8 stacked lanes walked at once: each lane's decoded energies
-    are its own R = 1 walk's, bit for bit, on every tier."""
+    (its block of rows, as the ensemble sums them) are its own R = 1
+    walk's, bit for bit, on every tier."""
     rng = np.random.default_rng(seed)
     lanes, n = 8, calc.system.n_atoms
     wrapped, ii, jj, lengths = _box(rng, calc, lanes)
     _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     solo_spec = _spec(calc)
     for suite in suites:
-        stacked, _ = _walk(suite, _spec(calc, lanes), wrapped, row_ptr, partners, lengths,
-                           lanes=lanes)
-        per_lane = stacked.energies
-        assert per_lane.shape == (lanes, 2)
+        stacked, _ = _walk(suite, _spec(calc, lanes), wrapped, row_ptr, partners, lengths)
+        per_lane = PAIR_ENERGY_CODEC.reconstruct(stacked.e_rows.reshape(lanes, n, 2).sum(1))
         for r in range(lanes):
             x = wrapped[r * n : (r + 1) * n]
             li, lj = ii[ii // n == r] - r * n, jj[ii // n == r] - r * n
             _, _, rp, pt = in_rows(li, lj, n)
             solo, _ = _walk(suite, solo_spec, x, rp, pt, lengths)
-            assert per_lane[r].tobytes() == solo.energies[0].tobytes()
+            assert per_lane[r].tobytes() == solo.energies.tobytes()
             assert (solo.energy_lj, solo.energy_coul) == tuple(per_lane[r])
 
 
@@ -194,31 +193,29 @@ def test_tiers_and_pair_outputs_are_invisible(suites, calc, seed, n_cand):
                 assert got.j is None
 
 
-@pytest.mark.parametrize(
-    "codec",
-    [ScaledFixed(FixedFormat(62), 3000.0), ScaledFixed(FixedFormat(62), 2.0**-20)],
-    ids=["division", "saturating"],
-)
-def test_other_energy_codecs_agree_across_tiers(suites, calc, codec):
-    """The energy quantizer's other two forms: a limit that is not a
-    power of two keeps the division, and a codec so fine that codes sit
-    on the 2^62 clip and row sums wrap int64.  Both tiers give the
-    oracle's row codes."""
+def test_clipped_codes_and_wrapping_row_sums_agree_across_tiers(suites, calc):
+    """Pairs whose energy sits on the codec's 2^62-quantum clip, two of
+    them in one row so that its sum wraps int64: both tiers give the
+    oracle's row codes.  No table of the force field reaches the clip
+    (DESIGN.md, order-free energy lemma), so the LJ well depths are
+    scaled up 2048-fold and three oxygens put within the tables' 1 A
+    floor of each other."""
     rng = np.random.default_rng(3)
     wrapped, ii, jj, lengths = _box(rng, calc)
+    s = calc.system
+    o = np.flatnonzero(s.type_ids == s.type_ids[0])[:3]
+    wrapped[o] = wrapped[o[0]] + np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.3, 0.0]])
     _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
-    limit, scale = float(codec.limit), float(codec.fmt.scale)
-    pow2 = codec.limit == 2.0**-20
-    spec = replace(_spec(calc), energy_codec=codec, eq_limit=limit, eq_scale=scale,
-                   eq_mul=scale / limit if pow2 else 0.0)
+    spec = _spec(calc, lj=LJTable(s.lj.sigmas, s.lj.epsilons * 2048.0))
     nb, _ = oracle_pairs(spec, wrapped, ii, jj, lengths)
     want = np.zeros((len(wrapped), 2), dtype=np.int64)
     with np.errstate(over="ignore"):
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-            codes = codec.quantize_round_only(e)
-            if pow2:
-                assert codes.max() == 2**62 and codes.min() == -(2**62)
-            np.add.at(want[:, col], nb.i, codes)
+            np.add.at(want[:, col], nb.i, PAIR_ENERGY_CODEC.quantize_round_only(e))
+    clipped = PAIR_ENERGY_CODEC.quantize_round_only(nb.e_lj_pairs) == 2**62
+    assert np.count_nonzero(clipped) == 3
+    assert np.count_nonzero(clipped & (nb.i == o[0])) == 2
+    assert want[o[0], 0] < 0  # the row's sum wrapped
     for suite in suites:
         got, _ = _walk(suite, spec, wrapped, row_ptr, partners, lengths)
         np.testing.assert_array_equal(got.e_rows, want, err_msg=suite.tier)
