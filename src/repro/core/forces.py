@@ -178,6 +178,10 @@ class ForceCalculator:
         self._pair_spec_codec = None
         self._pair_out: tuple[np.ndarray, ...] | None = None
         self._pair_rows: tuple[np.ndarray, ...] | None = None
+        #: The wrapped coordinates the last pair walk ran on (what
+        #: ``NeighborList.pairs`` wrapped): the evaluation's one wrap,
+        #: which the machine's home-box lookup reuses.
+        self.walk_positions: np.ndarray | None = None
         self._walk_rows = (
             np.zeros((system.n_atoms, 2), dtype=np.int64),
             np.zeros(system.n_atoms, dtype=np.int64),
@@ -265,6 +269,7 @@ class ForceCalculator:
         spec, k = self._spec(force_codec), self.kernels
 
         def walk(wrapped, row_ptr, partners, lengths):
+            self.walk_positions = wrapped
             with self.timers.time(self._pair_phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
@@ -475,6 +480,23 @@ class MTSForceProvider:
         self.long_evaluations = 0
         self._last_long_energies: dict[str, float] = {}
 
+    def _impulse(self, out: np.ndarray, long_codes: np.ndarray) -> np.ndarray:
+        """``wrap(out + k * long_codes)``, written into ``out``.
+
+        Both are int64 arrays this evaluation owns (the short-range total
+        and the long accumulator's raw sums, zeroed before its next use);
+        int64 adds wrap silently, then the format's wrap
+        ``((v + half) & mask) - half`` runs in place.
+        """
+        fmt = self.force_codec.fmt
+        half = np.int64(1) << np.int64(fmt.bits - 1)
+        mask = (np.int64(1) << np.int64(fmt.bits)) - np.int64(1)
+        np.multiply(long_codes, np.int64(self.k), out=long_codes)
+        np.add(out, long_codes, out=out)
+        np.add(out, half, out=out)
+        np.bitwise_and(out, mask, out=out)
+        return np.subtract(out, half, out=out)
+
     def __call__(self, positions: np.ndarray):
         if self.k == 1:
             # Single-rate fast path: one combined evaluation.
@@ -493,9 +515,8 @@ class MTSForceProvider:
                 long_codes, long_energies = self.calc.compute_long_fixed(
                     positions, self.force_codec
                 )
-                with np.errstate(over="ignore"):
-                    raw = out.astype(np.int64) + np.int64(self.k) * long_codes
-                out = self.calc._spread_vsite_codes(self.force_codec.wrap(raw))
+                with self.calc.timers.time("mts_combine"):
+                    out = self.calc._spread_vsite_codes(self._impulse(out, long_codes))
                 self._last_long_energies = long_energies
                 self.long_evaluations += 1
         else:

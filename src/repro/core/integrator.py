@@ -62,7 +62,10 @@ class PositionCodec:
 
     A coordinate x maps to ``round(x / L * 2**bits) mod 2**bits``; the
     torus wrap of the integer code is exactly the periodic boundary
-    condition, so drift never needs a separate wrapping pass.
+    condition, so drift never needs a separate wrapping pass.  The
+    modulus is a power of two, so the reduction is a mask of the low
+    ``bits`` bits, which equals ``np.mod`` on every int64 (DESIGN.md,
+    power-of-two modulus lemma).  Decoded positions lie in [0, L).
     """
 
     def __init__(self, box: Box, bits: int = 40):
@@ -71,6 +74,7 @@ class PositionCodec:
         self.box = box
         self.bits = bits
         self.modulus = np.int64(1) << np.int64(bits)
+        self.mask = self.modulus - np.int64(1)
         self.scale = float(self.modulus) / box.lengths  # codes per A, per axis
 
     @property
@@ -79,16 +83,18 @@ class PositionCodec:
         return 1.0 / self.scale
 
     def encode(self, positions: np.ndarray) -> np.ndarray:
-        codes = round_nearest_even(self.box.wrap(positions) * self.scale).astype(np.int64)
-        return np.mod(codes, self.modulus)
+        x = self.box.wrap(positions)
+        np.multiply(x, self.scale, out=x)
+        np.rint(x, out=x)
+        return np.bitwise_and(x.astype(np.int64), self.mask)
 
     def decode(self, codes: np.ndarray) -> np.ndarray:
-        return codes.astype(np.float64) / self.scale
+        return np.divide(codes, self.scale)
 
     def advance(self, codes: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Torus-arithmetic position update."""
-        with np.errstate(over="ignore"):
-            return np.mod(codes + delta, self.modulus)
+        """Torus-arithmetic position update (int64 adds wrap silently)."""
+        out = np.add(codes, delta)
+        return np.bitwise_and(out, self.mask, out=out)
 
 
 class FixedPointIntegrator:
@@ -115,11 +121,12 @@ class FixedPointIntegrator:
         to velocities at the end of each step.
     timers:
         Optional :class:`~repro.perf.Timers`; when given, each step is
-        recorded as a ``step`` phase with ``kick``/``drift``/``force``/
-        ``thermostat`` children (and ``constraints`` nested where the
-        solver runs), feeding the hierarchical profile.  Timing is
-        observational only — a fresh private registry is used when none
-        is supplied.
+        recorded as a ``step`` phase with ``kick``/``drift``/
+        ``constraints``/``force``/``thermostat`` children — the kick and
+        drift arithmetic are leaves of their own, the solver's solves
+        and the codec passes around them ``constraints`` — feeding the
+        hierarchical profile.  Timing is observational only — a fresh
+        private registry is used when none is supplied.
     """
 
     def __init__(
@@ -165,6 +172,18 @@ class FixedPointIntegrator:
         )[:, None]
         # Velocity codes -> position-code increments, per axis.
         self._drift = (self.vel_codec.resolution * self.dt * self.pos_codec.scale)[None, :]
+        # The velocity format's two's-complement wrap, as int64 operands.
+        bits = self.vel_codec.fmt.bits
+        self._v_half = np.int64(1) << np.int64(bits - 1)
+        self._v_mask = (np.int64(1) << np.int64(bits)) - np.int64(1)
+        # Scratch for the passes below: every step's arithmetic runs in
+        # these instead of allocating a temporary per operation.
+        shape = (system.n_atoms, 3)
+        self._f = np.empty(shape)
+        self._g = np.empty(shape)
+        self._i = np.empty(shape, dtype=np.int64)
+        #: The decoded positions of ``X`` (read-only) and the ``X`` they decode.
+        self._pos = self._pos_of = None
         self._force_codes, self.last_info = self.force_fn(self.positions)
         self.step_count = 0
 
@@ -172,7 +191,19 @@ class FixedPointIntegrator:
 
     @property
     def positions(self) -> np.ndarray:
-        return self.pos_codec.decode(self.X)
+        """``X`` decoded: a read-only array, decoded once per ``X``.
+
+        ``X`` is replaced, never written in place, so the same array
+        serves a step's force evaluation, the next kick's constraint
+        solve and the next drift's reference (and a machine's home-box
+        lookups, which key on it).
+        """
+        X = self.X
+        if self._pos_of is not X:
+            pos = self.pos_codec.decode(X)
+            pos.flags.writeable = False
+            self._pos, self._pos_of = pos, X
+        return self._pos
 
     @property
     def velocities(self) -> np.ndarray:
@@ -183,34 +214,78 @@ class FixedPointIntegrator:
         return self.X.copy(), self.V.copy()
 
     # -- dynamics -------------------------------------------------------------
+    #
+    # Each pass below is the expression it replaces, operation for
+    # operation, with every intermediate written into the scratch arrays
+    # (``out=``): a ufunc given an int64 and a float64 operand converts
+    # the integer exactly as ``astype(np.float64)`` does, and a copy with
+    # ``casting="unsafe"`` is ``astype(np.int64)``'s conversion.
+
+    def _velocities_into(self, out: np.ndarray) -> np.ndarray:
+        """``vel_codec.reconstruct(V)`` written into ``out``."""
+        c = self.vel_codec
+        np.multiply(self.V, c.fmt.resolution, out=out)
+        return np.multiply(out, c.limit, out=out)
+
+    def _store_velocities(self, v: np.ndarray) -> None:
+        """``V = vel_codec.quantize(v)``, written into ``V`` (``v`` is consumed)."""
+        c, V = self.vel_codec, self.V
+        np.divide(v, c.limit, out=v)
+        np.multiply(v, c.fmt.scale, out=v)
+        np.rint(v, out=v)
+        np.copyto(V, v, casting="unsafe")
+        # FixedFormat.wrap: ((codes + half) & mask) - half.
+        np.add(V, self._v_half, out=V)
+        np.bitwise_and(V, self._v_mask, out=V)
+        np.subtract(V, self._v_half, out=V)
 
     def _half_kick(self) -> None:
-        dv = round_nearest_even(self._force_codes.astype(np.float64) * self._kick).astype(np.int64)
-        with np.errstate(over="ignore"):
-            self.V += dv
+        t = self.timers
+        with t.time("kick"):
+            f, dv = self._f, self._i
+            np.multiply(self._force_codes, self._kick, out=f)
+            np.rint(f, out=f)
+            np.copyto(dv, f, casting="unsafe")
+            np.add(self.V, dv, out=self.V)  # int64 adds wrap silently
         if self.constraints is not None:
-            with self.timers.time("constraints"):
-                v = self.velocities
+            with t.time("constraints"):
+                v = self._velocities_into(f)
                 self.constraints.rattle(v, self.positions)
-                self.V = self.vel_codec.quantize(v)
+                self._store_velocities(v)
 
     def _drift_full(self) -> None:
-        dx = round_nearest_even(self.V.astype(np.float64) * self._drift).astype(np.int64)
-        self.X = self.pos_codec.advance(self.X, dx)
-        needs_shake = self.constraints is not None and self.constraints.n_constraints
-        has_vsites = len(self.system.topology.vsite_idx) > 0
-        if needs_shake or has_vsites:
-            pos = self.positions
-            if needs_shake:
-                with self.timers.time("constraints"):
-                    ref = self.pos_codec.decode(self._X_before_drift)
-                    unshaken = pos.copy()
-                    self.constraints.shake(pos, ref)
-                    # Feed the constraint displacement back into the
-                    # velocities (the RATTLE position-stage multipliers);
-                    # omitting this silently drains energy every step.
-                    v = self.velocities + self.system.box.minimum_image(pos - unshaken) / self.dt
-                    self.V = self.vel_codec.quantize(v)
+        t = self.timers
+        with t.time("drift"):
+            ref = self.positions  # X before the drift, decoded
+            f, dx = self._f, self._i
+            np.multiply(self.V, self._drift, out=f)
+            np.rint(f, out=f)
+            np.copyto(dx, f, casting="unsafe")
+            self.X = self.pos_codec.advance(self.X, dx)
+            needs_shake = self.constraints is not None and self.constraints.n_constraints
+            has_vsites = len(self.system.topology.vsite_idx) > 0
+            if not (needs_shake or has_vsites):
+                return
+            pos = self.pos_codec.decode(self.X)
+        if needs_shake:
+            with t.time("constraints"):
+                unshaken = self._g
+                np.copyto(unshaken, pos)
+                self.constraints.shake(pos, ref)
+                # Feed the constraint displacement back into the
+                # velocities (the RATTLE position-stage multipliers);
+                # omitting this silently drains energy every step:
+                # v + minimum_image(pos - unshaken) / dt.
+                d = np.subtract(pos, unshaken, out=self._g)
+                L = self.system.box.lengths
+                np.divide(d, L, out=f)
+                np.rint(f, out=f)  # np.round to 0 decimals is rint
+                np.multiply(f, L, out=f)
+                np.subtract(d, f, out=d)
+                np.divide(d, self.dt, out=d)
+                v = np.add(self._velocities_into(f), d, out=f)
+                self._store_velocities(v)
+        with t.time("drift"):
             if has_vsites:
                 self.system.place_virtual_sites(pos)
             self.X = self.pos_codec.encode(pos)
@@ -220,15 +295,11 @@ class FixedPointIntegrator:
         t = self.timers
         for _ in range(n):
             with t.time("step"):
-                with t.time("kick"):
-                    self._half_kick()
-                self._X_before_drift = self.X
-                with t.time("drift"):
-                    self._drift_full()
+                self._half_kick()
+                self._drift_full()
                 with t.time("force"):
                     self._force_codes, self.last_info = self.force_fn(self.positions)
-                with t.time("kick"):
-                    self._half_kick()
+                self._half_kick()
                 if self.thermostat is not None:
                     with t.time("thermostat"):
                         lam = self.thermostat(self)

@@ -597,10 +597,12 @@ class EnsembleSimulation(LaneEngine):
             }
             check_fingerprint(stored, expect, what=f"checkpoint {r}")
         integ = self.integrator
+        X = integ.X.copy()  # X is replaced, never written in place
         for r, chk in enumerate(states):
             sl = self.replica_slice(r)
-            integ.X[sl] = chk["X"]
+            X[sl] = chk["X"]
             integ.V[sl] = chk["V"]
+        integ.X = X
         integ.step_count = int(states[0]["step_count"])
         self.provider.calls = int(states[0]["provider_calls"]) - 1
         integ._force_codes, integ.last_info = self.provider(integ.positions)

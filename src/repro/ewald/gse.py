@@ -146,7 +146,7 @@ class MeshStencilPlan:
 
     __slots__ = (
         "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
-        "_lanes", "_acc", "__weakref__",
+        "_rows", "_lanes", "_acc", "__weakref__",
     )
 
     def __init__(self, gse: "GaussianSplitEwald", n: int):
@@ -156,6 +156,17 @@ class MeshStencilPlan:
         self.axis_w = [np.empty((self.n, k)) for k in self.shape]
         self.axis_d = [np.empty((self.n, k)) for k in self.shape]
         self.axis_i = [np.empty((self.n, k), dtype=np.int32) for k in self.shape]
+        # Per axis, every row a base cell in [0, m] can have, as tables
+        # indexed by ``base + k``, k = 0 .. 2c: the cells ``-c .. m + c``
+        # wrapped mod m (int32) and their offsets ``cell * h``.
+        self._rows = []
+        for a, c in enumerate(gse._offsets):
+            cells = np.arange(-c, int(gse.mesh[a]) + c + 1)
+            self._rows.append((
+                np.mod(cells, gse.mesh[a]).astype(np.int32),
+                cells * gse.h[a],
+                np.arange(2 * c + 1),
+            ))
         self._lanes = self._acc = None
 
     # -- construction ------------------------------------------------------
@@ -165,17 +176,31 @@ class MeshStencilPlan:
 
         Always in NumPy (``np.exp`` stays there, which keeps the bits
         trivially identical across tiers); no O(n·k³) array is touched.
+        Each row is read from the plan's tables at ``base + k``, which
+        is ``np.mod(cells, m)`` and ``cells * h`` element for element
+        (DESIGN.md, modulo-by-table lemma); a base cell outside
+        ``[0, m]`` — no wrapped coordinate has one — computes them.
         """
         g = self.gse
         inv_2ss2 = 1.0 / (2.0 * g.params.sigma_s**2)
         pos = g.box.wrap(np.asarray(positions, dtype=np.float64))
         base = np.floor(pos / g.h).astype(np.int64)  # nearest-lower mesh pt
-        for a, c in enumerate(g._offsets):
-            cells = base[:, a : a + 1] + np.arange(-c, c + 1)[None, :]  # (n, ka)
-            d = self.axis_d[a]
-            np.subtract(pos[:, a : a + 1], cells * g.h[a], out=d)
-            np.exp(-(d * d) * inv_2ss2, out=self.axis_w[a])
-            self.axis_i[a][...] = np.mod(cells, g.mesh[a])
+        inside = self.n == 0 or base.min() >= 0
+        for a, (wrapped_cells, offsets, k) in enumerate(self._rows):
+            d, w, i = self.axis_d[a], self.axis_w[a], self.axis_i[a]
+            if inside and (self.n == 0 or base[:, a].max() <= g.mesh[a]):
+                at = base[:, a : a + 1] + k  # (n, ka) table rows
+                np.take(offsets, at, out=d, mode="clip")
+                np.subtract(pos[:, a : a + 1], d, out=d)
+                np.take(wrapped_cells, at, out=i, mode="clip")
+            else:
+                cells = base[:, a : a + 1] + (k - (len(k) // 2))
+                np.subtract(pos[:, a : a + 1], cells * g.h[a], out=d)
+                i[...] = np.mod(cells, g.mesh[a])
+            np.multiply(d, d, out=w)
+            np.negative(w, out=w)
+            np.multiply(w, inv_2ss2, out=w)
+            np.exp(w, out=w)
         self.axis_w[0] *= g._spread_norm
         return self
 
@@ -205,6 +230,7 @@ class MeshStencilPlan:
         v.axis_w = [a[lo:hi] for a in self.axis_w]
         v.axis_d = [a[lo:hi] for a in self.axis_d]
         v.axis_i = [a[lo:hi] for a in self.axis_i]
+        v._rows = self._rows
         v._lanes = v._acc = None
         return v
 

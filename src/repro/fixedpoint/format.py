@@ -21,6 +21,7 @@ in the modular sense and cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,12 +51,12 @@ class FixedFormat:
         if not 2 <= self.bits <= 62:
             raise ValueError(f"bits must be in [2, 62], got {self.bits}")
 
-    @property
+    @cached_property
     def scale(self) -> float:
         """Multiplier from real value in [-1,1) to integer code."""
         return float(1 << (self.bits - 1))
 
-    @property
+    @cached_property
     def resolution(self) -> float:
         """Smallest representable increment, ``2**(1-bits)``."""
         return 1.0 / self.scale

@@ -47,35 +47,66 @@
 #include <stdint.h>
 #include <string.h>
 
-/* Segment-lookup acceleration grid: maps u in [0, 1) to a starting
- * segment index; a short forward scan lands on the exact segment,
- * reproducing np.searchsorted(starts, u, side="right") - 1 for the
- * monotone tier layouts (starts[0] == 0.0, u >= 0). */
-#define RK_GRID 1024
+/* Segment lookup: the segment k of u in a layout of nseg segments, the
+ * largest k with starts[k] <= u — np.searchsorted(starts, u, side=
+ * "right") - 1 for the monotone tier layouts (starts[0] == 0.0, u >= 0).
+ *
+ * A grid of RK_GRID cells (a power of two, so u * RK_GRID is exact) maps
+ * u to grid[g], the segment of the cell's low end g / RK_GRID.  Lemma
+ * (fine segment grid): when no cell holds two segment boundaries, the
+ * segment of any u in cell g is grid[g] or the next one, and it is the
+ * next one exactly when next[grid[g]] (that segment's start) <= u — one
+ * compare, no loop.  The grid is fine enough for every table layout the
+ * force field builds (the narrowest segment is 2^-13 wide, and a cell
+ * 2^-12 wide then holds at most one boundary); rk_seg_init checks the
+ * precondition per layout, and a layout that breaks it (or has more
+ * than RK_MAX_SEG segments) keeps the scan forward from grid[g]. */
+#define RK_GRID 4096
+#define RK_MAX_SEG 512
 
-static void rk_build_grid(const double *starts, int64_t nseg, int32_t *grid)
+typedef struct {
+    int32_t grid[RK_GRID];
+    double next[RK_MAX_SEG]; /* next[k] = starts[k + 1]; +inf after the last */
+    int one;                 /* the fine-grid lemma holds: one compare */
+} rk_seg_lookup;
+
+/* The lookup of a layout whose u never exceeds umax. */
+static void rk_seg_init(rk_seg_lookup *t, const double *starts, int64_t nseg, double umax)
 {
     int64_t idx = 0;
     for (int64_t g = 0; g < RK_GRID; g++) {
-        double u0 = (double)g / (double)RK_GRID;
+        const double u0 = (double)g / (double)RK_GRID;
         while (idx + 1 < nseg && starts[idx + 1] <= u0)
             idx++;
-        grid[g] = (int32_t)idx;
+        t->grid[g] = (int32_t)idx;
+    }
+    t->one = nseg <= RK_MAX_SEG;
+    for (int64_t k = 0; t->one && k < nseg; k++)
+        t->next[k] = k + 1 < nseg ? starts[k + 1] : INFINITY;
+    for (int64_t g = 0; t->one && g < RK_GRID; g++) {
+        /* Cell g holds u < (g + 1) / RK_GRID, and the last cell every u
+         * up to umax: the boundary after next[grid[g]] must lie past. */
+        const int64_t k = t->grid[g];
+        const double hi = (double)(g + 1) / (double)RK_GRID;
+        if (k + 2 < nseg && (starts[k + 2] < hi || (g == RK_GRID - 1 && starts[k + 2] <= umax)))
+            t->one = 0;
     }
 }
 
-static inline int64_t rk_segment(const double *starts, int64_t nseg,
-                                 const int32_t *grid, double u)
+static inline int32_t rk_segment(const rk_seg_lookup *t, const double *starts,
+                                 int64_t nseg, double u)
 {
     int64_t g = (int64_t)(u * (double)RK_GRID);
     if (g >= RK_GRID)
         g = RK_GRID - 1;
     if (g < 0)
         g = 0;
-    int64_t idx = grid[g];
+    int64_t idx = t->grid[g];
+    if (t->one)
+        return (int32_t)(idx + (t->next[idx] <= u));
     while (idx + 1 < nseg && starts[idx + 1] <= u)
         idx++;
-    return idx;
+    return (int32_t)idx;
 }
 
 /* Cubic Horner over coefficients stored [c0, c1, c2, c3], matching
@@ -86,6 +117,17 @@ static inline double rk_horner4(const double *c, double t)
     out = out * t + c[2];
     out = out * t + c[1];
     out = out * t + c[0];
+    return out;
+}
+
+/* rk_horner4 of the coefficients c[k .. k + 3], indexed rather than
+ * through a pointer c + k: the form GCC turns into gathers. */
+static inline double rk_horner4_at(const double *c, int32_t k, double t)
+{
+    double out = c[k + 3];
+    out = out * t + c[k + 2];
+    out = out * t + c[k + 1];
+    out = out * t + c[k];
     return out;
 }
 
@@ -122,20 +164,29 @@ static inline double rk_image(double d, double L, double h)
  * (geometry.neighborlist.MAX_ATOMS); row_ptr, the pair count and the
  * resume cursor are int64.
  *
- * An axis that fits seven cells of width >= reach/3 is cut into as many
- * as fit (up to a cap tied to the atom count) and swept with the stencil
- * -k..k, k <= 3 the fewest cells that span reach; seven cells keep the
- * wrapped stencil cells distinct.  A shorter axis is left unbinned, so a
- * box that admits no binning at all degenerates to one cell: there cell
- * order is id order, so row i sweeps only the run after slot i (its
- * partners j > i) instead of the whole block.  Atoms are counting-sorted
- * into cells in ascending id, their coordinates copied in cell order
- * into three arrays (sx, sy, sz).
+ * An axis that fits seven cells of width >= reach/3 may be cut into as
+ * many as fit (up to a cap tied to the atom count) and swept with the
+ * stencil -k..k, k <= 3 the fewest cells that span reach; seven cells
+ * keep the wrapped stencil cells distinct.  Which of those axes are cut
+ * is the sweep's shape (rk_nb_shape), and it is free: any shape offers
+ * every passing pair to the predicate.  Cells are numbered x-major, so
+ * along the last cut axis (the window axis; every later axis is uncut)
+ * a run of cells is a run of the cell-ordered arrays, and the stencil is
+ * a set of columns over the other cut axes, each a window of -kw..kw
+ * cells along the window axis.  Cutting more axes tests fewer atoms per
+ * row in more, shorter runs; with no axis cut the box is one cell, cell
+ * order is id order, and row i sweeps only the run after slot i (its
+ * partners j > i) instead of the whole block.  The shape is the one of
+ * least estimated cost, tests per row plus RK_NB_RUN_COST per run, so a
+ * box a few reaches wide is swept in a few long runs (or the suffix)
+ * and a large box in 3D cells, whose cost per row stays constant as the
+ * box grows.  Atoms are counting-sorted into cells in ascending id,
+ * their coordinates copied in cell order into three arrays (sx, sy, sz).
  *
- * Rows are swept in ascending i.  A row walks the stencil's (x, y)
- * columns; a column's z-window of cells is contiguous in cell order up
- * to one wrap, so its atoms are at most two contiguous runs of the
- * cell-ordered arrays.  Each run is tested in blocks of RK_NB_BLOCK
+ * Rows are swept in ascending i.  A row walks the stencil's columns; a
+ * column's window of cells is contiguous in cell order up to one wrap,
+ * so its atoms are at most two contiguous runs of the cell-ordered
+ * arrays.  Each run is tested in blocks of RK_NB_BLOCK
  * entries: the predicate and j > i, branch-free, into a one-word mask on
  * the stack (element-wise IEEE operations, integer compares and an
  * integer OR, so the loop may vectorize at any width without moving a
@@ -155,6 +206,12 @@ static inline double rk_image(double d, double L, double h)
 /* Entries per block of the mask loop: one bit each in a uint64_t. */
 #define RK_NB_BLOCK 64
 
+/* Lanes of the mask loop's inner block: a run is tested in whole blocks
+ * of RK_NB_LANES entries, the ones past its end masked off, so the loop
+ * has a fixed trip count and no remainder; the cell-ordered arrays carry
+ * RK_NB_LANES entries of padding for the reads past the last run. */
+#define RK_NB_LANES 16
+
 /* Cells per axis never exceed this, so a block's cell table stays
  * proportional to its atom count (never below the seven an axis needs
  * to be binned at all). */
@@ -166,11 +223,26 @@ static int64_t rk_nb_axis_cap(int64_t block_len)
     return c;
 }
 
-/* int64 words of scratch rk_neighbor_build needs for one block. */
+/* int64 words of scratch rk_neighbor_build needs for one block: the
+ * cell table, cell_atoms and the three coordinate arrays (each padded by
+ * RK_NB_LANES), atom_cell and the row bitmap. */
 int64_t rk_neighbor_work_size(int64_t block_len)
 {
     int64_t c = rk_nb_axis_cap(block_len);
-    return c * c * c + 1 + 5 * block_len + (block_len + 63) / 64;
+    return c * c * c + 1 + 5 * block_len + 4 * RK_NB_LANES + (block_len + 63) / 64;
+}
+
+/* Whether slot q holds a partner j = cj[q] > i within reach of (a0, a1,
+ * a2): cells.within's predicate, operation for operation. */
+static inline int64_t rk_nb_hit(int64_t i, double a0, double a1, double a2, int64_t q,
+                                const int64_t *restrict cj, const double *restrict sx,
+                                const double *restrict sy, const double *restrict sz,
+                                const double *L, const double *h, double reach2)
+{
+    const double d0 = rk_image(a0 - sx[q], L[0], h[0]);
+    const double d1 = rk_image(a1 - sy[q], L[1], h[1]);
+    const double d2 = rk_image(a2 - sz[q], L[2], h[2]);
+    return (cj[q] > i) & ((d0 * d0 + d1 * d1) + d2 * d2 < reach2);
 }
 
 /* Marks in `bits` every j = cj[p] > i of the run [p0, p1) whose distance
@@ -188,14 +260,14 @@ static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
     for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
         const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
         uint64_t mask = 0;
-        for (int64_t k = 0; k < nb; k++) {
-            /* cells.within's predicate, operation for operation */
-            const double d0 = rk_image(a0 - sx[p + k], L[0], h[0]);
-            const double d1 = rk_image(a1 - sy[p + k], L[1], h[1]);
-            const double d2 = rk_image(a2 - sz[p + k], L[2], h[2]);
-            const int64_t hit = (cj[p + k] > i) & ((d0 * d0 + d1 * d1) + d2 * d2 < reach2);
-            mask |= (uint64_t)hit << k;
-        }
+        if (nb == RK_NB_BLOCK)
+            for (int64_t k = 0; k < RK_NB_BLOCK; k++)
+                mask |= (uint64_t)rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy, sz, L, h, reach2) << k;
+        else
+            for (int64_t kb = 0; kb < nb; kb += RK_NB_LANES)
+                for (int64_t k = kb; k < kb + RK_NB_LANES; k++)
+                    mask |= (uint64_t)((k < nb) & rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy,
+                                                             sz, L, h, reach2)) << k;
         for (; mask; mask &= mask - 1) {
             const int64_t j = cj[p + __builtin_ctzll(mask)], wd = j >> 6;
             bits[wd] |= (uint64_t)1 << (j & 63);
@@ -205,72 +277,122 @@ static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
     }
 }
 
+/* Test-equivalents one run of rk_nb_run costs beyond its tests (loop
+ * set-up, the vector loop's remainder): the cost model's exchange rate
+ * between fewer tests and fewer runs.  Measured, not derived; it only
+ * picks among shapes that give the same rows. */
+#define RK_NB_RUN_COST 25.0
+
+/* One sweep shape: cells per axis nc (1 on an uncut axis) of width cs,
+ * stencil half-width kk, the window axis wa (-1: no axis cut), the
+ * stencil columns (offsets along the two other axes in ascending axis
+ * order, then the window half-width kw) and the estimated cost per row. */
+typedef struct {
+    int64_t nc[3], kk[3];
+    double cs[3];
+    int wa;
+    int64_t ncol;
+    int64_t col[49][3];
+    double cost;
+} rk_nb_shape;
+
+/* The shape that cuts the axes of `mask` that fit seven cells (the
+ * others stay uncut), for one block of block_len atoms. */
+static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach,
+                             int64_t block_len, int mask)
+{
+    const double reach2 = reach * reach;
+    const int64_t axis_cap = rk_nb_axis_cap(block_len);
+    sh->wa = -1;
+    for (int a = 0; a < 3; a++) {
+        const double f = floor(3.0 * L[a] / (reach * RK_NB_SLACK));
+        sh->nc[a] = 1;
+        sh->kk[a] = 0;
+        sh->cs[a] = L[a];
+        if ((mask >> a & 1) && f >= 7.0) {
+            sh->nc[a] = f < (double)axis_cap ? (int64_t)f : axis_cap;
+            sh->cs[a] = L[a] / (double)sh->nc[a];
+            sh->kk[a] = 1;
+            while (sh->kk[a] < 3 && (double)sh->kk[a] * sh->cs[a] < reach * RK_NB_SLACK)
+                sh->kk[a]++;
+            sh->wa = a;
+        }
+    }
+    sh->ncol = 0;
+    if (sh->wa < 0) { /* one cell: the suffix of each row */
+        sh->cost = 0.5 * (double)block_len + RK_NB_RUN_COST;
+        return;
+    }
+    /* Columns over the two other axes and the window -kw..kw of each:
+     * the face gap per axis is (|o| - 1) * cell width, and it grows with
+     * the window offset, so each column's cells are a window. */
+    const int wa = sh->wa, a1 = wa == 0 ? 1 : 0, a2 = wa == 2 ? 1 : 2;
+    int64_t cells = 0;
+    for (int64_t o1 = -sh->kk[a1]; o1 <= sh->kk[a1]; o1++)
+        for (int64_t o2 = -sh->kk[a2]; o2 <= sh->kk[a2]; o2++) {
+            int64_t kw = -1;
+            for (int64_t ow = 0; ow <= sh->kk[wa]; ow++) {
+                int64_t o[3];
+                o[a1] = o1, o[a2] = o2, o[wa] = ow;
+                double g2 = 0.0;
+                for (int a = 0; a < 3; a++) {
+                    int64_t g = (o[a] < 0 ? -o[a] : o[a]) - 1;
+                    double gap = g > 0 ? (double)g * sh->cs[a] : 0.0;
+                    g2 += gap * gap;
+                }
+                if (g2 < reach2 * RK_NB_SLACK)
+                    kw = ow;
+            }
+            if (kw >= 0) {
+                sh->col[sh->ncol][0] = o1;
+                sh->col[sh->ncol][1] = o2;
+                sh->col[sh->ncol][2] = kw;
+                sh->ncol++;
+                cells += 2 * kw + 1;
+            }
+        }
+    const double ncell = (double)(sh->nc[0] * sh->nc[1] * sh->nc[2]);
+    sh->cost = (double)block_len * (double)cells / ncell + RK_NB_RUN_COST * (double)sh->ncol;
+}
+
 /* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
  * at[1] partners already written kept (with row_ptr up to row at[0]).
  * On return at[0] is the first row not swept and at[1] the partners
  * written; once every row is swept, row_ptr[n_blocks * block_len] is
  * too.  Returns 0 when every row is swept, else the pair count of row
- * at[0], which did not fit in cap. */
+ * at[0], which did not fit in cap.  shape is -1 for the cheapest sweep
+ * shape, else the mask of axes to cut (bit a: axis a) — the rows are the
+ * same either way. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           const double *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
                           int64_t *work, int64_t *row_ptr, int32_t *partners,
-                          int64_t cap, int64_t *at)
+                          int64_t cap, int64_t *at, int64_t shape)
 {
     const double reach2 = reach * reach;
     const double h[3] = {0.5 * L[0], 0.5 * L[1], 0.5 * L[2]};
-    const int64_t axis_cap = rk_nb_axis_cap(block_len);
-    int64_t nc[3], kk[3];
-    double cs[3];
-    for (int a = 0; a < 3; a++) {
-        const double f = floor(3.0 * L[a] / (reach * RK_NB_SLACK));
-        nc[a] = 1;
-        kk[a] = 0;
-        cs[a] = L[a];
-        if (f >= 7.0) {
-            nc[a] = f < (double)axis_cap ? (int64_t)f : axis_cap;
-            cs[a] = L[a] / (double)nc[a];
-            kk[a] = 1;
-            while (kk[a] < 3 && (double)kk[a] * cs[a] < reach * RK_NB_SLACK)
-                kk[a]++;
-        }
+    rk_nb_shape sh, t;
+    rk_nb_shape_init(&sh, L, reach, block_len, shape < 0 ? 0 : (int)(shape & 7));
+    for (int mask = 1; shape < 0 && mask < 8; mask++) { /* the cheapest */
+        rk_nb_shape_init(&t, L, reach, block_len, mask);
+        if (t.cost < sh.cost)
+            sh = t;
     }
+    const int64_t *nc = sh.nc, ncol = sh.ncol;
     const int64_t ncell = nc[0] * nc[1] * nc[2];
-
-    /* Stencil columns (ox, oy) and the z half-width kz of the cells in
-     * each that can hold a partner: the face gap per axis is (|o| - 1) *
-     * cell width, and it grows with |oz|, so each column's cells are the
-     * window -kz..kz. */
-    int64_t col[49][3], ncol = 0;
-    for (int64_t ox = -kk[0]; ox <= kk[0]; ox++)
-        for (int64_t oy = -kk[1]; oy <= kk[1]; oy++) {
-            int64_t kz = -1;
-            for (int64_t oz = 0; oz <= kk[2]; oz++) {
-                const int64_t o[3] = {ox, oy, oz};
-                double g2 = 0.0;
-                for (int a = 0; a < 3; a++) {
-                    int64_t g = (o[a] < 0 ? -o[a] : o[a]) - 1;
-                    double gap = g > 0 ? (double)g * cs[a] : 0.0;
-                    g2 += gap * gap;
-                }
-                if (g2 < reach2 * RK_NB_SLACK)
-                    kz = oz;
-            }
-            if (kz >= 0) {
-                col[ncol][0] = ox;
-                col[ncol][1] = oy;
-                col[ncol][2] = kz;
-                ncol++;
-            }
-        }
+    const double *cs = sh.cs;
+    const int wa = sh.wa, a1 = wa == 0 ? 1 : 0, a2 = wa == 2 ? 1 : 2;
 
     int64_t *cell_start = work;                  /* ncell + 1        */
-    int64_t *cell_atoms = cell_start + axis_cap * axis_cap * axis_cap + 1;
-    int64_t *atom_cell = cell_atoms + block_len;
+    const int64_t axis_cap = rk_nb_axis_cap(block_len), pad = block_len + RK_NB_LANES;
+    int64_t *cell_atoms = cell_start + axis_cap * axis_cap * axis_cap + 1; /* pad */
+    int64_t *atom_cell = cell_atoms + pad;
     uint64_t *bits = (uint64_t *)(atom_cell + block_len);
-    double *sx = (double *)(bits + (block_len + 63) / 64); /* cell order */
-    double *sy = sx + block_len, *sz = sy + block_len;
+    double *sx = (double *)(bits + (block_len + 63) / 64); /* cell order, pad */
+    double *sy = sx + pad, *sz = sy + pad;
     memset(bits, 0, (size_t)((block_len + 63) / 64) * sizeof *bits);
+    for (int64_t p = block_len; p < pad; p++) /* read past a run's end, never marked */
+        cell_atoms[p] = 0, sx[p] = sy[p] = sz[p] = 0.0;
 
     int64_t m = at[1];
     for (int64_t b = at[0] / (block_len > 0 ? block_len : 1); b < n_blocks; b++) {
@@ -305,36 +427,38 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
         cell_start[0] = 0;
 
         for (int64_t i = at[0] > base ? at[0] - base : 0; i < block_len; i++) {
-            const double a0 = x[3 * i], a1 = x[3 * i + 1], a2 = x[3 * i + 2];
+            const double a0 = x[3 * i], a1v = x[3 * i + 1], a2v = x[3 * i + 2];
             const int64_t ci = atom_cell[i];
-            const int64_t cx = ci / (nc[1] * nc[2]);
-            const int64_t cy = (ci / nc[2]) % nc[1];
-            const int64_t cz = ci % nc[2];
+            const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
             int64_t wlo = INT64_MAX, whi = -1;
             if (ncell == 1) /* slot p holds atom p: the partners j > i are a suffix */
-                rk_nb_run(i, a0, a1, a2, i + 1, block_len, cell_atoms, sx, sy, sz,
+                rk_nb_run(i, a0, a1v, a2v, i + 1, block_len, cell_atoms, sx, sy, sz,
                           L, h, reach2, bits, &wlo, &whi);
             for (int64_t s = 0; ncell > 1 && s < ncol; s++) {
-                int64_t nx = cx + col[s][0], ny = cy + col[s][1];
-                nx += nx < 0 ? nc[0] : (nx >= nc[0] ? -nc[0] : 0);
-                ny += ny < 0 ? nc[1] : (ny >= nc[1] ? -nc[1] : 0);
-                const int64_t *cz0 = cell_start + (nx * nc[1] + ny) * nc[2];
-                const int64_t kz = col[s][2], lo = cz - kz, hi = cz + kz + 1;
+                int64_t n1 = cc[a1] + sh.col[s][0], n2 = cc[a2] + sh.col[s][1];
+                n1 += n1 < 0 ? nc[a1] : (n1 >= nc[a1] ? -nc[a1] : 0);
+                n2 += n2 < 0 ? nc[a2] : (n2 >= nc[a2] ? -nc[a2] : 0);
+                int64_t nn[3];
+                nn[a1] = n1, nn[a2] = n2, nn[wa] = 0;
+                /* the window axis has stride 1: every later axis is uncut */
+                const int64_t *cw0 = cell_start + (nn[0] * nc[1] + nn[1]) * nc[2] + nn[2];
+                const int64_t kw = sh.col[s][2], nw = nc[wa];
+                const int64_t lo = cc[wa] - kw, hi = cc[wa] + kw + 1;
                 /* The window [lo, hi) as runs of cells, wrapped past at
-                 * most one end (2 kz + 1 <= nc[2]: a window as long as
-                 * the axis tiles it in two runs). */
+                 * most one end (2 kw + 1 <= nw: a window as long as the
+                 * axis tiles it in two runs). */
                 int64_t r[2][2], nr = 1;
                 if (lo < 0) {
                     r[0][0] = 0, r[0][1] = hi;
-                    r[1][0] = lo + nc[2], r[1][1] = nc[2], nr = 2;
-                } else if (hi > nc[2]) {
-                    r[0][0] = lo, r[0][1] = nc[2];
-                    r[1][0] = 0, r[1][1] = hi - nc[2], nr = 2;
+                    r[1][0] = lo + nw, r[1][1] = nw, nr = 2;
+                } else if (hi > nw) {
+                    r[0][0] = lo, r[0][1] = nw;
+                    r[1][0] = 0, r[1][1] = hi - nw, nr = 2;
                 } else {
                     r[0][0] = lo, r[0][1] = hi;
                 }
                 for (int64_t k = 0; k < nr; k++)
-                    rk_nb_run(i, a0, a1, a2, cz0[r[k][0]], cz0[r[k][1]], cell_atoms,
+                    rk_nb_run(i, a0, a1v, a2v, cw0[r[k][0]], cw0[r[k][1]], cell_atoms,
                               sx, sy, sz, L, h, reach2, bits, &wlo, &whi);
             }
             if (excl_ptr)
@@ -391,12 +515,12 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
 /* What one pass over the rows holds on its stack: the spec by value (so
  * its fields sit in registers across the loops), the box, the wrapped
  * coordinates as three arrays (the partners' side of every pair is read
- * from them), and both segment-lookup grids. */
+ * from them), and both segment lookups. */
 typedef struct {
     rk_pair_spec s;
     double L0, L1, L2, h0, h1, h2;
     const double *sx, *sy, *sz;
-    int32_t e_grid[RK_GRID], d_grid[RK_GRID];
+    rk_seg_lookup e_seg, d_seg;
 } rk_walk_ctx;
 
 /* Sets up one pass over n atoms: the n wrapped rows of w transposed into
@@ -414,8 +538,8 @@ static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L,
         soa[2 * n + i] = w[3 * i + 2];
     }
     c->sx = soa, c->sy = soa + n, c->sz = soa + 2 * n;
-    rk_build_grid(s->e_starts, s->e_nseg, c->e_grid);
-    rk_build_grid(s->d_starts, s->d_nseg, c->d_grid);
+    rk_seg_init(&c->e_seg, s->e_starts, s->e_nseg, s->umax);
+    rk_seg_init(&c->d_seg, s->d_starts, s->d_nseg, s->umax);
 }
 
 /* Atom i of the row being walked, held across all its blocks: its
@@ -444,10 +568,11 @@ typedef struct {
     double d0[RK_WALK_BLOCK], d1[RK_WALK_BLOCK], d2[RK_WALK_BLOCK];
     double u[RK_WALK_BLOCK];
     double qq[RK_WALK_BLOCK], ca[RK_WALK_BLOCK], cb[RK_WALK_BLOCK];
-    int64_t ie[RK_WALK_BLOCK];
+    int32_t ie[RK_WALK_BLOCK];
     double te[RK_WALK_BLOCK];
     double pf[RK_WALK_BLOCK];
-    int64_t lj[RK_WALK_BLOCK], id[RK_WALK_BLOCK];
+    int64_t lj[RK_WALK_BLOCK];
+    int32_t id[RK_WALK_BLOCK];
     double ul[RK_WALK_BLOCK], td[RK_WALK_BLOCK];
 } rk_walk_block;
 
@@ -511,7 +636,7 @@ RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
  * power of two and is NULL otherwise, which keeps the division.  The
  * choice is per layout, so it is made outside the loop. */
 RK_ONE_COPY void rk_offsets(int64_t nb, const double *restrict u,
-                            const int64_t *restrict seg,
+                            const int32_t *restrict seg,
                             const double *starts, const double *widths,
                             const double *inv, double *restrict t)
 {
@@ -525,6 +650,23 @@ RK_ONE_COPY void rk_offsets(int64_t nb, const double *restrict u,
         double x = t[b] < 0.0 ? 0.0 : t[b];
         t[b] = x > 1.0 ? 1.0 : x;
     }
+}
+
+/* The two electrostatic cubics of a block: pf = qq * f(te) and e_coul =
+ * qq * e(te) in segments ie, e_lj zeroed.  The coefficients are read
+ * through int32 segment indices, which a vector unit gathers. */
+RK_ONE_COPY void rk_elec_cubics(int64_t nb, const int32_t *restrict ie,
+                                const double *restrict te, const double *restrict qq,
+                                const double *restrict cf, const double *restrict ce,
+                                double *restrict pf, double *restrict e_coul,
+                                double *restrict e_lj)
+{
+    for (int64_t b = 0; b < nb; b++) {
+        const int32_t k = 4 * ie[b];
+        e_coul[b] = qq[b] * rk_horner4_at(ce, k, te[b]);
+        pf[b] = qq[b] * rk_horner4_at(cf, k, te[b]);
+    }
+    memset(e_lj, 0, (size_t)nb * sizeof *e_lj);
 }
 
 /* The table arithmetic of a block's nb survivors (i, j[b]) of row r,
@@ -571,25 +713,20 @@ RK_ONE_COPY void rk_pair_tables(const rk_walk_ctx *c, const rk_row *r,
         blk->qq[b] = r->q * s->charges[j[b]] * s->coulomb;
         blk->ca[b] = r->a[tj];
         blk->cb[b] = r->b[tj];
-        blk->ie[b] = rk_segment(s->e_starts, s->e_nseg, c->e_grid, blk->u[b]);
+        blk->ie[b] = rk_segment(&c->e_seg, s->e_starts, s->e_nseg, blk->u[b]);
         blk->lj[nl] = b;
         nl += blk->ca[b] != 0.0 || blk->cb[b] != 0.0;
     }
     rk_offsets(nb, blk->u, blk->ie, s->e_starts, s->e_widths, s->e_inv, blk->te);
-    for (int64_t b = 0; b < nb; b++) {
-        const int64_t ie = 4 * blk->ie[b];
-        const double te = blk->te[b];
-        e_coul[b] = blk->qq[b] * rk_horner4(s->e_ce + ie, te);
-        blk->pf[b] = blk->qq[b] * rk_horner4(s->e_cf + ie, te);
-        e_lj[b] = 0.0;
-    }
+    rk_elec_cubics(nb, blk->ie, blk->te, blk->qq, s->e_cf, s->e_ce, blk->pf, e_coul, e_lj);
     for (int64_t l = 0; l < nl; l++) {
         blk->ul[l] = blk->u[blk->lj[l]];
-        blk->id[l] = rk_segment(s->d_starts, s->d_nseg, c->d_grid, blk->ul[l]);
+        blk->id[l] = rk_segment(&c->d_seg, s->d_starts, s->d_nseg, blk->ul[l]);
     }
     rk_offsets(nl, blk->ul, blk->id, s->d_starts, s->d_widths, s->d_inv, blk->td);
     for (int64_t l = 0; l < nl; l++) {
-        const int64_t b = blk->lj[l], id = 4 * blk->id[l];
+        const int64_t b = blk->lj[l];
+        const int32_t id = 4 * blk->id[l];
         const double td = blk->td[l], ca = blk->ca[b], cb = blk->cb[b];
         double f12 = rk_horner4(s->c12f + id, td);
         double f6 = rk_horner4(s->c6f + id, td);

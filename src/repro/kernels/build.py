@@ -277,7 +277,7 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_neighbor_work_size.restype = i64
     lib.rk_neighbor_work_size.argtypes = [i64]
     lib.rk_neighbor_build.restype = i64
-    lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64, p]
+    lib.rk_neighbor_build.argtypes = [i64, i64, p, p, f64, p, p, p, p, p, i64, p, i64]
     # The walk takes the Verlet rows and a PairSpec by reference; its
     # last two pointers (the surviving pairs) may be None.
     lib.rk_pair_walk.restype = i64

@@ -61,6 +61,7 @@ import math
 import os
 import threading
 import warnings
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,8 +106,27 @@ _Z_LANES = 8
 _MESH_BLOCK = 256
 
 
+#: ``id(array) -> (weak reference, data pointer)`` of every live array a
+#: wrapper has handed to C: reading ``ndarray.ctypes.data`` builds a
+#: ctypes object (~2 µs), and a step hands the same persistent buffers —
+#: plan rows, accumulators, scratch — to C dozens of times.  An entry
+#: leaves when its array dies, before its id can be reused.
+_POINTERS: dict[int, tuple] = {}
+
+
+def _forget(key: int) -> None:
+    _POINTERS.pop(key, None)
+
+
 def _ptr(a: np.ndarray) -> int:
-    return a.ctypes.data
+    """The data pointer of ``a``, read once per array object."""
+    key = id(a)
+    hit = _POINTERS.get(key)
+    if hit is not None and hit[0]() is a:
+        return hit[1]
+    p = a.ctypes.data
+    _POINTERS[key] = (weakref.ref(a, lambda _r, key=key: _forget(key)), p)
+    return p
 
 
 def _conforms(a: np.ndarray, shape: tuple, dtype) -> bool:
@@ -660,6 +680,8 @@ class CompiledKernels(NumpyKernels):
         self.threads = int(threads)
         self._pool = None
         self._neighbor_work = None  # grow-only scratch
+        #: ``MeshAxes`` per live set of plan rows (``_mesh_axes``).
+        self._axes_kept: dict = {}
         # Per calling thread (``_scratch``): a stacked mesh pass's lanes
         # run the mesh kernels concurrently on this suite (``map_chunks``).
         self._thread_scratch = threading.local()
@@ -742,7 +764,7 @@ class CompiledKernels(NumpyKernels):
                 self._lib.rk_neighbor_build(
                     n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
                     ptr, idx, _ptr(work), _ptr(row_ptr), _ptr(partners), len(partners),
-                    _ptr(at),
+                    _ptr(at), -1,
                 )
             )
             row, m = int(at[0]), int(at[1])
@@ -835,8 +857,7 @@ class CompiledKernels(NumpyKernels):
         i, j = _i64(i), _i64(j)  # held across the call
         self._lib.rk_deposit_pairs_float(_ptr(forces), _ptr(i), _ptr(j), _ptr(rows), n)
 
-    @staticmethod
-    def _mesh_axes(axis_w, axis_d, axis_i, mesh):
+    def _mesh_axes(self, axis_w, axis_d, axis_i, mesh):
         """A stencil plan's per-axis rows as ``MeshAxes``, or None when
         one of them does not conform.
 
@@ -846,16 +867,31 @@ class CompiledKernels(NumpyKernels):
         row, which is then one run in halo'd columns (the quantized
         spread and the gather, ``kzp`` lanes: ``kz`` rounded up to whole
         blocks of ``RK_ZLANES``) or runs of contiguous mesh points (the
-        float spread).
+        float spread).  A plan refills its rows in place, so the struct
+        is built once per set of row arrays and kept while they live.
         """
+        rows = (*axis_w, *axis_d, *axis_i)
+        key = id(rows[0])
+        hit = self._axes_kept.get(key)
+        if hit is not None and hit[1] is mesh and all(
+            r() is a for r, a in zip(hit[0], rows, strict=True)
+        ):
+            return hit[2]
         n = len(axis_w[0])
         ks = [a.shape[1] for a in axis_w]
-        rows = (*axis_w, *axis_d, *axis_i)
         dtypes = (np.float64,) * 6 + (np.int32,) * 3
         if not all(_conforms(a, (n, k), t) for a, k, t in zip(rows, ks * 3, dtypes)):
             return None
         kzp = -(-ks[2] // _Z_LANES) * _Z_LANES
-        return MeshAxes(*ks, kzp, *(int(m) for m in mesh), *(_ptr(a) for a in rows))
+        axes = MeshAxes(*ks, kzp, *(int(m) for m in mesh), *(_ptr(a) for a in rows))
+        kept = self._axes_kept
+        kept[key] = (
+            [weakref.ref(rows[0], lambda _r, key=key: kept.pop(key, None))]
+            + [weakref.ref(a) for a in rows[1:]],
+            mesh,
+            axes,
+        )
+        return axes
 
     def _scratch(self, points: int) -> np.ndarray:
         """The calling thread's scratch, at least ``points`` float64.

@@ -119,7 +119,7 @@ class VectorizedBackend(MachineBackend):
         #: Per-side (atom, node) force-export marks, reused across steps.
         self._marks: tuple[np.ndarray, np.ndarray] | None = None
 
-    def _nt_marks(self, m, positions, i, j) -> tuple[np.ndarray, np.ndarray]:
+    def _nt_marks(self, m, positions, wrapped, i, j) -> tuple[np.ndarray, np.ndarray]:
         """The step's NT assignment as per-side (atom, node) marks.
 
         The computing node is a pure function of the two home-box ids
@@ -146,14 +146,14 @@ class VectorizedBackend(MachineBackend):
         if self._nt_table is None:
             self._nt_table = np.ascontiguousarray(nt_node_tables(m.decomp)[0])
         self.kernels.nt_marks(
-            i, j, m.decomp.node_of(positions), self._nt_table, marks_i, marks_j
+            i, j, m.home_nodes(positions, wrapped), self._nt_table, marks_i, marks_j
         )
         return self._marks
 
     def range_limited(self, calc, positions, force_codec, acc):
         nb = calc._range_limited(positions, force_codec, acc, keep_pairs=True)
         with calc.timers.time("machine_nt_assign"):
-            marks = self._nt_marks(calc.machine, positions, nb.i, nb.j)
+            marks = self._nt_marks(calc.machine, positions, calc.walk_positions, nb.i, nb.j)
         return nb, marks
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:

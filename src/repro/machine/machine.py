@@ -235,6 +235,8 @@ class AntonMachine(LaneEngine):
             self.router = LinkRouter(self.topology, config, hw)
             self.network.attach_router(self.router)
         self.decomp = SpatialDecomposition(system.box, self.topology, subbox_divisions)
+        #: The last configuration whose home boxes were looked up, and their ids.
+        self._home = (None, None)
         self.migration = MigrationSchedule(
             self.decomp, system.topology, interval=migration_interval
         )
@@ -282,12 +284,32 @@ class AntonMachine(LaneEngine):
 
     # -- traffic accounting -------------------------------------------------
 
+    def home_nodes(self, positions: np.ndarray, wrapped: np.ndarray | None = None) -> np.ndarray:
+        """Home-box ids of ``positions`` (``wrapped``: the same, already
+        wrapped), looked up once per configuration.
+
+        A step's force evaluation looks them up for its NT marks; the
+        step's migration and the next step's position import see the
+        same configuration — the integrator hands out one read-only
+        decoded array per ``X`` — and reuse them.  Only read-only arrays
+        are remembered, so no caller can change a configuration under
+        its ids.
+        """
+        src, nodes = self._home
+        if src is not positions:
+            if wrapped is not None:
+                nodes = self.decomp.node_of_wrapped(wrapped)
+            else:
+                nodes = self.decomp.node_of(positions)
+            if not positions.flags.writeable:
+                self._home = (positions, nodes)
+        return nodes
+
     def _node_occupancy(self) -> np.ndarray:
         """Atoms per home box at the current positions (by box id)."""
-        coords = self.decomp.box_coord(self.integrator.positions)
-        dims = self.decomp.dims
-        flat = (coords[:, 0] * dims[1] + coords[:, 1]) * dims[2] + coords[:, 2]
-        return np.bincount(flat, minlength=self.topology.n_nodes)
+        return np.bincount(
+            self.home_nodes(self.integrator.positions), minlength=self.topology.n_nodes
+        )
 
     def account_position_import(self) -> None:
         """Charge the NT position import: whole remote boxes of each
@@ -360,7 +382,8 @@ class AntonMachine(LaneEngine):
                 self.account_position_import()
             self.integrator.step()
             with t.time("migration"):
-                event = self.migration.step(self.integrator.positions)
+                pos = self.integrator.positions
+                event = self.migration.step(pos, self.home_nodes(pos))
                 if event is not None:
                     self.account_migration(event.n_migrated)
                     self.owners = self.migration.owners

@@ -45,13 +45,20 @@ class SpatialDecomposition:
 
     def box_coord(self, positions: np.ndarray) -> np.ndarray:
         """Home-box (node) coordinates of positions, shape (n, 3)."""
-        pos = self.box.wrap(np.asarray(positions, dtype=np.float64))
-        c = np.floor(pos / self.node_box).astype(np.int64)
+        return self._box_coord(self.box.wrap(np.asarray(positions, dtype=np.float64)))
+
+    def _box_coord(self, wrapped: np.ndarray) -> np.ndarray:
+        c = np.floor(wrapped / self.node_box).astype(np.int64)
         return np.minimum(c, self.dims - 1)
 
     def node_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat node ids of positions' home boxes."""
-        c = self.box_coord(positions)
+        return self.node_of_wrapped(self.box.wrap(np.asarray(positions, dtype=np.float64)))
+
+    def node_of_wrapped(self, wrapped: np.ndarray) -> np.ndarray:
+        """:meth:`node_of` for coordinates already wrapped into [0, L)
+        (what :meth:`Box.wrap` returned): no second wrap."""
+        c = self._box_coord(wrapped)
         return (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
 
     def subbox_coord(self, positions: np.ndarray) -> np.ndarray:
@@ -62,15 +69,19 @@ class SpatialDecomposition:
 
     # -- ownership with constraint groups ----------------------------------
 
-    def assign_atoms(self, positions: np.ndarray, topology: Topology | None = None) -> np.ndarray:
+    def assign_atoms(
+        self, positions: np.ndarray, topology: Topology | None = None,
+        nodes: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Owning node per atom.
 
         Geometric assignment, overridden so each constraint group (and
         its virtual sites) lives wholly on the node owning its first
         atom.  The expanded NT import region (Section 3.2.4) absorbs
-        the resulting off-home-box residency.
+        the resulting off-home-box residency.  ``nodes``, when given, is
+        :meth:`node_of` of ``positions`` already looked up (not modified).
         """
-        owners = self.node_of(positions)
+        owners = self.node_of(positions) if nodes is None else nodes.copy()
         if topology is not None:
             member, leader = topology.constraint_group_members()
             owners[member] = owners[leader]

@@ -83,10 +83,11 @@ class MigrationSchedule:
         self.steps_since_migration = 0
         return self.owners
 
-    def step(self, positions: np.ndarray) -> MigrationEvent | None:
+    def step(self, positions: np.ndarray, nodes: np.ndarray | None = None) -> MigrationEvent | None:
         """Advance one step; migrate if the interval has elapsed.
 
-        Returns the event on migration steps, else None.
+        ``nodes`` optionally supplies the positions' home nodes, already
+        looked up.  Returns the event on migration steps, else None.
         """
         if self.owners is None:
             raise RuntimeError("call initialize() first")
@@ -94,7 +95,7 @@ class MigrationSchedule:
         self.steps_since_migration += 1
         if self.steps_since_migration < self.interval:
             return None
-        correct = self.decomp.assign_atoms(positions, self.topology)
+        correct = self.decomp.assign_atoms(positions, self.topology, nodes)
         moved = correct != self.owners
         # Displacement error: how many box widths the stale owner is off
         # (diagnostic for the import-margin bound).

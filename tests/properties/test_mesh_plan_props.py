@@ -126,3 +126,80 @@ def test_plan_potential_matches_independent_path(params):
     ref = np.concatenate([potential(gse.make_plan(pos[i : i + 1]), phi) for i in range(n)])
     perm = rng.permutation(n)
     np.testing.assert_array_equal(potential(gse.make_plan(pos[perm]), phi), ref[perm])
+
+
+# -- the rows come from tables: np.mod and cells * h, element for element ------
+
+
+def mod_rows(gse, positions):
+    """The rows as ``np.mod`` and ``cells * h`` compute them (no table)."""
+    pos = gse.box.wrap(np.asarray(positions, dtype=np.float64))
+    base = np.floor(pos / gse.h).astype(np.int64)
+    inv_2ss2 = 1.0 / (2.0 * gse.params.sigma_s**2)
+    rows = []
+    for a, c in enumerate(gse._offsets):
+        cells = base[:, a : a + 1] + np.arange(-c, c + 1)[None, :]
+        d = pos[:, a : a + 1] - cells * gse.h[a]
+        w = np.exp(-(d * d) * inv_2ss2)
+        if a == 0:
+            w = w * gse._spread_norm
+        rows.append((w, d, np.mod(cells, gse.mesh[a]).astype(np.int32)))
+    return rows
+
+
+def assert_rows_are_mod_rows(gse, positions):
+    plan = gse.make_plan(positions)
+    with np.errstate(invalid="ignore"):
+        want = mod_rows(gse, positions)
+    for a, (w, d, i) in enumerate(want):
+        np.testing.assert_array_equal(plan.axis_i[a], i, err_msg=f"axis {a} index")
+        np.testing.assert_array_equal(plan.axis_d[a].view(np.int64), d.view(np.int64))
+        np.testing.assert_array_equal(plan.axis_w[a].view(np.int64), w.view(np.int64))
+
+
+#: A box whose last double below L lands on base cell m on meshes that
+#: are not powers of two (h = L / m is rounded down there); on a power-of-
+#: two mesh h is exact and no wrapped coordinate reaches base m.
+EDGE_SIDE = 14.661059133140746
+
+
+@given(scene())
+@settings(max_examples=40, deadline=None)
+def test_table_rows_are_mod_rows(args):
+    n, seed = args
+    rng = np.random.default_rng(seed)
+    assert_rows_are_mod_rows(make_gse(), rng.uniform(-1.5, 2.5, (n, 3)) * SIDE)
+
+
+def test_base_cell_m_reads_the_table_end():
+    box = Box.cubic(EDGE_SIDE)
+    gse = GaussianSplitEwald(box, GSEParams.choose(box, 5.0, (24, 24, 24)))
+    edge = np.nextafter(EDGE_SIDE, 0.0)
+    assert np.floor(edge / gse.h[0]) == 24  # the case under test
+    pos = np.array([[edge, edge, edge], [edge, 0.0, 1.0], [0.0, 5e-324, edge], [7.0, 7.0, 7.0]])
+    assert_rows_are_mod_rows(gse, pos)
+
+
+def test_stencils_wider_than_the_mesh():
+    """2c + 1 exceeds m on x and z and equals it on y: a row wraps the
+    mesh more than once, and the table holds every wrap."""
+    box = Box(np.array([EDGE_SIDE, EDGE_SIDE, 15.0]))
+    gse = GaussianSplitEwald(box, GSEParams(sigma=2.0, sigma_s=1.0, mesh=(6, 5, 4),
+                                            spreading_cutoff=5.0))
+    assert [2 * c + 1 for c in gse._offsets] == [7, 5, 5]
+    rng = np.random.default_rng(2)
+    pos = rng.uniform(0.0, 1.0, (60, 3)) * box.lengths
+    pos[0] = np.nextafter(box.lengths, 0.0)
+    pos[1] = 0.0
+    assert_rows_are_mod_rows(gse, pos)
+
+
+def test_a_non_finite_coordinate_takes_the_mod_rows():
+    """A NaN or an infinity has no base cell in [0, m]: those rows are
+    computed, not read, and come out as np.mod makes them."""
+    gse = make_gse()
+    pos = np.random.default_rng(4).uniform(0.0, SIDE, (8, 3))
+    pos[3, 1] = np.nan
+    pos[5, 2] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert_rows_are_mod_rows(gse, pos)

@@ -27,8 +27,9 @@ from repro.ensemble import tile_exclusions
 from repro.forcefield import Topology, build_exclusions
 from repro.geometry import Box, EnsembleNeighborList, NeighborList, brute_force_pairs
 from repro.geometry.cells import _choose_binning, within
-from repro.geometry.neighborlist import rows_to_pairs
+from repro.geometry.neighborlist import _partner_csr, rows_to_pairs
 from repro.kernels import available, get_suite
+from repro.kernels.suite import _ptr
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -220,8 +221,10 @@ def test_column_runs_match_oracle(ratios, axis, replicas, with_excl):
 
 
 def _c_binned_axes(lengths) -> int:
-    """How many axes the C sweep bins: those that fit seven cells of
-    width >= reach/3 (``rk_neighbor_build``)."""
+    """How many axes the C sweep can bin: those that fit seven cells of
+    width >= reach/3 (``rk_neighbor_build``; its cost model picks which
+    of them it does, and ``test_every_sweep_shape_gives_the_oracle_rows``
+    forces each choice)."""
     return int(np.sum(np.floor(3.0 * lengths / (REACH * (1.0 + 1e-9))) >= 7.0))
 
 
@@ -234,10 +237,10 @@ def _c_binned_axes(lengths) -> int:
     ],
 )
 def test_one_cell_suffix_sweep_and_binned_sweeps(ratios, replicas, binned):
-    """A box with no binned axis is one cell in id order, where each row
+    """A box with no binnable axis is one cell in id order, where each row
     sweeps only the slots after its own; with exclusions across R > 1
     blocks its list is the NumPy one, and so are those of a box with one
-    binned axis and of one with all three."""
+    binnable axis and of one with all three."""
     lengths = np.array(ratios) * REACH
     assert _c_binned_axes(lengths) == binned
     solo = _face_slabs(np.random.default_rng(binned), lengths, 200, 2)
@@ -318,3 +321,51 @@ def test_fresh_stacked_list_sweeps_every_row_once(monkeypatch):
     monkeypatch.setattr(suite, "_lib", log)
     _check(lengths, len(solo), 3, True, seed=0, solo=solo)
     assert len(log.calls) > 1 and log.rows_swept_once(3 * 150)
+
+
+def _shape_rows(lengths, pos, excl, n_blocks, shape):
+    """``rk_neighbor_build``'s rows with the sweep shape forced: ``shape``
+    is the mask of axes to cut (-1: the cost model's choice)."""
+    lib = get_suite("compiled")._lib
+    n = len(pos)
+    block_len = n // n_blocks
+    work = np.empty(int(lib.rk_neighbor_work_size(block_len)), dtype=np.int64)
+    row_ptr = np.empty(n + 1, dtype=np.int64)
+    partners = np.empty(n * block_len // 2 + 1, dtype=np.int32)
+    at = np.zeros(2, dtype=np.int64)
+    ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
+    assert lib.rk_neighbor_build(
+        n_blocks, block_len, _ptr(pos), _ptr(lengths), REACH, ptr, idx, _ptr(work),
+        _ptr(row_ptr), _ptr(partners), len(partners), _ptr(at), shape,
+    ) == 0
+    return row_ptr, partners[: at[1]]
+
+
+@given(
+    ratios=st.tuples(*[st.sampled_from((2.05, 2.4, 2.9, 3.2, 4.5, 6.0, 8.0))] * 3),
+    n_solo=st.integers(1, 260),
+    replicas=st.sampled_from([1, 2]),
+    with_excl=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_sweep_shape_gives_the_oracle_rows(ratios, n_solo, replicas, with_excl, seed):
+    """The rows are defined by set and order, so every shape of the sweep
+    — no axis cut (each row's suffix), any one, two or all three of the
+    axes that fit seven cells — and the cost model's pick give the same
+    rows, on boxes 2 to 8 reaches wide."""
+    box = Box(np.array(ratios) * REACH)
+    solo = box.wrap(_positions(np.random.default_rng(seed), box.lengths, n_solo))
+    pos = np.ascontiguousarray(np.tile(solo, (replicas, 1)))
+    excl = None
+    if with_excl:
+        excl = _chain_exclusions(n_solo)
+        if replicas > 1:
+            excl = tile_exclusions(excl, replicas)
+    want_i, want_j = _oracle(pos, box, excl, replicas, n_solo)
+    csr = None if excl is None else _partner_csr(excl)
+    for shape in (-1, *range(8)):
+        row_ptr, partners = _shape_rows(box.lengths, pos, csr, replicas, shape)
+        got_i, got_j = rows_to_pairs(row_ptr, partners)
+        np.testing.assert_array_equal(got_i, want_i, err_msg=f"shape {shape}")
+        np.testing.assert_array_equal(got_j, want_j, err_msg=f"shape {shape}")

@@ -39,10 +39,13 @@ from repro.core import MDParams
 from repro.core.forces import ForceCalculator
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.forcefield import TIP4PEW
+from repro.forcefield.nonbonded import real_space_energy_kernel, real_space_force_kernel
+from repro.functions import KernelTableSet, Tier
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine.backends import VectorizedBackend
 from repro.machine.config import ANTON_2008
 from repro.systems import build_water_box
+from repro.util import COULOMB
 from tests.properties.pair_walk_oracle import (
     assert_walk_matches,
     candidates,
@@ -153,6 +156,75 @@ def test_walk_at_every_block_boundary_count(suites, calc, n_cand, codec, divisio
     assert (spec.q_mul == 0.0) == (codec == "division")
     assert (spec.e_inv is None) == division_tables and spec.d_inv is None
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+
+
+#: The C walk's segment lookup (``rk_seg_init``): grid cells per unit of
+#: u, and the most segments whose starts it keeps for the one compare.
+SEG_GRID, SEG_MAX = 4096, 512
+
+
+def _one_compare(starts, umax) -> bool:
+    """Whether the fine segment grid's lemma holds for a layout: no grid
+    cell (the last one up to ``umax``) holds two segment boundaries, so
+    the walk locates u with one compare instead of its scan."""
+    starts = np.asarray(starts)
+    if len(starts) > SEG_MAX:
+        return False
+    g = np.arange(SEG_GRID)
+    k = np.searchsorted(starts, g / SEG_GRID, side="right") - 1
+    after = np.append(starts, [np.inf, np.inf])[k + 2]
+    hi = (g + 1) / SEG_GRID
+    return not np.any((after < hi) | ((g == SEG_GRID - 1) & (after <= umax)))
+
+
+#: The fine tier of ``_scan_tables``' electrostatic layout: 64 segments
+#: 2^-15 wide (eight to a grid cell) from u = 1/16, the table floor of a
+#: 4 A cutoff (r_floor 1 A), so that they hold distinct cubics.
+FINE_TIER = (1.0 / 16, 1.0 / 16 + 1.0 / 512)
+
+
+def _scan_tables(calc) -> KernelTableSet:
+    """``calc``'s tables with both layouts past the lemma: electrostatics
+    with a fine tier (``FINE_TIER``), the dispersion pair on 600 segments
+    (more than the lookup keeps)."""
+    base = calc.tables
+    ts = KernelTableSet(base.cutoff, base.r_floor)
+    ts.tables = dict(base.tables)
+    lo, hi = FINE_TIER
+    fine = (Tier(0.0, lo, 8), Tier(lo, hi, 64), Tier(hi, 1.0, 168))
+    ts.add("elec_f", lambda r2: real_space_force_kernel(r2, calc.sigma) / COULOMB, tiers=fine)
+    ts.add("elec_e", lambda r2: real_space_energy_kernel(r2, calc.sigma) / COULOMB, tiers=fine)
+    many = (Tier(0.0, 1.0 / 16, 300), Tier(1.0 / 16, 1.0, 300))
+    for name, f in (("lj12_f", lambda r2: 12.0 / r2**7), ("lj6_f", lambda r2: 6.0 / r2**4),
+                    ("lj12_e", lambda r2: 1.0 / r2**6), ("lj6_e", lambda r2: 1.0 / r2**3)):
+        ts.add(name, f, tiers=many)
+    return ts
+
+
+def test_production_layouts_take_the_one_compare(calc):
+    spec = _spec(calc)
+    assert _one_compare(spec.e_starts, spec.umax) and _one_compare(spec.d_starts, spec.umax)
+
+
+@pytest.mark.parametrize("n_cand", [1, 257, 700])
+def test_layouts_past_the_fine_grid_take_the_scan(suites, calc, n_cand):
+    """Layouts that break the lemma's precondition keep the scan, and the
+    walk still equals the oracle; half the pairs are drawn inside the
+    fine tier, where one compare would pick the wrong segment."""
+    s = calc.system
+    tables = _scan_tables(calc)
+    spec = make_pair_spec(tables, s.lj, s.charges, s.type_ids, CODECS["pow2"])
+    assert not _one_compare(spec.e_starts, spec.umax)
+    assert not _one_compare(spec.d_starts, spec.umax) and len(spec.d_starts) == 600
+    rng = np.random.default_rng(n_cand)
+    lengths = np.array([6.5, 9.25, 7.0])
+    wrapped = rng.uniform(0, 1, (s.n_atoms, 3)) * lengths
+    ii, jj = candidates(rng, s.n_atoms, 1, n_cand)
+    near = rng.uniform(0.0, 1.0, len(ii)) < 0.5
+    step = rng.normal(size=(near.sum(), 3))
+    r = CUTOFF * np.sqrt(rng.uniform(*FINE_TIER, near.sum()))
+    wrapped[jj[near]] = (wrapped[ii[near]] + step * (r / np.linalg.norm(step, axis=1))[:, None]) % lengths
+    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, s.n_atoms))
 
 
 @pytest.mark.parametrize("codec", sorted(CODECS))

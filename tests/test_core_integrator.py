@@ -56,6 +56,35 @@ class TestPositionCodec:
         with pytest.raises(ValueError):
             PositionCodec(Box.cubic(10.0), bits=4)
 
+    @pytest.mark.parametrize("bits", [8, 16, 39, 40, 41, 62])
+    def test_mask_is_np_mod_at_the_int64_extremes(self, bits):
+        """The codec reduces by ``& (2**bits - 1)``: ``np.mod`` by a power
+        of two on every int64 (DESIGN.md, power-of-two modulus lemma)."""
+        codec = PositionCodec(Box.cubic(10.0), bits=bits)
+        i64 = np.iinfo(np.int64)
+        m = 1 << bits
+        edges = [i64.min, i64.min + 1, -m - 1, -m, -m + 1, -1, 0, 1,
+                 m - 1, m, m + 1, 2**62, i64.max - 1, i64.max]
+        rng = np.random.default_rng(bits)
+        v = np.concatenate([np.array(edges, dtype=np.int64),
+                            rng.integers(i64.min, i64.max, 1000, endpoint=True)])
+        np.testing.assert_array_equal(v & codec.mask, np.mod(v, codec.modulus))
+        # advance: the int64 sum may wrap before the reduction.
+        delta = np.roll(v, 3)
+        with np.errstate(over="ignore"):
+            want = np.mod(v + delta, codec.modulus)
+        np.testing.assert_array_equal(codec.advance(v, delta), want)
+
+    def test_encode_matches_the_mod_form(self):
+        box = Box(np.array([7.0, 37.04851869, 11.5]))
+        codec = PositionCodec(box, bits=40)
+        rng = np.random.default_rng(3)
+        pos = rng.uniform(-3.0, 3.0, (300, 3)) * box.lengths
+        pos[:4] = [np.nextafter(box.lengths, 0.0), box.lengths, -box.lengths, [0.0, -0.0, 1e-300]]
+        want = np.mod(np.rint(box.wrap(pos) * codec.scale).astype(np.int64), codec.modulus)
+        np.testing.assert_array_equal(codec.encode(pos), want)
+        assert codec.encode(pos).max() < codec.modulus  # rint can reach 2**bits: masked to 0
+
 
 class TestEnergyConservation:
     def test_fixed_point_nve(self):

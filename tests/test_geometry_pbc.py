@@ -59,3 +59,63 @@ class TestBox:
     def test_max_cutoff(self):
         box = Box(np.array([8.0, 10.0, 12.0]))
         assert box.max_cutoff() == 4.0
+
+
+def _mod_wrap(box, x):
+    """Box.wrap's general path: np.mod, then the L -> 0 correction."""
+    w = np.mod(np.asarray(x, dtype=np.float64), box.lengths)
+    return np.where(w >= box.lengths, w - box.lengths, w)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestWrapFastPath:
+    """Coordinates all inside (0, L) are copied, not reduced; the copy is
+    the general path's result bit for bit (DESIGN.md, wrap lemma), and
+    every edge the fast path must refuse takes the general path."""
+
+    BOX = Box(np.array([7.0, 37.04851869, 11.5]))
+
+    @pytest.mark.parametrize(
+        "edge",
+        [0.0, -0.0, 5e-324, -5e-324, -1e-300, 1.0, np.nan, np.inf, -np.inf],
+        ids=lambda e: repr(e),
+    )
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_edge_values_match_np_mod(self, edge, axis):
+        rng = np.random.default_rng(axis)
+        x = rng.uniform(0.1, 0.9, (50, 3)) * self.BOX.lengths
+        x[17, axis] = edge
+        with np.errstate(invalid="ignore"):  # np.mod of an infinity
+            got, want = self.BOX.wrap(x), _mod_wrap(self.BOX, x)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize(
+        "scale", [1.0, -1.0, 2.0, -2.0, 3.5, -7.25, 1e6], ids=lambda s: f"{s}L"
+    )
+    def test_multiples_and_far_values_match_np_mod(self, scale):
+        x = np.tile(self.BOX.lengths / 3, (4, 1))
+        x[1] = scale * self.BOX.lengths
+        x[2] = np.nextafter(scale * self.BOX.lengths, 0.0)
+        np.testing.assert_array_equal(_bits(self.BOX.wrap(x)), _bits(_mod_wrap(self.BOX, x)))
+
+    def test_last_double_below_each_length(self):
+        x = np.tile(np.nextafter(self.BOX.lengths, 0.0), (3, 1))
+        x[1] = self.BOX.lengths  # exactly L wraps to 0
+        np.testing.assert_array_equal(_bits(self.BOX.wrap(x)), _bits(_mod_wrap(self.BOX, x)))
+
+    def test_inside_is_a_copy_of_the_same_doubles(self):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(0.0, 1.0, (200, 3)) * self.BOX.lengths
+        x[0] = np.nextafter(self.BOX.lengths, 0.0)
+        x[1] = 5e-324
+        got = self.BOX.wrap(x)
+        assert got is not x and not np.shares_memory(got, x)
+        np.testing.assert_array_equal(_bits(got), _bits(x))
+        np.testing.assert_array_equal(_bits(got), _bits(_mod_wrap(self.BOX, x)))
+
+    def test_shapes_other_than_rows(self):
+        for x in (np.array([1.0, 2.0, 3.0]), np.ones((2, 4, 3)), np.zeros((0, 3))):
+            np.testing.assert_array_equal(self.BOX.wrap(x), _mod_wrap(self.BOX, x))
