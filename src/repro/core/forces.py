@@ -179,9 +179,11 @@ class ForceCalculator:
         self._pair_out: tuple[np.ndarray, ...] | None = None
         self._pair_rows: tuple[np.ndarray, ...] | None = None
         #: The wrapped coordinates the last pair walk ran on (what
-        #: ``NeighborList.pairs`` wrapped): the evaluation's one wrap,
-        #: which the machine's home-box lookup reuses.
+        #: ``NeighborList.pairs`` wrapped) and the positions they wrap:
+        #: the evaluation's one wrap, which its mesh plan and the
+        #: machine's home-box lookup reuse.
         self.walk_positions: np.ndarray | None = None
+        self._walk_source: np.ndarray | None = None
         self._walk_rows = (
             np.zeros((system.n_atoms, 2), dtype=np.int64),
             np.zeros(system.n_atoms, dtype=np.int64),
@@ -269,7 +271,7 @@ class ForceCalculator:
         spec, k = self._spec(force_codec), self.kernels
 
         def walk(wrapped, row_ptr, partners, lengths):
-            self.walk_positions = wrapped
+            self.walk_positions, self._walk_source = wrapped, positions
             with self.timers.time(self._pair_phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
@@ -313,13 +315,21 @@ class ForceCalculator:
                 positions, self.system.box, self._corr_static, self.sigma
             )
 
+    def _walked(self, positions: np.ndarray) -> np.ndarray | None:
+        """``positions`` wrapped, when the last pair walk wrapped this very
+        array and it cannot have changed since (it is read-only, as the
+        integrators' decoded positions are), else None."""
+        if positions is self._walk_source and not positions.flags.writeable:
+            return self.walk_positions
+        return None
+
     def _kspace(self, positions: np.ndarray, codec=None) -> tuple[float, np.ndarray]:
         """Mesh energy and forces, on the suite, into the kept plan:
         a float spread, or an integer one through ``codec``."""
         with self.timers.time("kspace"):
             return self.gse.kspace(
                 positions, self.system.charges, codec=codec,
-                kernels=self.kernels, plan=self._mesh_plan,
+                kernels=self.kernels, plan=self._mesh_plan, wrapped=self._walked(positions),
             )
 
     # -- float path -----------------------------------------------------------

@@ -200,7 +200,7 @@ class EnsembleForceCalculator(ForceCalculator):
         return self.gse.mesh_pass(
             positions, self.system.charges[: self.n_solo], lanes=self.replicas,
             codec=self.mesh_codec, kernels=self.kernels, plan=self._mesh_plan,
-            timers=self.timers,
+            timers=self.timers, wrapped=self._walked(positions),
         )
 
     def compute_long_fixed(self, positions: np.ndarray, force_codec):

@@ -171,11 +171,16 @@ class MeshStencilPlan:
 
     # -- construction ------------------------------------------------------
 
-    def build(self, positions: np.ndarray) -> "MeshStencilPlan":
+    def build(
+        self, positions: np.ndarray, wrapped: np.ndarray | None = None
+    ) -> "MeshStencilPlan":
         """Fill the plan's rows for ``positions`` (row i of every array is atom i).
 
-        Always in NumPy (``np.exp`` stays there, which keeps the bits
-        trivially identical across tiers); no O(n·k³) array is touched.
+        ``wrapped``, when given, is ``positions`` already wrapped into the
+        box (what :meth:`Box.wrap` returned for them), read instead of a
+        second wrap.  Always in NumPy (``np.exp`` stays there, which
+        keeps the bits trivially identical across tiers); no O(n·k³)
+        array is touched.
         Each row is read from the plan's tables at ``base + k``, which
         is ``np.mod(cells, m)`` and ``cells * h`` element for element
         (DESIGN.md, modulo-by-table lemma); a base cell outside
@@ -183,7 +188,7 @@ class MeshStencilPlan:
         """
         g = self.gse
         inv_2ss2 = 1.0 / (2.0 * g.params.sigma_s**2)
-        pos = g.box.wrap(np.asarray(positions, dtype=np.float64))
+        pos = g.box.wrap(positions) if wrapped is None else wrapped
         base = np.floor(pos / g.h).astype(np.int64)  # nearest-lower mesh pt
         inside = self.n == 0 or base.min() >= 0
         for a, (wrapped_cells, offsets, k) in enumerate(self._rows):
@@ -348,17 +353,19 @@ class GaussianSplitEwald:
     # -- stencil plan -------------------------------------------------------
 
     def make_plan(
-        self, positions: np.ndarray, out: MeshStencilPlan | None = None
+        self, positions: np.ndarray, out: MeshStencilPlan | None = None,
+        wrapped: np.ndarray | None = None,
     ) -> MeshStencilPlan:
         """Build (or refill) the shared stencil plan for ``positions``.
 
         Pass a previous plan as ``out`` to reuse its storage across
-        steps.  The plan is O(n·k) on every tier.
+        steps, and ``wrapped`` as :meth:`MeshStencilPlan.build` takes it.
+        The plan is O(n·k) on every tier.
         """
         n = len(positions)
         if out is None or out.n != n or out.gse is not self:
             out = MeshStencilPlan(self, n)
-        return out.build(positions)
+        return out.build(positions, wrapped)
 
     # -- mesh solve -----------------------------------------------------------
 
@@ -396,7 +403,7 @@ class GaussianSplitEwald:
     def mesh_pass(
         self, positions: np.ndarray, charges: np.ndarray, lanes: int = 1,
         codec=None, kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
-        timers=None, before_solve=None,
+        timers=None, before_solve=None, wrapped: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The long-range pass of every engine: plan, spread, solve, gather.
 
@@ -416,7 +423,10 @@ class GaussianSplitEwald:
         on and ``plan`` a :class:`MeshStencilPlan` of R·n atoms whose
         storage — rows, lane views, mesh accumulator — is refilled
         instead of reallocated; callers that evaluate repeatedly keep
-        one.  Neither changes a bit of the result.
+        one.  Neither changes a bit of the result, nor does ``wrapped``:
+        ``positions`` already wrapped into the box, which an engine whose
+        pair list wrapped them this evaluation hands over so that the
+        plan does not wrap them again.
 
         One plan covers all R·n rows; each lane spreads and gathers over
         its own row view of it (chunk loops restart there, so the
@@ -436,7 +446,7 @@ class GaussianSplitEwald:
             kernels.map_chunks(fn, R)
 
         with time("mesh_plan"):
-            plan = self.make_plan(positions, out=plan)
+            plan = self.make_plan(positions, out=plan, wrapped=wrapped)
             views = plan._lane_views(R)
         with time("mesh_spread"):
             if codec is not None:
@@ -477,14 +487,15 @@ class GaussianSplitEwald:
     def kspace(
         self, positions: np.ndarray, charges: np.ndarray, codec=None,
         kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
+        wrapped: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Full k-space pass for one system: :meth:`mesh_pass` with one lane.
 
-        Returns (energy, forces); ``codec``, ``kernels`` and ``plan``
-        are :meth:`mesh_pass`'s.
+        Returns (energy, forces); ``codec``, ``kernels``, ``plan`` and
+        ``wrapped`` are :meth:`mesh_pass`'s.
         """
         energies, forces = self.mesh_pass(
-            positions, charges, codec=codec, kernels=kernels, plan=plan
+            positions, charges, codec=codec, kernels=kernels, plan=plan, wrapped=wrapped
         )
         return float(energies[0]), forces
 

@@ -206,10 +206,11 @@ static inline double rk_image(double d, double L, double h)
 /* Entries per block of the mask loop: one bit each in a uint64_t. */
 #define RK_NB_BLOCK 64
 
-/* Lanes of the mask loop's inner block: a run is tested in whole blocks
- * of RK_NB_LANES entries, the ones past its end masked off, so the loop
- * has a fixed trip count and no remainder; the cell-ordered arrays carry
- * RK_NB_LANES entries of padding for the reads past the last run. */
+/* A run's last block, when it is partial, is tested in whole blocks of
+ * RK_NB_LANES entries with the ones past the run's end masked off, so
+ * its loop has a fixed trip count and no scalar remainder; the
+ * cell-ordered arrays carry RK_NB_LANES entries of padding for the reads
+ * past the last run. */
 #define RK_NB_LANES 16
 
 /* Cells per axis never exceed this, so a block's cell table stays
@@ -262,7 +263,8 @@ static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
         uint64_t mask = 0;
         if (nb == RK_NB_BLOCK)
             for (int64_t k = 0; k < RK_NB_BLOCK; k++)
-                mask |= (uint64_t)rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy, sz, L, h, reach2) << k;
+                mask |= (uint64_t)rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy, sz, L, h,
+                                            reach2) << k;
         else
             for (int64_t kb = 0; kb < nb; kb += RK_NB_LANES)
                 for (int64_t k = kb; k < kb + RK_NB_LANES; k++)

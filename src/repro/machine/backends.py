@@ -178,6 +178,7 @@ class VectorizedBackend(MachineBackend):
         e_k, f_k = calc.gse.mesh_pass(
             positions, calc.system.charges, codec=calc.mesh_codec, kernels=self.kernels,
             plan=calc._mesh_plan, timers=t, before_solve=account_fft,
+            wrapped=calc._walked(positions),
         )
         with t.time("mesh_interp"):
             acc.deposit_dense(force_codec.quantize_round_only(f_k))

@@ -1,11 +1,11 @@
 """Per-step counts of the glue around the kernels: deterministic, so host
 noise cannot move them.
 
-A force evaluation wraps its coordinates once for the pair list and once
-more for the mesh plan, on the evaluations that run it; a machine step
-looks its home boxes up once, in the force evaluation's NT marks, and the
-step's migration and the next step's position import reuse them; a
-48-atom solo step makes a bounded number of Python calls.  The bounds
+A force evaluation wraps its coordinates once, for the pair list, and
+its mesh plan reads that wrap; a machine step looks its home boxes up
+once, in the force evaluation's NT marks, and the step's migration and
+the next step's position import reuse them; a 48-atom solo step makes a
+bounded number of Python calls.  The bounds
 are the counts of the code as committed — each was higher before the
 passes it counts were merged — so a change that adds glue to a step
 fails here, whatever the host's speed.
@@ -27,7 +27,7 @@ from repro.systems import build_water_box
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 413
+SOLO_CALLS_PER_STEP = 411
 
 
 class _Counter:
@@ -56,9 +56,9 @@ def machine():
 
 
 def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
-    """One wrap for the pair list per evaluation, one more for the mesh
-    plan where the evaluation runs the mesh (was 2 and 3: the NT marks'
-    home boxes wrapped the same coordinates again)."""
+    """One wrap per evaluation, with or without the mesh (was 2 and 3:
+    the NT marks' home boxes and the mesh plan wrapped the same
+    coordinates again)."""
     wraps = _Counter(monkeypatch, Box, "wrap")
     provider = machine.integrator.force_fn
     per_eval = []
@@ -74,7 +74,7 @@ def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
     machine.step(8)
     assert len(per_eval) == 8
     assert {n for long_range, n in per_eval if not long_range} == {1}
-    assert {n for long_range, n in per_eval if long_range} == {2}
+    assert {n for long_range, n in per_eval if long_range} == {1}
     # Per step: the evaluation's, plus the drift's encode after SETTLE.
     assert wraps.n == sum(n for _, n in per_eval) + 8
 
