@@ -317,9 +317,11 @@ class ForceCalculator:
 
     def _walked(self, positions: np.ndarray) -> np.ndarray | None:
         """``positions`` wrapped, when the last pair walk wrapped this very
-        array and it cannot have changed since (it is read-only, as the
-        integrators' decoded positions are), else None."""
-        if positions is self._walk_source and not positions.flags.writeable:
+        array and it cannot have changed since (it owns its data and is
+        read-only, as the fixed-point integrator's decoded positions
+        are), else None."""
+        frozen = not positions.flags.writeable and positions.base is None
+        if positions is self._walk_source and frozen:
             return self.walk_positions
         return None
 

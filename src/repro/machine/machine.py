@@ -291,9 +291,9 @@ class AntonMachine(LaneEngine):
         A step's force evaluation looks them up for its NT marks; the
         step's migration and the next step's position import see the
         same configuration — the integrator hands out one read-only
-        decoded array per ``X`` — and reuse them.  Only read-only arrays
-        are remembered, so no caller can change a configuration under
-        its ids.
+        decoded array per ``X`` — and reuse them.  Only arrays that own
+        their data and are read-only are remembered, so no caller can
+        change a configuration under its ids.
         """
         src, nodes = self._home
         if src is not positions:
@@ -301,7 +301,7 @@ class AntonMachine(LaneEngine):
                 nodes = self.decomp.node_of_wrapped(wrapped)
             else:
                 nodes = self.decomp.node_of(positions)
-            if not positions.flags.writeable:
+            if not positions.flags.writeable and positions.base is None:
                 self._home = (positions, nodes)
         return nodes
 
