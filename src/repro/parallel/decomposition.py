@@ -51,15 +51,17 @@ class SpatialDecomposition:
         c = np.floor(wrapped / self.node_box).astype(np.int64)
         return np.minimum(c, self.dims - 1)
 
+    def _node_id(self, c: np.ndarray) -> np.ndarray:
+        return (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
+
     def node_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat node ids of positions' home boxes."""
-        return self.node_of_wrapped(self.box.wrap(np.asarray(positions, dtype=np.float64)))
+        return self._node_id(self.box_coord(positions))
 
     def node_of_wrapped(self, wrapped: np.ndarray) -> np.ndarray:
         """:meth:`node_of` for coordinates already wrapped into [0, L)
         (what :meth:`Box.wrap` returned): no second wrap."""
-        c = self._box_coord(wrapped)
-        return (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
+        return self._node_id(self._box_coord(wrapped))
 
     def subbox_coord(self, positions: np.ndarray) -> np.ndarray:
         """Global subbox coordinates (node grid x subbox divisions)."""
