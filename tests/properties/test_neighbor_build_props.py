@@ -10,8 +10,10 @@ to land on every branch of both binnings, on both sides of the ``n <
 64`` brute-force threshold, on the box faces and on the strict ``<`` of
 the predicate; deterministic ones pin the C sweep's column runs (a
 z-window that wraps, an axis of exactly seven cells, an unbinned axis
-under binned ones).  A rebuild sweeps every row once, also when its
-pairs outgrow the buffers and the sweep resumes.
+under binned ones).  Which axes the C sweep bins is a cost model's
+choice that the rows cannot show, so the C entry point is also called
+with each of the eight shapes forced.  A rebuild sweeps every row once,
+also when its pairs outgrow the buffers and the sweep resumes.
 
 Skipped wholesale when the host has no C compiler.
 """
@@ -214,10 +216,12 @@ def _face_slabs(rng, lengths, n, axis):
 )
 def test_column_runs_match_oracle(ratios, axis, replicas, with_excl):
     """The C sweep's column runs offer every pair: wrapped, whole and
-    unbinned z-windows, single-cell boxes and stacked blocks."""
+    unbinned z-windows, single-cell boxes and stacked blocks, under the
+    cost model's shape and each forced one."""
     lengths = np.array(ratios) * REACH
     solo = _face_slabs(np.random.default_rng(axis), lengths, 240, axis)
     _check(lengths, len(solo), replicas, with_excl, seed=0, solo=solo)
+    _assert_every_shape(Box(lengths), solo, replicas, with_excl)
 
 
 def _c_binned_axes(lengths) -> int:
@@ -355,8 +359,15 @@ def test_every_sweep_shape_gives_the_oracle_rows(ratios, n_solo, replicas, with_
     axes that fit seven cells — and the cost model's pick give the same
     rows, on boxes 2 to 8 reaches wide."""
     box = Box(np.array(ratios) * REACH)
-    solo = box.wrap(_positions(np.random.default_rng(seed), box.lengths, n_solo))
-    pos = np.ascontiguousarray(np.tile(solo, (replicas, 1)))
+    solo = _positions(np.random.default_rng(seed), box.lengths, n_solo)
+    _assert_every_shape(box, solo, replicas, with_excl)
+
+
+def _assert_every_shape(box, solo, replicas, with_excl):
+    """Each forced sweep shape, and the cost model's, gives the oracle's
+    rows for ``replicas`` copies of ``solo``."""
+    n_solo = len(solo)
+    pos = np.ascontiguousarray(np.tile(box.wrap(solo), (replicas, 1)))
     excl = None
     if with_excl:
         excl = _chain_exclusions(n_solo)
