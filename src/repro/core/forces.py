@@ -34,10 +34,12 @@ from repro.ewald import (
 )
 from repro.fixedpoint import FixedAccumulator, FixedFormat, ScaledFixed, round_nearest_even
 from repro.forcefield import (
+    ENERGY_CODEC,
     NonbondedResult,
     PairWalkResult,
     all_bonded_forces,
     build_kernel_tables,
+    energy_codes,
     scatter_forces,
 )
 from repro.geometry import NeighborList
@@ -121,9 +123,13 @@ class ForceCalculator:
     which suite it holds, and every suite yields the same bits.
     """
 
-    #: Prefix of the pair path's phase names (``pair_list``,
-    #: ``range_limited``): the ensemble charges them to its own.
-    _pair_phase_prefix = ""
+    #: Prefix of the force path's phase names (``pair_list``,
+    #: ``range_limited``, ``correction``, ``kspace``, ``deposit``,
+    #: ``energies``, ``collect``): the ensemble charges them to its own.
+    _phase_prefix = ""
+    #: Lanes of the (replica-stacked) system: the fixed-point path
+    #: reports every energy per lane (:meth:`_lanes`).
+    replicas = 1
 
     def __init__(
         self, system: ChemicalSystem, params: MDParams = MDParams(), kernels=NUMPY_SUITE
@@ -164,8 +170,9 @@ class ForceCalculator:
         # bounded by a few elementary charges times the (sub-unity)
         # Gaussian weight.
         self.mesh_codec = ScaledFixed(FixedFormat(MESH_CHARGE_BITS), limit=8.0)
-        # Self energy is configuration-independent: compute once.
-        self._e_self = self_energy(system.charges, self.sigma)
+        # Self energy is configuration-independent: compute once, for
+        # one lane.
+        self._e_self = self_energy(system.charges[: system.n_atoms // self.replicas], self.sigma)
         # Correction-pair indices/charge products/LJ coefficients are
         # topology-derived and never change: gather them once.
         self._corr_static = precompute_correction_static(
@@ -272,7 +279,7 @@ class ForceCalculator:
 
         def walk(wrapped, row_ptr, partners, lengths):
             self.walk_positions, self._walk_source = wrapped, positions
-            with self.timers.time(self._pair_phase_prefix + "range_limited"):
+            with self.timers.time(self._phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
                     oi, oj = self._pair_buffers(len(partners)) if keep_pairs else (None, None)
@@ -302,7 +309,7 @@ class ForceCalculator:
                     e_coul_pairs=e_coul[:m],
                 )
 
-        with self.timers.time(self._pair_phase_prefix + "pair_list"):
+        with self.timers.time(self._phase_prefix + "pair_list"):
             return self.neighbor_list.pairs(positions, walk)
 
     def _bonded(self, positions: np.ndarray):
@@ -310,7 +317,7 @@ class ForceCalculator:
             return all_bonded_forces(positions, self.system.box, self.system.topology)
 
     def _corrections(self, positions: np.ndarray):
-        with self.timers.time("correction"):
+        with self.timers.time(self._phase_prefix + "correction"):
             return correction_forces_static(
                 positions, self.system.box, self._corr_static, self.sigma
             )
@@ -328,7 +335,7 @@ class ForceCalculator:
     def _kspace(self, positions: np.ndarray, codec=None) -> tuple[float, np.ndarray]:
         """Mesh energy and forces, on the suite, into the kept plan:
         a float spread, or an integer one through ``codec``."""
-        with self.timers.time("kspace"):
+        with self.timers.time(self._phase_prefix + "kspace"):
             return self.gse.kspace(
                 positions, self.system.charges, codec=codec,
                 kernels=self.kernels, plan=self._mesh_plan, wrapped=self._walked(positions),
@@ -391,6 +398,46 @@ class ForceCalculator:
         return ForceReport(forces=forces, energies=energies, n_pairs=nb.n_pairs)
 
     # -- fixed-point path ---------------------------------------------------------
+    #
+    # Every energy is an integer lane sum of ENERGY_CODEC codes — the
+    # walk's row codes, and ``energy_codes`` of each other term array —
+    # decoded once per key: order-free, so a lane reports its solo bits
+    # by construction.  The k-space and self energies are per-lane floats.
+
+    def _lanes(self, values: np.ndarray) -> list:
+        """``(k, replicas)`` per-lane energies as this calculator reports
+        them, one entry per row: one lane, Python floats."""
+        return values[:, 0].tolist()
+
+    def _decode(self, codes: dict) -> dict:
+        """Energy codes per key, ``(replicas,)`` int64 each, decoded."""
+        values = ENERGY_CODEC.reconstruct(np.array(list(codes.values())))
+        return dict(zip(codes, self._lanes(values)))
+
+    def _pair_codes(self, nb: PairWalkResult) -> dict:
+        """The walk's LJ and Coulomb codes per lane: its lane blocks of rows."""
+        lj, coul = np.add.reduce(nb.e_rows.reshape(self.replicas, -1, 2), axis=1).T
+        return {"lj": lj, "coulomb_real": coul}
+
+    def _bonded_codes(self, bonded) -> dict:
+        """Each bonded kind's energy codes per lane."""
+        return {
+            key: energy_codes(contrib.energy_terms, self.replicas)
+            for key, contrib in zip(("bond", "angle", "dihedral"), bonded)
+        }
+
+    def _correction_codes(self, corr) -> dict:
+        """The exclusion + 1-4 Coulomb and the scaled 1-4 LJ codes per lane."""
+        R = self.replicas
+        return {
+            "correction": energy_codes(corr.e_exclusion, R) + energy_codes(corr.e_14_coul, R),
+            "lj14": energy_codes(corr.lj_scale14 * corr.e_14_lj, R),
+        }
+
+    def _long_energies(self, correction_codes: dict, e_k) -> dict:
+        """The long-range energies in report order."""
+        (e_self,) = self._lanes(np.full((1, self.replicas), self._e_self))
+        return {**self._decode(correction_codes), "coulomb_kspace": e_k, "coulomb_self": e_self}
 
     def compute_long_fixed(
         self, positions: np.ndarray, force_codec
@@ -400,21 +447,20 @@ class ForceCalculator:
         Raw (unwrapped) int64 sums — callers combine with short-range
         codes and wrap once.  No vsite redistribution here.
         """
+        time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
-        ccodes = force_codec.quantize_round_only(corr.force)
-        acc.deposit(corr.i, ccodes)
-        acc.deposit(corr.j, -ccodes)
-        e_k = 0.0
+        with time(p + "deposit"):
+            ccodes = force_codec.quantize_round_only(corr.force)
+            self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
         if self.gse is not None:
             e_k, f_k = self._kspace(positions, self.mesh_codec)
-            acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": self._e_self,
-        }
+            with time(p + "deposit"):
+                acc.deposit_dense(force_codec.quantize_round_only(f_k))
+        else:
+            (e_k,) = self._lanes(np.zeros((1, self.replicas)))
+        with time(p + "energies"):
+            energies = self._long_energies(self._correction_codes(corr), e_k)
         return acc.raw(), energies
 
     def compute_fixed(
@@ -426,36 +472,35 @@ class ForceCalculator:
         mesh interpolation) is quantized once with ``force_codec`` and
         integer-accumulated, so the total is independent of evaluation
         and summation order — the machine simulation distributes these
-        same contributions over nodes and obtains identical bits.
+        same contributions over nodes and obtains identical bits.  So is
+        every energy but the k-space and self terms: an integer lane sum
+        of :data:`~repro.forcefield.ENERGY_CODEC` codes, decoded once.
         """
+        time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("short", force_codec)
-        energies: dict[str, float] = {}
-
         nb = self._range_limited(positions, force_codec, acc)
-        energies["lj"] = nb.energy_lj
-        energies["coulomb_real"] = nb.energy_coul
-
         bonded = self._bonded(positions)
-        for contrib in bonded:
-            if contrib.n_terms:
-                c = force_codec.quantize_round_only(contrib.force)
-                acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
-        energies["bond"] = bonded[0].energy
-        energies["angle"] = bonded[1].energy
-        energies["dihedral"] = bonded[2].energy
+        with time(p + "deposit"):
+            for contrib in bonded:
+                if contrib.n_terms:
+                    c = force_codec.quantize_round_only(contrib.force)
+                    acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
+        with time(p + "energies"):
+            energies = self._decode({**self._pair_codes(nb), **self._bonded_codes(bonded)})
 
         if include_long_range:
             long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
-            acc.deposit_dense(long_codes)
+            with time(p + "deposit"):
+                acc.deposit_dense(long_codes)
             energies.update(long_energies)
 
-        total = acc.total()
-        total = self._spread_vsite_codes(total)
-        report = ForceReport(
-            forces=force_codec.reconstruct(total),
-            energies=energies,
-            n_pairs=nb.n_pairs,
-        )
+        with time(p + "collect"):
+            total = self._spread_vsite_codes(acc.total())
+            report = ForceReport(
+                forces=force_codec.reconstruct(total),
+                energies=energies,
+                n_pairs=nb.n_pairs,
+            )
         return total, report
 
     def _spread_vsite_codes(self, codes: np.ndarray) -> np.ndarray:

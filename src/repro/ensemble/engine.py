@@ -28,13 +28,12 @@ construction rather than by tolerance:
 * force accumulation is the same order-invariant fixed-point integer
   sum the solo path uses — replica blocks cannot interact because no
   pair, bonded term, or stencil point ever crosses a block boundary;
-* the range-limited energies are integer sums too: the pair walk
-  leaves per-row sums of energy codes, and a replica's total is the
-  sum of its block of rows — the solo sum, since integer sums commute;
-* the other float energy *reductions* are re-done per replica over
-  contiguous slices whose length and values match the solo arrays
-  exactly (NumPy's pairwise summation depends only on those), never
-  with axis/``reduceat`` reductions whose grouping differs;
+* every energy but the k-space and self terms is an integer sum too:
+  each term is quantized once to an energy code, and a replica's total
+  is the sum of its block of codes (the walk's block of rows, a reshape
+  of every other term array) — the solo sum, since integer sums
+  commute; the mesh pass returns each lane's k-space energy with its
+  solo bits, and a lane's self energy is the solo scalar;
 * the shared-skin neighbor list is bitwise harmless because the pair
   set is a pure function of the current configuration regardless of
   when the list was rebuilt.
@@ -59,9 +58,6 @@ from repro.core.integrator import FixedPointConfig, FixedPointIntegrator
 from repro.core.runloop import LaneEngine, run_loop
 from repro.core.system import ChemicalSystem
 from repro.core.thermostat import BerendsenThermostat
-from repro.ewald import self_energy
-from repro.ewald.correction import _segment_sums, correction_forces_static
-from repro.forcefield import PAIR_ENERGY_CODEC
 from repro.forcefield.exclusions import ExclusionTable, _pair_keys
 from repro.forcefield.topology import Topology
 from repro.geometry.neighborlist import EnsembleNeighborList
@@ -122,8 +118,8 @@ def tile_system(
     """Stack R copies of ``solo`` along the atom axis.
 
     Topology terms are merged replica-major (block r's bonds before
-    block r+1's), matching the layout every per-replica energy
-    segmentation in the force calculator assumes.  ``velocities``
+    block r+1's), so each per-term energy array is R equal lane blocks:
+    the force calculator's lane sums are a reshape of it.  ``velocities``
     optionally provides the stacked ``(R*N, 3)`` initial velocities
     (per-replica seeds); default tiles the solo velocities.
     """
@@ -153,14 +149,16 @@ def tile_system(
 class EnsembleForceCalculator(ForceCalculator):
     """Force calculator over a replica-stacked system.
 
-    Runs the same physics as :class:`ForceCalculator` on the tiled
-    system through one kernel pass per phase, but reports every energy
-    as an ``(R,)`` per-replica array whose entries are bitwise equal to
-    the solo scalars.  Phases are charged to ``ensemble_*`` timers so
-    the hierarchical profile attributes batched work separately.
+    The solo :class:`ForceCalculator` on the tiled system — one kernel
+    pass per phase — with the replicas as its lanes: the mesh pass runs
+    R lanes, and every energy comes back as an ``(R,)`` per-replica
+    array whose entries are bitwise equal to the solo scalars (integer
+    lane sums, and the per-lane k-space and self floats).  Phases are
+    charged to ``ensemble_*`` timers so the hierarchical profile
+    attributes batched work separately.
     """
 
-    _pair_phase_prefix = "ensemble_"
+    _phase_prefix = "ensemble_"
 
     def __init__(
         self,
@@ -172,9 +170,9 @@ class EnsembleForceCalculator(ForceCalculator):
     ):
         if system.n_atoms != replicas * n_solo:
             raise ValueError("tiled system size does not match replicas * n_solo")
-        super().__init__(system, params, kernels=kernels)
         self.replicas = int(replicas)
         self.n_solo = int(n_solo)
+        super().__init__(system, params, kernels=kernels)
         # Batched rebuild: per-replica cell binning in a single
         # filter/sort pass (cells are offset per replica so identical
         # replica configurations never cross-pair).
@@ -188,93 +186,30 @@ class EnsembleForceCalculator(ForceCalculator):
             timers=self.timers,
             kernels=self.kernels,
         )
-        # The tiled ``_e_self`` is the R-fold total; each replica's
-        # self energy is the solo scalar.
-        self._e_self_solo = self_energy(system.charges[:n_solo], self.sigma)
 
-    # -- long range ---------------------------------------------------------
+    def _lanes(self, values: np.ndarray) -> list:
+        """``(k, R)`` per-lane energies: one ``(R,)`` array per row."""
+        return list(values)
 
-    def _kspace_stack(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _kspace(self, positions: np.ndarray, codec=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-replica k-space energies and stacked mesh forces: the one
         mesh pass with replicas as its lanes, each bitwise its solo evaluation."""
-        return self.gse.mesh_pass(
-            positions, self.system.charges[: self.n_solo], lanes=self.replicas,
-            codec=self.mesh_codec, kernels=self.kernels, plan=self._mesh_plan,
-            timers=self.timers, wrapped=self._walked(positions),
-        )
-
-    def compute_long_fixed(self, positions: np.ndarray, force_codec):
-        """Long-range codes with per-replica ``(R,)`` energies."""
-        R = self.replicas
-        acc = self._accumulator("long", force_codec)
-        with self.timers.time("ensemble_correction"):
-            corr = correction_forces_static(
-                positions, self.system.box, self._corr_static, self.sigma,
-                replicas=R,
+        with self.timers.time(self._phase_prefix + "kspace"):
+            return self.gse.mesh_pass(
+                positions, self.system.charges[: self.n_solo], lanes=self.replicas,
+                codec=codec, kernels=self.kernels, plan=self._mesh_plan,
+                timers=self.timers, wrapped=self._walked(positions),
             )
-        with self.timers.time("ensemble_deposit"):
-            ccodes = force_codec.quantize_round_only(corr.force)
-            self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
-        e_k = np.zeros(R)
-        if self.gse is not None:
-            with self.timers.time("ensemble_kspace"):
-                e_k, f_k = self._kspace_stack(positions)
-            with self.timers.time("ensemble_deposit"):
-                acc.deposit_dense(force_codec.quantize_round_only(f_k))
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": np.full(R, self._e_self_solo),
-        }
-        return acc.raw(), energies
+
+    # Delegations only: benchmarks/perf/trace.py wraps these two by this
+    # class's __dict__, so they must stay defined here.
+    def compute_long_fixed(self, positions: np.ndarray, force_codec):
+        return super().compute_long_fixed(positions, force_codec)
 
     def compute_fixed(
         self, positions: np.ndarray, force_codec, include_long_range: bool = True
     ) -> tuple[np.ndarray, ForceReport]:
-        """Batched fixed-point forces with per-replica energy arrays.
-
-        Identical deposits to the solo path (order-invariant integer
-        sums over the same contributions), with each energy summed per
-        replica block: the walk's energy codes per block of rows, the
-        bonded terms re-summed per slice.  Energy keys are inserted in
-        the exact solo order so per-replica ``sum(energies.values())``
-        reproduces the solo left-to-right float additions.
-        """
-        acc = self._accumulator("short", force_codec)
-        energies: dict[str, np.ndarray] = {}
-
-        nb = self._range_limited(positions, force_codec, acc)
-        with self.timers.time("ensemble_energies"):
-            codes = nb.e_rows.reshape(self.replicas, self.n_solo, 2).sum(1)
-            energies["lj"], energies["coulomb_real"] = PAIR_ENERGY_CODEC.reconstruct(codes).T
-
-        bonded = self._bonded(positions)
-        with self.timers.time("ensemble_deposit"):
-            for contrib in bonded:
-                if contrib.n_terms:
-                    c = force_codec.quantize_round_only(contrib.force)
-                    acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
-        with self.timers.time("ensemble_energies"):
-            energies["bond"] = _segment_sums(bonded[0].energy_terms, self.replicas)
-            energies["angle"] = _segment_sums(bonded[1].energy_terms, self.replicas)
-            energies["dihedral"] = _segment_sums(bonded[2].energy_terms, self.replicas)
-
-        if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
-            with self.timers.time("ensemble_deposit"):
-                acc.deposit_dense(long_codes)
-            energies.update(long_energies)
-
-        with self.timers.time("ensemble_collect"):
-            total = acc.total()
-            total = self._spread_vsite_codes(total)
-            report = ForceReport(
-                forces=force_codec.reconstruct(total),
-                energies=energies,
-                n_pairs=nb.n_pairs,
-            )
-        return total, report
+        return super().compute_fixed(positions, force_codec, include_long_range)
 
 
 # -- constraints -----------------------------------------------------------
@@ -501,18 +436,18 @@ class EnsembleSimulation(LaneEngine):
         """Append one solo-identical energy record per replica."""
         integ = self.integrator
         v = integ.velocities
-        energies = integ.last_info.energies
+        # One elementwise sum over the (R,) energy arrays in the solo key
+        # order: lane r's float adds are the solo chain
+        # ``float(sum(energies.values()))``.
+        potential = sum(integ.last_info.energies.values())
         recs = []
         for r in range(self.replicas):
             vr = v[self.replica_slice(r)]
-            # Left-to-right float additions over the solo key order —
-            # the same chain ``float(sum(energies.values()))`` runs solo.
-            pe = float(sum(float(np.asarray(val)[r]) for val in energies.values()))
             rec = EnergyRecord(
                 step=integ.step_count,
                 time_fs=integ.step_count * self.dt,
                 kinetic=self.solo_system.kinetic_energy(vr),
-                potential=pe,
+                potential=float(potential[r]),
                 temperature=self.solo_system.temperature(vr),
             )
             self.energy_logs[r].append(rec)

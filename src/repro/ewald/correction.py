@@ -42,19 +42,37 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CorrectionResult:
-    """Correction energies and per-pair force contributions.
+    """Per-pair correction energies and force contributions.
 
     ``force`` acts on atom ``i`` of each pair (negate for ``j``), in
     the same contribution format as the range-limited kernels so the
-    fixed-point accumulators treat all sources identically.
+    fixed-point accumulators treat all sources identically.  The
+    energies are per pair too, and each path reduces them its own way:
+    the float path with the ``np.sum`` properties below, the fixed-point
+    path to integer lane sums (:func:`repro.forcefield.energy_codes`).
     """
 
-    energy_exclusion: float   # subtracted mesh double-count (1-2, 1-3)
-    energy_14_coul: float     # scaled 1-4 Coulomb minus its mesh part
-    energy_14_lj: float       # scaled 1-4 LJ
+    e_exclusion: np.ndarray   # per hard-excluded pair: minus its mesh part
+    e_14_coul: np.ndarray     # per 1-4 pair: scaled Coulomb minus its mesh part
+    e_14_lj: np.ndarray       # per 1-4 pair: LJ, before ``lj_scale14``
+    lj_scale14: float
     i: np.ndarray
     j: np.ndarray
     force: np.ndarray
+
+    @property
+    def energy_exclusion(self) -> float:
+        """Subtracted mesh double-count (1-2, 1-3 pairs)."""
+        return float(np.sum(self.e_exclusion))
+
+    @property
+    def energy_14_coul(self) -> float:
+        return float(np.sum(self.e_14_coul))
+
+    @property
+    def energy_14_lj(self) -> float:
+        """Scaled 1-4 LJ."""
+        return self.lj_scale14 * float(np.sum(self.e_14_lj))
 
     @property
     def energy(self) -> float:
@@ -123,75 +141,48 @@ def precompute_correction_static(
     )
 
 
-def _segment_sums(values: np.ndarray, replicas: int) -> np.ndarray:
-    """Per-replica ``float(np.sum(slice))`` over equal contiguous blocks.
-
-    Each block is summed with the same pairwise ``np.sum`` a solo run
-    applies to its own (identical-length, identical-value) array, so the
-    per-replica results are bitwise equal to R independent solo sums.
-    """
-    m = len(values) // replicas
-    return np.array(
-        [float(np.sum(values[r * m : (r + 1) * m])) for r in range(replicas)]
-    )
-
-
 def correction_forces_static(
     positions: np.ndarray,
     box: Box,
     static: CorrectionStatic,
     sigma: float,
-    replicas: int | None = None,
 ) -> CorrectionResult:
     """Evaluate all correction terms against precomputed static data.
 
-    With ``replicas=R`` the static pair lists are interpreted as R
-    replica-major blocks of equal length (the tiled-system layout) and
-    the three energies come back as ``(R,)`` arrays of per-replica
-    totals, each bitwise equal to the scalar a solo evaluation of that
-    replica returns.  Forces are unaffected (they are per-pair either
-    way).
+    Returns per-pair energies and forces; on a replica-stacked system
+    (the tiled layout) each lane's pairs form one contiguous block of
+    every array, so a lane's energies are a reshape away.
     """
     from repro.forcefield.nonbonded import lj_energy_prefactor
 
+    empty = np.empty(0)
     parts_i, parts_j, parts_f = [], [], []
 
     # -- hard exclusions: remove the mesh's erf part ---------------------
-    e_excl = 0.0 if replicas is None else np.zeros(replicas)
+    e_excl = empty
     if len(static.excl_i):
         i, j, qq = static.excl_i, static.excl_j, static.excl_qq
         dx = box.minimum_image(positions[i] - positions[j])
         r2 = np.sum(dx * dx, axis=1)
-        ev = qq * kspace_pair_energy_kernel(r2, sigma)
-        if replicas is None:
-            e_excl = -float(np.sum(ev))
-        else:
-            e_excl = -_segment_sums(ev, replicas)
+        e_excl = -(qq * kspace_pair_energy_kernel(r2, sigma))
         pref = -qq * kspace_pair_force_kernel(r2, sigma)
         parts_i.append(i)
         parts_j.append(j)
         parts_f.append(pref[:, None] * dx)
 
     # -- 1-4 pairs: scaled explicit interaction minus mesh part -----------
-    e14c = 0.0 if replicas is None else np.zeros(replicas)
-    e14lj = 0.0 if replicas is None else np.zeros(replicas)
+    e14c, e14lj = empty, empty
+    ls = static.lj_scale14
     if len(static.p14_i):
         i, j, qq = static.p14_i, static.p14_j, static.p14_qq
         dx = box.minimum_image(positions[i] - positions[j])
         r2 = np.sum(dx * dx, axis=1)
         cs = static.coul_scale14
-        ev14 = qq * (
+        e14c = qq * (
             cs * plain_coulomb_energy_kernel(r2) - kspace_pair_energy_kernel(r2, sigma)
         )
         pref_c = qq * (cs * plain_coulomb_force_kernel(r2) - kspace_pair_force_kernel(r2, sigma))
-        e_lj, pref_lj = lj_energy_prefactor(r2, static.p14_a, static.p14_b)
-        ls = static.lj_scale14
-        if replicas is None:
-            e14c = float(np.sum(ev14))
-            e14lj = ls * float(np.sum(e_lj))
-        else:
-            e14c = _segment_sums(ev14, replicas)
-            e14lj = ls * _segment_sums(e_lj, replicas)
+        e14lj, pref_lj = lj_energy_prefactor(r2, static.p14_a, static.p14_b)
         parts_i.append(i)
         parts_j.append(j)
         parts_f.append((pref_c + ls * pref_lj)[:, None] * dx)
@@ -205,11 +196,11 @@ def correction_forces_static(
         out_j = np.empty(0, dtype=np.int64)
         out_f = np.empty((0, 3))
     return CorrectionResult(
-        energy_exclusion=e_excl,
-        energy_14_coul=e14c,
-        energy_14_lj=e14lj,
+        e_exclusion=e_excl,
+        e_14_coul=e14c,
+        e_14_lj=e14lj,
+        lj_scale14=ls,
         i=out_i,
         j=out_j,
         force=out_f,
     )
-

@@ -69,7 +69,8 @@ class ScaledFixed:
         """
         x = np.asarray(q, dtype=np.float64) / self.limit * self.fmt.scale
         cap = 2.0**62
-        return round_nearest_even(np.clip(x, -cap, cap)).astype(np.int64)
+        # np.clip's bits through two ufuncs, without its Python wrappers.
+        return round_nearest_even(np.minimum(np.maximum(x, -cap), cap)).astype(np.int64)
 
     def wrap(self, codes: np.ndarray | int) -> np.ndarray:
         """Apply the format's two's-complement wrap to raw int64 codes."""

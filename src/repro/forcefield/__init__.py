@@ -12,10 +12,11 @@ from repro.forcefield.bonded import (
 )
 from repro.forcefield.exclusions import ExclusionTable, build_exclusions
 from repro.forcefield.nonbonded import (
-    PAIR_ENERGY_CODEC,
+    ENERGY_CODEC,
     NonbondedResult,
     PairWalkResult,
     build_kernel_tables,
+    energy_codes,
     lj_energy_prefactor,
     nonbonded_real_space,
     nonbonded_real_space_tabulated,
@@ -41,7 +42,8 @@ __all__ = [
     "scatter_forces",
     "ExclusionTable",
     "build_exclusions",
-    "PAIR_ENERGY_CODEC",
+    "ENERGY_CODEC",
+    "energy_codes",
     "NonbondedResult",
     "PairWalkResult",
     "build_kernel_tables",

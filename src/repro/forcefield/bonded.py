@@ -34,9 +34,10 @@ class BondedContributions:
 
     ``idx`` has shape (m, k) — the k atoms of each of m terms; ``force``
     has shape (m, k, 3) and rows sum to ~0 (Newton's third law).
-    ``energy_terms`` holds the per-term energies whose (pairwise) sum is
-    ``energy``; segment consumers (the batched ensemble engine) re-sum
-    contiguous slices of it with the same ``np.sum`` reduction.
+    ``energy_terms`` holds the per-term energies: their ``np.sum`` is
+    ``energy``, the float path's total, and the fixed-point path reduces
+    them to integer lane sums instead
+    (:func:`repro.forcefield.energy_codes`).
     """
 
     energy: float

@@ -13,7 +13,9 @@ Two evaluations of the same plain-cutoff physics:
 Both return per-pair force contributions so callers can accumulate in
 floating point or in order-invariant fixed point.  The kernel suite's
 fixed-point walk keeps no per-pair array: its energies come back as
-per-row sums of :data:`PAIR_ENERGY_CODEC` codes (:class:`PairWalkResult`).
+per-row sums of :data:`ENERGY_CODEC` codes (:class:`PairWalkResult`).
+Every other fixed-path energy term is reduced to the same codes by
+:func:`energy_codes`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from repro.geometry import NeighborPairs
 from repro.util import COULOMB
 
 __all__ = [
-    "PAIR_ENERGY_CODEC",
+    "ENERGY_CODEC",
+    "energy_codes",
     "NonbondedResult",
     "PairWalkResult",
     "lj_energy_prefactor",
@@ -44,16 +47,29 @@ __all__ = [
 ]
 
 
-#: The codec of the fixed-point walk's pair energies (kcal/mol): a
-#: quantum of ``2**-32`` (62 bits over ``[-2**29, 2**29)``), both powers of
-#: two.  Each pair's code is clipped at ``2**62`` quanta (``2**30``
-#: kcal/mol) and the codes are wrap-added in int64, so a sum is exact
-#: whenever the true total lies within ``2**31`` kcal/mol, whatever the
-#: order (DESIGN.md, order-free energy lemma, argues both bounds).
-PAIR_ENERGY_CODEC = ScaledFixed(FixedFormat(62), limit=2.0**29)
+#: The codec of every fixed-path energy term (kcal/mol): a quantum of
+#: ``2**-32`` (62 bits over ``[-2**29, 2**29)``), both powers of two.
+#: Each term's code is clipped at ``2**62`` quanta (``2**30`` kcal/mol)
+#: and the codes are wrap-added in int64, so a sum is exact whenever the
+#: true total lies within ``2**31`` kcal/mol, whatever the order
+#: (DESIGN.md, order-free energy lemma, argues both bounds).
+ENERGY_CODEC = ScaledFixed(FixedFormat(62), limit=2.0**29)
 # The compiled walk quantizes with the one multiply by ``RK_ENERGY_MUL``
 # (kernels/_kernels.c), exact only for this power-of-two pair.
-assert PAIR_ENERGY_CODEC.fmt.scale / PAIR_ENERGY_CODEC.limit == 2.0**32
+assert ENERGY_CODEC.fmt.scale / ENERGY_CODEC.limit == 2.0**32
+
+
+def energy_codes(terms: np.ndarray, lanes: int = 1) -> np.ndarray:
+    """Per-lane int64 sums of the :data:`ENERGY_CODEC` codes of ``terms``.
+
+    ``terms`` stacks ``lanes`` equal blocks of per-term energies, lane
+    ``r`` owning block ``r``; each term is quantized once and the codes
+    wrap-add along the term axis.  Integer sums commute, so a lane's
+    code is the same integer however its terms are ordered or split —
+    its solo run's, bit for bit.  Decode with ``ENERGY_CODEC.reconstruct``.
+    """
+    codes = ENERGY_CODEC.quantize_round_only(terms)
+    return np.add.reduce(codes.reshape(lanes, len(codes) // lanes), axis=1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +110,7 @@ class PairWalkResult:
     """What one fixed-point pair walk leaves: energies as row codes.
 
     ``e_rows`` is ``(n_atoms, 2)`` int64: row ``i``'s wrapping sums of
-    the :data:`PAIR_ENERGY_CODEC` codes of its surviving pairs' LJ and
+    the :data:`ENERGY_CODEC` codes of its surviving pairs' LJ and
     Coulomb energies; ``counts[i]`` is its survivor count.  ``energies``
     is the decoded (LJ, Coulomb) total, the int64 sum of every row
     decoded once.  Integer sums commute, so the total is a pure function
@@ -115,7 +131,7 @@ class PairWalkResult:
     energies: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", PAIR_ENERGY_CODEC.reconstruct(self.e_rows.sum(0)))
+        object.__setattr__(self, "energies", ENERGY_CODEC.reconstruct(self.e_rows.sum(0)))
 
     @property
     def i(self) -> np.ndarray:

@@ -769,12 +769,12 @@ RK_ONE_COPY void rk_quantize(int64_t nb, const double *restrict pf,
     }
 }
 
-/* The energy codec's scale / limit: PAIR_ENERGY_CODEC (forcefield/
+/* The energy codec's scale / limit: ENERGY_CODEC (forcefield/
  * nonbonded.py) is a power-of-two pair, so by rk_quantize's one-multiply
  * lemma its e / limit * scale is the single exact e * 2^32. */
 #define RK_ENERGY_MUL 4294967296.0 /* 2.0**32 */
 
-/* PAIR_ENERGY_CODEC.quantize_round_only of a block's nb pair energies e
+/* ENERGY_CODEC.quantize_round_only of a block's nb pair energies e
  * (e * 2^32, clipped to +-2^62, round-nearest-even), returned as the
  * wrapping uint64 sum of the codes. */
 RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)

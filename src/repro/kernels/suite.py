@@ -470,14 +470,14 @@ class NumpyKernels:
         :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
         :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``.
         Each surviving pair's two energies are quantized by
-        :data:`~repro.forcefield.PAIR_ENERGY_CODEC` and wrap-added into
+        :data:`~repro.forcefield.ENERGY_CODEC` and wrap-added into
         its row ``i`` of the ``(n_atoms, 2)`` int64 ``e_rows`` (LJ,
         Coulomb); ``counts[i]`` is row ``i``'s survivor count.  Both are
         overwritten, every row.  Only when given are the surviving pairs
         written to ``oi[:m], oj[:m]`` (sized to the candidate count
         ``len(partners)``).  Returns ``m``.
         """
-        from repro.forcefield import PAIR_ENERGY_CODEC
+        from repro.forcefield import ENERGY_CODEC
 
         nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         m = nb.n_pairs
@@ -485,7 +485,7 @@ class NumpyKernels:
         e_rows[...] = 0
         with np.errstate(over="ignore"):
             for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-                np.add.at(e_rows[:, col], nb.i, PAIR_ENERGY_CODEC.quantize_round_only(e))
+                np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
         for out, atoms in ((oi, nb.i), (oj, nb.j)):
             if out is not None:
                 out[:m] = atoms

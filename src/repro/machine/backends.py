@@ -17,9 +17,9 @@ against, and live with them: ``tests/serial_backend.py``, passed as
 ``AntonMachine(backend=SerialBackend())``.
 
 Both produce bitwise-identical ``state_codes()`` trajectories and
-identical reported energies: every force contribution is quantized
-once and integer-accumulated, so *where* and *in what order*
-contributions are summed is invisible — the paper's
+identical reported energies: every force contribution and every
+energy term is quantized once and integer-accumulated, so *where* and
+*in what order* contributions are summed is invisible — the paper's
 parallel-invariance argument (Section 4) applied to the simulator's
 own execution strategy.
 
@@ -79,10 +79,14 @@ class MachineBackend:
         """
         raise NotImplementedError
 
-    def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
+    def deposit_bonded(self, calc, acc, bonded, force_codec) -> dict:
+        """Deposit the bonded terms' force codes; return their energy
+        codes per kind (``calc._bonded_codes``'s keys and integers)."""
         raise NotImplementedError
 
-    def deposit_corrections(self, calc, acc, corr, ccodes) -> None:
+    def deposit_corrections(self, calc, acc, corr, ccodes) -> dict:
+        """Deposit the correction pairs' force codes; return their energy
+        codes (``calc._correction_codes``'s keys and integers)."""
         raise NotImplementedError
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
@@ -156,14 +160,16 @@ class VectorizedBackend(MachineBackend):
             marks = self._nt_marks(calc.machine, positions, calc.walk_positions, nb.i, nb.j)
         return nb, marks
 
-    def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
+    def deposit_bonded(self, calc, acc, bonded, force_codec) -> dict:
         for contrib in bonded:
             if contrib.n_terms:
                 c = force_codec.quantize_round_only(contrib.force)
                 acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
+        return calc._bonded_codes(bonded)
 
-    def deposit_corrections(self, calc, acc, corr, ccodes) -> None:
+    def deposit_corrections(self, calc, acc, corr, ccodes) -> dict:
         self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
+        return calc._correction_codes(corr)
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
         t = calc.timers

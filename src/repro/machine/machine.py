@@ -84,35 +84,30 @@ class MachineForceCalculator(ForceCalculator):
     def compute_fixed(self, positions, force_codec, include_long_range: bool = True):
         m = self.machine
         acc = self._accumulator("short", force_codec)
-        energies: dict[str, float] = {}
 
         # Range-limited pairs: computed on their NT nodes.
         nb, export = self.backend.range_limited(self, positions, force_codec, acc)
         m.account_force_export(export)
-        energies["lj"] = nb.energy_lj
-        energies["coulomb_real"] = nb.energy_coul
 
         # Bond terms on their statically assigned geometry cores.
         bonded = self._bonded(positions)
         with self.timers.time("machine_deposit"):
-            self.backend.deposit_bonded(self, acc, bonded, force_codec)
-        energies["bond"] = bonded[0].energy
-        energies["angle"] = bonded[1].energy
-        energies["dihedral"] = bonded[2].energy
+            bonded_codes = self.backend.deposit_bonded(self, acc, bonded, force_codec)
 
+        long_energies = {}
         if include_long_range:
             long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
             acc.deposit_dense(long_codes)
-            energies.update(long_energies)
 
         # Final assembly (accumulator readout, virtual-site spreading,
-        # float reconstruction) is charged to its own leaf phase so the
-        # profiler's attribution stays tight.
+        # float reconstruction, energy decode) is charged to its own
+        # leaf phase so the profiler's attribution stays tight.
         with self.timers.time("machine_collect"):
             total = self._spread_vsite_codes(acc.total())
+            energies = self._decode({**self._pair_codes(nb), **bonded_codes})
             report = ForceReport(
                 forces=force_codec.reconstruct(total),
-                energies=energies,
+                energies={**energies, **long_energies},
                 n_pairs=nb.n_pairs,
             )
         return total, report
@@ -122,23 +117,15 @@ class MachineForceCalculator(ForceCalculator):
 
         # Correction pairs on their owners' correction pipelines.
         corr = self._corrections(positions)
-        if corr.n_pairs:
-            ccodes = force_codec.quantize_round_only(corr.force)
-            with self.timers.time("machine_deposit"):
-                self.backend.deposit_corrections(self, acc, corr, ccodes)
+        ccodes = force_codec.quantize_round_only(corr.force)
+        with self.timers.time("machine_deposit"):
+            corr_codes = self.backend.deposit_corrections(self, acc, corr, ccodes)
 
         e_k = 0.0
         if self.gse is not None:
             with self.timers.time("machine_mesh"):
                 e_k = self.backend.mesh_long_range(self, positions, acc, force_codec)
-
-        energies = {
-            "correction": corr.energy_exclusion + corr.energy_14_coul,
-            "lj14": corr.energy_14_lj,
-            "coulomb_kspace": e_k,
-            "coulomb_self": self._e_self,
-        }
-        return acc.raw(), energies
+        return acc.raw(), self._long_energies(corr_codes, e_k)
 
 
 class AntonMachine(LaneEngine):

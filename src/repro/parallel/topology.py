@@ -9,6 +9,7 @@ conditions."  Node counts are powers of two from 1 to 32768.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,11 +68,18 @@ class TorusTopology:
             raise IndexError(f"node {node} out of range")
         return (node // (dy * dz), (node // dz) % dy, node % dz)
 
-    def coords_of(self, nodes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`coord`: (x, y, z) rows for an id array."""
-        nodes = np.asarray(nodes, dtype=np.int64)
+    @cached_property
+    def coord_table(self) -> np.ndarray:
+        """``(n_nodes, 3)`` int64: row ``k`` is :meth:`coord` of node ``k``.
+        Built once per topology (the traffic accounting looks coordinates
+        up several times a step)."""
+        nodes = np.arange(self.n_nodes, dtype=np.int64)
         dy, dz = self.dims[1], self.dims[2]
         return np.stack((nodes // (dy * dz), (nodes // dz) % dy, nodes % dz), axis=-1)
+
+    def coords_of(self, nodes: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`coord`: (x, y, z) rows for an id array."""
+        return self.coord_table[np.asarray(nodes, dtype=np.int64)]
 
     def hop_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`hop_distance` over two node-id arrays."""

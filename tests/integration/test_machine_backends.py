@@ -12,10 +12,10 @@ traffic statistics, and a checkpoint that restores across backends.
 import numpy as np
 import pytest
 
-from repro.core import MDParams, minimize_energy
+from repro.core import ForceCalculator, MDParams, minimize_energy
 from repro.kernels import available
 from repro.machine import AntonMachine
-from repro.systems import build_water_box
+from repro.systems import build_solvated_protein, build_water_box
 from tests.serial_backend import machine_backend
 
 PARAMS = MDParams(
@@ -90,6 +90,54 @@ class TestBackendEquivalence:
         X_res, V_res = resumed.state_codes()
         np.testing.assert_array_equal(X_ref, X_res)
         np.testing.assert_array_equal(V_ref, V_res)
+
+
+class TestEnergyOracle:
+    """Every reported energy of a machine step is the serial oracle's and
+    the solo calculator's, bit for bit: each energy term is quantized
+    once, summed node by node in the oracle (pairs on their NT nodes,
+    bonded terms on their assigned cores, corrections on their owners)
+    and as whole lanes in the machine and in the solo calculator."""
+
+    PEPTIDE_PARAMS = MDParams(cutoff=5.2, mesh=(16, 16, 16), long_range_every=2)
+
+    @pytest.fixture(scope="class")
+    def peptide(self):
+        system = build_solvated_protein(n_residues=3, side=11.0, seed=3)
+        minimize_energy(system, MDParams(cutoff=5.2, mesh=(16, 16, 16)), max_steps=20)
+        system.initialize_velocities(300.0, seed=12)
+        top = system.topology
+        top.compile()
+        counts = (
+            len(top.bond_idx), len(top.angle_idx), len(top.dihedral_idx),
+            system.exclusions.n_excluded, system.exclusions.n_pair14,
+        )
+        assert all(counts), counts
+        return system
+
+    @pytest.mark.parametrize("n_nodes", [1, 8])
+    def test_every_energy_key_matches_the_oracle_and_solo(self, peptide, n_nodes):
+        params = self.PEPTIDE_PARAMS
+        reports = {}
+        for backend in ("serial", "vectorized"):
+            machine = AntonMachine(
+                peptide.copy(), params, n_nodes=n_nodes, dt=1.0,
+                backend=machine_backend(backend),
+            )
+            try:
+                machine.step(4)  # ends on a long-range evaluation (k = 2)
+                integ = machine.integrator
+                reports[backend] = (integ.last_info, integ.positions.copy(), integ.force_codec)
+            finally:
+                machine.close()
+        report, positions, codec = reports["vectorized"]
+        _, solo = ForceCalculator(peptide.copy(), params).compute_fixed(positions, codec)
+        assert list(report.energies) == list(solo.energies)
+        assert "lj14" in solo.energies and solo.energies["bond"] != 0.0
+        for key, value in solo.energies.items():
+            assert isinstance(report.energies[key], float), key
+            assert reports["serial"][0].energies[key].hex() == value.hex(), key
+            assert report.energies[key].hex() == value.hex(), key
 
 
 #: The three ways a machine step's pairs reach the accumulator and the

@@ -1,7 +1,7 @@
 """Property tests: the pair walk's energies are order-free integer sums.
 
 The walk quantizes each surviving pair's LJ and Coulomb energy with
-:data:`~repro.forcefield.PAIR_ENERGY_CODEC` and wrap-adds the codes into
+:data:`~repro.forcefield.ENERGY_CODEC` and wrap-adds the codes into
 per-row int64 sums (``e_rows``); a total is a sum of rows, decoded once
 (DESIGN.md, order-free energy lemma).  Integer sums commute, so the
 energy bits cannot depend on the order of partners within a row, on
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core import ForceCalculator, MDParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
-from repro.forcefield import PAIR_ENERGY_CODEC, LJTable, PairWalkResult
+from repro.forcefield import ENERGY_CODEC, LJTable, PairWalkResult
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import candidates, in_rows, oracle_pairs
@@ -34,7 +34,7 @@ pytestmark = pytest.mark.skipif(
 CUTOFF = 4.0
 #: ``RK_WALK_BLOCK`` in ``_kernels.c``: candidates per block of a row.
 WALK_BLOCK = 256
-QUANTUM = PAIR_ENERGY_CODEC.resolution
+QUANTUM = ENERGY_CODEC.resolution
 FORCE_CODEC = ScaledFixed(FixedFormat(40), 8192.0)
 
 
@@ -156,7 +156,7 @@ def test_lane_energies_of_eight_lanes_are_each_the_one_lane_walk(suites, calc, s
     solo_spec = _spec(calc)
     for suite in suites:
         stacked, _ = _walk(suite, _spec(calc, lanes), wrapped, row_ptr, partners, lengths)
-        per_lane = PAIR_ENERGY_CODEC.reconstruct(stacked.e_rows.reshape(lanes, n, 2).sum(1))
+        per_lane = ENERGY_CODEC.reconstruct(stacked.e_rows.reshape(lanes, n, 2).sum(1))
         for r in range(lanes):
             x = wrapped[r * n : (r + 1) * n]
             li, lj = ii[ii // n == r] - r * n, jj[ii // n == r] - r * n
@@ -211,8 +211,8 @@ def test_clipped_codes_and_wrapping_row_sums_agree_across_tiers(suites, calc):
     want = np.zeros((len(wrapped), 2), dtype=np.int64)
     with np.errstate(over="ignore"):
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-            np.add.at(want[:, col], nb.i, PAIR_ENERGY_CODEC.quantize_round_only(e))
-    clipped = PAIR_ENERGY_CODEC.quantize_round_only(nb.e_lj_pairs) == 2**62
+            np.add.at(want[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
+    clipped = ENERGY_CODEC.quantize_round_only(nb.e_lj_pairs) == 2**62
     assert np.count_nonzero(clipped) == 3
     assert np.count_nonzero(clipped & (nb.i == o[0])) == 2
     assert want[o[0], 0] < 0  # the row's sum wrapped

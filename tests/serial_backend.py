@@ -10,11 +10,9 @@ differential tests compare the shipped backend against, and runs as
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
-from repro.forcefield import PAIR_ENERGY_CODEC
+from repro.forcefield import ENERGY_CODEC, PairWalkResult
 from repro.machine.backends import MachineBackend
 from repro.parallel import nt_assign_pairs, tower_plate_boxes
 
@@ -77,14 +75,28 @@ class SerialBackend(MachineBackend):
                 acc.deposit(j[sel], -codes[sel])
 
     @staticmethod
-    def _energy_by_node(node, n_nodes, energies) -> float:
-        """Each pair's energy code summed on its node, the node sums in
-        node order, decoded once: the walk's row sums, regrouped."""
-        codes = PAIR_ENERGY_CODEC.quantize_round_only(energies)
+    def _codes_by_node(node, n_nodes, terms) -> np.ndarray:
+        """Each term's energy code summed on its node, the node sums
+        added in node order: the ``(1,)`` lane sum, regrouped."""
+        codes = ENERGY_CODEC.quantize_round_only(terms)
         total = np.zeros(1, dtype=np.int64)
-        for n in range(n_nodes):
-            total += np.sum(codes[node == n])
-        return float(PAIR_ENERGY_CODEC.reconstruct(total)[0])
+        with np.errstate(over="ignore"):
+            for n in range(n_nodes):
+                total += np.sum(codes[node == n])
+        return total
+
+    @staticmethod
+    def _rows_by_node(node, n_nodes, nb, n_atoms) -> np.ndarray:
+        """Each pair's (LJ, Coulomb) energy codes added into its row
+        ``i``, node by node: the walk's ``e_rows``, regrouped."""
+        codes = [ENERGY_CODEC.quantize_round_only(e) for e in (nb.e_lj_pairs, nb.e_coul_pairs)]
+        rows = np.zeros((n_atoms, 2), dtype=np.int64)
+        with np.errstate(over="ignore"):
+            for n in range(n_nodes):
+                sel = node == n
+                for col in (0, 1):
+                    np.add.at(rows[:, col], nb.i[sel], codes[col][sel])
+        return rows
 
     def range_limited(self, calc, positions, force_codec, acc):
         m = calc.machine
@@ -94,29 +106,44 @@ class SerialBackend(MachineBackend):
             assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
         with calc.timers.time("machine_deposit"):
             self._deposit_by_node(calc, acc, assign.node, nb.i, nb.j, codes)
-        n_nodes = m.topology.n_nodes
-        nb = replace(
-            nb,
-            energy_lj=self._energy_by_node(assign.node, n_nodes, nb.e_lj_pairs),
-            energy_coul=self._energy_by_node(assign.node, n_nodes, nb.e_coul_pairs),
+        n_atoms = len(positions)
+        walk = PairWalkResult(
+            e_rows=self._rows_by_node(assign.node, m.topology.n_nodes, nb, n_atoms),
+            counts=np.bincount(nb.i, minlength=n_atoms),
+            n_pairs=nb.n_pairs,
+            pair_i=nb.i,
+            j=nb.j,
         )
-        return nb, (assign.node, nb.i, nb.j)
+        return walk, (assign.node, nb.i, nb.j)
 
-    def deposit_bonded(self, calc, acc, bonded, force_codec) -> None:
+    def deposit_bonded(self, calc, acc, bonded, force_codec) -> dict:
         term_nodes = calc.machine.bond_assignment.term_node
+        n_nodes = calc.machine.topology.n_nodes
+        energy_codes = {}
         offset = 0
-        for contrib in bonded:
+        for key, contrib in zip(("bond", "angle", "dihedral"), bonded):
+            t_nodes = term_nodes[offset : offset + contrib.n_terms]
             if contrib.n_terms:
-                t_nodes = term_nodes[offset : offset + contrib.n_terms]
                 c = force_codec.quantize_round_only(contrib.force)
                 for n in np.unique(t_nodes):
                     sel = t_nodes == n
                     acc.deposit(contrib.idx[sel].ravel(), c[sel].reshape(-1, 3))
+            energy_codes[key] = self._codes_by_node(t_nodes, n_nodes, contrib.energy_terms)
             offset += contrib.n_terms
+        return energy_codes
 
-    def deposit_corrections(self, calc, acc, corr, ccodes) -> None:
+    def deposit_corrections(self, calc, acc, corr, ccodes) -> dict:
         corr_nodes = calc.machine.owners[corr.i]
         self._deposit_by_node(calc, acc, corr_nodes, corr.i, corr.j, ccodes)
+        # The exclusions come first in the pair arrays, then the 1-4 pairs.
+        n_nodes = calc.machine.topology.n_nodes
+        n_excl = len(corr.e_exclusion)
+        excl_nodes, p14_nodes = corr_nodes[:n_excl], corr_nodes[n_excl:]
+        return {
+            "correction": self._codes_by_node(excl_nodes, n_nodes, corr.e_exclusion)
+            + self._codes_by_node(p14_nodes, n_nodes, corr.e_14_coul),
+            "lj14": self._codes_by_node(p14_nodes, n_nodes, corr.lj_scale14 * corr.e_14_lj),
+        }
 
     def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
         s, m, gse = calc.system, calc.machine, calc.gse

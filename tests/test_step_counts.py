@@ -4,7 +4,8 @@ noise cannot move them.
 A force evaluation wraps its coordinates once, for the pair list, and
 its mesh plan reads that wrap; a machine step looks its home boxes up
 once, in the force evaluation's NT marks, and the step's migration and
-the next step's position import reuse them; a 48-atom solo step makes a
+the next step's position import reuse them; its traffic accounting
+builds the node coordinate table once per topology; a 48-atom solo step makes a
 bounded number of Python calls.  The bounds
 are the counts of the code as committed — each was higher before the
 passes it counts were merged — so a change that adds glue to a step
@@ -13,6 +14,7 @@ fails here, whatever the host's speed.
 
 import gc
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -22,13 +24,13 @@ from repro.ewald import GSEParams
 from repro.geometry import Box
 from repro.kernels import available
 from repro.machine import AntonMachine
-from repro.parallel import SpatialDecomposition
+from repro.parallel import SpatialDecomposition, TorusTopology
 from repro.systems import build_water_box
 
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 411
+SOLO_CALLS_PER_STEP = 405
 
 
 class _Counter:
@@ -91,6 +93,29 @@ def test_home_boxes_once_per_machine_step(machine, monkeypatch):
     assert coords.n == 0
     assert lookups.n == 8
     assert len(machine.migration.events) == migrations + 2  # every 4 steps, as before
+
+
+def test_node_coordinates_built_once_per_topology(machine, monkeypatch):
+    """The traffic accounting's hop counts index one ``(n_nodes, 3)``
+    coordinate table per topology (was an ``np.stack`` per lookup,
+    about twelve a ``machine64`` step): with the cache dropped, 8 steps
+    build it once and look coordinates up many times."""
+    builds = 0
+    build = TorusTopology.coord_table.func
+
+    def counted(topology):
+        nonlocal builds
+        builds += 1
+        return build(topology)
+
+    monkeypatch.setattr(TorusTopology, "coord_table", cached_property(counted))
+    TorusTopology.coord_table.__set_name__(TorusTopology, "coord_table")
+    machine.topology.__dict__.pop("coord_table", None)
+    lookups = _Counter(monkeypatch, TorusTopology, "coords_of")
+    machine.step(8)
+    assert machine.network.topology is machine.topology
+    assert lookups.n >= 8 * 2
+    assert builds == 1
 
 
 @pytest.mark.skipif(not available(), reason="no C compiler: compiled kernel tier unavailable")
