@@ -20,7 +20,7 @@ Every other fixed-path energy term is reduced to the same codes by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,12 +111,12 @@ class PairWalkResult:
 
     ``e_rows`` is ``(n_atoms, 2)`` int64: row ``i``'s wrapping sums of
     the :data:`ENERGY_CODEC` codes of its surviving pairs' LJ and
-    Coulomb energies; ``counts[i]`` is its survivor count.  ``energies``
-    is the decoded (LJ, Coulomb) total, the int64 sum of every row
-    decoded once.  Integer sums commute, so the total is a pure function
-    of the pair set — the same bits for any pair order, row split or
-    block — and a block of rows (an ensemble lane) decodes to its solo
-    energies bit for bit.  ``pair_i`` / ``j`` are the surviving pairs,
+    Coulomb energies; ``counts[i]`` is its survivor count.  Integer sums
+    commute, so any block of rows (a lane, the whole system) sums to a
+    pure function of its pair set — the same integer for any pair order,
+    row split or block, a lane's being its solo run's; the calculator
+    decodes each lane's sum once (``ForceCalculator._pair_codes``).
+    ``pair_i`` / ``j`` are the surviving pairs,
     present only when the walk was asked for them (the machine's NT
     marks); ``i`` is ``pair_i``, or recovered from the counts.  The arrays
     are views of the calculator's reused scratch, valid until its next
@@ -128,10 +128,6 @@ class PairWalkResult:
     n_pairs: int
     pair_i: np.ndarray | None = None
     j: np.ndarray | None = None
-    energies: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "energies", ENERGY_CODEC.reconstruct(self.e_rows.sum(0)))
 
     @property
     def i(self) -> np.ndarray:
@@ -139,14 +135,6 @@ class PairWalkResult:
         if self.pair_i is not None:
             return self.pair_i
         return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
-
-    @property
-    def energy_lj(self) -> float:
-        return float(self.energies[0])
-
-    @property
-    def energy_coul(self) -> float:
-        return float(self.energies[1])
 
 
 def lj_energy_prefactor(r2: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -30,7 +30,7 @@ from repro.systems import build_water_box
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 405
+SOLO_CALLS_PER_STEP = 401
 
 
 class _Counter:
