@@ -91,7 +91,11 @@ class ChemicalSystem:
 
     def temperature(self, velocities: np.ndarray | None = None) -> float:
         """Instantaneous temperature in K."""
-        return 2.0 * self.kinetic_energy(velocities) / (self.n_dof * BOLTZMANN)
+        return self.temperature_of(self.kinetic_energy(velocities))
+
+    def temperature_of(self, kinetic: float) -> float:
+        """The temperature in K of a kinetic energy in kcal/mol."""
+        return 2.0 * kinetic / (self.n_dof * BOLTZMANN)
 
     # -- virtual sites --------------------------------------------------------
 

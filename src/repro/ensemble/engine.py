@@ -440,15 +440,16 @@ class EnsembleSimulation(LaneEngine):
         # order: lane r's float adds are the solo chain
         # ``float(sum(energies.values()))``.
         potential = sum(integ.last_info.energies.values())
+        solo = self.solo_system
         recs = []
         for r in range(self.replicas):
-            vr = v[self.replica_slice(r)]
+            kinetic = solo.kinetic_energy(v[self.replica_slice(r)])
             rec = EnergyRecord(
                 step=integ.step_count,
                 time_fs=integ.step_count * self.dt,
-                kinetic=self.solo_system.kinetic_energy(vr),
+                kinetic=kinetic,
                 potential=float(potential[r]),
-                temperature=self.solo_system.temperature(vr),
+                temperature=solo.temperature_of(kinetic),
             )
             self.energy_logs[r].append(rec)
             recs.append(rec)

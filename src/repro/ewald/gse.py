@@ -28,12 +28,14 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.ewald.kernels import choose_sigma
 from repro.geometry import Box
 from repro.kernels import NUMPY_SUITE
+from repro.kernels.fft import bit_reverse_permutation, stage_table
 from repro.util import COULOMB
 
 __all__ = ["GSEParams", "GaussianSplitEwald", "MeshStencilPlan"]
@@ -146,7 +148,7 @@ class MeshStencilPlan:
 
     __slots__ = (
         "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
-        "_rows", "_lanes", "_acc", "__weakref__",
+        "_rows", "_lanes", "_acc", "_kept", "__weakref__",
     )
 
     def __init__(self, gse: "GaussianSplitEwald", n: int):
@@ -168,6 +170,7 @@ class MeshStencilPlan:
                 np.arange(2 * c + 1),
             ))
         self._lanes = self._acc = None
+        self._kept = {}
 
     # -- construction ------------------------------------------------------
 
@@ -236,7 +239,7 @@ class MeshStencilPlan:
         v.axis_d = [a[lo:hi] for a in self.axis_d]
         v.axis_i = [a[lo:hi] for a in self.axis_i]
         v._rows = self._rows
-        v._lanes = v._acc = None
+        v._lanes = v._acc = v._kept = None
         return v
 
     def _lane_views(self, lanes: int) -> list["MeshStencilPlan"]:
@@ -249,27 +252,58 @@ class MeshStencilPlan:
             self._lanes = [self.rows_view(r * n, (r + 1) * n) for r in range(lanes)]
         return self._lanes
 
-    def _accumulator(self, lanes: int) -> np.ndarray:
-        """The kept ``(lanes, mesh points)`` int64 mesh accumulator, zeroed."""
-        shape = (lanes, self.gse.mesh_point_count())
-        if self._acc is None or self._acc.shape != shape:
-            self._acc = np.zeros(shape, dtype=np.int64)
-        else:
-            self._acc[...] = 0
-        return self._acc
+    def _accumulator(self, lanes: int) -> list[np.ndarray]:
+        """The lane rows of the kept ``(lanes, mesh points)`` int64 mesh
+        accumulator ``_acc``, zeroed."""
+        _, self._acc, rows = self._mesh_buffer("acc", lanes, np.int64)
+        self._acc[...] = 0
+        return rows
+
+    def _mesh_buffer(self, name: str, lanes: int, dtype=np.float64) -> tuple:
+        """Kept ``(lanes, mesh points)`` buffer ``name`` as ``(lanes, mx, my,
+        mz)``, as ``(lanes, points)`` and as its lane rows.
+
+        The same objects every pass, like the plan's other storage, so
+        the C kernels read each pointer once (``kernels.suite._ptr``).
+        """
+        hit = self._kept.get(name)
+        if hit is None or len(hit[2]) != lanes:
+            flat = np.zeros((lanes, self.gse.mesh_point_count()), dtype=dtype)
+            shape = (lanes, *(int(m) for m in self.gse.mesh))
+            hit = self._kept[name] = (flat.reshape(shape), flat, list(flat))
+        return hit
+
+    def _force_rows(self, lanes: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The kept ``(n, 3)`` mesh-force buffer and its lane rows."""
+        hit = self._kept.get("forces")
+        if hit is None or len(hit[1]) != lanes:
+            forces, n = np.empty((self.n, 3)), self.n // lanes
+            rows = [forces[r * n : (r + 1) * n] for r in range(lanes)]
+            hit = self._kept["forces"] = (forces, rows)
+        return hit
+
+    def _vector(self, name: str, n: int) -> np.ndarray:
+        """The kept float64 vector ``name`` of length ``n``."""
+        v = self._kept.get(name)
+        if v is None or len(v) != n:
+            v = self._kept[name] = np.empty(n)
+        return v
 
     # -- kernels -----------------------------------------------------------
 
     def spread_codes(
         self, charges: np.ndarray, mesh_acc: np.ndarray, codec, kernels=NUMPY_SUITE,
+        qc: np.ndarray | None = None,
     ) -> None:
         """Quantize and scatter ``w · q`` into the flat int64 mesh.
 
         Codes are ``rint(w * (q * scale / limit))`` — per-atom
         arithmetic, so how atoms are split over plans cannot change any
-        code — summed by integer adds, which commute.
+        code — summed by integer adds, which commute.  ``qc``, when
+        given, is ``q * scale / limit`` already formed.
         """
-        qc = np.asarray(charges, dtype=np.float64) * (codec.fmt.scale / codec.limit)
+        if qc is None:
+            qc = np.asarray(charges, dtype=np.float64) * (codec.fmt.scale / codec.limit)
         kernels.mesh_spread_axes(mesh_acc, *self._axes(), qc)
 
     def spread_float(
@@ -299,7 +333,8 @@ class MeshStencilPlan:
         """
         if out is None:
             out = np.empty((self.n, 3))
-        kernels.mesh_gather_axes(out, *self._axes(), phi.ravel(), 0, self.n)
+        flat = phi if phi.ndim == 1 else phi.ravel()
+        kernels.mesh_gather_axes(out, *self._axes(), flat, 0, self.n)
         out *= (np.asarray(charges, dtype=np.float64) / self.gse.params.sigma_s**2)[:, None]
         return out
 
@@ -322,7 +357,6 @@ class GaussianSplitEwald:
         self.mesh = np.asarray(params.mesh, dtype=np.int64)
         self.h = box.lengths / self.mesh
         self.cell_volume = float(np.prod(self.h))
-        self._green = self._build_green()
         self._offsets = self._build_offsets()
         #: Peak spreading weight ``h³ g_{sigma_s}(0)``: the stencil
         #: normalization, folded into the x weight row.
@@ -369,33 +403,44 @@ class GaussianSplitEwald:
 
     # -- mesh solve -----------------------------------------------------------
 
-    def solve(self, Q: np.ndarray) -> tuple[np.ndarray, float]:
+    @cached_property
+    def _spectral(self) -> tuple[np.ndarray, tuple]:
+        """The solve's Green's function on the half spectrum, x and y
+        bit-reversed as the forward transform leaves them, and the
+        largest axis's twiddle table (power-of-two meshes only)."""
+        mx, my, mz = (int(m) for m in self.mesh)
+        if any(m & (m - 1) for m in (mx, my, mz)):
+            raise ValueError(f"the mesh solve is radix-2: mesh {(mx, my, mz)} is not powers of two")
+        rx, ry = bit_reverse_permutation(mx), bit_reverse_permutation(my)
+        green = np.ascontiguousarray(self._build_green()[rx][:, ry][:, :, : mz // 2 + 1])
+        return green, stage_table(max(mx, my, mz))
+
+    def solve(self, Q: np.ndarray, kernels=NUMPY_SUITE) -> tuple[np.ndarray, float]:
         """Convolve mesh charge with the Green's function.
 
         Returns the potential mesh ``phi`` and the k-space energy
-        ``E = 1/2 sum_m Q[m] phi[m]``.
+        ``E = 1/2 sum_m Q[m] phi[m]``.  The solve is the suite's
+        ``mesh_solve`` (:mod:`repro.kernels.fft`), one lane.
         """
-        Qhat = np.fft.fftn(Q.astype(np.complex128))
-        phi = np.real(np.fft.ifftn(self._green * Qhat)) * Q.size
-        energy = 0.5 * float(np.sum(Q * phi))
-        return phi, energy
+        Q = np.ascontiguousarray(Q, dtype=np.float64)
+        phi, energy = np.empty((1, *Q.shape)), np.empty(1)
+        kernels.mesh_solve(phi, energy, Q[None], *self._spectral)
+        return phi[0], float(energy[0])
 
-    def solve_stack(self, Qs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def solve_stack(
+        self, Qs: np.ndarray, kernels=NUMPY_SUITE, out: tuple | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`solve` over a ``(R, *mesh)`` charge stack.
 
-        One FFT/convolution/inverse-FFT pass covers all R replica
-        meshes.  NumPy's pocketfft transforms each trailing-axes block
-        independently, so every replica's potential mesh is bitwise the
-        slice a solo :meth:`solve` returns (pinned by the property
-        tests); per-replica energies are summed over each contiguous
-        ``Q[r] * phi[r]`` block exactly as solo.
+        One ``mesh_solve`` covers all R lanes (the compiled suite farms
+        them over its threads); every lane's transform and energy sum
+        are its own, so each lane's potential and energy are bitwise
+        what a solo :meth:`solve` returns.  ``out``, when given, is the
+        ``(phi, energies)`` pair to fill.
         """
-        Qhat = np.fft.fftn(Qs.astype(np.complex128), axes=(1, 2, 3))
-        phi = np.real(np.fft.ifftn(self._green[None] * Qhat, axes=(1, 2, 3)))
-        phi = phi * float(Qs[0].size)
-        energies = np.array(
-            [0.5 * float(np.sum(Qs[r] * phi[r])) for r in range(len(Qs))]
-        )
+        Qs = np.ascontiguousarray(Qs, dtype=np.float64)
+        phi, energies = (np.empty(Qs.shape), np.empty(len(Qs))) if out is None else out
+        kernels.mesh_solve(phi, energies, Qs, *self._spectral)
         return phi, energies
 
     # -- composition ---------------------------------------------------------------
@@ -419,14 +464,15 @@ class GaussianSplitEwald:
         spreading and the solve (the machine accounts its FFT traffic there);
         ``timers``, when given, are charged ``mesh_plan`` /
         ``mesh_spread`` / ``mesh_unquantize`` / ``mesh_fft`` /
-        ``mesh_interp``.  ``kernels`` is the suite the plan's passes run
-        on and ``plan`` a :class:`MeshStencilPlan` of R·n atoms whose
-        storage — rows, lane views, mesh accumulator — is refilled
-        instead of reallocated; callers that evaluate repeatedly keep
-        one.  Neither changes a bit of the result, nor does ``wrapped``:
-        ``positions`` already wrapped into the box, which an engine whose
-        pair list wrapped them this evaluation hands over so that the
-        plan does not wrap them again.
+        ``mesh_interp``.  ``kernels`` is the suite the plan's passes and
+        the solve run on and ``plan`` a :class:`MeshStencilPlan` of R·n
+        atoms whose storage — rows, lane views, meshes, scaled charges,
+        force rows — is refilled instead of reallocated; callers that
+        evaluate repeatedly keep one.  The returned forces are then the
+        plan's, valid until its next pass.  Neither changes a bit of the
+        result, nor does ``wrapped``: ``positions`` already wrapped into
+        the box, which an engine whose pair list wrapped them this
+        evaluation hands over so that the plan does not wrap them again.
 
         One plan covers all R·n rows; each lane spreads and gathers over
         its own row view of it (chunk loops restart there, so the
@@ -434,11 +480,10 @@ class GaussianSplitEwald:
         its own mesh slab and force rows.  The lanes are the parallel
         unit: farmed through ``kernels.map_chunks`` (a plain loop at one
         thread or one lane), every lane calling the same single-threaded
-        kernels.  Lanes write disjoint outputs, so farming cannot
-        reorder a reduction.
+        kernels, the solve included.  Lanes write disjoint outputs, so
+        farming cannot reorder a reduction.
         """
         R = int(lanes)
-        n = len(positions) // R
         charges = np.asarray(charges, dtype=np.float64)
         time = timers.time if timers is not None else (lambda name: nullcontext())
 
@@ -448,41 +493,36 @@ class GaussianSplitEwald:
         with time("mesh_plan"):
             plan = self.make_plan(positions, out=plan, wrapped=wrapped)
             views = plan._lane_views(R)
+        Q, Q_flat, Q_rows = plan._mesh_buffer("Q", R)
         with time("mesh_spread"):
             if codec is not None:
                 acc = plan._accumulator(R)
-                each_lane(lambda r: views[r].spread_codes(charges, acc[r], codec, kernels=kernels))
+                qc = np.multiply(
+                    charges, codec.fmt.scale / codec.limit, out=plan._vector("qc", len(charges))
+                )
+                each_lane(
+                    lambda r: views[r].spread_codes(charges, acc[r], codec, kernels=kernels, qc=qc)
+                )
             else:
-                Q = np.zeros((R, self.mesh_point_count()))
-                each_lane(lambda r: views[r].spread_float(charges, Q[r], kernels=kernels))
+                Q_flat[...] = 0.0
+                each_lane(lambda r: views[r].spread_float(charges, Q_rows[r], kernels=kernels))
         if codec is not None:
             with time("mesh_unquantize"):
-                Q = codec.reconstruct(codec.wrap(acc))
-        Q = Q.reshape(R, *(int(m) for m in self.mesh))
+                codec.reconstruct(codec.wrap(plan._acc), out=Q_flat)
         if before_solve is not None:
             before_solve()
+        phi, _, phi_rows = plan._mesh_buffer("phi", R)
         with time("mesh_fft"):
-            if kernels.threads > 1 and R > 1:
-                # Per-lane solo transforms in worker threads: the
-                # stacked solve is pinned bitwise to R solo solves, so
-                # this is the same bytes with the lane axis farmed out
-                # (pocketfft releases the GIL).
-                phi, energies = np.empty(Q.shape), np.empty(R)
-
-                def solve_lane(r):
-                    phi[r], energies[r] = self.solve(Q[r])
-
-                kernels.map_chunks(solve_lane, R)
-            else:
-                phi, energies = self.solve_stack(Q)
+            energies = plan._vector("energies", R)
+            self.solve_stack(Q, kernels=kernels, out=(phi, energies))
         with time("mesh_interp"):
-            forces = np.empty((R * n, 3))
+            forces, force_rows = plan._force_rows(R)
             each_lane(
                 lambda r: views[r].interpolate_forces(
-                    charges, phi[r], out=forces[r * n : (r + 1) * n], kernels=kernels
+                    charges, phi_rows[r], out=force_rows[r], kernels=kernels
                 )
             )
-        return energies, forces
+        return energies.copy(), forces
 
     def kspace(
         self, positions: np.ndarray, charges: np.ndarray, codec=None,

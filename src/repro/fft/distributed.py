@@ -7,19 +7,21 @@ line perform an all-to-all so that whole lines land on single nodes.
 messages (hundreds per node)" — the opposite of the
 few-large-messages strategies that win on commodity clusters.
 
-This class computes the transform *functionally identically* to the
-serial radix-2 kernel for any node count (the per-line 1-D FFT is the
-same algorithm regardless of distribution — which is what makes the
-machine's results bitwise independent of node count), while charging
-the simulated network with the messages the real redistribution would
-send.
+This class computes the charge mesh's transform with the engines' own
+line transforms (:mod:`repro.kernels.fft`): the real-input line along
+z, then complex lines along y and x, each phase whole lines on single
+nodes.  A line's arithmetic does not depend on which node holds it, so
+the result is bitwise the same for any node count — and the same
+values, in natural order, as the spectrum inside every engine's mesh
+solve — while the simulated network is charged with the messages the
+real redistribution would send.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fft.radix2 import fft1d, fft3d, ifft1d
+from repro.fft.radix2 import fft1d, ifft1d, irfft1d, rfft1d
 from repro.parallel.comm import SimNetwork
 from repro.parallel.topology import TorusTopology
 
@@ -77,24 +79,48 @@ class DistributedFFT3D:
     INVERSE_AXES = (0, 1, 2)
 
     def forward(self, mesh: np.ndarray) -> np.ndarray:
-        """Forward transform; charges one redistribution per axis."""
+        """Forward transform of a real mesh; charges one redistribution per axis.
+
+        The full complex spectrum in natural order: the half spectrum
+        (``kz <= mz/2``) the z, y and x phases compute, the rest its
+        Hermitian mirror ``conj(X[-k])``.  A complex mesh must have a
+        zero imaginary part.
+        """
+        mesh = np.asarray(mesh)
         if mesh.shape != self.mesh_shape:
             raise ValueError(f"mesh shape {mesh.shape} != {self.mesh_shape}")
-        out = np.asarray(mesh, dtype=np.complex128)
-        for axis in self.FORWARD_AXES:
+        if np.iscomplexobj(mesh):
+            if np.any(mesh.imag):
+                raise ValueError("DistributedFFT3D transforms real (charge) meshes")
+            mesh = mesh.real
+        self._charge_axis_phase(2)
+        half = rfft1d(mesh)
+        for axis in self.FORWARD_AXES[1:]:
             self._charge_axis_phase(axis)
-            out = fft1d(out, axis=axis)
+            half = fft1d(half, axis=axis)
+        mx, my, mz = self.mesh_shape
+        out = np.empty(self.mesh_shape, dtype=np.complex128)
+        out[..., : mz // 2 + 1] = half
+        kx, ky = -np.arange(mx) % mx, -np.arange(my) % my
+        mirror = half[np.ix_(kx, ky, np.arange(mz // 2 - 1, 0, -1))]
+        out[..., mz // 2 + 1 :] = np.conj(mirror)
         return out
 
     def inverse(self, mesh_hat: np.ndarray) -> np.ndarray:
-        """Inverse transform (1/N normalized); same traffic as forward."""
+        """Inverse transform (1/N normalized) of a real mesh's spectrum;
+        same traffic as forward.
+
+        Reads the half spectrum ``kz <= mz/2`` only, as the engines'
+        complex-to-real solve does, and returns the real mesh.
+        """
         if mesh_hat.shape != self.mesh_shape:
             raise ValueError(f"mesh shape {mesh_hat.shape} != {self.mesh_shape}")
-        out = np.asarray(mesh_hat, dtype=np.complex128)
-        for axis in self.INVERSE_AXES:
+        out = np.asarray(mesh_hat, dtype=np.complex128)[..., : self.mesh_shape[2] // 2 + 1]
+        for axis in self.INVERSE_AXES[:2]:
             self._charge_axis_phase(axis)
             out = ifft1d(out, axis=axis)
-        return out
+        self._charge_axis_phase(2)
+        return irfft1d(out)
 
     def charge_solve(self) -> None:
         """Charge the redistributions of one forward-plus-inverse solve
@@ -145,19 +171,3 @@ class DistributedFFT3D:
         # injection, the same canonical wire-ledger entries) as the
         # per-message loop it replaces.
         self.network.send_batch(src, dst, nbytes, tag=f"fft_axis{axis}")
-
-    def messages_per_node_per_transform(self) -> int:
-        """Analytic per-node message count of one 3-D transform."""
-        total = 0
-        for axis in range(3):
-            p = self.topology.dims[axis]
-            if p > 1:
-                total += (p - 1) * self.line_batches
-        return total
-
-    # -- serial reference --------------------------------------------------
-
-    @staticmethod
-    def serial_forward(mesh: np.ndarray) -> np.ndarray:
-        """The single-node reference; bitwise equal to :meth:`forward`."""
-        return fft3d(mesh)

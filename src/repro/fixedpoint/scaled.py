@@ -53,9 +53,9 @@ class ScaledFixed:
         x = np.asarray(q, dtype=np.float64) / self.limit
         return self.fmt.encode(x)
 
-    def reconstruct(self, codes: np.ndarray | int) -> np.ndarray:
-        """Integer codes -> physical float64 values."""
-        return self.fmt.decode(codes) * self.limit
+    def reconstruct(self, codes: np.ndarray | int, out: np.ndarray | None = None) -> np.ndarray:
+        """Integer codes -> physical float64 values (into ``out`` when given)."""
+        return np.multiply(self.fmt.decode(codes), self.limit, out=out)
 
     def quantize_round_only(self, q: np.ndarray | float) -> np.ndarray:
         """Quantize without wrapping (codes may exceed the format range).

@@ -1477,3 +1477,215 @@ void rk_mesh_gather_axes(const rk_axes *ax, int64_t lo, int64_t hi,
         out[2] = sz;
     }
 }
+
+/* ---- One FFT: the mesh solve (kernels/fft.py is its NumPy twin) ------
+ *
+ * phi <- F^-1(green . F q) for `lanes` real mx x my x mz meshes, and
+ * each lane's energy 0.5 * sum(q * phi) (rk_mesh_energy), the
+ * element-wise IEEE + - * of kernels/fft.py in its order: the real-input
+ * transform along z (the half-length complex line z[k] = q[2k] +
+ * i q[2k+1], then the half-spectrum split), decimation-in-frequency lines
+ * along y and x, the real Green's function on the half spectrum (x and y
+ * bit-reversed), decimation-in-time lines along x and y, and the
+ * complex-to-real split and line along z.  Twiddles are read, never
+ * computed: wr/wi is kernels/fft.py's stage table, stage h's twiddles at
+ * [h - 1, 2h - 1), for the largest axis.
+ *
+ * Layout, so that every butterfly is an element-wise loop over
+ * contiguous memory (vector-width lemma): the half spectrum is
+ * [x][y][k], k < mz/2 + 1; a y line's points are k-rows apart and an x
+ * line's points y-planes apart, and a line stage runs over all the
+ * lines of a slab at once.  The z lines of one x plane are transposed
+ * into [k][y] rows of the scratch for the same reason (a plane at a
+ * time, which stays in L1; the whole mesh at once was slower).
+ * Scratch: 2 * mx*my*(mz/2 + 1) + my*mz doubles per call
+ * (kernels/suite.py sizes it). */
+
+/* One butterfly of L lines: a <- a + c, c <- (a - c) * w (w == 1 at j == 0). */
+static inline void rk_bfly_dif(double *restrict ar, double *restrict ai,
+                               double *restrict cr, double *restrict ci,
+                               int64_t L, int64_t j, double wr, double wi)
+{
+    if (j == 0) {
+        for (int64_t l = 0; l < L; l++) {
+            double xr = ar[l], xi = ai[l], yr = cr[l], yi = ci[l];
+            ar[l] = xr + yr;
+            ai[l] = xi + yi;
+            cr[l] = xr - yr;
+            ci[l] = xi - yi;
+        }
+        return;
+    }
+    for (int64_t l = 0; l < L; l++) {
+        double xr = ar[l], xi = ai[l], yr = cr[l], yi = ci[l];
+        double dr = xr - yr, di = xi - yi;
+        ar[l] = xr + yr;
+        ai[l] = xi + yi;
+        cr[l] = dr * wr - di * wi;
+        ci[l] = dr * wi + di * wr;
+    }
+}
+
+/* c <- c * conj(w) (not at j == 0), then a <- a + c, c <- a - c. */
+static inline void rk_bfly_dit(double *restrict ar, double *restrict ai,
+                               double *restrict cr, double *restrict ci,
+                               int64_t L, int64_t j, double wr, double wi)
+{
+    if (j == 0) {
+        for (int64_t l = 0; l < L; l++) {
+            double xr = ar[l], xi = ai[l], yr = cr[l], yi = ci[l];
+            ar[l] = xr + yr;
+            ai[l] = xi + yi;
+            cr[l] = xr - yr;
+            ci[l] = xi - yi;
+        }
+        return;
+    }
+    for (int64_t l = 0; l < L; l++) {
+        double xr = ar[l], xi = ai[l];
+        double yr = cr[l] * wr + ci[l] * wi, yi = ci[l] * wr - cr[l] * wi;
+        ar[l] = xr + yr;
+        ai[l] = xi + yi;
+        cr[l] = xr - yr;
+        ci[l] = xi - yi;
+    }
+}
+
+/* Lines of n points, point p of line l at p*stride + l, l < L: forward
+ * (dif, h = n/2 .. 1) or inverse (dit, h = 1 .. n/2). */
+static void rk_lines(double *re, double *im, int64_t n, int64_t stride,
+                     int64_t L, const double *wr, const double *wi, int inverse)
+{
+    for (int64_t s = 1; s < n; s *= 2) {
+        int64_t h = inverse ? s : n / (2 * s);
+        for (int64_t b = 0; b < n; b += 2 * h)
+            for (int64_t j = 0; j < h; j++) {
+                double *ar = re + (b + j) * stride, *ai = im + (b + j) * stride;
+                double *cr = ar + h * stride, *ci = ai + h * stride;
+                double w_r = wr[h - 1 + j], w_i = wi[h - 1 + j];
+                if (inverse)
+                    rk_bfly_dit(ar, ai, cr, ci, L, j, w_r, w_i);
+                else
+                    rk_bfly_dif(ar, ai, cr, ci, L, j, w_r, w_i);
+            }
+    }
+}
+
+static inline int64_t rk_bitrev(int64_t k, int64_t m)
+{
+    int64_t r = 0;
+    for (int64_t b = 1; b < m; b *= 2, k >>= 1)
+        r = (r << 1) | (k & 1);
+    return r;
+}
+
+/* Real-input transform of the `my` z lines of q (my x mz, a line a row)
+ * into the half spectrum hr/hi ([y][k], K = mz/2 + 1 points a row). */
+static void rk_rfft_z(const double *restrict q, double *restrict hr,
+                      double *restrict hi, int64_t my, int64_t mz,
+                      double *restrict zr, double *restrict zi,
+                      const double *wr, const double *wi)
+{
+    const int64_t m = mz / 2, K = m + 1;
+    for (int64_t y = 0; y < my; y++)
+        for (int64_t k = 0; k < m; k++) {
+            zr[k * my + y] = q[y * mz + 2 * k];
+            zi[k * my + y] = q[y * mz + 2 * k + 1];
+        }
+    rk_lines(zr, zi, m, my, my, wr, wi, 0);
+    for (int64_t y = 0; y < my; y++) {
+        hr[y * K] = zr[y] + zi[y];
+        hr[y * K + m] = zr[y] - zi[y];
+        hi[y * K] = hi[y * K + m] = 0.0;
+    }
+    for (int64_t k = 1; k < m; k++) {
+        const double *ar = zr + rk_bitrev(k, m) * my, *ai = zi + rk_bitrev(k, m) * my;
+        const double *br = zr + rk_bitrev(m - k, m) * my;
+        const double *bi = zi + rk_bitrev(m - k, m) * my;
+        const double c = wr[m - 1 + k], s = wi[m - 1 + k];
+        for (int64_t y = 0; y < my; y++) {
+            double er = ar[y] + br[y], ei = ai[y] - bi[y];
+            double o_r = ai[y] + bi[y], o_i = br[y] - ar[y];
+            hr[y * K + k] = 0.5 * (er + (c * o_r - s * o_i));
+            hi[y * K + k] = 0.5 * (ei + (c * o_i + s * o_r));
+        }
+    }
+}
+
+/* Its inverse times mz: half spectrum -> the `my` real z lines of q. */
+static void rk_irfft_z(const double *restrict hr, const double *restrict hi,
+                       double *restrict q, int64_t my, int64_t mz,
+                       double *restrict zr, double *restrict zi,
+                       const double *wr, const double *wi)
+{
+    const int64_t m = mz / 2, K = m + 1;
+    for (int64_t y = 0; y < my; y++) {
+        zr[y] = hr[y * K] + hr[y * K + m];
+        zi[y] = hr[y * K] - hr[y * K + m];
+    }
+    for (int64_t k = 1; k < m; k++) {
+        double *pr = zr + rk_bitrev(k, m) * my, *pi = zi + rk_bitrev(k, m) * my;
+        const double c = wr[m - 1 + k], s = wi[m - 1 + k];
+        for (int64_t y = 0; y < my; y++) {
+            double a_r = hr[y * K + k], a_i = hi[y * K + k];
+            double b_r = hr[y * K + m - k], b_i = hi[y * K + m - k];
+            double er = a_r + b_r, ei = a_i - b_i, dr = a_r - b_r, di = a_i + b_i;
+            double o_r = dr * c + di * s, o_i = di * c - dr * s;
+            pr[y] = er - o_i;
+            pi[y] = ei + o_r;
+        }
+    }
+    rk_lines(zr, zi, m, my, my, wr, wi, 1);
+    for (int64_t y = 0; y < my; y++)
+        for (int64_t k = 0; k < m; k++) {
+            q[y * mz + 2 * k] = zr[k * my + y];
+            q[y * mz + 2 * k + 1] = zi[k * my + y];
+        }
+}
+
+/* The energy 0.5 * sum(q * phi) of a lane, in one order: eight
+ * sequential sums a[j] = q[j]*phi[j] + q[8+j]*phi[8+j] + ..., then
+ * ((a0 + a1) + (a2 + a3)) + ((a4 + a5) + (a6 + a7)).  The eight sums are
+ * independent, so the loop is element-wise across them (vector-width
+ * lemma). */
+static double rk_mesh_energy(const double *restrict q, const double *restrict phi,
+                             int64_t npts)
+{
+    double a[8];
+    for (int j = 0; j < 8; j++)
+        a[j] = q[j] * phi[j];
+    for (int64_t i = 8; i < npts; i += 8)
+        for (int j = 0; j < 8; j++)
+            a[j] += q[i + j] * phi[i + j];
+    return 0.5 * (((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7])));
+}
+
+void rk_mesh_solve(int64_t lanes, int64_t mx, int64_t my, int64_t mz,
+                   const double *q, const double *green, double *phi,
+                   double *energy, const double *wr, const double *wi,
+                   double *work)
+{
+    const int64_t K = mz / 2 + 1, plane = my * K, half = mx * plane;
+    const int64_t npts = mx * my * mz;
+    double *hr = work, *hi = work + half, *zr = work + 2 * half;
+    double *zi = zr + (mz / 2) * my;
+    for (int64_t r = 0; r < lanes; r++, q += npts, phi += npts) {
+        for (int64_t x = 0; x < mx; x++) /* one x plane at a time: in L1 */
+            rk_rfft_z(q + x * my * mz, hr + x * plane, hi + x * plane, my, mz,
+                      zr, zi, wr, wi);
+        for (int64_t x = 0; x < mx; x++)
+            rk_lines(hr + x * plane, hi + x * plane, my, K, K, wr, wi, 0);
+        rk_lines(hr, hi, mx, plane, plane, wr, wi, 0);
+        for (int64_t i = 0; i < half; i++) {
+            hr[i] = hr[i] * green[i];
+            hi[i] = hi[i] * green[i];
+        }
+        rk_lines(hr, hi, mx, plane, plane, wr, wi, 1);
+        for (int64_t x = 0; x < mx; x++)
+            rk_lines(hr + x * plane, hi + x * plane, my, K, K, wr, wi, 1);
+        for (int64_t x = 0; x < mx; x++)
+            rk_irfft_z(hr + x * plane, hi + x * plane, phi + x * my * mz, my, mz,
+                       zr, zi, wr, wi);
+        energy[r] = rk_mesh_energy(q, phi, npts);
+    }
+}

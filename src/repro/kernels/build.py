@@ -300,6 +300,8 @@ def _declare(lib: ctypes.CDLL) -> None:
     lib.rk_mesh_gather_axes.argtypes = [p, i64, i64, f64, p, p, p]
     lib.rk_settle_batch.restype = i64
     lib.rk_settle_batch.argtypes = [i64, i64, i64, p, p, p, p, i64, p]
+    lib.rk_mesh_solve.restype = None
+    lib.rk_mesh_solve.argtypes = [i64, i64, i64, i64, p, p, p, p, p, p, p]
 
 
 

@@ -68,6 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.fixedpoint.accumulate import scatter_add_int64
+from repro.kernels import fft
 from repro.kernels.build import (
     KernelBuildError,
     MeshAxes,
@@ -620,6 +621,22 @@ class NumpyKernels:
                 g.reshape(b - a, *shape), *(d[a:b] for d in axis_d), out[a - lo : b - lo]
             )
 
+    # -- mesh solve --------------------------------------------------------
+
+    def mesh_solve(self, phi, energy, q, green, tw):
+        """``phi <- F⁻¹(green · F q)`` over a ``(lanes, mx, my, mz)`` stack of
+        real meshes, and each lane's ``energy`` ``0.5 · Σ q·phi``.
+
+        The one FFT (:func:`repro.kernels.fft.mesh_solve`): the real-input
+        transform along z, line transforms along y and x, ``green`` (the
+        ``(mx, my, mz/2 + 1)`` half spectrum, x and y bit-reversed) and the
+        inverse, unnormalized; the energy in
+        :func:`~repro.kernels.fft.mesh_energy`'s order.  ``tw`` is the
+        largest axis's :func:`~repro.kernels.fft.stage_table`.  Lanes are
+        independent.
+        """
+        fft.mesh_solve(phi, energy, q, green, tw)
+
     # -- constraints -------------------------------------------------------
 
     def shake_batch(self, solver, positions, reference, tol, nrep, natoms):
@@ -691,8 +708,8 @@ class CompiledKernels(NumpyKernels):
 
         The one place a thread count takes effect: the lanes of a
         stacked mesh pass (an ensemble's per-replica spreads, FFTs and
-        gathers).  ctypes and pocketfft release the GIL, so the chunks
-        genuinely overlap.
+        gathers).  ctypes releases the GIL, so the chunks genuinely
+        overlap.
         """
         if self.threads <= 1 or nchunks <= 1:
             for b in range(nchunks):
@@ -956,6 +973,36 @@ class CompiledKernels(NumpyKernels):
         self._lib.rk_mesh_gather_axes(
             ctypes.byref(axes), lo, hi, float(c2), _ptr(phi), _ptr(self._halo(axes)), _ptr(out)
         )
+
+    def mesh_solve(self, phi, energy, q, green, tw):
+        """:meth:`NumpyKernels.mesh_solve` in C, one call per farmed run of lanes."""
+        lanes = len(q)
+        mx, my, mz = green.shape[0], green.shape[1], q.shape[-1]
+        wr, wi = tw
+        if not (
+            _conforms(q, (lanes, mx, my, mz), np.float64)
+            and _conforms(phi, q.shape, np.float64)
+            and _conforms(energy, (lanes,), np.float64)
+            and _conforms(green, (mx, my, mz // 2 + 1), np.float64)
+            and _conforms(wr, (len(wr),), np.float64)
+            and _conforms(wi, wr.shape, np.float64)
+            and len(wr) >= max(mx, my, mz) - 1
+        ):
+            return NumpyKernels.mesh_solve(self, phi, energy, q, green, tw)
+        lane_bytes = 8 * mx * my * mz
+        work = 2 * mx * my * (mz // 2 + 1) + my * mz
+        q0, g, phi0, e0 = _ptr(q), _ptr(green), _ptr(phi), _ptr(energy)
+        w_r, w_i = _ptr(wr), _ptr(wi)
+        chunks = min(self.threads, lanes)
+
+        def run(c):
+            lo, hi = c * lanes // chunks, (c + 1) * lanes // chunks
+            self._lib.rk_mesh_solve(
+                hi - lo, mx, my, mz, q0 + lo * lane_bytes, g, phi0 + lo * lane_bytes,
+                e0 + 8 * lo, w_r, w_i, _ptr(self._scratch(work)),
+            )
+
+        self.map_chunks(run, chunks)
 
     def settle_batch(self, solver, stage, out, src, nrep, natoms):
         if not _conforms(out, (len(out), 3), np.float64):

@@ -63,6 +63,23 @@ def make_ensemble(base, params, seeds, tier=None):
     )
 
 
+class TestEnergyRecords:
+    def test_records_equal_the_two_call_form(self):
+        """One kinetic energy per lane, its temperature derived from it:
+        every record is bitwise what ``kinetic_energy(v)`` and
+        ``temperature(v)`` called separately give."""
+        base, params = prepared_water(n_molecules=16)
+        ens = make_ensemble(base, params, [11, 12, 13])
+        ens.run(4)
+        recs = ens.record_energy()
+        solo, v = ens.solo_system, ens.integrator.velocities
+        for r, rec in enumerate(recs):
+            vr = v[ens.replica_slice(r)]
+            assert rec.kinetic == solo.kinetic_energy(vr)
+            assert rec.temperature == solo.temperature(vr)
+            assert rec.temperature > 0.0
+
+
 class TestTiling:
     def test_tile_system_layout(self):
         base, _ = prepared_water(n_molecules=8)

@@ -58,21 +58,25 @@ CASES = {
 # through a 40-bit mesh); its new value is commit 2560655's with
 # ``quantize_mesh_bits=None``.  Every case moved once more when rigid
 # water began to be constrained by SETTLE instead of SHAKE sweeps (the
-# peptide's waters; its X–H bonds are still swept).
+# peptide's waters; its X–H bonds are still swept).  Every case moved
+# once more when the mesh solve became the repository's own radix-2
+# FFT (kernels/fft.py) instead of NumPy's pocketfft, with the k-space
+# energy summed in that kernel's order (the tip4pew energy kept its
+# bits; its positions did not).
 # Checked equal on the NumPy tier, the compiled tier at one and four
 # threads, and the -march=x86-64 build.
 GOLDEN = {
     "water": (
-        -166.21081118014308,
-        "6da6cea3ffea65937554be63af56508f88a3a551c025a4865a23172ad77a20aa",
+        -166.21081118014217,
+        "97f3e8589375902cc13c76f5556f0fef04f65d79d10716ea5ef51d0379225bc1",
     ),
     "tip4pew": (
         -104.9488962516707,
-        "e71882377ec120125bfdf43425bfa96ec44e6e1331015d845d364d842067734c",
+        "b991ee0260fe264285858a7488d323736de6620bc0dc1c58a1478ea49741ef65",
     ),
     "peptide": (
-        -67.91804366040287,
-        "d7e9e0679f5a59a316477ff1f612552b2bdef0ebca904f48efb8e55f9a7e1505",
+        -67.91804366040196,
+        "15f8a9f124143066634b806f2f4028e13aa0ea3e28c5f7e26f3670dca3a49ac0",
     ),
 }
 

@@ -436,13 +436,15 @@ class TestLiveServer:
     def test_worker_sigkill_recovers_bit_exactly(self, tmp_path, live_server):
         state, client = live_server
         # Enough slices that the kill lands mid-run on either kernel
-        # tier (the compiled one finishes 40 steps inside a poll or two).
-        spec = JobSpec(waters=8, steps=200, record_every=2, checkpoint_every=2,
+        # tier: the compiled one runs 1000 steps of this box in about
+        # 2 s, so a test process descheduled for a few polls still
+        # finds the job running (200 steps, about 0.4 s, did not).
+        spec = JobSpec(waters=8, steps=1000, record_every=2, checkpoint_every=2,
                        seed=5, name="victim")
         client.submit(spec.to_dict())
         deadline = time.time() + 120
         victim_pid = None
-        while time.time() < deadline:
+        while victim_pid is None and time.time() < deadline:
             status = client.status("victim")
             if status["state"] == "RUNNING" and status["steps_done"] >= 2:
                 for w in client.metrics()["workers"]:
@@ -451,8 +453,9 @@ class TestLiveServer:
                     assert ("so" in w["kernel"]) == (w["tier"] == "compiled")
                     if "victim" in w["jobs"]:
                         victim_pid = w["pid"]
-                break
-            time.sleep(0.1)
+            assert status["state"] in ("PENDING", "RUNNING"), f"victim ran out before the kill: {status}"
+            if victim_pid is None:
+                time.sleep(0.1)
         assert victim_pid, "job never started running"
         os.kill(victim_pid, signal.SIGKILL)
         states = client.wait(["victim"], timeout=240)

@@ -137,11 +137,14 @@ def test_simulation_equals_the_solo_oracle(system_name, physics_name, tier, thre
 # 2560655's run with ``quantize_mesh_bits=40`` on the dynamics and the
 # minimiser unchanged.  Both moved once more when rigid water began to
 # be constrained by SETTLE (exact to rounding) instead of SHAKE / RATTLE
-# sweeps (to a tolerance, or to RATTLE's sweep cap); checked equal on the
-# NumPy tier, the compiled tier at one and four threads, and the
-# -march=x86-64 build.
+# sweeps (to a tolerance, or to RATTLE's sweep cap).  The minimised
+# energy moved once more when the mesh solve became the repository's own
+# radix-2 FFT (kernels/fft.py) instead of NumPy's pocketfft; the state
+# kept its bits (the dynamics' fixed-point forces absorbed the change).
+# Checked equal on the NumPy tier, the compiled tier at one and four
+# threads, and the -march=x86-64 build.
 GOLDEN_STATE = "9dbb3f58e12b9acc04ef6fe5e60bb5a1e6043eb60ab086f58e77ff152a3de717"
-GOLDEN_MINIMIZED_ENERGY = -166.3570550084287
+GOLDEN_MINIMIZED_ENERGY = -166.35705500842914
 
 
 @pytest.mark.parametrize("make", [Simulation, SoloOracle], ids=["simulation", "oracle"])

@@ -27,13 +27,13 @@ from hypothesis import strategies as st
 from repro.core import MDParams
 from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator
-from repro.ewald import MeshStencilPlan
+from repro.ewald import GaussianSplitEwald, GSEParams, MeshStencilPlan
 from repro.forcefield import nonbonded_real_space_tabulated
 from repro.geometry import Box, NeighborPairs
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_solvated_protein, build_water_box
 from tests.properties.pair_walk_oracle import candidates, divided_tables, in_rows, islands
-from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits, make_gse
+from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -261,8 +261,15 @@ def test_deposit_of_a_strided_view_falls_back(suites):
 
 # -- kspace on the suite --------------------------------------------------------
 
-# ``make_gse`` is the mesh-kernel properties' evaluator: non-cubic box and
-# mesh, h = (1.0, 0.5, 0.75), stencil 7 x 13 x 9.
+
+def make_radix2_gse() -> GaussianSplitEwald:
+    """The mesh-kernel properties' evaluator (non-cubic box and mesh) on a
+    mesh the radix-2 solve takes: h = (1.0, 0.375, 0.75), stencil 7 x 17 x 9."""
+    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=(16, 32, 16), spreading_cutoff=3.0)
+    gse = GaussianSplitEwald(Box(LENGTHS), params)
+    assert tuple(2 * gse._offsets + 1) == (7, 17, 9)  # kx != ky != kz
+    return gse
+
 
 @pytest.mark.parametrize("codec", [None, MESH_CODEC], ids=["floatmesh", "qmesh40"])
 @pytest.mark.parametrize("n", [1, 511, 512, 513, 1100])
@@ -272,7 +279,7 @@ def test_kspace_on_the_suite_matches_kspace(suites, codec, n):
     plan reused across moved atoms — and through a plan the NumPy tier
     keeps as well."""
     rng = np.random.default_rng(n)
-    gse = make_gse()
+    gse = make_radix2_gse()
     q = rng.uniform(-1, 1, n)
     kept = {k: MeshStencilPlan(gse, n) for k in suites}
     for _move in range(3):
@@ -287,7 +294,7 @@ def test_kspace_on_the_suite_matches_kspace(suites, codec, n):
 def test_kspace_replaces_a_plan_of_the_wrong_size(suites):
     """A kept plan that does not fit the call is not used, not trusted."""
     rng = np.random.default_rng(1)
-    gse = make_gse()
+    gse = make_radix2_gse()
     pos, q = rng.uniform(0, 1, (30, 3)) * LENGTHS, rng.uniform(-1, 1, 30)
     want = gse.kspace(pos, q)
     got = gse.kspace(pos, q, kernels=suites[1], plan=MeshStencilPlan(gse, 7))

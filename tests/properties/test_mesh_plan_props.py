@@ -33,7 +33,7 @@ def scene():
 
 def make_gse() -> GaussianSplitEwald:
     box = Box.cubic(SIDE)
-    return GaussianSplitEwald(box, GSEParams.choose(box, 5.0, (24, 24, 24)))
+    return GaussianSplitEwald(box, GSEParams.choose(box, 5.0, (32, 32, 32)))
 
 
 def random_atoms(rng, n):

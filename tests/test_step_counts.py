@@ -22,7 +22,7 @@ import pytest
 from repro.core import MDParams, Simulation
 from repro.ewald import GSEParams
 from repro.geometry import Box
-from repro.kernels import available
+from repro.kernels import available, suite
 from repro.machine import AntonMachine
 from repro.parallel import SpatialDecomposition, TorusTopology
 from repro.systems import build_water_box
@@ -30,7 +30,13 @@ from repro.systems import build_water_box
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 401
+SOLO_CALLS_PER_STEP = 368
+
+#: Data-pointer reads (``kernels.suite._ptr`` misses, ~2 µs each) per step
+#: of the same box after warm-up: none in the mesh kernels, whose plan
+#: keeps every array it hands to C; the rest are arrays the pair walk,
+#: the rebuild, SETTLE and the bonded deposit are handed fresh.
+SOLO_POINTER_MISSES_PER_STEP = 5.9
 
 
 class _Counter:
@@ -118,8 +124,8 @@ def test_node_coordinates_built_once_per_topology(machine, monkeypatch):
     assert builds == 1
 
 
-@pytest.mark.skipif(not available(), reason="no C compiler: compiled kernel tier unavailable")
-def test_python_calls_per_step_of_a_48_atom_box():
+def small_solo() -> Simulation:
+    """The 48-atom box, warmed up: tables, plan, scratch, pointers."""
     system = build_water_box(n_molecules=16, seed=3)
     system.initialize_velocities(300.0, seed=1)
     cutoff = 3.52
@@ -128,7 +134,31 @@ def test_python_calls_per_step_of_a_48_atom_box():
         long_range_every=2, quantize_mesh_bits=40,
     )
     sim = Simulation(system, params, dt=2.0, mode="fixed", kernel_tier="compiled")
-    sim.run(4)  # lazy set-up: tables, plan, scratch, pointers
+    sim.run(4)
+    return sim
+
+
+@pytest.mark.skipif(not available(), reason="no C compiler: compiled kernel tier unavailable")
+def test_pointer_reads_per_step_of_a_48_atom_box(monkeypatch):
+    sim = small_solo()
+    misses = {}
+
+    class Counting(dict):
+        def __setitem__(self, key, value):
+            kernel = sys._getframe(2).f_code.co_name  # the wrapper that called _ptr
+            misses[kernel] = misses.get(kernel, 0) + 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(suite, "_POINTERS", Counting(suite._POINTERS))
+    steps = 10
+    sim.run(steps)
+    assert not {k: v for k, v in misses.items() if k.startswith("mesh_")}, misses
+    assert sum(misses.values()) / steps <= SOLO_POINTER_MISSES_PER_STEP, misses
+
+
+@pytest.mark.skipif(not available(), reason="no C compiler: compiled kernel tier unavailable")
+def test_python_calls_per_step_of_a_48_atom_box():
+    sim = small_solo()
     calls = 0
 
     def profile(_frame, event, _arg):
