@@ -24,15 +24,15 @@ __all__ = [
 ]
 
 
-def load_positions(path, every: int = 1) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(steps, positions) decoded from a trajectory file.
+def load_positions(path) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(steps, positions) of every frame of a trajectory file.
 
-    ``every`` subsamples the stored frames.  Positions are the exact
-    float64 values the producing run held at each stored step.
+    Positions are the exact float64 values the producing run held at
+    each stored step.
     """
     with TrajectoryReader(path) as reader:
         steps, frames = [], []
-        for i in range(0, len(reader), every):
+        for i in range(len(reader)):
             frame = reader.frame(i)
             steps.append(frame.step)
             frames.append(reader.positions(frame))
@@ -44,7 +44,6 @@ def order_parameters_from_trajectory(
     n_idx: np.ndarray,
     h_idx: np.ndarray,
     align_subset: np.ndarray | None = None,
-    every: int = 1,
 ) -> np.ndarray:
     """S² per residue computed from a stored trajectory.
 
@@ -52,7 +51,7 @@ def order_parameters_from_trajectory(
     ``align_subset``, e.g. the heavy backbone) before the N-H vectors
     are accumulated, matching the live-snapshot analysis path.
     """
-    _steps, frames = load_positions(path, every=every)
+    _steps, frames = load_positions(path)
     if len(frames) < 2:
         raise ValueError(f"{path}: need at least 2 frames for order parameters")
     ref = frames[0]

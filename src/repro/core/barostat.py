@@ -69,7 +69,6 @@ def run_npt(
     dt: float = 2.5,
     n_steps: int = 1000,
     scale_every: int = 20,
-    thermostat=None,
 ) -> list[NPTRecord]:
     """Run NPT dynamics; mutates ``system`` (positions/velocities/box).
 
@@ -81,7 +80,7 @@ def run_npt(
     steps_done = 0
     while steps_done < n_steps:
         chunk = min(scale_every, n_steps - steps_done)
-        sim = Simulation(system, params, dt=dt, mode="float", thermostat=thermostat)
+        sim = Simulation(system, params, dt=dt, mode="float")
         sim.run(chunk)
         steps_done += chunk
         system.positions = sim.integrator.positions.copy()

@@ -28,6 +28,7 @@ from repro.ewald import (
     GaussianSplitEwald,
     GSEParams,
     MeshStencilPlan,
+    choose_sigma,
     correction_forces_static,
     precompute_correction_static,
     self_energy,
@@ -57,14 +58,18 @@ MESH_CHARGE_BITS = 40
 
 @dataclass(frozen=True)
 class MDParams:
-    """Tunable simulation parameters (the knobs of Table 2).
+    """The knobs of Table 2: ``cutoff``, ``mesh`` and ``long_range_every``.
 
     ``cutoff``/``mesh`` trade real-space against Fourier work;
-    ``long_range_every`` is the MTS interval.  The range-limited pair
-    kernels are always the PPIP-style tiered tables with plain-cutoff
-    LJ, as on Anton, and the mesh spread follows the arithmetic: integer
-    (:data:`MESH_CHARGE_BITS`) on the fixed-point path, float on the
-    float path.
+    ``long_range_every`` is the MTS interval.  ``skin`` sizes the Verlet
+    buffer and moves no bit.  Everything else that decides force bits
+    is a constant: the range-limited pair kernels are the PPIP-style
+    tiered tables (:data:`~repro.functions.evaluator.TABLE_MANTISSA_BITS`)
+    with plain-cutoff LJ, as on Anton; the Ewald width follows the
+    cutoff at :data:`~repro.ewald.kernels.EWALD_TOLERANCE`; Coulomb is
+    on unless every charge is zero; and the mesh spread follows the
+    arithmetic: integer (:data:`MESH_CHARGE_BITS`) on the fixed-point
+    path, float on the float path.
     """
 
     cutoff: float = 9.0
@@ -74,12 +79,7 @@ class MDParams:
     #: every evaluation.  Results are bitwise independent of the skin.
     skin: float = 2.0
     mesh: tuple[int, int, int] = (32, 32, 32)
-    ewald_tolerance: float = 1e-5
     long_range_every: int = 1
-    table_mantissa_bits: int = 22
-    #: Disable Coulomb entirely (bead models); also auto-disabled when
-    #: every charge is zero.
-    electrostatics: bool = True
     #: Not fields: ``"table"`` and :data:`MESH_CHARGE_BITS` are the only
     #: accepted values.  The benchmark workloads
     #: ``benchmarks/perf/workloads/machine64.py`` and ``ensemble8.py``
@@ -149,23 +149,17 @@ class ForceCalculator:
             timers=self.timers,
             kernels=kernels,
         )
-        self.electrostatics = bool(params.electrostatics) and bool(np.any(system.charges != 0))
+        self.electrostatics = bool(np.any(system.charges != 0))
         if self.electrostatics:
-            gse_params = GSEParams.choose(
-                system.box, params.cutoff, params.mesh, real_space_tolerance=params.ewald_tolerance
-            )
+            gse_params = GSEParams.choose(system.box, params.cutoff, params.mesh)
             self.gse = GaussianSplitEwald(system.box, gse_params)
             self.sigma = gse_params.sigma
         else:
-            from repro.ewald import choose_sigma
-
-            self.gse = None
             # A sigma is still needed for kernel shapes; with zero
             # charges every Coulomb term vanishes identically.
-            self.sigma = choose_sigma(params.cutoff, params.ewald_tolerance)
-        self.tables = build_kernel_tables(
-            params.cutoff, self.sigma, mantissa_bits=params.table_mantissa_bits
-        )
+            self.gse = None
+            self.sigma = choose_sigma(params.cutoff)
+        self.tables = build_kernel_tables(params.cutoff, self.sigma)
         # The fixed-point path's mesh codec.  Mesh charge magnitudes are
         # bounded by a few elementary charges times the (sub-unity)
         # Gaussian weight.
@@ -338,7 +332,7 @@ class ForceCalculator:
         with self.timers.time(self._phase_prefix + "kspace"):
             return self.gse.kspace(
                 positions, self.system.charges, codec=codec,
-                kernels=self.kernels, plan=self._mesh_plan, wrapped=self._walked(positions),
+                kernels=self.kernels, plan=self._mesh_plan,
             )
 
     # -- float path -----------------------------------------------------------

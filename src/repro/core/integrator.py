@@ -290,35 +290,31 @@ class FixedPointIntegrator:
                 self.system.place_virtual_sites(pos)
             self.X = self.pos_codec.encode(pos)
 
-    def step(self, n: int = 1) -> None:
-        """Advance n velocity-Verlet steps."""
+    def step(self) -> None:
+        """Advance one velocity-Verlet step."""
         t = self.timers
-        for _ in range(n):
-            with t.time("step"):
-                self._half_kick()
-                self._drift_full()
-                with t.time("force"):
-                    self._force_codes, self.last_info = self.force_fn(self.positions)
-                self._half_kick()
-                if self.thermostat is not None:
-                    with t.time("thermostat"):
-                        lam = self.thermostat(self)
-                        # np.any handles both the scalar solo case and a
-                        # per-atom (ensemble) lambda array; a replica at
-                        # exactly lam == 1.0 is untouched either way
-                        # since rint(float64(V) * 1.0) == V for |V| < 2^53.
-                        if np.any(lam != 1.0):
-                            self.V = round_nearest_even(
-                                self.V.astype(np.float64) * lam
-                            ).astype(np.int64)
-            self.step_count += 1
+        with t.time("step"):
+            self._half_kick()
+            self._drift_full()
+            with t.time("force"):
+                self._force_codes, self.last_info = self.force_fn(self.positions)
+            self._half_kick()
+            if self.thermostat is not None:
+                with t.time("thermostat"):
+                    lam = self.thermostat(self)
+                    # np.any handles both the scalar solo case and a
+                    # per-atom (ensemble) lambda array; a replica at
+                    # exactly lam == 1.0 is untouched either way
+                    # since rint(float64(V) * 1.0) == V for |V| < 2^53.
+                    if np.any(lam != 1.0):
+                        self.V = round_nearest_even(
+                            self.V.astype(np.float64) * lam
+                        ).astype(np.int64)
+        self.step_count += 1
 
     def negate_velocities(self) -> None:
         """Time reversal: flip all momenta (exact in fixed point)."""
         self.V = -self.V
-
-    def kinetic_energy(self) -> float:
-        return self.system.kinetic_energy(self.velocities)
 
     def temperature(self) -> float:
         return self.system.temperature(self.velocities)
@@ -358,25 +354,24 @@ class VelocityVerlet:
         if self.constraints is not None:
             self.constraints.rattle(self.velocities, self.positions)
 
-    def step(self, n: int = 1) -> None:
-        for _ in range(n):
-            self._half_kick()
-            ref = self.positions.copy()
-            self.positions += self.velocities * self.dt
-            if self.constraints is not None and self.constraints.n_constraints:
-                unshaken = self.positions.copy()
-                self.constraints.shake(self.positions, ref)
-                # RATTLE position-stage velocity correction.
-                self.velocities += (self.positions - unshaken) / self.dt
-            self.system.place_virtual_sites(self.positions)
-            self.positions = self.system.box.wrap(self.positions)
-            self._forces, self.last_info = self.force_fn(self.positions)
-            self._half_kick()
-            if self.thermostat is not None:
-                lam = self.thermostat(self)
-                if lam != 1.0:
-                    self.velocities *= lam
-            self.step_count += 1
+    def step(self) -> None:
+        self._half_kick()
+        ref = self.positions.copy()
+        self.positions += self.velocities * self.dt
+        if self.constraints is not None and self.constraints.n_constraints:
+            unshaken = self.positions.copy()
+            self.constraints.shake(self.positions, ref)
+            # RATTLE position-stage velocity correction.
+            self.velocities += (self.positions - unshaken) / self.dt
+        self.system.place_virtual_sites(self.positions)
+        self.positions = self.system.box.wrap(self.positions)
+        self._forces, self.last_info = self.force_fn(self.positions)
+        self._half_kick()
+        if self.thermostat is not None:
+            lam = self.thermostat(self)
+            if lam != 1.0:
+                self.velocities *= lam
+        self.step_count += 1
 
     def kinetic_energy(self) -> float:
         return self.system.kinetic_energy(self.velocities)

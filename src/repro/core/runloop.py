@@ -52,7 +52,7 @@ class LaneEngine:
             **self.lane_state(r),
         }
 
-    def open_replica_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
+    def open_replica_trajectory(self, path) -> TrajectoryWriter:
         """A solo-format trajectory writer for one lane's frames.
 
         The header carries the fingerprint plus the decode parameters
@@ -61,7 +61,7 @@ class LaneEngine:
         """
         return TrajectoryWriter(
             path, fingerprint=self.replica_fingerprint(),
-            decode=trajectory_decode(self.solo_system, self.fixed_config), meta=meta,
+            decode=trajectory_decode(self.solo_system, self.fixed_config),
         )
 
     def append_replica_trajectory(self, path) -> TrajectoryWriter:

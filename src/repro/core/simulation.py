@@ -27,13 +27,17 @@ from repro.kernels import get_suite
 
 __all__ = ["EnergyRecord", "FloatEngine", "Simulation", "minimize_energy"]
 
+#: First steepest-descent move (A) of :func:`minimize_energy`; the step
+#: then adapts until the largest force component is under the tolerance
+#: (kcal/mol/A) or the step budget is spent.
+_MINIMIZE_FIRST_STEP = 0.02
+_MINIMIZE_FORCE_TOLERANCE = 10.0
+
 
 def minimize_energy(
     system: ChemicalSystem,
     params: MDParams = MDParams(),
     max_steps: int = 200,
-    initial_step: float = 0.02,
-    force_tolerance: float = 10.0,
 ) -> float:
     """Steepest-descent minimization (system preparation).
 
@@ -67,10 +71,10 @@ def minimize_energy(
     system.place_virtual_sites(pos)
     report = calc.compute(pos)
     energy = report.potential_energy
-    step = initial_step
+    step = _MINIMIZE_FIRST_STEP
     for _ in range(max_steps):
         fmax = float(np.max(np.abs(report.forces)))
-        if fmax < force_tolerance:
+        if fmax < _MINIMIZE_FORCE_TOLERANCE:
             break
         trial = pos + report.forces / max(fmax, 1e-12) * step
         trial_report = None
@@ -230,11 +234,6 @@ class Simulation:
         return self.integrator.positions
 
     @property
-    def timers(self):
-        """Per-component wall-time counters of the force calculator."""
-        return self.calc.timers
-
-    @property
     def velocities(self) -> np.ndarray:
         return self.integrator.velocities
 
@@ -264,9 +263,9 @@ class Simulation:
 
     # -- trajectory output ---------------------------------------------------
 
-    def open_trajectory(self, path, meta: dict | None = None) -> TrajectoryWriter:
+    def open_trajectory(self, path) -> TrajectoryWriter:
         """A :class:`TrajectoryWriter` configured for this run."""
-        return self.engine.open_replica_trajectory(path, meta)
+        return self.engine.open_replica_trajectory(path)
 
     def append_trajectory(self, path) -> TrajectoryWriter:
         """Reopen ``path`` for resumed writing.

@@ -29,7 +29,7 @@ __all__ = ["VirialReport", "virial_codec", "compute_virial", "instantaneous_pres
 BAR_PER_KCAL_MOL_A3: float = 69476.95
 
 
-def virial_codec(bits: int = 52, limit: float = 2.0**21) -> ScaledFixed:
+def virial_codec(bits: int = 52) -> ScaledFixed:
     """The wide virial accumulator format.
 
     Anton uses 86-bit hardware accumulators; our int64 substrate caps
@@ -38,7 +38,7 @@ def virial_codec(bits: int = 52, limit: float = 2.0**21) -> ScaledFixed:
     ~1e-9 kcal/mol at the default width against a +/-2M kcal/mol
     range).
     """
-    return ScaledFixed(FixedFormat(bits), limit=limit)
+    return ScaledFixed(FixedFormat(bits), limit=2.0**21)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.ewald.kernels import choose_sigma
+from repro.ewald.kernels import EWALD_TOLERANCE, choose_sigma
 from repro.geometry import Box
 from repro.kernels import NUMPY_SUITE
 from repro.kernels.fft import bit_reverse_permutation, stage_table
@@ -43,6 +43,15 @@ __all__ = ["GSEParams", "GaussianSplitEwald", "MeshStencilPlan"]
 #: Atom rows per chunk of the unquantized spread, the one plan kernel
 #: whose bits depend on its chunking (a float bincount per chunk).
 _FLOAT_CHUNK = 512
+
+#: :meth:`GSEParams.choose`'s calibration, which lands the total force
+#: error in Table 4's 1e-5 to 1e-4 band: ``sigma_s`` is this fraction
+#: of ``sigma / sqrt(2)`` ...
+SIGMA_S_FACTOR = 0.5
+#: ... floored at this many mesh spacings, so the grid resolves it; the
+#: spreading cutoff is this many ``sigma_s``.
+SIGMA_S_PER_H = 1.05
+SPREADING_RADIUS_SIGMAS = 5.5
 
 
 @dataclass(frozen=True)
@@ -74,23 +83,19 @@ class GSEParams:
         box: Box,
         cutoff: float,
         mesh: tuple[int, int, int],
-        real_space_tolerance: float = 1e-5,
-        sigma_s_factor: float = 0.5,
-        spreading_radius_sigmas: float = 5.5,
-        sigma_s_per_h: float = 1.05,
+        real_space_tolerance: float = EWALD_TOLERANCE,
     ) -> "GSEParams":
         """Pick consistent GSE parameters for a cutoff and mesh.
 
         ``sigma`` comes from the real-space tolerance at the cutoff
         (larger cutoff -> larger sigma -> coarser mesh suffices: the
         Table 2 tradeoff).  ``sigma_s`` is a fixed fraction of sigma,
-        floored at ``sigma_s_per_h`` mesh spacings so the grid resolves
-        it (calibrated to land total force error in Table 4's 1e-5 to
-        1e-4 band).
+        floored at :data:`SIGMA_S_PER_H` mesh spacings so the grid
+        resolves it.
         """
         sigma = choose_sigma(cutoff, real_space_tolerance)
         h = float(np.max(box.lengths / np.asarray(mesh)))
-        sigma_s = max(sigma_s_factor * sigma / math.sqrt(2.0), sigma_s_per_h * h)
+        sigma_s = max(SIGMA_S_FACTOR * sigma / math.sqrt(2.0), SIGMA_S_PER_H * h)
         if sigma**2 <= 2.0 * sigma_s**2:
             raise ValueError(
                 f"mesh {mesh} too coarse for cutoff {cutoff}: spreading "
@@ -100,7 +105,7 @@ class GSEParams:
             sigma=sigma,
             sigma_s=sigma_s,
             mesh=tuple(mesh),
-            spreading_cutoff=spreading_radius_sigmas * sigma_s,
+            spreading_cutoff=SPREADING_RADIUS_SIGMAS * sigma_s,
         )
 
     @classmethod
@@ -527,15 +532,14 @@ class GaussianSplitEwald:
     def kspace(
         self, positions: np.ndarray, charges: np.ndarray, codec=None,
         kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
-        wrapped: np.ndarray | None = None,
     ) -> tuple[float, np.ndarray]:
         """Full k-space pass for one system: :meth:`mesh_pass` with one lane.
 
-        Returns (energy, forces); ``codec``, ``kernels``, ``plan`` and
-        ``wrapped`` are :meth:`mesh_pass`'s.
+        Returns (energy, forces); ``codec``, ``kernels`` and ``plan`` are
+        :meth:`mesh_pass`'s.
         """
         energies, forces = self.mesh_pass(
-            positions, charges, codec=codec, kernels=kernels, plan=plan, wrapped=wrapped
+            positions, charges, codec=codec, kernels=kernels, plan=plan
         )
         return float(energies[0]), forces
 

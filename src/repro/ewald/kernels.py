@@ -29,7 +29,13 @@ __all__ = [
     "plain_coulomb_force_kernel",
     "self_energy",
     "choose_sigma",
+    "EWALD_TOLERANCE",
 ]
+
+#: The real-space kernel's value at the cutoff that fixes the Ewald
+#: width (:func:`choose_sigma`): every engine runs at it, and a
+#: fingerprint hashes it as the retired ``MDParams.ewald_tolerance``.
+EWALD_TOLERANCE = 1e-5
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -86,7 +92,7 @@ def self_energy(charges: np.ndarray, sigma: float) -> float:
     return -float(COULOMB * np.sum(np.asarray(charges) ** 2) / (math.sqrt(2.0 * math.pi) * sigma))
 
 
-def choose_sigma(cutoff: float, tolerance: float = 1e-5) -> float:
+def choose_sigma(cutoff: float, tolerance: float = EWALD_TOLERANCE) -> float:
     """Pick the Ewald sigma for a real-space cutoff and target accuracy.
 
     Solves ``erfc(cutoff / (sqrt(2) sigma)) = tolerance`` so the

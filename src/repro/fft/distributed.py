@@ -39,23 +39,21 @@ class DistributedFFT3D:
     network:
         Traffic is charged here; pass None for a purely functional
         transform.
-    bytes_per_point:
-        Wire size of one mesh value.  Anton ships reduced-precision
-        fixed-point values; 8 bytes (two 32-bit fixed-point words)
-        is the default.
-    line_batches:
-        Number of separate messages each node uses per peer per phase
-        (Anton pipelines sub-line bundles rather than one monolithic
-        block, producing its "hundreds of messages per node").
     """
+
+    #: Wire size of one mesh value: Anton ships reduced-precision
+    #: fixed-point values, two 32-bit words.
+    bytes_per_point = 8
+    #: Separate messages each node sends per peer per phase (Anton
+    #: pipelines sub-line bundles rather than one monolithic block,
+    #: producing its "hundreds of messages per node").
+    line_batches = 4
 
     def __init__(
         self,
         mesh_shape: tuple[int, int, int],
         topology: TorusTopology,
         network: SimNetwork | None = None,
-        bytes_per_point: int = 8,
-        line_batches: int = 4,
     ):
         for m, d in zip(mesh_shape, topology.dims):
             if m % d:
@@ -65,8 +63,6 @@ class DistributedFFT3D:
         self.mesh_shape = tuple(mesh_shape)
         self.topology = topology
         self.network = network
-        self.bytes_per_point = bytes_per_point
-        self.line_batches = line_batches
         # The all-to-all routes are static per axis; cache the
         # (src, dst, nbytes) arrays so each phase is one send_batch.
         self._axis_routes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}

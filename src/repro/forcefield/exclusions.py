@@ -67,16 +67,14 @@ class ExclusionTable:
         return out
 
 
-def build_exclusions(
-    top: Topology,
-    lj_scale14: float = 0.5,
-    coul_scale14: float = 1.0 / 1.2,
-) -> ExclusionTable:
-    """Derive exclusions from the covalent graph of ``top``.
+#: The 1-4 scales: the AMBER conventions (the paper's gpW, DHFR and
+#: BPTI simulations used AMBER99SB).
+LJ_SCALE14 = 0.5
+COUL_SCALE14 = 1.0 / 1.2
 
-    The default 1-4 scales are the AMBER conventions (the paper's gpW,
-    DHFR and BPTI simulations used AMBER99SB).
-    """
+
+def build_exclusions(top: Topology) -> ExclusionTable:
+    """Derive exclusions from the covalent graph of ``top``."""
     top.compile()
     n = top.n_atoms
     edges = top.bonded_graph_edges()
@@ -120,8 +118,8 @@ def build_exclusions(
         n_atoms=n,
         excluded=excluded_arr,
         pair14=pair14_arr,
-        lj_scale14=float(lj_scale14),
-        coul_scale14=float(coul_scale14),
+        lj_scale14=LJ_SCALE14,
+        coul_scale14=COUL_SCALE14,
         _excluded_keys=_pair_keys(excluded_arr[:, 0], excluded_arr[:, 1], n) if len(excluded_arr) else np.empty(0, np.int64),
         _pair14_keys=_pair_keys(pair14_arr[:, 0], pair14_arr[:, 1], n) if len(pair14_arr) else np.empty(0, np.int64),
     )

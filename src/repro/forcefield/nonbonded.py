@@ -201,40 +201,30 @@ _DISPERSION_TIERS: tuple[Tier, ...] = (
 #: costs ~50 ms on a 2-vCPU host, and the benchmarks and machine
 #: simulator construct many ForceCalculators with identical parameters —
 #: they share one immutable set.
-_TABLE_CACHE: dict[tuple[float, float, int, float], KernelTableSet] = {}
+_TABLE_CACHE: dict[tuple[float, float], KernelTableSet] = {}
 
 
-def build_kernel_tables(
-    cutoff: float,
-    ewald_sigma: float,
-    mantissa_bits: int = 22,
-    r_floor: float = 1.0,
-) -> KernelTableSet:
+def build_kernel_tables(cutoff: float, ewald_sigma: float) -> KernelTableSet:
     """Build (or fetch the memoized) PPIP table set for a parameterization.
 
     Tables: electrostatic force/energy (screened Coulomb per unit
     charge product) and the r^-12 / r^-6 dispersion force/energy
     kernels (per unit A/B coefficient).
 
-    ``r_floor`` reflects the closest non-excluded approach.  Hydrogens
-    without LJ cores (rigid-water H) can be pressed to ~1.4 A by
-    hydrogen-bond geometry, so the floor sits at 1.0 A; the tiered
-    segmentation keeps the steep small-r region accurate.
-
-    Results are cached per ``(cutoff, sigma, mantissa_bits, r_floor)``;
-    callers treat the returned set as read-only.
+    Results are cached per ``(cutoff, sigma)``; callers treat the
+    returned set as read-only.
     """
-    key = (float(cutoff), float(ewald_sigma), int(mantissa_bits), float(r_floor))
+    key = (float(cutoff), float(ewald_sigma))
     cached = _TABLE_CACHE.get(key)
     if cached is not None:
         return cached
-    ts = KernelTableSet(cutoff=cutoff, r_floor=r_floor)
-    ts.add("elec_f", lambda r2: real_space_force_kernel(r2, ewald_sigma) / COULOMB, mantissa_bits=mantissa_bits)
-    ts.add("elec_e", lambda r2: real_space_energy_kernel(r2, ewald_sigma) / COULOMB, mantissa_bits=mantissa_bits)
-    ts.add("lj12_f", lambda r2: 12.0 / r2**7, tiers=_DISPERSION_TIERS, mantissa_bits=mantissa_bits)
-    ts.add("lj6_f", lambda r2: 6.0 / r2**4, tiers=_DISPERSION_TIERS, mantissa_bits=mantissa_bits)
-    ts.add("lj12_e", lambda r2: 1.0 / r2**6, tiers=_DISPERSION_TIERS, mantissa_bits=mantissa_bits)
-    ts.add("lj6_e", lambda r2: 1.0 / r2**3, tiers=_DISPERSION_TIERS, mantissa_bits=mantissa_bits)
+    ts = KernelTableSet(cutoff=cutoff)
+    ts.add("elec_f", lambda r2: real_space_force_kernel(r2, ewald_sigma) / COULOMB)
+    ts.add("elec_e", lambda r2: real_space_energy_kernel(r2, ewald_sigma) / COULOMB)
+    ts.add("lj12_f", lambda r2: 12.0 / r2**7, tiers=_DISPERSION_TIERS)
+    ts.add("lj6_f", lambda r2: 6.0 / r2**4, tiers=_DISPERSION_TIERS)
+    ts.add("lj12_e", lambda r2: 1.0 / r2**6, tiers=_DISPERSION_TIERS)
+    ts.add("lj6_e", lambda r2: 1.0 / r2**3, tiers=_DISPERSION_TIERS)
     _TABLE_CACHE[key] = ts
     return ts
 

@@ -31,10 +31,6 @@ class LJTable:
         self.a_ij = 4.0 * self.eps_ij * s6 * s6
         self.b_ij = 4.0 * self.eps_ij * s6
 
-    def pair_params(self, type_i: np.ndarray, type_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Combined (sigma, epsilon) for arrays of type indices."""
-        return self.sigma_ij[type_i, type_j], self.eps_ij[type_i, type_j]
-
     def pair_coefficients(self, type_i: np.ndarray, type_j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (A, B) = (4 eps sigma^12, 4 eps sigma^6) coefficients.
 

@@ -16,7 +16,17 @@ import numpy as np
 
 from repro.functions.tables import ANTON_ELECTROSTATIC_TIERS, Tier, TieredTable
 
-__all__ = ["KernelTableSet"]
+__all__ = ["KernelTableSet", "TABLE_MANTISSA_BITS", "R_FLOOR"]
+
+#: Mantissa width of every kernel table's block-floating-point
+#: coefficients; a fingerprint hashes it as the retired
+#: ``MDParams.table_mantissa_bits``.
+TABLE_MANTISSA_BITS = 22
+#: Smallest pair distance (A) the tables represent.  Hydrogens without
+#: LJ cores (rigid-water H) can be pressed to ~1.4 A by hydrogen-bond
+#: geometry, so the floor sits at 1.0 A; the tiered segmentation keeps
+#: the steep small-r region accurate.
+R_FLOOR = 1.0
 
 
 class KernelTableSet:
@@ -26,19 +36,14 @@ class KernelTableSet:
     ----------
     cutoff:
         Interaction cutoff R in angstroms; tables span r in
-        (r_floor, R).
-    r_floor:
-        Smallest physical pair distance the tables must represent.
-        Non-excluded nonbonded pairs in condensed-phase MD never
-        approach closer than ~0.8 A.
+        (:data:`R_FLOOR`, R).
     """
 
-    def __init__(self, cutoff: float, r_floor: float = 0.8):
-        if cutoff <= r_floor:
-            raise ValueError(f"cutoff {cutoff} must exceed r_floor {r_floor}")
+    def __init__(self, cutoff: float):
+        if cutoff <= R_FLOOR:
+            raise ValueError(f"cutoff {cutoff} must exceed the table floor {R_FLOOR}")
         self.cutoff = float(cutoff)
-        self.r_floor = float(r_floor)
-        self.u_floor = (r_floor / cutoff) ** 2
+        self.u_floor = (R_FLOOR / cutoff) ** 2
         self.tables: dict[str, TieredTable] = {}
 
     def add(
@@ -46,8 +51,6 @@ class KernelTableSet:
         name: str,
         f_of_r2: Callable[[np.ndarray], np.ndarray],
         tiers: Sequence[Tier] = ANTON_ELECTROSTATIC_TIERS,
-        mantissa_bits: int = 22,
-        degree: int = 3,
     ) -> TieredTable:
         """Tabulate ``f_of_r2`` (a function of r² in A²) over the cutoff.
 
@@ -63,8 +66,7 @@ class KernelTableSet:
         table = TieredTable.build(
             g,
             tiers=tiers,
-            degree=degree,
-            mantissa_bits=mantissa_bits,
+            mantissa_bits=TABLE_MANTISSA_BITS,
             u_floor=self.u_floor,
         )
         self.tables[name] = table
@@ -105,6 +107,3 @@ class KernelTableSet:
             return table.evaluate_at(*loc)
 
         return ev
-
-    def names(self) -> list[str]:
-        return sorted(self.tables)

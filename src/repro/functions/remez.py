@@ -21,6 +21,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = ["MinimaxFits", "remez_fit_rows", "polyval_ascending"]
 
+#: A row stops when its observed max error and levelled error E agree to
+#: this relative tolerance (equioscillation achieved).
+_REL_TOL = 1e-10
+
 
 def polyval_ascending(coeffs: np.ndarray, t: np.ndarray | float) -> np.ndarray:
     """Evaluate a polynomial with ascending-order coefficients by Horner.
@@ -135,7 +139,6 @@ def remez_fit_rows(
     degree: int = 3,
     grid: int = 4000,
     max_iter: int = 40,
-    rel_tol: float = 1e-10,
 ) -> MinimaxFits:
     """Minimax polynomial approximation of ``f`` on every ``[a[i], b[i]]``.
 
@@ -153,9 +156,6 @@ def remez_fit_rows(
         ``degree + 2``.
     max_iter:
         Exchange iteration cap; smooth kernels converge in a handful.
-    rel_tol:
-        Stop a row when its observed max error and levelled error E
-        agree to this relative tolerance (equioscillation achieved).
 
     Every row iterates on its own: it stops when it converges, when its
     exchange degenerates or repeats its reference, or when its linear
@@ -206,8 +206,8 @@ def remez_fit_rows(
         level = np.abs(sol[:, -1])
         err = polyval_ascending(sol[:, None, :-1], ts) - fx[active]
         max_err = np.max(np.abs(err), axis=1)
-        done = (max_err <= level * (1.0 + rel_tol)) | (
-            (max_err - level) <= rel_tol * np.maximum(max_err, 1e-300)
+        done = (max_err <= level * (1.0 + _REL_TOL)) | (
+            (max_err - level) <= _REL_TOL * np.maximum(max_err, 1e-300)
         )
         converged[active[done]] = True
         iterations[active[done]] = it

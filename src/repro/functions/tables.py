@@ -22,6 +22,9 @@ from repro.functions.remez import polyval_ascending, remez_fit_rows
 
 __all__ = ["Tier", "ANTON_ELECTROSTATIC_TIERS", "TieredTable", "uniform_tiers"]
 
+#: Points of each segment's minimax exchange grid.
+_FIT_GRID = 257
+
 
 @dataclass(frozen=True)
 class Tier:
@@ -50,9 +53,9 @@ ANTON_ELECTROSTATIC_TIERS: tuple[Tier, ...] = (
 )
 
 
-def uniform_tiers(n_segments: int, start: float = 0.0, end: float = 1.0) -> tuple[Tier, ...]:
-    """A single uniform tier — the ablation baseline for tiered indexing."""
-    return (Tier(start, end, n_segments),)
+def uniform_tiers(n_segments: int) -> tuple[Tier, ...]:
+    """A single uniform tier over [0, 1] — the ablation baseline for tiered indexing."""
+    return (Tier(0.0, 1.0, n_segments),)
 
 
 def _validate_tiers(tiers: Sequence[Tier]) -> None:
@@ -104,13 +107,11 @@ class TieredTable:
         cls,
         f: Callable[[np.ndarray], np.ndarray],
         tiers: Sequence[Tier] = ANTON_ELECTROSTATIC_TIERS,
-        degree: int = 3,
         mantissa_bits: int = 22,
         u_floor: float = 0.0,
         enforce_continuity: bool = True,
-        grid_per_segment: int = 257,
     ) -> "TieredTable":
-        """Fit ``f`` over all tier segments.
+        """Fit cubics to ``f`` over all tier segments.
 
         Parameters
         ----------
@@ -137,7 +138,7 @@ class TieredTable:
         seg_widths = np.concatenate([np.full(t.segments, (t.end - t.start) / t.segments) for t in tiers])
         # One exchange over every segment at once (each row bit for bit
         # its own one-segment fit).
-        fits = remez_fit_rows(f_safe, seg_starts, seg_starts + seg_widths, degree=degree, grid=grid_per_segment)
+        fits = remez_fit_rows(f_safe, seg_starts, seg_starts + seg_widths, grid=_FIT_GRID)
         n = len(seg_starts)
         coeffs_raw = fits.coeffs
         fit_errors = fits.max_error

@@ -97,10 +97,8 @@ def within(
     return NeighborPairs(*(np.concatenate(a) for a in zip(*parts)))
 
 
-def brute_force_pairs(
-    positions: np.ndarray, box: Box, cutoff: float, chunk: int = 512
-) -> NeighborPairs:
-    """All-pairs O(N²) search, chunked to bound memory.
+def brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPairs:
+    """All-pairs O(N²) search, in chunks of 512 rows to bound memory.
 
     Correct for any cutoff up to ``box.max_cutoff()``; used directly for
     small or dense-in-cells systems and as the oracle in tests.
@@ -108,6 +106,7 @@ def brute_force_pairs(
     n = len(positions)
     out_i, out_j, out_dx, out_r2 = [], [], [], []
     c2 = cutoff * cutoff
+    chunk = 512
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         d = box.minimum_image(positions[lo:hi, None, :] - positions[None, :, :])

@@ -34,10 +34,6 @@ class Box:
     def volume(self) -> float:
         return float(np.prod(self.lengths))
 
-    @property
-    def is_cubic(self) -> bool:
-        return bool(np.all(self.lengths == self.lengths[0]))
-
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         """Map positions into the primary cell [0, L) per axis (a new array).
 

@@ -28,7 +28,6 @@ from repro.io.energylog import (
 )
 from repro.io.records import CorruptRecord
 from repro.io.replicas import (
-    indexed_artifact_path,
     job_checkpoint_dir,
     job_energy_log_path,
     job_trajectory_path,
@@ -71,7 +70,6 @@ __all__ = [
     "replica_checkpoint_dir",
     "replica_checkpoint_store",
     "replica_trajectory_path",
-    "indexed_artifact_path",
     "job_checkpoint_dir",
     "job_energy_log_path",
     "job_trajectory_path",

@@ -16,7 +16,7 @@ Two consumers persist *solo-format* artifact sets under derived names:
   sanitized to filesystem-safe slugs and collisions resolved
   deterministically.
 
-Both go through the same helpers: :func:`indexed_artifact_path` is the
+Both go through the same helpers: :func:`replica_trajectory_path` is the
 suffix-preserving index insertion, :func:`sanitize_artifact_name` /
 :func:`unique_artifact_dir` the slug and collision logic.  Each
 per-replica / per-job checkpoint directory is an ordinary
@@ -32,7 +32,6 @@ from pathlib import Path
 from repro.io.checkpoint import CheckpointStore
 
 __all__ = [
-    "indexed_artifact_path",
     "replica_trajectory_path",
     "replica_checkpoint_dir",
     "replica_checkpoint_store",
@@ -46,25 +45,16 @@ __all__ = [
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-def indexed_artifact_path(
-    base, index: int, prefix: str = "r", width: int = 3, default_suffix: str = ".rrs"
-) -> Path:
-    """Insert an index tag before the suffix: ``traj.rrs`` -> ``traj.r003.rrs``.
+def replica_trajectory_path(base, r: int) -> Path:
+    """Insert a replica tag before the suffix: ``traj.rrs`` -> ``traj.r003.rrs``.
 
-    A base without a suffix gets ``default_suffix`` appended, so
-    ``traj`` and ``traj.rrs`` derive the same family of names (the
-    rename edge case that used to live, untested, in the replica
-    helper).
+    A base without a suffix gets ``.rrs`` appended, so ``traj`` and
+    ``traj.rrs`` derive the same family of names.
     """
     p = Path(base)
-    suffix = p.suffix or default_suffix
+    suffix = p.suffix or ".rrs"
     stem = p.stem if p.suffix else p.name
-    return p.with_name(f"{stem}.{prefix}{int(index):0{width}d}{suffix}")
-
-
-def replica_trajectory_path(base, r: int) -> Path:
-    """``traj.rrs`` -> ``traj.r003.rrs`` (suffix preserved)."""
-    return indexed_artifact_path(base, r, prefix="r")
+    return p.with_name(f"{stem}.r{int(r):03d}{suffix}")
 
 
 def replica_checkpoint_dir(base, r: int) -> Path:

@@ -219,10 +219,18 @@ def _params_hash(params) -> str:
     ``skin`` is excluded on purpose: the buffered neighbor list yields
     a pair set that is a pure function of the positions, so results
     are bitwise independent of the skin and a checkpoint may be
-    restored under a different buffer radius.
+    restored under a different buffer radius.  Three former fields are
+    now constants that still decide force bits; they are hashed under
+    their old names and ``repr``s, so every fingerprint, and every
+    checkpoint written before they were retired, stays valid.
     """
+    from repro.ewald.kernels import EWALD_TOLERANCE
+    from repro.functions.evaluator import TABLE_MANTISSA_BITS
+
     fields = asdict(params)
     fields.pop("skin", None)
+    fields.update(electrostatics=True, ewald_tolerance=EWALD_TOLERANCE,
+                  table_mantissa_bits=TABLE_MANTISSA_BITS)
     canon = ";".join(f"{k}={fields[k]!r}" for k in sorted(fields))
     return hashlib.sha256(canon.encode()).hexdigest()
 

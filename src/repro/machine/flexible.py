@@ -44,9 +44,6 @@ class BondTermAssignment:
     gc_load: dict[tuple[int, int], float]  # (node, gc) -> summed cost
     bond_destinations: dict[int, set[int]]  # atom -> nodes needing its position
 
-    def worst_gc_load(self) -> float:
-        return max(self.gc_load.values(), default=0.0)
-
     def destination_messages(self, owners: np.ndarray) -> int:
         """Off-node position sends per step: one per (atom, remote
         destination node) pair (then replicated on-chip to GCs and the

@@ -37,12 +37,6 @@ class HTISTiming:
         """The binding constraint sets the time."""
         return max(self.match_limited_s, self.ppip_limited_s)
 
-    @property
-    def ppip_utilization(self) -> float:
-        if self.time_s == 0:
-            return 1.0
-        return self.ppip_limited_s / self.time_s
-
 
 class HTISModel:
     """Throughput model of one node's HTIS."""

@@ -545,7 +545,7 @@ class AntonMachine(LaneEngine):
             return {}
         return dict(self.network.recovery_stats.by_tag)
 
-    def network_report(self, top: int = 3) -> dict:
+    def network_report(self) -> dict:
         """Routed-fabric occupancy and congestion, per step so far.
 
         Requires ``routed=True`` at construction.  Per-phase critical
@@ -555,7 +555,7 @@ class AntonMachine(LaneEngine):
         """
         if self.router is None:
             raise ValueError("machine was built without routed=True")
-        report = self.router.report(steps=self._steps_reported(), top=top)
+        report = self.router.report(steps=self._steps_reported())
         report["recovery_link_bytes"] = (
             self.network.recovery_router.primary.total_bytes()
             if isinstance(self.network, FaultyNetwork)

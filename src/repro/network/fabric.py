@@ -315,10 +315,9 @@ class LinkRouter:
             "saved_link_bytes": self.multicast_unicast_hop_bytes - self.multicast_tree_hop_bytes,
         }
 
-    def report(
-        self, steps: int = 1, congestion: CongestionModel | None = None, top: int = 3
-    ) -> dict:
-        """Occupancy/congestion summary (the ``repro network`` payload)."""
+    def report(self, steps: int = 1, congestion: CongestionModel | None = None) -> dict:
+        """Occupancy/congestion summary (the ``repro network`` payload): the
+        three busiest links."""
         model = congestion or self.congestion
         steps = max(int(steps), 1)
         phases = {}
@@ -347,7 +346,7 @@ class LinkRouter:
             "link_bytes_total": self.primary.total_bytes(),
             "link_packets_total": self.primary.total_packets(),
             "max_link_bytes": self.primary.max_bytes(),
-            "busiest_links": [list(x) for x in self.primary.busiest(top)],
+            "busiest_links": [list(x) for x in self.primary.busiest()],
             "multicast": self.multicast_savings(),
             "compression_saved_link_bytes": self.compression_saved_hop_bytes,
             "multicast_saved_link_bytes": self.multicast_saved_hop_bytes,

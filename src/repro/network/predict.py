@@ -53,7 +53,6 @@ def synthesize_step_router(
     n_nodes: int,
     hw: AntonHardware = ANTON_2008,
     config: RoutedConfig | None = None,
-    long_range_every: int = 2,
 ) -> tuple[LinkRouter, SimNetwork]:
     """Charge one synthetic time step's traffic onto a routed fabric.
 
@@ -65,8 +64,8 @@ def synthesize_step_router(
     * ``force_export`` — the reverse routes, one summed force record
       per imported atom, point-to-point;
     * ``fft_axis{0,1,2}`` — the distributed FFT's six axis all-to-all
-      phases (forward + inverse), charged once; callers divide by
-      ``long_range_every`` when composing step time.
+      phases (forward + inverse), charged once; callers divide by the
+      MTS interval when composing step time.
 
     Returns the router and the network carrying the flat counters for
     the same traffic (the counter-model comparison).
@@ -110,18 +109,15 @@ def predict_comm(
     hw: AntonHardware = ANTON_2008,
     config: RoutedConfig | None = None,
     congestion: CongestionModel | None = None,
-    long_range_every: int = 2,
 ) -> dict:
     """Congested communication critical paths of one predicted step.
 
     Returns ``short_comm_us`` (position import + force export, every
     step), ``long_comm_us`` (the FFT all-to-alls, amortized by the
-    caller over ``long_range_every``), per-phase times, the flat
+    caller over the MTS interval), per-phase times, the flat
     counter totals, and the multicast/compression savings.
     """
-    router, network = synthesize_step_router(
-        spec, n_nodes, hw=hw, config=config, long_range_every=long_range_every
-    )
+    router, network = synthesize_step_router(spec, n_nodes, hw=hw, config=config)
     phase_times = router.phase_times_us(steps=1, congestion=congestion)
     short_us = sum(t for tag, t in phase_times.items() if tag in SHORT_RANGE_TAGS)
     long_us = sum(t for tag, t in phase_times.items() if tag.startswith("fft_axis"))

@@ -41,24 +41,23 @@ class MigrationSchedule:
     ----------
     interval:
         Steps between migration passes (paper: 4-8).
-    max_speed:
-        Conservative bound on per-step atomic displacement (A/step);
-        with 2.5 fs steps even hot hydrogens stay under ~0.1 A/step.
     """
+
+    #: Conservative bound on per-step atomic displacement (A/step); with
+    #: 2.5 fs steps even hot hydrogens stay under ~0.1 A/step.
+    max_speed = 0.1
 
     def __init__(
         self,
         decomp: SpatialDecomposition,
         topology: Topology,
         interval: int = 4,
-        max_speed: float = 0.1,
     ):
         if interval < 1:
             raise ValueError("interval must be >= 1")
         self.decomp = decomp
         self.topology = topology
         self.interval = interval
-        self.max_speed = max_speed
         self.owners: np.ndarray | None = None
         self.steps_since_migration = 0
         self.events: list[MigrationEvent] = []
@@ -115,6 +114,3 @@ class MigrationSchedule:
         self.owners = correct
         self.steps_since_migration = 0
         return event
-
-    def total_migrated(self) -> int:
-        return sum(e.n_migrated for e in self.events)

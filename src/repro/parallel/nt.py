@@ -168,6 +168,10 @@ def tower_plate_boxes(
     return tower, plate
 
 
+#: Tower rows per block of :func:`match_efficiency`, to bound memory.
+_MATCH_CHUNK = 512
+
+
 def match_efficiency(
     box_side: float,
     cutoff: float = 13.0,
@@ -175,7 +179,6 @@ def match_efficiency(
     density: float = 0.1003,
     n_samples: int = 10,
     seed: int = 0,
-    chunk: int = 512,
 ) -> float:
     """Monte-Carlo match efficiency of the NT method (Table 3).
 
@@ -221,14 +224,14 @@ def match_efficiency(
         considered += len(t_idx) * len(p_idx)
         home_t = home[t_idx]
         home_p = home[p_idx]
-        for s in range(0, len(t_idx), chunk):
-            tc = t_idx[s : s + chunk]
+        for s in range(0, len(t_idx), _MATCH_CHUNK):
+            tc = t_idx[s : s + _MATCH_CHUNK]
             d = pos[tc][:, None, :] - pos[p_idx][None, :, :]
             within = np.sum(d * d, axis=2) < R * R
             same = tc[:, None] == p_idx[None, :]
             # Home-home candidates appear twice (once in each role);
             # count each such unordered pair once.
-            both_home = home_t[s : s + chunk][:, None] & home_p[None, :]
+            both_home = home_t[s : s + _MATCH_CHUNK][:, None] & home_p[None, :]
             dup = both_home & (tc[:, None] > p_idx[None, :])
             necessary += int(np.count_nonzero(within & ~same & ~dup))
     if considered == 0:

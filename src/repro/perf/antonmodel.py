@@ -41,6 +41,10 @@ _ANCHOR_COARSE = {
 #: latency-dominated distributed FFT.
 _ANCHOR_FFT_FINE_US = 24.7
 _ANCHOR_NODES = 512
+#: Time step (fs) and MTS interval of every Table 4 benchmark: the
+#: long-range forces are evaluated every second step.
+DT_FS = 2.5
+MTS_INTERVAL = 2
 
 #: Fraction of bonded-force time on the critical path (the rest
 #: overlaps HTIS work); fit from Table 2's totals.
@@ -127,11 +131,10 @@ class AntonModel:
         self,
         w: StepWorkload,
         n_nodes: int = 512,
-        long_range_every: int = 2,
         short_comm_us: float = 0.0,
         long_comm_us: float = 0.0,
     ) -> float:
-        """Average wall time of one time step (us).
+        """Average wall time of one time step (us), at :data:`MTS_INTERVAL`.
 
         Each half of the step takes the *longer* of its compute chain
         and its congested communication critical path (from
@@ -143,7 +146,7 @@ class AntonModel:
         return (
             _STEP_OVERHEAD_US
             + max(self.short_us(p), float(short_comm_us))
-            + max(self.long_range_us(p), float(long_comm_us)) / long_range_every
+            + max(self.long_range_us(p), float(long_comm_us)) / MTS_INTERVAL
         )
 
     def total_step_us_single_rate(self, w: StepWorkload, n_nodes: int = 512) -> float:
@@ -155,12 +158,13 @@ class AntonModel:
         self,
         w: StepWorkload,
         n_nodes: int = 512,
-        dt_fs: float = 2.5,
-        long_range_every: int = 2,
         short_comm_us: float = 0.0,
         long_comm_us: float = 0.0,
     ) -> float:
-        """Simulated microseconds per wall-clock day (Figure 5's axis)."""
-        step = self.step_us(w, n_nodes, long_range_every, short_comm_us, long_comm_us)
+        """Simulated microseconds per wall-clock day (Figure 5's axis).
+
+        Every benchmark of Table 4 steps at :data:`DT_FS`.
+        """
+        step = self.step_us(w, n_nodes, short_comm_us, long_comm_us)
         steps_per_day = 86400e6 / step
-        return steps_per_day * dt_fs * 1e-9
+        return steps_per_day * DT_FS * 1e-9

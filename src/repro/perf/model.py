@@ -78,7 +78,7 @@ class PerformanceModel:
     # -- Figure 5 / Table 4 -------------------------------------------------
 
     def anton_us_per_day(
-        self, spec, n_nodes: int = 512, long_range_every: int = 2, waters_only: bool = False
+        self, spec, n_nodes: int = 512, waters_only: bool = False
     ) -> float:
         """Predicted simulation rate for a benchmark spec."""
         w = workload_from_spec(spec, n_nodes=n_nodes)
@@ -95,13 +95,12 @@ class PerformanceModel:
                 correction_pairs=w.n_atoms,  # water exclusions only
                 n_constraints=w.n_atoms,
             )
-        return self.anton.us_per_day(w, n_nodes=n_nodes, long_range_every=long_range_every)
+        return self.anton.us_per_day(w, n_nodes=n_nodes)
 
     def anton_routed_prediction(
         self,
         spec,
         n_nodes: int = 512,
-        long_range_every: int = 2,
         config=None,
         congestion=None,
     ) -> dict:
@@ -117,36 +116,25 @@ class PerformanceModel:
         """
         from repro.network.predict import predict_comm
 
-        comm = predict_comm(
-            spec, n_nodes, config=config, congestion=congestion,
-            long_range_every=long_range_every,
-        )
+        comm = predict_comm(spec, n_nodes, config=config, congestion=congestion)
         w = workload_from_spec(spec, n_nodes=n_nodes)
-        routed = dict(
-            long_range_every=long_range_every,
-            short_comm_us=comm["short_comm_us"],
-            long_comm_us=comm["long_comm_us"],
-        )
+        routed = dict(short_comm_us=comm["short_comm_us"], long_comm_us=comm["long_comm_us"])
         comm["step_us_routed"] = self.anton.step_us(w, n_nodes, **routed)
         comm["us_per_day_routed"] = self.anton.us_per_day(w, n_nodes, **routed)
-        comm["us_per_day_counter"] = self.anton.us_per_day(
-            w, n_nodes=n_nodes, long_range_every=long_range_every
-        )
+        comm["us_per_day_counter"] = self.anton.us_per_day(w, n_nodes=n_nodes)
         return comm
 
     def anton_routed_scaling(
         self,
         spec,
         node_counts=(512, 1024, 2048, 4096),
-        long_range_every: int = 2,
         config=None,
         congestion=None,
     ) -> list[dict]:
         """:meth:`anton_routed_prediction` swept over node counts."""
         return [
             self.anton_routed_prediction(
-                spec, n, long_range_every=long_range_every,
-                config=config, congestion=congestion,
+                spec, n, config=config, congestion=congestion,
             )
             for n in node_counts
         ]

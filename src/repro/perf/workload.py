@@ -85,7 +85,6 @@ def workload_from_counts(
     params: MDParams,
     box_side_per_node: float,
     subbox_divisions: int = 2,
-    n_constraints: int | None = None,
 ) -> StepWorkload:
     """Analytic workload from system-level counts (Table 4 scale).
 
@@ -104,8 +103,7 @@ def workload_from_counts(
     n_waters = (n_atoms - n_protein_atoms) // 3
     corr = int(EXCLUSIONS_PER_RESIDUE * n_res + PAIR14_PER_RESIDUE * n_res + 3 * n_waters)
     h = side / params.mesh[0]
-    if n_constraints is None:
-        n_constraints = 3 * n_waters + int(n_res * 3)  # water + H bonds
+    n_constraints = 3 * n_waters + int(n_res * 3)  # water + H bonds
     return StepWorkload(
         n_atoms=n_atoms,
         n_protein_atoms=n_protein_atoms,
@@ -120,16 +118,14 @@ def workload_from_counts(
     )
 
 
-def workload_from_spec(spec, params: MDParams | None = None, n_nodes: int = 512) -> StepWorkload:
-    """Analytic workload for a Table 4 benchmark spec."""
-    if params is None:
-        params = MDParams(cutoff=spec.cutoff, mesh=spec.mesh_shape)
+def workload_from_spec(spec, n_nodes: int = 512) -> StepWorkload:
+    """Analytic workload for a Table 4 benchmark spec, at its own cutoff and mesh."""
     box_per_node = spec.side / round(n_nodes ** (1.0 / 3.0))
     return workload_from_counts(
         n_atoms=spec.n_atoms,
         n_protein_atoms=spec.n_protein_atoms,
         side=spec.side,
-        params=params,
+        params=MDParams(cutoff=spec.cutoff, mesh=spec.mesh_shape),
         box_side_per_node=box_per_node,
     )
 

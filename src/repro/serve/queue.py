@@ -204,12 +204,6 @@ class JobQueue:
 
     # -- views --------------------------------------------------------------
 
-    def pending(self) -> list[Job]:
-        return [j for j in self.jobs.values() if j.state == "PENDING"]
-
-    def active(self) -> list[Job]:
-        return [j for j in self.jobs.values() if j.state not in TERMINAL_STATES]
-
     def all_terminal(self) -> bool:
         return all(j.state in TERMINAL_STATES for j in self.jobs.values())
 

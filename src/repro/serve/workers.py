@@ -280,8 +280,13 @@ def execute_assignment(jobs, kernels, control=None, progress=None, prepared=None
 # -- process entry point -----------------------------------------------------
 
 
+#: Seconds an idle worker waits on its command queue before it checks
+#: that its parent is still alive.
+_IDLE_POLL = 0.2
+
+
 def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
-                parent_pid: int, idle_poll: float = 0.2) -> None:
+                parent_pid: int) -> None:
     """Worker process: resolve kernels once, keep prepared systems
     resident, then serve assignments.
 
@@ -318,7 +323,7 @@ def worker_main(worker_id: int, cmd_q, evt_q, kernel_tier, kernel_threads,
             msg = pending_cmds.pop(0)
         else:
             try:
-                msg = cmd_q.get(timeout=idle_poll)
+                msg = cmd_q.get(timeout=_IDLE_POLL)
             except Empty:
                 if os.getppid() != parent_pid:
                     return

@@ -122,7 +122,11 @@ def _chain_path(n_residues: int, spacing: float, rng: np.random.Generator) -> np
     raise AssertionError("unreachable")
 
 
-def synthetic_protein(n_residues: int, seed: int = 0, spacing: float = 4.9) -> ProteinFragment:
+#: C-alpha spacing (A) of :func:`synthetic_protein`'s chain path.
+CA_SPACING = 4.9
+
+
+def synthetic_protein(n_residues: int, seed: int = 0) -> ProteinFragment:
     """Build an all-atom-like synthetic protein of ``n_residues``.
 
     Bond lengths and angles take their equilibrium values from the
@@ -137,7 +141,7 @@ def synthetic_protein(n_residues: int, seed: int = 0, spacing: float = 4.9) -> P
     if n_residues < 1:
         raise ValueError("need at least one residue")
     rng = make_rng(seed)
-    ca = _chain_path(n_residues, spacing, rng)
+    ca = _chain_path(n_residues, CA_SPACING, rng)
     n_atoms = n_residues * _ATOMS_PER_RESIDUE
     positions = np.empty((n_atoms, 3))
     charges = np.empty(n_atoms)
@@ -206,9 +210,12 @@ def _random_rotation(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+#: Bond rest length (A) of :func:`hp_miniprotein`, and its starting spacing.
+HP_BOND_LENGTH = 4.2
+
+
 def hp_miniprotein(
     sequence: str = "HHPHHPPHHHPPHHPH",
-    bond_length: float = 4.2,
     seed: int = 0,
 ) -> ProteinFragment:
     """A hydrophobic/polar bead mini-protein for folding studies.
@@ -232,7 +239,7 @@ def hp_miniprotein(
         kick = rng.normal(0.0, 0.15, 3)
         step = direction + kick
         step /= np.linalg.norm(step)
-        positions[i] = positions[i - 1] + bond_length * step
+        positions[i] = positions[i - 1] + HP_BOND_LENGTH * step
         direction = step
     charges = np.zeros(n)
     masses = np.full(n, 100.0)  # heavy beads -> slow, stable dynamics
@@ -241,7 +248,7 @@ def hp_miniprotein(
     )
     top = Topology(n)
     for i in range(n - 1):
-        top.add_bond(i, i + 1, 20.0, bond_length)
+        top.add_bond(i, i + 1, 20.0, HP_BOND_LENGTH)
     for i in range(n - 2):
         top.add_angle(i, i + 1, i + 2, 4.0, np.deg2rad(120.0))
     return ProteinFragment(

@@ -238,7 +238,7 @@ class TestRestore:
         ahead = make_ensemble(base, params, seeds)
         ahead.run(3)
         small, small_params = prepared_water(n_molecules=8)
-        foreign = replace(params, table_mantissa_bits=20)
+        foreign = replace(params, long_range_every=params.long_range_every + 1)
         bad_sets = {
             "step counts differ": [good[0], ahead.replica_checkpoint(1)],
             "wrong replica count": good[:1],

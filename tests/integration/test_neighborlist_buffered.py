@@ -73,7 +73,7 @@ def test_rebuild_counters_surface_in_timers(system):
     params = replace(PARAMS, skin=1.0)
     sim = Simulation(system.copy(), params, dt=1.0, mode="fixed")
     sim.run(10)
-    counts = sim.timers.counts
+    counts = sim.calc.timers.counts
     nl = sim.calc.neighbor_list
     assert counts.get("neighbor_builds", 0) == nl.n_builds
     assert counts.get("neighbor_reuses", 0) == nl.n_reuses

@@ -53,7 +53,7 @@ def divided_tables(tables) -> KernelTableSet:
     """``tables`` with the electrostatic pair on the dispersion layout
     (widths 2^-k / 3: no power-of-two width, so the table offset keeps
     its division)."""
-    ts = KernelTableSet(tables.cutoff, tables.r_floor)
+    ts = KernelTableSet(tables.cutoff)
     ts.tables = dict(
         tables.tables, elec_f=tables.tables["lj12_f"], elec_e=tables.tables["lj12_e"]
     )

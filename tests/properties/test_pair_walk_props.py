@@ -188,7 +188,7 @@ def _scan_tables(calc) -> KernelTableSet:
     with a fine tier (``FINE_TIER``), the dispersion pair on 600 segments
     (more than the lookup keeps)."""
     base = calc.tables
-    ts = KernelTableSet(base.cutoff, base.r_floor)
+    ts = KernelTableSet(base.cutoff)
     ts.tables = dict(base.tables)
     lo, hi = FINE_TIER
     fine = (Tier(0.0, lo, 8), Tier(lo, hi, 64), Tier(hi, 1.0, 168))

@@ -8,7 +8,8 @@ It exports the committed tree (``git archive HEAD``) into a temporary
 directory, so the checkout and its ``benchmarks/results/`` are never
 touched, and runs a fixed entry list there: the examples, the paper
 benches, the perf harness's quick passes, both smokes and a list of CLI
-invocations, including one live ``repro serve`` round.  Every process
+invocations, including one live ``repro serve`` round that restarts the
+server over a job whose only snapshot it has torn.  Every process
 runs under a profile hook (a generated ``sitecustomize.py`` first on
 ``PYTHONPATH``) that appends each ``src/repro`` function to a per-pid
 file, line-buffered, the first time it is called: a multiprocessing
@@ -26,6 +27,7 @@ about 8 minutes on two cores.
 from __future__ import annotations
 
 import ast
+import json
 import os
 import signal
 import subprocess
@@ -39,25 +41,94 @@ HERE = Path(__file__).resolve().parent
 REPO = HERE.parents[1]
 REPORT = HERE / "REPORT.md"
 ALLOWLIST = HERE / "allowlist.txt"
+KNOBS = HERE / "knobs.txt"
 CATEGORIES = ("oracle", "pinned", "roadmap", "handler", "accessor")
+KNOB_CATEGORIES = ("pinned", "cli", "deployment", "oracle", "roadmap")
+# The config dataclasses whose fields the census counts, as parameters.
+CONFIGS = ("MDParams", "GSEParams", "JobSpec", "ServeConfig", "RoutedConfig", "RecoveryPolicy")
 
 HOOK = '''\
+import json
 import os
 import sys
 import threading
 
 _OUT = {out!r}
 _SRC = {src!r}
+# "file:line" of every function and method -> its defaulted parameters.
+with open({track!r}) as _f:
+    _TRACK = json.load(_f)
+_CONFIGS = {configs!r}
+_SCALARS = (bool, int, float, complex, str, bytes, type(None))
+_MAX_VALUES = 8
 _seen = set()
+_done = set()
+_open = {{}}
 _log = [None, None]
 
 
-def _record(code):
+def _write(*fields):
     pid = os.getpid()
     if _log[0] != pid:
         _log[0] = pid
         _log[1] = open(os.path.join(_OUT, "%d.txt" % pid), "a", buffering=1)
-    _log[1].write("%s\\t%d\\n" % (code.co_filename, code.co_firstlineno))
+    _log[1].write("\\t".join(fields) + "\\n")
+
+
+def _scalar(value):
+    if isinstance(value, tuple):
+        return all(_scalar(v) for v in value)
+    return isinstance(value, _SCALARS)
+
+
+def _value_key(value):
+    # NumPy scalars print as np.float64(...); key them as the Python value.
+    if isinstance(value, bool):
+        return repr(bool(value))
+    if isinstance(value, int):
+        return repr(int(value))
+    if isinstance(value, float):
+        return repr(float(value))
+    return repr(value)
+
+
+def _census_start(frame, code):
+    if code.co_filename.startswith(_SRC):
+        key = "%s:%d" % (code.co_filename, code.co_firstlineno)
+        return key, _TRACK.get(key)
+    if code.co_name == "__init__" and code.co_filename == "<string>":
+        cls = type(frame.f_locals.get("self"))
+        if cls.__name__ in _CONFIGS and cls.__module__.startswith("repro."):
+            names = code.co_varnames[1:code.co_argcount + code.co_kwonlyargcount]
+            return "@" + cls.__name__, names
+    return None, None
+
+
+def _census(frame, code):
+    state = _open.get(code)
+    if state is None:
+        key, names = _census_start(frame, code)
+        if not names:
+            _done.add(code)
+            return
+        state = _open[code] = (key, {{name: set() for name in names}})
+    key, params = state
+    local = frame.f_locals
+    for name, values in list(params.items()):
+        value = local.get(name)
+        if not _scalar(value):
+            _write("D", key, name)
+            del params[name]
+            continue
+        rep = _value_key(value)
+        if rep not in values:
+            values.add(rep)
+            _write("V", key, name, rep)
+            if len(values) >= _MAX_VALUES:
+                del params[name]
+    if all(len(v) >= 2 for v in params.values()):
+        _done.add(code)
+        del _open[code]
 
 
 def _hook(frame, event, arg):
@@ -66,7 +137,9 @@ def _hook(frame, event, arg):
         if code not in _seen:
             _seen.add(code)
             if code.co_filename.startswith(_SRC):
-                _record(code)
+                _write("F", code.co_filename, str(code.co_firstlineno))
+        if code not in _done:
+            _census(frame, code)
 
 
 sys.setprofile(_hook)
@@ -170,30 +243,44 @@ def run_one(label: str, argv: list[str], cwd: Path, env: dict, timeout: float = 
     return label, code, secs
 
 
+def _start_server(root: Path, env: dict, state: Path) -> subprocess.Popen:
+    server = subprocess.Popen([sys.executable, "-m", "repro", "serve", "--dir", str(state),
+                               "--workers", "1"], cwd=root, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    for _ in range(600):
+        if (state / "serve.sock").exists():
+            break
+        time.sleep(0.1)
+    return server
+
+
+def _stop_server(server: subprocess.Popen) -> None:
+    server.send_signal(signal.SIGTERM)
+    try:
+        server.wait(timeout=60)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        server.wait()
+
+
 def serve_round(root: Path, env: dict):
-    """``serve``, a few ``submit``s, ``jobs``, ``cancel``, then SIGTERM."""
-    py = sys.executable
+    """``serve``, ``submit``s, ``jobs``; SIGTERM, a torn lane, a restart; ``cancel``."""
     state = root / "work" / "serve"
     t0 = time.perf_counter()
     codes = []
-    server = subprocess.Popen([py, "-m", "repro", "serve", "--dir", str(state),
-                               "--workers", "1"], cwd=root, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "repro", *args, "--dir", str(state)],
+                              cwd=root, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=300).returncode
+
+    server = _start_server(root, env, state)
     try:
-        for _ in range(600):
-            if (state / "serve.sock").exists():
-                break
-            time.sleep(0.1)
-
-        def cli(*args):
-            return subprocess.run([py, "-m", "repro", *args, "--dir", str(state)],
-                                  cwd=root, env=env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.DEVNULL, timeout=300).returncode
-
         # One worker: the two short high-priority jobs preempt the long
-        # one, which is still running when it is cancelled.
+        # one, which keeps one snapshot and is still running at SIGTERM.
         codes.append(cli("submit", "--name", "long", "--waters", "32", "--steps", "100000",
-                     "--checkpoint-every", "50", "--trajectory-every", "50"))
+                         "--checkpoint-every", "50", "--trajectory-every", "50",
+                         "--retain", "1"))
         time.sleep(2.0)
         codes += [
             cli("submit", "--name", "a", "--waters", "16", "--steps", "20", "--priority", "5",
@@ -201,29 +288,41 @@ def serve_round(root: Path, env: dict):
             cli("submit", "--name", "b", "--waters", "16", "--steps", "20", "--priority", "5",
                 "--wait"),
             cli("jobs", "--metrics"),
-            cli("cancel", "long"),
-            cli("jobs"),
         ]
     finally:
-        server.send_signal(signal.SIGTERM)
-        try:
-            server.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
+        _stop_server(server)
+    # Tear the long job's newest (only) snapshot while the server is
+    # down: the restarted server requeues it with progress but nothing
+    # durable, and its resume restarts the lane from step 0.
+    snapshots = sorted(state.rglob("long/ck/*"))
+    torn = {p: p.read_bytes()[:-7] for p in snapshots}
+    for path, data in torn.items():
+        path.write_bytes(data)
+    if not torn:
+        codes.append("no snapshot to tear")
+    server = _start_server(root, env, state)
+    try:
+        for _ in range(300):  # until the resumed lane writes a new snapshot
+            if {p: p.read_bytes() for p in state.rglob("long/ck/*")}.items() - torn.items():
+                break
+            time.sleep(0.1)
+        else:
+            codes.append("no resume")
+        codes += [cli("cancel", "long"), cli("jobs")]
+    finally:
+        _stop_server(server)
     secs = time.perf_counter() - t0
     code = next((c for c in codes if c), 0)
     print(f"  {secs:7.1f} s  exit {code}  repro serve round", flush=True)
-    return "repro serve / submit / jobs / cancel, SIGTERM", code, secs
+    return "repro serve / submit / jobs; SIGTERM, torn snapshot, restart; cancel", code, secs
 
 
 def _defs(tree: ast.Module):
-    """(qualname, key line, end line) of top-level functions and class methods."""
+    """(qualname, key line, node) of top-level functions and class methods."""
     def walk(body, prefix):
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                yield prefix + node.name, first, node.end_lineno
+                yield prefix + node.name, min([node.lineno] + [d.lineno for d in node.decorator_list]), node
             elif isinstance(node, ast.ClassDef) and not prefix:
                 yield from walk(node.body, node.name + ".")
             elif isinstance(node, (ast.If, ast.Try)) and not prefix:
@@ -232,19 +331,59 @@ def _defs(tree: ast.Module):
     yield from walk(tree.body, "")
 
 
+def _modules(src: Path):
+    """(relative file, module, AST) of every file under ``src/repro``."""
+    for path in sorted((src / "repro").rglob("*.py")):
+        rel = path.relative_to(src).as_posix()
+        yield rel, rel[:-3].replace("/", ".").removesuffix(".__init__"), ast.parse(path.read_text(), rel)
+
+
 def functions(src: Path) -> dict[tuple[str, int], tuple[str, str, int]]:
     """(relative file, key line) -> (module, qualname, lines) under ``src/repro``."""
     out = {}
-    for path in sorted((src / "repro").rglob("*.py")):
-        rel = path.relative_to(src).as_posix()
-        module = rel[:-3].replace("/", ".").removesuffix(".__init__")
-        for qualname, first, last in _defs(ast.parse(path.read_text(), rel)):
-            out[(rel, first)] = (module, qualname, last - first + 1)
+    for rel, module, tree in _modules(src):
+        for qualname, first, node in _defs(tree):
+            out[(rel, first)] = (module, qualname, node.end_lineno - first + 1)
+    return out
+
+
+def defaulted(node: ast.FunctionDef) -> list[str]:
+    """Names of the parameters of ``node`` that carry a default."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    names = [a.arg for a in positional[len(positional) - len(args.defaults):]] if args.defaults else []
+    return names + [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def config_fields(node: ast.ClassDef) -> list[str]:
+    """The ``__init__`` fields of a config dataclass, ``InitVar``s included."""
+    return [s.target.id for s in node.body
+            if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+            and not ast.unparse(s.annotation).startswith("ClassVar")]
+
+
+def knobs(src: Path) -> dict[tuple[str, int, str], str]:
+    """Every independently settable value under ``src/repro``: census key -> name.
+
+    A defaulted parameter of a top-level function or class method is
+    keyed ``(relative file, key line, parameter)`` and named
+    ``module:qualname(parameter)``; a field of a :data:`CONFIGS` class is
+    keyed ``("@Class", 0, field)`` and named ``module:Class.field``.
+    """
+    out = {}
+    for rel, module, tree in _modules(src):
+        for qualname, first, node in _defs(tree):
+            for name in defaulted(node):
+                out[(rel, first, name)] = f"{module}:{qualname}({name})"
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in CONFIGS:
+                for name in config_fields(node):
+                    out[("@" + node.name, 0, name)] = f"{module}:{node.name}.{name}"
     return out
 
 
 def read_allowlist(path: Path = ALLOWLIST) -> list[tuple[str, str, str]]:
-    """``(module:qualname, category, reason)`` for every non-comment line."""
+    """``(name, category, reason)`` for every non-comment line."""
     entries = []
     for line in path.read_text().splitlines():
         if line.strip() and not line.startswith("#"):
@@ -258,7 +397,49 @@ def package(module: str) -> str:
     return ".".join(parts[:2]) if len(parts) > 1 else module
 
 
-def write_report(funcs, called, runs, allow) -> None:
+def single_valued(names: dict, values: dict, data: set) -> dict[str, str]:
+    """Name -> the one value seen, for every settable value that never varied."""
+    return {name: next(iter(values[key])) for key, name in names.items()
+            if key not in data and len(values.get(key, ())) == 1}
+
+
+def census_lines(names: dict, values: dict, data: set, keep) -> list[str]:
+    seen = {k for k in names if k in values or k in data}
+    single = single_valued(names, values, data)
+    fields = sum(1 for key in names if key[0].startswith("@"))
+    covered = {name: (cat, reason) for name, cat, reason in keep}
+    lines = [
+        "## Parameter census",
+        "",
+        "Every *settable value*: a defaulted parameter of a top-level function",
+        "or class method under `src/repro`, and every field of the config",
+        f"dataclasses ({', '.join(f'`{c}`' for c in CONFIGS)}). The hook",
+        "reads each one from the frame's locals at `call`, so an omitted",
+        "argument counts as its default, and keeps up to 8 distinct `repr`s of",
+        "scalars, strings, `None` and tuples of these. A value that is ever an",
+        "array or an object is *data*, not a knob. A *single-valued* one was",
+        "seen with one value across every run above: it is a constant, or it",
+        "carries an entry in `tests/reach/knobs.txt` (checked by",
+        "`tests/reach/test_census.py`).",
+        "",
+        "| settable values | defaulted parameters | config fields | seen | data | single-valued |",
+        "|---|---|---|---|---|---|",
+        f"| {len(names)} | {len(names) - fields} | {fields} | {len(seen)} | "
+        f"{len(data & names.keys())} | {len(single)} |",
+        "",
+        "### Single-valued parameters",
+        "",
+        "| parameter | value | category | reason |",
+        "|---|---|---|---|",
+    ]
+    for name, value in sorted(single.items()):
+        cat, reason = covered.get(name, ("**none**", ""))
+        shown = value.replace("|", "\\|")
+        lines.append(f"| `{name}` | `{shown}` | {cat} | {reason} |")
+    return lines
+
+
+def write_report(funcs, called, runs, allow, census) -> None:
     reached = funcs.keys() & called
     per = defaultdict(lambda: [0, 0, 0, 0])
     for key, (module, _, n) in funcs.items():
@@ -305,7 +486,33 @@ def write_report(funcs, called, runs, allow) -> None:
         lines.append(f"| `{name}` | {n} | {cat} | {reason} |")
     lines += ["", "## Allowlisted but reached", ""]
     lines += [f"- `{n}`" for n in reached_listed] or ["None."]
+    lines += ["", *census_lines(*census)]
     REPORT.write_text("\n".join(lines) + "\n")
+
+
+def read_logs(calls: Path, src: Path):
+    """(called functions, census values, census data) from the hook's logs."""
+    def rel(filename):
+        return Path(filename).relative_to(src).as_posix()
+
+    called, values, data = set(), defaultdict(set), set()
+    for log in calls.glob("*.txt"):
+        for line in log.read_text().splitlines():
+            tag, *rest = line.split("\t", 3)
+            if tag == "F":
+                called.add((rel(rest[0]), int(rest[1])))
+                continue
+            where, name = rest[0], rest[1]
+            if where.startswith("@"):
+                key = (where, 0, name)
+            else:
+                filename, _, first = where.rpartition(":")
+                key = (rel(filename), int(first), name)
+            if tag == "V":
+                values[key].add(rest[2])
+            else:
+                data.add(key)
+    return called, values, data
 
 
 def main() -> int:
@@ -322,20 +529,26 @@ def main() -> int:
         hook.mkdir()
         calls.mkdir()
         src = root / "src"
-        (hook / "sitecustomize.py").write_text(
-            HOOK.format(out=str(calls), src=str(src / "repro") + os.sep))
+        names = knobs(src)
+        track = defaultdict(list)
+        for rel, first, param in names:
+            if not rel.startswith("@"):
+                track[f"{src / rel}:{first}"].append(param)
+        (hook / "track.json").write_text(json.dumps(track))
+        (hook / "sitecustomize.py").write_text(HOOK.format(
+            out=str(calls), src=str(src / "repro") + os.sep, track=str(hook / "track.json"),
+            configs=CONFIGS))
         env = {**os.environ, "PYTHONPATH": f"{hook}{os.pathsep}{src}"}
 
         print(f"reachability probe of HEAD in {root}", flush=True)
+        t0 = time.perf_counter()
         runs = [run_one(label, argv, cwd, env) for label, argv, cwd in entry_list(root)]
         runs.append(serve_round(root, env))
+        print(f"  {time.perf_counter() - t0:7.1f} s  all runs", flush=True)
 
-        called = set()
-        for log in calls.glob("*.txt"):
-            for line in log.read_text().splitlines():
-                filename, _, first = line.rpartition("\t")
-                called.add((Path(filename).relative_to(src).as_posix(), int(first)))
-        write_report(functions(src), called, runs, read_allowlist())
+        called, values, data = read_logs(calls, src)
+        write_report(functions(src), called, runs, read_allowlist(),
+                     (names, values, data, read_allowlist(KNOBS)))
     print(f"wrote {REPORT.relative_to(REPO)}")
     return 0
 

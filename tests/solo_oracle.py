@@ -91,7 +91,7 @@ class SoloOracle:
                 rec = EnergyRecord(
                     step=step,
                     time_fs=step * self.dt,
-                    kinetic=integ.kinetic_energy(),
+                    kinetic=integ.system.kinetic_energy(integ.velocities),
                     potential=float(sum(integ.last_info.energies.values())),
                     temperature=integ.temperature(),
                 )

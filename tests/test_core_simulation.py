@@ -36,8 +36,7 @@ class TestMinimizer:
 
     def test_converges_on_force_tolerance(self):
         s = build_water_box(n_molecules=8, seed=13)
-        minimize_energy(s, MDParams(cutoff=3.0, mesh=(16, 16, 16)), max_steps=500,
-                        force_tolerance=30.0)
+        minimize_energy(s, MDParams(cutoff=3.0, mesh=(16, 16, 16)), max_steps=500)
         from repro.core import ForceCalculator
 
         f = ForceCalculator(s, MDParams(cutoff=3.0, mesh=(16, 16, 16))).compute(s.positions).forces

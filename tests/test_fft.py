@@ -87,7 +87,7 @@ class TestDistributedFFT:
     def test_message_accounting(self):
         topo = TorusTopology.cubic(8)  # 512 nodes, the paper's machine
         net = SimNetwork(topo)
-        dfft = DistributedFFT3D((32, 32, 32), topo, network=net, line_batches=4)
+        dfft = DistributedFFT3D((32, 32, 32), topo, network=net)
         mesh = np.zeros((32, 32, 32), dtype=np.complex128)
         dfft.forward(mesh)
         # Each node: 3 phases x (8-1) peers x 4 batches = 84 messages;

@@ -19,9 +19,8 @@ from repro.geometry import Box, neighbor_pairs
 class TestLJTable:
     def test_lorentz_berthelot(self):
         t = LJTable([3.0, 1.0], [0.2, 0.05])
-        s, e = t.pair_params(np.array([0]), np.array([1]))
-        assert s[0] == pytest.approx(2.0)
-        assert e[0] == pytest.approx(0.1)
+        assert t.sigma_ij[0, 1] == pytest.approx(2.0)
+        assert t.eps_ij[0, 1] == pytest.approx(0.1)
 
     def test_pair_coefficients(self):
         t = LJTable([3.0], [0.2])
@@ -35,7 +34,7 @@ class TestLJTable:
         rng = np.random.default_rng(4)
         t = LJTable(rng.uniform(0.0, 4.0, 7), rng.uniform(0.0, 0.4, 7))
         ti, tj = rng.integers(0, 7, 5000), rng.integers(0, 7, 5000)
-        sig, eps = t.pair_params(ti, tj)
+        sig, eps = t.sigma_ij[ti, tj], t.eps_ij[ti, tj]
         s6 = sig**6
         a, b = t.pair_coefficients(ti, tj)
         np.testing.assert_array_equal(a, 4.0 * eps * s6 * s6)
@@ -164,7 +163,7 @@ class TestTabulatedPath:
         lj = LJTable([2.2], [0.1])
         ex = build_exclusions(Topology(n))
         sigma = choose_sigma(cutoff, 1e-6)
-        tables = build_kernel_tables(cutoff, sigma, r_floor=0.9)
+        tables = build_kernel_tables(cutoff, sigma)
         pairs = neighbor_pairs(pos, box, cutoff)
         # Drop very close random overlaps (not present in real systems).
         keep = pairs.r2 > 2.0**2
@@ -180,14 +179,14 @@ class TestTabulatedPath:
 
 class TestKernelTableMemoization:
     def test_same_parameters_share_one_table_set(self):
-        a = build_kernel_tables(7.0, 1.9, mantissa_bits=22, r_floor=0.9)
-        b = build_kernel_tables(7.0, 1.9, mantissa_bits=22, r_floor=0.9)
+        a = build_kernel_tables(7.0, 1.9)
+        b = build_kernel_tables(7.0, 1.9)
         assert a is b
 
     def test_distinct_parameters_build_distinct_sets(self):
-        a = build_kernel_tables(7.0, 1.9, mantissa_bits=22, r_floor=0.9)
-        b = build_kernel_tables(7.0, 1.9, mantissa_bits=20, r_floor=0.9)
-        c = build_kernel_tables(7.5, 1.9, mantissa_bits=22, r_floor=0.9)
+        a = build_kernel_tables(7.0, 1.9)
+        b = build_kernel_tables(7.0, 2.0)
+        c = build_kernel_tables(7.5, 1.9)
         assert a is not b and a is not c
 
     def test_memoized_tables_evaluate_identically(self):

@@ -10,7 +10,6 @@ class TestBox:
     def test_cubic_constructor(self):
         box = Box.cubic(50.0)
         np.testing.assert_array_equal(box.lengths, [50.0, 50.0, 50.0])
-        assert box.is_cubic
         assert box.volume == pytest.approx(125000.0)
 
     def test_invalid_lengths(self):

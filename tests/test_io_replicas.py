@@ -3,7 +3,6 @@
 from pathlib import Path
 
 from repro.io import (
-    indexed_artifact_path,
     job_checkpoint_dir,
     job_energy_log_path,
     job_trajectory_path,
@@ -16,25 +15,22 @@ from repro.io import (
 
 class TestIndexedArtifactPath:
     def test_suffix_preserved(self):
-        assert indexed_artifact_path("out/traj.rrs", 3) == Path("out/traj.r003.rrs")
+        assert replica_trajectory_path("out/traj.rrs", 3) == Path("out/traj.r003.rrs")
 
     def test_missing_suffix_gets_default(self):
         # The rename edge case: "traj" and "traj.rrs" derive the same family.
-        assert indexed_artifact_path("traj", 0) == Path("traj.r000.rrs")
-        assert indexed_artifact_path("traj", 0) == indexed_artifact_path("traj.rrs", 0)
+        assert replica_trajectory_path("traj", 0) == Path("traj.r000.rrs")
+        assert replica_trajectory_path("traj", 0) == replica_trajectory_path("traj.rrs", 0)
 
     def test_multi_dot_names(self):
-        assert indexed_artifact_path("run.v2.rrs", 1) == Path("run.v2.r001.rrs")
-
-    def test_prefix_and_width(self):
-        assert indexed_artifact_path("e.jsonl", 7, prefix="w", width=2) == Path("e.w07.jsonl")
+        assert replica_trajectory_path("run.v2.rrs", 1) == Path("run.v2.r001.rrs")
 
     def test_replica_helpers_delegate(self):
         assert replica_trajectory_path("t.rrs", 12) == Path("t.r012.rrs")
         assert replica_checkpoint_dir("ck", 2) == Path("ck/replica-002")
 
     def test_indices_never_collide(self):
-        names = {indexed_artifact_path("t.rrs", i) for i in range(100)}
+        names = {replica_trajectory_path("t.rrs", i) for i in range(100)}
         assert len(names) == 100
 
 

@@ -95,6 +95,18 @@ class TestFingerprint:
         )
         assert a["params_hash"] == b["params_hash"]
 
+    @pytest.mark.parametrize("params, digest", [
+        (MDParams(), "492612aac42904e5e9d3621cbe5276618301df4157d71f9a12a766d5ea61e817"),
+        (MDParams(cutoff=7.5, long_range_every=2),
+         "0d67969162323d26e1b9a635896b2e8398c4a13de1a316153aaa502142f7902f"),
+    ])
+    def test_params_hash_is_pinned(self, system, params, digest):
+        # Recorded at commit 18be3a9, when ewald_tolerance, electrostatics
+        # and table_mantissa_bits were still MDParams fields: the constants
+        # that replaced them are hashed under the old names, so checkpoints
+        # and trajectories written then still match.
+        assert system_fingerprint(system, params, "fixed", 1.0)["params_hash"] == digest
+
     def test_different_system_rejected(self, system):
         other = build_water_box(n_molecules=27, seed=5)
         a = system_fingerprint(system, PARAMS, "fixed", 1.0)

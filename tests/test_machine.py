@@ -35,13 +35,12 @@ class TestHTISModel:
         m = HTISModel()
         t = m.evaluate(pairs_considered=1e6, interactions=5e5)  # 50% efficiency
         assert t.time_s == t.ppip_limited_s
-        assert t.ppip_utilization == 1.0
 
     def test_match_bound_at_low_efficiency(self):
         m = HTISModel()
         t = m.evaluate(pairs_considered=1e6, interactions=1e4)  # 1% efficiency
         assert t.time_s == t.match_limited_s
-        assert t.ppip_utilization < 1.0
+        assert t.ppip_limited_s < t.time_s
 
     def test_threshold_efficiency(self):
         m = HTISModel()
@@ -86,7 +85,7 @@ class TestBondTermAssignment:
         naive = [0.0] * 8
         for t, term in enumerate(out.terms):
             naive[t % 8] += term.cost
-        assert out.worst_gc_load() <= max(naive) + 1e-12
+        assert max(out.gc_load.values()) <= max(naive) + 1e-12
 
     def test_bond_destinations_cover_term_atoms(self):
         top = self._topology(12)

@@ -78,4 +78,4 @@ class TestMigrationSchedule:
             pos = (pos + rng.uniform(-2, 2, pos.shape)) % 16.0
             ev = sched.step(pos)
             total += ev.n_migrated
-        assert sched.total_migrated() == total
+        assert sum(e.n_migrated for e in sched.events) == total

@@ -104,7 +104,7 @@ class TestReplay:
         with JobQueue(tmp_path) as q:
             r = q.jobs[job.id]
             assert (r.state, r.recoveries, r.steps_done) == ("PENDING", 1, 5)
-            assert q.pending() == [r]
+            assert list(q.jobs.values()) == [r]
         with open(path, "rb") as f:  # the missing half is on disk now
             assert len(list(scan_records(f))) == len(ends)
         with JobQueue(tmp_path) as q:
@@ -154,8 +154,7 @@ class TestTransitions:
         with JobQueue(tmp_path) as q:
             a, b = submit_one(q), submit_one(q)
             q.transition(a.id, "RUNNING")
-            assert {j.id for j in q.pending()} == {b.id}
-            assert {j.id for j in q.active()} == {a.id, b.id}
+            assert {i: j.state for i, j in q.jobs.items()} == {a.id: "RUNNING", b.id: "PENDING"}
             assert not q.all_terminal()
             q.transition(a.id, "DONE")
             q.transition(b.id, "CANCELLED")
