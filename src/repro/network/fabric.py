@@ -316,8 +316,8 @@ class LinkRouter:
         }
 
     def report(self, steps: int = 1, congestion: CongestionModel | None = None) -> dict:
-        """Occupancy/congestion summary (the ``repro network`` payload): the
-        three busiest links."""
+        """Occupancy/congestion summary (the ``repro network`` payload),
+        with the three busiest links."""
         model = congestion or self.congestion
         steps = max(int(steps), 1)
         phases = {}

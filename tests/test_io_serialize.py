@@ -99,7 +99,7 @@ class TestFingerprint:
         (MDParams(), "492612aac42904e5e9d3621cbe5276618301df4157d71f9a12a766d5ea61e817"),
         (MDParams(cutoff=7.5, long_range_every=2),
          "0d67969162323d26e1b9a635896b2e8398c4a13de1a316153aaa502142f7902f"),
-    ])
+    ], ids=["default", "cutoff-and-mts"])
     def test_params_hash_is_pinned(self, system, params, digest):
         # Recorded at commit 18be3a9, when ewald_tolerance, electrostatics
         # and table_mantissa_bits were still MDParams fields: the constants
