@@ -18,10 +18,17 @@ written what it ran.  Calls are keyed by (file, first line) and mapped
 to the top-level ``def``s and class methods of the AST, counting
 decorator lines.
 
+The same hook takes a census of settable values: for every defaulted
+parameter of those functions (looked up by ``(file, first line)`` in a
+table the driver writes from the AST) and every field of the
+:data:`CONFIGS` dataclasses (through their generated ``__init__``), it
+appends each new value it sees, up to 8 per parameter.
+
 It writes ``tests/reach/REPORT.md`` in the checkout: functions and lines
-per package, reached and unreached, and every unreached function with the
-``tests/reach/allowlist.txt`` entry that covers it.  A full run takes
-about 8 minutes on two cores.
+per package, reached and unreached, every unreached function with the
+``tests/reach/allowlist.txt`` entry that covers it, and every
+single-valued parameter with its ``tests/reach/knobs.txt`` entry.  A
+full run takes about 8.5 minutes on two cores.
 """
 
 from __future__ import annotations
