@@ -185,10 +185,18 @@ class ForceCalculator:
         #: machine's home-box lookup reuse.
         self.walk_positions: np.ndarray | None = None
         self._walk_source: np.ndarray | None = None
+        #: Optional hook of the fixed-point walk, ``(positions, wrapped)
+        #: -> (tags, sets)``: an int64 id per atom and the home-box sets
+        #: the walk ORs them into (``pair_walk``).  The machine's backend
+        #: sets it, tagging atoms with the home boxes of the walk's own
+        #: wrap; None (solo, ensemble) builds no sets.
+        self.walk_tags = None
         self._walk_rows = (
             np.zeros((system.n_atoms, 2), dtype=np.int64),
             np.zeros(system.n_atoms, dtype=np.int64),
         )
+        #: The correction pairs' force codes, refilled each evaluation.
+        self._corr_codes: np.ndarray | None = None
         self._acc_short: FixedAccumulator | None = None
         self._acc_long: FixedAccumulator | None = None
         # What every mesh pass of this calculator — float, batched or
@@ -231,6 +239,15 @@ class ForceCalculator:
             acc.zero()
         return acc
 
+    def _correction_force_codes(self, corr, force_codec) -> np.ndarray:
+        """The correction pairs' force codes, in kept scratch: the C
+        deposit that reads them then knows the buffer's pointer."""
+        codes = force_codec.quantize_round_only(corr.force)
+        if self._corr_codes is None or self._corr_codes.shape != codes.shape:
+            self._corr_codes = np.empty_like(codes)
+        np.copyto(self._corr_codes, codes)
+        return self._corr_codes
+
     def _pair_buffers(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``(oi, oj)`` pair outputs for >= ``n`` candidates."""
         if self._pair_out is None or len(self._pair_out[0]) < n:
@@ -254,7 +271,6 @@ class ForceCalculator:
         positions: np.ndarray,
         force_codec=None,
         acc: FixedAccumulator | None = None,
-        keep_pairs: bool = False,
     ) -> NonbondedResult | PairWalkResult:
         """The range-limited part: one suite pass over the Verlet rows.
 
@@ -263,8 +279,9 @@ class ForceCalculator:
         and table evaluation, then either quantize-and-accumulate into
         ``acc`` (``pair_walk``) or, without one, the float64 force rows
         (``pair_rows``).  The walk's record is a :class:`PairWalkResult`
-        — per-row energy codes and survivor counts, and the surviving
-        ``(i, j)`` only with ``keep_pairs``; the float pass returns a
+        — per-row energy codes and survivor counts; with a
+        :attr:`walk_tags` hook it also fills the hook's home-box sets.
+        The float pass returns a
         :class:`NonbondedResult` of per-pair arrays with ``np.sum``
         energies.  Every array is a view of reused scratch, valid until
         the next evaluation.
@@ -276,18 +293,12 @@ class ForceCalculator:
             with self.timers.time(self._phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
-                    oi, oj = self._pair_buffers(len(partners)) if keep_pairs else (None, None)
+                    tagged = () if self.walk_tags is None else self.walk_tags(positions, wrapped)
                     m = k.pair_walk(
                         spec, wrapped, row_ptr, partners, lengths, acc.raw(),
-                        e_rows, counts, oi, oj,
+                        e_rows, counts, *tagged,
                     )
-                    return PairWalkResult(
-                        e_rows=e_rows,
-                        counts=counts,
-                        n_pairs=m,
-                        pair_i=None if oi is None else oi[:m],
-                        j=None if oj is None else oj[:m],
-                    )
+                    return PairWalkResult(e_rows=e_rows, counts=counts, n_pairs=m)
                 oi, oj = self._pair_buffers(len(partners))
                 rows, e_lj, e_coul = self._row_buffers(len(partners))
                 m = k.pair_rows(
@@ -445,7 +456,7 @@ class ForceCalculator:
         acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
         with time(p + "deposit"):
-            ccodes = force_codec.quantize_round_only(corr.force)
+            ccodes = self._correction_force_codes(corr, force_codec)
             self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
         if self.gse is not None:
             e_k, f_k = self._kspace(positions, self.mesh_codec)

@@ -181,6 +181,7 @@ class FixedPointIntegrator:
         shape = (system.n_atoms, 3)
         self._f = np.empty(shape)
         self._g = np.empty(shape)
+        self._h = np.empty(shape)
         self._i = np.empty(shape, dtype=np.int64)
         #: The decoded positions of ``X`` (read-only) and the ``X`` they decode.
         self._pos = self._pos_of = None
@@ -269,8 +270,10 @@ class FixedPointIntegrator:
             pos = self.pos_codec.decode(self.X)
         if needs_shake:
             with t.time("constraints"):
-                unshaken = self._g
-                np.copyto(unshaken, pos)
+                # Shaken in kept scratch, whose pointer a C solve has
+                # seen; pos keeps the unshaken coordinates.
+                unshaken, pos = pos, self._h
+                np.copyto(pos, unshaken)
                 self.constraints.shake(pos, ref)
                 # Feed the constraint displacement back into the
                 # velocities (the RATTLE position-stage multipliers);

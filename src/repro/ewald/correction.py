@@ -117,14 +117,14 @@ def precompute_correction_static(
     empty_f = np.empty(0)
     excl_i, excl_j, excl_qq = empty_idx, empty_idx, empty_f
     if exclusions.n_excluded:
-        excl_i = exclusions.excluded[:, 0]
-        excl_j = exclusions.excluded[:, 1]
+        excl_i = np.ascontiguousarray(exclusions.excluded[:, 0])
+        excl_j = np.ascontiguousarray(exclusions.excluded[:, 1])
         excl_qq = charges[excl_i] * charges[excl_j]
     p14_i, p14_j, p14_qq = empty_idx, empty_idx, empty_f
     p14_a, p14_b = empty_f, empty_f
     if exclusions.n_pair14:
-        p14_i = exclusions.pair14[:, 0]
-        p14_j = exclusions.pair14[:, 1]
+        p14_i = np.ascontiguousarray(exclusions.pair14[:, 0])
+        p14_j = np.ascontiguousarray(exclusions.pair14[:, 1])
         p14_qq = charges[p14_i] * charges[p14_j]
         p14_a, p14_b = lj_table.pair_coefficients(type_ids[p14_i], type_ids[p14_j])
     return CorrectionStatic(
@@ -187,7 +187,11 @@ def correction_forces_static(
         parts_j.append(j)
         parts_f.append((pref_c + ls * pref_lj)[:, None] * dx)
 
-    if parts_i:
+    if len(parts_i) == 1:
+        # One kind of pair (a water box's exclusions): the static index
+        # arrays themselves, which a C deposit has seen before.
+        (out_i,), (out_j,), (out_f,) = parts_i, parts_j, parts_f
+    elif parts_i:
         out_i = np.concatenate(parts_i)
         out_j = np.concatenate(parts_j)
         out_f = np.concatenate(parts_f)

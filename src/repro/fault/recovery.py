@@ -306,9 +306,10 @@ class FaultController:
     def rollback(self, machine, store: CheckpointStore | None) -> int:
         """Restore the newest valid snapshot and arm deterministic replay.
 
-        Preference order: durable store (newest snapshot passing CRC +
-        fingerprint checks, corrupt ones skipped), the in-memory ring,
-        the run-start baseline.  Returns the restored step.
+        Preference order: durable store (newest snapshot passing its CRC
+        checks, corrupt ones skipped; ``restore`` checks its
+        fingerprint), the in-memory ring, the run-start baseline.
+        Returns the restored step.
         """
         failed_step = self._pending_rollback_step
         self._pending_rollback_step = -1
@@ -319,7 +320,7 @@ class FaultController:
         state = None
         if store is not None:
             try:
-                state = store.load_latest(fingerprint=machine.fingerprint()).state
+                state = store.load_latest().state
             except CheckpointError:
                 state = None
         if state is None:

@@ -116,24 +116,17 @@ class PairWalkResult:
     pure function of its pair set — the same integer for any pair order,
     row split or block, a lane's being its solo run's; the calculator
     decodes each lane's sum once (``ForceCalculator._pair_codes``).
-    ``pair_i`` / ``j`` are the surviving pairs,
-    present only when the walk was asked for them (the machine's NT
-    marks); ``i`` is ``pair_i``, or recovered from the counts.  The arrays
-    are views of the calculator's reused scratch, valid until its next
-    evaluation.
+    The arrays are views of the calculator's reused scratch, valid until
+    its next evaluation.
     """
 
     e_rows: np.ndarray
     counts: np.ndarray
     n_pairs: int
-    pair_i: np.ndarray | None = None
-    j: np.ndarray | None = None
 
     @property
     def i(self) -> np.ndarray:
-        """The surviving pairs' ``i``, in walk order."""
-        if self.pair_i is not None:
-            return self.pair_i
+        """The surviving pairs' ``i``, in walk order, from the counts."""
         return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
 
 

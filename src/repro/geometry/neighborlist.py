@@ -167,6 +167,9 @@ class NeighborList:
         # buffers it may fill and grow.
         self._excl_csr = None
         self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)]
+        #: The wrapped coordinates the rebuild and the walk read, refilled
+        #: each evaluation: a C kernel then reads a pointer it has seen.
+        self._wrapped: np.ndarray | None = None
 
     # -- building ----------------------------------------------------------
 
@@ -233,7 +236,11 @@ class NeighborList:
         of the current configuration.
         """
         with self.timers.time("neighbor_check") if self.timers is not None else nullcontext():
-            wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
+            fresh = self.box.wrap(np.asarray(positions, dtype=np.float64))
+            if self._wrapped is None or self._wrapped.shape != fresh.shape:
+                self._wrapped = np.empty_like(fresh)
+            wrapped = self._wrapped
+            np.copyto(wrapped, fresh)
             rebuild = self._needs_rebuild(wrapped)
         if rebuild:
             self._build(wrapped)
@@ -241,7 +248,7 @@ class NeighborList:
             self.n_reuses += 1
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
-        return walk(np.ascontiguousarray(wrapped), self._row_ptr, self._partners, self._lengths)
+        return walk(wrapped, self._row_ptr, self._partners, self._lengths)
 
 
 class EnsembleNeighborList(NeighborList):

@@ -29,7 +29,7 @@ from repro.io.records import (
     read_record,
     write_record,
 )
-from repro.io.serialize import check_fingerprint, pack_state, unpack_state
+from repro.io.serialize import pack_state, unpack_state
 
 __all__ = ["CheckpointStore", "CheckpointError", "LoadedCheckpoint"]
 
@@ -86,20 +86,18 @@ class CheckpointStore:
 
     # -- writing -------------------------------------------------------------
 
-    def save(self, state: dict, step: int, fingerprint: dict | None = None) -> Path:
+    def save(self, state: dict, step: int) -> Path:
         """Atomically persist one snapshot; prunes beyond ``retain``.
 
-        ``fingerprint`` defaults to ``state["fingerprint"]`` when the
-        state dict carries one (as :meth:`Simulation.checkpoint` and
-        :meth:`AntonMachine.checkpoint` do).
+        The header carries ``state["fingerprint"]`` when the state dict
+        has one (as :meth:`Simulation.checkpoint` and
+        :meth:`AntonMachine.checkpoint` do), else ``{}``.
         """
-        if fingerprint is None:
-            fingerprint = state.get("fingerprint", {})
         header = {
             "kind": "checkpoint",
             "version": 1,
             "step": int(step),
-            "fingerprint": fingerprint,
+            "fingerprint": state.get("fingerprint", {}),
         }
         final = self.path_for(step)
         tmp = self.directory / f".tmp-{os.getpid()}-{int(step):012d}"
@@ -157,13 +155,14 @@ class CheckpointStore:
             raise CorruptRecord(f"{path}: state record is not a dict")
         return state, header
 
-    def load_latest(self, fingerprint: dict | None = None) -> LoadedCheckpoint:
+    def load_latest(self) -> LoadedCheckpoint:
         """Newest snapshot that passes integrity checks.
 
         Corrupt/truncated snapshots are skipped (recorded in
-        ``skipped``); a fingerprint mismatch on a *valid* snapshot is a
-        hard error — that store belongs to a different system, and
-        silently walking past it would resume the wrong run.
+        ``skipped``).  Whether the snapshot belongs to the system being
+        resumed is the engine's ``restore`` to decide: a fingerprint
+        mismatch there is a hard error, never a reason to walk on to an
+        older snapshot.
         """
         skipped = []
         for path in reversed(self.snapshots()):
@@ -172,8 +171,6 @@ class CheckpointStore:
             except (CorruptRecord, ValueError) as exc:
                 skipped.append((path, str(exc)))
                 continue
-            if fingerprint is not None and header.get("fingerprint"):
-                check_fingerprint(header["fingerprint"], fingerprint, what="checkpoint")
             return LoadedCheckpoint(state=state, header=header, path=path, skipped=skipped)
         detail = "".join(f"\n  {p}: {why}" for p, why in skipped)
         raise CheckpointError(

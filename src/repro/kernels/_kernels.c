@@ -793,9 +793,7 @@ RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)
 
 /* One evaluation of the range-limited forces, from the Verlet rows
  * straight to the force accumulator: NumpyKernels.pair_walk (filter ->
- * tables -> quantize -> deposit) with nothing stored per pair unless the
- * caller asks for the surviving (i, j) in oi / oj (the machine's NT marks
- * read them; either may be NULL, and then nothing is written there).
+ * tables -> quantize -> deposit) with nothing stored per pair.
  *
  * The list is rows: row i is partners[row_ptr[i] .. row_ptr[i + 1]), in
  * ascending j, so the rows in turn are the canonical (i, j) order.  Per
@@ -812,25 +810,39 @@ RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)
  * row is done, with the row's survivor count in counts[i] — every row is
  * written, an empty one as zeros.  Those sums commute too (DESIGN.md,
  * order-free energy lemma): no pair order, row split or block boundary
- * can show in them.  soa is 3 n_atoms doubles of scratch; the arrays
- * must not overlap.  Returns the surviving pair count. */
+ * can show in them.
+ *
+ * With tags (the machine's per-atom home-box ids, each < 64 * words),
+ * stage C also builds two per-atom bit sets of `words` uint64 each,
+ * cleared here: sets[i] (the row side) gets bit tags[j] of every
+ * survivor (i, j), and sets[n_atoms + j] (the column side) bit tags[i] —
+ * the home boxes each atom paired with, which is all the NT method's
+ * force export needs (rk_nt_routes; DESIGN.md, home-box-set lemma).  OR
+ * is idempotent and commutes, so no order can show in them either.
+ * Without tags, sets is not touched.  soa is 3 n_atoms doubles of
+ * scratch; the arrays must not overlap.  Returns the surviving pair
+ * count. */
 int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
                      const int32_t *restrict partners, const double *restrict w,
                      double *restrict soa, const double *L,
                      const rk_pair_spec *s, int64_t *restrict acc,
                      int64_t *restrict e_rows, int64_t *restrict counts,
-                     int64_t *restrict oi, int64_t *restrict oj)
+                     const int64_t *restrict tags, int64_t words,
+                     uint64_t *restrict sets)
 {
     rk_walk_ctx c;
     rk_walk_init(&c, s, L, n_atoms, w, soa);
     const double ql = c.s.q_limit, qs = c.s.q_scale, qm = c.s.q_mul;
     uint64_t *a = (uint64_t *)acc, *er = (uint64_t *)e_rows;
+    uint64_t *restrict cset = tags ? sets + n_atoms * words : NULL;
     rk_walk_block blk;
     uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
     double e_lj[RK_WALK_BLOCK], e_coul[RK_WALK_BLOCK];
-    int64_t jb[RK_WALK_BLOCK];
+    int64_t js[RK_WALK_BLOCK];
     int64_t m = 0;
 
+    if (tags)
+        memset(sets, 0, (size_t)(2 * n_atoms * words) * sizeof *sets);
     for (int64_t i = 0; i < n_atoms; i++) {
         const int64_t end = row_ptr[i + 1], m0 = m;
         uint64_t s_lj = 0, s_coul = 0;
@@ -839,7 +851,6 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
             uint64_t f0 = 0, f1 = 0, f2 = 0;
             for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
                 const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
-                int64_t *restrict js = oj ? oj + m : jb;
                 const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, js, &blk);
                 rk_pair_tables(&c, &r, nb, js, &blk, e_lj, e_coul);
                 s_lj += rk_energy_codes(nb, e_lj);
@@ -856,9 +867,26 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
                     a[3 * j + 1] -= c1[b];
                     a[3 * j + 2] -= c2[b];
                 }
-                if (oi)
-                    for (int64_t b = 0; b < nb; b++)
-                        oi[m + b] = i;
+                if (tags) {
+                    uint64_t *restrict ri = sets + i * words;
+                    uint64_t *restrict cw = cset + (tags[i] >> 6);
+                    const uint64_t bi = (uint64_t)1 << (tags[i] & 63);
+                    /* The row's current word, held in a register: an OR into
+                     * memory per pair would wait on the last pair's store. */
+                    int64_t wd = 0;
+                    uint64_t held = ri[0];
+                    for (int64_t b = 0; b < nb; b++) {
+                        const int64_t j = js[b], tj = tags[j];
+                        if (tj >> 6 != wd) {
+                            ri[wd] = held;
+                            wd = tj >> 6;
+                            held = ri[wd];
+                        }
+                        held |= (uint64_t)1 << (tj & 63);
+                        cw[j * words] |= bi;
+                    }
+                    ri[wd] = held;
+                }
                 m += nb;
             }
             a[3 * i] += f0;
@@ -911,23 +939,44 @@ int64_t rk_pair_rows(int64_t n_atoms, const int64_t *restrict row_ptr,
     return m;
 }
 
-/* The NT method's force-export set of one step, as marks: pair (i, j) is
- * computed on node_tab[home[i], home[j]] (the tabulated box-pair rule of
- * parallel.nt.nt_node_tables), and that node owes atom i and atom j one
- * summed force each.  mi / mj are (n_atoms, n_nodes) byte maps, cleared
- * here, of the (atom, node) sums of the i side and of the j side. */
-void rk_nt_marks(int64_t m, const int64_t *pi, const int64_t *pj,
-                 const int64_t *home, const int64_t *node_tab,
-                 int64_t n_nodes, int64_t n_atoms,
-                 uint8_t *restrict mi, uint8_t *restrict mj)
+/* The NT method's force-export routes of one step, from the walk's
+ * home-box sets: pair (i, j) is computed on node_tab[home[i], home[j]]
+ * (the tabulated box-pair rule of parallel.nt.nt_node_tables), and that
+ * node owes atom i and atom j one summed force each.  So atom a's marks
+ * on the row side are the distinct node_tab[home[a], b] over the boxes b
+ * of its row set, and on the column side the distinct node_tab[b,
+ * home[a]] over its column set (DESIGN.md, home-box-set lemma).  Each
+ * distinct (atom, node) mark is one force on the route node -> owners[a]:
+ * counts[side][node * n_nodes + owners[a]] counts them, both sides
+ * cleared here.  stamp is n_nodes int64 of scratch: the last (side,
+ * atom) that marked each node, which makes a mark distinct in O(1). */
+void rk_nt_routes(int64_t n_atoms, int64_t words, const uint64_t *sets,
+                  const int64_t *home, const int64_t *owners,
+                  const int64_t *node_tab, int64_t n_nodes,
+                  int64_t *restrict stamp, int64_t *restrict counts)
 {
-    memset(mi, 0, (size_t)(n_atoms * n_nodes));
-    memset(mj, 0, (size_t)(n_atoms * n_nodes));
-    for (int64_t k = 0; k < m; k++) {
-        const int64_t i = pi[k], j = pj[k];
-        const int64_t node = node_tab[home[i] * n_nodes + home[j]];
-        mi[i * n_nodes + node] = 1;
-        mj[j * n_nodes + node] = 1;
+    memset(counts, 0, (size_t)(2 * n_nodes * n_nodes) * sizeof *counts);
+    memset(stamp, 0xff, (size_t)n_nodes * sizeof *stamp); /* -1: no atom */
+    for (int64_t side = 0; side < 2; side++) {
+        const uint64_t *set = sets + side * n_atoms * words;
+        int64_t *cnt = counts + side * n_nodes * n_nodes;
+        /* Row side: node_tab[h, b], b stepping by 1; column side:
+         * node_tab[b, h], b stepping by a row. */
+        const int64_t step = side ? n_nodes : 1;
+        for (int64_t a = 0; a < n_atoms; a++) {
+            const int64_t *tab = node_tab + home[a] * (side ? 1 : n_nodes);
+            const int64_t who = side * n_atoms + a, own = owners[a];
+            for (int64_t wd = 0; wd < words; wd++) {
+                for (uint64_t bits = set[a * words + wd]; bits; bits &= bits - 1) {
+                    const int64_t b = 64 * wd + __builtin_ctzll(bits);
+                    const int64_t node = tab[b * step];
+                    if (stamp[node] != who) {
+                        stamp[node] = who;
+                        cnt[node * n_nodes + own] += 1;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -4,8 +4,9 @@ A *kernel suite* is the small set of hot-loop primitives the force
 path, neighbor list, constraint solver and mesh pass dispatch through:
 neighbor-list rebuild (to the Verlet list's rows), the range-limited
 pair walk (the cached rows straight to the fixed-point force
-accumulator) and its float64 twin (rows to per-pair force rows), the NT force-export marks,
-the fixed-point pair deposit and the ordered float deposit, the fused
+accumulator, and for the machine each atom's home-box sets) and its
+float64 twin (rows to per-pair force rows), the NT force-export routes
+from those sets, the fixed-point pair deposit and the ordered float deposit, the fused
 mesh spread and gather, and the constraint solves (SETTLE, and the
 SHAKE/RATTLE sweeps of every other constraint).  Each primitive has
 one form: the rebuild and the solves take ``n`` stacked blocks, and a
@@ -465,7 +466,7 @@ class NumpyKernels:
         )
 
     def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
-                  e_rows, counts, oi=None, oj=None):
+                  e_rows, counts, tags=None, sets=None):
         """One range-limited evaluation, Verlet rows to accumulator.
 
         :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
@@ -474,24 +475,28 @@ class NumpyKernels:
         :data:`~repro.forcefield.ENERGY_CODEC` and wrap-added into
         its row ``i`` of the ``(n_atoms, 2)`` int64 ``e_rows`` (LJ,
         Coulomb); ``counts[i]`` is row ``i``'s survivor count.  Both are
-        overwritten, every row.  Only when given are the surviving pairs
-        written to ``oi[:m], oj[:m]`` (sized to the candidate count
-        ``len(partners)``).  Returns ``m``.
+        overwritten, every row.  Only with ``tags`` (an int64 id per atom,
+        the machine's home boxes) are the ``(2, n_atoms, words)`` uint64
+        bit sets ``sets`` overwritten: ``sets[0][i]`` holds bit
+        ``tags[j]`` of every surviving ``(i, j)``, ``sets[1][j]`` bit
+        ``tags[i]`` (box ``b`` is bit ``b % 64`` of word ``b // 64``).
+        Returns the surviving pair count.
         """
         from repro.forcefield import ENERGY_CODEC
 
         nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
-        m = nb.n_pairs
         counts[...] = np.bincount(nb.i, minlength=len(counts))
         e_rows[...] = 0
         with np.errstate(over="ignore"):
             for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
                 np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
-        for out, atoms in ((oi, nb.i), (oj, nb.j)):
-            if out is not None:
-                out[:m] = atoms
+        if tags is not None:
+            sets[...] = 0
+            for side, (a, b) in zip(sets, ((nb.i, nb.j), (nb.j, nb.i))):
+                t = tags[b]
+                np.bitwise_or.at(side, (a, t >> 6), np.uint64(1) << (t & 63).astype(np.uint64))
         self.deposit_pairs(acc, nb.i, nb.j, spec.codec.quantize_round_only(nb.force))
-        return m
+        return nb.n_pairs
 
     def pair_rows(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths,
                   oi, oj, rows, e_lj, e_coul):
@@ -531,21 +536,28 @@ class NumpyKernels:
         np.add.at(forces, i, rows)
         np.add.at(forces, j, -rows)
 
-    # -- NT force-export marks --------------------------------------------
+    # -- NT force-export routes -------------------------------------------
 
-    def nt_marks(self, i, j, home, node_tab, marks_i, marks_j):
-        """Mark the per-atom force sums one step's pairs leave on each node.
+    def nt_routes(self, sets, home, node_tab, owners, counts):
+        """One step's NT force-export route counts from the walk's home-box sets.
 
-        Pair ``(i, j)`` is computed on ``node_tab[home[i], home[j]]``
-        (the tabulated NT rule over home-box ids), and that node then
-        holds one summed force for atom ``i`` and one for atom ``j``.
-        ``marks_i`` / ``marks_j`` are ``(n_atoms, n_nodes)`` bool maps,
-        cleared here, of the i side's and the j side's (atom, node) sums.
+        Pair ``(i, j)`` is computed on ``node_tab[home[i], home[j]]`` (the
+        tabulated NT rule over home-box ids), and that node then holds
+        one summed force for atom ``i`` and one for atom ``j``.  So atom
+        ``a``'s marks are the distinct ``node_tab[home[a], b]`` over the
+        boxes ``b`` of its row set ``sets[0][a]``, and the distinct
+        ``node_tab[b, home[a]]`` over its column set ``sets[1][a]``; each
+        mark is one force on the route ``node -> owners[a]``, and
+        ``counts[side]`` (``(2, n_nodes ** 2)`` int64, overwritten) counts
+        them per route ``node * n_nodes + owner``.
         """
-        node = node_tab[home[i], home[j]]
-        for marks, atoms in ((marks_i, i), (marks_j, j)):
-            marks[...] = False
-            marks[atoms, node] = True
+        from repro.parallel.nt import export_route_counts, set_members
+
+        n = len(node_tab)
+        for side, (set_, out) in enumerate(zip(sets, counts)):
+            atoms, boxes = set_members(set_)
+            pair = (boxes, home[atoms]) if side else (home[atoms], boxes)
+            export_route_counts(atoms, node_tab[pair], owners, n, out)
 
     # -- mesh spread and gather --------------------------------------------
 
@@ -697,6 +709,12 @@ class CompiledKernels(NumpyKernels):
         self.threads = int(threads)
         self._pool = None
         self._neighbor_work = None  # grow-only scratch
+        #: The rebuild's ``[first row to sweep, pairs written]`` cursor.
+        self._neighbor_at = np.zeros(2, dtype=np.int64)
+        #: ``rk_nt_routes``'s per-node scratch.
+        self._nt_stamp = np.empty(0, dtype=np.int64)
+        #: SETTLE's reference coordinates, copied in per solve.
+        self._settle_src: np.ndarray | None = None
         #: ``MeshAxes`` per live set of plan rows (``_mesh_axes``).
         self._axes_kept: dict = {}
         # Per calling thread (``_scratch``): a stacked mesh pass's lanes
@@ -774,7 +792,8 @@ class CompiledKernels(NumpyKernels):
         if work is None or len(work) < need:
             work = self._neighbor_work = np.empty(need, dtype=np.int64)
         ptr, idx = (None, None) if excl is None else (_ptr(excl[0]), _ptr(excl[1]))
-        at = np.zeros(2, dtype=np.int64)  # [first row to sweep, pairs written]
+        at = self._neighbor_at
+        at[:] = 0
         while True:
             row_ptr, partners = bufs
             row_pairs = int(
@@ -792,30 +811,34 @@ class CompiledKernels(NumpyKernels):
             bufs[1][:m] = partners[:m]
 
     def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
-                  e_rows, counts, oi=None, oj=None):
+                  e_rows, counts, tags=None, sets=None):
         """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
         Row by row, atom ``i`` held: filter, tables, quantize and deposit
-        per block of its partners, with nothing stored per pair but
-        ``oi`` / ``oj`` when they are given.  The j side reads the
-        coordinates as three arrays, a transpose into the calling
-        thread's scratch (:meth:`_scratch`).
+        per block of its partners, with nothing stored per pair; with
+        ``tags`` each block's home-box bits are ORed after its deposit.  The j
+        side reads the coordinates as three arrays, a transpose into the
+        calling thread's scratch (:meth:`_scratch`).
         """
         n = len(wrapped)
-        outs = tuple((a, np.int64, ()) for a in (oi, oj) if a is not None)
+        words = 0 if sets is None else sets.shape[-1]
         if not (
-            self._rows_conform(wrapped, row_ptr, partners, lengths, outs)
+            self._rows_conform(wrapped, row_ptr, partners, lengths, ())
             and _conforms(acc, (n, 3), np.int64)
             and _conforms(e_rows, (n, 2), np.int64)
             and _conforms(counts, (n,), np.int64)
+            and (tags is None or (
+                _conforms(tags, (n,), np.int64) and _conforms(sets, (2, n, words), np.uint64)
+            ))
         ):
             return NumpyKernels.pair_walk(self, spec, wrapped, row_ptr, partners, lengths,
-                                          acc, e_rows, counts, oi, oj)
+                                          acc, e_rows, counts, tags, sets)
         return int(
             self._lib.rk_pair_walk(
                 n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
                 _ptr(lengths), ctypes.byref(spec.c), _ptr(acc), _ptr(e_rows), _ptr(counts),
-                None if oi is None else _ptr(oi), None if oj is None else _ptr(oj),
+                None if tags is None else _ptr(tags), words,
+                None if tags is None else _ptr(sets),
             )
         )
 
@@ -837,19 +860,24 @@ class CompiledKernels(NumpyKernels):
             )
         )
 
-    def nt_marks(self, i, j, home, node_tab, marks_i, marks_j):
-        n_atoms, n_nodes = marks_i.shape
+    def nt_routes(self, sets, home, node_tab, owners, counts):
+        _, n_atoms, words = sets.shape
+        n_nodes = len(node_tab)
         if not (
-            _conforms(i, (len(i),), np.int64) and _conforms(j, (len(i),), np.int64)
+            _conforms(sets, (2, n_atoms, words), np.uint64)
             and _conforms(home, (n_atoms,), np.int64)
+            and _conforms(owners, (n_atoms,), np.int64)
             and _conforms(node_tab, (n_nodes, n_nodes), np.int64)
-            and _conforms(marks_i, (n_atoms, n_nodes), np.bool_)
-            and _conforms(marks_j, (n_atoms, n_nodes), np.bool_)
+            and _conforms(counts, (2, n_nodes * n_nodes), np.int64)
+            and 64 * words >= n_nodes
         ):
-            raise ValueError("nt_marks: arrays do not match the machine layout")
-        self._lib.rk_nt_marks(
-            len(i), _ptr(i), _ptr(j), _ptr(home), _ptr(node_tab),
-            n_nodes, n_atoms, _ptr(marks_i), _ptr(marks_j),
+            raise ValueError("nt_routes: arrays do not match the machine layout")
+        if len(self._nt_stamp) != n_nodes:
+            self._nt_stamp = np.empty(n_nodes, dtype=np.int64)
+        stamp = self._nt_stamp
+        self._lib.rk_nt_routes(
+            n_atoms, words, _ptr(sets), _ptr(home), _ptr(owners), _ptr(node_tab),
+            n_nodes, _ptr(stamp), _ptr(counts),
         )
 
     def deposit_pairs(self, raw, i, j, codes):
@@ -1008,7 +1036,12 @@ class CompiledKernels(NumpyKernels):
         if not _conforms(out, (len(out), 3), np.float64):
             return NumpyKernels.settle_batch(self, solver, stage, out, src, nrep, natoms)
         mol, par, lengths = solver._settle_arrays()
-        src = np.asarray(src, dtype=np.float64, order="C")  # held across the call
+        # The integrator hands a fresh array each solve: copied into kept
+        # scratch, whose pointer is read once.
+        if self._settle_src is None or self._settle_src.shape != out.shape:
+            self._settle_src = np.empty(out.shape)
+        np.copyto(self._settle_src, src)
+        src = self._settle_src
         bad = self._lib.rk_settle_batch(
             _SETTLE_STAGES.index(stage), int(nrep), int(natoms),
             _ptr(out), _ptr(src), _ptr(mol), _ptr(par), len(mol), _ptr(lengths),

@@ -6,8 +6,8 @@ step.  One ships:
 * :class:`VectorizedBackend` — what every run uses: each phase's
   contributions deposited by single array kernels, owner grouping
   collapsed (integer accumulation commutes, so grouping cannot change
-  the bits), cached import routes, and traffic accounting batched
-  over per-step (atom, node) marks.
+  the bits), cached import routes, and force-export traffic counted
+  per route from the pair walk's per-atom home-box sets.
 
 The literal per-node Python loops the array kernels replaced —
 deposits grouped node by node, GSE spreading and interpolation called
@@ -43,12 +43,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.parallel import nt_assign_pairs, nt_node_tables, tower_plate_boxes
+from repro.parallel import (
+    export_route_counts,
+    nt_box_pairs,
+    nt_node_tables,
+    set_members,
+    tower_plate_boxes,
+)
 
 __all__ = ["MachineBackend", "VectorizedBackend"]
 
 #: Largest box-pair count tabulated by the vectorized NT lookup; above
-#: this (>= 2048 nodes) the direct per-pair computation is used.
+#: this (> 2048 nodes) the rule is applied to the home-box set members.
 _NT_TABLE_MAX_ENTRIES = 4 << 20
 
 
@@ -106,8 +112,9 @@ class VectorizedBackend(MachineBackend):
     """Segmented group-by execution: one array kernel per phase.
 
     Owner/node grouping is dropped wherever integer accumulation makes
-    it unobservable, the NT assignment reuses one ``box_coord`` pass
-    over the whole configuration, the GSE mesh is one lane of the shared
+    it unobservable, the NT assignment is read from the home-box sets
+    the pair walk builds (tagged with the home boxes of its own wrap),
+    the GSE mesh is one lane of the shared
     mesh pass, and traffic is charged
     through :meth:`~repro.parallel.comm.SimNetwork.send_batch` with
     routes computed by array ops (position-import routes are static per
@@ -120,45 +127,57 @@ class VectorizedBackend(MachineBackend):
         super().bind(calc)
         self._import_routes: tuple[np.ndarray, np.ndarray] | None = None
         self._nt_table: np.ndarray | None = None
-        #: Per-side (atom, node) force-export marks, reused across steps.
-        self._marks: tuple[np.ndarray, np.ndarray] | None = None
+        #: The home-box ids the last walk was tagged with, its
+        #: ``(2, n_atoms, words)`` home-box sets and the per-side route
+        #: counts, all reused across steps.
+        self._home: np.ndarray | None = None
+        self._sets: np.ndarray | None = None
+        self._routes: np.ndarray | None = None
+        calc.walk_tags = self._walk_tags
 
-    def _nt_marks(self, m, positions, wrapped, i, j) -> tuple[np.ndarray, np.ndarray]:
-        """The step's NT assignment as per-side (atom, node) marks.
+    def _walk_tags(self, positions, wrapped) -> tuple[np.ndarray, np.ndarray]:
+        """The pair walk's hook: home-box ids of the walk's own wrap, and
+        the sets it ORs them into (row side, column side)."""
+        m = self.calc.machine
+        self._home = m.home_nodes(positions, wrapped)
+        if self._sets is None:
+            n = m.topology.n_nodes
+            words = -(-n // 64)
+            self._sets = np.zeros((2, len(positions), words), dtype=np.uint64)
+            self._routes = np.zeros((2, n * n), dtype=np.int64)
+        return self._home, self._sets
+
+    def _nt_routes(self, m) -> np.ndarray:
+        """The step's NT force export as per-side route counts.
 
         The computing node is a pure function of the two home-box ids
-        (see :func:`~repro.parallel.nt.nt_node_tables`), so per step
-        the assignment is one ``node_of`` pass over the configuration
-        and one kernel pass over the pairs that looks each node up and
-        marks the two per-atom force sums it leaves there — all
-        :meth:`account_force_export` needs, with no per-pair array.
-        The node depends on the atoms' *current* home boxes and the
-        pairs on this step's cutoff test, so the marks are per step,
-        not per rebuild.
+        (see :func:`~repro.parallel.nt.nt_node_tables`), so the walk's
+        per-atom home-box sets decide every (atom, node) mark: one
+        kernel pass expands them through the tabulated rule and counts
+        the marks per route (``rk_nt_routes``).  Above
+        :data:`_NT_TABLE_MAX_ENTRIES` the rule is applied to the set
+        members directly (:func:`~repro.parallel.nt.nt_box_pairs`).  The
+        node depends on the atoms' *current* home boxes and the sets on
+        this step's cutoff test, so the routes are per step, not per
+        rebuild.
         """
         n = m.topology.n_nodes
-        if self._marks is None:
-            self._marks = tuple(np.zeros((len(positions), n), dtype=np.bool_) for _ in "ij")
-        marks_i, marks_j = self._marks
         if n * n > _NT_TABLE_MAX_ENTRIES:
-            coords = m.decomp.box_coord(positions)
-            node = nt_assign_pairs(m.decomp, positions, i, j, atom_box_coords=coords).node
-            for marks, atoms in ((marks_i, i), (marks_j, j)):
-                marks[...] = False
-                marks[atoms, node] = True
-            return self._marks
+            for side, (sets, out) in enumerate(zip(self._sets, self._routes)):
+                atoms, boxes = set_members(sets)
+                pair = (boxes, self._home[atoms]) if side else (self._home[atoms], boxes)
+                export_route_counts(atoms, nt_box_pairs(m.decomp, *pair).node, m.owners, n, out)
+            return self._routes
         if self._nt_table is None:
             self._nt_table = np.ascontiguousarray(nt_node_tables(m.decomp)[0])
-        self.kernels.nt_marks(
-            i, j, m.home_nodes(positions, wrapped), self._nt_table, marks_i, marks_j
-        )
-        return self._marks
+        self.kernels.nt_routes(self._sets, self._home, self._nt_table, m.owners, self._routes)
+        return self._routes
 
     def range_limited(self, calc, positions, force_codec, acc):
-        nb = calc._range_limited(positions, force_codec, acc, keep_pairs=True)
+        nb = calc._range_limited(positions, force_codec, acc)
         with calc.timers.time("machine_nt_assign"):
-            marks = self._nt_marks(calc.machine, positions, calc.walk_positions, nb.i, nb.j)
-        return nb, marks
+            routes = self._nt_routes(calc.machine)
+        return nb, routes
 
     def deposit_bonded(self, calc, acc, bonded, force_codec) -> dict:
         for contrib in bonded:
@@ -227,27 +246,21 @@ class VectorizedBackend(MachineBackend):
         )
 
     def account_force_export(self, machine, export) -> None:
-        """Charge the exact force-export routes from the marks.
+        """Charge the exact force-export routes from the route counts.
 
         Each remote (atom, computing-node) contribution is one summed
         force vector travelling from the computing node to the atom's
         owner; a route's byte count is the exact count of such vectors
         (times ``bytes_per_force``, floored at the minimum message
-        size).
-
-        A side's set marks, in flat order, are the ascending unique
-        ``atom * n + node`` keys ``np.unique`` finds over the pairs.
-        Local contributions (the computing node owns the atom) survive
-        to the route stage here but land on src == dst routes, which
-        ``send_batch`` drops — the charged statistics are exactly the
-        serial oracle's.
+        size).  ``export`` holds one side's counts per route ``src * n +
+        dst`` in each of its two rows, the routes taken in ascending
+        order.  Local contributions (the computing node owns the atom)
+        land on src == dst routes, which ``send_batch`` drops — the
+        charged statistics are exactly the serial oracle's.
         """
         n = machine.topology.n_nodes
-        for marks in export:
-            contrib = np.flatnonzero(marks)
-            route = (contrib % n) * n + machine.owners[contrib // n]
-            counts = np.bincount(route, minlength=n * n)
-            routes = np.nonzero(counts)[0]
+        for counts in export:
+            routes = np.flatnonzero(counts)
             nbytes = np.maximum(
                 counts[routes] * machine.hw.bytes_per_force, machine.hw.min_message_bytes
             )

@@ -117,7 +117,7 @@ class MachineForceCalculator(ForceCalculator):
 
         # Correction pairs on their owners' correction pipelines.
         corr = self._corrections(positions)
-        ccodes = force_codec.quantize_round_only(corr.force)
+        ccodes = self._correction_force_codes(corr, force_codec)
         with self.timers.time("machine_deposit"):
             corr_codes = self.backend.deposit_corrections(self, acc, corr, ccodes)
 
@@ -275,7 +275,7 @@ class AntonMachine(LaneEngine):
         """Home-box ids of ``positions`` (``wrapped``: the same, already
         wrapped), looked up once per configuration.
 
-        A step's force evaluation looks them up for its NT marks; the
+        A step's force evaluation looks them up to tag its pair walk; the
         step's migration and the next step's position import see the
         same configuration — the integrator hands out one read-only
         decoded array per ``X`` — and reuse them.  Only arrays that own

@@ -6,9 +6,12 @@ from repro.parallel.decomposition import SpatialDecomposition
 from repro.parallel.migration import MigrationEvent, MigrationSchedule
 from repro.parallel.nt import (
     NTAssignment,
+    export_route_counts,
     match_efficiency,
     nt_assign_pairs,
+    nt_box_pairs,
     nt_node_tables,
+    set_members,
     tower_plate_boxes,
 )
 from repro.parallel.topology import TorusTopology
@@ -20,9 +23,12 @@ __all__ = [
     "MigrationEvent",
     "MigrationSchedule",
     "NTAssignment",
+    "export_route_counts",
     "match_efficiency",
     "nt_assign_pairs",
+    "nt_box_pairs",
     "nt_node_tables",
+    "set_members",
     "tower_plate_boxes",
     "TorusTopology",
 ]

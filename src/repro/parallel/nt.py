@@ -27,7 +27,10 @@ from repro.parallel.decomposition import SpatialDecomposition
 __all__ = [
     "NTAssignment",
     "nt_assign_pairs",
+    "nt_box_pairs",
     "nt_node_tables",
+    "set_members",
+    "export_route_counts",
     "tower_plate_boxes",
     "match_efficiency",
 ]
@@ -109,30 +112,66 @@ def nt_assign_pairs(
     return NTAssignment(node=node, neutral=(node != node_a) & (node != node_b))
 
 
+def nt_box_pairs(decomp: SpatialDecomposition, a: np.ndarray, b: np.ndarray) -> NTAssignment:
+    """:func:`nt_assign_pairs` of box pairs: ``(a[k], b[k])`` are flat
+    home-box ids, each pair assigned as a pair of atoms in those boxes."""
+    dims = decomp.dims
+    ids = np.arange(int(dims[0] * dims[1] * dims[2]), dtype=np.int64)
+    coords = np.stack(
+        (ids // (dims[1] * dims[2]), (ids // dims[2]) % dims[1], ids % dims[2]),
+        axis=-1,
+    )
+    return nt_assign_pairs(decomp, None, a, b, atom_box_coords=coords)
+
+
 def nt_node_tables(decomp: SpatialDecomposition) -> tuple[np.ndarray, np.ndarray]:
     """Dense (n_boxes, n_boxes) lookup tables of the NT assignment.
 
     The computing node (and its neutrality) is a pure function of the
     two atoms' home-box ids, so the whole rule can be tabulated once
     per decomposition — built by running :func:`nt_assign_pairs` itself
-    over every ordered box pair, which makes the tables identical to
-    the direct computation by construction.  A per-pair assignment then
-    reduces to one gather: ``node_table.ravel()[flat_a * n + flat_b]``.
+    over every ordered box pair (:func:`nt_box_pairs`), which makes the
+    tables identical to the direct computation by construction.  A
+    per-pair assignment then reduces to one gather:
+    ``node_table.ravel()[flat_a * n + flat_b]``.
 
     Returns ``(node_table, neutral_table)``; int64 node ids and bool
     neutrality flags.
     """
-    dims = decomp.dims
-    n = int(dims[0] * dims[1] * dims[2])
+    n = int(np.prod(decomp.dims))
     ids = np.arange(n, dtype=np.int64)
-    coords = np.stack(
-        (ids // (dims[1] * dims[2]), (ids // dims[2]) % dims[1], ids % dims[2]),
-        axis=-1,
-    )
-    a = np.repeat(ids, n)
-    b = np.tile(ids, n)
-    assign = nt_assign_pairs(decomp, None, a, b, atom_box_coords=coords)
+    assign = nt_box_pairs(decomp, np.repeat(ids, n), np.tile(ids, n))
     return assign.node.reshape(n, n), assign.neutral.reshape(n, n)
+
+
+def set_members(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(atom, box)`` of every bit of per-atom home-box sets.
+
+    ``sets`` is ``(n_atoms, words)`` uint64, box ``b`` being bit
+    ``b % 64`` of word ``b // 64``; the members come out atom-major with
+    ascending boxes.
+    """
+    atoms, word = np.nonzero(sets)
+    bits = np.unpackbits(
+        sets[atoms, word].astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
+        bitorder="little",
+    )
+    row, bit = np.nonzero(bits)
+    return atoms[row], 64 * word[row] + bit
+
+
+def export_route_counts(atoms, nodes, owners, n_nodes: int, out: np.ndarray) -> None:
+    """Count one side's NT force export per route into ``out``.
+
+    Each distinct ``(atoms[k], nodes[k])`` mark is one summed force that
+    node ``nodes[k]`` sends to atom ``atoms[k]``'s owner:
+    ``out[node * n_nodes + owners[atom]]`` is overwritten with the number
+    of such marks on every route (``n_nodes ** 2`` of them, local
+    ``node == owner`` routes included).
+    """
+    keys = np.unique(atoms * n_nodes + nodes)
+    route = (keys % n_nodes) * n_nodes + owners[keys // n_nodes]
+    out[...] = np.bincount(route, minlength=n_nodes * n_nodes)
 
 
 def tower_plate_boxes(

@@ -1,17 +1,21 @@
-"""Integration: the ISA the kernels are compiled for is invisible in the bits.
+"""Integration: the ISA and width the kernels are compiled for are
+invisible in the bits.
 
-The compiled tier is built for the host's own vector ISA
-(``-march=native``); ``REPRO_KERNEL_CFLAGS=-march=x86-64`` (last flag
-wins) is the baseline-ISA build of the same source on the same ladder.
-IEEE add, multiply, divide and ``rint`` are correctly rounded per
-element at every vector width and the build never contracts or
-reassociates (DESIGN.md, vector-width lemma), so the two builds must
-agree on every byte.  Asserted here, not assumed: the same short
-8-node machine and R = 2 ensemble run in two child processes, one per
-build, and their state codes and energies are compared — together with
-the cache keys, which must differ, or one build would have been handed
-the other's object.  (That a different *host* ISA token alone changes
-the key is ``test_kernel_tier.py``'s, beside the faked compiler.)
+The compiled tier is built for the host's own vector ISA at its full
+vector width (``-march=native -mprefer-vector-width=512``).
+``REPRO_KERNEL_CFLAGS`` (appended last, so it wins) gives three other
+builds of the same source on the same ladder: the host ISA at 256-bit
+vectors (``-mprefer-vector-width=256``), the baseline ISA
+(``-march=x86-64``) and no vectoriser at all (``-O0``).  IEEE add,
+multiply, divide and ``rint`` are correctly rounded per element at every
+vector width and no build contracts or reassociates (DESIGN.md,
+vector-width lemma), so the four builds must agree on every byte.
+Asserted here, not assumed: the same short 8-node machine and R = 2
+ensemble run in four child processes, one per build, and their state
+codes and energies are compared — together with the cache keys, which
+must all differ, or one build would have been handed another's object.
+(That a different *host* ISA token alone changes the key is
+``test_kernel_tier.py``'s, beside the faked compiler.)
 """
 
 import json
@@ -86,13 +90,20 @@ def run_child(extra_cflags: str | None) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_native_and_baseline_isa_builds_agree_on_every_byte():
-    native = run_child(None)
-    baseline = run_child("-march=x86-64")
-    kn, kb = native.pop("kernel"), baseline.pop("kernel")
-    assert kn["tier"] == kb["tier"] == "compiled"
-    assert kb["flags"].endswith("-march=x86-64")
-    assert build.HOST_ISA_FLAG in kn["flags"] or kn["rung"].startswith("baseline")
-    assert kn["so"] != kb["so"]  # each build has its own object
-    assert native == baseline
+#: The extra flags of each build; None is the production build.
+BUILDS = (None, "-mprefer-vector-width=256", "-march=x86-64", "-O0")
 
+
+def test_native_and_baseline_isa_builds_agree_on_every_byte():
+    runs = [run_child(flags) for flags in BUILDS]
+    kernels = [run.pop("kernel") for run in runs]
+    assert all(k["tier"] == "compiled" for k in kernels)
+    production = kernels[0]
+    if production["rung"] == "host-isa":
+        assert build.HOST_ISA_FLAG in production["flags"]
+        assert build.VECTOR_WIDTH_FLAG in production["flags"]
+    for k, flags in zip(kernels[1:], BUILDS[1:]):
+        assert k["flags"].endswith(flags)
+    assert len({k["so"] for k in kernels}) == len(BUILDS)  # each build its own object
+    for run, flags in zip(runs[1:], BUILDS[1:]):
+        assert run == runs[0], flags

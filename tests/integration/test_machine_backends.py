@@ -64,6 +64,32 @@ class TestBackendEquivalence:
         )
         np.testing.assert_array_equal(stats_s.per_node_bytes, stats_v.per_node_bytes)
 
+    def test_untabulated_nt_rule_charges_the_same_traffic(self, base_system, monkeypatch):
+        """Above ``_NT_TABLE_MAX_ENTRIES`` box pairs the vectorized backend
+        applies the NT rule to the home-box set members instead of the
+        table: with the threshold patched under an 8-node machine's 64
+        box pairs, its traffic equals the table path's and the serial
+        oracle's, message for message, and its state codes too."""
+        from repro.machine import backends
+
+        runs = {name: run_machine(base_system, name) for name in ("serial", "vectorized")}
+        monkeypatch.setattr(backends, "_NT_TABLE_MAX_ENTRIES", 8 * 8 - 1)
+
+        def no_table(_decomp):
+            raise AssertionError("the untabulated branch built the NT table")
+
+        monkeypatch.setattr(backends, "nt_node_tables", no_table)
+        (X, V), tags, stats = run_machine(base_system, "vectorized")
+        for name, ((Xr, Vr), tags_r, stats_r) in runs.items():
+            np.testing.assert_array_equal(X, Xr, err_msg=name)
+            np.testing.assert_array_equal(V, Vr, err_msg=name)
+            assert tags == tags_r, name
+            assert (stats.messages, stats.bytes, stats.hop_bytes) == (
+                stats_r.messages, stats_r.bytes, stats_r.hop_bytes
+            ), name
+            np.testing.assert_array_equal(stats.per_node_messages, stats_r.per_node_messages)
+            np.testing.assert_array_equal(stats.per_node_bytes, stats_r.per_node_bytes)
+
     def test_unknown_backend_rejected(self, base_system):
         # No name registry: "vectorized" or a MachineBackend instance.
         for bad in ("simd", "serial"):

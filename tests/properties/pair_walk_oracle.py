@@ -73,10 +73,27 @@ def oracle_pairs(spec, wrapped, ii, jj, lengths):
     return nb, spec.codec.quantize_round_only(nb.force)
 
 
-def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
-    """``(acc, e_rows, counts, oi, oj)`` of the oracle: the energies
+def oracle_sets(nb, tags, n_atoms, words):
+    """The home-box sets of the pairs ``nb``: a boolean ``(atom, box)``
+    matrix per side — row ``i`` marks ``tags[j]``, row ``j`` marks
+    ``tags[i]`` — packed into ``words`` little-endian uint64 per atom."""
+    sets = np.zeros((2, n_atoms, 64 * words), dtype=bool)
+    sets[0, nb.i, tags[nb.j]] = True
+    sets[1, nb.j, tags[nb.i]] = True
+    packed = np.packbits(sets, axis=2, bitorder="little")
+    return packed.view("<u8").astype(np.uint64)
+
+
+def walk_tags(n_atoms, words=2):
+    """A fixed tag per atom spread over every word of ``words``-word sets."""
+    return (np.arange(n_atoms, dtype=np.int64) * 37) % (64 * words)
+
+
+def numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags=None, words=2):
+    """``(acc, e_rows, counts, sets)`` of the oracle: the energies
     quantized by ``ENERGY_CODEC`` and summed into each pair's row
-    ``i``, the survivors counted per row."""
+    ``i``, the survivors counted per row, and with ``tags`` the
+    home-box sets (:func:`oracle_sets`)."""
     nb, codes = oracle_pairs(spec, wrapped, ii, jj, lengths)
     acc = acc.copy()
     n = len(wrapped)
@@ -86,7 +103,8 @@ def numpy_walk(spec, wrapped, ii, jj, lengths, acc):
         np.subtract.at(acc, nb.j, codes)
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
             np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
-    return acc, e_rows, np.bincount(nb.i, minlength=n), nb.i, nb.j
+    sets = None if tags is None else oracle_sets(nb, tags, n, words)
+    return acc, e_rows, np.bincount(nb.i, minlength=n), sets
 
 
 def in_rows(ii, jj, n_atoms):
@@ -97,37 +115,37 @@ def in_rows(ii, jj, n_atoms):
     return (ii, jj, *pairs_to_rows(ii, jj, n_atoms))
 
 
-def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, headroom=0,
-               keep_pairs=True):
-    """The same five arrays from ``suite.pair_walk`` over the rows (pair
-    outputs oversized by ``headroom``, as the force calculator's scratch
-    is, and ``None`` without ``keep_pairs``).  ``e_rows`` and ``counts``
-    start as garbage: the walk must write every row."""
-    n_atoms, n = len(wrapped), len(partners) + headroom
+def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None, words=2):
+    """The same four arrays from ``suite.pair_walk`` over the rows.
+    ``e_rows``, ``counts`` and the sets start as garbage: the walk must
+    write every row (and, without ``tags``, leave the sets alone)."""
+    n_atoms = len(wrapped)
     e_rows = np.full((n_atoms, 2), -7, dtype=np.int64)
     counts = np.full(n_atoms, -7, dtype=np.int64)
-    oi = oj = None
-    if keep_pairs:
-        oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    sets = np.full((2, n_atoms, words), 7, dtype=np.uint64)
     acc = acc.copy()
-    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, oi, oj)
+    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts,
+                        *(() if tags is None else (tags, sets)))
     assert m == counts.sum()
-    return acc, e_rows, counts, *(None if o is None else o[:m] for o in (oi, oj))
+    if tags is None:
+        assert np.all(sets == 7)
+        return acc, e_rows, counts, None
+    return acc, e_rows, counts, sets
 
 
 def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
     """Every suite's walk over the candidates' rows equals the oracle over
-    the same candidates in row order, bit for bit, with the surviving
-    pairs written and without; returns the pair count."""
+    the same candidates in row order, bit for bit, with home-box sets
+    built and without; returns the pair count."""
     ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
-    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc)
-    names = ("acc", "e_rows", "counts", "oi", "oj")
+    tags = walk_tags(len(wrapped))
+    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags)
+    names = ("acc", "e_rows", "counts", "sets")
     for suite in suites:
-        for keep in (True, False):
-            got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc,
-                             headroom=3, keep_pairs=keep)
+        for tagged in (tags, None):
+            got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tagged)
             for name, x, y in zip(names, got, want):
                 if x is not None:
                     np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
-            assert (got[3] is None) == (not keep)
-    return len(want[3])
+            assert (got[3] is None) == (tagged is None)
+    return int(want[2].sum())

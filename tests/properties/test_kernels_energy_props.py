@@ -25,7 +25,13 @@ from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.forcefield import ENERGY_CODEC, LJTable, PairWalkResult
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_water_box
-from tests.properties.pair_walk_oracle import candidates, in_rows, oracle_pairs
+from tests.properties.pair_walk_oracle import (
+    candidates,
+    in_rows,
+    oracle_pairs,
+    oracle_sets,
+    walk_tags,
+)
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -57,17 +63,15 @@ def _spec(calc, lanes=1, lj=None):
     )
 
 
-def _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=False):
-    """``PairWalkResult`` of one walk (and its force accumulator)."""
+def _walk(suite, spec, wrapped, row_ptr, partners, lengths, tags=None, sets=None):
+    """``PairWalkResult`` of one walk (and its force accumulator); with
+    ``tags`` the walk also builds its home-box sets into ``sets``."""
     n = len(wrapped)
     acc = np.zeros((n, 3), dtype=np.int64)
     e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
-    oi = oj = None
-    if keep_pairs:
-        oi, oj = np.empty(len(partners), np.int64), np.empty(len(partners), np.int64)
-    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, oi, oj)
-    pairs = (None, None) if oi is None else (oi[:m], oj[:m])
-    return PairWalkResult(e_rows, counts, m, *pairs), acc
+    tagged = () if tags is None else (tags, sets)
+    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, *tagged)
+    return PairWalkResult(e_rows, counts, m), acc
 
 
 def _box(rng, calc, lanes=1):
@@ -173,9 +177,9 @@ def test_lane_energies_of_eight_lanes_are_each_the_one_lane_walk(suites, calc, s
 @given(seed=st.integers(0, 2**31 - 1), n_cand=st.sampled_from([0, 1, 255, 256, 257, 2000]))
 @settings(max_examples=30, deadline=None)
 def test_tiers_and_pair_outputs_are_invisible(suites, calc, seed, n_cand):
-    """Compiled and NumPy, each with the surviving pairs written out and
-    without: four walks, one set of row codes and survivor counts, and
-    (where written) the oracle's pairs in walk order."""
+    """Compiled and NumPy, each with the home-box sets built and without:
+    four walks, one set of row codes and survivor counts, the oracle's
+    pairs in walk order, and (where built) the oracle's sets."""
     rng = np.random.default_rng(seed)
     n = calc.system.n_atoms
     lengths = np.array([6.5, 9.25, 7.0])
@@ -186,15 +190,14 @@ def test_tiers_and_pair_outputs_are_invisible(suites, calc, seed, n_cand):
     want, _ = _walk(suites[0], spec, wrapped, row_ptr, partners, lengths)
     assert want.n_pairs == nb.n_pairs
     np.testing.assert_array_equal(want.i, nb.i)
+    tags = walk_tags(n)
     for suite in suites:
-        for keep in (False, True):
-            got, _ = _walk(suite, spec, wrapped, row_ptr, partners, lengths, keep_pairs=keep)
-            _assert_same(got, want, f"{suite.tier}, pairs kept: {keep}")
-            if keep:
-                np.testing.assert_array_equal(got.i, nb.i)
-                np.testing.assert_array_equal(got.j, nb.j)
-            else:
-                assert got.j is None
+        for tagged in (None, tags):
+            sets = np.full((2, n, 2), 7, dtype=np.uint64)
+            got, _ = _walk(suite, spec, wrapped, row_ptr, partners, lengths, tagged, sets)
+            _assert_same(got, want, f"{suite.tier}, sets built: {tagged is not None}")
+            if tagged is not None:
+                np.testing.assert_array_equal(sets, oracle_sets(nb, tags, n, 2))
 
 
 def test_clipped_codes_and_wrapping_row_sums_agree_across_tiers(suites, calc):

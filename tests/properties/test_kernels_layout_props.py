@@ -64,11 +64,15 @@ def pair_args(case, name, variant):
     elif variant == "dtype":
         row_ptr, partners = row_ptr.astype(np.int32), partners.astype(np.int64)
     pairs = (wrapped, row_ptr, partners, lengths)
-    ints = [empty(n, np.int64, variant) for _ in "ij"]
     if name == "pair_walk":
         acc = np.arange(n_atoms * 3, dtype=np.int64).reshape(n_atoms, 3)
         rows = (empty((n_atoms, 2), np.int64, variant), empty(n_atoms, np.int64, variant))
-        return (spec, *pairs, strided(acc) if variant == "strided" else acc, *rows, *ints)
+        # Home-box tags over two-word sets.
+        tags = np.arange(n_atoms, dtype=np.int32 if variant == "dtype" else np.int64) % 128
+        tagged = (strided(tags) if variant == "strided" else tags,
+                  empty((2, n_atoms, 2), np.uint64, variant))
+        return (spec, *pairs, strided(acc) if variant == "strided" else acc, *rows, *tagged)
+    ints = [empty(n, np.int64, variant) for _ in "ij"]
     energies = [empty(n, np.float64, variant) for _ in "lc"]
     return (spec, *pairs, *ints, empty((n, 3), np.float64, variant), *energies)
 

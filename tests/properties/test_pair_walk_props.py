@@ -20,8 +20,8 @@ meets LJ-free H and M, pins that skip where the prefactor is itself a
 zero, and the dispersion energy tables are pinned non-negative, the
 lemma's precondition.
 
-The NT marks pass is pinned against the serial backend's ``np.unique``
-route derivation, element for element.
+The NT route pass over the walk's home-box sets is pinned against the
+serial backend's ``np.unique`` route derivation, element for element.
 
 Skipped wholesale when the host has no C compiler.
 """
@@ -53,6 +53,7 @@ from tests.properties.pair_walk_oracle import (
     in_rows,
     islands,
     oracle_pairs,
+    oracle_sets,
 )
 from tests.properties.test_mesh_fused_props import assert_same_bits
 from tests.serial_backend import _force_export_side
@@ -462,13 +463,14 @@ class _Recorder:
 
 @given(
     seed=st.integers(0, 2**31 - 1),
-    n_nodes=st.sampled_from([1, 8, 64]),
+    n_nodes=st.sampled_from([1, 8, 64, 128]),
     mode=st.sampled_from(["random", "all_local", "all_remote"]),
 )
 @settings(max_examples=60, deadline=None)
 def test_marks_routes_equal_the_serial_unique_routes(seed, n_nodes, mode):
-    """Marks -> routes == ``_force_export_side``'s ``np.unique`` routes,
-    ``(src, dst, nbytes)`` element for element, on both tiers."""
+    """Home-box sets -> route counts -> routes == ``_force_export_side``'s
+    ``np.unique`` routes over the pairs, ``(src, dst, nbytes)`` element
+    for element, on both tiers (DESIGN.md, home-box-set lemma)."""
     rng = np.random.default_rng(seed)
     n_atoms, n_pairs = 40, int(rng.integers(0, 600))
     i = rng.integers(0, n_atoms, n_pairs)
@@ -489,11 +491,13 @@ def test_marks_routes_equal_the_serial_unique_routes(seed, n_nodes, mode):
     want = [_force_export_side(machine, pair_nodes, atoms) for atoms in (i, j)]
     if mode == "all_local" or n_nodes == 1:
         assert want == [None, None]
+    words = -(-n_nodes // 64)
+    sets = oracle_sets(SimpleNamespace(i=i, j=j), home, n_atoms, words)
     for suite in (get_suite("numpy"), get_suite("compiled")):
-        marks = tuple(np.ones((n_atoms, n_nodes), dtype=np.bool_) for _ in "ij")
-        suite.nt_marks(i, j, home, node_tab, *marks)
+        routes = np.full((2, n_nodes * n_nodes), 5, dtype=np.int64)
+        suite.nt_routes(sets, home, node_tab, owners, routes)
         machine.network = _Recorder()
-        VectorizedBackend().account_force_export(machine, marks)
+        VectorizedBackend().account_force_export(machine, routes)
         assert len(machine.network.batches) == 2
         for (src, dst, nbytes), side in zip(machine.network.batches, want):
             remote = src != dst  # send_batch drops the local routes

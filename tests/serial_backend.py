@@ -111,8 +111,6 @@ class SerialBackend(MachineBackend):
             e_rows=self._rows_by_node(assign.node, m.topology.n_nodes, nb, n_atoms),
             counts=np.bincount(nb.i, minlength=n_atoms),
             n_pairs=nb.n_pairs,
-            pair_i=nb.i,
-            j=nb.j,
         )
         return walk, (assign.node, nb.i, nb.j)
 

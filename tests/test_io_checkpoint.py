@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core import MDParams, Simulation
+from repro.ewald import GSEParams
 from repro.io import (
     CheckpointError,
     CheckpointStore,
     CorruptRecord,
     FingerprintMismatch,
 )
+from repro.io.session import RunSession
+from repro.systems import build_water_box
 
 FP = {"version": 1, "n_atoms": 4, "mode": "fixed", "dt": 1.0}
 
@@ -134,15 +138,32 @@ class TestCorruptionFallback:
 
 
 class TestFingerprintGate:
-    def test_matching_fingerprint_ok(self, tmp_path):
+    """The fingerprint gate is the engine's restore, reached through the
+    RunSession every resuming entry point opens."""
+
+    @staticmethod
+    def _engine(waters):
+        system = build_water_box(n_molecules=waters, seed=3)
+        system.initialize_velocities(300.0, seed=1)
+        params = MDParams(cutoff=3.52, mesh=GSEParams.smallest_mesh(system.box, 3.52))
+        return Simulation(system, params, dt=1.0, kernel_tier="numpy").engine
+
+    def _store(self, tmp_path):
+        engine = self._engine(16)
+        engine.integrator.step()
         store = CheckpointStore(tmp_path)
-        store.save(make_state(5), 5)
-        assert store.load_latest(fingerprint=dict(FP)).step == 5
+        store.save(engine.replica_checkpoint(0), 1)
+        return store
+
+    def test_matching_fingerprint_ok(self, tmp_path):
+        store = self._store(tmp_path)
+        with RunSession([store], resume=True) as session:
+            assert session.open(self._engine(16)) == 1
 
     def test_mismatch_is_hard_error(self, tmp_path):
         # A *valid* snapshot from the wrong system must not be walked
         # past — that would silently resume the wrong run.
-        store = CheckpointStore(tmp_path)
-        store.save(make_state(5), 5)
-        with pytest.raises(FingerprintMismatch, match="n_atoms"):
-            store.load_latest(fingerprint=dict(FP, n_atoms=8))
+        store = self._store(tmp_path)
+        with RunSession([store], resume=True) as session:
+            with pytest.raises(FingerprintMismatch, match="n_atoms"):
+                session.open(self._engine(12))

@@ -3,7 +3,7 @@ noise cannot move them.
 
 A force evaluation wraps its coordinates once, for the pair list, and
 its mesh plan reads that wrap; a machine step looks its home boxes up
-once, in the force evaluation's NT marks, and the step's migration and
+once, for the tags of the force evaluation's pair walk, and the step's migration and
 the next step's position import reuse them; its traffic accounting
 builds the node coordinate table once per topology; a 48-atom solo step makes a
 bounded number of Python calls.  The bounds
@@ -30,13 +30,16 @@ from repro.systems import build_water_box
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 368
+SOLO_CALLS_PER_STEP = 350
 
 #: Data-pointer reads (``kernels.suite._ptr`` misses, ~2 µs each) per step
 #: of the same box after warm-up: none in the mesh kernels, whose plan
-#: keeps every array it hands to C; the rest are arrays the pair walk,
-#: the rebuild, SETTLE and the bonded deposit are handed fresh.
-SOLO_POINTER_MISSES_PER_STEP = 5.9
+#: keeps every array it hands to C, nor in SETTLE, the correction deposit
+#: or the rebuild, whose inputs are kept scratch or static; what is left
+#: is the pair walk's partner array, a fresh prefix view of the rebuild's
+#: buffer after each rebuild (was 5.9: SETTLE's coordinates, the wrapped
+#: coordinates, the correction codes and indices, the rebuild's cursor).
+SOLO_POINTER_MISSES_PER_STEP = 0.7
 
 
 class _Counter:
@@ -66,8 +69,9 @@ def machine():
 
 def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
     """One wrap per evaluation, with or without the mesh (was 2 and 3:
-    the NT marks' home boxes and the mesh plan wrapped the same
-    coordinates again)."""
+    the NT home boxes and the mesh plan wrapped the same coordinates
+    again; the home boxes the walk's sets are tagged with come from this
+    wrap)."""
     wraps = _Counter(monkeypatch, Box, "wrap")
     provider = machine.integrator.force_fn
     per_eval = []
@@ -89,9 +93,9 @@ def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
 
 
 def test_home_boxes_once_per_machine_step(machine, monkeypatch):
-    """The NT marks look the step's home boxes up from the pair list's
-    wrapped coordinates; migration and the next position import reuse
-    them (was 2.25 ``box_coord`` passes a step)."""
+    """The pair walk's hook looks the step's home boxes up from the pair
+    list's wrapped coordinates; migration and the next position import
+    reuse them (was 2.25 ``box_coord`` passes a step)."""
     coords = _Counter(monkeypatch, SpatialDecomposition, "box_coord")
     lookups = _Counter(monkeypatch, SpatialDecomposition, "node_of_wrapped")
     migrations = len(machine.migration.events)
