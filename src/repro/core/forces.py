@@ -19,7 +19,8 @@ mode of this calculator: it is :func:`repro.analysis.forces.analytic_forces`.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
+from functools import cache
 
 import numpy as np
 
@@ -97,13 +98,41 @@ class MDParams:
             )
 
 
-@dataclass
-class ForceReport:
-    """Forces plus the per-component energy breakdown of one evaluation."""
+def _resolved(energies) -> dict:
+    """An energy breakdown that may still be a thunk, as a dict."""
+    return energies() if callable(energies) else energies
 
-    forces: np.ndarray
-    energies: dict = field(default_factory=dict)
-    n_pairs: int = 0
+
+class ForceReport:
+    """Forces plus the per-component energy breakdown of one evaluation.
+
+    ``energies`` is a dict or — from a force-only evaluation
+    (``compute_fixed(..., energies=False)``) — a zero-argument callable
+    that computes it.  Such a breakdown is resolved on the first read of
+    :attr:`energies`, once, into the dict the eager evaluation returns:
+    the same keys in the same order and the same bits (DESIGN.md,
+    "Force-only steps and lazy energies").
+    """
+
+    def __init__(self, forces: np.ndarray, energies=None, n_pairs: int = 0):
+        self.forces = forces
+        self._energies = {} if energies is None else energies
+        self.n_pairs = n_pairs
+
+    @property
+    def energies(self) -> dict:
+        if callable(self._energies):
+            self._energies = self._energies()
+        return self._energies
+
+    def add_energies(self, more) -> None:
+        """Append ``more``'s keys (a dict or a thunk of one) to the
+        breakdown, as ``dict.update`` would, resolving neither."""
+        head = self._energies
+        if callable(head) or callable(more):
+            self._energies = lambda: {**_resolved(head), **_resolved(more)}
+        else:
+            head.update(more)
 
     @property
     def potential_energy(self) -> float:
@@ -271,6 +300,7 @@ class ForceCalculator:
         positions: np.ndarray,
         force_codec=None,
         acc: FixedAccumulator | None = None,
+        energies: bool = True,
     ) -> NonbondedResult | PairWalkResult:
         """The range-limited part: one suite pass over the Verlet rows.
 
@@ -279,7 +309,8 @@ class ForceCalculator:
         and table evaluation, then either quantize-and-accumulate into
         ``acc`` (``pair_walk``) or, without one, the float64 force rows
         (``pair_rows``).  The walk's record is a :class:`PairWalkResult`
-        — per-row energy codes and survivor counts; with a
+        — per-row energy codes (none, for ``energies=False``: the
+        force-only walk) and survivor counts; with a
         :attr:`walk_tags` hook it also fills the hook's home-box sets.
         The float pass returns a
         :class:`NonbondedResult` of per-pair arrays with ``np.sum``
@@ -293,14 +324,16 @@ class ForceCalculator:
             with self.timers.time(self._phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
+                    e_rows = e_rows if energies else None
                     tagged = () if self.walk_tags is None else self.walk_tags(positions, wrapped)
                     m = k.pair_walk(
                         spec, wrapped, row_ptr, partners, lengths, acc.raw(),
                         e_rows, counts, *tagged,
                     )
                     return PairWalkResult(e_rows=e_rows, counts=counts, n_pairs=m)
-                oi, oj = self._pair_buffers(len(partners))
-                rows, e_lj, e_coul = self._row_buffers(len(partners))
+                n_cand = int(row_ptr[-1])
+                oi, oj = self._pair_buffers(n_cand)
+                rows, e_lj, e_coul = self._row_buffers(n_cand)
                 m = k.pair_rows(
                     spec, wrapped, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul
                 )
@@ -419,6 +452,43 @@ class ForceCalculator:
         values = ENERGY_CODEC.reconstruct(np.array(list(codes.values())))
         return dict(zip(codes, self._lanes(values)))
 
+    def _energy_walk(self, positions: np.ndarray, build: int, force_codec) -> PairWalkResult:
+        """The walk's energy rows at ``positions``, for the report of a
+        force-only evaluation there: one walk with energies, into private
+        outputs, over the rows :meth:`NeighborList.rewalk` gives (that
+        evaluation's, or private ones if the list has been rebuilt since).
+        Survivors and energy codes are a pure function of the positions,
+        so they are the eager walk's."""
+        spec, k = self._spec(force_codec), self.kernels
+
+        def walk(wrapped, row_ptr, partners, lengths):
+            n = len(wrapped)
+            e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
+            acc = np.zeros((n, 3), dtype=np.int64)
+            m = k.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts)
+            return PairWalkResult(e_rows=e_rows, counts=counts, n_pairs=m)
+
+        return self.neighbor_list.rewalk(positions, build, walk)
+
+    def _short_energies(
+        self, positions: np.ndarray, nb: PairWalkResult, codes, energies: bool, force_codec
+    ):
+        """The walk's energies and ``codes()``'s, decoded in that key order:
+        now, or — for a force-only evaluation, whose walk left no energy
+        rows — as the memoised thunk its report resolves on first read,
+        which walks again at ``positions`` (:meth:`_energy_walk`).  The
+        integrator's positions own their data and are read-only (replaced,
+        never written in place), as :meth:`_walked` relies on too; any
+        other array is copied first."""
+        if energies:
+            return self._decode({**self._pair_codes(nb), **codes()})
+        if positions.flags.writeable or positions.base is not None:
+            positions = positions.copy()
+        build = self.neighbor_list.n_builds
+        return cache(lambda: self._decode(
+            {**self._pair_codes(self._energy_walk(positions, build, force_codec)), **codes()}
+        ))
+
     def _pair_codes(self, nb: PairWalkResult) -> dict:
         """The walk's LJ and Coulomb codes per lane: its lane blocks of rows."""
         lj, coul = np.add.reduce(nb.e_rows.reshape(self.replicas, -1, 2), axis=1).T
@@ -439,18 +509,26 @@ class ForceCalculator:
             "lj14": energy_codes(corr.lj_scale14 * corr.e_14_lj, R),
         }
 
-    def _long_energies(self, correction_codes: dict, e_k) -> dict:
-        """The long-range energies in report order."""
-        (e_self,) = self._lanes(np.full((1, self.replicas), self._e_self))
-        return {**self._decode(correction_codes), "coulomb_kspace": e_k, "coulomb_self": e_self}
+    def _long_energies(self, correction_codes, e_k, energies: bool):
+        """The long-range energies in report order, ``correction_codes()``
+        decoded: now, or as a memoised thunk."""
+
+        def decode() -> dict:
+            (e_self,) = self._lanes(np.full((1, self.replicas), self._e_self))
+            return {**self._decode(correction_codes()), "coulomb_kspace": e_k,
+                    "coulomb_self": e_self}
+
+        return decode() if energies else cache(decode)
 
     def compute_long_fixed(
-        self, positions: np.ndarray, force_codec
+        self, positions: np.ndarray, force_codec, energies: bool = True
     ) -> tuple[np.ndarray, dict]:
         """Fixed-point codes of the long-range components only.
 
         Raw (unwrapped) int64 sums — callers combine with short-range
-        codes and wrap once.  No vsite redistribution here.
+        codes and wrap once.  No vsite redistribution here.  The energies
+        come back as a dict or, with ``energies=False``, as a thunk of it
+        (:meth:`ForceReport.add_energies` takes either).
         """
         time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("long", force_codec)
@@ -465,11 +543,15 @@ class ForceCalculator:
         else:
             (e_k,) = self._lanes(np.zeros((1, self.replicas)))
         with time(p + "energies"):
-            energies = self._long_energies(self._correction_codes(corr), e_k)
-        return acc.raw(), energies
+            long = self._long_energies(lambda: self._correction_codes(corr), e_k, energies)
+        return acc.raw(), long
 
     def compute_fixed(
-        self, positions: np.ndarray, force_codec, include_long_range: bool = True
+        self,
+        positions: np.ndarray,
+        force_codec,
+        include_long_range: bool = True,
+        energies: bool = True,
     ) -> tuple[np.ndarray, ForceReport]:
         """Order-invariant fixed-point force codes.
 
@@ -480,10 +562,17 @@ class ForceCalculator:
         same contributions over nodes and obtains identical bits.  So is
         every energy but the k-space and self terms: an integer lane sum
         of :data:`~repro.forcefield.ENERGY_CODEC` codes, decoded once.
+
+        ``energies=False`` is a force-only evaluation, for a step whose
+        energies nobody asks for: the walk computes no energy and nothing
+        is decoded, and the report's energies resolve on first read to the
+        dict this call returns with ``energies=True`` — same keys, order
+        and bits (DESIGN.md, "Force-only steps and lazy energies").  The
+        force codes are the same bytes either way.
         """
         time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("short", force_codec)
-        nb = self._range_limited(positions, force_codec, acc)
+        nb = self._range_limited(positions, force_codec, acc, energies)
         bonded = self._bonded(positions)
         with time(p + "deposit"):
             for contrib in bonded:
@@ -491,21 +580,25 @@ class ForceCalculator:
                     c = force_codec.quantize_round_only(contrib.force)
                     acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
         with time(p + "energies"):
-            energies = self._decode({**self._pair_codes(nb), **self._bonded_codes(bonded)})
+            short = self._short_energies(
+                positions, nb, lambda: self._bonded_codes(bonded), energies, force_codec
+            )
 
+        long = None
         if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
+            long_codes, long = self.compute_long_fixed(positions, force_codec, energies)
             with time(p + "deposit"):
                 acc.deposit_dense(long_codes)
-            energies.update(long_energies)
 
         with time(p + "collect"):
             total = self._spread_vsite_codes(acc.total())
             report = ForceReport(
                 forces=force_codec.reconstruct(total),
-                energies=energies,
+                energies=short,
                 n_pairs=nb.n_pairs,
             )
+            if long is not None:
+                report.add_energies(long)
         return total, report
 
     def _spread_vsite_codes(self, codes: np.ndarray) -> np.ndarray:
@@ -540,7 +633,9 @@ class MTSForceProvider:
         self.k = calc.params.long_range_every
         self.calls = 0
         self.long_evaluations = 0
-        self._last_long_energies: dict[str, float] = {}
+        #: The last long-range energies: a dict, or the thunk of a
+        #: force-only evaluation's (``ForceReport.add_energies`` takes both).
+        self._last_long_energies = {}
 
     def _impulse(self, out: np.ndarray, long_codes: np.ndarray) -> np.ndarray:
         """``wrap(out + k * long_codes)``, written into ``out``.
@@ -559,23 +654,28 @@ class MTSForceProvider:
         np.bitwise_and(out, mask, out=out)
         return np.subtract(out, half, out=out)
 
-    def __call__(self, positions: np.ndarray):
+    def __call__(self, positions: np.ndarray, energies: bool = False):
+        """Forces at ``positions`` and their report.  ``energies`` asks a
+        fixed-point evaluation for its energy breakdown now (a step whose
+        energies are recorded); otherwise they resolve on first read
+        (:meth:`ForceCalculator.compute_fixed`).  The float path always
+        computes them."""
         if self.k == 1:
             # Single-rate fast path: one combined evaluation.
             self.calls += 1
             self.long_evaluations += 1
             if self.force_codec is not None:
-                return self.calc.compute_fixed(positions, self.force_codec)
+                return self.calc.compute_fixed(positions, self.force_codec, energies=energies)
             report = self.calc.compute(positions)
             return report.forces, report
         include_long = self.calls % self.k == 0
         if self.force_codec is not None:
             out, report = self.calc.compute_fixed(
-                positions, self.force_codec, include_long_range=False
+                positions, self.force_codec, include_long_range=False, energies=energies
             )
             if include_long:
                 long_codes, long_energies = self.calc.compute_long_fixed(
-                    positions, self.force_codec
+                    positions, self.force_codec, energies
                 )
                 with self.calc.timers.time("mts_combine"):
                     out = self.calc._spread_vsite_codes(self._impulse(out, long_codes))
@@ -590,6 +690,6 @@ class MTSForceProvider:
                 self.calc.system.spread_virtual_site_forces(out)
                 self._last_long_energies = long_part.energies
                 self.long_evaluations += 1
-        report.energies.update(self._last_long_energies)
+        report.add_energies(self._last_long_energies)
         self.calls += 1
         return out, report

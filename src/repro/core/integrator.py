@@ -105,10 +105,12 @@ class FixedPointIntegrator:
     system:
         Supplies initial state, masses, vsite layout.
     force_fn:
-        ``force_fn(positions) -> (force_codes, info)`` where
-        ``force_codes`` is an int64 (n, 3) array in the config's force
-        codec (an order-invariant integer sum of quantized
-        contributions) and ``info`` is a dict of energies.
+        ``force_fn(positions, energies=False) -> (force_codes, info)``
+        where ``force_codes`` is an int64 (n, 3) array in the config's
+        force codec (an order-invariant integer sum of quantized
+        contributions) and ``info`` is the evaluation's report, whose
+        ``energies`` it computes now when ``energies`` is true and may
+        otherwise compute on first read.
     dt:
         Time step in femtoseconds (the paper uses 2.5 fs).
     constraints:
@@ -293,14 +295,16 @@ class FixedPointIntegrator:
                 self.system.place_virtual_sites(pos)
             self.X = self.pos_codec.encode(pos)
 
-    def step(self) -> None:
-        """Advance one velocity-Verlet step."""
+    def step(self, energies: bool = False) -> None:
+        """Advance one velocity-Verlet step; ``energies`` asks the force
+        evaluation for its energies now (a step whose energies are
+        recorded) rather than on first read of ``last_info.energies``."""
         t = self.timers
         with t.time("step"):
             self._half_kick()
             self._drift_full()
             with t.time("force"):
-                self._force_codes, self.last_info = self.force_fn(self.positions)
+                self._force_codes, self.last_info = self.force_fn(self.positions, energies)
             self._half_kick()
             if self.thermostat is not None:
                 with t.time("thermostat"):

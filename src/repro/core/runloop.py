@@ -9,7 +9,10 @@ An engine is anything with this per-lane surface (a *lane* is one
 independent system: R for the batched engine, one for the machine and
 for the float reference engine): ``replicas``, ``integrator.step_count``,
 ``timers`` and ``io_phase`` (where frame/checkpoint I/O time is
-charged), ``advance()``, ``record_energy()`` (one record per lane),
+charged), ``advance(energies)`` (``energies`` is true on exactly the
+steps whose energies the loop records: every other step's force
+evaluation may leave them to be computed on first read),
+``record_energy()`` (one record per lane),
 ``write_replica_frame(writer, r)`` and ``replica_checkpoint(r)``.
 :class:`~repro.io.session.RunSession` additionally uses
 ``restore_replicas(states)`` and ``open_replica_trajectory(path)`` /
@@ -37,9 +40,9 @@ class LaneEngine:
     def timers(self):
         return self.calc.timers
 
-    def advance(self) -> None:
+    def advance(self, energies: bool) -> None:
         """One time step of every lane."""
-        self.integrator.step()
+        self.integrator.step(energies)
 
     def replica_checkpoint(self, r: int = 0) -> dict:
         """Lane r's state in the solo checkpoint schema."""
@@ -125,10 +128,11 @@ def run_loop(
         step = integ.step_count + 1
         if bracket is not None:
             bracket.begin_step(engine, step)
-        engine.advance()
+        record_due = bool(record_every) and step % record_every == 0
+        engine.advance(record_due)
         if bracket is not None and bracket.end_step(engine, step):
             continue
-        if record_every and step % record_every == 0:
+        if record_due:
             recs = engine.record_energy()
             for lane, rec in zip(records, recs):
                 lane.append(rec)

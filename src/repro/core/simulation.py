@@ -127,6 +127,10 @@ class FloatEngine(LaneEngine):
         # Static arrays and parameters only, so one hash serves the run.
         self._fingerprint = system_fingerprint(system, params, self.mode, self.dt, None)
 
+    def advance(self, energies: bool) -> None:
+        """One step; the float path computes its energies with its forces."""
+        self.integrator.step()
+
     def record_energy(self) -> list[EnergyRecord]:
         integ = self.integrator
         rec = EnergyRecord(

@@ -203,13 +203,17 @@ class EnsembleForceCalculator(ForceCalculator):
 
     # Delegations only: benchmarks/perf/trace.py wraps these two by this
     # class's __dict__, so they must stay defined here.
-    def compute_long_fixed(self, positions: np.ndarray, force_codec):
-        return super().compute_long_fixed(positions, force_codec)
+    def compute_long_fixed(self, positions: np.ndarray, force_codec, energies: bool = True):
+        return super().compute_long_fixed(positions, force_codec, energies)
 
     def compute_fixed(
-        self, positions: np.ndarray, force_codec, include_long_range: bool = True
+        self,
+        positions: np.ndarray,
+        force_codec,
+        include_long_range: bool = True,
+        energies: bool = True,
     ) -> tuple[np.ndarray, ForceReport]:
-        return super().compute_fixed(positions, force_codec, include_long_range)
+        return super().compute_fixed(positions, force_codec, include_long_range, energies)
 
 
 # -- constraints -----------------------------------------------------------

@@ -18,7 +18,8 @@ approaching each other close the gap by at most ``skin``.
 
 The list is stored as rows, the layout GROMACS keeps per i-cluster and
 Anton's pipelines stream: ``row_ptr`` (int64, one entry per atom plus
-one) and ``partners`` (int32), row ``i`` being ``partners[row_ptr[i] :
+one) and ``partners`` (int32, a buffer that may run past the candidate
+count ``row_ptr[-1]``), row ``i`` being ``partners[row_ptr[i] :
 row_ptr[i + 1]]`` in ascending ``j`` — 4 bytes per candidate, where an
 ``(i, j)`` pair list takes 16.  Read in turn, the rows are the canonical
 ``(i, j)`` order; :func:`pairs_to_rows` and :func:`rows_to_pairs`
@@ -82,10 +83,11 @@ def pairs_to_rows(ii: np.ndarray, jj: np.ndarray, n_atoms: int) -> tuple[np.ndar
 
 
 def rows_to_pairs(row_ptr: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows expanded back to int64 ``(i, j)`` pairs, in row order."""
-    counts = np.diff(np.asarray(row_ptr, dtype=np.int64))
-    ii = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    return ii, np.asarray(partners, dtype=np.int64)
+    """The rows expanded back to int64 ``(i, j)`` pairs, in row order
+    (``partners`` may be a buffer that runs past ``row_ptr[-1]``)."""
+    row_ptr = np.asarray(row_ptr, dtype=np.int64)
+    ii = np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64), np.diff(row_ptr))
+    return ii, np.asarray(partners[: row_ptr[-1]], dtype=np.int64)
 
 
 def _partner_csr(exclusions) -> tuple[np.ndarray, np.ndarray]:
@@ -189,10 +191,7 @@ class NeighborList:
         check_atom_count(len(wrapped))
         if self.exclusions is not None and self._excl_csr is None:
             self._excl_csr = _partner_csr(self.exclusions)
-        self._row_ptr, self._partners = self.kernels.neighbor_build(
-            wrapped, self._lengths, self.reach, self._n_blocks,
-            len(wrapped) // self._n_blocks, self._excl_csr, self._bufs,
-        )
+        self._row_ptr, self._partners = self._rows(wrapped, self._bufs)
         if self._ref_positions is None or self._ref_positions.shape != wrapped.shape:
             self._ref_positions = np.empty_like(wrapped)
         np.copyto(self._ref_positions, wrapped)
@@ -203,7 +202,34 @@ class NeighborList:
     @property
     def n_candidates(self) -> int:
         """Cached candidate pairs (within ``cutoff + skin`` at build)."""
-        return 0 if self._partners is None else len(self._partners)
+        return 0 if self._row_ptr is None else int(self._row_ptr[-1])
+
+    def rewalk(self, positions: np.ndarray, build: int, walk):
+        """Run ``walk`` as :meth:`pairs` does, at ``positions`` that an
+        evaluation walked when :attr:`n_builds` read ``build``, leaving
+        the list untouched.
+
+        The rows are the live ones while the list has not been rebuilt
+        since — the rows that evaluation walked — else private rows built
+        at ``positions`` through the same ``neighbor_build``; no buffer,
+        reference position or count of the list changes.  Either set of
+        rows holds every pair within the cutoff at ``positions``, so the
+        walk's result is the one that evaluation's walk had.
+        """
+        wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
+        if build == self.n_builds:
+            row_ptr, partners = self._row_ptr, self._partners
+        else:
+            bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)]
+            row_ptr, partners = self._rows(wrapped, bufs)
+        return walk(wrapped, row_ptr, partners, self._lengths)
+
+    def _rows(self, wrapped: np.ndarray, bufs: list) -> tuple[np.ndarray, np.ndarray]:
+        """The suite's ``neighbor_build`` of this list at ``wrapped``, into ``bufs``."""
+        return self.kernels.neighbor_build(
+            wrapped, self._lengths, self.reach, self._n_blocks,
+            len(wrapped) // self._n_blocks, self._excl_csr, bufs,
+        )
 
     def needs_rebuild(self, positions: np.ndarray) -> bool:
         """True when the cached list may miss a within-cutoff pair."""

@@ -93,20 +93,19 @@ static void rk_seg_init(rk_seg_lookup *t, const double *starts, int64_t nseg, do
     }
 }
 
-static inline int32_t rk_segment(const rk_seg_lookup *t, const double *starts,
-                                 int64_t nseg, double u)
+static inline int64_t rk_grid_cell(double u)
 {
     int64_t g = (int64_t)(u * (double)RK_GRID);
-    if (g >= RK_GRID)
-        g = RK_GRID - 1;
-    if (g < 0)
-        g = 0;
-    int64_t idx = t->grid[g];
-    if (t->one)
-        return (int32_t)(idx + (t->next[idx] <= u));
-    while (idx + 1 < nseg && starts[idx + 1] <= u)
-        idx++;
-    return (int32_t)idx;
+    g = g >= RK_GRID ? RK_GRID - 1 : g;
+    return g < 0 ? 0 : g;
+}
+
+/* The segment of u when the fine-grid lemma holds (t->one): branch-free,
+ * so a loop of them vectorizes, gathering grid and next. */
+static inline int32_t rk_segment_one(const rk_seg_lookup *t, double u)
+{
+    const int32_t idx = t->grid[rk_grid_cell(u)];
+    return idx + (t->next[idx] <= u);
 }
 
 /* Cubic Horner over coefficients stored [c0, c1, c2, c3], matching
@@ -514,15 +513,94 @@ typedef struct { /* field for field kernels/build.py: PairSpec */
 /* Candidates per block: what the stages hand each other stays in L1. */
 #define RK_WALK_BLOCK 256
 
+/* Block-mask selection: which of 8 consecutive entries a stage keeps is
+ * one byte m (rk_mask8 of their keep bytes), and pos[m] lists the kept
+ * entries' positions in ascending order, padded with 0 to 8, n[m] of
+ * them.  rk_select_run writes all 8 of pos[m] (plus the group's start)
+ * to the next 8 index slots, whatever m is, and advances its count by
+ * n[m]: a group's slots depend on the count before it, not on a compare
+ * per entry, and the caller then copies the kept entries through the
+ * indices in one loop that vectorizes as gathers.
+ *
+ * Lemma (block-mask selection): the indices written to slots 0 .. count
+ * - 1 are exactly those of the kept entries, in ascending order, so the
+ * copies through them are the sequence a per-entry compaction writes,
+ * every value an exact copy.  Group g's n[m] leading slots receive its
+ * kept positions in order (pos[m] ascends), at the count before g, which
+ * is the number kept in the groups before g; the up to 8 - n[m] slots
+ * past them hold padding, and the next group's writes start on the first
+ * of them.  So after the last group, slots 0 .. count - 1 hold exactly
+ * the kept indices, in order, and at most 7 slots past count were
+ * written: the index array needs room for the entry count rounded up to
+ * a multiple of 8 (RK_WALK_BLOCK is one).  Entries past the block's end
+ * have their keep byte cleared (rk_keep_pad), so they are never kept.
+ *
+ * rk_mask8 reads the 8 keep bytes (each 0 or 1) as one integer x and
+ * multiplies by 0x0102040810204080: the byte at bit offset 8 b lands on
+ * bit 56 + b of the product's top byte, and every other product of a
+ * byte and a multiplier bit falls on a distinct lower bit or past bit
+ * 63, so nothing carries in.  Which entry becomes which bit of m
+ * depends on the host's byte order; rk_select_init builds pos through
+ * rk_mask8 itself, so pos[m] names the right entries on either. */
+typedef struct {
+    uint8_t pos[256][8];
+    uint8_t n[256];
+} rk_select;
+
+/* The selection byte of keep[0 .. 8): keep bytes are 0 or 1. */
+static inline unsigned rk_mask8(const uint8_t *keep)
+{
+    uint64_t x;
+    memcpy(&x, keep, 8);
+    return (unsigned)((x * 0x0102040810204080ull) >> 56);
+}
+
+static void rk_select_init(rk_select *t)
+{
+    for (int p = 0; p < 256; p++) {
+        uint8_t keep[8];
+        for (int l = 0; l < 8; l++)
+            keep[l] = (uint8_t)(p >> l & 1);
+        const unsigned m = rk_mask8(keep);
+        int k = 0;
+        for (int l = 0; l < 8; l++)
+            if (keep[l])
+                t->pos[m][k++] = (uint8_t)l;
+        t->n[m] = (uint8_t)k;
+        for (; k < 8; k++)
+            t->pos[m][k] = 0;
+    }
+}
+
+/* The indices k < n with keep[k] set, in ascending order, into idx[0 ..
+ * count), 8 entries at a time; returns count.  keep is read in whole
+ * groups of 8 (rk_keep_pad clears the last one's tail) and idx takes up
+ * to 7 entries past count, so both hold n rounded up to 8.  The caller
+ * then copies each kept entry with one loop over idx, which vectorizes
+ * as gathers. */
+static inline int64_t rk_select_run(const rk_select *t, const uint8_t *keep, int64_t n,
+                                    int32_t *restrict idx)
+{
+    int64_t count = 0;
+    for (int64_t k0 = 0; k0 < n; k0 += 8) {
+        const unsigned m = rk_mask8(keep + k0);
+        for (int l = 0; l < 8; l++)
+            idx[count + l] = (int32_t)k0 + t->pos[m][l];
+        count += t->n[m];
+    }
+    return count;
+}
+
 /* What one pass over the rows holds on its stack: the spec by value (so
  * its fields sit in registers across the loops), the box, the wrapped
  * coordinates as three arrays (the partners' side of every pair is read
- * from them), and both segment lookups. */
+ * from them), both segment lookups and the selection table. */
 typedef struct {
     rk_pair_spec s;
     double L0, L1, L2, h0, h1, h2;
     const double *sx, *sy, *sz;
     rk_seg_lookup e_seg, d_seg;
+    rk_select sel;
 } rk_walk_ctx;
 
 /* Sets up one pass over n atoms: the n wrapped rows of w transposed into
@@ -531,6 +609,7 @@ static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L,
                          int64_t n, const double *restrict w,
                          double *restrict soa)
 {
+    rk_select_init(&c->sel);
     c->s = *s;
     c->L0 = L[0], c->L1 = L[1], c->L2 = L[2];
     c->h0 = 0.5 * L[0], c->h1 = 0.5 * L[1], c->h2 = 0.5 * L[2];
@@ -565,7 +644,8 @@ static inline rk_row rk_row_of(const rk_walk_ctx *c, int64_t i)
  * product, LJ A/B, the segment of u in the electrostatic layout), stage
  * B's offset and force prefactor, and the dispersion subset: the block
  * positions of the pairs with A or B nonzero, their u, segment and
- * offset in the dispersion layout. */
+ * offset in the dispersion layout; keep is the selection bytes of
+ * whichever stage is selecting. */
 typedef struct {
     double d0[RK_WALK_BLOCK], d1[RK_WALK_BLOCK], d2[RK_WALK_BLOCK];
     double u[RK_WALK_BLOCK];
@@ -573,10 +653,19 @@ typedef struct {
     int32_t ie[RK_WALK_BLOCK];
     double te[RK_WALK_BLOCK];
     double pf[RK_WALK_BLOCK];
-    int64_t lj[RK_WALK_BLOCK];
+    int32_t lj[RK_WALK_BLOCK];
     int32_t id[RK_WALK_BLOCK];
     double ul[RK_WALK_BLOCK], td[RK_WALK_BLOCK];
+    uint8_t keep[RK_WALK_BLOCK];
 } rk_walk_block;
+
+/* Clears the keep bytes of [n, n rounded up to 8): the last group's
+ * entries past the block's end never survive. */
+static inline void rk_keep_pad(uint8_t *keep, int64_t n)
+{
+    for (int64_t k = n; k & 7; k++)
+        keep[k] = 0;
+}
 
 /* The stages below (filter, offsets, tables, quantize) are each compiled
  * once, out of line, whichever entry point and call site use them:
@@ -589,14 +678,17 @@ typedef struct {
 /* Filter over one block of row r's partners pj[0 .. nk), nk <=
  * RK_WALK_BLOCK: the cutoff predicate of geometry.cells.within, operation
  * for operation (d = x_i - x_j, rk_image for its division), first as a
- * loop over the block that only reads (so it vectorizes, gathering the
- * partners' coordinates), then a branch-free compaction (write the
- * survivor slot always, advance it by r2 < cutoff2; the slot index never
- * passes the candidate index, so outputs sized to the candidate count
- * suffice), then KernelTableSet.normalize on the survivors' r2 (a loop of
- * its own, so the division packs).  Survivors' partners land in oj (the
- * caller's next free slots, or a block of scratch), their displacements
- * and clamped u in the block.  Returns how many survived. */
+ * loop over the block that only reads and writes one keep byte per
+ * candidate (so it vectorizes, gathering the partners' coordinates),
+ * then the survivors' indices selected 8 candidates at a time
+ * (rk_select_run), then one loop through them (it vectorizes as gathers)
+ * that copies each survivor's partner and displacement and applies
+ * KernelTableSet.normalize to its r2 — the block-mask lemma: the order
+ * and the exact doubles a per-candidate compaction keeps.  Survivors'
+ * partners land in oj (the caller's next free slots, or a block of
+ * scratch: never more than the survivors are written), their
+ * displacements and clamped u in the block.  Returns how many
+ * survived. */
 RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
                                    const int32_t *restrict pj, int64_t nk,
                                    int64_t *restrict oj,
@@ -606,27 +698,46 @@ RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
     const double cutoff2 = c->s.cutoff2, umax = c->s.umax;
     const double x = r->x, y = r->y, z = r->z;
     double t0[RK_WALK_BLOCK], t1[RK_WALK_BLOCK], t2[RK_WALK_BLOCK], r2[RK_WALK_BLOCK];
+    uint8_t *restrict keep = blk->keep;
     for (int64_t k = 0; k < nk; k++) {
         const int64_t j = pj[k];
         t0[k] = rk_image(x - sx[j], c->L0, c->h0);
         t1[k] = rk_image(y - sy[j], c->L1, c->h1);
         t2[k] = rk_image(z - sz[j], c->L2, c->h2);
         r2[k] = (t0[k] * t0[k] + t1[k] * t1[k]) + t2[k] * t2[k];
+        keep[k] = r2[k] < cutoff2;
     }
-    int64_t nb = 0;
-    for (int64_t k = 0; k < nk; k++) {
-        oj[nb] = pj[k];
-        blk->d0[nb] = t0[k];
-        blk->d1[nb] = t1[k];
-        blk->d2[nb] = t2[k];
-        blk->u[nb] = r2[k];
-        nb += r2[k] < cutoff2;
-    }
-    for (int64_t b = 0; b < nb; b++) { /* on its own it vectorizes */
-        double u = blk->u[b] / cutoff2;
+    rk_keep_pad(keep, nk);
+    int32_t idx[RK_WALK_BLOCK];
+    const int64_t nb = rk_select_run(&c->sel, keep, nk, idx);
+    for (int64_t b = 0; b < nb; b++) {
+        const int32_t k = idx[b];
+        oj[b] = pj[k];
+        blk->d0[b] = t0[k];
+        blk->d1[b] = t1[k];
+        blk->d2[b] = t2[k];
+        const double u = r2[k] / cutoff2;
         blk->u[b] = u > umax ? umax : u;
     }
     return nb;
+}
+
+/* The segments seg[0 .. n) of u[0 .. n) in one layout: the one-compare
+ * lookup where the layout allows it (chosen once, outside the loop, so
+ * that loop vectorizes), else the scan. */
+RK_ONE_COPY void rk_segments(const rk_seg_lookup *t, const double *starts, int64_t nseg,
+                             int64_t n, const double *restrict u, int32_t *restrict seg)
+{
+    if (t->one)
+        for (int64_t b = 0; b < n; b++)
+            seg[b] = rk_segment_one(t, u[b]);
+    else
+        for (int64_t b = 0; b < n; b++) {
+            int64_t idx = t->grid[rk_grid_cell(u[b])];
+            while (idx + 1 < nseg && starts[idx + 1] <= u[b])
+                idx++;
+            seg[b] = (int32_t)idx;
+        }
 }
 
 /* Table offsets clip((u - start) / width, 0, 1) of a block within the
@@ -655,14 +766,20 @@ RK_ONE_COPY void rk_offsets(int64_t nb, const double *restrict u,
 }
 
 /* The two electrostatic cubics of a block: pf = qq * f(te) and e_coul =
- * qq * e(te) in segments ie, e_lj zeroed.  The coefficients are read
- * through int32 segment indices, which a vector unit gathers. */
+ * qq * e(te) in segments ie, e_lj zeroed — or, without e_coul (a
+ * force-only walk), pf alone.  The coefficients are read through int32
+ * segment indices, which a vector unit gathers. */
 RK_ONE_COPY void rk_elec_cubics(int64_t nb, const int32_t *restrict ie,
                                 const double *restrict te, const double *restrict qq,
                                 const double *restrict cf, const double *restrict ce,
                                 double *restrict pf, double *restrict e_coul,
                                 double *restrict e_lj)
 {
+    if (!e_coul) {
+        for (int64_t b = 0; b < nb; b++)
+            pf[b] = qq[b] * rk_horner4_at(cf, 4 * ie[b], te[b]);
+        return;
+    }
     for (int64_t b = 0; b < nb; b++) {
         const int32_t k = 4 * ie[b];
         e_coul[b] = qq[b] * rk_horner4_at(ce, k, te[b]);
@@ -673,16 +790,21 @@ RK_ONE_COPY void rk_elec_cubics(int64_t nb, const int32_t *restrict ie,
 
 /* The table arithmetic of a block's nb survivors (i, j[b]) of row r,
  * nonbonded_real_space_tabulated's line for line, staged so that each
- * loop does one kind of work.  Stage A, scalar: gather what depends on
- * the partner — the charge product (q_i q_j) C with q_i from the row, the
- * LJ A/B coefficients from the row's A/B row — locate u in the
- * electrostatic layout, and list the pairs with A or B nonzero.  Stage B:
+ * loop does one kind of work.  Stage A: gather what depends on the
+ * partner — the charge product (q_i q_j) C with q_i from the row, the LJ
+ * A/B coefficients from the row's A/B row — and locate u in the
+ * electrostatic layout, in one loop that vectorizes where the layout
+ * takes the one-compare lookup (rk_segment_one, chosen per layout
+ * outside the loop), writing a keep byte for each pair with A or B
+ * nonzero; then list those pairs, 8 at a time (rk_select).  Stage B:
  * the offsets within the segments (rk_offsets, lane-parallel), the two
  * electrostatic cubics and energy, then the dispersion lookup, offsets
  * and four cubics for the listed pairs only.  Leaves the prefactor p
- * (force on i is p * dx) in blk->pf and writes the pairs' two energies.
- * The one copy: the fixed-point walk and the float rows below both
- * call it.
+ * (force on i is p * dx) in blk->pf and writes the pairs' two energies;
+ * with e_lj == e_coul == NULL (a force-only walk) it computes no energy
+ * cubic at all, and p is the same double either way (each is its own
+ * expression).  The one copy: the fixed-point walk and the float rows
+ * below both call it.
  *
  * Lemma (LJ-free pairs): a pair with A == B == 0 gets p = qq * ef and
  * e_lj = +0.0 where the full expression is p = (qq * ef + A * f12) - B *
@@ -709,22 +831,26 @@ RK_ONE_COPY void rk_pair_tables(const rk_walk_ctx *c, const rk_row *r,
                                 double *restrict e_coul)
 {
     const rk_pair_spec *s = &c->s;
-    int64_t nl = 0;
+    const double qi = r->q, coulomb = s->coulomb;
+    const double *restrict ra = r->a, *restrict rb = r->b;
+    const int64_t *restrict types = s->types;
+    const double *restrict charges = s->charges;
+    uint8_t *restrict keep = blk->keep;
     for (int64_t b = 0; b < nb; b++) {
-        const int64_t tj = s->types[j[b]];
-        blk->qq[b] = r->q * s->charges[j[b]] * s->coulomb;
-        blk->ca[b] = r->a[tj];
-        blk->cb[b] = r->b[tj];
-        blk->ie[b] = rk_segment(&c->e_seg, s->e_starts, s->e_nseg, blk->u[b]);
-        blk->lj[nl] = b;
-        nl += blk->ca[b] != 0.0 || blk->cb[b] != 0.0;
+        const int64_t tj = types[j[b]];
+        blk->qq[b] = qi * charges[j[b]] * coulomb;
+        blk->ca[b] = ra[tj];
+        blk->cb[b] = rb[tj];
+        keep[b] = blk->ca[b] != 0.0 || blk->cb[b] != 0.0;
     }
+    rk_segments(&c->e_seg, s->e_starts, s->e_nseg, nb, blk->u, blk->ie);
+    rk_keep_pad(keep, nb);
+    const int64_t nl = rk_select_run(&c->sel, keep, nb, blk->lj);
     rk_offsets(nb, blk->u, blk->ie, s->e_starts, s->e_widths, s->e_inv, blk->te);
     rk_elec_cubics(nb, blk->ie, blk->te, blk->qq, s->e_cf, s->e_ce, blk->pf, e_coul, e_lj);
-    for (int64_t l = 0; l < nl; l++) {
+    for (int64_t l = 0; l < nl; l++)
         blk->ul[l] = blk->u[blk->lj[l]];
-        blk->id[l] = rk_segment(&c->d_seg, s->d_starts, s->d_nseg, blk->ul[l]);
-    }
+    rk_segments(&c->d_seg, s->d_starts, s->d_nseg, nl, blk->ul, blk->id);
     rk_offsets(nl, blk->ul, blk->id, s->d_starts, s->d_widths, s->d_inv, blk->td);
     for (int64_t l = 0; l < nl; l++) {
         const int64_t b = blk->lj[l];
@@ -732,9 +858,11 @@ RK_ONE_COPY void rk_pair_tables(const rk_walk_ctx *c, const rk_row *r,
         const double td = blk->td[l], ca = blk->ca[b], cb = blk->cb[b];
         double f12 = rk_horner4(s->c12f + id, td);
         double f6 = rk_horner4(s->c6f + id, td);
-        double e12 = rk_horner4(s->c12e + id, td);
-        double e6 = rk_horner4(s->c6e + id, td);
-        e_lj[b] = ca * e12 - cb * e6;
+        if (e_lj) {
+            double e12 = rk_horner4(s->c12e + id, td);
+            double e6 = rk_horner4(s->c6e + id, td);
+            e_lj[b] = ca * e12 - cb * e6;
+        }
         blk->pf[b] = blk->pf[b] + ca * f12 - cb * f6;
     }
 }
@@ -804,7 +932,9 @@ RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)
  * row sum added to acc[i] once the row is done.  uint64 adds wrap like
  * int64 and commute, so the deposit order is invisible.
  *
- * Energies take the same road: each survivor's e_lj and e_coul is
+ * Energies take the same road (unless e_rows is NULL: a force-only walk,
+ * which computes no energy cubic and no energy code, and whose forces,
+ * counts and sets are the same bytes): each survivor's e_lj and e_coul is
  * quantized by the energy codec (rk_energy_codes) and wrap-added
  * into the row's two sums, written to e_rows[i] = (lj, coul) once the
  * row is done, with the row's survivor count in counts[i] — every row is
@@ -838,6 +968,7 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
     rk_walk_block blk;
     uint64_t c0[RK_WALK_BLOCK], c1[RK_WALK_BLOCK], c2[RK_WALK_BLOCK];
     double e_lj[RK_WALK_BLOCK], e_coul[RK_WALK_BLOCK];
+    double *el = er ? e_lj : NULL, *ec = er ? e_coul : NULL;
     int64_t js[RK_WALK_BLOCK];
     int64_t m = 0;
 
@@ -852,9 +983,11 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
             for (int64_t lo = row_ptr[i]; lo < end; lo += RK_WALK_BLOCK) {
                 const int64_t nk = end - lo < RK_WALK_BLOCK ? end - lo : RK_WALK_BLOCK;
                 const int64_t nb = rk_walk_filter(&c, &r, partners + lo, nk, js, &blk);
-                rk_pair_tables(&c, &r, nb, js, &blk, e_lj, e_coul);
-                s_lj += rk_energy_codes(nb, e_lj);
-                s_coul += rk_energy_codes(nb, e_coul);
+                rk_pair_tables(&c, &r, nb, js, &blk, el, ec);
+                if (er) {
+                    s_lj += rk_energy_codes(nb, e_lj);
+                    s_coul += rk_energy_codes(nb, e_coul);
+                }
                 rk_quantize(nb, blk.pf, blk.d0, ql, qs, qm, c0);
                 rk_quantize(nb, blk.pf, blk.d1, ql, qs, qm, c1);
                 rk_quantize(nb, blk.pf, blk.d2, ql, qs, qm, c2);
@@ -893,8 +1026,10 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
             a[3 * i + 1] += f1;
             a[3 * i + 2] += f2;
         }
-        er[2 * i] = s_lj;
-        er[2 * i + 1] = s_coul;
+        if (er) {
+            er[2 * i] = s_lj;
+            er[2 * i + 1] = s_coul;
+        }
         counts[i] = m - m0;
     }
     return m;

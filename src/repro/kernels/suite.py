@@ -475,7 +475,9 @@ class NumpyKernels:
         :data:`~repro.forcefield.ENERGY_CODEC` and wrap-added into
         its row ``i`` of the ``(n_atoms, 2)`` int64 ``e_rows`` (LJ,
         Coulomb); ``counts[i]`` is row ``i``'s survivor count.  Both are
-        overwritten, every row.  Only with ``tags`` (an int64 id per atom,
+        overwritten, every row.  ``e_rows=None`` is the force-only walk:
+        no energy is quantized or summed, and ``acc``, ``counts`` and the
+        sets are the same bytes.  Only with ``tags`` (an int64 id per atom,
         the machine's home boxes) are the ``(2, n_atoms, words)`` uint64
         bit sets ``sets`` overwritten: ``sets[0][i]`` holds bit
         ``tags[j]`` of every surviving ``(i, j)``, ``sets[1][j]`` bit
@@ -486,10 +488,11 @@ class NumpyKernels:
 
         nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
         counts[...] = np.bincount(nb.i, minlength=len(counts))
-        e_rows[...] = 0
-        with np.errstate(over="ignore"):
-            for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
-                np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
+        if e_rows is not None:
+            e_rows[...] = 0
+            with np.errstate(over="ignore"):
+                for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
+                    np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
         if tags is not None:
             sets[...] = 0
             for side, (a, b) in zip(sets, ((nb.i, nb.j), (nb.j, nb.i))):
@@ -751,16 +754,21 @@ class CompiledKernels(NumpyKernels):
     @staticmethod
     def _rows_conform(wrapped, row_ptr, partners, lengths, outs) -> bool:
         """Verlet rows as C reads them — an int64 ``row_ptr`` per atom
-        plus one, from 0 to the int32 partner count — and ``outs``,
-        ``(array, dtype, row shape)`` scratch of at least that count."""
-        n, m = len(wrapped), len(partners)
-        return (
+        plus one, from 0 to the candidate count, over an int32 partner
+        buffer that may run past it — and ``outs``, ``(array, dtype, row
+        shape)`` scratch of at least that count."""
+        n = len(wrapped)
+        if not (
             _conforms(wrapped, (n, 3), np.float64)
             and _conforms(row_ptr, (n + 1,), np.int64)
-            and _conforms(partners, (m,), np.int32)
+            and _conforms(partners, (len(partners),), np.int32)
             and _conforms(lengths, (3,), np.float64)
-            and row_ptr[0] == 0
-            and row_ptr[n] == m
+        ):
+            return False
+        m = int(row_ptr[n])
+        return (
+            row_ptr[0] == 0
+            and m <= len(partners)
             and all(_conforms(a[:m], (m, *row), t) for a, t, row in outs)
         )
 
@@ -768,9 +776,10 @@ class CompiledKernels(NumpyKernels):
         """:meth:`NumpyKernels.neighbor_build` as one C cell sweep.
 
         The rows land in ``bufs``, the caller's ``[row_ptr, partners]``
-        (int64, int32), and come back as ``row_ptr`` itself and a prefix
-        view of ``partners``, so a steady-state rebuild allocates
-        nothing.  A row that does not fit stops the sweep before it;
+        (int64, int32), and come back as the two buffers themselves —
+        ``partners`` runs past the candidate count ``row_ptr[-1]`` — so a
+        steady-state rebuild allocates nothing and hands the walk arrays
+        whose pointers it has seen.  A row that does not fit stops the sweep before it;
         ``partners`` is then replaced by a larger buffer sized from the
         rows already done (:func:`_extrapolated_pairs`, 1/8 headroom) and
         the sweep resumes at that row, so every row is swept once — a
@@ -805,7 +814,7 @@ class CompiledKernels(NumpyKernels):
             )
             row, m = int(at[0]), int(at[1])
             if not row_pairs:
-                return row_ptr, partners[:m]
+                return row_ptr, partners
             size = _extrapolated_pairs(m + row_pairs, row + 1, block_len, n_blocks)
             bufs[1] = np.empty(size + size // 8, dtype=np.int32)
             bufs[1][:m] = partners[:m]
@@ -825,7 +834,7 @@ class CompiledKernels(NumpyKernels):
         if not (
             self._rows_conform(wrapped, row_ptr, partners, lengths, ())
             and _conforms(acc, (n, 3), np.int64)
-            and _conforms(e_rows, (n, 2), np.int64)
+            and (e_rows is None or _conforms(e_rows, (n, 2), np.int64))
             and _conforms(counts, (n,), np.int64)
             and (tags is None or (
                 _conforms(tags, (n,), np.int64) and _conforms(sets, (2, n, words), np.uint64)
@@ -836,7 +845,8 @@ class CompiledKernels(NumpyKernels):
         return int(
             self._lib.rk_pair_walk(
                 n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
-                _ptr(lengths), ctypes.byref(spec.c), _ptr(acc), _ptr(e_rows), _ptr(counts),
+                _ptr(lengths), ctypes.byref(spec.c), _ptr(acc),
+                None if e_rows is None else _ptr(e_rows), _ptr(counts),
                 None if tags is None else _ptr(tags), words,
                 None if tags is None else _ptr(sets),
             )

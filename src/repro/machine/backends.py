@@ -77,11 +77,13 @@ class MachineBackend:
 
     # -- force deposit phases -------------------------------------------
 
-    def range_limited(self, calc, positions, force_codec, acc):
+    def range_limited(self, calc, positions, force_codec, acc, energies):
         """Compute + deposit range-limited pair forces; return (nb, export).
 
         ``export`` is the backend's own record of the step's NT
         assignment, handed back to :meth:`account_force_export`.
+        ``energies=False`` allows a force-only walk (``nb`` then has no
+        energy rows).
         """
         raise NotImplementedError
 
@@ -173,8 +175,8 @@ class VectorizedBackend(MachineBackend):
         self.kernels.nt_routes(self._sets, self._home, self._nt_table, m.owners, self._routes)
         return self._routes
 
-    def range_limited(self, calc, positions, force_codec, acc):
-        nb = calc._range_limited(positions, force_codec, acc)
+    def range_limited(self, calc, positions, force_codec, acc, energies):
+        nb = calc._range_limited(positions, force_codec, acc, energies)
         with calc.timers.time("machine_nt_assign"):
             routes = self._nt_routes(calc.machine)
         return nb, routes

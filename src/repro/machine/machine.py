@@ -81,12 +81,14 @@ class MachineForceCalculator(ForceCalculator):
 
     # -- overridden force paths ---------------------------------------------
 
-    def compute_fixed(self, positions, force_codec, include_long_range: bool = True):
+    def compute_fixed(
+        self, positions, force_codec, include_long_range: bool = True, energies: bool = True
+    ):
         m = self.machine
         acc = self._accumulator("short", force_codec)
 
         # Range-limited pairs: computed on their NT nodes.
-        nb, export = self.backend.range_limited(self, positions, force_codec, acc)
+        nb, export = self.backend.range_limited(self, positions, force_codec, acc, energies)
         m.account_force_export(export)
 
         # Bond terms on their statically assigned geometry cores.
@@ -94,9 +96,9 @@ class MachineForceCalculator(ForceCalculator):
         with self.timers.time("machine_deposit"):
             bonded_codes = self.backend.deposit_bonded(self, acc, bonded, force_codec)
 
-        long_energies = {}
+        long_energies = None
         if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec)
+            long_codes, long_energies = self.compute_long_fixed(positions, force_codec, energies)
             acc.deposit_dense(long_codes)
 
         # Final assembly (accumulator readout, virtual-site spreading,
@@ -104,15 +106,18 @@ class MachineForceCalculator(ForceCalculator):
         # leaf phase so the profiler's attribution stays tight.
         with self.timers.time("machine_collect"):
             total = self._spread_vsite_codes(acc.total())
-            energies = self._decode({**self._pair_codes(nb), **bonded_codes})
             report = ForceReport(
                 forces=force_codec.reconstruct(total),
-                energies={**energies, **long_energies},
+                energies=self._short_energies(
+                    positions, nb, lambda: bonded_codes, energies, force_codec
+                ),
                 n_pairs=nb.n_pairs,
             )
+            if long_energies is not None:
+                report.add_energies(long_energies)
         return total, report
 
-    def compute_long_fixed(self, positions, force_codec):
+    def compute_long_fixed(self, positions, force_codec, energies: bool = True):
         acc = self._accumulator("long", force_codec)
 
         # Correction pairs on their owners' correction pipelines.
@@ -125,7 +130,7 @@ class MachineForceCalculator(ForceCalculator):
         if self.gse is not None:
             with self.timers.time("machine_mesh"):
                 e_k = self.backend.mesh_long_range(self, positions, acc, force_codec)
-        return acc.raw(), self._long_energies(corr_codes, e_k)
+        return acc.raw(), self._long_energies(lambda: corr_codes, e_k, energies)
 
 
 class AntonMachine(LaneEngine):
@@ -355,7 +360,7 @@ class AntonMachine(LaneEngine):
         self.bond_assignment = assign_bond_terms(self.system.topology, self.owners, self.hw)
         self.correction_lists = correction_pairs_per_node(self.system.exclusions, self.owners)
 
-    def advance(self) -> None:
+    def advance(self, energies: bool) -> None:
         """One machine time step (the run loop's step).
 
         Recorded as a ``machine_step`` phase whose children (position
@@ -367,7 +372,7 @@ class AntonMachine(LaneEngine):
         with t.time("machine_step"):
             with t.time("import"):
                 self.account_position_import()
-            self.integrator.step()
+            self.integrator.step(energies)
             with t.time("migration"):
                 pos = self.integrator.positions
                 event = self.migration.step(pos, self.home_nodes(pos))

@@ -49,6 +49,57 @@ def islands(rng, n_atoms, n_near=20):
     return wrapped, ii[keep].astype(np.int64), jj[keep].astype(np.int64), lengths
 
 
+def edge_geometry(rng, n_atoms):
+    """``(wrapped, lengths, near)`` for :func:`edge_rows`: atoms in
+    alternate runs of 8 ids (``near``: ids 0-7, 16-23, ...) sit inside a
+    1.1 A cube, so every pair of them is within a 4 A cutoff; the others
+    sit around the point half a 40 A box away, out of range of every
+    near atom."""
+    lengths = np.array([40.0, 40.0, 40.0])
+    near = (np.arange(n_atoms) // 8) % 2 == 0
+    wrapped = np.empty((n_atoms, 3))
+    wrapped[near] = 5.0 + rng.uniform(0, 1.1, (near.sum(), 3))
+    wrapped[~near] = 25.0 + rng.uniform(-3, 3, ((~near).sum(), 3))
+    return wrapped, lengths, near
+
+
+def edge_rows(rng, near, has_lj):
+    """``(ii, jj)``: rows, each of a distinct near atom ``i`` and sorted
+    by ``j``, that put the walk's 8-candidate selection on its edges over
+    :func:`edge_geometry` (a pair survives exactly when both atoms are
+    near; ``has_lj[a]``: atom ``a``'s type has LJ with itself and with
+    nothing else, as water's O).
+
+    Rows of 0, 1, 7, 8, 9, 255, 256 and 257 random candidates; a row of
+    256 whose 8-candidate groups are alternately all alive and all dead;
+    an all-alive and an all-dead row longer than one 256-candidate walk
+    block; a row whose survivors are all LJ-free (an atom without LJ);
+    and a row whose only survivors are LJ pairs.
+    """
+    n_atoms = len(near)
+    ids = np.arange(n_atoms)
+    near_ids, far_ids = ids[near], ids[~near]
+    owners = iter(near_ids[near_ids < 64])
+    rows = []
+
+    def row(i, js):
+        rows.append((i, np.sort(np.setdiff1d(js, [i]))))
+
+    for n in (0, 1, 7, 8, 9, 255, 256, 257):
+        i = next(owners)
+        row(i, rng.choice(np.setdiff1d(ids, [i]), n, replace=False))
+    row(next(owners), ids[64:320])                      # groups of 8: alive, dead, ...
+    row(next(owners), near_ids[near_ids >= 64][:260])   # all alive, past one walk block
+    row(next(owners), far_ids[:260])                    # all dead, past one walk block
+    lj_free = near_ids[~has_lj[near_ids] & (near_ids >= 64)]
+    row(lj_free[0], np.concatenate([near_ids[near_ids >= 64][:40], far_ids[:40]]))
+    lj = near_ids[has_lj[near_ids] & (near_ids >= 64)]
+    row(lj[0], np.concatenate([lj[1:41], far_ids[40:80]]))
+    ii = np.concatenate([np.full(len(js), i, dtype=np.int64) for i, js in rows])
+    jj = np.concatenate([js for _, js in rows]).astype(np.int64)
+    return ii, jj
+
+
 def divided_tables(tables) -> KernelTableSet:
     """``tables`` with the electrostatic pair on the dispersion layout
     (widths 2^-k / 3: no power-of-two width, so the table offset keeps
@@ -115,12 +166,14 @@ def in_rows(ii, jj, n_atoms):
     return (ii, jj, *pairs_to_rows(ii, jj, n_atoms))
 
 
-def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None, words=2):
-    """The same four arrays from ``suite.pair_walk`` over the rows.
+def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None, words=2,
+               energies=True):
+    """The same four arrays from ``suite.pair_walk`` over the rows (``None``
+    for the energy rows of a force-only walk, ``energies=False``).
     ``e_rows``, ``counts`` and the sets start as garbage: the walk must
     write every row (and, without ``tags``, leave the sets alone)."""
     n_atoms = len(wrapped)
-    e_rows = np.full((n_atoms, 2), -7, dtype=np.int64)
+    e_rows = np.full((n_atoms, 2), -7, dtype=np.int64) if energies else None
     counts = np.full(n_atoms, -7, dtype=np.int64)
     sets = np.full((2, n_atoms, words), 7, dtype=np.uint64)
     acc = acc.copy()
@@ -133,19 +186,26 @@ def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None,
     return acc, e_rows, counts, sets
 
 
-def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc):
+def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc, words=2, slack=0):
     """Every suite's walk over the candidates' rows equals the oracle over
-    the same candidates in row order, bit for bit, with home-box sets
-    built and without; returns the pair count."""
+    the same candidates in row order, bit for bit, with home-box sets of
+    ``words`` words built and without, with energies and force-only (the
+    same acc, counts and sets); returns the pair count.  ``slack`` extra
+    partner entries past the rows' end stand for the rebuild's buffer,
+    which runs past the candidate count."""
     ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
-    tags = walk_tags(len(wrapped))
-    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags)
+    partners = np.concatenate([partners, np.full(slack, -1, dtype=np.int32)])
+    tags = walk_tags(len(wrapped), words)
+    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags, words)
     names = ("acc", "e_rows", "counts", "sets")
     for suite in suites:
         for tagged in (tags, None):
-            got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tagged)
-            for name, x, y in zip(names, got, want):
-                if x is not None:
-                    np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
-            assert (got[3] is None) == (tagged is None)
+            for energies in (True, False):
+                got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc,
+                                 tagged, words, energies)
+                for name, x, y in zip(names, got, want):
+                    if x is not None:
+                        np.testing.assert_array_equal(x, y, err_msg=f"{suite.tier}: {name}")
+                assert (got[1] is None) != energies
+                assert (got[3] is None) == (tagged is None)
     return int(want[2].sum())

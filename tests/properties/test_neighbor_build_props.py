@@ -304,14 +304,14 @@ def test_buffer_growth_rebuild_returns_full_list(monkeypatch):
         if k == 0:                          # the dense list grows and resumes
             assert len(log.calls) > 1
         np.testing.assert_array_equal(fast._row_ptr, ref._row_ptr)
-        np.testing.assert_array_equal(fast._partners, ref._partners)
+        np.testing.assert_array_equal(fast._partners[: fast.n_candidates], ref._partners)
     assert fast.n_candidates > cap          # the dense list did not fit the first buffers
     row_ptr, grown = fast._bufs
     log.calls.clear()
     fast.build(dense)
     assert log.calls == [(0, 160)]          # steady state: one call, every row
     assert fast._bufs[1] is grown           # ... and no reallocation
-    assert fast._partners.base is grown     # prefix view of the list-owned buffer
+    assert fast._partners is grown          # the list-owned buffer itself, not a view
     assert fast._row_ptr is row_ptr         # the rows' offsets: the buffer itself
 
 

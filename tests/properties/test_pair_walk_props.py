@@ -50,6 +50,8 @@ from tests.properties.pair_walk_oracle import (
     assert_walk_matches,
     candidates,
     divided_tables,
+    edge_geometry,
+    edge_rows,
     in_rows,
     islands,
     oracle_pairs,
@@ -157,6 +159,35 @@ def test_walk_at_every_block_boundary_count(suites, calc, n_cand, codec, divisio
     assert (spec.q_mul == 0.0) == (codec == "division")
     assert (spec.e_inv is None) == division_tables and spec.d_inv is None
     assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+
+
+@pytest.mark.parametrize("words", [1, 3])
+@pytest.mark.parametrize("codec", ["pow2", "division"])
+def test_block_mask_selection_edges(suites, calc, codec, words):
+    """The walk selects survivors, and stage A its LJ pairs, 8 entries at a
+    time (``_kernels.c``, block-mask lemma): rows of 0, 1, 7, 8, 9, 255,
+    256 and 257 candidates, 8-groups all alive and all dead in turn, rows
+    all alive and all dead past one walk block, LJ-free rows and rows
+    whose only survivors are LJ pairs — with energies and force-only,
+    one-word and multi-word home-box sets, and a partner buffer that runs
+    past the rows (the rebuild's)."""
+    blocks = 8
+    rng = np.random.default_rng(words)
+    n_atoms = blocks * calc.system.n_atoms
+    spec = _spec(calc, codec, blocks)
+    wrapped, lengths, near = edge_geometry(rng, n_atoms)
+    a, b = (x.reshape(spec.n_types, -1) for x in (spec.amat, spec.bmat))
+    t = spec.types
+    ii, jj = edge_rows(rng, near, (a[t, t] != 0.0) | (b[t, t] != 0.0))
+    assert set(np.bincount(ii)) >= {1, 7, 8, 9, 255, 256, 257, 260}
+    alive = near[ii] & near[jj]
+    lj = (a[t[ii], t[jj]] != 0.0) | (b[t[ii], t[jj]] != 0.0)
+    n_alive, n_lj = (np.bincount(ii, weights=w, minlength=n_atoms) for w in (alive, alive & lj))
+    assert np.any((n_alive > 0) & (n_lj == 0))        # a row of LJ-free survivors
+    assert np.any((n_alive > 8) & (n_lj == n_alive))  # a row of LJ-pair survivors only
+    m = assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms),
+                            words=words, slack=5)
+    assert m == alive.sum()
 
 
 #: The C walk's segment lookup (``rk_seg_init``): grid cells per unit of

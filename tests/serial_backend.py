@@ -98,7 +98,7 @@ class SerialBackend(MachineBackend):
                     np.add.at(rows[:, col], nb.i[sel], codes[col][sel])
         return rows
 
-    def range_limited(self, calc, positions, force_codec, acc):
+    def range_limited(self, calc, positions, force_codec, acc, energies):
         m = calc.machine
         nb = calc._range_limited(positions)
         codes = force_codec.quantize_round_only(nb.force)

@@ -20,9 +20,12 @@ class FakeEngine:
         self.integrator = SimpleNamespace(step_count=start)
         self.timers = Timers()
         self.log = []
+        self.energy_steps = []
 
-    def advance(self):
+    def advance(self, energies):
         self.integrator.step_count += 1
+        if energies:
+            self.energy_steps.append(self.integrator.step_count)
 
     def record_energy(self):
         return [(r, self.integrator.step_count) for r in range(self.replicas)]
@@ -69,6 +72,7 @@ def test_every_cadence_is_keyed_to_the_global_step():
         sample_every=4, sample=sampled.append,
     )
     assert records == [[(0, 8), (0, 12)]]
+    assert eng.energy_steps == [8, 12]  # energies asked for on the recorded steps only
     assert sampled == [8, 12]
     assert eng.log == [
         ("record", 0, 8), ("frame", 0, 9), ("flush",), ("save", 0, 10),

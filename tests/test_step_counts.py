@@ -29,17 +29,19 @@ from repro.systems import build_water_box
 
 #: Python function calls (``sys.setprofile`` "call" events) per step of
 #: the 48-atom box below on the compiled tier: long-range and short-only
-#: steps alternate, so the mean is over whole MTS cycles.
-SOLO_CALLS_PER_STEP = 350
+#: steps alternate, so the mean is over whole MTS cycles.  No step of the
+#: run records energies, so none decodes any (was 350 while every step
+#: decoded its energies).
+SOLO_CALLS_PER_STEP = 329
 
 #: Data-pointer reads (``kernels.suite._ptr`` misses, ~2 µs each) per step
-#: of the same box after warm-up: none in the mesh kernels, whose plan
-#: keeps every array it hands to C, nor in SETTLE, the correction deposit
-#: or the rebuild, whose inputs are kept scratch or static; what is left
-#: is the pair walk's partner array, a fresh prefix view of the rebuild's
-#: buffer after each rebuild (was 5.9: SETTLE's coordinates, the wrapped
-#: coordinates, the correction codes and indices, the rebuild's cursor).
-SOLO_POINTER_MISSES_PER_STEP = 0.7
+#: of the same box after warm-up: none.  The mesh plan keeps every array
+#: it hands to C; SETTLE, the correction deposit and the rebuild read
+#: kept scratch or static inputs; and the walk gets the rebuild's whole
+#: partner buffer, not a fresh prefix view of it after each rebuild (was
+#: 0.7; 5.9 before that: SETTLE's coordinates, the wrapped coordinates,
+#: the correction codes and indices, the rebuild's cursor).
+SOLO_POINTER_MISSES_PER_STEP = 0
 
 
 class _Counter:
@@ -76,10 +78,10 @@ def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
     provider = machine.integrator.force_fn
     per_eval = []
 
-    def counted_provider(positions):
+    def counted_provider(positions, energies=False):
         before = wraps.n
         long_range = provider.calls % provider.k == 0
-        out = provider(positions)
+        out = provider(positions, energies)
         per_eval.append((long_range, wraps.n - before))
         return out
 
