@@ -70,50 +70,46 @@ def _rigid_waters(idx: np.ndarray, dist: np.ndarray, masses: np.ndarray):
     H–H lengths, ``rest`` the indices of every other constraint.  A
     water is three constraints joining three atoms pairwise, none of
     them in any other constraint, of which one atom (O, tried in the
-    order the first constraint names them) has two equal-length
-    constraints to atoms of equal mass, all three masses positive and
-    H–H shorter than twice O–H.
+    order the first constraint names them, then the third atom) has two
+    equal-length constraints to atoms of equal mass, all three masses
+    positive and H–H shorter than twice O–H.  Each atom's constraints
+    are its two in index order; the O–H lengths are the first's.
     """
-    by_atom: dict[int, list[int]] = {}
-    pairs = idx.tolist()
-    for c, (i, j) in enumerate(pairs):
-        by_atom.setdefault(i, []).append(c)
-        by_atom.setdefault(j, []).append(c)
+    m = len(idx)
+    i, j = idx[:, 0], idx[:, 1]
+    c = np.arange(m)
+    # Each atom's constraint count, and its first and last constraint.
+    deg = np.bincount(idx.ravel(), minlength=len(masses))
+    first, last = np.full(len(deg), m), np.full(len(deg), -1)
+    np.minimum.at(first, idx.ravel(), np.repeat(c, 2))
+    np.maximum.at(last, idx.ravel(), np.repeat(c, 2))
 
-    def other(atom, c):
-        i, j = pairs[c]
-        return j if i == atom else i
+    def other_of(atom, con):
+        return idx[con, 0] + idx[con, 1] - atom
 
-    waters, lengths, used = [], [], set()
-    for c, (i, j) in enumerate(pairs):
-        if c in used or len(by_atom[i]) != 2 or len(by_atom[j]) != 2:
-            continue
-        ci = next(k for k in by_atom[i] if k != c)
-        cj = next(k for k in by_atom[j] if k != c)
-        k = other(i, ci)
-        if k in (i, j) or other(j, cj) != k or len(by_atom[k]) != 2:
-            continue
-        for o in (i, j, k):
-            c1, c2 = by_atom[o]
-            h1, h2 = other(o, c1), other(o, c2)
-            hh = ({ci, cj, c} - {c1, c2}).pop()
-            if (
-                dist[c1] == dist[c2]
-                and masses[h1] == masses[h2]
-                and masses[o] > 0
-                and masses[h1] > 0
-                and dist[hh] < 2.0 * dist[c1]
-            ):
-                waters.append((o, h1, h2))
-                lengths.append((dist[c1], dist[hh]))
-                used.update((c, ci, cj))
-                break
-    rest = np.array([c for c in range(len(pairs)) if c not in used], dtype=np.int64)
-    return (
-        np.array(waters, dtype=np.int64).reshape(-1, 3),
-        np.array(lengths, dtype=np.float64).reshape(-1, 2),
-        rest,
-    )
+    ci = np.where(first[i] == c, last[i], first[i])
+    cj = np.where(first[j] == c, last[j], first[j])
+    k = other_of(i, ci)
+    # Only a triangle's first constraint names it, as the scan in
+    # constraint order met it first.
+    tri = ((deg[i] == 2) & (deg[j] == 2) & (k != j) & (other_of(j, cj) == k)
+           & (deg[k] == 2) & (c < ci) & (c < cj))
+    c, i, j, k, ci, cj = c[tri], i[tri], j[tri], k[tri], ci[tri], cj[tri]
+    rows = np.empty((len(c), 3), np.int64)
+    lengths = np.empty((len(c), 2), np.float64)
+    chosen = np.zeros(len(c), dtype=bool)
+    for o in (i, j, k):  # each candidate O in turn, for every molecule at once
+        c1, c2 = first[o], last[o]
+        h1, h2 = other_of(o, c1), other_of(o, c2)
+        hh = c + ci + cj - c1 - c2
+        ok = (~chosen & (dist[c1] == dist[c2]) & (masses[h1] == masses[h2])
+              & (masses[o] > 0) & (masses[h1] > 0) & (dist[hh] < 2.0 * dist[c1]))
+        rows[ok] = np.stack([o, h1, h2], axis=1)[ok]
+        lengths[ok] = np.stack([dist[c1], dist[hh]], axis=1)[ok]
+        chosen |= ok
+    used = np.zeros(m, dtype=bool)
+    used[np.concatenate([c, ci, cj])[np.tile(chosen, 3)]] = True
+    return rows[chosen], lengths[chosen], np.flatnonzero(~used)
 
 
 def _settle_params(waters, lengths, masses, inv_mass) -> np.ndarray:

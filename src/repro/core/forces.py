@@ -135,8 +135,11 @@ class ForceReport:
             head.update(more)
 
     @property
-    def potential_energy(self) -> float:
-        return float(sum(self.energies.values()))
+    def potential_energy(self) -> float | np.ndarray:
+        """The energies' sum in key order, per lane: ``(R,)`` for R > 1
+        replicas (each entry the one-lane float chain), a float for one."""
+        total = np.ravel(sum(self.energies.values()))
+        return total if len(total) > 1 else float(total[0])
 
 
 class ForceCalculator:

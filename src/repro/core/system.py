@@ -60,9 +60,8 @@ class ChemicalSystem:
             self.exclusions = build_exclusions(self.topology)
         if np.any(self.masses < 0):
             raise ValueError("negative mass")
-        vsites = set(self.topology.vsite_idx[:, 0].tolist())
-        massless = set(np.nonzero(self.masses == 0)[0].tolist())
-        if massless != vsites:
+        vsites = np.unique(self.topology.vsite_idx[:, 0])
+        if not np.array_equal(vsites, np.flatnonzero(self.masses == 0)):
             raise ValueError("massless atoms must be exactly the virtual sites")
 
     # -- sizes -----------------------------------------------------------

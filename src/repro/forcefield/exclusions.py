@@ -74,52 +74,53 @@ COUL_SCALE14 = 1.0 / 1.2
 
 
 def build_exclusions(top: Topology) -> ExclusionTable:
-    """Derive exclusions from the covalent graph of ``top``."""
+    """Derive exclusions from the covalent graph of ``top``.
+
+    Array joins over the graph's directed edges: 1-2 pairs are the edges,
+    1-3 pairs the ends of two-edge paths ``a-b-c`` (``c != a``), 1-4
+    pairs the ends of three-edge paths ``a-b-c-d`` (``d != a``) that are
+    not excluded.  Every pair is keyed ``lo * n + hi``, so ``np.unique``
+    sorts them as ``(lo, hi)`` tuples sort.
+    """
     top.compile()
     n = top.n_atoms
     edges = top.bonded_graph_edges()
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in edges:
-        adj[int(i)].add(int(j))
-        adj[int(j)].add(int(i))
+    src, dst = np.divmod(np.unique(_directed_keys(edges, n)), n)
+    row = np.searchsorted(src, np.arange(n + 1))
 
-    excluded: set[tuple[int, int]] = set()
-    pair14: set[tuple[int, int]] = set()
+    def extend(path_end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each path's steps along one more edge: (path index, next atom)."""
+        deg = row[path_end + 1] - row[path_end]
+        path = np.repeat(np.arange(len(path_end)), deg)
+        first = np.cumsum(deg) - deg
+        return path, dst[row[path_end][path] + np.arange(len(path)) - first[path]]
 
-    def canon(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    for a in range(n):
-        for b in adj[a]:  # 1-2
-            if b > a:
-                excluded.add((a, b))
-        for b in adj[a]:  # 1-3 via b
-            for c in adj[b]:
-                if c != a:
-                    excluded.add(canon(a, c))
-        for b in adj[a]:  # 1-4 via b-c
-            for c in adj[b]:
-                if c == a:
-                    continue
-                for d in adj[c]:
-                    if d != a and d != b:
-                        pair14.add(canon(a, d))
-    # Explicit extras are hard exclusions.
-    for i, j in top.extra_exclusions:
-        excluded.add(canon(int(i), int(j)))
+    p, c = extend(dst)  # a-b-c
+    keep = c != src[p]
+    a3, b3, c3 = src[p][keep], dst[p][keep], c[keep]
+    p, d = extend(c3)  # a-b-c-d; d == b makes a 1-2 pair, which the subtraction drops
+    keep = d != a3[p]
+    extra = top.extra_exclusions
+    excluded_keys = np.unique(np.concatenate([
+        _pair_keys(src, dst, n),
+        _pair_keys(a3, c3, n),
+        _pair_keys(extra[:, 0], extra[:, 1], n),
+    ]))
     # A pair that is both 1-3 (through one path) and 1-4 (through
     # another, e.g. in rings) is excluded, not scaled.
-    pair14 -= excluded
-    pair14 = {p for p in pair14 if p[0] != p[1]}
-
-    excluded_arr = np.array(sorted(excluded), dtype=np.int64).reshape(-1, 2)
-    pair14_arr = np.array(sorted(pair14), dtype=np.int64).reshape(-1, 2)
+    pair14_keys = np.setdiff1d(_pair_keys(a3[p][keep], d[keep], n), excluded_keys)
     return ExclusionTable(
         n_atoms=n,
-        excluded=excluded_arr,
-        pair14=pair14_arr,
+        excluded=np.stack(np.divmod(excluded_keys, n), axis=1),
+        pair14=np.stack(np.divmod(pair14_keys, n), axis=1),
         lj_scale14=LJ_SCALE14,
         coul_scale14=COUL_SCALE14,
-        _excluded_keys=_pair_keys(excluded_arr[:, 0], excluded_arr[:, 1], n) if len(excluded_arr) else np.empty(0, np.int64),
-        _pair14_keys=_pair_keys(pair14_arr[:, 0], pair14_arr[:, 1], n) if len(pair14_arr) else np.empty(0, np.int64),
+        _excluded_keys=excluded_keys,
+        _pair14_keys=pair14_keys,
     )
+
+
+def _directed_keys(edges: np.ndarray, n: int) -> np.ndarray:
+    """Both directions of every edge, keyed ``src * n + dst``."""
+    i, j = edges[:, 0].astype(np.int64), edges[:, 1].astype(np.int64)
+    return np.concatenate([i * n + j, j * n + i])

@@ -15,11 +15,16 @@ import numpy as np
 __all__ = ["Topology"]
 
 
-def _as_array(rows: list, dtype, width: int | None = None) -> np.ndarray:
-    if not rows:
-        shape = (0,) if width is None else (0, width)
-        return np.empty(shape, dtype=dtype)
-    return np.asarray(rows, dtype=dtype)
+#: The term store's kinds: atoms per term, then the parameter dtypes in
+#: the order the compiled arrays are named (``bond_k``, ``bond_r0``, ...).
+_KINDS = {
+    "bond": (2, (np.float64, np.float64)),
+    "angle": (3, (np.float64, np.float64)),
+    "dihedral": (4, (np.float64, np.int64, np.float64)),
+    "constraint": (2, (np.float64,)),
+    "vsite": (4, (np.float64,)),
+    "exclusion": (2, ()),
+}
 
 
 class Topology:
@@ -31,16 +36,18 @@ class Topology:
     * bond:      ``E = k (r - r0)^2``
     * angle:     ``E = k (theta - theta0)^2``
     * dihedral:  ``E = k (1 + cos(n*phi - delta))``
+
+    One term store holds every kind: single terms (``add_bond``, ...)
+    queue as rows, blocks (:meth:`add_terms`, :meth:`merge`) as arrays,
+    and :meth:`compile` concatenates each kind in the order it was added.
     """
 
     def __init__(self, n_atoms: int):
         self.n_atoms = int(n_atoms)
-        self._bonds: list[tuple[int, int, float, float]] = []
-        self._angles: list[tuple[int, int, int, float, float]] = []
-        self._dihedrals: list[tuple[int, int, int, int, float, int, float]] = []
-        self._constraints: list[tuple[int, int, float]] = []
-        self._vsites: list[tuple[int, int, int, int, float]] = []
-        self._extra_exclusions: list[tuple[int, int]] = []
+        # Per kind: arrays blocks ``(atoms, *params)``, and the single
+        # rows ``(*atoms, *params)`` added since the last block.
+        self._blocks: dict[str, list[tuple[np.ndarray, ...]]] = {k: [] for k in _KINDS}
+        self._rows: dict[str, list[tuple]] = {k: [] for k in _KINDS}
         self.compiled = False
         # Derived from the frozen term lists on first use; every
         # builder method refuses a compiled topology, so nothing can
@@ -62,24 +69,24 @@ class Topology:
     def add_bond(self, i: int, j: int, k: float, r0: float) -> None:
         """Harmonic bond between atoms i and j."""
         self._check(i, j)
-        self._bonds.append((i, j, float(k), float(r0)))
+        self._rows["bond"].append((i, j, float(k), float(r0)))
 
     def add_angle(self, i: int, j: int, k: int, k_theta: float, theta0: float) -> None:
         """Harmonic angle i-j-k with j the central atom; theta0 in radians."""
         self._check(i, j, k)
-        self._angles.append((i, j, k, float(k_theta), float(theta0)))
+        self._rows["angle"].append((i, j, k, float(k_theta), float(theta0)))
 
     def add_dihedral(
         self, i: int, j: int, k: int, l: int, k_phi: float, n: int, delta: float
     ) -> None:
         """Periodic torsion i-j-k-l; delta in radians, n the periodicity."""
         self._check(i, j, k, l)
-        self._dihedrals.append((i, j, k, l, float(k_phi), int(n), float(delta)))
+        self._rows["dihedral"].append((i, j, k, l, float(k_phi), int(n), float(delta)))
 
     def add_constraint(self, i: int, j: int, distance: float) -> None:
         """Rigid distance constraint (bond to hydrogen, rigid water edge)."""
         self._check(i, j)
-        self._constraints.append((i, j, float(distance)))
+        self._rows["constraint"].append((i, j, float(distance)))
 
     def add_virtual_site(self, site: int, parent: int, ref1: int, ref2: int, weight: float) -> None:
         """Linear 3-point virtual site (TIP4P-Ew M site).
@@ -89,12 +96,35 @@ class Topology:
         parents.
         """
         self._check(site, parent, ref1, ref2)
-        self._vsites.append((site, parent, ref1, ref2, float(weight)))
+        self._rows["vsite"].append((site, parent, ref1, ref2, float(weight)))
 
     def add_exclusion(self, i: int, j: int) -> None:
         """Force a nonbonded exclusion not implied by connectivity."""
         self._check(i, j)
-        self._extra_exclusions.append((i, j))
+        self._rows["exclusion"].append((i, j))
+
+    def add_terms(self, kind: str, atoms, *params) -> None:
+        """Append a block of ``kind`` terms (a key of ``_KINDS``).
+
+        ``atoms`` is ``(m, width)``; each parameter an ``(m,)`` array in
+        the order the single-term method takes them.  Checked as the
+        single-term methods check each term.
+        """
+        if self.compiled:
+            raise RuntimeError("topology already compiled")
+        width, dtypes = _KINDS[kind]
+        atoms = np.array(atoms, dtype=np.int64).reshape(-1, width)
+        if len(atoms):
+            if atoms.min() < 0 or atoms.max() >= self.n_atoms:
+                raise IndexError(f"atom index out of range [0, {self.n_atoms})")
+            ordered = np.sort(atoms, axis=1)
+            if np.any(ordered[:, 1:] == ordered[:, :-1]):
+                raise ValueError("repeated atom index in a term")
+        params = tuple(np.array(p, dtype=dt) for p, dt in zip(params, dtypes, strict=True))
+        if any(p.shape != (len(atoms),) for p in params):
+            raise ValueError("parameter arrays must have one entry per term")
+        self._flush(kind)
+        self._blocks[kind].append((atoms, *params))
 
     def merge(self, other: "Topology", offset: int) -> None:
         """Append another topology's terms with atom indices shifted."""
@@ -102,18 +132,32 @@ class Topology:
             raise RuntimeError("topology already compiled")
         if offset + other.n_atoms > self.n_atoms:
             raise ValueError("merged topology exceeds atom count")
-        for i, j, k, r0 in other._bonds:
-            self._bonds.append((i + offset, j + offset, k, r0))
-        for i, j, kk, kt, t0 in other._angles:
-            self._angles.append((i + offset, j + offset, kk + offset, kt, t0))
-        for i, j, kk, l, kp, n, d in other._dihedrals:
-            self._dihedrals.append((i + offset, j + offset, kk + offset, l + offset, kp, n, d))
-        for i, j, dist in other._constraints:
-            self._constraints.append((i + offset, j + offset, dist))
-        for s, p, r1, r2, w in other._vsites:
-            self._vsites.append((s + offset, p + offset, r1 + offset, r2 + offset, w))
-        for i, j in other._extra_exclusions:
-            self._extra_exclusions.append((i + offset, j + offset))
+        for kind in _KINDS:
+            atoms, *params = other._arrays(kind)
+            self.add_terms(kind, atoms + offset, *params)
+
+    def _flush(self, kind: str) -> None:
+        """Turn the kind's queued single rows into one block."""
+        rows = self._rows[kind]
+        if not rows:
+            return
+        width, dtypes = _KINDS[kind]
+        columns = list(zip(*rows))
+        atoms = np.array(columns[:width], dtype=np.int64).T.copy()
+        params = (np.array(col, dtype=dt) for col, dt in zip(columns[width:], dtypes))
+        self._blocks[kind].append((atoms, *params))
+        self._rows[kind] = []
+
+    def _arrays(self, kind: str) -> tuple[np.ndarray, ...]:
+        """The kind's terms so far as ``(atoms, *params)``, one block."""
+        self._flush(kind)
+        blocks = self._blocks[kind]
+        width, dtypes = _KINDS[kind]
+        if not blocks:
+            blocks.append((np.empty((0, width), np.int64), *(np.empty(0, dt) for dt in dtypes)))
+        elif len(blocks) > 1:
+            blocks[:] = [tuple(np.concatenate(col) for col in zip(*blocks))]
+        return blocks[0]
 
     # -- compiled views ----------------------------------------------------
 
@@ -121,26 +165,13 @@ class Topology:
         """Freeze term lists into ndarrays (idempotent)."""
         if self.compiled:
             return self
-        b = self._bonds
-        self.bond_idx = _as_array([(i, j) for i, j, *_ in b], np.int64, 2)
-        self.bond_k = _as_array([k for *_ij, k, _r in b], np.float64)
-        self.bond_r0 = _as_array([r for *_ij, _k, r in b], np.float64)
-        a = self._angles
-        self.angle_idx = _as_array([(i, j, k) for i, j, k, *_ in a], np.int64, 3)
-        self.angle_k = _as_array([kt for *_i, kt, _t in a], np.float64)
-        self.angle_theta0 = _as_array([t0 for *_i, _kt, t0 in a], np.float64)
-        d = self._dihedrals
-        self.dihedral_idx = _as_array([(i, j, k, l) for i, j, k, l, *_ in d], np.int64, 4)
-        self.dihedral_k = _as_array([kp for *_i, kp, _n, _dl in d], np.float64)
-        self.dihedral_n = _as_array([n for *_i, _kp, n, _dl in d], np.int64)
-        self.dihedral_delta = _as_array([dl for *_i, _kp, _n, dl in d], np.float64)
-        c = self._constraints
-        self.constraint_idx = _as_array([(i, j) for i, j, _ in c], np.int64, 2)
-        self.constraint_dist = _as_array([dist for *_ij, dist in c], np.float64)
-        v = self._vsites
-        self.vsite_idx = _as_array([(s, p, r1, r2) for s, p, r1, r2, _ in v], np.int64, 4)
-        self.vsite_weight = _as_array([w for *_i, w in v], np.float64)
-        self.extra_exclusions = _as_array(self._extra_exclusions, np.int64, 2)
+        self.bond_idx, self.bond_k, self.bond_r0 = self._arrays("bond")
+        self.angle_idx, self.angle_k, self.angle_theta0 = self._arrays("angle")
+        (self.dihedral_idx, self.dihedral_k, self.dihedral_n,
+         self.dihedral_delta) = self._arrays("dihedral")
+        self.constraint_idx, self.constraint_dist = self._arrays("constraint")
+        self.vsite_idx, self.vsite_weight = self._arrays("vsite")
+        (self.extra_exclusions,) = self._arrays("exclusion")
         self.compiled = True
         return self
 
@@ -178,48 +209,65 @@ class Topology:
         ride along with their parent group.  Computed once per compiled
         topology; the arrays are shared between callers and read-only.
         """
-        if self._groups is not None:
-            return self._groups
-        self.compile()
-        parent = np.arange(self.n_atoms)
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for i, j in self.constraint_idx:
-            union(int(i), int(j))
-        for s, p, _r1, _r2 in self.vsite_idx:
-            union(int(s), int(p))
-        roots: dict[int, list[int]] = {}
-        involved = set(self.constraint_idx.ravel().tolist()) | set(self.vsite_idx[:, 0].tolist()) | set(self.vsite_idx[:, 1].tolist())
-        for atom in involved:
-            roots.setdefault(find(int(atom)), []).append(int(atom))
-        self._groups = [np.array(sorted(v), dtype=np.int64) for _k, v in sorted(roots.items())]
-        for group in self._groups:
-            group.setflags(write=False)
+        if self._groups is None:
+            member, leader = self.constraint_group_members()
+            cuts = np.flatnonzero(leader[1:] != leader[:-1]) + 1
+            self._groups = np.split(member, cuts) if len(member) else []
         return self._groups
 
     def constraint_group_members(self) -> tuple[np.ndarray, np.ndarray]:
         """The groups flattened: ``(member, leader)`` index arrays, one
         entry per grouped atom, ``leader`` its group's first atom — so
         per-group work is one fancy-index instead of a Python loop.
+
+        Groups are ordered by the root union-find leaves them
+        (:func:`_union_roots` over the constraints, then each virtual
+        site's link to its parent, in term order), members ascending.
         """
         if self._group_members is None:
-            groups = self.constraint_groups()
-            member = np.concatenate(groups) if groups else np.empty(0, np.int64)
-            leader = np.repeat(
-                np.array([g[0] for g in groups], dtype=np.int64),
-                [len(g) for g in groups],
-            )
+            self.compile()
+            x = np.concatenate([self.constraint_idx[:, 0], self.vsite_idx[:, 0]])
+            y = np.concatenate([self.constraint_idx[:, 1], self.vsite_idx[:, 1]])
+            atoms = np.unique(np.concatenate([x, y]))
+            root = _union_roots(self.n_atoms, x, y)[atoms]
+            order = np.lexsort((atoms, root))
+            member, root = atoms[order], root[order]
+            first = np.ones(len(member), dtype=bool)
+            first[1:] = root[1:] != root[:-1]
+            leader = member[first][np.cumsum(first) - 1]
             member.setflags(write=False)
             leader.setflags(write=False)
             self._group_members = (member, leader)
         return self._group_members
+
+
+def _union_roots(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Every atom's root after union-find links ``x[k]``'s root under
+    ``y[k]``'s (``parent[find(x)] = find(y)``) for k in order.
+
+    Links in different components commute, so round s makes the s-th
+    link of every component at once: as many rounds as the largest
+    component has links (three for a TIP3P water, four for TIP4P-Ew).
+    The components come first, by hooking each link's larger label
+    under its smaller one until every link's labels agree.
+    """
+    label = np.arange(n)
+    while not np.array_equal(a := label[x], b := label[y]):
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        while not np.array_equal(up := label[label], label):
+            label = up
+    m = len(x)
+    order = np.argsort(label[x], kind="stable")
+    comp = label[x][order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = comp[1:] != comp[:-1]
+    rank = np.arange(m) - np.maximum.accumulate(np.where(first, np.arange(m), 0))
+    parent = np.arange(n)
+    for s in range(int(rank.max()) + 1 if m else 0):
+        k = order[rank == s]
+        rx, ry = parent[x[k]], parent[y[k]]
+        link = rx != ry
+        parent[rx[link]] = ry[link]
+        # Every atom pointed at its root; a hooked root's now two up.
+        parent = parent[parent]
+    return parent

@@ -117,19 +117,25 @@ def water_masses(model: WaterModel) -> np.ndarray:
     return np.array([MASS_O, MASS_H, MASS_H])
 
 
-def add_water_to_topology(top: Topology, first_atom: int, model: WaterModel) -> None:
-    """Register one water molecule's constraints/vsite/exclusions.
+def add_water_to_topology(top: Topology, first_atom, model: WaterModel) -> None:
+    """Register water molecules' constraints/vsites/exclusions.
 
-    ``first_atom`` is the system index of the molecule's O site; the
-    H (and M) sites must follow contiguously in the builder's order.
+    ``first_atom`` is the system index of a molecule's O site, or an
+    array of them (one block of terms, in the order of the molecules);
+    the H (and M) sites must follow contiguously in the builder's order.
+    Per molecule: constraints O-H1, O-H2, H1-H2, then for 4-site models
+    the M site and its exclusions from H1 and H2.
     """
-    o, h1, h2 = first_atom, first_atom + 1, first_atom + 2
-    top.add_constraint(o, h1, model.r_oh)
-    top.add_constraint(o, h2, model.r_oh)
-    top.add_constraint(h1, h2, model.r_hh)
+    o = np.atleast_1d(np.asarray(first_atom, dtype=np.int64))
+    h1, h2 = o + 1, o + 2
+    n = len(o)
+    top.add_terms(
+        "constraint",
+        np.stack([o, h1, o, h2, h1, h2], axis=1),
+        np.tile([model.r_oh, model.r_oh, model.r_hh], n),
+    )
     if model.four_site:
-        m = first_atom + 3
-        top.add_virtual_site(m, o, h1, h2, model.vsite_weight)
+        m = o + 3
+        top.add_terms("vsite", np.stack([m, o, h1, h2], axis=1), np.full(n, model.vsite_weight))
         # M interacts with nothing inside its own molecule.
-        top.add_exclusion(m, h1)
-        top.add_exclusion(m, h2)
+        top.add_terms("exclusion", np.stack([m, h1, m, h2], axis=1))

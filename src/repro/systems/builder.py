@@ -26,7 +26,7 @@ from repro.forcefield import (
     water_site_positions,
 )
 from repro.geometry import Box
-from repro.systems.peptide import ProteinFragment, _random_rotation, synthetic_protein
+from repro.systems.peptide import ProteinFragment, synthetic_protein
 from repro.systems.types import ION_CL, WATER_H, WATER_M, WATER_O, standard_lj_table
 from repro.util import WATER_MOLECULE_DENSITY, make_rng
 
@@ -97,13 +97,16 @@ def _water_fragment(
     q1 = water_charges(model)
     m1 = water_masses(model)
     types1 = [WATER_O, WATER_H, WATER_H] + ([WATER_M] if model.four_site else [])
-    positions = np.empty((n * spm, 3))
-    for i in range(n):
-        rot = _random_rotation(rng)
-        positions[i * spm : (i + 1) * spm] = o_positions[i] + local @ rot.T
+    # One draw for every molecule's rotation (QR of a Gaussian matrix,
+    # as peptide._random_rotation), stacked: the same draws, rotations
+    # and site bits as one call per molecule (DESIGN.md, "Set-up").
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    q *= np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    flip = np.linalg.det(q) < 0
+    q[flip, :, 0] = -q[flip, :, 0]
+    positions = (o_positions[:, None, :] + local @ q.transpose(0, 2, 1)).reshape(n * spm, 3)
     top = Topology(n * spm)
-    for i in range(n):
-        add_water_to_topology(top, i * spm, model)
+    add_water_to_topology(top, np.arange(n) * spm, model)
     return (
         positions,
         np.tile(q1, n),

@@ -220,3 +220,18 @@ def test_compute_fixed_force_only_report_matches_eager():
     np.testing.assert_array_equal(codes_lazy, codes_eager)
     x += 0.5  # the caller's array changes; the report kept its own copy
     assert hexes(lazy.energies) == hexes(eager.energies)
+
+
+def test_potential_energy_is_per_lane_on_an_ensemble():
+    """A 3-lane report's ``potential_energy`` is the ``(3,)`` per-lane
+    sums, each the potential its lane's energy record holds; one lane's
+    (solo is the one-lane ensemble) is a float."""
+    ens, solo = make_ensemble(), make_solo()
+    advance(ens, 2, True)
+    advance(solo, 2, True)
+    total = ens.integrator.last_info.potential_energy
+    assert isinstance(total, np.ndarray) and total.shape == (3,)
+    records = ens.record_energy()
+    assert [float(x).hex() for x in total] == [r.potential.hex() for r in records]
+    assert isinstance(solo.integrator.last_info.potential_energy, float)
+    assert total[0] == solo.integrator.last_info.potential_energy
