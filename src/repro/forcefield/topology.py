@@ -17,6 +17,12 @@ __all__ = ["Topology"]
 
 #: The term store's kinds: atoms per term, then the parameter dtypes in
 #: the order the compiled arrays are named (``bond_k``, ``bond_r0``, ...).
+#: A ``vsite`` is a linear 3-point virtual site (TIP4P-Ew's M) with atoms
+#: ``(site, parent, ref1, ref2)`` and weight ``w``:
+#: ``r_site = r_parent + w (r_ref1 - r_parent) + w (r_ref2 - r_parent)``,
+#: and the massless site's force goes back to the three along the same
+#: map.  An ``exclusion`` is a nonbonded exclusion that connectivity does
+#: not imply.  Only blocks add those two (:meth:`Topology.add_terms`).
 _KINDS = {
     "bond": (2, (np.float64, np.float64)),
     "angle": (3, (np.float64, np.float64)),
@@ -44,7 +50,7 @@ class Topology:
 
     def __init__(self, n_atoms: int):
         self.n_atoms = int(n_atoms)
-        # Per kind: arrays blocks ``(atoms, *params)``, and the single
+        # Per kind: array blocks ``(atoms, *params)``, and the single
         # rows ``(*atoms, *params)`` added since the last block.
         self._blocks: dict[str, list[tuple[np.ndarray, ...]]] = {k: [] for k in _KINDS}
         self._rows: dict[str, list[tuple]] = {k: [] for k in _KINDS}
@@ -88,27 +94,12 @@ class Topology:
         self._check(i, j)
         self._rows["constraint"].append((i, j, float(distance)))
 
-    def add_virtual_site(self, site: int, parent: int, ref1: int, ref2: int, weight: float) -> None:
-        """Linear 3-point virtual site (TIP4P-Ew M site).
-
-        ``r_site = r_parent + weight * (r_ref1 - r_parent) + weight * (r_ref2 - r_parent)``;
-        forces on the massless site redistribute linearly to the three
-        parents.
-        """
-        self._check(site, parent, ref1, ref2)
-        self._rows["vsite"].append((site, parent, ref1, ref2, float(weight)))
-
-    def add_exclusion(self, i: int, j: int) -> None:
-        """Force a nonbonded exclusion not implied by connectivity."""
-        self._check(i, j)
-        self._rows["exclusion"].append((i, j))
-
     def add_terms(self, kind: str, atoms, *params) -> None:
         """Append a block of ``kind`` terms (a key of ``_KINDS``).
 
-        ``atoms`` is ``(m, width)``; each parameter an ``(m,)`` array in
-        the order the single-term method takes them.  Checked as the
-        single-term methods check each term.
+        ``atoms`` is ``(m, width)``; each parameter an ``(m,)`` array, in
+        the kind's order (``_KINDS``).  Every term is checked as
+        :meth:`add_bond` and the other single-term methods check theirs.
         """
         if self.compiled:
             raise RuntimeError("topology already compiled")

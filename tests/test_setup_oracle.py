@@ -176,7 +176,8 @@ def graphs(draw):
 
 def _fill(top, g, blocks: bool) -> None:
     """``g``'s terms in order: the head one by one, the tail as blocks
-    (``add_terms``) when ``blocks``, else one by one too."""
+    (``add_terms``) when ``blocks``, else one by one too (a loop topology
+    always term by term)."""
     cut = round(g["split"] * len(g["constraints"]))
     for (i, j), d in g["constraints"][:cut]:
         top.add_constraint(i, j, d)
@@ -188,13 +189,15 @@ def _fill(top, g, blocks: bool) -> None:
             top.add_constraint(i, j, d)
     for i, j in g["bonds"]:
         top.add_bond(i, j, 300.0, 1.1)
-    if blocks and g["vsites"]:
-        top.add_terms("vsite", g["vsites"], [0.1] * len(g["vsites"]))
+    if isinstance(top, Topology):  # sites and exclusions go in as blocks only
+        for b in [g["vsites"]] if blocks else [[v] for v in g["vsites"]]:
+            top.add_terms("vsite", b, [0.1] * len(b))
+        top.add_terms("exclusion", g["exclusions"])
     else:
         for s, p, r1, r2 in g["vsites"]:
             top.add_virtual_site(s, p, r1, r2, 0.1)
-    for i, j in g["exclusions"]:
-        top.add_exclusion(i, j)
+        for i, j in g["exclusions"]:
+            top.add_exclusion(i, j)
 
 
 def same_graph(g, blocks: bool) -> None:
