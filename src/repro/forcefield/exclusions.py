@@ -97,7 +97,7 @@ def build_exclusions(top: Topology) -> ExclusionTable:
 
     p, c = extend(dst)  # a-b-c
     keep = c != src[p]
-    a3, b3, c3 = src[p][keep], dst[p][keep], c[keep]
+    a3, c3 = src[p][keep], c[keep]
     p, d = extend(c3)  # a-b-c-d; d == b makes a 1-2 pair, which the subtraction drops
     keep = d != a3[p]
     extra = top.extra_exclusions
