@@ -148,18 +148,16 @@ class DistributedFFT3D:
         if routes is None:
             share_points = self.points_per_node() // p
             per_msg = max(share_points * self.bytes_per_point // self.line_batches, 4)
-            src_l: list[int] = []
-            dst_l: list[int] = []
-            for node in range(topo.n_nodes):
-                for peer in topo.axis_line(node, axis):
-                    if peer == node:
-                        continue
-                    src_l.extend([node] * self.line_batches)
-                    dst_l.extend([peer] * self.line_batches)
+            # Node by node, its peers in line order, each message of a
+            # route's batch in turn.
+            peers = topo.axis_lines(axis)
+            nodes = np.broadcast_to(np.arange(topo.n_nodes)[:, None], peers.shape)
+            remote = peers != nodes
+            src = np.repeat(nodes[remote], self.line_batches)
             routes = (
-                np.asarray(src_l, dtype=np.int64),
-                np.asarray(dst_l, dtype=np.int64),
-                np.full(len(src_l), per_msg, dtype=np.int64),
+                src,
+                np.repeat(peers[remote], self.line_batches),
+                np.full(len(src), per_msg, dtype=np.int64),
             )
             self._axis_routes[axis] = routes
         src, dst, nbytes = routes

@@ -7,11 +7,16 @@ pair-search overhead.  :class:`NeighborList` amortizes that cost the
 way GROMACS does: rebuild through the kernel suite's
 ``neighbor_build`` — on the NumPy tier the fully vectorized cell engine
 (:func:`~repro.geometry.cells.cell_candidate_pairs`, one block for a
-solo system), on the compiled tier one C sweep that tests each row
-against contiguous runs of cell-ordered coordinates, sweeps every row
-once (a list that outgrows its buffers resumes, it does not restart)
-and emits the same canonical list — keeping every pair out to
-``cutoff + skin`` with the static exclusion mask applied once, and
+solo system), on the compiled tier one C sweep that matches clusters
+first — runs of up to four consecutive atoms tied to their first atom
+by the exclusion CSR (a water's three sites), whose first atoms are
+swept against each other with the reach widened by both radii — and
+then tests each row only against the atoms of its cluster's partners,
+which it meets in ascending ``j`` and writes straight into the row; it
+sweeps every row once (a list that outgrows its buffers resumes, it
+does not restart) and emits the same canonical list — keeping every
+pair out to ``cutoff + skin`` with the static exclusion mask applied
+once, and
 reuse the list until some atom has moved more than ``skin / 2`` since
 the last build — the classical sufficient condition, since two atoms
 approaching each other close the gap by at most ``skin``.
@@ -92,9 +97,11 @@ def rows_to_pairs(row_ptr: np.ndarray, partners: np.ndarray) -> tuple[np.ndarray
 
 def _partner_csr(exclusions) -> tuple[np.ndarray, np.ndarray]:
     """Per-atom CSR ``(ptr, idx)`` of the partners ``j > i`` that
-    :meth:`ExclusionTable.is_excluded` skips (hard exclusions and 1-4)."""
+    :meth:`ExclusionTable.is_excluded` skips (hard exclusions and 1-4),
+    each row ascending: the C rebuild merges a row's hits against it and
+    reads a cluster's members from its first entries."""
     pairs = np.concatenate([exclusions.excluded, exclusions.pair14])
-    pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     ptr, _ = pairs_to_rows(pairs[:, 0], pairs[:, 1], exclusions.n_atoms)
     return ptr, np.ascontiguousarray(pairs[:, 1], dtype=np.int64)
 

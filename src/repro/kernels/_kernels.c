@@ -155,52 +155,75 @@ static inline double rk_image(double d, double L, double h)
  * (geometry.cells.within in NumPy, rk_walk_filter's below) at reach,
  * minus the exclusion CSR's partners, in lexicographic (i, j) order,
  * written as rows: row_ptr[i] (int64) where row i starts, its partners
- * j as int32.  That is a definition by set and order, so the binning
- * below is free: it only has to offer every passing pair to the
- * predicate, and RK_NB_SLACK widens the cells by far more than any
- * rounding in the cell index or in d can move an atom.  Partners are
- * int32 and the atom count is capped to fit them
- * (geometry.neighborlist.MAX_ATOMS); row_ptr, the pair count and the
- * resume cursor are int64.
+ * j as int32.  That is a definition by set and order, so how candidates
+ * are found is free: the sweep only has to offer every passing pair to
+ * the predicate.  Partners are int32 and the atom count is capped to fit
+ * them (geometry.neighborlist.MAX_ATOMS); row_ptr, the pair count and
+ * the resume cursor are int64.
  *
- * An axis that fits seven cells of width >= reach/3 may be cut into as
- * many as fit (up to a cap tied to the atom count) and swept with the
- * stencil -k..k, k <= 3 the fewest cells that span reach; seven cells
- * keep the wrapped stencil cells distinct.  Which of those axes are cut
- * is the sweep's shape (rk_nb_shape), and it is free: any shape offers
- * every passing pair to the predicate.  Cells are numbered x-major, so
- * along the last cut axis (the window axis; every later axis is uncut)
- * a run of cells is a run of the cell-ordered arrays, and the stencil is
- * a set of columns over the other cut axes, each a window of -kw..kw
- * cells along the window axis.  Cutting more axes tests fewer atoms per
- * row in more, shorter runs; with no axis cut the box is one cell, cell
- * order is id order, and row i sweeps only the run after slot i (its
- * partners j > i) instead of the whole block.  The shape is the one of
- * least estimated cost, tests per row plus RK_NB_RUN_COST per run, so a
- * box a few reaches wide is swept in a few long runs (or the suffix)
- * and a large box in 3D cells, whose cost per row stays constant as the
- * box grows.  Atoms are counting-sorted into cells in ascending id,
- * their coordinates copied in cell order into three arrays (sx, sy, sz).
+ * Clusters first, then atoms (Anton's match units and GROMACS's cluster
+ * pair search filter at a coarser grain the same way).  A block is cut
+ * into clusters: a run of at most RK_NB_CLUSTER consecutive atoms tied
+ * to its first atom, the anchor, by the exclusion CSR (a water's O, H1,
+ * H2; with no tie, or no CSR, a singleton), with a radius r, the largest
+ * minimum-image distance of a member from the anchor, recomputed from
+ * the wrapped positions at every call.  Cluster B >= A is a partner of A
+ * when d(A0, B0)^2 < (reach + r_A + r_B)^2 * RK_NB_SLACK: by the torus
+ * triangle inequality every pair (i in A, j in B) within reach has its
+ * anchors closer than reach + r_A + r_B, and the slack is far above any
+ * rounding in the distances and the radii (DESIGN.md, cluster-match
+ * lemma).  Clusters are consecutive ids, so partner clusters read in
+ * ascending order list their atoms in ascending j.
  *
- * Rows are swept in ascending i.  A row walks the stencil's columns; a
- * column's window of cells is contiguous in cell order up to one wrap,
- * so its atoms are at most two contiguous runs of the cell-ordered
- * arrays.  Each run is tested in blocks of RK_NB_BLOCK
- * entries: the predicate and j > i, branch-free, into a one-word mask on
- * the stack (element-wise IEEE operations, integer compares and an
- * integer OR, so the loop may vectorize at any width without moving a
- * bit — DESIGN.md, vector-width lemma), whose set bits are then marked
- * in a per-row bitmap.  The row's excluded partners are cleared from it,
- * row_ptr[i] is written and the set bits are emitted in ascending j.
+ * The anchor sweep finds each cluster's partners.  Anchors are
+ * counting-sorted into cells (ascending cluster within a cell), their
+ * coordinates and radii copied in cell order; the cells may cut any axis
+ * that fits seven cells of width >= reach_c/3, reach_c = reach + 2 r_max
+ * (the largest anchor bound of the block), swept with the stencil -k..k,
+ * k <= 3 the fewest cells that span reach_c; seven cells keep the
+ * wrapped stencil cells distinct.  Which of those axes are cut is the
+ * sweep's shape (rk_nb_shape), and it is free: any shape offers every
+ * partner to the anchor predicate.  Cells are numbered x-major, so along
+ * the last cut axis (the window axis; every later axis is uncut) a run
+ * of cells is a run of the cell-ordered arrays, and the stencil is a set
+ * of columns over the other cut axes, each a window of -kw..kw cells
+ * along the window axis, one run or two where it wraps.  With no axis
+ * cut the box is one cell, cell order is cluster order, and cluster A
+ * sweeps only the anchors after its own.  The shape is the one of least
+ * estimated cost, tests per cluster plus RK_NB_RUN_COST per run.  A
+ * run's hits are marked in a bitmap over the block's clusters, which is
+ * read back (and cleared) in ascending cluster order.
+ *
+ * Then, per cluster, its own atoms and those of its partners are copied
+ * in that order into candidate arrays (ids and three coordinate arrays,
+ * RK_NB_CLUSTER slots at a time from the block's coordinates in id
+ * order), ascending in j, and each row i of the cluster tests the
+ * candidates after its own slot — exactly its j > i — with the
+ * predicate.  Runs of the anchor sweep and of the rows are tested in
+ * blocks of RK_NB_BLOCK entries into a one-word mask on the stack
+ * (element-wise IEEE operations, integer compares and an integer OR, so
+ * the loop may vectorize at any width without moving a bit — DESIGN.md,
+ * vector-width lemma).  A row's hits are read from the mask in
+ * ascending j, its excluded partners skipped by a merge against the CSR
+ * row (sorted ascending), and the survivors written straight into the
+ * row.
  *
  * The sweep is resumable, so a rebuild sweeps every row once: a row
  * whose pairs do not fit in the `cap` output slots is not emitted, the
  * sweep stops before it, and the caller grows the outputs and calls
- * again from that row.
+ * again from that row (which may be inside a cluster: the clusters and
+ * the anchor cells of its block are derived again).
  *
  * Positions must be wrapped into [0, L). */
 
 #define RK_NB_SLACK (1.0 + 1e-9)
+
+/* Atoms per cluster at most: a rigid water is three, and a fourth keeps
+ * a methyl's or an amine's hydrogens with their heavy atom.  Larger
+ * bounds gather longer tied runs of a protein into one cluster, whose
+ * radius (and so every anchor bound of the block) then grows faster than
+ * the tests it saves (DESIGN.md, cluster-match lemma). */
+#define RK_NB_CLUSTER 4
 
 /* Entries per block of the mask loop: one bit each in a uint64_t. */
 #define RK_NB_BLOCK 64
@@ -208,86 +231,187 @@ static inline double rk_image(double d, double L, double h)
 /* A run's last block, when it is partial, is tested in whole blocks of
  * RK_NB_LANES entries with the ones past the run's end masked off, so
  * its loop has a fixed trip count and no scalar remainder; the
- * cell-ordered arrays carry RK_NB_LANES entries of padding for the reads
- * past the last run. */
+ * cell-ordered and candidate arrays carry RK_NB_LANES entries of padding
+ * for the reads past the last run. */
 #define RK_NB_LANES 16
 
 /* Cells per axis never exceed this, so a block's cell table stays
- * proportional to its atom count (never below the seven an axis needs
- * to be binned at all). */
-static int64_t rk_nb_axis_cap(int64_t block_len)
+ * proportional to its cluster count (never below the seven an axis
+ * needs to be binned at all). */
+static int64_t rk_nb_axis_cap(int64_t n)
 {
     int64_t c = 7;
-    while ((c + 1) * (c + 1) * (c + 1) <= 8 * block_len)
+    while ((c + 1) * (c + 1) * (c + 1) <= 8 * n)
         c++;
     return c;
 }
 
-/* int64 words of scratch rk_neighbor_build needs for one block: the
- * cell table, cell_atoms and the three coordinate arrays (each padded by
- * RK_NB_LANES), atom_cell and the row bitmap. */
-int64_t rk_neighbor_work_size(int64_t block_len)
+/* One block's scratch, carved from the caller's int64 words: the anchor
+ * cell table; cluster starts and radii; per cell-ordered anchor slot its
+ * cluster, cell, coordinates and radius; the cluster bitmap; the
+ * candidate ids and coordinates.  Slot arrays carry RK_NB_LANES of
+ * padding. */
+typedef struct {
+    int64_t *cell_start, *cstart, *cell_clu, *clu_cell, *cj;
+    uint64_t *cbits;
+    int32_t *row;
+    double *rad, *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
+} rk_nb_work;
+
+/* Points wk's arrays into `w` (when given) and returns the words used. */
+static int64_t rk_nb_carve(rk_nb_work *wk, int64_t *w, int64_t block_len)
 {
-    int64_t c = rk_nb_axis_cap(block_len);
-    return c * c * c + 1 + 5 * block_len + 4 * RK_NB_LANES + (block_len + 63) / 64;
+    const int64_t c = rk_nb_axis_cap(block_len), pad = block_len + RK_NB_LANES;
+    int64_t used = 0;
+#define RK_NB_TAKE(field, type, count) \
+    (wk->field = w ? (type *)(w + used) : NULL, used += (count))
+    RK_NB_TAKE(cell_start, int64_t, c * c * c + 1);
+    RK_NB_TAKE(cstart, int64_t, block_len + 1);
+    RK_NB_TAKE(cell_clu, int64_t, pad);
+    RK_NB_TAKE(clu_cell, int64_t, block_len);
+    RK_NB_TAKE(cj, int64_t, pad);
+    RK_NB_TAKE(cbits, uint64_t, (block_len + 63) / 64);
+    RK_NB_TAKE(row, int32_t, (block_len + 1) / 2);
+    RK_NB_TAKE(rad, double, block_len);
+    RK_NB_TAKE(sx, double, pad);
+    RK_NB_TAKE(sy, double, pad);
+    RK_NB_TAKE(sz, double, pad);
+    RK_NB_TAKE(sr, double, pad);
+    RK_NB_TAKE(bx, double, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(by, double, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(bz, double, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(cx, double, pad);
+    RK_NB_TAKE(cy, double, pad);
+    RK_NB_TAKE(cz, double, pad);
+#undef RK_NB_TAKE
+    return used;
 }
 
-/* Whether slot q holds a partner j = cj[q] > i within reach of (a0, a1,
- * a2): cells.within's predicate, operation for operation. */
-static inline int64_t rk_nb_hit(int64_t i, double a0, double a1, double a2, int64_t q,
-                                const int64_t *restrict cj, const double *restrict sx,
-                                const double *restrict sy, const double *restrict sz,
+/* int64 words of scratch rk_neighbor_build needs for one block. */
+int64_t rk_neighbor_work_size(int64_t block_len)
+{
+    rk_nb_work wk;
+    return rk_nb_carve(&wk, NULL, block_len);
+}
+
+/* Slot q of (sx, sy, sz) against the point (a0, a1, a2).  Atoms
+ * (anchors == 0; id and sr unread): cells.within's predicate, operation
+ * for operation.  Anchors: whether cluster id[q] > self has its anchor
+ * within ra + sr[q] (ra = reach + the point's own radius), widened by
+ * RK_NB_SLACK. */
+static inline int64_t rk_nb_hit(int anchors, int64_t self, double a0, double a1, double a2,
+                                double ra, int64_t q, const int64_t *restrict id,
+                                const double *restrict sx, const double *restrict sy,
+                                const double *restrict sz, const double *restrict sr,
                                 const double *L, const double *h, double reach2)
 {
     const double d0 = rk_image(a0 - sx[q], L[0], h[0]);
     const double d1 = rk_image(a1 - sy[q], L[1], h[1]);
     const double d2 = rk_image(a2 - sz[q], L[2], h[2]);
-    return (cj[q] > i) & ((d0 * d0 + d1 * d1) + d2 * d2 < reach2);
+    const double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
+    if (anchors) {
+        const double t = ra + sr[q];
+        return (id[q] > self) & (r2 < t * t * RK_NB_SLACK);
+    }
+    return r2 < reach2;
 }
 
-/* Marks in `bits` every j = cj[p] > i of the run [p0, p1) whose distance
- * from (a0, a1, a2) passes the predicate; widens [*wlo, *whi] to the
- * bitmap words it touched. */
-static inline void rk_nb_run(int64_t i, double a0, double a1, double a2,
-                             int64_t p0, int64_t p1,
-                             const int64_t *restrict cj,
-                             const double *restrict sx,
-                             const double *restrict sy,
-                             const double *restrict sz,
-                             const double *L, const double *h, double reach2,
-                             uint64_t *restrict bits, int64_t *wlo, int64_t *whi)
+/* The hits among slots p .. p + nb - 1 (nb <= RK_NB_BLOCK), one bit
+ * each. */
+static inline uint64_t rk_nb_mask(int anchors, int64_t self, double a0, double a1, double a2,
+                                  double ra, int64_t p, int64_t nb,
+                                  const int64_t *restrict id, const double *restrict sx,
+                                  const double *restrict sy, const double *restrict sz,
+                                  const double *restrict sr, const double *L, const double *h,
+                                  double reach2)
+{
+    uint64_t mask = 0;
+    if (nb == RK_NB_BLOCK)
+        for (int64_t k = 0; k < RK_NB_BLOCK; k++)
+            mask |= (uint64_t)rk_nb_hit(anchors, self, a0, a1, a2, ra, p + k, id, sx, sy, sz,
+                                        sr, L, h, reach2) << k;
+    else
+        for (int64_t kb = 0; kb < nb; kb += RK_NB_LANES)
+            for (int64_t k = kb; k < kb + RK_NB_LANES; k++)
+                mask |= (uint64_t)((k < nb) & rk_nb_hit(anchors, self, a0, a1, a2, ra, p + k,
+                                                         id, sx, sy, sz, sr, L, h, reach2))
+                        << k;
+    return mask;
+}
+
+/* Marks in wk->cbits every partner cluster B > A among the anchor slots
+ * [p0, p1); widens [*wlo, *whi] to the bitmap words it touched. */
+static inline void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_t p0,
+                                    int64_t p1, const rk_nb_work *wk, const double *L,
+                                    const double *h, int64_t *wlo, int64_t *whi)
 {
     for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
         const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
-        uint64_t mask = 0;
-        if (nb == RK_NB_BLOCK)
-            for (int64_t k = 0; k < RK_NB_BLOCK; k++)
-                mask |= (uint64_t)rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy, sz, L, h,
-                                            reach2) << k;
-        else
-            for (int64_t kb = 0; kb < nb; kb += RK_NB_LANES)
-                for (int64_t k = kb; k < kb + RK_NB_LANES; k++)
-                    mask |= (uint64_t)((k < nb) & rk_nb_hit(i, a0, a1, a2, p + k, cj, sx, sy,
-                                                             sz, L, h, reach2)) << k;
+        uint64_t mask = rk_nb_mask(1, A, xa[0], xa[1], xa[2], ra, p, nb, wk->cell_clu,
+                                   wk->sx, wk->sy, wk->sz, wk->sr, L, h, 0.0);
         for (; mask; mask &= mask - 1) {
-            const int64_t j = cj[p + __builtin_ctzll(mask)], wd = j >> 6;
-            bits[wd] |= (uint64_t)1 << (j & 63);
+            const int64_t B = wk->cell_clu[p + __builtin_ctzll(mask)], wd = B >> 6;
+            wk->cbits[wd] |= (uint64_t)1 << (B & 63);
             *wlo = wd < *wlo ? wd : *wlo;
             *whi = wd > *whi ? wd : *whi;
         }
     }
 }
 
-/* Test-equivalents one run of rk_nb_run costs beyond its tests (loop
- * set-up, the vector loop's remainder): the cost model's exchange rate
- * between fewer tests and fewer runs.  Measured, not derived; it only
- * picks among shapes that give the same rows. */
+/* Row i (coordinates xi) over the candidate slots [q0, q1), whose ids
+ * all exceed i and ascend: the pairs within reach, minus the excluded
+ * partners ex[e .. e1) (ascending), written to `out` (room for q1 - q0).
+ * Returns their count. */
+static int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
+                         const double *L, const double *h, double reach2,
+                         const int64_t *ex, int64_t e, int64_t e1, int32_t *restrict out)
+{
+    int64_t row = 0;
+    for (int64_t p = q0; p < q1; p += RK_NB_BLOCK) {
+        const int64_t nb = q1 - p < RK_NB_BLOCK ? q1 - p : RK_NB_BLOCK;
+        uint64_t mask = rk_nb_mask(0, 0, xi[0], xi[1], xi[2], 0.0, p, nb, NULL, wk->cx,
+                                   wk->cy, wk->cz, NULL, L, h, reach2);
+        for (; mask; mask &= mask - 1) {
+            const int64_t j = wk->cj[p + __builtin_ctzll(mask)];
+            int64_t keep = 1;
+            if (e < e1) {
+                while (e < e1 && ex[e] < j)
+                    e++;
+                keep = !(e < e1 && ex[e] == j);
+            }
+            out[row] = (int32_t)j;
+            row += keep;
+        }
+    }
+    return row;
+}
+
+/* Appends cluster B's atoms to the candidates from slot nq: a fixed
+ * RK_NB_CLUSTER slots are copied (the ones past the cluster are
+ * overwritten by the next, or lie in the padding); returns the new
+ * count. */
+static inline int64_t rk_nb_take(rk_nb_work *wk, int64_t base, int64_t B, int64_t nq)
+{
+    const int64_t j0 = wk->cstart[B];
+    for (int64_t k = 0; k < RK_NB_CLUSTER; k++)
+        wk->cj[nq + k] = base + j0 + k;
+    memcpy(wk->cx + nq, wk->bx + j0, RK_NB_CLUSTER * sizeof(double));
+    memcpy(wk->cy + nq, wk->by + j0, RK_NB_CLUSTER * sizeof(double));
+    memcpy(wk->cz + nq, wk->bz + j0, RK_NB_CLUSTER * sizeof(double));
+    return nq + wk->cstart[B + 1] - j0;
+}
+
+/* Test-equivalents one run of the anchor sweep costs beyond its tests
+ * (loop set-up, the vector loop's remainder): the cost model's exchange
+ * rate between fewer tests and fewer runs.  Measured, not derived; it
+ * only picks among shapes that find the same partners. */
 #define RK_NB_RUN_COST 25.0
 
 /* One sweep shape: cells per axis nc (1 on an uncut axis) of width cs,
  * stencil half-width kk, the window axis wa (-1: no axis cut), the
  * stencil columns (offsets along the two other axes in ascending axis
- * order, then the window half-width kw) and the estimated cost per row. */
+ * order, then the window half-width kw) and the estimated cost per
+ * anchor. */
 typedef struct {
     int64_t nc[3], kk[3];
     double cs[3];
@@ -298,12 +422,11 @@ typedef struct {
 } rk_nb_shape;
 
 /* The shape that cuts the axes of `mask` that fit seven cells (the
- * others stay uncut), for one block of block_len atoms. */
-static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach,
-                             int64_t block_len, int mask)
+ * others stay uncut), for n anchors and the anchor reach `reach`. */
+static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach, int64_t n, int mask)
 {
     const double reach2 = reach * reach;
-    const int64_t axis_cap = rk_nb_axis_cap(block_len);
+    const int64_t axis_cap = rk_nb_axis_cap(n);
     sh->wa = -1;
     for (int a = 0; a < 3; a++) {
         const double f = floor(3.0 * L[a] / (reach * RK_NB_SLACK));
@@ -320,8 +443,8 @@ static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach,
         }
     }
     sh->ncol = 0;
-    if (sh->wa < 0) { /* one cell: the suffix of each row */
-        sh->cost = 0.5 * (double)block_len + RK_NB_RUN_COST;
+    if (sh->wa < 0) { /* one cell: the suffix of each anchor */
+        sh->cost = 0.5 * (double)n + RK_NB_RUN_COST;
         return;
     }
     /* Columns over the two other axes and the window -kw..kw of each:
@@ -353,7 +476,41 @@ static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach,
             }
         }
     const double ncell = (double)(sh->nc[0] * sh->nc[1] * sh->nc[2]);
-    sh->cost = (double)block_len * (double)cells / ncell + RK_NB_RUN_COST * (double)sh->ncol;
+    sh->cost = (double)n * (double)cells / ncell + RK_NB_RUN_COST * (double)sh->ncol;
+}
+
+/* Cuts block x (block_len atoms, global ids from base) into clusters:
+ * wk->cstart[0 .. nclu] and wk->rad; returns nclu and the largest
+ * radius in *rmax. */
+static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
+                              const int64_t *excl_ptr, const int64_t *excl_idx,
+                              const double *L, const double *h, rk_nb_work *wk, double *rmax)
+{
+    int64_t nclu = 0;
+    *rmax = 0.0;
+    for (int64_t a = 0; a < block_len; nclu++) {
+        int64_t t = 1;
+        if (excl_ptr) { /* the CSR row of a is ascending: its first t - 1 are a + 1 .. */
+            const int64_t e0 = excl_ptr[base + a], e1 = excl_ptr[base + a + 1];
+            while (t < RK_NB_CLUSTER && a + t < block_len && e0 + t - 1 < e1
+                   && excl_idx[e0 + t - 1] == base + a + t)
+                t++;
+        }
+        double r2 = 0.0;
+        for (int64_t k = a + 1; k < a + t; k++) {
+            const double d0 = rk_image(x[3 * a] - x[3 * k], L[0], h[0]);
+            const double d1 = rk_image(x[3 * a + 1] - x[3 * k + 1], L[1], h[1]);
+            const double d2 = rk_image(x[3 * a + 2] - x[3 * k + 2], L[2], h[2]);
+            const double s = (d0 * d0 + d1 * d1) + d2 * d2;
+            r2 = s > r2 ? s : r2;
+        }
+        wk->cstart[nclu] = a;
+        wk->rad[nclu] = sqrt(r2);
+        *rmax = wk->rad[nclu] > *rmax ? wk->rad[nclu] : *rmax;
+        a += t;
+    }
+    wk->cstart[nclu] = block_len;
+    return nclu;
 }
 
 /* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
@@ -361,9 +518,9 @@ static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach,
  * On return at[0] is the first row not swept and at[1] the partners
  * written; once every row is swept, row_ptr[n_blocks * block_len] is
  * too.  Returns 0 when every row is swept, else the pair count of row
- * at[0], which did not fit in cap.  shape is -1 for the cheapest sweep
- * shape, else the mask of axes to cut (bit a: axis a) — the rows are the
- * same either way. */
+ * at[0], which did not fit in cap.  shape is -1 for the cheapest shape
+ * of the anchor sweep, else the mask of axes to cut (bit a: axis a) —
+ * the rows are the same either way. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           const double *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
@@ -372,70 +529,76 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
 {
     const double reach2 = reach * reach;
     const double h[3] = {0.5 * L[0], 0.5 * L[1], 0.5 * L[2]};
-    rk_nb_shape sh, t;
-    rk_nb_shape_init(&sh, L, reach, block_len, shape < 0 ? 0 : (int)(shape & 7));
-    for (int mask = 1; shape < 0 && mask < 8; mask++) { /* the cheapest */
-        rk_nb_shape_init(&t, L, reach, block_len, mask);
-        if (t.cost < sh.cost)
-            sh = t;
-    }
-    const int64_t *nc = sh.nc, ncol = sh.ncol;
-    const int64_t ncell = nc[0] * nc[1] * nc[2];
-    const double *cs = sh.cs;
-    const int wa = sh.wa, a1 = wa == 0 ? 1 : 0, a2 = wa == 2 ? 1 : 2;
-
-    int64_t *cell_start = work;                  /* ncell + 1        */
-    const int64_t axis_cap = rk_nb_axis_cap(block_len), pad = block_len + RK_NB_LANES;
-    int64_t *cell_atoms = cell_start + axis_cap * axis_cap * axis_cap + 1; /* pad */
-    int64_t *atom_cell = cell_atoms + pad;
-    uint64_t *bits = (uint64_t *)(atom_cell + block_len);
-    double *sx = (double *)(bits + (block_len + 63) / 64); /* cell order, pad */
-    double *sy = sx + pad, *sz = sy + pad;
-    memset(bits, 0, (size_t)((block_len + 63) / 64) * sizeof *bits);
-    for (int64_t p = block_len; p < pad; p++) /* read past a run's end, never marked */
-        cell_atoms[p] = 0, sx[p] = sy[p] = sz[p] = 0.0;
+    rk_nb_work wk;
+    rk_nb_carve(&wk, work, block_len);
+    memset(wk.cbits, 0, (size_t)((block_len + 63) / 64) * sizeof *wk.cbits);
+    for (int64_t p = block_len; p < block_len + RK_NB_CLUSTER; p++) /* copied, never kept */
+        wk.bx[p] = wk.by[p] = wk.bz[p] = 0.0;
 
     int64_t m = at[1];
     for (int64_t b = at[0] / (block_len > 0 ? block_len : 1); b < n_blocks; b++) {
-        const int64_t base = b * block_len;
+        const int64_t base = b * block_len, first = at[0] > base ? at[0] - base : 0;
         const double *x = w + 3 * base;
+        for (int64_t i = 0; i < block_len; i++)
+            wk.bx[i] = x[3 * i], wk.by[i] = x[3 * i + 1], wk.bz[i] = x[3 * i + 2];
+        double rmax;
+        const int64_t nclu = rk_nb_clusters(x, base, block_len, excl_ptr, excl_idx, L, h,
+                                            &wk, &rmax);
 
-        /* Counting sort into cells; ascending fill keeps ids ascending
-         * within each cell. */
+        rk_nb_shape sh, t;
+        const double reach_c = reach + 2.0 * rmax;
+        rk_nb_shape_init(&sh, L, reach_c, nclu, shape < 0 ? 0 : (int)(shape & 7));
+        for (int mask = 1; shape < 0 && mask < 8; mask++) { /* the cheapest */
+            rk_nb_shape_init(&t, L, reach_c, nclu, mask);
+            if (t.cost < sh.cost)
+                sh = t;
+        }
+        const int64_t *nc = sh.nc, ncell = nc[0] * nc[1] * nc[2];
+        const int wa = sh.wa, a1 = wa == 0 ? 1 : 0, a2 = wa == 2 ? 1 : 2;
+
+        /* Counting sort of the anchors into cells; ascending fill keeps
+         * clusters ascending within each cell. */
+        int64_t *cell_start = wk.cell_start;
         memset(cell_start, 0, (size_t)(ncell + 1) * sizeof *cell_start);
-        for (int64_t i = 0; i < block_len; i++) {
-            int64_t c[3];
+        for (int64_t c = 0; c < nclu; c++) {
+            const double *xa = x + 3 * wk.cstart[c];
+            int64_t k[3];
             for (int a = 0; a < 3; a++) {
-                double f = floor(x[3 * i + a] / cs[a]);
+                double f = floor(xa[a] / sh.cs[a]);
                 if (!(f >= 0.0))
                     f = 0.0;
-                c[a] = f < (double)nc[a] ? (int64_t)f : nc[a] - 1;
+                k[a] = f < (double)nc[a] ? (int64_t)f : nc[a] - 1;
             }
-            atom_cell[i] = (c[0] * nc[1] + c[1]) * nc[2] + c[2];
-            cell_start[atom_cell[i] + 1]++;
+            wk.clu_cell[c] = (k[0] * nc[1] + k[1]) * nc[2] + k[2];
+            cell_start[wk.clu_cell[c] + 1]++;
         }
         for (int64_t c = 0; c < ncell; c++)
             cell_start[c + 1] += cell_start[c];
-        for (int64_t i = 0; i < block_len; i++) {
-            int64_t p = cell_start[atom_cell[i]]++;
-            cell_atoms[p] = i;
-            sx[p] = x[3 * i];
-            sy[p] = x[3 * i + 1];
-            sz[p] = x[3 * i + 2];
+        for (int64_t c = 0; c < nclu; c++) {
+            const int64_t p = cell_start[wk.clu_cell[c]]++;
+            const double *xa = x + 3 * wk.cstart[c];
+            wk.cell_clu[p] = c;
+            wk.sx[p] = xa[0], wk.sy[p] = xa[1], wk.sz[p] = xa[2];
+            wk.sr[p] = wk.rad[c];
         }
         for (int64_t c = ncell; c > 0; c--) /* undo the fill's advance */
             cell_start[c] = cell_start[c - 1];
         cell_start[0] = 0;
+        for (int64_t p = nclu; p < nclu + RK_NB_LANES; p++) /* read past a run, never a hit */
+            wk.cell_clu[p] = 0, wk.sx[p] = wk.sy[p] = wk.sz[p] = wk.sr[p] = 0.0;
 
-        for (int64_t i = at[0] > base ? at[0] - base : 0; i < block_len; i++) {
-            const double a0 = x[3 * i], a1v = x[3 * i + 1], a2v = x[3 * i + 2];
-            const int64_t ci = atom_cell[i];
+        int64_t A = 0;
+        while (A < nclu && wk.cstart[A + 1] <= first) /* the cluster of the first row */
+            A++;
+        for (; A < nclu; A++) {
+            const int64_t lo_a = wk.cstart[A], hi_a = wk.cstart[A + 1];
+            const double *xa = x + 3 * lo_a, ra = reach + wk.rad[A];
+            const int64_t ci = wk.clu_cell[A];
             const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
             int64_t wlo = INT64_MAX, whi = -1;
-            if (ncell == 1) /* slot p holds atom p: the partners j > i are a suffix */
-                rk_nb_run(i, a0, a1v, a2v, i + 1, block_len, cell_atoms, sx, sy, sz,
-                          L, h, reach2, bits, &wlo, &whi);
-            for (int64_t s = 0; ncell > 1 && s < ncol; s++) {
+            if (ncell == 1) /* slot p holds cluster p: the partners B > A are a suffix */
+                rk_nb_anchor_run(A, xa, ra, A + 1, nclu, &wk, L, h, &wlo, &whi);
+            for (int64_t s = 0; ncell > 1 && s < sh.ncol; s++) {
                 int64_t n1 = cc[a1] + sh.col[s][0], n2 = cc[a2] + sh.col[s][1];
                 n1 += n1 < 0 ? nc[a1] : (n1 >= nc[a1] ? -nc[a1] : 0);
                 n2 += n2 < 0 ? nc[a2] : (n2 >= nc[a2] ? -nc[a2] : 0);
@@ -459,33 +622,40 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     r[0][0] = lo, r[0][1] = hi;
                 }
                 for (int64_t k = 0; k < nr; k++)
-                    rk_nb_run(i, a0, a1v, a2v, cw0[r[k][0]], cw0[r[k][1]], cell_atoms,
-                              sx, sy, sz, L, h, reach2, bits, &wlo, &whi);
+                    rk_nb_anchor_run(A, xa, ra, cw0[r[k][0]], cw0[r[k][1]], &wk, L, h, &wlo,
+                                     &whi);
             }
-            if (excl_ptr)
-                for (int64_t e = excl_ptr[base + i]; e < excl_ptr[base + i + 1]; e++) {
-                    const int64_t j = excl_idx[e] - base;
-                    if (j >= 0 && j < block_len)
-                        bits[j >> 6] &= ~((uint64_t)1 << (j & 63));
-                }
-            int64_t row = 0;
-            for (int64_t wd = wlo; wd <= whi; wd++)
-                row += __builtin_popcountll(bits[wd]);
-            if (m + row > cap) {
-                for (int64_t wd = wlo; wd <= whi; wd++)
-                    bits[wd] = 0;
-                at[0] = base + i;
-                at[1] = m;
-                return row;
-            }
-            row_ptr[base + i] = m;
+
+            /* Candidates: A's own atoms, then each partner's, ascending. */
+            int64_t nq = rk_nb_take(&wk, base, A, 0);
             for (int64_t wd = wlo; wd <= whi; wd++) {
-                uint64_t word = bits[wd];
-                bits[wd] = 0;
-                while (word) {
-                    partners[m++] = (int32_t)(base + (wd << 6) + __builtin_ctzll(word));
-                    word &= word - 1;
+                uint64_t word = wk.cbits[wd];
+                wk.cbits[wd] = 0;
+                for (; word; word &= word - 1)
+                    nq = rk_nb_take(&wk, base, (wd << 6) + __builtin_ctzll(word), nq);
+            }
+            for (int64_t k = nq; k < nq + RK_NB_LANES; k++) /* read past the last run */
+                wk.cj[k] = 0, wk.cx[k] = wk.cy[k] = wk.cz[k] = 0.0;
+
+            for (int64_t i = lo_a > first ? lo_a : first; i < hi_a; i++) {
+                const int64_t q0 = i - lo_a + 1;
+                const int64_t e0 = excl_ptr ? excl_ptr[base + i] : 0;
+                const int64_t e1 = excl_ptr ? excl_ptr[base + i + 1] : 0;
+                /* Straight into the row when every candidate would fit;
+                 * else through the row buffer. */
+                int32_t *out = m + (nq - q0) <= cap ? partners + m : wk.row;
+                const int64_t row = rk_nb_row(x + 3 * i, q0, nq, &wk, L, h, reach2, excl_idx,
+                                              e0, e1, out);
+                if (out == wk.row) {
+                    if (m + row > cap) {
+                        at[0] = base + i;
+                        at[1] = m;
+                        return row;
+                    }
+                    memcpy(partners + m, wk.row, (size_t)row * sizeof *partners);
                 }
+                row_ptr[base + i] = m;
+                m += row;
             }
         }
     }

@@ -773,7 +773,7 @@ class CompiledKernels(NumpyKernels):
         )
 
     def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
-        """:meth:`NumpyKernels.neighbor_build` as one C cell sweep.
+        """:meth:`NumpyKernels.neighbor_build` as one C cluster sweep.
 
         The rows land in ``bufs``, the caller's ``[row_ptr, partners]``
         (int64, int32), and come back as the two buffers themselves —

@@ -13,7 +13,13 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["TorusTopology"]
+__all__ = ["TorusTopology", "HOP_TABLE_MAX_NODES"]
+
+#: Tori up to this many nodes (the paper's 512-node machine) look hop
+#: counts up in :attr:`TorusTopology.hop_table`, 2 MiB at 512 nodes; the
+#: larger ones only the predictive network models build (4,096 nodes
+#: would take 128 MiB) compute them from coordinates.
+HOP_TABLE_MAX_NODES = 512
 
 
 @dataclass(frozen=True)
@@ -81,8 +87,27 @@ class TorusTopology:
         """Vectorized :meth:`coord`: (x, y, z) rows for an id array."""
         return self.coord_table[np.asarray(nodes, dtype=np.int64)]
 
+    @cached_property
+    def hop_table(self) -> np.ndarray:
+        """``(n_nodes, n_nodes)`` int64: entry ``[a, b]`` is
+        :meth:`hop_distance` of nodes ``a`` and ``b``.  Built once per
+        topology, one ring-distance pass per axis over
+        :attr:`coord_table`."""
+        c = self.coord_table
+        table = np.zeros((self.n_nodes, self.n_nodes), dtype=np.int64)
+        for axis, d in enumerate(self.dims):
+            diff = np.abs(c[:, None, axis] - c[None, :, axis])
+            table += np.minimum(diff, d - diff)
+        return table
+
     def hop_distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`hop_distance` over two node-id arrays."""
+        """Vectorized :meth:`hop_distance` over two node-id arrays: entries
+        of :attr:`hop_table` on a torus of at most
+        :data:`HOP_TABLE_MAX_NODES` nodes, else ring distances of their
+        coordinates."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self.n_nodes <= HOP_TABLE_MAX_NODES:
+            return self.hop_table[a, b]
         diff = np.abs(self.coords_of(a) - self.coords_of(b))
         dims = np.asarray(self.dims, dtype=np.int64)
         return np.sum(np.minimum(diff, dims - diff), axis=-1)
@@ -96,16 +121,14 @@ class TorusTopology:
             total += min(diff, d - diff)
         return total
 
-    def axis_line(self, node: int, axis: int) -> list[int]:
-        """All node ids sharing this node's coordinates except ``axis``.
+    def axis_lines(self, axis: int) -> np.ndarray:
+        """``(n_nodes, dims[axis])`` int64: row ``k`` holds the ids of the
+        nodes that share node ``k``'s coordinates except ``axis``, in
+        ascending coordinate along it (node ``k`` among them).
 
         These are the all-to-all groups of the distributed FFT's
         per-axis phases.
         """
-        c = list(self.coord(node))
-        out = []
-        for v in range(self.dims[axis]):
-            c2 = list(c)
-            c2[axis] = v
-            out.append(self.node_id(tuple(c2)))
-        return out
+        c = np.repeat(self.coord_table[:, None, :], self.dims[axis], axis=1)
+        c[:, :, axis] = np.arange(self.dims[axis])
+        return (c[..., 0] * self.dims[1] + c[..., 1]) * self.dims[2] + c[..., 2]

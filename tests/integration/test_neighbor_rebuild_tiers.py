@@ -15,6 +15,7 @@ the compiled tier at one and at four kernel threads (rebuild and walk
 are serial at every thread count).
 """
 
+import numpy as np
 import pytest
 
 from repro.core import BerendsenThermostat, MDParams, Simulation, minimize_energy
@@ -24,7 +25,7 @@ from repro.fixedpoint import FixedFormat
 from repro.io import CheckpointStore, replica_checkpoint_store, replica_trajectory_path
 from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
-from repro.systems import build_water_box
+from repro.systems import build_solvated_protein, build_water_box
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -166,3 +167,55 @@ def test_solo_artifacts_identical_with_a_compiled_suite(tmp_path):
     assert len(out["numpy", 1][1]) == 1 + STEPS // 4
     for key in CONFIGS[1:]:
         assert out[key] == out["numpy", 1], f"artifacts diverged for {key}"
+
+
+def _cluster_sizes(csr, n):
+    """Sizes of the C rebuild's clusters on one block: runs of at most
+    four consecutive atoms whose first atom's CSR row starts with the
+    others (DESIGN.md, cluster-match lemma)."""
+    ptr, idx = csr
+    sizes, a = [], 0
+    while a < n:
+        t = 1
+        while t < 4 and a + t < n and ptr[a] + t - 1 < ptr[a + 1] and idx[ptr[a] + t - 1] == a + t:
+            t += 1
+        sizes.append(t)
+        a += t
+    return np.bincount(sizes, minlength=5)
+
+
+@pytest.mark.parametrize(
+    "build,cutoff",
+    [
+        (lambda: build_water_box(n_molecules=1700, seed=7), 9.0),
+        (lambda: build_solvated_protein(n_residues=12, side=26.0, seed=5), 9.0),
+    ],
+    ids=["water1700", "peptide_in_water"],
+)
+def test_realistic_topologies_give_the_numpy_rows(build, cutoff):
+    """Molecule-shaped clusters — rigid waters, a peptide's runs of tied
+    atoms — on the compiled rebuild give the NumPy rows, at the built
+    positions and after a displacement that moves every atom."""
+    from repro.forcefield import build_exclusions
+    from repro.geometry import NeighborList
+    from repro.geometry.neighborlist import _partner_csr
+
+    system = build()
+    excl = build_exclusions(system.topology)
+    sizes = _cluster_sizes(_partner_csr(excl), system.n_atoms)
+    assert sizes[3] > 0                # waters
+    if system.meta.get("n_protein_atoms"):
+        assert sizes[4] > 0            # the peptide's runs of four tied atoms
+    lists = [
+        NeighborList(system.box, cutoff, skin=2.0, exclusions=excl, kernels=get_suite(tier))
+        for tier in ("numpy", "compiled")
+    ]
+    rng = np.random.default_rng(0)
+    moved = system.positions + rng.normal(scale=0.3, size=system.positions.shape)
+    for pos in (system.positions, moved):
+        ref, fast = lists
+        ref.build(pos)
+        fast.build(pos)
+        assert fast.n_candidates == ref.n_candidates > 0
+        np.testing.assert_array_equal(fast._row_ptr, ref._row_ptr)
+        np.testing.assert_array_equal(fast._partners[: fast.n_candidates], ref._partners)

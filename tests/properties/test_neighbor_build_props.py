@@ -380,3 +380,185 @@ def _assert_every_shape(box, solo, replicas, with_excl):
         got_i, got_j = rows_to_pairs(row_ptr, partners)
         np.testing.assert_array_equal(got_i, want_i, err_msg=f"shape {shape}")
         np.testing.assert_array_equal(got_j, want_j, err_msg=f"shape {shape}")
+
+
+# -- clusters --------------------------------------------------------------
+#
+# The C sweep matches clusters first: runs of at most four consecutive
+# atoms of one block tied to their first atom by the exclusion CSR, each
+# with a radius from the wrapped positions.  The cases below build the
+# CSR directly, so the clusters are whatever the test says, and compare
+# the C rows under every sweep shape with the NumPy suite's.
+
+
+def _csr(pairs, n):
+    """The exclusion CSR ``(ptr, idx)`` of ``(i, j)`` pairs, each row ascending."""
+    pairs = np.asarray(sorted({(min(a, b), max(a, b)) for a, b in pairs}), dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=n), out=ptr[1:])
+    return ptr, np.ascontiguousarray(pairs[:, 1])
+
+
+def _water_pairs(n, stride=3):
+    """Water-like triples ``(k, k+1, k+2)`` every ``stride`` atoms, all
+    three pairs excluded."""
+    out = []
+    for k in range(0, n - 2, stride):
+        out += [(k, k + 1), (k, k + 2), (k + 1, k + 2)]
+    return out
+
+
+def _assert_c_rows_equal_numpy(lengths, pos, pairs, n_blocks=1):
+    """C rows under every shape == the NumPy suite's rows."""
+    lengths = np.asarray(lengths, dtype=np.float64)
+    pos = np.ascontiguousarray(Box(lengths).wrap(np.asarray(pos, dtype=np.float64)))
+    n = len(pos)
+    csr = None if pairs is None else _csr(pairs, n)
+    want_ptr, want = get_suite("numpy").neighbor_build(
+        pos, lengths, REACH, n_blocks, n // n_blocks, csr, [None, None]
+    )
+    for shape in (-1, *range(8)):
+        row_ptr, partners = _shape_rows(lengths, pos, csr, n_blocks, shape)
+        np.testing.assert_array_equal(row_ptr, want_ptr, err_msg=f"shape {shape}")
+        np.testing.assert_array_equal(partners, want, err_msg=f"shape {shape}")
+    return want_ptr, want
+
+
+def _water_box(rng, lengths, n_waters, arm):
+    """``n_waters`` triples: anchors uniform, the two members ``arm`` from
+    their anchor in random directions."""
+    anchors = rng.uniform(0.0, 1.0, size=(n_waters, 3)) * lengths
+    pos = np.repeat(anchors, 3, axis=0)
+    for k in (1, 2):
+        step = rng.normal(size=(n_waters, 3))
+        pos[k::3] += arm * step / np.linalg.norm(step, axis=1, keepdims=True)
+    return pos
+
+
+@given(
+    ratios=st.tuples(*[st.sampled_from((1.5, 2.4, 3.2, 4.5, 8.0))] * 3),
+    n_waters=st.integers(1, 90),
+    arm=st.sampled_from((0.3, 1.0, 2.5)),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_water_clusters_match_numpy_rows(ratios, n_waters, arm, seed):
+    """Molecule-shaped clusters of three, small to wider than reach/2,
+    on boxes from below two reaches to eight."""
+    lengths = np.array(ratios) * REACH
+    pos = _water_box(np.random.default_rng(seed), lengths, n_waters, arm)
+    _assert_c_rows_equal_numpy(lengths, pos, _water_pairs(len(pos)))
+
+
+def test_clusters_straddling_periodic_faces():
+    """Anchors on each face, members across it: the radius and the anchor
+    distances are minimum-image ones."""
+    lengths = np.array([4.0, 4.5, 8.0]) * REACH
+    rng = np.random.default_rng(1)
+    pos = _water_box(rng, lengths, 120, 1.0)
+    for k in range(0, 120, 4):  # every fourth water, anchor on a face
+        axis = k % 3
+        pos[3 * k, axis] = 0.0 if k % 2 else np.nextafter(lengths[axis], 0.0)
+        pos[3 * k + 1] = pos[3 * k]
+        pos[3 * k + 2] = pos[3 * k]
+        pos[3 * k + 1, axis] += 0.7   # across the face from an anchor at L
+        pos[3 * k + 2, axis] -= 0.7   # ... or from one at 0
+    _assert_c_rows_equal_numpy(lengths, pos, _water_pairs(len(pos)))
+
+
+def test_cluster_wider_than_a_cell():
+    """Members a whole reach from their anchor: a cluster's diameter
+    exceeds the width of the anchor cells the sweep cuts."""
+    lengths = np.array([9.0, 9.0, 9.0]) * REACH
+    pos = _water_box(np.random.default_rng(2), lengths, 150, REACH)
+    reach_c = REACH + 2 * REACH      # the sweep's anchor reach: reach + 2 r_max
+    cells = np.floor(3.0 * lengths / (reach_c * (1.0 + 1e-9)))
+    assert np.all(cells >= 7)        # every axis may be cut ...
+    assert np.all(2 * REACH > lengths / cells)  # ... into cells narrower than a cluster
+    _assert_c_rows_equal_numpy(lengths, pos, _water_pairs(len(pos)))
+
+
+def test_exclusion_runs_longer_than_four_and_broken_runs():
+    """A run of seven tied atoms makes a cluster of four and one of three;
+    a run broken by an untied atom stops at the gap; ties that skip the
+    next atom make no cluster."""
+    n = 60
+    pairs = []
+    for base in range(0, n, 20):
+        pairs += [(base, base + k) for k in range(1, 7)]          # star 0-1..6
+        pairs += [(base + 7, base + 8), (base + 7, base + 9), (base + 7, base + 11)]  # gap at 10
+        pairs += [(base + 12, base + 14), (base + 12, base + 15)]  # skips 13
+        pairs += [(base + 16, base + 17), (base + 17, base + 18)]  # tied to the next, not the first
+    rng = np.random.default_rng(3)
+    for ratios in ((3.2, 3.6, 4.0), (8.0, 8.0, 8.0), (2.05, 2.2, 2.3)):
+        lengths = np.array(ratios) * REACH
+        pos = rng.uniform(0.0, 1.0, size=(n, 3)) * lengths
+        pos[1:7] = pos[0] + rng.normal(scale=0.5, size=(6, 3))
+        _assert_c_rows_equal_numpy(lengths, pos, pairs)
+
+
+@given(
+    ratios=st.tuples(*[st.sampled_from((1.5, 2.05, 3.2, 6.0, 8.0))] * 3),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=30, deadline=None)
+def test_singleton_only_systems(ratios, n, seed):
+    """No CSR at all, and a CSR with no tie to a next atom: every cluster
+    is one atom."""
+    lengths = np.array(ratios) * REACH
+    pos = _positions(np.random.default_rng(seed), lengths, n)
+    _assert_c_rows_equal_numpy(lengths, pos, None)
+    _assert_c_rows_equal_numpy(lengths, pos, [(k, k + 2) for k in range(0, n - 2, 5)])
+
+
+@pytest.mark.parametrize("ratios", [(3.2, 3.6, 4.0), (8.0, 8.0, 8.0), (1.5, 1.5, 1.5)])
+def test_no_cluster_crosses_a_block(ratios):
+    """Ties from the last atoms of a block into the next one form no
+    cluster across the boundary; R = 4 blocks of 25 atoms (not a
+    multiple of 3, so the water triples of the CSR straddle blocks)."""
+    lengths = np.array(ratios) * REACH
+    n_blocks, block_len = 4, 25
+    n = n_blocks * block_len
+    pairs = _water_pairs(n)
+    for b in range(n_blocks - 1):
+        last = (b + 1) * block_len - 1
+        pairs += [(last, last + 1), (last, last + 2), (last - 1, last + 1)]
+    pos = _water_box(np.random.default_rng(4), lengths, n // 3 + 1, 1.0)[:n]
+    _assert_c_rows_equal_numpy(lengths, pos, pairs, n_blocks)
+
+
+def test_cap_resume_inside_a_cluster():
+    """A sweep stopped by ``cap`` at the second or third atom of a water
+    resumes there, through the same cursor, to the one-call rows."""
+    lengths = np.array([3.2, 3.6, 4.0]) * REACH
+    pos = np.ascontiguousarray(
+        Box(lengths).wrap(_water_box(np.random.default_rng(5), lengths, 80, 1.0))
+    )
+    n = len(pos)
+    csr = _csr(_water_pairs(n), n)
+    want_ptr, want = _assert_c_rows_equal_numpy(lengths, pos, _water_pairs(n))
+    lib = get_suite("compiled")._lib
+    work = np.empty(int(lib.rk_neighbor_work_size(n)), dtype=np.int64)
+    row_ptr = np.empty(n + 1, dtype=np.int64)
+    stops = 0
+    for i in range(1, n, 3):          # the H rows: inside a cluster
+        for row in (i, i + 1):
+            length = int(want_ptr[row + 1] - want_ptr[row])
+            if not length:
+                continue
+            cap = int(want_ptr[row]) + length - 1
+            partners = np.empty(cap, dtype=np.int32)
+            at = np.zeros(2, dtype=np.int64)
+            args = (1, n, _ptr(pos), _ptr(lengths), REACH, _ptr(csr[0]), _ptr(csr[1]),
+                    _ptr(work), _ptr(row_ptr))
+            assert lib.rk_neighbor_build(*args, _ptr(partners), cap, _ptr(at), -1) == length
+            assert at.tolist() == [row, want_ptr[row]]
+            grown = np.empty(len(want) + 1, dtype=np.int32)
+            grown[:cap] = partners
+            assert lib.rk_neighbor_build(*args, _ptr(grown), len(grown), _ptr(at), -1) == 0
+            np.testing.assert_array_equal(row_ptr, want_ptr)
+            np.testing.assert_array_equal(grown[: at[1]], want)
+            stops += 1
+    assert stops > 50

@@ -1,4 +1,4 @@
-"""Property-based tests of the NT assignment rule."""
+"""Property-based tests of the NT assignment rule and the torus tables."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -76,3 +76,28 @@ def test_nt_assignment_translation_covariant(n, seed, axis):
         ]
     )
     np.testing.assert_array_equal(b.node, expected)
+
+
+@given(st.tuples(*[st.sampled_from([1, 2, 4, 8])] * 3))
+@settings(max_examples=40, deadline=None)
+def test_hop_table_and_axis_lines_equal_the_scalar_rules(dims):
+    """Every entry of ``hop_table`` is ``hop_distance`` of its pair, and
+    ``hop_distances`` reads it; row ``k`` of ``axis_lines(axis)`` is node
+    ``k``'s line: its coordinates with the one along ``axis`` swept."""
+    topo = TorusTopology(dims)
+    n = topo.n_nodes
+    want = np.array([[topo.hop_distance(a, b) for b in range(n)] for a in range(n)])
+    assert topo.hop_table.dtype == np.int64
+    np.testing.assert_array_equal(topo.hop_table, want)
+    a, b = np.divmod(np.arange(n * n), n)
+    np.testing.assert_array_equal(topo.hop_distances(a, b), want.ravel())
+    for axis in range(3):
+        lines = topo.axis_lines(axis)
+        assert lines.shape == (n, dims[axis])
+        for node in range(n):
+            c = list(topo.coord(node))
+            line = []
+            for v in range(dims[axis]):
+                c[axis] = v
+                line.append(topo.node_id(tuple(c)))
+            assert lines[node].tolist() == line

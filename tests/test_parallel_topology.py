@@ -54,10 +54,12 @@ class TestTorusTopology:
 
     def test_axis_line(self):
         topo = TorusTopology.cubic(4)
-        line = topo.axis_line(topo.node_id((1, 2, 3)), axis=0)
-        assert len(line) == 4
-        coords = [topo.coord(n) for n in line]
+        node = topo.node_id((1, 2, 3))
+        line = topo.axis_lines(0)[node]
+        assert len(line) == 4 and node in line
+        coords = [topo.coord(int(n)) for n in line]
         assert all(c[1] == 2 and c[2] == 3 for c in coords)
+        assert [c[0] for c in coords] == [0, 1, 2, 3]
 
     def test_coord_out_of_range(self):
         topo = TorusTopology.cubic(2)

@@ -1,8 +1,9 @@
 """Python calls of set-up: deterministic, so host noise cannot move them.
 
-Building a water box, a constraint solver and a force calculator derives
-every static structure — rotations, constraint and site terms, merged
-topology, exclusions, constraint groups, rigid waters — in array passes
+Building a water box, a constraint solver, a force calculator and a
+machine derives every static structure — rotations, constraint and site
+terms, merged topology, exclusions, constraint groups, rigid waters, the
+distributed FFT's routes — in array passes
 (DESIGN.md, "Set-up"), so the Python function calls (``sys.setprofile``
 "call" events) each makes do not grow with the molecule count.  The
 bounds are the counts of the code as committed; a per-molecule loop
@@ -17,6 +18,7 @@ import pytest
 from repro.core import ConstraintSolver, ForceCalculator, MDParams
 from repro.ewald import GSEParams
 from repro.forcefield import TIP4PEW
+from repro.machine import AntonMachine
 from repro.systems import build_water_box
 
 #: ``build_water_box(n_molecules=1700)`` (was 91,974: a QR rotation, three
@@ -29,6 +31,12 @@ BUILD_CALLS_TIP4PEW = 451
 SOLVER_CALLS = 100
 #: One ``ForceCalculator`` on them, its kernel tables already built.
 CALCULATOR_CALLS = 140
+#: One ``AntonMachine`` on 216 waters, its first force evaluation
+#: included: 1,702 on the compiled tier and 1,886 on the NumPy tier, the
+#: same at 8 and 64 nodes (was 6,098 at 64 nodes and 1,994 at 8, with an
+#: ``axis_line`` and its ``node_id`` calls per node and axis for the
+#: FFT's routes).
+MACHINE_CALLS = 1900
 
 
 def calls(fn):
@@ -79,3 +87,15 @@ def test_force_calculator(box):
     ForceCalculator(system, params)  # builds the kernel tables for this cutoff
     n, _calc = calls(lambda: ForceCalculator(system, params))
     assert n <= CALCULATOR_CALLS
+
+
+def test_machine_construction():
+    system = build_water_box(n_molecules=216, seed=0)
+    params = MDParams(cutoff=8.0, mesh=(32, 32, 32))
+    AntonMachine(system.copy(), params, n_nodes=64)  # kernel tables, first-use imports
+    counts = [
+        calls(lambda: AntonMachine(system.copy(), params, n_nodes=nodes))[0]
+        for nodes in (8, 64)
+    ]
+    assert counts[0] == counts[1]  # nothing per node
+    assert counts[1] <= MACHINE_CALLS
