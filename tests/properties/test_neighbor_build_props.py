@@ -3,7 +3,7 @@
 The rebuild is defined by set and order — every same-block pair
 ``i < j`` passing the cutoff filter's predicate at ``reach``, minus the
 excluded and 1-4 partners, sorted by ``(i, j)`` — so whatever binning
-the C cell sweep and the NumPy cell pipeline pick, both must reproduce
+the C cluster sweep and the NumPy cell pipeline pick, both must reproduce
 a per-block brute-force oracle (masked by ``ExclusionTable.is_excluded``)
 element for element.  The cases are built
 to land on every branch of both binnings, on both sides of the ``n <
@@ -13,7 +13,11 @@ z-window that wraps, an axis of exactly seven cells, an unbinned axis
 under binned ones).  Which axes the C sweep bins is a cost model's
 choice that the rows cannot show, so the C entry point is also called
 with each of the eight shapes forced.  A rebuild sweeps every row once,
-also when its pairs outgrow the buffers and the sweep resumes.
+also when its pairs outgrow the buffers and the sweep resumes.  The C
+sweep matches clusters of tied consecutive atoms before it tests atoms,
+so the last group of cases builds exclusion CSRs whose clusters sit on
+every edge of that match: across faces, wider than a cell, longer or
+broken tied runs, singletons, block boundaries, a resume mid-cluster.
 
 Skipped wholesale when the host has no C compiler.
 """
@@ -225,10 +229,12 @@ def test_column_runs_match_oracle(ratios, axis, replicas, with_excl):
 
 
 def _c_binned_axes(lengths) -> int:
-    """How many axes the C sweep can bin: those that fit seven cells of
-    width >= reach/3 (``rk_neighbor_build``; its cost model picks which
-    of them it does, and ``test_every_sweep_shape_gives_the_oracle_rows``
-    forces each choice)."""
+    """How many axes the C anchor sweep can bin when every cluster is a
+    single atom: those that fit seven cells of width >= reach/3
+    (``rk_neighbor_build``, whose anchor reach widens by twice the
+    largest cluster radius; its cost model picks which of them it cuts,
+    and ``test_every_sweep_shape_gives_the_oracle_rows`` forces each
+    choice)."""
     return int(np.sum(np.floor(3.0 * lengths / (REACH * (1.0 + 1e-9))) >= 7.0))
 
 
@@ -241,10 +247,10 @@ def _c_binned_axes(lengths) -> int:
     ],
 )
 def test_one_cell_suffix_sweep_and_binned_sweeps(ratios, replicas, binned):
-    """A box with no binnable axis is one cell in id order, where each row
-    sweeps only the slots after its own; with exclusions across R > 1
-    blocks its list is the NumPy one, and so are those of a box with one
-    binnable axis and of one with all three."""
+    """A box with no binnable axis is one cell in cluster order, where
+    each cluster sweeps only the anchors after its own; with exclusions
+    across R > 1 blocks its list is the NumPy one, and so are those of a
+    box with one binnable axis and of one with all three."""
     lengths = np.array(ratios) * REACH
     assert _c_binned_axes(lengths) == binned
     solo = _face_slabs(np.random.default_rng(binned), lengths, 200, 2)
