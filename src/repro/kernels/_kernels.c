@@ -209,10 +209,11 @@ static inline double rk_image(double d, double L, double h)
  * row.
  *
  * The sweep is resumable, so a rebuild sweeps every row once: a row
- * whose pairs do not fit in the `cap` output slots is not emitted, the
- * sweep stops before it, and the caller grows the outputs and calls
- * again from that row (which may be inside a cluster: the clusters and
- * the anchor cells of its block are derived again).
+ * whose pairs do not fit in the `cap` output slots is not emitted (its
+ * writes past cap are dropped), the sweep stops before it, and the
+ * caller grows the outputs and calls again from that row (which may be
+ * inside a cluster: the clusters and the anchor cells of its block are
+ * derived again).
  *
  * Positions must be wrapped into [0, L). */
 
@@ -235,27 +236,27 @@ static inline double rk_image(double d, double L, double h)
  * for the reads past the last run. */
 #define RK_NB_LANES 16
 
-/* Cells per axis never exceed this, so a block's cell table stays
- * proportional to its cluster count (never below the seven an axis
- * needs to be binned at all). */
+/* Cells per axis never exceed this, so a block's cell table holds no
+ * more cells than anchors (never below the seven an axis needs to be
+ * binned at all): finer cells than one anchor each shorten no run. */
 static int64_t rk_nb_axis_cap(int64_t n)
 {
     int64_t c = 7;
-    while ((c + 1) * (c + 1) * (c + 1) <= 8 * n)
+    while ((c + 1) * (c + 1) * (c + 1) <= n)
         c++;
     return c;
 }
 
 /* One block's scratch, carved from the caller's int64 words: the anchor
- * cell table; cluster starts and radii; per cell-ordered anchor slot its
- * cluster, cell, coordinates and radius; the cluster bitmap; the
- * candidate ids and coordinates.  Slot arrays carry RK_NB_LANES of
- * padding. */
+ * cell table; the cluster starts; per cell-ordered anchor slot its
+ * cluster, coordinates and radius; the cluster bitmap; the block's
+ * coordinates in id order; the candidate ids and coordinates.  Slot
+ * arrays carry RK_NB_LANES of padding, the id-order ones RK_NB_CLUSTER. */
 typedef struct {
-    int64_t *cell_start, *cstart, *cell_clu, *clu_cell, *cj;
+    int64_t *cell_start;
+    int32_t *cstart, *cell_clu, *cj;
     uint64_t *cbits;
-    int32_t *row;
-    double *rad, *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
+    double *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
 } rk_nb_work;
 
 /* Points wk's arrays into `w` (when given) and returns the words used. */
@@ -263,16 +264,14 @@ static int64_t rk_nb_carve(rk_nb_work *wk, int64_t *w, int64_t block_len)
 {
     const int64_t c = rk_nb_axis_cap(block_len), pad = block_len + RK_NB_LANES;
     int64_t used = 0;
-#define RK_NB_TAKE(field, type, count) \
-    (wk->field = w ? (type *)(w + used) : NULL, used += (count))
+#define RK_NB_TAKE(field, type, count)                                          \
+    (wk->field = w ? (type *)(w + used) : NULL,                                 \
+     used += ((count) * (int64_t)sizeof(type) + 7) / 8)
     RK_NB_TAKE(cell_start, int64_t, c * c * c + 1);
-    RK_NB_TAKE(cstart, int64_t, block_len + 1);
-    RK_NB_TAKE(cell_clu, int64_t, pad);
-    RK_NB_TAKE(clu_cell, int64_t, block_len);
-    RK_NB_TAKE(cj, int64_t, pad);
+    RK_NB_TAKE(cstart, int32_t, block_len + 1);
+    RK_NB_TAKE(cell_clu, int32_t, pad);
+    RK_NB_TAKE(cj, int32_t, pad);
     RK_NB_TAKE(cbits, uint64_t, (block_len + 63) / 64);
-    RK_NB_TAKE(row, int32_t, (block_len + 1) / 2);
-    RK_NB_TAKE(rad, double, block_len);
     RK_NB_TAKE(sx, double, pad);
     RK_NB_TAKE(sy, double, pad);
     RK_NB_TAKE(sz, double, pad);
@@ -300,7 +299,7 @@ int64_t rk_neighbor_work_size(int64_t block_len)
  * within ra + sr[q] (ra = reach + the point's own radius), widened by
  * RK_NB_SLACK. */
 static inline int64_t rk_nb_hit(int anchors, int64_t self, double a0, double a1, double a2,
-                                double ra, int64_t q, const int64_t *restrict id,
+                                double ra, int64_t q, const int32_t *restrict id,
                                 const double *restrict sx, const double *restrict sy,
                                 const double *restrict sz, const double *restrict sr,
                                 const double *L, const double *h, double reach2)
@@ -320,7 +319,7 @@ static inline int64_t rk_nb_hit(int anchors, int64_t self, double a0, double a1,
  * each. */
 static inline uint64_t rk_nb_mask(int anchors, int64_t self, double a0, double a1, double a2,
                                   double ra, int64_t p, int64_t nb,
-                                  const int64_t *restrict id, const double *restrict sx,
+                                  const int32_t *restrict id, const double *restrict sx,
                                   const double *restrict sy, const double *restrict sz,
                                   const double *restrict sr, const double *L, const double *h,
                                   double reach2)
@@ -360,11 +359,12 @@ static inline void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int6
 
 /* Row i (coordinates xi) over the candidate slots [q0, q1), whose ids
  * all exceed i and ascend: the pairs within reach, minus the excluded
- * partners ex[e .. e1) (ascending), written to `out` (room for q1 - q0).
- * Returns their count. */
+ * partners ex[e .. e1) (ascending), written to out[0 .. room).  Returns
+ * their count, also when it exceeds room (the writes past room dropped). */
 static int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
                          const double *L, const double *h, double reach2,
-                         const int64_t *ex, int64_t e, int64_t e1, int32_t *restrict out)
+                         const int64_t *ex, int64_t e, int64_t e1, int32_t *restrict out,
+                         int64_t room)
 {
     int64_t row = 0;
     for (int64_t p = q0; p < q1; p += RK_NB_BLOCK) {
@@ -372,14 +372,15 @@ static int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_w
         uint64_t mask = rk_nb_mask(0, 0, xi[0], xi[1], xi[2], 0.0, p, nb, NULL, wk->cx,
                                    wk->cy, wk->cz, NULL, L, h, reach2);
         for (; mask; mask &= mask - 1) {
-            const int64_t j = wk->cj[p + __builtin_ctzll(mask)];
+            const int32_t j = wk->cj[p + __builtin_ctzll(mask)];
             int64_t keep = 1;
             if (e < e1) {
                 while (e < e1 && ex[e] < j)
                     e++;
                 keep = !(e < e1 && ex[e] == j);
             }
-            out[row] = (int32_t)j;
+            if (row < room)
+                out[row] = j;
             row += keep;
         }
     }
@@ -394,7 +395,7 @@ static inline int64_t rk_nb_take(rk_nb_work *wk, int64_t base, int64_t B, int64_
 {
     const int64_t j0 = wk->cstart[B];
     for (int64_t k = 0; k < RK_NB_CLUSTER; k++)
-        wk->cj[nq + k] = base + j0 + k;
+        wk->cj[nq + k] = (int32_t)(base + j0 + k);
     memcpy(wk->cx + nq, wk->bx + j0, RK_NB_CLUSTER * sizeof(double));
     memcpy(wk->cy + nq, wk->by + j0, RK_NB_CLUSTER * sizeof(double));
     memcpy(wk->cz + nq, wk->bz + j0, RK_NB_CLUSTER * sizeof(double));
@@ -479,9 +480,24 @@ static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach, int
     sh->cost = (double)n * (double)cells / ncell + RK_NB_RUN_COST * (double)sh->ncol;
 }
 
-/* Cuts block x (block_len atoms, global ids from base) into clusters:
- * wk->cstart[0 .. nclu] and wk->rad; returns nclu and the largest
- * radius in *rmax. */
+/* The radius of the cluster of atoms [lo, hi) of block x: the largest
+ * minimum-image distance of a member from its first atom. */
+static double rk_nb_radius(const double *x, int64_t lo, int64_t hi, const double *L,
+                           const double *h)
+{
+    double r2 = 0.0;
+    for (int64_t k = lo + 1; k < hi; k++) {
+        const double d0 = rk_image(x[3 * lo] - x[3 * k], L[0], h[0]);
+        const double d1 = rk_image(x[3 * lo + 1] - x[3 * k + 1], L[1], h[1]);
+        const double d2 = rk_image(x[3 * lo + 2] - x[3 * k + 2], L[2], h[2]);
+        const double s = (d0 * d0 + d1 * d1) + d2 * d2;
+        r2 = s > r2 ? s : r2;
+    }
+    return sqrt(r2);
+}
+
+/* Cuts block x (block_len atoms, global ids from base) into clusters,
+ * wk->cstart[0 .. nclu]; returns nclu and the largest radius in *rmax. */
 static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
                               const int64_t *excl_ptr, const int64_t *excl_idx,
                               const double *L, const double *h, rk_nb_work *wk, double *rmax)
@@ -496,21 +512,28 @@ static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
                    && excl_idx[e0 + t - 1] == base + a + t)
                 t++;
         }
-        double r2 = 0.0;
-        for (int64_t k = a + 1; k < a + t; k++) {
-            const double d0 = rk_image(x[3 * a] - x[3 * k], L[0], h[0]);
-            const double d1 = rk_image(x[3 * a + 1] - x[3 * k + 1], L[1], h[1]);
-            const double d2 = rk_image(x[3 * a + 2] - x[3 * k + 2], L[2], h[2]);
-            const double s = (d0 * d0 + d1 * d1) + d2 * d2;
-            r2 = s > r2 ? s : r2;
-        }
-        wk->cstart[nclu] = a;
-        wk->rad[nclu] = sqrt(r2);
-        *rmax = wk->rad[nclu] > *rmax ? wk->rad[nclu] : *rmax;
+        const double r = rk_nb_radius(x, a, a + t, L, h);
+        *rmax = r > *rmax ? r : *rmax;
+        wk->cstart[nclu] = (int32_t)a;
         a += t;
     }
-    wk->cstart[nclu] = block_len;
+    wk->cstart[nclu] = (int32_t)block_len;
     return nclu;
+}
+
+/* The cell of the anchor at xa in shape sh (flat, x-major). */
+static inline int64_t rk_nb_cell(const double *xa, const rk_nb_shape *sh)
+{
+    if (sh->wa < 0) /* one cell */
+        return 0;
+    int64_t k[3];
+    for (int a = 0; a < 3; a++) {
+        double f = floor(xa[a] / sh->cs[a]);
+        if (!(f >= 0.0))
+            f = 0.0;
+        k[a] = f < (double)sh->nc[a] ? (int64_t)f : sh->nc[a] - 1;
+    }
+    return (k[0] * sh->nc[1] + k[1]) * sh->nc[2] + k[2];
 }
 
 /* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
@@ -534,6 +557,8 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
     memset(wk.cbits, 0, (size_t)((block_len + 63) / 64) * sizeof *wk.cbits);
     for (int64_t p = block_len; p < block_len + RK_NB_CLUSTER; p++) /* copied, never kept */
         wk.bx[p] = wk.by[p] = wk.bz[p] = 0.0;
+    for (int64_t q = 0; q < block_len + RK_NB_LANES; q++) /* read past a row's run */
+        wk.cj[q] = 0, wk.cx[q] = wk.cy[q] = wk.cz[q] = 0.0;
 
     int64_t m = at[1];
     for (int64_t b = at[0] / (block_len > 0 ? block_len : 1); b < n_blocks; b++) {
@@ -560,26 +585,16 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
          * clusters ascending within each cell. */
         int64_t *cell_start = wk.cell_start;
         memset(cell_start, 0, (size_t)(ncell + 1) * sizeof *cell_start);
-        for (int64_t c = 0; c < nclu; c++) {
-            const double *xa = x + 3 * wk.cstart[c];
-            int64_t k[3];
-            for (int a = 0; a < 3; a++) {
-                double f = floor(xa[a] / sh.cs[a]);
-                if (!(f >= 0.0))
-                    f = 0.0;
-                k[a] = f < (double)nc[a] ? (int64_t)f : nc[a] - 1;
-            }
-            wk.clu_cell[c] = (k[0] * nc[1] + k[1]) * nc[2] + k[2];
-            cell_start[wk.clu_cell[c] + 1]++;
-        }
+        for (int64_t c = 0; c < nclu; c++)
+            cell_start[rk_nb_cell(x + 3 * wk.cstart[c], &sh) + 1]++;
         for (int64_t c = 0; c < ncell; c++)
             cell_start[c + 1] += cell_start[c];
         for (int64_t c = 0; c < nclu; c++) {
-            const int64_t p = cell_start[wk.clu_cell[c]]++;
             const double *xa = x + 3 * wk.cstart[c];
-            wk.cell_clu[p] = c;
+            const int64_t p = cell_start[rk_nb_cell(xa, &sh)]++;
+            wk.cell_clu[p] = (int32_t)c;
             wk.sx[p] = xa[0], wk.sy[p] = xa[1], wk.sz[p] = xa[2];
-            wk.sr[p] = wk.rad[c];
+            wk.sr[p] = rk_nb_radius(x, wk.cstart[c], wk.cstart[c + 1], L, h);
         }
         for (int64_t c = ncell; c > 0; c--) /* undo the fill's advance */
             cell_start[c] = cell_start[c - 1];
@@ -592,8 +607,10 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             A++;
         for (; A < nclu; A++) {
             const int64_t lo_a = wk.cstart[A], hi_a = wk.cstart[A + 1];
-            const double *xa = x + 3 * lo_a, ra = reach + wk.rad[A];
-            const int64_t ci = wk.clu_cell[A];
+            const double *xa = x + 3 * lo_a;
+            const double ra = reach + (ncell == 1 ? wk.sr[A] /* slot A is cluster A */
+                                                  : rk_nb_radius(x, lo_a, hi_a, L, h));
+            const int64_t ci = rk_nb_cell(xa, &sh);
             const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
             int64_t wlo = INT64_MAX, whi = -1;
             if (ncell == 1) /* slot p holds cluster p: the partners B > A are a suffix */
@@ -634,25 +651,19 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                 for (; word; word &= word - 1)
                     nq = rk_nb_take(&wk, base, (wd << 6) + __builtin_ctzll(word), nq);
             }
-            for (int64_t k = nq; k < nq + RK_NB_LANES; k++) /* read past the last run */
-                wk.cj[k] = 0, wk.cx[k] = wk.cy[k] = wk.cz[k] = 0.0;
 
+            /* Each row straight into the partners; one that does not fit
+             * is not emitted (its writes past cap dropped, the ones
+             * before it past at[1] ignored). */
             for (int64_t i = lo_a > first ? lo_a : first; i < hi_a; i++) {
-                const int64_t q0 = i - lo_a + 1;
                 const int64_t e0 = excl_ptr ? excl_ptr[base + i] : 0;
                 const int64_t e1 = excl_ptr ? excl_ptr[base + i + 1] : 0;
-                /* Straight into the row when every candidate would fit;
-                 * else through the row buffer. */
-                int32_t *out = m + (nq - q0) <= cap ? partners + m : wk.row;
-                const int64_t row = rk_nb_row(x + 3 * i, q0, nq, &wk, L, h, reach2, excl_idx,
-                                              e0, e1, out);
-                if (out == wk.row) {
-                    if (m + row > cap) {
-                        at[0] = base + i;
-                        at[1] = m;
-                        return row;
-                    }
-                    memcpy(partners + m, wk.row, (size_t)row * sizeof *partners);
+                const int64_t row = rk_nb_row(x + 3 * i, i - lo_a + 1, nq, &wk, L, h, reach2,
+                                              excl_idx, e0, e1, partners + m, cap - m);
+                if (m + row > cap) {
+                    at[0] = base + i;
+                    at[1] = m;
+                    return row;
                 }
                 row_ptr[base + i] = m;
                 m += row;
