@@ -148,6 +148,15 @@ static inline double rk_image(double d, double L, double h)
     return d - L * (double)((d > h) - (d < -h));
 }
 
+/* Kernels with vectorized loops are compiled once, out of line, whichever
+ * entry point and call site use them: inlined at every call, the walk's
+ * stages made the build ~20 % slower and the rebuild's anchor runs and
+ * rows raised the compiler's peak memory by ~9 MB (GCC 12, -march=native
+ * on an AVX-512 host) — and on a fresh checkout the build is part of the
+ * first run's set-up — while a call per block of up to 256 pairs, per
+ * anchor run or per row costs nothing measurable. */
+#define RK_ONE_COPY __attribute__((noinline)) static
+
 /* -- neighbor-list rebuild ------------------------------------------- */
 
 /* NeighborList._build_inner in one pass: every pair i < j of the same
@@ -340,9 +349,9 @@ static inline uint64_t rk_nb_mask(int anchors, int64_t self, double a0, double a
 
 /* Marks in wk->cbits every partner cluster B > A among the anchor slots
  * [p0, p1); widens [*wlo, *whi] to the bitmap words it touched. */
-static inline void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_t p0,
-                                    int64_t p1, const rk_nb_work *wk, const double *L,
-                                    const double *h, int64_t *wlo, int64_t *whi)
+RK_ONE_COPY void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_t p0,
+                                  int64_t p1, const rk_nb_work *wk, const double *L,
+                                  const double *h, int64_t *wlo, int64_t *whi)
 {
     for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
         const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
@@ -361,10 +370,10 @@ static inline void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int6
  * all exceed i and ascend: the pairs within reach, minus the excluded
  * partners ex[e .. e1) (ascending), written to out[0 .. room).  Returns
  * their count, also when it exceeds room (the writes past room dropped). */
-static int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
-                         const double *L, const double *h, double reach2,
-                         const int64_t *ex, int64_t e, int64_t e1, int32_t *restrict out,
-                         int64_t room)
+RK_ONE_COPY int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
+                              const double *L, const double *h, double reach2,
+                              const int64_t *ex, int64_t e, int64_t e1,
+                              int32_t *restrict out, int64_t room)
 {
     int64_t row = 0;
     for (int64_t p = q0; p < q1; p += RK_NB_BLOCK) {
@@ -613,34 +622,36 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             const int64_t ci = rk_nb_cell(xa, &sh);
             const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
             int64_t wlo = INT64_MAX, whi = -1;
-            if (ncell == 1) /* slot p holds cluster p: the partners B > A are a suffix */
-                rk_nb_anchor_run(A, xa, ra, A + 1, nclu, &wk, L, h, &wlo, &whi);
-            for (int64_t s = 0; ncell > 1 && s < sh.ncol; s++) {
-                int64_t n1 = cc[a1] + sh.col[s][0], n2 = cc[a2] + sh.col[s][1];
-                n1 += n1 < 0 ? nc[a1] : (n1 >= nc[a1] ? -nc[a1] : 0);
-                n2 += n2 < 0 ? nc[a2] : (n2 >= nc[a2] ? -nc[a2] : 0);
-                int64_t nn[3];
-                nn[a1] = n1, nn[a2] = n2, nn[wa] = 0;
-                /* the window axis has stride 1: every later axis is uncut */
-                const int64_t *cw0 = cell_start + (nn[0] * nc[1] + nn[1]) * nc[2] + nn[2];
-                const int64_t kw = sh.col[s][2], nw = nc[wa];
-                const int64_t lo = cc[wa] - kw, hi = cc[wa] + kw + 1;
-                /* The window [lo, hi) as runs of cells, wrapped past at
-                 * most one end (2 kw + 1 <= nw: a window as long as the
-                 * axis tiles it in two runs). */
+            for (int64_t s = 0; s < (ncell == 1 ? 1 : sh.ncol); s++) {
+                /* The column's anchor slots as at most two runs. */
                 int64_t r[2][2], nr = 1;
-                if (lo < 0) {
-                    r[0][0] = 0, r[0][1] = hi;
-                    r[1][0] = lo + nw, r[1][1] = nw, nr = 2;
-                } else if (hi > nw) {
-                    r[0][0] = lo, r[0][1] = nw;
-                    r[1][0] = 0, r[1][1] = hi - nw, nr = 2;
+                if (ncell == 1) { /* slot p holds cluster p: the partners B > A are a suffix */
+                    r[0][0] = A + 1, r[0][1] = nclu;
                 } else {
-                    r[0][0] = lo, r[0][1] = hi;
+                    int64_t n1 = cc[a1] + sh.col[s][0], n2 = cc[a2] + sh.col[s][1];
+                    n1 += n1 < 0 ? nc[a1] : (n1 >= nc[a1] ? -nc[a1] : 0);
+                    n2 += n2 < 0 ? nc[a2] : (n2 >= nc[a2] ? -nc[a2] : 0);
+                    int64_t nn[3];
+                    nn[a1] = n1, nn[a2] = n2, nn[wa] = 0;
+                    /* the window axis has stride 1: every later axis is uncut */
+                    const int64_t *cw0 = cell_start + (nn[0] * nc[1] + nn[1]) * nc[2] + nn[2];
+                    const int64_t kw = sh.col[s][2], nw = nc[wa];
+                    const int64_t lo = cc[wa] - kw, hi = cc[wa] + kw + 1;
+                    /* The window [lo, hi) of cells, wrapped past at most one
+                     * end (2 kw + 1 <= nw: a window as long as the axis tiles
+                     * it in two runs). */
+                    if (lo < 0) {
+                        r[0][0] = cw0[0], r[0][1] = cw0[hi];
+                        r[1][0] = cw0[lo + nw], r[1][1] = cw0[nw], nr = 2;
+                    } else if (hi > nw) {
+                        r[0][0] = cw0[lo], r[0][1] = cw0[nw];
+                        r[1][0] = cw0[0], r[1][1] = cw0[hi - nw], nr = 2;
+                    } else {
+                        r[0][0] = cw0[lo], r[0][1] = cw0[hi];
+                    }
                 }
                 for (int64_t k = 0; k < nr; k++)
-                    rk_nb_anchor_run(A, xa, ra, cw0[r[k][0]], cw0[r[k][1]], &wk, L, h, &wlo,
-                                     &whi);
+                    rk_nb_anchor_run(A, xa, ra, r[k][0], r[k][1], &wk, L, h, &wlo, &whi);
             }
 
             /* Candidates: A's own atoms, then each partner's, ascending. */
@@ -848,13 +859,8 @@ static inline void rk_keep_pad(uint8_t *keep, int64_t n)
         keep[k] = 0;
 }
 
-/* The stages below (filter, offsets, tables, quantize) are each compiled
- * once, out of line, whichever entry point and call site use them:
- * inlined at every call, their vectorized loops made the build ~20 %
- * slower (GCC 12, -march=native on an AVX-512 host) — and on a fresh
- * checkout the build is part of the first run's set-up — while a call
- * per block of up to 256 pairs costs nothing measurable on the walk. */
-#define RK_ONE_COPY __attribute__((noinline)) static
+/* The walk's stages below (filter, offsets, tables, quantize) are each
+ * compiled once, out of line (RK_ONE_COPY, defined with the rebuild). */
 
 /* Filter over one block of row r's partners pj[0 .. nk), nk <=
  * RK_WALK_BLOCK: the cutoff predicate of geometry.cells.within, operation

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["TorusTopology", "HOP_TABLE_MAX_NODES"]
+__all__ = ["TorusTopology"]
 
 #: Tori up to this many nodes (the paper's 512-node machine) look hop
 #: counts up in :attr:`TorusTopology.hop_table`, 2 MiB at 512 nodes; the

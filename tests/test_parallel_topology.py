@@ -185,13 +185,15 @@ class TestVectorizedTopologyOps:
             assert tuple(rows[n]) == topo.coord(int(n))
 
     def test_hop_distances_matches_hop_distance(self):
-        topo = TorusTopology((4, 2, 8))
-        rng = np.random.default_rng(9)
-        a = rng.integers(0, topo.n_nodes, 100)
-        b = rng.integers(0, topo.n_nodes, 100)
-        vec = topo.hop_distances(a, b)
-        for k in range(len(a)):
-            assert vec[k] == topo.hop_distance(int(a[k]), int(b[k]))
+        # 64 nodes read the hop table; 1,024 (past HOP_TABLE_MAX_NODES)
+        # compute from coordinates.
+        for topo in (TorusTopology((4, 2, 8)), TorusTopology((16, 8, 8))):
+            rng = np.random.default_rng(9)
+            a = rng.integers(0, topo.n_nodes, 100)
+            b = rng.integers(0, topo.n_nodes, 100)
+            vec = topo.hop_distances(a, b)
+            for k in range(len(a)):
+                assert vec[k] == topo.hop_distance(int(a[k]), int(b[k]))
 
     def test_send_batch_matches_send_loop(self):
         topo = TorusTopology.cubic(4)
