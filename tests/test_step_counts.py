@@ -108,26 +108,28 @@ def test_home_boxes_once_per_machine_step(machine, monkeypatch):
 
 
 def test_node_coordinates_built_once_per_topology(machine, monkeypatch):
-    """The traffic accounting's hop counts index one ``(n_nodes, 3)``
-    coordinate table per topology (was an ``np.stack`` per lookup,
-    about twelve a ``machine64`` step): with the cache dropped, 8 steps
-    build it once and look coordinates up many times."""
-    builds = 0
-    build = TorusTopology.coord_table.func
+    """The traffic accounting's hop counts index one ``(n_nodes,
+    n_nodes)`` hop table per topology, built from its one ``(n_nodes, 3)``
+    coordinate table (was an ``np.stack`` per lookup, about twelve a
+    ``machine64`` step, then coordinates and minima per message batch):
+    with both caches dropped, 8 steps build each once and look hop counts
+    up many times."""
+    builds = {"coord_table": 0, "hop_table": 0}
+    for name in builds:
+        build = getattr(TorusTopology, name).func
 
-    def counted(topology):
-        nonlocal builds
-        builds += 1
-        return build(topology)
+        def counted(topology, build=build, name=name):
+            builds[name] += 1
+            return build(topology)
 
-    monkeypatch.setattr(TorusTopology, "coord_table", cached_property(counted))
-    TorusTopology.coord_table.__set_name__(TorusTopology, "coord_table")
-    machine.topology.__dict__.pop("coord_table", None)
-    lookups = _Counter(monkeypatch, TorusTopology, "coords_of")
+        monkeypatch.setattr(TorusTopology, name, cached_property(counted))
+        getattr(TorusTopology, name).__set_name__(TorusTopology, name)
+        machine.topology.__dict__.pop(name, None)
+    lookups = _Counter(monkeypatch, TorusTopology, "hop_distances")
     machine.step(8)
     assert machine.network.topology is machine.topology
     assert lookups.n >= 8 * 2
-    assert builds == 1
+    assert builds == {"coord_table": 1, "hop_table": 1}
 
 
 def small_solo() -> Simulation:
