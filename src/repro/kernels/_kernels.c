@@ -257,7 +257,7 @@ static int64_t rk_nb_axis_cap(int64_t n)
 }
 
 /* One block's scratch, carved from the caller's int64 words: the anchor
- * cell table; the cluster starts; per cell-ordered anchor slot its
+ * cell table; the cluster starts and radii; per cell-ordered anchor slot its
  * cluster, coordinates and radius; the cluster bitmap; the block's
  * coordinates in id order; the candidate ids and coordinates.  Slot
  * arrays carry RK_NB_LANES of padding, the id-order ones RK_NB_CLUSTER. */
@@ -265,7 +265,7 @@ typedef struct {
     int64_t *cell_start;
     int32_t *cstart, *cell_clu, *cj;
     uint64_t *cbits;
-    double *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
+    double *crad, *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
 } rk_nb_work;
 
 /* Points wk's arrays into `w` (when given) and returns the words used. */
@@ -278,6 +278,7 @@ static int64_t rk_nb_carve(rk_nb_work *wk, int64_t *w, int64_t block_len)
      used += ((count) * (int64_t)sizeof(type) + 7) / 8)
     RK_NB_TAKE(cell_start, int64_t, c * c * c + 1);
     RK_NB_TAKE(cstart, int32_t, block_len + 1);
+    RK_NB_TAKE(crad, double, block_len);
     RK_NB_TAKE(cell_clu, int32_t, pad);
     RK_NB_TAKE(cj, int32_t, pad);
     RK_NB_TAKE(cbits, uint64_t, (block_len + 63) / 64);
@@ -302,50 +303,43 @@ int64_t rk_neighbor_work_size(int64_t block_len)
     return rk_nb_carve(&wk, NULL, block_len);
 }
 
-/* Slot q of (sx, sy, sz) against the point (a0, a1, a2).  Atoms
- * (anchors == 0; id and sr unread): cells.within's predicate, operation
- * for operation.  Anchors: whether cluster id[q] > self has its anchor
- * within ra + sr[q] (ra = reach + the point's own radius), widened by
- * RK_NB_SLACK. */
-static inline int64_t rk_nb_hit(int anchors, int64_t self, double a0, double a1, double a2,
-                                double ra, int64_t q, const int32_t *restrict id,
-                                const double *restrict sx, const double *restrict sy,
-                                const double *restrict sz, const double *restrict sr,
-                                const double *L, const double *h, double reach2)
+/* Atom slot q of the candidates against the point x:
+ * cells.within's predicate, operation for operation. */
+static inline int64_t rk_nb_atom_hit(const double *x, int64_t q, const rk_nb_work *wk,
+                                     const double *L, const double *h, double reach2)
 {
-    const double d0 = rk_image(a0 - sx[q], L[0], h[0]);
-    const double d1 = rk_image(a1 - sy[q], L[1], h[1]);
-    const double d2 = rk_image(a2 - sz[q], L[2], h[2]);
-    const double r2 = (d0 * d0 + d1 * d1) + d2 * d2;
-    if (anchors) {
-        const double t = ra + sr[q];
-        return (id[q] > self) & (r2 < t * t * RK_NB_SLACK);
-    }
-    return r2 < reach2;
+    const double d0 = rk_image(x[0] - wk->cx[q], L[0], h[0]);
+    const double d1 = rk_image(x[1] - wk->cy[q], L[1], h[1]);
+    const double d2 = rk_image(x[2] - wk->cz[q], L[2], h[2]);
+    return (d0 * d0 + d1 * d1) + d2 * d2 < reach2;
 }
 
-/* The hits among slots p .. p + nb - 1 (nb <= RK_NB_BLOCK), one bit
- * each. */
-static inline uint64_t rk_nb_mask(int anchors, int64_t self, double a0, double a1, double a2,
-                                  double ra, int64_t p, int64_t nb,
-                                  const int32_t *restrict id, const double *restrict sx,
-                                  const double *restrict sy, const double *restrict sz,
-                                  const double *restrict sr, const double *L, const double *h,
-                                  double reach2)
+/* Anchor slot q against cluster A's anchor x: whether its cluster is
+ * after A and its anchor within ra + its radius (ra = reach + r_A),
+ * widened by RK_NB_SLACK. */
+static inline int64_t rk_nb_anchor_hit(int64_t A, const double *x, double ra, int64_t q,
+                                       const rk_nb_work *wk, const double *L, const double *h)
 {
-    uint64_t mask = 0;
-    if (nb == RK_NB_BLOCK)
-        for (int64_t k = 0; k < RK_NB_BLOCK; k++)
-            mask |= (uint64_t)rk_nb_hit(anchors, self, a0, a1, a2, ra, p + k, id, sx, sy, sz,
-                                        sr, L, h, reach2) << k;
-    else
-        for (int64_t kb = 0; kb < nb; kb += RK_NB_LANES)
-            for (int64_t k = kb; k < kb + RK_NB_LANES; k++)
-                mask |= (uint64_t)((k < nb) & rk_nb_hit(anchors, self, a0, a1, a2, ra, p + k,
-                                                         id, sx, sy, sz, sr, L, h, reach2))
-                        << k;
-    return mask;
+    const double d0 = rk_image(x[0] - wk->sx[q], L[0], h[0]);
+    const double d1 = rk_image(x[1] - wk->sy[q], L[1], h[1]);
+    const double d2 = rk_image(x[2] - wk->sz[q], L[2], h[2]);
+    const double t = ra + wk->sr[q];
+    return (wk->cell_clu[q] > A) & ((d0 * d0 + d1 * d1) + d2 * d2 < t * t * RK_NB_SLACK);
 }
+
+/* Sets `mask` to the hits among slots p .. p + nb - 1 (nb <=
+ * RK_NB_BLOCK), one bit each, HIT(q) being slot q's predicate. */
+#define RK_NB_MASK(mask, p, nb, HIT)                                           \
+    do {                                                                       \
+        (mask) = 0;                                                            \
+        if ((nb) == RK_NB_BLOCK)                                               \
+            for (int64_t k_ = 0; k_ < RK_NB_BLOCK; k_++)                       \
+                (mask) |= (uint64_t)HIT((p) + k_) << k_;                       \
+        else                                                                   \
+            for (int64_t kb_ = 0; kb_ < (nb); kb_ += RK_NB_LANES)              \
+                for (int64_t k_ = kb_; k_ < kb_ + RK_NB_LANES; k_++)           \
+                    (mask) |= (uint64_t)((k_ < (nb)) & HIT((p) + k_)) << k_;   \
+    } while (0)
 
 /* Marks in wk->cbits every partner cluster B > A among the anchor slots
  * [p0, p1); widens [*wlo, *whi] to the bitmap words it touched. */
@@ -355,8 +349,10 @@ RK_ONE_COPY void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_
 {
     for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
         const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
-        uint64_t mask = rk_nb_mask(1, A, xa[0], xa[1], xa[2], ra, p, nb, wk->cell_clu,
-                                   wk->sx, wk->sy, wk->sz, wk->sr, L, h, 0.0);
+        uint64_t mask;
+#define RK_NB_HIT(q) rk_nb_anchor_hit(A, xa, ra, q, wk, L, h)
+        RK_NB_MASK(mask, p, nb, RK_NB_HIT);
+#undef RK_NB_HIT
         for (; mask; mask &= mask - 1) {
             const int64_t B = wk->cell_clu[p + __builtin_ctzll(mask)], wd = B >> 6;
             wk->cbits[wd] |= (uint64_t)1 << (B & 63);
@@ -378,8 +374,10 @@ RK_ONE_COPY int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk
     int64_t row = 0;
     for (int64_t p = q0; p < q1; p += RK_NB_BLOCK) {
         const int64_t nb = q1 - p < RK_NB_BLOCK ? q1 - p : RK_NB_BLOCK;
-        uint64_t mask = rk_nb_mask(0, 0, xi[0], xi[1], xi[2], 0.0, p, nb, NULL, wk->cx,
-                                   wk->cy, wk->cz, NULL, L, h, reach2);
+        uint64_t mask;
+#define RK_NB_HIT(q) rk_nb_atom_hit(xi, q, wk, L, h, reach2)
+        RK_NB_MASK(mask, p, nb, RK_NB_HIT);
+#undef RK_NB_HIT
         for (; mask; mask &= mask - 1) {
             const int32_t j = wk->cj[p + __builtin_ctzll(mask)];
             int64_t keep = 1;
@@ -506,7 +504,8 @@ static double rk_nb_radius(const double *x, int64_t lo, int64_t hi, const double
 }
 
 /* Cuts block x (block_len atoms, global ids from base) into clusters,
- * wk->cstart[0 .. nclu]; returns nclu and the largest radius in *rmax. */
+ * wk->cstart[0 .. nclu] with radii wk->crad[0 .. nclu); returns nclu and
+ * the largest radius in *rmax. */
 static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
                               const int64_t *excl_ptr, const int64_t *excl_idx,
                               const double *L, const double *h, rk_nb_work *wk, double *rmax)
@@ -523,6 +522,7 @@ static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
         }
         const double r = rk_nb_radius(x, a, a + t, L, h);
         *rmax = r > *rmax ? r : *rmax;
+        wk->crad[nclu] = r;
         wk->cstart[nclu] = (int32_t)a;
         a += t;
     }
@@ -552,7 +552,10 @@ static inline int64_t rk_nb_cell(const double *xa, const rk_nb_shape *sh)
  * too.  Returns 0 when every row is swept, else the pair count of row
  * at[0], which did not fit in cap.  shape is -1 for the cheapest shape
  * of the anchor sweep, else the mask of axes to cut (bit a: axis a) —
- * the rows are the same either way. */
+ * the rows are the same either way.  excl_ptr / excl_idx (both NULL for
+ * none) are the exclusion CSR over the global ids, partners j > i only
+ * and each row ascending in j: the rows' merge and the cluster rule read
+ * it in that order. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                           const double *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
@@ -603,7 +606,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             const int64_t p = cell_start[rk_nb_cell(xa, &sh)]++;
             wk.cell_clu[p] = (int32_t)c;
             wk.sx[p] = xa[0], wk.sy[p] = xa[1], wk.sz[p] = xa[2];
-            wk.sr[p] = rk_nb_radius(x, wk.cstart[c], wk.cstart[c + 1], L, h);
+            wk.sr[p] = wk.crad[c];
         }
         for (int64_t c = ncell; c > 0; c--) /* undo the fill's advance */
             cell_start[c] = cell_start[c - 1];
@@ -617,8 +620,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
         for (; A < nclu; A++) {
             const int64_t lo_a = wk.cstart[A], hi_a = wk.cstart[A + 1];
             const double *xa = x + 3 * lo_a;
-            const double ra = reach + (ncell == 1 ? wk.sr[A] /* slot A is cluster A */
-                                                  : rk_nb_radius(x, lo_a, hi_a, L, h));
+            const double ra = reach + wk.crad[A];
             const int64_t ci = rk_nb_cell(xa, &sh);
             const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
             int64_t wlo = INT64_MAX, whi = -1;

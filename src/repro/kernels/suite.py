@@ -413,7 +413,9 @@ class NumpyKernels:
         Every pair ``i < j`` within one block whose minimum-image
         distance passes :func:`~repro.geometry.cells.within` at ``reach``,
         except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
-        of partners ``j > i``, or ``None`` — sorted by ``(i, j)`` and
+        of partners ``j > i``, each row ascending in ``j`` (the compiled
+        sweep merges its hits against the rows in order), or ``None`` —
+        sorted by ``(i, j)`` and
         returned as rows ``(row_ptr, partners)``
         (:func:`~repro.geometry.neighborlist.pairs_to_rows`).
         ``wrapped`` holds every coordinate in ``[0, L)``.  ``bufs`` is the
