@@ -23,7 +23,7 @@ from repro.ewald import (
     direct_ewald,
     real_space_force_kernel,
 )
-from repro.geometry import Box, brute_force_pairs
+from repro.geometry import Box, PositionCodec, brute_force_pairs
 
 
 def total_forces(box, pos, q, cutoff, mesh_method):
@@ -34,7 +34,9 @@ def total_forces(box, pos, q, cutoff, mesh_method):
     pref = qq * real_space_force_kernel(pairs.r2, sigma)
     np.add.at(f, pairs.i, pref[:, None] * pairs.dx)
     np.add.at(f, pairs.j, -pref[:, None] * pairs.dx)
-    _e, f_k = mesh_method.kspace(pos, q)
+    # GSE reads position codes (the engine's geometry); SPME the floats.
+    at = PositionCodec(box).encode(pos) if isinstance(mesh_method, GaussianSplitEwald) else pos
+    _e, f_k = mesh_method.kspace(at, q)
     return f + f_k
 
 
@@ -101,7 +103,7 @@ def test_radial_symmetry_distinction(benchmark):
         # The plan's separable rows: the weight of a stencil point is the
         # product of its three axis weights, r² the sum of squared
         # axis displacements.
-        plan = gse.make_plan(p[None, :])
+        plan = gse.make_plan(PositionCodec(box).encode(p[None, :]))
         (wx,), (wy,), (wz,) = plan.axis_w
         (dx,), (dy,), (dz,) = plan.axis_d
         w = (wx[:, None, None] * wy[None, :, None]) * wz[None, None, :]

@@ -153,6 +153,10 @@ class ForceCalculator:
     The default, :data:`~repro.kernels.NUMPY_SUITE`, is the plain NumPy
     evaluation, the oracle of every suite; the calculator never asks
     which suite it holds, and every suite yields the same bits.
+
+    Each entry point encodes its float positions once
+    (:class:`~repro.geometry.PositionCodec`): the pair list, the walk and
+    the mesh plan read the codes, bonded terms and corrections the floats.
     """
 
     #: Prefix of the force path's phase names (``pair_list``,
@@ -173,6 +177,8 @@ class ForceCalculator:
         self.params = params
         self.kernels = kernels
         self.timers = Timers()
+        #: The evaluation's position codes, refilled in place at each entry.
+        self._codes = np.empty((system.n_atoms, 3), dtype=np.int64)
         self.neighbor_list = NeighborList(
             system.box,
             params.cutoff,
@@ -211,17 +217,11 @@ class ForceCalculator:
         self._pair_spec_codec = None
         self._pair_out: tuple[np.ndarray, ...] | None = None
         self._pair_rows: tuple[np.ndarray, ...] | None = None
-        #: The wrapped coordinates the last pair walk ran on (what
-        #: ``NeighborList.pairs`` wrapped) and the positions they wrap:
-        #: the evaluation's one wrap, which its mesh plan and the
-        #: machine's home-box lookup reuse.
-        self.walk_positions: np.ndarray | None = None
-        self._walk_source: np.ndarray | None = None
-        #: Optional hook of the fixed-point walk, ``(positions, wrapped)
-        #: -> (tags, sets)``: an int64 id per atom and the home-box sets
-        #: the walk ORs them into (``pair_walk``).  The machine's backend
-        #: sets it, tagging atoms with the home boxes of the walk's own
-        #: wrap; None (solo, ensemble) builds no sets.
+        #: Optional hook of the fixed-point walk, ``codes -> (tags, sets)``:
+        #: an int64 id per atom and the home-box sets the walk ORs them
+        #: into (``pair_walk``).  The machine's backend sets it, tagging
+        #: atoms with the home boxes of the walk's own codes; None (solo,
+        #: ensemble) builds no sets.
         self.walk_tags = None
         self._walk_rows = (
             np.zeros((system.n_atoms, 2), dtype=np.int64),
@@ -239,6 +239,10 @@ class ForceCalculator:
         )
 
     # -- pair-kernel inputs and scratch ----------------------------------------
+
+    def _encode(self, positions: np.ndarray) -> np.ndarray:
+        """``positions`` as position codes, in the kept scratch."""
+        return self.neighbor_list.codec.encode(positions, out=self._codes)
 
     def _spec(self, force_codec=None):
         """The cached :func:`make_pair_spec`; the float pass takes it
@@ -300,12 +304,12 @@ class ForceCalculator:
 
     def _range_limited(
         self,
-        positions: np.ndarray,
+        codes: np.ndarray,
         force_codec=None,
         acc: FixedAccumulator | None = None,
         energies: bool = True,
     ) -> NonbondedResult | PairWalkResult:
-        """The range-limited part: one suite pass over the Verlet rows.
+        """The range-limited part at ``codes``: one suite pass over the Verlet rows.
 
         Run from inside :meth:`NeighborList.pairs`, which hands over the
         cached candidates as rows ``(row_ptr, partners)``: cutoff test
@@ -322,15 +326,14 @@ class ForceCalculator:
         """
         spec, k = self._spec(force_codec), self.kernels
 
-        def walk(wrapped, row_ptr, partners, lengths):
-            self.walk_positions, self._walk_source = wrapped, positions
+        def walk(codes, row_ptr, partners, lengths):
             with self.timers.time(self._phase_prefix + "range_limited"):
                 if acc is not None:
                     e_rows, counts = self._walk_rows
                     e_rows = e_rows if energies else None
-                    tagged = () if self.walk_tags is None else self.walk_tags(positions, wrapped)
+                    tagged = () if self.walk_tags is None else self.walk_tags(codes)
                     m = k.pair_walk(
-                        spec, wrapped, row_ptr, partners, lengths, acc.raw(),
+                        spec, codes, row_ptr, partners, lengths, acc.raw(),
                         e_rows, counts, *tagged,
                     )
                     return PairWalkResult(e_rows=e_rows, counts=counts, n_pairs=m)
@@ -338,7 +341,7 @@ class ForceCalculator:
                 oi, oj = self._pair_buffers(n_cand)
                 rows, e_lj, e_coul = self._row_buffers(n_cand)
                 m = k.pair_rows(
-                    spec, wrapped, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul
+                    spec, codes, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul
                 )
                 return NonbondedResult(
                     energy_lj=float(np.sum(e_lj[:m])),
@@ -351,7 +354,7 @@ class ForceCalculator:
                 )
 
         with self.timers.time(self._phase_prefix + "pair_list"):
-            return self.neighbor_list.pairs(positions, walk)
+            return self.neighbor_list.pairs(codes, walk)
 
     def _bonded(self, positions: np.ndarray):
         with self.timers.time("bonded"):
@@ -363,22 +366,12 @@ class ForceCalculator:
                 positions, self.system.box, self._corr_static, self.sigma
             )
 
-    def _walked(self, positions: np.ndarray) -> np.ndarray | None:
-        """``positions`` wrapped, when the last pair walk wrapped this very
-        array and it cannot have changed since (it owns its data and is
-        read-only, as the fixed-point integrator's decoded positions
-        are), else None."""
-        frozen = not positions.flags.writeable and positions.base is None
-        if positions is self._walk_source and frozen:
-            return self.walk_positions
-        return None
-
-    def _kspace(self, positions: np.ndarray, codec=None) -> tuple[float, np.ndarray]:
-        """Mesh energy and forces, on the suite, into the kept plan:
-        a float spread, or an integer one through ``codec``."""
+    def _kspace(self, codes: np.ndarray, codec=None) -> tuple[float, np.ndarray]:
+        """Mesh energy and forces at ``codes``, on the suite, into the kept
+        plan: a float spread, or an integer one through ``codec``."""
         with self.timers.time(self._phase_prefix + "kspace"):
             return self.gse.kspace(
-                positions, self.system.charges, codec=codec,
+                codes, self.system.charges, codec=codec,
                 kernels=self.kernels, plan=self._mesh_plan,
             )
 
@@ -396,13 +389,17 @@ class ForceCalculator:
         Virtual-site redistribution is NOT applied here; callers that
         combine parts apply it once on the combined force.
         """
+        return self._long(positions, self._encode(positions))
+
+    def _long(self, positions: np.ndarray, codes: np.ndarray) -> ForceReport:
+        """:meth:`compute_long` at ``positions`` and their codes."""
         s = self.system
         forces = np.zeros((s.n_atoms, 3))
         corr = self._corrections(positions)
         self.kernels.deposit_pairs_float(forces, corr.i, corr.j, corr.force)
         e_k = 0.0
         if self.gse is not None:
-            e_k, f_k = self._kspace(positions)
+            e_k, f_k = self._kspace(codes)
             forces += f_k
         energies = {
             "correction": corr.energy_exclusion + corr.energy_14_coul,
@@ -418,8 +415,9 @@ class ForceCalculator:
         n = s.n_atoms
         forces = np.zeros((n, 3))
         energies: dict[str, float] = {}
+        codes = self._encode(positions)
 
-        nb = self._range_limited(positions)
+        nb = self._range_limited(codes)
         self.kernels.deposit_pairs_float(forces, nb.i, nb.j, nb.force)
         energies["lj"] = nb.energy_lj
         energies["coulomb_real"] = nb.energy_coul
@@ -431,7 +429,7 @@ class ForceCalculator:
         energies["dihedral"] = bonded[2].energy
 
         if include_long_range:
-            long_part = self.compute_long(positions)
+            long_part = self._long(positions, codes)
             forces += long_part.forces
             energies.update(long_part.energies)
 
@@ -455,41 +453,37 @@ class ForceCalculator:
         values = ENERGY_CODEC.reconstruct(np.array(list(codes.values())))
         return dict(zip(codes, self._lanes(values)))
 
-    def _energy_walk(self, positions: np.ndarray, build: int, force_codec) -> PairWalkResult:
-        """The walk's energy rows at ``positions``, for the report of a
-        force-only evaluation there: one walk with energies, into private
-        outputs, over the rows :meth:`NeighborList.rewalk` gives (that
-        evaluation's, or private ones if the list has been rebuilt since).
-        Survivors and energy codes are a pure function of the positions,
-        so they are the eager walk's."""
+    def _energy_walk(self, at: np.ndarray, build: int, force_codec) -> PairWalkResult:
+        """The walk's energy rows at the position codes ``at``, for the
+        report of a force-only evaluation there: one walk with energies,
+        into private outputs, over the rows :meth:`NeighborList.rewalk`
+        gives (that evaluation's, or private ones if the list has been
+        rebuilt since).  Survivors and energy codes are a pure function of
+        the codes, so they are the eager walk's."""
         spec, k = self._spec(force_codec), self.kernels
 
-        def walk(wrapped, row_ptr, partners, lengths):
-            n = len(wrapped)
+        def walk(codes, row_ptr, partners, lengths):
+            n = len(codes)
             e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
             acc = np.zeros((n, 3), dtype=np.int64)
-            m = k.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts)
+            m = k.pair_walk(spec, codes, row_ptr, partners, lengths, acc, e_rows, counts)
             return PairWalkResult(e_rows=e_rows, counts=counts, n_pairs=m)
 
-        return self.neighbor_list.rewalk(positions, build, walk)
+        return self.neighbor_list.rewalk(at, build, walk)
 
     def _short_energies(
-        self, positions: np.ndarray, nb: PairWalkResult, codes, energies: bool, force_codec
+        self, at: np.ndarray, nb: PairWalkResult, codes, energies: bool, force_codec
     ):
         """The walk's energies and ``codes()``'s, decoded in that key order:
         now, or — for a force-only evaluation, whose walk left no energy
         rows — as the memoised thunk its report resolves on first read,
-        which walks again at ``positions`` (:meth:`_energy_walk`).  The
-        integrator's positions own their data and are read-only (replaced,
-        never written in place), as :meth:`_walked` relies on too; any
-        other array is copied first."""
+        which walks again at a copy of the evaluation's position codes
+        ``at`` (:meth:`_energy_walk`)."""
         if energies:
             return self._decode({**self._pair_codes(nb), **codes()})
-        if positions.flags.writeable or positions.base is not None:
-            positions = positions.copy()
-        build = self.neighbor_list.n_builds
+        at, build = at.copy(), self.neighbor_list.n_builds
         return cache(lambda: self._decode(
-            {**self._pair_codes(self._energy_walk(positions, build, force_codec)), **codes()}
+            {**self._pair_codes(self._energy_walk(at, build, force_codec)), **codes()}
         ))
 
     def _pair_codes(self, nb: PairWalkResult) -> dict:
@@ -533,6 +527,10 @@ class ForceCalculator:
         come back as a dict or, with ``energies=False``, as a thunk of it
         (:meth:`ForceReport.add_energies` takes either).
         """
+        return self._long_fixed(positions, self._encode(positions), force_codec, energies)
+
+    def _long_fixed(self, positions, codes, force_codec, energies: bool):
+        """:meth:`compute_long_fixed` at ``positions`` and their codes."""
         time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("long", force_codec)
         corr = self._corrections(positions)
@@ -540,7 +538,7 @@ class ForceCalculator:
             ccodes = self._correction_force_codes(corr, force_codec)
             self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
         if self.gse is not None:
-            e_k, f_k = self._kspace(positions, self.mesh_codec)
+            e_k, f_k = self._kspace(codes, self.mesh_codec)
             with time(p + "deposit"):
                 acc.deposit_dense(force_codec.quantize_round_only(f_k))
         else:
@@ -575,7 +573,8 @@ class ForceCalculator:
         """
         time, p = self.timers.time, self._phase_prefix
         acc = self._accumulator("short", force_codec)
-        nb = self._range_limited(positions, force_codec, acc, energies)
+        codes = self._encode(positions)
+        nb = self._range_limited(codes, force_codec, acc, energies)
         bonded = self._bonded(positions)
         with time(p + "deposit"):
             for contrib in bonded:
@@ -584,12 +583,12 @@ class ForceCalculator:
                     acc.deposit(contrib.idx.ravel(), c.reshape(-1, 3))
         with time(p + "energies"):
             short = self._short_energies(
-                positions, nb, lambda: self._bonded_codes(bonded), energies, force_codec
+                codes, nb, lambda: self._bonded_codes(bonded), energies, force_codec
             )
 
         long = None
         if include_long_range:
-            long_codes, long = self.compute_long_fixed(positions, force_codec, energies)
+            long_codes, long = self._long_fixed(positions, codes, force_codec, energies)
             with time(p + "deposit"):
                 acc.deposit_dense(long_codes)
 

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.constraints import ConstraintSolver
 from repro.core.system import ChemicalSystem
 from repro.fixedpoint import FixedFormat, ScaledFixed, round_nearest_even
-from repro.geometry import Box
+from repro.geometry import PositionCodec
 from repro.util import ACCEL_UNIT
 
 __all__ = ["FixedPointConfig", "PositionCodec", "FixedPointIntegrator", "VelocityVerlet"]
@@ -38,13 +38,13 @@ __all__ = ["FixedPointConfig", "PositionCodec", "FixedPointIntegrator", "Velocit
 class FixedPointConfig:
     """Bit widths and physical bounds of the integrator datapaths.
 
-    Defaults give position resolution ~1e-11 A and velocity resolution
-    ~5e-13 A/fs — comfortably below thermal scales, in the spirit of
-    Anton's wide integration datapaths (its arithmetic pipelines are
-    narrower; see Figure 4 and :mod:`repro.functions`).
+    Defaults give velocity resolution ~5e-13 A/fs — comfortably below
+    thermal scales, in the spirit of Anton's wide integration datapaths
+    (its arithmetic pipelines are narrower; see Figure 4 and
+    :mod:`repro.functions`).  Positions are 40-bit codes, a constant
+    (:class:`~repro.geometry.PositionCodec`, resolution ~1e-11 A).
     """
 
-    position_bits: int = 40
     velocity_bits: int = 40
     velocity_limit: float = 0.25  # A/fs; ~16 thermal sigmas for hydrogen
     force_bits: int = 40
@@ -55,46 +55,6 @@ class FixedPointConfig:
 
     def velocity_codec(self) -> ScaledFixed:
         return ScaledFixed(FixedFormat(self.velocity_bits), self.velocity_limit)
-
-
-class PositionCodec:
-    """Positions as unsigned modular fractions of the periodic box.
-
-    A coordinate x maps to ``round(x / L * 2**bits) mod 2**bits``; the
-    torus wrap of the integer code is exactly the periodic boundary
-    condition, so drift never needs a separate wrapping pass.  The
-    modulus is a power of two, so the reduction is a mask of the low
-    ``bits`` bits, which equals ``np.mod`` on every int64 (DESIGN.md,
-    power-of-two modulus lemma).  Decoded positions lie in [0, L).
-    """
-
-    def __init__(self, box: Box, bits: int = 40):
-        if not 8 <= bits <= 62:
-            raise ValueError("position bits must be in [8, 62]")
-        self.box = box
-        self.bits = bits
-        self.modulus = np.int64(1) << np.int64(bits)
-        self.mask = self.modulus - np.int64(1)
-        self.scale = float(self.modulus) / box.lengths  # codes per A, per axis
-
-    @property
-    def resolution(self) -> np.ndarray:
-        """Physical size of one code step per axis (A)."""
-        return 1.0 / self.scale
-
-    def encode(self, positions: np.ndarray) -> np.ndarray:
-        x = self.box.wrap(positions)
-        np.multiply(x, self.scale, out=x)
-        np.rint(x, out=x)
-        return np.bitwise_and(x.astype(np.int64), self.mask)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return np.divide(codes, self.scale)
-
-    def advance(self, codes: np.ndarray, delta: np.ndarray) -> np.ndarray:
-        """Torus-arithmetic position update (int64 adds wrap silently)."""
-        out = np.add(codes, delta)
-        return np.bitwise_and(out, self.mask, out=out)
 
 
 class FixedPointIntegrator:
@@ -155,7 +115,7 @@ class FixedPointIntegrator:
             timers = Timers()
         self.timers = timers
 
-        self.pos_codec = PositionCodec(system.box, config.position_bits)
+        self.pos_codec = PositionCodec(system.box)
         self.vel_codec = config.velocity_codec()
         self.force_codec = config.force_codec()
 
@@ -197,9 +157,9 @@ class FixedPointIntegrator:
         """``X`` decoded: a read-only array, decoded once per ``X``.
 
         ``X`` is replaced, never written in place, so the same array
-        serves a step's force evaluation, the next kick's constraint
-        solve and the next drift's reference (and a machine's home-box
-        lookups, which key on it).
+        serves a step's force evaluation (which encodes it back to ``X``,
+        DESIGN.md, round-trip lemma), the next kick's constraint solve and
+        the next drift's reference.
         """
         X = self.X
         if self._pos_of is not X:

@@ -78,8 +78,9 @@ def compute_virial(
 
     box = calc.system.box
 
-    nb = calc._range_limited(positions)
-    dx_nb = box.minimum_image(positions[nb.i] - positions[nb.j])
+    codes = calc._encode(positions)
+    nb = calc._range_limited(codes)
+    dx_nb = calc.neighbor_list.codec.displacement(codes[nb.i], codes[nb.j])
     w_pair = reduce(_pair_virial(dx_nb, nb.force))
 
     w_bonded_parts = []
@@ -100,7 +101,7 @@ def compute_virial(
     else:
         w_corr = 0.0
 
-    e_k = calc._kspace(positions)[0] if calc.gse is not None else 0.0
+    e_k = calc._kspace(codes)[0] if calc.gse is not None else 0.0
 
     return VirialReport(pair=w_pair, bonded=w_bonded, correction=w_corr, kspace=float(e_k))
 

@@ -191,14 +191,14 @@ class EnsembleForceCalculator(ForceCalculator):
         """``(k, R)`` per-lane energies: one ``(R,)`` array per row."""
         return list(values)
 
-    def _kspace(self, positions: np.ndarray, codec=None) -> tuple[np.ndarray, np.ndarray]:
+    def _kspace(self, codes: np.ndarray, codec=None) -> tuple[np.ndarray, np.ndarray]:
         """Per-replica k-space energies and stacked mesh forces: the one
         mesh pass with replicas as its lanes, each bitwise its solo evaluation."""
         with self.timers.time(self._phase_prefix + "kspace"):
             return self.gse.mesh_pass(
-                positions, self.system.charges[: self.n_solo], lanes=self.replicas,
+                codes, self.system.charges[: self.n_solo], lanes=self.replicas,
                 codec=codec, kernels=self.kernels, plan=self._mesh_plan,
-                timers=self.timers, wrapped=self._walked(positions),
+                timers=self.timers,
             )
 
     # Delegations only: benchmarks/perf/trace.py wraps these two by this

@@ -14,13 +14,13 @@ convolution carries the remaining width ``sigma² - 2 sigma_s²`` (which
 must be positive).
 
 Charge spreading and force interpolation share one
-:class:`MeshStencilPlan` per evaluation: the separable axis weights,
-displacements and mesh indices are computed once and reused by both
-passes (they are identical by construction — the same radially
-symmetric kernel runs both on Anton's HTIS).  The plan stores only
-those per-axis rows; the kernel suite's ``mesh_*_axes`` primitives
-evaluate every atom–mesh-point weight from them, on either tier, so the
-mesh arithmetic lives in :mod:`repro.kernels` alone.
+:class:`MeshStencilPlan` per evaluation, built from the position codes:
+the separable axis weights, displacements and mesh indices are computed
+once and reused by both passes (they are identical by construction —
+the same radially symmetric kernel runs both on Anton's HTIS).  The plan
+stores only those per-axis rows; the kernel suite's ``mesh_*_axes``
+primitives evaluate every atom–mesh-point weight from them, on either
+tier, so the mesh arithmetic lives in :mod:`repro.kernels` alone.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.ewald.kernels import EWALD_TOLERANCE, choose_sigma
 from repro.geometry import Box
+from repro.geometry.codes import cell_fractions
 from repro.kernels import NUMPY_SUITE
 from repro.kernels.fft import bit_reverse_permutation, stage_table
 from repro.util import COULOMB
@@ -153,7 +154,7 @@ class MeshStencilPlan:
 
     __slots__ = (
         "gse", "n", "shape", "axis_w", "axis_d", "axis_i",
-        "_rows", "_lanes", "_acc", "_kept", "__weakref__",
+        "_lanes", "_acc", "_kept", "__weakref__",
     )
 
     def __init__(self, gse: "GaussianSplitEwald", n: int):
@@ -163,53 +164,31 @@ class MeshStencilPlan:
         self.axis_w = [np.empty((self.n, k)) for k in self.shape]
         self.axis_d = [np.empty((self.n, k)) for k in self.shape]
         self.axis_i = [np.empty((self.n, k), dtype=np.int32) for k in self.shape]
-        # Per axis, every row a base cell in [0, m] can have, as tables
-        # indexed by ``base + k``, k = 0 .. 2c: the cells ``-c .. m + c``
-        # wrapped mod m (int32) and their offsets ``cell * h``.
-        self._rows = []
-        for a, c in enumerate(gse._offsets):
-            cells = np.arange(-c, int(gse.mesh[a]) + c + 1)
-            self._rows.append((
-                np.mod(cells, gse.mesh[a]).astype(np.int32),
-                cells * gse.h[a],
-                np.arange(2 * c + 1),
-            ))
         self._lanes = self._acc = None
         self._kept = {}
 
     # -- construction ------------------------------------------------------
 
-    def build(
-        self, positions: np.ndarray, wrapped: np.ndarray | None = None
-    ) -> "MeshStencilPlan":
-        """Fill the plan's rows for ``positions`` (row i of every array is atom i).
+    def build(self, codes: np.ndarray) -> "MeshStencilPlan":
+        """Fill the plan's rows for the position codes ``codes`` (row i of
+        every array is atom i).
 
-        ``wrapped``, when given, is ``positions`` already wrapped into the
-        box (what :meth:`Box.wrap` returned for them), read instead of a
-        second wrap.  Always in NumPy (``np.exp`` stays there, which
-        keeps the bits trivially identical across tiers); no O(n·k³)
-        array is touched.
-        Each row is read from the plan's tables at ``base + k``, which
-        is ``np.mod(cells, m)`` and ``cells * h`` element for element
-        (DESIGN.md, modulo-by-table lemma); a base cell outside
-        ``[0, m]`` — no wrapped coordinate has one — computes them.
+        Per axis, a code's cell ``b`` and exact offset ``f`` in it
+        (:func:`~repro.geometry.codes.cell_fractions`) give stencil point
+        ``o`` the index ``(b + o) mod m`` and the displacement ``(f −
+        o)·h``, rounded once (DESIGN.md, integer geometry).  Always in
+        NumPy (``np.exp`` stays there, which keeps the bits trivially
+        identical across tiers); no O(n·k³) array is touched.
         """
         g = self.gse
         inv_2ss2 = 1.0 / (2.0 * g.params.sigma_s**2)
-        pos = g.box.wrap(positions) if wrapped is None else wrapped
-        base = np.floor(pos / g.h).astype(np.int64)  # nearest-lower mesh pt
-        inside = self.n == 0 or base.min() >= 0
-        for a, (wrapped_cells, offsets, k) in enumerate(self._rows):
+        base, frac = cell_fractions(codes, g.mesh)
+        for a, c in enumerate(g._offsets):
             d, w, i = self.axis_d[a], self.axis_w[a], self.axis_i[a]
-            if inside and (self.n == 0 or base[:, a].max() <= g.mesh[a]):
-                at = base[:, a : a + 1] + k  # (n, ka) table rows
-                np.take(offsets, at, out=d, mode="clip")
-                np.subtract(pos[:, a : a + 1], d, out=d)
-                np.take(wrapped_cells, at, out=i, mode="clip")
-            else:
-                cells = base[:, a : a + 1] + (k - (len(k) // 2))
-                np.subtract(pos[:, a : a + 1], cells * g.h[a], out=d)
-                i[...] = np.mod(cells, g.mesh[a])
+            o = np.arange(-c, c + 1)
+            np.subtract(frac[:, a : a + 1], o, out=d)
+            np.multiply(d, g.h[a], out=d)
+            np.mod(base[:, a : a + 1] + o, g.mesh[a], out=i, casting="unsafe")
             np.multiply(d, d, out=w)
             np.negative(w, out=w)
             np.multiply(w, inv_2ss2, out=w)
@@ -243,7 +222,6 @@ class MeshStencilPlan:
         v.axis_w = [a[lo:hi] for a in self.axis_w]
         v.axis_d = [a[lo:hi] for a in self.axis_d]
         v.axis_i = [a[lo:hi] for a in self.axis_i]
-        v._rows = self._rows
         v._lanes = v._acc = v._kept = None
         return v
 
@@ -391,20 +369,16 @@ class GaussianSplitEwald:
 
     # -- stencil plan -------------------------------------------------------
 
-    def make_plan(
-        self, positions: np.ndarray, out: MeshStencilPlan | None = None,
-        wrapped: np.ndarray | None = None,
-    ) -> MeshStencilPlan:
-        """Build (or refill) the shared stencil plan for ``positions``.
+    def make_plan(self, codes: np.ndarray, out: MeshStencilPlan | None = None) -> MeshStencilPlan:
+        """Build (or refill) the shared stencil plan for the position codes ``codes``.
 
         Pass a previous plan as ``out`` to reuse its storage across
-        steps, and ``wrapped`` as :meth:`MeshStencilPlan.build` takes it.
-        The plan is O(n·k) on every tier.
+        steps.  The plan is O(n·k) on every tier.
         """
-        n = len(positions)
+        n = len(codes)
         if out is None or out.n != n or out.gse is not self:
             out = MeshStencilPlan(self, n)
-        return out.build(positions, wrapped)
+        return out.build(codes)
 
     # -- mesh solve -----------------------------------------------------------
 
@@ -451,13 +425,13 @@ class GaussianSplitEwald:
     # -- composition ---------------------------------------------------------------
 
     def mesh_pass(
-        self, positions: np.ndarray, charges: np.ndarray, lanes: int = 1,
+        self, codes: np.ndarray, charges: np.ndarray, lanes: int = 1,
         codec=None, kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
-        timers=None, before_solve=None, wrapped: np.ndarray | None = None,
+        timers=None, before_solve=None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """The long-range pass of every engine: plan, spread, solve, gather.
 
-        ``positions`` stacks R = ``lanes`` systems of n atoms along the
+        The position ``codes`` stack R = ``lanes`` systems of n atoms along the
         atom axis (lane r owns rows ``[r·n, (r+1)·n)``) that share the
         n ``charges``; returns the ``(R,)`` k-space energies and the
         ``(R·n, 3)`` mesh forces.  Combine with the real-space sum, self
@@ -475,9 +449,7 @@ class GaussianSplitEwald:
         force rows — is refilled instead of reallocated; callers that
         evaluate repeatedly keep one.  The returned forces are then the
         plan's, valid until its next pass.  Neither changes a bit of the
-        result, nor does ``wrapped``: ``positions`` already wrapped into
-        the box, which an engine whose pair list wrapped them this
-        evaluation hands over so that the plan does not wrap them again.
+        result.
 
         One plan covers all R·n rows; each lane spreads and gathers over
         its own row view of it (chunk loops restart there, so the
@@ -496,7 +468,7 @@ class GaussianSplitEwald:
             kernels.map_chunks(fn, R)
 
         with time("mesh_plan"):
-            plan = self.make_plan(positions, out=plan, wrapped=wrapped)
+            plan = self.make_plan(codes, out=plan)
             views = plan._lane_views(R)
         Q, Q_flat, Q_rows = plan._mesh_buffer("Q", R)
         with time("mesh_spread"):
@@ -530,7 +502,7 @@ class GaussianSplitEwald:
         return energies.copy(), forces
 
     def kspace(
-        self, positions: np.ndarray, charges: np.ndarray, codec=None,
+        self, codes: np.ndarray, charges: np.ndarray, codec=None,
         kernels=NUMPY_SUITE, plan: MeshStencilPlan | None = None,
     ) -> tuple[float, np.ndarray]:
         """Full k-space pass for one system: :meth:`mesh_pass` with one lane.
@@ -539,7 +511,7 @@ class GaussianSplitEwald:
         :meth:`mesh_pass`'s.
         """
         energies, forces = self.mesh_pass(
-            positions, charges, codec=codec, kernels=kernels, plan=plan
+            codes, charges, codec=codec, kernels=kernels, plan=plan
         )
         return float(energies[0]), forces
 

@@ -1,4 +1,4 @@
-"""Geometry substrate: periodic boxes, neighbor search, import regions."""
+"""Geometry substrate: periodic boxes, position codes, neighbor search, import regions."""
 
 from repro.geometry.cells import (
     NeighborPairs,
@@ -6,6 +6,7 @@ from repro.geometry.cells import (
     cell_candidate_pairs,
     neighbor_pairs,
 )
+from repro.geometry.codes import POSITION_BITS, PositionCodec
 from repro.geometry.neighborlist import EnsembleNeighborList, NeighborList
 from repro.geometry.pbc import Box
 from repro.geometry.regions import (
@@ -24,6 +25,8 @@ __all__ = [
     "cell_candidate_pairs",
     "neighbor_pairs",
     "Box",
+    "POSITION_BITS",
+    "PositionCodec",
     "dilated_box_volume",
     "half_shell_import_volume",
     "nt_import_volume",

@@ -12,7 +12,8 @@ which search path ran.
 
 :func:`within` is the one cutoff predicate every NumPy path filters
 candidates with, and :func:`cell_candidate_pairs` the one binning
-sweep: a solo system is one block, an ensemble's replicas are R.
+sweep: a solo system is one block, an ensemble's replicas are R.  Both
+read position codes (:mod:`repro.geometry.codes`).
 
 This is the "conventional processor" pair-finding substrate; the
 simulated machine uses the NT method in :mod:`repro.parallel.nt`
@@ -26,12 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.geometry.codes import PositionCodec, cells
 from repro.geometry.pbc import Box
 
 __all__ = [
     "NeighborPairs",
     "neighbor_pairs",
     "brute_force_pairs",
+    "brute_force_codes",
     "cell_candidate_pairs",
     "within",
 ]
@@ -72,21 +75,20 @@ def _canonical_order(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
 
 
 def within(
-    wrapped: np.ndarray, box: Box, ii: np.ndarray, jj: np.ndarray, cutoff2: float
+    codes: np.ndarray, codec: PositionCodec, ii: np.ndarray, jj: np.ndarray, cutoff2: float
 ) -> NeighborPairs:
     """The candidates ``(ii, jj)`` closer than ``sqrt(cutoff2)``, in candidate order.
 
-    The one cutoff predicate: the minimum-image ``dx = x[i] - x[j]`` of
-    :meth:`Box.minimum_image`, ``r2 = (dx² + dy²) + dz²`` and
-    ``r2 < cutoff2``.  The compiled kernels form the same bits
-    (``rk_walk_filter``, ``rk_neighbor_build``); ``wrapped`` must lie in
-    ``[0, L)`` per axis for that, as :meth:`Box.wrap` leaves it.
-    Chunked to bound the transient ``dx`` allocation.
+    The one cutoff predicate: ``dx`` the minimum-image displacement of
+    the codes (:meth:`PositionCodec.displacement`), ``r2 = (dx² + dy²) +
+    dz²`` and ``r2 < cutoff2``.  The compiled kernels form the same bits
+    (``rk_walk_filter``, ``rk_neighbor_build``).  Chunked to bound the
+    transient ``dx`` allocation.
     """
     parts = []
     for lo in range(0, len(ii), _FILTER_CHUNK):
         i, j = ii[lo : lo + _FILTER_CHUNK], jj[lo : lo + _FILTER_CHUNK]
-        dx = box.minimum_image(wrapped[i] - wrapped[j])
+        dx = codec.displacement(codes[i], codes[j])
         r2 = np.sum(dx * dx, axis=1)
         keep = r2 < cutoff2
         parts.append((i[keep], j[keep], dx[keep], r2[keep]))
@@ -97,19 +99,20 @@ def within(
     return NeighborPairs(*(np.concatenate(a) for a in zip(*parts)))
 
 
-def brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPairs:
-    """All-pairs O(N²) search, in chunks of 512 rows to bound memory.
+def brute_force_codes(codes: np.ndarray, codec: PositionCodec, cutoff: float) -> NeighborPairs:
+    """All-pairs O(N²) search over position codes, in chunks of 512 rows
+    to bound memory: :func:`within`'s predicate on every pair ``i < j``.
 
     Correct for any cutoff up to ``box.max_cutoff()``; used directly for
     small or dense-in-cells systems and as the oracle in tests.
     """
-    n = len(positions)
+    n = len(codes)
     out_i, out_j, out_dx, out_r2 = [], [], [], []
     c2 = cutoff * cutoff
     chunk = 512
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        d = box.minimum_image(positions[lo:hi, None, :] - positions[None, :, :])
+        d = codec.displacement(codes[lo:hi, None, :], codes[None, :, :])
         r2 = np.sum(d * d, axis=2)
         ii_rel, jj = np.nonzero((r2 < c2) & (np.arange(n)[None, :] > (lo + np.arange(hi - lo))[:, None]))
         out_i.append(ii_rel + lo)
@@ -124,6 +127,12 @@ def brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float) -> Neighbo
         dx=np.concatenate(out_dx),
         r2=np.concatenate(out_r2),
     )
+
+
+def brute_force_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPairs:
+    """:func:`brute_force_codes` of ``positions``, encoded once."""
+    codec = PositionCodec(box)
+    return brute_force_codes(codec.encode(positions), codec, cutoff)
 
 
 def _grouped_arange(counts: np.ndarray) -> np.ndarray:
@@ -163,7 +172,7 @@ def _half_stencil_offsets(k: int, cell_size: np.ndarray, reach: float) -> np.nda
 
 
 def _choose_binning(
-    positions: np.ndarray, box: Box, reach: float, n_blocks: int
+    n: int, box: Box, reach: float, n_blocks: int
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Pick the finest admissible binning (ncells, stencil) or ``None``.
 
@@ -173,7 +182,6 @@ def _choose_binning(
     stencil arrays proportional to the atom count; a refinement that
     breaks one gives way to the next coarser.
     """
-    n = len(positions)
     for k in range(_MAX_BIN_REFINE, 0, -1):
         ncells = np.floor(box.lengths * k / reach).astype(np.int64)
         if np.any(ncells < 2 * k + 1):
@@ -189,15 +197,15 @@ def _choose_binning(
 
 
 def cell_candidate_pairs(
-    positions: np.ndarray, box: Box, reach: float, n_blocks: int = 1
+    codes: np.ndarray, box: Box, reach: float, n_blocks: int = 1
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Vectorized candidate pairs from cell binning at ``reach``.
 
-    ``positions`` holds ``n_blocks`` equal blocks stacked along the
-    atom axis (block ``r`` owns rows ``[r * n, (r + 1) * n)``, ``n =
-    len(positions) // n_blocks``: the replicas of an ensemble, or one
-    solo system), all sharing one box and already wrapped into the
-    primary cell.  Returns candidate pairs ``(i, j)`` with ``i < j`` — a
+    ``codes`` holds the position codes of ``n_blocks`` equal blocks
+    stacked along the atom axis (block ``r`` owns rows ``[r * n, (r + 1)
+    * n)``, ``n = len(codes) // n_blocks``: the replicas of an ensemble,
+    or one solo system), all sharing one box.  Returns candidate pairs
+    ``(i, j)`` with ``i < j`` — a
     superset of each block's pairs within ``reach``, each at most once,
     none across a block boundary, in unspecified order (callers filter
     by distance first and canonically sort the survivors, which is far
@@ -216,19 +224,16 @@ def cell_candidate_pairs(
     to ``reach / 3`` when the box allows it, shrinking the candidate
     overcount toward the cutoff-sphere volume.
     """
-    n = len(positions)
+    n = len(codes)
     if n // n_blocks < 64:
         return None
-    binning = _choose_binning(positions, box, reach, n_blocks)
+    binning = _choose_binning(n, box, reach, n_blocks)
     if binning is None:
         return None
     ncells, stencil = binning
     ntot = int(np.prod(ncells))
 
-    cell_size = box.lengths / ncells
-    # Modulo clamps both the exact-L edge (index == ncells) and any
-    # -1 bin from floating-point jitter at 0 into valid cells.
-    cidx = np.floor(positions / cell_size).astype(np.int64) % ncells
+    cidx = cells(codes, ncells)
     flat = (cidx[:, 0] * ncells[1] + cidx[:, 1]) * ncells[2] + cidx[:, 2]
 
     rep = np.repeat(np.arange(n_blocks, dtype=np.int64) * ntot, n // n_blocks)
@@ -268,21 +273,22 @@ def cell_candidate_pairs(
 def neighbor_pairs(positions: np.ndarray, box: Box, cutoff: float) -> NeighborPairs:
     """Unique atom pairs with minimum-image distance < cutoff.
 
-    Uses the vectorized cell list when the box admits a valid binning
-    (at least 3 cells per axis at the coarsest refinement), otherwise
-    falls back to the brute-force path.  Pairs come out in canonical
-    ``(i, j)`` order either way.
+    Encodes the positions once, then uses the vectorized cell list when
+    the box admits a valid binning (at least 3 cells per axis at the
+    coarsest refinement), otherwise the brute-force path.  Pairs come out
+    in canonical ``(i, j)`` order either way.
     """
-    positions = box.wrap(np.asarray(positions, dtype=np.float64))
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
     if cutoff > box.max_cutoff():
         raise ValueError(
             f"cutoff {cutoff} exceeds the minimum-image limit {box.max_cutoff()}"
         )
-    cand = cell_candidate_pairs(positions, box, cutoff)
+    codec = PositionCodec(box)
+    codes = codec.encode(positions)
+    cand = cell_candidate_pairs(codes, box, cutoff)
     if cand is None:
-        return brute_force_pairs(positions, box, cutoff)
-    p = within(positions, box, *cand, cutoff * cutoff)
-    order = _canonical_order(p.i, p.j, len(positions))
+        return brute_force_codes(codes, codec, cutoff)
+    p = within(codes, codec, *cand, cutoff * cutoff)
+    order = _canonical_order(p.i, p.j, len(codes))
     return NeighborPairs(i=p.i[order], j=p.j[order], dx=p.dx[order], r2=p.r2[order])

@@ -31,9 +31,10 @@ row_ptr[i + 1]]`` in ascending ``j`` — 4 bytes per candidate, where an
 convert.  Partner ids are int32, so a list holds at most
 :data:`MAX_ATOMS` atoms (:func:`check_atom_count`).
 
-Determinism: at use time the caller's walk (the kernel suite's pair
-walk) recomputes ``dx``/``r2`` from the *current* wrapped positions and
-filters to the true cutoff, and the cached rows hold the candidates in
+Determinism: the list reads position codes
+(:mod:`repro.geometry.codes`), and at use time the caller's walk (the
+kernel suite's pair walk) recomputes ``dx``/``r2`` from the *current*
+codes and filters to the true cutoff, and the cached rows hold the candidates in
 canonical ``(i, j)`` order, so the surviving pairs are bitwise
 identical to a fresh :func:`~repro.geometry.cells.neighbor_pairs`
 search at the same configuration (after exclusion filtering).
@@ -48,6 +49,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from repro.geometry.codes import PositionCodec
 from repro.geometry.pbc import Box
 from repro.kernels import NUMPY_SUITE
 
@@ -124,10 +126,9 @@ class NeighborList:
         candidates once per rebuild instead of on every evaluation.
     timers:
         Optional :class:`~repro.perf.timers.Timers`; build time is
-        recorded under ``"neighbor_build"``, the per-evaluation wrap
-        and skin check under ``"neighbor_check"``, and build/reuse
-        events under the ``"neighbor_builds"`` / ``"neighbor_reuses"``
-        counters.
+        recorded under ``"neighbor_build"``, the per-evaluation skin
+        check under ``"neighbor_check"``, and build/reuse events under
+        the ``"neighbor_builds"`` / ``"neighbor_reuses"`` counters.
     kernels:
         The kernel suite (:mod:`repro.kernels`) rebuilds run on,
         :data:`~repro.kernels.NUMPY_SUITE` by default, through its
@@ -157,6 +158,7 @@ class NeighborList:
         if skin < 0:
             raise ValueError("skin must be non-negative")
         self.box = box
+        self.codec = PositionCodec(box)
         self.cutoff = float(cutoff)
         self.skin = float(skin)
         self.effective_skin = float(min(skin, box.max_cutoff() - cutoff))
@@ -166,7 +168,8 @@ class NeighborList:
         self.kernels = kernels
         self.n_builds = 0
         self.n_reuses = 0
-        self._ref_positions: np.ndarray | None = None
+        #: The position codes of the last build, the skin check's reference.
+        self._ref_codes: np.ndarray | None = None
         # The list: row i is partners[row_ptr[i] : row_ptr[i + 1]].
         self._row_ptr: np.ndarray | None = None
         self._partners: np.ndarray | None = None
@@ -176,32 +179,29 @@ class NeighborList:
         # buffers it may fill and grow.
         self._excl_csr = None
         self._bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)]
-        #: The wrapped coordinates the rebuild and the walk read, refilled
-        #: each evaluation: a C kernel then reads a pointer it has seen.
-        self._wrapped: np.ndarray | None = None
 
     # -- building ----------------------------------------------------------
 
     def build(self, positions: np.ndarray) -> None:
-        """Force a rebuild of the candidate list at ``positions``."""
-        self._build(self.box.wrap(np.asarray(positions, dtype=np.float64)))
+        """Force a rebuild of the candidate list at ``positions`` (encoded once)."""
+        self._build(self.codec.encode(positions))
 
-    def _build(self, wrapped: np.ndarray) -> None:
+    def _build(self, codes: np.ndarray) -> None:
         if self.timers is not None:
             with self.timers.time("neighbor_build"):
-                self._build_inner(wrapped)
+                self._build_inner(codes)
             self.timers.count("neighbor_builds")
         else:
-            self._build_inner(wrapped)
+            self._build_inner(codes)
 
-    def _build_inner(self, wrapped: np.ndarray) -> None:
-        check_atom_count(len(wrapped))
+    def _build_inner(self, codes: np.ndarray) -> None:
+        check_atom_count(len(codes))
         if self.exclusions is not None and self._excl_csr is None:
             self._excl_csr = _partner_csr(self.exclusions)
-        self._row_ptr, self._partners = self._rows(wrapped, self._bufs)
-        if self._ref_positions is None or self._ref_positions.shape != wrapped.shape:
-            self._ref_positions = np.empty_like(wrapped)
-        np.copyto(self._ref_positions, wrapped)
+        self._row_ptr, self._partners = self._rows(codes, self._bufs)
+        if self._ref_codes is None or self._ref_codes.shape != codes.shape:
+            self._ref_codes = np.empty_like(codes)
+        np.copyto(self._ref_codes, codes)
         self.n_builds += 1
 
     # -- querying ----------------------------------------------------------
@@ -211,77 +211,65 @@ class NeighborList:
         """Cached candidate pairs (within ``cutoff + skin`` at build)."""
         return 0 if self._row_ptr is None else int(self._row_ptr[-1])
 
-    def rewalk(self, positions: np.ndarray, build: int, walk):
-        """Run ``walk`` as :meth:`pairs` does, at ``positions`` that an
-        evaluation walked when :attr:`n_builds` read ``build``, leaving
+    def rewalk(self, codes: np.ndarray, build: int, walk):
+        """Run ``walk`` as :meth:`pairs` does, at the codes ``codes`` that
+        an evaluation walked when :attr:`n_builds` read ``build``, leaving
         the list untouched.
 
         The rows are the live ones while the list has not been rebuilt
         since — the rows that evaluation walked — else private rows built
-        at ``positions`` through the same ``neighbor_build``; no buffer,
-        reference position or count of the list changes.  Either set of
-        rows holds every pair within the cutoff at ``positions``, so the
-        walk's result is the one that evaluation's walk had.
+        at ``codes`` through the same ``neighbor_build``; no buffer,
+        reference code or count of the list changes.  Either set of rows
+        holds every pair within the cutoff at ``codes``, so the walk's
+        result is the one that evaluation's walk had.
         """
-        wrapped = self.box.wrap(np.asarray(positions, dtype=np.float64))
         if build == self.n_builds:
             row_ptr, partners = self._row_ptr, self._partners
         else:
             bufs = [np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32)]
-            row_ptr, partners = self._rows(wrapped, bufs)
-        return walk(wrapped, row_ptr, partners, self._lengths)
+            row_ptr, partners = self._rows(codes, bufs)
+        return walk(codes, row_ptr, partners, self._lengths)
 
-    def _rows(self, wrapped: np.ndarray, bufs: list) -> tuple[np.ndarray, np.ndarray]:
-        """The suite's ``neighbor_build`` of this list at ``wrapped``, into ``bufs``."""
+    def _rows(self, codes: np.ndarray, bufs: list) -> tuple[np.ndarray, np.ndarray]:
+        """The suite's ``neighbor_build`` of this list at ``codes``, into ``bufs``."""
         return self.kernels.neighbor_build(
-            wrapped, self._lengths, self.reach, self._n_blocks,
-            len(wrapped) // self._n_blocks, self._excl_csr, bufs,
+            codes, self._lengths, self.reach, self._n_blocks,
+            len(codes) // self._n_blocks, self._excl_csr, bufs,
         )
 
-    def needs_rebuild(self, positions: np.ndarray) -> bool:
-        """True when the cached list may miss a within-cutoff pair."""
-        return self._needs_rebuild(self.box.wrap(np.asarray(positions, dtype=np.float64)))
-
-    def _needs_rebuild(self, wrapped: np.ndarray) -> bool:
-        ref = self._ref_positions
-        if ref is None or len(ref) != len(wrapped):
+    def needs_rebuild(self, codes: np.ndarray) -> bool:
+        """True when the cached list may miss a within-cutoff pair at the
+        position codes ``codes``."""
+        ref = self._ref_codes
+        if ref is None or len(ref) != len(codes):
             return True
         if self.effective_skin == 0.0:
             return True
-        d = self.box.minimum_image(wrapped - ref)
+        d = self.codec.displacement(codes, ref)
         max_r2 = float(np.max(np.sum(d * d, axis=1))) if len(d) else 0.0
         return max_r2 > (self.effective_skin / 2.0) ** 2
 
-    def pairs(self, positions: np.ndarray, walk):
-        """Run ``walk`` over the cached candidates at ``positions``,
-        rebuilding first if needed.
+    def pairs(self, codes: np.ndarray, walk):
+        """Run ``walk`` over the cached candidates at the position codes
+        ``codes`` (``(n, 3)`` int64), rebuilding first if needed.
 
-        ``walk`` is called as ``walk(wrapped, row_ptr, partners,
-        lengths)`` with the wrapped C-contiguous positions and the
-        candidates as rows — row ``i`` is ``partners[row_ptr[i] :
+        ``walk`` is called as ``walk(codes, row_ptr, partners, lengths)``
+        with the candidates as rows — row ``i`` is ``partners[row_ptr[i] :
         row_ptr[i + 1]]``, so the rows in turn are the canonical ``(i,
-        j)`` order — and what it returns is returned: the caller's record
-        of the within-cutoff pairs, whose ``.i`` holds one entry per pair.
-        That is how a force calculator filters and consumes the
-        candidates in one pass while this stays the one per-evaluation
-        entry point.  Rebuild or not, the walk sees the same candidates
-        filtered at the same positions, so its result is a pure function
-        of the current configuration.
+        j)`` order — and what it returns is returned: how a force
+        calculator filters and consumes the candidates in one pass.
+        Rebuild or not, the walk sees the same candidates at the same
+        codes, so its result is a pure function of the configuration.
         """
         with self.timers.time("neighbor_check") if self.timers is not None else nullcontext():
-            fresh = self.box.wrap(np.asarray(positions, dtype=np.float64))
-            if self._wrapped is None or self._wrapped.shape != fresh.shape:
-                self._wrapped = np.empty_like(fresh)
-            wrapped = self._wrapped
-            np.copyto(wrapped, fresh)
-            rebuild = self._needs_rebuild(wrapped)
+            rebuild = self.needs_rebuild(codes)
         if rebuild:
-            self._build(wrapped)
+            self._build(codes)
         else:
             self.n_reuses += 1
             if self.timers is not None:
                 self.timers.count("neighbor_reuses")
-        return walk(wrapped, self._row_ptr, self._partners, self._lengths)
+        return walk(codes, self._row_ptr, self._partners, self._lengths)
 
 
 class EnsembleNeighborList(NeighborList):

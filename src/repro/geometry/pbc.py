@@ -38,18 +38,11 @@ class Box:
         """Map positions into the primary cell [0, L) per axis (a new array).
 
         ``np.mod`` can return exactly L for denormal-negative inputs;
-        the correction keeps the half-open interval invariant airtight
-        (cell indexing depends on it).  Coordinates that all lie in the
-        open cell (0, L) — every engine's decoded positions, nearly
-        always — are copied instead: there ``np.mod`` is the identity
-        (DESIGN.md, wrap lemma), and two reductions decide it.  A NaN,
-        a zero of either sign or anything outside takes the general
-        path.
+        the correction keeps the half-open interval invariant airtight.
+        The force path does not wrap: it reads position codes
+        (:mod:`repro.geometry.codes`), whose mask is the wrap.
         """
         x = np.asarray(positions, dtype=np.float64)
-        if x.ndim and x.size and x.shape[-1] == 3 and x.min() > 0.0:
-            if x.max() < self.lengths.min() or bool(np.all(x < self.lengths)):
-                return x.copy()
         w = np.mod(x, self.lengths)
         return np.where(w >= self.lengths, w - self.lengths, w)
 

@@ -23,6 +23,8 @@ from dataclasses import asdict
 
 import numpy as np
 
+from repro.geometry.codes import POSITION_BITS
+
 __all__ = [
     "pack_state",
     "unpack_state",
@@ -252,7 +254,7 @@ def system_fingerprint(system, params, mode: str, dt: float, fixed_config=None) 
         "params_hash": _params_hash(params),
     }
     if fixed_config is not None:
-        fp["position_bits"] = int(fixed_config.position_bits)
+        fp["position_bits"] = POSITION_BITS
         fp["velocity_bits"] = int(fixed_config.velocity_bits)
         fp["velocity_limit"] = float(fixed_config.velocity_limit)
         fp["force_bits"] = int(fixed_config.force_bits)
@@ -273,7 +275,7 @@ def trajectory_decode(system, fixed_config=None) -> dict:
         return {"storage": "float", "box": box}
     return {
         "storage": "codes",
-        "position_bits": fixed_config.position_bits,
+        "position_bits": POSITION_BITS,
         "box": box,
         "velocity_bits": fixed_config.velocity_bits,
         "velocity_limit": fixed_config.velocity_limit,

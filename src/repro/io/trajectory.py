@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.fixedpoint import FixedFormat, ScaledFixed
+from repro.geometry import POSITION_BITS, Box, PositionCodec
 from repro.io.records import (
     REC_FRAME,
     REC_HEADER,
@@ -37,7 +38,7 @@ from repro.io.records import (
     write_record,
     write_trailer,
 )
-from repro.io.serialize import check_fingerprint, pack_state, unpack_state
+from repro.io.serialize import FingerprintMismatch, check_fingerprint, pack_state, unpack_state
 
 __all__ = ["Frame", "TrajectoryWriter", "TrajectoryReader", "VerifyReport"]
 
@@ -52,11 +53,12 @@ class Frame:
 
 
 def _decode_positions(codes: np.ndarray, bits: int, box_lengths) -> np.ndarray:
-    # Same arithmetic as PositionCodec.decode (codes / scale with
-    # scale = 2**bits / L), so the floats are bitwise those a live
-    # simulation would report.
-    scale = float(np.int64(1) << np.int64(bits)) / np.asarray(box_lengths, dtype=np.float64)
-    return codes.astype(np.float64) / scale
+    """``PositionCodec.decode`` of stored codes, which must have its width."""
+    if bits != POSITION_BITS:
+        raise FingerprintMismatch(
+            f"trajectory stores {bits}-bit position codes; position_bits is {POSITION_BITS}"
+        )
+    return PositionCodec(Box(np.asarray(box_lengths, dtype=np.float64))).decode(codes)
 
 
 class TrajectoryWriter:

@@ -17,10 +17,10 @@
  *
  * Division is kept literal (x / L, not x * (1.0 / L)): a reciprocal
  * multiply is not the same IEEE operation and does change bits.  The
- * pair path drops a division only where one of three lemmas proves the
- * replacement is the same IEEE result (rk_image, rk_quantize, rk_offsets
- * below); each falls back to the literal division when its precondition
- * does not hold.
+ * pair path drops a division only where one of two lemmas proves the
+ * replacement is the same IEEE result (rk_quantize, rk_offsets below);
+ * each falls back to the literal division when its precondition does
+ * not hold.
  *
  * The build targets the host's vector ISA (build.py: -march=native), and
  * the hot loops are shaped so the compiler can use it: per-quantity block
@@ -130,22 +130,25 @@ static inline double rk_horner4_at(const double *c, int32_t k, double t)
     return out;
 }
 
-/* Minimum image d - L * rint(d / L) of a difference of two coordinates
- * wrapped into [0, L), without the division.
- *
- * Lemma: |d| < L, so rint(d / L) is -1, 0 or 1, and it is 1 exactly when
- * fl(d / L) > 0.5 (the tie 0.5 rounds to even, 0).  With h = 0.5 * L
- * exact: d <= h gives d / L <= 0.5 and rounding is monotone, so
- * fl(d / L) <= 0.5; d > h gives d >= h + ulp(h), and ulp(h) / L > 2^-54
- * puts d / L past the midpoint of 0.5 and its successor 0.5 + 2^-53, so
- * fl(d / L) > 0.5.  Mirrored for -1.  Hence rint(d / L) == (d > h) -
- * (d < -h), and L times it is exact either way: the result is the same
- * single rounding of d -+ L (wrapped coordinates carry no negative
- * zero, so neither does d).  Not for SETTLE's unwrapped differences:
- * those keep rk_min_image. */
-static inline double rk_image(double d, double L, double h)
+/* Positions arrive as int64 codes of RK_POS_BITS bits (geometry/codes.py).
+ * rk_disp is PositionCodec.displacement: x_i - x_j of codes ci, cj, their
+ * difference sign-extended from 40 bits in uint64 (no signed overflow, no
+ * shift of a negative value) times step = L * 2^-40, the one rounding
+ * (DESIGN.md, integer geometry). */
+#define RK_POS_BITS 40
+static inline double rk_disp(int64_t ci, int64_t cj, double step)
 {
-    return d - L * (double)((d > h) - (d < -h));
+    const uint64_t half = (uint64_t)1 << (RK_POS_BITS - 1);
+    const uint64_t mask = ((uint64_t)1 << RK_POS_BITS) - 1;
+    const uint64_t d = ((uint64_t)ci - (uint64_t)cj + half) & mask;
+    return (double)((int64_t)d - (int64_t)half) * step;
+}
+
+/* The cell (c * m) >> 40 of code c on m cells per axis (geometry/codes.py:
+ * cells): exact, in [0, m), for c < 2^40 and m < 2^23. */
+static inline int64_t rk_cell(int64_t c, int64_t m)
+{
+    return (int64_t)(((uint64_t)c * (uint64_t)m) >> RK_POS_BITS);
 }
 
 /* Kernels with vectorized loops are compiled once, out of line, whichever
@@ -176,7 +179,7 @@ static inline double rk_image(double d, double L, double h)
  * to its first atom, the anchor, by the exclusion CSR (a water's O, H1,
  * H2; with no tie, or no CSR, a singleton), with a radius r, the largest
  * minimum-image distance of a member from the anchor, recomputed from
- * the wrapped positions at every call.  Cluster B >= A is a partner of A
+ * the position codes at every call.  Cluster B >= A is a partner of A
  * when d(A0, B0)^2 < (reach + r_A + r_B)^2 * RK_NB_SLACK: by the torus
  * triangle inequality every pair (i in A, j in B) within reach has its
  * anchors closer than reach + r_A + r_B, and the slack is far above any
@@ -224,7 +227,7 @@ static inline double rk_image(double d, double L, double h)
  * inside a cluster: the clusters and the anchor cells of its block are
  * derived again).
  *
- * Positions must be wrapped into [0, L). */
+ * Positions are int64 codes (rk_disp, rk_cell). */
 
 #define RK_NB_SLACK (1.0 + 1e-9)
 
@@ -258,14 +261,15 @@ static int64_t rk_nb_axis_cap(int64_t n)
 
 /* One block's scratch, carved from the caller's int64 words: the anchor
  * cell table; the cluster starts and radii; per cell-ordered anchor slot its
- * cluster, coordinates and radius; the cluster bitmap; the block's
- * coordinates in id order; the candidate ids and coordinates.  Slot
- * arrays carry RK_NB_LANES of padding, the id-order ones RK_NB_CLUSTER. */
+ * cluster, codes and radius; the cluster bitmap; the block's codes in id
+ * order; the candidate ids and codes.  Slot arrays carry RK_NB_LANES of
+ * padding, the id-order ones RK_NB_CLUSTER. */
 typedef struct {
     int64_t *cell_start;
     int32_t *cstart, *cell_clu, *cj;
     uint64_t *cbits;
-    double *crad, *sx, *sy, *sz, *sr, *bx, *by, *bz, *cx, *cy, *cz;
+    double *crad, *sr;
+    int64_t *sx, *sy, *sz, *bx, *by, *bz, *cx, *cy, *cz;
 } rk_nb_work;
 
 /* Points wk's arrays into `w` (when given) and returns the words used. */
@@ -282,16 +286,16 @@ static int64_t rk_nb_carve(rk_nb_work *wk, int64_t *w, int64_t block_len)
     RK_NB_TAKE(cell_clu, int32_t, pad);
     RK_NB_TAKE(cj, int32_t, pad);
     RK_NB_TAKE(cbits, uint64_t, (block_len + 63) / 64);
-    RK_NB_TAKE(sx, double, pad);
-    RK_NB_TAKE(sy, double, pad);
-    RK_NB_TAKE(sz, double, pad);
+    RK_NB_TAKE(sx, int64_t, pad);
+    RK_NB_TAKE(sy, int64_t, pad);
+    RK_NB_TAKE(sz, int64_t, pad);
     RK_NB_TAKE(sr, double, pad);
-    RK_NB_TAKE(bx, double, block_len + RK_NB_CLUSTER);
-    RK_NB_TAKE(by, double, block_len + RK_NB_CLUSTER);
-    RK_NB_TAKE(bz, double, block_len + RK_NB_CLUSTER);
-    RK_NB_TAKE(cx, double, pad);
-    RK_NB_TAKE(cy, double, pad);
-    RK_NB_TAKE(cz, double, pad);
+    RK_NB_TAKE(bx, int64_t, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(by, int64_t, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(bz, int64_t, block_len + RK_NB_CLUSTER);
+    RK_NB_TAKE(cx, int64_t, pad);
+    RK_NB_TAKE(cy, int64_t, pad);
+    RK_NB_TAKE(cz, int64_t, pad);
 #undef RK_NB_TAKE
     return used;
 }
@@ -303,26 +307,26 @@ int64_t rk_neighbor_work_size(int64_t block_len)
     return rk_nb_carve(&wk, NULL, block_len);
 }
 
-/* Atom slot q of the candidates against the point x:
+/* Atom slot q of the candidates against the codes x:
  * cells.within's predicate, operation for operation. */
-static inline int64_t rk_nb_atom_hit(const double *x, int64_t q, const rk_nb_work *wk,
-                                     const double *L, const double *h, double reach2)
+static inline int64_t rk_nb_atom_hit(const int64_t *x, int64_t q, const rk_nb_work *wk,
+                                     const double *step, double reach2)
 {
-    const double d0 = rk_image(x[0] - wk->cx[q], L[0], h[0]);
-    const double d1 = rk_image(x[1] - wk->cy[q], L[1], h[1]);
-    const double d2 = rk_image(x[2] - wk->cz[q], L[2], h[2]);
+    const double d0 = rk_disp(x[0], wk->cx[q], step[0]);
+    const double d1 = rk_disp(x[1], wk->cy[q], step[1]);
+    const double d2 = rk_disp(x[2], wk->cz[q], step[2]);
     return (d0 * d0 + d1 * d1) + d2 * d2 < reach2;
 }
 
 /* Anchor slot q against cluster A's anchor x: whether its cluster is
  * after A and its anchor within ra + its radius (ra = reach + r_A),
  * widened by RK_NB_SLACK. */
-static inline int64_t rk_nb_anchor_hit(int64_t A, const double *x, double ra, int64_t q,
-                                       const rk_nb_work *wk, const double *L, const double *h)
+static inline int64_t rk_nb_anchor_hit(int64_t A, const int64_t *x, double ra, int64_t q,
+                                       const rk_nb_work *wk, const double *step)
 {
-    const double d0 = rk_image(x[0] - wk->sx[q], L[0], h[0]);
-    const double d1 = rk_image(x[1] - wk->sy[q], L[1], h[1]);
-    const double d2 = rk_image(x[2] - wk->sz[q], L[2], h[2]);
+    const double d0 = rk_disp(x[0], wk->sx[q], step[0]);
+    const double d1 = rk_disp(x[1], wk->sy[q], step[1]);
+    const double d2 = rk_disp(x[2], wk->sz[q], step[2]);
     const double t = ra + wk->sr[q];
     return (wk->cell_clu[q] > A) & ((d0 * d0 + d1 * d1) + d2 * d2 < t * t * RK_NB_SLACK);
 }
@@ -343,14 +347,14 @@ static inline int64_t rk_nb_anchor_hit(int64_t A, const double *x, double ra, in
 
 /* Marks in wk->cbits every partner cluster B > A among the anchor slots
  * [p0, p1); widens [*wlo, *whi] to the bitmap words it touched. */
-RK_ONE_COPY void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_t p0,
-                                  int64_t p1, const rk_nb_work *wk, const double *L,
-                                  const double *h, int64_t *wlo, int64_t *whi)
+RK_ONE_COPY void rk_nb_anchor_run(int64_t A, const int64_t *xa, double ra, int64_t p0,
+                                  int64_t p1, const rk_nb_work *wk, const double *step,
+                                  int64_t *wlo, int64_t *whi)
 {
     for (int64_t p = p0; p < p1; p += RK_NB_BLOCK) {
         const int64_t nb = p1 - p < RK_NB_BLOCK ? p1 - p : RK_NB_BLOCK;
         uint64_t mask;
-#define RK_NB_HIT(q) rk_nb_anchor_hit(A, xa, ra, q, wk, L, h)
+#define RK_NB_HIT(q) rk_nb_anchor_hit(A, xa, ra, q, wk, step)
         RK_NB_MASK(mask, p, nb, RK_NB_HIT);
 #undef RK_NB_HIT
         for (; mask; mask &= mask - 1) {
@@ -362,12 +366,12 @@ RK_ONE_COPY void rk_nb_anchor_run(int64_t A, const double *xa, double ra, int64_
     }
 }
 
-/* Row i (coordinates xi) over the candidate slots [q0, q1), whose ids
- * all exceed i and ascend: the pairs within reach, minus the excluded
+/* Row i (codes xi) over the candidate slots [q0, q1), whose ids all
+ * exceed i and ascend: the pairs within reach, minus the excluded
  * partners ex[e .. e1) (ascending), written to out[0 .. room).  Returns
  * their count, also when it exceeds room (the writes past room dropped). */
-RK_ONE_COPY int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
-                              const double *L, const double *h, double reach2,
+RK_ONE_COPY int64_t rk_nb_row(const int64_t *xi, int64_t q0, int64_t q1, const rk_nb_work *wk,
+                              const double *step, double reach2,
                               const int64_t *ex, int64_t e, int64_t e1,
                               int32_t *restrict out, int64_t room)
 {
@@ -375,7 +379,7 @@ RK_ONE_COPY int64_t rk_nb_row(const double *xi, int64_t q0, int64_t q1, const rk
     for (int64_t p = q0; p < q1; p += RK_NB_BLOCK) {
         const int64_t nb = q1 - p < RK_NB_BLOCK ? q1 - p : RK_NB_BLOCK;
         uint64_t mask;
-#define RK_NB_HIT(q) rk_nb_atom_hit(xi, q, wk, L, h, reach2)
+#define RK_NB_HIT(q) rk_nb_atom_hit(xi, q, wk, step, reach2)
         RK_NB_MASK(mask, p, nb, RK_NB_HIT);
 #undef RK_NB_HIT
         for (; mask; mask &= mask - 1) {
@@ -403,9 +407,9 @@ static inline int64_t rk_nb_take(rk_nb_work *wk, int64_t base, int64_t B, int64_
     const int64_t j0 = wk->cstart[B];
     for (int64_t k = 0; k < RK_NB_CLUSTER; k++)
         wk->cj[nq + k] = (int32_t)(base + j0 + k);
-    memcpy(wk->cx + nq, wk->bx + j0, RK_NB_CLUSTER * sizeof(double));
-    memcpy(wk->cy + nq, wk->by + j0, RK_NB_CLUSTER * sizeof(double));
-    memcpy(wk->cz + nq, wk->bz + j0, RK_NB_CLUSTER * sizeof(double));
+    memcpy(wk->cx + nq, wk->bx + j0, RK_NB_CLUSTER * sizeof(int64_t));
+    memcpy(wk->cy + nq, wk->by + j0, RK_NB_CLUSTER * sizeof(int64_t));
+    memcpy(wk->cz + nq, wk->bz + j0, RK_NB_CLUSTER * sizeof(int64_t));
     return nq + wk->cstart[B + 1] - j0;
 }
 
@@ -487,16 +491,15 @@ static void rk_nb_shape_init(rk_nb_shape *sh, const double *L, double reach, int
     sh->cost = (double)n * (double)cells / ncell + RK_NB_RUN_COST * (double)sh->ncol;
 }
 
-/* The radius of the cluster of atoms [lo, hi) of block x: the largest
- * minimum-image distance of a member from its first atom. */
-static double rk_nb_radius(const double *x, int64_t lo, int64_t hi, const double *L,
-                           const double *h)
+/* The radius of the cluster of atoms [lo, hi) of block x (codes): the
+ * largest minimum-image distance of a member from its first atom. */
+static double rk_nb_radius(const int64_t *x, int64_t lo, int64_t hi, const double *step)
 {
     double r2 = 0.0;
     for (int64_t k = lo + 1; k < hi; k++) {
-        const double d0 = rk_image(x[3 * lo] - x[3 * k], L[0], h[0]);
-        const double d1 = rk_image(x[3 * lo + 1] - x[3 * k + 1], L[1], h[1]);
-        const double d2 = rk_image(x[3 * lo + 2] - x[3 * k + 2], L[2], h[2]);
+        const double d0 = rk_disp(x[3 * lo], x[3 * k], step[0]);
+        const double d1 = rk_disp(x[3 * lo + 1], x[3 * k + 1], step[1]);
+        const double d2 = rk_disp(x[3 * lo + 2], x[3 * k + 2], step[2]);
         const double s = (d0 * d0 + d1 * d1) + d2 * d2;
         r2 = s > r2 ? s : r2;
     }
@@ -506,9 +509,9 @@ static double rk_nb_radius(const double *x, int64_t lo, int64_t hi, const double
 /* Cuts block x (block_len atoms, global ids from base) into clusters,
  * wk->cstart[0 .. nclu] with radii wk->crad[0 .. nclu); returns nclu and
  * the largest radius in *rmax. */
-static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
+static int64_t rk_nb_clusters(const int64_t *x, int64_t base, int64_t block_len,
                               const int64_t *excl_ptr, const int64_t *excl_idx,
-                              const double *L, const double *h, rk_nb_work *wk, double *rmax)
+                              const double *step, rk_nb_work *wk, double *rmax)
 {
     int64_t nclu = 0;
     *rmax = 0.0;
@@ -520,7 +523,7 @@ static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
                    && excl_idx[e0 + t - 1] == base + a + t)
                 t++;
         }
-        const double r = rk_nb_radius(x, a, a + t, L, h);
+        const double r = rk_nb_radius(x, a, a + t, step);
         *rmax = r > *rmax ? r : *rmax;
         wk->crad[nclu] = r;
         wk->cstart[nclu] = (int32_t)a;
@@ -530,19 +533,13 @@ static int64_t rk_nb_clusters(const double *x, int64_t base, int64_t block_len,
     return nclu;
 }
 
-/* The cell of the anchor at xa in shape sh (flat, x-major). */
-static inline int64_t rk_nb_cell(const double *xa, const rk_nb_shape *sh)
+/* The cell of the anchor with codes xa in shape sh (flat, x-major; an
+ * uncut axis has one cell, rk_cell's 0). */
+static inline int64_t rk_nb_cell(const int64_t *xa, const rk_nb_shape *sh)
 {
-    if (sh->wa < 0) /* one cell */
-        return 0;
-    int64_t k[3];
-    for (int a = 0; a < 3; a++) {
-        double f = floor(xa[a] / sh->cs[a]);
-        if (!(f >= 0.0))
-            f = 0.0;
-        k[a] = f < (double)sh->nc[a] ? (int64_t)f : sh->nc[a] - 1;
-    }
-    return (k[0] * sh->nc[1] + k[1]) * sh->nc[2] + k[2];
+    const int64_t *nc = sh->nc;
+    return (rk_cell(xa[0], nc[0]) * nc[1] + rk_cell(xa[1], nc[1])) * nc[2]
+           + rk_cell(xa[2], nc[2]);
 }
 
 /* Sweeps rows at[0] .. n_blocks * block_len - 1 (global indices), the
@@ -557,29 +554,30 @@ static inline int64_t rk_nb_cell(const double *xa, const rk_nb_shape *sh)
  * and each row ascending in j: the rows' merge and the cluster rule read
  * it in that order. */
 int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
-                          const double *w, const double *L, double reach,
+                          const int64_t *w, const double *L, double reach,
                           const int64_t *excl_ptr, const int64_t *excl_idx,
                           int64_t *work, int64_t *row_ptr, int32_t *partners,
                           int64_t cap, int64_t *at, int64_t shape)
 {
     const double reach2 = reach * reach;
-    const double h[3] = {0.5 * L[0], 0.5 * L[1], 0.5 * L[2]};
+    const double step[3] = {ldexp(L[0], -RK_POS_BITS), ldexp(L[1], -RK_POS_BITS),
+                            ldexp(L[2], -RK_POS_BITS)};
     rk_nb_work wk;
     rk_nb_carve(&wk, work, block_len);
     memset(wk.cbits, 0, (size_t)((block_len + 63) / 64) * sizeof *wk.cbits);
     for (int64_t p = block_len; p < block_len + RK_NB_CLUSTER; p++) /* copied, never kept */
-        wk.bx[p] = wk.by[p] = wk.bz[p] = 0.0;
+        wk.bx[p] = wk.by[p] = wk.bz[p] = 0;
     for (int64_t q = 0; q < block_len + RK_NB_LANES; q++) /* read past a row's run */
-        wk.cj[q] = 0, wk.cx[q] = wk.cy[q] = wk.cz[q] = 0.0;
+        wk.cj[q] = 0, wk.cx[q] = wk.cy[q] = wk.cz[q] = 0;
 
     int64_t m = at[1];
     for (int64_t b = at[0] / (block_len > 0 ? block_len : 1); b < n_blocks; b++) {
         const int64_t base = b * block_len, first = at[0] > base ? at[0] - base : 0;
-        const double *x = w + 3 * base;
+        const int64_t *x = w + 3 * base;
         for (int64_t i = 0; i < block_len; i++)
             wk.bx[i] = x[3 * i], wk.by[i] = x[3 * i + 1], wk.bz[i] = x[3 * i + 2];
         double rmax;
-        const int64_t nclu = rk_nb_clusters(x, base, block_len, excl_ptr, excl_idx, L, h,
+        const int64_t nclu = rk_nb_clusters(x, base, block_len, excl_ptr, excl_idx, step,
                                             &wk, &rmax);
 
         rk_nb_shape sh, t;
@@ -602,7 +600,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
         for (int64_t c = 0; c < ncell; c++)
             cell_start[c + 1] += cell_start[c];
         for (int64_t c = 0; c < nclu; c++) {
-            const double *xa = x + 3 * wk.cstart[c];
+            const int64_t *xa = x + 3 * wk.cstart[c];
             const int64_t p = cell_start[rk_nb_cell(xa, &sh)]++;
             wk.cell_clu[p] = (int32_t)c;
             wk.sx[p] = xa[0], wk.sy[p] = xa[1], wk.sz[p] = xa[2];
@@ -612,14 +610,14 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             cell_start[c] = cell_start[c - 1];
         cell_start[0] = 0;
         for (int64_t p = nclu; p < nclu + RK_NB_LANES; p++) /* read past a run, never a hit */
-            wk.cell_clu[p] = 0, wk.sx[p] = wk.sy[p] = wk.sz[p] = wk.sr[p] = 0.0;
+            wk.cell_clu[p] = 0, wk.sx[p] = wk.sy[p] = wk.sz[p] = 0, wk.sr[p] = 0.0;
 
         int64_t A = 0;
         while (A < nclu && wk.cstart[A + 1] <= first) /* the cluster of the first row */
             A++;
         for (; A < nclu; A++) {
             const int64_t lo_a = wk.cstart[A], hi_a = wk.cstart[A + 1];
-            const double *xa = x + 3 * lo_a;
+            const int64_t *xa = x + 3 * lo_a;
             const double ra = reach + wk.crad[A];
             const int64_t ci = rk_nb_cell(xa, &sh);
             const int64_t cc[3] = {ci / (nc[1] * nc[2]), (ci / nc[2]) % nc[1], ci % nc[2]};
@@ -653,7 +651,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
                     }
                 }
                 for (int64_t k = 0; k < nr; k++)
-                    rk_nb_anchor_run(A, xa, ra, r[k][0], r[k][1], &wk, L, h, &wlo, &whi);
+                    rk_nb_anchor_run(A, xa, ra, r[k][0], r[k][1], &wk, step, &wlo, &whi);
             }
 
             /* Candidates: A's own atoms, then each partner's, ascending. */
@@ -671,7 +669,7 @@ int64_t rk_neighbor_build(int64_t n_blocks, int64_t block_len,
             for (int64_t i = lo_a > first ? lo_a : first; i < hi_a; i++) {
                 const int64_t e0 = excl_ptr ? excl_ptr[base + i] : 0;
                 const int64_t e1 = excl_ptr ? excl_ptr[base + i + 1] : 0;
-                const int64_t row = rk_nb_row(x + 3 * i, i - lo_a + 1, nq, &wk, L, h, reach2,
+                const int64_t row = rk_nb_row(x + 3 * i, i - lo_a + 1, nq, &wk, step, reach2,
                                               excl_idx, e0, e1, partners + m, cap - m);
                 if (m + row > cap) {
                     at[0] = base + i;
@@ -786,27 +784,28 @@ static inline int64_t rk_select_run(const rk_select *t, const uint8_t *keep, int
 }
 
 /* What one pass over the rows holds on its stack: the spec by value (so
- * its fields sit in registers across the loops), the box, the wrapped
- * coordinates as three arrays (the partners' side of every pair is read
- * from them), both segment lookups and the selection table. */
+ * its fields sit in registers across the loops), the code step per axis
+ * (rk_disp), the position codes as three arrays (the partners' side of
+ * every pair is read from them), both segment lookups and the selection
+ * table. */
 typedef struct {
     rk_pair_spec s;
-    double L0, L1, L2, h0, h1, h2;
-    const double *sx, *sy, *sz;
+    double s0, s1, s2;
+    const int64_t *sx, *sy, *sz;
     rk_seg_lookup e_seg, d_seg;
     rk_select sel;
 } rk_walk_ctx;
 
-/* Sets up one pass over n atoms: the n wrapped rows of w transposed into
- * soa (caller scratch of 3 n doubles), a copy that changes no value. */
+/* Sets up one pass over n atoms: the n code rows of w transposed into
+ * soa (caller scratch of 3 n int64), a copy that changes no value. */
 static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L,
-                         int64_t n, const double *restrict w,
-                         double *restrict soa)
+                         int64_t n, const int64_t *restrict w,
+                         int64_t *restrict soa)
 {
     rk_select_init(&c->sel);
     c->s = *s;
-    c->L0 = L[0], c->L1 = L[1], c->L2 = L[2];
-    c->h0 = 0.5 * L[0], c->h1 = 0.5 * L[1], c->h2 = 0.5 * L[2];
+    c->s0 = ldexp(L[0], -RK_POS_BITS), c->s1 = ldexp(L[1], -RK_POS_BITS);
+    c->s2 = ldexp(L[2], -RK_POS_BITS);
     for (int64_t i = 0; i < n; i++) {
         soa[i] = w[3 * i];
         soa[n + i] = w[3 * i + 1];
@@ -818,9 +817,10 @@ static void rk_walk_init(rk_walk_ctx *c, const rk_pair_spec *s, const double *L,
 }
 
 /* Atom i of the row being walked, held across all its blocks: its
- * coordinates, its charge and its row of the A/B matrices. */
+ * codes, its charge and its row of the A/B matrices. */
 typedef struct {
-    double x, y, z, q;
+    int64_t x, y, z;
+    double q;
     const double *a, *b;
 } rk_row;
 
@@ -866,7 +866,7 @@ static inline void rk_keep_pad(uint8_t *keep, int64_t n)
 
 /* Filter over one block of row r's partners pj[0 .. nk), nk <=
  * RK_WALK_BLOCK: the cutoff predicate of geometry.cells.within, operation
- * for operation (d = x_i - x_j, rk_image for its division), first as a
+ * for operation (d = x_i - x_j by rk_disp), first as a
  * loop over the block that only reads and writes one keep byte per
  * candidate (so it vectorizes, gathering the partners' coordinates),
  * then the survivors' indices selected 8 candidates at a time
@@ -883,16 +883,16 @@ RK_ONE_COPY int64_t rk_walk_filter(const rk_walk_ctx *c, const rk_row *r,
                                    int64_t *restrict oj,
                                    rk_walk_block *restrict blk)
 {
-    const double *restrict sx = c->sx, *restrict sy = c->sy, *restrict sz = c->sz;
+    const int64_t *restrict sx = c->sx, *restrict sy = c->sy, *restrict sz = c->sz;
     const double cutoff2 = c->s.cutoff2, umax = c->s.umax;
-    const double x = r->x, y = r->y, z = r->z;
+    const int64_t x = r->x, y = r->y, z = r->z;
     double t0[RK_WALK_BLOCK], t1[RK_WALK_BLOCK], t2[RK_WALK_BLOCK], r2[RK_WALK_BLOCK];
     uint8_t *restrict keep = blk->keep;
     for (int64_t k = 0; k < nk; k++) {
         const int64_t j = pj[k];
-        t0[k] = rk_image(x - sx[j], c->L0, c->h0);
-        t1[k] = rk_image(y - sy[j], c->L1, c->h1);
-        t2[k] = rk_image(z - sz[j], c->L2, c->h2);
+        t0[k] = rk_disp(x, sx[j], c->s0);
+        t1[k] = rk_disp(y, sy[j], c->s1);
+        t2[k] = rk_disp(z, sz[j], c->s2);
         r2[k] = (t0[k] * t0[k] + t1[k] * t1[k]) + t2[k] * t2[k];
         keep[k] = r2[k] < cutoff2;
     }
@@ -1142,8 +1142,8 @@ RK_ONE_COPY uint64_t rk_energy_codes(int64_t nb, const double *restrict e)
  * scratch; the arrays must not overlap.  Returns the surviving pair
  * count. */
 int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
-                     const int32_t *restrict partners, const double *restrict w,
-                     double *restrict soa, const double *L,
+                     const int32_t *restrict partners, const int64_t *restrict w,
+                     int64_t *restrict soa, const double *L,
                      const rk_pair_spec *s, int64_t *restrict acc,
                      int64_t *restrict e_rows, int64_t *restrict counts,
                      const int64_t *restrict tags, int64_t words,
@@ -1232,8 +1232,8 @@ int64_t rk_pair_walk(int64_t n_atoms, const int64_t *restrict row_ptr,
  * rk_deposit_pairs_float in NumPy's order.  rows is (n_cand, 3); the
  * other arguments as for the walk.  Returns the surviving count. */
 int64_t rk_pair_rows(int64_t n_atoms, const int64_t *restrict row_ptr,
-                     const int32_t *restrict partners, const double *restrict w,
-                     double *restrict soa, const double *L,
+                     const int32_t *restrict partners, const int64_t *restrict w,
+                     int64_t *restrict soa, const double *L,
                      const rk_pair_spec *s, int64_t *restrict oi,
                      int64_t *restrict oj, double *restrict rows,
                      double *restrict e_lj, double *restrict e_coul)
@@ -1348,10 +1348,10 @@ void rk_deposit_pairs_float(double *F, const int64_t *pi, const int64_t *pj,
     }
 }
 
-/* -- minimum image of unwrapped differences --------------------------- */
+/* -- minimum image of float differences ------------------------------ */
 
-/* Box.minimum_image, d - L * rint(d / L), for the unwrapped differences
- * SETTLE takes (rk_image needs wrapped coordinates).  Lemma
+/* Box.minimum_image, d - L * rint(d / L), for the float differences
+ * SETTLE takes (it reads decoded positions, not codes).  Lemma
  * (no division inside the half box): for L > 0 finite, |d| <= L/2 (0.5 * L
  * is exact) gives |fl(d / L)| <= 0.5, since correctly rounded division is
  * monotone and 0.5 is a double, so rint(d / L) is a zero of d's sign (ties

@@ -10,9 +10,10 @@ from those sets, the fixed-point pair deposit and the ordered float deposit, the
 mesh spread and gather, and the constraint solves (SETTLE, and the
 SHAKE/RATTLE sweeps of every other constraint).  Each primitive has
 one form: the rebuild and the solves take ``n`` stacked blocks, and a
-solo system is one block.  The NumPy forms filter candidates with the
-one cutoff predicate, :func:`repro.geometry.cells.within`.  Two tiers
-implement it:
+solo system is one block.  The rebuild and the walks read position codes
+(:mod:`repro.geometry.codes`), and the NumPy forms filter candidates
+with the one cutoff predicate, :func:`repro.geometry.cells.within`.
+Two tiers implement it:
 
 * :class:`NumpyKernels` — pure NumPy, always available, and the
   reference the property tests compare against.  Every primitive a
@@ -407,71 +408,71 @@ class NumpyKernels:
 
     # -- neighbor rebuild --------------------------------------------------
 
-    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
+    def neighbor_build(self, codes, lengths, reach, n_blocks, block_len, excl, bufs):
         """Canonical Verlet list of ``n_blocks`` stacked blocks, as rows.
 
-        Every pair ``i < j`` within one block whose minimum-image
-        distance passes :func:`~repro.geometry.cells.within` at ``reach``,
+        Every pair ``i < j`` within one block whose position ``codes`` pass
+        :func:`~repro.geometry.cells.within` at ``reach``,
         except the partners in ``excl`` — a per-atom CSR ``(ptr, idx)``
         of partners ``j > i``, each row ascending in ``j`` (the compiled
         sweep merges its hits against the rows in order), or ``None`` —
         sorted by ``(i, j)`` and
         returned as rows ``(row_ptr, partners)``
-        (:func:`~repro.geometry.neighborlist.pairs_to_rows`).
-        ``wrapped`` holds every coordinate in ``[0, L)``.  ``bufs`` is the
+        (:func:`~repro.geometry.neighborlist.pairs_to_rows`).  ``bufs`` is the
         caller's ``[row_ptr, partners]`` buffers, which only the compiled
         form writes.  Here: batched cell candidates, reach filter,
         exclusion mask, one canonical sort of the survivors — or, in a
         box that admits no binning, brute force per block — then the
         pairs counted into rows.
         """
+        from repro.geometry import Box, PositionCodec
         from repro.geometry.cells import (
             _canonical_order,
-            brute_force_pairs,
+            brute_force_codes,
             cell_candidate_pairs,
             within,
         )
         from repro.geometry.neighborlist import pairs_to_rows
-        from repro.geometry.pbc import Box
 
-        box = Box(lengths)
-        cand = cell_candidate_pairs(wrapped, box, reach, n_blocks)
+        codec = PositionCodec(Box(lengths))
+        cand = cell_candidate_pairs(codes, codec.box, reach, n_blocks)
         if cand is None:
-            blocks = wrapped.reshape(n_blocks, block_len, 3)
-            parts = [brute_force_pairs(x, box, reach) for x in blocks]
+            blocks = codes.reshape(n_blocks, block_len, 3)
+            parts = [brute_force_codes(x, codec, reach) for x in blocks]
             ii = np.concatenate([bf.i + r * block_len for r, bf in enumerate(parts)])
             jj = np.concatenate([bf.j + r * block_len for r, bf in enumerate(parts)])
         else:
-            kept = within(wrapped, box, *cand, reach * reach)
+            kept = within(codes, codec, *cand, reach * reach)
             ii, jj = kept.i, kept.j
         if excl is not None and len(ii):
-            keep = ~_csr_contains(excl, ii, jj, len(wrapped))
+            keep = ~_csr_contains(excl, ii, jj, len(codes))
             ii, jj = ii[keep], jj[keep]
         if cand is not None and len(ii):
-            order = _canonical_order(ii, jj, len(wrapped))
+            order = _canonical_order(ii, jj, len(codes))
             ii, jj = ii[order], jj[order]
-        return pairs_to_rows(ii, jj, len(wrapped))
+        return pairs_to_rows(ii, jj, len(codes))
 
     # -- tabulated pair kernels ----------------------------------------------
 
-    def _tabulated(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths):
+    def _tabulated(self, spec: PairTableSpec, codes, row_ptr, partners, lengths):
         """The rows, expanded to ``(i, j)`` candidates and filtered, through
         the force field's tabulated kernel."""
         from repro.forcefield import nonbonded_real_space_tabulated
+        from repro.geometry import Box, PositionCodec
         from repro.geometry.cells import within
         from repro.geometry.neighborlist import rows_to_pairs
-        from repro.geometry.pbc import Box
 
+        codec = PositionCodec(Box(lengths))
         return nonbonded_real_space_tabulated(
-            within(wrapped, Box(lengths), *rows_to_pairs(row_ptr, partners), spec.cutoff2),
+            within(codes, codec, *rows_to_pairs(row_ptr, partners), spec.cutoff2),
             spec.charges, spec.types, spec.lj, spec.tables,
         )
 
-    def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
+    def pair_walk(self, spec: PairTableSpec, codes, row_ptr, partners, lengths, acc,
                   e_rows, counts, tags=None, sets=None):
         """One range-limited evaluation, Verlet rows to accumulator.
 
-        :meth:`pair_rows`, then the rows quantized by ``spec.codec`` and
+        :meth:`pair_rows` at the position codes ``codes``, then the rows quantized by ``spec.codec`` and
         :meth:`deposit_pairs`-ed into the ``(n_atoms, 3)`` int64 ``acc``.
         Each surviving pair's two energies are quantized by
         :data:`~repro.forcefield.ENERGY_CODEC` and wrap-added into
@@ -488,7 +489,7 @@ class NumpyKernels:
         """
         from repro.forcefield import ENERGY_CODEC
 
-        nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
+        nb = self._tabulated(spec, codes, row_ptr, partners, lengths)
         counts[...] = np.bincount(nb.i, minlength=len(counts))
         if e_rows is not None:
             e_rows[...] = 0
@@ -503,19 +504,20 @@ class NumpyKernels:
         self.deposit_pairs(acc, nb.i, nb.j, spec.codec.quantize_round_only(nb.force))
         return nb.n_pairs
 
-    def pair_rows(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths,
+    def pair_rows(self, spec: PairTableSpec, codes, row_ptr, partners, lengths,
                   oi, oj, rows, e_lj, e_coul):
         """The walk's float64 twin: Verlet rows to per-pair force rows.
 
         The rows expanded to ``(i, j)`` candidates with ``np.repeat``,
-        :func:`~repro.geometry.cells.within` at the tables' cutoff, then
+        :func:`~repro.geometry.cells.within` of the position codes
+        ``codes`` at the tables' cutoff, then
         :func:`~repro.forcefield.nonbonded_real_space_tabulated`: the
         surviving pairs in ``oi[:m], oj[:m]``, the force on atom ``i``
         in ``rows[:m]``, the energies in ``e_lj[:m], e_coul[:m]`` (all
         sized to the candidate count).  Nothing is summed — that is
         :meth:`deposit_pairs_float`'s.  Returns ``m``.
         """
-        nb = self._tabulated(spec, wrapped, row_ptr, partners, lengths)
+        nb = self._tabulated(spec, codes, row_ptr, partners, lengths)
         m = nb.n_pairs
         oi[:m], oj[:m], rows[:m] = nb.i, nb.j, nb.force
         e_lj[:m], e_coul[:m] = nb.e_lj_pairs, nb.e_coul_pairs
@@ -754,14 +756,14 @@ class CompiledKernels(NumpyKernels):
     # buffer — runs the inherited NumPy form instead.
 
     @staticmethod
-    def _rows_conform(wrapped, row_ptr, partners, lengths, outs) -> bool:
-        """Verlet rows as C reads them — an int64 ``row_ptr`` per atom
-        plus one, from 0 to the candidate count, over an int32 partner
-        buffer that may run past it — and ``outs``, ``(array, dtype, row
-        shape)`` scratch of at least that count."""
-        n = len(wrapped)
+    def _rows_conform(codes, row_ptr, partners, lengths, outs) -> bool:
+        """Position codes and Verlet rows as C reads them — an int64
+        ``row_ptr`` per atom plus one, from 0 to the candidate count, over
+        an int32 partner buffer that may run past it — and ``outs``,
+        ``(array, dtype, row shape)`` scratch of at least that count."""
+        n = len(codes)
         if not (
-            _conforms(wrapped, (n, 3), np.float64)
+            _conforms(codes, (n, 3), np.int64)
             and _conforms(row_ptr, (n + 1,), np.int64)
             and _conforms(partners, (len(partners),), np.int32)
             and _conforms(lengths, (3,), np.float64)
@@ -774,7 +776,7 @@ class CompiledKernels(NumpyKernels):
             and all(_conforms(a[:m], (m, *row), t) for a, t, row in outs)
         )
 
-    def neighbor_build(self, wrapped, lengths, reach, n_blocks, block_len, excl, bufs):
+    def neighbor_build(self, codes, lengths, reach, n_blocks, block_len, excl, bufs):
         """:meth:`NumpyKernels.neighbor_build` as one C cluster sweep.
 
         The rows land in ``bufs``, the caller's ``[row_ptr, partners]``
@@ -788,11 +790,10 @@ class CompiledKernels(NumpyKernels):
         fresh list's empty buffers included.
         """
         n = n_blocks * block_len
-        wrapped = np.asarray(wrapped, dtype=np.float64, order="C")
         if len(bufs[0]) != n + 1:
             bufs[0] = np.empty(n + 1, dtype=np.int64)
         if (
-            not _conforms(wrapped, (n, 3), np.float64)
+            not _conforms(codes, (n, 3), np.int64)
             or not _conforms(bufs[0], (n + 1,), np.int64)
             or not _conforms(bufs[1], (len(bufs[1]),), np.int32)
             or (excl is not None and len(excl[0]) != n + 1)
@@ -809,7 +810,7 @@ class CompiledKernels(NumpyKernels):
             row_ptr, partners = bufs
             row_pairs = int(
                 self._lib.rk_neighbor_build(
-                    n_blocks, block_len, _ptr(wrapped), _ptr(lengths), float(reach),
+                    n_blocks, block_len, _ptr(codes), _ptr(lengths), float(reach),
                     ptr, idx, _ptr(work), _ptr(row_ptr), _ptr(partners), len(partners),
                     _ptr(at), -1,
                 )
@@ -821,20 +822,20 @@ class CompiledKernels(NumpyKernels):
             bufs[1] = np.empty(size + size // 8, dtype=np.int32)
             bufs[1][:m] = partners[:m]
 
-    def pair_walk(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths, acc,
+    def pair_walk(self, spec: PairTableSpec, codes, row_ptr, partners, lengths, acc,
                   e_rows, counts, tags=None, sets=None):
         """:meth:`NumpyKernels.pair_walk` as one C pass, bit for bit.
 
         Row by row, atom ``i`` held: filter, tables, quantize and deposit
         per block of its partners, with nothing stored per pair; with
         ``tags`` each block's home-box bits are ORed after its deposit.  The j
-        side reads the coordinates as three arrays, a transpose into the
-        calling thread's scratch (:meth:`_scratch`).
+        side reads the codes as three arrays, a transpose into the calling
+        thread's scratch (:meth:`_scratch`, whose bytes C fills as int64).
         """
-        n = len(wrapped)
+        n = len(codes)
         words = 0 if sets is None else sets.shape[-1]
         if not (
-            self._rows_conform(wrapped, row_ptr, partners, lengths, ())
+            self._rows_conform(codes, row_ptr, partners, lengths, ())
             and _conforms(acc, (n, 3), np.int64)
             and (e_rows is None or _conforms(e_rows, (n, 2), np.int64))
             and _conforms(counts, (n,), np.int64)
@@ -842,11 +843,11 @@ class CompiledKernels(NumpyKernels):
                 _conforms(tags, (n,), np.int64) and _conforms(sets, (2, n, words), np.uint64)
             ))
         ):
-            return NumpyKernels.pair_walk(self, spec, wrapped, row_ptr, partners, lengths,
+            return NumpyKernels.pair_walk(self, spec, codes, row_ptr, partners, lengths,
                                           acc, e_rows, counts, tags, sets)
         return int(
             self._lib.rk_pair_walk(
-                n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
+                n, _ptr(row_ptr), _ptr(partners), _ptr(codes), _ptr(self._scratch(3 * n)),
                 _ptr(lengths), ctypes.byref(spec.c), _ptr(acc),
                 None if e_rows is None else _ptr(e_rows), _ptr(counts),
                 None if tags is None else _ptr(tags), words,
@@ -854,19 +855,19 @@ class CompiledKernels(NumpyKernels):
             )
         )
 
-    def pair_rows(self, spec: PairTableSpec, wrapped, row_ptr, partners, lengths,
+    def pair_rows(self, spec: PairTableSpec, codes, row_ptr, partners, lengths,
                   oi, oj, rows, e_lj, e_coul):
         """:meth:`NumpyKernels.pair_rows` in C, sharing the walk's table
         arithmetic."""
         outs = ((oi, np.int64, ()), (oj, np.int64, ()), (rows, np.float64, (3,)),
                 (e_lj, np.float64, ()), (e_coul, np.float64, ()))
-        if not self._rows_conform(wrapped, row_ptr, partners, lengths, outs):
-            return NumpyKernels.pair_rows(self, spec, wrapped, row_ptr, partners, lengths,
+        if not self._rows_conform(codes, row_ptr, partners, lengths, outs):
+            return NumpyKernels.pair_rows(self, spec, codes, row_ptr, partners, lengths,
                                           oi, oj, rows, e_lj, e_coul)
-        n = len(wrapped)
+        n = len(codes)
         return int(
             self._lib.rk_pair_rows(
-                n, _ptr(row_ptr), _ptr(partners), _ptr(wrapped), _ptr(self._scratch(3 * n)),
+                n, _ptr(row_ptr), _ptr(partners), _ptr(codes), _ptr(self._scratch(3 * n)),
                 _ptr(lengths), ctypes.byref(spec.c), _ptr(oi), _ptr(oj), _ptr(rows),
                 _ptr(e_lj), _ptr(e_coul),
             )
@@ -955,7 +956,7 @@ class CompiledKernels(NumpyKernels):
 
         The float spread's per-chunk bins, the halo'd z columns of the
         quantized spread and the gather, or the pair walks' transposed
-        coordinates (C zeroes or fills it per call); one grow-only array
+        position codes (C zeroes or fills it per call); one grow-only array
         per thread serves all five, since a thread runs one kernel at a
         time.
         """

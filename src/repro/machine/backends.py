@@ -77,8 +77,8 @@ class MachineBackend:
 
     # -- force deposit phases -------------------------------------------
 
-    def range_limited(self, calc, positions, force_codec, acc, energies):
-        """Compute + deposit range-limited pair forces; return (nb, export).
+    def range_limited(self, calc, codes, force_codec, acc, energies):
+        """Compute + deposit range-limited pair forces at ``codes``; return (nb, export).
 
         ``export`` is the backend's own record of the step's NT
         assignment, handed back to :meth:`account_force_export`.
@@ -97,8 +97,8 @@ class MachineBackend:
         codes (``calc._correction_codes``'s keys and integers)."""
         raise NotImplementedError
 
-    def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
-        """Spread/solve/interpolate the GSE mesh; returns the k-space energy."""
+    def mesh_long_range(self, calc, codes, acc, force_codec) -> float:
+        """Spread/solve/interpolate the GSE mesh at ``codes``; returns the k-space energy."""
         raise NotImplementedError
 
     # -- traffic accounting ---------------------------------------------
@@ -115,7 +115,7 @@ class VectorizedBackend(MachineBackend):
 
     Owner/node grouping is dropped wherever integer accumulation makes
     it unobservable, the NT assignment is read from the home-box sets
-    the pair walk builds (tagged with the home boxes of its own wrap),
+    the pair walk builds (tagged with the home boxes of its own codes),
     the GSE mesh is one lane of the shared
     mesh pass, and traffic is charged
     through :meth:`~repro.parallel.comm.SimNetwork.send_batch` with
@@ -137,15 +137,15 @@ class VectorizedBackend(MachineBackend):
         self._routes: np.ndarray | None = None
         calc.walk_tags = self._walk_tags
 
-    def _walk_tags(self, positions, wrapped) -> tuple[np.ndarray, np.ndarray]:
-        """The pair walk's hook: home-box ids of the walk's own wrap, and
+    def _walk_tags(self, codes) -> tuple[np.ndarray, np.ndarray]:
+        """The pair walk's hook: home-box ids of the walk's own codes, and
         the sets it ORs them into (row side, column side)."""
         m = self.calc.machine
-        self._home = m.home_nodes(positions, wrapped)
+        self._home = m.decomp.node_of_codes(codes)
         if self._sets is None:
             n = m.topology.n_nodes
             words = -(-n // 64)
-            self._sets = np.zeros((2, len(positions), words), dtype=np.uint64)
+            self._sets = np.zeros((2, len(codes), words), dtype=np.uint64)
             self._routes = np.zeros((2, n * n), dtype=np.int64)
         return self._home, self._sets
 
@@ -175,8 +175,8 @@ class VectorizedBackend(MachineBackend):
         self.kernels.nt_routes(self._sets, self._home, self._nt_table, m.owners, self._routes)
         return self._routes
 
-    def range_limited(self, calc, positions, force_codec, acc, energies):
-        nb = calc._range_limited(positions, force_codec, acc, energies)
+    def range_limited(self, calc, codes, force_codec, acc, energies):
+        nb = calc._range_limited(codes, force_codec, acc, energies)
         with calc.timers.time("machine_nt_assign"):
             routes = self._nt_routes(calc.machine)
         return nb, routes
@@ -192,7 +192,7 @@ class VectorizedBackend(MachineBackend):
         self.kernels.deposit_pairs(acc.raw(), corr.i, corr.j, ccodes)
         return calc._correction_codes(corr)
 
-    def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
+    def mesh_long_range(self, calc, codes, acc, force_codec) -> float:
         t = calc.timers
 
         # FFT traffic accounting and the FFT solve are separate phases:
@@ -203,9 +203,8 @@ class VectorizedBackend(MachineBackend):
                 calc.machine.account_fft()
 
         e_k, f_k = calc.gse.mesh_pass(
-            positions, calc.system.charges, codec=calc.mesh_codec, kernels=self.kernels,
+            codes, calc.system.charges, codec=calc.mesh_codec, kernels=self.kernels,
             plan=calc._mesh_plan, timers=t, before_solve=account_fft,
-            wrapped=calc._walked(positions),
         )
         with t.time("mesh_interp"):
             acc.deposit_dense(force_codec.quantize_round_only(f_k))

@@ -86,9 +86,10 @@ class MachineForceCalculator(ForceCalculator):
     ):
         m = self.machine
         acc = self._accumulator("short", force_codec)
+        codes = self._encode(positions)
 
         # Range-limited pairs: computed on their NT nodes.
-        nb, export = self.backend.range_limited(self, positions, force_codec, acc, energies)
+        nb, export = self.backend.range_limited(self, codes, force_codec, acc, energies)
         m.account_force_export(export)
 
         # Bond terms on their statically assigned geometry cores.
@@ -98,7 +99,7 @@ class MachineForceCalculator(ForceCalculator):
 
         long_energies = None
         if include_long_range:
-            long_codes, long_energies = self.compute_long_fixed(positions, force_codec, energies)
+            long_codes, long_energies = self._long_fixed(positions, codes, force_codec, energies)
             acc.deposit_dense(long_codes)
 
         # Final assembly (accumulator readout, virtual-site spreading,
@@ -109,7 +110,7 @@ class MachineForceCalculator(ForceCalculator):
             report = ForceReport(
                 forces=force_codec.reconstruct(total),
                 energies=self._short_energies(
-                    positions, nb, lambda: bonded_codes, energies, force_codec
+                    codes, nb, lambda: bonded_codes, energies, force_codec
                 ),
                 n_pairs=nb.n_pairs,
             )
@@ -117,7 +118,11 @@ class MachineForceCalculator(ForceCalculator):
                 report.add_energies(long_energies)
         return total, report
 
+    # Defined here for benchmarks/perf/trace.py, which wraps it by this class's __dict__.
     def compute_long_fixed(self, positions, force_codec, energies: bool = True):
+        return super().compute_long_fixed(positions, force_codec, energies)
+
+    def _long_fixed(self, positions, codes, force_codec, energies: bool):
         acc = self._accumulator("long", force_codec)
 
         # Correction pairs on their owners' correction pipelines.
@@ -129,7 +134,7 @@ class MachineForceCalculator(ForceCalculator):
         e_k = 0.0
         if self.gse is not None:
             with self.timers.time("machine_mesh"):
-                e_k = self.backend.mesh_long_range(self, positions, acc, force_codec)
+                e_k = self.backend.mesh_long_range(self, codes, acc, force_codec)
         return acc.raw(), self._long_energies(lambda: corr_codes, e_k, energies)
 
 
@@ -227,8 +232,6 @@ class AntonMachine(LaneEngine):
             self.router = LinkRouter(self.topology, config, hw)
             self.network.attach_router(self.router)
         self.decomp = SpatialDecomposition(system.box, self.topology, subbox_divisions)
-        #: The last configuration whose home boxes were looked up, and their ids.
-        self._home = (None, None)
         self.migration = MigrationSchedule(
             self.decomp, system.topology, interval=migration_interval
         )
@@ -276,31 +279,10 @@ class AntonMachine(LaneEngine):
 
     # -- traffic accounting -------------------------------------------------
 
-    def home_nodes(self, positions: np.ndarray, wrapped: np.ndarray | None = None) -> np.ndarray:
-        """Home-box ids of ``positions`` (``wrapped``: the same, already
-        wrapped), looked up once per configuration.
-
-        A step's force evaluation looks them up to tag its pair walk; the
-        step's migration and the next step's position import see the
-        same configuration — the integrator hands out one read-only
-        decoded array per ``X`` — and reuse them.  Only arrays that own
-        their data and are read-only are remembered, so no caller can
-        change a configuration under its ids.
-        """
-        src, nodes = self._home
-        if src is not positions:
-            if wrapped is not None:
-                nodes = self.decomp.node_of_wrapped(wrapped)
-            else:
-                nodes = self.decomp.node_of(positions)
-            if not positions.flags.writeable and positions.base is None:
-                self._home = (positions, nodes)
-        return nodes
-
     def _node_occupancy(self) -> np.ndarray:
-        """Atoms per home box at the current positions (by box id)."""
+        """Atoms per home box at the current position codes (by box id)."""
         return np.bincount(
-            self.home_nodes(self.integrator.positions), minlength=self.topology.n_nodes
+            self.decomp.node_of_codes(self.integrator.X), minlength=self.topology.n_nodes
         )
 
     def account_position_import(self) -> None:
@@ -374,8 +356,8 @@ class AntonMachine(LaneEngine):
                 self.account_position_import()
             self.integrator.step(energies)
             with t.time("migration"):
-                pos = self.integrator.positions
-                event = self.migration.step(pos, self.home_nodes(pos))
+                it = self.integrator
+                event = self.migration.step(it.positions, self.decomp.node_of_codes(it.X))
                 if event is not None:
                     self.account_migration(event.n_migrated)
                     self.owners = self.migration.owners

@@ -15,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forcefield import Topology
-from repro.geometry import Box
+from repro.geometry import Box, PositionCodec
+from repro.geometry.codes import cells
 from repro.parallel.topology import TorusTopology
 
 __all__ = ["SpatialDecomposition"]
@@ -23,6 +24,9 @@ __all__ = ["SpatialDecomposition"]
 
 class SpatialDecomposition:
     """Maps positions to home boxes/nodes on a torus.
+
+    A home box is the cell of an atom's position codes on the node grid
+    (:func:`~repro.geometry.codes.cells`): exact, the same everywhere.
 
     Parameters
     ----------
@@ -33,41 +37,32 @@ class SpatialDecomposition:
 
     def __init__(self, box: Box, topology: TorusTopology, subbox_divisions: int = 1):
         self.box = box
+        self.codec = PositionCodec(box)
         self.torus = topology
         self.dims = np.asarray(topology.dims, dtype=np.int64)
         self.node_box = box.lengths / self.dims
         if subbox_divisions < 1:
             raise ValueError("subbox_divisions must be >= 1")
         self.subbox_divisions = subbox_divisions
-        self.subbox_size = self.node_box / subbox_divisions
 
     # -- geometric assignment --------------------------------------------
 
     def box_coord(self, positions: np.ndarray) -> np.ndarray:
         """Home-box (node) coordinates of positions, shape (n, 3)."""
-        return self._box_coord(self.box.wrap(np.asarray(positions, dtype=np.float64)))
-
-    def _box_coord(self, wrapped: np.ndarray) -> np.ndarray:
-        c = np.floor(wrapped / self.node_box).astype(np.int64)
-        return np.minimum(c, self.dims - 1)
-
-    def _node_id(self, c: np.ndarray) -> np.ndarray:
-        return (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
+        return cells(self.codec.encode(positions), self.dims)
 
     def node_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat node ids of positions' home boxes."""
-        return self._node_id(self.box_coord(positions))
+        return self.node_of_codes(self.codec.encode(positions))
 
-    def node_of_wrapped(self, wrapped: np.ndarray) -> np.ndarray:
-        """:meth:`node_of` for coordinates already wrapped into [0, L)
-        (what :meth:`Box.wrap` returned): no second wrap."""
-        return self._node_id(self._box_coord(wrapped))
+    def node_of_codes(self, codes: np.ndarray) -> np.ndarray:
+        """:meth:`node_of` for position codes (an engine's state)."""
+        c = cells(codes, self.dims)
+        return (c[:, 0] * self.dims[1] + c[:, 1]) * self.dims[2] + c[:, 2]
 
     def subbox_coord(self, positions: np.ndarray) -> np.ndarray:
         """Global subbox coordinates (node grid x subbox divisions)."""
-        pos = self.box.wrap(np.asarray(positions, dtype=np.float64))
-        c = np.floor(pos / self.subbox_size).astype(np.int64)
-        return np.minimum(c, self.dims * self.subbox_divisions - 1)
+        return cells(self.codec.encode(positions), self.dims * self.subbox_divisions)
 
     # -- ownership with constraint groups ----------------------------------
 

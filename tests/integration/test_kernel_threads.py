@@ -21,6 +21,7 @@ from repro.io.serialize import pack_state
 from repro.kernels import NUMPY_SUITE, available, get_suite
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
+from tests.mesh_stencil import encode
 
 MACHINE_PARAMS = MDParams(
     cutoff=4.0,
@@ -348,7 +349,7 @@ def _farmed_pass() -> bytes:
     positions = rng.uniform(0.0, 17.0, (3 * 40, 3))
     charges = rng.normal(0.0, 1.0, 40)
     energies, forces = gse.mesh_pass(
-        positions, charges, lanes=3, kernels=get_suite("compiled", 2)
+        encode(gse, positions), charges, lanes=3, kernels=get_suite("compiled", 2)
     )
     return energies.tobytes() + forces.tobytes()
 

@@ -62,21 +62,24 @@ CASES = {
 # once more when the mesh solve became the repository's own radix-2
 # FFT (kernels/fft.py) instead of NumPy's pocketfft, with the k-space
 # energy summed in that kernel's order (the tip4pew energy kept its
-# bits; its positions did not).
+# bits; its positions did not).  Every case moved once more when the
+# float path's geometry began to read the position codes (DESIGN.md,
+# integer geometry: each pair and mesh displacement rounded once, from
+# the codes of the minimiser's positions).
 # Checked equal on the NumPy tier, the compiled tier at one and four
 # threads, and the -march=x86-64 build.
 GOLDEN = {
     "water": (
-        -166.21081118014217,
-        "97f3e8589375902cc13c76f5556f0fef04f65d79d10716ea5ef51d0379225bc1",
+        -166.21081118107668,
+        "0376d74d2fcad1759b50eb88a10cf48d1b7439582dfb36add1147b23fd8b63c3",
     ),
     "tip4pew": (
-        -104.9488962516707,
-        "b991ee0260fe264285858a7488d323736de6620bc0dc1c58a1478ea49741ef65",
+        -104.9488962526284,
+        "6f3a38a97e83e3d7fc274991e0f310e6d76712dbdd16172887e147b07728a67e",
     ),
     "peptide": (
-        -67.91804366040196,
-        "15f8a9f124143066634b806f2f4028e13aa0ea3e28c5f7e26f3670dca3a49ac0",
+        -67.91804365912049,
+        "849349037adccf04c38cebe0a58ca68b218571106ffcad0dc10bc1fca4c83bfb",
     ),
 }
 

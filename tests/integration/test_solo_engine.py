@@ -141,10 +141,15 @@ def test_simulation_equals_the_solo_oracle(system_name, physics_name, tier, thre
 # energy moved once more when the mesh solve became the repository's own
 # radix-2 FFT (kernels/fft.py) instead of NumPy's pocketfft; the state
 # kept its bits (the dynamics' fixed-point forces absorbed the change).
+# Both moved once more when the geometry began to read the position codes
+# (DESIGN.md, integer geometry): a pair displacement is the codes'
+# minimum image rounded once (it was the decoded floats' difference,
+# imaged, rounded twice), and a mesh displacement is the code's exact
+# offset in its cell times h, rounded once.
 # Checked equal on the NumPy tier, the compiled tier at one and four
 # threads, and the -march=x86-64 build.
-GOLDEN_STATE = "9dbb3f58e12b9acc04ef6fe5e60bb5a1e6043eb60ab086f58e77ff152a3de717"
-GOLDEN_MINIMIZED_ENERGY = -166.35705500842914
+GOLDEN_STATE = "204b9621504ac30723b14221d2255d004ca02fce7027d2a5794a412504abc484"
+GOLDEN_MINIMIZED_ENERGY = -166.3570550090949
 
 
 @pytest.mark.parametrize("make", [Simulation, SoloOracle], ids=["simulation", "oracle"])

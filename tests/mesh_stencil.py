@@ -9,7 +9,14 @@ that arithmetic exists.
 
 import numpy as np
 
+from repro.geometry import PositionCodec
 from repro.kernels import NUMPY_SUITE
+
+
+def encode(gse, positions) -> np.ndarray:
+    """``positions`` as the position codes of ``gse``'s box: what a plan,
+    a mesh pass and ``kspace`` read."""
+    return PositionCodec(gse.box).encode(positions)
 
 
 def stencil(plan) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,9 @@
 properties share).
 
 The oracle is the one NumPy table evaluation, written out from public
-parts with literal divisions throughout: the minimum-image cutoff
-filter, :func:`~repro.forcefield.nonbonded_real_space_tabulated` over
+parts with literal divisions throughout: the cutoff filter on the
+position codes' minimum-image displacements
+(:meth:`~repro.geometry.PositionCodec.displacement`), :func:`~repro.forcefield.nonbonded_real_space_tabulated` over
 the survivors, the spec's codec, and ``np.add.at`` / ``np.subtract.at``.
 It takes the candidates as ``(i, j)`` pairs; the suites take them as
 the Verlet list's rows (:func:`in_rows`).
@@ -14,7 +15,7 @@ import numpy as np
 
 from repro.forcefield import ENERGY_CODEC, nonbonded_real_space_tabulated
 from repro.functions import KernelTableSet
-from repro.geometry import Box, NeighborPairs
+from repro.geometry import Box, NeighborPairs, PositionCodec
 from repro.geometry.neighborlist import pairs_to_rows
 
 
@@ -29,8 +30,13 @@ def candidates(rng, n_atoms, blocks, n_cand):
     return ii[order], jj[order]
 
 
+def encode(positions, lengths):
+    """``positions`` as the position codes of the box ``lengths``."""
+    return PositionCodec(Box(np.asarray(lengths, dtype=np.float64))).encode(positions)
+
+
 def islands(rng, n_atoms, n_near=20):
-    """``(wrapped, ii, jj, lengths)`` whose candidate list has whole walk
+    """``(codes, ii, jj, lengths)`` whose candidate list has whole walk
     blocks without a survivor.
 
     Atoms ``0 .. n_near-1`` sit inside a 2 A ball; the rest sit half a
@@ -46,11 +52,11 @@ def islands(rng, n_atoms, n_near=20):
     wrapped[n_near:] = [25.0, 25.0, 25.0] + rng.uniform(-3, 3, (n_atoms - n_near, 3))
     ii, jj = np.triu_indices(n_atoms, k=1)
     keep = ii < n_near
-    return wrapped, ii[keep].astype(np.int64), jj[keep].astype(np.int64), lengths
+    return encode(wrapped, lengths), ii[keep].astype(np.int64), jj[keep].astype(np.int64), lengths
 
 
 def edge_geometry(rng, n_atoms):
-    """``(wrapped, lengths, near)`` for :func:`edge_rows`: atoms in
+    """``(codes, lengths, near)`` for :func:`edge_rows`: atoms in
     alternate runs of 8 ids (``near``: ids 0-7, 16-23, ...) sit inside a
     1.1 A cube, so every pair of them is within a 4 A cutoff; the others
     sit around the point half a 40 A box away, out of range of every
@@ -60,7 +66,7 @@ def edge_geometry(rng, n_atoms):
     wrapped = np.empty((n_atoms, 3))
     wrapped[near] = 5.0 + rng.uniform(0, 1.1, (near.sum(), 3))
     wrapped[~near] = 25.0 + rng.uniform(-3, 3, ((~near).sum(), 3))
-    return wrapped, lengths, near
+    return encode(wrapped, lengths), lengths, near
 
 
 def edge_rows(rng, near, has_lj):
@@ -111,10 +117,11 @@ def divided_tables(tables) -> KernelTableSet:
     return ts
 
 
-def oracle_pairs(spec, wrapped, ii, jj, lengths):
+def oracle_pairs(spec, codes, ii, jj, lengths):
     """``(nb, codes)``: the force field's evaluation of the candidates
-    inside the spec's cutoff, and its rows quantized by the spec's codec."""
-    dx = Box(lengths).minimum_image(wrapped[ii] - wrapped[jj])
+    inside the spec's cutoff at the position codes ``codes``, and its rows
+    quantized by the spec's codec."""
+    dx = PositionCodec(Box(lengths)).displacement(codes[ii], codes[jj])
     r2 = np.sum(dx * dx, axis=1)
     keep = r2 < spec.cutoff2
     nb = nonbonded_real_space_tabulated(
@@ -140,18 +147,18 @@ def walk_tags(n_atoms, words=2):
     return (np.arange(n_atoms, dtype=np.int64) * 37) % (64 * words)
 
 
-def numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags=None, words=2):
+def numpy_walk(spec, codes, ii, jj, lengths, acc, tags=None, words=2):
     """``(acc, e_rows, counts, sets)`` of the oracle: the energies
     quantized by ``ENERGY_CODEC`` and summed into each pair's row
     ``i``, the survivors counted per row, and with ``tags`` the
     home-box sets (:func:`oracle_sets`)."""
-    nb, codes = oracle_pairs(spec, wrapped, ii, jj, lengths)
+    nb, fcodes = oracle_pairs(spec, codes, ii, jj, lengths)
     acc = acc.copy()
-    n = len(wrapped)
+    n = len(codes)
     e_rows = np.zeros((n, 2), dtype=np.int64)
     with np.errstate(over="ignore"):
-        np.add.at(acc, nb.i, codes)
-        np.subtract.at(acc, nb.j, codes)
+        np.add.at(acc, nb.i, fcodes)
+        np.subtract.at(acc, nb.j, fcodes)
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
             np.add.at(e_rows[:, col], nb.i, ENERGY_CODEC.quantize_round_only(e))
     sets = None if tags is None else oracle_sets(nb, tags, n, words)
@@ -166,18 +173,18 @@ def in_rows(ii, jj, n_atoms):
     return (ii, jj, *pairs_to_rows(ii, jj, n_atoms))
 
 
-def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None, words=2,
+def suite_walk(suite, spec, codes, row_ptr, partners, lengths, acc, tags=None, words=2,
                energies=True):
     """The same four arrays from ``suite.pair_walk`` over the rows (``None``
     for the energy rows of a force-only walk, ``energies=False``).
     ``e_rows``, ``counts`` and the sets start as garbage: the walk must
     write every row (and, without ``tags``, leave the sets alone)."""
-    n_atoms = len(wrapped)
+    n_atoms = len(codes)
     e_rows = np.full((n_atoms, 2), -7, dtype=np.int64) if energies else None
     counts = np.full(n_atoms, -7, dtype=np.int64)
     sets = np.full((2, n_atoms, words), 7, dtype=np.uint64)
     acc = acc.copy()
-    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts,
+    m = suite.pair_walk(spec, codes, row_ptr, partners, lengths, acc, e_rows, counts,
                         *(() if tags is None else (tags, sets)))
     assert m == counts.sum()
     if tags is None:
@@ -186,22 +193,22 @@ def suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc, tags=None,
     return acc, e_rows, counts, sets
 
 
-def assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc, words=2, slack=0):
+def assert_walk_matches(suites, spec, codes, ii, jj, lengths, acc, words=2, slack=0):
     """Every suite's walk over the candidates' rows equals the oracle over
     the same candidates in row order, bit for bit, with home-box sets of
     ``words`` words built and without, with energies and force-only (the
     same acc, counts and sets); returns the pair count.  ``slack`` extra
     partner entries past the rows' end stand for the rebuild's buffer,
     which runs past the candidate count."""
-    ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
+    ii, jj, row_ptr, partners = in_rows(ii, jj, len(codes))
     partners = np.concatenate([partners, np.full(slack, -1, dtype=np.int32)])
-    tags = walk_tags(len(wrapped), words)
-    want = numpy_walk(spec, wrapped, ii, jj, lengths, acc, tags, words)
+    tags = walk_tags(len(codes), words)
+    want = numpy_walk(spec, codes, ii, jj, lengths, acc, tags, words)
     names = ("acc", "e_rows", "counts", "sets")
     for suite in suites:
         for tagged in (tags, None):
             for energies in (True, False):
-                got = suite_walk(suite, spec, wrapped, row_ptr, partners, lengths, acc,
+                got = suite_walk(suite, spec, codes, row_ptr, partners, lengths, acc,
                                  tagged, words, energies)
                 for name, x, y in zip(names, got, want):
                     if x is not None:

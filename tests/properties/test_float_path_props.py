@@ -29,11 +29,13 @@ from repro.core.constraints import ConstraintSolver
 from repro.core.forces import ForceCalculator
 from repro.ewald import GaussianSplitEwald, GSEParams, MeshStencilPlan
 from repro.forcefield import nonbonded_real_space_tabulated
-from repro.geometry import Box, NeighborPairs
+from repro.geometry import Box, NeighborPairs, PositionCodec
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_solvated_protein, build_water_box
 from tests.properties.pair_walk_oracle import candidates, divided_tables, in_rows, islands
+from tests.properties.pair_walk_oracle import encode as encode_box
 from tests.properties.test_mesh_fused_props import LENGTHS, MESH_CODEC, assert_same_bits
+from tests.mesh_stencil import encode
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -59,9 +61,9 @@ def calc():
 # -- pair rows ---------------------------------------------------------------
 
 
-def numpy_rows(tables, system, blocks, wrapped, ii, jj, lengths):
+def numpy_rows(tables, system, blocks, codes, ii, jj, lengths):
     """The NumPy tier's float pair evaluation over explicit candidates."""
-    dx = Box(lengths).minimum_image(wrapped[ii] - wrapped[jj])
+    dx = PositionCodec(Box(lengths)).displacement(codes[ii], codes[jj])
     r2 = np.sum(dx * dx, axis=1)
     keep = r2 < CUTOFF * CUTOFF
     pairs = NeighborPairs(i=ii[keep], j=jj[keep], dx=dx[keep], r2=r2[keep])
@@ -71,13 +73,14 @@ def numpy_rows(tables, system, blocks, wrapped, ii, jj, lengths):
     )
 
 
-def assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks=1,
+def assert_rows_match(suites, calc, codes, ii, jj, lengths, blocks=1,
                       division_tables=False) -> int:
-    """Every suite's ``pair_rows`` equals the NumPy evaluation; pair count."""
+    """Every suite's ``pair_rows`` at the position codes ``codes`` equals
+    the NumPy evaluation; pair count."""
     s = calc.system
     tables = divided_tables(calc.tables) if division_tables else calc.tables
-    ii, jj, row_ptr, partners = in_rows(ii, jj, len(wrapped))
-    want = numpy_rows(tables, s, blocks, wrapped, ii, jj, lengths)
+    ii, jj, row_ptr, partners = in_rows(ii, jj, len(codes))
+    want = numpy_rows(tables, s, blocks, codes, ii, jj, lengths)
     spec = make_pair_spec(
         tables, s.lj, np.tile(s.charges, blocks), np.tile(s.type_ids, blocks)
     )
@@ -86,7 +89,7 @@ def assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks=1,
     for suite in suites:
         oi, oj = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
         rows, e_lj, e_coul = np.empty((n, 3)), np.empty(n), np.empty(n)
-        m = suite.pair_rows(spec, wrapped, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul)
+        m = suite.pair_rows(spec, codes, row_ptr, partners, lengths, oi, oj, rows, e_lj, e_coul)
         assert m == want.n_pairs
         np.testing.assert_array_equal(oi[:m], want.i)
         np.testing.assert_array_equal(oj[:m], want.j)
@@ -113,7 +116,8 @@ def test_rows_match_the_tabulated_kernel(suites, calc, seed, n_cand, blocks,
     wrapped = rng.uniform(0, 1, (blocks * n_atoms, 3)) * lengths
     wrapped[rng.integers(0, len(wrapped), 4), rng.integers(0, 3, 4)] = 0.0
     ii, jj = candidates(rng, n_atoms, blocks, n_cand)
-    assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks, division_tables)
+    assert_rows_match(suites, calc, encode_box(wrapped, lengths), ii, jj, lengths, blocks,
+                      division_tables)
 
 
 @pytest.mark.parametrize("division_tables", [False, True], ids=["pow2", "divided"])
@@ -126,7 +130,7 @@ def test_rows_at_every_block_boundary_count(suites, calc, n_cand, division_table
     lengths = np.array([6.5, 9.25, 7.0])
     wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
     ii, jj = candidates(rng, n_atoms, 1, n_cand)
-    assert_rows_match(suites, calc, wrapped, ii, jj, lengths,
+    assert_rows_match(suites, calc, encode_box(wrapped, lengths), ii, jj, lengths,
                       division_tables=division_tables)
 
 
@@ -135,58 +139,58 @@ def test_rows_through_blocks_without_a_survivor(suites, calc):
     does not: the rows after the gap land in the right slots."""
     rng = np.random.default_rng(9)
     blocks = 10
-    wrapped, ii, jj, lengths = islands(rng, blocks * calc.system.n_atoms)
-    assert assert_rows_match(suites, calc, wrapped, ii, jj, lengths, blocks) == 190
+    codes, ii, jj, lengths = islands(rng, blocks * calc.system.n_atoms)
+    assert assert_rows_match(suites, calc, codes, ii, jj, lengths, blocks) == 190
 
 
 def test_rows_at_the_cutoff_and_the_table_end(suites, calc):
-    """``r2 == cutoff2`` is out; one ulp of ``r`` inside is in, and so is
-    the largest ``r2`` under ``cutoff2``, whose ``u`` is the ``umax``
-    clamp's own value — both at the far end of each layout's last
-    segment; a pair at ``r2 == 0`` is in, under the tables' floor, and
-    its row is a zero."""
-    lengths = np.array([11.0, 13.0, 9.5])
-    inside = np.nextafter(CUTOFF, 0.0)
-    nudge = 2.0**-24.5  # inside² + nudge² rounds to the float under 16
-    wrapped = np.zeros((calc.system.n_atoms, 3))
-    wrapped[:8] = [
-        [1.0, 1.0, 1.0], [1.0 + CUTOFF, 1.0, 1.0],  # r2 == cutoff2: dropped
-        [2.0, 0.0, 2.0], [2.0, inside, 2.0],        # just inside: kept
-        [3.0, 3.0, 3.0], [3.0, 3.0, 3.0],           # r2 == 0: kept
-        [5.0, 0.0, 0.0], [5.0, inside, nudge],      # u == umax: kept
+    """``r2 == cutoff2`` is out; one code inside is in, and so is the
+    largest ``r2`` under ``cutoff2``, whose ``u`` is the ``umax`` clamp's
+    own value — both at the far end of each layout's last segment; a pair
+    at ``r2 == 0`` is in, under the tables' floor, and its row is a zero.
+    The box is 4 cutoffs long in x and y, so ``2**38`` codes are the
+    cutoff exactly."""
+    lengths = np.array([4 * CUTOFF, 4 * CUTOFF, 9.5])
+    q, nudge = 2**38, 741448  # (q - 1)² + nudge² codes² rounds to the float under 16 A²
+    codes = np.zeros((calc.system.n_atoms, 3), dtype=np.int64)
+    codes[:8] = [
+        [1000, 1000, 1000], [1000 + q, 1000, 1000],   # r2 == cutoff2: dropped
+        [2000, 0, 2000], [2000, q - 1, 2000],         # one code inside: kept
+        [3000, 3000, 3000], [3000, 3000, 3000],       # r2 == 0: kept
+        [5000, 0, 0], [5000 + q - 1, nudge, 0],       # u == umax: kept
     ]
-    assert inside * inside / (CUTOFF * CUTOFF) == 1.0 - 2.0**-52
-    assert (inside * inside + nudge * nudge) / (CUTOFF * CUTOFF) == np.nextafter(1.0, 0.0)
+    step = lengths * 2.0**-40
+    inside, e = (q - 1) * step[0], nudge * step[1]
+    assert (q * step[0]) ** 2 == CUTOFF * CUTOFF
+    assert inside * inside / (CUTOFF * CUTOFF) < 1.0
+    assert (inside * inside + e * e) / (CUTOFF * CUTOFF) == np.nextafter(1.0, 0.0)
     ii, jj = np.array([0, 2, 4, 6]), np.array([1, 3, 5, 7])
     for division_tables in (False, True):
-        assert assert_rows_match(suites, calc, wrapped, ii, jj, lengths,
+        assert assert_rows_match(suites, calc, codes, ii, jj, lengths,
                                  division_tables=division_tables) == 3
 
 
 @given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_rows_at_the_half_box(suites, calc, seed, pow2_box):
-    """Displacements at ``+-L/2`` and a few ulp either side, per axis:
-    the division-free minimum image feeds the rows the same ``dx``."""
+    """Code differences at ``±2**39`` and a few codes either side, and
+    ``2**40 − 1``, per axis: both suites feed the rows the same ``dx``."""
     rng = np.random.default_rng(seed)
     lengths = np.array([4.0, 8.0, 2.0]) if pow2_box else rng.uniform(5.0, 7.9, 3)
     rows, ii, jj = [], [], []
     for axis in range(3):
-        h = 0.5 * lengths[axis]
-        for d in (h, np.nextafter(h, np.inf), np.nextafter(h, 0.0),
-                  np.nextafter(lengths[axis], 0.0)):
+        for d in (2**39, 2**39 + 1, 2**39 - 1, 2**40 - 1):
             for sign in (1, -1):
-                a = rng.uniform(0, 1, 3) * 0.4
-                b = np.maximum(a + rng.uniform(-0.3, 0.3, 3), 0.0)
-                a[axis], b[axis] = (d, 0.0) if sign > 0 else (0.0, d)
+                a = rng.integers(0, 2**38, 3)
+                b = np.maximum(a + rng.integers(-2**37, 2**37, 3), 0)
+                a[axis], b[axis] = (d, 0) if sign > 0 else (0, d)
                 ii.append(len(rows))
                 jj.append(len(rows) + 1)
                 rows += [a, b]
     blocks = -(-len(rows) // calc.system.n_atoms)
-    wrapped = np.zeros((blocks * calc.system.n_atoms, 3))
-    wrapped[: len(rows)] = rows
-    assert np.all((wrapped >= 0) & (wrapped < lengths))
-    assert assert_rows_match(suites, calc, wrapped, np.array(ii), np.array(jj),
+    codes = np.zeros((blocks * calc.system.n_atoms, 3), dtype=np.int64)
+    codes[: len(rows)] = rows
+    assert assert_rows_match(suites, calc, codes, np.array(ii), np.array(jj),
                              lengths, blocks) > 0
 
 
@@ -284,9 +288,9 @@ def test_kspace_on_the_suite_matches_kspace(suites, codec, n):
     kept = {k: MeshStencilPlan(gse, n) for k in suites}
     for _move in range(3):
         pos = rng.uniform(-0.2, 1.2, (n, 3)) * LENGTHS
-        e_want, f_want = gse.kspace(pos, q, codec=codec)
+        e_want, f_want = gse.kspace(encode(gse, pos), q, codec=codec)
         for k, plan in kept.items():
-            e, f = gse.kspace(pos, q, codec=codec, kernels=k, plan=plan)
+            e, f = gse.kspace(encode(gse, pos), q, codec=codec, kernels=k, plan=plan)
             assert e == e_want
             assert_same_bits(f, f_want)
 
@@ -296,8 +300,8 @@ def test_kspace_replaces_a_plan_of_the_wrong_size(suites):
     rng = np.random.default_rng(1)
     gse = make_radix2_gse()
     pos, q = rng.uniform(0, 1, (30, 3)) * LENGTHS, rng.uniform(-1, 1, 30)
-    want = gse.kspace(pos, q)
-    got = gse.kspace(pos, q, kernels=suites[1], plan=MeshStencilPlan(gse, 7))
+    want = gse.kspace(encode(gse, pos), q)
+    got = gse.kspace(encode(gse, pos), q, kernels=suites[1], plan=MeshStencilPlan(gse, 7))
     assert got[0] == want[0]
     assert_same_bits(got[1], want[1])
 

@@ -27,6 +27,7 @@ from repro.kernels import available, get_suite, make_pair_spec
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import (
     candidates,
+    encode,
     in_rows,
     oracle_pairs,
     oracle_sets,
@@ -64,13 +65,15 @@ def _spec(calc, lanes=1, lj=None):
 
 
 def _walk(suite, spec, wrapped, row_ptr, partners, lengths, tags=None, sets=None):
-    """``PairWalkResult`` of one walk (and its force accumulator); with
-    ``tags`` the walk also builds its home-box sets into ``sets``."""
+    """``PairWalkResult`` of one walk at the codes of ``wrapped`` (and its
+    force accumulator); with ``tags`` the walk also builds its home-box
+    sets into ``sets``."""
     n = len(wrapped)
     acc = np.zeros((n, 3), dtype=np.int64)
     e_rows, counts = np.empty((n, 2), dtype=np.int64), np.empty(n, dtype=np.int64)
     tagged = () if tags is None else (tags, sets)
-    m = suite.pair_walk(spec, wrapped, row_ptr, partners, lengths, acc, e_rows, counts, *tagged)
+    codes = encode(wrapped, lengths)
+    m = suite.pair_walk(spec, codes, row_ptr, partners, lengths, acc, e_rows, counts, *tagged)
     return PairWalkResult(e_rows, counts, m), acc
 
 
@@ -186,7 +189,7 @@ def test_tiers_and_pair_outputs_are_invisible(suites, calc, seed, n_cand):
     wrapped = rng.uniform(0, 1, (n, 3)) * lengths
     ii, jj, row_ptr, partners = in_rows(*candidates(rng, n, 1, n_cand), n)
     spec = _spec(calc)
-    nb, _ = oracle_pairs(spec, wrapped, ii, jj, lengths)
+    nb, _ = oracle_pairs(spec, encode(wrapped, lengths), ii, jj, lengths)
     want, _ = _walk(suites[0], spec, wrapped, row_ptr, partners, lengths)
     assert want.n_pairs == nb.n_pairs
     np.testing.assert_array_equal(want.i, nb.i)
@@ -214,7 +217,7 @@ def test_clipped_codes_and_wrapping_row_sums_agree_across_tiers(suites, calc):
     wrapped[o] = wrapped[o[0]] + np.array([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0], [0.0, 0.3, 0.0]])
     _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     spec = _spec(calc, lj=LJTable(s.lj.sigmas, s.lj.epsilons * 2048.0))
-    nb, _ = oracle_pairs(spec, wrapped, ii, jj, lengths)
+    nb, _ = oracle_pairs(spec, encode(wrapped, lengths), ii, jj, lengths)
     want = np.zeros((len(wrapped), 2), dtype=np.int64)
     with np.errstate(over="ignore"):
         for col, e in enumerate((nb.e_lj_pairs, nb.e_coul_pairs)):
@@ -241,7 +244,7 @@ def test_fixed_energies_are_within_half_a_quantum_per_pair_of_the_float_sum(
     wrapped, ii, jj, lengths = _box(rng, calc)
     _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
     spec = _spec(calc)
-    nb, _ = oracle_pairs(spec, wrapped, ii, jj, lengths)
+    nb, _ = oracle_pairs(spec, encode(wrapped, lengths), ii, jj, lengths)
     m = nb.n_pairs
     assert m > 100
     for suite in suites:

@@ -17,11 +17,12 @@ import pytest
 from repro.core import ForceCalculator, MDParams
 from repro.ewald import GaussianSplitEwald, GSEParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
-from repro.geometry import Box
+from repro.geometry import Box, PositionCodec
 from repro.geometry.neighborlist import pairs_to_rows
 from repro.kernels import NUMPY_SUITE, available, get_suite, make_pair_spec
 from repro.kernels.suite import NumpyKernels
 from repro.systems import build_water_box
+from tests.mesh_stencil import encode
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -50,20 +51,20 @@ def pair_case():
         calc.tables, system.lj, system.charges, system.type_ids,
         ScaledFixed(FixedFormat(62), 2.0**10),
     )
-    wrapped = system.box.wrap(system.positions)
+    codes = PositionCodec(system.box).encode(system.positions)
     ii, jj = np.triu_indices(system.n_atoms, k=1)
     row_ptr, partners = pairs_to_rows(ii, jj, system.n_atoms)
-    return spec, wrapped, row_ptr, partners, system.box.lengths.copy()
+    return spec, codes, row_ptr, partners, system.box.lengths.copy()
 
 
 def pair_args(case, name, variant):
-    spec, wrapped, row_ptr, partners, lengths = case
-    n, n_atoms = len(partners), len(wrapped)
+    spec, codes, row_ptr, partners, lengths = case
+    n, n_atoms = len(partners), len(codes)
     if variant == "strided":
-        wrapped, row_ptr, partners = strided(wrapped), strided(row_ptr), strided(partners)
+        codes, row_ptr, partners = strided(codes), strided(row_ptr), strided(partners)
     elif variant == "dtype":
         row_ptr, partners = row_ptr.astype(np.int32), partners.astype(np.int64)
-    pairs = (wrapped, row_ptr, partners, lengths)
+    pairs = (codes, row_ptr, partners, lengths)
     if name == "pair_walk":
         acc = np.arange(n_atoms * 3, dtype=np.int64).reshape(n_atoms, 3)
         rows = (empty((n_atoms, 2), np.int64, variant), empty(n_atoms, np.int64, variant))
@@ -81,10 +82,10 @@ def pair_args(case, name, variant):
 def mesh_case():
     """A non-cubic stencil plan over 30 atoms, charges and a potential."""
     rng = np.random.default_rng(7)
-    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=(16, 24, 16), spreading_cutoff=3.0)
-    lengths = np.array([16.0, 12.0, 12.0])
+    params = GSEParams(sigma=2.0, sigma_s=0.9, mesh=(16, 32, 16), spreading_cutoff=3.0)
+    lengths = np.array([16.0, 16.0, 12.0])
     gse = GaussianSplitEwald(Box(lengths), params)
-    plan = gse.make_plan(rng.uniform(0, 1, (30, 3)) * lengths)
+    plan = gse.make_plan(encode(gse, rng.uniform(0, 1, (30, 3)) * lengths))
     q = rng.uniform(-1, 1, 30)
     return plan, q, rng.normal(0, 1, gse.mesh_point_count())
 

@@ -20,8 +20,9 @@ from repro.core import MDParams, minimize_energy
 from repro.kernels import available, get_suite, make_pair_spec
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
-from tests.mesh_stencil import stencil
+from tests.mesh_stencil import encode, stencil
 from tests.properties.pair_walk_oracle import assert_walk_matches
+from tests.properties.pair_walk_oracle import encode as encode_box
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -73,8 +74,8 @@ def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):
     Both tiers' ``pair_walk`` against the oracle — minimum-image filter,
     :func:`~repro.forcefield.nonbonded_real_space_tabulated`, the
     codec, ``np.add.at`` — on random pair geometries in the machine's
-    own box, including ``r2 == 0`` and pairs at the cutoff and just
-    inside it: identical accumulator, survivor list, survivor counts and
+    own box, including ``r2 == 0`` and pairs within a code of the cutoff:
+    identical accumulator, survivor list, survivor counts and
     per-row energy codes (``test_pair_walk_props`` holds the adversarial
     cases).
     """
@@ -94,7 +95,7 @@ def test_pair_walk_tables_bitwise(tiers, table_machine, seed, n):
     j = rng.integers(0, s.n_atoms, n)
     i[:3], j[:3] = [0, 2, 4][:n], [1, 3, 5][:n]
     acc = rng.integers(-(2**62), 2**62, (s.n_atoms, 3))
-    assert_walk_matches(tiers, spec, wrapped, i, j, lengths, acc)
+    assert_walk_matches(tiers, spec, encode_box(wrapped, lengths), i, j, lengths, acc)
 
 
 @pytest.mark.parametrize("kernel", ["deposit_pairs"])
@@ -165,7 +166,7 @@ def test_mesh_spread_bitwise(tiers, seed, n):
     _, compiled_k = tiers
     rng = np.random.default_rng(seed)
     gse = _small_gse()
-    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (n, 3)))
+    plan = gse.make_plan(encode(gse, rng.uniform(-5.0, 22.0, (n, 3))))
     qc = rng.uniform(-1e6, 1e6, n) * 2.0 ** rng.integers(0, 24)
     a = rng.integers(-(2**40), 2**40, gse.mesh_point_count())
     b = a.copy()
@@ -184,7 +185,7 @@ def test_mesh_plan_build_bitwise(tiers, seed):
     numpy_k, compiled_k = tiers
     rng = np.random.default_rng(seed)
     gse = _small_gse()
-    plan = gse.make_plan(rng.uniform(-5.0, 22.0, (40, 3)))  # wrap() handles out-of-box
+    plan = gse.make_plan(encode(gse, rng.uniform(-5.0, 22.0, (40, 3))))  # wrap() handles out-of-box
     w, flat = stencil(plan)
     assert flat.min() >= 0 and flat.max() < gse.mesh_point_count()
     qc = rng.uniform(-1e6, 1e6, 40)

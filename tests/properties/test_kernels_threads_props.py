@@ -34,6 +34,8 @@ from repro.kernels.suite import CompiledKernels
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
 from tests.properties.pair_walk_oracle import assert_walk_matches
+from tests.properties.pair_walk_oracle import encode as encode_box
+from tests.mesh_stencil import encode
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -132,7 +134,8 @@ def test_pair_walk_threaded_bitwise(suites, table_machine, seed):
     j = rng.integers(0, s.n_atoms, n)
     i[:2], j[:2] = [0, 2], [1, 3]
     acc = rng.integers(-(2**62), 2**62, (s.n_atoms, 3))
-    assert_walk_matches([one, *threaded.values()], spec, wrapped, i, j, lengths, acc)
+    assert_walk_matches([one, *threaded.values()], spec, encode_box(wrapped, lengths), i, j,
+                        lengths, acc)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -144,13 +147,13 @@ def test_mesh_plan_build_threaded_bitwise(suites, seed):
     rng = np.random.default_rng(seed)
     gse = _small_gse()
     pos = rng.uniform(-5.0, 22.0, (64, 3))
-    want = gse.make_plan(pos)
+    want = gse.make_plan(encode(gse, pos))
     phi = rng.normal(0.0, 1.0, gse.mesh_point_count())
     want_sums = np.empty((64, 3))
     numpy_k.mesh_gather_axes(want_sums, *want._axes(), phi, 0, 64)
     for k in (one, *threaded.values()):
         sums = np.empty((64, 3))
-        k.mesh_gather_axes(sums, *gse.make_plan(pos)._axes(), phi, 0, 64)
+        k.mesh_gather_axes(sums, *gse.make_plan(encode(gse, pos))._axes(), phi, 0, 64)
         np.testing.assert_array_equal(sums.view(np.int64), want_sums.view(np.int64))
 
 

@@ -48,7 +48,7 @@ from repro.kernels.build import load
 from repro.kernels.suite import CompiledKernels
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
-from tests.mesh_stencil import stencil
+from tests.mesh_stencil import encode, stencil
 
 pytestmark = pytest.mark.skipif(
     not available(), reason="no C compiler: compiled kernel tier unavailable"
@@ -112,7 +112,7 @@ def gather_sums(plan, phi, lo=0, hi=None, kernels=NUMPY_SUITE) -> np.ndarray:
 
 def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
     """Spreads, gather sums and forces of every compiled suite == the NumPy suite's."""
-    oracle = gse.make_plan(pos)
+    oracle = gse.make_plan(encode(gse, pos))
     n = oracle.n
     want_mesh = np.zeros(gse.mesh_point_count(), dtype=np.int64)
     oracle.spread_codes(q, want_mesh, MESH_CODEC)
@@ -123,7 +123,7 @@ def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
     want_sums = gather_sums(oracle, phi)
     rows = np.random.default_rng(n).permutation(n)[: n // 2]
     for k in suites:
-        plan = gse.make_plan(pos)
+        plan = gse.make_plan(encode(gse, pos))
         got_mesh = np.zeros_like(want_mesh)
         plan.spread_codes(q, got_mesh, MESH_CODEC, kernels=k)
         np.testing.assert_array_equal(got_mesh, want_mesh)
@@ -134,7 +134,7 @@ def check_plan(gse, pos, q, phi, suites, chunk=CHUNK):
             assert_same_bits(gather_sums(plan, phi, lo, hi, kernels=k), want_sums[lo:hi])
         assert_same_bits(plan.interpolate_forces(q, phi, kernels=k), want_f)
         # A plan over an atom subset gathers each atom's own forces.
-        got = gse.make_plan(pos[rows]).interpolate_forces(q[rows], phi, kernels=k)
+        got = gse.make_plan(encode(gse, pos[rows])).interpolate_forces(q[rows], phi, kernels=k)
         assert_same_bits(got, want_f[rows])
     return oracle
 
@@ -312,7 +312,7 @@ def test_points_outside_the_sphere_add_nothing(suites, sign):
     gse = make_gse()
     pos = rng.uniform(0, 1, (30, 3)) * LENGTHS
     q = rng.uniform(-1, 1, 30)
-    w, flat = stencil(gse.make_plan(pos))
+    w, flat = stencil(gse.make_plan(encode(gse, pos)))
     outside = np.setdiff1d(flat[w == 0.0], flat[w > 0.0])
     assert len(outside) >= 3
     finite = sign * (0.5 + rng.uniform(0, 1, MESH))
@@ -322,7 +322,7 @@ def test_points_outside_the_sphere_add_nothing(suites, sign):
     poisoned.ravel()[outside] = np.resize([np.inf, -np.inf, np.nan], len(outside))
     assert np.all(np.isfinite(want))
     for k in (NUMPY_SUITE, *suites):
-        got = gse.make_plan(pos).interpolate_forces(q, poisoned, kernels=k)
+        got = gse.make_plan(encode(gse, pos)).interpolate_forces(q, poisoned, kernels=k)
         assert_same_bits(got, want)
 
 
@@ -355,7 +355,7 @@ def test_the_gather_order_is_a_rounding_change_from_the_blas_contraction(suites,
     pos = rng.uniform(0, 1, (200, 3)) * LENGTHS
     q = rng.uniform(-1, 1, 200)
     phi = signed_phi(rng)
-    plan = gse.make_plan(pos)
+    plan = gse.make_plan(encode(gse, pos))
     got = plan.interpolate_forces(q, phi)
     assert_same_bits(plan.interpolate_forces(q, phi, kernels=suites[0]), got)
     w, flat = stencil(plan)
@@ -377,7 +377,7 @@ def test_interpolate_forces_calls_no_blas(suites, monkeypatch):
     gse = make_gse()
     pos = rng.uniform(0, 1, (40, 3)) * LENGTHS
     q, phi = rng.uniform(-1, 1, 40), signed_phi(rng)
-    plan = gse.make_plan(pos)
+    plan = gse.make_plan(encode(gse, pos))
 
     def refuse(*args, **kwargs):
         raise AssertionError("a BLAS-ordered reduction in interpolate_forces")
@@ -398,10 +398,10 @@ def test_replica_row_views_equal_solo_plans(suites, replicas):
     q = rng.uniform(-1, 1, n)
     phi = signed_phi(rng)
     for k in suites:
-        plan = gse.make_plan(pos)
+        plan = gse.make_plan(encode(gse, pos))
         for r in range(replicas):
             view = plan.rows_view(r * n, (r + 1) * n)
-            solo = gse.make_plan(pos[r * n : (r + 1) * n])
+            solo = gse.make_plan(encode(gse, pos[r * n : (r + 1) * n]))
             want = np.zeros(gse.mesh_point_count(), dtype=np.int64)
             solo.spread_codes(q, want, MESH_CODEC)
             got = np.zeros_like(want)

@@ -27,6 +27,7 @@ from repro.kernels import available, get_suite
 from repro.machine import AntonMachine
 from repro.systems import build_water_box
 from tests.properties.test_mesh_fused_props import MESH_CODEC, assert_same_bits
+from tests.mesh_stencil import encode
 
 FORCE_CODEC = FixedPointConfig().force_codec()
 
@@ -68,16 +69,16 @@ def moved(positions: np.ndarray, seed: int) -> np.ndarray:
 def test_one_lane_is_kspace_on_every_suite(water, codec):
     system, _params, gse = water
     q = system.charges
-    want_e, want_f = gse.kspace(system.positions, q, codec=codec)
+    want_e, want_f = gse.kspace(encode(gse, system.positions), q, codec=codec)
     for k in SUITES:
         plan = MeshStencilPlan(gse, system.n_atoms)
         energies, forces = gse.mesh_pass(
-            system.positions, q, codec=codec, kernels=k, plan=plan
+            encode(gse, system.positions), q, codec=codec, kernels=k, plan=plan
         )
         assert energies.shape == (1,), suite_id(k)
         same_bits(energies[0], want_e)
         same_bits(forces, want_f)
-        e, f = gse.kspace(system.positions, q, codec=codec, kernels=k, plan=plan)
+        e, f = gse.kspace(encode(gse, system.positions), q, codec=codec, kernels=k, plan=plan)
         same_bits(e, want_e)
         same_bits(f, want_f)
 
@@ -93,11 +94,11 @@ def test_machine_evaluation_is_the_one_lane_pass(water, tier):
     try:
         calc = machine.calc
         for step in range(3):  # the kept plan, refilled
-            pos = moved(system.positions, step)
-            want_e, want_f = calc.gse.kspace(pos, system.charges, codec=calc.mesh_codec)
+            codes = encode(calc.gse, moved(system.positions, step))
+            want_e, want_f = calc.gse.kspace(codes, system.charges, codec=calc.mesh_codec)
             fft_before = dict(machine.traffic_summary())
             acc = calc._accumulator("long", FORCE_CODEC)
-            e_k = machine.backend.mesh_long_range(calc, pos, acc, FORCE_CODEC)
+            e_k = machine.backend.mesh_long_range(calc, codes, acc, FORCE_CODEC)
             same_bits(e_k, want_e)
             np.testing.assert_array_equal(acc.raw(), FORCE_CODEC.quantize_round_only(want_f))
             fft = {
@@ -125,11 +126,11 @@ def test_stacked_lanes_equal_solo_passes_through_a_refilled_plan(water, k, codec
     for evaluation in range(3):
         lanes = [moved(system.positions, 10 * evaluation + r) for r in range(R)]
         energies, forces = gse.mesh_pass(
-            np.concatenate(lanes), q, lanes=R, codec=codec, kernels=k, plan=plan
+            encode(gse, np.concatenate(lanes)), q, lanes=R, codec=codec, kernels=k, plan=plan
         )
         assert energies.shape == (R,) and forces.shape == (R * n, 3)
         for r, pos in enumerate(lanes):
-            want_e, want_f = gse.mesh_pass(pos, q, codec=codec, kernels=k)
+            want_e, want_f = gse.mesh_pass(encode(gse, pos), q, codec=codec, kernels=k)
             same_bits(energies[r], want_e[0])
             same_bits(forces[r * n : (r + 1) * n], want_f)
         # Steady state: the plan's rows, lane views and accumulator are
@@ -151,7 +152,7 @@ def test_kept_plan_is_freed_by_reference_count(water):
     system, _params, gse = water
     plan = MeshStencilPlan(gse, 2 * system.n_atoms)
     stacked = np.concatenate([system.positions, moved(system.positions, 1)])
-    gse.mesh_pass(stacked, system.charges, lanes=2, codec=MESH_CODEC, plan=plan)
+    gse.mesh_pass(encode(gse, stacked), system.charges, lanes=2, codec=MESH_CODEC, plan=plan)
     alive, lane = weakref.ref(plan), weakref.ref(plan._lanes[0])
     gc.disable()
     try:

@@ -9,6 +9,8 @@ bitwise contract that makes that safe: under quantized
 for any atom permutation and any partition of the atoms over plans.
 """
 
+from fractions import Fraction
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.ewald import GaussianSplitEwald, GSEParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
 from repro.geometry import Box
-from tests.mesh_stencil import potential
+from tests.mesh_stencil import encode, potential
 
 #: Same codec family the machine uses for its fixed-point mesh.
 MESH_CODEC = ScaledFixed(FixedFormat(40), limit=8.0)
@@ -45,7 +47,7 @@ def random_atoms(rng, n):
 def quantized_phi(gse, pos, q):
     """Potential mesh of the quantized spread of ``q`` at ``pos``."""
     acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-    gse.make_plan(pos).spread_codes(q, acc, MESH_CODEC)
+    gse.make_plan(encode(gse, pos)).spread_codes(q, acc, MESH_CODEC)
     Q = MESH_CODEC.reconstruct(MESH_CODEC.wrap(acc)).reshape(tuple(gse.mesh))
     return gse.solve(Q)[0]
 
@@ -59,11 +61,11 @@ def test_plan_spread_matches_independent_path_under_permutation(params):
     pos, q = random_atoms(rng, n)
 
     ref = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-    gse.make_plan(pos).spread_codes(q, ref, MESH_CODEC)
+    gse.make_plan(encode(gse, pos)).spread_codes(q, ref, MESH_CODEC)
 
     perm = rng.permutation(n)
     acc = np.zeros_like(ref)
-    gse.make_plan(pos[perm]).spread_codes(q[perm], acc, MESH_CODEC)
+    gse.make_plan(encode(gse, pos[perm])).spread_codes(q[perm], acc, MESH_CODEC)
     np.testing.assert_array_equal(acc, ref)
 
 
@@ -76,10 +78,10 @@ def test_plan_forces_match_independent_path_under_permutation(params):
     pos, q = random_atoms(rng, n)
     phi = quantized_phi(gse, pos, q)
 
-    ref = gse.make_plan(pos).interpolate_forces(q, phi)
+    ref = gse.make_plan(encode(gse, pos)).interpolate_forces(q, phi)
 
     perm = rng.permutation(n)
-    f = gse.make_plan(pos[perm]).interpolate_forces(q[perm], phi)
+    f = gse.make_plan(encode(gse, pos[perm])).interpolate_forces(q[perm], phi)
     np.testing.assert_array_equal(f, ref[perm])
 
 
@@ -93,7 +95,7 @@ def test_rows_partition_is_invisible(params):
     rng = np.random.default_rng(seed)
     gse = make_gse()
     pos, q = random_atoms(rng, n)
-    plan = gse.make_plan(pos)
+    plan = gse.make_plan(encode(gse, pos))
 
     whole = np.zeros(gse.mesh_point_count(), dtype=np.int64)
     plan.spread_codes(q, whole, MESH_CODEC)
@@ -106,7 +108,7 @@ def test_rows_partition_is_invisible(params):
     for node in range(3):
         rows = np.nonzero(owners == node)[0]
         if len(rows):
-            sub = gse.make_plan(pos[rows])
+            sub = gse.make_plan(encode(gse, pos[rows]))
             sub.spread_codes(q[rows], split, MESH_CODEC)
             f_split[rows] = sub.interpolate_forces(q[rows], phi)
     np.testing.assert_array_equal(split, whole)
@@ -123,83 +125,82 @@ def test_plan_potential_matches_independent_path(params):
     gse = make_gse()
     pos, q = random_atoms(rng, n)
     phi = quantized_phi(gse, pos, q)
-    ref = np.concatenate([potential(gse.make_plan(pos[i : i + 1]), phi) for i in range(n)])
+    ref = np.concatenate([potential(gse.make_plan(encode(gse, pos[i : i + 1])), phi) for i in range(n)])
     perm = rng.permutation(n)
-    np.testing.assert_array_equal(potential(gse.make_plan(pos[perm]), phi), ref[perm])
+    np.testing.assert_array_equal(potential(gse.make_plan(encode(gse, pos[perm])), phi), ref[perm])
 
 
-# -- the rows come from tables: np.mod and cells * h, element for element ------
+# -- the rows are exact: cells, offsets and one rounding, from the codes ------
 
 
-def mod_rows(gse, positions):
-    """The rows as ``np.mod`` and ``cells * h`` compute them (no table)."""
-    pos = gse.box.wrap(np.asarray(positions, dtype=np.float64))
-    base = np.floor(pos / gse.h).astype(np.int64)
+def exact_rows(gse, codes):
+    """The rows as the plan's contract states them, from exact rationals:
+    per atom and axis, the cell ``b = floor(c·m / 2**40)``, stencil point
+    ``o`` at mesh index ``(b + o) mod m`` and displacement
+    ``x − (b + o)·h`` of the exact coordinate ``x = c·L / 2**40``,
+    correctly rounded once (``float`` of a ``Fraction``), and the weights
+    the plan's ufuncs make of that displacement."""
     inv_2ss2 = 1.0 / (2.0 * gse.params.sigma_s**2)
     rows = []
     for a, c in enumerate(gse._offsets):
-        cells = base[:, a : a + 1] + np.arange(-c, c + 1)[None, :]
-        d = pos[:, a : a + 1] - cells * gse.h[a]
+        m, h = int(gse.mesh[a]), Fraction(float(gse.h[a]))
+        d = np.empty((len(codes), 2 * c + 1))
+        idx = np.empty(d.shape, dtype=np.int32)
+        for n, code in enumerate(codes[:, a].tolist()):
+            b = code * m >> 40
+            for k, o in enumerate(range(-c, c + 1)):
+                d[n, k] = float(Fraction(code * m - (b + o) * 2**40, 2**40) * h)
+                idx[n, k] = (b + o) % m
         w = np.exp(-(d * d) * inv_2ss2)
         if a == 0:
             w = w * gse._spread_norm
-        rows.append((w, d, np.mod(cells, gse.mesh[a]).astype(np.int32)))
+        rows.append((w, d, idx))
     return rows
 
 
-def assert_rows_are_mod_rows(gse, positions):
-    plan = gse.make_plan(positions)
-    with np.errstate(invalid="ignore"):
-        want = mod_rows(gse, positions)
-    for a, (w, d, i) in enumerate(want):
+def assert_rows_are_exact(gse, codes):
+    plan = gse.make_plan(codes)
+    for a, (w, d, i) in enumerate(exact_rows(gse, codes)):
         np.testing.assert_array_equal(plan.axis_i[a], i, err_msg=f"axis {a} index")
         np.testing.assert_array_equal(plan.axis_d[a].view(np.int64), d.view(np.int64))
         np.testing.assert_array_equal(plan.axis_w[a].view(np.int64), w.view(np.int64))
 
 
-#: A box whose last double below L lands on base cell m on meshes that
-#: are not powers of two (h = L / m is rounded down there); on a power-of-
-#: two mesh h is exact and no wrapped coordinate reaches base m.
-EDGE_SIDE = 14.661059133140746
-
-
 @given(scene())
 @settings(max_examples=40, deadline=None)
-def test_table_rows_are_mod_rows(args):
+def test_rows_are_the_exact_rows_of_the_codes(args):
     n, seed = args
     rng = np.random.default_rng(seed)
-    assert_rows_are_mod_rows(make_gse(), rng.uniform(-1.5, 2.5, (n, 3)) * SIDE)
+    assert_rows_are_exact(make_gse(), rng.integers(0, 2**40, (n, 3)))
 
 
-def test_base_cell_m_reads_the_table_end():
-    box = Box.cubic(EDGE_SIDE)
-    gse = GaussianSplitEwald(box, GSEParams.choose(box, 5.0, (24, 24, 24)))
-    edge = np.nextafter(EDGE_SIDE, 0.0)
-    assert np.floor(edge / gse.h[0]) == 24  # the case under test
-    pos = np.array([[edge, edge, edge], [edge, 0.0, 1.0], [0.0, 5e-324, edge], [7.0, 7.0, 7.0]])
-    assert_rows_are_mod_rows(gse, pos)
+def test_codes_at_the_mask_edges_read_the_first_and_last_cells():
+    """Codes 0 and ``2**40 − 1`` (the box's two faces), the half-box code,
+    and the codes either side of cell boundaries on a non-cubic box."""
+    box = Box(np.array([SIDE, 14.661059133140746, 23.5]))
+    gse = GaussianSplitEwald(box, GSEParams.choose(box, 5.0, (32, 32, 64)))
+    codes = [[0, 0, 0], [2**40 - 1] * 3, [2**39] * 3, [0, 2**40 - 1, 2**39]]
+    for m in (32, 64):
+        for k in (1, m // 2, m - 1):
+            edge = k * 2**40 // m
+            codes += [[edge - 1] * 3, [edge] * 3, [edge + 1] * 3]
+    plan_codes = np.array(codes, dtype=np.int64)
+    assert_rows_are_exact(gse, plan_codes)
+    base = gse.make_plan(plan_codes).axis_i[0][:, gse._offsets[0]]
+    assert base[0] == 0 and base[1] == 31  # the faces: the first and the last cell
 
 
 def test_stencils_wider_than_the_mesh():
-    """2c + 1 exceeds m on x and z and equals it on y: a row wraps the
-    mesh more than once, and the table holds every wrap."""
-    box = Box(np.array([EDGE_SIDE, EDGE_SIDE, 15.0]))
+    """2c + 1 exceeds m on x and z and equals it on y, on a mesh that is
+    not powers of two: a row wraps the mesh more than once, and every
+    index is the mod of its cell."""
+    side = 14.661059133140746
+    box = Box(np.array([side, side, 15.0]))
     gse = GaussianSplitEwald(box, GSEParams(sigma=2.0, sigma_s=1.0, mesh=(6, 5, 4),
                                             spreading_cutoff=5.0))
     assert [2 * c + 1 for c in gse._offsets] == [7, 5, 5]
     rng = np.random.default_rng(2)
-    pos = rng.uniform(0.0, 1.0, (60, 3)) * box.lengths
-    pos[0] = np.nextafter(box.lengths, 0.0)
-    pos[1] = 0.0
-    assert_rows_are_mod_rows(gse, pos)
-
-
-def test_a_non_finite_coordinate_takes_the_mod_rows():
-    """A NaN or an infinity has no base cell in [0, m]: those rows are
-    computed, not read, and come out as np.mod makes them."""
-    gse = make_gse()
-    pos = np.random.default_rng(4).uniform(0.0, SIDE, (8, 3))
-    pos[3, 1] = np.nan
-    pos[5, 2] = np.inf
-    with np.errstate(invalid="ignore"):
-        assert_rows_are_mod_rows(gse, pos)
+    codes = rng.integers(0, 2**40, (60, 3))
+    codes[0] = 2**40 - 1
+    codes[1] = 0
+    assert_rows_are_exact(gse, codes)

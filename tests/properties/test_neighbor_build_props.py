@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 from repro.ensemble import tile_exclusions
 from repro.forcefield import Topology, build_exclusions
-from repro.geometry import Box, EnsembleNeighborList, NeighborList, brute_force_pairs
-from repro.geometry.cells import _choose_binning, within
+from repro.geometry import Box, EnsembleNeighborList, NeighborList, PositionCodec
+from repro.geometry.cells import _choose_binning, brute_force_codes, within
 from repro.geometry.neighborlist import _partner_csr, rows_to_pairs
 from repro.kernels import available, get_suite
 from repro.kernels.suite import _ptr
@@ -55,9 +55,14 @@ RATIOS = (2.05, 2.3, 2.4, 3.2, 6.0, 8.0, 12.0, 24.0)
 
 def _walk(nl):
     """The walk that hands back the within-cutoff pairs themselves."""
-    return lambda wrapped, row_ptr, partners, _lengths: within(
-        wrapped, nl.box, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
+    return lambda codes, row_ptr, partners, _lengths: within(
+        codes, nl.codec, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
     )
+
+
+def _codes(lengths, pos):
+    """``pos`` as position codes of the box ``lengths``."""
+    return PositionCodec(Box(np.asarray(lengths, dtype=np.float64))).encode(pos)
 
 
 def _pairs(nl):
@@ -82,23 +87,27 @@ def _positions(rng, lengths, n):
         pos[a] = pos[rng.integers(0, a)] + step
     if n >= 8:
         pos[0] = 0.0                                  # on the low faces
-        pos[1] = lengths                              # exactly L: wraps to 0
-        pos[2] = np.nextafter(lengths, 0.0)           # last double below L
-        pos[3] = [-1e-300, lengths[1] / 2, 0.0]       # np.mod returns L here
-        # 5-6 sit at r2 == reach2 exactly (out, by the strict <) and 5-7
-        # one ulp inside; z starts from 0 so both differences are exact.
-        # They are 1-2/1-3 partners in the chain topology, so the edge
-        # is asserted with exclusions off.
-        pos[5] = [1.0, 2.0, 0.0]
-        pos[6] = [1.0 + REACH, 2.0, 0.0]
-        pos[7] = [1.0, 2.0, np.nextafter(REACH, 0.0)]
+        pos[1] = lengths                              # exactly L: code 2**40, masked to 0
+        pos[2] = np.nextafter(lengths, 0.0)           # last double below L: code 0 too
+        pos[3] = [-1e-300, lengths[1] / 2, 0.0]       # a negative zero code: 0
+        # In a box 4 reaches long in x, 5-6 sit at r2 == reach2 exactly
+        # (out, by the strict <): their codes differ by 2**38, and 2**38
+        # times L·2**-40 is reach.  5-7 are one code inside.  They are
+        # 1-2/1-3 partners in the chain topology, so the edge is asserted
+        # with exclusions off.
+        codec = PositionCodec(Box(np.asarray(lengths, dtype=np.float64)))
+        inside = codec.decode(codec.encode(np.array([[REACH, 2.0, 0.0]])) - [1, 0, 0])
+        pos[5] = [0.0, 2.0, 0.0]
+        pos[6] = [REACH, 2.0, 0.0]
+        pos[7] = inside[0]
     return pos
 
 
-def _oracle(wrapped, box, excl, replicas, n_solo):
+def _oracle(codes, box, excl, replicas, n_solo):
     ii, jj = [], []
+    codec = PositionCodec(box)
     for r in range(replicas):
-        bf = brute_force_pairs(wrapped[r * n_solo : (r + 1) * n_solo], box, REACH)
+        bf = brute_force_codes(codes[r * n_solo : (r + 1) * n_solo], codec, REACH)
         ii.append(bf.i + r * n_solo)
         jj.append(bf.j + r * n_solo)
     ii, jj = np.concatenate(ii), np.concatenate(jj)
@@ -134,7 +143,8 @@ def _check(lengths, n_solo, replicas, with_excl, seed, solo=None):
     assert ref.reach == fast.reach == REACH
     ref.build(pos)
     fast.build(pos)
-    want_i, want_j = _oracle(box.wrap(pos), box, excl, replicas, n_solo)
+    codes = ref.codec.encode(pos)
+    want_i, want_j = _oracle(codes, box, excl, replicas, n_solo)
     for got in (ref, fast):
         got_i, got_j = _pairs(got)
         np.testing.assert_array_equal(got_i, want_i)
@@ -142,7 +152,7 @@ def _check(lengths, n_solo, replicas, with_excl, seed, solo=None):
         assert got._row_ptr.dtype == np.int64 and got._partners.dtype == np.int32
     assert fast.n_candidates == ref.n_candidates == len(want_i)
     # Same list in, same filtered pairs out — all four arrays.
-    a, b = ref.pairs(pos, _walk(ref)), fast.pairs(pos, _walk(fast))
+    a, b = ref.pairs(codes, _walk(ref)), fast.pairs(codes, _walk(fast))
     for name in ("i", "j", "dx", "r2"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     return fast
@@ -178,7 +188,7 @@ def test_every_binning_branch(ratios, n, numpy_k, replicas):
     lengths = np.array(ratios) * REACH
     binning = (
         None if n < 64
-        else _choose_binning(np.empty((n * replicas, 3)), Box(lengths), REACH, replicas)
+        else _choose_binning(n * replicas, Box(lengths), REACH, replicas)
     )
     if numpy_k is None:
         assert binning is None
@@ -189,8 +199,8 @@ def test_every_binning_branch(ratios, n, numpy_k, replicas):
 
 
 def test_strict_cutoff_edge_and_box_faces():
-    """r2 == reach2 is out, one ulp inside is in; atoms at 0 and L pair up."""
-    fast = _check(np.array([3.2, 2.4, 6.0]) * REACH, 80, 1, False, seed=5)
+    """r2 == reach2 is out, one code inside is in; atoms at 0 and L pair up."""
+    fast = _check(np.array([4.0, 2.4, 6.0]) * REACH, 80, 1, False, seed=5)
     pairs = set(zip(*(a.tolist() for a in _pairs(fast))))
     assert (5, 6) not in pairs and (5, 7) in pairs
     assert {(0, 1), (0, 2), (1, 2)} <= pairs  # 0 and wrapped-L coincide; L-ulp is adjacent
@@ -373,7 +383,7 @@ def _assert_every_shape(box, solo, replicas, with_excl):
     """Each forced sweep shape, and the cost model's, gives the oracle's
     rows for ``replicas`` copies of ``solo``."""
     n_solo = len(solo)
-    pos = np.ascontiguousarray(np.tile(box.wrap(solo), (replicas, 1)))
+    pos = np.tile(_codes(box.lengths, solo), (replicas, 1))
     excl = None
     if with_excl:
         excl = _chain_exclusions(n_solo)
@@ -392,7 +402,7 @@ def _assert_every_shape(box, solo, replicas, with_excl):
 #
 # The C sweep matches clusters first: runs of at most four consecutive
 # atoms of one block tied to their first atom by the exclusion CSR, each
-# with a radius from the wrapped positions.  The cases below build the
+# with a radius from the position codes.  The cases below build the
 # CSR directly, so the clusters are whatever the test says, and compare
 # the C rows under every sweep shape with the NumPy suite's.
 
@@ -418,7 +428,7 @@ def _water_pairs(n, stride=3):
 def _assert_c_rows_equal_numpy(lengths, pos, pairs, n_blocks=1):
     """C rows under every shape == the NumPy suite's rows."""
     lengths = np.asarray(lengths, dtype=np.float64)
-    pos = np.ascontiguousarray(Box(lengths).wrap(np.asarray(pos, dtype=np.float64)))
+    pos = _codes(lengths, pos)
     n = len(pos)
     csr = None if pairs is None else _csr(pairs, n)
     want_ptr, want = get_suite("numpy").neighbor_build(
@@ -539,12 +549,11 @@ def test_cap_resume_inside_a_cluster():
     """A sweep stopped by ``cap`` at the second or third atom of a water
     resumes there, through the same cursor, to the one-call rows."""
     lengths = np.array([3.2, 3.6, 4.0]) * REACH
-    pos = np.ascontiguousarray(
-        Box(lengths).wrap(_water_box(np.random.default_rng(5), lengths, 80, 1.0))
-    )
+    water = _water_box(np.random.default_rng(5), lengths, 80, 1.0)
+    pos = _codes(lengths, water)
     n = len(pos)
     csr = _csr(_water_pairs(n), n)
-    want_ptr, want = _assert_c_rows_equal_numpy(lengths, pos, _water_pairs(n))
+    want_ptr, want = _assert_c_rows_equal_numpy(lengths, water, _water_pairs(n))
     lib = get_suite("compiled")._lib
     work = np.empty(int(lib.rk_neighbor_work_size(n)), dtype=np.int64)
     row_ptr = np.empty(n + 1, dtype=np.int64)

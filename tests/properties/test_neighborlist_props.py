@@ -19,8 +19,8 @@ SUITES = (NUMPY_SUITE, get_suite("compiled", 1)) if available() else (NUMPY_SUIT
 
 def _walk(nl):
     """The walk that hands back the within-cutoff pairs themselves."""
-    return lambda wrapped, row_ptr, partners, _lengths: within(
-        wrapped, nl.box, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
+    return lambda codes, row_ptr, partners, _lengths: within(
+        codes, nl.codec, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
     )
 
 
@@ -46,7 +46,7 @@ def test_buffered_list_matches_brute_force(side, n, cutoff_frac, skin, seed):
     pos = rng.uniform(0, side, size=(n, 3))
     for kernels in SUITES:
         nl = NeighborList(box, cutoff, skin=skin, kernels=kernels)
-        _assert_same_pairs(nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, cutoff))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff))
 
 
 @given(
@@ -72,7 +72,7 @@ def test_buffered_list_correct_along_a_trajectory(side, n, skin, seed, n_moves):
         nl = NeighborList(box, cutoff, skin=skin, kernels=kernels)
         for pos in path[1:]:
             _assert_same_pairs(
-                nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, cutoff)
+                nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff)
             )
         assert nl.n_builds + nl.n_reuses == n_moves
 
@@ -91,6 +91,6 @@ def test_forced_rebuild_changes_nothing(side, n, seed):
     for kernels in SUITES:
         nl = NeighborList(box, cutoff, skin=2.0, kernels=kernels)
         # pairs() returns views of the list's scratch: keep a copy.
-        before = NeighborPairs(*(a.copy() for a in vars(nl.pairs(pos, _walk(nl))).values()))
+        before = NeighborPairs(*(a.copy() for a in vars(nl.pairs(nl.codec.encode(pos), _walk(nl))).values()))
         nl.build(pos)
-        _assert_same_pairs(before, nl.pairs(pos, _walk(nl)))
+        _assert_same_pairs(before, nl.pairs(nl.codec.encode(pos), _walk(nl)))

@@ -1,12 +1,12 @@
 """Property tests: every suite's pair walk == the NumPy table evaluation, bitwise.
 
 ``pair_walk`` goes from the cached Verlet candidates to the force
-accumulator.  The compiled one is one C pass that drops three kinds of
-division on the way, each on the strength of an exactness lemma stated
-in ``_kernels.c``: the minimum image of wrapped coordinates without
-``d / L``, the force quantization as one multiply for a power-of-two
-codec, and the table offset as a reciprocal multiply for power-of-two
-segment widths.  The oracle (``pair_walk_oracle.numpy_walk``: filter,
+accumulator.  Both suites read the position codes' minimum image (the
+sign-extended code difference, rounded once into angstroms); the
+compiled one is one C pass that drops two kinds of division on the way,
+each on the strength of an exactness lemma stated in ``_kernels.c``: the
+force quantization as one multiply for a power-of-two codec, and the
+table offset as a reciprocal multiply for power-of-two segment widths.  The oracle (``pair_walk_oracle.numpy_walk``: filter,
 force-field table evaluation, quantize, deposit, energy codes summed per
 row) keeps every division
 literal, so each property below that lands on a lemma's edge pins the
@@ -52,6 +52,7 @@ from tests.properties.pair_walk_oracle import (
     divided_tables,
     edge_geometry,
     edge_rows,
+    encode,
     in_rows,
     islands,
     oracle_pairs,
@@ -140,7 +141,8 @@ def test_walk_matches_numpy_passes(suites, calc, seed, n_cand, blocks, codec,
     ii, jj = candidates(rng, n_atoms, blocks, n_cand)
     spec = _spec(calc, codec, blocks, division_tables)
     assert (spec.e_inv is None) == division_tables
-    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, len(wrapped)))
+    assert_walk_matches(suites, spec, encode(wrapped, lengths), ii, jj, lengths,
+                        _acc(rng, len(wrapped)))
 
 
 @pytest.mark.parametrize("division_tables", [False, True], ids=["pow2", "divided"])
@@ -153,12 +155,12 @@ def test_walk_at_every_block_boundary_count(suites, calc, n_cand, codec, divisio
     rng = np.random.default_rng(n_cand)
     n_atoms = calc.system.n_atoms
     lengths = np.array([6.5, 9.25, 7.0])
-    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    codes = encode(rng.uniform(0, 1, (n_atoms, 3)) * lengths, lengths)
     ii, jj = candidates(rng, n_atoms, 1, n_cand)
     spec = _spec(calc, codec, divided=division_tables)
     assert (spec.q_mul == 0.0) == (codec == "division")
     assert (spec.e_inv is None) == division_tables and spec.d_inv is None
-    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+    assert_walk_matches(suites, spec, codes, ii, jj, lengths, _acc(rng, n_atoms))
 
 
 @pytest.mark.parametrize("words", [1, 3])
@@ -175,7 +177,7 @@ def test_block_mask_selection_edges(suites, calc, codec, words):
     rng = np.random.default_rng(words)
     n_atoms = blocks * calc.system.n_atoms
     spec = _spec(calc, codec, blocks)
-    wrapped, lengths, near = edge_geometry(rng, n_atoms)
+    codes, lengths, near = edge_geometry(rng, n_atoms)
     a, b = (x.reshape(spec.n_types, -1) for x in (spec.amat, spec.bmat))
     t = spec.types
     ii, jj = edge_rows(rng, near, (a[t, t] != 0.0) | (b[t, t] != 0.0))
@@ -185,7 +187,7 @@ def test_block_mask_selection_edges(suites, calc, codec, words):
     n_alive, n_lj = (np.bincount(ii, weights=w, minlength=n_atoms) for w in (alive, alive & lj))
     assert np.any((n_alive > 0) & (n_lj == 0))        # a row of LJ-free survivors
     assert np.any((n_alive > 8) & (n_lj == n_alive))  # a row of LJ-pair survivors only
-    m = assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms),
+    m = assert_walk_matches(suites, spec, codes, ii, jj, lengths, _acc(rng, n_atoms),
                             words=words, slack=5)
     assert m == alive.sum()
 
@@ -256,7 +258,8 @@ def test_layouts_past_the_fine_grid_take_the_scan(suites, calc, n_cand):
     step = rng.normal(size=(near.sum(), 3))
     r = CUTOFF * np.sqrt(rng.uniform(*FINE_TIER, near.sum()))
     wrapped[jj[near]] = (wrapped[ii[near]] + step * (r / np.linalg.norm(step, axis=1))[:, None]) % lengths
-    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, s.n_atoms))
+    assert_walk_matches(suites, spec, encode(wrapped, lengths), ii, jj, lengths,
+                        _acc(rng, s.n_atoms))
 
 
 @pytest.mark.parametrize("codec", sorted(CODECS))
@@ -266,9 +269,9 @@ def test_walk_through_blocks_without_a_survivor(suites, calc, codec):
     rng = np.random.default_rng(9)
     blocks = 10
     n_atoms = blocks * calc.system.n_atoms
-    wrapped, ii, jj, lengths = islands(rng, n_atoms)
+    codes, ii, jj, lengths = islands(rng, n_atoms)
     spec = _spec(calc, codec, blocks)
-    survivors = assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, _acc(rng, n_atoms))
+    survivors = assert_walk_matches(suites, spec, codes, ii, jj, lengths, _acc(rng, n_atoms))
     assert survivors == 20 * 19 // 2
     kept = np.zeros(len(ii), dtype=bool)
     kept[jj < 20] = True
@@ -284,64 +287,67 @@ def test_saturating_codec_reaches_both_clips(calc):
     lengths = np.array([6.5, 9.25, 7.0])
     wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
     ii, jj = candidates(rng, n_atoms, 1, 257)
-    _, codes = oracle_pairs(_spec(calc, "saturating"), wrapped, ii, jj, lengths)
+    _, codes = oracle_pairs(_spec(calc, "saturating"), encode(wrapped, lengths), ii, jj, lengths)
     assert codes.max() == 2**62 and codes.min() == -(2**62)
+
+
+#: Position codes: the half-box difference and the largest code.
+HALF, TOP = 2**39, 2**40 - 1
+
+
+def _pad(codes, spec):
+    """``codes`` followed by code-0 atoms up to the spec's atom count."""
+    return np.concatenate([codes, np.zeros((len(spec.charges) - len(codes), 3), dtype=np.int64)])
 
 
 @given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_walk_at_the_half_box_and_the_box_edge(suites, calc, seed, pow2_box):
-    """Minimum image without division, on its edges: per axis, ``d`` at
-    ``+-L/2`` and 1..3 ulp either side, and atoms at ``0`` and ``L - ulp``."""
+    """The codes' minimum image on its edges: per axis, code differences
+    of ``±2**39`` (the half-box tie, which sign-extends to ``−2**39``) and
+    1..3 codes either side, and atoms at codes ``0`` and ``2**40 − 1``."""
     rng = np.random.default_rng(seed)
     lengths = np.array([4.0, 8.0, 2.0]) if pow2_box else rng.uniform(5.0, 7.9, 3)
     rows, ii, jj = [], [], []
     for axis in range(3):
-        L = lengths[axis]
-        h = 0.5 * L
-        edge = [h]
-        for _ in range(3):
-            edge += [np.nextafter(edge[-1], np.inf)]
-        for _ in range(3):
-            edge += [np.nextafter(min(edge), -np.inf)]
-        for d in (*edge, np.nextafter(L, 0.0)):
+        for d in (HALF, HALF + 1, HALF + 2, HALF + 3, HALF - 1, HALF - 2, HALF - 3, TOP):
             for sign in (1, -1):
-                # x[i] - x[j] == sign * d exactly: one atom sits at 0.
-                a = rng.uniform(0, 1, 3) * 0.4
-                b = a + rng.uniform(-0.3, 0.3, 3)
-                b = np.where(b < 0, 0.0, b)
-                a[axis], b[axis] = (d, 0.0) if sign > 0 else (0.0, d)
+                # c[i] - c[j] == sign * d: one atom sits at code 0 on the axis.
+                a = rng.integers(0, 2**38, 3)
+                b = a + rng.integers(-2**37, 2**37, 3)
+                b = np.where(b < 0, 0, b)
+                a[axis], b[axis] = (d, 0) if sign > 0 else (0, d)
                 ii.append(len(rows))
                 jj.append(len(rows) + 1)
                 rows += [a, b]
-    wrapped = np.array(rows)
-    assert np.all((wrapped >= 0) & (wrapped < lengths))
+    codes = np.array(rows, dtype=np.int64)
+    assert np.all((codes >= 0) & (codes <= TOP))
     n_atoms = calc.system.n_atoms
-    spec = _spec(calc, blocks=-(-len(wrapped) // n_atoms))
-    wrapped = np.concatenate(
-        [wrapped, np.zeros((len(spec.charges) - len(wrapped), 3))]
-    )
+    spec = _spec(calc, blocks=-(-len(codes) // n_atoms))
+    codes = _pad(codes, spec)
     m = assert_walk_matches(
-        suites, spec, wrapped, np.array(ii), np.array(jj), lengths,
-        _acc(rng, len(wrapped)),
+        suites, spec, codes, np.array(ii), np.array(jj), lengths, _acc(rng, len(codes)),
     )
     assert m > 0  # the half-box images are inside the cutoff
 
 
 def test_walk_at_the_cutoff_itself(suites, calc):
-    """``r2 == cutoff2`` is out; one ulp inside is in, at the table's end."""
-    lengths = np.array([11.0, 13.0, 9.5])
-    inside = np.nextafter(CUTOFF, 0.0)
-    wrapped = np.array([
-        [1.0, 1.0, 1.0], [1.0 + CUTOFF, 1.0, 1.0],  # r2 == cutoff2: dropped
-        [2.0, 0.0, 2.0], [2.0, inside, 2.0],        # just inside: kept
-        [3.0, 3.0, 3.0], [3.0, 3.0, 3.0],           # r2 == 0: kept, zero force
-    ])
+    """``r2 == cutoff2`` is out; one code inside is in, at the table's end.
+    The box is 4 cutoffs long in x, so ``2**38`` codes are the cutoff exactly."""
+    lengths = np.array([4 * CUTOFF, 13.0, 9.5])
+    q = 2**38
+    codes = np.array([
+        [1000, 1000, 1000], [1000 + q, 1000, 1000],  # r2 == cutoff2: dropped
+        [2000, 0, 2000], [2000 + q - 1, 0, 2000],    # one code inside: kept
+        [3000, 3000, 3000], [3000, 3000, 3000],      # r2 == 0: kept, zero force
+    ], dtype=np.int64)
+    step = lengths * 2.0**-40
+    assert (q * step[0]) ** 2 == CUTOFF**2 and ((q - 1) * step[0]) ** 2 < CUTOFF**2
     spec = _spec(calc)
-    wrapped = np.concatenate([wrapped, np.zeros((len(spec.charges) - 6, 3))])
+    codes = _pad(codes, spec)
     ii, jj = np.array([0, 2, 4]), np.array([1, 3, 5])
-    acc = np.zeros((len(wrapped), 3), dtype=np.int64)
-    assert assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc) == 2
+    acc = np.zeros((len(codes), 3), dtype=np.int64)
+    assert assert_walk_matches(suites, spec, codes, ii, jj, lengths, acc) == 2
 
 
 def test_reciprocal_tables_equal_division_tables(suites, calc):
@@ -350,50 +356,50 @@ def test_reciprocal_tables_equal_division_tables(suites, calc):
     rng = np.random.default_rng(5)
     n_atoms = calc.system.n_atoms
     lengths = np.array([7.0, 8.0, 9.0])
-    wrapped = rng.uniform(0, 1, (n_atoms, 3)) * lengths
+    codes = encode(rng.uniform(0, 1, (n_atoms, 3)) * lengths, lengths)
     ii, jj = candidates(rng, n_atoms, 1, 4000)
     spec = _spec(calc)
     acc = _acc(rng, n_atoms)
-    assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc)
-    assert_walk_matches(suites, replace(spec, e_inv=None), wrapped, ii, jj, lengths, acc)
+    assert_walk_matches(suites, spec, codes, ii, jj, lengths, acc)
+    assert_walk_matches(suites, replace(spec, e_inv=None), codes, ii, jj, lengths, acc)
 
 
 @given(seed=st.integers(0, 2**31 - 1), pow2_box=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_pair_rows_image_bits_on_adversarial_differences(calc, seed, pow2_box):
-    """Lemma 1 on ``pair_rows``' force rows, which carry ``dx``'s sign
-    bits: same bits, sign of zero included, at ``+-L/2 +- k ulp``, near
-    ``+-L`` and at random ``d``, in boxes small enough that every image
-    lies inside the cutoff."""
+    """The codes' minimum image on ``pair_rows``' force rows, which carry
+    ``dx``'s sign bits: same bits on both suites, sign of zero included,
+    at code differences of ``±2**39 ± k``, ``±(2**40 − 1)``, ``0``, ``1``
+    and at random, in boxes small enough that every image lies inside
+    the cutoff."""
     numpy_k, compiled_k = get_suite("numpy"), get_suite("compiled")
     rng = np.random.default_rng(seed)
     # L <= 4.5 keeps r2 <= 3 (L/2)^2 < CUTOFF^2.
     lengths = 2.0 ** rng.integers(-3, 3, 3) if pow2_box else rng.uniform(0.1, 4.5, 3)
     ds = []
-    for axis, L in enumerate(lengths):
-        h = 0.5 * L
-        d = [h, np.nextafter(L, 0.0), 0.0, np.nextafter(0.0, 1.0)]
+    for axis in range(3):
+        d = [HALF, TOP, 0, 1]
         for k in range(1, 4):
-            d += [h + k * np.spacing(h), h - k * np.spacing(h)]
-        d += list(rng.uniform(0, 1, 30) * np.nextafter(L, 0.0))
+            d += [HALF + k, HALF - k]
+        d += list(rng.integers(0, TOP, 30, endpoint=True))
         # Each axis's zero on its own row: no pair of coincident atoms.
         ds.append(np.roll(d, axis))
-    d = np.stack(ds, axis=1)
-    assert np.all(d < lengths) and not np.any(np.all(d == 0.0, axis=1))
-    # Pair (2k, 2k+1) has x_i - x_j == +d, pair (2k+1, 2k) has -d.
-    wrapped = np.zeros((2 * len(d), 3))
-    wrapped[0::2] = d
-    ii = np.concatenate([np.arange(0, len(wrapped), 2), np.arange(1, len(wrapped), 2)])
-    jj = np.concatenate([np.arange(1, len(wrapped), 2), np.arange(0, len(wrapped), 2)])
-    spec = _spec(calc, blocks=-(-len(wrapped) // calc.system.n_atoms))
-    wrapped = np.concatenate([wrapped, np.zeros((len(spec.charges) - len(wrapped), 3))])
-    _, _, row_ptr, partners = in_rows(ii, jj, len(wrapped))
+    d = np.stack(ds, axis=1).astype(np.int64)
+    assert np.all(d <= TOP) and not np.any(np.all(d == 0, axis=1))
+    # Pair (2k, 2k+1) has c_i - c_j == +d, pair (2k+1, 2k) has -d.
+    codes = np.zeros((2 * len(d), 3), dtype=np.int64)
+    codes[0::2] = d
+    ii = np.concatenate([np.arange(0, len(codes), 2), np.arange(1, len(codes), 2)])
+    jj = np.concatenate([np.arange(1, len(codes), 2), np.arange(0, len(codes), 2)])
+    spec = _spec(calc, blocks=-(-len(codes) // calc.system.n_atoms))
+    codes = _pad(codes, spec)
+    _, _, row_ptr, partners = in_rows(ii, jj, len(codes))
     outs = []
     for k in (numpy_k, compiled_k):
         n = len(ii)
         out = (np.empty(n, np.int64), np.empty(n, np.int64), np.empty((n, 3)),
                np.empty(n), np.empty(n))
-        assert k.pair_rows(spec, wrapped, row_ptr, partners, lengths, *out) == n
+        assert k.pair_rows(spec, codes, row_ptr, partners, lengths, *out) == n
         outs.append(out)
     for x, y in zip(*outs):
         np.testing.assert_array_equal(x.view(np.int64), y.view(np.int64))
@@ -430,7 +436,7 @@ def test_lj_free_pairs_match_the_oracle(suites, tip4p, table):
     s = tip4p.system
     lj = s.lj if table == "tip4p" else _dispersion_only(s.lj, *s.type_ids[1:3])
     spec = make_pair_spec(tip4p.tables, lj, s.charges, s.type_ids, CODECS["pow2"])
-    wrapped = s.box.wrap(s.positions)
+    codes = encode(s.positions, s.box.lengths)
     ii, jj = (a.astype(np.int64) for a in np.triu_indices(s.n_atoms, k=1))
     a, b = lj.pair_coefficients(s.type_ids[ii], s.type_ids[jj])
     free = (a == 0.0) & (b == 0.0)
@@ -438,7 +444,7 @@ def test_lj_free_pairs_match_the_oracle(suites, tip4p, table):
     assert np.any((a == 0.0) & (b != 0.0)) == (table == "dispersion_only")
     lengths = s.box.lengths.copy()
     acc = np.zeros((s.n_atoms, 3), dtype=np.int64)
-    assert assert_walk_matches(suites, spec, wrapped, ii, jj, lengths, acc) > 0
+    assert assert_walk_matches(suites, spec, codes, ii, jj, lengths, acc) > 0
 
 
 def test_lj_free_float_rows_deposit_the_oracle_forces(suites, tip4p):
@@ -448,17 +454,17 @@ def test_lj_free_float_rows_deposit_the_oracle_forces(suites, tip4p):
     bit for bit — a force sum from +0.0 never sees the sign of a zero."""
     s = tip4p.system
     spec = make_pair_spec(tip4p.tables, s.lj, s.charges, s.type_ids)
-    wrapped = s.box.wrap(s.positions)
+    codes = encode(s.positions, s.box.lengths)
     ii, jj, row_ptr, partners = in_rows(*np.triu_indices(s.n_atoms, k=1), s.n_atoms)
     lengths = s.box.lengths.copy()
-    want, _ = oracle_pairs(replace(spec, codec=CODECS["pow2"]), wrapped, ii, jj, lengths)
+    want, _ = oracle_pairs(replace(spec, codec=CODECS["pow2"]), codes, ii, jj, lengths)
     want_f = np.zeros((s.n_atoms, 3))
     np.add.at(want_f, want.i, want.force)
     np.add.at(want_f, want.j, -want.force)
     n = len(partners)
     for suite in suites:
         oi, oj, rows = np.empty(n, np.int64), np.empty(n, np.int64), np.empty((n, 3))
-        m = suite.pair_rows(spec, wrapped, row_ptr, partners, lengths, oi, oj, rows,
+        m = suite.pair_rows(spec, codes, row_ptr, partners, lengths, oi, oj, rows,
                             np.empty(n), np.empty(n))
         np.testing.assert_array_equal(rows[:m], want.force)
         forces = np.zeros((s.n_atoms, 3))

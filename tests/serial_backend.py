@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.forcefield import ENERGY_CODEC, PairWalkResult
+from repro.geometry.codes import cells
 from repro.machine.backends import MachineBackend
 from repro.parallel import nt_assign_pairs, tower_plate_boxes
 
@@ -98,15 +99,16 @@ class SerialBackend(MachineBackend):
                     np.add.at(rows[:, col], nb.i[sel], codes[col][sel])
         return rows
 
-    def range_limited(self, calc, positions, force_codec, acc, energies):
+    def range_limited(self, calc, pos_codes, force_codec, acc, energies):
         m = calc.machine
-        nb = calc._range_limited(positions)
+        nb = calc._range_limited(pos_codes)
         codes = force_codec.quantize_round_only(nb.force)
         with calc.timers.time("machine_nt_assign"):
-            assign = nt_assign_pairs(m.decomp, positions, nb.i, nb.j)
+            homes = cells(pos_codes, m.decomp.dims)
+            assign = nt_assign_pairs(m.decomp, None, nb.i, nb.j, atom_box_coords=homes)
         with calc.timers.time("machine_deposit"):
             self._deposit_by_node(calc, acc, assign.node, nb.i, nb.j, codes)
-        n_atoms = len(positions)
+        n_atoms = len(pos_codes)
         walk = PairWalkResult(
             e_rows=self._rows_by_node(assign.node, m.topology.n_nodes, nb, n_atoms),
             counts=np.bincount(nb.i, minlength=n_atoms),
@@ -143,7 +145,7 @@ class SerialBackend(MachineBackend):
             "lj14": self._codes_by_node(p14_nodes, n_nodes, corr.lj_scale14 * corr.e_14_lj),
         }
 
-    def mesh_long_range(self, calc, positions, acc, force_codec) -> float:
+    def mesh_long_range(self, calc, pos_codes, acc, force_codec) -> float:
         s, m, gse = calc.system, calc.machine, calc.gse
         t = calc.timers
         # One stencil plan per node, over the atoms it owns.  Bitwise
@@ -152,7 +154,7 @@ class SerialBackend(MachineBackend):
         # invisible in the bits.
         node_rows = [np.nonzero(m.owners == n)[0] for n in range(m.topology.n_nodes)]
         with t.time("mesh_plan"):
-            plans = [(rows, gse.make_plan(positions[rows])) for rows in node_rows if len(rows)]
+            plans = [(rows, gse.make_plan(pos_codes[rows])) for rows in node_rows if len(rows)]
         mesh_acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
         with t.time("mesh_spread"):
             for rows, plan in plans:

@@ -277,20 +277,23 @@ class TestMeshFollowsTheBox:
     # tables (stdout) kept their bytes.  The machine's trajectory hash
     # moved once more when the mesh solve became the repository's own
     # radix-2 FFT (kernels/fft.py) instead of NumPy's pocketfft; the
-    # simulate entry and both printed tables kept their bytes.
+    # simulate entry and both printed tables kept their bytes.  Both
+    # trajectory hashes moved once more when the geometry began to read
+    # the position codes (DESIGN.md, integer geometry: pair and mesh
+    # displacements rounded once); the printed tables kept their bytes.
     # Checked equal on the NumPy tier, the compiled tier at one and four
     # threads, and the -march=x86-64 build.
     SAME_BYTES = {
         "simulate": (
             ["simulate", "--waters", "40", "--steps", "12", "--seed", "7", "--record-every", "4"],
             "f19a3fe77f8f92be",
-            "7e0b0c11bde05562a7f8f9f765a5367ca64459ef8fbcbfc571ef6c3a59548c39",
+            "192626f847b9ec812e53f27f1a2b325603005d39b5d10f644b64cbf50da61cba",
         ),
         "machine": (
             ["machine", "--waters", "32", "--nodes", "8", "--steps", "4",
              "--trajectory-every", "2"],
             "e4365f07352d8265",
-            "35d3015b064b26a5709ba698df5e4e4745c96a5f90a25d9361407014492bc879",
+            "dda8e55bf700f0aad9e2ee7e98dbdf35c285bb4411e97a22e9d0243bd578b6e1",
         ),
     }
 

@@ -121,14 +121,12 @@ class TestFingerprintValidation:
             np.testing.assert_array_equal(a, b)
 
     def test_different_datapath_width_rejected(self, system):
-        from repro.core import FixedPointConfig
         from repro.io import FingerprintMismatch
 
         chk = Simulation(system.copy(), PARAMS, dt=1.0, mode="fixed").checkpoint()
-        target = Simulation(
-            system.copy(), PARAMS, dt=1.0, mode="fixed",
-            fixed_config=FixedPointConfig(position_bits=32),
-        )
+        # A checkpoint written at another position width: its stored header says so.
+        chk["fingerprint"] = {**chk["fingerprint"], "position_bits": 32}
+        target = Simulation(system.copy(), PARAMS, dt=1.0, mode="fixed")
         with pytest.raises(FingerprintMismatch, match="position_bits"):
             target.restore(chk)
 

@@ -11,7 +11,9 @@ from repro.core import (
     Simulation,
 )
 from repro.forcefield import LJTable, Topology
-from repro.geometry import Box
+from repro.geometry import POSITION_BITS, Box
+from repro.io import FingerprintMismatch
+from repro.io.trajectory import _decode_positions
 
 
 def argon_system(n_side=4, spacing=3.8, temperature=120.0, seed=5):
@@ -37,7 +39,7 @@ ARGON_PARAMS = MDParams(cutoff=7.0, mesh=(16, 16, 16))
 class TestPositionCodec:
     def test_roundtrip_resolution(self):
         box = Box.cubic(50.0)
-        codec = PositionCodec(box, bits=40)
+        codec = PositionCodec(box)
         rng = np.random.default_rng(0)
         pos = rng.uniform(0, 50, (100, 3))
         back = codec.decode(codec.encode(pos))
@@ -45,30 +47,36 @@ class TestPositionCodec:
 
     def test_advance_wraps_like_pbc(self):
         box = Box.cubic(10.0)
-        codec = PositionCodec(box, bits=16)
+        codec = PositionCodec(box)
         x = codec.encode(np.array([[9.9, 0.1, 5.0]]))
-        step = np.array([[300, -800, 0]], dtype=np.int64)  # ~0.05 A steps
+        step = np.array([[2**34, -2**35, 0]], dtype=np.int64)  # ~0.16 and ~0.31 A steps
         out = codec.decode(codec.advance(x, step))
         assert 0.0 <= out[0, 0] < 10.0
         assert 0.0 <= out[0, 1] < 10.0
 
     def test_bits_validation(self):
-        with pytest.raises(ValueError):
-            PositionCodec(Box.cubic(10.0), bits=4)
+        """The width is a constant: a stored header of another is refused."""
+        assert PositionCodec.bits == POSITION_BITS == 40
+        codes = np.zeros((2, 3), dtype=np.int64)
+        assert _decode_positions(codes, 40, [10.0] * 3).shape == (2, 3)
+        with pytest.raises(FingerprintMismatch, match="position_bits"):
+            _decode_positions(codes, 32, [10.0] * 3)
 
     @pytest.mark.parametrize("bits", [8, 16, 39, 40, 41, 62])
     def test_mask_is_np_mod_at_the_int64_extremes(self, bits):
-        """The codec reduces by ``& (2**bits - 1)``: ``np.mod`` by a power
-        of two on every int64 (DESIGN.md, power-of-two modulus lemma)."""
-        codec = PositionCodec(Box.cubic(10.0), bits=bits)
+        """The codec reduces by ``& (2**40 - 1)``: ``np.mod`` by a power of
+        two on every int64 (DESIGN.md, power-of-two modulus lemma), here
+        at the widths around it too."""
+        codec = PositionCodec(Box.cubic(10.0))
         i64 = np.iinfo(np.int64)
         m = 1 << bits
+        mask = np.int64(m - 1)
         edges = [i64.min, i64.min + 1, -m - 1, -m, -m + 1, -1, 0, 1,
                  m - 1, m, m + 1, 2**62, i64.max - 1, i64.max]
         rng = np.random.default_rng(bits)
         v = np.concatenate([np.array(edges, dtype=np.int64),
                             rng.integers(i64.min, i64.max, 1000, endpoint=True)])
-        np.testing.assert_array_equal(v & codec.mask, np.mod(v, codec.modulus))
+        np.testing.assert_array_equal(v & mask, np.mod(v, m))
         # advance: the int64 sum may wrap before the reduction.
         delta = np.roll(v, 3)
         with np.errstate(over="ignore"):
@@ -77,13 +85,13 @@ class TestPositionCodec:
 
     def test_encode_matches_the_mod_form(self):
         box = Box(np.array([7.0, 37.04851869, 11.5]))
-        codec = PositionCodec(box, bits=40)
+        codec = PositionCodec(box)
         rng = np.random.default_rng(3)
         pos = rng.uniform(-3.0, 3.0, (300, 3)) * box.lengths
         pos[:4] = [np.nextafter(box.lengths, 0.0), box.lengths, -box.lengths, [0.0, -0.0, 1e-300]]
-        want = np.mod(np.rint(box.wrap(pos) * codec.scale).astype(np.int64), codec.modulus)
+        want = np.mod(np.rint(pos * codec.scale).astype(np.int64), codec.modulus)
         np.testing.assert_array_equal(codec.encode(pos), want)
-        assert codec.encode(pos).max() < codec.modulus  # rint can reach 2**bits: masked to 0
+        assert codec.encode(pos).max() < codec.modulus  # rint can reach 2**40: masked to 0
 
 
 class TestEnergyConservation:

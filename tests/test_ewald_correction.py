@@ -15,6 +15,7 @@ from repro.ewald import (
 from repro.forcefield import LJTable, Topology, build_exclusions
 from repro.geometry import Box, brute_force_pairs
 from repro.util import COULOMB
+from tests.mesh_stencil import encode
 
 
 class TestCorrectionForces:
@@ -62,7 +63,7 @@ class TestCorrectionForces:
         keep = ~ex.is_excluded(pairs.i, pairs.j)
         qq = charges[pairs.i[keep]] * charges[pairs.j[keep]]
         e_real = float(np.sum(qq * real_space_energy_kernel(pairs.r2[keep], sigma)))
-        e_k, _ = gse.kspace(pos, charges)
+        e_k, _ = gse.kspace(encode(gse, pos), charges)
         corr = correction_forces_static(pos, box, static, sigma)
         total_coul = e_real + e_k + self_energy(charges, sigma) + corr.energy_exclusion + corr.energy_14_coul
 

@@ -12,8 +12,8 @@ import pytest
 
 from repro.ewald import GaussianSplitEwald, GSEParams
 from repro.fixedpoint import FixedFormat, ScaledFixed
-from repro.geometry import Box
-from tests.mesh_stencil import stencil
+from repro.geometry import Box, PositionCodec
+from tests.mesh_stencil import encode, stencil
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +32,10 @@ def atoms():
 
 
 def dense_reference_weights(gse, positions):
-    """Direct (non-separable) evaluation of the stencil weights."""
+    """Direct (non-separable) evaluation of the stencil weights, at the
+    positions the plan's codes stand for."""
     p = gse.params
-    positions = gse.box.wrap(np.asarray(positions, dtype=np.float64))
+    positions = gse.box.wrap(encode(gse, positions) / PositionCodec(gse.box).scale)
     base = np.floor(positions / gse.h).astype(np.int64)
     nc = gse._offsets
     ranges = [np.arange(-c, c + 1) for c in nc]
@@ -54,7 +55,7 @@ def dense_reference_weights(gse, positions):
 class TestSeparableWeights:
     def test_weights_match_dense_reference(self, gse, atoms):
         pos, _q = atoms
-        plan = gse.make_plan(pos)
+        plan = gse.make_plan(encode(gse, pos))
         w_f, flat_f = stencil(plan)
         flat_r, w_r, d_r = dense_reference_weights(gse, pos)
         # Same stencil enumeration order (x-major cube), same values.
@@ -70,8 +71,8 @@ class TestSeparableWeights:
         # kspace (the one-lane mesh_pass: stacked solve, lane views)
         # against its pieces run by hand on one plan.
         pos, q = atoms
-        e_fast, f_fast = gse.kspace(pos, q)
-        plan = gse.make_plan(pos)
+        e_fast, f_fast = gse.kspace(encode(gse, pos), q)
+        plan = gse.make_plan(encode(gse, pos))
         Q = np.zeros(gse.mesh_point_count())
         plan.spread_float(q, Q)
         phi, e_slow = gse.solve(Q.reshape(tuple(gse.mesh)))
@@ -87,19 +88,19 @@ class TestSeparableWeights:
         pos, q = atoms
         codec = ScaledFixed(FixedFormat(40), limit=8.0)
         acc = np.zeros(gse.mesh_point_count(), dtype=np.int64)
-        gse.make_plan(pos[:11]).spread_codes(q[:11], acc, codec)
-        gse.make_plan(pos[11:]).spread_codes(q[11:], acc, codec)
+        gse.make_plan(encode(gse, pos[:11])).spread_codes(q[:11], acc, codec)
+        gse.make_plan(encode(gse, pos[11:])).spread_codes(q[11:], acc, codec)
         whole = np.zeros_like(acc)
-        gse.make_plan(pos).spread_codes(q, whole, codec)
+        gse.make_plan(encode(gse, pos)).spread_codes(q, whole, codec)
         np.testing.assert_array_equal(codec.wrap(acc), codec.wrap(whole))
 
     def test_energy_via_fast_path_accurate(self, gse, atoms):
         pos, q = atoms
-        e, _f = gse.kspace(pos, q)
+        e, _f = gse.kspace(encode(gse, pos), q)
         assert np.isfinite(e)
 
     def test_stencil_size_consistent(self, gse):
-        w, flat = stencil(gse.make_plan(np.array([[10.0, 10.0, 10.0]])))
+        w, flat = stencil(gse.make_plan(encode(gse, np.array([[10.0, 10.0, 10.0]]))))
         assert flat.shape[1] == gse.stencil_size()
         # The spherical cutoff zeroes the cube corners.
         assert np.count_nonzero(w) < gse.stencil_size()

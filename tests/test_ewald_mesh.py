@@ -16,7 +16,7 @@ from repro.ewald import (
     self_energy,
 )
 from repro.geometry import Box, brute_force_pairs
-from tests.mesh_stencil import potential
+from tests.mesh_stencil import encode, potential
 
 
 def random_neutral_system(n=40, side=20.0, seed=0):
@@ -38,7 +38,9 @@ def ewald_total(box, pos, q, cutoff, mesh_method):
     pref = qq * real_space_force_kernel(pairs.r2, sigma)
     np.add.at(f, pairs.i, pref[:, None] * pairs.dx)
     np.add.at(f, pairs.j, -pref[:, None] * pairs.dx)
-    e_k, f_k = mesh_method.kspace(pos, q)
+    # GSE reads position codes; the SPME ablation takes the floats.
+    at = encode(mesh_method, pos) if isinstance(mesh_method, GaussianSplitEwald) else pos
+    e_k, f_k = mesh_method.kspace(at, q)
     return e_real + e_k + self_energy(q, sigma), f + f_k
 
 
@@ -87,7 +89,7 @@ class TestGSEAccuracy:
         box, pos, q = random_neutral_system(n=20)
         gse = GaussianSplitEwald(box, GSEParams.choose(box, 9.0, (32, 32, 32)))
         Q = np.zeros(gse.mesh_point_count())
-        gse.make_plan(pos).spread_float(q, Q)
+        gse.make_plan(encode(gse, pos)).spread_float(q, Q)
         # Gaussian weights integrate to ~1 on the mesh.
         assert float(Q.sum()) == pytest.approx(float(q.sum()), abs=1e-6 * np.abs(q).sum() + 1e-9)
 
@@ -97,14 +99,14 @@ class TestGSEAccuracy:
         # truncation/aliasing error, ~1e-4 of typical force magnitudes.
         box, pos, q = random_neutral_system(n=25, seed=5)
         gse = GaussianSplitEwald(box, GSEParams.choose(box, 9.0, (32, 32, 32)))
-        _, f = gse.kspace(pos, q)
+        _, f = gse.kspace(encode(gse, pos), q)
         frms = np.sqrt(np.mean(f**2))
         assert np.max(np.abs(f.sum(axis=0))) < 1e-3 * max(frms, 1.0) + 1e-6
 
     def test_interpolate_potential_consistent_with_energy(self):
         box, pos, q = random_neutral_system(n=18, seed=9)
         gse = GaussianSplitEwald(box, GSEParams.choose(box, 9.0, (32, 32, 32)))
-        plan = gse.make_plan(pos)
+        plan = gse.make_plan(encode(gse, pos))
         Q = np.zeros(gse.mesh_point_count())
         plan.spread_float(q, Q)
         phi, energy = gse.solve(Q.reshape(tuple(gse.mesh)))

@@ -13,7 +13,7 @@ from repro.forcefield import (
     nonbonded_real_space,
     nonbonded_real_space_tabulated,
 )
-from repro.geometry import Box, neighbor_pairs
+from repro.geometry import Box, PositionCodec, neighbor_pairs
 
 
 class TestLJTable:
@@ -121,18 +121,24 @@ class TestNonbondedRealSpace:
             out = nonbonded_real_space(pr, charges, types, lj, ex, sigma)
             return out.energy
 
+        # The pair geometry reads position codes, so the difference steps
+        # are whole codes: h is then exactly the step every displacement sees.
+        codec = PositionCodec(box)
+        codes = codec.encode(pos)
+        pos = codec.decode(codes)
         pairs = neighbor_pairs(pos, box, cutoff)
         out = nonbonded_real_space(pairs, charges, types, lj, ex, sigma)
         dense = np.zeros((20, 3))
         np.add.at(dense, out.i, out.force)
         np.add.at(dense, out.j, -out.force)
-        h = 1e-6
         for a in range(0, 20, 5):
             for c in range(3):
-                p1, p2 = pos.copy(), pos.copy()
-                p1[a, c] += h
-                p2[a, c] -= h
-                num = -(energy(p1) - energy(p2)) / (2 * h)
+                k = round(1e-6 / codec.step[c])
+                c1, c2 = codes.copy(), codes.copy()
+                c1[a, c] += k
+                c2[a, c] -= k
+                h = k * codec.step[c]
+                num = -(energy(codec.decode(c1)) - energy(codec.decode(c2))) / (2 * h)
                 assert dense[a, c] == pytest.approx(num, abs=5e-4)
 
     def test_excluded_pairs_skipped(self):

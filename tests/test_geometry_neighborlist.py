@@ -10,8 +10,8 @@ from repro.geometry.neighborlist import MAX_ATOMS, check_atom_count, rows_to_pai
 
 def _walk(nl):
     """The walk that hands back the within-cutoff pairs themselves."""
-    return lambda wrapped, row_ptr, partners, _lengths: within(
-        wrapped, nl.box, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
+    return lambda codes, row_ptr, partners, _lengths: within(
+        codes, nl.codec, *rows_to_pairs(row_ptr, partners), nl.cutoff * nl.cutoff
     )
 
 
@@ -38,13 +38,13 @@ class TestNeighborListCorrectness:
         box = Box.cubic(side)
         pos = _random_positions(n, box, n)
         nl = NeighborList(box, cutoff, skin=skin)
-        _assert_same_pairs(nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, cutoff))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff))
 
     def test_matches_fresh_search_bitwise(self):
         box = Box(np.array([18.0, 25.0, 31.0]))
         pos = _random_positions(600, box, 9)
         nl = NeighborList(box, 5.0, skin=2.0)
-        _assert_same_pairs(nl.pairs(pos, _walk(nl)), neighbor_pairs(pos, box, 5.0))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), neighbor_pairs(pos, box, 5.0))
 
     def test_reused_list_matches_fresh_search(self):
         # Move atoms by less than skin/2: the cached list is reused and
@@ -52,11 +52,11 @@ class TestNeighborListCorrectness:
         box = Box.cubic(24.0)
         pos = _random_positions(400, box, 4)
         nl = NeighborList(box, 5.0, skin=2.0)
-        nl.pairs(pos, _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
         assert nl.n_builds == 1
         rng = np.random.default_rng(5)
         moved = pos + rng.uniform(-0.4, 0.4, pos.shape)  # max |d| < 1.0 = skin/2
-        _assert_same_pairs(nl.pairs(moved, _walk(nl)), neighbor_pairs(moved, box, 5.0))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(moved), _walk(nl)), neighbor_pairs(moved, box, 5.0))
         assert nl.n_builds == 1 and nl.n_reuses == 1
 
     def test_result_independent_of_rebuild_history(self):
@@ -66,9 +66,9 @@ class TestNeighborListCorrectness:
         moved = pos + rng.uniform(-0.3, 0.3, pos.shape)
 
         stale = NeighborList(box, 5.0, skin=2.0)
-        stale.pairs(pos, _walk(stale))          # list referenced at pos
+        stale.pairs(stale.codec.encode(pos), _walk(stale))          # list referenced at pos
         fresh = NeighborList(box, 5.0, skin=2.0)
-        _assert_same_pairs(stale.pairs(moved, _walk(stale)), fresh.pairs(moved, _walk(fresh)))
+        _assert_same_pairs(stale.pairs(stale.codec.encode(moved), _walk(stale)), fresh.pairs(fresh.codec.encode(moved), _walk(fresh)))
         assert stale.n_builds == 1 and fresh.n_builds == 1
 
 
@@ -77,19 +77,19 @@ class TestRebuildTrigger:
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 0)
         nl = NeighborList(box, 4.0, skin=2.0)
-        assert nl.needs_rebuild(pos)
-        nl.pairs(pos, _walk(nl))
-        assert not nl.needs_rebuild(pos)
+        assert nl.needs_rebuild(nl.codec.encode(pos))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
+        assert not nl.needs_rebuild(nl.codec.encode(pos))
 
     def test_large_move_triggers(self):
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 1)
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos, _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
         moved = pos.copy()
         moved[17] += [1.5, 0.0, 0.0]  # > skin/2
-        assert nl.needs_rebuild(moved)
-        nl.pairs(moved, _walk(nl))
+        assert nl.needs_rebuild(nl.codec.encode(moved))
+        nl.pairs(nl.codec.encode(moved), _walk(nl))
         assert nl.n_builds == 2
 
     def test_displacement_measured_through_the_boundary(self):
@@ -100,27 +100,27 @@ class TestRebuildTrigger:
         pos = _random_positions(100, box, 2)
         pos[3] = [0.05, 5.0, 5.0]
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos, _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
         moved = pos.copy()
         moved[3] = [19.95, 5.0, 5.0]  # moved 0.1 A through the boundary
-        assert not nl.needs_rebuild(moved)
+        assert not nl.needs_rebuild(nl.codec.encode(moved))
 
     def test_zero_skin_rebuilds_every_call(self):
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 3)
         nl = NeighborList(box, 4.0, skin=0.0)
-        nl.pairs(pos, _walk(nl))
-        nl.pairs(pos, _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
         assert nl.n_builds == 2 and nl.n_reuses == 0
 
     def test_forced_build(self):
         box = Box.cubic(20.0)
         pos = _random_positions(100, box, 8)
         nl = NeighborList(box, 4.0, skin=2.0)
-        nl.pairs(pos, _walk(nl))
+        nl.pairs(nl.codec.encode(pos), _walk(nl))
         nl.build(pos)
         assert nl.n_builds == 2
-        _assert_same_pairs(nl.pairs(pos, _walk(nl)), neighbor_pairs(pos, box, 4.0))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), neighbor_pairs(pos, box, 4.0))
 
 
 class TestSkinCapAndValidation:
@@ -130,7 +130,7 @@ class TestSkinCapAndValidation:
         assert nl.effective_skin == pytest.approx(1.0)  # max_cutoff 6 - cutoff 5
         assert nl.reach <= box.max_cutoff()
         pos = _random_positions(150, box, 11)
-        _assert_same_pairs(nl.pairs(pos, _walk(nl)), brute_force_pairs(box.wrap(pos), box, 5.0))
+        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, 5.0))
 
     def test_invalid_parameters_rejected(self):
         box = Box.cubic(10.0)
@@ -167,7 +167,7 @@ class TestExclusionPrefilter:
             top.add_bond(a, a + 1, r0=1.0, k=100.0)
         excl = build_exclusions(top)
         nl = NeighborList(box, 5.0, skin=1.0, exclusions=excl)
-        got = nl.pairs(pos, _walk(nl))
+        got = nl.pairs(nl.codec.encode(pos), _walk(nl))
         assert not np.any(excl.is_excluded(got.i, got.j))
         # And equals the fresh search minus exclusions.
         ref = neighbor_pairs(pos, box, 5.0)

@@ -71,9 +71,10 @@ def _bits(a):
 
 
 class TestWrapFastPath:
-    """Coordinates all inside (0, L) are copied, not reduced; the copy is
-    the general path's result bit for bit (DESIGN.md, wrap lemma), and
-    every edge the fast path must refuse takes the general path."""
+    """``Box.wrap`` is the ``np.mod`` form bit for bit at every edge: zeros
+    of either sign, denormals, exact multiples of L, non-finite values,
+    and coordinates already inside (0, L), which come back as a copy of
+    the same doubles."""
 
     BOX = Box(np.array([7.0, 37.04851869, 11.5]))
 

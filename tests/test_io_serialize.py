@@ -115,12 +115,13 @@ class TestFingerprint:
             check_fingerprint(a, b)
 
     def test_datapath_width_mismatch_rejected(self, system):
+        """A stored fingerprint of another position width (a file written
+        by a build whose width was not 40) is refused."""
         a = system_fingerprint(system, PARAMS, "fixed", 1.0, FixedPointConfig())
-        b = system_fingerprint(
-            system, PARAMS, "fixed", 1.0, FixedPointConfig(position_bits=32)
-        )
+        assert a["position_bits"] == 40
+        stored = {**a, "position_bits": 32}
         with pytest.raises(FingerprintMismatch, match="position_bits"):
-            check_fingerprint(a, b)
+            check_fingerprint(stored, a)
 
     def test_unknown_fields_ignored(self, system):
         # Forward compatibility: fields the current code does not know

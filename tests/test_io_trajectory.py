@@ -58,16 +58,28 @@ class TestTrajectoryRoundTrip:
                 r.frame(3)
 
     def test_position_decode_matches_codec(self, tmp_path):
-        from repro.core.integrator import PositionCodec
-        from repro.geometry import Box
+        from repro.geometry import Box, PositionCodec
 
         path = write_file(tmp_path / "t.rrs", [5])
-        codec = PositionCodec(Box.cubic(10.0), bits=40)
+        codec = PositionCodec(Box.cubic(10.0))
         with TrajectoryReader(path) as r:
             frame = r.frame(0)
             np.testing.assert_array_equal(
                 r.positions(frame), codec.decode(frame.arrays["X"])
             )
+
+    def test_positions_of_another_width_are_refused(self, tmp_path):
+        """Positions are 40-bit codes; a file whose header stores another
+        width is refused, not decoded at the wrong scale."""
+        from repro.io import FingerprintMismatch
+
+        path = tmp_path / "t.rrs"
+        w = TrajectoryWriter(path, fingerprint=FP, decode={**DECODE, "position_bits": 32})
+        w.write_frame(1, 1.0, dict(zip("XV", make_codes(1))))
+        w.close()
+        with TrajectoryReader(path) as r:
+            with pytest.raises(FingerprintMismatch, match="32-bit"):
+                r.positions(r.frame(0))
 
     def test_verify_clean_file(self, tmp_path):
         path = write_file(tmp_path / "t.rrs", [1, 2])

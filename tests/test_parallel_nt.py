@@ -33,9 +33,13 @@ class TestSpatialDecomposition:
         assert d.node_of(pos)[0] == d.torus.node_id((0, 1, 2))
 
     def test_edge_position_clamped(self):
+        """Home boxes are the cells of position codes: no index reaches the
+        box count.  A coordinate one code under L is in the last box; one
+        within half a code of L is the code 0, the face the torus joins it to."""
         d = make_decomp()
-        pos = np.array([[32.0 - 1e-13, 0.0, 0.0]])
-        assert d.box_coord(pos)[0, 0] == 3
+        one_code = 32.0 / 2**40
+        pos = np.array([[32.0 - one_code, 0.0, 0.0], [32.0 - 1e-13, 0.0, 0.0]])
+        assert d.box_coord(pos)[:, 0].tolist() == [3, 0]
 
     def test_subbox_coord(self):
         d = make_decomp(subdiv=2)

@@ -1,15 +1,15 @@
 """Per-step counts of the glue around the kernels: deterministic, so host
 noise cannot move them.
 
-A force evaluation wraps its coordinates once, for the pair list, and
-its mesh plan reads that wrap; a machine step looks its home boxes up
-once, for the tags of the force evaluation's pair walk, and the step's migration and
-the next step's position import reuse them; its traffic accounting
-builds the node coordinate table once per topology; a 48-atom solo step makes a
-bounded number of Python calls.  The bounds
-are the counts of the code as committed — each was higher before the
-passes it counts were merged — so a change that adds glue to a step
-fails here, whatever the host's speed.
+A force evaluation encodes its positions once, at entry, and wraps
+nothing: the pair list, the walk and the mesh plan read the position
+codes, and so do a machine step's home boxes (for the tags of its force
+evaluation's pair walk, its migration and the next step's position
+import); its traffic accounting builds the node coordinate table once
+per topology; a 48-atom solo step makes a bounded number of Python
+calls.  The bounds are the counts of the code as committed — each was
+higher before the passes it counts were merged — so a change that adds
+glue to a step fails here, whatever the host's speed.
 """
 
 import gc
@@ -21,7 +21,7 @@ import pytest
 
 from repro.core import MDParams, Simulation
 from repro.ewald import GSEParams
-from repro.geometry import Box
+from repro.geometry import Box, PositionCodec
 from repro.kernels import available, suite
 from repro.machine import AntonMachine
 from repro.parallel import SpatialDecomposition, TorusTopology
@@ -31,8 +31,9 @@ from repro.systems import build_water_box
 #: the 48-atom box below on the compiled tier: long-range and short-only
 #: steps alternate, so the mean is over whole MTS cycles.  No step of the
 #: run records energies, so none decodes any (was 350 while every step
-#: decoded its energies).
-SOLO_CALLS_PER_STEP = 329
+#: decoded its energies, 329 while every evaluation wrapped its positions
+#: and the walk and the mesh plan shared the wrap through identity caches).
+SOLO_CALLS_PER_STEP = 313
 
 #: Data-pointer reads (``kernels.suite._ptr`` misses, ~2 µs each) per step
 #: of the same box after warm-up: none.  The mesh plan keeps every array
@@ -69,41 +70,55 @@ def machine():
     m.close()
 
 
-def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
-    """One wrap per evaluation, with or without the mesh (was 2 and 3:
-    the NT home boxes and the mesh plan wrapped the same coordinates
-    again; the home boxes the walk's sets are tagged with come from this
-    wrap)."""
-    wraps = _Counter(monkeypatch, Box, "wrap")
-    provider = machine.integrator.force_fn
+def _count_per_evaluation(engine, wraps, encodes) -> list:
+    """A provider for ``engine`` that records, per force evaluation,
+    whether it was a long-range one and the wraps and encodes it made."""
+    provider = engine.integrator.force_fn
     per_eval = []
 
     def counted_provider(positions, energies=False):
-        before = wraps.n
+        before = wraps.n, encodes.n
         long_range = provider.calls % provider.k == 0
         out = provider(positions, energies)
-        per_eval.append((long_range, wraps.n - before))
+        per_eval.append((long_range, wraps.n - before[0], encodes.n - before[1]))
         return out
 
-    machine.integrator.force_fn = counted_provider
-    machine.step(8)
-    assert len(per_eval) == 8
-    assert {n for long_range, n in per_eval if not long_range} == {1}
-    assert {n for long_range, n in per_eval if long_range} == {1}
-    # Per step: the evaluation's, plus the drift's encode after SETTLE.
-    assert wraps.n == sum(n for _, n in per_eval) + 8
+    engine.integrator.force_fn = counted_provider
+    return per_eval
 
 
-def test_home_boxes_once_per_machine_step(machine, monkeypatch):
-    """The pair walk's hook looks the step's home boxes up from the pair
-    list's wrapped coordinates; migration and the next position import
-    reuse them (was 2.25 ``box_coord`` passes a step)."""
+def test_box_wrap_calls_per_force_evaluation(machine, monkeypatch):
+    """No wrap in a fixed-path evaluation of the solo box or the 8-node
+    machine, with or without the mesh (was one; before that two and
+    three: the NT home boxes and the mesh plan wrapped the same
+    coordinates again), nor anywhere else in a step (the drift's encode
+    after SETTLE wrapped too).  Each entry point encodes once: a
+    short-range evaluation once, an MTS long-range one twice (its short
+    and its long part, each entered with float positions)."""
+    solo = small_solo()
+    wraps = _Counter(monkeypatch, Box, "wrap")
+    encodes = _Counter(monkeypatch, PositionCodec, "encode")
+    for engine, advance in ((machine, machine.step), (solo, solo.run)):
+        per_eval = _count_per_evaluation(engine, wraps, encodes)
+        advance(8)
+        assert len(per_eval) == 8
+        assert {(n, e) for long_range, n, e in per_eval if not long_range} == {(0, 1)}
+        assert {(n, e) for long_range, n, e in per_eval if long_range} == {(0, 2)}
+    assert wraps.n == 0
+
+
+def test_home_boxes_are_read_from_the_codes(machine, monkeypatch):
+    """A machine step reads its home boxes from the position codes three
+    times — the pair walk's tags, the migration and the next position
+    import — as integer cells, and never from float coordinates (was one
+    ``node_of_wrapped`` lookup a step, reused through an identity cache;
+    2.25 ``box_coord`` passes before that)."""
     coords = _Counter(monkeypatch, SpatialDecomposition, "box_coord")
-    lookups = _Counter(monkeypatch, SpatialDecomposition, "node_of_wrapped")
+    lookups = _Counter(monkeypatch, SpatialDecomposition, "node_of_codes")
     migrations = len(machine.migration.events)
     machine.step(8)
     assert coords.n == 0
-    assert lookups.n == 8
+    assert lookups.n == 3 * 8
     assert len(machine.migration.events) == migrations + 2  # every 4 steps, as before
 
 
