@@ -5,8 +5,9 @@ properties share).
 The oracle is the one NumPy table evaluation, written out from public
 parts with literal divisions throughout: the cutoff filter on the
 position codes' minimum-image displacements
-(:meth:`~repro.geometry.PositionCodec.displacement`), :func:`~repro.forcefield.nonbonded_real_space_tabulated` over
-the survivors, the spec's codec, and ``np.add.at`` / ``np.subtract.at``.
+(:meth:`~repro.geometry.PositionCodec.displacement`),
+:func:`~repro.forcefield.nonbonded_real_space_tabulated` over the
+survivors, the spec's codec, and ``np.add.at`` / ``np.subtract.at``.
 It takes the candidates as ``(i, j)`` pairs; the suites take them as
 the Verlet list's rows (:func:`in_rows`).
 """

@@ -125,7 +125,9 @@ def test_plan_potential_matches_independent_path(params):
     gse = make_gse()
     pos, q = random_atoms(rng, n)
     phi = quantized_phi(gse, pos, q)
-    ref = np.concatenate([potential(gse.make_plan(encode(gse, pos[i : i + 1])), phi) for i in range(n)])
+    ref = np.concatenate(
+        [potential(gse.make_plan(encode(gse, pos[i : i + 1])), phi) for i in range(n)]
+    )
     perm = rng.permutation(n)
     np.testing.assert_array_equal(potential(gse.make_plan(encode(gse, pos[perm])), phi), ref[perm])
 

@@ -46,7 +46,9 @@ def test_buffered_list_matches_brute_force(side, n, cutoff_frac, skin, seed):
     pos = rng.uniform(0, side, size=(n, 3))
     for kernels in SUITES:
         nl = NeighborList(box, cutoff, skin=skin, kernels=kernels)
-        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff))
+        _assert_same_pairs(
+            nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff)
+        )
 
 
 @given(
@@ -91,6 +93,7 @@ def test_forced_rebuild_changes_nothing(side, n, seed):
     for kernels in SUITES:
         nl = NeighborList(box, cutoff, skin=2.0, kernels=kernels)
         # pairs() returns views of the list's scratch: keep a copy.
-        before = NeighborPairs(*(a.copy() for a in vars(nl.pairs(nl.codec.encode(pos), _walk(nl))).values()))
+        walked = nl.pairs(nl.codec.encode(pos), _walk(nl))
+        before = NeighborPairs(*(a.copy() for a in vars(walked).values()))
         nl.build(pos)
         _assert_same_pairs(before, nl.pairs(nl.codec.encode(pos), _walk(nl)))

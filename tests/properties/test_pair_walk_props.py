@@ -6,11 +6,12 @@ sign-extended code difference, rounded once into angstroms); the
 compiled one is one C pass that drops two kinds of division on the way,
 each on the strength of an exactness lemma stated in ``_kernels.c``: the
 force quantization as one multiply for a power-of-two codec, and the
-table offset as a reciprocal multiply for power-of-two segment widths.  The oracle (``pair_walk_oracle.numpy_walk``: filter,
-force-field table evaluation, quantize, deposit, energy codes summed per
-row) keeps every division
-literal, so each property below that lands on a lemma's edge pins the
-lemma, and each that breaks a precondition pins the division fallback.
+table offset as a reciprocal multiply for power-of-two segment widths.
+The oracle (``pair_walk_oracle.numpy_walk``: filter, force-field
+table evaluation, quantize, deposit, energy codes summed per row)
+keeps every division literal, so each property below that lands on a
+lemma's edge pins the lemma, and each that breaks a precondition pins
+the division fallback.
 The NumPy suite's walk — the same pipeline inside the suite — is one
 more suite held to it.
 

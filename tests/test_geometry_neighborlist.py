@@ -38,7 +38,9 @@ class TestNeighborListCorrectness:
         box = Box.cubic(side)
         pos = _random_positions(n, box, n)
         nl = NeighborList(box, cutoff, skin=skin)
-        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff))
+        _assert_same_pairs(
+            nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, cutoff)
+        )
 
     def test_matches_fresh_search_bitwise(self):
         box = Box(np.array([18.0, 25.0, 31.0]))
@@ -56,7 +58,9 @@ class TestNeighborListCorrectness:
         assert nl.n_builds == 1
         rng = np.random.default_rng(5)
         moved = pos + rng.uniform(-0.4, 0.4, pos.shape)  # max |d| < 1.0 = skin/2
-        _assert_same_pairs(nl.pairs(nl.codec.encode(moved), _walk(nl)), neighbor_pairs(moved, box, 5.0))
+        _assert_same_pairs(
+            nl.pairs(nl.codec.encode(moved), _walk(nl)), neighbor_pairs(moved, box, 5.0)
+        )
         assert nl.n_builds == 1 and nl.n_reuses == 1
 
     def test_result_independent_of_rebuild_history(self):
@@ -68,7 +72,10 @@ class TestNeighborListCorrectness:
         stale = NeighborList(box, 5.0, skin=2.0)
         stale.pairs(stale.codec.encode(pos), _walk(stale))          # list referenced at pos
         fresh = NeighborList(box, 5.0, skin=2.0)
-        _assert_same_pairs(stale.pairs(stale.codec.encode(moved), _walk(stale)), fresh.pairs(fresh.codec.encode(moved), _walk(fresh)))
+        _assert_same_pairs(
+            stale.pairs(stale.codec.encode(moved), _walk(stale)),
+            fresh.pairs(fresh.codec.encode(moved), _walk(fresh)),
+        )
         assert stale.n_builds == 1 and fresh.n_builds == 1
 
 
@@ -130,7 +137,9 @@ class TestSkinCapAndValidation:
         assert nl.effective_skin == pytest.approx(1.0)  # max_cutoff 6 - cutoff 5
         assert nl.reach <= box.max_cutoff()
         pos = _random_positions(150, box, 11)
-        _assert_same_pairs(nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, 5.0))
+        _assert_same_pairs(
+            nl.pairs(nl.codec.encode(pos), _walk(nl)), brute_force_pairs(pos, box, 5.0)
+        )
 
     def test_invalid_parameters_rejected(self):
         box = Box.cubic(10.0)
